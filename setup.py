@@ -4,9 +4,8 @@ The package is fully functional without the extension (a pure-Python twin
 of the kernel is selected at import time), so any failure while compiling
 tripcon._kernels._fast downgrades to a warning instead of aborting the
 install.  Set TRIPCON_REQUIRE_FAST=1 to turn build failures into errors.
-The extension is built from _fast.pyx when Cython is importable, and
-otherwise from the committed _fast.c generated from it, which needs only
-a C compiler.
+The extension is the hand-written C99 file _fast.c and needs only a C
+compiler.
 """
 
 import os
@@ -42,37 +41,9 @@ class OptionalBuildExt(build_ext):
         )
 
 
-def extensions():
-    pyx = "src/tripcon/_kernels/_fast.pyx"
-    generated = "src/tripcon/_kernels/_fast.c"
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        cythonize = None
-    if cythonize is not None and os.path.exists(pyx):
-        ext = Extension(
-            "tripcon._kernels._fast",
-            sources=[pyx],
-            extra_compile_args=["-O3"],
-        )
-        return cythonize(
-            [ext],
-            compiler_directives={
-                "language_level": "3",
-                "boundscheck": False,
-                "wraparound": False,
-                "cdivision": True,
-                "initializedcheck": False,
-            },
-        )
-    if os.path.exists(generated):
-        # the committed C file generated from _fast.pyx: no Cython needed
-        return [Extension("tripcon._kernels._fast", sources=[generated],
-                          extra_compile_args=["-O3"])]
-    if REQUIRE_FAST:
-        raise RuntimeError(f"no kernel source: need Cython and {pyx}, or {generated}")
-    print("warning: no kernel source; skipping compiled kernel", file=sys.stderr)
-    return []
-
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": OptionalBuildExt})
+setup(
+    ext_modules=[Extension("tripcon._kernels._fast",
+                           ["src/tripcon/_kernels/_fast.c"],
+                           extra_compile_args=["-O3"])],
+    cmdclass={"build_ext": OptionalBuildExt},
+)

@@ -1,9 +1,9 @@
 """Kernel backend selection.
 
 Two interchangeable kernels drive ``enumerate_conflicts``: the compiled
-extension ``_fast`` (the committed C file _fast.c, generated from
-_fast.pyx) and the pure-Python twin ``pure``.  Default is the compiled
-one when available.  Set TRIPCON_BACKEND=pure (or fast, or auto) to
+extension ``_fast`` (built from the hand-written C99 source _fast.c) and
+the pure-Python twin ``pure``.  Default is the compiled one when
+available.  Set TRIPCON_BACKEND=pure (or fast, or auto) to
 override, or pass ``backend=`` to the library calls.
 
 When ``_fast`` was not built at install time, the first import compiles

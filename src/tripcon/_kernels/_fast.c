@@ -1,19916 +1,1085 @@
-/* Generated by Cython 3.2.8 */
-
-/* BEGIN: Cython Metadata
-{
-    "distutils": {
-        "depends": [],
-        "extra_compile_args": [
-            "-O3"
-        ],
-        "name": "tripcon._kernels._fast",
-        "sources": [
-            "src/tripcon/_kernels/_fast.pyx"
-        ]
-    },
-    "module_name": "tripcon._kernels._fast"
-}
-END: Cython Metadata */
-
-#ifndef PY_SSIZE_T_CLEAN
-#define PY_SSIZE_T_CLEAN
-#endif /* PY_SSIZE_T_CLEAN */
-/* InitLimitedAPI */
-#if defined(Py_LIMITED_API)
-  #if !defined(CYTHON_LIMITED_API)
-  #define CYTHON_LIMITED_API 1
-  #endif
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef _MSC_VER
-  #pragma message ("Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.")
-  #else
-  #warning Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.
-  #endif
-#endif
-
-#include "Python.h"
-#ifndef Py_PYTHON_H
-    #error Python headers needed to compile C extensions, please install development version of Python.
-#elif PY_VERSION_HEX < 0x03080000
-    #error Cython requires Python 3.8+.
-#else
-#define __PYX_ABI_VERSION "3_2_8"
-#define CYTHON_HEX_VERSION 0x030208F0
-#define CYTHON_FUTURE_DIVISION 1
-/* CModulePreamble */
-#include <stddef.h>
-#ifndef offsetof
-  #define offsetof(type, member) ( (size_t) & ((type*)0) -> member )
-#endif
-#if !defined(_WIN32) && !defined(WIN32) && !defined(MS_WINDOWS)
-  #ifndef __stdcall
-    #define __stdcall
-  #endif
-  #ifndef __cdecl
-    #define __cdecl
-  #endif
-  #ifndef __fastcall
-    #define __fastcall
-  #endif
-#endif
-#ifndef DL_IMPORT
-  #define DL_IMPORT(t) t
-#endif
-#ifndef DL_EXPORT
-  #define DL_EXPORT(t) t
-#endif
-#define __PYX_COMMA ,
-#ifndef PY_LONG_LONG
-  #define PY_LONG_LONG LONG_LONG
-#endif
-#ifndef Py_HUGE_VAL
-  #define Py_HUGE_VAL HUGE_VAL
-#endif
-#define __PYX_LIMITED_VERSION_HEX PY_VERSION_HEX
-#if defined(GRAALVM_PYTHON)
-  /* For very preliminary testing purposes. Most variables are set the same as PyPy.
-     The existence of this section does not imply that anything works or is even tested */
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 1
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 0
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #undef CYTHON_PEP489_MULTI_PHASE_INIT
-  #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #undef CYTHON_USE_TP_FINALIZE
-  #define CYTHON_USE_TP_FINALIZE 0
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 1
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(PYPY_VERSION)
-  #define CYTHON_COMPILING_IN_PYPY 1
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 1
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #if PY_VERSION_HEX < 0x03090000
-    #undef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 0
-  #elif !defined(CYTHON_PEP489_MULTI_PHASE_INIT)
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE (PYPY_VERSION_NUM >= 0x07030C00)
-  #endif
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC (PYPY_VERSION_NUM >= 0x07031100)
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef Py_LIMITED_API
-    #undef __PYX_LIMITED_VERSION_HEX
-    #define __PYX_LIMITED_VERSION_HEX Py_LIMITED_API
-  #endif
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 1
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 1
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #ifndef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #endif
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 0
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND (__PYX_LIMITED_VERSION_HEX >= 0x030A0000)
-  #endif
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 1
-  #endif
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#else
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 1
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #ifdef Py_GIL_DISABLED
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 1
-  #else
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #endif
-  #if PY_VERSION_HEX < 0x030A0000
-    #undef CYTHON_USE_TYPE_SLOTS
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #elif !defined(CYTHON_USE_TYPE_SLOTS)
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #endif
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #ifndef CYTHON_USE_PYTYPE_LOOKUP
-    #define CYTHON_USE_PYTYPE_LOOKUP 1
-  #endif
-  #ifndef CYTHON_USE_PYLONG_INTERNALS
-    #define CYTHON_USE_PYLONG_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_PYLIST_INTERNALS
-    #define CYTHON_USE_PYLIST_INTERNALS 0
-  #elif !defined(CYTHON_USE_PYLIST_INTERNALS)
-    #define CYTHON_USE_PYLIST_INTERNALS 1
-  #endif
-  #ifndef CYTHON_USE_UNICODE_INTERNALS
-    #define CYTHON_USE_UNICODE_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING || PY_VERSION_HEX >= 0x030B00A2
-    #undef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #elif !defined(CYTHON_USE_UNICODE_WRITER)
-    #define CYTHON_USE_UNICODE_WRITER 1
-  #endif
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #elif !defined(CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_MACROS
-    #define CYTHON_ASSUME_SAFE_MACROS 1
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #ifndef CYTHON_UNPACK_METHODS
-    #define CYTHON_UNPACK_METHODS 1
-  #endif
-  #ifndef CYTHON_FAST_THREAD_STATE
-    #define CYTHON_FAST_THREAD_STATE 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_FAST_GIL
-    #define CYTHON_FAST_GIL 0
-  #elif !defined(CYTHON_FAST_GIL)
-    #define CYTHON_FAST_GIL (PY_VERSION_HEX < 0x030C00A6)
-  #endif
-  #ifndef CYTHON_METH_FASTCALL
-    #define CYTHON_METH_FASTCALL 1
-  #endif
-  #ifndef CYTHON_FAST_PYCALL
-    #define CYTHON_FAST_PYCALL 1
-  #endif
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #ifndef CYTHON_USE_SYS_MONITORING
-    #define CYTHON_USE_SYS_MONITORING (PY_VERSION_HEX >= 0x030d00B1)
-  #endif
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 1
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_DICT_VERSIONS
-    #define CYTHON_USE_DICT_VERSIONS 0
-  #elif !defined(CYTHON_USE_DICT_VERSIONS)
-    #define CYTHON_USE_DICT_VERSIONS  (PY_VERSION_HEX < 0x030C00A5 && !CYTHON_USE_MODULE_STATE)
-  #endif
-  #ifndef CYTHON_USE_EXC_INFO_STACK
-    #define CYTHON_USE_EXC_INFO_STACK 1
-  #endif
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 1
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-    #define CYTHON_USE_FREELISTS (!CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-  #if defined(CYTHON_IMMORTAL_CONSTANTS) && PY_VERSION_HEX < 0x030C0000
-    #undef CYTHON_IMMORTAL_CONSTANTS
-    #define CYTHON_IMMORTAL_CONSTANTS 0  // definitely won't work
-  #elif !defined(CYTHON_IMMORTAL_CONSTANTS)
-    #define CYTHON_IMMORTAL_CONSTANTS (PY_VERSION_HEX >= 0x030C0000 && !CYTHON_USE_MODULE_STATE && CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-#endif
-#ifndef CYTHON_COMPRESS_STRINGS
-  #define CYTHON_COMPRESS_STRINGS 1
-#endif
-#ifndef CYTHON_FAST_PYCCALL
-#define CYTHON_FAST_PYCCALL  CYTHON_FAST_PYCALL
-#endif
-#ifndef CYTHON_VECTORCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define CYTHON_VECTORCALL  (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-#else
-#define CYTHON_VECTORCALL  (CYTHON_FAST_PYCCALL)
-#endif
-#endif
-#if CYTHON_USE_PYLONG_INTERNALS
-  #undef SHIFT
-  #undef BASE
-  #undef MASK
-  #ifdef SIZEOF_VOID_P
-    enum { __pyx_check_sizeof_voidp = 1 / (int)(SIZEOF_VOID_P == sizeof(void*)) };
-  #endif
-#endif
-#ifndef __has_attribute
-  #define __has_attribute(x) 0
-#endif
-#ifndef __has_cpp_attribute
-  #define __has_cpp_attribute(x) 0
-#endif
-#ifndef CYTHON_RESTRICT
-  #if defined(__GNUC__)
-    #define CYTHON_RESTRICT __restrict__
-  #elif defined(_MSC_VER) && _MSC_VER >= 1400
-    #define CYTHON_RESTRICT __restrict
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_RESTRICT restrict
-  #else
-    #define CYTHON_RESTRICT
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(maybe_unused) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(maybe_unused)
-        #define CYTHON_UNUSED [[maybe_unused]]
-      #endif
-    #endif
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-# if defined(__GNUC__)
-#   if !(defined(__cplusplus)) || (__GNUC__ > 3 || (__GNUC__ == 3 && __GNUC_MINOR__ >= 4))
-#     define CYTHON_UNUSED __attribute__ ((__unused__))
-#   else
-#     define CYTHON_UNUSED
-#   endif
-# elif defined(__ICC) || (defined(__INTEL_COMPILER) && !defined(_MSC_VER))
-#   define CYTHON_UNUSED __attribute__ ((__unused__))
-# else
-#   define CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_UNUSED_VAR
-#  if defined(__cplusplus)
-     template<class T> void CYTHON_UNUSED_VAR( const T& ) { }
-#  else
-#    define CYTHON_UNUSED_VAR(x) (void)(x)
-#  endif
-#endif
-#ifndef CYTHON_MAYBE_UNUSED_VAR
-  #define CYTHON_MAYBE_UNUSED_VAR(x) CYTHON_UNUSED_VAR(x)
-#endif
-#ifndef CYTHON_NCP_UNUSED
-# if CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#  define CYTHON_NCP_UNUSED
-# else
-#  define CYTHON_NCP_UNUSED CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_USE_CPP_STD_MOVE
-  #if defined(__cplusplus) && (\
-    __cplusplus >= 201103L || (defined(_MSC_VER) && _MSC_VER >= 1600))
-    #define CYTHON_USE_CPP_STD_MOVE 1
-  #else
-    #define CYTHON_USE_CPP_STD_MOVE 0
-  #endif
-#endif
-#define __Pyx_void_to_None(void_result) ((void)(void_result), Py_INCREF(Py_None), Py_None)
-#include <stdint.h>
-typedef uintptr_t  __pyx_uintptr_t;
-#ifndef CYTHON_FALLTHROUGH
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(fallthrough) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(fallthrough)
-        #define CYTHON_FALLTHROUGH [[fallthrough]]
-      #endif
-    #endif
-    #ifndef CYTHON_FALLTHROUGH
-      #if __has_cpp_attribute(clang::fallthrough)
-        #define CYTHON_FALLTHROUGH [[clang::fallthrough]]
-      #elif __has_cpp_attribute(gnu::fallthrough)
-        #define CYTHON_FALLTHROUGH [[gnu::fallthrough]]
-      #endif
-    #endif
-  #endif
-  #ifndef CYTHON_FALLTHROUGH
-    #if __has_attribute(fallthrough)
-      #define CYTHON_FALLTHROUGH __attribute__((fallthrough))
-    #else
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-  #if defined(__clang__) && defined(__apple_build_version__)
-    #if __apple_build_version__ < 7000000
-      #undef  CYTHON_FALLTHROUGH
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-#endif
-#ifndef Py_UNREACHABLE
-  #define Py_UNREACHABLE()  assert(0); abort()
-#endif
-#ifdef __cplusplus
-  template <typename T>
-  struct __PYX_IS_UNSIGNED_IMPL {static const bool value = T(0) < T(-1);};
-  #define __PYX_IS_UNSIGNED(type) (__PYX_IS_UNSIGNED_IMPL<type>::value)
-#else
-  #define __PYX_IS_UNSIGNED(type) (((type)-1) > 0)
-#endif
-#if CYTHON_COMPILING_IN_PYPY == 1
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x030A0000)
-#else
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x03090000)
-#endif
-#define __PYX_REINTERPRET_FUNCION(func_pointer, other_pointer) ((func_pointer)(void(*)(void))(other_pointer))
-
-/* CInitCode */
-#ifndef CYTHON_INLINE
-  #if defined(__clang__)
-    #define CYTHON_INLINE __inline__ __attribute__ ((__unused__))
-  #elif defined(__GNUC__)
-    #define CYTHON_INLINE __inline__
-  #elif defined(_MSC_VER)
-    #define CYTHON_INLINE __inline
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_INLINE inline
-  #else
-    #define CYTHON_INLINE
-  #endif
-#endif
-
-/* PythonCompatibility */
-#define __PYX_BUILD_PY_SSIZE_T "n"
-#define CYTHON_FORMAT_SSIZE_T "z"
-#define __Pyx_BUILTIN_MODULE_NAME "builtins"
-#define __Pyx_DefaultClassType PyType_Type
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #ifndef CO_OPTIMIZED
-    static int CO_OPTIMIZED;
-    #endif
-    #ifndef CO_NEWLOCALS
-    static int CO_NEWLOCALS;
-    #endif
-    #ifndef CO_VARARGS
-    static int CO_VARARGS;
-    #endif
-    #ifndef CO_VARKEYWORDS
-    static int CO_VARKEYWORDS;
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-    static int CO_ASYNC_GENERATOR;
-    #endif
-    #ifndef CO_GENERATOR
-    static int CO_GENERATOR;
-    #endif
-    #ifndef CO_COROUTINE
-    static int CO_COROUTINE;
-    #endif
-#else
-    #ifndef CO_COROUTINE
-      #define CO_COROUTINE 0x80
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-      #define CO_ASYNC_GENERATOR 0x200
-    #endif
-#endif
-static int __Pyx_init_co_variables(void);
-#if PY_VERSION_HEX >= 0x030900A4 || defined(Py_IS_TYPE)
-  #define __Pyx_IS_TYPE(ob, type) Py_IS_TYPE(ob, type)
-#else
-  #define __Pyx_IS_TYPE(ob, type) (((const PyObject*)ob)->ob_type == (type))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_Is)
-  #define __Pyx_Py_Is(x, y)  Py_Is(x, y)
-#else
-  #define __Pyx_Py_Is(x, y) ((x) == (y))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsNone)
-  #define __Pyx_Py_IsNone(ob) Py_IsNone(ob)
-#else
-  #define __Pyx_Py_IsNone(ob) __Pyx_Py_Is((ob), Py_None)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsTrue)
-  #define __Pyx_Py_IsTrue(ob) Py_IsTrue(ob)
-#else
-  #define __Pyx_Py_IsTrue(ob) __Pyx_Py_Is((ob), Py_True)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsFalse)
-  #define __Pyx_Py_IsFalse(ob) Py_IsFalse(ob)
-#else
-  #define __Pyx_Py_IsFalse(ob) __Pyx_Py_Is((ob), Py_False)
-#endif
-#define __Pyx_NoneAsNull(obj)  (__Pyx_Py_IsNone(obj) ? NULL : (obj))
-#if PY_VERSION_HEX >= 0x030900F0 && !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyObject_GC_IsFinalized(o) PyObject_GC_IsFinalized(o)
-#else
-  #define __Pyx_PyObject_GC_IsFinalized(o) _PyGC_FINALIZED(o)
-#endif
-#ifndef Py_TPFLAGS_CHECKTYPES
-  #define Py_TPFLAGS_CHECKTYPES 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_INDEX
-  #define Py_TPFLAGS_HAVE_INDEX 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_NEWBUFFER
-  #define Py_TPFLAGS_HAVE_NEWBUFFER 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_FINALIZE
-  #define Py_TPFLAGS_HAVE_FINALIZE 0
-#endif
-#ifndef Py_TPFLAGS_SEQUENCE
-  #define Py_TPFLAGS_SEQUENCE 0
-#endif
-#ifndef Py_TPFLAGS_MAPPING
-  #define Py_TPFLAGS_MAPPING 0
-#endif
-#ifndef Py_TPFLAGS_IMMUTABLETYPE
-  #define Py_TPFLAGS_IMMUTABLETYPE (1UL << 8)
-#endif
-#ifndef Py_TPFLAGS_DISALLOW_INSTANTIATION
-  #define Py_TPFLAGS_DISALLOW_INSTANTIATION (1UL << 7)
-#endif
-#ifndef METH_STACKLESS
-  #define METH_STACKLESS 0
-#endif
-#ifndef METH_FASTCALL
-  #ifndef METH_FASTCALL
-     #define METH_FASTCALL 0x80
-  #endif
-  typedef PyObject *(*__Pyx_PyCFunctionFast) (PyObject *self, PyObject *const *args, Py_ssize_t nargs);
-  typedef PyObject *(*__Pyx_PyCFunctionFastWithKeywords) (PyObject *self, PyObject *const *args,
-                                                          Py_ssize_t nargs, PyObject *kwnames);
-#else
-  #if PY_VERSION_HEX >= 0x030d00A4
-  #  define __Pyx_PyCFunctionFast PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords PyCFunctionFastWithKeywords
-  #else
-  #  define __Pyx_PyCFunctionFast _PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords _PyCFunctionFastWithKeywords
-  #endif
-#endif
-#if CYTHON_METH_FASTCALL
-  #define __Pyx_METH_FASTCALL METH_FASTCALL
-  #define __Pyx_PyCFunction_FastCall __Pyx_PyCFunctionFast
-  #define __Pyx_PyCFunction_FastCallWithKeywords __Pyx_PyCFunctionFastWithKeywords
-#else
-  #define __Pyx_METH_FASTCALL METH_VARARGS
-  #define __Pyx_PyCFunction_FastCall PyCFunction
-  #define __Pyx_PyCFunction_FastCallWithKeywords PyCFunctionWithKeywords
-#endif
-#if CYTHON_VECTORCALL
-  #define __pyx_vectorcallfunc vectorcallfunc
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  PY_VECTORCALL_ARGUMENTS_OFFSET
-  #define __Pyx_PyVectorcall_NARGS(n)  PyVectorcall_NARGS((size_t)(n))
-#else
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  0
-  #define __Pyx_PyVectorcall_NARGS(n)  ((Py_ssize_t)(n))
-#endif
-#if PY_VERSION_HEX >= 0x030900B1
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_CheckExact(func)
-#else
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_Check(func)
-#endif
-#define __Pyx_CyOrPyCFunction_Check(func)  PyCFunction_Check(func)
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  (((PyCFunctionObject*)(func))->m_ml->ml_meth)
-#elif !CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  PyCFunction_GET_FUNCTION(func)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FLAGS(func)  (((PyCFunctionObject*)(func))->m_ml->ml_flags)
-static CYTHON_INLINE PyObject* __Pyx_CyOrPyCFunction_GET_SELF(PyObject *func) {
-    return (__Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_STATIC) ? NULL : ((PyCFunctionObject*)func)->m_self;
-}
-#endif
-static CYTHON_INLINE int __Pyx__IsSameCFunction(PyObject *func, void (*cfunc)(void)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    return PyCFunction_Check(func) && PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-#else
-    return PyCFunction_Check(func) && PyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-#endif
-}
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCFunction(func, cfunc)
-#if PY_VERSION_HEX < 0x03090000 || (CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000)
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  ((void)m, PyType_FromSpecWithBases(s, b))
-  typedef PyObject *(*__Pyx_PyCMethod)(PyObject *, PyTypeObject *, PyObject *const *, size_t, PyObject *);
-#else
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  PyType_FromModuleAndSpec(m, s, b)
-  #define __Pyx_PyCMethod  PyCMethod
-#endif
-#ifndef METH_METHOD
-  #define METH_METHOD 0x200
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyObject_Malloc)
-  #define PyObject_Malloc(s)   PyMem_Malloc(s)
-  #define PyObject_Free(p)     PyMem_Free(p)
-  #define PyObject_Realloc(p)  PyMem_Realloc(p)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)
-#elif CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) GraalPyFrame_SetLineNumber((frame), (lineno))
-#elif CYTHON_COMPILING_IN_GRAAL
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) _PyFrame_SetLineNumber((frame), (lineno))
-#else
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)  (frame)->f_lineno = (lineno)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyThreadState_Current PyThreadState_Get()
-#elif !CYTHON_FAST_THREAD_STATE
-  #define __Pyx_PyThreadState_Current PyThreadState_GET()
-#elif PY_VERSION_HEX >= 0x030d00A1
-  #define __Pyx_PyThreadState_Current PyThreadState_GetUnchecked()
-#else
-  #define __Pyx_PyThreadState_Current _PyThreadState_UncheckedGet()
-#endif
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_INLINE void *__Pyx__PyModule_GetState(PyObject *op)
-{
-    void *result;
-    result = PyModule_GetState(op);
-    if (!result)
-        Py_FatalError("Couldn't find the module state");
-    return result;
-}
-#define __Pyx_PyModule_GetState(o) (__pyx_mstatetype *)__Pyx__PyModule_GetState(o)
-#else
-#define __Pyx_PyModule_GetState(op) ((void)op,__pyx_mstate_global)
-#endif
-#define __Pyx_PyObject_GetSlot(obj, name, func_ctype)  __Pyx_PyType_GetSlot(Py_TYPE((PyObject *) obj), name, func_ctype)
-#define __Pyx_PyObject_TryGetSlot(obj, name, func_ctype) __Pyx_PyType_TryGetSlot(Py_TYPE(obj), name, func_ctype)
-#define __Pyx_PyObject_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#define __Pyx_PyObject_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((type)->name)
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype) __Pyx_PyType_GetSlot(type, name, func_ctype)
-  #define __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype) (((type)->sub) ? ((type)->sub->name) : NULL)
-  #define __Pyx_PyType_TryGetSubSlot(type, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype)
-#else
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((func_ctype) PyType_GetSlot((type), Py_##name))
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype)\
-    ((__PYX_LIMITED_VERSION_HEX >= 0x030A0000 ||\
-     (PyType_GetFlags(type) & Py_TPFLAGS_HEAPTYPE) || __Pyx_get_runtime_version() >= 0x030A0000) ?\
-     __Pyx_PyType_GetSlot(type, name, func_ctype) : NULL)
-  #define __Pyx_PyType_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSlot(obj, name, func_ctype)
-  #define __Pyx_PyType_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSlot(obj, name, func_ctype)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || defined(_PyDict_NewPresized)
-#define __Pyx_PyDict_NewPresized(n)  ((n <= 8) ? PyDict_New() : _PyDict_NewPresized(n))
-#else
-#define __Pyx_PyDict_NewPresized(n)  PyDict_New()
-#endif
-#define __Pyx_PyNumber_Divide(x,y)         PyNumber_TrueDivide(x,y)
-#define __Pyx_PyNumber_InPlaceDivide(x,y)  PyNumber_InPlaceTrueDivide(x,y)
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_UNICODE_INTERNALS
-#define __Pyx_PyDict_GetItemStrWithError(dict, name)  _PyDict_GetItem_KnownHash(dict, name, ((PyASCIIObject *) name)->hash)
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStr(PyObject *dict, PyObject *name) {
-    PyObject *res = __Pyx_PyDict_GetItemStrWithError(dict, name);
-    if (res == NULL) PyErr_Clear();
-    return res;
-}
-#elif !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07020000
-#define __Pyx_PyDict_GetItemStrWithError  PyDict_GetItemWithError
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#else
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStrWithError(PyObject *dict, PyObject *name) {
-#if CYTHON_COMPILING_IN_PYPY
-    return PyDict_GetItem(dict, name);
-#else
-    PyDictEntry *ep;
-    PyDictObject *mp = (PyDictObject*) dict;
-    long hash = ((PyStringObject *) name)->ob_shash;
-    assert(hash != -1);
-    ep = (mp->ma_lookup)(mp, name, hash);
-    if (ep == NULL) {
-        return NULL;
-    }
-    return ep->me_value;
-#endif
-}
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#endif
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetFlags(tp)   (((PyTypeObject *)tp)->tp_flags)
-  #define __Pyx_PyType_HasFeature(type, feature)  ((__Pyx_PyType_GetFlags(type) & (feature)) != 0)
-#else
-  #define __Pyx_PyType_GetFlags(tp)   (PyType_GetFlags((PyTypeObject *)tp))
-  #define __Pyx_PyType_HasFeature(type, feature)  PyType_HasFeature(type, feature)
-#endif
-#define __Pyx_PyObject_GetIterNextFunc(iterator)  __Pyx_PyObject_GetSlot(iterator, tp_iternext, iternextfunc)
-#if CYTHON_USE_TYPE_SPECS
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  {\
-    PyTypeObject *type = Py_TYPE((PyObject*)obj);\
-    assert(__Pyx_PyType_HasFeature(type, Py_TPFLAGS_HEAPTYPE));\
-    PyObject_GC_Del(obj);\
-    Py_DECREF(type);\
-}
-#else
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  PyObject_GC_Del(obj)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyUnicode_READY(op)       (0)
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_ReadChar(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   ((void)u, 1114111U)
-  #define __Pyx_PyUnicode_KIND(u)         ((void)u, (0))
-  #define __Pyx_PyUnicode_DATA(u)         ((void*)u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   ((void)k, PyUnicode_ReadChar((PyObject*)(d), i))
-  #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GetLength(u))
-#else
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_READY(op)       (0)
-  #else
-    #define __Pyx_PyUnicode_READY(op)       (likely(PyUnicode_IS_READY(op)) ?\
-                                                0 : _PyUnicode_Ready((PyObject *)(op)))
-  #endif
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_READ_CHAR(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   PyUnicode_MAX_CHAR_VALUE(u)
-  #define __Pyx_PyUnicode_KIND(u)         ((int)PyUnicode_KIND(u))
-  #define __Pyx_PyUnicode_DATA(u)         PyUnicode_DATA(u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   PyUnicode_READ(k, d, i)
-  #define __Pyx_PyUnicode_WRITE(k, d, i, ch)  PyUnicode_WRITE(k, d, i, (Py_UCS4) ch)
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GET_LENGTH(u))
-  #else
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x03090000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : ((PyCompactUnicodeObject *)(u))->wstr_length))
-    #else
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : PyUnicode_GET_SIZE(u)))
-    #endif
-  #endif
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyUnicode_Concat(a, b)      PyNumber_Add(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  PyNumber_Add(a, b)
-#else
-  #define __Pyx_PyUnicode_Concat(a, b)      PyUnicode_Concat(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  ((unlikely((a) == Py_None) || unlikely((b) == Py_None)) ?\
-      PyNumber_Add(a, b) : __Pyx_PyUnicode_Concat(a, b))
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #if !defined(PyUnicode_DecodeUnicodeEscape)
-    #define PyUnicode_DecodeUnicodeEscape(s, size, errors)  PyUnicode_Decode(s, size, "unicode_escape", errors)
-  #endif
-  #if !defined(PyUnicode_Contains)
-    #define PyUnicode_Contains(u, s)  PySequence_Contains(u, s)
-  #endif
-  #if !defined(PyByteArray_Check)
-    #define PyByteArray_Check(obj)  PyObject_TypeCheck(obj, &PyByteArray_Type)
-  #endif
-  #if !defined(PyObject_Format)
-    #define PyObject_Format(obj, fmt)  PyObject_CallMethod(obj, "__format__", "O", fmt)
-  #endif
-#endif
-#define __Pyx_PyUnicode_FormatSafe(a, b)  ((unlikely((a) == Py_None || (PyUnicode_Check(b) && !PyUnicode_CheckExact(b)))) ? PyNumber_Remainder(a, b) : PyUnicode_Format(a, b))
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && PyUnstable_Object_IsUniquelyReferenced(obj)) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#elif CYTHON_COMPILING_IN_CPYTHON
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && Py_REFCNT(obj) == 1) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#else
-  #define __Pyx_PySequence_ListKeepNew(obj)  PySequence_List(obj)
-#endif
-#ifndef PySet_CheckExact
-  #define PySet_CheckExact(obj)        __Pyx_IS_TYPE(obj, &PySet_Type)
-#endif
-#if PY_VERSION_HEX >= 0x030900A4
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_SET_REFCNT(obj, refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SET_SIZE(obj, size)
-#else
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_REFCNT(obj) = (refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SIZE(obj) = (size)
-#endif
-enum __Pyx_ReferenceSharing {
-  __Pyx_ReferenceSharing_DefinitelyUnique, // We created it so we know it's unshared - no need to check
-  __Pyx_ReferenceSharing_OwnStrongReference,
-  __Pyx_ReferenceSharing_FunctionArgument,
-  __Pyx_ReferenceSharing_SharedReference, // Never trust it to be unshared because it's a global or similar
-};
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && PY_VERSION_HEX >= 0x030E0000
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing)\
-    (sharing == __Pyx_ReferenceSharing_DefinitelyUnique ? 1 :\
-      (sharing == __Pyx_ReferenceSharing_FunctionArgument ? PyUnstable_Object_IsUniqueReferencedTemporary(o) :\
-      (sharing == __Pyx_ReferenceSharing_OwnStrongReference ? PyUnstable_Object_IsUniquelyReferenced(o) : 0)))
-#elif (CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING) || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)sharing), Py_REFCNT(o) == 1)
-#else
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)o), ((void)sharing), 0)
-#endif
-#if CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyList_GetItemRef(o, i) (likely((i) >= 0) ? PySequence_GetItem(o, i) : (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) PySequence_ITEM(o, i)
-  #endif
-#elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) __Pyx_XNewRef(PyList_GetItem(o, i))
-  #endif
-#else
-  #define __Pyx_PyList_GetItemRef(o, i) __Pyx_NewRef(PyList_GET_ITEM(o, i))
-#endif
-#if CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS && !CYTHON_COMPILING_IN_LIMITED_API && CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) (__Pyx_IS_UNIQUELY_REFERENCED(o, unsafe_shared) ?\
-    __Pyx_NewRef(PyList_GET_ITEM(o, i)) : __Pyx_PyList_GetItemRef(o, i))
-#else
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) __Pyx_PyList_GetItemRef(o, i)
-#endif
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyDict_GetItemRef(dict, key, result) PyDict_GetItemRef(dict, key, result)
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyObject_GetItem(dict, key);
-  if (*result == NULL) {
-    if (PyErr_ExceptionMatches(PyExc_KeyError)) {
-      PyErr_Clear();
-      return 0;
-    }
-    return -1;
-  }
-  return 1;
-}
-#else
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyDict_GetItemWithError(dict, key);
-  if (*result == NULL) {
-    return PyErr_Occurred() ? -1 : 0;
-  }
-  Py_INCREF(*result);
-  return 1;
-}
-#endif
-#if defined(CYTHON_DEBUG_VISIT_CONST) && CYTHON_DEBUG_VISIT_CONST
-  #define __Pyx_VISIT_CONST(obj)  Py_VISIT(obj)
-#else
-  #define __Pyx_VISIT_CONST(obj)
-#endif
-#if CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_ITEM(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  Py_SIZE(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) (PyTuple_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GET_ITEM(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) (PyList_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GET_ITEM(o, i)
-#else
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_GetItem(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  PySequence_Size(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) PyTuple_SetItem(o, i, v)
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GetItem(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) PyList_SetItem(o, i, v)
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GetItem(o, i)
-#endif
-#if CYTHON_ASSUME_SAFE_SIZE
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_GET_SIZE(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_GET_SIZE(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_GET_SIZE(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_GET_SIZE(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_GET_SIZE(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GET_LENGTH(o)
-#else
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_Size(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_Size(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_Size(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_Size(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_Size(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GetLength(o)
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyUnicode_InternFromString)
-  #define PyUnicode_InternFromString(s) PyUnicode_FromString(s)
-#endif
-#define __Pyx_PyLong_FromHash_t PyLong_FromSsize_t
-#define __Pyx_PyLong_AsHash_t   __Pyx_PyIndex_AsSsize_t
-#if __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-    #define __Pyx_PySendResult PySendResult
-#else
-    typedef enum {
-        PYGEN_RETURN = 0,
-        PYGEN_ERROR = -1,
-        PYGEN_NEXT = 1,
-    } __Pyx_PySendResult;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030A00A3
-  typedef __Pyx_PySendResult (*__Pyx_pyiter_sendfunc)(PyObject *iter, PyObject *value, PyObject **result);
-#else
-  #define __Pyx_pyiter_sendfunc sendfunc
-#endif
-#if !CYTHON_USE_AM_SEND
-#define __PYX_HAS_PY_AM_SEND 0
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-#define __PYX_HAS_PY_AM_SEND 1
-#else
-#define __PYX_HAS_PY_AM_SEND 2  // our own backported implementation
-#endif
-#if __PYX_HAS_PY_AM_SEND < 2
-    #define __Pyx_PyAsyncMethodsStruct PyAsyncMethods
-#else
-    typedef struct {
-        unaryfunc am_await;
-        unaryfunc am_aiter;
-        unaryfunc am_anext;
-        __Pyx_pyiter_sendfunc am_send;
-    } __Pyx_PyAsyncMethodsStruct;
-    #define __Pyx_SlotTpAsAsync(s) ((PyAsyncMethods*)(s))
-#endif
-#if CYTHON_USE_AM_SEND && PY_VERSION_HEX < 0x030A00F0
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (1UL << 21)
-#else
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (0)
-#endif
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_PyInterpreterState_Get() PyInterpreterState_Get()
-#else
-#define __Pyx_PyInterpreterState_Get() PyThreadState_Get()->interp
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030A0000
-#ifdef __cplusplus
-extern "C"
-#endif
-PyAPI_FUNC(void *) PyMem_Calloc(size_t nelem, size_t elsize);
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static int __Pyx_init_co_variable(PyObject *inspect, const char* name, int *write_to) {
-    int value;
-    PyObject *py_value = PyObject_GetAttrString(inspect, name);
-    if (!py_value) return 0;
-    value = (int) PyLong_AsLong(py_value);
-    Py_DECREF(py_value);
-    *write_to = value;
-    return value != -1 || !PyErr_Occurred();
-}
-static int __Pyx_init_co_variables(void) {
-    PyObject *inspect;
-    int result;
-    inspect = PyImport_ImportModule("inspect");
-    result =
-#if !defined(CO_OPTIMIZED)
-        __Pyx_init_co_variable(inspect, "CO_OPTIMIZED", &CO_OPTIMIZED) &&
-#endif
-#if !defined(CO_NEWLOCALS)
-        __Pyx_init_co_variable(inspect, "CO_NEWLOCALS", &CO_NEWLOCALS) &&
-#endif
-#if !defined(CO_VARARGS)
-        __Pyx_init_co_variable(inspect, "CO_VARARGS", &CO_VARARGS) &&
-#endif
-#if !defined(CO_VARKEYWORDS)
-        __Pyx_init_co_variable(inspect, "CO_VARKEYWORDS", &CO_VARKEYWORDS) &&
-#endif
-#if !defined(CO_ASYNC_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_ASYNC_GENERATOR", &CO_ASYNC_GENERATOR) &&
-#endif
-#if !defined(CO_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_GENERATOR", &CO_GENERATOR) &&
-#endif
-#if !defined(CO_COROUTINE)
-        __Pyx_init_co_variable(inspect, "CO_COROUTINE", &CO_COROUTINE) &&
-#endif
-        1;
-    Py_DECREF(inspect);
-    return result ? 0 : -1;
-}
-#else
-static int __Pyx_init_co_variables(void) {
-    return 0;  // It's a limited API-only feature
-}
-#endif
-
-/* MathInitCode */
-#if defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)
-  #ifndef _USE_MATH_DEFINES
-    #define _USE_MATH_DEFINES
-  #endif
-#endif
-#include <math.h>
-#if defined(__CYGWIN__) && defined(_LDBL_EQ_DBL)
-#define __Pyx_truncl trunc
-#else
-#define __Pyx_truncl truncl
-#endif
-
-#ifndef CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#define CYTHON_CLINE_IN_TRACEBACK_RUNTIME 0
-#endif
-#ifndef CYTHON_CLINE_IN_TRACEBACK
-#define CYTHON_CLINE_IN_TRACEBACK CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#endif
-#if CYTHON_CLINE_IN_TRACEBACK
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; __pyx_clineno = __LINE__; (void) __pyx_clineno; }
-#else
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; (void) __pyx_clineno; }
-#endif
-#define __PYX_ERR(f_index, lineno, Ln_error) \
-    { __PYX_MARK_ERR_POS(f_index, lineno) goto Ln_error; }
-
-#ifdef CYTHON_EXTERN_C
-    #undef __PYX_EXTERN_C
-    #define __PYX_EXTERN_C CYTHON_EXTERN_C
-#elif defined(__PYX_EXTERN_C)
-    #ifdef _MSC_VER
-    #pragma message ("Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.")
-    #else
-    #warning Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.
-    #endif
-#else
-  #ifdef __cplusplus
-    #define __PYX_EXTERN_C extern "C"
-  #else
-    #define __PYX_EXTERN_C extern
-  #endif
-#endif
-
-#define __PYX_HAVE__tripcon___kernels___fast
-#define __PYX_HAVE_API__tripcon___kernels___fast
-/* Early includes */
-#include <string.h>
-#include <stdio.h>
-
-    #if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-    static CYTHON_INLINE PyObject *
-    __Pyx_CAPI_PyList_GetItemRef(PyObject *list, Py_ssize_t index)
-    {
-        PyObject *item = PyList_GetItem(list, index);
-        Py_XINCREF(item);
-        return item;
-    }
-    #else
-    #define __Pyx_CAPI_PyList_GetItemRef PyList_GetItemRef
-    #endif
-
-    #if CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030d0000
-    static CYTHON_INLINE int
-    __Pyx_CAPI_PyList_Extend(PyObject *list, PyObject *iterable)
-    {
-        return PyList_SetSlice(list, PY_SSIZE_T_MAX, PY_SSIZE_T_MAX, iterable);
-    }
-
-    static CYTHON_INLINE int
-    __Pyx_CAPI_PyList_Clear(PyObject *list)
-    {
-        return PyList_SetSlice(list, 0, PY_SSIZE_T_MAX, NULL);
-    }
-    #else
-    #define __Pyx_CAPI_PyList_Extend PyList_Extend
-    #define __Pyx_CAPI_PyList_Clear PyList_Clear
-    #endif
-    
-
-    #if PY_MAJOR_VERSION >= 3
-      #define __Pyx_PyFloat_FromString(obj)  PyFloat_FromString(obj)
-    #else
-      #define __Pyx_PyFloat_FromString(obj)  PyFloat_FromString(obj, NULL)
-    #endif
-    
-#include <stddef.h>
-
-    #if PY_MAJOR_VERSION <= 2
-    #define PyDict_GetItemWithError _PyDict_GetItemWithError
-    #endif
-
-    #if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-    static CYTHON_INLINE int
-    __Pyx_CAPI_PyDict_GetItemStringRef(PyObject *mp, const char *key, PyObject **result)
-    {
-        int res;
-        PyObject *key_obj = PyUnicode_FromString(key);
-        if (key_obj == NULL) {
-            *result = NULL;
-            return -1;
-        }
-        res = __Pyx_PyDict_GetItemRef(mp, key_obj, result);
-        Py_DECREF(key_obj);
-        return res;
-    }
-    #else
-    #define __Pyx_CAPI_PyDict_GetItemStringRef PyDict_GetItemStringRef
-    #endif
-    #if PY_VERSION_HEX < 0x030d0000 || (CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030F0000)
-    static CYTHON_INLINE int
-    __Pyx_CAPI_PyDict_SetDefaultRef(PyObject *d, PyObject *key, PyObject *default_value,
-                        PyObject **result)
-    {
-        PyObject *value;
-        if (__Pyx_PyDict_GetItemRef(d, key, &value) < 0) {
-            // get error
-            if (result) {
-                *result = NULL;
-            }
-            return -1;
-        }
-        if (value != NULL) {
-            // present
-            if (result) {
-                *result = value;
-            }
-            else {
-                Py_DECREF(value);
-            }
-            return 1;
-        }
-
-        // missing: set the item
-        if (PyDict_SetItem(d, key, default_value) < 0) {
-            // set error
-            if (result) {
-                *result = NULL;
-            }
-            return -1;
-        }
-        if (result) {
-            Py_INCREF(default_value);
-            *result = default_value;
-        }
-        return 0;
-    }
-    #else
-    #define __Pyx_CAPI_PyDict_SetDefaultRef PyDict_SetDefaultRef
-    #endif
-    
-
-    #if PY_VERSION_HEX < 0x030d0000
-    static CYTHON_INLINE int __Pyx_PyWeakref_GetRef(PyObject *ref, PyObject **pobj)
-    {
-        PyObject *obj = PyWeakref_GetObject(ref);
-        if (obj == NULL) {
-            // SystemError if ref is NULL
-            *pobj = NULL;
-            return -1;
-        }
-        if (obj == Py_None) {
-            *pobj = NULL;
-            return 0;
-        }
-        Py_INCREF(obj);
-        *pobj = obj;
-        return 1;
-    }
-    #else
-    #define __Pyx_PyWeakref_GetRef PyWeakref_GetRef
-    #endif
-    
-#include "pythread.h"
-
-    #if (CYTHON_COMPILING_IN_PYPY && PYPY_VERSION_NUM < 0x07030600) && !defined(PyContextVar_Get)
-    #define PyContextVar_Get(var, d, v)         ((d) ?             ((void)(var), Py_INCREF(d), (v)[0] = (d), 0) :             ((v)[0] = NULL, 0)         )
-    #endif
-    
-
-    #if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API
-    #ifdef _MSC_VER
-    #pragma message ("This module uses CPython specific internals of 'array.array', which are not available in PyPy or the limited API.")
-    #else
-    #warning This module uses CPython specific internals of 'array.array', which are not available in PyPy or the limited API.
-    #endif
-    #endif
-    
-#ifdef _OPENMP
-#include <omp.h>
-#endif /* _OPENMP */
-
-#if defined(PYREX_WITHOUT_ASSERTIONS) && !defined(CYTHON_WITHOUT_ASSERTIONS)
-#define CYTHON_WITHOUT_ASSERTIONS
-#endif
-
-#ifdef CYTHON_FREETHREADING_COMPATIBLE
-#if CYTHON_FREETHREADING_COMPATIBLE
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_NOT_USED
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#define __PYX_DEFAULT_STRING_ENCODING_IS_ASCII 0
-#define __PYX_DEFAULT_STRING_ENCODING_IS_UTF8 0
-#define __PYX_DEFAULT_STRING_ENCODING ""
-#define __Pyx_PyObject_FromString __Pyx_PyBytes_FromString
-#define __Pyx_PyObject_FromStringAndSize __Pyx_PyBytes_FromStringAndSize
-#define __Pyx_uchar_cast(c) ((unsigned char)c)
-#define __Pyx_long_cast(x) ((long)x)
-#define __Pyx_fits_Py_ssize_t(v, type, is_signed)  (\
-    (sizeof(type) < sizeof(Py_ssize_t))  ||\
-    (sizeof(type) > sizeof(Py_ssize_t) &&\
-          likely(v < (type)PY_SSIZE_T_MAX ||\
-                 v == (type)PY_SSIZE_T_MAX)  &&\
-          (!is_signed || likely(v > (type)PY_SSIZE_T_MIN ||\
-                                v == (type)PY_SSIZE_T_MIN)))  ||\
-    (sizeof(type) == sizeof(Py_ssize_t) &&\
-          (is_signed || likely(v < (type)PY_SSIZE_T_MAX ||\
-                               v == (type)PY_SSIZE_T_MAX)))  )
-static CYTHON_INLINE int __Pyx_is_valid_index(Py_ssize_t i, Py_ssize_t limit) {
-    return (size_t) i < (size_t) limit;
-}
-#if defined (__cplusplus) && __cplusplus >= 201103L
-    #include <cstdlib>
-    #define __Pyx_sst_abs(value) std::abs(value)
-#elif SIZEOF_INT >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) abs(value)
-#elif SIZEOF_LONG >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) labs(value)
-#elif defined (_MSC_VER)
-    #define __Pyx_sst_abs(value) ((Py_ssize_t)_abs64(value))
-#elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define __Pyx_sst_abs(value) llabs(value)
-#elif defined (__GNUC__)
-    #define __Pyx_sst_abs(value) __builtin_llabs(value)
-#else
-    #define __Pyx_sst_abs(value) ((value<0) ? -value : value)
-#endif
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject*);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject*, Py_ssize_t* length);
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char*);
-#define __Pyx_PyByteArray_FromStringAndSize(s, l) PyByteArray_FromStringAndSize((const char*)s, l)
-#define __Pyx_PyBytes_FromString        PyBytes_FromString
-#define __Pyx_PyBytes_FromStringAndSize PyBytes_FromStringAndSize
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char*);
-#if CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AS_STRING(s)
-#else
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AsString(s)
-#endif
-#define __Pyx_PyObject_AsWritableString(s)    ((char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableSString(s)    ((signed char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableUString(s)    ((unsigned char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsSString(s)    ((const signed char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsUString(s)    ((const unsigned char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_FromCString(s)  __Pyx_PyObject_FromString((const char*)s)
-#define __Pyx_PyBytes_FromCString(s)   __Pyx_PyBytes_FromString((const char*)s)
-#define __Pyx_PyByteArray_FromCString(s)   __Pyx_PyByteArray_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromCString(s) __Pyx_PyUnicode_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromOrdinal(o)       PyUnicode_FromOrdinal((int)o)
-#define __Pyx_PyUnicode_AsUnicode            PyUnicode_AsUnicode
-static CYTHON_INLINE PyObject *__Pyx_NewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_NewRef)
-    return Py_NewRef(obj);
-#else
-    Py_INCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_XNewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_XNewRef)
-    return Py_XNewRef(obj);
-#else
-    Py_XINCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b);
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject*);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject*);
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x);
-#define __Pyx_PySequence_Tuple(obj)\
-    (likely(PyTuple_CheckExact(obj)) ? __Pyx_NewRef(obj) : PySequence_Tuple(obj))
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject*);
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t);
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject*);
-#if CYTHON_ASSUME_SAFE_MACROS
-#define __Pyx_PyFloat_AsDouble(x) (PyFloat_CheckExact(x) ? PyFloat_AS_DOUBLE(x) : PyFloat_AsDouble(x))
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AS_DOUBLE(x)
-#else
-#define __Pyx_PyFloat_AsDouble(x) PyFloat_AsDouble(x)
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AsDouble(x)
-#endif
-#define __Pyx_PyFloat_AsFloat(x) ((float) __Pyx_PyFloat_AsDouble(x))
-#define __Pyx_PyNumber_Int(x) (PyLong_CheckExact(x) ? __Pyx_NewRef(x) : PyNumber_Long(x))
-#if CYTHON_USE_PYLONG_INTERNALS
-  #if PY_VERSION_HEX >= 0x030C00A7
-  #ifndef _PyLong_SIGN_MASK
-    #define _PyLong_SIGN_MASK 3
-  #endif
-  #ifndef _PyLong_NON_SIZE_BITS
-    #define _PyLong_NON_SIZE_BITS 3
-  #endif
-  #define __Pyx_PyLong_Sign(x)  (((PyLongObject*)x)->long_value.lv_tag & _PyLong_SIGN_MASK)
-  #define __Pyx_PyLong_IsNeg(x)  ((__Pyx_PyLong_Sign(x) & 2) != 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (!__Pyx_PyLong_IsNeg(x))
-  #define __Pyx_PyLong_IsZero(x)  (__Pyx_PyLong_Sign(x) & 1)
-  #define __Pyx_PyLong_IsPos(x)  (__Pyx_PyLong_Sign(x) == 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  (__Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  ((Py_ssize_t) (((PyLongObject*)x)->long_value.lv_tag >> _PyLong_NON_SIZE_BITS))
-  #define __Pyx_PyLong_SignedDigitCount(x)\
-        ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * __Pyx_PyLong_DigitCount(x))
-  #if defined(PyUnstable_Long_IsCompact) && defined(PyUnstable_Long_CompactValue)
-    #define __Pyx_PyLong_IsCompact(x)     PyUnstable_Long_IsCompact((PyLongObject*) x)
-    #define __Pyx_PyLong_CompactValue(x)  PyUnstable_Long_CompactValue((PyLongObject*) x)
-  #else
-    #define __Pyx_PyLong_IsCompact(x)     (((PyLongObject*)x)->long_value.lv_tag < (2 << _PyLong_NON_SIZE_BITS))
-    #define __Pyx_PyLong_CompactValue(x)  ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * (Py_ssize_t) __Pyx_PyLong_Digits(x)[0])
-  #endif
-  typedef Py_ssize_t  __Pyx_compact_pylong;
-  typedef size_t  __Pyx_compact_upylong;
-  #else
-  #define __Pyx_PyLong_IsNeg(x)  (Py_SIZE(x) < 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (Py_SIZE(x) >= 0)
-  #define __Pyx_PyLong_IsZero(x)  (Py_SIZE(x) == 0)
-  #define __Pyx_PyLong_IsPos(x)  (Py_SIZE(x) > 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  ((Py_SIZE(x) == 0) ? 0 : __Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  __Pyx_sst_abs(Py_SIZE(x))
-  #define __Pyx_PyLong_SignedDigitCount(x)  Py_SIZE(x)
-  #define __Pyx_PyLong_IsCompact(x)  (Py_SIZE(x) == 0 || Py_SIZE(x) == 1 || Py_SIZE(x) == -1)
-  #define __Pyx_PyLong_CompactValue(x)\
-        ((Py_SIZE(x) == 0) ? (sdigit) 0 : ((Py_SIZE(x) < 0) ? -(sdigit)__Pyx_PyLong_Digits(x)[0] : (sdigit)__Pyx_PyLong_Digits(x)[0]))
-  typedef sdigit  __Pyx_compact_pylong;
-  typedef digit  __Pyx_compact_upylong;
-  #endif
-  #if PY_VERSION_HEX >= 0x030C00A5
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->long_value.ob_digit)
-  #else
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->ob_digit)
-  #endif
-#endif
-#if __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeUTF8(c_str, size, NULL)
-#elif __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeASCII(c_str, size, NULL)
-#else
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_Decode(c_str, size, __PYX_DEFAULT_STRING_ENCODING, NULL)
-#endif
-
-
-/* Test for GCC > 2.95 */
-#if defined(__GNUC__)     && (__GNUC__ > 2 || (__GNUC__ == 2 && (__GNUC_MINOR__ > 95)))
-  #define likely(x)   __builtin_expect(!!(x), 1)
-  #define unlikely(x) __builtin_expect(!!(x), 0)
-#else /* !__GNUC__ or GCC < 2.95 */
-  #define likely(x)   (x)
-  #define unlikely(x) (x)
-#endif /* __GNUC__ */
-/* PretendToInitialize */
-#ifdef __cplusplus
-#if __cplusplus > 201103L
-#include <type_traits>
-#endif
-template <typename T>
-static void __Pyx_pretend_to_initialize(T* ptr) {
-#if __cplusplus > 201103L
-    if ((std::is_trivially_default_constructible<T>::value))
-#endif
-        *ptr = T();
-    (void)ptr;
-}
-#else
-static CYTHON_INLINE void __Pyx_pretend_to_initialize(void* ptr) { (void)ptr; }
-#endif
-
-
-#if !CYTHON_USE_MODULE_STATE
-static PyObject *__pyx_m = NULL;
-#endif
-static int __pyx_lineno;
-static int __pyx_clineno = 0;
-static const char * const __pyx_cfilenm = __FILE__;
-static const char *__pyx_filename;
-
-/* #### Code section: filename_table ### */
-
-static const char* const __pyx_f[] = {
-  "src/tripcon/_kernels/_fast.pyx",
-  "cpython/contextvars.pxd",
-  "array.pxd",
-  "<stringsource>",
-  "cpython/type.pxd",
-  "cpython/bool.pxd",
-  "cpython/complex.pxd",
-};
-/* #### Code section: utility_code_proto_before_types ### */
-/* Atomics.proto (used by UnpackUnboundCMethod) */
-#include <pythread.h>
-#ifndef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 1
-#endif
-#define __PYX_CYTHON_ATOMICS_ENABLED() CYTHON_ATOMICS
-#define __PYX_GET_CYTHON_COMPILING_IN_CPYTHON_FREETHREADING() CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __pyx_atomic_int_type int
-#define __pyx_nonatomic_int_type int
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__))
-    #include <stdatomic.h>
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)))
-    #include <atomic>
-#endif
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__) &&\
-                       ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type atomic_int
-    #define __pyx_atomic_ptr_type atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) atomic_fetch_add_explicit(value, 1, memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) atomic_fetch_add_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) atomic_fetch_sub_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) atomic_load_explicit(value, memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) atomic_load_explicit(value, memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C atomics"
-    #endif
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)) &&\
-                    ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type std::atomic_int
-    #define __pyx_atomic_ptr_type std::atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) std::atomic_fetch_sub_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) std::atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) std::atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) std::atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) std::atomic_load_explicit(value, std::memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) std::atomic_load_explicit(value, std::memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) std::atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C++ atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C++ atomics"
-    #endif
-#elif CYTHON_ATOMICS && (__GNUC__ >= 5 || (__GNUC__ == 4 &&\
-                    (__GNUC_MINOR__ > 1 ||\
-                    (__GNUC_MINOR__ == 1 && __GNUC_PATCHLEVEL__ >= 2))))
-    #define __pyx_atomic_ptr_type void*
-    #define __pyx_nonatomic_ptr_type void*
-    #define __pyx_atomic_incr_relaxed(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) __sync_fetch_and_sub(value, 1)
-    #define __pyx_atomic_sub(value, arg) __sync_fetch_and_sub(value, arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_store(value, new_value) __sync_lock_test_and_set(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_load_acquire(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) __sync_lock_test_and_set(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_nonatomic_ptr_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Using GNU atomics"
-    #endif
-#elif CYTHON_ATOMICS && defined(_MSC_VER)
-    #include <intrin.h>
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type long
-    #define __pyx_atomic_ptr_type void*
-    #undef __pyx_nonatomic_int_type
-    #define __pyx_nonatomic_int_type long
-    #define __pyx_nonatomic_ptr_type void*
-    #pragma intrinsic (_InterlockedExchangeAdd, _InterlockedExchange, _InterlockedCompareExchange, _InterlockedCompareExchangePointer, _InterlockedExchangePointer)
-    #define __pyx_atomic_incr_relaxed(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) _InterlockedExchangeAdd(value, -1)
-    #define __pyx_atomic_sub(value, arg) _InterlockedExchangeAdd(value, -arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = _InterlockedCompareExchange(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) _InterlockedExchangeAdd(value, 0)
-    #define __pyx_atomic_store(value, new_value) _InterlockedExchange(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) *(void * volatile *)value
-    #define __pyx_atomic_pointer_load_acquire(value) _InterlockedCompareExchangePointer(value, 0, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) _InterlockedExchangePointer(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_atomic_ptr_type old = _InterlockedCompareExchangePointer(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #pragma message ("Using MSVC atomics")
-    #endif
-#else
-    #undef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 0
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Not using atomics"
-    #endif
-#endif
-
-/* CriticalSectionsDefinition.proto (used by CriticalSections) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection void*
-#define __Pyx_PyCriticalSection2 void*
-#define __Pyx_PyCriticalSection_End(cs)
-#define __Pyx_PyCriticalSection2_End(cs)
-#else
-#define __Pyx_PyCriticalSection PyCriticalSection
-#define __Pyx_PyCriticalSection2 PyCriticalSection2
-#define __Pyx_PyCriticalSection_End PyCriticalSection_End
-#define __Pyx_PyCriticalSection2_End PyCriticalSection2_End
-#endif
-
-/* CriticalSections.proto (used by ParseKeywordsImpl) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection_Begin(cs, arg) (void)(cs)
-#define __Pyx_PyCriticalSection2_Begin(cs, arg1, arg2) (void)(cs)
-#else
-#define __Pyx_PyCriticalSection_Begin PyCriticalSection_Begin
-#define __Pyx_PyCriticalSection2_Begin PyCriticalSection2_Begin
-#endif
-#if PY_VERSION_HEX < 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_BEGIN_CRITICAL_SECTION(o) {
-#define __Pyx_END_CRITICAL_SECTION() }
-#else
-#define __Pyx_BEGIN_CRITICAL_SECTION Py_BEGIN_CRITICAL_SECTION
-#define __Pyx_END_CRITICAL_SECTION Py_END_CRITICAL_SECTION
-#endif
-
-/* IncludeStructmemberH.proto (used by FixUpExtensionType) */
-#include <structmember.h>
-
-/* #### Code section: numeric_typedefs ### */
-/* #### Code section: complex_type_declarations ### */
-/* #### Code section: type_declarations ### */
-
-/*--- Type declarations ---*/
-#ifndef _ARRAYARRAY_H
-struct arrayobject;
-typedef struct arrayobject arrayobject;
-#endif
-struct __pyx_obj_7tripcon_8_kernels_5_fast__Side;
-struct __pyx_obj_7tripcon_8_kernels_5_fast__Ctx;
-struct __pyx_obj_7tripcon_8_kernels_5_fast__Run;
-struct __pyx_opt_args_7cpython_11contextvars_get_value;
-struct __pyx_opt_args_7cpython_11contextvars_get_value_no_default;
-
-/* "cpython/contextvars.pxd":116
- * 
- * @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")
- * cdef inline object get_value(var, default_value=None):             # <<<<<<<<<<<<<<
- *     """Return a new reference to the value of the context variable,
- *     or the default value of the context variable,
-*/
-struct __pyx_opt_args_7cpython_11contextvars_get_value {
-  int __pyx_n;
-  PyObject *default_value;
-};
-
-/* "cpython/contextvars.pxd":134
- * 
- * @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")
- * cdef inline object get_value_no_default(var, default_value=None):             # <<<<<<<<<<<<<<
- *     """Return a new reference to the value of the context variable,
- *     or the provided default value if no such value was found.
-*/
-struct __pyx_opt_args_7cpython_11contextvars_get_value_no_default {
-  int __pyx_n;
-  PyObject *default_value;
-};
-
-/* "tripcon/_kernels/_fast.pyx":30
- * # ====================================================================== #
- * 
- * cdef class _Side:             # <<<<<<<<<<<<<<
- *     cdef array.array a_left, a_right, a_taxon
- *     cdef array.array a_post, a_lc, a_lb, a_depth, a_popo, a_leaves
-*/
-struct __pyx_obj_7tripcon_8_kernels_5_fast__Side {
-  PyObject_HEAD
-  arrayobject *a_left;
-  arrayobject *a_right;
-  arrayobject *a_taxon;
-  arrayobject *a_post;
-  arrayobject *a_lc;
-  arrayobject *a_lb;
-  arrayobject *a_depth;
-  arrayobject *a_popo;
-  arrayobject *a_leaves;
-  arrayobject *a_tour;
-  arrayobject *a_tdep;
-  arrayobject *a_fo;
-  arrayobject *a_bminpos;
-  arrayobject *a_bminval;
-  arrayobject *a_pat;
-  arrayobject *a_lg;
-  arrayobject *a_st;
-  arrayobject *a_tbl;
-  arrayobject *a_tflag;
-  int *left;
-  int *right;
-  int *taxon;
-  int *post;
-  int *lc;
-  int *lb;
-  int *depth;
-  int *popo;
-  int *leaves;
-  int *tour;
-  int *tdep;
-  int *fo;
-  int *bminpos;
-  int *bminval;
-  int *pat;
-  int *lg;
-  int *st;
-  int *tbl;
-  signed char *tflag;
-  int m;
-  int root;
-  int nl;
-  int tlen;
-  int b;
-  int nb;
-};
-
-
-/* "tripcon/_kernels/_fast.pyx":376
- * # ====================================================================== #
- * 
- * cdef class _Ctx:             # <<<<<<<<<<<<<<
- *     cdef _Side p
- *     cdef _Side q
-*/
-struct __pyx_obj_7tripcon_8_kernels_5_fast__Ctx {
-  PyObject_HEAD
-  struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *p;
-  struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *q;
-  arrayobject *a_m;
-  int *m;
-};
-
-
-/* "tripcon/_kernels/_fast.pyx":410
- * # ====================================================================== #
- * 
- * cdef class _Run:             # <<<<<<<<<<<<<<
- *     cdef bint store
- *     cdef long long work
-*/
-struct __pyx_obj_7tripcon_8_kernels_5_fast__Run {
-  PyObject_HEAD
-  struct __pyx_vtabstruct_7tripcon_8_kernels_5_fast__Run *__pyx_vtab;
-  int store;
-  PY_LONG_LONG work;
-  PY_LONG_LONG frames;
-  PY_LONG_LONG violations;
-  PY_LONG_LONG emitted;
-  arrayobject *a_tri;
-  arrayobject *a_dr;
-  int *tri;
-  Py_ssize_t tri_len;
-  Py_ssize_t tri_cap;
-  int *dr;
-  Py_ssize_t dr_len;
-  Py_ssize_t dr_cap;
-  arrayobject *a_fs;
-  int *fs;
-  Py_ssize_t fs_len;
-  Py_ssize_t fs_cap;
-  arrayobject *a_pleaf;
-  arrayobject *a_qleaf;
-  int *pleaf;
-  int *qleaf;
-  arrayobject *a_part;
-  int *part;
-  int pn[8];
-  arrayobject *a_zlca;
-  arrayobject *a_ztax;
-  arrayobject *a_zpost;
-  arrayobject *a_par;
-  arrayobject *a_plo;
-  arrayobject *a_phi;
-  arrayobject *a_podep;
-  arrayobject *a_pstk;
-  int *zlca;
-  int *ztax;
-  int *zpost;
-  int *par;
-  int *plo;
-  int *phi;
-  int *podep;
-  int *pstk;
-  PyObject *ctxs;
-};
-
-
-
-struct __pyx_vtabstruct_7tripcon_8_kernels_5_fast__Run {
-  int (*_push_frame)(struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *, int, int, int);
-  int (*_push_dr)(struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *, int);
-  int (*_emit)(struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *, int, int, int);
-  int (*_lsc)(struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *, struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *, int *, int, int *, int);
-};
-static struct __pyx_vtabstruct_7tripcon_8_kernels_5_fast__Run *__pyx_vtabptr_7tripcon_8_kernels_5_fast__Run;
-/* #### Code section: utility_code_proto ### */
-
-/* --- Runtime support code (head) --- */
-/* Refnanny.proto */
-#ifndef CYTHON_REFNANNY
-  #define CYTHON_REFNANNY 0
-#endif
-#if CYTHON_REFNANNY
-  typedef struct {
-    void (*INCREF)(void*, PyObject*, Py_ssize_t);
-    void (*DECREF)(void*, PyObject*, Py_ssize_t);
-    void (*GOTREF)(void*, PyObject*, Py_ssize_t);
-    void (*GIVEREF)(void*, PyObject*, Py_ssize_t);
-    void* (*SetupContext)(const char*, Py_ssize_t, const char*);
-    void (*FinishContext)(void**);
-  } __Pyx_RefNannyAPIStruct;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNanny = NULL;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname);
-  #define __Pyx_RefNannyDeclarations void *__pyx_refnanny = NULL;
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)\
-          if (acquire_gil) {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-              PyGILState_Release(__pyx_gilstate_save);\
-          } else {\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContext()\
-          __Pyx_RefNanny->FinishContext(&__pyx_refnanny)
-  #define __Pyx_INCREF(r)  __Pyx_RefNanny->INCREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_DECREF(r)  __Pyx_RefNanny->DECREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GOTREF(r)  __Pyx_RefNanny->GOTREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GIVEREF(r) __Pyx_RefNanny->GIVEREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_XINCREF(r)  do { if((r) == NULL); else {__Pyx_INCREF(r); }} while(0)
-  #define __Pyx_XDECREF(r)  do { if((r) == NULL); else {__Pyx_DECREF(r); }} while(0)
-  #define __Pyx_XGOTREF(r)  do { if((r) == NULL); else {__Pyx_GOTREF(r); }} while(0)
-  #define __Pyx_XGIVEREF(r) do { if((r) == NULL); else {__Pyx_GIVEREF(r);}} while(0)
-#else
-  #define __Pyx_RefNannyDeclarations
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)
-  #define __Pyx_RefNannyFinishContextNogil()
-  #define __Pyx_RefNannyFinishContext()
-  #define __Pyx_INCREF(r) Py_INCREF(r)
-  #define __Pyx_DECREF(r) Py_DECREF(r)
-  #define __Pyx_GOTREF(r)
-  #define __Pyx_GIVEREF(r)
-  #define __Pyx_XINCREF(r) Py_XINCREF(r)
-  #define __Pyx_XDECREF(r) Py_XDECREF(r)
-  #define __Pyx_XGOTREF(r)
-  #define __Pyx_XGIVEREF(r)
-#endif
-#define __Pyx_Py_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; Py_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_DECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_DECREF(tmp);\
-    } while (0)
-#define __Pyx_CLEAR(r)    do { PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);} while(0)
-#define __Pyx_XCLEAR(r)   do { if((r) != NULL) {PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);}} while(0)
-
-/* TupleAndListFromArray.proto (used by fastcall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject* __Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-
-/* IncludeStringH.proto (used by BytesEquals) */
-#include <string.h>
-
-/* BytesEquals.proto (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* UnicodeEquals.proto (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* fastcall.proto */
-#if CYTHON_AVOID_BORROWED_REFS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_PySequence_ITEM(args, i)
-#elif CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_NewRef(__Pyx_PyTuple_GET_ITEM(args, i))
-#else
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_XNewRef(PyTuple_GetItem(args, i))
-#endif
-#define __Pyx_NumKwargs_VARARGS(kwds) PyDict_Size(kwds)
-#define __Pyx_KwValues_VARARGS(args, nargs) NULL
-#define __Pyx_GetKwValue_VARARGS(kw, kwvalues, s) __Pyx_PyDict_GetItemStrWithError(kw, s)
-#define __Pyx_KwargsAsDict_VARARGS(kw, kwvalues) PyDict_Copy(kw)
-#if CYTHON_METH_FASTCALL
-    #define __Pyx_ArgRef_FASTCALL(args, i) __Pyx_NewRef(args[i])
-    #define __Pyx_NumKwargs_FASTCALL(kwds) __Pyx_PyTuple_GET_SIZE(kwds)
-    #define __Pyx_KwValues_FASTCALL(args, nargs) ((args) + (nargs))
-    static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-    CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues);
-  #else
-    #define __Pyx_KwargsAsDict_FASTCALL(kw, kwvalues) _PyStack_AsDict(kwvalues, kw)
-  #endif
-#else
-    #define __Pyx_ArgRef_FASTCALL __Pyx_ArgRef_VARARGS
-    #define __Pyx_NumKwargs_FASTCALL __Pyx_NumKwargs_VARARGS
-    #define __Pyx_KwValues_FASTCALL __Pyx_KwValues_VARARGS
-    #define __Pyx_GetKwValue_FASTCALL __Pyx_GetKwValue_VARARGS
-    #define __Pyx_KwargsAsDict_FASTCALL __Pyx_KwargsAsDict_VARARGS
-#endif
-#define __Pyx_ArgsSlice_VARARGS(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#if CYTHON_METH_FASTCALL || (CYTHON_COMPILING_IN_CPYTHON && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) __Pyx_PyTuple_FromArray(args + start, stop - start)
-#else
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#endif
-
-/* RaiseArgTupleInvalid.proto */
-static void __Pyx_RaiseArgtupleInvalid(const char* func_name, int exact,
-    Py_ssize_t num_min, Py_ssize_t num_max, Py_ssize_t num_found);
-
-/* py_dict_items.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d);
-
-/* CallCFunction.proto (used by CallUnboundCMethod0) */
-#define __Pyx_CallCFunction(cfunc, self, args)\
-    ((PyCFunction)(void(*)(void))(cfunc)->func)(self, args)
-#define __Pyx_CallCFunctionWithKeywords(cfunc, self, args, kwargs)\
-    ((PyCFunctionWithKeywords)(void(*)(void))(cfunc)->func)(self, args, kwargs)
-#define __Pyx_CallCFunctionFast(cfunc, self, args, nargs)\
-    ((__Pyx_PyCFunctionFast)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs)
-#define __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, nargs, kwnames)\
-    ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs, kwnames)
-
-/* PyObjectCall.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw);
-#else
-#define __Pyx_PyObject_Call(func, arg, kw) PyObject_Call(func, arg, kw)
-#endif
-
-/* PyObjectCallMethO.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg);
-#endif
-
-/* PyObjectFastCall.proto (used by PyObjectCallOneArg) */
-#define __Pyx_PyObject_FastCall(func, args, nargs)  __Pyx_PyObject_FastCallDict(func, args, (size_t)(nargs), NULL)
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs);
-
-/* PyObjectCallOneArg.proto (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg);
-
-/* PyObjectGetAttrStr.proto (used by UnpackUnboundCMethod) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name);
-#else
-#define __Pyx_PyObject_GetAttrStr(o,n) PyObject_GetAttr(o,n)
-#endif
-
-/* UnpackUnboundCMethod.proto (used by CallUnboundCMethod0) */
-typedef struct {
-    PyObject *type;
-    PyObject **method_name;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && CYTHON_ATOMICS
-    __pyx_atomic_int_type initialized;
-#endif
-    PyCFunction func;
-    PyObject *method;
-    int flag;
-} __Pyx_CachedCFunction;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-static CYTHON_INLINE int __Pyx_CachedCFunction_GetAndSetInitializing(__Pyx_CachedCFunction *cfunc) {
-#if !CYTHON_ATOMICS
-    return 1;
-#else
-    __pyx_nonatomic_int_type expected = 0;
-    if (__pyx_atomic_int_cmp_exchange(&cfunc->initialized, &expected, 1)) {
-        return 0;
-    }
-    return expected;
-#endif
-}
-static CYTHON_INLINE void __Pyx_CachedCFunction_SetFinishedInitializing(__Pyx_CachedCFunction *cfunc) {
-#if CYTHON_ATOMICS
-    __pyx_atomic_store(&cfunc->initialized, 2);
-#endif
-}
-#else
-#define __Pyx_CachedCFunction_GetAndSetInitializing(cfunc) 2
-#define __Pyx_CachedCFunction_SetFinishedInitializing(cfunc)
-#endif
-
-/* CallUnboundCMethod0.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#else
-#define __Pyx_CallUnboundCMethod0(cfunc, self)  __Pyx__CallUnboundCMethod0(cfunc, self)
-#endif
-
-/* py_dict_values.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d);
-
-/* OwnedDictNext.proto (used by RejectKeywords) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue);
-#else
-CYTHON_INLINE
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue);
-#endif
-
-/* RejectKeywords.export */
-static void __Pyx_RejectKeywords(const char* function_name, PyObject *kwds);
-
-/* PyTypeError_Check.proto */
-#define __Pyx_PyExc_TypeError_Check(obj)  __Pyx_TypeCheck(obj, PyExc_TypeError)
-
-/* PyThreadStateGet.proto (used by PyErrFetchRestore) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyThreadState_declare  PyThreadState *__pyx_tstate;
-#define __Pyx_PyThreadState_assign  __pyx_tstate = __Pyx_PyThreadState_Current;
-#if PY_VERSION_HEX >= 0x030C00A6
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->current_exception != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->current_exception ? (PyObject*) Py_TYPE(__pyx_tstate->current_exception) : (PyObject*) NULL)
-#else
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->curexc_type != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->curexc_type)
-#endif
-#else
-#define __Pyx_PyThreadState_declare
-#define __Pyx_PyThreadState_assign
-#define __Pyx_PyErr_Occurred()  (PyErr_Occurred() != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  PyErr_Occurred()
-#endif
-
-/* PyErrFetchRestore.proto (used by RaiseException) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_Clear() __Pyx_ErrRestore(NULL, NULL, NULL)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  __Pyx_ErrRestoreInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)    __Pyx_ErrFetchInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  __Pyx_ErrRestoreInState(__pyx_tstate, type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)    __Pyx_ErrFetchInState(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A6
-#define __Pyx_PyErr_SetNone(exc) (Py_INCREF(exc), __Pyx_ErrRestore((exc), NULL, NULL))
-#else
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#endif
-#else
-#define __Pyx_PyErr_Clear() PyErr_Clear()
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestoreInState(tstate, type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchInState(tstate, type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)  PyErr_Fetch(type, value, tb)
-#endif
-
-/* RaiseException.export */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause);
-
-/* RaiseDoubleKeywords.proto (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(const char* func_name, PyObject* kw_name);
-
-/* ParseKeywordsImpl.export */
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name
-);
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* CallUnboundCMethod2.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2);
-#else
-#define __Pyx_CallUnboundCMethod2(cfunc, self, arg1, arg2)  __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2)
-#endif
-
-/* ParseKeywords.proto */
-static CYTHON_INLINE int __Pyx_ParseKeywords(
-    PyObject *kwds, PyObject *const *kwvalues, PyObject ** const argnames[],
-    PyObject *kwds2, PyObject *values[],
-    Py_ssize_t num_pos_args, Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* PyErrExceptionMatches.proto (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_ExceptionMatches(err) __Pyx_PyErr_ExceptionMatchesInState(__pyx_tstate, err)
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err);
-#else
-#define __Pyx_PyErr_ExceptionMatches(err)  PyErr_ExceptionMatches(err)
-#endif
-
-/* PyObjectGetAttrStrNoError.proto (used by GetBuiltinName) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name);
-
-/* GetBuiltinName.proto (used by GetModuleGlobalName) */
-static PyObject *__Pyx_GetBuiltinName(PyObject *name);
-
-/* PyDictVersioning.proto (used by GetModuleGlobalName) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-#define __PYX_DICT_VERSION_INIT  ((PY_UINT64_T) -1)
-#define __PYX_GET_DICT_VERSION(dict)  (((PyDictObject*)(dict))->ma_version_tag)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)\
-    (version_var) = __PYX_GET_DICT_VERSION(dict);\
-    (cache_var) = (value);
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP) {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    if (likely(__PYX_GET_DICT_VERSION(DICT) == __pyx_dict_version)) {\
-        (VAR) = __Pyx_XNewRef(__pyx_dict_cached_value);\
-    } else {\
-        (VAR) = __pyx_dict_cached_value = (LOOKUP);\
-        __pyx_dict_version = __PYX_GET_DICT_VERSION(DICT);\
-    }\
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj);
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj);
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version);
-#else
-#define __PYX_GET_DICT_VERSION(dict)  (0)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP)  (VAR) = (LOOKUP);
-#endif
-
-/* GetModuleGlobalName.proto */
-#if CYTHON_USE_DICT_VERSIONS
-#define __Pyx_GetModuleGlobalName(var, name)  do {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    (var) = (likely(__pyx_dict_version == __PYX_GET_DICT_VERSION(__pyx_mstate_global->__pyx_d))) ?\
-        (likely(__pyx_dict_cached_value) ? __Pyx_NewRef(__pyx_dict_cached_value) : __Pyx_GetBuiltinName(name)) :\
-        __Pyx__GetModuleGlobalName(name, &__pyx_dict_version, &__pyx_dict_cached_value);\
-} while(0)
-#define __Pyx_GetModuleGlobalNameUncached(var, name)  do {\
-    PY_UINT64_T __pyx_dict_version;\
-    PyObject *__pyx_dict_cached_value;\
-    (var) = __Pyx__GetModuleGlobalName(name, &__pyx_dict_version, &__pyx_dict_cached_value);\
-} while(0)
-static PyObject *__Pyx__GetModuleGlobalName(PyObject *name, PY_UINT64_T *dict_version, PyObject **dict_cached_value);
-#else
-#define __Pyx_GetModuleGlobalName(var, name)  (var) = __Pyx__GetModuleGlobalName(name)
-#define __Pyx_GetModuleGlobalNameUncached(var, name)  (var) = __Pyx__GetModuleGlobalName(name)
-static CYTHON_INLINE PyObject *__Pyx__GetModuleGlobalName(PyObject *name);
-#endif
-
-/* ExtTypeTest.proto */
-static CYTHON_INLINE int __Pyx_TypeTest(PyObject *obj, PyTypeObject *type);
-
-/* ArgTypeTestFunc.export */
-static int __Pyx__ArgTypeTest(PyObject *obj, PyTypeObject *type, const char *name, int exact);
-
-/* ArgTypeTest.proto */
-#define __Pyx_ArgTypeTest(obj, type, none_allowed, name, exact)\
-    ((likely(__Pyx_IS_TYPE(obj, type) | (none_allowed && (obj == Py_None)))) ? 1 :\
-        __Pyx__ArgTypeTest(obj, type, name, exact))
-
-/* ListAppend.proto */
-#if CYTHON_USE_PYLIST_INTERNALS && CYTHON_ASSUME_SAFE_MACROS
-static CYTHON_INLINE int __Pyx_PyList_Append(PyObject* list, PyObject* x) {
-    PyListObject* L = (PyListObject*) list;
-    Py_ssize_t len = Py_SIZE(list);
-    if (likely(L->allocated > len) & likely(len > (L->allocated >> 1))) {
-        Py_INCREF(x);
-        #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000
-        L->ob_item[len] = x;
-        #else
-        PyList_SET_ITEM(list, len, x);
-        #endif
-        __Pyx_SET_SIZE(list, len + 1);
-        return 0;
-    }
-    return PyList_Append(list, x);
-}
-#else
-#define __Pyx_PyList_Append(L,x) PyList_Append(L,x)
-#endif
-
-/* AllocateExtensionType.proto */
-static PyObject *__Pyx_AllocateExtensionType(PyTypeObject *t, int is_final);
-
-/* CallTypeTraverse.proto */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#define __Pyx_call_type_traverse(o, always_call, visit, arg) 0
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg);
-#endif
-
-/* LimitedApiGetTypeDict.proto (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp);
-#endif
-
-/* SetItemOnTypeDict.proto (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v);
-#define __Pyx_SetItemOnTypeDict(tp, k, v) __Pyx__SetItemOnTypeDict((PyTypeObject*)tp, k, v)
-
-/* FixUpExtensionType.proto */
-static CYTHON_INLINE int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type);
-
-/* PyObjectCallNoArg.proto (used by PyObjectCallMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallNoArg(PyObject *func);
-
-/* PyObjectGetMethod.proto (used by PyObjectCallMethod0) */
-#if !(CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000)))
-static int __Pyx_PyObject_GetMethod(PyObject *obj, PyObject *name, PyObject **method);
-#endif
-
-/* PyObjectCallMethod0.proto (used by PyType_Ready) */
-static PyObject* __Pyx_PyObject_CallMethod0(PyObject* obj, PyObject* method_name);
-
-/* ValidateBasesTuple.proto (used by PyType_Ready) */
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_USE_TYPE_SPECS
-static int __Pyx_validate_bases_tuple(const char *type_name, Py_ssize_t dictoffset, PyObject *bases);
-#endif
-
-/* PyType_Ready.proto */
-CYTHON_UNUSED static int __Pyx_PyType_Ready(PyTypeObject *t);
-
-/* DelItemOnTypeDict.proto (used by SetupReduce) */
-static int __Pyx__DelItemOnTypeDict(PyTypeObject *tp, PyObject *k);
-#define __Pyx_DelItemOnTypeDict(tp, k) __Pyx__DelItemOnTypeDict((PyTypeObject*)tp, k)
-
-/* SetupReduce.proto */
-static int __Pyx_setup_reduce(PyObject* type_obj);
-
-/* SetVTable.proto */
-static int __Pyx_SetVtable(PyTypeObject* typeptr , void* vtable);
-
-/* GetVTable.proto (used by MergeVTables) */
-static void* __Pyx_GetVtable(PyTypeObject *type);
-
-/* MergeVTables.proto */
-static int __Pyx_MergeVtables(PyTypeObject *type);
-
-/* TypeImport.proto */
-#ifndef __PYX_HAVE_RT_ImportType_proto_3_2_8
-#define __PYX_HAVE_RT_ImportType_proto_3_2_8
-#if defined (__STDC_VERSION__) && __STDC_VERSION__ >= 201112L
-#include <stdalign.h>
-#endif
-#if (defined (__STDC_VERSION__) && __STDC_VERSION__ >= 201112L) || __cplusplus >= 201103L
-#define __PYX_GET_STRUCT_ALIGNMENT_3_2_8(s) alignof(s)
-#else
-#define __PYX_GET_STRUCT_ALIGNMENT_3_2_8(s) sizeof(void*)
-#endif
-enum __Pyx_ImportType_CheckSize_3_2_8 {
-   __Pyx_ImportType_CheckSize_Error_3_2_8 = 0,
-   __Pyx_ImportType_CheckSize_Warn_3_2_8 = 1,
-   __Pyx_ImportType_CheckSize_Ignore_3_2_8 = 2
-};
-static PyTypeObject *__Pyx_ImportType_3_2_8(PyObject* module, const char *module_name, const char *class_name, size_t size, size_t alignment, enum __Pyx_ImportType_CheckSize_3_2_8 check_size);
-#endif
-
-/* HasAttr.proto (used by ImportImpl) */
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_HasAttr(o, n)  PyObject_HasAttrWithError(o, n)
-#else
-static CYTHON_INLINE int __Pyx_HasAttr(PyObject *, PyObject *);
-#endif
-
-/* ImportImpl.export */
-static PyObject *__Pyx__Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, PyObject *moddict, int level);
-
-/* Import.proto */
-static CYTHON_INLINE PyObject *__Pyx_Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, int level);
-
-/* dict_setdefault.proto (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value);
-
-/* AddModuleRef.proto (used by FetchSharedCythonModule) */
-#if ((CYTHON_COMPILING_IN_CPYTHON_FREETHREADING ) ||\
-     __PYX_LIMITED_VERSION_HEX < 0x030d0000)
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name);
-#else
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#endif
-
-/* FetchSharedCythonModule.proto (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void);
-
-/* FetchCommonType.proto (used by CommonTypesMetaclass) */
-static PyTypeObject* __Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases);
-
-/* CommonTypesMetaclass.proto (used by CythonFunctionShared) */
-static int __pyx_CommonTypesMetaclass_init(PyObject *module);
-#define __Pyx_CommonTypesMetaclass_USED
-
-/* PyMethodNew.proto (used by CythonFunctionShared) */
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ);
-
-/* PyVectorcallFastCallDict.proto (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw);
-#endif
-
-/* CythonFunctionShared.proto (used by CythonFunction) */
-#define __Pyx_CyFunction_USED
-#define __Pyx_CYFUNCTION_STATICMETHOD  0x01
-#define __Pyx_CYFUNCTION_CLASSMETHOD   0x02
-#define __Pyx_CYFUNCTION_CCLASS        0x04
-#define __Pyx_CYFUNCTION_COROUTINE     0x08
-#define __Pyx_CyFunction_GetClosure(f)\
-    (((__pyx_CyFunctionObject *) (f))->func_closure)
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      (((__pyx_CyFunctionObject *) (f))->func_classobj)
-#else
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      ((PyObject*) ((PyCMethodObject *) (f))->mm_class)
-#endif
-#define __Pyx_CyFunction_SetClassObj(f, classobj)\
-    __Pyx__CyFunction_SetClassObj((__pyx_CyFunctionObject *) (f), (classobj))
-#define __Pyx_CyFunction_Defaults(type, f)\
-    ((type *)(((__pyx_CyFunctionObject *) (f))->defaults))
-#define __Pyx_CyFunction_SetDefaultsGetter(f, g)\
-    ((__pyx_CyFunctionObject *) (f))->defaults_getter = (g)
-typedef struct {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject_HEAD
-    PyObject *func;
-#elif PY_VERSION_HEX < 0x030900B1
-    PyCFunctionObject func;
-#else
-    PyCMethodObject func;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && CYTHON_METH_FASTCALL
-    __pyx_vectorcallfunc func_vectorcall;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_weakreflist;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_dict;
-#endif
-    PyObject *func_name;
-    PyObject *func_qualname;
-    PyObject *func_doc;
-    PyObject *func_globals;
-    PyObject *func_code;
-    PyObject *func_closure;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_classobj;
-#endif
-    PyObject *defaults;
-    int flags;
-    PyObject *defaults_tuple;
-    PyObject *defaults_kwdict;
-    PyObject *(*defaults_getter)(PyObject *);
-    PyObject *func_annotations;
-    PyObject *func_is_coroutine;
-} __pyx_CyFunctionObject;
-#undef __Pyx_CyOrPyCFunction_Check
-#define __Pyx_CyFunction_Check(obj)  __Pyx_TypeCheck(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-#define __Pyx_CyOrPyCFunction_Check(obj)  __Pyx_TypeCheck2(obj, __pyx_mstate_global->__pyx_CyFunctionType, &PyCFunction_Type)
-#define __Pyx_CyFunction_CheckExact(obj)  __Pyx_IS_TYPE(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void));
-#undef __Pyx_IsSameCFunction
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCyOrCFunction(func, cfunc)
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject* op, PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj);
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func,
-                                                         PyTypeObject *defaults_type);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *m,
-                                                            PyObject *tuple);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *m,
-                                                             PyObject *dict);
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *m,
-                                                              PyObject *dict);
-static int __pyx_CyFunction_init(PyObject *module);
-#if CYTHON_METH_FASTCALL
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_func_vectorcall(f) (((__pyx_CyFunctionObject*)f)->func_vectorcall)
-#else
-#define __Pyx_CyFunction_func_vectorcall(f) (((PyCFunctionObject*)f)->vectorcall)
-#endif
-#endif
-
-/* CythonFunction.proto */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-
-/* CLineInTraceback.proto (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line);
-#else
-#define __Pyx_CLineForTraceback(tstate, c_line)  (((CYTHON_CLINE_IN_TRACEBACK)) ? c_line : 0)
-#endif
-
-/* CodeObjectCache.proto (used by AddTraceback) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject __Pyx_CachedCodeObjectType;
-#else
-typedef PyCodeObject __Pyx_CachedCodeObjectType;
-#endif
-typedef struct {
-    __Pyx_CachedCodeObjectType* code_object;
-    int code_line;
-} __Pyx_CodeObjectCacheEntry;
-struct __Pyx_CodeObjectCache {
-    int count;
-    int max_count;
-    __Pyx_CodeObjectCacheEntry* entries;
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_int_type accessor_count;
-  #endif
-};
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line);
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line);
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object);
-
-/* AddTraceback.proto */
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename);
-
-/* ArrayAPI.proto */
-#ifndef _ARRAYARRAY_H
-#define _ARRAYARRAY_H
-typedef struct arraydescr {
-    union {
-        char typecode_char;  // pre-3.15
-        char typecode_array[3]; // post-3.15
-    };
-    int itemsize;
-    PyObject * (*getitem)(struct arrayobject *, Py_ssize_t);
-    int (*setitem)(struct arrayobject *, Py_ssize_t, PyObject *);
-#if PY_VERSION_HEX <= 0x030F00a8
-    char *formats;
-#endif
-} arraydescr;
-typedef union {
-    char *ob_item;
-    float *as_floats;
-    double *as_doubles;
-    int *as_ints;
-    unsigned int *as_uints;
-    unsigned char *as_uchars;
-    signed char *as_schars;
-    char *as_chars;
-    unsigned long *as_ulongs;
-    long *as_longs;
-    unsigned long long *as_ulonglongs;
-    long long *as_longlongs;
-    short *as_shorts;
-    unsigned short *as_ushorts;
-    #if PY_VERSION_HEX >= 0x030d0000
-    Py_DEPRECATED(3.13)
-    #endif
-        wchar_t *as_pyunicodes;
-    void *as_voidptr;
-} __Pyx_data_union;
-struct arrayobject {
-    PyObject_HEAD
-    Py_ssize_t ob_size;
-    __Pyx_data_union data;
-    Py_ssize_t allocated;
-    struct arraydescr *ob_descr;
-    PyObject *weakreflist;
-    int ob_exports;
-};
-#ifndef NO_NEWARRAY_INLINE
-static CYTHON_INLINE PyObject * newarrayobject(PyTypeObject *type, Py_ssize_t size,
-    struct arraydescr *descr) {
-    arrayobject *op;
-    size_t nbytes;
-    if (size < 0) {
-        PyErr_BadInternalCall();
-        return NULL;
-    }
-    nbytes = size * descr->itemsize;
-    if (nbytes / descr->itemsize != (size_t)size) {
-        return PyErr_NoMemory();
-    }
-    op = (arrayobject *) type->tp_alloc(type, 0);
-    if (op == NULL) {
-        return NULL;
-    }
-    op->ob_descr = descr;
-    op->allocated = size;
-    op->weakreflist = NULL;
-    __Pyx_SET_SIZE(op, size);
-    if (size <= 0) {
-        op->data.ob_item = NULL;
-    }
-    else {
-        op->data.ob_item = PyMem_NEW(char, nbytes);
-        if (op->data.ob_item == NULL) {
-            Py_DECREF(op);
-            return PyErr_NoMemory();
-        }
-    }
-    return (PyObject *) op;
-}
-#else
-PyObject* newarrayobject(PyTypeObject *type, Py_ssize_t size,
-    struct arraydescr *descr);
-#endif
-static CYTHON_INLINE __Pyx_data_union __Pyx_PyArray_Data(arrayobject *self) {
-#if CYTHON_COMPILING_IN_GRAAL
-    __Pyx_data_union data;
-    data.ob_item = GraalPyArray_Data((PyObject*)self);
-    return data;
-#else
-    return self->data;
-#endif
-}
-static CYTHON_INLINE int resize(arrayobject *self, Py_ssize_t n) {
-#if CYTHON_COMPILING_IN_GRAAL
-    return GraalPyArray_Resize((PyObject*)self, n);
-#else
-    void *items = (void*) self->data.ob_item;
-    PyMem_Resize(items, char, (size_t)(n * self->ob_descr->itemsize));
-    if (items == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    self->data.ob_item = (char*) items;
-    __Pyx_SET_SIZE(self, n);
-    self->allocated = n;
-    return 0;
-#endif
-}
-static CYTHON_INLINE int resize_smart(arrayobject *self, Py_ssize_t n) {
-#if CYTHON_COMPILING_IN_GRAAL
-    return GraalPyArray_Resize((PyObject*)self, n);
-#else
-    void *items = (void*) self->data.ob_item;
-    Py_ssize_t newsize;
-    if (n < self->allocated && n*4 > self->allocated) {
-        __Pyx_SET_SIZE(self, n);
-        return 0;
-    }
-    newsize = n + (n / 2) + 1;
-    if (newsize <= n) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    PyMem_Resize(items, char, (size_t)(newsize * self->ob_descr->itemsize));
-    if (items == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    self->data.ob_item = (char*) items;
-    __Pyx_SET_SIZE(self, n);
-    self->allocated = newsize;
-    return 0;
-#endif
-}
-#endif
-
-/* GCCDiagnostics.proto */
-#if !defined(__INTEL_COMPILER) && defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 6))
-#define __Pyx_HAS_GCC_DIAGNOSTIC
-#endif
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *);
-
-/* PyObjectVectorCallKwBuilder.proto (used by CIntToPy) */
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#if CYTHON_VECTORCALL
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_Object_Vectorcall_CallFromBuilder PyObject_Vectorcall
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder _PyObject_Vectorcall
-#endif
-#define __Pyx_MakeVectorcallBuilderKwds(n) PyTuple_New(n)
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder __Pyx_PyObject_FastCallDict
-#define __Pyx_MakeVectorcallBuilderKwds(n) __Pyx_PyDict_NewPresized(n)
-#define __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n) PyDict_SetItem(builder, key, value)
-#define __Pyx_VectorcallBuilder_AddArgStr(key, value, builder, args, n) PyDict_SetItemString(builder, key, value)
-#endif
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_PY_LONG_LONG(PY_LONG_LONG value);
-
-/* FormatTypeName.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%U"
-#define __Pyx_DECREF_TypeName(obj) Py_XDECREF(obj)
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyType_GetFullyQualifiedName PyType_GetFullyQualifiedName
-#else
-static __Pyx_TypeName __Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp);
-#endif
-#else  // !LIMITED_API
-typedef const char *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%.200s"
-#define __Pyx_PyType_GetFullyQualifiedName(tp) ((tp)->tp_name)
-#define __Pyx_DECREF_TypeName(obj)
-#endif
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *);
-
-/* FastTypeChecks.proto */
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_TypeCheck(obj, type) __Pyx_IsSubtype(Py_TYPE(obj), (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) __Pyx_IsAnySubtype2(Py_TYPE(obj), (PyTypeObject *)type1, (PyTypeObject *)type2)
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject *type);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2);
-#else
-#define __Pyx_TypeCheck(obj, type) PyObject_TypeCheck(obj, (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) (PyObject_TypeCheck(obj, (PyTypeObject *)type1) || PyObject_TypeCheck(obj, (PyTypeObject *)type2))
-#define __Pyx_PyErr_GivenExceptionMatches(err, type) PyErr_GivenExceptionMatches(err, type)
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2) {
-    return PyErr_GivenExceptionMatches(err, type1) || PyErr_GivenExceptionMatches(err, type2);
-}
-#endif
-#define __Pyx_PyErr_ExceptionMatches2(err1, err2)  __Pyx_PyErr_GivenExceptionMatches2(__Pyx_PyErr_CurrentExceptionType(), err1, err2)
-#define __Pyx_PyException_Check(obj) __Pyx_TypeCheck(obj, PyExc_Exception)
-#ifdef PyExceptionInstance_Check
-  #define __Pyx_PyBaseException_Check(obj) PyExceptionInstance_Check(obj)
-#else
-  #define __Pyx_PyBaseException_Check(obj) __Pyx_TypeCheck(obj, PyExc_BaseException)
-#endif
-
-/* GetRuntimeVersion.proto */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-static unsigned long __Pyx_cached_runtime_version = 0;
-static void __Pyx_init_runtime_version(void);
-#else
-#define __Pyx_init_runtime_version()
-#endif
-static unsigned long __Pyx_get_runtime_version(void);
-
-/* CheckBinaryVersion.proto */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer);
-
-/* DecompressString.proto */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo);
-
-/* MultiPhaseInitModuleState.proto */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-static PyObject *__Pyx_State_FindModule(void*);
-static int __Pyx_State_AddModule(PyObject* module, void*);
-static int __Pyx_State_RemoveModule(void*);
-#elif CYTHON_USE_MODULE_STATE
-#define __Pyx_State_FindModule PyState_FindModule
-#define __Pyx_State_AddModule PyState_AddModule
-#define __Pyx_State_RemoveModule PyState_RemoveModule
-#endif
-
-/* #### Code section: module_declarations ### */
-/* CythonABIVersion.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #if CYTHON_METH_FASTCALL
-        #define __PYX_FASTCALL_ABI_SUFFIX  "_fastcall"
-    #else
-        #define __PYX_FASTCALL_ABI_SUFFIX
-    #endif
-    #define __PYX_LIMITED_ABI_SUFFIX "limited" __PYX_FASTCALL_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#else
-    #define __PYX_LIMITED_ABI_SUFFIX
-#endif
-#if __PYX_HAS_PY_AM_SEND == 1
-    #define __PYX_AM_SEND_ABI_SUFFIX
-#elif __PYX_HAS_PY_AM_SEND == 2
-    #define __PYX_AM_SEND_ABI_SUFFIX "amsendbackport"
-#else
-    #define __PYX_AM_SEND_ABI_SUFFIX "noamsend"
-#endif
-#ifndef __PYX_MONITORING_ABI_SUFFIX
-    #define __PYX_MONITORING_ABI_SUFFIX
-#endif
-#if CYTHON_USE_TP_FINALIZE
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX
-#else
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX "nofinalize"
-#endif
-#if CYTHON_USE_FREELISTS || !defined(__Pyx_AsyncGen_USED)
-    #define __PYX_FREELISTS_ABI_SUFFIX
-#else
-    #define __PYX_FREELISTS_ABI_SUFFIX "nofreelists"
-#endif
-#define CYTHON_ABI  __PYX_ABI_VERSION __PYX_LIMITED_ABI_SUFFIX __PYX_MONITORING_ABI_SUFFIX __PYX_TP_FINALIZE_ABI_SUFFIX __PYX_FREELISTS_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#define __PYX_ABI_MODULE_NAME "_cython_" CYTHON_ABI
-#define __PYX_TYPE_MODULE_PREFIX __PYX_ABI_MODULE_NAME "."
-
-#if !CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE double __pyx_f_7cpython_7complex_7complex_4real_real(PyComplexObject *__pyx_v_self); /* proto*/
-#endif
-#if !CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE double __pyx_f_7cpython_7complex_7complex_4imag_imag(PyComplexObject *__pyx_v_self); /* proto*/
-#endif
-static CYTHON_INLINE __Pyx_data_union __pyx_f_7cpython_5array_5array_4data_data(arrayobject *__pyx_v_self); /* proto*/
-static int __pyx_f_7tripcon_8_kernels_5_fast_4_Run__push_frame(struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *__pyx_v_self, int __pyx_v_ci, int __pyx_v_rp, int __pyx_v_rq); /* proto*/
-static int __pyx_f_7tripcon_8_kernels_5_fast_4_Run__push_dr(struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *__pyx_v_self, int __pyx_v_v); /* proto*/
-static int __pyx_f_7tripcon_8_kernels_5_fast_4_Run__emit(struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *__pyx_v_self, int __pyx_v_a, int __pyx_v_b, int __pyx_v_c); /* proto*/
-static int __pyx_f_7tripcon_8_kernels_5_fast_4_Run__lsc(struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *__pyx_v_self, struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_v_t, int *__pyx_v_z, int __pyx_v_k, int *__pyx_v_cand, int __pyx_v_nc); /* proto*/
-
-/* Module declarations from "cpython.version" */
-
-/* Module declarations from "__builtin__" */
-
-/* Module declarations from "cpython.type" */
-
-/* Module declarations from "libc.string" */
-
-/* Module declarations from "libc.stdio" */
-
-/* Module declarations from "cpython.object" */
-
-/* Module declarations from "cpython.ref" */
-
-/* Module declarations from "cpython.exc" */
-
-/* Module declarations from "cpython.module" */
-
-/* Module declarations from "cpython.mem" */
-
-/* Module declarations from "cpython.tuple" */
-
-/* Module declarations from "cpython.list" */
-
-/* Module declarations from "cpython.sequence" */
-
-/* Module declarations from "cpython.mapping" */
-
-/* Module declarations from "cpython.iterator" */
-
-/* Module declarations from "cpython.number" */
-
-/* Module declarations from "__builtin__" */
-
-/* Module declarations from "cpython.bool" */
-
-/* Module declarations from "cpython.long" */
-
-/* Module declarations from "cpython.float" */
-
-/* Module declarations from "cython" */
-
-/* Module declarations from "__builtin__" */
-
-/* Module declarations from "cpython.complex" */
-
-/* Module declarations from "libc.stddef" */
-
-/* Module declarations from "cpython.unicode" */
-
-/* Module declarations from "cpython.pyport" */
-
-/* Module declarations from "cpython.dict" */
-
-/* Module declarations from "cpython.instance" */
-
-/* Module declarations from "cpython.function" */
-
-/* Module declarations from "cpython.method" */
-
-/* Module declarations from "cpython.weakref" */
-
-/* Module declarations from "cpython.getargs" */
-
-/* Module declarations from "cpython.pythread" */
-
-/* Module declarations from "cpython.pystate" */
-
-/* Module declarations from "cpython.set" */
-
-/* Module declarations from "cpython.buffer" */
-
-/* Module declarations from "cpython.bytes" */
-
-/* Module declarations from "cpython.pycapsule" */
-
-/* Module declarations from "cpython.contextvars" */
-
-/* Module declarations from "cpython" */
-
-/* Module declarations from "array" */
-
-/* Module declarations from "cpython.array" */
-static CYTHON_INLINE arrayobject *__pyx_f_7cpython_5array_clone(arrayobject *, Py_ssize_t, int); /*proto*/
-static CYTHON_INLINE int __pyx_f_7cpython_5array_extend_buffer(arrayobject *, char *, Py_ssize_t); /*proto*/
-
-/* Module declarations from "tripcon._kernels._fast" */
-static arrayobject *__pyx_v_7tripcon_8_kernels_5_fast__ITPL = 0;
-static arrayobject *__pyx_v_7tripcon_8_kernels_5_fast__BTPL = 0;
-static arrayobject *__pyx_f_7tripcon_8_kernels_5_fast__ints(Py_ssize_t); /*proto*/
-static arrayobject *__pyx_f_7tripcon_8_kernels_5_fast__zints(Py_ssize_t); /*proto*/
-static struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_f_7tripcon_8_kernels_5_fast__side_alloc(int); /*proto*/
-static int __pyx_f_7tripcon_8_kernels_5_fast__side_finish(struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *); /*proto*/
-static int __pyx_f_7tripcon_8_kernels_5_fast__rmq_build(struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *); /*proto*/
-static void __pyx_f_7tripcon_8_kernels_5_fast__build_pattern_table(struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *, int, int); /*proto*/
-static CYTHON_INLINE int __pyx_f_7tripcon_8_kernels_5_fast__inblock(struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *, int, int, int); /*proto*/
-static CYTHON_INLINE int __pyx_f_7tripcon_8_kernels_5_fast__rmq(struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *, int, int); /*proto*/
-static CYTHON_INLINE int __pyx_f_7tripcon_8_kernels_5_fast__lca(struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *, int, int); /*proto*/
-static CYTHON_INLINE int __pyx_f_7tripcon_8_kernels_5_fast__is_below(struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *, int, int); /*proto*/
-static struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_f_7tripcon_8_kernels_5_fast__side_from_leaflist(struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *, int *, int); /*proto*/
-static struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_f_7tripcon_8_kernels_5_fast__side_from_lists(PyObject *, PyObject *, PyObject *, int); /*proto*/
-static struct __pyx_obj_7tripcon_8_kernels_5_fast__Ctx *__pyx_f_7tripcon_8_kernels_5_fast__ctx_make(struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *, struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *, int *); /*proto*/
-static void __pyx_f_7tripcon_8_kernels_5_fast__write_scratch(struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *, int *); /*proto*/
-/* #### Code section: typeinfo ### */
-/* #### Code section: before_global_var ### */
-#define __Pyx_MODULE_NAME "tripcon._kernels._fast"
-extern int __pyx_module_is_main_tripcon___kernels___fast;
-int __pyx_module_is_main_tripcon___kernels___fast = 0;
-
-/* Implementation of "tripcon._kernels._fast" */
-/* #### Code section: global_var ### */
-/* #### Code section: string_decls ### */
-static const char __pyx_k_Compiled_enumeration_kernel_Twin[] = "Compiled enumeration kernel.\n\nTwin of ``tripcon._kernels.pure``: same recursion, same emission order,\nsame work-counter arithmetic (the cross-backend tests pin all three).\nEverything lives in flat int arrays; per-tree structures are rebuilt here\nrather than imported from the Python modules so the hot path never leaves\nC.  See ``tripcon.enumeration`` for the algorithm and counter contract.\n";
-/* #### Code section: decls ### */
-static PyObject *__pyx_pf_7tripcon_8_kernels_5_fast_5_Side___reduce_cython__(CYTHON_UNUSED struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_v_self); /* proto */
-static PyObject *__pyx_pf_7tripcon_8_kernels_5_fast_5_Side_2__setstate_cython__(CYTHON_UNUSED struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_v_self, CYTHON_UNUSED PyObject *__pyx_v___pyx_state); /* proto */
-static PyObject *__pyx_pf_7tripcon_8_kernels_5_fast_4_Ctx___reduce_cython__(CYTHON_UNUSED struct __pyx_obj_7tripcon_8_kernels_5_fast__Ctx *__pyx_v_self); /* proto */
-static PyObject *__pyx_pf_7tripcon_8_kernels_5_fast_4_Ctx_2__setstate_cython__(CYTHON_UNUSED struct __pyx_obj_7tripcon_8_kernels_5_fast__Ctx *__pyx_v_self, CYTHON_UNUSED PyObject *__pyx_v___pyx_state); /* proto */
-static int __pyx_pf_7tripcon_8_kernels_5_fast_4_Run___cinit__(struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *__pyx_v_self, int __pyx_v_universe, int __pyx_v_store); /* proto */
-static PyObject *__pyx_pf_7tripcon_8_kernels_5_fast_4_Run_2__reduce_cython__(CYTHON_UNUSED struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *__pyx_v_self); /* proto */
-static PyObject *__pyx_pf_7tripcon_8_kernels_5_fast_4_Run_4__setstate_cython__(CYTHON_UNUSED struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *__pyx_v_self, CYTHON_UNUSED PyObject *__pyx_v___pyx_state); /* proto */
-static PyObject *__pyx_pf_7tripcon_8_kernels_5_fast_run_enumeration(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_p_left, PyObject *__pyx_v_p_right, PyObject *__pyx_v_p_taxon, int __pyx_v_p_root, PyObject *__pyx_v_q_left, PyObject *__pyx_v_q_right, PyObject *__pyx_v_q_taxon, int __pyx_v_q_root, int __pyx_v_universe, int __pyx_v_store); /* proto */
-static PyObject *__pyx_tp_new_7tripcon_8_kernels_5_fast__Side(PyTypeObject *t, PyObject *a, PyObject *k); /*proto*/
-static PyObject *__pyx_tp_new_7tripcon_8_kernels_5_fast__Ctx(PyTypeObject *t, PyObject *a, PyObject *k); /*proto*/
-static PyObject *__pyx_tp_new_7tripcon_8_kernels_5_fast__Run(PyTypeObject *t, PyObject *a, PyObject *k); /*proto*/
-/* #### Code section: late_includes ### */
-/* #### Code section: module_state ### */
-/* SmallCodeConfig */
-#ifndef CYTHON_SMALL_CODE
-#if defined(__clang__)
-    #define CYTHON_SMALL_CODE
-#elif defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 3))
-    #define CYTHON_SMALL_CODE __attribute__((cold))
-#else
-    #define CYTHON_SMALL_CODE
-#endif
-#endif
-
-typedef struct {
-  PyObject *__pyx_d;
-  PyObject *__pyx_b;
-  PyObject *__pyx_cython_runtime;
-  PyObject *__pyx_empty_tuple;
-  PyObject *__pyx_empty_bytes;
-  PyObject *__pyx_empty_unicode;
-  PyTypeObject *__pyx_ptype_7cpython_4type_type;
-  PyTypeObject *__pyx_ptype_7cpython_4bool_bool;
-  PyTypeObject *__pyx_ptype_7cpython_7complex_complex;
-  PyTypeObject *__pyx_ptype_7cpython_5array_array;
-  PyObject *__pyx_type_7tripcon_8_kernels_5_fast__Side;
-  PyObject *__pyx_type_7tripcon_8_kernels_5_fast__Ctx;
-  PyObject *__pyx_type_7tripcon_8_kernels_5_fast__Run;
-  PyTypeObject *__pyx_ptype_7tripcon_8_kernels_5_fast__Side;
-  PyTypeObject *__pyx_ptype_7tripcon_8_kernels_5_fast__Ctx;
-  PyTypeObject *__pyx_ptype_7tripcon_8_kernels_5_fast__Run;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_items;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_pop;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_values;
-  PyObject *__pyx_codeobj_tab[7];
-  PyObject *__pyx_string_tab[106];
-/* #### Code section: module_state_contents ### */
-/* CommonTypesMetaclass.module_state_decls */
-PyTypeObject *__pyx_CommonTypesMetaclassType;
-
-/* CachedMethodType.module_state_decls */
-#if CYTHON_COMPILING_IN_LIMITED_API
-PyObject *__Pyx_CachedMethodType;
-#endif
-
-/* CythonFunctionShared.module_state_decls */
-PyTypeObject *__pyx_CyFunctionType;
-
-/* CodeObjectCache.module_state_decls */
-struct __Pyx_CodeObjectCache __pyx_code_cache;
-
-/* #### Code section: module_state_end ### */
-} __pyx_mstatetype;
-
-#if CYTHON_USE_MODULE_STATE
-#ifdef __cplusplus
-namespace {
-extern struct PyModuleDef __pyx_moduledef;
-} /* anonymous namespace */
-#else
-static struct PyModuleDef __pyx_moduledef;
-#endif
-
-#define __pyx_mstate_global (__Pyx_PyModule_GetState(__Pyx_State_FindModule(&__pyx_moduledef)))
-
-#define __pyx_m (__Pyx_State_FindModule(&__pyx_moduledef))
-#else
-static __pyx_mstatetype __pyx_mstate_global_static =
-#ifdef __cplusplus
-    {};
-#else
-    {0};
-#endif
-static __pyx_mstatetype * const __pyx_mstate_global = &__pyx_mstate_global_static;
-#endif
-/* #### Code section: constant_name_defines ### */
-#define __pyx_kp_u_ __pyx_string_tab[0]
-#define __pyx_kp_u_Note_that_Cython_is_deliberately __pyx_string_tab[1]
-#define __pyx_kp_u_add_note __pyx_string_tab[2]
-#define __pyx_kp_u_disable __pyx_string_tab[3]
-#define __pyx_kp_u_enable __pyx_string_tab[4]
-#define __pyx_kp_u_gc __pyx_string_tab[5]
-#define __pyx_kp_u_isenabled __pyx_string_tab[6]
-#define __pyx_kp_u_no_default___reduce___due_to_non __pyx_string_tab[7]
-#define __pyx_kp_u_self_bminpos_self_bminval_self_d __pyx_string_tab[8]
-#define __pyx_kp_u_self_m_cannot_be_converted_to_a __pyx_string_tab[9]
-#define __pyx_kp_u_src_tripcon__kernels__fast_pyx __pyx_string_tab[10]
-#define __pyx_kp_u_stringsource __pyx_string_tab[11]
-#define __pyx_n_u_Ctx __pyx_string_tab[12]
-#define __pyx_n_u_Ctx___reduce_cython __pyx_string_tab[13]
-#define __pyx_n_u_Ctx___setstate_cython __pyx_string_tab[14]
-#define __pyx_n_u_P __pyx_string_tab[15]
-#define __pyx_n_u_P0 __pyx_string_tab[16]
-#define __pyx_n_u_Pyx_PyDict_NextRef __pyx_string_tab[17]
-#define __pyx_n_u_Q0 __pyx_string_tab[18]
-#define __pyx_n_u_Q_2 __pyx_string_tab[19]
-#define __pyx_n_u_Run __pyx_string_tab[20]
-#define __pyx_n_u_Run___reduce_cython __pyx_string_tab[21]
-#define __pyx_n_u_Run___setstate_cython __pyx_string_tab[22]
-#define __pyx_n_u_Side __pyx_string_tab[23]
-#define __pyx_n_u_Side___reduce_cython __pyx_string_tab[24]
-#define __pyx_n_u_Side___setstate_cython __pyx_string_tab[25]
-#define __pyx_n_u_ai __pyx_string_tab[26]
-#define __pyx_n_u_annotate __pyx_string_tab[27]
-#define __pyx_n_u_array __pyx_string_tab[28]
-#define __pyx_n_u_asyncio_coroutines __pyx_string_tab[29]
-#define __pyx_n_u_b __pyx_string_tab[30]
-#define __pyx_n_u_base __pyx_string_tab[31]
-#define __pyx_n_u_before __pyx_string_tab[32]
-#define __pyx_n_u_bi __pyx_string_tab[33]
-#define __pyx_n_u_bufs __pyx_string_tab[34]
-#define __pyx_n_u_child __pyx_string_tab[35]
-#define __pyx_n_u_child_ci __pyx_string_tab[36]
-#define __pyx_n_u_child_rp __pyx_string_tab[37]
-#define __pyx_n_u_child_rq __pyx_string_tab[38]
-#define __pyx_n_u_ci __pyx_string_tab[39]
-#define __pyx_n_u_cline_in_traceback __pyx_string_tab[40]
-#define __pyx_n_u_cp_side __pyx_string_tab[41]
-#define __pyx_n_u_cq_side __pyx_string_tab[42]
-#define __pyx_n_u_cri __pyx_string_tab[43]
-#define __pyx_n_u_ctx __pyx_string_tab[44]
-#define __pyx_n_u_d_r __pyx_string_tab[45]
-#define __pyx_n_u_end __pyx_string_tab[46]
-#define __pyx_n_u_func __pyx_string_tab[47]
-#define __pyx_n_u_getstate __pyx_string_tab[48]
-#define __pyx_n_u_i __pyx_string_tab[49]
-#define __pyx_n_u_is_coroutine __pyx_string_tab[50]
-#define __pyx_n_u_items __pyx_string_tab[51]
-#define __pyx_n_u_leaf __pyx_string_tab[52]
-#define __pyx_n_u_main __pyx_string_tab[53]
-#define __pyx_n_u_module __pyx_string_tab[54]
-#define __pyx_n_u_name __pyx_string_tab[55]
-#define __pyx_n_u_nchild __pyx_string_tab[56]
-#define __pyx_n_u_nz __pyx_string_tab[57]
-#define __pyx_n_u_other_p __pyx_string_tab[58]
-#define __pyx_n_u_p_left __pyx_string_tab[59]
-#define __pyx_n_u_p_right __pyx_string_tab[60]
-#define __pyx_n_u_p_root __pyx_string_tab[61]
-#define __pyx_n_u_p_taxon __pyx_string_tab[62]
-#define __pyx_n_u_pi __pyx_string_tab[63]
-#define __pyx_n_u_pop __pyx_string_tab[64]
-#define __pyx_n_u_pyarray __pyx_string_tab[65]
-#define __pyx_n_u_pyx_state __pyx_string_tab[66]
-#define __pyx_n_u_pyx_vtable __pyx_string_tab[67]
-#define __pyx_n_u_q_left __pyx_string_tab[68]
-#define __pyx_n_u_q_right __pyx_string_tab[69]
-#define __pyx_n_u_q_root __pyx_string_tab[70]
-#define __pyx_n_u_q_taxon __pyx_string_tab[71]
-#define __pyx_n_u_qualname __pyx_string_tab[72]
-#define __pyx_n_u_r __pyx_string_tab[73]
-#define __pyx_n_u_reduce __pyx_string_tab[74]
-#define __pyx_n_u_reduce_cython __pyx_string_tab[75]
-#define __pyx_n_u_reduce_ex __pyx_string_tab[76]
-#define __pyx_n_u_rp __pyx_string_tab[77]
-#define __pyx_n_u_rq __pyx_string_tab[78]
-#define __pyx_n_u_run __pyx_string_tab[79]
-#define __pyx_n_u_run_enumeration __pyx_string_tab[80]
-#define __pyx_n_u_self __pyx_string_tab[81]
-#define __pyx_n_u_set_name __pyx_string_tab[82]
-#define __pyx_n_u_setdefault __pyx_string_tab[83]
-#define __pyx_n_u_setstate __pyx_string_tab[84]
-#define __pyx_n_u_setstate_cython __pyx_string_tab[85]
-#define __pyx_n_u_spec_z __pyx_string_tab[86]
-#define __pyx_n_u_spec_zq __pyx_string_tab[87]
-#define __pyx_n_u_store __pyx_string_tab[88]
-#define __pyx_n_u_ta2 __pyx_string_tab[89]
-#define __pyx_n_u_tb2 __pyx_string_tab[90]
-#define __pyx_n_u_test __pyx_string_tab[91]
-#define __pyx_n_u_top __pyx_string_tab[92]
-#define __pyx_n_u_tripcon__kernels__fast __pyx_string_tab[93]
-#define __pyx_n_u_tswap __pyx_string_tab[94]
-#define __pyx_n_u_u __pyx_string_tab[95]
-#define __pyx_n_u_universe __pyx_string_tab[96]
-#define __pyx_n_u_up __pyx_string_tab[97]
-#define __pyx_n_u_uq __pyx_string_tab[98]
-#define __pyx_n_u_values __pyx_string_tab[99]
-#define __pyx_n_u_vp __pyx_string_tab[100]
-#define __pyx_n_u_vq __pyx_string_tab[101]
-#define __pyx_n_u_x_p __pyx_string_tab[102]
-#define __pyx_n_u_x_q __pyx_string_tab[103]
-#define __pyx_kp_b_iso88591_D_1_AXYiq_AXYiq_Yb_q_U_1_AU_V2R __pyx_string_tab[104]
-#define __pyx_kp_b_iso88591_Q __pyx_string_tab[105]
-/* #### Code section: module_state_clear ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_clear(PyObject *m) {
-  __pyx_mstatetype *clear_module_state = __Pyx_PyModule_GetState(m);
-  if (!clear_module_state) return 0;
-  Py_CLEAR(clear_module_state->__pyx_d);
-  Py_CLEAR(clear_module_state->__pyx_b);
-  Py_CLEAR(clear_module_state->__pyx_cython_runtime);
-  Py_CLEAR(clear_module_state->__pyx_empty_tuple);
-  Py_CLEAR(clear_module_state->__pyx_empty_bytes);
-  Py_CLEAR(clear_module_state->__pyx_empty_unicode);
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __Pyx_State_RemoveModule(NULL);
-  #endif
-  Py_CLEAR(clear_module_state->__pyx_ptype_7cpython_4type_type);
-  Py_CLEAR(clear_module_state->__pyx_ptype_7cpython_4bool_bool);
-  Py_CLEAR(clear_module_state->__pyx_ptype_7cpython_7complex_complex);
-  Py_CLEAR(clear_module_state->__pyx_ptype_7cpython_5array_array);
-  Py_CLEAR(clear_module_state->__pyx_ptype_7tripcon_8_kernels_5_fast__Side);
-  Py_CLEAR(clear_module_state->__pyx_type_7tripcon_8_kernels_5_fast__Side);
-  Py_CLEAR(clear_module_state->__pyx_ptype_7tripcon_8_kernels_5_fast__Ctx);
-  Py_CLEAR(clear_module_state->__pyx_type_7tripcon_8_kernels_5_fast__Ctx);
-  Py_CLEAR(clear_module_state->__pyx_ptype_7tripcon_8_kernels_5_fast__Run);
-  Py_CLEAR(clear_module_state->__pyx_type_7tripcon_8_kernels_5_fast__Run);
-  for (int i=0; i<7; ++i) { Py_CLEAR(clear_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<106; ++i) { Py_CLEAR(clear_module_state->__pyx_string_tab[i]); }
-/* #### Code section: module_state_clear_contents ### */
-/* CommonTypesMetaclass.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CyFunctionType);
-
-/* #### Code section: module_state_clear_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_state_traverse ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_traverse(PyObject *m, visitproc visit, void *arg) {
-  __pyx_mstatetype *traverse_module_state = __Pyx_PyModule_GetState(m);
-  if (!traverse_module_state) return 0;
-  Py_VISIT(traverse_module_state->__pyx_d);
-  Py_VISIT(traverse_module_state->__pyx_b);
-  Py_VISIT(traverse_module_state->__pyx_cython_runtime);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_tuple);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_bytes);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_unicode);
-  Py_VISIT(traverse_module_state->__pyx_ptype_7cpython_4type_type);
-  Py_VISIT(traverse_module_state->__pyx_ptype_7cpython_4bool_bool);
-  Py_VISIT(traverse_module_state->__pyx_ptype_7cpython_7complex_complex);
-  Py_VISIT(traverse_module_state->__pyx_ptype_7cpython_5array_array);
-  Py_VISIT(traverse_module_state->__pyx_ptype_7tripcon_8_kernels_5_fast__Side);
-  Py_VISIT(traverse_module_state->__pyx_type_7tripcon_8_kernels_5_fast__Side);
-  Py_VISIT(traverse_module_state->__pyx_ptype_7tripcon_8_kernels_5_fast__Ctx);
-  Py_VISIT(traverse_module_state->__pyx_type_7tripcon_8_kernels_5_fast__Ctx);
-  Py_VISIT(traverse_module_state->__pyx_ptype_7tripcon_8_kernels_5_fast__Run);
-  Py_VISIT(traverse_module_state->__pyx_type_7tripcon_8_kernels_5_fast__Run);
-  for (int i=0; i<7; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<106; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_string_tab[i]); }
-/* #### Code section: module_state_traverse_contents ### */
-/* CommonTypesMetaclass.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CyFunctionType);
-
-/* #### Code section: module_state_traverse_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_code ### */
-
-/* "cpython/complex.pxd":20
- * 
- *         # unavailable in limited API
- *         @property             # <<<<<<<<<<<<<<
- *         @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")
- *         cdef inline double real(self) noexcept:
-*/
-
-#if !CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE double __pyx_f_7cpython_7complex_7complex_4real_real(PyComplexObject *__pyx_v_self) {
-  double __pyx_r;
-
-  /* "cpython/complex.pxd":23
- *         @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")
- *         cdef inline double real(self) noexcept:
- *             return self.cval.real             # <<<<<<<<<<<<<<
- * 
- *         # unavailable in limited API
-*/
-  __pyx_r = __pyx_v_self->cval.real;
-  goto __pyx_L0;
-
-  /* "cpython/complex.pxd":20
- * 
- *         # unavailable in limited API
- *         @property             # <<<<<<<<<<<<<<
- *         @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")
- *         cdef inline double real(self) noexcept:
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-#endif /*!(#if !CYTHON_COMPILING_IN_LIMITED_API)*/
-
-/* "cpython/complex.pxd":26
- * 
- *         # unavailable in limited API
- *         @property             # <<<<<<<<<<<<<<
- *         @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")
- *         cdef inline double imag(self) noexcept:
-*/
-
-#if !CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE double __pyx_f_7cpython_7complex_7complex_4imag_imag(PyComplexObject *__pyx_v_self) {
-  double __pyx_r;
-
-  /* "cpython/complex.pxd":29
- *         @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")
- *         cdef inline double imag(self) noexcept:
- *             return self.cval.imag             # <<<<<<<<<<<<<<
- * 
- *     # PyTypeObject PyComplex_Type
-*/
-  __pyx_r = __pyx_v_self->cval.imag;
-  goto __pyx_L0;
-
-  /* "cpython/complex.pxd":26
- * 
- *         # unavailable in limited API
- *         @property             # <<<<<<<<<<<<<<
- *         @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")
- *         cdef inline double imag(self) noexcept:
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-#endif /*!(#if !CYTHON_COMPILING_IN_LIMITED_API)*/
-
-/* "cpython/contextvars.pxd":115
- * 
- * 
- * @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")             # <<<<<<<<<<<<<<
- * cdef inline object get_value(var, default_value=None):
- *     """Return a new reference to the value of the context variable,
-*/
-
-#if !CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE PyObject *__pyx_f_7cpython_11contextvars_get_value(PyObject *__pyx_v_var, struct __pyx_opt_args_7cpython_11contextvars_get_value *__pyx_optional_args) {
-
-  /* "cpython/contextvars.pxd":116
- * 
- * @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")
- * cdef inline object get_value(var, default_value=None):             # <<<<<<<<<<<<<<
- *     """Return a new reference to the value of the context variable,
- *     or the default value of the context variable,
-*/
-  PyObject *__pyx_v_default_value = ((PyObject *)Py_None);
-  PyObject *__pyx_v_value;
-  PyObject *__pyx_v_pyvalue = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("get_value", 0);
-  if (__pyx_optional_args) {
-    if (__pyx_optional_args->__pyx_n > 0) {
-      __pyx_v_default_value = __pyx_optional_args->default_value;
-    }
-  }
-
-  /* "cpython/contextvars.pxd":121
- *     or None if no such value or default was found.
- *     """
- *     cdef PyObject *value = NULL             # <<<<<<<<<<<<<<
- *     PyContextVar_Get(var, NULL, &value)
- *     if value is NULL:
-*/
-  __pyx_v_value = NULL;
-
-  /* "cpython/contextvars.pxd":122
- *     """
- *     cdef PyObject *value = NULL
- *     PyContextVar_Get(var, NULL, &value)             # <<<<<<<<<<<<<<
- *     if value is NULL:
- *         # context variable does not have a default
-*/
-  __pyx_t_1 = PyContextVar_Get(__pyx_v_var, NULL, (&__pyx_v_value)); if (unlikely(__pyx_t_1 == ((int)-1))) __PYX_ERR(1, 122, __pyx_L1_error)
-
-  /* "cpython/contextvars.pxd":123
- *     cdef PyObject *value = NULL
- *     PyContextVar_Get(var, NULL, &value)
- *     if value is NULL:             # <<<<<<<<<<<<<<
- *         # context variable does not have a default
- *         pyvalue = default_value
-*/
-  __pyx_t_2 = (__pyx_v_value == NULL);
-  if (__pyx_t_2) {
-
-    /* "cpython/contextvars.pxd":125
- *     if value is NULL:
- *         # context variable does not have a default
- *         pyvalue = default_value             # <<<<<<<<<<<<<<
- *     else:
- *         # value or default value of context variable
-*/
-    __Pyx_INCREF(__pyx_v_default_value);
-    __pyx_v_pyvalue = __pyx_v_default_value;
-
-    /* "cpython/contextvars.pxd":123
- *     cdef PyObject *value = NULL
- *     PyContextVar_Get(var, NULL, &value)
- *     if value is NULL:             # <<<<<<<<<<<<<<
- *         # context variable does not have a default
- *         pyvalue = default_value
-*/
-    goto __pyx_L3;
-  }
-
-  /* "cpython/contextvars.pxd":128
- *     else:
- *         # value or default value of context variable
- *         pyvalue = <object>value             # <<<<<<<<<<<<<<
- *         Py_XDECREF(value)  # PyContextVar_Get() returned an owned reference as 'PyObject*'
- *     return pyvalue
-*/
-  /*else*/ {
-    __pyx_t_3 = ((PyObject *)__pyx_v_value);
-    __Pyx_INCREF(__pyx_t_3);
-    __pyx_v_pyvalue = __pyx_t_3;
-    __pyx_t_3 = 0;
-
-    /* "cpython/contextvars.pxd":129
- *         # value or default value of context variable
- *         pyvalue = <object>value
- *         Py_XDECREF(value)  # PyContextVar_Get() returned an owned reference as 'PyObject*'             # <<<<<<<<<<<<<<
- *     return pyvalue
- * 
-*/
-    Py_XDECREF(__pyx_v_value);
-  }
-  __pyx_L3:;
-
-  /* "cpython/contextvars.pxd":130
- *         pyvalue = <object>value
- *         Py_XDECREF(value)  # PyContextVar_Get() returned an owned reference as 'PyObject*'
- *     return pyvalue             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __Pyx_INCREF(__pyx_v_pyvalue);
-  __pyx_r = __pyx_v_pyvalue;
-  goto __pyx_L0;
-
-  /* "cpython/contextvars.pxd":115
- * 
- * 
- * @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")             # <<<<<<<<<<<<<<
- * cdef inline object get_value(var, default_value=None):
- *     """Return a new reference to the value of the context variable,
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_AddTraceback("cpython.contextvars.get_value", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_pyvalue);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-#endif /*!(#if !CYTHON_COMPILING_IN_LIMITED_API)*/
-
-/* "cpython/contextvars.pxd":133
- * 
- * 
- * @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")             # <<<<<<<<<<<<<<
- * cdef inline object get_value_no_default(var, default_value=None):
- *     """Return a new reference to the value of the context variable,
-*/
-
-#if !CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE PyObject *__pyx_f_7cpython_11contextvars_get_value_no_default(PyObject *__pyx_v_var, struct __pyx_opt_args_7cpython_11contextvars_get_value_no_default *__pyx_optional_args) {
-
-  /* "cpython/contextvars.pxd":134
- * 
- * @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")
- * cdef inline object get_value_no_default(var, default_value=None):             # <<<<<<<<<<<<<<
- *     """Return a new reference to the value of the context variable,
- *     or the provided default value if no such value was found.
-*/
-  PyObject *__pyx_v_default_value = ((PyObject *)Py_None);
-  PyObject *__pyx_v_value;
-  PyObject *__pyx_v_pyvalue = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("get_value_no_default", 0);
-  if (__pyx_optional_args) {
-    if (__pyx_optional_args->__pyx_n > 0) {
-      __pyx_v_default_value = __pyx_optional_args->default_value;
-    }
-  }
-
-  /* "cpython/contextvars.pxd":140
- *     Ignores the default value of the context variable, if any.
- *     """
- *     cdef PyObject *value = NULL             # <<<<<<<<<<<<<<
- *     PyContextVar_Get(var, <PyObject*>default_value, &value)
- *     # value of context variable or 'default_value'
-*/
-  __pyx_v_value = NULL;
-
-  /* "cpython/contextvars.pxd":141
- *     """
- *     cdef PyObject *value = NULL
- *     PyContextVar_Get(var, <PyObject*>default_value, &value)             # <<<<<<<<<<<<<<
- *     # value of context variable or 'default_value'
- *     pyvalue = <object>value
-*/
-  __pyx_t_1 = PyContextVar_Get(__pyx_v_var, ((PyObject *)__pyx_v_default_value), (&__pyx_v_value)); if (unlikely(__pyx_t_1 == ((int)-1))) __PYX_ERR(1, 141, __pyx_L1_error)
-
-  /* "cpython/contextvars.pxd":143
- *     PyContextVar_Get(var, <PyObject*>default_value, &value)
- *     # value of context variable or 'default_value'
- *     pyvalue = <object>value             # <<<<<<<<<<<<<<
- *     Py_XDECREF(value)  # PyContextVar_Get() returned an owned reference as 'PyObject*'
- *     return pyvalue
-*/
-  __pyx_t_2 = ((PyObject *)__pyx_v_value);
-  __Pyx_INCREF(__pyx_t_2);
-  __pyx_v_pyvalue = __pyx_t_2;
-  __pyx_t_2 = 0;
-
-  /* "cpython/contextvars.pxd":144
- *     # value of context variable or 'default_value'
- *     pyvalue = <object>value
- *     Py_XDECREF(value)  # PyContextVar_Get() returned an owned reference as 'PyObject*'             # <<<<<<<<<<<<<<
- *     return pyvalue
-*/
-  Py_XDECREF(__pyx_v_value);
-
-  /* "cpython/contextvars.pxd":145
- *     pyvalue = <object>value
- *     Py_XDECREF(value)  # PyContextVar_Get() returned an owned reference as 'PyObject*'
- *     return pyvalue             # <<<<<<<<<<<<<<
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __Pyx_INCREF(__pyx_v_pyvalue);
-  __pyx_r = __pyx_v_pyvalue;
-  goto __pyx_L0;
-
-  /* "cpython/contextvars.pxd":133
- * 
- * 
- * @_cython.c_compile_guard("!CYTHON_COMPILING_IN_LIMITED_API")             # <<<<<<<<<<<<<<
- * cdef inline object get_value_no_default(var, default_value=None):
- *     """Return a new reference to the value of the context variable,
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("cpython.contextvars.get_value_no_default", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_pyvalue);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-#endif /*!(#if !CYTHON_COMPILING_IN_LIMITED_API)*/
-
-/* "array.pxd":105
- *             arraydescr* ob_descr    # struct arraydescr *ob_descr;
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline __data_union data(self) noexcept nogil:
- *             return __Pyx_PyArray_Data(self)
-*/
-
-static CYTHON_INLINE __Pyx_data_union __pyx_f_7cpython_5array_5array_4data_data(arrayobject *__pyx_v_self) {
-  __Pyx_data_union __pyx_r;
-
-  /* "array.pxd":107
- *         @property
- *         cdef inline __data_union data(self) noexcept nogil:
- *             return __Pyx_PyArray_Data(self)             # <<<<<<<<<<<<<<
- * 
- *     array newarrayobject(PyTypeObject* type, Py_ssize_t size, arraydescr *descr)
-*/
-  __pyx_r = __Pyx_PyArray_Data(__pyx_v_self);
-  goto __pyx_L0;
-
-  /* "array.pxd":105
- *             arraydescr* ob_descr    # struct arraydescr *ob_descr;
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline __data_union data(self) noexcept nogil:
- *             return __Pyx_PyArray_Data(self)
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "array.pxd":119
- * 
- * 
- * cdef inline array clone(array template, Py_ssize_t length, bint zero):             # <<<<<<<<<<<<<<
- *     """ fast creation of a new array, given a template array.
- *     type will be same as template.
-*/
-
-static CYTHON_INLINE arrayobject *__pyx_f_7cpython_5array_clone(arrayobject *__pyx_v_template, Py_ssize_t __pyx_v_length, int __pyx_v_zero) {
-  arrayobject *__pyx_v_op = 0;
-  arrayobject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("clone", 0);
-
-  /* "array.pxd":123
- *     type will be same as template.
- *     if zero is true, new array will be initialized with zeroes."""
- *     cdef array op = newarrayobject(Py_TYPE(template), length, template.ob_descr)             # <<<<<<<<<<<<<<
- *     if zero and op is not None:
- *         memset(op.data.as_chars, 0, length * op.ob_descr.itemsize)
-*/
-  __pyx_t_1 = ((PyObject *)newarrayobject(Py_TYPE(((PyObject *)__pyx_v_template)), __pyx_v_length, __pyx_v_template->ob_descr)); if (unlikely(!__pyx_t_1)) __PYX_ERR(2, 123, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_v_op = ((arrayobject *)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "array.pxd":124
- *     if zero is true, new array will be initialized with zeroes."""
- *     cdef array op = newarrayobject(Py_TYPE(template), length, template.ob_descr)
- *     if zero and op is not None:             # <<<<<<<<<<<<<<
- *         memset(op.data.as_chars, 0, length * op.ob_descr.itemsize)
- *     return op
-*/
-  if (__pyx_v_zero) {
-  } else {
-    __pyx_t_2 = __pyx_v_zero;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_3 = (((PyObject *)__pyx_v_op) != Py_None);
-  __pyx_t_2 = __pyx_t_3;
-  __pyx_L4_bool_binop_done:;
-  if (__pyx_t_2) {
-
-    /* "array.pxd":125
- *     cdef array op = newarrayobject(Py_TYPE(template), length, template.ob_descr)
- *     if zero and op is not None:
- *         memset(op.data.as_chars, 0, length * op.ob_descr.itemsize)             # <<<<<<<<<<<<<<
- *     return op
- * 
-*/
-    (void)(memset(__pyx_f_7cpython_5array_5array_4data_data(__pyx_v_op).as_chars, 0, (__pyx_v_length * __pyx_v_op->ob_descr->itemsize)));
-
-    /* "array.pxd":124
- *     if zero is true, new array will be initialized with zeroes."""
- *     cdef array op = newarrayobject(Py_TYPE(template), length, template.ob_descr)
- *     if zero and op is not None:             # <<<<<<<<<<<<<<
- *         memset(op.data.as_chars, 0, length * op.ob_descr.itemsize)
- *     return op
-*/
-  }
-
-  /* "array.pxd":126
- *     if zero and op is not None:
- *         memset(op.data.as_chars, 0, length * op.ob_descr.itemsize)
- *     return op             # <<<<<<<<<<<<<<
- * 
- * cdef inline array copy(array self):
-*/
-  __Pyx_XDECREF((PyObject *)__pyx_r);
-  __Pyx_INCREF((PyObject *)__pyx_v_op);
-  __pyx_r = __pyx_v_op;
-  goto __pyx_L0;
-
-  /* "array.pxd":119
- * 
- * 
- * cdef inline array clone(array template, Py_ssize_t length, bint zero):             # <<<<<<<<<<<<<<
- *     """ fast creation of a new array, given a template array.
- *     type will be same as template.
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_AddTraceback("cpython.array.clone", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XDECREF((PyObject *)__pyx_v_op);
-  __Pyx_XGIVEREF((PyObject *)__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "array.pxd":128
- *     return op
- * 
- * cdef inline array copy(array self):             # <<<<<<<<<<<<<<
- *     """ make a copy of an array. """
- *     cdef array op = newarrayobject(Py_TYPE(self), Py_SIZE(self), self.ob_descr)
-*/
-
-static CYTHON_INLINE arrayobject *__pyx_f_7cpython_5array_copy(arrayobject *__pyx_v_self) {
-  arrayobject *__pyx_v_op = 0;
-  arrayobject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("copy", 0);
-
-  /* "array.pxd":130
- * cdef inline array copy(array self):
- *     """ make a copy of an array. """
- *     cdef array op = newarrayobject(Py_TYPE(self), Py_SIZE(self), self.ob_descr)             # <<<<<<<<<<<<<<
- *     memcpy(op.data.as_chars, self.data.as_chars, Py_SIZE(op) * op.ob_descr.itemsize)
- *     return op
-*/
-  __pyx_t_1 = ((PyObject *)newarrayobject(Py_TYPE(((PyObject *)__pyx_v_self)), Py_SIZE(((PyObject *)__pyx_v_self)), __pyx_v_self->ob_descr)); if (unlikely(!__pyx_t_1)) __PYX_ERR(2, 130, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_v_op = ((arrayobject *)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "array.pxd":131
- *     """ make a copy of an array. """
- *     cdef array op = newarrayobject(Py_TYPE(self), Py_SIZE(self), self.ob_descr)
- *     memcpy(op.data.as_chars, self.data.as_chars, Py_SIZE(op) * op.ob_descr.itemsize)             # <<<<<<<<<<<<<<
- *     return op
- * 
-*/
-  (void)(memcpy(__pyx_f_7cpython_5array_5array_4data_data(__pyx_v_op).as_chars, __pyx_f_7cpython_5array_5array_4data_data(__pyx_v_self).as_chars, (Py_SIZE(((PyObject *)__pyx_v_op)) * __pyx_v_op->ob_descr->itemsize)));
-
-  /* "array.pxd":132
- *     cdef array op = newarrayobject(Py_TYPE(self), Py_SIZE(self), self.ob_descr)
- *     memcpy(op.data.as_chars, self.data.as_chars, Py_SIZE(op) * op.ob_descr.itemsize)
- *     return op             # <<<<<<<<<<<<<<
- * 
- * cdef inline int extend_buffer(array self, char* stuff, Py_ssize_t n) except -1:
-*/
-  __Pyx_XDECREF((PyObject *)__pyx_r);
-  __Pyx_INCREF((PyObject *)__pyx_v_op);
-  __pyx_r = __pyx_v_op;
-  goto __pyx_L0;
-
-  /* "array.pxd":128
- *     return op
- * 
- * cdef inline array copy(array self):             # <<<<<<<<<<<<<<
- *     """ make a copy of an array. """
- *     cdef array op = newarrayobject(Py_TYPE(self), Py_SIZE(self), self.ob_descr)
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_AddTraceback("cpython.array.copy", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XDECREF((PyObject *)__pyx_v_op);
-  __Pyx_XGIVEREF((PyObject *)__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "array.pxd":134
- *     return op
- * 
- * cdef inline int extend_buffer(array self, char* stuff, Py_ssize_t n) except -1:             # <<<<<<<<<<<<<<
- *     """ efficient appending of new stuff of same type
- *     (e.g. of same array type)
-*/
-
-static CYTHON_INLINE int __pyx_f_7cpython_5array_extend_buffer(arrayobject *__pyx_v_self, char *__pyx_v_stuff, Py_ssize_t __pyx_v_n) {
-  Py_ssize_t __pyx_v_itemsize;
-  Py_ssize_t __pyx_v_origsize;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "array.pxd":138
- *     (e.g. of same array type)
- *     n: number of elements (not number of bytes!) """
- *     cdef Py_ssize_t itemsize = self.ob_descr.itemsize             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t origsize = Py_SIZE(self)
- *     resize_smart(self, origsize + n)
-*/
-  __pyx_t_1 = __pyx_v_self->ob_descr->itemsize;
-  __pyx_v_itemsize = __pyx_t_1;
-
-  /* "array.pxd":139
- *     n: number of elements (not number of bytes!) """
- *     cdef Py_ssize_t itemsize = self.ob_descr.itemsize
- *     cdef Py_ssize_t origsize = Py_SIZE(self)             # <<<<<<<<<<<<<<
- *     resize_smart(self, origsize + n)
- *     memcpy(self.data.as_chars + origsize * itemsize, stuff, n * itemsize)
-*/
-  __pyx_v_origsize = Py_SIZE(((PyObject *)__pyx_v_self));
-
-  /* "array.pxd":140
- *     cdef Py_ssize_t itemsize = self.ob_descr.itemsize
- *     cdef Py_ssize_t origsize = Py_SIZE(self)
- *     resize_smart(self, origsize + n)             # <<<<<<<<<<<<<<
- *     memcpy(self.data.as_chars + origsize * itemsize, stuff, n * itemsize)
- *     return 0
-*/
-  __pyx_t_1 = resize_smart(__pyx_v_self, (__pyx_v_origsize + __pyx_v_n)); if (unlikely(__pyx_t_1 == ((int)-1))) __PYX_ERR(2, 140, __pyx_L1_error)
-
-  /* "array.pxd":141
- *     cdef Py_ssize_t origsize = Py_SIZE(self)
- *     resize_smart(self, origsize + n)
- *     memcpy(self.data.as_chars + origsize * itemsize, stuff, n * itemsize)             # <<<<<<<<<<<<<<
- *     return 0
- * 
-*/
-  (void)(memcpy((__pyx_f_7cpython_5array_5array_4data_data(__pyx_v_self).as_chars + (__pyx_v_origsize * __pyx_v_itemsize)), __pyx_v_stuff, (__pyx_v_n * __pyx_v_itemsize)));
-
-  /* "array.pxd":142
- *     resize_smart(self, origsize + n)
- *     memcpy(self.data.as_chars + origsize * itemsize, stuff, n * itemsize)
- *     return 0             # <<<<<<<<<<<<<<
- * 
- * cdef inline int extend(array self, array other) except -1:
-*/
-  __pyx_r = 0;
-  goto __pyx_L0;
-
-  /* "array.pxd":134
- *     return op
- * 
- * cdef inline int extend_buffer(array self, char* stuff, Py_ssize_t n) except -1:             # <<<<<<<<<<<<<<
- *     """ efficient appending of new stuff of same type
- *     (e.g. of same array type)
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("cpython.array.extend_buffer", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "array.pxd":144
- *     return 0
- * 
- * cdef inline int extend(array self, array other) except -1:             # <<<<<<<<<<<<<<
- *     """ extend array with data from another array; types must match. """
- *     if self.ob_descr.typecode != other.ob_descr.typecode:
-*/
-
-static CYTHON_INLINE int __pyx_f_7cpython_5array_extend(arrayobject *__pyx_v_self, arrayobject *__pyx_v_other) {
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "array.pxd":146
- * cdef inline int extend(array self, array other) except -1:
- *     """ extend array with data from another array; types must match. """
- *     if self.ob_descr.typecode != other.ob_descr.typecode:             # <<<<<<<<<<<<<<
- *         PyErr_BadArgument()
- *     return extend_buffer(self, other.data.as_chars, Py_SIZE(other))
-*/
-  __pyx_t_1 = (__pyx_v_self->ob_descr->typecode_char != __pyx_v_other->ob_descr->typecode_char);
-  if (__pyx_t_1) {
-
-    /* "array.pxd":147
- *     """ extend array with data from another array; types must match. """
- *     if self.ob_descr.typecode != other.ob_descr.typecode:
- *         PyErr_BadArgument()             # <<<<<<<<<<<<<<
- *     return extend_buffer(self, other.data.as_chars, Py_SIZE(other))
- * 
-*/
-    __pyx_t_2 = PyErr_BadArgument(); if (unlikely(__pyx_t_2 == ((int)0))) __PYX_ERR(2, 147, __pyx_L1_error)
-
-    /* "array.pxd":146
- * cdef inline int extend(array self, array other) except -1:
- *     """ extend array with data from another array; types must match. """
- *     if self.ob_descr.typecode != other.ob_descr.typecode:             # <<<<<<<<<<<<<<
- *         PyErr_BadArgument()
- *     return extend_buffer(self, other.data.as_chars, Py_SIZE(other))
-*/
-  }
-
-  /* "array.pxd":148
- *     if self.ob_descr.typecode != other.ob_descr.typecode:
- *         PyErr_BadArgument()
- *     return extend_buffer(self, other.data.as_chars, Py_SIZE(other))             # <<<<<<<<<<<<<<
- * 
- * cdef inline void zero(array self) noexcept:
-*/
-  __pyx_t_2 = __pyx_f_7cpython_5array_extend_buffer(__pyx_v_self, __pyx_f_7cpython_5array_5array_4data_data(__pyx_v_other).as_chars, Py_SIZE(((PyObject *)__pyx_v_other))); if (unlikely(__pyx_t_2 == ((int)-1))) __PYX_ERR(2, 148, __pyx_L1_error)
-  __pyx_r = __pyx_t_2;
-  goto __pyx_L0;
-
-  /* "array.pxd":144
- *     return 0
- * 
- * cdef inline int extend(array self, array other) except -1:             # <<<<<<<<<<<<<<
- *     """ extend array with data from another array; types must match. """
- *     if self.ob_descr.typecode != other.ob_descr.typecode:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("cpython.array.extend", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "array.pxd":150
- *     return extend_buffer(self, other.data.as_chars, Py_SIZE(other))
- * 
- * cdef inline void zero(array self) noexcept:             # <<<<<<<<<<<<<<
- *     """ set all elements of array to zero. """
- *     memset(self.data.as_chars, 0, Py_SIZE(self) * self.ob_descr.itemsize)
-*/
-
-static CYTHON_INLINE void __pyx_f_7cpython_5array_zero(arrayobject *__pyx_v_self) {
-
-  /* "array.pxd":152
- * cdef inline void zero(array self) noexcept:
- *     """ set all elements of array to zero. """
- *     memset(self.data.as_chars, 0, Py_SIZE(self) * self.ob_descr.itemsize)             # <<<<<<<<<<<<<<
-*/
-  (void)(memset(__pyx_f_7cpython_5array_5array_4data_data(__pyx_v_self).as_chars, 0, (Py_SIZE(((PyObject *)__pyx_v_self)) * __pyx_v_self->ob_descr->itemsize)));
-
-  /* "array.pxd":150
- *     return extend_buffer(self, other.data.as_chars, Py_SIZE(other))
- * 
- * cdef inline void zero(array self) noexcept:             # <<<<<<<<<<<<<<
- *     """ set all elements of array to zero. """
- *     memset(self.data.as_chars, 0, Py_SIZE(self) * self.ob_descr.itemsize)
-*/
-
-  /* function exit code */
-}
-
-/* "tripcon/_kernels/_fast.pyx":18
- * 
- * 
- * cdef array.array _ints(Py_ssize_t n):             # <<<<<<<<<<<<<<
- *     return array.clone(_ITPL, n, False)
- * 
-*/
-
-static arrayobject *__pyx_f_7tripcon_8_kernels_5_fast__ints(Py_ssize_t __pyx_v_n) {
-  arrayobject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_ints", 0);
-
-  /* "tripcon/_kernels/_fast.pyx":19
- * 
- * cdef array.array _ints(Py_ssize_t n):
- *     return array.clone(_ITPL, n, False)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF((PyObject *)__pyx_r);
-  __pyx_t_1 = ((PyObject *)__pyx_v_7tripcon_8_kernels_5_fast__ITPL);
-  __Pyx_INCREF(__pyx_t_1);
-  __pyx_t_2 = ((PyObject *)__pyx_f_7cpython_5array_clone(((arrayobject *)__pyx_t_1), __pyx_v_n, 0)); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 19, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_r = ((arrayobject *)__pyx_t_2);
-  __pyx_t_2 = 0;
-  goto __pyx_L0;
-
-  /* "tripcon/_kernels/_fast.pyx":18
- * 
- * 
- * cdef array.array _ints(Py_ssize_t n):             # <<<<<<<<<<<<<<
- *     return array.clone(_ITPL, n, False)
- * 
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("tripcon._kernels._fast._ints", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XGIVEREF((PyObject *)__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "tripcon/_kernels/_fast.pyx":22
- * 
- * 
- * cdef array.array _zints(Py_ssize_t n):             # <<<<<<<<<<<<<<
- *     return array.clone(_ITPL, n, True)
- * 
-*/
-
-static arrayobject *__pyx_f_7tripcon_8_kernels_5_fast__zints(Py_ssize_t __pyx_v_n) {
-  arrayobject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_zints", 0);
-
-  /* "tripcon/_kernels/_fast.pyx":23
- * 
- * cdef array.array _zints(Py_ssize_t n):
- *     return array.clone(_ITPL, n, True)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF((PyObject *)__pyx_r);
-  __pyx_t_1 = ((PyObject *)__pyx_v_7tripcon_8_kernels_5_fast__ITPL);
-  __Pyx_INCREF(__pyx_t_1);
-  __pyx_t_2 = ((PyObject *)__pyx_f_7cpython_5array_clone(((arrayobject *)__pyx_t_1), __pyx_v_n, 1)); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 23, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_r = ((arrayobject *)__pyx_t_2);
-  __pyx_t_2 = 0;
-  goto __pyx_L0;
-
-  /* "tripcon/_kernels/_fast.pyx":22
- * 
- * 
- * cdef array.array _zints(Py_ssize_t n):             # <<<<<<<<<<<<<<
- *     return array.clone(_ITPL, n, True)
- * 
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("tripcon._kernels._fast._zints", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XGIVEREF((PyObject *)__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "(tree fragment)":1
- * def __reduce_cython__(self):             # <<<<<<<<<<<<<<
- *     raise TypeError, "self.bminpos,self.bminval,self.depth,self.fo,self.lb,self.lc,self.leaves,self.left,self.lg,self.pat,self.popo,self.post,self.right,self.st,self.taxon,self.tbl,self.tdep,self.tour cannot be converted to a Python object for pickling"
- * def __setstate_cython__(self, __pyx_state):
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7tripcon_8_kernels_5_fast_5_Side_1__reduce_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_7tripcon_8_kernels_5_fast_5_Side_1__reduce_cython__ = {"__reduce_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7tripcon_8_kernels_5_fast_5_Side_1__reduce_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_7tripcon_8_kernels_5_fast_5_Side_1__reduce_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__reduce_cython__ (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  if (unlikely(__pyx_nargs > 0)) { __Pyx_RaiseArgtupleInvalid("__reduce_cython__", 1, 0, 0, __pyx_nargs); return NULL; }
-  const Py_ssize_t __pyx_kwds_len = unlikely(__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-  if (unlikely(__pyx_kwds_len < 0)) return NULL;
-  if (unlikely(__pyx_kwds_len > 0)) {__Pyx_RejectKeywords("__reduce_cython__", __pyx_kwds); return NULL;}
-  __pyx_r = __pyx_pf_7tripcon_8_kernels_5_fast_5_Side___reduce_cython__(((struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7tripcon_8_kernels_5_fast_5_Side___reduce_cython__(CYTHON_UNUSED struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_v_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__reduce_cython__", 0);
-
-  /* "(tree fragment)":2
- * def __reduce_cython__(self):
- *     raise TypeError, "self.bminpos,self.bminval,self.depth,self.fo,self.lb,self.lc,self.leaves,self.left,self.lg,self.pat,self.popo,self.post,self.right,self.st,self.taxon,self.tbl,self.tdep,self.tour cannot be converted to a Python object for pickling"             # <<<<<<<<<<<<<<
- * def __setstate_cython__(self, __pyx_state):
- *     raise TypeError, "self.bminpos,self.bminval,self.depth,self.fo,self.lb,self.lc,self.leaves,self.left,self.lg,self.pat,self.popo,self.post,self.right,self.st,self.taxon,self.tbl,self.tdep,self.tour cannot be converted to a Python object for pickling"
-*/
-  __Pyx_Raise(((PyObject *)(((PyTypeObject*)PyExc_TypeError))), __pyx_mstate_global->__pyx_kp_u_self_bminpos_self_bminval_self_d, 0, 0);
-  __PYX_ERR(3, 2, __pyx_L1_error)
-
-  /* "(tree fragment)":1
- * def __reduce_cython__(self):             # <<<<<<<<<<<<<<
- *     raise TypeError, "self.bminpos,self.bminval,self.depth,self.fo,self.lb,self.lc,self.leaves,self.left,self.lg,self.pat,self.popo,self.post,self.right,self.st,self.taxon,self.tbl,self.tdep,self.tour cannot be converted to a Python object for pickling"
- * def __setstate_cython__(self, __pyx_state):
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("tripcon._kernels._fast._Side.__reduce_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "(tree fragment)":3
- * def __reduce_cython__(self):
- *     raise TypeError, "self.bminpos,self.bminval,self.depth,self.fo,self.lb,self.lc,self.leaves,self.left,self.lg,self.pat,self.popo,self.post,self.right,self.st,self.taxon,self.tbl,self.tdep,self.tour cannot be converted to a Python object for pickling"
- * def __setstate_cython__(self, __pyx_state):             # <<<<<<<<<<<<<<
- *     raise TypeError, "self.bminpos,self.bminval,self.depth,self.fo,self.lb,self.lc,self.leaves,self.left,self.lg,self.pat,self.popo,self.post,self.right,self.st,self.taxon,self.tbl,self.tdep,self.tour cannot be converted to a Python object for pickling"
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7tripcon_8_kernels_5_fast_5_Side_3__setstate_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_7tripcon_8_kernels_5_fast_5_Side_3__setstate_cython__ = {"__setstate_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7tripcon_8_kernels_5_fast_5_Side_3__setstate_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_7tripcon_8_kernels_5_fast_5_Side_3__setstate_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  CYTHON_UNUSED PyObject *__pyx_v___pyx_state = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__setstate_cython__ (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_pyx_state,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(3, 3, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(3, 3, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "__setstate_cython__", 0) < (0)) __PYX_ERR(3, 3, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("__setstate_cython__", 1, 1, 1, i); __PYX_ERR(3, 3, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(3, 3, __pyx_L3_error)
-    }
-    __pyx_v___pyx_state = values[0];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("__setstate_cython__", 1, 1, 1, __pyx_nargs); __PYX_ERR(3, 3, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("tripcon._kernels._fast._Side.__setstate_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_7tripcon_8_kernels_5_fast_5_Side_2__setstate_cython__(((struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *)__pyx_v_self), __pyx_v___pyx_state);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7tripcon_8_kernels_5_fast_5_Side_2__setstate_cython__(CYTHON_UNUSED struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_v_self, CYTHON_UNUSED PyObject *__pyx_v___pyx_state) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__setstate_cython__", 0);
-
-  /* "(tree fragment)":4
- *     raise TypeError, "self.bminpos,self.bminval,self.depth,self.fo,self.lb,self.lc,self.leaves,self.left,self.lg,self.pat,self.popo,self.post,self.right,self.st,self.taxon,self.tbl,self.tdep,self.tour cannot be converted to a Python object for pickling"
- * def __setstate_cython__(self, __pyx_state):
- *     raise TypeError, "self.bminpos,self.bminval,self.depth,self.fo,self.lb,self.lc,self.leaves,self.left,self.lg,self.pat,self.popo,self.post,self.right,self.st,self.taxon,self.tbl,self.tdep,self.tour cannot be converted to a Python object for pickling"             # <<<<<<<<<<<<<<
-*/
-  __Pyx_Raise(((PyObject *)(((PyTypeObject*)PyExc_TypeError))), __pyx_mstate_global->__pyx_kp_u_self_bminpos_self_bminval_self_d, 0, 0);
-  __PYX_ERR(3, 4, __pyx_L1_error)
-
-  /* "(tree fragment)":3
- * def __reduce_cython__(self):
- *     raise TypeError, "self.bminpos,self.bminval,self.depth,self.fo,self.lb,self.lc,self.leaves,self.left,self.lg,self.pat,self.popo,self.post,self.right,self.st,self.taxon,self.tbl,self.tdep,self.tour cannot be converted to a Python object for pickling"
- * def __setstate_cython__(self, __pyx_state):             # <<<<<<<<<<<<<<
- *     raise TypeError, "self.bminpos,self.bminval,self.depth,self.fo,self.lb,self.lc,self.leaves,self.left,self.lg,self.pat,self.popo,self.post,self.right,self.st,self.taxon,self.tbl,self.tdep,self.tour cannot be converted to a Python object for pickling"
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("tripcon._kernels._fast._Side.__setstate_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "tripcon/_kernels/_fast.pyx":57
- * 
- * 
- * cdef _Side _side_alloc(int m):             # <<<<<<<<<<<<<<
- *     cdef _Side s = _Side.__new__(_Side)
- *     s.m = m
-*/
-
-static struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_f_7tripcon_8_kernels_5_fast__side_alloc(int __pyx_v_m) {
-  struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_v_s = 0;
-  struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int *__pyx_t_2;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_side_alloc", 0);
-
-  /* "tripcon/_kernels/_fast.pyx":58
- * 
- * cdef _Side _side_alloc(int m):
- *     cdef _Side s = _Side.__new__(_Side)             # <<<<<<<<<<<<<<
- *     s.m = m
- *     s.a_left = _ints(m)
-*/
-  __pyx_t_1 = ((PyObject *)__pyx_tp_new_7tripcon_8_kernels_5_fast__Side(((PyTypeObject *)__pyx_mstate_global->__pyx_ptype_7tripcon_8_kernels_5_fast__Side), __pyx_mstate_global->__pyx_empty_tuple, NULL)); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 58, __pyx_L1_error)
-  __Pyx_GOTREF((PyObject *)__pyx_t_1);
-  __pyx_v_s = ((struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":59
- * cdef _Side _side_alloc(int m):
- *     cdef _Side s = _Side.__new__(_Side)
- *     s.m = m             # <<<<<<<<<<<<<<
- *     s.a_left = _ints(m)
- *     s.a_right = _ints(m)
-*/
-  __pyx_v_s->m = __pyx_v_m;
-
-  /* "tripcon/_kernels/_fast.pyx":60
- *     cdef _Side s = _Side.__new__(_Side)
- *     s.m = m
- *     s.a_left = _ints(m)             # <<<<<<<<<<<<<<
- *     s.a_right = _ints(m)
- *     s.a_taxon = _ints(m)
-*/
-  __pyx_t_1 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints(__pyx_v_m)); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 60, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __Pyx_GIVEREF(__pyx_t_1);
-  __Pyx_GOTREF((PyObject *)__pyx_v_s->a_left);
-  __Pyx_DECREF((PyObject *)__pyx_v_s->a_left);
-  __pyx_v_s->a_left = ((arrayobject *)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":61
- *     s.m = m
- *     s.a_left = _ints(m)
- *     s.a_right = _ints(m)             # <<<<<<<<<<<<<<
- *     s.a_taxon = _ints(m)
- *     s.left = s.a_left.data.as_ints
-*/
-  __pyx_t_1 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints(__pyx_v_m)); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 61, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __Pyx_GIVEREF(__pyx_t_1);
-  __Pyx_GOTREF((PyObject *)__pyx_v_s->a_right);
-  __Pyx_DECREF((PyObject *)__pyx_v_s->a_right);
-  __pyx_v_s->a_right = ((arrayobject *)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":62
- *     s.a_left = _ints(m)
- *     s.a_right = _ints(m)
- *     s.a_taxon = _ints(m)             # <<<<<<<<<<<<<<
- *     s.left = s.a_left.data.as_ints
- *     s.right = s.a_right.data.as_ints
-*/
-  __pyx_t_1 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints(__pyx_v_m)); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 62, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __Pyx_GIVEREF(__pyx_t_1);
-  __Pyx_GOTREF((PyObject *)__pyx_v_s->a_taxon);
-  __Pyx_DECREF((PyObject *)__pyx_v_s->a_taxon);
-  __pyx_v_s->a_taxon = ((arrayobject *)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":63
- *     s.a_right = _ints(m)
- *     s.a_taxon = _ints(m)
- *     s.left = s.a_left.data.as_ints             # <<<<<<<<<<<<<<
- *     s.right = s.a_right.data.as_ints
- *     s.taxon = s.a_taxon.data.as_ints
-*/
-  __pyx_t_1 = ((PyObject *)__pyx_v_s->a_left);
-  __Pyx_INCREF(__pyx_t_1);
-  __pyx_t_2 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_1)).as_ints;
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_v_s->left = __pyx_t_2;
-
-  /* "tripcon/_kernels/_fast.pyx":64
- *     s.a_taxon = _ints(m)
- *     s.left = s.a_left.data.as_ints
- *     s.right = s.a_right.data.as_ints             # <<<<<<<<<<<<<<
- *     s.taxon = s.a_taxon.data.as_ints
- *     return s
-*/
-  __pyx_t_1 = ((PyObject *)__pyx_v_s->a_right);
-  __Pyx_INCREF(__pyx_t_1);
-  __pyx_t_2 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_1)).as_ints;
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_v_s->right = __pyx_t_2;
-
-  /* "tripcon/_kernels/_fast.pyx":65
- *     s.left = s.a_left.data.as_ints
- *     s.right = s.a_right.data.as_ints
- *     s.taxon = s.a_taxon.data.as_ints             # <<<<<<<<<<<<<<
- *     return s
- * 
-*/
-  __pyx_t_1 = ((PyObject *)__pyx_v_s->a_taxon);
-  __Pyx_INCREF(__pyx_t_1);
-  __pyx_t_2 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_1)).as_ints;
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_v_s->taxon = __pyx_t_2;
-
-  /* "tripcon/_kernels/_fast.pyx":66
- *     s.right = s.a_right.data.as_ints
- *     s.taxon = s.a_taxon.data.as_ints
- *     return s             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF((PyObject *)__pyx_r);
-  __Pyx_INCREF((PyObject *)__pyx_v_s);
-  __pyx_r = __pyx_v_s;
-  goto __pyx_L0;
-
-  /* "tripcon/_kernels/_fast.pyx":57
- * 
- * 
- * cdef _Side _side_alloc(int m):             # <<<<<<<<<<<<<<
- *     cdef _Side s = _Side.__new__(_Side)
- *     s.m = m
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_AddTraceback("tripcon._kernels._fast._side_alloc", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XDECREF((PyObject *)__pyx_v_s);
-  __Pyx_XGIVEREF((PyObject *)__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "tripcon/_kernels/_fast.pyx":69
- * 
- * 
- * cdef int _side_finish(_Side s) except -1:             # <<<<<<<<<<<<<<
- *     """Derive post-order data, the Euler tour, and the RMQ structures."""
- *     cdef int m = s.m
-*/
-
-static int __pyx_f_7tripcon_8_kernels_5_fast__side_finish(struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_v_s) {
-  int __pyx_v_m;
-  int __pyx_v_nl;
-  arrayobject *__pyx_v_a_stk = 0;
-  int *__pyx_v_stk;
-  int __pyx_v_sp;
-  int __pyx_v_npost;
-  int __pyx_v_nleaf;
-  int __pyx_v_x;
-  int __pyx_v_v;
-  int __pyx_v_lcn;
-  int __pyx_v_rcn;
-  int __pyx_v_tlen;
-  int __pyx_v_tpos;
-  int __pyx_v_ph;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  int *__pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_side_finish", 0);
-
-  /* "tripcon/_kernels/_fast.pyx":71
- * cdef int _side_finish(_Side s) except -1:
- *     """Derive post-order data, the Euler tour, and the RMQ structures."""
- *     cdef int m = s.m             # <<<<<<<<<<<<<<
- *     cdef int nl = (m + 1) // 2
- *     cdef array.array a_stk
-*/
-  __pyx_t_1 = __pyx_v_s->m;
-  __pyx_v_m = __pyx_t_1;
-
-  /* "tripcon/_kernels/_fast.pyx":72
- *     """Derive post-order data, the Euler tour, and the RMQ structures."""
- *     cdef int m = s.m
- *     cdef int nl = (m + 1) // 2             # <<<<<<<<<<<<<<
- *     cdef array.array a_stk
- *     cdef int* stk
-*/
-  __pyx_v_nl = ((__pyx_v_m + 1) / 2);
-
-  /* "tripcon/_kernels/_fast.pyx":77
- *     cdef int sp, npost, nleaf, x, v, lcn, rcn, tlen, tpos, ph
- * 
- *     s.nl = nl             # <<<<<<<<<<<<<<
- *     s.a_post = _ints(m)
- *     s.a_lc = _ints(m)
-*/
-  __pyx_v_s->nl = __pyx_v_nl;
-
-  /* "tripcon/_kernels/_fast.pyx":78
- * 
- *     s.nl = nl
- *     s.a_post = _ints(m)             # <<<<<<<<<<<<<<
- *     s.a_lc = _ints(m)
- *     s.a_lb = _ints(m)
-*/
-  __pyx_t_2 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints(__pyx_v_m)); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 78, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_GIVEREF(__pyx_t_2);
-  __Pyx_GOTREF((PyObject *)__pyx_v_s->a_post);
-  __Pyx_DECREF((PyObject *)__pyx_v_s->a_post);
-  __pyx_v_s->a_post = ((arrayobject *)__pyx_t_2);
-  __pyx_t_2 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":79
- *     s.nl = nl
- *     s.a_post = _ints(m)
- *     s.a_lc = _ints(m)             # <<<<<<<<<<<<<<
- *     s.a_lb = _ints(m)
- *     s.a_depth = _ints(m)
-*/
-  __pyx_t_2 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints(__pyx_v_m)); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 79, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_GIVEREF(__pyx_t_2);
-  __Pyx_GOTREF((PyObject *)__pyx_v_s->a_lc);
-  __Pyx_DECREF((PyObject *)__pyx_v_s->a_lc);
-  __pyx_v_s->a_lc = ((arrayobject *)__pyx_t_2);
-  __pyx_t_2 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":80
- *     s.a_post = _ints(m)
- *     s.a_lc = _ints(m)
- *     s.a_lb = _ints(m)             # <<<<<<<<<<<<<<
- *     s.a_depth = _ints(m)
- *     s.a_popo = _ints(m)
-*/
-  __pyx_t_2 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints(__pyx_v_m)); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 80, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_GIVEREF(__pyx_t_2);
-  __Pyx_GOTREF((PyObject *)__pyx_v_s->a_lb);
-  __Pyx_DECREF((PyObject *)__pyx_v_s->a_lb);
-  __pyx_v_s->a_lb = ((arrayobject *)__pyx_t_2);
-  __pyx_t_2 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":81
- *     s.a_lc = _ints(m)
- *     s.a_lb = _ints(m)
- *     s.a_depth = _ints(m)             # <<<<<<<<<<<<<<
- *     s.a_popo = _ints(m)
- *     s.a_leaves = _ints(nl)
-*/
-  __pyx_t_2 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints(__pyx_v_m)); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 81, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_GIVEREF(__pyx_t_2);
-  __Pyx_GOTREF((PyObject *)__pyx_v_s->a_depth);
-  __Pyx_DECREF((PyObject *)__pyx_v_s->a_depth);
-  __pyx_v_s->a_depth = ((arrayobject *)__pyx_t_2);
-  __pyx_t_2 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":82
- *     s.a_lb = _ints(m)
- *     s.a_depth = _ints(m)
- *     s.a_popo = _ints(m)             # <<<<<<<<<<<<<<
- *     s.a_leaves = _ints(nl)
- *     s.post = s.a_post.data.as_ints
-*/
-  __pyx_t_2 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints(__pyx_v_m)); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 82, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_GIVEREF(__pyx_t_2);
-  __Pyx_GOTREF((PyObject *)__pyx_v_s->a_popo);
-  __Pyx_DECREF((PyObject *)__pyx_v_s->a_popo);
-  __pyx_v_s->a_popo = ((arrayobject *)__pyx_t_2);
-  __pyx_t_2 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":83
- *     s.a_depth = _ints(m)
- *     s.a_popo = _ints(m)
- *     s.a_leaves = _ints(nl)             # <<<<<<<<<<<<<<
- *     s.post = s.a_post.data.as_ints
- *     s.lc = s.a_lc.data.as_ints
-*/
-  __pyx_t_2 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints(__pyx_v_nl)); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 83, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_GIVEREF(__pyx_t_2);
-  __Pyx_GOTREF((PyObject *)__pyx_v_s->a_leaves);
-  __Pyx_DECREF((PyObject *)__pyx_v_s->a_leaves);
-  __pyx_v_s->a_leaves = ((arrayobject *)__pyx_t_2);
-  __pyx_t_2 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":84
- *     s.a_popo = _ints(m)
- *     s.a_leaves = _ints(nl)
- *     s.post = s.a_post.data.as_ints             # <<<<<<<<<<<<<<
- *     s.lc = s.a_lc.data.as_ints
- *     s.lb = s.a_lb.data.as_ints
-*/
-  __pyx_t_2 = ((PyObject *)__pyx_v_s->a_post);
-  __Pyx_INCREF(__pyx_t_2);
-  __pyx_t_3 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_2)).as_ints;
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_v_s->post = __pyx_t_3;
-
-  /* "tripcon/_kernels/_fast.pyx":85
- *     s.a_leaves = _ints(nl)
- *     s.post = s.a_post.data.as_ints
- *     s.lc = s.a_lc.data.as_ints             # <<<<<<<<<<<<<<
- *     s.lb = s.a_lb.data.as_ints
- *     s.depth = s.a_depth.data.as_ints
-*/
-  __pyx_t_2 = ((PyObject *)__pyx_v_s->a_lc);
-  __Pyx_INCREF(__pyx_t_2);
-  __pyx_t_3 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_2)).as_ints;
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_v_s->lc = __pyx_t_3;
-
-  /* "tripcon/_kernels/_fast.pyx":86
- *     s.post = s.a_post.data.as_ints
- *     s.lc = s.a_lc.data.as_ints
- *     s.lb = s.a_lb.data.as_ints             # <<<<<<<<<<<<<<
- *     s.depth = s.a_depth.data.as_ints
- *     s.popo = s.a_popo.data.as_ints
-*/
-  __pyx_t_2 = ((PyObject *)__pyx_v_s->a_lb);
-  __Pyx_INCREF(__pyx_t_2);
-  __pyx_t_3 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_2)).as_ints;
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_v_s->lb = __pyx_t_3;
-
-  /* "tripcon/_kernels/_fast.pyx":87
- *     s.lc = s.a_lc.data.as_ints
- *     s.lb = s.a_lb.data.as_ints
- *     s.depth = s.a_depth.data.as_ints             # <<<<<<<<<<<<<<
- *     s.popo = s.a_popo.data.as_ints
- *     s.leaves = s.a_leaves.data.as_ints
-*/
-  __pyx_t_2 = ((PyObject *)__pyx_v_s->a_depth);
-  __Pyx_INCREF(__pyx_t_2);
-  __pyx_t_3 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_2)).as_ints;
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_v_s->depth = __pyx_t_3;
-
-  /* "tripcon/_kernels/_fast.pyx":88
- *     s.lb = s.a_lb.data.as_ints
- *     s.depth = s.a_depth.data.as_ints
- *     s.popo = s.a_popo.data.as_ints             # <<<<<<<<<<<<<<
- *     s.leaves = s.a_leaves.data.as_ints
- * 
-*/
-  __pyx_t_2 = ((PyObject *)__pyx_v_s->a_popo);
-  __Pyx_INCREF(__pyx_t_2);
-  __pyx_t_3 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_2)).as_ints;
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_v_s->popo = __pyx_t_3;
-
-  /* "tripcon/_kernels/_fast.pyx":89
- *     s.depth = s.a_depth.data.as_ints
- *     s.popo = s.a_popo.data.as_ints
- *     s.leaves = s.a_leaves.data.as_ints             # <<<<<<<<<<<<<<
- * 
- *     a_stk = _ints(2 * m + 4)
-*/
-  __pyx_t_2 = ((PyObject *)__pyx_v_s->a_leaves);
-  __Pyx_INCREF(__pyx_t_2);
-  __pyx_t_3 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_2)).as_ints;
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_v_s->leaves = __pyx_t_3;
-
-  /* "tripcon/_kernels/_fast.pyx":91
- *     s.leaves = s.a_leaves.data.as_ints
- * 
- *     a_stk = _ints(2 * m + 4)             # <<<<<<<<<<<<<<
- *     stk = a_stk.data.as_ints
- *     sp = 0
-*/
-  __pyx_t_2 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints(((2 * __pyx_v_m) + 4))); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 91, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_v_a_stk = ((arrayobject *)__pyx_t_2);
-  __pyx_t_2 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":92
- * 
- *     a_stk = _ints(2 * m + 4)
- *     stk = a_stk.data.as_ints             # <<<<<<<<<<<<<<
- *     sp = 0
- *     npost = 0
-*/
-  __pyx_t_3 = __pyx_f_7cpython_5array_5array_4data_data(__pyx_v_a_stk).as_ints;
-  __pyx_v_stk = __pyx_t_3;
-
-  /* "tripcon/_kernels/_fast.pyx":93
- *     a_stk = _ints(2 * m + 4)
- *     stk = a_stk.data.as_ints
- *     sp = 0             # <<<<<<<<<<<<<<
- *     npost = 0
- *     nleaf = 0
-*/
-  __pyx_v_sp = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":94
- *     stk = a_stk.data.as_ints
- *     sp = 0
- *     npost = 0             # <<<<<<<<<<<<<<
- *     nleaf = 0
- * 
-*/
-  __pyx_v_npost = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":95
- *     sp = 0
- *     npost = 0
- *     nleaf = 0             # <<<<<<<<<<<<<<
- * 
- *     s.depth[s.root] = 0
-*/
-  __pyx_v_nleaf = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":97
- *     nleaf = 0
- * 
- *     s.depth[s.root] = 0             # <<<<<<<<<<<<<<
- *     stk[sp] = s.root << 1
- *     sp += 1
-*/
-  (__pyx_v_s->depth[__pyx_v_s->root]) = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":98
- * 
- *     s.depth[s.root] = 0
- *     stk[sp] = s.root << 1             # <<<<<<<<<<<<<<
- *     sp += 1
- *     while sp:
-*/
-  (__pyx_v_stk[__pyx_v_sp]) = (__pyx_v_s->root << 1);
-
-  /* "tripcon/_kernels/_fast.pyx":99
- *     s.depth[s.root] = 0
- *     stk[sp] = s.root << 1
- *     sp += 1             # <<<<<<<<<<<<<<
- *     while sp:
- *         sp -= 1
-*/
-  __pyx_v_sp = (__pyx_v_sp + 1);
-
-  /* "tripcon/_kernels/_fast.pyx":100
- *     stk[sp] = s.root << 1
- *     sp += 1
- *     while sp:             # <<<<<<<<<<<<<<
- *         sp -= 1
- *         x = stk[sp]
-*/
-  while (1) {
-    __pyx_t_4 = (__pyx_v_sp != 0);
-    if (!__pyx_t_4) break;
-
-    /* "tripcon/_kernels/_fast.pyx":101
- *     sp += 1
- *     while sp:
- *         sp -= 1             # <<<<<<<<<<<<<<
- *         x = stk[sp]
- *         v = x >> 1
-*/
-    __pyx_v_sp = (__pyx_v_sp - 1);
-
-    /* "tripcon/_kernels/_fast.pyx":102
- *     while sp:
- *         sp -= 1
- *         x = stk[sp]             # <<<<<<<<<<<<<<
- *         v = x >> 1
- *         if x & 1:
-*/
-    __pyx_v_x = (__pyx_v_stk[__pyx_v_sp]);
-
-    /* "tripcon/_kernels/_fast.pyx":103
- *         sp -= 1
- *         x = stk[sp]
- *         v = x >> 1             # <<<<<<<<<<<<<<
- *         if x & 1:
- *             lcn = s.left[v]
-*/
-    __pyx_v_v = (__pyx_v_x >> 1);
-
-    /* "tripcon/_kernels/_fast.pyx":104
- *         x = stk[sp]
- *         v = x >> 1
- *         if x & 1:             # <<<<<<<<<<<<<<
- *             lcn = s.left[v]
- *             rcn = s.right[v]
-*/
-    __pyx_t_4 = ((__pyx_v_x & 1) != 0);
-    if (__pyx_t_4) {
-
-      /* "tripcon/_kernels/_fast.pyx":105
- *         v = x >> 1
- *         if x & 1:
- *             lcn = s.left[v]             # <<<<<<<<<<<<<<
- *             rcn = s.right[v]
- *             s.lc[v] = s.lc[lcn] + s.lc[rcn]
-*/
-      __pyx_v_lcn = (__pyx_v_s->left[__pyx_v_v]);
-
-      /* "tripcon/_kernels/_fast.pyx":106
- *         if x & 1:
- *             lcn = s.left[v]
- *             rcn = s.right[v]             # <<<<<<<<<<<<<<
- *             s.lc[v] = s.lc[lcn] + s.lc[rcn]
- *             s.post[v] = npost
-*/
-      __pyx_v_rcn = (__pyx_v_s->right[__pyx_v_v]);
-
-      /* "tripcon/_kernels/_fast.pyx":107
- *             lcn = s.left[v]
- *             rcn = s.right[v]
- *             s.lc[v] = s.lc[lcn] + s.lc[rcn]             # <<<<<<<<<<<<<<
- *             s.post[v] = npost
- *             s.popo[npost] = v
-*/
-      (__pyx_v_s->lc[__pyx_v_v]) = ((__pyx_v_s->lc[__pyx_v_lcn]) + (__pyx_v_s->lc[__pyx_v_rcn]));
-
-      /* "tripcon/_kernels/_fast.pyx":108
- *             rcn = s.right[v]
- *             s.lc[v] = s.lc[lcn] + s.lc[rcn]
- *             s.post[v] = npost             # <<<<<<<<<<<<<<
- *             s.popo[npost] = v
- *             npost += 1
-*/
-      (__pyx_v_s->post[__pyx_v_v]) = __pyx_v_npost;
-
-      /* "tripcon/_kernels/_fast.pyx":109
- *             s.lc[v] = s.lc[lcn] + s.lc[rcn]
- *             s.post[v] = npost
- *             s.popo[npost] = v             # <<<<<<<<<<<<<<
- *             npost += 1
- *             continue
-*/
-      (__pyx_v_s->popo[__pyx_v_npost]) = __pyx_v_v;
-
-      /* "tripcon/_kernels/_fast.pyx":110
- *             s.post[v] = npost
- *             s.popo[npost] = v
- *             npost += 1             # <<<<<<<<<<<<<<
- *             continue
- *         s.lb[v] = nleaf
-*/
-      __pyx_v_npost = (__pyx_v_npost + 1);
-
-      /* "tripcon/_kernels/_fast.pyx":111
- *             s.popo[npost] = v
- *             npost += 1
- *             continue             # <<<<<<<<<<<<<<
- *         s.lb[v] = nleaf
- *         lcn = s.left[v]
-*/
-      goto __pyx_L3_continue;
-
-      /* "tripcon/_kernels/_fast.pyx":104
- *         x = stk[sp]
- *         v = x >> 1
- *         if x & 1:             # <<<<<<<<<<<<<<
- *             lcn = s.left[v]
- *             rcn = s.right[v]
-*/
-    }
-
-    /* "tripcon/_kernels/_fast.pyx":112
- *             npost += 1
- *             continue
- *         s.lb[v] = nleaf             # <<<<<<<<<<<<<<
- *         lcn = s.left[v]
- *         if lcn < 0:
-*/
-    (__pyx_v_s->lb[__pyx_v_v]) = __pyx_v_nleaf;
-
-    /* "tripcon/_kernels/_fast.pyx":113
- *             continue
- *         s.lb[v] = nleaf
- *         lcn = s.left[v]             # <<<<<<<<<<<<<<
- *         if lcn < 0:
- *             s.lc[v] = 1
-*/
-    __pyx_v_lcn = (__pyx_v_s->left[__pyx_v_v]);
-
-    /* "tripcon/_kernels/_fast.pyx":114
- *         s.lb[v] = nleaf
- *         lcn = s.left[v]
- *         if lcn < 0:             # <<<<<<<<<<<<<<
- *             s.lc[v] = 1
- *             s.post[v] = npost
-*/
-    __pyx_t_4 = (__pyx_v_lcn < 0);
-    if (__pyx_t_4) {
-
-      /* "tripcon/_kernels/_fast.pyx":115
- *         lcn = s.left[v]
- *         if lcn < 0:
- *             s.lc[v] = 1             # <<<<<<<<<<<<<<
- *             s.post[v] = npost
- *             s.popo[npost] = v
-*/
-      (__pyx_v_s->lc[__pyx_v_v]) = 1;
-
-      /* "tripcon/_kernels/_fast.pyx":116
- *         if lcn < 0:
- *             s.lc[v] = 1
- *             s.post[v] = npost             # <<<<<<<<<<<<<<
- *             s.popo[npost] = v
- *             npost += 1
-*/
-      (__pyx_v_s->post[__pyx_v_v]) = __pyx_v_npost;
-
-      /* "tripcon/_kernels/_fast.pyx":117
- *             s.lc[v] = 1
- *             s.post[v] = npost
- *             s.popo[npost] = v             # <<<<<<<<<<<<<<
- *             npost += 1
- *             s.leaves[nleaf] = v
-*/
-      (__pyx_v_s->popo[__pyx_v_npost]) = __pyx_v_v;
-
-      /* "tripcon/_kernels/_fast.pyx":118
- *             s.post[v] = npost
- *             s.popo[npost] = v
- *             npost += 1             # <<<<<<<<<<<<<<
- *             s.leaves[nleaf] = v
- *             nleaf += 1
-*/
-      __pyx_v_npost = (__pyx_v_npost + 1);
-
-      /* "tripcon/_kernels/_fast.pyx":119
- *             s.popo[npost] = v
- *             npost += 1
- *             s.leaves[nleaf] = v             # <<<<<<<<<<<<<<
- *             nleaf += 1
- *         else:
-*/
-      (__pyx_v_s->leaves[__pyx_v_nleaf]) = __pyx_v_v;
-
-      /* "tripcon/_kernels/_fast.pyx":120
- *             npost += 1
- *             s.leaves[nleaf] = v
- *             nleaf += 1             # <<<<<<<<<<<<<<
- *         else:
- *             rcn = s.right[v]
-*/
-      __pyx_v_nleaf = (__pyx_v_nleaf + 1);
-
-      /* "tripcon/_kernels/_fast.pyx":114
- *         s.lb[v] = nleaf
- *         lcn = s.left[v]
- *         if lcn < 0:             # <<<<<<<<<<<<<<
- *             s.lc[v] = 1
- *             s.post[v] = npost
-*/
-      goto __pyx_L6;
-    }
-
-    /* "tripcon/_kernels/_fast.pyx":122
- *             nleaf += 1
- *         else:
- *             rcn = s.right[v]             # <<<<<<<<<<<<<<
- *             s.depth[lcn] = s.depth[v] + 1
- *             s.depth[rcn] = s.depth[v] + 1
-*/
-    /*else*/ {
-      __pyx_v_rcn = (__pyx_v_s->right[__pyx_v_v]);
-
-      /* "tripcon/_kernels/_fast.pyx":123
- *         else:
- *             rcn = s.right[v]
- *             s.depth[lcn] = s.depth[v] + 1             # <<<<<<<<<<<<<<
- *             s.depth[rcn] = s.depth[v] + 1
- *             stk[sp] = (v << 1) | 1
-*/
-      (__pyx_v_s->depth[__pyx_v_lcn]) = ((__pyx_v_s->depth[__pyx_v_v]) + 1);
-
-      /* "tripcon/_kernels/_fast.pyx":124
- *             rcn = s.right[v]
- *             s.depth[lcn] = s.depth[v] + 1
- *             s.depth[rcn] = s.depth[v] + 1             # <<<<<<<<<<<<<<
- *             stk[sp] = (v << 1) | 1
- *             stk[sp + 1] = rcn << 1
-*/
-      (__pyx_v_s->depth[__pyx_v_rcn]) = ((__pyx_v_s->depth[__pyx_v_v]) + 1);
-
-      /* "tripcon/_kernels/_fast.pyx":125
- *             s.depth[lcn] = s.depth[v] + 1
- *             s.depth[rcn] = s.depth[v] + 1
- *             stk[sp] = (v << 1) | 1             # <<<<<<<<<<<<<<
- *             stk[sp + 1] = rcn << 1
- *             stk[sp + 2] = lcn << 1
-*/
-      (__pyx_v_stk[__pyx_v_sp]) = ((__pyx_v_v << 1) | 1);
-
-      /* "tripcon/_kernels/_fast.pyx":126
- *             s.depth[rcn] = s.depth[v] + 1
- *             stk[sp] = (v << 1) | 1
- *             stk[sp + 1] = rcn << 1             # <<<<<<<<<<<<<<
- *             stk[sp + 2] = lcn << 1
- *             sp += 3
-*/
-      (__pyx_v_stk[(__pyx_v_sp + 1)]) = (__pyx_v_rcn << 1);
-
-      /* "tripcon/_kernels/_fast.pyx":127
- *             stk[sp] = (v << 1) | 1
- *             stk[sp + 1] = rcn << 1
- *             stk[sp + 2] = lcn << 1             # <<<<<<<<<<<<<<
- *             sp += 3
- * 
-*/
-      (__pyx_v_stk[(__pyx_v_sp + 2)]) = (__pyx_v_lcn << 1);
-
-      /* "tripcon/_kernels/_fast.pyx":128
- *             stk[sp + 1] = rcn << 1
- *             stk[sp + 2] = lcn << 1
- *             sp += 3             # <<<<<<<<<<<<<<
- * 
- *     # Euler tour: internal nodes appear 3x, leaves once; length 2m - 1.
-*/
-      __pyx_v_sp = (__pyx_v_sp + 3);
-    }
-    __pyx_L6:;
-    __pyx_L3_continue:;
-  }
-
-  /* "tripcon/_kernels/_fast.pyx":131
- * 
- *     # Euler tour: internal nodes appear 3x, leaves once; length 2m - 1.
- *     tlen = 2 * m - 1             # <<<<<<<<<<<<<<
- *     s.tlen = tlen
- *     s.a_tour = _ints(tlen)
-*/
-  __pyx_v_tlen = ((2 * __pyx_v_m) - 1);
-
-  /* "tripcon/_kernels/_fast.pyx":132
- *     # Euler tour: internal nodes appear 3x, leaves once; length 2m - 1.
- *     tlen = 2 * m - 1
- *     s.tlen = tlen             # <<<<<<<<<<<<<<
- *     s.a_tour = _ints(tlen)
- *     s.a_tdep = _ints(tlen)
-*/
-  __pyx_v_s->tlen = __pyx_v_tlen;
-
-  /* "tripcon/_kernels/_fast.pyx":133
- *     tlen = 2 * m - 1
- *     s.tlen = tlen
- *     s.a_tour = _ints(tlen)             # <<<<<<<<<<<<<<
- *     s.a_tdep = _ints(tlen)
- *     s.a_fo = _ints(m)
-*/
-  __pyx_t_2 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints(__pyx_v_tlen)); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 133, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_GIVEREF(__pyx_t_2);
-  __Pyx_GOTREF((PyObject *)__pyx_v_s->a_tour);
-  __Pyx_DECREF((PyObject *)__pyx_v_s->a_tour);
-  __pyx_v_s->a_tour = ((arrayobject *)__pyx_t_2);
-  __pyx_t_2 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":134
- *     s.tlen = tlen
- *     s.a_tour = _ints(tlen)
- *     s.a_tdep = _ints(tlen)             # <<<<<<<<<<<<<<
- *     s.a_fo = _ints(m)
- *     s.tour = s.a_tour.data.as_ints
-*/
-  __pyx_t_2 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints(__pyx_v_tlen)); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 134, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_GIVEREF(__pyx_t_2);
-  __Pyx_GOTREF((PyObject *)__pyx_v_s->a_tdep);
-  __Pyx_DECREF((PyObject *)__pyx_v_s->a_tdep);
-  __pyx_v_s->a_tdep = ((arrayobject *)__pyx_t_2);
-  __pyx_t_2 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":135
- *     s.a_tour = _ints(tlen)
- *     s.a_tdep = _ints(tlen)
- *     s.a_fo = _ints(m)             # <<<<<<<<<<<<<<
- *     s.tour = s.a_tour.data.as_ints
- *     s.tdep = s.a_tdep.data.as_ints
-*/
-  __pyx_t_2 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints(__pyx_v_m)); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 135, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_GIVEREF(__pyx_t_2);
-  __Pyx_GOTREF((PyObject *)__pyx_v_s->a_fo);
-  __Pyx_DECREF((PyObject *)__pyx_v_s->a_fo);
-  __pyx_v_s->a_fo = ((arrayobject *)__pyx_t_2);
-  __pyx_t_2 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":136
- *     s.a_tdep = _ints(tlen)
- *     s.a_fo = _ints(m)
- *     s.tour = s.a_tour.data.as_ints             # <<<<<<<<<<<<<<
- *     s.tdep = s.a_tdep.data.as_ints
- *     s.fo = s.a_fo.data.as_ints
-*/
-  __pyx_t_2 = ((PyObject *)__pyx_v_s->a_tour);
-  __Pyx_INCREF(__pyx_t_2);
-  __pyx_t_3 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_2)).as_ints;
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_v_s->tour = __pyx_t_3;
-
-  /* "tripcon/_kernels/_fast.pyx":137
- *     s.a_fo = _ints(m)
- *     s.tour = s.a_tour.data.as_ints
- *     s.tdep = s.a_tdep.data.as_ints             # <<<<<<<<<<<<<<
- *     s.fo = s.a_fo.data.as_ints
- * 
-*/
-  __pyx_t_2 = ((PyObject *)__pyx_v_s->a_tdep);
-  __Pyx_INCREF(__pyx_t_2);
-  __pyx_t_3 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_2)).as_ints;
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_v_s->tdep = __pyx_t_3;
-
-  /* "tripcon/_kernels/_fast.pyx":138
- *     s.tour = s.a_tour.data.as_ints
- *     s.tdep = s.a_tdep.data.as_ints
- *     s.fo = s.a_fo.data.as_ints             # <<<<<<<<<<<<<<
- * 
- *     tpos = 0
-*/
-  __pyx_t_2 = ((PyObject *)__pyx_v_s->a_fo);
-  __Pyx_INCREF(__pyx_t_2);
-  __pyx_t_3 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_2)).as_ints;
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_v_s->fo = __pyx_t_3;
-
-  /* "tripcon/_kernels/_fast.pyx":140
- *     s.fo = s.a_fo.data.as_ints
- * 
- *     tpos = 0             # <<<<<<<<<<<<<<
- *     stk[0] = s.root << 2
- *     sp = 1
-*/
-  __pyx_v_tpos = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":141
- * 
- *     tpos = 0
- *     stk[0] = s.root << 2             # <<<<<<<<<<<<<<
- *     sp = 1
- *     while sp:
-*/
-  (__pyx_v_stk[0]) = (__pyx_v_s->root << 2);
-
-  /* "tripcon/_kernels/_fast.pyx":142
- *     tpos = 0
- *     stk[0] = s.root << 2
- *     sp = 1             # <<<<<<<<<<<<<<
- *     while sp:
- *         sp -= 1
-*/
-  __pyx_v_sp = 1;
-
-  /* "tripcon/_kernels/_fast.pyx":143
- *     stk[0] = s.root << 2
- *     sp = 1
- *     while sp:             # <<<<<<<<<<<<<<
- *         sp -= 1
- *         x = stk[sp]
-*/
-  while (1) {
-    __pyx_t_4 = (__pyx_v_sp != 0);
-    if (!__pyx_t_4) break;
-
-    /* "tripcon/_kernels/_fast.pyx":144
- *     sp = 1
- *     while sp:
- *         sp -= 1             # <<<<<<<<<<<<<<
- *         x = stk[sp]
- *         v = x >> 2
-*/
-    __pyx_v_sp = (__pyx_v_sp - 1);
-
-    /* "tripcon/_kernels/_fast.pyx":145
- *     while sp:
- *         sp -= 1
- *         x = stk[sp]             # <<<<<<<<<<<<<<
- *         v = x >> 2
- *         ph = x & 3
-*/
-    __pyx_v_x = (__pyx_v_stk[__pyx_v_sp]);
-
-    /* "tripcon/_kernels/_fast.pyx":146
- *         sp -= 1
- *         x = stk[sp]
- *         v = x >> 2             # <<<<<<<<<<<<<<
- *         ph = x & 3
- *         if ph == 0:
-*/
-    __pyx_v_v = (__pyx_v_x >> 2);
-
-    /* "tripcon/_kernels/_fast.pyx":147
- *         x = stk[sp]
- *         v = x >> 2
- *         ph = x & 3             # <<<<<<<<<<<<<<
- *         if ph == 0:
- *             s.fo[v] = tpos
-*/
-    __pyx_v_ph = (__pyx_v_x & 3);
-
-    /* "tripcon/_kernels/_fast.pyx":148
- *         v = x >> 2
- *         ph = x & 3
- *         if ph == 0:             # <<<<<<<<<<<<<<
- *             s.fo[v] = tpos
- *         s.tour[tpos] = v
-*/
-    __pyx_t_4 = (__pyx_v_ph == 0);
-    if (__pyx_t_4) {
-
-      /* "tripcon/_kernels/_fast.pyx":149
- *         ph = x & 3
- *         if ph == 0:
- *             s.fo[v] = tpos             # <<<<<<<<<<<<<<
- *         s.tour[tpos] = v
- *         s.tdep[tpos] = s.depth[v]
-*/
-      (__pyx_v_s->fo[__pyx_v_v]) = __pyx_v_tpos;
-
-      /* "tripcon/_kernels/_fast.pyx":148
- *         v = x >> 2
- *         ph = x & 3
- *         if ph == 0:             # <<<<<<<<<<<<<<
- *             s.fo[v] = tpos
- *         s.tour[tpos] = v
-*/
-    }
-
-    /* "tripcon/_kernels/_fast.pyx":150
- *         if ph == 0:
- *             s.fo[v] = tpos
- *         s.tour[tpos] = v             # <<<<<<<<<<<<<<
- *         s.tdep[tpos] = s.depth[v]
- *         tpos += 1
-*/
-    (__pyx_v_s->tour[__pyx_v_tpos]) = __pyx_v_v;
-
-    /* "tripcon/_kernels/_fast.pyx":151
- *             s.fo[v] = tpos
- *         s.tour[tpos] = v
- *         s.tdep[tpos] = s.depth[v]             # <<<<<<<<<<<<<<
- *         tpos += 1
- *         if s.left[v] >= 0:
-*/
-    (__pyx_v_s->tdep[__pyx_v_tpos]) = (__pyx_v_s->depth[__pyx_v_v]);
-
-    /* "tripcon/_kernels/_fast.pyx":152
- *         s.tour[tpos] = v
- *         s.tdep[tpos] = s.depth[v]
- *         tpos += 1             # <<<<<<<<<<<<<<
- *         if s.left[v] >= 0:
- *             if ph == 0:
-*/
-    __pyx_v_tpos = (__pyx_v_tpos + 1);
-
-    /* "tripcon/_kernels/_fast.pyx":153
- *         s.tdep[tpos] = s.depth[v]
- *         tpos += 1
- *         if s.left[v] >= 0:             # <<<<<<<<<<<<<<
- *             if ph == 0:
- *                 stk[sp] = (v << 2) | 1
-*/
-    __pyx_t_4 = ((__pyx_v_s->left[__pyx_v_v]) >= 0);
-    if (__pyx_t_4) {
-
-      /* "tripcon/_kernels/_fast.pyx":154
- *         tpos += 1
- *         if s.left[v] >= 0:
- *             if ph == 0:             # <<<<<<<<<<<<<<
- *                 stk[sp] = (v << 2) | 1
- *                 stk[sp + 1] = s.left[v] << 2
-*/
-      switch (__pyx_v_ph) {
-        case 0:
-
-        /* "tripcon/_kernels/_fast.pyx":155
- *         if s.left[v] >= 0:
- *             if ph == 0:
- *                 stk[sp] = (v << 2) | 1             # <<<<<<<<<<<<<<
- *                 stk[sp + 1] = s.left[v] << 2
- *                 sp += 2
-*/
-        (__pyx_v_stk[__pyx_v_sp]) = ((__pyx_v_v << 2) | 1);
-
-        /* "tripcon/_kernels/_fast.pyx":156
- *             if ph == 0:
- *                 stk[sp] = (v << 2) | 1
- *                 stk[sp + 1] = s.left[v] << 2             # <<<<<<<<<<<<<<
- *                 sp += 2
- *             elif ph == 1:
-*/
-        (__pyx_v_stk[(__pyx_v_sp + 1)]) = ((__pyx_v_s->left[__pyx_v_v]) << 2);
-
-        /* "tripcon/_kernels/_fast.pyx":157
- *                 stk[sp] = (v << 2) | 1
- *                 stk[sp + 1] = s.left[v] << 2
- *                 sp += 2             # <<<<<<<<<<<<<<
- *             elif ph == 1:
- *                 stk[sp] = (v << 2) | 2
-*/
-        __pyx_v_sp = (__pyx_v_sp + 2);
-
-        /* "tripcon/_kernels/_fast.pyx":154
- *         tpos += 1
- *         if s.left[v] >= 0:
- *             if ph == 0:             # <<<<<<<<<<<<<<
- *                 stk[sp] = (v << 2) | 1
- *                 stk[sp + 1] = s.left[v] << 2
-*/
-        break;
-        case 1:
-
-        /* "tripcon/_kernels/_fast.pyx":159
- *                 sp += 2
- *             elif ph == 1:
- *                 stk[sp] = (v << 2) | 2             # <<<<<<<<<<<<<<
- *                 stk[sp + 1] = s.right[v] << 2
- *                 sp += 2
-*/
-        (__pyx_v_stk[__pyx_v_sp]) = ((__pyx_v_v << 2) | 2);
-
-        /* "tripcon/_kernels/_fast.pyx":160
- *             elif ph == 1:
- *                 stk[sp] = (v << 2) | 2
- *                 stk[sp + 1] = s.right[v] << 2             # <<<<<<<<<<<<<<
- *                 sp += 2
- * 
-*/
-        (__pyx_v_stk[(__pyx_v_sp + 1)]) = ((__pyx_v_s->right[__pyx_v_v]) << 2);
-
-        /* "tripcon/_kernels/_fast.pyx":161
- *                 stk[sp] = (v << 2) | 2
- *                 stk[sp + 1] = s.right[v] << 2
- *                 sp += 2             # <<<<<<<<<<<<<<
- * 
- *     _rmq_build(s)
-*/
-        __pyx_v_sp = (__pyx_v_sp + 2);
-
-        /* "tripcon/_kernels/_fast.pyx":158
- *                 stk[sp + 1] = s.left[v] << 2
- *                 sp += 2
- *             elif ph == 1:             # <<<<<<<<<<<<<<
- *                 stk[sp] = (v << 2) | 2
- *                 stk[sp + 1] = s.right[v] << 2
-*/
-        break;
-        default: break;
-      }
-
-      /* "tripcon/_kernels/_fast.pyx":153
- *         s.tdep[tpos] = s.depth[v]
- *         tpos += 1
- *         if s.left[v] >= 0:             # <<<<<<<<<<<<<<
- *             if ph == 0:
- *                 stk[sp] = (v << 2) | 1
-*/
-    }
-  }
-
-  /* "tripcon/_kernels/_fast.pyx":163
- *                 sp += 2
- * 
- *     _rmq_build(s)             # <<<<<<<<<<<<<<
- *     return 0
- * 
-*/
-  __pyx_t_1 = __pyx_f_7tripcon_8_kernels_5_fast__rmq_build(__pyx_v_s); if (unlikely(__pyx_t_1 == ((int)-1))) __PYX_ERR(0, 163, __pyx_L1_error)
-
-  /* "tripcon/_kernels/_fast.pyx":164
- * 
- *     _rmq_build(s)
- *     return 0             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = 0;
-  goto __pyx_L0;
-
-  /* "tripcon/_kernels/_fast.pyx":69
- * 
- * 
- * cdef int _side_finish(_Side s) except -1:             # <<<<<<<<<<<<<<
- *     """Derive post-order data, the Euler tour, and the RMQ structures."""
- *     cdef int m = s.m
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("tripcon._kernels._fast._side_finish", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  __Pyx_XDECREF((PyObject *)__pyx_v_a_stk);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "tripcon/_kernels/_fast.pyx":167
- * 
- * 
- * cdef int _rmq_build(_Side s) except -1:             # <<<<<<<<<<<<<<
- *     cdef int n = s.tlen
- *     cdef int bl = 0
-*/
-
-static int __pyx_f_7tripcon_8_kernels_5_fast__rmq_build(struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_v_s) {
-  int __pyx_v_n;
-  int __pyx_v_bl;
-  int __pyx_v_t;
-  int __pyx_v_b;
-  int __pyx_v_nb;
-  int __pyx_v_npat;
-  int __pyx_v_j;
-  int __pyx_v_start;
-  int __pyx_v_end;
-  int __pyx_v_best;
-  int __pyx_v_bv;
-  int __pyx_v_p;
-  int __pyx_v_i;
-  int __pyx_v_levels;
-  int __pyx_v_k;
-  int __pyx_v_half;
-  int __pyx_v_width;
-  int __pyx_v_a;
-  int __pyx_v_c;
-  int *__pyx_v_d;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  int *__pyx_t_4;
-  PyObject *__pyx_t_5 = NULL;
-  signed char *__pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_t_8;
-  int __pyx_t_9;
-  int __pyx_t_10;
-  int __pyx_t_11;
-  long __pyx_t_12;
-  long __pyx_t_13;
-  int __pyx_t_14;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_rmq_build", 0);
-
-  /* "tripcon/_kernels/_fast.pyx":168
- * 
- * cdef int _rmq_build(_Side s) except -1:
- *     cdef int n = s.tlen             # <<<<<<<<<<<<<<
- *     cdef int bl = 0
- *     cdef int t = n
-*/
-  __pyx_t_1 = __pyx_v_s->tlen;
-  __pyx_v_n = __pyx_t_1;
-
-  /* "tripcon/_kernels/_fast.pyx":169
- * cdef int _rmq_build(_Side s) except -1:
- *     cdef int n = s.tlen
- *     cdef int bl = 0             # <<<<<<<<<<<<<<
- *     cdef int t = n
- *     cdef int b, nb, npat, j, start, end, best, bv, p, i
-*/
-  __pyx_v_bl = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":170
- *     cdef int n = s.tlen
- *     cdef int bl = 0
- *     cdef int t = n             # <<<<<<<<<<<<<<
- *     cdef int b, nb, npat, j, start, end, best, bv, p, i
- *     cdef int levels, k, half, width, a, c
-*/
-  __pyx_v_t = __pyx_v_n;
-
-  /* "tripcon/_kernels/_fast.pyx":175
- *     cdef int* d
- * 
- *     while t:             # <<<<<<<<<<<<<<
- *         bl += 1
- *         t >>= 1
-*/
-  while (1) {
-    __pyx_t_2 = (__pyx_v_t != 0);
-    if (!__pyx_t_2) break;
-
-    /* "tripcon/_kernels/_fast.pyx":176
- * 
- *     while t:
- *         bl += 1             # <<<<<<<<<<<<<<
- *         t >>= 1
- *     b = (bl - 1) // 2
-*/
-    __pyx_v_bl = (__pyx_v_bl + 1);
-
-    /* "tripcon/_kernels/_fast.pyx":177
- *     while t:
- *         bl += 1
- *         t >>= 1             # <<<<<<<<<<<<<<
- *     b = (bl - 1) // 2
- *     if b < 1:
-*/
-    __pyx_v_t = (__pyx_v_t >> 1);
-  }
-
-  /* "tripcon/_kernels/_fast.pyx":178
- *         bl += 1
- *         t >>= 1
- *     b = (bl - 1) // 2             # <<<<<<<<<<<<<<
- *     if b < 1:
- *         b = 1
-*/
-  __pyx_v_b = ((__pyx_v_bl - 1) / 2);
-
-  /* "tripcon/_kernels/_fast.pyx":179
- *         t >>= 1
- *     b = (bl - 1) // 2
- *     if b < 1:             # <<<<<<<<<<<<<<
- *         b = 1
- *     nb = (n + b - 1) // b
-*/
-  __pyx_t_2 = (__pyx_v_b < 1);
-  if (__pyx_t_2) {
-
-    /* "tripcon/_kernels/_fast.pyx":180
- *     b = (bl - 1) // 2
- *     if b < 1:
- *         b = 1             # <<<<<<<<<<<<<<
- *     nb = (n + b - 1) // b
- *     s.b = b
-*/
-    __pyx_v_b = 1;
-
-    /* "tripcon/_kernels/_fast.pyx":179
- *         t >>= 1
- *     b = (bl - 1) // 2
- *     if b < 1:             # <<<<<<<<<<<<<<
- *         b = 1
- *     nb = (n + b - 1) // b
-*/
-  }
-
-  /* "tripcon/_kernels/_fast.pyx":181
- *     if b < 1:
- *         b = 1
- *     nb = (n + b - 1) // b             # <<<<<<<<<<<<<<
- *     s.b = b
- *     s.nb = nb
-*/
-  __pyx_v_nb = (((__pyx_v_n + __pyx_v_b) - 1) / __pyx_v_b);
-
-  /* "tripcon/_kernels/_fast.pyx":182
- *         b = 1
- *     nb = (n + b - 1) // b
- *     s.b = b             # <<<<<<<<<<<<<<
- *     s.nb = nb
- * 
-*/
-  __pyx_v_s->b = __pyx_v_b;
-
-  /* "tripcon/_kernels/_fast.pyx":183
- *     nb = (n + b - 1) // b
- *     s.b = b
- *     s.nb = nb             # <<<<<<<<<<<<<<
- * 
- *     s.a_bminpos = _ints(nb)
-*/
-  __pyx_v_s->nb = __pyx_v_nb;
-
-  /* "tripcon/_kernels/_fast.pyx":185
- *     s.nb = nb
- * 
- *     s.a_bminpos = _ints(nb)             # <<<<<<<<<<<<<<
- *     s.a_bminval = _ints(nb)
- *     s.a_pat = _ints(nb)
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints(__pyx_v_nb)); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 185, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __Pyx_GIVEREF(__pyx_t_3);
-  __Pyx_GOTREF((PyObject *)__pyx_v_s->a_bminpos);
-  __Pyx_DECREF((PyObject *)__pyx_v_s->a_bminpos);
-  __pyx_v_s->a_bminpos = ((arrayobject *)__pyx_t_3);
-  __pyx_t_3 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":186
- * 
- *     s.a_bminpos = _ints(nb)
- *     s.a_bminval = _ints(nb)             # <<<<<<<<<<<<<<
- *     s.a_pat = _ints(nb)
- *     s.bminpos = s.a_bminpos.data.as_ints
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints(__pyx_v_nb)); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 186, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __Pyx_GIVEREF(__pyx_t_3);
-  __Pyx_GOTREF((PyObject *)__pyx_v_s->a_bminval);
-  __Pyx_DECREF((PyObject *)__pyx_v_s->a_bminval);
-  __pyx_v_s->a_bminval = ((arrayobject *)__pyx_t_3);
-  __pyx_t_3 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":187
- *     s.a_bminpos = _ints(nb)
- *     s.a_bminval = _ints(nb)
- *     s.a_pat = _ints(nb)             # <<<<<<<<<<<<<<
- *     s.bminpos = s.a_bminpos.data.as_ints
- *     s.bminval = s.a_bminval.data.as_ints
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints(__pyx_v_nb)); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 187, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __Pyx_GIVEREF(__pyx_t_3);
-  __Pyx_GOTREF((PyObject *)__pyx_v_s->a_pat);
-  __Pyx_DECREF((PyObject *)__pyx_v_s->a_pat);
-  __pyx_v_s->a_pat = ((arrayobject *)__pyx_t_3);
-  __pyx_t_3 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":188
- *     s.a_bminval = _ints(nb)
- *     s.a_pat = _ints(nb)
- *     s.bminpos = s.a_bminpos.data.as_ints             # <<<<<<<<<<<<<<
- *     s.bminval = s.a_bminval.data.as_ints
- *     s.pat = s.a_pat.data.as_ints
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_v_s->a_bminpos);
-  __Pyx_INCREF(__pyx_t_3);
-  __pyx_t_4 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_3)).as_ints;
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __pyx_v_s->bminpos = __pyx_t_4;
-
-  /* "tripcon/_kernels/_fast.pyx":189
- *     s.a_pat = _ints(nb)
- *     s.bminpos = s.a_bminpos.data.as_ints
- *     s.bminval = s.a_bminval.data.as_ints             # <<<<<<<<<<<<<<
- *     s.pat = s.a_pat.data.as_ints
- * 
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_v_s->a_bminval);
-  __Pyx_INCREF(__pyx_t_3);
-  __pyx_t_4 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_3)).as_ints;
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __pyx_v_s->bminval = __pyx_t_4;
-
-  /* "tripcon/_kernels/_fast.pyx":190
- *     s.bminpos = s.a_bminpos.data.as_ints
- *     s.bminval = s.a_bminval.data.as_ints
- *     s.pat = s.a_pat.data.as_ints             # <<<<<<<<<<<<<<
- * 
- *     npat = 1 << (b - 1)
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_v_s->a_pat);
-  __Pyx_INCREF(__pyx_t_3);
-  __pyx_t_4 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_3)).as_ints;
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __pyx_v_s->pat = __pyx_t_4;
-
-  /* "tripcon/_kernels/_fast.pyx":192
- *     s.pat = s.a_pat.data.as_ints
- * 
- *     npat = 1 << (b - 1)             # <<<<<<<<<<<<<<
- *     s.a_tbl = _ints((<Py_ssize_t> npat) * b * b)
- *     s.a_tflag = array.clone(_BTPL, npat, True)
-*/
-  __pyx_v_npat = (1 << (__pyx_v_b - 1));
-
-  /* "tripcon/_kernels/_fast.pyx":193
- * 
- *     npat = 1 << (b - 1)
- *     s.a_tbl = _ints((<Py_ssize_t> npat) * b * b)             # <<<<<<<<<<<<<<
- *     s.a_tflag = array.clone(_BTPL, npat, True)
- *     s.tbl = s.a_tbl.data.as_ints
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints(((((Py_ssize_t)__pyx_v_npat) * __pyx_v_b) * __pyx_v_b))); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 193, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __Pyx_GIVEREF(__pyx_t_3);
-  __Pyx_GOTREF((PyObject *)__pyx_v_s->a_tbl);
-  __Pyx_DECREF((PyObject *)__pyx_v_s->a_tbl);
-  __pyx_v_s->a_tbl = ((arrayobject *)__pyx_t_3);
-  __pyx_t_3 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":194
- *     npat = 1 << (b - 1)
- *     s.a_tbl = _ints((<Py_ssize_t> npat) * b * b)
- *     s.a_tflag = array.clone(_BTPL, npat, True)             # <<<<<<<<<<<<<<
- *     s.tbl = s.a_tbl.data.as_ints
- *     s.tflag = s.a_tflag.data.as_schars
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_v_7tripcon_8_kernels_5_fast__BTPL);
-  __Pyx_INCREF(__pyx_t_3);
-  __pyx_t_5 = ((PyObject *)__pyx_f_7cpython_5array_clone(((arrayobject *)__pyx_t_3), __pyx_v_npat, 1)); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 194, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __Pyx_GIVEREF(__pyx_t_5);
-  __Pyx_GOTREF((PyObject *)__pyx_v_s->a_tflag);
-  __Pyx_DECREF((PyObject *)__pyx_v_s->a_tflag);
-  __pyx_v_s->a_tflag = ((arrayobject *)__pyx_t_5);
-  __pyx_t_5 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":195
- *     s.a_tbl = _ints((<Py_ssize_t> npat) * b * b)
- *     s.a_tflag = array.clone(_BTPL, npat, True)
- *     s.tbl = s.a_tbl.data.as_ints             # <<<<<<<<<<<<<<
- *     s.tflag = s.a_tflag.data.as_schars
- * 
-*/
-  __pyx_t_5 = ((PyObject *)__pyx_v_s->a_tbl);
-  __Pyx_INCREF(__pyx_t_5);
-  __pyx_t_4 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_5)).as_ints;
-  __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-  __pyx_v_s->tbl = __pyx_t_4;
-
-  /* "tripcon/_kernels/_fast.pyx":196
- *     s.a_tflag = array.clone(_BTPL, npat, True)
- *     s.tbl = s.a_tbl.data.as_ints
- *     s.tflag = s.a_tflag.data.as_schars             # <<<<<<<<<<<<<<
- * 
- *     d = s.tdep
-*/
-  __pyx_t_5 = ((PyObject *)__pyx_v_s->a_tflag);
-  __Pyx_INCREF(__pyx_t_5);
-  __pyx_t_6 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_5)).as_schars;
-  __pyx_v_s->tflag = __pyx_t_6;
-  __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":198
- *     s.tflag = s.a_tflag.data.as_schars
- * 
- *     d = s.tdep             # <<<<<<<<<<<<<<
- *     for j in range(nb):
- *         start = j * b
-*/
-  __pyx_t_4 = __pyx_v_s->tdep;
-  __pyx_v_d = __pyx_t_4;
-
-  /* "tripcon/_kernels/_fast.pyx":199
- * 
- *     d = s.tdep
- *     for j in range(nb):             # <<<<<<<<<<<<<<
- *         start = j * b
- *         end = start + b
-*/
-  __pyx_t_1 = __pyx_v_nb;
-  __pyx_t_7 = __pyx_t_1;
-  for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-    __pyx_v_j = __pyx_t_8;
-
-    /* "tripcon/_kernels/_fast.pyx":200
- *     d = s.tdep
- *     for j in range(nb):
- *         start = j * b             # <<<<<<<<<<<<<<
- *         end = start + b
- *         if end > n:
-*/
-    __pyx_v_start = (__pyx_v_j * __pyx_v_b);
-
-    /* "tripcon/_kernels/_fast.pyx":201
- *     for j in range(nb):
- *         start = j * b
- *         end = start + b             # <<<<<<<<<<<<<<
- *         if end > n:
- *             end = n
-*/
-    __pyx_v_end = (__pyx_v_start + __pyx_v_b);
-
-    /* "tripcon/_kernels/_fast.pyx":202
- *         start = j * b
- *         end = start + b
- *         if end > n:             # <<<<<<<<<<<<<<
- *             end = n
- *         best = start
-*/
-    __pyx_t_2 = (__pyx_v_end > __pyx_v_n);
-    if (__pyx_t_2) {
-
-      /* "tripcon/_kernels/_fast.pyx":203
- *         end = start + b
- *         if end > n:
- *             end = n             # <<<<<<<<<<<<<<
- *         best = start
- *         bv = d[start]
-*/
-      __pyx_v_end = __pyx_v_n;
-
-      /* "tripcon/_kernels/_fast.pyx":202
- *         start = j * b
- *         end = start + b
- *         if end > n:             # <<<<<<<<<<<<<<
- *             end = n
- *         best = start
-*/
-    }
-
-    /* "tripcon/_kernels/_fast.pyx":204
- *         if end > n:
- *             end = n
- *         best = start             # <<<<<<<<<<<<<<
- *         bv = d[start]
- *         p = 0
-*/
-    __pyx_v_best = __pyx_v_start;
-
-    /* "tripcon/_kernels/_fast.pyx":205
- *             end = n
- *         best = start
- *         bv = d[start]             # <<<<<<<<<<<<<<
- *         p = 0
- *         for i in range(start + 1, end):
-*/
-    __pyx_v_bv = (__pyx_v_d[__pyx_v_start]);
-
-    /* "tripcon/_kernels/_fast.pyx":206
- *         best = start
- *         bv = d[start]
- *         p = 0             # <<<<<<<<<<<<<<
- *         for i in range(start + 1, end):
- *             if d[i] < bv:
-*/
-    __pyx_v_p = 0;
-
-    /* "tripcon/_kernels/_fast.pyx":207
- *         bv = d[start]
- *         p = 0
- *         for i in range(start + 1, end):             # <<<<<<<<<<<<<<
- *             if d[i] < bv:
- *                 best = i
-*/
-    __pyx_t_9 = __pyx_v_end;
-    __pyx_t_10 = __pyx_t_9;
-    for (__pyx_t_11 = (__pyx_v_start + 1); __pyx_t_11 < __pyx_t_10; __pyx_t_11+=1) {
-      __pyx_v_i = __pyx_t_11;
-
-      /* "tripcon/_kernels/_fast.pyx":208
- *         p = 0
- *         for i in range(start + 1, end):
- *             if d[i] < bv:             # <<<<<<<<<<<<<<
- *                 best = i
- *                 bv = d[i]
-*/
-      __pyx_t_2 = ((__pyx_v_d[__pyx_v_i]) < __pyx_v_bv);
-      if (__pyx_t_2) {
-
-        /* "tripcon/_kernels/_fast.pyx":209
- *         for i in range(start + 1, end):
- *             if d[i] < bv:
- *                 best = i             # <<<<<<<<<<<<<<
- *                 bv = d[i]
- *             if d[i] > d[i - 1]:
-*/
-        __pyx_v_best = __pyx_v_i;
-
-        /* "tripcon/_kernels/_fast.pyx":210
- *             if d[i] < bv:
- *                 best = i
- *                 bv = d[i]             # <<<<<<<<<<<<<<
- *             if d[i] > d[i - 1]:
- *                 p |= 1 << (i - start - 1)
-*/
-        __pyx_v_bv = (__pyx_v_d[__pyx_v_i]);
-
-        /* "tripcon/_kernels/_fast.pyx":208
- *         p = 0
- *         for i in range(start + 1, end):
- *             if d[i] < bv:             # <<<<<<<<<<<<<<
- *                 best = i
- *                 bv = d[i]
-*/
-      }
-
-      /* "tripcon/_kernels/_fast.pyx":211
- *                 best = i
- *                 bv = d[i]
- *             if d[i] > d[i - 1]:             # <<<<<<<<<<<<<<
- *                 p |= 1 << (i - start - 1)
- *         s.bminpos[j] = best
-*/
-      __pyx_t_2 = ((__pyx_v_d[__pyx_v_i]) > (__pyx_v_d[(__pyx_v_i - 1)]));
-      if (__pyx_t_2) {
-
-        /* "tripcon/_kernels/_fast.pyx":212
- *                 bv = d[i]
- *             if d[i] > d[i - 1]:
- *                 p |= 1 << (i - start - 1)             # <<<<<<<<<<<<<<
- *         s.bminpos[j] = best
- *         s.bminval[j] = bv
-*/
-        __pyx_v_p = (__pyx_v_p | (1 << ((__pyx_v_i - __pyx_v_start) - 1)));
-
-        /* "tripcon/_kernels/_fast.pyx":211
- *                 best = i
- *                 bv = d[i]
- *             if d[i] > d[i - 1]:             # <<<<<<<<<<<<<<
- *                 p |= 1 << (i - start - 1)
- *         s.bminpos[j] = best
-*/
-      }
-    }
-
-    /* "tripcon/_kernels/_fast.pyx":213
- *             if d[i] > d[i - 1]:
- *                 p |= 1 << (i - start - 1)
- *         s.bminpos[j] = best             # <<<<<<<<<<<<<<
- *         s.bminval[j] = bv
- *         s.pat[j] = p
-*/
-    (__pyx_v_s->bminpos[__pyx_v_j]) = __pyx_v_best;
-
-    /* "tripcon/_kernels/_fast.pyx":214
- *                 p |= 1 << (i - start - 1)
- *         s.bminpos[j] = best
- *         s.bminval[j] = bv             # <<<<<<<<<<<<<<
- *         s.pat[j] = p
- *         if not s.tflag[p]:
-*/
-    (__pyx_v_s->bminval[__pyx_v_j]) = __pyx_v_bv;
-
-    /* "tripcon/_kernels/_fast.pyx":215
- *         s.bminpos[j] = best
- *         s.bminval[j] = bv
- *         s.pat[j] = p             # <<<<<<<<<<<<<<
- *         if not s.tflag[p]:
- *             _build_pattern_table(s, p, b)
-*/
-    (__pyx_v_s->pat[__pyx_v_j]) = __pyx_v_p;
-
-    /* "tripcon/_kernels/_fast.pyx":216
- *         s.bminval[j] = bv
- *         s.pat[j] = p
- *         if not s.tflag[p]:             # <<<<<<<<<<<<<<
- *             _build_pattern_table(s, p, b)
- *             s.tflag[p] = 1
-*/
-    __pyx_t_2 = (!((__pyx_v_s->tflag[__pyx_v_p]) != 0));
-    if (__pyx_t_2) {
-
-      /* "tripcon/_kernels/_fast.pyx":217
- *         s.pat[j] = p
- *         if not s.tflag[p]:
- *             _build_pattern_table(s, p, b)             # <<<<<<<<<<<<<<
- *             s.tflag[p] = 1
- * 
-*/
-      __pyx_f_7tripcon_8_kernels_5_fast__build_pattern_table(__pyx_v_s, __pyx_v_p, __pyx_v_b);
-
-      /* "tripcon/_kernels/_fast.pyx":218
- *         if not s.tflag[p]:
- *             _build_pattern_table(s, p, b)
- *             s.tflag[p] = 1             # <<<<<<<<<<<<<<
- * 
- *     s.a_lg = _zints(nb + 1)
-*/
-      (__pyx_v_s->tflag[__pyx_v_p]) = 1;
-
-      /* "tripcon/_kernels/_fast.pyx":216
- *         s.bminval[j] = bv
- *         s.pat[j] = p
- *         if not s.tflag[p]:             # <<<<<<<<<<<<<<
- *             _build_pattern_table(s, p, b)
- *             s.tflag[p] = 1
-*/
-    }
-  }
-
-  /* "tripcon/_kernels/_fast.pyx":220
- *             s.tflag[p] = 1
- * 
- *     s.a_lg = _zints(nb + 1)             # <<<<<<<<<<<<<<
- *     s.lg = s.a_lg.data.as_ints
- *     for i in range(2, nb + 1):
-*/
-  __pyx_t_5 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__zints((__pyx_v_nb + 1))); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 220, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __Pyx_GIVEREF(__pyx_t_5);
-  __Pyx_GOTREF((PyObject *)__pyx_v_s->a_lg);
-  __Pyx_DECREF((PyObject *)__pyx_v_s->a_lg);
-  __pyx_v_s->a_lg = ((arrayobject *)__pyx_t_5);
-  __pyx_t_5 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":221
- * 
- *     s.a_lg = _zints(nb + 1)
- *     s.lg = s.a_lg.data.as_ints             # <<<<<<<<<<<<<<
- *     for i in range(2, nb + 1):
- *         s.lg[i] = s.lg[i >> 1] + 1
-*/
-  __pyx_t_5 = ((PyObject *)__pyx_v_s->a_lg);
-  __Pyx_INCREF(__pyx_t_5);
-  __pyx_t_4 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_5)).as_ints;
-  __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-  __pyx_v_s->lg = __pyx_t_4;
-
-  /* "tripcon/_kernels/_fast.pyx":222
- *     s.a_lg = _zints(nb + 1)
- *     s.lg = s.a_lg.data.as_ints
- *     for i in range(2, nb + 1):             # <<<<<<<<<<<<<<
- *         s.lg[i] = s.lg[i >> 1] + 1
- * 
-*/
-  __pyx_t_12 = (__pyx_v_nb + 1);
-  __pyx_t_13 = __pyx_t_12;
-  for (__pyx_t_1 = 2; __pyx_t_1 < __pyx_t_13; __pyx_t_1+=1) {
-    __pyx_v_i = __pyx_t_1;
-
-    /* "tripcon/_kernels/_fast.pyx":223
- *     s.lg = s.a_lg.data.as_ints
- *     for i in range(2, nb + 1):
- *         s.lg[i] = s.lg[i >> 1] + 1             # <<<<<<<<<<<<<<
- * 
- *     levels = s.lg[nb] + 1
-*/
-    (__pyx_v_s->lg[__pyx_v_i]) = ((__pyx_v_s->lg[(__pyx_v_i >> 1)]) + 1);
-  }
-
-  /* "tripcon/_kernels/_fast.pyx":225
- *         s.lg[i] = s.lg[i >> 1] + 1
- * 
- *     levels = s.lg[nb] + 1             # <<<<<<<<<<<<<<
- *     s.a_st = _ints((<Py_ssize_t> levels) * nb)
- *     s.st = s.a_st.data.as_ints
-*/
-  __pyx_v_levels = ((__pyx_v_s->lg[__pyx_v_nb]) + 1);
-
-  /* "tripcon/_kernels/_fast.pyx":226
- * 
- *     levels = s.lg[nb] + 1
- *     s.a_st = _ints((<Py_ssize_t> levels) * nb)             # <<<<<<<<<<<<<<
- *     s.st = s.a_st.data.as_ints
- *     for j in range(nb):
-*/
-  __pyx_t_5 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints((((Py_ssize_t)__pyx_v_levels) * __pyx_v_nb))); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 226, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __Pyx_GIVEREF(__pyx_t_5);
-  __Pyx_GOTREF((PyObject *)__pyx_v_s->a_st);
-  __Pyx_DECREF((PyObject *)__pyx_v_s->a_st);
-  __pyx_v_s->a_st = ((arrayobject *)__pyx_t_5);
-  __pyx_t_5 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":227
- *     levels = s.lg[nb] + 1
- *     s.a_st = _ints((<Py_ssize_t> levels) * nb)
- *     s.st = s.a_st.data.as_ints             # <<<<<<<<<<<<<<
- *     for j in range(nb):
- *         s.st[j] = j
-*/
-  __pyx_t_5 = ((PyObject *)__pyx_v_s->a_st);
-  __Pyx_INCREF(__pyx_t_5);
-  __pyx_t_4 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_5)).as_ints;
-  __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-  __pyx_v_s->st = __pyx_t_4;
-
-  /* "tripcon/_kernels/_fast.pyx":228
- *     s.a_st = _ints((<Py_ssize_t> levels) * nb)
- *     s.st = s.a_st.data.as_ints
- *     for j in range(nb):             # <<<<<<<<<<<<<<
- *         s.st[j] = j
- *     for k in range(1, levels):
-*/
-  __pyx_t_1 = __pyx_v_nb;
-  __pyx_t_7 = __pyx_t_1;
-  for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-    __pyx_v_j = __pyx_t_8;
-
-    /* "tripcon/_kernels/_fast.pyx":229
- *     s.st = s.a_st.data.as_ints
- *     for j in range(nb):
- *         s.st[j] = j             # <<<<<<<<<<<<<<
- *     for k in range(1, levels):
- *         half = 1 << (k - 1)
-*/
-    (__pyx_v_s->st[__pyx_v_j]) = __pyx_v_j;
-  }
-
-  /* "tripcon/_kernels/_fast.pyx":230
- *     for j in range(nb):
- *         s.st[j] = j
- *     for k in range(1, levels):             # <<<<<<<<<<<<<<
- *         half = 1 << (k - 1)
- *         width = nb - (1 << k) + 1
-*/
-  __pyx_t_1 = __pyx_v_levels;
-  __pyx_t_7 = __pyx_t_1;
-  for (__pyx_t_8 = 1; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-    __pyx_v_k = __pyx_t_8;
-
-    /* "tripcon/_kernels/_fast.pyx":231
- *         s.st[j] = j
- *     for k in range(1, levels):
- *         half = 1 << (k - 1)             # <<<<<<<<<<<<<<
- *         width = nb - (1 << k) + 1
- *         for i in range(width):
-*/
-    __pyx_v_half = (1 << (__pyx_v_k - 1));
-
-    /* "tripcon/_kernels/_fast.pyx":232
- *     for k in range(1, levels):
- *         half = 1 << (k - 1)
- *         width = nb - (1 << k) + 1             # <<<<<<<<<<<<<<
- *         for i in range(width):
- *             a = s.st[(k - 1) * nb + i]
-*/
-    __pyx_v_width = ((__pyx_v_nb - (1 << __pyx_v_k)) + 1);
-
-    /* "tripcon/_kernels/_fast.pyx":233
- *         half = 1 << (k - 1)
- *         width = nb - (1 << k) + 1
- *         for i in range(width):             # <<<<<<<<<<<<<<
- *             a = s.st[(k - 1) * nb + i]
- *             c = s.st[(k - 1) * nb + i + half]
-*/
-    __pyx_t_9 = __pyx_v_width;
-    __pyx_t_10 = __pyx_t_9;
-    for (__pyx_t_11 = 0; __pyx_t_11 < __pyx_t_10; __pyx_t_11+=1) {
-      __pyx_v_i = __pyx_t_11;
-
-      /* "tripcon/_kernels/_fast.pyx":234
- *         width = nb - (1 << k) + 1
- *         for i in range(width):
- *             a = s.st[(k - 1) * nb + i]             # <<<<<<<<<<<<<<
- *             c = s.st[(k - 1) * nb + i + half]
- *             s.st[k * nb + i] = a if s.bminval[a] <= s.bminval[c] else c
-*/
-      __pyx_v_a = (__pyx_v_s->st[(((__pyx_v_k - 1) * __pyx_v_nb) + __pyx_v_i)]);
-
-      /* "tripcon/_kernels/_fast.pyx":235
- *         for i in range(width):
- *             a = s.st[(k - 1) * nb + i]
- *             c = s.st[(k - 1) * nb + i + half]             # <<<<<<<<<<<<<<
- *             s.st[k * nb + i] = a if s.bminval[a] <= s.bminval[c] else c
- *         for i in range(width if width > 0 else 0, nb):
-*/
-      __pyx_v_c = (__pyx_v_s->st[((((__pyx_v_k - 1) * __pyx_v_nb) + __pyx_v_i) + __pyx_v_half)]);
-
-      /* "tripcon/_kernels/_fast.pyx":236
- *             a = s.st[(k - 1) * nb + i]
- *             c = s.st[(k - 1) * nb + i + half]
- *             s.st[k * nb + i] = a if s.bminval[a] <= s.bminval[c] else c             # <<<<<<<<<<<<<<
- *         for i in range(width if width > 0 else 0, nb):
- *             s.st[k * nb + i] = s.st[(k - 1) * nb + i]
-*/
-      __pyx_t_2 = ((__pyx_v_s->bminval[__pyx_v_a]) <= (__pyx_v_s->bminval[__pyx_v_c]));
-      if (__pyx_t_2) {
-        __pyx_t_14 = __pyx_v_a;
-      } else {
-        __pyx_t_14 = __pyx_v_c;
-      }
-      (__pyx_v_s->st[((__pyx_v_k * __pyx_v_nb) + __pyx_v_i)]) = __pyx_t_14;
-    }
-
-    /* "tripcon/_kernels/_fast.pyx":237
- *             c = s.st[(k - 1) * nb + i + half]
- *             s.st[k * nb + i] = a if s.bminval[a] <= s.bminval[c] else c
- *         for i in range(width if width > 0 else 0, nb):             # <<<<<<<<<<<<<<
- *             s.st[k * nb + i] = s.st[(k - 1) * nb + i]
- *     return 0
-*/
-    __pyx_t_9 = __pyx_v_nb;
-    __pyx_t_2 = (__pyx_v_width > 0);
-    if (__pyx_t_2) {
-      __pyx_t_10 = __pyx_v_width;
-    } else {
-      __pyx_t_10 = 0;
-    }
-    __pyx_t_11 = __pyx_t_9;
-    for (__pyx_t_14 = __pyx_t_10; __pyx_t_14 < __pyx_t_11; __pyx_t_14+=1) {
-      __pyx_v_i = __pyx_t_14;
-
-      /* "tripcon/_kernels/_fast.pyx":238
- *             s.st[k * nb + i] = a if s.bminval[a] <= s.bminval[c] else c
- *         for i in range(width if width > 0 else 0, nb):
- *             s.st[k * nb + i] = s.st[(k - 1) * nb + i]             # <<<<<<<<<<<<<<
- *     return 0
- * 
-*/
-      (__pyx_v_s->st[((__pyx_v_k * __pyx_v_nb) + __pyx_v_i)]) = (__pyx_v_s->st[(((__pyx_v_k - 1) * __pyx_v_nb) + __pyx_v_i)]);
-    }
-  }
-
-  /* "tripcon/_kernels/_fast.pyx":239
- *         for i in range(width if width > 0 else 0, nb):
- *             s.st[k * nb + i] = s.st[(k - 1) * nb + i]
- *     return 0             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = 0;
-  goto __pyx_L0;
-
-  /* "tripcon/_kernels/_fast.pyx":167
- * 
- * 
- * cdef int _rmq_build(_Side s) except -1:             # <<<<<<<<<<<<<<
- *     cdef int n = s.tlen
- *     cdef int bl = 0
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_AddTraceback("tripcon._kernels._fast._rmq_build", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "tripcon/_kernels/_fast.pyx":242
- * 
- * 
- * cdef void _build_pattern_table(_Side s, int p, int b) noexcept:             # <<<<<<<<<<<<<<
- *     cdef int val[64]
- *     cdef int i, j, best, bv
-*/
-
-static void __pyx_f_7tripcon_8_kernels_5_fast__build_pattern_table(struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_v_s, int __pyx_v_p, int __pyx_v_b) {
-  int __pyx_v_val[64];
-  int __pyx_v_i;
-  int __pyx_v_j;
-  int __pyx_v_best;
-  int __pyx_v_bv;
-  int *__pyx_v_row;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  long __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_t_8;
-
-  /* "tripcon/_kernels/_fast.pyx":246
- *     cdef int i, j, best, bv
- *     cdef int* row
- *     val[0] = 0             # <<<<<<<<<<<<<<
- *     for i in range(1, b):
- *         val[i] = val[i - 1] + (1 if p & (1 << (i - 1)) else -1)
-*/
-  (__pyx_v_val[0]) = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":247
- *     cdef int* row
- *     val[0] = 0
- *     for i in range(1, b):             # <<<<<<<<<<<<<<
- *         val[i] = val[i - 1] + (1 if p & (1 << (i - 1)) else -1)
- *     row = s.tbl + (<Py_ssize_t> p) * b * b
-*/
-  __pyx_t_1 = __pyx_v_b;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 1; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "tripcon/_kernels/_fast.pyx":248
- *     val[0] = 0
- *     for i in range(1, b):
- *         val[i] = val[i - 1] + (1 if p & (1 << (i - 1)) else -1)             # <<<<<<<<<<<<<<
- *     row = s.tbl + (<Py_ssize_t> p) * b * b
- *     for i in range(b):
-*/
-    __pyx_t_5 = ((__pyx_v_p & (1 << (__pyx_v_i - 1))) != 0);
-    if (__pyx_t_5) {
-      __pyx_t_4 = 1;
-    } else {
-      __pyx_t_4 = -1L;
-    }
-    (__pyx_v_val[__pyx_v_i]) = ((__pyx_v_val[(__pyx_v_i - 1)]) + __pyx_t_4);
-  }
-
-  /* "tripcon/_kernels/_fast.pyx":249
- *     for i in range(1, b):
- *         val[i] = val[i - 1] + (1 if p & (1 << (i - 1)) else -1)
- *     row = s.tbl + (<Py_ssize_t> p) * b * b             # <<<<<<<<<<<<<<
- *     for i in range(b):
- *         best = i
-*/
-  __pyx_v_row = (__pyx_v_s->tbl + ((((Py_ssize_t)__pyx_v_p) * __pyx_v_b) * __pyx_v_b));
-
-  /* "tripcon/_kernels/_fast.pyx":250
- *         val[i] = val[i - 1] + (1 if p & (1 << (i - 1)) else -1)
- *     row = s.tbl + (<Py_ssize_t> p) * b * b
- *     for i in range(b):             # <<<<<<<<<<<<<<
- *         best = i
- *         bv = val[i]
-*/
-  __pyx_t_1 = __pyx_v_b;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "tripcon/_kernels/_fast.pyx":251
- *     row = s.tbl + (<Py_ssize_t> p) * b * b
- *     for i in range(b):
- *         best = i             # <<<<<<<<<<<<<<
- *         bv = val[i]
- *         for j in range(i, b):
-*/
-    __pyx_v_best = __pyx_v_i;
-
-    /* "tripcon/_kernels/_fast.pyx":252
- *     for i in range(b):
- *         best = i
- *         bv = val[i]             # <<<<<<<<<<<<<<
- *         for j in range(i, b):
- *             if val[j] < bv:
-*/
-    __pyx_v_bv = (__pyx_v_val[__pyx_v_i]);
-
-    /* "tripcon/_kernels/_fast.pyx":253
- *         best = i
- *         bv = val[i]
- *         for j in range(i, b):             # <<<<<<<<<<<<<<
- *             if val[j] < bv:
- *                 best = j
-*/
-    __pyx_t_6 = __pyx_v_b;
-    __pyx_t_7 = __pyx_t_6;
-    for (__pyx_t_8 = __pyx_v_i; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-      __pyx_v_j = __pyx_t_8;
-
-      /* "tripcon/_kernels/_fast.pyx":254
- *         bv = val[i]
- *         for j in range(i, b):
- *             if val[j] < bv:             # <<<<<<<<<<<<<<
- *                 best = j
- *                 bv = val[j]
-*/
-      __pyx_t_5 = ((__pyx_v_val[__pyx_v_j]) < __pyx_v_bv);
-      if (__pyx_t_5) {
-
-        /* "tripcon/_kernels/_fast.pyx":255
- *         for j in range(i, b):
- *             if val[j] < bv:
- *                 best = j             # <<<<<<<<<<<<<<
- *                 bv = val[j]
- *             row[i * b + j] = best
-*/
-        __pyx_v_best = __pyx_v_j;
-
-        /* "tripcon/_kernels/_fast.pyx":256
- *             if val[j] < bv:
- *                 best = j
- *                 bv = val[j]             # <<<<<<<<<<<<<<
- *             row[i * b + j] = best
- * 
-*/
-        __pyx_v_bv = (__pyx_v_val[__pyx_v_j]);
-
-        /* "tripcon/_kernels/_fast.pyx":254
- *         bv = val[i]
- *         for j in range(i, b):
- *             if val[j] < bv:             # <<<<<<<<<<<<<<
- *                 best = j
- *                 bv = val[j]
-*/
-      }
-
-      /* "tripcon/_kernels/_fast.pyx":257
- *                 best = j
- *                 bv = val[j]
- *             row[i * b + j] = best             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-      (__pyx_v_row[((__pyx_v_i * __pyx_v_b) + __pyx_v_j)]) = __pyx_v_best;
-    }
-  }
-
-  /* "tripcon/_kernels/_fast.pyx":242
- * 
- * 
- * cdef void _build_pattern_table(_Side s, int p, int b) noexcept:             # <<<<<<<<<<<<<<
- *     cdef int val[64]
- *     cdef int i, j, best, bv
-*/
-
-  /* function exit code */
-}
-
-/* "tripcon/_kernels/_fast.pyx":260
- * 
- * 
- * cdef inline int _inblock(_Side s, int blk, int oi, int oj) noexcept:             # <<<<<<<<<<<<<<
- *     cdef int b = s.b
- *     return blk * b + s.tbl[(<Py_ssize_t> s.pat[blk]) * b * b + oi * b + oj]
-*/
-
-static CYTHON_INLINE int __pyx_f_7tripcon_8_kernels_5_fast__inblock(struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_v_s, int __pyx_v_blk, int __pyx_v_oi, int __pyx_v_oj) {
-  int __pyx_v_b;
-  int __pyx_r;
-  int __pyx_t_1;
-
-  /* "tripcon/_kernels/_fast.pyx":261
- * 
- * cdef inline int _inblock(_Side s, int blk, int oi, int oj) noexcept:
- *     cdef int b = s.b             # <<<<<<<<<<<<<<
- *     return blk * b + s.tbl[(<Py_ssize_t> s.pat[blk]) * b * b + oi * b + oj]
- * 
-*/
-  __pyx_t_1 = __pyx_v_s->b;
-  __pyx_v_b = __pyx_t_1;
-
-  /* "tripcon/_kernels/_fast.pyx":262
- * cdef inline int _inblock(_Side s, int blk, int oi, int oj) noexcept:
- *     cdef int b = s.b
- *     return blk * b + s.tbl[(<Py_ssize_t> s.pat[blk]) * b * b + oi * b + oj]             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = ((__pyx_v_blk * __pyx_v_b) + (__pyx_v_s->tbl[((((((Py_ssize_t)(__pyx_v_s->pat[__pyx_v_blk])) * __pyx_v_b) * __pyx_v_b) + (__pyx_v_oi * __pyx_v_b)) + __pyx_v_oj)]));
-  goto __pyx_L0;
-
-  /* "tripcon/_kernels/_fast.pyx":260
- * 
- * 
- * cdef inline int _inblock(_Side s, int blk, int oi, int oj) noexcept:             # <<<<<<<<<<<<<<
- *     cdef int b = s.b
- *     return blk * b + s.tbl[(<Py_ssize_t> s.pat[blk]) * b * b + oi * b + oj]
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "tripcon/_kernels/_fast.pyx":265
- * 
- * 
- * cdef inline int _rmq(_Side s, int l, int r) noexcept:             # <<<<<<<<<<<<<<
- *     cdef int b = s.b
- *     cdef int bl = l / b
-*/
-
-static CYTHON_INLINE int __pyx_f_7tripcon_8_kernels_5_fast__rmq(struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_v_s, int __pyx_v_l, int __pyx_v_r) {
-  int __pyx_v_b;
-  int __pyx_v_bl;
-  int __pyx_v_br;
-  int __pyx_v_p1;
-  int __pyx_v_p2;
-  int __pyx_v_best;
-  int __pyx_v_lo;
-  int __pyx_v_hi;
-  int __pyx_v_k;
-  int __pyx_v_a;
-  int __pyx_v_c;
-  int __pyx_v_jb;
-  int __pyx_v_pm;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-
-  /* "tripcon/_kernels/_fast.pyx":266
- * 
- * cdef inline int _rmq(_Side s, int l, int r) noexcept:
- *     cdef int b = s.b             # <<<<<<<<<<<<<<
- *     cdef int bl = l / b
- *     cdef int br = r / b
-*/
-  __pyx_t_1 = __pyx_v_s->b;
-  __pyx_v_b = __pyx_t_1;
-
-  /* "tripcon/_kernels/_fast.pyx":267
- * cdef inline int _rmq(_Side s, int l, int r) noexcept:
- *     cdef int b = s.b
- *     cdef int bl = l / b             # <<<<<<<<<<<<<<
- *     cdef int br = r / b
- *     cdef int p1, p2, best, lo, hi, k, a, c, jb, pm
-*/
-  __pyx_v_bl = (__pyx_v_l / __pyx_v_b);
-
-  /* "tripcon/_kernels/_fast.pyx":268
- *     cdef int b = s.b
- *     cdef int bl = l / b
- *     cdef int br = r / b             # <<<<<<<<<<<<<<
- *     cdef int p1, p2, best, lo, hi, k, a, c, jb, pm
- *     if bl == br:
-*/
-  __pyx_v_br = (__pyx_v_r / __pyx_v_b);
-
-  /* "tripcon/_kernels/_fast.pyx":270
- *     cdef int br = r / b
- *     cdef int p1, p2, best, lo, hi, k, a, c, jb, pm
- *     if bl == br:             # <<<<<<<<<<<<<<
- *         return _inblock(s, bl, l - bl * b, r - bl * b)
- *     p1 = _inblock(s, bl, l - bl * b, b - 1)
-*/
-  __pyx_t_2 = (__pyx_v_bl == __pyx_v_br);
-  if (__pyx_t_2) {
-
-    /* "tripcon/_kernels/_fast.pyx":271
- *     cdef int p1, p2, best, lo, hi, k, a, c, jb, pm
- *     if bl == br:
- *         return _inblock(s, bl, l - bl * b, r - bl * b)             # <<<<<<<<<<<<<<
- *     p1 = _inblock(s, bl, l - bl * b, b - 1)
- *     p2 = _inblock(s, br, 0, r - br * b)
-*/
-    __pyx_r = __pyx_f_7tripcon_8_kernels_5_fast__inblock(__pyx_v_s, __pyx_v_bl, (__pyx_v_l - (__pyx_v_bl * __pyx_v_b)), (__pyx_v_r - (__pyx_v_bl * __pyx_v_b)));
-    goto __pyx_L0;
-
-    /* "tripcon/_kernels/_fast.pyx":270
- *     cdef int br = r / b
- *     cdef int p1, p2, best, lo, hi, k, a, c, jb, pm
- *     if bl == br:             # <<<<<<<<<<<<<<
- *         return _inblock(s, bl, l - bl * b, r - bl * b)
- *     p1 = _inblock(s, bl, l - bl * b, b - 1)
-*/
-  }
-
-  /* "tripcon/_kernels/_fast.pyx":272
- *     if bl == br:
- *         return _inblock(s, bl, l - bl * b, r - bl * b)
- *     p1 = _inblock(s, bl, l - bl * b, b - 1)             # <<<<<<<<<<<<<<
- *     p2 = _inblock(s, br, 0, r - br * b)
- *     best = p1 if s.tdep[p1] <= s.tdep[p2] else p2
-*/
-  __pyx_v_p1 = __pyx_f_7tripcon_8_kernels_5_fast__inblock(__pyx_v_s, __pyx_v_bl, (__pyx_v_l - (__pyx_v_bl * __pyx_v_b)), (__pyx_v_b - 1));
-
-  /* "tripcon/_kernels/_fast.pyx":273
- *         return _inblock(s, bl, l - bl * b, r - bl * b)
- *     p1 = _inblock(s, bl, l - bl * b, b - 1)
- *     p2 = _inblock(s, br, 0, r - br * b)             # <<<<<<<<<<<<<<
- *     best = p1 if s.tdep[p1] <= s.tdep[p2] else p2
- *     lo = bl + 1
-*/
-  __pyx_v_p2 = __pyx_f_7tripcon_8_kernels_5_fast__inblock(__pyx_v_s, __pyx_v_br, 0, (__pyx_v_r - (__pyx_v_br * __pyx_v_b)));
-
-  /* "tripcon/_kernels/_fast.pyx":274
- *     p1 = _inblock(s, bl, l - bl * b, b - 1)
- *     p2 = _inblock(s, br, 0, r - br * b)
- *     best = p1 if s.tdep[p1] <= s.tdep[p2] else p2             # <<<<<<<<<<<<<<
- *     lo = bl + 1
- *     hi = br - 1
-*/
-  __pyx_t_2 = ((__pyx_v_s->tdep[__pyx_v_p1]) <= (__pyx_v_s->tdep[__pyx_v_p2]));
-  if (__pyx_t_2) {
-    __pyx_t_1 = __pyx_v_p1;
-  } else {
-    __pyx_t_1 = __pyx_v_p2;
-  }
-  __pyx_v_best = __pyx_t_1;
-
-  /* "tripcon/_kernels/_fast.pyx":275
- *     p2 = _inblock(s, br, 0, r - br * b)
- *     best = p1 if s.tdep[p1] <= s.tdep[p2] else p2
- *     lo = bl + 1             # <<<<<<<<<<<<<<
- *     hi = br - 1
- *     if lo <= hi:
-*/
-  __pyx_v_lo = (__pyx_v_bl + 1);
-
-  /* "tripcon/_kernels/_fast.pyx":276
- *     best = p1 if s.tdep[p1] <= s.tdep[p2] else p2
- *     lo = bl + 1
- *     hi = br - 1             # <<<<<<<<<<<<<<
- *     if lo <= hi:
- *         k = s.lg[hi - lo + 1]
-*/
-  __pyx_v_hi = (__pyx_v_br - 1);
-
-  /* "tripcon/_kernels/_fast.pyx":277
- *     lo = bl + 1
- *     hi = br - 1
- *     if lo <= hi:             # <<<<<<<<<<<<<<
- *         k = s.lg[hi - lo + 1]
- *         a = s.st[k * s.nb + lo]
-*/
-  __pyx_t_2 = (__pyx_v_lo <= __pyx_v_hi);
-  if (__pyx_t_2) {
-
-    /* "tripcon/_kernels/_fast.pyx":278
- *     hi = br - 1
- *     if lo <= hi:
- *         k = s.lg[hi - lo + 1]             # <<<<<<<<<<<<<<
- *         a = s.st[k * s.nb + lo]
- *         c = s.st[k * s.nb + hi - (1 << k) + 1]
-*/
-    __pyx_v_k = (__pyx_v_s->lg[((__pyx_v_hi - __pyx_v_lo) + 1)]);
-
-    /* "tripcon/_kernels/_fast.pyx":279
- *     if lo <= hi:
- *         k = s.lg[hi - lo + 1]
- *         a = s.st[k * s.nb + lo]             # <<<<<<<<<<<<<<
- *         c = s.st[k * s.nb + hi - (1 << k) + 1]
- *         jb = a if s.bminval[a] <= s.bminval[c] else c
-*/
-    __pyx_v_a = (__pyx_v_s->st[((__pyx_v_k * __pyx_v_s->nb) + __pyx_v_lo)]);
-
-    /* "tripcon/_kernels/_fast.pyx":280
- *         k = s.lg[hi - lo + 1]
- *         a = s.st[k * s.nb + lo]
- *         c = s.st[k * s.nb + hi - (1 << k) + 1]             # <<<<<<<<<<<<<<
- *         jb = a if s.bminval[a] <= s.bminval[c] else c
- *         pm = s.bminpos[jb]
-*/
-    __pyx_v_c = (__pyx_v_s->st[((((__pyx_v_k * __pyx_v_s->nb) + __pyx_v_hi) - (1 << __pyx_v_k)) + 1)]);
-
-    /* "tripcon/_kernels/_fast.pyx":281
- *         a = s.st[k * s.nb + lo]
- *         c = s.st[k * s.nb + hi - (1 << k) + 1]
- *         jb = a if s.bminval[a] <= s.bminval[c] else c             # <<<<<<<<<<<<<<
- *         pm = s.bminpos[jb]
- *         if s.tdep[pm] < s.tdep[best]:
-*/
-    __pyx_t_2 = ((__pyx_v_s->bminval[__pyx_v_a]) <= (__pyx_v_s->bminval[__pyx_v_c]));
-    if (__pyx_t_2) {
-      __pyx_t_1 = __pyx_v_a;
-    } else {
-      __pyx_t_1 = __pyx_v_c;
-    }
-    __pyx_v_jb = __pyx_t_1;
-
-    /* "tripcon/_kernels/_fast.pyx":282
- *         c = s.st[k * s.nb + hi - (1 << k) + 1]
- *         jb = a if s.bminval[a] <= s.bminval[c] else c
- *         pm = s.bminpos[jb]             # <<<<<<<<<<<<<<
- *         if s.tdep[pm] < s.tdep[best]:
- *             best = pm
-*/
-    __pyx_v_pm = (__pyx_v_s->bminpos[__pyx_v_jb]);
-
-    /* "tripcon/_kernels/_fast.pyx":283
- *         jb = a if s.bminval[a] <= s.bminval[c] else c
- *         pm = s.bminpos[jb]
- *         if s.tdep[pm] < s.tdep[best]:             # <<<<<<<<<<<<<<
- *             best = pm
- *     return best
-*/
-    __pyx_t_2 = ((__pyx_v_s->tdep[__pyx_v_pm]) < (__pyx_v_s->tdep[__pyx_v_best]));
-    if (__pyx_t_2) {
-
-      /* "tripcon/_kernels/_fast.pyx":284
- *         pm = s.bminpos[jb]
- *         if s.tdep[pm] < s.tdep[best]:
- *             best = pm             # <<<<<<<<<<<<<<
- *     return best
- * 
-*/
-      __pyx_v_best = __pyx_v_pm;
-
-      /* "tripcon/_kernels/_fast.pyx":283
- *         jb = a if s.bminval[a] <= s.bminval[c] else c
- *         pm = s.bminpos[jb]
- *         if s.tdep[pm] < s.tdep[best]:             # <<<<<<<<<<<<<<
- *             best = pm
- *     return best
-*/
-    }
-
-    /* "tripcon/_kernels/_fast.pyx":277
- *     lo = bl + 1
- *     hi = br - 1
- *     if lo <= hi:             # <<<<<<<<<<<<<<
- *         k = s.lg[hi - lo + 1]
- *         a = s.st[k * s.nb + lo]
-*/
-  }
-
-  /* "tripcon/_kernels/_fast.pyx":285
- *         if s.tdep[pm] < s.tdep[best]:
- *             best = pm
- *     return best             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_best;
-  goto __pyx_L0;
-
-  /* "tripcon/_kernels/_fast.pyx":265
- * 
- * 
- * cdef inline int _rmq(_Side s, int l, int r) noexcept:             # <<<<<<<<<<<<<<
- *     cdef int b = s.b
- *     cdef int bl = l / b
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "tripcon/_kernels/_fast.pyx":288
- * 
- * 
- * cdef inline int _lca(_Side s, int u, int v) noexcept:             # <<<<<<<<<<<<<<
- *     cdef int lo = s.fo[u]
- *     cdef int hi = s.fo[v]
-*/
-
-static CYTHON_INLINE int __pyx_f_7tripcon_8_kernels_5_fast__lca(struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_v_s, int __pyx_v_u, int __pyx_v_v) {
-  int __pyx_v_lo;
-  int __pyx_v_hi;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-
-  /* "tripcon/_kernels/_fast.pyx":289
- * 
- * cdef inline int _lca(_Side s, int u, int v) noexcept:
- *     cdef int lo = s.fo[u]             # <<<<<<<<<<<<<<
- *     cdef int hi = s.fo[v]
- *     if lo > hi:
-*/
-  __pyx_v_lo = (__pyx_v_s->fo[__pyx_v_u]);
-
-  /* "tripcon/_kernels/_fast.pyx":290
- * cdef inline int _lca(_Side s, int u, int v) noexcept:
- *     cdef int lo = s.fo[u]
- *     cdef int hi = s.fo[v]             # <<<<<<<<<<<<<<
- *     if lo > hi:
- *         lo, hi = hi, lo
-*/
-  __pyx_v_hi = (__pyx_v_s->fo[__pyx_v_v]);
-
-  /* "tripcon/_kernels/_fast.pyx":291
- *     cdef int lo = s.fo[u]
- *     cdef int hi = s.fo[v]
- *     if lo > hi:             # <<<<<<<<<<<<<<
- *         lo, hi = hi, lo
- *     return s.tour[_rmq(s, lo, hi)]
-*/
-  __pyx_t_1 = (__pyx_v_lo > __pyx_v_hi);
-  if (__pyx_t_1) {
-
-    /* "tripcon/_kernels/_fast.pyx":292
- *     cdef int hi = s.fo[v]
- *     if lo > hi:
- *         lo, hi = hi, lo             # <<<<<<<<<<<<<<
- *     return s.tour[_rmq(s, lo, hi)]
- * 
-*/
-    __pyx_t_2 = __pyx_v_hi;
-    __pyx_t_3 = __pyx_v_lo;
-    __pyx_v_lo = __pyx_t_2;
-    __pyx_v_hi = __pyx_t_3;
-
-    /* "tripcon/_kernels/_fast.pyx":291
- *     cdef int lo = s.fo[u]
- *     cdef int hi = s.fo[v]
- *     if lo > hi:             # <<<<<<<<<<<<<<
- *         lo, hi = hi, lo
- *     return s.tour[_rmq(s, lo, hi)]
-*/
-  }
-
-  /* "tripcon/_kernels/_fast.pyx":293
- *     if lo > hi:
- *         lo, hi = hi, lo
- *     return s.tour[_rmq(s, lo, hi)]             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = (__pyx_v_s->tour[__pyx_f_7tripcon_8_kernels_5_fast__rmq(__pyx_v_s, __pyx_v_lo, __pyx_v_hi)]);
-  goto __pyx_L0;
-
-  /* "tripcon/_kernels/_fast.pyx":288
- * 
- * 
- * cdef inline int _lca(_Side s, int u, int v) noexcept:             # <<<<<<<<<<<<<<
- *     cdef int lo = s.fo[u]
- *     cdef int hi = s.fo[v]
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "tripcon/_kernels/_fast.pyx":296
- * 
- * 
- * cdef inline bint _is_below(_Side s, int anc, int node) noexcept:             # <<<<<<<<<<<<<<
- *     cdef int hi = s.post[anc]
- *     return hi - (2 * s.lc[anc] - 1) < s.post[node] <= hi
-*/
-
-static CYTHON_INLINE int __pyx_f_7tripcon_8_kernels_5_fast__is_below(struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_v_s, int __pyx_v_anc, int __pyx_v_node) {
-  int __pyx_v_hi;
-  int __pyx_r;
-  int __pyx_t_1;
-
-  /* "tripcon/_kernels/_fast.pyx":297
- * 
- * cdef inline bint _is_below(_Side s, int anc, int node) noexcept:
- *     cdef int hi = s.post[anc]             # <<<<<<<<<<<<<<
- *     return hi - (2 * s.lc[anc] - 1) < s.post[node] <= hi
- * 
-*/
-  __pyx_v_hi = (__pyx_v_s->post[__pyx_v_anc]);
-
-  /* "tripcon/_kernels/_fast.pyx":298
- * cdef inline bint _is_below(_Side s, int anc, int node) noexcept:
- *     cdef int hi = s.post[anc]
- *     return hi - (2 * s.lc[anc] - 1) < s.post[node] <= hi             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_1 = ((__pyx_v_hi - ((2 * (__pyx_v_s->lc[__pyx_v_anc])) - 1)) < (__pyx_v_s->post[__pyx_v_node]));
-  if (__pyx_t_1) {
-    __pyx_t_1 = ((__pyx_v_s->post[__pyx_v_node]) <= __pyx_v_hi);
-  }
-  __pyx_r = __pyx_t_1;
-  goto __pyx_L0;
-
-  /* "tripcon/_kernels/_fast.pyx":296
- * 
- * 
- * cdef inline bint _is_below(_Side s, int anc, int node) noexcept:             # <<<<<<<<<<<<<<
- *     cdef int hi = s.post[anc]
- *     return hi - (2 * s.lc[anc] - 1) < s.post[node] <= hi
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "tripcon/_kernels/_fast.pyx":301
- * 
- * 
- * cdef _Side _side_from_leaflist(_Side parent, int* z, int k):             # <<<<<<<<<<<<<<
- *     """Induced subtree over k >= 2 post-ordered leaves (stack sweep)."""
- *     cdef _Side s = _side_alloc(2 * k - 1)
-*/
-
-static struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_f_7tripcon_8_kernels_5_fast__side_from_leaflist(struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_v_parent, int *__pyx_v_z, int __pyx_v_k) {
-  struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_v_s = 0;
-  arrayobject *__pyx_v_a_odep = 0;
-  arrayobject *__pyx_v_a_stk = 0;
-  int *__pyx_v_odep;
-  int *__pyx_v_stk;
-  int __pyx_v_sp;
-  int __pyx_v_nid;
-  int __pyx_v_i;
-  int __pyx_v_bnd;
-  int __pyx_v_bd;
-  int __pyx_v_top;
-  int __pyx_v_nxt;
-  int __pyx_v_inner;
-  int __pyx_v_leaf;
-  struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int *__pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_side_from_leaflist", 0);
-
-  /* "tripcon/_kernels/_fast.pyx":303
- * cdef _Side _side_from_leaflist(_Side parent, int* z, int k):
- *     """Induced subtree over k >= 2 post-ordered leaves (stack sweep)."""
- *     cdef _Side s = _side_alloc(2 * k - 1)             # <<<<<<<<<<<<<<
- *     cdef array.array a_odep = _ints(2 * k - 1)
- *     cdef array.array a_stk = _ints(2 * k + 2)
-*/
-  __pyx_t_1 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__side_alloc(((2 * __pyx_v_k) - 1))); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 303, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_v_s = ((struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":304
- *     """Induced subtree over k >= 2 post-ordered leaves (stack sweep)."""
- *     cdef _Side s = _side_alloc(2 * k - 1)
- *     cdef array.array a_odep = _ints(2 * k - 1)             # <<<<<<<<<<<<<<
- *     cdef array.array a_stk = _ints(2 * k + 2)
- *     cdef int* odep = a_odep.data.as_ints
-*/
-  __pyx_t_1 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints(((2 * __pyx_v_k) - 1))); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 304, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_v_a_odep = ((arrayobject *)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":305
- *     cdef _Side s = _side_alloc(2 * k - 1)
- *     cdef array.array a_odep = _ints(2 * k - 1)
- *     cdef array.array a_stk = _ints(2 * k + 2)             # <<<<<<<<<<<<<<
- *     cdef int* odep = a_odep.data.as_ints
- *     cdef int* stk = a_stk.data.as_ints
-*/
-  __pyx_t_1 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints(((2 * __pyx_v_k) + 2))); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 305, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_v_a_stk = ((arrayobject *)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":306
- *     cdef array.array a_odep = _ints(2 * k - 1)
- *     cdef array.array a_stk = _ints(2 * k + 2)
- *     cdef int* odep = a_odep.data.as_ints             # <<<<<<<<<<<<<<
- *     cdef int* stk = a_stk.data.as_ints
- *     cdef int sp, nid, i, bnd, bd, top, nxt, inner, leaf
-*/
-  __pyx_t_2 = __pyx_f_7cpython_5array_5array_4data_data(__pyx_v_a_odep).as_ints;
-  __pyx_v_odep = __pyx_t_2;
-
-  /* "tripcon/_kernels/_fast.pyx":307
- *     cdef array.array a_stk = _ints(2 * k + 2)
- *     cdef int* odep = a_odep.data.as_ints
- *     cdef int* stk = a_stk.data.as_ints             # <<<<<<<<<<<<<<
- *     cdef int sp, nid, i, bnd, bd, top, nxt, inner, leaf
- * 
-*/
-  __pyx_t_2 = __pyx_f_7cpython_5array_5array_4data_data(__pyx_v_a_stk).as_ints;
-  __pyx_v_stk = __pyx_t_2;
-
-  /* "tripcon/_kernels/_fast.pyx":310
- *     cdef int sp, nid, i, bnd, bd, top, nxt, inner, leaf
- * 
- *     s.left[0] = -1             # <<<<<<<<<<<<<<
- *     s.right[0] = -1
- *     s.taxon[0] = parent.taxon[z[0]]
-*/
-  (__pyx_v_s->left[0]) = -1;
-
-  /* "tripcon/_kernels/_fast.pyx":311
- * 
- *     s.left[0] = -1
- *     s.right[0] = -1             # <<<<<<<<<<<<<<
- *     s.taxon[0] = parent.taxon[z[0]]
- *     odep[0] = parent.depth[z[0]]
-*/
-  (__pyx_v_s->right[0]) = -1;
-
-  /* "tripcon/_kernels/_fast.pyx":312
- *     s.left[0] = -1
- *     s.right[0] = -1
- *     s.taxon[0] = parent.taxon[z[0]]             # <<<<<<<<<<<<<<
- *     odep[0] = parent.depth[z[0]]
- *     nid = 1
-*/
-  (__pyx_v_s->taxon[0]) = (__pyx_v_parent->taxon[(__pyx_v_z[0])]);
-
-  /* "tripcon/_kernels/_fast.pyx":313
- *     s.right[0] = -1
- *     s.taxon[0] = parent.taxon[z[0]]
- *     odep[0] = parent.depth[z[0]]             # <<<<<<<<<<<<<<
- *     nid = 1
- *     stk[0] = 0
-*/
-  (__pyx_v_odep[0]) = (__pyx_v_parent->depth[(__pyx_v_z[0])]);
-
-  /* "tripcon/_kernels/_fast.pyx":314
- *     s.taxon[0] = parent.taxon[z[0]]
- *     odep[0] = parent.depth[z[0]]
- *     nid = 1             # <<<<<<<<<<<<<<
- *     stk[0] = 0
- *     sp = 1
-*/
-  __pyx_v_nid = 1;
-
-  /* "tripcon/_kernels/_fast.pyx":315
- *     odep[0] = parent.depth[z[0]]
- *     nid = 1
- *     stk[0] = 0             # <<<<<<<<<<<<<<
- *     sp = 1
- *     for i in range(1, k):
-*/
-  (__pyx_v_stk[0]) = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":316
- *     nid = 1
- *     stk[0] = 0
- *     sp = 1             # <<<<<<<<<<<<<<
- *     for i in range(1, k):
- *         bnd = _lca(parent, z[i - 1], z[i])
-*/
-  __pyx_v_sp = 1;
-
-  /* "tripcon/_kernels/_fast.pyx":317
- *     stk[0] = 0
- *     sp = 1
- *     for i in range(1, k):             # <<<<<<<<<<<<<<
- *         bnd = _lca(parent, z[i - 1], z[i])
- *         bd = parent.depth[bnd]
-*/
-  __pyx_t_3 = __pyx_v_k;
-  __pyx_t_4 = __pyx_t_3;
-  for (__pyx_t_5 = 1; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-    __pyx_v_i = __pyx_t_5;
-
-    /* "tripcon/_kernels/_fast.pyx":318
- *     sp = 1
- *     for i in range(1, k):
- *         bnd = _lca(parent, z[i - 1], z[i])             # <<<<<<<<<<<<<<
- *         bd = parent.depth[bnd]
- *         sp -= 1
-*/
-    __pyx_v_bnd = __pyx_f_7tripcon_8_kernels_5_fast__lca(__pyx_v_parent, (__pyx_v_z[(__pyx_v_i - 1)]), (__pyx_v_z[__pyx_v_i]));
-
-    /* "tripcon/_kernels/_fast.pyx":319
- *     for i in range(1, k):
- *         bnd = _lca(parent, z[i - 1], z[i])
- *         bd = parent.depth[bnd]             # <<<<<<<<<<<<<<
- *         sp -= 1
- *         top = stk[sp]
-*/
-    __pyx_v_bd = (__pyx_v_parent->depth[__pyx_v_bnd]);
-
-    /* "tripcon/_kernels/_fast.pyx":320
- *         bnd = _lca(parent, z[i - 1], z[i])
- *         bd = parent.depth[bnd]
- *         sp -= 1             # <<<<<<<<<<<<<<
- *         top = stk[sp]
- *         while sp and odep[stk[sp - 1]] > bd:
-*/
-    __pyx_v_sp = (__pyx_v_sp - 1);
-
-    /* "tripcon/_kernels/_fast.pyx":321
- *         bd = parent.depth[bnd]
- *         sp -= 1
- *         top = stk[sp]             # <<<<<<<<<<<<<<
- *         while sp and odep[stk[sp - 1]] > bd:
- *             sp -= 1
-*/
-    __pyx_v_top = (__pyx_v_stk[__pyx_v_sp]);
-
-    /* "tripcon/_kernels/_fast.pyx":322
- *         sp -= 1
- *         top = stk[sp]
- *         while sp and odep[stk[sp - 1]] > bd:             # <<<<<<<<<<<<<<
- *             sp -= 1
- *             nxt = stk[sp]
-*/
-    while (1) {
-      __pyx_t_7 = (__pyx_v_sp != 0);
-      if (__pyx_t_7) {
-      } else {
-        __pyx_t_6 = __pyx_t_7;
-        goto __pyx_L7_bool_binop_done;
-      }
-      __pyx_t_7 = ((__pyx_v_odep[(__pyx_v_stk[(__pyx_v_sp - 1)])]) > __pyx_v_bd);
-      __pyx_t_6 = __pyx_t_7;
-      __pyx_L7_bool_binop_done:;
-      if (!__pyx_t_6) break;
-
-      /* "tripcon/_kernels/_fast.pyx":323
- *         top = stk[sp]
- *         while sp and odep[stk[sp - 1]] > bd:
- *             sp -= 1             # <<<<<<<<<<<<<<
- *             nxt = stk[sp]
- *             s.right[nxt] = top
-*/
-      __pyx_v_sp = (__pyx_v_sp - 1);
-
-      /* "tripcon/_kernels/_fast.pyx":324
- *         while sp and odep[stk[sp - 1]] > bd:
- *             sp -= 1
- *             nxt = stk[sp]             # <<<<<<<<<<<<<<
- *             s.right[nxt] = top
- *             top = nxt
-*/
-      __pyx_v_nxt = (__pyx_v_stk[__pyx_v_sp]);
-
-      /* "tripcon/_kernels/_fast.pyx":325
- *             sp -= 1
- *             nxt = stk[sp]
- *             s.right[nxt] = top             # <<<<<<<<<<<<<<
- *             top = nxt
- *         inner = nid
-*/
-      (__pyx_v_s->right[__pyx_v_nxt]) = __pyx_v_top;
-
-      /* "tripcon/_kernels/_fast.pyx":326
- *             nxt = stk[sp]
- *             s.right[nxt] = top
- *             top = nxt             # <<<<<<<<<<<<<<
- *         inner = nid
- *         nid += 1
-*/
-      __pyx_v_top = __pyx_v_nxt;
-    }
-
-    /* "tripcon/_kernels/_fast.pyx":327
- *             s.right[nxt] = top
- *             top = nxt
- *         inner = nid             # <<<<<<<<<<<<<<
- *         nid += 1
- *         odep[inner] = bd
-*/
-    __pyx_v_inner = __pyx_v_nid;
-
-    /* "tripcon/_kernels/_fast.pyx":328
- *             top = nxt
- *         inner = nid
- *         nid += 1             # <<<<<<<<<<<<<<
- *         odep[inner] = bd
- *         s.left[inner] = top
-*/
-    __pyx_v_nid = (__pyx_v_nid + 1);
-
-    /* "tripcon/_kernels/_fast.pyx":329
- *         inner = nid
- *         nid += 1
- *         odep[inner] = bd             # <<<<<<<<<<<<<<
- *         s.left[inner] = top
- *         s.right[inner] = -1
-*/
-    (__pyx_v_odep[__pyx_v_inner]) = __pyx_v_bd;
-
-    /* "tripcon/_kernels/_fast.pyx":330
- *         nid += 1
- *         odep[inner] = bd
- *         s.left[inner] = top             # <<<<<<<<<<<<<<
- *         s.right[inner] = -1
- *         s.taxon[inner] = -1
-*/
-    (__pyx_v_s->left[__pyx_v_inner]) = __pyx_v_top;
-
-    /* "tripcon/_kernels/_fast.pyx":331
- *         odep[inner] = bd
- *         s.left[inner] = top
- *         s.right[inner] = -1             # <<<<<<<<<<<<<<
- *         s.taxon[inner] = -1
- *         stk[sp] = inner
-*/
-    (__pyx_v_s->right[__pyx_v_inner]) = -1;
-
-    /* "tripcon/_kernels/_fast.pyx":332
- *         s.left[inner] = top
- *         s.right[inner] = -1
- *         s.taxon[inner] = -1             # <<<<<<<<<<<<<<
- *         stk[sp] = inner
- *         sp += 1
-*/
-    (__pyx_v_s->taxon[__pyx_v_inner]) = -1;
-
-    /* "tripcon/_kernels/_fast.pyx":333
- *         s.right[inner] = -1
- *         s.taxon[inner] = -1
- *         stk[sp] = inner             # <<<<<<<<<<<<<<
- *         sp += 1
- *         leaf = nid
-*/
-    (__pyx_v_stk[__pyx_v_sp]) = __pyx_v_inner;
-
-    /* "tripcon/_kernels/_fast.pyx":334
- *         s.taxon[inner] = -1
- *         stk[sp] = inner
- *         sp += 1             # <<<<<<<<<<<<<<
- *         leaf = nid
- *         nid += 1
-*/
-    __pyx_v_sp = (__pyx_v_sp + 1);
-
-    /* "tripcon/_kernels/_fast.pyx":335
- *         stk[sp] = inner
- *         sp += 1
- *         leaf = nid             # <<<<<<<<<<<<<<
- *         nid += 1
- *         s.left[leaf] = -1
-*/
-    __pyx_v_leaf = __pyx_v_nid;
-
-    /* "tripcon/_kernels/_fast.pyx":336
- *         sp += 1
- *         leaf = nid
- *         nid += 1             # <<<<<<<<<<<<<<
- *         s.left[leaf] = -1
- *         s.right[leaf] = -1
-*/
-    __pyx_v_nid = (__pyx_v_nid + 1);
-
-    /* "tripcon/_kernels/_fast.pyx":337
- *         leaf = nid
- *         nid += 1
- *         s.left[leaf] = -1             # <<<<<<<<<<<<<<
- *         s.right[leaf] = -1
- *         s.taxon[leaf] = parent.taxon[z[i]]
-*/
-    (__pyx_v_s->left[__pyx_v_leaf]) = -1;
-
-    /* "tripcon/_kernels/_fast.pyx":338
- *         nid += 1
- *         s.left[leaf] = -1
- *         s.right[leaf] = -1             # <<<<<<<<<<<<<<
- *         s.taxon[leaf] = parent.taxon[z[i]]
- *         odep[leaf] = parent.depth[z[i]]
-*/
-    (__pyx_v_s->right[__pyx_v_leaf]) = -1;
-
-    /* "tripcon/_kernels/_fast.pyx":339
- *         s.left[leaf] = -1
- *         s.right[leaf] = -1
- *         s.taxon[leaf] = parent.taxon[z[i]]             # <<<<<<<<<<<<<<
- *         odep[leaf] = parent.depth[z[i]]
- *         stk[sp] = leaf
-*/
-    (__pyx_v_s->taxon[__pyx_v_leaf]) = (__pyx_v_parent->taxon[(__pyx_v_z[__pyx_v_i])]);
-
-    /* "tripcon/_kernels/_fast.pyx":340
- *         s.right[leaf] = -1
- *         s.taxon[leaf] = parent.taxon[z[i]]
- *         odep[leaf] = parent.depth[z[i]]             # <<<<<<<<<<<<<<
- *         stk[sp] = leaf
- *         sp += 1
-*/
-    (__pyx_v_odep[__pyx_v_leaf]) = (__pyx_v_parent->depth[(__pyx_v_z[__pyx_v_i])]);
-
-    /* "tripcon/_kernels/_fast.pyx":341
- *         s.taxon[leaf] = parent.taxon[z[i]]
- *         odep[leaf] = parent.depth[z[i]]
- *         stk[sp] = leaf             # <<<<<<<<<<<<<<
- *         sp += 1
- *     sp -= 1
-*/
-    (__pyx_v_stk[__pyx_v_sp]) = __pyx_v_leaf;
-
-    /* "tripcon/_kernels/_fast.pyx":342
- *         odep[leaf] = parent.depth[z[i]]
- *         stk[sp] = leaf
- *         sp += 1             # <<<<<<<<<<<<<<
- *     sp -= 1
- *     top = stk[sp]
-*/
-    __pyx_v_sp = (__pyx_v_sp + 1);
-  }
-
-  /* "tripcon/_kernels/_fast.pyx":343
- *         stk[sp] = leaf
- *         sp += 1
- *     sp -= 1             # <<<<<<<<<<<<<<
- *     top = stk[sp]
- *     while sp:
-*/
-  __pyx_v_sp = (__pyx_v_sp - 1);
-
-  /* "tripcon/_kernels/_fast.pyx":344
- *         sp += 1
- *     sp -= 1
- *     top = stk[sp]             # <<<<<<<<<<<<<<
- *     while sp:
- *         sp -= 1
-*/
-  __pyx_v_top = (__pyx_v_stk[__pyx_v_sp]);
-
-  /* "tripcon/_kernels/_fast.pyx":345
- *     sp -= 1
- *     top = stk[sp]
- *     while sp:             # <<<<<<<<<<<<<<
- *         sp -= 1
- *         nxt = stk[sp]
-*/
-  while (1) {
-    __pyx_t_6 = (__pyx_v_sp != 0);
-    if (!__pyx_t_6) break;
-
-    /* "tripcon/_kernels/_fast.pyx":346
- *     top = stk[sp]
- *     while sp:
- *         sp -= 1             # <<<<<<<<<<<<<<
- *         nxt = stk[sp]
- *         s.right[nxt] = top
-*/
-    __pyx_v_sp = (__pyx_v_sp - 1);
-
-    /* "tripcon/_kernels/_fast.pyx":347
- *     while sp:
- *         sp -= 1
- *         nxt = stk[sp]             # <<<<<<<<<<<<<<
- *         s.right[nxt] = top
- *         top = nxt
-*/
-    __pyx_v_nxt = (__pyx_v_stk[__pyx_v_sp]);
-
-    /* "tripcon/_kernels/_fast.pyx":348
- *         sp -= 1
- *         nxt = stk[sp]
- *         s.right[nxt] = top             # <<<<<<<<<<<<<<
- *         top = nxt
- *     s.root = top
-*/
-    (__pyx_v_s->right[__pyx_v_nxt]) = __pyx_v_top;
-
-    /* "tripcon/_kernels/_fast.pyx":349
- *         nxt = stk[sp]
- *         s.right[nxt] = top
- *         top = nxt             # <<<<<<<<<<<<<<
- *     s.root = top
- *     _side_finish(s)
-*/
-    __pyx_v_top = __pyx_v_nxt;
-  }
-
-  /* "tripcon/_kernels/_fast.pyx":350
- *         s.right[nxt] = top
- *         top = nxt
- *     s.root = top             # <<<<<<<<<<<<<<
- *     _side_finish(s)
- *     return s
-*/
-  __pyx_v_s->root = __pyx_v_top;
-
-  /* "tripcon/_kernels/_fast.pyx":351
- *         top = nxt
- *     s.root = top
- *     _side_finish(s)             # <<<<<<<<<<<<<<
- *     return s
- * 
-*/
-  __pyx_t_3 = __pyx_f_7tripcon_8_kernels_5_fast__side_finish(__pyx_v_s); if (unlikely(__pyx_t_3 == ((int)-1))) __PYX_ERR(0, 351, __pyx_L1_error)
-
-  /* "tripcon/_kernels/_fast.pyx":352
- *     s.root = top
- *     _side_finish(s)
- *     return s             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF((PyObject *)__pyx_r);
-  __Pyx_INCREF((PyObject *)__pyx_v_s);
-  __pyx_r = __pyx_v_s;
-  goto __pyx_L0;
-
-  /* "tripcon/_kernels/_fast.pyx":301
- * 
- * 
- * cdef _Side _side_from_leaflist(_Side parent, int* z, int k):             # <<<<<<<<<<<<<<
- *     """Induced subtree over k >= 2 post-ordered leaves (stack sweep)."""
- *     cdef _Side s = _side_alloc(2 * k - 1)
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_AddTraceback("tripcon._kernels._fast._side_from_leaflist", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XDECREF((PyObject *)__pyx_v_s);
-  __Pyx_XDECREF((PyObject *)__pyx_v_a_odep);
-  __Pyx_XDECREF((PyObject *)__pyx_v_a_stk);
-  __Pyx_XGIVEREF((PyObject *)__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "tripcon/_kernels/_fast.pyx":355
- * 
- * 
- * cdef _Side _side_from_lists(list left, list right, list taxon, int root):             # <<<<<<<<<<<<<<
- *     cdef array.array al = _pyarray.array('i', left)
- *     cdef array.array ar = _pyarray.array('i', right)
-*/
-
-static struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_f_7tripcon_8_kernels_5_fast__side_from_lists(PyObject *__pyx_v_left, PyObject *__pyx_v_right, PyObject *__pyx_v_taxon, int __pyx_v_root) {
-  arrayobject *__pyx_v_al = 0;
-  arrayobject *__pyx_v_ar = 0;
-  arrayobject *__pyx_v_at = 0;
-  struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_v_s = 0;
-  struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  size_t __pyx_t_5;
-  Py_ssize_t __pyx_t_6;
-  int *__pyx_t_7;
-  int __pyx_t_8;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_side_from_lists", 0);
-
-  /* "tripcon/_kernels/_fast.pyx":356
- * 
- * cdef _Side _side_from_lists(list left, list right, list taxon, int root):
- *     cdef array.array al = _pyarray.array('i', left)             # <<<<<<<<<<<<<<
- *     cdef array.array ar = _pyarray.array('i', right)
- *     cdef array.array at = _pyarray.array('i', taxon)
-*/
-  __pyx_t_2 = NULL;
-  __Pyx_GetModuleGlobalName(__pyx_t_3, __pyx_mstate_global->__pyx_n_u_pyarray); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 356, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_4 = __Pyx_PyObject_GetAttrStr(__pyx_t_3, __pyx_mstate_global->__pyx_n_u_array); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 356, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __pyx_t_5 = 1;
-  #if CYTHON_UNPACK_METHODS
-  if (unlikely(PyMethod_Check(__pyx_t_4))) {
-    __pyx_t_2 = PyMethod_GET_SELF(__pyx_t_4);
-    assert(__pyx_t_2);
-    PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_4);
-    __Pyx_INCREF(__pyx_t_2);
-    __Pyx_INCREF(__pyx__function);
-    __Pyx_DECREF_SET(__pyx_t_4, __pyx__function);
-    __pyx_t_5 = 0;
-  }
-  #endif
-  {
-    PyObject *__pyx_callargs[3] = {__pyx_t_2, __pyx_mstate_global->__pyx_n_u_i, __pyx_v_left};
-    __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_4, __pyx_callargs+__pyx_t_5, (3-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 356, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-  }
-  if (!(likely(((__pyx_t_1) == Py_None) || likely(__Pyx_TypeTest(__pyx_t_1, __pyx_mstate_global->__pyx_ptype_7cpython_5array_array))))) __PYX_ERR(0, 356, __pyx_L1_error)
-  __pyx_v_al = ((arrayobject *)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":357
- * cdef _Side _side_from_lists(list left, list right, list taxon, int root):
- *     cdef array.array al = _pyarray.array('i', left)
- *     cdef array.array ar = _pyarray.array('i', right)             # <<<<<<<<<<<<<<
- *     cdef array.array at = _pyarray.array('i', taxon)
- *     cdef _Side s = _Side.__new__(_Side)
-*/
-  __pyx_t_4 = NULL;
-  __Pyx_GetModuleGlobalName(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_pyarray); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 357, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_t_3 = __Pyx_PyObject_GetAttrStr(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_array); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 357, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_t_5 = 1;
-  #if CYTHON_UNPACK_METHODS
-  if (unlikely(PyMethod_Check(__pyx_t_3))) {
-    __pyx_t_4 = PyMethod_GET_SELF(__pyx_t_3);
-    assert(__pyx_t_4);
-    PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_3);
-    __Pyx_INCREF(__pyx_t_4);
-    __Pyx_INCREF(__pyx__function);
-    __Pyx_DECREF_SET(__pyx_t_3, __pyx__function);
-    __pyx_t_5 = 0;
-  }
-  #endif
-  {
-    PyObject *__pyx_callargs[3] = {__pyx_t_4, __pyx_mstate_global->__pyx_n_u_i, __pyx_v_right};
-    __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_3, __pyx_callargs+__pyx_t_5, (3-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 357, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-  }
-  if (!(likely(((__pyx_t_1) == Py_None) || likely(__Pyx_TypeTest(__pyx_t_1, __pyx_mstate_global->__pyx_ptype_7cpython_5array_array))))) __PYX_ERR(0, 357, __pyx_L1_error)
-  __pyx_v_ar = ((arrayobject *)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":358
- *     cdef array.array al = _pyarray.array('i', left)
- *     cdef array.array ar = _pyarray.array('i', right)
- *     cdef array.array at = _pyarray.array('i', taxon)             # <<<<<<<<<<<<<<
- *     cdef _Side s = _Side.__new__(_Side)
- *     s.m = <int> len(al)
-*/
-  __pyx_t_3 = NULL;
-  __Pyx_GetModuleGlobalName(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_pyarray); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 358, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_2 = __Pyx_PyObject_GetAttrStr(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_array); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 358, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-  __pyx_t_5 = 1;
-  #if CYTHON_UNPACK_METHODS
-  if (unlikely(PyMethod_Check(__pyx_t_2))) {
-    __pyx_t_3 = PyMethod_GET_SELF(__pyx_t_2);
-    assert(__pyx_t_3);
-    PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_2);
-    __Pyx_INCREF(__pyx_t_3);
-    __Pyx_INCREF(__pyx__function);
-    __Pyx_DECREF_SET(__pyx_t_2, __pyx__function);
-    __pyx_t_5 = 0;
-  }
-  #endif
-  {
-    PyObject *__pyx_callargs[3] = {__pyx_t_3, __pyx_mstate_global->__pyx_n_u_i, __pyx_v_taxon};
-    __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_2, __pyx_callargs+__pyx_t_5, (3-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 358, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-  }
-  if (!(likely(((__pyx_t_1) == Py_None) || likely(__Pyx_TypeTest(__pyx_t_1, __pyx_mstate_global->__pyx_ptype_7cpython_5array_array))))) __PYX_ERR(0, 358, __pyx_L1_error)
-  __pyx_v_at = ((arrayobject *)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":359
- *     cdef array.array ar = _pyarray.array('i', right)
- *     cdef array.array at = _pyarray.array('i', taxon)
- *     cdef _Side s = _Side.__new__(_Side)             # <<<<<<<<<<<<<<
- *     s.m = <int> len(al)
- *     s.a_left = al
-*/
-  __pyx_t_1 = ((PyObject *)__pyx_tp_new_7tripcon_8_kernels_5_fast__Side(((PyTypeObject *)__pyx_mstate_global->__pyx_ptype_7tripcon_8_kernels_5_fast__Side), __pyx_mstate_global->__pyx_empty_tuple, NULL)); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 359, __pyx_L1_error)
-  __Pyx_GOTREF((PyObject *)__pyx_t_1);
-  __pyx_v_s = ((struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":360
- *     cdef array.array at = _pyarray.array('i', taxon)
- *     cdef _Side s = _Side.__new__(_Side)
- *     s.m = <int> len(al)             # <<<<<<<<<<<<<<
- *     s.a_left = al
- *     s.a_right = ar
-*/
-  if (unlikely(((PyObject *)__pyx_v_al) == Py_None)) {
-    PyErr_SetString(PyExc_TypeError, "object of type 'NoneType' has no len()");
-    __PYX_ERR(0, 360, __pyx_L1_error)
-  }
-  __pyx_t_6 = Py_SIZE(((PyObject *)__pyx_v_al)); if (unlikely(__pyx_t_6 == ((Py_ssize_t)-1))) __PYX_ERR(0, 360, __pyx_L1_error)
-  __pyx_v_s->m = ((int)__pyx_t_6);
-
-  /* "tripcon/_kernels/_fast.pyx":361
- *     cdef _Side s = _Side.__new__(_Side)
- *     s.m = <int> len(al)
- *     s.a_left = al             # <<<<<<<<<<<<<<
- *     s.a_right = ar
- *     s.a_taxon = at
-*/
-  __Pyx_INCREF((PyObject *)__pyx_v_al);
-  __Pyx_GIVEREF((PyObject *)__pyx_v_al);
-  __Pyx_GOTREF((PyObject *)__pyx_v_s->a_left);
-  __Pyx_DECREF((PyObject *)__pyx_v_s->a_left);
-  __pyx_v_s->a_left = __pyx_v_al;
-
-  /* "tripcon/_kernels/_fast.pyx":362
- *     s.m = <int> len(al)
- *     s.a_left = al
- *     s.a_right = ar             # <<<<<<<<<<<<<<
- *     s.a_taxon = at
- *     s.left = al.data.as_ints
-*/
-  __Pyx_INCREF((PyObject *)__pyx_v_ar);
-  __Pyx_GIVEREF((PyObject *)__pyx_v_ar);
-  __Pyx_GOTREF((PyObject *)__pyx_v_s->a_right);
-  __Pyx_DECREF((PyObject *)__pyx_v_s->a_right);
-  __pyx_v_s->a_right = __pyx_v_ar;
-
-  /* "tripcon/_kernels/_fast.pyx":363
- *     s.a_left = al
- *     s.a_right = ar
- *     s.a_taxon = at             # <<<<<<<<<<<<<<
- *     s.left = al.data.as_ints
- *     s.right = ar.data.as_ints
-*/
-  __Pyx_INCREF((PyObject *)__pyx_v_at);
-  __Pyx_GIVEREF((PyObject *)__pyx_v_at);
-  __Pyx_GOTREF((PyObject *)__pyx_v_s->a_taxon);
-  __Pyx_DECREF((PyObject *)__pyx_v_s->a_taxon);
-  __pyx_v_s->a_taxon = __pyx_v_at;
-
-  /* "tripcon/_kernels/_fast.pyx":364
- *     s.a_right = ar
- *     s.a_taxon = at
- *     s.left = al.data.as_ints             # <<<<<<<<<<<<<<
- *     s.right = ar.data.as_ints
- *     s.taxon = at.data.as_ints
-*/
-  __pyx_t_7 = __pyx_f_7cpython_5array_5array_4data_data(__pyx_v_al).as_ints;
-  __pyx_v_s->left = __pyx_t_7;
-
-  /* "tripcon/_kernels/_fast.pyx":365
- *     s.a_taxon = at
- *     s.left = al.data.as_ints
- *     s.right = ar.data.as_ints             # <<<<<<<<<<<<<<
- *     s.taxon = at.data.as_ints
- *     s.root = root
-*/
-  __pyx_t_7 = __pyx_f_7cpython_5array_5array_4data_data(__pyx_v_ar).as_ints;
-  __pyx_v_s->right = __pyx_t_7;
-
-  /* "tripcon/_kernels/_fast.pyx":366
- *     s.left = al.data.as_ints
- *     s.right = ar.data.as_ints
- *     s.taxon = at.data.as_ints             # <<<<<<<<<<<<<<
- *     s.root = root
- *     _side_finish(s)
-*/
-  __pyx_t_7 = __pyx_f_7cpython_5array_5array_4data_data(__pyx_v_at).as_ints;
-  __pyx_v_s->taxon = __pyx_t_7;
-
-  /* "tripcon/_kernels/_fast.pyx":367
- *     s.right = ar.data.as_ints
- *     s.taxon = at.data.as_ints
- *     s.root = root             # <<<<<<<<<<<<<<
- *     _side_finish(s)
- *     return s
-*/
-  __pyx_v_s->root = __pyx_v_root;
-
-  /* "tripcon/_kernels/_fast.pyx":368
- *     s.taxon = at.data.as_ints
- *     s.root = root
- *     _side_finish(s)             # <<<<<<<<<<<<<<
- *     return s
- * 
-*/
-  __pyx_t_8 = __pyx_f_7tripcon_8_kernels_5_fast__side_finish(__pyx_v_s); if (unlikely(__pyx_t_8 == ((int)-1))) __PYX_ERR(0, 368, __pyx_L1_error)
-
-  /* "tripcon/_kernels/_fast.pyx":369
- *     s.root = root
- *     _side_finish(s)
- *     return s             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF((PyObject *)__pyx_r);
-  __Pyx_INCREF((PyObject *)__pyx_v_s);
-  __pyx_r = __pyx_v_s;
-  goto __pyx_L0;
-
-  /* "tripcon/_kernels/_fast.pyx":355
- * 
- * 
- * cdef _Side _side_from_lists(list left, list right, list taxon, int root):             # <<<<<<<<<<<<<<
- *     cdef array.array al = _pyarray.array('i', left)
- *     cdef array.array ar = _pyarray.array('i', right)
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_AddTraceback("tripcon._kernels._fast._side_from_lists", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XDECREF((PyObject *)__pyx_v_al);
-  __Pyx_XDECREF((PyObject *)__pyx_v_ar);
-  __Pyx_XDECREF((PyObject *)__pyx_v_at);
-  __Pyx_XDECREF((PyObject *)__pyx_v_s);
-  __Pyx_XGIVEREF((PyObject *)__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "(tree fragment)":1
- * def __reduce_cython__(self):             # <<<<<<<<<<<<<<
- *     raise TypeError, "self.m cannot be converted to a Python object for pickling"
- * def __setstate_cython__(self, __pyx_state):
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7tripcon_8_kernels_5_fast_4_Ctx_1__reduce_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_7tripcon_8_kernels_5_fast_4_Ctx_1__reduce_cython__ = {"__reduce_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7tripcon_8_kernels_5_fast_4_Ctx_1__reduce_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_7tripcon_8_kernels_5_fast_4_Ctx_1__reduce_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__reduce_cython__ (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  if (unlikely(__pyx_nargs > 0)) { __Pyx_RaiseArgtupleInvalid("__reduce_cython__", 1, 0, 0, __pyx_nargs); return NULL; }
-  const Py_ssize_t __pyx_kwds_len = unlikely(__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-  if (unlikely(__pyx_kwds_len < 0)) return NULL;
-  if (unlikely(__pyx_kwds_len > 0)) {__Pyx_RejectKeywords("__reduce_cython__", __pyx_kwds); return NULL;}
-  __pyx_r = __pyx_pf_7tripcon_8_kernels_5_fast_4_Ctx___reduce_cython__(((struct __pyx_obj_7tripcon_8_kernels_5_fast__Ctx *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7tripcon_8_kernels_5_fast_4_Ctx___reduce_cython__(CYTHON_UNUSED struct __pyx_obj_7tripcon_8_kernels_5_fast__Ctx *__pyx_v_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__reduce_cython__", 0);
-
-  /* "(tree fragment)":2
- * def __reduce_cython__(self):
- *     raise TypeError, "self.m cannot be converted to a Python object for pickling"             # <<<<<<<<<<<<<<
- * def __setstate_cython__(self, __pyx_state):
- *     raise TypeError, "self.m cannot be converted to a Python object for pickling"
-*/
-  __Pyx_Raise(((PyObject *)(((PyTypeObject*)PyExc_TypeError))), __pyx_mstate_global->__pyx_kp_u_self_m_cannot_be_converted_to_a, 0, 0);
-  __PYX_ERR(3, 2, __pyx_L1_error)
-
-  /* "(tree fragment)":1
- * def __reduce_cython__(self):             # <<<<<<<<<<<<<<
- *     raise TypeError, "self.m cannot be converted to a Python object for pickling"
- * def __setstate_cython__(self, __pyx_state):
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("tripcon._kernels._fast._Ctx.__reduce_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "(tree fragment)":3
- * def __reduce_cython__(self):
- *     raise TypeError, "self.m cannot be converted to a Python object for pickling"
- * def __setstate_cython__(self, __pyx_state):             # <<<<<<<<<<<<<<
- *     raise TypeError, "self.m cannot be converted to a Python object for pickling"
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7tripcon_8_kernels_5_fast_4_Ctx_3__setstate_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_7tripcon_8_kernels_5_fast_4_Ctx_3__setstate_cython__ = {"__setstate_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7tripcon_8_kernels_5_fast_4_Ctx_3__setstate_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_7tripcon_8_kernels_5_fast_4_Ctx_3__setstate_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  CYTHON_UNUSED PyObject *__pyx_v___pyx_state = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__setstate_cython__ (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_pyx_state,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(3, 3, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(3, 3, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "__setstate_cython__", 0) < (0)) __PYX_ERR(3, 3, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("__setstate_cython__", 1, 1, 1, i); __PYX_ERR(3, 3, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(3, 3, __pyx_L3_error)
-    }
-    __pyx_v___pyx_state = values[0];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("__setstate_cython__", 1, 1, 1, __pyx_nargs); __PYX_ERR(3, 3, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("tripcon._kernels._fast._Ctx.__setstate_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_7tripcon_8_kernels_5_fast_4_Ctx_2__setstate_cython__(((struct __pyx_obj_7tripcon_8_kernels_5_fast__Ctx *)__pyx_v_self), __pyx_v___pyx_state);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7tripcon_8_kernels_5_fast_4_Ctx_2__setstate_cython__(CYTHON_UNUSED struct __pyx_obj_7tripcon_8_kernels_5_fast__Ctx *__pyx_v_self, CYTHON_UNUSED PyObject *__pyx_v___pyx_state) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__setstate_cython__", 0);
-
-  /* "(tree fragment)":4
- *     raise TypeError, "self.m cannot be converted to a Python object for pickling"
- * def __setstate_cython__(self, __pyx_state):
- *     raise TypeError, "self.m cannot be converted to a Python object for pickling"             # <<<<<<<<<<<<<<
-*/
-  __Pyx_Raise(((PyObject *)(((PyTypeObject*)PyExc_TypeError))), __pyx_mstate_global->__pyx_kp_u_self_m_cannot_be_converted_to_a, 0, 0);
-  __PYX_ERR(3, 4, __pyx_L1_error)
-
-  /* "(tree fragment)":3
- * def __reduce_cython__(self):
- *     raise TypeError, "self.m cannot be converted to a Python object for pickling"
- * def __setstate_cython__(self, __pyx_state):             # <<<<<<<<<<<<<<
- *     raise TypeError, "self.m cannot be converted to a Python object for pickling"
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("tripcon._kernels._fast._Ctx.__setstate_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "tripcon/_kernels/_fast.pyx":383
- * 
- * 
- * cdef _Ctx _ctx_make(_Side p, _Side q, int* qleaf_scratch):             # <<<<<<<<<<<<<<
- *     """Bundle a tree pair with its leaf-set-equivalence map."""
- *     cdef _Ctx c = _Ctx.__new__(_Ctx)
-*/
-
-static struct __pyx_obj_7tripcon_8_kernels_5_fast__Ctx *__pyx_f_7tripcon_8_kernels_5_fast__ctx_make(struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_v_p, struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_v_q, int *__pyx_v_qleaf_scratch) {
-  struct __pyx_obj_7tripcon_8_kernels_5_fast__Ctx *__pyx_v_c = 0;
-  int __pyx_v_i;
-  int __pyx_v_v;
-  struct __pyx_obj_7tripcon_8_kernels_5_fast__Ctx *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int *__pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_ctx_make", 0);
-
-  /* "tripcon/_kernels/_fast.pyx":385
- * cdef _Ctx _ctx_make(_Side p, _Side q, int* qleaf_scratch):
- *     """Bundle a tree pair with its leaf-set-equivalence map."""
- *     cdef _Ctx c = _Ctx.__new__(_Ctx)             # <<<<<<<<<<<<<<
- *     cdef int i, v
- *     c.p = p
-*/
-  __pyx_t_1 = ((PyObject *)__pyx_tp_new_7tripcon_8_kernels_5_fast__Ctx(((PyTypeObject *)__pyx_mstate_global->__pyx_ptype_7tripcon_8_kernels_5_fast__Ctx), __pyx_mstate_global->__pyx_empty_tuple, NULL)); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 385, __pyx_L1_error)
-  __Pyx_GOTREF((PyObject *)__pyx_t_1);
-  __pyx_v_c = ((struct __pyx_obj_7tripcon_8_kernels_5_fast__Ctx *)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":387
- *     cdef _Ctx c = _Ctx.__new__(_Ctx)
- *     cdef int i, v
- *     c.p = p             # <<<<<<<<<<<<<<
- *     c.q = q
- *     c.a_m = _ints(p.m)
-*/
-  __Pyx_INCREF((PyObject *)__pyx_v_p);
-  __Pyx_GIVEREF((PyObject *)__pyx_v_p);
-  __Pyx_GOTREF((PyObject *)__pyx_v_c->p);
-  __Pyx_DECREF((PyObject *)__pyx_v_c->p);
-  __pyx_v_c->p = __pyx_v_p;
-
-  /* "tripcon/_kernels/_fast.pyx":388
- *     cdef int i, v
- *     c.p = p
- *     c.q = q             # <<<<<<<<<<<<<<
- *     c.a_m = _ints(p.m)
- *     c.m = c.a_m.data.as_ints
-*/
-  __Pyx_INCREF((PyObject *)__pyx_v_q);
-  __Pyx_GIVEREF((PyObject *)__pyx_v_q);
-  __Pyx_GOTREF((PyObject *)__pyx_v_c->q);
-  __Pyx_DECREF((PyObject *)__pyx_v_c->q);
-  __pyx_v_c->q = __pyx_v_q;
-
-  /* "tripcon/_kernels/_fast.pyx":389
- *     c.p = p
- *     c.q = q
- *     c.a_m = _ints(p.m)             # <<<<<<<<<<<<<<
- *     c.m = c.a_m.data.as_ints
- *     for i in range(p.m):
-*/
-  __pyx_t_1 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints(__pyx_v_p->m)); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 389, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __Pyx_GIVEREF(__pyx_t_1);
-  __Pyx_GOTREF((PyObject *)__pyx_v_c->a_m);
-  __Pyx_DECREF((PyObject *)__pyx_v_c->a_m);
-  __pyx_v_c->a_m = ((arrayobject *)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":390
- *     c.q = q
- *     c.a_m = _ints(p.m)
- *     c.m = c.a_m.data.as_ints             # <<<<<<<<<<<<<<
- *     for i in range(p.m):
- *         v = p.popo[i]
-*/
-  __pyx_t_1 = ((PyObject *)__pyx_v_c->a_m);
-  __Pyx_INCREF(__pyx_t_1);
-  __pyx_t_2 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_1)).as_ints;
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_v_c->m = __pyx_t_2;
-
-  /* "tripcon/_kernels/_fast.pyx":391
- *     c.a_m = _ints(p.m)
- *     c.m = c.a_m.data.as_ints
- *     for i in range(p.m):             # <<<<<<<<<<<<<<
- *         v = p.popo[i]
- *         if p.left[v] < 0:
-*/
-  __pyx_t_3 = __pyx_v_p->m;
-  __pyx_t_4 = __pyx_t_3;
-  for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-    __pyx_v_i = __pyx_t_5;
-
-    /* "tripcon/_kernels/_fast.pyx":392
- *     c.m = c.a_m.data.as_ints
- *     for i in range(p.m):
- *         v = p.popo[i]             # <<<<<<<<<<<<<<
- *         if p.left[v] < 0:
- *             c.m[v] = qleaf_scratch[p.taxon[v]]
-*/
-    __pyx_v_v = (__pyx_v_p->popo[__pyx_v_i]);
-
-    /* "tripcon/_kernels/_fast.pyx":393
- *     for i in range(p.m):
- *         v = p.popo[i]
- *         if p.left[v] < 0:             # <<<<<<<<<<<<<<
- *             c.m[v] = qleaf_scratch[p.taxon[v]]
- *         else:
-*/
-    __pyx_t_6 = ((__pyx_v_p->left[__pyx_v_v]) < 0);
-    if (__pyx_t_6) {
-
-      /* "tripcon/_kernels/_fast.pyx":394
- *         v = p.popo[i]
- *         if p.left[v] < 0:
- *             c.m[v] = qleaf_scratch[p.taxon[v]]             # <<<<<<<<<<<<<<
- *         else:
- *             c.m[v] = _lca(q, c.m[p.left[v]], c.m[p.right[v]])
-*/
-      (__pyx_v_c->m[__pyx_v_v]) = (__pyx_v_qleaf_scratch[(__pyx_v_p->taxon[__pyx_v_v])]);
-
-      /* "tripcon/_kernels/_fast.pyx":393
- *     for i in range(p.m):
- *         v = p.popo[i]
- *         if p.left[v] < 0:             # <<<<<<<<<<<<<<
- *             c.m[v] = qleaf_scratch[p.taxon[v]]
- *         else:
-*/
-      goto __pyx_L5;
-    }
-
-    /* "tripcon/_kernels/_fast.pyx":396
- *             c.m[v] = qleaf_scratch[p.taxon[v]]
- *         else:
- *             c.m[v] = _lca(q, c.m[p.left[v]], c.m[p.right[v]])             # <<<<<<<<<<<<<<
- *     return c
- * 
-*/
-    /*else*/ {
-      (__pyx_v_c->m[__pyx_v_v]) = __pyx_f_7tripcon_8_kernels_5_fast__lca(__pyx_v_q, (__pyx_v_c->m[(__pyx_v_p->left[__pyx_v_v])]), (__pyx_v_c->m[(__pyx_v_p->right[__pyx_v_v])]));
-    }
-    __pyx_L5:;
-  }
-
-  /* "tripcon/_kernels/_fast.pyx":397
- *         else:
- *             c.m[v] = _lca(q, c.m[p.left[v]], c.m[p.right[v]])
- *     return c             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF((PyObject *)__pyx_r);
-  __Pyx_INCREF((PyObject *)__pyx_v_c);
-  __pyx_r = __pyx_v_c;
-  goto __pyx_L0;
-
-  /* "tripcon/_kernels/_fast.pyx":383
- * 
- * 
- * cdef _Ctx _ctx_make(_Side p, _Side q, int* qleaf_scratch):             # <<<<<<<<<<<<<<
- *     """Bundle a tree pair with its leaf-set-equivalence map."""
- *     cdef _Ctx c = _Ctx.__new__(_Ctx)
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_AddTraceback("tripcon._kernels._fast._ctx_make", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XDECREF((PyObject *)__pyx_v_c);
-  __Pyx_XGIVEREF((PyObject *)__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "tripcon/_kernels/_fast.pyx":400
- * 
- * 
- * cdef void _write_scratch(_Side s, int* scratch) noexcept:             # <<<<<<<<<<<<<<
- *     cdef int r
- *     for r in range(s.nl):
-*/
-
-static void __pyx_f_7tripcon_8_kernels_5_fast__write_scratch(struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_v_s, int *__pyx_v_scratch) {
-  int __pyx_v_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-
-  /* "tripcon/_kernels/_fast.pyx":402
- * cdef void _write_scratch(_Side s, int* scratch) noexcept:
- *     cdef int r
- *     for r in range(s.nl):             # <<<<<<<<<<<<<<
- *         scratch[s.taxon[s.leaves[r]]] = s.leaves[r]
- * 
-*/
-  __pyx_t_1 = __pyx_v_s->nl;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_r = __pyx_t_3;
-
-    /* "tripcon/_kernels/_fast.pyx":403
- *     cdef int r
- *     for r in range(s.nl):
- *         scratch[s.taxon[s.leaves[r]]] = s.leaves[r]             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-    (__pyx_v_scratch[(__pyx_v_s->taxon[(__pyx_v_s->leaves[__pyx_v_r])])]) = (__pyx_v_s->leaves[__pyx_v_r]);
-  }
-
-  /* "tripcon/_kernels/_fast.pyx":400
- * 
- * 
- * cdef void _write_scratch(_Side s, int* scratch) noexcept:             # <<<<<<<<<<<<<<
- *     cdef int r
- *     for r in range(s.nl):
-*/
-
-  /* function exit code */
-}
-
-/* "tripcon/_kernels/_fast.pyx":446
- *     cdef list ctxs
- * 
- *     def __cinit__(self, int universe, bint store):             # <<<<<<<<<<<<<<
- *         cdef Py_ssize_t u = universe if universe > 0 else 1
- *         self.store = store
-*/
-
-/* Python wrapper */
-static int __pyx_pw_7tripcon_8_kernels_5_fast_4_Run_1__cinit__(PyObject *__pyx_v_self, PyObject *__pyx_args, PyObject *__pyx_kwds); /*proto*/
-static int __pyx_pw_7tripcon_8_kernels_5_fast_4_Run_1__cinit__(PyObject *__pyx_v_self, PyObject *__pyx_args, PyObject *__pyx_kwds) {
-  int __pyx_v_universe;
-  int __pyx_v_store;
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[2] = {0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__cinit__ (wrapper)", 0);
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return -1;
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_universe,&__pyx_mstate_global->__pyx_n_u_store,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_VARARGS(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 446, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  2:
-        values[1] = __Pyx_ArgRef_VARARGS(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 446, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_VARARGS(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 446, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "__cinit__", 0) < (0)) __PYX_ERR(0, 446, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 2; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("__cinit__", 1, 2, 2, i); __PYX_ERR(0, 446, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 2)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_VARARGS(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 446, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_VARARGS(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 446, __pyx_L3_error)
-    }
-    __pyx_v_universe = __Pyx_PyLong_As_int(values[0]); if (unlikely((__pyx_v_universe == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 446, __pyx_L3_error)
-    __pyx_v_store = __Pyx_PyObject_IsTrue(values[1]); if (unlikely((__pyx_v_store == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 446, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("__cinit__", 1, 2, 2, __pyx_nargs); __PYX_ERR(0, 446, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("tripcon._kernels._fast._Run.__cinit__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return -1;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_7tripcon_8_kernels_5_fast_4_Run___cinit__(((struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *)__pyx_v_self), __pyx_v_universe, __pyx_v_store);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static int __pyx_pf_7tripcon_8_kernels_5_fast_4_Run___cinit__(struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *__pyx_v_self, int __pyx_v_universe, int __pyx_v_store) {
-  Py_ssize_t __pyx_v_u;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  Py_ssize_t __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  int *__pyx_t_4;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__cinit__", 0);
-
-  /* "tripcon/_kernels/_fast.pyx":447
- * 
- *     def __cinit__(self, int universe, bint store):
- *         cdef Py_ssize_t u = universe if universe > 0 else 1             # <<<<<<<<<<<<<<
- *         self.store = store
- *         self.work = 0
-*/
-  __pyx_t_2 = (__pyx_v_universe > 0);
-  if (__pyx_t_2) {
-    __pyx_t_1 = __pyx_v_universe;
-  } else {
-    __pyx_t_1 = 1;
-  }
-  __pyx_v_u = __pyx_t_1;
-
-  /* "tripcon/_kernels/_fast.pyx":448
- *     def __cinit__(self, int universe, bint store):
- *         cdef Py_ssize_t u = universe if universe > 0 else 1
- *         self.store = store             # <<<<<<<<<<<<<<
- *         self.work = 0
- *         self.frames = 0
-*/
-  __pyx_v_self->store = __pyx_v_store;
-
-  /* "tripcon/_kernels/_fast.pyx":449
- *         cdef Py_ssize_t u = universe if universe > 0 else 1
- *         self.store = store
- *         self.work = 0             # <<<<<<<<<<<<<<
- *         self.frames = 0
- *         self.violations = 0
-*/
-  __pyx_v_self->work = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":450
- *         self.store = store
- *         self.work = 0
- *         self.frames = 0             # <<<<<<<<<<<<<<
- *         self.violations = 0
- *         self.emitted = 0
-*/
-  __pyx_v_self->frames = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":451
- *         self.work = 0
- *         self.frames = 0
- *         self.violations = 0             # <<<<<<<<<<<<<<
- *         self.emitted = 0
- *         self.tri_cap = 1024
-*/
-  __pyx_v_self->violations = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":452
- *         self.frames = 0
- *         self.violations = 0
- *         self.emitted = 0             # <<<<<<<<<<<<<<
- *         self.tri_cap = 1024
- *         self.a_tri = _ints(self.tri_cap)
-*/
-  __pyx_v_self->emitted = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":453
- *         self.violations = 0
- *         self.emitted = 0
- *         self.tri_cap = 1024             # <<<<<<<<<<<<<<
- *         self.a_tri = _ints(self.tri_cap)
- *         self.tri = self.a_tri.data.as_ints
-*/
-  __pyx_v_self->tri_cap = 0x400;
-
-  /* "tripcon/_kernels/_fast.pyx":454
- *         self.emitted = 0
- *         self.tri_cap = 1024
- *         self.a_tri = _ints(self.tri_cap)             # <<<<<<<<<<<<<<
- *         self.tri = self.a_tri.data.as_ints
- *         self.tri_len = 0
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints(__pyx_v_self->tri_cap)); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 454, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __Pyx_GIVEREF(__pyx_t_3);
-  __Pyx_GOTREF((PyObject *)__pyx_v_self->a_tri);
-  __Pyx_DECREF((PyObject *)__pyx_v_self->a_tri);
-  __pyx_v_self->a_tri = ((arrayobject *)__pyx_t_3);
-  __pyx_t_3 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":455
- *         self.tri_cap = 1024
- *         self.a_tri = _ints(self.tri_cap)
- *         self.tri = self.a_tri.data.as_ints             # <<<<<<<<<<<<<<
- *         self.tri_len = 0
- *         self.dr_cap = 1024
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_v_self->a_tri);
-  __Pyx_INCREF(__pyx_t_3);
-  __pyx_t_4 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_3)).as_ints;
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __pyx_v_self->tri = __pyx_t_4;
-
-  /* "tripcon/_kernels/_fast.pyx":456
- *         self.a_tri = _ints(self.tri_cap)
- *         self.tri = self.a_tri.data.as_ints
- *         self.tri_len = 0             # <<<<<<<<<<<<<<
- *         self.dr_cap = 1024
- *         self.a_dr = _ints(self.dr_cap)
-*/
-  __pyx_v_self->tri_len = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":457
- *         self.tri = self.a_tri.data.as_ints
- *         self.tri_len = 0
- *         self.dr_cap = 1024             # <<<<<<<<<<<<<<
- *         self.a_dr = _ints(self.dr_cap)
- *         self.dr = self.a_dr.data.as_ints
-*/
-  __pyx_v_self->dr_cap = 0x400;
-
-  /* "tripcon/_kernels/_fast.pyx":458
- *         self.tri_len = 0
- *         self.dr_cap = 1024
- *         self.a_dr = _ints(self.dr_cap)             # <<<<<<<<<<<<<<
- *         self.dr = self.a_dr.data.as_ints
- *         self.dr_len = 0
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints(__pyx_v_self->dr_cap)); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 458, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __Pyx_GIVEREF(__pyx_t_3);
-  __Pyx_GOTREF((PyObject *)__pyx_v_self->a_dr);
-  __Pyx_DECREF((PyObject *)__pyx_v_self->a_dr);
-  __pyx_v_self->a_dr = ((arrayobject *)__pyx_t_3);
-  __pyx_t_3 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":459
- *         self.dr_cap = 1024
- *         self.a_dr = _ints(self.dr_cap)
- *         self.dr = self.a_dr.data.as_ints             # <<<<<<<<<<<<<<
- *         self.dr_len = 0
- *         self.fs_cap = 3 * 64
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_v_self->a_dr);
-  __Pyx_INCREF(__pyx_t_3);
-  __pyx_t_4 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_3)).as_ints;
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __pyx_v_self->dr = __pyx_t_4;
-
-  /* "tripcon/_kernels/_fast.pyx":460
- *         self.a_dr = _ints(self.dr_cap)
- *         self.dr = self.a_dr.data.as_ints
- *         self.dr_len = 0             # <<<<<<<<<<<<<<
- *         self.fs_cap = 3 * 64
- *         self.a_fs = _ints(self.fs_cap)
-*/
-  __pyx_v_self->dr_len = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":461
- *         self.dr = self.a_dr.data.as_ints
- *         self.dr_len = 0
- *         self.fs_cap = 3 * 64             # <<<<<<<<<<<<<<
- *         self.a_fs = _ints(self.fs_cap)
- *         self.fs = self.a_fs.data.as_ints
-*/
-  __pyx_v_self->fs_cap = 0xc0;
-
-  /* "tripcon/_kernels/_fast.pyx":462
- *         self.dr_len = 0
- *         self.fs_cap = 3 * 64
- *         self.a_fs = _ints(self.fs_cap)             # <<<<<<<<<<<<<<
- *         self.fs = self.a_fs.data.as_ints
- *         self.fs_len = 0
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints(__pyx_v_self->fs_cap)); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 462, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __Pyx_GIVEREF(__pyx_t_3);
-  __Pyx_GOTREF((PyObject *)__pyx_v_self->a_fs);
-  __Pyx_DECREF((PyObject *)__pyx_v_self->a_fs);
-  __pyx_v_self->a_fs = ((arrayobject *)__pyx_t_3);
-  __pyx_t_3 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":463
- *         self.fs_cap = 3 * 64
- *         self.a_fs = _ints(self.fs_cap)
- *         self.fs = self.a_fs.data.as_ints             # <<<<<<<<<<<<<<
- *         self.fs_len = 0
- *         self.a_pleaf = _ints(u)
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_v_self->a_fs);
-  __Pyx_INCREF(__pyx_t_3);
-  __pyx_t_4 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_3)).as_ints;
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __pyx_v_self->fs = __pyx_t_4;
-
-  /* "tripcon/_kernels/_fast.pyx":464
- *         self.a_fs = _ints(self.fs_cap)
- *         self.fs = self.a_fs.data.as_ints
- *         self.fs_len = 0             # <<<<<<<<<<<<<<
- *         self.a_pleaf = _ints(u)
- *         self.a_qleaf = _ints(u)
-*/
-  __pyx_v_self->fs_len = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":465
- *         self.fs = self.a_fs.data.as_ints
- *         self.fs_len = 0
- *         self.a_pleaf = _ints(u)             # <<<<<<<<<<<<<<
- *         self.a_qleaf = _ints(u)
- *         self.pleaf = self.a_pleaf.data.as_ints
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints(__pyx_v_u)); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 465, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __Pyx_GIVEREF(__pyx_t_3);
-  __Pyx_GOTREF((PyObject *)__pyx_v_self->a_pleaf);
-  __Pyx_DECREF((PyObject *)__pyx_v_self->a_pleaf);
-  __pyx_v_self->a_pleaf = ((arrayobject *)__pyx_t_3);
-  __pyx_t_3 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":466
- *         self.fs_len = 0
- *         self.a_pleaf = _ints(u)
- *         self.a_qleaf = _ints(u)             # <<<<<<<<<<<<<<
- *         self.pleaf = self.a_pleaf.data.as_ints
- *         self.qleaf = self.a_qleaf.data.as_ints
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints(__pyx_v_u)); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 466, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __Pyx_GIVEREF(__pyx_t_3);
-  __Pyx_GOTREF((PyObject *)__pyx_v_self->a_qleaf);
-  __Pyx_DECREF((PyObject *)__pyx_v_self->a_qleaf);
-  __pyx_v_self->a_qleaf = ((arrayobject *)__pyx_t_3);
-  __pyx_t_3 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":467
- *         self.a_pleaf = _ints(u)
- *         self.a_qleaf = _ints(u)
- *         self.pleaf = self.a_pleaf.data.as_ints             # <<<<<<<<<<<<<<
- *         self.qleaf = self.a_qleaf.data.as_ints
- *         self.a_part = _ints(8 * u)
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_v_self->a_pleaf);
-  __Pyx_INCREF(__pyx_t_3);
-  __pyx_t_4 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_3)).as_ints;
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __pyx_v_self->pleaf = __pyx_t_4;
-
-  /* "tripcon/_kernels/_fast.pyx":468
- *         self.a_qleaf = _ints(u)
- *         self.pleaf = self.a_pleaf.data.as_ints
- *         self.qleaf = self.a_qleaf.data.as_ints             # <<<<<<<<<<<<<<
- *         self.a_part = _ints(8 * u)
- *         self.part = self.a_part.data.as_ints
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_v_self->a_qleaf);
-  __Pyx_INCREF(__pyx_t_3);
-  __pyx_t_4 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_3)).as_ints;
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __pyx_v_self->qleaf = __pyx_t_4;
-
-  /* "tripcon/_kernels/_fast.pyx":469
- *         self.pleaf = self.a_pleaf.data.as_ints
- *         self.qleaf = self.a_qleaf.data.as_ints
- *         self.a_part = _ints(8 * u)             # <<<<<<<<<<<<<<
- *         self.part = self.a_part.data.as_ints
- *         self.a_zlca = _ints(u + 2)
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints((8 * __pyx_v_u))); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 469, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __Pyx_GIVEREF(__pyx_t_3);
-  __Pyx_GOTREF((PyObject *)__pyx_v_self->a_part);
-  __Pyx_DECREF((PyObject *)__pyx_v_self->a_part);
-  __pyx_v_self->a_part = ((arrayobject *)__pyx_t_3);
-  __pyx_t_3 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":470
- *         self.qleaf = self.a_qleaf.data.as_ints
- *         self.a_part = _ints(8 * u)
- *         self.part = self.a_part.data.as_ints             # <<<<<<<<<<<<<<
- *         self.a_zlca = _ints(u + 2)
- *         self.a_ztax = _ints(u + 2)
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_v_self->a_part);
-  __Pyx_INCREF(__pyx_t_3);
-  __pyx_t_4 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_3)).as_ints;
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __pyx_v_self->part = __pyx_t_4;
-
-  /* "tripcon/_kernels/_fast.pyx":471
- *         self.a_part = _ints(8 * u)
- *         self.part = self.a_part.data.as_ints
- *         self.a_zlca = _ints(u + 2)             # <<<<<<<<<<<<<<
- *         self.a_ztax = _ints(u + 2)
- *         self.a_zpost = _ints(u + 2)
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints((__pyx_v_u + 2))); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 471, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __Pyx_GIVEREF(__pyx_t_3);
-  __Pyx_GOTREF((PyObject *)__pyx_v_self->a_zlca);
-  __Pyx_DECREF((PyObject *)__pyx_v_self->a_zlca);
-  __pyx_v_self->a_zlca = ((arrayobject *)__pyx_t_3);
-  __pyx_t_3 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":472
- *         self.part = self.a_part.data.as_ints
- *         self.a_zlca = _ints(u + 2)
- *         self.a_ztax = _ints(u + 2)             # <<<<<<<<<<<<<<
- *         self.a_zpost = _ints(u + 2)
- *         self.a_par = _ints(2 * u + 4)
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints((__pyx_v_u + 2))); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 472, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __Pyx_GIVEREF(__pyx_t_3);
-  __Pyx_GOTREF((PyObject *)__pyx_v_self->a_ztax);
-  __Pyx_DECREF((PyObject *)__pyx_v_self->a_ztax);
-  __pyx_v_self->a_ztax = ((arrayobject *)__pyx_t_3);
-  __pyx_t_3 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":473
- *         self.a_zlca = _ints(u + 2)
- *         self.a_ztax = _ints(u + 2)
- *         self.a_zpost = _ints(u + 2)             # <<<<<<<<<<<<<<
- *         self.a_par = _ints(2 * u + 4)
- *         self.a_plo = _ints(2 * u + 4)
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints((__pyx_v_u + 2))); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 473, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __Pyx_GIVEREF(__pyx_t_3);
-  __Pyx_GOTREF((PyObject *)__pyx_v_self->a_zpost);
-  __Pyx_DECREF((PyObject *)__pyx_v_self->a_zpost);
-  __pyx_v_self->a_zpost = ((arrayobject *)__pyx_t_3);
-  __pyx_t_3 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":474
- *         self.a_ztax = _ints(u + 2)
- *         self.a_zpost = _ints(u + 2)
- *         self.a_par = _ints(2 * u + 4)             # <<<<<<<<<<<<<<
- *         self.a_plo = _ints(2 * u + 4)
- *         self.a_phi = _ints(2 * u + 4)
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints(((2 * __pyx_v_u) + 4))); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 474, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __Pyx_GIVEREF(__pyx_t_3);
-  __Pyx_GOTREF((PyObject *)__pyx_v_self->a_par);
-  __Pyx_DECREF((PyObject *)__pyx_v_self->a_par);
-  __pyx_v_self->a_par = ((arrayobject *)__pyx_t_3);
-  __pyx_t_3 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":475
- *         self.a_zpost = _ints(u + 2)
- *         self.a_par = _ints(2 * u + 4)
- *         self.a_plo = _ints(2 * u + 4)             # <<<<<<<<<<<<<<
- *         self.a_phi = _ints(2 * u + 4)
- *         self.a_podep = _ints(2 * u + 4)
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints(((2 * __pyx_v_u) + 4))); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 475, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __Pyx_GIVEREF(__pyx_t_3);
-  __Pyx_GOTREF((PyObject *)__pyx_v_self->a_plo);
-  __Pyx_DECREF((PyObject *)__pyx_v_self->a_plo);
-  __pyx_v_self->a_plo = ((arrayobject *)__pyx_t_3);
-  __pyx_t_3 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":476
- *         self.a_par = _ints(2 * u + 4)
- *         self.a_plo = _ints(2 * u + 4)
- *         self.a_phi = _ints(2 * u + 4)             # <<<<<<<<<<<<<<
- *         self.a_podep = _ints(2 * u + 4)
- *         self.a_pstk = _ints(2 * u + 6)
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints(((2 * __pyx_v_u) + 4))); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 476, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __Pyx_GIVEREF(__pyx_t_3);
-  __Pyx_GOTREF((PyObject *)__pyx_v_self->a_phi);
-  __Pyx_DECREF((PyObject *)__pyx_v_self->a_phi);
-  __pyx_v_self->a_phi = ((arrayobject *)__pyx_t_3);
-  __pyx_t_3 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":477
- *         self.a_plo = _ints(2 * u + 4)
- *         self.a_phi = _ints(2 * u + 4)
- *         self.a_podep = _ints(2 * u + 4)             # <<<<<<<<<<<<<<
- *         self.a_pstk = _ints(2 * u + 6)
- *         self.zlca = self.a_zlca.data.as_ints
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints(((2 * __pyx_v_u) + 4))); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 477, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __Pyx_GIVEREF(__pyx_t_3);
-  __Pyx_GOTREF((PyObject *)__pyx_v_self->a_podep);
-  __Pyx_DECREF((PyObject *)__pyx_v_self->a_podep);
-  __pyx_v_self->a_podep = ((arrayobject *)__pyx_t_3);
-  __pyx_t_3 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":478
- *         self.a_phi = _ints(2 * u + 4)
- *         self.a_podep = _ints(2 * u + 4)
- *         self.a_pstk = _ints(2 * u + 6)             # <<<<<<<<<<<<<<
- *         self.zlca = self.a_zlca.data.as_ints
- *         self.ztax = self.a_ztax.data.as_ints
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ints(((2 * __pyx_v_u) + 6))); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 478, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __Pyx_GIVEREF(__pyx_t_3);
-  __Pyx_GOTREF((PyObject *)__pyx_v_self->a_pstk);
-  __Pyx_DECREF((PyObject *)__pyx_v_self->a_pstk);
-  __pyx_v_self->a_pstk = ((arrayobject *)__pyx_t_3);
-  __pyx_t_3 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":479
- *         self.a_podep = _ints(2 * u + 4)
- *         self.a_pstk = _ints(2 * u + 6)
- *         self.zlca = self.a_zlca.data.as_ints             # <<<<<<<<<<<<<<
- *         self.ztax = self.a_ztax.data.as_ints
- *         self.zpost = self.a_zpost.data.as_ints
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_v_self->a_zlca);
-  __Pyx_INCREF(__pyx_t_3);
-  __pyx_t_4 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_3)).as_ints;
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __pyx_v_self->zlca = __pyx_t_4;
-
-  /* "tripcon/_kernels/_fast.pyx":480
- *         self.a_pstk = _ints(2 * u + 6)
- *         self.zlca = self.a_zlca.data.as_ints
- *         self.ztax = self.a_ztax.data.as_ints             # <<<<<<<<<<<<<<
- *         self.zpost = self.a_zpost.data.as_ints
- *         self.par = self.a_par.data.as_ints
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_v_self->a_ztax);
-  __Pyx_INCREF(__pyx_t_3);
-  __pyx_t_4 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_3)).as_ints;
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __pyx_v_self->ztax = __pyx_t_4;
-
-  /* "tripcon/_kernels/_fast.pyx":481
- *         self.zlca = self.a_zlca.data.as_ints
- *         self.ztax = self.a_ztax.data.as_ints
- *         self.zpost = self.a_zpost.data.as_ints             # <<<<<<<<<<<<<<
- *         self.par = self.a_par.data.as_ints
- *         self.plo = self.a_plo.data.as_ints
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_v_self->a_zpost);
-  __Pyx_INCREF(__pyx_t_3);
-  __pyx_t_4 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_3)).as_ints;
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __pyx_v_self->zpost = __pyx_t_4;
-
-  /* "tripcon/_kernels/_fast.pyx":482
- *         self.ztax = self.a_ztax.data.as_ints
- *         self.zpost = self.a_zpost.data.as_ints
- *         self.par = self.a_par.data.as_ints             # <<<<<<<<<<<<<<
- *         self.plo = self.a_plo.data.as_ints
- *         self.phi = self.a_phi.data.as_ints
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_v_self->a_par);
-  __Pyx_INCREF(__pyx_t_3);
-  __pyx_t_4 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_3)).as_ints;
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __pyx_v_self->par = __pyx_t_4;
-
-  /* "tripcon/_kernels/_fast.pyx":483
- *         self.zpost = self.a_zpost.data.as_ints
- *         self.par = self.a_par.data.as_ints
- *         self.plo = self.a_plo.data.as_ints             # <<<<<<<<<<<<<<
- *         self.phi = self.a_phi.data.as_ints
- *         self.podep = self.a_podep.data.as_ints
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_v_self->a_plo);
-  __Pyx_INCREF(__pyx_t_3);
-  __pyx_t_4 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_3)).as_ints;
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __pyx_v_self->plo = __pyx_t_4;
-
-  /* "tripcon/_kernels/_fast.pyx":484
- *         self.par = self.a_par.data.as_ints
- *         self.plo = self.a_plo.data.as_ints
- *         self.phi = self.a_phi.data.as_ints             # <<<<<<<<<<<<<<
- *         self.podep = self.a_podep.data.as_ints
- *         self.pstk = self.a_pstk.data.as_ints
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_v_self->a_phi);
-  __Pyx_INCREF(__pyx_t_3);
-  __pyx_t_4 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_3)).as_ints;
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __pyx_v_self->phi = __pyx_t_4;
-
-  /* "tripcon/_kernels/_fast.pyx":485
- *         self.plo = self.a_plo.data.as_ints
- *         self.phi = self.a_phi.data.as_ints
- *         self.podep = self.a_podep.data.as_ints             # <<<<<<<<<<<<<<
- *         self.pstk = self.a_pstk.data.as_ints
- *         self.ctxs = []
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_v_self->a_podep);
-  __Pyx_INCREF(__pyx_t_3);
-  __pyx_t_4 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_3)).as_ints;
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __pyx_v_self->podep = __pyx_t_4;
-
-  /* "tripcon/_kernels/_fast.pyx":486
- *         self.phi = self.a_phi.data.as_ints
- *         self.podep = self.a_podep.data.as_ints
- *         self.pstk = self.a_pstk.data.as_ints             # <<<<<<<<<<<<<<
- *         self.ctxs = []
- * 
-*/
-  __pyx_t_3 = ((PyObject *)__pyx_v_self->a_pstk);
-  __Pyx_INCREF(__pyx_t_3);
-  __pyx_t_4 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_3)).as_ints;
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __pyx_v_self->pstk = __pyx_t_4;
-
-  /* "tripcon/_kernels/_fast.pyx":487
- *         self.podep = self.a_podep.data.as_ints
- *         self.pstk = self.a_pstk.data.as_ints
- *         self.ctxs = []             # <<<<<<<<<<<<<<
- * 
- *     cdef int _push_frame(self, int ci, int rp, int rq) except -1:
-*/
-  __pyx_t_3 = PyList_New(0); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 487, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __Pyx_GIVEREF(__pyx_t_3);
-  __Pyx_GOTREF(__pyx_v_self->ctxs);
-  __Pyx_DECREF(__pyx_v_self->ctxs);
-  __pyx_v_self->ctxs = ((PyObject*)__pyx_t_3);
-  __pyx_t_3 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":446
- *     cdef list ctxs
- * 
- *     def __cinit__(self, int universe, bint store):             # <<<<<<<<<<<<<<
- *         cdef Py_ssize_t u = universe if universe > 0 else 1
- *         self.store = store
-*/
-
-  /* function exit code */
-  __pyx_r = 0;
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_AddTraceback("tripcon._kernels._fast._Run.__cinit__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "tripcon/_kernels/_fast.pyx":489
- *         self.ctxs = []
- * 
- *     cdef int _push_frame(self, int ci, int rp, int rq) except -1:             # <<<<<<<<<<<<<<
- *         if self.fs_len + 3 > self.fs_cap:
- *             self.fs_cap *= 2
-*/
-
-static int __pyx_f_7tripcon_8_kernels_5_fast_4_Run__push_frame(struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *__pyx_v_self, int __pyx_v_ci, int __pyx_v_rp, int __pyx_v_rq) {
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_t_3;
-  int *__pyx_t_4;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_push_frame", 0);
-
-  /* "tripcon/_kernels/_fast.pyx":490
- * 
- *     cdef int _push_frame(self, int ci, int rp, int rq) except -1:
- *         if self.fs_len + 3 > self.fs_cap:             # <<<<<<<<<<<<<<
- *             self.fs_cap *= 2
- *             array.resize(self.a_fs, self.fs_cap)
-*/
-  __pyx_t_1 = ((__pyx_v_self->fs_len + 3) > __pyx_v_self->fs_cap);
-  if (__pyx_t_1) {
-
-    /* "tripcon/_kernels/_fast.pyx":491
- *     cdef int _push_frame(self, int ci, int rp, int rq) except -1:
- *         if self.fs_len + 3 > self.fs_cap:
- *             self.fs_cap *= 2             # <<<<<<<<<<<<<<
- *             array.resize(self.a_fs, self.fs_cap)
- *             self.fs = self.a_fs.data.as_ints
-*/
-    __pyx_v_self->fs_cap = (__pyx_v_self->fs_cap * 2);
-
-    /* "tripcon/_kernels/_fast.pyx":492
- *         if self.fs_len + 3 > self.fs_cap:
- *             self.fs_cap *= 2
- *             array.resize(self.a_fs, self.fs_cap)             # <<<<<<<<<<<<<<
- *             self.fs = self.a_fs.data.as_ints
- *         self.fs[self.fs_len] = ci
-*/
-    __pyx_t_2 = ((PyObject *)__pyx_v_self->a_fs);
-    __Pyx_INCREF(__pyx_t_2);
-    __pyx_t_3 = resize(((arrayobject *)__pyx_t_2), __pyx_v_self->fs_cap); if (unlikely(__pyx_t_3 == ((int)-1))) __PYX_ERR(0, 492, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-    /* "tripcon/_kernels/_fast.pyx":493
- *             self.fs_cap *= 2
- *             array.resize(self.a_fs, self.fs_cap)
- *             self.fs = self.a_fs.data.as_ints             # <<<<<<<<<<<<<<
- *         self.fs[self.fs_len] = ci
- *         self.fs[self.fs_len + 1] = rp
-*/
-    __pyx_t_2 = ((PyObject *)__pyx_v_self->a_fs);
-    __Pyx_INCREF(__pyx_t_2);
-    __pyx_t_4 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_2)).as_ints;
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __pyx_v_self->fs = __pyx_t_4;
-
-    /* "tripcon/_kernels/_fast.pyx":490
- * 
- *     cdef int _push_frame(self, int ci, int rp, int rq) except -1:
- *         if self.fs_len + 3 > self.fs_cap:             # <<<<<<<<<<<<<<
- *             self.fs_cap *= 2
- *             array.resize(self.a_fs, self.fs_cap)
-*/
-  }
-
-  /* "tripcon/_kernels/_fast.pyx":494
- *             array.resize(self.a_fs, self.fs_cap)
- *             self.fs = self.a_fs.data.as_ints
- *         self.fs[self.fs_len] = ci             # <<<<<<<<<<<<<<
- *         self.fs[self.fs_len + 1] = rp
- *         self.fs[self.fs_len + 2] = rq
-*/
-  (__pyx_v_self->fs[__pyx_v_self->fs_len]) = __pyx_v_ci;
-
-  /* "tripcon/_kernels/_fast.pyx":495
- *             self.fs = self.a_fs.data.as_ints
- *         self.fs[self.fs_len] = ci
- *         self.fs[self.fs_len + 1] = rp             # <<<<<<<<<<<<<<
- *         self.fs[self.fs_len + 2] = rq
- *         self.fs_len += 3
-*/
-  (__pyx_v_self->fs[(__pyx_v_self->fs_len + 1)]) = __pyx_v_rp;
-
-  /* "tripcon/_kernels/_fast.pyx":496
- *         self.fs[self.fs_len] = ci
- *         self.fs[self.fs_len + 1] = rp
- *         self.fs[self.fs_len + 2] = rq             # <<<<<<<<<<<<<<
- *         self.fs_len += 3
- *         return 0
-*/
-  (__pyx_v_self->fs[(__pyx_v_self->fs_len + 2)]) = __pyx_v_rq;
-
-  /* "tripcon/_kernels/_fast.pyx":497
- *         self.fs[self.fs_len + 1] = rp
- *         self.fs[self.fs_len + 2] = rq
- *         self.fs_len += 3             # <<<<<<<<<<<<<<
- *         return 0
- * 
-*/
-  __pyx_v_self->fs_len = (__pyx_v_self->fs_len + 3);
-
-  /* "tripcon/_kernels/_fast.pyx":498
- *         self.fs[self.fs_len + 2] = rq
- *         self.fs_len += 3
- *         return 0             # <<<<<<<<<<<<<<
- * 
- *     cdef int _push_dr(self, int v) except -1:
-*/
-  __pyx_r = 0;
-  goto __pyx_L0;
-
-  /* "tripcon/_kernels/_fast.pyx":489
- *         self.ctxs = []
- * 
- *     cdef int _push_frame(self, int ci, int rp, int rq) except -1:             # <<<<<<<<<<<<<<
- *         if self.fs_len + 3 > self.fs_cap:
- *             self.fs_cap *= 2
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("tripcon._kernels._fast._Run._push_frame", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "tripcon/_kernels/_fast.pyx":500
- *         return 0
- * 
- *     cdef int _push_dr(self, int v) except -1:             # <<<<<<<<<<<<<<
- *         if self.dr_len == self.dr_cap:
- *             self.dr_cap *= 2
-*/
-
-static int __pyx_f_7tripcon_8_kernels_5_fast_4_Run__push_dr(struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *__pyx_v_self, int __pyx_v_v) {
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_t_3;
-  int *__pyx_t_4;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_push_dr", 0);
-
-  /* "tripcon/_kernels/_fast.pyx":501
- * 
- *     cdef int _push_dr(self, int v) except -1:
- *         if self.dr_len == self.dr_cap:             # <<<<<<<<<<<<<<
- *             self.dr_cap *= 2
- *             array.resize(self.a_dr, self.dr_cap)
-*/
-  __pyx_t_1 = (__pyx_v_self->dr_len == __pyx_v_self->dr_cap);
-  if (__pyx_t_1) {
-
-    /* "tripcon/_kernels/_fast.pyx":502
- *     cdef int _push_dr(self, int v) except -1:
- *         if self.dr_len == self.dr_cap:
- *             self.dr_cap *= 2             # <<<<<<<<<<<<<<
- *             array.resize(self.a_dr, self.dr_cap)
- *             self.dr = self.a_dr.data.as_ints
-*/
-    __pyx_v_self->dr_cap = (__pyx_v_self->dr_cap * 2);
-
-    /* "tripcon/_kernels/_fast.pyx":503
- *         if self.dr_len == self.dr_cap:
- *             self.dr_cap *= 2
- *             array.resize(self.a_dr, self.dr_cap)             # <<<<<<<<<<<<<<
- *             self.dr = self.a_dr.data.as_ints
- *         self.dr[self.dr_len] = v
-*/
-    __pyx_t_2 = ((PyObject *)__pyx_v_self->a_dr);
-    __Pyx_INCREF(__pyx_t_2);
-    __pyx_t_3 = resize(((arrayobject *)__pyx_t_2), __pyx_v_self->dr_cap); if (unlikely(__pyx_t_3 == ((int)-1))) __PYX_ERR(0, 503, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-    /* "tripcon/_kernels/_fast.pyx":504
- *             self.dr_cap *= 2
- *             array.resize(self.a_dr, self.dr_cap)
- *             self.dr = self.a_dr.data.as_ints             # <<<<<<<<<<<<<<
- *         self.dr[self.dr_len] = v
- *         self.dr_len += 1
-*/
-    __pyx_t_2 = ((PyObject *)__pyx_v_self->a_dr);
-    __Pyx_INCREF(__pyx_t_2);
-    __pyx_t_4 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_2)).as_ints;
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __pyx_v_self->dr = __pyx_t_4;
-
-    /* "tripcon/_kernels/_fast.pyx":501
- * 
- *     cdef int _push_dr(self, int v) except -1:
- *         if self.dr_len == self.dr_cap:             # <<<<<<<<<<<<<<
- *             self.dr_cap *= 2
- *             array.resize(self.a_dr, self.dr_cap)
-*/
-  }
-
-  /* "tripcon/_kernels/_fast.pyx":505
- *             array.resize(self.a_dr, self.dr_cap)
- *             self.dr = self.a_dr.data.as_ints
- *         self.dr[self.dr_len] = v             # <<<<<<<<<<<<<<
- *         self.dr_len += 1
- *         return 0
-*/
-  (__pyx_v_self->dr[__pyx_v_self->dr_len]) = __pyx_v_v;
-
-  /* "tripcon/_kernels/_fast.pyx":506
- *             self.dr = self.a_dr.data.as_ints
- *         self.dr[self.dr_len] = v
- *         self.dr_len += 1             # <<<<<<<<<<<<<<
- *         return 0
- * 
-*/
-  __pyx_v_self->dr_len = (__pyx_v_self->dr_len + 1);
-
-  /* "tripcon/_kernels/_fast.pyx":507
- *         self.dr[self.dr_len] = v
- *         self.dr_len += 1
- *         return 0             # <<<<<<<<<<<<<<
- * 
- *     cdef int _emit(self, int a, int b, int c) except -1:
-*/
-  __pyx_r = 0;
-  goto __pyx_L0;
-
-  /* "tripcon/_kernels/_fast.pyx":500
- *         return 0
- * 
- *     cdef int _push_dr(self, int v) except -1:             # <<<<<<<<<<<<<<
- *         if self.dr_len == self.dr_cap:
- *             self.dr_cap *= 2
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("tripcon._kernels._fast._Run._push_dr", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "tripcon/_kernels/_fast.pyx":509
- *         return 0
- * 
- *     cdef int _emit(self, int a, int b, int c) except -1:             # <<<<<<<<<<<<<<
- *         """Append the canonical (ascending) form of taxa {a, b, c}."""
- *         cdef int t
-*/
-
-static int __pyx_f_7tripcon_8_kernels_5_fast_4_Run__emit(struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *__pyx_v_self, int __pyx_v_a, int __pyx_v_b, int __pyx_v_c) {
-  int __pyx_v_t;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_t_3;
-  int *__pyx_t_4;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_emit", 0);
-
-  /* "tripcon/_kernels/_fast.pyx":512
- *         """Append the canonical (ascending) form of taxa {a, b, c}."""
- *         cdef int t
- *         if a > b:             # <<<<<<<<<<<<<<
- *             t = a
- *             a = b
-*/
-  __pyx_t_1 = (__pyx_v_a > __pyx_v_b);
-  if (__pyx_t_1) {
-
-    /* "tripcon/_kernels/_fast.pyx":513
- *         cdef int t
- *         if a > b:
- *             t = a             # <<<<<<<<<<<<<<
- *             a = b
- *             b = t
-*/
-    __pyx_v_t = __pyx_v_a;
-
-    /* "tripcon/_kernels/_fast.pyx":514
- *         if a > b:
- *             t = a
- *             a = b             # <<<<<<<<<<<<<<
- *             b = t
- *         if b > c:
-*/
-    __pyx_v_a = __pyx_v_b;
-
-    /* "tripcon/_kernels/_fast.pyx":515
- *             t = a
- *             a = b
- *             b = t             # <<<<<<<<<<<<<<
- *         if b > c:
- *             t = b
-*/
-    __pyx_v_b = __pyx_v_t;
-
-    /* "tripcon/_kernels/_fast.pyx":512
- *         """Append the canonical (ascending) form of taxa {a, b, c}."""
- *         cdef int t
- *         if a > b:             # <<<<<<<<<<<<<<
- *             t = a
- *             a = b
-*/
-  }
-
-  /* "tripcon/_kernels/_fast.pyx":516
- *             a = b
- *             b = t
- *         if b > c:             # <<<<<<<<<<<<<<
- *             t = b
- *             b = c
-*/
-  __pyx_t_1 = (__pyx_v_b > __pyx_v_c);
-  if (__pyx_t_1) {
-
-    /* "tripcon/_kernels/_fast.pyx":517
- *             b = t
- *         if b > c:
- *             t = b             # <<<<<<<<<<<<<<
- *             b = c
- *             c = t
-*/
-    __pyx_v_t = __pyx_v_b;
-
-    /* "tripcon/_kernels/_fast.pyx":518
- *         if b > c:
- *             t = b
- *             b = c             # <<<<<<<<<<<<<<
- *             c = t
- *             if a > b:
-*/
-    __pyx_v_b = __pyx_v_c;
-
-    /* "tripcon/_kernels/_fast.pyx":519
- *             t = b
- *             b = c
- *             c = t             # <<<<<<<<<<<<<<
- *             if a > b:
- *                 t = a
-*/
-    __pyx_v_c = __pyx_v_t;
-
-    /* "tripcon/_kernels/_fast.pyx":520
- *             b = c
- *             c = t
- *             if a > b:             # <<<<<<<<<<<<<<
- *                 t = a
- *                 a = b
-*/
-    __pyx_t_1 = (__pyx_v_a > __pyx_v_b);
-    if (__pyx_t_1) {
-
-      /* "tripcon/_kernels/_fast.pyx":521
- *             c = t
- *             if a > b:
- *                 t = a             # <<<<<<<<<<<<<<
- *                 a = b
- *                 b = t
-*/
-      __pyx_v_t = __pyx_v_a;
-
-      /* "tripcon/_kernels/_fast.pyx":522
- *             if a > b:
- *                 t = a
- *                 a = b             # <<<<<<<<<<<<<<
- *                 b = t
- *         self.emitted += 1
-*/
-      __pyx_v_a = __pyx_v_b;
-
-      /* "tripcon/_kernels/_fast.pyx":523
- *                 t = a
- *                 a = b
- *                 b = t             # <<<<<<<<<<<<<<
- *         self.emitted += 1
- *         if not self.store:
-*/
-      __pyx_v_b = __pyx_v_t;
-
-      /* "tripcon/_kernels/_fast.pyx":520
- *             b = c
- *             c = t
- *             if a > b:             # <<<<<<<<<<<<<<
- *                 t = a
- *                 a = b
-*/
-    }
-
-    /* "tripcon/_kernels/_fast.pyx":516
- *             a = b
- *             b = t
- *         if b > c:             # <<<<<<<<<<<<<<
- *             t = b
- *             b = c
-*/
-  }
-
-  /* "tripcon/_kernels/_fast.pyx":524
- *                 a = b
- *                 b = t
- *         self.emitted += 1             # <<<<<<<<<<<<<<
- *         if not self.store:
- *             return 0
-*/
-  __pyx_v_self->emitted = (__pyx_v_self->emitted + 1);
-
-  /* "tripcon/_kernels/_fast.pyx":525
- *                 b = t
- *         self.emitted += 1
- *         if not self.store:             # <<<<<<<<<<<<<<
- *             return 0
- *         if self.tri_len + 3 > self.tri_cap:
-*/
-  __pyx_t_1 = (!__pyx_v_self->store);
-  if (__pyx_t_1) {
-
-    /* "tripcon/_kernels/_fast.pyx":526
- *         self.emitted += 1
- *         if not self.store:
- *             return 0             # <<<<<<<<<<<<<<
- *         if self.tri_len + 3 > self.tri_cap:
- *             self.tri_cap *= 2
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "tripcon/_kernels/_fast.pyx":525
- *                 b = t
- *         self.emitted += 1
- *         if not self.store:             # <<<<<<<<<<<<<<
- *             return 0
- *         if self.tri_len + 3 > self.tri_cap:
-*/
-  }
-
-  /* "tripcon/_kernels/_fast.pyx":527
- *         if not self.store:
- *             return 0
- *         if self.tri_len + 3 > self.tri_cap:             # <<<<<<<<<<<<<<
- *             self.tri_cap *= 2
- *             array.resize(self.a_tri, self.tri_cap)
-*/
-  __pyx_t_1 = ((__pyx_v_self->tri_len + 3) > __pyx_v_self->tri_cap);
-  if (__pyx_t_1) {
-
-    /* "tripcon/_kernels/_fast.pyx":528
- *             return 0
- *         if self.tri_len + 3 > self.tri_cap:
- *             self.tri_cap *= 2             # <<<<<<<<<<<<<<
- *             array.resize(self.a_tri, self.tri_cap)
- *             self.tri = self.a_tri.data.as_ints
-*/
-    __pyx_v_self->tri_cap = (__pyx_v_self->tri_cap * 2);
-
-    /* "tripcon/_kernels/_fast.pyx":529
- *         if self.tri_len + 3 > self.tri_cap:
- *             self.tri_cap *= 2
- *             array.resize(self.a_tri, self.tri_cap)             # <<<<<<<<<<<<<<
- *             self.tri = self.a_tri.data.as_ints
- *         self.tri[self.tri_len] = a
-*/
-    __pyx_t_2 = ((PyObject *)__pyx_v_self->a_tri);
-    __Pyx_INCREF(__pyx_t_2);
-    __pyx_t_3 = resize(((arrayobject *)__pyx_t_2), __pyx_v_self->tri_cap); if (unlikely(__pyx_t_3 == ((int)-1))) __PYX_ERR(0, 529, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-    /* "tripcon/_kernels/_fast.pyx":530
- *             self.tri_cap *= 2
- *             array.resize(self.a_tri, self.tri_cap)
- *             self.tri = self.a_tri.data.as_ints             # <<<<<<<<<<<<<<
- *         self.tri[self.tri_len] = a
- *         self.tri[self.tri_len + 1] = b
-*/
-    __pyx_t_2 = ((PyObject *)__pyx_v_self->a_tri);
-    __Pyx_INCREF(__pyx_t_2);
-    __pyx_t_4 = __pyx_f_7cpython_5array_5array_4data_data(((arrayobject *)__pyx_t_2)).as_ints;
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __pyx_v_self->tri = __pyx_t_4;
-
-    /* "tripcon/_kernels/_fast.pyx":527
- *         if not self.store:
- *             return 0
- *         if self.tri_len + 3 > self.tri_cap:             # <<<<<<<<<<<<<<
- *             self.tri_cap *= 2
- *             array.resize(self.a_tri, self.tri_cap)
-*/
-  }
-
-  /* "tripcon/_kernels/_fast.pyx":531
- *             array.resize(self.a_tri, self.tri_cap)
- *             self.tri = self.a_tri.data.as_ints
- *         self.tri[self.tri_len] = a             # <<<<<<<<<<<<<<
- *         self.tri[self.tri_len + 1] = b
- *         self.tri[self.tri_len + 2] = c
-*/
-  (__pyx_v_self->tri[__pyx_v_self->tri_len]) = __pyx_v_a;
-
-  /* "tripcon/_kernels/_fast.pyx":532
- *             self.tri = self.a_tri.data.as_ints
- *         self.tri[self.tri_len] = a
- *         self.tri[self.tri_len + 1] = b             # <<<<<<<<<<<<<<
- *         self.tri[self.tri_len + 2] = c
- *         self.tri_len += 3
-*/
-  (__pyx_v_self->tri[(__pyx_v_self->tri_len + 1)]) = __pyx_v_b;
-
-  /* "tripcon/_kernels/_fast.pyx":533
- *         self.tri[self.tri_len] = a
- *         self.tri[self.tri_len + 1] = b
- *         self.tri[self.tri_len + 2] = c             # <<<<<<<<<<<<<<
- *         self.tri_len += 3
- *         return 0
-*/
-  (__pyx_v_self->tri[(__pyx_v_self->tri_len + 2)]) = __pyx_v_c;
-
-  /* "tripcon/_kernels/_fast.pyx":534
- *         self.tri[self.tri_len + 1] = b
- *         self.tri[self.tri_len + 2] = c
- *         self.tri_len += 3             # <<<<<<<<<<<<<<
- *         return 0
- * 
-*/
-  __pyx_v_self->tri_len = (__pyx_v_self->tri_len + 3);
-
-  /* "tripcon/_kernels/_fast.pyx":535
- *         self.tri[self.tri_len + 2] = c
- *         self.tri_len += 3
- *         return 0             # <<<<<<<<<<<<<<
- * 
- *     # ------------------------------------------------------------------ #
-*/
-  __pyx_r = 0;
-  goto __pyx_L0;
-
-  /* "tripcon/_kernels/_fast.pyx":509
- *         return 0
- * 
- *     cdef int _emit(self, int a, int b, int c) except -1:             # <<<<<<<<<<<<<<
- *         """Append the canonical (ascending) form of taxa {a, b, c}."""
- *         cdef int t
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("tripcon._kernels._fast._Run._emit", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "tripcon/_kernels/_fast.pyx":542
- *     # survivor repays its O(|Z|) restriction with >= |Z|-1 emissions.    #
- *     # ------------------------------------------------------------------ #
- *     cdef int _lsc(self, _Side t, int* z, int k, int* cand, int nc) except -1:             # <<<<<<<<<<<<<<
- *         cdef int i, l, rz, rd, hi, lo
- *         cdef int pos, ci, c, cp, ctax, kk, nid, sp
-*/
-
-static int __pyx_f_7tripcon_8_kernels_5_fast_4_Run__lsc(struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *__pyx_v_self, struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_v_t, int *__pyx_v_z, int __pyx_v_k, int *__pyx_v_cand, int __pyx_v_nc) {
-  int __pyx_v_i;
-  int __pyx_v_l;
-  int __pyx_v_rz;
-  int __pyx_v_rd;
-  int __pyx_v_hi;
-  int __pyx_v_lo;
-  int __pyx_v_pos;
-  int __pyx_v_ci;
-  int __pyx_v_c;
-  int __pyx_v_cp;
-  int __pyx_v_ctax;
-  int __pyx_v_kk;
-  int __pyx_v_nid;
-  int __pyx_v_sp;
-  int __pyx_v_j;
-  int __pyx_v_bnd;
-  int __pyx_v_bd;
-  int __pyx_v_top;
-  int __pyx_v_nxt;
-  int __pyx_v_inner;
-  int __pyx_v_leaf;
-  int __pyx_v_c_node;
-  int __pyx_v_cur_orig;
-  int __pyx_v_y;
-  int __pyx_v_pr;
-  int __pyx_v_ylo;
-  int __pyx_v_yhi;
-  int __pyx_v_slo;
-  int __pyx_v_shi;
-  int __pyx_v_ia;
-  int __pyx_v_ib;
-  int __pyx_v_ta;
-  int __pyx_v_tb;
-  int __pyx_v_rootn;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_t_8;
-  int __pyx_t_9;
-  int __pyx_t_10;
-  int __pyx_t_11;
-  int __pyx_t_12;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":548
- *         cdef int y, pr, ylo, yhi, slo, shi, ia, ib, ta, tb, rootn
- * 
- *         if k < 2 or nc == 0:             # <<<<<<<<<<<<<<
- *             return 0
- *         rz = z[0]
-*/
-  __pyx_t_2 = (__pyx_v_k < 2);
-  if (!__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_2 = (__pyx_v_nc == 0);
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L4_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "tripcon/_kernels/_fast.pyx":549
- * 
- *         if k < 2 or nc == 0:
- *             return 0             # <<<<<<<<<<<<<<
- *         rz = z[0]
- *         rd = t.depth[rz]
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "tripcon/_kernels/_fast.pyx":548
- *         cdef int y, pr, ylo, yhi, slo, shi, ia, ib, ta, tb, rootn
- * 
- *         if k < 2 or nc == 0:             # <<<<<<<<<<<<<<
- *             return 0
- *         rz = z[0]
-*/
-  }
-
-  /* "tripcon/_kernels/_fast.pyx":550
- *         if k < 2 or nc == 0:
- *             return 0
- *         rz = z[0]             # <<<<<<<<<<<<<<
- *         rd = t.depth[rz]
- *         for i in range(1, k):
-*/
-  __pyx_v_rz = (__pyx_v_z[0]);
-
-  /* "tripcon/_kernels/_fast.pyx":551
- *             return 0
- *         rz = z[0]
- *         rd = t.depth[rz]             # <<<<<<<<<<<<<<
- *         for i in range(1, k):
- *             l = _lca(t, z[i - 1], z[i])
-*/
-  __pyx_v_rd = (__pyx_v_t->depth[__pyx_v_rz]);
-
-  /* "tripcon/_kernels/_fast.pyx":552
- *         rz = z[0]
- *         rd = t.depth[rz]
- *         for i in range(1, k):             # <<<<<<<<<<<<<<
- *             l = _lca(t, z[i - 1], z[i])
- *             self.zlca[i - 1] = l
-*/
-  __pyx_t_3 = __pyx_v_k;
-  __pyx_t_4 = __pyx_t_3;
-  for (__pyx_t_5 = 1; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-    __pyx_v_i = __pyx_t_5;
-
-    /* "tripcon/_kernels/_fast.pyx":553
- *         rd = t.depth[rz]
- *         for i in range(1, k):
- *             l = _lca(t, z[i - 1], z[i])             # <<<<<<<<<<<<<<
- *             self.zlca[i - 1] = l
- *             if t.depth[l] < rd:
-*/
-    __pyx_v_l = __pyx_f_7tripcon_8_kernels_5_fast__lca(__pyx_v_t, (__pyx_v_z[(__pyx_v_i - 1)]), (__pyx_v_z[__pyx_v_i]));
-
-    /* "tripcon/_kernels/_fast.pyx":554
- *         for i in range(1, k):
- *             l = _lca(t, z[i - 1], z[i])
- *             self.zlca[i - 1] = l             # <<<<<<<<<<<<<<
- *             if t.depth[l] < rd:
- *                 rz = l
-*/
-    (__pyx_v_self->zlca[(__pyx_v_i - 1)]) = __pyx_v_l;
-
-    /* "tripcon/_kernels/_fast.pyx":555
- *             l = _lca(t, z[i - 1], z[i])
- *             self.zlca[i - 1] = l
- *             if t.depth[l] < rd:             # <<<<<<<<<<<<<<
- *                 rz = l
- *                 rd = t.depth[l]
-*/
-    __pyx_t_1 = ((__pyx_v_t->depth[__pyx_v_l]) < __pyx_v_rd);
-    if (__pyx_t_1) {
-
-      /* "tripcon/_kernels/_fast.pyx":556
- *             self.zlca[i - 1] = l
- *             if t.depth[l] < rd:
- *                 rz = l             # <<<<<<<<<<<<<<
- *                 rd = t.depth[l]
- *         for i in range(k):
-*/
-      __pyx_v_rz = __pyx_v_l;
-
-      /* "tripcon/_kernels/_fast.pyx":557
- *             if t.depth[l] < rd:
- *                 rz = l
- *                 rd = t.depth[l]             # <<<<<<<<<<<<<<
- *         for i in range(k):
- *             self.ztax[i] = t.taxon[z[i]]
-*/
-      __pyx_v_rd = (__pyx_v_t->depth[__pyx_v_l]);
-
-      /* "tripcon/_kernels/_fast.pyx":555
- *             l = _lca(t, z[i - 1], z[i])
- *             self.zlca[i - 1] = l
- *             if t.depth[l] < rd:             # <<<<<<<<<<<<<<
- *                 rz = l
- *                 rd = t.depth[l]
-*/
-    }
-  }
-
-  /* "tripcon/_kernels/_fast.pyx":558
- *                 rz = l
- *                 rd = t.depth[l]
- *         for i in range(k):             # <<<<<<<<<<<<<<
- *             self.ztax[i] = t.taxon[z[i]]
- *             self.zpost[i] = t.post[z[i]]
-*/
-  __pyx_t_3 = __pyx_v_k;
-  __pyx_t_4 = __pyx_t_3;
-  for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-    __pyx_v_i = __pyx_t_5;
-
-    /* "tripcon/_kernels/_fast.pyx":559
- *                 rd = t.depth[l]
- *         for i in range(k):
- *             self.ztax[i] = t.taxon[z[i]]             # <<<<<<<<<<<<<<
- *             self.zpost[i] = t.post[z[i]]
- *         self.work += k
-*/
-    (__pyx_v_self->ztax[__pyx_v_i]) = (__pyx_v_t->taxon[(__pyx_v_z[__pyx_v_i])]);
-
-    /* "tripcon/_kernels/_fast.pyx":560
- *         for i in range(k):
- *             self.ztax[i] = t.taxon[z[i]]
- *             self.zpost[i] = t.post[z[i]]             # <<<<<<<<<<<<<<
- *         self.work += k
- * 
-*/
-    (__pyx_v_self->zpost[__pyx_v_i]) = (__pyx_v_t->post[(__pyx_v_z[__pyx_v_i])]);
-  }
-
-  /* "tripcon/_kernels/_fast.pyx":561
- *             self.ztax[i] = t.taxon[z[i]]
- *             self.zpost[i] = t.post[z[i]]
- *         self.work += k             # <<<<<<<<<<<<<<
- * 
- *         hi = t.post[rz]
-*/
-  __pyx_v_self->work = (__pyx_v_self->work + __pyx_v_k);
-
-  /* "tripcon/_kernels/_fast.pyx":563
- *         self.work += k
- * 
- *         hi = t.post[rz]             # <<<<<<<<<<<<<<
- *         lo = hi - (2 * t.lc[rz] - 1)
- * 
-*/
-  __pyx_v_hi = (__pyx_v_t->post[__pyx_v_rz]);
-
-  /* "tripcon/_kernels/_fast.pyx":564
- * 
- *         hi = t.post[rz]
- *         lo = hi - (2 * t.lc[rz] - 1)             # <<<<<<<<<<<<<<
- * 
- *         pos = 0
-*/
-  __pyx_v_lo = (__pyx_v_hi - ((2 * (__pyx_v_t->lc[__pyx_v_rz])) - 1));
-
-  /* "tripcon/_kernels/_fast.pyx":566
- *         lo = hi - (2 * t.lc[rz] - 1)
- * 
- *         pos = 0             # <<<<<<<<<<<<<<
- *         for ci in range(nc):
- *             c = cand[ci]
-*/
-  __pyx_v_pos = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":567
- * 
- *         pos = 0
- *         for ci in range(nc):             # <<<<<<<<<<<<<<
- *             c = cand[ci]
- *             cp = t.post[c]
-*/
-  __pyx_t_3 = __pyx_v_nc;
-  __pyx_t_4 = __pyx_t_3;
-  for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-    __pyx_v_ci = __pyx_t_5;
-
-    /* "tripcon/_kernels/_fast.pyx":568
- *         pos = 0
- *         for ci in range(nc):
- *             c = cand[ci]             # <<<<<<<<<<<<<<
- *             cp = t.post[c]
- *             while pos < k and self.zpost[pos] < cp:
-*/
-    __pyx_v_c = (__pyx_v_cand[__pyx_v_ci]);
-
-    /* "tripcon/_kernels/_fast.pyx":569
- *         for ci in range(nc):
- *             c = cand[ci]
- *             cp = t.post[c]             # <<<<<<<<<<<<<<
- *             while pos < k and self.zpost[pos] < cp:
- *                 pos += 1
-*/
-    __pyx_v_cp = (__pyx_v_t->post[__pyx_v_c]);
-
-    /* "tripcon/_kernels/_fast.pyx":570
- *             c = cand[ci]
- *             cp = t.post[c]
- *             while pos < k and self.zpost[pos] < cp:             # <<<<<<<<<<<<<<
- *                 pos += 1
- *             self.work += 1
-*/
-    while (1) {
-      __pyx_t_2 = (__pyx_v_pos < __pyx_v_k);
-      if (__pyx_t_2) {
-      } else {
-        __pyx_t_1 = __pyx_t_2;
-        goto __pyx_L15_bool_binop_done;
-      }
-      __pyx_t_2 = ((__pyx_v_self->zpost[__pyx_v_pos]) < __pyx_v_cp);
-      __pyx_t_1 = __pyx_t_2;
-      __pyx_L15_bool_binop_done:;
-      if (!__pyx_t_1) break;
-
-      /* "tripcon/_kernels/_fast.pyx":571
- *             cp = t.post[c]
- *             while pos < k and self.zpost[pos] < cp:
- *                 pos += 1             # <<<<<<<<<<<<<<
- *             self.work += 1
- *             if not (lo < cp <= hi):
-*/
-      __pyx_v_pos = (__pyx_v_pos + 1);
-    }
-
-    /* "tripcon/_kernels/_fast.pyx":572
- *             while pos < k and self.zpost[pos] < cp:
- *                 pos += 1
- *             self.work += 1             # <<<<<<<<<<<<<<
- *             if not (lo < cp <= hi):
- *                 continue
-*/
-    __pyx_v_self->work = (__pyx_v_self->work + 1);
-
-    /* "tripcon/_kernels/_fast.pyx":573
- *                 pos += 1
- *             self.work += 1
- *             if not (lo < cp <= hi):             # <<<<<<<<<<<<<<
- *                 continue
- * 
-*/
-    __pyx_t_1 = (__pyx_v_lo < __pyx_v_cp);
-    if (__pyx_t_1) {
-      __pyx_t_1 = (__pyx_v_cp <= __pyx_v_hi);
-    }
-    __pyx_t_2 = (!__pyx_t_1);
-    if (__pyx_t_2) {
-
-      /* "tripcon/_kernels/_fast.pyx":574
- *             self.work += 1
- *             if not (lo < cp <= hi):
- *                 continue             # <<<<<<<<<<<<<<
- * 
- *             # Build T' = T|_(Z + {c}); merged element j is z[j] for
-*/
-      goto __pyx_L11_continue;
-
-      /* "tripcon/_kernels/_fast.pyx":573
- *                 pos += 1
- *             self.work += 1
- *             if not (lo < cp <= hi):             # <<<<<<<<<<<<<<
- *                 continue
- * 
-*/
-    }
-
-    /* "tripcon/_kernels/_fast.pyx":578
- *             # Build T' = T|_(Z + {c}); merged element j is z[j] for
- *             # j < pos, c at pos, z[j-1] after.
- *             self.work += k + 1             # <<<<<<<<<<<<<<
- *             ctax = t.taxon[c]
- *             kk = k + 1
-*/
-    __pyx_v_self->work = (__pyx_v_self->work + (__pyx_v_k + 1));
-
-    /* "tripcon/_kernels/_fast.pyx":579
- *             # j < pos, c at pos, z[j-1] after.
- *             self.work += k + 1
- *             ctax = t.taxon[c]             # <<<<<<<<<<<<<<
- *             kk = k + 1
- *             c_node = 0 if pos == 0 else -1
-*/
-    __pyx_v_ctax = (__pyx_v_t->taxon[__pyx_v_c]);
-
-    /* "tripcon/_kernels/_fast.pyx":580
- *             self.work += k + 1
- *             ctax = t.taxon[c]
- *             kk = k + 1             # <<<<<<<<<<<<<<
- *             c_node = 0 if pos == 0 else -1
- *             self.par[0] = -1
-*/
-    __pyx_v_kk = (__pyx_v_k + 1);
-
-    /* "tripcon/_kernels/_fast.pyx":581
- *             ctax = t.taxon[c]
- *             kk = k + 1
- *             c_node = 0 if pos == 0 else -1             # <<<<<<<<<<<<<<
- *             self.par[0] = -1
- *             self.plo[0] = 0
-*/
-    __pyx_t_2 = (__pyx_v_pos == 0);
-    if (__pyx_t_2) {
-      __pyx_t_6 = 0;
-    } else {
-      __pyx_t_6 = -1;
-    }
-    __pyx_v_c_node = __pyx_t_6;
-
-    /* "tripcon/_kernels/_fast.pyx":582
- *             kk = k + 1
- *             c_node = 0 if pos == 0 else -1
- *             self.par[0] = -1             # <<<<<<<<<<<<<<
- *             self.plo[0] = 0
- *             self.phi[0] = 1
-*/
-    (__pyx_v_self->par[0]) = -1;
-
-    /* "tripcon/_kernels/_fast.pyx":583
- *             c_node = 0 if pos == 0 else -1
- *             self.par[0] = -1
- *             self.plo[0] = 0             # <<<<<<<<<<<<<<
- *             self.phi[0] = 1
- *             self.podep[0] = t.depth[c] if pos == 0 else t.depth[z[0]]
-*/
-    (__pyx_v_self->plo[0]) = 0;
-
-    /* "tripcon/_kernels/_fast.pyx":584
- *             self.par[0] = -1
- *             self.plo[0] = 0
- *             self.phi[0] = 1             # <<<<<<<<<<<<<<
- *             self.podep[0] = t.depth[c] if pos == 0 else t.depth[z[0]]
- *             nid = 1
-*/
-    (__pyx_v_self->phi[0]) = 1;
-
-    /* "tripcon/_kernels/_fast.pyx":585
- *             self.plo[0] = 0
- *             self.phi[0] = 1
- *             self.podep[0] = t.depth[c] if pos == 0 else t.depth[z[0]]             # <<<<<<<<<<<<<<
- *             nid = 1
- *             self.pstk[0] = 0
-*/
-    __pyx_t_2 = (__pyx_v_pos == 0);
-    if (__pyx_t_2) {
-      __pyx_t_6 = (__pyx_v_t->depth[__pyx_v_c]);
-    } else {
-      __pyx_t_6 = (__pyx_v_t->depth[(__pyx_v_z[0])]);
-    }
-    (__pyx_v_self->podep[0]) = __pyx_t_6;
-
-    /* "tripcon/_kernels/_fast.pyx":586
- *             self.phi[0] = 1
- *             self.podep[0] = t.depth[c] if pos == 0 else t.depth[z[0]]
- *             nid = 1             # <<<<<<<<<<<<<<
- *             self.pstk[0] = 0
- *             sp = 1
-*/
-    __pyx_v_nid = 1;
-
-    /* "tripcon/_kernels/_fast.pyx":587
- *             self.podep[0] = t.depth[c] if pos == 0 else t.depth[z[0]]
- *             nid = 1
- *             self.pstk[0] = 0             # <<<<<<<<<<<<<<
- *             sp = 1
- *             for j in range(1, kk):
-*/
-    (__pyx_v_self->pstk[0]) = 0;
-
-    /* "tripcon/_kernels/_fast.pyx":588
- *             nid = 1
- *             self.pstk[0] = 0
- *             sp = 1             # <<<<<<<<<<<<<<
- *             for j in range(1, kk):
- *                 if j == pos:
-*/
-    __pyx_v_sp = 1;
-
-    /* "tripcon/_kernels/_fast.pyx":589
- *             self.pstk[0] = 0
- *             sp = 1
- *             for j in range(1, kk):             # <<<<<<<<<<<<<<
- *                 if j == pos:
- *                     bnd = _lca(t, z[j - 1], c)
-*/
-    __pyx_t_6 = __pyx_v_kk;
-    __pyx_t_7 = __pyx_t_6;
-    for (__pyx_t_8 = 1; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-      __pyx_v_j = __pyx_t_8;
-
-      /* "tripcon/_kernels/_fast.pyx":590
- *             sp = 1
- *             for j in range(1, kk):
- *                 if j == pos:             # <<<<<<<<<<<<<<
- *                     bnd = _lca(t, z[j - 1], c)
- *                     cur_orig = c
-*/
-      __pyx_t_2 = (__pyx_v_j == __pyx_v_pos);
-      if (__pyx_t_2) {
-
-        /* "tripcon/_kernels/_fast.pyx":591
- *             for j in range(1, kk):
- *                 if j == pos:
- *                     bnd = _lca(t, z[j - 1], c)             # <<<<<<<<<<<<<<
- *                     cur_orig = c
- *                 elif j == pos + 1:
-*/
-        __pyx_v_bnd = __pyx_f_7tripcon_8_kernels_5_fast__lca(__pyx_v_t, (__pyx_v_z[(__pyx_v_j - 1)]), __pyx_v_c);
-
-        /* "tripcon/_kernels/_fast.pyx":592
- *                 if j == pos:
- *                     bnd = _lca(t, z[j - 1], c)
- *                     cur_orig = c             # <<<<<<<<<<<<<<
- *                 elif j == pos + 1:
- *                     bnd = _lca(t, c, z[j - 1])
-*/
-        __pyx_v_cur_orig = __pyx_v_c;
-
-        /* "tripcon/_kernels/_fast.pyx":590
- *             sp = 1
- *             for j in range(1, kk):
- *                 if j == pos:             # <<<<<<<<<<<<<<
- *                     bnd = _lca(t, z[j - 1], c)
- *                     cur_orig = c
-*/
-        goto __pyx_L20;
-      }
-
-      /* "tripcon/_kernels/_fast.pyx":593
- *                     bnd = _lca(t, z[j - 1], c)
- *                     cur_orig = c
- *                 elif j == pos + 1:             # <<<<<<<<<<<<<<
- *                     bnd = _lca(t, c, z[j - 1])
- *                     cur_orig = z[j - 1]
-*/
-      __pyx_t_2 = (__pyx_v_j == (__pyx_v_pos + 1));
-      if (__pyx_t_2) {
-
-        /* "tripcon/_kernels/_fast.pyx":594
- *                     cur_orig = c
- *                 elif j == pos + 1:
- *                     bnd = _lca(t, c, z[j - 1])             # <<<<<<<<<<<<<<
- *                     cur_orig = z[j - 1]
- *                 elif j < pos:
-*/
-        __pyx_v_bnd = __pyx_f_7tripcon_8_kernels_5_fast__lca(__pyx_v_t, __pyx_v_c, (__pyx_v_z[(__pyx_v_j - 1)]));
-
-        /* "tripcon/_kernels/_fast.pyx":595
- *                 elif j == pos + 1:
- *                     bnd = _lca(t, c, z[j - 1])
- *                     cur_orig = z[j - 1]             # <<<<<<<<<<<<<<
- *                 elif j < pos:
- *                     bnd = self.zlca[j - 1]
-*/
-        __pyx_v_cur_orig = (__pyx_v_z[(__pyx_v_j - 1)]);
-
-        /* "tripcon/_kernels/_fast.pyx":593
- *                     bnd = _lca(t, z[j - 1], c)
- *                     cur_orig = c
- *                 elif j == pos + 1:             # <<<<<<<<<<<<<<
- *                     bnd = _lca(t, c, z[j - 1])
- *                     cur_orig = z[j - 1]
-*/
-        goto __pyx_L20;
-      }
-
-      /* "tripcon/_kernels/_fast.pyx":596
- *                     bnd = _lca(t, c, z[j - 1])
- *                     cur_orig = z[j - 1]
- *                 elif j < pos:             # <<<<<<<<<<<<<<
- *                     bnd = self.zlca[j - 1]
- *                     cur_orig = z[j]
-*/
-      __pyx_t_2 = (__pyx_v_j < __pyx_v_pos);
-      if (__pyx_t_2) {
-
-        /* "tripcon/_kernels/_fast.pyx":597
- *                     cur_orig = z[j - 1]
- *                 elif j < pos:
- *                     bnd = self.zlca[j - 1]             # <<<<<<<<<<<<<<
- *                     cur_orig = z[j]
- *                 else:
-*/
-        __pyx_v_bnd = (__pyx_v_self->zlca[(__pyx_v_j - 1)]);
-
-        /* "tripcon/_kernels/_fast.pyx":598
- *                 elif j < pos:
- *                     bnd = self.zlca[j - 1]
- *                     cur_orig = z[j]             # <<<<<<<<<<<<<<
- *                 else:
- *                     bnd = self.zlca[j - 2]
-*/
-        __pyx_v_cur_orig = (__pyx_v_z[__pyx_v_j]);
-
-        /* "tripcon/_kernels/_fast.pyx":596
- *                     bnd = _lca(t, c, z[j - 1])
- *                     cur_orig = z[j - 1]
- *                 elif j < pos:             # <<<<<<<<<<<<<<
- *                     bnd = self.zlca[j - 1]
- *                     cur_orig = z[j]
-*/
-        goto __pyx_L20;
-      }
-
-      /* "tripcon/_kernels/_fast.pyx":600
- *                     cur_orig = z[j]
- *                 else:
- *                     bnd = self.zlca[j - 2]             # <<<<<<<<<<<<<<
- *                     cur_orig = z[j - 1]
- *                 bd = t.depth[bnd]
-*/
-      /*else*/ {
-        __pyx_v_bnd = (__pyx_v_self->zlca[(__pyx_v_j - 2)]);
-
-        /* "tripcon/_kernels/_fast.pyx":601
- *                 else:
- *                     bnd = self.zlca[j - 2]
- *                     cur_orig = z[j - 1]             # <<<<<<<<<<<<<<
- *                 bd = t.depth[bnd]
- *                 sp -= 1
-*/
-        __pyx_v_cur_orig = (__pyx_v_z[(__pyx_v_j - 1)]);
-      }
-      __pyx_L20:;
-
-      /* "tripcon/_kernels/_fast.pyx":602
- *                     bnd = self.zlca[j - 2]
- *                     cur_orig = z[j - 1]
- *                 bd = t.depth[bnd]             # <<<<<<<<<<<<<<
- *                 sp -= 1
- *                 top = self.pstk[sp]
-*/
-      __pyx_v_bd = (__pyx_v_t->depth[__pyx_v_bnd]);
-
-      /* "tripcon/_kernels/_fast.pyx":603
- *                     cur_orig = z[j - 1]
- *                 bd = t.depth[bnd]
- *                 sp -= 1             # <<<<<<<<<<<<<<
- *                 top = self.pstk[sp]
- *                 while sp and self.podep[self.pstk[sp - 1]] > bd:
-*/
-      __pyx_v_sp = (__pyx_v_sp - 1);
-
-      /* "tripcon/_kernels/_fast.pyx":604
- *                 bd = t.depth[bnd]
- *                 sp -= 1
- *                 top = self.pstk[sp]             # <<<<<<<<<<<<<<
- *                 while sp and self.podep[self.pstk[sp - 1]] > bd:
- *                     sp -= 1
-*/
-      __pyx_v_top = (__pyx_v_self->pstk[__pyx_v_sp]);
-
-      /* "tripcon/_kernels/_fast.pyx":605
- *                 sp -= 1
- *                 top = self.pstk[sp]
- *                 while sp and self.podep[self.pstk[sp - 1]] > bd:             # <<<<<<<<<<<<<<
- *                     sp -= 1
- *                     nxt = self.pstk[sp]
-*/
-      while (1) {
-        __pyx_t_1 = (__pyx_v_sp != 0);
-        if (__pyx_t_1) {
-        } else {
-          __pyx_t_2 = __pyx_t_1;
-          goto __pyx_L23_bool_binop_done;
-        }
-        __pyx_t_1 = ((__pyx_v_self->podep[(__pyx_v_self->pstk[(__pyx_v_sp - 1)])]) > __pyx_v_bd);
-        __pyx_t_2 = __pyx_t_1;
-        __pyx_L23_bool_binop_done:;
-        if (!__pyx_t_2) break;
-
-        /* "tripcon/_kernels/_fast.pyx":606
- *                 top = self.pstk[sp]
- *                 while sp and self.podep[self.pstk[sp - 1]] > bd:
- *                     sp -= 1             # <<<<<<<<<<<<<<
- *                     nxt = self.pstk[sp]
- *                     self.par[top] = nxt
-*/
-        __pyx_v_sp = (__pyx_v_sp - 1);
-
-        /* "tripcon/_kernels/_fast.pyx":607
- *                 while sp and self.podep[self.pstk[sp - 1]] > bd:
- *                     sp -= 1
- *                     nxt = self.pstk[sp]             # <<<<<<<<<<<<<<
- *                     self.par[top] = nxt
- *                     self.phi[nxt] = self.phi[top]
-*/
-        __pyx_v_nxt = (__pyx_v_self->pstk[__pyx_v_sp]);
-
-        /* "tripcon/_kernels/_fast.pyx":608
- *                     sp -= 1
- *                     nxt = self.pstk[sp]
- *                     self.par[top] = nxt             # <<<<<<<<<<<<<<
- *                     self.phi[nxt] = self.phi[top]
- *                     top = nxt
-*/
-        (__pyx_v_self->par[__pyx_v_top]) = __pyx_v_nxt;
-
-        /* "tripcon/_kernels/_fast.pyx":609
- *                     nxt = self.pstk[sp]
- *                     self.par[top] = nxt
- *                     self.phi[nxt] = self.phi[top]             # <<<<<<<<<<<<<<
- *                     top = nxt
- *                 inner = nid
-*/
-        (__pyx_v_self->phi[__pyx_v_nxt]) = (__pyx_v_self->phi[__pyx_v_top]);
-
-        /* "tripcon/_kernels/_fast.pyx":610
- *                     self.par[top] = nxt
- *                     self.phi[nxt] = self.phi[top]
- *                     top = nxt             # <<<<<<<<<<<<<<
- *                 inner = nid
- *                 nid += 1
-*/
-        __pyx_v_top = __pyx_v_nxt;
-      }
-
-      /* "tripcon/_kernels/_fast.pyx":611
- *                     self.phi[nxt] = self.phi[top]
- *                     top = nxt
- *                 inner = nid             # <<<<<<<<<<<<<<
- *                 nid += 1
- *                 self.podep[inner] = bd
-*/
-      __pyx_v_inner = __pyx_v_nid;
-
-      /* "tripcon/_kernels/_fast.pyx":612
- *                     top = nxt
- *                 inner = nid
- *                 nid += 1             # <<<<<<<<<<<<<<
- *                 self.podep[inner] = bd
- *                 self.plo[inner] = self.plo[top]
-*/
-      __pyx_v_nid = (__pyx_v_nid + 1);
-
-      /* "tripcon/_kernels/_fast.pyx":613
- *                 inner = nid
- *                 nid += 1
- *                 self.podep[inner] = bd             # <<<<<<<<<<<<<<
- *                 self.plo[inner] = self.plo[top]
- *                 self.par[top] = inner
-*/
-      (__pyx_v_self->podep[__pyx_v_inner]) = __pyx_v_bd;
-
-      /* "tripcon/_kernels/_fast.pyx":614
- *                 nid += 1
- *                 self.podep[inner] = bd
- *                 self.plo[inner] = self.plo[top]             # <<<<<<<<<<<<<<
- *                 self.par[top] = inner
- *                 self.pstk[sp] = inner
-*/
-      (__pyx_v_self->plo[__pyx_v_inner]) = (__pyx_v_self->plo[__pyx_v_top]);
-
-      /* "tripcon/_kernels/_fast.pyx":615
- *                 self.podep[inner] = bd
- *                 self.plo[inner] = self.plo[top]
- *                 self.par[top] = inner             # <<<<<<<<<<<<<<
- *                 self.pstk[sp] = inner
- *                 sp += 1
-*/
-      (__pyx_v_self->par[__pyx_v_top]) = __pyx_v_inner;
-
-      /* "tripcon/_kernels/_fast.pyx":616
- *                 self.plo[inner] = self.plo[top]
- *                 self.par[top] = inner
- *                 self.pstk[sp] = inner             # <<<<<<<<<<<<<<
- *                 sp += 1
- *                 leaf = nid
-*/
-      (__pyx_v_self->pstk[__pyx_v_sp]) = __pyx_v_inner;
-
-      /* "tripcon/_kernels/_fast.pyx":617
- *                 self.par[top] = inner
- *                 self.pstk[sp] = inner
- *                 sp += 1             # <<<<<<<<<<<<<<
- *                 leaf = nid
- *                 nid += 1
-*/
-      __pyx_v_sp = (__pyx_v_sp + 1);
-
-      /* "tripcon/_kernels/_fast.pyx":618
- *                 self.pstk[sp] = inner
- *                 sp += 1
- *                 leaf = nid             # <<<<<<<<<<<<<<
- *                 nid += 1
- *                 self.podep[leaf] = t.depth[cur_orig]
-*/
-      __pyx_v_leaf = __pyx_v_nid;
-
-      /* "tripcon/_kernels/_fast.pyx":619
- *                 sp += 1
- *                 leaf = nid
- *                 nid += 1             # <<<<<<<<<<<<<<
- *                 self.podep[leaf] = t.depth[cur_orig]
- *                 self.plo[leaf] = j
-*/
-      __pyx_v_nid = (__pyx_v_nid + 1);
-
-      /* "tripcon/_kernels/_fast.pyx":620
- *                 leaf = nid
- *                 nid += 1
- *                 self.podep[leaf] = t.depth[cur_orig]             # <<<<<<<<<<<<<<
- *                 self.plo[leaf] = j
- *                 self.phi[leaf] = j + 1
-*/
-      (__pyx_v_self->podep[__pyx_v_leaf]) = (__pyx_v_t->depth[__pyx_v_cur_orig]);
-
-      /* "tripcon/_kernels/_fast.pyx":621
- *                 nid += 1
- *                 self.podep[leaf] = t.depth[cur_orig]
- *                 self.plo[leaf] = j             # <<<<<<<<<<<<<<
- *                 self.phi[leaf] = j + 1
- *                 if j == pos:
-*/
-      (__pyx_v_self->plo[__pyx_v_leaf]) = __pyx_v_j;
-
-      /* "tripcon/_kernels/_fast.pyx":622
- *                 self.podep[leaf] = t.depth[cur_orig]
- *                 self.plo[leaf] = j
- *                 self.phi[leaf] = j + 1             # <<<<<<<<<<<<<<
- *                 if j == pos:
- *                     c_node = leaf
-*/
-      (__pyx_v_self->phi[__pyx_v_leaf]) = (__pyx_v_j + 1);
-
-      /* "tripcon/_kernels/_fast.pyx":623
- *                 self.plo[leaf] = j
- *                 self.phi[leaf] = j + 1
- *                 if j == pos:             # <<<<<<<<<<<<<<
- *                     c_node = leaf
- *                 self.pstk[sp] = leaf
-*/
-      __pyx_t_2 = (__pyx_v_j == __pyx_v_pos);
-      if (__pyx_t_2) {
-
-        /* "tripcon/_kernels/_fast.pyx":624
- *                 self.phi[leaf] = j + 1
- *                 if j == pos:
- *                     c_node = leaf             # <<<<<<<<<<<<<<
- *                 self.pstk[sp] = leaf
- *                 sp += 1
-*/
-        __pyx_v_c_node = __pyx_v_leaf;
-
-        /* "tripcon/_kernels/_fast.pyx":623
- *                 self.plo[leaf] = j
- *                 self.phi[leaf] = j + 1
- *                 if j == pos:             # <<<<<<<<<<<<<<
- *                     c_node = leaf
- *                 self.pstk[sp] = leaf
-*/
-      }
-
-      /* "tripcon/_kernels/_fast.pyx":625
- *                 if j == pos:
- *                     c_node = leaf
- *                 self.pstk[sp] = leaf             # <<<<<<<<<<<<<<
- *                 sp += 1
- *             sp -= 1
-*/
-      (__pyx_v_self->pstk[__pyx_v_sp]) = __pyx_v_leaf;
-
-      /* "tripcon/_kernels/_fast.pyx":626
- *                     c_node = leaf
- *                 self.pstk[sp] = leaf
- *                 sp += 1             # <<<<<<<<<<<<<<
- *             sp -= 1
- *             top = self.pstk[sp]
-*/
-      __pyx_v_sp = (__pyx_v_sp + 1);
-    }
-
-    /* "tripcon/_kernels/_fast.pyx":627
- *                 self.pstk[sp] = leaf
- *                 sp += 1
- *             sp -= 1             # <<<<<<<<<<<<<<
- *             top = self.pstk[sp]
- *             while sp:
-*/
-    __pyx_v_sp = (__pyx_v_sp - 1);
-
-    /* "tripcon/_kernels/_fast.pyx":628
- *                 sp += 1
- *             sp -= 1
- *             top = self.pstk[sp]             # <<<<<<<<<<<<<<
- *             while sp:
- *                 sp -= 1
-*/
-    __pyx_v_top = (__pyx_v_self->pstk[__pyx_v_sp]);
-
-    /* "tripcon/_kernels/_fast.pyx":629
- *             sp -= 1
- *             top = self.pstk[sp]
- *             while sp:             # <<<<<<<<<<<<<<
- *                 sp -= 1
- *                 nxt = self.pstk[sp]
-*/
-    while (1) {
-      __pyx_t_2 = (__pyx_v_sp != 0);
-      if (!__pyx_t_2) break;
-
-      /* "tripcon/_kernels/_fast.pyx":630
- *             top = self.pstk[sp]
- *             while sp:
- *                 sp -= 1             # <<<<<<<<<<<<<<
- *                 nxt = self.pstk[sp]
- *                 self.par[top] = nxt
-*/
-      __pyx_v_sp = (__pyx_v_sp - 1);
-
-      /* "tripcon/_kernels/_fast.pyx":631
- *             while sp:
- *                 sp -= 1
- *                 nxt = self.pstk[sp]             # <<<<<<<<<<<<<<
- *                 self.par[top] = nxt
- *                 self.phi[nxt] = self.phi[top]
-*/
-      __pyx_v_nxt = (__pyx_v_self->pstk[__pyx_v_sp]);
-
-      /* "tripcon/_kernels/_fast.pyx":632
- *                 sp -= 1
- *                 nxt = self.pstk[sp]
- *                 self.par[top] = nxt             # <<<<<<<<<<<<<<
- *                 self.phi[nxt] = self.phi[top]
- *                 top = nxt
-*/
-      (__pyx_v_self->par[__pyx_v_top]) = __pyx_v_nxt;
-
-      /* "tripcon/_kernels/_fast.pyx":633
- *                 nxt = self.pstk[sp]
- *                 self.par[top] = nxt
- *                 self.phi[nxt] = self.phi[top]             # <<<<<<<<<<<<<<
- *                 top = nxt
- *             self.par[top] = -1
-*/
-      (__pyx_v_self->phi[__pyx_v_nxt]) = (__pyx_v_self->phi[__pyx_v_top]);
-
-      /* "tripcon/_kernels/_fast.pyx":634
- *                 self.par[top] = nxt
- *                 self.phi[nxt] = self.phi[top]
- *                 top = nxt             # <<<<<<<<<<<<<<
- *             self.par[top] = -1
- *             rootn = top
-*/
-      __pyx_v_top = __pyx_v_nxt;
-    }
-
-    /* "tripcon/_kernels/_fast.pyx":635
- *                 self.phi[nxt] = self.phi[top]
- *                 top = nxt
- *             self.par[top] = -1             # <<<<<<<<<<<<<<
- *             rootn = top
- * 
-*/
-    (__pyx_v_self->par[__pyx_v_top]) = -1;
-
-    /* "tripcon/_kernels/_fast.pyx":636
- *                 top = nxt
- *             self.par[top] = -1
- *             rootn = top             # <<<<<<<<<<<<<<
- * 
- *             # Walk from c's parent to the root; emit (below y) x (sibling).
-*/
-    __pyx_v_rootn = __pyx_v_top;
-
-    /* "tripcon/_kernels/_fast.pyx":639
- * 
- *             # Walk from c's parent to the root; emit (below y) x (sibling).
- *             y = self.par[c_node]             # <<<<<<<<<<<<<<
- *             while y != rootn:
- *                 self.work += 1
-*/
-    __pyx_v_y = (__pyx_v_self->par[__pyx_v_c_node]);
-
-    /* "tripcon/_kernels/_fast.pyx":640
- *             # Walk from c's parent to the root; emit (below y) x (sibling).
- *             y = self.par[c_node]
- *             while y != rootn:             # <<<<<<<<<<<<<<
- *                 self.work += 1
- *                 pr = self.par[y]
-*/
-    while (1) {
-      __pyx_t_2 = (__pyx_v_y != __pyx_v_rootn);
-      if (!__pyx_t_2) break;
-
-      /* "tripcon/_kernels/_fast.pyx":641
- *             y = self.par[c_node]
- *             while y != rootn:
- *                 self.work += 1             # <<<<<<<<<<<<<<
- *                 pr = self.par[y]
- *                 ylo = self.plo[y]
-*/
-      __pyx_v_self->work = (__pyx_v_self->work + 1);
-
-      /* "tripcon/_kernels/_fast.pyx":642
- *             while y != rootn:
- *                 self.work += 1
- *                 pr = self.par[y]             # <<<<<<<<<<<<<<
- *                 ylo = self.plo[y]
- *                 yhi = self.phi[y]
-*/
-      __pyx_v_pr = (__pyx_v_self->par[__pyx_v_y]);
-
-      /* "tripcon/_kernels/_fast.pyx":643
- *                 self.work += 1
- *                 pr = self.par[y]
- *                 ylo = self.plo[y]             # <<<<<<<<<<<<<<
- *                 yhi = self.phi[y]
- *                 if self.plo[pr] < ylo:
-*/
-      __pyx_v_ylo = (__pyx_v_self->plo[__pyx_v_y]);
-
-      /* "tripcon/_kernels/_fast.pyx":644
- *                 pr = self.par[y]
- *                 ylo = self.plo[y]
- *                 yhi = self.phi[y]             # <<<<<<<<<<<<<<
- *                 if self.plo[pr] < ylo:
- *                     slo = self.plo[pr]
-*/
-      __pyx_v_yhi = (__pyx_v_self->phi[__pyx_v_y]);
-
-      /* "tripcon/_kernels/_fast.pyx":645
- *                 ylo = self.plo[y]
- *                 yhi = self.phi[y]
- *                 if self.plo[pr] < ylo:             # <<<<<<<<<<<<<<
- *                     slo = self.plo[pr]
- *                     shi = ylo
-*/
-      __pyx_t_2 = ((__pyx_v_self->plo[__pyx_v_pr]) < __pyx_v_ylo);
-      if (__pyx_t_2) {
-
-        /* "tripcon/_kernels/_fast.pyx":646
- *                 yhi = self.phi[y]
- *                 if self.plo[pr] < ylo:
- *                     slo = self.plo[pr]             # <<<<<<<<<<<<<<
- *                     shi = ylo
- *                 else:
-*/
-        __pyx_v_slo = (__pyx_v_self->plo[__pyx_v_pr]);
-
-        /* "tripcon/_kernels/_fast.pyx":647
- *                 if self.plo[pr] < ylo:
- *                     slo = self.plo[pr]
- *                     shi = ylo             # <<<<<<<<<<<<<<
- *                 else:
- *                     slo = yhi
-*/
-        __pyx_v_shi = __pyx_v_ylo;
-
-        /* "tripcon/_kernels/_fast.pyx":645
- *                 ylo = self.plo[y]
- *                 yhi = self.phi[y]
- *                 if self.plo[pr] < ylo:             # <<<<<<<<<<<<<<
- *                     slo = self.plo[pr]
- *                     shi = ylo
-*/
-        goto __pyx_L30;
-      }
-
-      /* "tripcon/_kernels/_fast.pyx":649
- *                     shi = ylo
- *                 else:
- *                     slo = yhi             # <<<<<<<<<<<<<<
- *                     shi = self.phi[pr]
- *                 if not self.store:
-*/
-      /*else*/ {
-        __pyx_v_slo = __pyx_v_yhi;
-
-        /* "tripcon/_kernels/_fast.pyx":650
- *                 else:
- *                     slo = yhi
- *                     shi = self.phi[pr]             # <<<<<<<<<<<<<<
- *                 if not self.store:
- *                     self.emitted += <long long> (yhi - ylo - 1) * (shi - slo)
-*/
-        __pyx_v_shi = (__pyx_v_self->phi[__pyx_v_pr]);
-      }
-      __pyx_L30:;
-
-      /* "tripcon/_kernels/_fast.pyx":651
- *                     slo = yhi
- *                     shi = self.phi[pr]
- *                 if not self.store:             # <<<<<<<<<<<<<<
- *                     self.emitted += <long long> (yhi - ylo - 1) * (shi - slo)
- *                     y = pr
-*/
-      __pyx_t_2 = (!__pyx_v_self->store);
-      if (__pyx_t_2) {
-
-        /* "tripcon/_kernels/_fast.pyx":652
- *                     shi = self.phi[pr]
- *                 if not self.store:
- *                     self.emitted += <long long> (yhi - ylo - 1) * (shi - slo)             # <<<<<<<<<<<<<<
- *                     y = pr
- *                     continue
-*/
-        __pyx_v_self->emitted = (__pyx_v_self->emitted + (((PY_LONG_LONG)((__pyx_v_yhi - __pyx_v_ylo) - 1)) * (__pyx_v_shi - __pyx_v_slo)));
-
-        /* "tripcon/_kernels/_fast.pyx":653
- *                 if not self.store:
- *                     self.emitted += <long long> (yhi - ylo - 1) * (shi - slo)
- *                     y = pr             # <<<<<<<<<<<<<<
- *                     continue
- *                 for ia in range(ylo, yhi):
-*/
-        __pyx_v_y = __pyx_v_pr;
-
-        /* "tripcon/_kernels/_fast.pyx":654
- *                     self.emitted += <long long> (yhi - ylo - 1) * (shi - slo)
- *                     y = pr
- *                     continue             # <<<<<<<<<<<<<<
- *                 for ia in range(ylo, yhi):
- *                     if ia == pos:
-*/
-        goto __pyx_L28_continue;
-
-        /* "tripcon/_kernels/_fast.pyx":651
- *                     slo = yhi
- *                     shi = self.phi[pr]
- *                 if not self.store:             # <<<<<<<<<<<<<<
- *                     self.emitted += <long long> (yhi - ylo - 1) * (shi - slo)
- *                     y = pr
-*/
-      }
-
-      /* "tripcon/_kernels/_fast.pyx":655
- *                     y = pr
- *                     continue
- *                 for ia in range(ylo, yhi):             # <<<<<<<<<<<<<<
- *                     if ia == pos:
- *                         continue
-*/
-      __pyx_t_6 = __pyx_v_yhi;
-      __pyx_t_7 = __pyx_t_6;
-      for (__pyx_t_8 = __pyx_v_ylo; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-        __pyx_v_ia = __pyx_t_8;
-
-        /* "tripcon/_kernels/_fast.pyx":656
- *                     continue
- *                 for ia in range(ylo, yhi):
- *                     if ia == pos:             # <<<<<<<<<<<<<<
- *                         continue
- *                     ta = self.ztax[ia] if ia < pos else self.ztax[ia - 1]
-*/
-        __pyx_t_2 = (__pyx_v_ia == __pyx_v_pos);
-        if (__pyx_t_2) {
-
-          /* "tripcon/_kernels/_fast.pyx":657
- *                 for ia in range(ylo, yhi):
- *                     if ia == pos:
- *                         continue             # <<<<<<<<<<<<<<
- *                     ta = self.ztax[ia] if ia < pos else self.ztax[ia - 1]
- *                     for ib in range(slo, shi):
-*/
-          goto __pyx_L32_continue;
-
-          /* "tripcon/_kernels/_fast.pyx":656
- *                     continue
- *                 for ia in range(ylo, yhi):
- *                     if ia == pos:             # <<<<<<<<<<<<<<
- *                         continue
- *                     ta = self.ztax[ia] if ia < pos else self.ztax[ia - 1]
-*/
-        }
-
-        /* "tripcon/_kernels/_fast.pyx":658
- *                     if ia == pos:
- *                         continue
- *                     ta = self.ztax[ia] if ia < pos else self.ztax[ia - 1]             # <<<<<<<<<<<<<<
- *                     for ib in range(slo, shi):
- *                         tb = self.ztax[ib] if ib < pos else self.ztax[ib - 1]
-*/
-        __pyx_t_2 = (__pyx_v_ia < __pyx_v_pos);
-        if (__pyx_t_2) {
-          __pyx_t_9 = (__pyx_v_self->ztax[__pyx_v_ia]);
-        } else {
-          __pyx_t_9 = (__pyx_v_self->ztax[(__pyx_v_ia - 1)]);
-        }
-        __pyx_v_ta = __pyx_t_9;
-
-        /* "tripcon/_kernels/_fast.pyx":659
- *                         continue
- *                     ta = self.ztax[ia] if ia < pos else self.ztax[ia - 1]
- *                     for ib in range(slo, shi):             # <<<<<<<<<<<<<<
- *                         tb = self.ztax[ib] if ib < pos else self.ztax[ib - 1]
- *                         self._emit(ta, tb, ctax)
-*/
-        __pyx_t_9 = __pyx_v_shi;
-        __pyx_t_10 = __pyx_t_9;
-        for (__pyx_t_11 = __pyx_v_slo; __pyx_t_11 < __pyx_t_10; __pyx_t_11+=1) {
-          __pyx_v_ib = __pyx_t_11;
-
-          /* "tripcon/_kernels/_fast.pyx":660
- *                     ta = self.ztax[ia] if ia < pos else self.ztax[ia - 1]
- *                     for ib in range(slo, shi):
- *                         tb = self.ztax[ib] if ib < pos else self.ztax[ib - 1]             # <<<<<<<<<<<<<<
- *                         self._emit(ta, tb, ctax)
- *                 y = pr
-*/
-          __pyx_t_2 = (__pyx_v_ib < __pyx_v_pos);
-          if (__pyx_t_2) {
-            __pyx_t_12 = (__pyx_v_self->ztax[__pyx_v_ib]);
-          } else {
-            __pyx_t_12 = (__pyx_v_self->ztax[(__pyx_v_ib - 1)]);
-          }
-          __pyx_v_tb = __pyx_t_12;
-
-          /* "tripcon/_kernels/_fast.pyx":661
- *                     for ib in range(slo, shi):
- *                         tb = self.ztax[ib] if ib < pos else self.ztax[ib - 1]
- *                         self._emit(ta, tb, ctax)             # <<<<<<<<<<<<<<
- *                 y = pr
- *         return 0
-*/
-          __pyx_t_12 = ((struct __pyx_vtabstruct_7tripcon_8_kernels_5_fast__Run *)__pyx_v_self->__pyx_vtab)->_emit(__pyx_v_self, __pyx_v_ta, __pyx_v_tb, __pyx_v_ctax); if (unlikely(__pyx_t_12 == ((int)-1))) __PYX_ERR(0, 661, __pyx_L1_error)
-        }
-        __pyx_L32_continue:;
-      }
-
-      /* "tripcon/_kernels/_fast.pyx":662
- *                         tb = self.ztax[ib] if ib < pos else self.ztax[ib - 1]
- *                         self._emit(ta, tb, ctax)
- *                 y = pr             # <<<<<<<<<<<<<<
- *         return 0
- * 
-*/
-      __pyx_v_y = __pyx_v_pr;
-      __pyx_L28_continue:;
-    }
-    __pyx_L11_continue:;
-  }
-
-  /* "tripcon/_kernels/_fast.pyx":663
- *                         self._emit(ta, tb, ctax)
- *                 y = pr
- *         return 0             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = 0;
-  goto __pyx_L0;
-
-  /* "tripcon/_kernels/_fast.pyx":542
- *     # survivor repays its O(|Z|) restriction with >= |Z|-1 emissions.    #
- *     # ------------------------------------------------------------------ #
- *     cdef int _lsc(self, _Side t, int* z, int k, int* cand, int nc) except -1:             # <<<<<<<<<<<<<<
- *         cdef int i, l, rz, rd, hi, lo
- *         cdef int pos, ci, c, cp, ctax, kk, nid, sp
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("tripcon._kernels._fast._Run._lsc", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "(tree fragment)":1
- * def __reduce_cython__(self):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7tripcon_8_kernels_5_fast_4_Run_3__reduce_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_7tripcon_8_kernels_5_fast_4_Run_3__reduce_cython__ = {"__reduce_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7tripcon_8_kernels_5_fast_4_Run_3__reduce_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_7tripcon_8_kernels_5_fast_4_Run_3__reduce_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__reduce_cython__ (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  if (unlikely(__pyx_nargs > 0)) { __Pyx_RaiseArgtupleInvalid("__reduce_cython__", 1, 0, 0, __pyx_nargs); return NULL; }
-  const Py_ssize_t __pyx_kwds_len = unlikely(__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-  if (unlikely(__pyx_kwds_len < 0)) return NULL;
-  if (unlikely(__pyx_kwds_len > 0)) {__Pyx_RejectKeywords("__reduce_cython__", __pyx_kwds); return NULL;}
-  __pyx_r = __pyx_pf_7tripcon_8_kernels_5_fast_4_Run_2__reduce_cython__(((struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7tripcon_8_kernels_5_fast_4_Run_2__reduce_cython__(CYTHON_UNUSED struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *__pyx_v_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__reduce_cython__", 0);
-
-  /* "(tree fragment)":2
- * def __reduce_cython__(self):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"             # <<<<<<<<<<<<<<
- * def __setstate_cython__(self, __pyx_state):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
-*/
-  __Pyx_Raise(((PyObject *)(((PyTypeObject*)PyExc_TypeError))), __pyx_mstate_global->__pyx_kp_u_no_default___reduce___due_to_non, 0, 0);
-  __PYX_ERR(3, 2, __pyx_L1_error)
-
-  /* "(tree fragment)":1
- * def __reduce_cython__(self):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("tripcon._kernels._fast._Run.__reduce_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "(tree fragment)":3
- * def __reduce_cython__(self):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7tripcon_8_kernels_5_fast_4_Run_5__setstate_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_7tripcon_8_kernels_5_fast_4_Run_5__setstate_cython__ = {"__setstate_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7tripcon_8_kernels_5_fast_4_Run_5__setstate_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_7tripcon_8_kernels_5_fast_4_Run_5__setstate_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  CYTHON_UNUSED PyObject *__pyx_v___pyx_state = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__setstate_cython__ (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_pyx_state,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(3, 3, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(3, 3, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "__setstate_cython__", 0) < (0)) __PYX_ERR(3, 3, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("__setstate_cython__", 1, 1, 1, i); __PYX_ERR(3, 3, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(3, 3, __pyx_L3_error)
-    }
-    __pyx_v___pyx_state = values[0];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("__setstate_cython__", 1, 1, 1, __pyx_nargs); __PYX_ERR(3, 3, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("tripcon._kernels._fast._Run.__setstate_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_7tripcon_8_kernels_5_fast_4_Run_4__setstate_cython__(((struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *)__pyx_v_self), __pyx_v___pyx_state);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7tripcon_8_kernels_5_fast_4_Run_4__setstate_cython__(CYTHON_UNUSED struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *__pyx_v_self, CYTHON_UNUSED PyObject *__pyx_v___pyx_state) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__setstate_cython__", 0);
-
-  /* "(tree fragment)":4
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"             # <<<<<<<<<<<<<<
-*/
-  __Pyx_Raise(((PyObject *)(((PyTypeObject*)PyExc_TypeError))), __pyx_mstate_global->__pyx_kp_u_no_default___reduce___due_to_non, 0, 0);
-  __PYX_ERR(3, 4, __pyx_L1_error)
-
-  /* "(tree fragment)":3
- * def __reduce_cython__(self):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("tripcon._kernels._fast._Run.__setstate_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "tripcon/_kernels/_fast.pyx":666
- * 
- * 
- * def run_enumeration(list p_left, list p_right, list p_taxon, int p_root,             # <<<<<<<<<<<<<<
- *                     list q_left, list q_right, list q_taxon, int q_root,
- *                     int universe, bint store=True):
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7tripcon_8_kernels_5_fast_1run_enumeration(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_7tripcon_8_kernels_5_fast_run_enumeration, "Enumerate conflicts; same contract and output as the pure kernel.\n\n    With ``store`` false, triples are only counted, never materialized.\n    Returns ``(flat_triples, emitted, frames_opened, nodes_touched,\n    budget_violations, per_frame_dr)``.\n    ");
-static PyMethodDef __pyx_mdef_7tripcon_8_kernels_5_fast_1run_enumeration = {"run_enumeration", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7tripcon_8_kernels_5_fast_1run_enumeration, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_7tripcon_8_kernels_5_fast_run_enumeration};
-static PyObject *__pyx_pw_7tripcon_8_kernels_5_fast_1run_enumeration(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_p_left = 0;
-  PyObject *__pyx_v_p_right = 0;
-  PyObject *__pyx_v_p_taxon = 0;
-  int __pyx_v_p_root;
-  PyObject *__pyx_v_q_left = 0;
-  PyObject *__pyx_v_q_right = 0;
-  PyObject *__pyx_v_q_taxon = 0;
-  int __pyx_v_q_root;
-  int __pyx_v_universe;
-  int __pyx_v_store;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[10] = {0,0,0,0,0,0,0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("run_enumeration (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_p_left,&__pyx_mstate_global->__pyx_n_u_p_right,&__pyx_mstate_global->__pyx_n_u_p_taxon,&__pyx_mstate_global->__pyx_n_u_p_root,&__pyx_mstate_global->__pyx_n_u_q_left,&__pyx_mstate_global->__pyx_n_u_q_right,&__pyx_mstate_global->__pyx_n_u_q_taxon,&__pyx_mstate_global->__pyx_n_u_q_root,&__pyx_mstate_global->__pyx_n_u_universe,&__pyx_mstate_global->__pyx_n_u_store,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 666, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case 10:
-        values[9] = __Pyx_ArgRef_FASTCALL(__pyx_args, 9);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[9])) __PYX_ERR(0, 666, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  9:
-        values[8] = __Pyx_ArgRef_FASTCALL(__pyx_args, 8);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 666, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  8:
-        values[7] = __Pyx_ArgRef_FASTCALL(__pyx_args, 7);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 666, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  7:
-        values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 666, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  6:
-        values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 666, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 666, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 666, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 666, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 666, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 666, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "run_enumeration", 0) < (0)) __PYX_ERR(0, 666, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 9; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("run_enumeration", 0, 9, 10, i); __PYX_ERR(0, 666, __pyx_L3_error) }
-      }
-    } else {
-      switch (__pyx_nargs) {
-        case 10:
-        values[9] = __Pyx_ArgRef_FASTCALL(__pyx_args, 9);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[9])) __PYX_ERR(0, 666, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  9:
-        values[8] = __Pyx_ArgRef_FASTCALL(__pyx_args, 8);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 666, __pyx_L3_error)
-        values[7] = __Pyx_ArgRef_FASTCALL(__pyx_args, 7);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 666, __pyx_L3_error)
-        values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 666, __pyx_L3_error)
-        values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 666, __pyx_L3_error)
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 666, __pyx_L3_error)
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 666, __pyx_L3_error)
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 666, __pyx_L3_error)
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 666, __pyx_L3_error)
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 666, __pyx_L3_error)
-        break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-    }
-    __pyx_v_p_left = ((PyObject*)values[0]);
-    __pyx_v_p_right = ((PyObject*)values[1]);
-    __pyx_v_p_taxon = ((PyObject*)values[2]);
-    __pyx_v_p_root = __Pyx_PyLong_As_int(values[3]); if (unlikely((__pyx_v_p_root == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 666, __pyx_L3_error)
-    __pyx_v_q_left = ((PyObject*)values[4]);
-    __pyx_v_q_right = ((PyObject*)values[5]);
-    __pyx_v_q_taxon = ((PyObject*)values[6]);
-    __pyx_v_q_root = __Pyx_PyLong_As_int(values[7]); if (unlikely((__pyx_v_q_root == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 667, __pyx_L3_error)
-    __pyx_v_universe = __Pyx_PyLong_As_int(values[8]); if (unlikely((__pyx_v_universe == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 668, __pyx_L3_error)
-    if (values[9]) {
-      __pyx_v_store = __Pyx_PyObject_IsTrue(values[9]); if (unlikely((__pyx_v_store == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 668, __pyx_L3_error)
-    } else {
-
-      /* "tripcon/_kernels/_fast.pyx":668
- * def run_enumeration(list p_left, list p_right, list p_taxon, int p_root,
- *                     list q_left, list q_right, list q_taxon, int q_root,
- *                     int universe, bint store=True):             # <<<<<<<<<<<<<<
- *     """Enumerate conflicts; same contract and output as the pure kernel.
- * 
-*/
-      __pyx_v_store = ((int)((int)1));
-    }
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("run_enumeration", 0, 9, 10, __pyx_nargs); __PYX_ERR(0, 666, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("tripcon._kernels._fast.run_enumeration", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  if (unlikely(!__Pyx_ArgTypeTest(((PyObject *)__pyx_v_p_left), (&PyList_Type), 1, "p_left", 1))) __PYX_ERR(0, 666, __pyx_L1_error)
-  if (unlikely(!__Pyx_ArgTypeTest(((PyObject *)__pyx_v_p_right), (&PyList_Type), 1, "p_right", 1))) __PYX_ERR(0, 666, __pyx_L1_error)
-  if (unlikely(!__Pyx_ArgTypeTest(((PyObject *)__pyx_v_p_taxon), (&PyList_Type), 1, "p_taxon", 1))) __PYX_ERR(0, 666, __pyx_L1_error)
-  if (unlikely(!__Pyx_ArgTypeTest(((PyObject *)__pyx_v_q_left), (&PyList_Type), 1, "q_left", 1))) __PYX_ERR(0, 667, __pyx_L1_error)
-  if (unlikely(!__Pyx_ArgTypeTest(((PyObject *)__pyx_v_q_right), (&PyList_Type), 1, "q_right", 1))) __PYX_ERR(0, 667, __pyx_L1_error)
-  if (unlikely(!__Pyx_ArgTypeTest(((PyObject *)__pyx_v_q_taxon), (&PyList_Type), 1, "q_taxon", 1))) __PYX_ERR(0, 667, __pyx_L1_error)
-  __pyx_r = __pyx_pf_7tripcon_8_kernels_5_fast_run_enumeration(__pyx_self, __pyx_v_p_left, __pyx_v_p_right, __pyx_v_p_taxon, __pyx_v_p_root, __pyx_v_q_left, __pyx_v_q_right, __pyx_v_q_taxon, __pyx_v_q_root, __pyx_v_universe, __pyx_v_store);
-
-  /* "tripcon/_kernels/_fast.pyx":666
- * 
- * 
- * def run_enumeration(list p_left, list p_right, list p_taxon, int p_root,             # <<<<<<<<<<<<<<
- *                     list q_left, list q_right, list q_taxon, int q_root,
- *                     int universe, bint store=True):
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __pyx_r = NULL;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  goto __pyx_L7_cleaned_up;
-  __pyx_L0:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __pyx_L7_cleaned_up:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7tripcon_8_kernels_5_fast_run_enumeration(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_p_left, PyObject *__pyx_v_p_right, PyObject *__pyx_v_p_taxon, int __pyx_v_p_root, PyObject *__pyx_v_q_left, PyObject *__pyx_v_q_right, PyObject *__pyx_v_q_taxon, int __pyx_v_q_root, int __pyx_v_universe, int __pyx_v_store) {
-  struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *__pyx_v_run = 0;
-  struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_v_P0 = 0;
-  struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_v_Q0 = 0;
-  struct __pyx_obj_7tripcon_8_kernels_5_fast__Ctx *__pyx_v_top = 0;
-  struct __pyx_obj_7tripcon_8_kernels_5_fast__Ctx *__pyx_v_ctx = 0;
-  struct __pyx_obj_7tripcon_8_kernels_5_fast__Ctx *__pyx_v_child = 0;
-  struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_v_P = 0;
-  struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_v_Q = 0;
-  struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_v_cp_side = 0;
-  struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *__pyx_v_cq_side = 0;
-  int __pyx_v_ci;
-  int __pyx_v_rp;
-  int __pyx_v_rq;
-  int __pyx_v_up;
-  int __pyx_v_vp;
-  int __pyx_v_uq;
-  int __pyx_v_vq;
-  int __pyx_v_tswap;
-  int __pyx_v_base;
-  int __pyx_v_end;
-  int __pyx_v_r;
-  int __pyx_v_leaf;
-  int __pyx_v_nz;
-  int __pyx_v_i;
-  int __pyx_v_pi;
-  int __pyx_v_x_p;
-  int __pyx_v_x_q;
-  int __pyx_v_other_p;
-  int __pyx_v_ai;
-  int __pyx_v_bi;
-  int __pyx_v_cri;
-  int __pyx_v_ta2;
-  int __pyx_v_tb2;
-  PY_LONG_LONG __pyx_v_before;
-  PY_LONG_LONG __pyx_v_d_r;
-  int __pyx_v_u;
-  int *__pyx_v_bufs[8];
-  int __pyx_v_child_ci[4];
-  int __pyx_v_child_rp[4];
-  int __pyx_v_child_rq[4];
-  int __pyx_v_spec_z[4];
-  int __pyx_v_spec_zq[4];
-  int __pyx_v_nchild;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  size_t __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_t_8;
-  int __pyx_t_9;
-  int __pyx_t_10;
-  int __pyx_t_11;
-  int __pyx_t_12;
-  long __pyx_t_13;
-  PY_LONG_LONG __pyx_t_14;
-  int __pyx_t_15;
-  int __pyx_t_16;
-  int __pyx_t_17;
-  int __pyx_t_18;
-  int __pyx_t_19;
-  int __pyx_t_20;
-  int __pyx_t_21;
-  Py_ssize_t __pyx_t_22;
-  PyObject *__pyx_t_23 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("run_enumeration", 0);
-
-  /* "tripcon/_kernels/_fast.pyx":675
- *     budget_violations, per_frame_dr)``.
- *     """
- *     cdef _Run run = _Run(universe, store)             # <<<<<<<<<<<<<<
- *     cdef _Side P0 = _side_from_lists(p_left, p_right, p_taxon, p_root)
- *     cdef _Side Q0 = _side_from_lists(q_left, q_right, q_taxon, q_root)
-*/
-  __pyx_t_2 = NULL;
-  __pyx_t_3 = __Pyx_PyLong_From_int(__pyx_v_universe); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 675, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_4 = __Pyx_PyBool_FromLong(__pyx_v_store); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 675, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_5 = 1;
-  {
-    PyObject *__pyx_callargs[3] = {__pyx_t_2, __pyx_t_3, __pyx_t_4};
-    __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)__pyx_mstate_global->__pyx_ptype_7tripcon_8_kernels_5_fast__Run, __pyx_callargs+__pyx_t_5, (3-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 675, __pyx_L1_error)
-    __Pyx_GOTREF((PyObject *)__pyx_t_1);
-  }
-  __pyx_v_run = ((struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":676
- *     """
- *     cdef _Run run = _Run(universe, store)
- *     cdef _Side P0 = _side_from_lists(p_left, p_right, p_taxon, p_root)             # <<<<<<<<<<<<<<
- *     cdef _Side Q0 = _side_from_lists(q_left, q_right, q_taxon, q_root)
- *     cdef _Ctx top, ctx, child
-*/
-  __pyx_t_1 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__side_from_lists(__pyx_v_p_left, __pyx_v_p_right, __pyx_v_p_taxon, __pyx_v_p_root)); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 676, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_v_P0 = ((struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":677
- *     cdef _Run run = _Run(universe, store)
- *     cdef _Side P0 = _side_from_lists(p_left, p_right, p_taxon, p_root)
- *     cdef _Side Q0 = _side_from_lists(q_left, q_right, q_taxon, q_root)             # <<<<<<<<<<<<<<
- *     cdef _Ctx top, ctx, child
- *     cdef _Side P, Q, cp_side, cq_side
-*/
-  __pyx_t_1 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__side_from_lists(__pyx_v_q_left, __pyx_v_q_right, __pyx_v_q_taxon, __pyx_v_q_root)); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 677, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_v_Q0 = ((struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":684
- *     cdef int ai, bi, cri, ta2, tb2
- *     cdef long long before, d_r
- *     cdef int u = universe if universe > 0 else 1             # <<<<<<<<<<<<<<
- *     cdef int* bufs[8]
- *     # children staged per frame: ctx index and the two roots
-*/
-  __pyx_t_7 = (__pyx_v_universe > 0);
-  if (__pyx_t_7) {
-    __pyx_t_6 = __pyx_v_universe;
-  } else {
-    __pyx_t_6 = 1;
-  }
-  __pyx_v_u = __pyx_t_6;
-
-  /* "tripcon/_kernels/_fast.pyx":694
- *     cdef int nchild
- * 
- *     for i in range(8):             # <<<<<<<<<<<<<<
- *         bufs[i] = run.part + i * u
- * 
-*/
-  for (__pyx_t_6 = 0; __pyx_t_6 < 8; __pyx_t_6+=1) {
-    __pyx_v_i = __pyx_t_6;
-
-    /* "tripcon/_kernels/_fast.pyx":695
- * 
- *     for i in range(8):
- *         bufs[i] = run.part + i * u             # <<<<<<<<<<<<<<
- * 
- *     _write_scratch(P0, run.pleaf)
-*/
-    (__pyx_v_bufs[__pyx_v_i]) = (__pyx_v_run->part + (__pyx_v_i * __pyx_v_u));
-  }
-
-  /* "tripcon/_kernels/_fast.pyx":697
- *         bufs[i] = run.part + i * u
- * 
- *     _write_scratch(P0, run.pleaf)             # <<<<<<<<<<<<<<
- *     _write_scratch(Q0, run.qleaf)
- *     top = _ctx_make(P0, Q0, run.qleaf)
-*/
-  __pyx_f_7tripcon_8_kernels_5_fast__write_scratch(__pyx_v_P0, __pyx_v_run->pleaf);
-
-  /* "tripcon/_kernels/_fast.pyx":698
- * 
- *     _write_scratch(P0, run.pleaf)
- *     _write_scratch(Q0, run.qleaf)             # <<<<<<<<<<<<<<
- *     top = _ctx_make(P0, Q0, run.qleaf)
- *     run.work += P0.m + Q0.m
-*/
-  __pyx_f_7tripcon_8_kernels_5_fast__write_scratch(__pyx_v_Q0, __pyx_v_run->qleaf);
-
-  /* "tripcon/_kernels/_fast.pyx":699
- *     _write_scratch(P0, run.pleaf)
- *     _write_scratch(Q0, run.qleaf)
- *     top = _ctx_make(P0, Q0, run.qleaf)             # <<<<<<<<<<<<<<
- *     run.work += P0.m + Q0.m
- *     run.work += P0.tlen + Q0.tlen
-*/
-  __pyx_t_1 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ctx_make(__pyx_v_P0, __pyx_v_Q0, __pyx_v_run->qleaf)); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 699, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_v_top = ((struct __pyx_obj_7tripcon_8_kernels_5_fast__Ctx *)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":700
- *     _write_scratch(Q0, run.qleaf)
- *     top = _ctx_make(P0, Q0, run.qleaf)
- *     run.work += P0.m + Q0.m             # <<<<<<<<<<<<<<
- *     run.work += P0.tlen + Q0.tlen
- *     run.work += P0.m
-*/
-  __pyx_v_run->work = (__pyx_v_run->work + (__pyx_v_P0->m + __pyx_v_Q0->m));
-
-  /* "tripcon/_kernels/_fast.pyx":701
- *     top = _ctx_make(P0, Q0, run.qleaf)
- *     run.work += P0.m + Q0.m
- *     run.work += P0.tlen + Q0.tlen             # <<<<<<<<<<<<<<
- *     run.work += P0.m
- *     run.ctxs.append(top)
-*/
-  __pyx_v_run->work = (__pyx_v_run->work + (__pyx_v_P0->tlen + __pyx_v_Q0->tlen));
-
-  /* "tripcon/_kernels/_fast.pyx":702
- *     run.work += P0.m + Q0.m
- *     run.work += P0.tlen + Q0.tlen
- *     run.work += P0.m             # <<<<<<<<<<<<<<
- *     run.ctxs.append(top)
- *     run._push_frame(0, P0.root, Q0.root)
-*/
-  __pyx_v_run->work = (__pyx_v_run->work + __pyx_v_P0->m);
-
-  /* "tripcon/_kernels/_fast.pyx":703
- *     run.work += P0.tlen + Q0.tlen
- *     run.work += P0.m
- *     run.ctxs.append(top)             # <<<<<<<<<<<<<<
- *     run._push_frame(0, P0.root, Q0.root)
- * 
-*/
-  if (unlikely(__pyx_v_run->ctxs == Py_None)) {
-    PyErr_Format(PyExc_AttributeError, "'NoneType' object has no attribute '%.30s'", "append");
-    __PYX_ERR(0, 703, __pyx_L1_error)
-  }
-  __pyx_t_8 = __Pyx_PyList_Append(__pyx_v_run->ctxs, ((PyObject *)__pyx_v_top)); if (unlikely(__pyx_t_8 == ((int)-1))) __PYX_ERR(0, 703, __pyx_L1_error)
-
-  /* "tripcon/_kernels/_fast.pyx":704
- *     run.work += P0.m
- *     run.ctxs.append(top)
- *     run._push_frame(0, P0.root, Q0.root)             # <<<<<<<<<<<<<<
- * 
- *     # child order: com(u) pair, com(v) pair, unc(u_p,u_q) = unc(v_q,v_p),
-*/
-  __pyx_t_6 = ((struct __pyx_vtabstruct_7tripcon_8_kernels_5_fast__Run *)__pyx_v_run->__pyx_vtab)->_push_frame(__pyx_v_run, 0, __pyx_v_P0->root, __pyx_v_Q0->root); if (unlikely(__pyx_t_6 == ((int)-1))) __PYX_ERR(0, 704, __pyx_L1_error)
-
-  /* "tripcon/_kernels/_fast.pyx":709
- *     # unc(v_p,v_q) = unc(u_q,u_p); buffer layout per pair is
- *     # [com_p, unc_p, com_q, unc_q].
- *     spec_z[0] = 0             # <<<<<<<<<<<<<<
- *     spec_zq[0] = 2
- *     spec_z[1] = 4
-*/
-  (__pyx_v_spec_z[0]) = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":710
- *     # [com_p, unc_p, com_q, unc_q].
- *     spec_z[0] = 0
- *     spec_zq[0] = 2             # <<<<<<<<<<<<<<
- *     spec_z[1] = 4
- *     spec_zq[1] = 6
-*/
-  (__pyx_v_spec_zq[0]) = 2;
-
-  /* "tripcon/_kernels/_fast.pyx":711
- *     spec_z[0] = 0
- *     spec_zq[0] = 2
- *     spec_z[1] = 4             # <<<<<<<<<<<<<<
- *     spec_zq[1] = 6
- *     spec_z[2] = 1
-*/
-  (__pyx_v_spec_z[1]) = 4;
-
-  /* "tripcon/_kernels/_fast.pyx":712
- *     spec_zq[0] = 2
- *     spec_z[1] = 4
- *     spec_zq[1] = 6             # <<<<<<<<<<<<<<
- *     spec_z[2] = 1
- *     spec_zq[2] = 7
-*/
-  (__pyx_v_spec_zq[1]) = 6;
-
-  /* "tripcon/_kernels/_fast.pyx":713
- *     spec_z[1] = 4
- *     spec_zq[1] = 6
- *     spec_z[2] = 1             # <<<<<<<<<<<<<<
- *     spec_zq[2] = 7
- *     spec_z[3] = 5
-*/
-  (__pyx_v_spec_z[2]) = 1;
-
-  /* "tripcon/_kernels/_fast.pyx":714
- *     spec_zq[1] = 6
- *     spec_z[2] = 1
- *     spec_zq[2] = 7             # <<<<<<<<<<<<<<
- *     spec_z[3] = 5
- *     spec_zq[3] = 3
-*/
-  (__pyx_v_spec_zq[2]) = 7;
-
-  /* "tripcon/_kernels/_fast.pyx":715
- *     spec_z[2] = 1
- *     spec_zq[2] = 7
- *     spec_z[3] = 5             # <<<<<<<<<<<<<<
- *     spec_zq[3] = 3
- * 
-*/
-  (__pyx_v_spec_z[3]) = 5;
-
-  /* "tripcon/_kernels/_fast.pyx":716
- *     spec_zq[2] = 7
- *     spec_z[3] = 5
- *     spec_zq[3] = 3             # <<<<<<<<<<<<<<
- * 
- *     while run.fs_len:
-*/
-  (__pyx_v_spec_zq[3]) = 3;
-
-  /* "tripcon/_kernels/_fast.pyx":718
- *     spec_zq[3] = 3
- * 
- *     while run.fs_len:             # <<<<<<<<<<<<<<
- *         run.fs_len -= 3
- *         ci = run.fs[run.fs_len]
-*/
-  while (1) {
-    __pyx_t_7 = (__pyx_v_run->fs_len != 0);
-    if (!__pyx_t_7) break;
-
-    /* "tripcon/_kernels/_fast.pyx":719
- * 
- *     while run.fs_len:
- *         run.fs_len -= 3             # <<<<<<<<<<<<<<
- *         ci = run.fs[run.fs_len]
- *         rp = run.fs[run.fs_len + 1]
-*/
-    __pyx_v_run->fs_len = (__pyx_v_run->fs_len - 3);
-
-    /* "tripcon/_kernels/_fast.pyx":720
- *     while run.fs_len:
- *         run.fs_len -= 3
- *         ci = run.fs[run.fs_len]             # <<<<<<<<<<<<<<
- *         rp = run.fs[run.fs_len + 1]
- *         rq = run.fs[run.fs_len + 2]
-*/
-    __pyx_v_ci = (__pyx_v_run->fs[__pyx_v_run->fs_len]);
-
-    /* "tripcon/_kernels/_fast.pyx":721
- *         run.fs_len -= 3
- *         ci = run.fs[run.fs_len]
- *         rp = run.fs[run.fs_len + 1]             # <<<<<<<<<<<<<<
- *         rq = run.fs[run.fs_len + 2]
- *         ctx = <_Ctx> run.ctxs[ci]
-*/
-    __pyx_v_rp = (__pyx_v_run->fs[(__pyx_v_run->fs_len + 1)]);
-
-    /* "tripcon/_kernels/_fast.pyx":722
- *         ci = run.fs[run.fs_len]
- *         rp = run.fs[run.fs_len + 1]
- *         rq = run.fs[run.fs_len + 2]             # <<<<<<<<<<<<<<
- *         ctx = <_Ctx> run.ctxs[ci]
- *         P = ctx.p
-*/
-    __pyx_v_rq = (__pyx_v_run->fs[(__pyx_v_run->fs_len + 2)]);
-
-    /* "tripcon/_kernels/_fast.pyx":723
- *         rp = run.fs[run.fs_len + 1]
- *         rq = run.fs[run.fs_len + 2]
- *         ctx = <_Ctx> run.ctxs[ci]             # <<<<<<<<<<<<<<
- *         P = ctx.p
- *         Q = ctx.q
-*/
-    if (unlikely(__pyx_v_run->ctxs == Py_None)) {
-      PyErr_SetString(PyExc_TypeError, "'NoneType' object is not subscriptable");
-      __PYX_ERR(0, 723, __pyx_L1_error)
-    }
-    __pyx_t_1 = __Pyx_PyList_GET_ITEM(__pyx_v_run->ctxs, __pyx_v_ci);
-    __Pyx_INCREF(__pyx_t_1);
-    __Pyx_XDECREF_SET(__pyx_v_ctx, ((struct __pyx_obj_7tripcon_8_kernels_5_fast__Ctx *)__pyx_t_1));
-    __pyx_t_1 = 0;
-
-    /* "tripcon/_kernels/_fast.pyx":724
- *         rq = run.fs[run.fs_len + 2]
- *         ctx = <_Ctx> run.ctxs[ci]
- *         P = ctx.p             # <<<<<<<<<<<<<<
- *         Q = ctx.q
- *         run.frames += 1
-*/
-    __pyx_t_1 = ((PyObject *)__pyx_v_ctx->p);
-    __Pyx_INCREF(__pyx_t_1);
-    __Pyx_XDECREF_SET(__pyx_v_P, ((struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *)__pyx_t_1));
-    __pyx_t_1 = 0;
-
-    /* "tripcon/_kernels/_fast.pyx":725
- *         ctx = <_Ctx> run.ctxs[ci]
- *         P = ctx.p
- *         Q = ctx.q             # <<<<<<<<<<<<<<
- *         run.frames += 1
- *         run.work += 1
-*/
-    __pyx_t_1 = ((PyObject *)__pyx_v_ctx->q);
-    __Pyx_INCREF(__pyx_t_1);
-    __Pyx_XDECREF_SET(__pyx_v_Q, ((struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *)__pyx_t_1));
-    __pyx_t_1 = 0;
-
-    /* "tripcon/_kernels/_fast.pyx":726
- *         P = ctx.p
- *         Q = ctx.q
- *         run.frames += 1             # <<<<<<<<<<<<<<
- *         run.work += 1
- *         if P.lc[rp] <= 1:
-*/
-    __pyx_v_run->frames = (__pyx_v_run->frames + 1);
-
-    /* "tripcon/_kernels/_fast.pyx":727
- *         Q = ctx.q
- *         run.frames += 1
- *         run.work += 1             # <<<<<<<<<<<<<<
- *         if P.lc[rp] <= 1:
- *             run._push_dr(0)
-*/
-    __pyx_v_run->work = (__pyx_v_run->work + 1);
-
-    /* "tripcon/_kernels/_fast.pyx":728
- *         run.frames += 1
- *         run.work += 1
- *         if P.lc[rp] <= 1:             # <<<<<<<<<<<<<<
- *             run._push_dr(0)
- *             continue
-*/
-    __pyx_t_7 = ((__pyx_v_P->lc[__pyx_v_rp]) <= 1);
-    if (__pyx_t_7) {
-
-      /* "tripcon/_kernels/_fast.pyx":729
- *         run.work += 1
- *         if P.lc[rp] <= 1:
- *             run._push_dr(0)             # <<<<<<<<<<<<<<
- *             continue
- * 
-*/
-      __pyx_t_6 = ((struct __pyx_vtabstruct_7tripcon_8_kernels_5_fast__Run *)__pyx_v_run->__pyx_vtab)->_push_dr(__pyx_v_run, 0); if (unlikely(__pyx_t_6 == ((int)-1))) __PYX_ERR(0, 729, __pyx_L1_error)
-
-      /* "tripcon/_kernels/_fast.pyx":730
- *         if P.lc[rp] <= 1:
- *             run._push_dr(0)
- *             continue             # <<<<<<<<<<<<<<
- * 
- *         up = P.left[rp]
-*/
-      goto __pyx_L5_continue;
-
-      /* "tripcon/_kernels/_fast.pyx":728
- *         run.frames += 1
- *         run.work += 1
- *         if P.lc[rp] <= 1:             # <<<<<<<<<<<<<<
- *             run._push_dr(0)
- *             continue
-*/
-    }
-
-    /* "tripcon/_kernels/_fast.pyx":732
- *             continue
- * 
- *         up = P.left[rp]             # <<<<<<<<<<<<<<
- *         vp = P.right[rp]
- *         uq = Q.left[rq]
-*/
-    __pyx_v_up = (__pyx_v_P->left[__pyx_v_rp]);
-
-    /* "tripcon/_kernels/_fast.pyx":733
- * 
- *         up = P.left[rp]
- *         vp = P.right[rp]             # <<<<<<<<<<<<<<
- *         uq = Q.left[rq]
- *         vq = Q.right[rq]
-*/
-    __pyx_v_vp = (__pyx_v_P->right[__pyx_v_rp]);
-
-    /* "tripcon/_kernels/_fast.pyx":734
- *         up = P.left[rp]
- *         vp = P.right[rp]
- *         uq = Q.left[rq]             # <<<<<<<<<<<<<<
- *         vq = Q.right[rq]
- *         if ctx.m[up] == vq and P.lc[up] == Q.lc[vq]:
-*/
-    __pyx_v_uq = (__pyx_v_Q->left[__pyx_v_rq]);
-
-    /* "tripcon/_kernels/_fast.pyx":735
- *         vp = P.right[rp]
- *         uq = Q.left[rq]
- *         vq = Q.right[rq]             # <<<<<<<<<<<<<<
- *         if ctx.m[up] == vq and P.lc[up] == Q.lc[vq]:
- *             tswap = uq
-*/
-    __pyx_v_vq = (__pyx_v_Q->right[__pyx_v_rq]);
-
-    /* "tripcon/_kernels/_fast.pyx":736
- *         uq = Q.left[rq]
- *         vq = Q.right[rq]
- *         if ctx.m[up] == vq and P.lc[up] == Q.lc[vq]:             # <<<<<<<<<<<<<<
- *             tswap = uq
- *             uq = vq
-*/
-    __pyx_t_9 = ((__pyx_v_ctx->m[__pyx_v_up]) == __pyx_v_vq);
-    if (__pyx_t_9) {
-    } else {
-      __pyx_t_7 = __pyx_t_9;
-      goto __pyx_L9_bool_binop_done;
-    }
-    __pyx_t_9 = ((__pyx_v_P->lc[__pyx_v_up]) == (__pyx_v_Q->lc[__pyx_v_vq]));
-    __pyx_t_7 = __pyx_t_9;
-    __pyx_L9_bool_binop_done:;
-    if (__pyx_t_7) {
-
-      /* "tripcon/_kernels/_fast.pyx":737
- *         vq = Q.right[rq]
- *         if ctx.m[up] == vq and P.lc[up] == Q.lc[vq]:
- *             tswap = uq             # <<<<<<<<<<<<<<
- *             uq = vq
- *             vq = tswap
-*/
-      __pyx_v_tswap = __pyx_v_uq;
-
-      /* "tripcon/_kernels/_fast.pyx":738
- *         if ctx.m[up] == vq and P.lc[up] == Q.lc[vq]:
- *             tswap = uq
- *             uq = vq             # <<<<<<<<<<<<<<
- *             vq = tswap
- *         if ctx.m[up] == uq and P.lc[up] == Q.lc[uq]:
-*/
-      __pyx_v_uq = __pyx_v_vq;
-
-      /* "tripcon/_kernels/_fast.pyx":739
- *             tswap = uq
- *             uq = vq
- *             vq = tswap             # <<<<<<<<<<<<<<
- *         if ctx.m[up] == uq and P.lc[up] == Q.lc[uq]:
- *             run._push_dr(0)
-*/
-      __pyx_v_vq = __pyx_v_tswap;
-
-      /* "tripcon/_kernels/_fast.pyx":736
- *         uq = Q.left[rq]
- *         vq = Q.right[rq]
- *         if ctx.m[up] == vq and P.lc[up] == Q.lc[vq]:             # <<<<<<<<<<<<<<
- *             tswap = uq
- *             uq = vq
-*/
-    }
-
-    /* "tripcon/_kernels/_fast.pyx":740
- *             uq = vq
- *             vq = tswap
- *         if ctx.m[up] == uq and P.lc[up] == Q.lc[uq]:             # <<<<<<<<<<<<<<
- *             run._push_dr(0)
- *             run._push_frame(ci, vp, vq)
-*/
-    __pyx_t_9 = ((__pyx_v_ctx->m[__pyx_v_up]) == __pyx_v_uq);
-    if (__pyx_t_9) {
-    } else {
-      __pyx_t_7 = __pyx_t_9;
-      goto __pyx_L12_bool_binop_done;
-    }
-    __pyx_t_9 = ((__pyx_v_P->lc[__pyx_v_up]) == (__pyx_v_Q->lc[__pyx_v_uq]));
-    __pyx_t_7 = __pyx_t_9;
-    __pyx_L12_bool_binop_done:;
-    if (__pyx_t_7) {
-
-      /* "tripcon/_kernels/_fast.pyx":741
- *             vq = tswap
- *         if ctx.m[up] == uq and P.lc[up] == Q.lc[uq]:
- *             run._push_dr(0)             # <<<<<<<<<<<<<<
- *             run._push_frame(ci, vp, vq)
- *             run._push_frame(ci, up, uq)
-*/
-      __pyx_t_6 = ((struct __pyx_vtabstruct_7tripcon_8_kernels_5_fast__Run *)__pyx_v_run->__pyx_vtab)->_push_dr(__pyx_v_run, 0); if (unlikely(__pyx_t_6 == ((int)-1))) __PYX_ERR(0, 741, __pyx_L1_error)
-
-      /* "tripcon/_kernels/_fast.pyx":742
- *         if ctx.m[up] == uq and P.lc[up] == Q.lc[uq]:
- *             run._push_dr(0)
- *             run._push_frame(ci, vp, vq)             # <<<<<<<<<<<<<<
- *             run._push_frame(ci, up, uq)
- *             continue
-*/
-      __pyx_t_6 = ((struct __pyx_vtabstruct_7tripcon_8_kernels_5_fast__Run *)__pyx_v_run->__pyx_vtab)->_push_frame(__pyx_v_run, __pyx_v_ci, __pyx_v_vp, __pyx_v_vq); if (unlikely(__pyx_t_6 == ((int)-1))) __PYX_ERR(0, 742, __pyx_L1_error)
-
-      /* "tripcon/_kernels/_fast.pyx":743
- *             run._push_dr(0)
- *             run._push_frame(ci, vp, vq)
- *             run._push_frame(ci, up, uq)             # <<<<<<<<<<<<<<
- *             continue
- * 
-*/
-      __pyx_t_6 = ((struct __pyx_vtabstruct_7tripcon_8_kernels_5_fast__Run *)__pyx_v_run->__pyx_vtab)->_push_frame(__pyx_v_run, __pyx_v_ci, __pyx_v_up, __pyx_v_uq); if (unlikely(__pyx_t_6 == ((int)-1))) __PYX_ERR(0, 743, __pyx_L1_error)
-
-      /* "tripcon/_kernels/_fast.pyx":744
- *             run._push_frame(ci, vp, vq)
- *             run._push_frame(ci, up, uq)
- *             continue             # <<<<<<<<<<<<<<
- * 
- *         # ---- partition both pairs ------------------------------------
-*/
-      goto __pyx_L5_continue;
-
-      /* "tripcon/_kernels/_fast.pyx":740
- *             uq = vq
- *             vq = tswap
- *         if ctx.m[up] == uq and P.lc[up] == Q.lc[uq]:             # <<<<<<<<<<<<<<
- *             run._push_dr(0)
- *             run._push_frame(ci, vp, vq)
-*/
-    }
-
-    /* "tripcon/_kernels/_fast.pyx":747
- * 
- *         # ---- partition both pairs ------------------------------------
- *         for pi in range(2):             # <<<<<<<<<<<<<<
- *             x_p = up if pi == 0 else vp
- *             x_q = uq if pi == 0 else vq
-*/
-    for (__pyx_t_6 = 0; __pyx_t_6 < 2; __pyx_t_6+=1) {
-      __pyx_v_pi = __pyx_t_6;
-
-      /* "tripcon/_kernels/_fast.pyx":748
- *         # ---- partition both pairs ------------------------------------
- *         for pi in range(2):
- *             x_p = up if pi == 0 else vp             # <<<<<<<<<<<<<<
- *             x_q = uq if pi == 0 else vq
- *             run.pn[4 * pi] = 0
-*/
-      __pyx_t_7 = (__pyx_v_pi == 0);
-      if (__pyx_t_7) {
-        __pyx_t_10 = __pyx_v_up;
-      } else {
-        __pyx_t_10 = __pyx_v_vp;
-      }
-      __pyx_v_x_p = __pyx_t_10;
-
-      /* "tripcon/_kernels/_fast.pyx":749
- *         for pi in range(2):
- *             x_p = up if pi == 0 else vp
- *             x_q = uq if pi == 0 else vq             # <<<<<<<<<<<<<<
- *             run.pn[4 * pi] = 0
- *             run.pn[4 * pi + 1] = 0
-*/
-      __pyx_t_7 = (__pyx_v_pi == 0);
-      if (__pyx_t_7) {
-        __pyx_t_10 = __pyx_v_uq;
-      } else {
-        __pyx_t_10 = __pyx_v_vq;
-      }
-      __pyx_v_x_q = __pyx_t_10;
-
-      /* "tripcon/_kernels/_fast.pyx":750
- *             x_p = up if pi == 0 else vp
- *             x_q = uq if pi == 0 else vq
- *             run.pn[4 * pi] = 0             # <<<<<<<<<<<<<<
- *             run.pn[4 * pi + 1] = 0
- *             run.pn[4 * pi + 2] = 0
-*/
-      (__pyx_v_run->pn[(4 * __pyx_v_pi)]) = 0;
-
-      /* "tripcon/_kernels/_fast.pyx":751
- *             x_q = uq if pi == 0 else vq
- *             run.pn[4 * pi] = 0
- *             run.pn[4 * pi + 1] = 0             # <<<<<<<<<<<<<<
- *             run.pn[4 * pi + 2] = 0
- *             run.pn[4 * pi + 3] = 0
-*/
-      (__pyx_v_run->pn[((4 * __pyx_v_pi) + 1)]) = 0;
-
-      /* "tripcon/_kernels/_fast.pyx":752
- *             run.pn[4 * pi] = 0
- *             run.pn[4 * pi + 1] = 0
- *             run.pn[4 * pi + 2] = 0             # <<<<<<<<<<<<<<
- *             run.pn[4 * pi + 3] = 0
- *             base = P.lb[x_p]
-*/
-      (__pyx_v_run->pn[((4 * __pyx_v_pi) + 2)]) = 0;
-
-      /* "tripcon/_kernels/_fast.pyx":753
- *             run.pn[4 * pi + 1] = 0
- *             run.pn[4 * pi + 2] = 0
- *             run.pn[4 * pi + 3] = 0             # <<<<<<<<<<<<<<
- *             base = P.lb[x_p]
- *             end = base + P.lc[x_p]
-*/
-      (__pyx_v_run->pn[((4 * __pyx_v_pi) + 3)]) = 0;
-
-      /* "tripcon/_kernels/_fast.pyx":754
- *             run.pn[4 * pi + 2] = 0
- *             run.pn[4 * pi + 3] = 0
- *             base = P.lb[x_p]             # <<<<<<<<<<<<<<
- *             end = base + P.lc[x_p]
- *             for r in range(base, end):
-*/
-      __pyx_v_base = (__pyx_v_P->lb[__pyx_v_x_p]);
-
-      /* "tripcon/_kernels/_fast.pyx":755
- *             run.pn[4 * pi + 3] = 0
- *             base = P.lb[x_p]
- *             end = base + P.lc[x_p]             # <<<<<<<<<<<<<<
- *             for r in range(base, end):
- *                 leaf = P.leaves[r]
-*/
-      __pyx_v_end = (__pyx_v_base + (__pyx_v_P->lc[__pyx_v_x_p]));
-
-      /* "tripcon/_kernels/_fast.pyx":756
- *             base = P.lb[x_p]
- *             end = base + P.lc[x_p]
- *             for r in range(base, end):             # <<<<<<<<<<<<<<
- *                 leaf = P.leaves[r]
- *                 if _is_below(Q, x_q, run.qleaf[P.taxon[leaf]]):
-*/
-      __pyx_t_10 = __pyx_v_end;
-      __pyx_t_11 = __pyx_t_10;
-      for (__pyx_t_12 = __pyx_v_base; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-        __pyx_v_r = __pyx_t_12;
-
-        /* "tripcon/_kernels/_fast.pyx":757
- *             end = base + P.lc[x_p]
- *             for r in range(base, end):
- *                 leaf = P.leaves[r]             # <<<<<<<<<<<<<<
- *                 if _is_below(Q, x_q, run.qleaf[P.taxon[leaf]]):
- *                     bufs[4 * pi][run.pn[4 * pi]] = leaf
-*/
-        __pyx_v_leaf = (__pyx_v_P->leaves[__pyx_v_r]);
-
-        /* "tripcon/_kernels/_fast.pyx":758
- *             for r in range(base, end):
- *                 leaf = P.leaves[r]
- *                 if _is_below(Q, x_q, run.qleaf[P.taxon[leaf]]):             # <<<<<<<<<<<<<<
- *                     bufs[4 * pi][run.pn[4 * pi]] = leaf
- *                     run.pn[4 * pi] += 1
-*/
-        __pyx_t_7 = __pyx_f_7tripcon_8_kernels_5_fast__is_below(__pyx_v_Q, __pyx_v_x_q, (__pyx_v_run->qleaf[(__pyx_v_P->taxon[__pyx_v_leaf])]));
-        if (__pyx_t_7) {
-
-          /* "tripcon/_kernels/_fast.pyx":759
- *                 leaf = P.leaves[r]
- *                 if _is_below(Q, x_q, run.qleaf[P.taxon[leaf]]):
- *                     bufs[4 * pi][run.pn[4 * pi]] = leaf             # <<<<<<<<<<<<<<
- *                     run.pn[4 * pi] += 1
- *                 else:
-*/
-          ((__pyx_v_bufs[(4 * __pyx_v_pi)])[(__pyx_v_run->pn[(4 * __pyx_v_pi)])]) = __pyx_v_leaf;
-
-          /* "tripcon/_kernels/_fast.pyx":760
- *                 if _is_below(Q, x_q, run.qleaf[P.taxon[leaf]]):
- *                     bufs[4 * pi][run.pn[4 * pi]] = leaf
- *                     run.pn[4 * pi] += 1             # <<<<<<<<<<<<<<
- *                 else:
- *                     bufs[4 * pi + 1][run.pn[4 * pi + 1]] = leaf
-*/
-          __pyx_t_13 = (4 * __pyx_v_pi);
-          (__pyx_v_run->pn[__pyx_t_13]) = ((__pyx_v_run->pn[__pyx_t_13]) + 1);
-
-          /* "tripcon/_kernels/_fast.pyx":758
- *             for r in range(base, end):
- *                 leaf = P.leaves[r]
- *                 if _is_below(Q, x_q, run.qleaf[P.taxon[leaf]]):             # <<<<<<<<<<<<<<
- *                     bufs[4 * pi][run.pn[4 * pi]] = leaf
- *                     run.pn[4 * pi] += 1
-*/
-          goto __pyx_L18;
-        }
-
-        /* "tripcon/_kernels/_fast.pyx":762
- *                     run.pn[4 * pi] += 1
- *                 else:
- *                     bufs[4 * pi + 1][run.pn[4 * pi + 1]] = leaf             # <<<<<<<<<<<<<<
- *                     run.pn[4 * pi + 1] += 1
- *             base = Q.lb[x_q]
-*/
-        /*else*/ {
-          ((__pyx_v_bufs[((4 * __pyx_v_pi) + 1)])[(__pyx_v_run->pn[((4 * __pyx_v_pi) + 1)])]) = __pyx_v_leaf;
-
-          /* "tripcon/_kernels/_fast.pyx":763
- *                 else:
- *                     bufs[4 * pi + 1][run.pn[4 * pi + 1]] = leaf
- *                     run.pn[4 * pi + 1] += 1             # <<<<<<<<<<<<<<
- *             base = Q.lb[x_q]
- *             end = base + Q.lc[x_q]
-*/
-          __pyx_t_13 = ((4 * __pyx_v_pi) + 1);
-          (__pyx_v_run->pn[__pyx_t_13]) = ((__pyx_v_run->pn[__pyx_t_13]) + 1);
-        }
-        __pyx_L18:;
-      }
-
-      /* "tripcon/_kernels/_fast.pyx":764
- *                     bufs[4 * pi + 1][run.pn[4 * pi + 1]] = leaf
- *                     run.pn[4 * pi + 1] += 1
- *             base = Q.lb[x_q]             # <<<<<<<<<<<<<<
- *             end = base + Q.lc[x_q]
- *             for r in range(base, end):
-*/
-      __pyx_v_base = (__pyx_v_Q->lb[__pyx_v_x_q]);
-
-      /* "tripcon/_kernels/_fast.pyx":765
- *                     run.pn[4 * pi + 1] += 1
- *             base = Q.lb[x_q]
- *             end = base + Q.lc[x_q]             # <<<<<<<<<<<<<<
- *             for r in range(base, end):
- *                 leaf = Q.leaves[r]
-*/
-      __pyx_v_end = (__pyx_v_base + (__pyx_v_Q->lc[__pyx_v_x_q]));
-
-      /* "tripcon/_kernels/_fast.pyx":766
- *             base = Q.lb[x_q]
- *             end = base + Q.lc[x_q]
- *             for r in range(base, end):             # <<<<<<<<<<<<<<
- *                 leaf = Q.leaves[r]
- *                 if _is_below(P, x_p, run.pleaf[Q.taxon[leaf]]):
-*/
-      __pyx_t_10 = __pyx_v_end;
-      __pyx_t_11 = __pyx_t_10;
-      for (__pyx_t_12 = __pyx_v_base; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-        __pyx_v_r = __pyx_t_12;
-
-        /* "tripcon/_kernels/_fast.pyx":767
- *             end = base + Q.lc[x_q]
- *             for r in range(base, end):
- *                 leaf = Q.leaves[r]             # <<<<<<<<<<<<<<
- *                 if _is_below(P, x_p, run.pleaf[Q.taxon[leaf]]):
- *                     bufs[4 * pi + 2][run.pn[4 * pi + 2]] = leaf
-*/
-        __pyx_v_leaf = (__pyx_v_Q->leaves[__pyx_v_r]);
-
-        /* "tripcon/_kernels/_fast.pyx":768
- *             for r in range(base, end):
- *                 leaf = Q.leaves[r]
- *                 if _is_below(P, x_p, run.pleaf[Q.taxon[leaf]]):             # <<<<<<<<<<<<<<
- *                     bufs[4 * pi + 2][run.pn[4 * pi + 2]] = leaf
- *                     run.pn[4 * pi + 2] += 1
-*/
-        __pyx_t_7 = __pyx_f_7tripcon_8_kernels_5_fast__is_below(__pyx_v_P, __pyx_v_x_p, (__pyx_v_run->pleaf[(__pyx_v_Q->taxon[__pyx_v_leaf])]));
-        if (__pyx_t_7) {
-
-          /* "tripcon/_kernels/_fast.pyx":769
- *                 leaf = Q.leaves[r]
- *                 if _is_below(P, x_p, run.pleaf[Q.taxon[leaf]]):
- *                     bufs[4 * pi + 2][run.pn[4 * pi + 2]] = leaf             # <<<<<<<<<<<<<<
- *                     run.pn[4 * pi + 2] += 1
- *                 else:
-*/
-          ((__pyx_v_bufs[((4 * __pyx_v_pi) + 2)])[(__pyx_v_run->pn[((4 * __pyx_v_pi) + 2)])]) = __pyx_v_leaf;
-
-          /* "tripcon/_kernels/_fast.pyx":770
- *                 if _is_below(P, x_p, run.pleaf[Q.taxon[leaf]]):
- *                     bufs[4 * pi + 2][run.pn[4 * pi + 2]] = leaf
- *                     run.pn[4 * pi + 2] += 1             # <<<<<<<<<<<<<<
- *                 else:
- *                     bufs[4 * pi + 3][run.pn[4 * pi + 3]] = leaf
-*/
-          __pyx_t_13 = ((4 * __pyx_v_pi) + 2);
-          (__pyx_v_run->pn[__pyx_t_13]) = ((__pyx_v_run->pn[__pyx_t_13]) + 1);
-
-          /* "tripcon/_kernels/_fast.pyx":768
- *             for r in range(base, end):
- *                 leaf = Q.leaves[r]
- *                 if _is_below(P, x_p, run.pleaf[Q.taxon[leaf]]):             # <<<<<<<<<<<<<<
- *                     bufs[4 * pi + 2][run.pn[4 * pi + 2]] = leaf
- *                     run.pn[4 * pi + 2] += 1
-*/
-          goto __pyx_L21;
-        }
-
-        /* "tripcon/_kernels/_fast.pyx":772
- *                     run.pn[4 * pi + 2] += 1
- *                 else:
- *                     bufs[4 * pi + 3][run.pn[4 * pi + 3]] = leaf             # <<<<<<<<<<<<<<
- *                     run.pn[4 * pi + 3] += 1
- *         run.work += 2 * P.lc[rp]
-*/
-        /*else*/ {
-          ((__pyx_v_bufs[((4 * __pyx_v_pi) + 3)])[(__pyx_v_run->pn[((4 * __pyx_v_pi) + 3)])]) = __pyx_v_leaf;
-
-          /* "tripcon/_kernels/_fast.pyx":773
- *                 else:
- *                     bufs[4 * pi + 3][run.pn[4 * pi + 3]] = leaf
- *                     run.pn[4 * pi + 3] += 1             # <<<<<<<<<<<<<<
- *         run.work += 2 * P.lc[rp]
- * 
-*/
-          __pyx_t_13 = ((4 * __pyx_v_pi) + 3);
-          (__pyx_v_run->pn[__pyx_t_13]) = ((__pyx_v_run->pn[__pyx_t_13]) + 1);
-        }
-        __pyx_L21:;
-      }
-    }
-
-    /* "tripcon/_kernels/_fast.pyx":774
- *                     bufs[4 * pi + 3][run.pn[4 * pi + 3]] = leaf
- *                     run.pn[4 * pi + 3] += 1
- *         run.work += 2 * P.lc[rp]             # <<<<<<<<<<<<<<
- * 
- *         # ---- conflicts touching the current roots ----------------------
-*/
-    __pyx_v_run->work = (__pyx_v_run->work + (2 * (__pyx_v_P->lc[__pyx_v_rp])));
-
-    /* "tripcon/_kernels/_fast.pyx":777
- * 
- *         # ---- conflicts touching the current roots ----------------------
- *         before = run.emitted             # <<<<<<<<<<<<<<
- *         for pi in range(2):
- *             other_p = vp if pi == 0 else up
-*/
-    __pyx_t_14 = __pyx_v_run->emitted;
-    __pyx_v_before = __pyx_t_14;
-
-    /* "tripcon/_kernels/_fast.pyx":778
- *         # ---- conflicts touching the current roots ----------------------
- *         before = run.emitted
- *         for pi in range(2):             # <<<<<<<<<<<<<<
- *             other_p = vp if pi == 0 else up
- *             if run.pn[4 * pi] and run.pn[4 * pi + 1] and not run.store:
-*/
-    for (__pyx_t_6 = 0; __pyx_t_6 < 2; __pyx_t_6+=1) {
-      __pyx_v_pi = __pyx_t_6;
-
-      /* "tripcon/_kernels/_fast.pyx":779
- *         before = run.emitted
- *         for pi in range(2):
- *             other_p = vp if pi == 0 else up             # <<<<<<<<<<<<<<
- *             if run.pn[4 * pi] and run.pn[4 * pi + 1] and not run.store:
- *                 run.emitted += (<long long> run.pn[4 * pi]) * run.pn[4 * pi + 1] * P.lc[other_p]
-*/
-      __pyx_t_7 = (__pyx_v_pi == 0);
-      if (__pyx_t_7) {
-        __pyx_t_10 = __pyx_v_vp;
-      } else {
-        __pyx_t_10 = __pyx_v_up;
-      }
-      __pyx_v_other_p = __pyx_t_10;
-
-      /* "tripcon/_kernels/_fast.pyx":780
- *         for pi in range(2):
- *             other_p = vp if pi == 0 else up
- *             if run.pn[4 * pi] and run.pn[4 * pi + 1] and not run.store:             # <<<<<<<<<<<<<<
- *                 run.emitted += (<long long> run.pn[4 * pi]) * run.pn[4 * pi + 1] * P.lc[other_p]
- *             elif run.pn[4 * pi] and run.pn[4 * pi + 1]:
-*/
-      __pyx_t_9 = ((__pyx_v_run->pn[(4 * __pyx_v_pi)]) != 0);
-      if (__pyx_t_9) {
-      } else {
-        __pyx_t_7 = __pyx_t_9;
-        goto __pyx_L25_bool_binop_done;
-      }
-      __pyx_t_9 = ((__pyx_v_run->pn[((4 * __pyx_v_pi) + 1)]) != 0);
-      if (__pyx_t_9) {
-      } else {
-        __pyx_t_7 = __pyx_t_9;
-        goto __pyx_L25_bool_binop_done;
-      }
-      __pyx_t_9 = (!__pyx_v_run->store);
-      __pyx_t_7 = __pyx_t_9;
-      __pyx_L25_bool_binop_done:;
-      if (__pyx_t_7) {
-
-        /* "tripcon/_kernels/_fast.pyx":781
- *             other_p = vp if pi == 0 else up
- *             if run.pn[4 * pi] and run.pn[4 * pi + 1] and not run.store:
- *                 run.emitted += (<long long> run.pn[4 * pi]) * run.pn[4 * pi + 1] * P.lc[other_p]             # <<<<<<<<<<<<<<
- *             elif run.pn[4 * pi] and run.pn[4 * pi + 1]:
- *                 base = P.lb[other_p]
-*/
-        __pyx_v_run->emitted = (__pyx_v_run->emitted + ((((PY_LONG_LONG)(__pyx_v_run->pn[(4 * __pyx_v_pi)])) * (__pyx_v_run->pn[((4 * __pyx_v_pi) + 1)])) * (__pyx_v_P->lc[__pyx_v_other_p])));
-
-        /* "tripcon/_kernels/_fast.pyx":780
- *         for pi in range(2):
- *             other_p = vp if pi == 0 else up
- *             if run.pn[4 * pi] and run.pn[4 * pi + 1] and not run.store:             # <<<<<<<<<<<<<<
- *                 run.emitted += (<long long> run.pn[4 * pi]) * run.pn[4 * pi + 1] * P.lc[other_p]
- *             elif run.pn[4 * pi] and run.pn[4 * pi + 1]:
-*/
-        goto __pyx_L24;
-      }
-
-      /* "tripcon/_kernels/_fast.pyx":782
- *             if run.pn[4 * pi] and run.pn[4 * pi + 1] and not run.store:
- *                 run.emitted += (<long long> run.pn[4 * pi]) * run.pn[4 * pi + 1] * P.lc[other_p]
- *             elif run.pn[4 * pi] and run.pn[4 * pi + 1]:             # <<<<<<<<<<<<<<
- *                 base = P.lb[other_p]
- *                 end = base + P.lc[other_p]
-*/
-      __pyx_t_9 = ((__pyx_v_run->pn[(4 * __pyx_v_pi)]) != 0);
-      if (__pyx_t_9) {
-      } else {
-        __pyx_t_7 = __pyx_t_9;
-        goto __pyx_L28_bool_binop_done;
-      }
-      __pyx_t_9 = ((__pyx_v_run->pn[((4 * __pyx_v_pi) + 1)]) != 0);
-      __pyx_t_7 = __pyx_t_9;
-      __pyx_L28_bool_binop_done:;
-      if (__pyx_t_7) {
-
-        /* "tripcon/_kernels/_fast.pyx":783
- *                 run.emitted += (<long long> run.pn[4 * pi]) * run.pn[4 * pi + 1] * P.lc[other_p]
- *             elif run.pn[4 * pi] and run.pn[4 * pi + 1]:
- *                 base = P.lb[other_p]             # <<<<<<<<<<<<<<
- *                 end = base + P.lc[other_p]
- *                 for ai in range(run.pn[4 * pi]):
-*/
-        __pyx_v_base = (__pyx_v_P->lb[__pyx_v_other_p]);
-
-        /* "tripcon/_kernels/_fast.pyx":784
- *             elif run.pn[4 * pi] and run.pn[4 * pi + 1]:
- *                 base = P.lb[other_p]
- *                 end = base + P.lc[other_p]             # <<<<<<<<<<<<<<
- *                 for ai in range(run.pn[4 * pi]):
- *                     ta2 = P.taxon[bufs[4 * pi][ai]]
-*/
-        __pyx_v_end = (__pyx_v_base + (__pyx_v_P->lc[__pyx_v_other_p]));
-
-        /* "tripcon/_kernels/_fast.pyx":785
- *                 base = P.lb[other_p]
- *                 end = base + P.lc[other_p]
- *                 for ai in range(run.pn[4 * pi]):             # <<<<<<<<<<<<<<
- *                     ta2 = P.taxon[bufs[4 * pi][ai]]
- *                     for bi in range(run.pn[4 * pi + 1]):
-*/
-        __pyx_t_10 = (__pyx_v_run->pn[(4 * __pyx_v_pi)]);
-        __pyx_t_11 = __pyx_t_10;
-        for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-          __pyx_v_ai = __pyx_t_12;
-
-          /* "tripcon/_kernels/_fast.pyx":786
- *                 end = base + P.lc[other_p]
- *                 for ai in range(run.pn[4 * pi]):
- *                     ta2 = P.taxon[bufs[4 * pi][ai]]             # <<<<<<<<<<<<<<
- *                     for bi in range(run.pn[4 * pi + 1]):
- *                         tb2 = P.taxon[bufs[4 * pi + 1][bi]]
-*/
-          __pyx_v_ta2 = (__pyx_v_P->taxon[((__pyx_v_bufs[(4 * __pyx_v_pi)])[__pyx_v_ai])]);
-
-          /* "tripcon/_kernels/_fast.pyx":787
- *                 for ai in range(run.pn[4 * pi]):
- *                     ta2 = P.taxon[bufs[4 * pi][ai]]
- *                     for bi in range(run.pn[4 * pi + 1]):             # <<<<<<<<<<<<<<
- *                         tb2 = P.taxon[bufs[4 * pi + 1][bi]]
- *                         for cri in range(base, end):
-*/
-          __pyx_t_15 = (__pyx_v_run->pn[((4 * __pyx_v_pi) + 1)]);
-          __pyx_t_16 = __pyx_t_15;
-          for (__pyx_t_17 = 0; __pyx_t_17 < __pyx_t_16; __pyx_t_17+=1) {
-            __pyx_v_bi = __pyx_t_17;
-
-            /* "tripcon/_kernels/_fast.pyx":788
- *                     ta2 = P.taxon[bufs[4 * pi][ai]]
- *                     for bi in range(run.pn[4 * pi + 1]):
- *                         tb2 = P.taxon[bufs[4 * pi + 1][bi]]             # <<<<<<<<<<<<<<
- *                         for cri in range(base, end):
- *                             run._emit(ta2, tb2, P.taxon[P.leaves[cri]])
-*/
-            __pyx_v_tb2 = (__pyx_v_P->taxon[((__pyx_v_bufs[((4 * __pyx_v_pi) + 1)])[__pyx_v_bi])]);
-
-            /* "tripcon/_kernels/_fast.pyx":789
- *                     for bi in range(run.pn[4 * pi + 1]):
- *                         tb2 = P.taxon[bufs[4 * pi + 1][bi]]
- *                         for cri in range(base, end):             # <<<<<<<<<<<<<<
- *                             run._emit(ta2, tb2, P.taxon[P.leaves[cri]])
- *             run._lsc(P, bufs[4 * pi], run.pn[4 * pi],
-*/
-            __pyx_t_18 = __pyx_v_end;
-            __pyx_t_19 = __pyx_t_18;
-            for (__pyx_t_20 = __pyx_v_base; __pyx_t_20 < __pyx_t_19; __pyx_t_20+=1) {
-              __pyx_v_cri = __pyx_t_20;
-
-              /* "tripcon/_kernels/_fast.pyx":790
- *                         tb2 = P.taxon[bufs[4 * pi + 1][bi]]
- *                         for cri in range(base, end):
- *                             run._emit(ta2, tb2, P.taxon[P.leaves[cri]])             # <<<<<<<<<<<<<<
- *             run._lsc(P, bufs[4 * pi], run.pn[4 * pi],
- *                      bufs[4 * pi + 1], run.pn[4 * pi + 1])
-*/
-              __pyx_t_21 = ((struct __pyx_vtabstruct_7tripcon_8_kernels_5_fast__Run *)__pyx_v_run->__pyx_vtab)->_emit(__pyx_v_run, __pyx_v_ta2, __pyx_v_tb2, (__pyx_v_P->taxon[(__pyx_v_P->leaves[__pyx_v_cri])])); if (unlikely(__pyx_t_21 == ((int)-1))) __PYX_ERR(0, 790, __pyx_L1_error)
-            }
-          }
-        }
-
-        /* "tripcon/_kernels/_fast.pyx":782
- *             if run.pn[4 * pi] and run.pn[4 * pi + 1] and not run.store:
- *                 run.emitted += (<long long> run.pn[4 * pi]) * run.pn[4 * pi + 1] * P.lc[other_p]
- *             elif run.pn[4 * pi] and run.pn[4 * pi + 1]:             # <<<<<<<<<<<<<<
- *                 base = P.lb[other_p]
- *                 end = base + P.lc[other_p]
-*/
-      }
-      __pyx_L24:;
-
-      /* "tripcon/_kernels/_fast.pyx":791
- *                         for cri in range(base, end):
- *                             run._emit(ta2, tb2, P.taxon[P.leaves[cri]])
- *             run._lsc(P, bufs[4 * pi], run.pn[4 * pi],             # <<<<<<<<<<<<<<
- *                      bufs[4 * pi + 1], run.pn[4 * pi + 1])
- *             run._lsc(P, bufs[4 * pi + 1], run.pn[4 * pi + 1],
-*/
-      __pyx_t_10 = ((struct __pyx_vtabstruct_7tripcon_8_kernels_5_fast__Run *)__pyx_v_run->__pyx_vtab)->_lsc(__pyx_v_run, __pyx_v_P, (__pyx_v_bufs[(4 * __pyx_v_pi)]), (__pyx_v_run->pn[(4 * __pyx_v_pi)]), (__pyx_v_bufs[((4 * __pyx_v_pi) + 1)]), (__pyx_v_run->pn[((4 * __pyx_v_pi) + 1)])); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 791, __pyx_L1_error)
-
-      /* "tripcon/_kernels/_fast.pyx":793
- *             run._lsc(P, bufs[4 * pi], run.pn[4 * pi],
- *                      bufs[4 * pi + 1], run.pn[4 * pi + 1])
- *             run._lsc(P, bufs[4 * pi + 1], run.pn[4 * pi + 1],             # <<<<<<<<<<<<<<
- *                      bufs[4 * pi], run.pn[4 * pi])
- *             run._lsc(Q, bufs[4 * pi + 2], run.pn[4 * pi + 2],
-*/
-      __pyx_t_10 = ((struct __pyx_vtabstruct_7tripcon_8_kernels_5_fast__Run *)__pyx_v_run->__pyx_vtab)->_lsc(__pyx_v_run, __pyx_v_P, (__pyx_v_bufs[((4 * __pyx_v_pi) + 1)]), (__pyx_v_run->pn[((4 * __pyx_v_pi) + 1)]), (__pyx_v_bufs[(4 * __pyx_v_pi)]), (__pyx_v_run->pn[(4 * __pyx_v_pi)])); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 793, __pyx_L1_error)
-
-      /* "tripcon/_kernels/_fast.pyx":795
- *             run._lsc(P, bufs[4 * pi + 1], run.pn[4 * pi + 1],
- *                      bufs[4 * pi], run.pn[4 * pi])
- *             run._lsc(Q, bufs[4 * pi + 2], run.pn[4 * pi + 2],             # <<<<<<<<<<<<<<
- *                      bufs[4 * pi + 3], run.pn[4 * pi + 3])
- *             run._lsc(Q, bufs[4 * pi + 3], run.pn[4 * pi + 3],
-*/
-      __pyx_t_10 = ((struct __pyx_vtabstruct_7tripcon_8_kernels_5_fast__Run *)__pyx_v_run->__pyx_vtab)->_lsc(__pyx_v_run, __pyx_v_Q, (__pyx_v_bufs[((4 * __pyx_v_pi) + 2)]), (__pyx_v_run->pn[((4 * __pyx_v_pi) + 2)]), (__pyx_v_bufs[((4 * __pyx_v_pi) + 3)]), (__pyx_v_run->pn[((4 * __pyx_v_pi) + 3)])); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 795, __pyx_L1_error)
-
-      /* "tripcon/_kernels/_fast.pyx":797
- *             run._lsc(Q, bufs[4 * pi + 2], run.pn[4 * pi + 2],
- *                      bufs[4 * pi + 3], run.pn[4 * pi + 3])
- *             run._lsc(Q, bufs[4 * pi + 3], run.pn[4 * pi + 3],             # <<<<<<<<<<<<<<
- *                      bufs[4 * pi + 2], run.pn[4 * pi + 2])
- *         d_r = run.emitted - before
-*/
-      __pyx_t_10 = ((struct __pyx_vtabstruct_7tripcon_8_kernels_5_fast__Run *)__pyx_v_run->__pyx_vtab)->_lsc(__pyx_v_run, __pyx_v_Q, (__pyx_v_bufs[((4 * __pyx_v_pi) + 3)]), (__pyx_v_run->pn[((4 * __pyx_v_pi) + 3)]), (__pyx_v_bufs[((4 * __pyx_v_pi) + 2)]), (__pyx_v_run->pn[((4 * __pyx_v_pi) + 2)])); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 797, __pyx_L1_error)
-    }
-
-    /* "tripcon/_kernels/_fast.pyx":799
- *             run._lsc(Q, bufs[4 * pi + 3], run.pn[4 * pi + 3],
- *                      bufs[4 * pi + 2], run.pn[4 * pi + 2])
- *         d_r = run.emitted - before             # <<<<<<<<<<<<<<
- *         run.work += d_r
- *         run._push_dr(<int> d_r)
-*/
-    __pyx_v_d_r = (__pyx_v_run->emitted - __pyx_v_before);
-
-    /* "tripcon/_kernels/_fast.pyx":800
- *                      bufs[4 * pi + 2], run.pn[4 * pi + 2])
- *         d_r = run.emitted - before
- *         run.work += d_r             # <<<<<<<<<<<<<<
- *         run._push_dr(<int> d_r)
- *         if P.lc[rp] > d_r + 2:
-*/
-    __pyx_v_run->work = (__pyx_v_run->work + __pyx_v_d_r);
-
-    /* "tripcon/_kernels/_fast.pyx":801
- *         d_r = run.emitted - before
- *         run.work += d_r
- *         run._push_dr(<int> d_r)             # <<<<<<<<<<<<<<
- *         if P.lc[rp] > d_r + 2:
- *             run.violations += 1
-*/
-    __pyx_t_6 = ((struct __pyx_vtabstruct_7tripcon_8_kernels_5_fast__Run *)__pyx_v_run->__pyx_vtab)->_push_dr(__pyx_v_run, ((int)__pyx_v_d_r)); if (unlikely(__pyx_t_6 == ((int)-1))) __PYX_ERR(0, 801, __pyx_L1_error)
-
-    /* "tripcon/_kernels/_fast.pyx":802
- *         run.work += d_r
- *         run._push_dr(<int> d_r)
- *         if P.lc[rp] > d_r + 2:             # <<<<<<<<<<<<<<
- *             run.violations += 1
- * 
-*/
-    __pyx_t_7 = ((__pyx_v_P->lc[__pyx_v_rp]) > (__pyx_v_d_r + 2));
-    if (__pyx_t_7) {
-
-      /* "tripcon/_kernels/_fast.pyx":803
- *         run._push_dr(<int> d_r)
- *         if P.lc[rp] > d_r + 2:
- *             run.violations += 1             # <<<<<<<<<<<<<<
- * 
- *         # ---- children ---------------------------------------------------
-*/
-      __pyx_v_run->violations = (__pyx_v_run->violations + 1);
-
-      /* "tripcon/_kernels/_fast.pyx":802
- *         run.work += d_r
- *         run._push_dr(<int> d_r)
- *         if P.lc[rp] > d_r + 2:             # <<<<<<<<<<<<<<
- *             run.violations += 1
- * 
-*/
-    }
-
-    /* "tripcon/_kernels/_fast.pyx":806
- * 
- *         # ---- children ---------------------------------------------------
- *         nchild = 0             # <<<<<<<<<<<<<<
- *         for i in range(4):
- *             nz = run.pn[spec_z[i]]
-*/
-    __pyx_v_nchild = 0;
-
-    /* "tripcon/_kernels/_fast.pyx":807
- *         # ---- children ---------------------------------------------------
- *         nchild = 0
- *         for i in range(4):             # <<<<<<<<<<<<<<
- *             nz = run.pn[spec_z[i]]
- *             if nz < 3:
-*/
-    for (__pyx_t_6 = 0; __pyx_t_6 < 4; __pyx_t_6+=1) {
-      __pyx_v_i = __pyx_t_6;
-
-      /* "tripcon/_kernels/_fast.pyx":808
- *         nchild = 0
- *         for i in range(4):
- *             nz = run.pn[spec_z[i]]             # <<<<<<<<<<<<<<
- *             if nz < 3:
- *                 continue
-*/
-      __pyx_v_nz = (__pyx_v_run->pn[(__pyx_v_spec_z[__pyx_v_i])]);
-
-      /* "tripcon/_kernels/_fast.pyx":809
- *         for i in range(4):
- *             nz = run.pn[spec_z[i]]
- *             if nz < 3:             # <<<<<<<<<<<<<<
- *                 continue
- *             cp_side = _side_from_leaflist(P, bufs[spec_z[i]], nz)
-*/
-      __pyx_t_7 = (__pyx_v_nz < 3);
-      if (__pyx_t_7) {
-
-        /* "tripcon/_kernels/_fast.pyx":810
- *             nz = run.pn[spec_z[i]]
- *             if nz < 3:
- *                 continue             # <<<<<<<<<<<<<<
- *             cp_side = _side_from_leaflist(P, bufs[spec_z[i]], nz)
- *             cq_side = _side_from_leaflist(Q, bufs[spec_zq[i]], nz)
-*/
-        goto __pyx_L37_continue;
-
-        /* "tripcon/_kernels/_fast.pyx":809
- *         for i in range(4):
- *             nz = run.pn[spec_z[i]]
- *             if nz < 3:             # <<<<<<<<<<<<<<
- *                 continue
- *             cp_side = _side_from_leaflist(P, bufs[spec_z[i]], nz)
-*/
-      }
-
-      /* "tripcon/_kernels/_fast.pyx":811
- *             if nz < 3:
- *                 continue
- *             cp_side = _side_from_leaflist(P, bufs[spec_z[i]], nz)             # <<<<<<<<<<<<<<
- *             cq_side = _side_from_leaflist(Q, bufs[spec_zq[i]], nz)
- *             _write_scratch(cp_side, run.pleaf)
-*/
-      __pyx_t_1 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__side_from_leaflist(__pyx_v_P, (__pyx_v_bufs[(__pyx_v_spec_z[__pyx_v_i])]), __pyx_v_nz)); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 811, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-      __Pyx_XDECREF_SET(__pyx_v_cp_side, ((struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *)__pyx_t_1));
-      __pyx_t_1 = 0;
-
-      /* "tripcon/_kernels/_fast.pyx":812
- *                 continue
- *             cp_side = _side_from_leaflist(P, bufs[spec_z[i]], nz)
- *             cq_side = _side_from_leaflist(Q, bufs[spec_zq[i]], nz)             # <<<<<<<<<<<<<<
- *             _write_scratch(cp_side, run.pleaf)
- *             _write_scratch(cq_side, run.qleaf)
-*/
-      __pyx_t_1 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__side_from_leaflist(__pyx_v_Q, (__pyx_v_bufs[(__pyx_v_spec_zq[__pyx_v_i])]), __pyx_v_nz)); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 812, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-      __Pyx_XDECREF_SET(__pyx_v_cq_side, ((struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *)__pyx_t_1));
-      __pyx_t_1 = 0;
-
-      /* "tripcon/_kernels/_fast.pyx":813
- *             cp_side = _side_from_leaflist(P, bufs[spec_z[i]], nz)
- *             cq_side = _side_from_leaflist(Q, bufs[spec_zq[i]], nz)
- *             _write_scratch(cp_side, run.pleaf)             # <<<<<<<<<<<<<<
- *             _write_scratch(cq_side, run.qleaf)
- *             child = _ctx_make(cp_side, cq_side, run.qleaf)
-*/
-      __pyx_f_7tripcon_8_kernels_5_fast__write_scratch(__pyx_v_cp_side, __pyx_v_run->pleaf);
-
-      /* "tripcon/_kernels/_fast.pyx":814
- *             cq_side = _side_from_leaflist(Q, bufs[spec_zq[i]], nz)
- *             _write_scratch(cp_side, run.pleaf)
- *             _write_scratch(cq_side, run.qleaf)             # <<<<<<<<<<<<<<
- *             child = _ctx_make(cp_side, cq_side, run.qleaf)
- *             run.work += 2 * nz
-*/
-      __pyx_f_7tripcon_8_kernels_5_fast__write_scratch(__pyx_v_cq_side, __pyx_v_run->qleaf);
-
-      /* "tripcon/_kernels/_fast.pyx":815
- *             _write_scratch(cp_side, run.pleaf)
- *             _write_scratch(cq_side, run.qleaf)
- *             child = _ctx_make(cp_side, cq_side, run.qleaf)             # <<<<<<<<<<<<<<
- *             run.work += 2 * nz
- *             run.work += cp_side.m + cq_side.m
-*/
-      __pyx_t_1 = ((PyObject *)__pyx_f_7tripcon_8_kernels_5_fast__ctx_make(__pyx_v_cp_side, __pyx_v_cq_side, __pyx_v_run->qleaf)); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 815, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-      __Pyx_XDECREF_SET(__pyx_v_child, ((struct __pyx_obj_7tripcon_8_kernels_5_fast__Ctx *)__pyx_t_1));
-      __pyx_t_1 = 0;
-
-      /* "tripcon/_kernels/_fast.pyx":816
- *             _write_scratch(cq_side, run.qleaf)
- *             child = _ctx_make(cp_side, cq_side, run.qleaf)
- *             run.work += 2 * nz             # <<<<<<<<<<<<<<
- *             run.work += cp_side.m + cq_side.m
- *             run.work += cp_side.tlen + cq_side.tlen
-*/
-      __pyx_v_run->work = (__pyx_v_run->work + (2 * __pyx_v_nz));
-
-      /* "tripcon/_kernels/_fast.pyx":817
- *             child = _ctx_make(cp_side, cq_side, run.qleaf)
- *             run.work += 2 * nz
- *             run.work += cp_side.m + cq_side.m             # <<<<<<<<<<<<<<
- *             run.work += cp_side.tlen + cq_side.tlen
- *             run.work += cp_side.m
-*/
-      __pyx_v_run->work = (__pyx_v_run->work + (__pyx_v_cp_side->m + __pyx_v_cq_side->m));
-
-      /* "tripcon/_kernels/_fast.pyx":818
- *             run.work += 2 * nz
- *             run.work += cp_side.m + cq_side.m
- *             run.work += cp_side.tlen + cq_side.tlen             # <<<<<<<<<<<<<<
- *             run.work += cp_side.m
- *             run.ctxs.append(child)
-*/
-      __pyx_v_run->work = (__pyx_v_run->work + (__pyx_v_cp_side->tlen + __pyx_v_cq_side->tlen));
-
-      /* "tripcon/_kernels/_fast.pyx":819
- *             run.work += cp_side.m + cq_side.m
- *             run.work += cp_side.tlen + cq_side.tlen
- *             run.work += cp_side.m             # <<<<<<<<<<<<<<
- *             run.ctxs.append(child)
- *             child_ci[nchild] = <int> len(run.ctxs) - 1
-*/
-      __pyx_v_run->work = (__pyx_v_run->work + __pyx_v_cp_side->m);
-
-      /* "tripcon/_kernels/_fast.pyx":820
- *             run.work += cp_side.tlen + cq_side.tlen
- *             run.work += cp_side.m
- *             run.ctxs.append(child)             # <<<<<<<<<<<<<<
- *             child_ci[nchild] = <int> len(run.ctxs) - 1
- *             child_rp[nchild] = cp_side.root
-*/
-      if (unlikely(__pyx_v_run->ctxs == Py_None)) {
-        PyErr_Format(PyExc_AttributeError, "'NoneType' object has no attribute '%.30s'", "append");
-        __PYX_ERR(0, 820, __pyx_L1_error)
-      }
-      __pyx_t_8 = __Pyx_PyList_Append(__pyx_v_run->ctxs, ((PyObject *)__pyx_v_child)); if (unlikely(__pyx_t_8 == ((int)-1))) __PYX_ERR(0, 820, __pyx_L1_error)
-
-      /* "tripcon/_kernels/_fast.pyx":821
- *             run.work += cp_side.m
- *             run.ctxs.append(child)
- *             child_ci[nchild] = <int> len(run.ctxs) - 1             # <<<<<<<<<<<<<<
- *             child_rp[nchild] = cp_side.root
- *             child_rq[nchild] = cq_side.root
-*/
-      __pyx_t_1 = __pyx_v_run->ctxs;
-      __Pyx_INCREF(__pyx_t_1);
-      if (unlikely(__pyx_t_1 == Py_None)) {
-        PyErr_SetString(PyExc_TypeError, "object of type 'NoneType' has no len()");
-        __PYX_ERR(0, 821, __pyx_L1_error)
-      }
-      __pyx_t_22 = __Pyx_PyList_GET_SIZE(__pyx_t_1); if (unlikely(__pyx_t_22 == ((Py_ssize_t)-1))) __PYX_ERR(0, 821, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-      (__pyx_v_child_ci[__pyx_v_nchild]) = (((int)__pyx_t_22) - 1);
-
-      /* "tripcon/_kernels/_fast.pyx":822
- *             run.ctxs.append(child)
- *             child_ci[nchild] = <int> len(run.ctxs) - 1
- *             child_rp[nchild] = cp_side.root             # <<<<<<<<<<<<<<
- *             child_rq[nchild] = cq_side.root
- *             nchild += 1
-*/
-      __pyx_t_10 = __pyx_v_cp_side->root;
-      (__pyx_v_child_rp[__pyx_v_nchild]) = __pyx_t_10;
-
-      /* "tripcon/_kernels/_fast.pyx":823
- *             child_ci[nchild] = <int> len(run.ctxs) - 1
- *             child_rp[nchild] = cp_side.root
- *             child_rq[nchild] = cq_side.root             # <<<<<<<<<<<<<<
- *             nchild += 1
- *         for i in range(nchild - 1, -1, -1):
-*/
-      __pyx_t_10 = __pyx_v_cq_side->root;
-      (__pyx_v_child_rq[__pyx_v_nchild]) = __pyx_t_10;
-
-      /* "tripcon/_kernels/_fast.pyx":824
- *             child_rp[nchild] = cp_side.root
- *             child_rq[nchild] = cq_side.root
- *             nchild += 1             # <<<<<<<<<<<<<<
- *         for i in range(nchild - 1, -1, -1):
- *             run._push_frame(child_ci[i], child_rp[i], child_rq[i])
-*/
-      __pyx_v_nchild = (__pyx_v_nchild + 1);
-      __pyx_L37_continue:;
-    }
-
-    /* "tripcon/_kernels/_fast.pyx":825
- *             child_rq[nchild] = cq_side.root
- *             nchild += 1
- *         for i in range(nchild - 1, -1, -1):             # <<<<<<<<<<<<<<
- *             run._push_frame(child_ci[i], child_rp[i], child_rq[i])
- * 
-*/
-    for (__pyx_t_6 = (__pyx_v_nchild - 1); __pyx_t_6 > -1; __pyx_t_6-=1) {
-      __pyx_v_i = __pyx_t_6;
-
-      /* "tripcon/_kernels/_fast.pyx":826
- *             nchild += 1
- *         for i in range(nchild - 1, -1, -1):
- *             run._push_frame(child_ci[i], child_rp[i], child_rq[i])             # <<<<<<<<<<<<<<
- * 
- *     array.resize(run.a_tri, run.tri_len)
-*/
-      __pyx_t_10 = ((struct __pyx_vtabstruct_7tripcon_8_kernels_5_fast__Run *)__pyx_v_run->__pyx_vtab)->_push_frame(__pyx_v_run, (__pyx_v_child_ci[__pyx_v_i]), (__pyx_v_child_rp[__pyx_v_i]), (__pyx_v_child_rq[__pyx_v_i])); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 826, __pyx_L1_error)
-    }
-    __pyx_L5_continue:;
-  }
-
-  /* "tripcon/_kernels/_fast.pyx":828
- *             run._push_frame(child_ci[i], child_rp[i], child_rq[i])
- * 
- *     array.resize(run.a_tri, run.tri_len)             # <<<<<<<<<<<<<<
- *     array.resize(run.a_dr, run.dr_len)
- *     return (run.a_tri, run.emitted, run.frames, run.work, run.violations,
-*/
-  __pyx_t_1 = ((PyObject *)__pyx_v_run->a_tri);
-  __Pyx_INCREF(__pyx_t_1);
-  __pyx_t_6 = resize(((arrayobject *)__pyx_t_1), __pyx_v_run->tri_len); if (unlikely(__pyx_t_6 == ((int)-1))) __PYX_ERR(0, 828, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":829
- * 
- *     array.resize(run.a_tri, run.tri_len)
- *     array.resize(run.a_dr, run.dr_len)             # <<<<<<<<<<<<<<
- *     return (run.a_tri, run.emitted, run.frames, run.work, run.violations,
- *             run.a_dr)
-*/
-  __pyx_t_1 = ((PyObject *)__pyx_v_run->a_dr);
-  __Pyx_INCREF(__pyx_t_1);
-  __pyx_t_6 = resize(((arrayobject *)__pyx_t_1), __pyx_v_run->dr_len); if (unlikely(__pyx_t_6 == ((int)-1))) __PYX_ERR(0, 829, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":830
- *     array.resize(run.a_tri, run.tri_len)
- *     array.resize(run.a_dr, run.dr_len)
- *     return (run.a_tri, run.emitted, run.frames, run.work, run.violations,             # <<<<<<<<<<<<<<
- *             run.a_dr)
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_run->emitted); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 830, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_4 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_run->frames); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 830, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_3 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_run->work); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 830, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_2 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_run->violations); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 830, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-
-  /* "tripcon/_kernels/_fast.pyx":831
- *     array.resize(run.a_dr, run.dr_len)
- *     return (run.a_tri, run.emitted, run.frames, run.work, run.violations,
- *             run.a_dr)             # <<<<<<<<<<<<<<
-*/
-  __pyx_t_23 = PyTuple_New(6); if (unlikely(!__pyx_t_23)) __PYX_ERR(0, 830, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_23);
-  __Pyx_INCREF((PyObject *)__pyx_v_run->a_tri);
-  __Pyx_GIVEREF((PyObject *)__pyx_v_run->a_tri);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_23, 0, ((PyObject *)__pyx_v_run->a_tri)) != (0)) __PYX_ERR(0, 830, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_1);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_23, 1, __pyx_t_1) != (0)) __PYX_ERR(0, 830, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_4);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_23, 2, __pyx_t_4) != (0)) __PYX_ERR(0, 830, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_3);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_23, 3, __pyx_t_3) != (0)) __PYX_ERR(0, 830, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_2);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_23, 4, __pyx_t_2) != (0)) __PYX_ERR(0, 830, __pyx_L1_error);
-  __Pyx_INCREF((PyObject *)__pyx_v_run->a_dr);
-  __Pyx_GIVEREF((PyObject *)__pyx_v_run->a_dr);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_23, 5, ((PyObject *)__pyx_v_run->a_dr)) != (0)) __PYX_ERR(0, 830, __pyx_L1_error);
-  __pyx_t_1 = 0;
-  __pyx_t_4 = 0;
-  __pyx_t_3 = 0;
-  __pyx_t_2 = 0;
-  __pyx_r = __pyx_t_23;
-  __pyx_t_23 = 0;
-  goto __pyx_L0;
-
-  /* "tripcon/_kernels/_fast.pyx":666
- * 
- * 
- * def run_enumeration(list p_left, list p_right, list p_taxon, int p_root,             # <<<<<<<<<<<<<<
- *                     list q_left, list q_right, list q_taxon, int q_root,
- *                     int universe, bint store=True):
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_23);
-  __Pyx_AddTraceback("tripcon._kernels._fast.run_enumeration", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF((PyObject *)__pyx_v_run);
-  __Pyx_XDECREF((PyObject *)__pyx_v_P0);
-  __Pyx_XDECREF((PyObject *)__pyx_v_Q0);
-  __Pyx_XDECREF((PyObject *)__pyx_v_top);
-  __Pyx_XDECREF((PyObject *)__pyx_v_ctx);
-  __Pyx_XDECREF((PyObject *)__pyx_v_child);
-  __Pyx_XDECREF((PyObject *)__pyx_v_P);
-  __Pyx_XDECREF((PyObject *)__pyx_v_Q);
-  __Pyx_XDECREF((PyObject *)__pyx_v_cp_side);
-  __Pyx_XDECREF((PyObject *)__pyx_v_cq_side);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-/* #### Code section: module_exttypes ### */
-
-static PyObject *__pyx_tp_new_7tripcon_8_kernels_5_fast__Side(PyTypeObject *t, CYTHON_UNUSED PyObject *a, CYTHON_UNUSED PyObject *k) {
-  struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *p;
-  PyObject *o;
-  o = __Pyx_AllocateExtensionType(t, 0);
-  if (unlikely(!o)) return 0;
-  p = ((struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *)o);
-  p->a_left = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  p->a_right = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  p->a_taxon = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  p->a_post = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  p->a_lc = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  p->a_lb = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  p->a_depth = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  p->a_popo = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  p->a_leaves = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  p->a_tour = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  p->a_tdep = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  p->a_fo = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  p->a_bminpos = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  p->a_bminval = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  p->a_pat = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  p->a_lg = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  p->a_st = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  p->a_tbl = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  p->a_tflag = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  return o;
-}
-
-static void __pyx_tp_dealloc_7tripcon_8_kernels_5_fast__Side(PyObject *o) {
-  struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *p = (struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *)o;
-  #if CYTHON_USE_TP_FINALIZE
-  if (unlikely(__Pyx_PyObject_GetSlot(o, tp_finalize, destructor)) && !__Pyx_PyObject_GC_IsFinalized(o)) {
-    if (__Pyx_PyObject_GetSlot(o, tp_dealloc, destructor) == __pyx_tp_dealloc_7tripcon_8_kernels_5_fast__Side) {
-      if (PyObject_CallFinalizerFromDealloc(o)) return;
-    }
-  }
-  #endif
-  PyObject_GC_UnTrack(o);
-  Py_CLEAR(p->a_left);
-  Py_CLEAR(p->a_right);
-  Py_CLEAR(p->a_taxon);
-  Py_CLEAR(p->a_post);
-  Py_CLEAR(p->a_lc);
-  Py_CLEAR(p->a_lb);
-  Py_CLEAR(p->a_depth);
-  Py_CLEAR(p->a_popo);
-  Py_CLEAR(p->a_leaves);
-  Py_CLEAR(p->a_tour);
-  Py_CLEAR(p->a_tdep);
-  Py_CLEAR(p->a_fo);
-  Py_CLEAR(p->a_bminpos);
-  Py_CLEAR(p->a_bminval);
-  Py_CLEAR(p->a_pat);
-  Py_CLEAR(p->a_lg);
-  Py_CLEAR(p->a_st);
-  Py_CLEAR(p->a_tbl);
-  Py_CLEAR(p->a_tflag);
-  PyTypeObject *tp = Py_TYPE(o);
-  #if CYTHON_USE_TYPE_SLOTS
-  (*tp->tp_free)(o);
-  #else
-  {
-    freefunc tp_free = (freefunc)PyType_GetSlot(tp, Py_tp_free);
-    if (tp_free) tp_free(o);
-  }
-  #endif
-  #if CYTHON_USE_TYPE_SPECS
-  Py_DECREF(tp);
-  #endif
-}
-
-static int __pyx_tp_traverse_7tripcon_8_kernels_5_fast__Side(PyObject *o, visitproc v, void *a) {
-  int e;
-  struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *p = (struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *)o;
-  {
-    e = __Pyx_call_type_traverse(o, 1, v, a);
-    if (e) return e;
-  }
-  if (p->a_left) {
-    e = (*v)(((PyObject *)p->a_left), a); if (e) return e;
-  }
-  if (p->a_right) {
-    e = (*v)(((PyObject *)p->a_right), a); if (e) return e;
-  }
-  if (p->a_taxon) {
-    e = (*v)(((PyObject *)p->a_taxon), a); if (e) return e;
-  }
-  if (p->a_post) {
-    e = (*v)(((PyObject *)p->a_post), a); if (e) return e;
-  }
-  if (p->a_lc) {
-    e = (*v)(((PyObject *)p->a_lc), a); if (e) return e;
-  }
-  if (p->a_lb) {
-    e = (*v)(((PyObject *)p->a_lb), a); if (e) return e;
-  }
-  if (p->a_depth) {
-    e = (*v)(((PyObject *)p->a_depth), a); if (e) return e;
-  }
-  if (p->a_popo) {
-    e = (*v)(((PyObject *)p->a_popo), a); if (e) return e;
-  }
-  if (p->a_leaves) {
-    e = (*v)(((PyObject *)p->a_leaves), a); if (e) return e;
-  }
-  if (p->a_tour) {
-    e = (*v)(((PyObject *)p->a_tour), a); if (e) return e;
-  }
-  if (p->a_tdep) {
-    e = (*v)(((PyObject *)p->a_tdep), a); if (e) return e;
-  }
-  if (p->a_fo) {
-    e = (*v)(((PyObject *)p->a_fo), a); if (e) return e;
-  }
-  if (p->a_bminpos) {
-    e = (*v)(((PyObject *)p->a_bminpos), a); if (e) return e;
-  }
-  if (p->a_bminval) {
-    e = (*v)(((PyObject *)p->a_bminval), a); if (e) return e;
-  }
-  if (p->a_pat) {
-    e = (*v)(((PyObject *)p->a_pat), a); if (e) return e;
-  }
-  if (p->a_lg) {
-    e = (*v)(((PyObject *)p->a_lg), a); if (e) return e;
-  }
-  if (p->a_st) {
-    e = (*v)(((PyObject *)p->a_st), a); if (e) return e;
-  }
-  if (p->a_tbl) {
-    e = (*v)(((PyObject *)p->a_tbl), a); if (e) return e;
-  }
-  if (p->a_tflag) {
-    e = (*v)(((PyObject *)p->a_tflag), a); if (e) return e;
-  }
-  return 0;
-}
-
-static int __pyx_tp_clear_7tripcon_8_kernels_5_fast__Side(PyObject *o) {
-  PyObject* tmp;
-  struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *p = (struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *)o;
-  tmp = ((PyObject*)p->a_left);
-  p->a_left = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->a_right);
-  p->a_right = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->a_taxon);
-  p->a_taxon = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->a_post);
-  p->a_post = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->a_lc);
-  p->a_lc = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->a_lb);
-  p->a_lb = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->a_depth);
-  p->a_depth = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->a_popo);
-  p->a_popo = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->a_leaves);
-  p->a_leaves = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->a_tour);
-  p->a_tour = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->a_tdep);
-  p->a_tdep = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->a_fo);
-  p->a_fo = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->a_bminpos);
-  p->a_bminpos = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->a_bminval);
-  p->a_bminval = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->a_pat);
-  p->a_pat = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->a_lg);
-  p->a_lg = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->a_st);
-  p->a_st = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->a_tbl);
-  p->a_tbl = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->a_tflag);
-  p->a_tflag = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  return 0;
-}
-
-static PyMethodDef __pyx_methods_7tripcon_8_kernels_5_fast__Side[] = {
-  {"__reduce_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7tripcon_8_kernels_5_fast_5_Side_1__reduce_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0},
-  {"__setstate_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7tripcon_8_kernels_5_fast_5_Side_3__setstate_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0},
-  {0, 0, 0, 0}
-};
-#if CYTHON_USE_TYPE_SPECS
-static PyType_Slot __pyx_type_7tripcon_8_kernels_5_fast__Side_slots[] = {
-  {Py_tp_dealloc, (void *)__pyx_tp_dealloc_7tripcon_8_kernels_5_fast__Side},
-  {Py_tp_traverse, (void *)__pyx_tp_traverse_7tripcon_8_kernels_5_fast__Side},
-  {Py_tp_clear, (void *)__pyx_tp_clear_7tripcon_8_kernels_5_fast__Side},
-  {Py_tp_methods, (void *)__pyx_methods_7tripcon_8_kernels_5_fast__Side},
-  {Py_tp_new, (void *)__pyx_tp_new_7tripcon_8_kernels_5_fast__Side},
-  {0, 0},
-};
-static PyType_Spec __pyx_type_7tripcon_8_kernels_5_fast__Side_spec = {
-  "tripcon._kernels._fast._Side",
-  sizeof(struct __pyx_obj_7tripcon_8_kernels_5_fast__Side),
-  0,
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_BASETYPE|Py_TPFLAGS_HAVE_GC,
-  __pyx_type_7tripcon_8_kernels_5_fast__Side_slots,
-};
-#else
-
-static PyTypeObject __pyx_type_7tripcon_8_kernels_5_fast__Side = {
-  PyVarObject_HEAD_INIT(0, 0)
-  "tripcon._kernels._fast.""_Side", /*tp_name*/
-  sizeof(struct __pyx_obj_7tripcon_8_kernels_5_fast__Side), /*tp_basicsize*/
-  0, /*tp_itemsize*/
-  __pyx_tp_dealloc_7tripcon_8_kernels_5_fast__Side, /*tp_dealloc*/
-  0, /*tp_vectorcall_offset*/
-  0, /*tp_getattr*/
-  0, /*tp_setattr*/
-  0, /*tp_as_async*/
-  0, /*tp_repr*/
-  0, /*tp_as_number*/
-  0, /*tp_as_sequence*/
-  0, /*tp_as_mapping*/
-  0, /*tp_hash*/
-  0, /*tp_call*/
-  0, /*tp_str*/
-  0, /*tp_getattro*/
-  0, /*tp_setattro*/
-  0, /*tp_as_buffer*/
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_BASETYPE|Py_TPFLAGS_HAVE_GC, /*tp_flags*/
-  0, /*tp_doc*/
-  __pyx_tp_traverse_7tripcon_8_kernels_5_fast__Side, /*tp_traverse*/
-  __pyx_tp_clear_7tripcon_8_kernels_5_fast__Side, /*tp_clear*/
-  0, /*tp_richcompare*/
-  0, /*tp_weaklistoffset*/
-  0, /*tp_iter*/
-  0, /*tp_iternext*/
-  __pyx_methods_7tripcon_8_kernels_5_fast__Side, /*tp_methods*/
-  0, /*tp_members*/
-  0, /*tp_getset*/
-  0, /*tp_base*/
-  0, /*tp_dict*/
-  0, /*tp_descr_get*/
-  0, /*tp_descr_set*/
-  #if !CYTHON_USE_TYPE_SPECS
-  0, /*tp_dictoffset*/
-  #endif
-  0, /*tp_init*/
-  0, /*tp_alloc*/
-  __pyx_tp_new_7tripcon_8_kernels_5_fast__Side, /*tp_new*/
-  0, /*tp_free*/
-  0, /*tp_is_gc*/
-  0, /*tp_bases*/
-  0, /*tp_mro*/
-  0, /*tp_cache*/
-  0, /*tp_subclasses*/
-  0, /*tp_weaklist*/
-  0, /*tp_del*/
-  0, /*tp_version_tag*/
-  #if CYTHON_USE_TP_FINALIZE
-  0, /*tp_finalize*/
-  #else
-  NULL, /*tp_finalize*/
-  #endif
-  #if !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07030800
-  0, /*tp_vectorcall*/
-  #endif
-  #if __PYX_NEED_TP_PRINT_SLOT == 1
-  0, /*tp_print*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000
-  0, /*tp_watched*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030d00A4
-  0, /*tp_versions_used*/
-  #endif
-  #if CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX >= 0x03090000 && PY_VERSION_HEX < 0x030a0000
-  0, /*tp_pypy_flags*/
-  #endif
-};
-#endif
-
-static PyObject *__pyx_tp_new_7tripcon_8_kernels_5_fast__Ctx(PyTypeObject *t, CYTHON_UNUSED PyObject *a, CYTHON_UNUSED PyObject *k) {
-  struct __pyx_obj_7tripcon_8_kernels_5_fast__Ctx *p;
-  PyObject *o;
-  o = __Pyx_AllocateExtensionType(t, 0);
-  if (unlikely(!o)) return 0;
-  p = ((struct __pyx_obj_7tripcon_8_kernels_5_fast__Ctx *)o);
-  p->p = ((struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *)Py_None); Py_INCREF(Py_None);
-  p->q = ((struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *)Py_None); Py_INCREF(Py_None);
-  p->a_m = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  return o;
-}
-
-static void __pyx_tp_dealloc_7tripcon_8_kernels_5_fast__Ctx(PyObject *o) {
-  struct __pyx_obj_7tripcon_8_kernels_5_fast__Ctx *p = (struct __pyx_obj_7tripcon_8_kernels_5_fast__Ctx *)o;
-  #if CYTHON_USE_TP_FINALIZE
-  if (unlikely(__Pyx_PyObject_GetSlot(o, tp_finalize, destructor)) && !__Pyx_PyObject_GC_IsFinalized(o)) {
-    if (__Pyx_PyObject_GetSlot(o, tp_dealloc, destructor) == __pyx_tp_dealloc_7tripcon_8_kernels_5_fast__Ctx) {
-      if (PyObject_CallFinalizerFromDealloc(o)) return;
-    }
-  }
-  #endif
-  PyObject_GC_UnTrack(o);
-  Py_CLEAR(p->p);
-  Py_CLEAR(p->q);
-  Py_CLEAR(p->a_m);
-  PyTypeObject *tp = Py_TYPE(o);
-  #if CYTHON_USE_TYPE_SLOTS
-  (*tp->tp_free)(o);
-  #else
-  {
-    freefunc tp_free = (freefunc)PyType_GetSlot(tp, Py_tp_free);
-    if (tp_free) tp_free(o);
-  }
-  #endif
-  #if CYTHON_USE_TYPE_SPECS
-  Py_DECREF(tp);
-  #endif
-}
-
-static int __pyx_tp_traverse_7tripcon_8_kernels_5_fast__Ctx(PyObject *o, visitproc v, void *a) {
-  int e;
-  struct __pyx_obj_7tripcon_8_kernels_5_fast__Ctx *p = (struct __pyx_obj_7tripcon_8_kernels_5_fast__Ctx *)o;
-  {
-    e = __Pyx_call_type_traverse(o, 1, v, a);
-    if (e) return e;
-  }
-  if (p->p) {
-    e = (*v)(((PyObject *)p->p), a); if (e) return e;
-  }
-  if (p->q) {
-    e = (*v)(((PyObject *)p->q), a); if (e) return e;
-  }
-  if (p->a_m) {
-    e = (*v)(((PyObject *)p->a_m), a); if (e) return e;
-  }
-  return 0;
-}
-
-static int __pyx_tp_clear_7tripcon_8_kernels_5_fast__Ctx(PyObject *o) {
-  PyObject* tmp;
-  struct __pyx_obj_7tripcon_8_kernels_5_fast__Ctx *p = (struct __pyx_obj_7tripcon_8_kernels_5_fast__Ctx *)o;
-  tmp = ((PyObject*)p->p);
-  p->p = ((struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->q);
-  p->q = ((struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->a_m);
-  p->a_m = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  return 0;
-}
-
-static PyMethodDef __pyx_methods_7tripcon_8_kernels_5_fast__Ctx[] = {
-  {"__reduce_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7tripcon_8_kernels_5_fast_4_Ctx_1__reduce_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0},
-  {"__setstate_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7tripcon_8_kernels_5_fast_4_Ctx_3__setstate_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0},
-  {0, 0, 0, 0}
-};
-#if CYTHON_USE_TYPE_SPECS
-static PyType_Slot __pyx_type_7tripcon_8_kernels_5_fast__Ctx_slots[] = {
-  {Py_tp_dealloc, (void *)__pyx_tp_dealloc_7tripcon_8_kernels_5_fast__Ctx},
-  {Py_tp_traverse, (void *)__pyx_tp_traverse_7tripcon_8_kernels_5_fast__Ctx},
-  {Py_tp_clear, (void *)__pyx_tp_clear_7tripcon_8_kernels_5_fast__Ctx},
-  {Py_tp_methods, (void *)__pyx_methods_7tripcon_8_kernels_5_fast__Ctx},
-  {Py_tp_new, (void *)__pyx_tp_new_7tripcon_8_kernels_5_fast__Ctx},
-  {0, 0},
-};
-static PyType_Spec __pyx_type_7tripcon_8_kernels_5_fast__Ctx_spec = {
-  "tripcon._kernels._fast._Ctx",
-  sizeof(struct __pyx_obj_7tripcon_8_kernels_5_fast__Ctx),
-  0,
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_BASETYPE|Py_TPFLAGS_HAVE_GC,
-  __pyx_type_7tripcon_8_kernels_5_fast__Ctx_slots,
-};
-#else
-
-static PyTypeObject __pyx_type_7tripcon_8_kernels_5_fast__Ctx = {
-  PyVarObject_HEAD_INIT(0, 0)
-  "tripcon._kernels._fast.""_Ctx", /*tp_name*/
-  sizeof(struct __pyx_obj_7tripcon_8_kernels_5_fast__Ctx), /*tp_basicsize*/
-  0, /*tp_itemsize*/
-  __pyx_tp_dealloc_7tripcon_8_kernels_5_fast__Ctx, /*tp_dealloc*/
-  0, /*tp_vectorcall_offset*/
-  0, /*tp_getattr*/
-  0, /*tp_setattr*/
-  0, /*tp_as_async*/
-  0, /*tp_repr*/
-  0, /*tp_as_number*/
-  0, /*tp_as_sequence*/
-  0, /*tp_as_mapping*/
-  0, /*tp_hash*/
-  0, /*tp_call*/
-  0, /*tp_str*/
-  0, /*tp_getattro*/
-  0, /*tp_setattro*/
-  0, /*tp_as_buffer*/
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_BASETYPE|Py_TPFLAGS_HAVE_GC, /*tp_flags*/
-  0, /*tp_doc*/
-  __pyx_tp_traverse_7tripcon_8_kernels_5_fast__Ctx, /*tp_traverse*/
-  __pyx_tp_clear_7tripcon_8_kernels_5_fast__Ctx, /*tp_clear*/
-  0, /*tp_richcompare*/
-  0, /*tp_weaklistoffset*/
-  0, /*tp_iter*/
-  0, /*tp_iternext*/
-  __pyx_methods_7tripcon_8_kernels_5_fast__Ctx, /*tp_methods*/
-  0, /*tp_members*/
-  0, /*tp_getset*/
-  0, /*tp_base*/
-  0, /*tp_dict*/
-  0, /*tp_descr_get*/
-  0, /*tp_descr_set*/
-  #if !CYTHON_USE_TYPE_SPECS
-  0, /*tp_dictoffset*/
-  #endif
-  0, /*tp_init*/
-  0, /*tp_alloc*/
-  __pyx_tp_new_7tripcon_8_kernels_5_fast__Ctx, /*tp_new*/
-  0, /*tp_free*/
-  0, /*tp_is_gc*/
-  0, /*tp_bases*/
-  0, /*tp_mro*/
-  0, /*tp_cache*/
-  0, /*tp_subclasses*/
-  0, /*tp_weaklist*/
-  0, /*tp_del*/
-  0, /*tp_version_tag*/
-  #if CYTHON_USE_TP_FINALIZE
-  0, /*tp_finalize*/
-  #else
-  NULL, /*tp_finalize*/
-  #endif
-  #if !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07030800
-  0, /*tp_vectorcall*/
-  #endif
-  #if __PYX_NEED_TP_PRINT_SLOT == 1
-  0, /*tp_print*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000
-  0, /*tp_watched*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030d00A4
-  0, /*tp_versions_used*/
-  #endif
-  #if CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX >= 0x03090000 && PY_VERSION_HEX < 0x030a0000
-  0, /*tp_pypy_flags*/
-  #endif
-};
-#endif
-static struct __pyx_vtabstruct_7tripcon_8_kernels_5_fast__Run __pyx_vtable_7tripcon_8_kernels_5_fast__Run;
-
-static PyObject *__pyx_tp_new_7tripcon_8_kernels_5_fast__Run(PyTypeObject *t, PyObject *a, PyObject *k) {
-  struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *p;
-  PyObject *o;
-  o = __Pyx_AllocateExtensionType(t, 0);
-  if (unlikely(!o)) return 0;
-  p = ((struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *)o);
-  p->__pyx_vtab = __pyx_vtabptr_7tripcon_8_kernels_5_fast__Run;
-  p->a_tri = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  p->a_dr = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  p->a_fs = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  p->a_pleaf = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  p->a_qleaf = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  p->a_part = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  p->a_zlca = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  p->a_ztax = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  p->a_zpost = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  p->a_par = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  p->a_plo = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  p->a_phi = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  p->a_podep = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  p->a_pstk = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  p->ctxs = ((PyObject*)Py_None); Py_INCREF(Py_None);
-  if (unlikely(__pyx_pw_7tripcon_8_kernels_5_fast_4_Run_1__cinit__(o, a, k) < 0)) goto bad;
-  return o;
-  bad:
-  Py_DECREF(o); o = 0;
-  return NULL;
-}
-
-static void __pyx_tp_dealloc_7tripcon_8_kernels_5_fast__Run(PyObject *o) {
-  struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *p = (struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *)o;
-  #if CYTHON_USE_TP_FINALIZE
-  if (unlikely(__Pyx_PyObject_GetSlot(o, tp_finalize, destructor)) && !__Pyx_PyObject_GC_IsFinalized(o)) {
-    if (__Pyx_PyObject_GetSlot(o, tp_dealloc, destructor) == __pyx_tp_dealloc_7tripcon_8_kernels_5_fast__Run) {
-      if (PyObject_CallFinalizerFromDealloc(o)) return;
-    }
-  }
-  #endif
-  PyObject_GC_UnTrack(o);
-  Py_CLEAR(p->a_tri);
-  Py_CLEAR(p->a_dr);
-  Py_CLEAR(p->a_fs);
-  Py_CLEAR(p->a_pleaf);
-  Py_CLEAR(p->a_qleaf);
-  Py_CLEAR(p->a_part);
-  Py_CLEAR(p->a_zlca);
-  Py_CLEAR(p->a_ztax);
-  Py_CLEAR(p->a_zpost);
-  Py_CLEAR(p->a_par);
-  Py_CLEAR(p->a_plo);
-  Py_CLEAR(p->a_phi);
-  Py_CLEAR(p->a_podep);
-  Py_CLEAR(p->a_pstk);
-  Py_CLEAR(p->ctxs);
-  PyTypeObject *tp = Py_TYPE(o);
-  #if CYTHON_USE_TYPE_SLOTS
-  (*tp->tp_free)(o);
-  #else
-  {
-    freefunc tp_free = (freefunc)PyType_GetSlot(tp, Py_tp_free);
-    if (tp_free) tp_free(o);
-  }
-  #endif
-  #if CYTHON_USE_TYPE_SPECS
-  Py_DECREF(tp);
-  #endif
-}
-
-static int __pyx_tp_traverse_7tripcon_8_kernels_5_fast__Run(PyObject *o, visitproc v, void *a) {
-  int e;
-  struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *p = (struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *)o;
-  {
-    e = __Pyx_call_type_traverse(o, 1, v, a);
-    if (e) return e;
-  }
-  if (p->a_tri) {
-    e = (*v)(((PyObject *)p->a_tri), a); if (e) return e;
-  }
-  if (p->a_dr) {
-    e = (*v)(((PyObject *)p->a_dr), a); if (e) return e;
-  }
-  if (p->a_fs) {
-    e = (*v)(((PyObject *)p->a_fs), a); if (e) return e;
-  }
-  if (p->a_pleaf) {
-    e = (*v)(((PyObject *)p->a_pleaf), a); if (e) return e;
-  }
-  if (p->a_qleaf) {
-    e = (*v)(((PyObject *)p->a_qleaf), a); if (e) return e;
-  }
-  if (p->a_part) {
-    e = (*v)(((PyObject *)p->a_part), a); if (e) return e;
-  }
-  if (p->a_zlca) {
-    e = (*v)(((PyObject *)p->a_zlca), a); if (e) return e;
-  }
-  if (p->a_ztax) {
-    e = (*v)(((PyObject *)p->a_ztax), a); if (e) return e;
-  }
-  if (p->a_zpost) {
-    e = (*v)(((PyObject *)p->a_zpost), a); if (e) return e;
-  }
-  if (p->a_par) {
-    e = (*v)(((PyObject *)p->a_par), a); if (e) return e;
-  }
-  if (p->a_plo) {
-    e = (*v)(((PyObject *)p->a_plo), a); if (e) return e;
-  }
-  if (p->a_phi) {
-    e = (*v)(((PyObject *)p->a_phi), a); if (e) return e;
-  }
-  if (p->a_podep) {
-    e = (*v)(((PyObject *)p->a_podep), a); if (e) return e;
-  }
-  if (p->a_pstk) {
-    e = (*v)(((PyObject *)p->a_pstk), a); if (e) return e;
-  }
-  if (p->ctxs) {
-    e = (*v)(p->ctxs, a); if (e) return e;
-  }
-  return 0;
-}
-
-static int __pyx_tp_clear_7tripcon_8_kernels_5_fast__Run(PyObject *o) {
-  PyObject* tmp;
-  struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *p = (struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *)o;
-  tmp = ((PyObject*)p->a_tri);
-  p->a_tri = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->a_dr);
-  p->a_dr = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->a_fs);
-  p->a_fs = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->a_pleaf);
-  p->a_pleaf = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->a_qleaf);
-  p->a_qleaf = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->a_part);
-  p->a_part = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->a_zlca);
-  p->a_zlca = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->a_ztax);
-  p->a_ztax = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->a_zpost);
-  p->a_zpost = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->a_par);
-  p->a_par = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->a_plo);
-  p->a_plo = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->a_phi);
-  p->a_phi = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->a_podep);
-  p->a_podep = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->a_pstk);
-  p->a_pstk = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->ctxs);
-  p->ctxs = ((PyObject*)Py_None); Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  return 0;
-}
-
-static PyMethodDef __pyx_methods_7tripcon_8_kernels_5_fast__Run[] = {
-  {"__reduce_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7tripcon_8_kernels_5_fast_4_Run_3__reduce_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0},
-  {"__setstate_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7tripcon_8_kernels_5_fast_4_Run_5__setstate_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0},
-  {0, 0, 0, 0}
-};
-#if CYTHON_USE_TYPE_SPECS
-static PyType_Slot __pyx_type_7tripcon_8_kernels_5_fast__Run_slots[] = {
-  {Py_tp_dealloc, (void *)__pyx_tp_dealloc_7tripcon_8_kernels_5_fast__Run},
-  {Py_tp_traverse, (void *)__pyx_tp_traverse_7tripcon_8_kernels_5_fast__Run},
-  {Py_tp_clear, (void *)__pyx_tp_clear_7tripcon_8_kernels_5_fast__Run},
-  {Py_tp_methods, (void *)__pyx_methods_7tripcon_8_kernels_5_fast__Run},
-  {Py_tp_new, (void *)__pyx_tp_new_7tripcon_8_kernels_5_fast__Run},
-  {0, 0},
-};
-static PyType_Spec __pyx_type_7tripcon_8_kernels_5_fast__Run_spec = {
-  "tripcon._kernels._fast._Run",
-  sizeof(struct __pyx_obj_7tripcon_8_kernels_5_fast__Run),
-  0,
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_BASETYPE|Py_TPFLAGS_HAVE_GC,
-  __pyx_type_7tripcon_8_kernels_5_fast__Run_slots,
-};
-#else
-
-static PyTypeObject __pyx_type_7tripcon_8_kernels_5_fast__Run = {
-  PyVarObject_HEAD_INIT(0, 0)
-  "tripcon._kernels._fast.""_Run", /*tp_name*/
-  sizeof(struct __pyx_obj_7tripcon_8_kernels_5_fast__Run), /*tp_basicsize*/
-  0, /*tp_itemsize*/
-  __pyx_tp_dealloc_7tripcon_8_kernels_5_fast__Run, /*tp_dealloc*/
-  0, /*tp_vectorcall_offset*/
-  0, /*tp_getattr*/
-  0, /*tp_setattr*/
-  0, /*tp_as_async*/
-  0, /*tp_repr*/
-  0, /*tp_as_number*/
-  0, /*tp_as_sequence*/
-  0, /*tp_as_mapping*/
-  0, /*tp_hash*/
-  0, /*tp_call*/
-  0, /*tp_str*/
-  0, /*tp_getattro*/
-  0, /*tp_setattro*/
-  0, /*tp_as_buffer*/
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_BASETYPE|Py_TPFLAGS_HAVE_GC, /*tp_flags*/
-  0, /*tp_doc*/
-  __pyx_tp_traverse_7tripcon_8_kernels_5_fast__Run, /*tp_traverse*/
-  __pyx_tp_clear_7tripcon_8_kernels_5_fast__Run, /*tp_clear*/
-  0, /*tp_richcompare*/
-  0, /*tp_weaklistoffset*/
-  0, /*tp_iter*/
-  0, /*tp_iternext*/
-  __pyx_methods_7tripcon_8_kernels_5_fast__Run, /*tp_methods*/
-  0, /*tp_members*/
-  0, /*tp_getset*/
-  0, /*tp_base*/
-  0, /*tp_dict*/
-  0, /*tp_descr_get*/
-  0, /*tp_descr_set*/
-  #if !CYTHON_USE_TYPE_SPECS
-  0, /*tp_dictoffset*/
-  #endif
-  0, /*tp_init*/
-  0, /*tp_alloc*/
-  __pyx_tp_new_7tripcon_8_kernels_5_fast__Run, /*tp_new*/
-  0, /*tp_free*/
-  0, /*tp_is_gc*/
-  0, /*tp_bases*/
-  0, /*tp_mro*/
-  0, /*tp_cache*/
-  0, /*tp_subclasses*/
-  0, /*tp_weaklist*/
-  0, /*tp_del*/
-  0, /*tp_version_tag*/
-  #if CYTHON_USE_TP_FINALIZE
-  0, /*tp_finalize*/
-  #else
-  NULL, /*tp_finalize*/
-  #endif
-  #if !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07030800
-  0, /*tp_vectorcall*/
-  #endif
-  #if __PYX_NEED_TP_PRINT_SLOT == 1
-  0, /*tp_print*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000
-  0, /*tp_watched*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030d00A4
-  0, /*tp_versions_used*/
-  #endif
-  #if CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX >= 0x03090000 && PY_VERSION_HEX < 0x030a0000
-  0, /*tp_pypy_flags*/
-  #endif
-};
-#endif
-
-static PyMethodDef __pyx_methods[] = {
-  {0, 0, 0, 0}
-};
-/* #### Code section: initfunc_declarations ### */
-static CYTHON_SMALL_CODE int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitGlobals(void); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate); /*proto*/
-/* #### Code section: init_module ### */
-
-static int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_global_init_code", 0);
-  /*--- Global init code ---*/
-  __pyx_v_7tripcon_8_kernels_5_fast__ITPL = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  __pyx_v_7tripcon_8_kernels_5_fast__BTPL = ((arrayobject *)Py_None); Py_INCREF(Py_None);
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_export_code", 0);
-  /*--- Variable export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_export_code", 0);
-  /*--- Function export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_init_code", 0);
-  /*--- Type init code ---*/
-  #if CYTHON_USE_TYPE_SPECS
-  __pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Side = (PyTypeObject *) __Pyx_PyType_FromModuleAndSpec(__pyx_m, &__pyx_type_7tripcon_8_kernels_5_fast__Side_spec, NULL); if (unlikely(!__pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Side)) __PYX_ERR(0, 30, __pyx_L1_error)
-  if (__Pyx_fix_up_extension_type_from_spec(&__pyx_type_7tripcon_8_kernels_5_fast__Side_spec, __pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Side) < (0)) __PYX_ERR(0, 30, __pyx_L1_error)
-  #else
-  __pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Side = &__pyx_type_7tripcon_8_kernels_5_fast__Side;
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  #endif
-  #if !CYTHON_USE_TYPE_SPECS
-  if (__Pyx_PyType_Ready(__pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Side) < (0)) __PYX_ERR(0, 30, __pyx_L1_error)
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount((PyObject*)__pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Side);
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  if ((CYTHON_USE_TYPE_SLOTS && CYTHON_USE_PYTYPE_LOOKUP) && likely(!__pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Side->tp_dictoffset && __pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Side->tp_getattro == PyObject_GenericGetAttr)) {
-    __pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Side->tp_getattro = PyObject_GenericGetAttr;
-  }
-  #endif
-  if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_Side, (PyObject *) __pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Side) < (0)) __PYX_ERR(0, 30, __pyx_L1_error)
-  if (__Pyx_setup_reduce((PyObject *) __pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Side) < (0)) __PYX_ERR(0, 30, __pyx_L1_error)
-  #if CYTHON_USE_TYPE_SPECS
-  __pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Ctx = (PyTypeObject *) __Pyx_PyType_FromModuleAndSpec(__pyx_m, &__pyx_type_7tripcon_8_kernels_5_fast__Ctx_spec, NULL); if (unlikely(!__pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Ctx)) __PYX_ERR(0, 376, __pyx_L1_error)
-  if (__Pyx_fix_up_extension_type_from_spec(&__pyx_type_7tripcon_8_kernels_5_fast__Ctx_spec, __pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Ctx) < (0)) __PYX_ERR(0, 376, __pyx_L1_error)
-  #else
-  __pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Ctx = &__pyx_type_7tripcon_8_kernels_5_fast__Ctx;
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  #endif
-  #if !CYTHON_USE_TYPE_SPECS
-  if (__Pyx_PyType_Ready(__pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Ctx) < (0)) __PYX_ERR(0, 376, __pyx_L1_error)
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount((PyObject*)__pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Ctx);
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  if ((CYTHON_USE_TYPE_SLOTS && CYTHON_USE_PYTYPE_LOOKUP) && likely(!__pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Ctx->tp_dictoffset && __pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Ctx->tp_getattro == PyObject_GenericGetAttr)) {
-    __pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Ctx->tp_getattro = PyObject_GenericGetAttr;
-  }
-  #endif
-  if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_Ctx, (PyObject *) __pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Ctx) < (0)) __PYX_ERR(0, 376, __pyx_L1_error)
-  if (__Pyx_setup_reduce((PyObject *) __pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Ctx) < (0)) __PYX_ERR(0, 376, __pyx_L1_error)
-  __pyx_vtabptr_7tripcon_8_kernels_5_fast__Run = &__pyx_vtable_7tripcon_8_kernels_5_fast__Run;
-  __pyx_vtable_7tripcon_8_kernels_5_fast__Run._push_frame = (int (*)(struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *, int, int, int))__pyx_f_7tripcon_8_kernels_5_fast_4_Run__push_frame;
-  __pyx_vtable_7tripcon_8_kernels_5_fast__Run._push_dr = (int (*)(struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *, int))__pyx_f_7tripcon_8_kernels_5_fast_4_Run__push_dr;
-  __pyx_vtable_7tripcon_8_kernels_5_fast__Run._emit = (int (*)(struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *, int, int, int))__pyx_f_7tripcon_8_kernels_5_fast_4_Run__emit;
-  __pyx_vtable_7tripcon_8_kernels_5_fast__Run._lsc = (int (*)(struct __pyx_obj_7tripcon_8_kernels_5_fast__Run *, struct __pyx_obj_7tripcon_8_kernels_5_fast__Side *, int *, int, int *, int))__pyx_f_7tripcon_8_kernels_5_fast_4_Run__lsc;
-  #if CYTHON_USE_TYPE_SPECS
-  __pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Run = (PyTypeObject *) __Pyx_PyType_FromModuleAndSpec(__pyx_m, &__pyx_type_7tripcon_8_kernels_5_fast__Run_spec, NULL); if (unlikely(!__pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Run)) __PYX_ERR(0, 410, __pyx_L1_error)
-  if (__Pyx_fix_up_extension_type_from_spec(&__pyx_type_7tripcon_8_kernels_5_fast__Run_spec, __pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Run) < (0)) __PYX_ERR(0, 410, __pyx_L1_error)
-  #else
-  __pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Run = &__pyx_type_7tripcon_8_kernels_5_fast__Run;
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  #endif
-  #if !CYTHON_USE_TYPE_SPECS
-  if (__Pyx_PyType_Ready(__pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Run) < (0)) __PYX_ERR(0, 410, __pyx_L1_error)
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount((PyObject*)__pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Run);
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  if ((CYTHON_USE_TYPE_SLOTS && CYTHON_USE_PYTYPE_LOOKUP) && likely(!__pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Run->tp_dictoffset && __pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Run->tp_getattro == PyObject_GenericGetAttr)) {
-    __pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Run->tp_getattro = PyObject_GenericGetAttr;
-  }
-  #endif
-  if (__Pyx_SetVtable(__pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Run, __pyx_vtabptr_7tripcon_8_kernels_5_fast__Run) < (0)) __PYX_ERR(0, 410, __pyx_L1_error)
-  if (__Pyx_MergeVtables(__pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Run) < (0)) __PYX_ERR(0, 410, __pyx_L1_error)
-  if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_Run, (PyObject *) __pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Run) < (0)) __PYX_ERR(0, 410, __pyx_L1_error)
-  if (__Pyx_setup_reduce((PyObject *) __pyx_mstate->__pyx_ptype_7tripcon_8_kernels_5_fast__Run) < (0)) __PYX_ERR(0, 410, __pyx_L1_error)
-  __Pyx_RefNannyFinishContext();
-  return 0;
-  __pyx_L1_error:;
-  __Pyx_RefNannyFinishContext();
-  return -1;
-}
-
-static int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_import_code", 0);
-  /*--- Type import code ---*/
-  __pyx_t_1 = PyImport_ImportModule(__Pyx_BUILTIN_MODULE_NAME); if (unlikely(!__pyx_t_1)) __PYX_ERR(4, 9, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_mstate->__pyx_ptype_7cpython_4type_type = __Pyx_ImportType_3_2_8(__pyx_t_1, __Pyx_BUILTIN_MODULE_NAME, "type",
-  #if defined(PYPY_VERSION_NUM) && PYPY_VERSION_NUM < 0x050B0000
-  sizeof(PyTypeObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyTypeObject),
-  #elif CYTHON_COMPILING_IN_LIMITED_API
-  0, 0,
-  #else
-  sizeof(PyHeapTypeObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyHeapTypeObject),
-  #endif
-  __Pyx_ImportType_CheckSize_Warn_3_2_8); if (!__pyx_mstate->__pyx_ptype_7cpython_4type_type) __PYX_ERR(4, 9, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_1 = PyImport_ImportModule(__Pyx_BUILTIN_MODULE_NAME); if (unlikely(!__pyx_t_1)) __PYX_ERR(5, 8, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_mstate->__pyx_ptype_7cpython_4bool_bool = __Pyx_ImportType_3_2_8(__pyx_t_1, __Pyx_BUILTIN_MODULE_NAME, "bool",
-  #if defined(PYPY_VERSION_NUM) && PYPY_VERSION_NUM < 0x050B0000
-  sizeof(PyLongObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyLongObject),
-  #elif CYTHON_COMPILING_IN_LIMITED_API
-  0, 0,
-  #else
-  sizeof(PyLongObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyLongObject),
-  #endif
-  __Pyx_ImportType_CheckSize_Warn_3_2_8); if (!__pyx_mstate->__pyx_ptype_7cpython_4bool_bool) __PYX_ERR(5, 8, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_1 = PyImport_ImportModule(__Pyx_BUILTIN_MODULE_NAME); if (unlikely(!__pyx_t_1)) __PYX_ERR(6, 16, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_mstate->__pyx_ptype_7cpython_7complex_complex = __Pyx_ImportType_3_2_8(__pyx_t_1, __Pyx_BUILTIN_MODULE_NAME, "complex",
-  #if defined(PYPY_VERSION_NUM) && PYPY_VERSION_NUM < 0x050B0000
-  sizeof(PyComplexObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyComplexObject),
-  #elif CYTHON_COMPILING_IN_LIMITED_API
-  0, 0,
-  #else
-  sizeof(PyComplexObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyComplexObject),
-  #endif
-  __Pyx_ImportType_CheckSize_Warn_3_2_8); if (!__pyx_mstate->__pyx_ptype_7cpython_7complex_complex) __PYX_ERR(6, 16, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_1 = PyImport_ImportModule("array"); if (unlikely(!__pyx_t_1)) __PYX_ERR(2, 69, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_mstate->__pyx_ptype_7cpython_5array_array = __Pyx_ImportType_3_2_8(__pyx_t_1, "array", "array",
-  #if defined(PYPY_VERSION_NUM) && PYPY_VERSION_NUM < 0x050B0000
-  sizeof(arrayobject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(arrayobject),
-  #elif CYTHON_COMPILING_IN_LIMITED_API
-  sizeof(arrayobject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(arrayobject),
-  #else
-  sizeof(arrayobject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(arrayobject),
-  #endif
-  __Pyx_ImportType_CheckSize_Warn_3_2_8); if (!__pyx_mstate->__pyx_ptype_7cpython_5array_array) __PYX_ERR(2, 69, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __Pyx_RefNannyFinishContext();
-  return 0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_RefNannyFinishContext();
-  return -1;
-}
-
-static int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_import_code", 0);
-  /*--- Variable import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_import_code", 0);
-  /*--- Function import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-static PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def); /*proto*/
-static int __pyx_pymod_exec__fast(PyObject* module); /*proto*/
-static PyModuleDef_Slot __pyx_moduledef_slots[] = {
-  {Py_mod_create, (void*)__pyx_pymod_create},
-  {Py_mod_exec, (void*)__pyx_pymod_exec__fast},
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  {Py_mod_gil, __Pyx_FREETHREADING_COMPATIBLE},
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000 && CYTHON_USE_MODULE_STATE
-  {Py_mod_multiple_interpreters, Py_MOD_MULTIPLE_INTERPRETERS_NOT_SUPPORTED},
-  #endif
-  {0, NULL}
-};
-#endif
-
-#ifdef __cplusplus
-namespace {
-  struct PyModuleDef __pyx_moduledef =
-  #else
-  static struct PyModuleDef __pyx_moduledef =
-  #endif
-  {
-      PyModuleDef_HEAD_INIT,
-      "_fast",
-      __pyx_k_Compiled_enumeration_kernel_Twin, /* m_doc */
-    #if CYTHON_USE_MODULE_STATE
-      sizeof(__pyx_mstatetype), /* m_size */
-    #else
-      (CYTHON_PEP489_MULTI_PHASE_INIT) ? 0 : -1, /* m_size */
-    #endif
-      __pyx_methods /* m_methods */,
-    #if CYTHON_PEP489_MULTI_PHASE_INIT
-      __pyx_moduledef_slots, /* m_slots */
-    #else
-      NULL, /* m_reload */
-    #endif
-    #if CYTHON_USE_MODULE_STATE
-      __pyx_m_traverse, /* m_traverse */
-      __pyx_m_clear, /* m_clear */
-      NULL /* m_free */
-    #else
-      NULL, /* m_traverse */
-      NULL, /* m_clear */
-      NULL /* m_free */
-    #endif
-  };
-  #ifdef __cplusplus
-} /* anonymous namespace */
-#endif
-
-/* PyModInitFuncType */
-#ifndef CYTHON_NO_PYINIT_EXPORT
-  #define __Pyx_PyMODINIT_FUNC PyMODINIT_FUNC
-#else
-  #ifdef __cplusplus
-  #define __Pyx_PyMODINIT_FUNC extern "C" PyObject *
-  #else
-  #define __Pyx_PyMODINIT_FUNC PyObject *
-  #endif
-#endif
-
-__Pyx_PyMODINIT_FUNC PyInit__fast(void) CYTHON_SMALL_CODE; /*proto*/
-__Pyx_PyMODINIT_FUNC PyInit__fast(void)
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-{
-  return PyModuleDef_Init(&__pyx_moduledef);
-}
-/* ModuleCreationPEP489 */
-#if CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-static PY_INT64_T __Pyx_GetCurrentInterpreterId(void) {
-    {
-        PyObject *module = PyImport_ImportModule("_interpreters"); // 3.13+ I think
-        if (!module) {
-            PyErr_Clear(); // just try the 3.8-3.12 version
-            module = PyImport_ImportModule("_xxsubinterpreters");
-            if (!module) goto bad;
-        }
-        PyObject *current = PyObject_CallMethod(module, "get_current", NULL);
-        Py_DECREF(module);
-        if (!current) goto bad;
-        if (PyTuple_Check(current)) {
-            PyObject *new_current = PySequence_GetItem(current, 0);
-            Py_DECREF(current);
-            current = new_current;
-            if (!new_current) goto bad;
-        }
-        long long as_c_int = PyLong_AsLongLong(current);
-        Py_DECREF(current);
-        return as_c_int;
-    }
-  bad:
-    PySys_WriteStderr("__Pyx_GetCurrentInterpreterId failed. Try setting the C define CYTHON_PEP489_MULTI_PHASE_INIT=0\n");
-    return -1;
-}
-#endif
-#if !CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __Pyx_check_single_interpreter(void) {
-    static PY_INT64_T main_interpreter_id = -1;
-#if CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-    PY_INT64_T current_id = GraalPyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_GRAAL
-    PY_INT64_T current_id = PyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-    PY_INT64_T current_id = __Pyx_GetCurrentInterpreterId();
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyInterpreterState_Get());
-#else
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyThreadState_Get()->interp);
-#endif
-    if (unlikely(current_id == -1)) {
-        return -1;
-    }
-    if (main_interpreter_id == -1) {
-        main_interpreter_id = current_id;
-        return 0;
-    } else if (unlikely(main_interpreter_id != current_id)) {
-        PyErr_SetString(
-            PyExc_ImportError,
-            "Interpreter change detected - this module can only be loaded into one interpreter per process.");
-        return -1;
-    }
-    return 0;
-}
-#endif
-static CYTHON_SMALL_CODE int __Pyx_copy_spec_to_module(PyObject *spec, PyObject *moddict, const char* from_name, const char* to_name, int allow_none)
-{
-    PyObject *value = PyObject_GetAttrString(spec, from_name);
-    int result = 0;
-    if (likely(value)) {
-        if (allow_none || value != Py_None) {
-            result = PyDict_SetItemString(moddict, to_name, value);
-        }
-        Py_DECREF(value);
-    } else if (PyErr_ExceptionMatches(PyExc_AttributeError)) {
-        PyErr_Clear();
-    } else {
-        result = -1;
-    }
-    return result;
-}
-static CYTHON_SMALL_CODE PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def) {
-    PyObject *module = NULL, *moddict, *modname;
-    CYTHON_UNUSED_VAR(def);
-    #if !CYTHON_USE_MODULE_STATE
-    if (__Pyx_check_single_interpreter())
-        return NULL;
-    #endif
-    if (__pyx_m)
-        return __Pyx_NewRef(__pyx_m);
-    modname = PyObject_GetAttrString(spec, "name");
-    if (unlikely(!modname)) goto bad;
-    module = PyModule_NewObject(modname);
-    Py_DECREF(modname);
-    if (unlikely(!module)) goto bad;
-    moddict = PyModule_GetDict(module);
-    if (unlikely(!moddict)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "loader", "__loader__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "origin", "__file__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "parent", "__package__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "submodule_search_locations", "__path__", 0) < 0)) goto bad;
-    return module;
-bad:
-    Py_XDECREF(module);
-    return NULL;
-}
-
-
-static CYTHON_SMALL_CODE int __pyx_pymod_exec__fast(PyObject *__pyx_pyinit_module)
-#endif
-{
-  int stringtab_initialized = 0;
-  #if CYTHON_USE_MODULE_STATE
-  int pystate_addmodule_run = 0;
-  #endif
-  __pyx_mstatetype *__pyx_mstate = NULL;
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  size_t __pyx_t_6;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannyDeclarations
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  if (__pyx_m) {
-    if (__pyx_m == __pyx_pyinit_module) return 0;
-    PyErr_SetString(PyExc_RuntimeError, "Module '_fast' has already been imported. Re-initialisation is not supported.");
-    return -1;
-  }
-  #else
-  if (__pyx_m) return __Pyx_NewRef(__pyx_m);
-  #endif
-  /*--- Module creation code ---*/
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __pyx_t_1 = __pyx_pyinit_module;
-  Py_INCREF(__pyx_t_1);
-  #else
-  __pyx_t_1 = PyModule_Create(&__pyx_moduledef); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 1, __pyx_L1_error)
-  #endif
-  #if CYTHON_USE_MODULE_STATE
-  {
-    int add_module_result = __Pyx_State_AddModule(__pyx_t_1, &__pyx_moduledef);
-    __pyx_t_1 = 0; /* transfer ownership from __pyx_t_1 to "_fast" pseudovariable */
-    if (unlikely((add_module_result < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    pystate_addmodule_run = 1;
-  }
-  #else
-  __pyx_m = __pyx_t_1;
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  PyUnstable_Module_SetGIL(__pyx_m, Py_MOD_GIL_USED);
-  #endif
-  __pyx_mstate = __pyx_mstate_global;
-  CYTHON_UNUSED_VAR(__pyx_t_1);
-  __pyx_mstate->__pyx_d = PyModule_GetDict(__pyx_m); if (unlikely(!__pyx_mstate->__pyx_d)) __PYX_ERR(0, 1, __pyx_L1_error)
-  Py_INCREF(__pyx_mstate->__pyx_d);
-  __pyx_mstate->__pyx_b = __Pyx_PyImport_AddModuleRef(__Pyx_BUILTIN_MODULE_NAME); if (unlikely(!__pyx_mstate->__pyx_b)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_cython_runtime = __Pyx_PyImport_AddModuleRef("cython_runtime"); if (unlikely(!__pyx_mstate->__pyx_cython_runtime)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (PyObject_SetAttrString(__pyx_m, "__builtins__", __pyx_mstate->__pyx_b) < 0) __PYX_ERR(0, 1, __pyx_L1_error)
-  /* ImportRefnannyAPI */
-  #if CYTHON_REFNANNY
-  __Pyx_RefNanny = __Pyx_RefNannyImportAPI("refnanny");
-  if (!__Pyx_RefNanny) {
-    PyErr_Clear();
-    __Pyx_RefNanny = __Pyx_RefNannyImportAPI("Cython.Runtime.refnanny");
-    if (!__Pyx_RefNanny)
-        Py_FatalError("failed to import 'refnanny' module");
-  }
-  #endif
-  
-__Pyx_RefNannySetupContext("PyInit__fast", 0);
-  __Pyx_init_runtime_version();
-  if (__Pyx_check_binary_version(__PYX_LIMITED_VERSION_HEX, __Pyx_get_runtime_version(), CYTHON_COMPILING_IN_LIMITED_API) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_tuple = PyTuple_New(0); if (unlikely(!__pyx_mstate->__pyx_empty_tuple)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_bytes = PyBytes_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_bytes)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_unicode = PyUnicode_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_unicode)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Library function declarations ---*/
-  /*--- Initialize various global constants etc. ---*/
-  if (__Pyx_InitConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  stringtab_initialized = 1;
-  if (__Pyx_InitGlobals() < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__pyx_module_is_main_tripcon___kernels___fast) {
-    if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_name, __pyx_mstate_global->__pyx_n_u_main) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  }
-  {
-    PyObject *modules = PyImport_GetModuleDict(); if (unlikely(!modules)) __PYX_ERR(0, 1, __pyx_L1_error)
-    if (!PyDict_GetItemString(modules, "tripcon._kernels._fast")) {
-      if (unlikely((PyDict_SetItemString(modules, "tripcon._kernels._fast", __pyx_m) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  /*--- Builtin init code ---*/
-  if (__Pyx_InitCachedBuiltins(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Constants init code ---*/
-  if (__Pyx_InitCachedConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__Pyx_CreateCodeObjects(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Global type/function init code ---*/
-  (void)__Pyx_modinit_global_init_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_export_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_export_code(__pyx_mstate);
-  if (unlikely((__Pyx_modinit_type_init_code(__pyx_mstate) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (unlikely((__Pyx_modinit_type_import_code(__pyx_mstate) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-  (void)__Pyx_modinit_variable_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_import_code(__pyx_mstate);
-  /*--- Execution code ---*/
-
-  /* "tripcon/_kernels/_fast.pyx":12
- * 
- * from cpython cimport array
- * import array as _pyarray             # <<<<<<<<<<<<<<
- * 
- * cdef array.array _ITPL = _pyarray.array('i', [])
-*/
-  __pyx_t_1 = __Pyx_Import(__pyx_mstate_global->__pyx_n_u_array, 0, 0, NULL, 0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 12, __pyx_L1_error)
-  __pyx_t_2 = __pyx_t_1;
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_pyarray, __pyx_t_2) < (0)) __PYX_ERR(0, 12, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":14
- * import array as _pyarray
- * 
- * cdef array.array _ITPL = _pyarray.array('i', [])             # <<<<<<<<<<<<<<
- * cdef array.array _BTPL = _pyarray.array('b', [])
- * 
-*/
-  __pyx_t_3 = NULL;
-  __Pyx_GetModuleGlobalName(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_pyarray); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 14, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_5 = __Pyx_PyObject_GetAttrStr(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_array); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 14, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-  __pyx_t_4 = PyList_New(0); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 14, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_6 = 1;
-  {
-    PyObject *__pyx_callargs[3] = {__pyx_t_3, __pyx_mstate_global->__pyx_n_u_i, __pyx_t_4};
-    __pyx_t_2 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_5, __pyx_callargs+__pyx_t_6, (3-__pyx_t_6) | (__pyx_t_6*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 14, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-  }
-  if (!(likely(((__pyx_t_2) == Py_None) || likely(__Pyx_TypeTest(__pyx_t_2, __pyx_mstate_global->__pyx_ptype_7cpython_5array_array))))) __PYX_ERR(0, 14, __pyx_L1_error)
-  __Pyx_XGOTREF((PyObject *)__pyx_v_7tripcon_8_kernels_5_fast__ITPL);
-  __Pyx_DECREF_SET(__pyx_v_7tripcon_8_kernels_5_fast__ITPL, ((arrayobject *)__pyx_t_2));
-  __Pyx_GIVEREF(__pyx_t_2);
-  __pyx_t_2 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":15
- * 
- * cdef array.array _ITPL = _pyarray.array('i', [])
- * cdef array.array _BTPL = _pyarray.array('b', [])             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_5 = NULL;
-  __Pyx_GetModuleGlobalName(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_pyarray); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 15, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_3 = __Pyx_PyObject_GetAttrStr(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_array); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 15, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-  __pyx_t_4 = PyList_New(0); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 15, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_6 = 1;
-  {
-    PyObject *__pyx_callargs[3] = {__pyx_t_5, __pyx_mstate_global->__pyx_n_u_b, __pyx_t_4};
-    __pyx_t_2 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_3, __pyx_callargs+__pyx_t_6, (3-__pyx_t_6) | (__pyx_t_6*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 15, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-  }
-  if (!(likely(((__pyx_t_2) == Py_None) || likely(__Pyx_TypeTest(__pyx_t_2, __pyx_mstate_global->__pyx_ptype_7cpython_5array_array))))) __PYX_ERR(0, 15, __pyx_L1_error)
-  __Pyx_XGOTREF((PyObject *)__pyx_v_7tripcon_8_kernels_5_fast__BTPL);
-  __Pyx_DECREF_SET(__pyx_v_7tripcon_8_kernels_5_fast__BTPL, ((arrayobject *)__pyx_t_2));
-  __Pyx_GIVEREF(__pyx_t_2);
-  __pyx_t_2 = 0;
-
-  /* "(tree fragment)":1
- * def __reduce_cython__(self):             # <<<<<<<<<<<<<<
- *     raise TypeError, "self.bminpos,self.bminval,self.depth,self.fo,self.lb,self.lc,self.leaves,self.left,self.lg,self.pat,self.popo,self.post,self.right,self.st,self.taxon,self.tbl,self.tdep,self.tour cannot be converted to a Python object for pickling"
- * def __setstate_cython__(self, __pyx_state):
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_7tripcon_8_kernels_5_fast_5_Side_1__reduce_cython__, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_Side___reduce_cython, NULL, __pyx_mstate_global->__pyx_n_u_tripcon__kernels__fast, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[0])); if (unlikely(!__pyx_t_2)) __PYX_ERR(3, 1, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_reduce_cython, __pyx_t_2) < (0)) __PYX_ERR(3, 1, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "(tree fragment)":3
- * def __reduce_cython__(self):
- *     raise TypeError, "self.bminpos,self.bminval,self.depth,self.fo,self.lb,self.lc,self.leaves,self.left,self.lg,self.pat,self.popo,self.post,self.right,self.st,self.taxon,self.tbl,self.tdep,self.tour cannot be converted to a Python object for pickling"
- * def __setstate_cython__(self, __pyx_state):             # <<<<<<<<<<<<<<
- *     raise TypeError, "self.bminpos,self.bminval,self.depth,self.fo,self.lb,self.lc,self.leaves,self.left,self.lg,self.pat,self.popo,self.post,self.right,self.st,self.taxon,self.tbl,self.tdep,self.tour cannot be converted to a Python object for pickling"
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_7tripcon_8_kernels_5_fast_5_Side_3__setstate_cython__, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_Side___setstate_cython, NULL, __pyx_mstate_global->__pyx_n_u_tripcon__kernels__fast, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[1])); if (unlikely(!__pyx_t_2)) __PYX_ERR(3, 3, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_setstate_cython, __pyx_t_2) < (0)) __PYX_ERR(3, 3, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "(tree fragment)":1
- * def __reduce_cython__(self):             # <<<<<<<<<<<<<<
- *     raise TypeError, "self.m cannot be converted to a Python object for pickling"
- * def __setstate_cython__(self, __pyx_state):
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_7tripcon_8_kernels_5_fast_4_Ctx_1__reduce_cython__, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_Ctx___reduce_cython, NULL, __pyx_mstate_global->__pyx_n_u_tripcon__kernels__fast, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[2])); if (unlikely(!__pyx_t_2)) __PYX_ERR(3, 1, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_reduce_cython, __pyx_t_2) < (0)) __PYX_ERR(3, 1, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "(tree fragment)":3
- * def __reduce_cython__(self):
- *     raise TypeError, "self.m cannot be converted to a Python object for pickling"
- * def __setstate_cython__(self, __pyx_state):             # <<<<<<<<<<<<<<
- *     raise TypeError, "self.m cannot be converted to a Python object for pickling"
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_7tripcon_8_kernels_5_fast_4_Ctx_3__setstate_cython__, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_Ctx___setstate_cython, NULL, __pyx_mstate_global->__pyx_n_u_tripcon__kernels__fast, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[3])); if (unlikely(!__pyx_t_2)) __PYX_ERR(3, 3, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_setstate_cython, __pyx_t_2) < (0)) __PYX_ERR(3, 3, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "(tree fragment)":1
- * def __reduce_cython__(self):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_7tripcon_8_kernels_5_fast_4_Run_3__reduce_cython__, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_Run___reduce_cython, NULL, __pyx_mstate_global->__pyx_n_u_tripcon__kernels__fast, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[4])); if (unlikely(!__pyx_t_2)) __PYX_ERR(3, 1, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_reduce_cython, __pyx_t_2) < (0)) __PYX_ERR(3, 1, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "(tree fragment)":3
- * def __reduce_cython__(self):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_7tripcon_8_kernels_5_fast_4_Run_5__setstate_cython__, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_Run___setstate_cython, NULL, __pyx_mstate_global->__pyx_n_u_tripcon__kernels__fast, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[5])); if (unlikely(!__pyx_t_2)) __PYX_ERR(3, 3, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_setstate_cython, __pyx_t_2) < (0)) __PYX_ERR(3, 3, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":668
- * def run_enumeration(list p_left, list p_right, list p_taxon, int p_root,
- *                     list q_left, list q_right, list q_taxon, int q_root,
- *                     int universe, bint store=True):             # <<<<<<<<<<<<<<
- *     """Enumerate conflicts; same contract and output as the pure kernel.
- * 
-*/
-  __pyx_t_2 = __Pyx_PyBool_FromLong(((int)1)); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 668, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-
-  /* "tripcon/_kernels/_fast.pyx":666
- * 
- * 
- * def run_enumeration(list p_left, list p_right, list p_taxon, int p_root,             # <<<<<<<<<<<<<<
- *                     list q_left, list q_right, list q_taxon, int q_root,
- *                     int universe, bint store=True):
-*/
-  __pyx_t_3 = PyTuple_Pack(1, __pyx_t_2); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 666, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_7tripcon_8_kernels_5_fast_1run_enumeration, 0, __pyx_mstate_global->__pyx_n_u_run_enumeration, NULL, __pyx_mstate_global->__pyx_n_u_tripcon__kernels__fast, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[6])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 666, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  __Pyx_CyFunction_SetDefaultsTuple(__pyx_t_2, __pyx_t_3);
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_run_enumeration, __pyx_t_2) < (0)) __PYX_ERR(0, 666, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "tripcon/_kernels/_fast.pyx":1
- * # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True, initializedcheck=False             # <<<<<<<<<<<<<<
- * """Compiled enumeration kernel.
- * 
-*/
-  __pyx_t_2 = __Pyx_PyDict_NewPresized(0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_test, __pyx_t_2) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /*--- Wrapped vars code ---*/
-
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  if (__pyx_m) {
-    if (__pyx_mstate->__pyx_d && stringtab_initialized) {
-      __Pyx_AddTraceback("init tripcon._kernels._fast", __pyx_clineno, __pyx_lineno, __pyx_filename);
-    }
-    #if !CYTHON_USE_MODULE_STATE
-    Py_CLEAR(__pyx_m);
-    #else
-    Py_DECREF(__pyx_m);
-    if (pystate_addmodule_run) {
-      PyObject *tp, *value, *tb;
-      PyErr_Fetch(&tp, &value, &tb);
-      PyState_RemoveModule(&__pyx_moduledef);
-      PyErr_Restore(tp, value, tb);
-    }
-    #endif
-  } else if (!PyErr_Occurred()) {
-    PyErr_SetString(PyExc_ImportError, "init tripcon._kernels._fast");
-  }
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  return (__pyx_m != NULL) ? 0 : -1;
-  #else
-  return __pyx_m;
-  #endif
-}
-/* #### Code section: pystring_table ### */
-/* #### Code section: cached_builtins ### */
-
-static int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-
-  /* Cached unbound methods */
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.method_name = &__pyx_mstate->__pyx_n_u_items;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.method_name = &__pyx_mstate->__pyx_n_u_pop;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.method_name = &__pyx_mstate->__pyx_n_u_values;
-  return 0;
-}
-/* #### Code section: cached_constants ### */
-
-static int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_InitCachedConstants", 0);
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-/* #### Code section: init_constants ### */
-
-static int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  {
-    const struct { const unsigned int length: 11; } index[] = {{1},{179},{8},{7},{6},{2},{9},{50},{230},{58},{30},{14},{4},{22},{24},{1},{2},{20},{2},{1},{4},{22},{24},{5},{23},{25},{2},{12},{5},{18},{1},{4},{6},{2},{4},{5},{8},{8},{8},{2},{18},{7},{7},{3},{3},{3},{3},{8},{12},{1},{13},{5},{4},{8},{10},{8},{6},{2},{7},{6},{7},{6},{7},{2},{3},{8},{11},{14},{6},{7},{6},{7},{12},{1},{10},{17},{13},{2},{2},{3},{15},{4},{12},{10},{12},{19},{6},{7},{5},{3},{3},{8},{3},{22},{5},{1},{8},{2},{2},{6},{2},{2},{3},{3},{2022},{9}};
-    #if (CYTHON_COMPRESS_STRINGS) == 2 /* compression: bz2 (1776 bytes) */
-const char* const cstring = "BZh91AY&SY\207}\214X\000\001\207\377\377\377\377\377\365\377\277\377\357\277\341\177\360\277\377\377\364\300@@@@@@@@@@@@\000@\000`\006\277\014\355E\212\000\240\007\000\005\202H\211$\0004h\320\323G\352\032i\211\351\246I=@\323@\323@\320\00044\311\352\001\246\214\231\003A(\200 \010\320h\247\222y\024f\221\351\033B\000\000\000\000\000\000\003F\206\3244\003F\202\232*6\240\323M6\246\215\001\221\240dd4\r\000\000\003@\006\232z@\017(\310h\016\000\000\000\000\000\000\000\000\000\000\000\000\000\000\000d\034\000\000\000\000\000\000\000\000\000\000\000\000\000\000\000\310\022Di'\250\221\372\246\217$z\206\201\246\200\001\240\000\000h\006\200\000\000\000hh\005\373\326\225Y\202\372\206h\037o\272\374\006q\371\316\260'\026'k\nR\212a0\245\002\305\n\021\n\021\010\376\001\375`\031\212\024E\002\320\375\314\234\317\362r\245L\010\222%T\005\326J\353;\230\327,\023\351\007\006\002\202Hd\354\256\341t\264\305\203\216$Q\004\307\035\225\341P\274\261\025\263\317\242\007b1e7mR-e\005\226\024\204\201\351BI\034M&\020\200@\243\375\266\304/\025?\342\220\335S*/\264\210\\\342\307\314\214\226\313\23055\005\361\244j\021\342\n[\"0\350B\343\334\322\273\313\273p}\242\007L\217\217\342\365\202t\271\270\324\032\2759\"Mc\352\372\220\036\3121\220\255LM\210_K\031\006\225c\312D\215N:w\310\210\005$\246QY\n\010\200 \n\263cj&*\001\344\243]\315\226\263\220(u\333;\3307oF\r\362\302\246\0054\375\355V\241\266K\311\337\tVH\253\n\"\367\272\266\213\000\214T_XP\317,\023\321\247{\371\020\024\0210\200.\022W\t\367\263, \205@jIY\223\001Bc\230%\202\331\310D%QW*SL\312n\314\354\315tq\302J\002v\345d\255E\324U\005R\260\225\246\351\303\243\246\302B2TDB\022\035\252\014\320i\353\271\\8P\266\347':\240m\010TT\215r\332\367\2273e)\004\032\200\371\004\003%1J\022H\222\022H\222\t%\031f\367\217\374\346L\032\220\354,N\3153?i%h\230\257\331{\032\273\226\355l\001U\2701\001\201\271\\*\257i\232y\031\212\354R\n\376\237*Wd\240\307$~V\326\224\2565@\t_E 5\246|\177\324\330\266Z\265.\001P\216\322\252YU\021\230\271f\024\216\274\270\230\353\026\216\225v\321\327""\273\373\353\366\031Br\331i>\377\267\213m\303\252j\037C\263\001\202\253\314\255F\233M\307\t\275;\224\343s\325G\014\0369Y\\\247f\275&a\330\257T\217T6\017\207H\270\256\313\204\267&\273\t\215\265\022\275\325\347\311<w+:\322\211\234Y\025\021\303\267h@Q\\\006l\003\003O-\262E\315\227\211\211}H[\212\255\314\231\005Df\255V\332\0333\024o\325q\253{\026\305\202q+X1\250\252\242\340\341\220\331\254\221\333\032\2622\254\234\2116sD\261\240\347\320\010=\244K]8s\242B\023\263azP-\265J\367\225)\265P\257\233\200\321\240\321\247\233: g\330\312\006\234\356p\313\225\035QVI?\322\332\216HZ`&\324\025\020\3018\256\257Mz\345\210\277\306\243\254\232\306&\3243\333]u4\245\221Zv\212\361\303\3701\223!\233L\231,\330\031HFb\226\016a\250\322\205\356\312\346\013\021\222\004\032\261\304\025\260Z\n\313M\031\"\202\334\276\321\r\010\220\241U\001P\t,#\002\222\273\311BX-\342\211\027\206\017\312\023\2521d\332\3028$T\350\347\205\006\205\322\234R\3165\021\253\006+K\211\024P\212\341\244\203z\377\226\031c\215\005\363\203\312\026\3351\260\231C\305\252o\213W\tU\0143m\201\025J\313\026e\316\224y\355Sr\006\3248x\303\236\336\214\0109\302\212\302\003\334AU\202\316\342\372\026\305,3\302\030E\016\003C\035<\2708hR0x\251\2478\344\321\307\200fD\314e\357\257\225yYb\233\207\214\330\333.\373\300\350*\005\362\240\315\0013\351a\276{Z\312R\335,\272\362\n\032*\354\301\204\036\335\242b!\212\030\241\210?E\206\262\214_\237\205N\030c7H\334\312\024E\315\230\3522\n\352\200\3241\224S.\014\341\016\024B\315\304\311A\tYVL\224\261\214{\312\272\236-\027\211\252\035\244us\243d\016\210\0318\306d8\272i\247\014\354\277\n\301}\215\310t\250\273X\302\266_,\233\367\203\230\304\337\211\265V\352\246\321\324\243\354\231\243\304|\226\254fk\201\254\010\261L\022\221-2\344\034\340\274\367\321\337\363\371\004\300i\203\013?\3502`cA\260\334/2\361k\352\032\035`m\034\020d\206a\036b\301\366\014U\230\260\t\014\365\351\322gw\321\010\022\307\365T\034\322q\241\334\"A\215\234\222\361{\374\306\254\251E]9!\371\365\254W$r\036\310\336\211\031\036\014\2574o\244\037[\037""\030n\260D\200vk\017#-\301\261\246\337\252\355\003 \326\033Q\230c.\006l\"\027\210,\366\251!d\371\005\257D\301\257#\305\240N)\032\025\030\250\265C\266\247I\232`\373\332\030rj\215\237H<S\217n\023\315i\177-\264\341@T\250\020E\211\202\3218N0C\371DH\207\331\346\230\267\355\362\333\203\003\000\305\366\266\276e\013k\340\367\026\315\363\324#\330)2\255\224F\341p\007\214va\264\244\246\202\353\247YJ\354\017\367O\373t\352\247\036\t\2271\256\\\nC*\017L\345\326zU9*\326!9@P=\277\353\271|\026\216\220\3244\352\221\225\215\324\313j\0359\255&\262\254\214ZU\364!\216v+\330\202q\213\025\263\215\\\212\355\0276+\025\363\025\2131QP,#\"\276Zb\315\214z\310\356\274+*\275\004\351\230\3279\305\\j\325S\251J\253;\231\217\026X\212\255S\031C5\323@\353\312cb\204\241\210\022\251e%\225@0\326\026\022`f\\s\007'$\342\361\027\0316v\006\n\310\341\340\034%\265\201\232\273\227\375\273\324\360h\352\337\277\221}\274\274\234\2328[M\206$g\237\233\247\303V\275,Tm\250dg{\005\2049\031\005\204\035\006>\013\010P]\325UY\301\n\305]J\212\245\344\2549p\306\034J\275P\363\022L\226\020\351$@\304\240\022\213\001\325\241Xw\313\322\216kx\266\277\361w$S\205\t\010w\330\305\200";
-    PyObject *data = __Pyx_DecompressString(cstring, 1776, 2);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #elif (CYTHON_COMPRESS_STRINGS) != 0 /* compression: zlib (1685 bytes) */
-const char* const cstring = "x\332\265U\315o\333F\026\217\344\217$\265\322X\226\354\244E\260KYI\203\266[\247r\234\335\r\366\013\222\235\270\275\024\226\344\266\311^\006Crds#\363k\206\212T\024\330\036y\234\343\034\347\310#\217<\372\230\243\217:\372O\310\237\260o\206\224\3558^ -v\001\221\363\346\351}\277\337{\374\307w\036#\006;\304\314\330\236\260C\3175\034j\330d\350\230$\304\214\014'\006e\241c1\022*!\327\330{\266\367\325\326\237\267\014\354\332FH\376E,F\r\032\231\326\020SJ\250\341\r\0143r\206\314q\r6\361\t\3350\276\035\030\023/2\\Bl\203y\206\017r\027\025\330!q\rJ\230\"\214\207\330u=\206\231\343\271\010\324\035\367\340\241a;!8qFDi?\307CJ6\260m#\220#\266C\2619$\304U\357\003\313\2419e\273\036d0\300\321\220\031\010\205\304\216,\202\220aG\332\204\353\271_AF#\007\017\341_\313q\035\206\020%\303\301\206y\344\270\276G\377pv\031\341a~\261\211\317\016sr\340\345\347\320,N\2538\t\036\021:\243\007\254\240\016\362\323\307\005\303\367|oF\321\202\027:\007\207\0059c1<\366\334\2024\213 \030DQP^\024\032\226\256\225a\022\303\362\334\021\tY^_l\354\345m\364L\325\034c\340\205\206\357X\257\206PL\255|\364\2334C\353\021\024\315\007\205G\350\025\t]2\244\217\320\000S\266\341O\306\177U\020\001!\010\313\"\177G\333l\254\236\215\263\332[\332.B\005\027\272M\241\311\347\374\275\275\257\3415\031\303\263\003PC\337\2211\353\221A\367\353.\352E\256z\256\260\225s\337\263\205\372\216M\364\353\n\235\202\375\236\022v\340\311\241\007H\301a\210'\230N\\\313\3616,/\364\"\2003\241\246\211)1\t\224\205\230\216\031\r\250u\350\014m\375\002\030\345g\350\027g\000\034(\034A\016 9\304\0261\261\365\312\362\021\205\010\254 ?\324X\215A\226\2706B\203\310\265 Bt0\213\r9\310\241\350\314\275\303\310\021\005\220\r\020:\302\216J\006\035yv4$\212r\361\021\234\256\366\355\376\344\301(\205\310\367\221\302\241\2174\274\340\360<xk`\371\016\300\020\371\023\235(\002b\214\n\237\212\03415D\010\005Z?\310\365\003\255\037\344\372\360_\204\207\271\323\360|\302\336\257\367\214A\306@\372a\020F.\374\020q\243#\265]`\314\025$uC\212\034\200*F\367B\233\320\025-\243>\261\320O\371;""\240\014\232\302\360&37\021b\204\2022\363\374\002\260\0333\300nh\3002\372\032\373Q\344\302F\t)\211\374(\2001\217\010\035\371\243`\214\3741\n~)\235\2567\337~|ma\225\357\210\222\370T\266\246\363\365\223\372}\331\226/\222\227\251\223\005\227\357Jx\205\337\023/\245\231\\O\202\267\365k\0137\343\205\370{\336\340\255\351\215J\334\006\262\311\177\020\233\242'BY=\235_\201\177\2668\025\215\351E\362\243\370s\336\002\237\363b[\200\217\353\277Lx\031\364z<\024\325\331\3653Q\026\353\242=\2736\024\021\305\273\240\247y?\003\261\r\362wdY6\336~tma)n\304Oxi:\277\024\267\342g\274\252\274\374z\316)p\232qwzc)\376\013\307\323\033\267\342>\237\323\256\202\213\227\261\312\356\n\306\307\361\001\357\213\005\321\025X\225c;\016\316\216\302\340R\374\024\022\270\241\334\001\233\317k\313\225\333\361\004\032P\235Vn\235\202\321nLt\232\232\034\3606\357N\377\013w)~\034\233\274\304\353\340uNl\211@\316\311\226\334I\346\222V\262\235\004iiZ\251\203J\245\n\271\352\327\207h\234\005s;\376Y\264\304\216\234\227\355K\227[o\027\257\335\274\025?\347\017x @e\005\3325'\036\213\003\331\275t\271\035S\350\373&\364v$\336\271R\350\3563Y\375PV-oB\356\354\201\002\212h\3522W\226\371\002\377^4\304\037Al\371\016\210\\\207\244J\323\345\032\177*\332\242/\027d?YL0\344\266\230\3424\230\326\357Bv+\000\321\276,\311\232\334\226ARN\326\223\335\2645\255\337Q\370\324\350}-\361\351\005\311\262\\\207)\350\3532u\0223\235K7\323\037\262w4(\210<O\032\377\247P?<\200\337\030\266Ff\207\233\240[\203`\272\252\303+\274\246\000W9o\364\032\037\300\314R\3710)\332\324\344]\320)\213\373\302\226M\360TJV\222\315\244\237\226\323f\272\237\325\263\376\261\316\357o\262\002\360\242i\003\002\350\245Q\326\311\254\343\332q\373\270w\034\276\251\275\351\274\261N\272\375\223\376\376\311\376\217'?\2768y\361rZ\255\353\032\252\035\2400\267-i\322\000\303=\260\261\236\266\363\352\315\001 \201\\\343\0042\351\nKVec\272\\\347\317\305\003\215\353\307\022\313\020\342\201|?\315\253.\357\027\254\307\252\312\252\276\213\202\000\376/\233\277\373;\201\305Hv\245}\201\335\321=\271{""O\354\312'\220\347\032\030\270\367{-E\222'i)]K\203\254\224\3359.\035\353\332D0\242}Xqm\275\013W\245\225\324\2226\230\n\323\352t\365\023\000\305\272\350@\314+r\013\2347\223.\264G\025\255\227\006\357k\327d\007BiB]K\351\n\224\260\237\225\263\306\271\025\002\251ZI\025P\334I\360\257\326\376\337\304p\265\025\330\210\026\377D/\362\363\325\007\007|#Z\027\267`\207\333Z\010\274\376[\340\034{U\205\274g|\225c\265\"\253\200E\205\210E\350L\220co\035\314-C\255\327N\326>\207\354\233\311~ZM?\203\036\254f\370\022\367aV\315\036\300\367\254\242\200\360T\r\375;d\235\177\013\000r\344\004&\244\225o\300\362,\236\tL\251\032\222\335\2445\273\216dO\276\316+\255\256E\261v5\034\325\302\345\377\004\0215\0135X+\233iw\306\204\245\362\016\271\306\361y\216\257\205\t@\337IJ\263]\373\r\214\356~r\027\242\277\237\036f8\013No.\303\346\256\361o\364g\263\270\354\302\246\305\323y\365\225\031\303P\177\001\t\251,\376\22453\275o\341+\257>s_\362\356\177\000t\301&\227";
-    PyObject *data = __Pyx_DecompressString(cstring, 1685, 1);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #else /* compression: none (3330 bytes) */
-const char* const bytes = "?Note that Cython is deliberately stricter than PEP-484 and rejects subclasses of builtin types. If you need to pass subclasses then set the 'annotation_typing' directive to False.add_notedisableenablegcisenabledno default __reduce__ due to non-trivial __cinit__self.bminpos,self.bminval,self.depth,self.fo,self.lb,self.lc,self.leaves,self.left,self.lg,self.pat,self.popo,self.post,self.right,self.st,self.taxon,self.tbl,self.tdep,self.tour cannot be converted to a Python object for picklingself.m cannot be converted to a Python object for picklingsrc/tripcon/_kernels/_fast.pyx<stringsource>_Ctx_Ctx.__reduce_cython___Ctx.__setstate_cython__PP0__Pyx_PyDict_NextRefQ0Q_Run_Run.__reduce_cython___Run.__setstate_cython___Side_Side.__reduce_cython___Side.__setstate_cython__ai__annotate__arrayasyncio.coroutinesbbasebeforebibufschildchild_cichild_rpchild_rqcicline_in_tracebackcp_sidecq_sidecrictxd_rend__func____getstate__i_is_coroutineitemsleaf__main____module____name__nchildnzother_pp_leftp_rightp_rootp_taxonpipop_pyarray__pyx_state__pyx_vtable__q_leftq_rightq_rootq_taxon__qualname__r__reduce____reduce_cython____reduce_ex__rprqrunrun_enumerationself__set_name__setdefault__setstate____setstate_cython__spec_zspec_zqstoreta2tb2__test__toptripcon._kernels._fasttswapuuniverseupuqvaluesvpvqx_px_q\200\001\340\"#\360\016\000\005\025\220D\230\001\230\032\2401\330\004\024\320\024$\240A\240X\250Y\260i\270q\330\004\024\320\024$\240A\240X\250Y\260i\270q\360\016\000\005\022\220\034\230Y\240b\250\007\250q\360\024\000\005\t\210\005\210U\220!\2201\330\010\014\210A\210U\220#\220V\2302\230R\230r\240\021\340\004\022\220!\2204\220s\230!\330\004\022\220!\2204\220s\230!\330\004\n\210)\2201\220D\230\004\230C\230q\330\004\007\200y\220\002\220#\220R\220r\230\021\330\004\007\200y\220\002\220&\230\002\230\"\230A\330\004\007\200y\220\002\220!\330\004\007\200u\210G\2201\220A\330\004\007\200|\2201\220C\220r\230\027\240\002\240!\360\n\000\005\013\210!\2105\220\001\330\004\013\2101\210E\220\021\330\004\n\210!""\2105\220\001\330\004\013\2101\210E\220\021\330\004\n\210!\2105\220\001\330\004\013\2101\210E\220\021\330\004\n\210!\2105\220\001\330\004\013\2101\210E\220\021\340\004\n\210#\210Q\330\010\013\210;\220a\330\010\r\210S\220\003\2201\220C\220q\330\010\r\210S\220\003\2201\220C\220x\230r\240\021\330\010\r\210S\220\003\2201\220C\220x\230r\240\021\330\010\016\210g\220S\230\005\230Q\230a\330\010\014\210C\210q\330\010\014\210C\210q\330\010\013\210;\220a\330\010\013\2109\220A\330\010\013\2101\210C\210q\220\004\220C\220q\330\014\017\210y\230\001\230\021\330\014\r\340\010\r\210Q\210e\2201\220A\330\010\r\210Q\210f\220A\220Q\330\010\r\210Q\210e\2201\220A\330\010\r\210Q\210f\220A\220Q\330\010\013\2103\210b\220\001\220\024\220S\230\003\2304\230q\240\003\2401\240D\250\003\2501\250C\250q\260\001\330\014\024\220A\330\014\021\220\021\330\014\021\220\021\330\010\013\2103\210b\220\001\220\024\220S\230\003\2304\230q\240\003\2401\240D\250\003\2501\250C\250q\260\001\330\014\017\210y\230\001\230\021\330\014\017\210|\2301\230D\240\004\240A\330\014\017\210|\2301\230D\240\004\240A\330\014\r\360\006\000\t\r\210F\220%\220q\230\001\330\014\022\220&\230\003\2303\230g\240Q\330\014\022\220&\230\003\2303\230g\240Q\330\014\017\210s\220!\2202\220R\220v\230Q\330\014\017\210s\220!\2202\220R\220s\230\"\230E\240\021\330\014\017\210s\220!\2202\220R\220s\230\"\230E\240\021\330\014\017\210s\220!\2202\220R\220s\230\"\230E\240\021\330\014\023\2201\220C\220q\230\001\330\014\022\220%\220r\230\021\230#\230Q\230a\330\014\020\220\005\220U\230!\2306\240\021\330\020\027\220q\230\007\230q\240\001\330\020\023\2209\230A\230S\240\005\240S\250\006\250a\250q\260\006\260a\260q\330\024\030\230\001\230\022\2302\230S\240\001\240\023\240C\240q\250\002\250\"\250G\2601\330\024\027\220s\230!\2302\230R\230w\240a\340\024\030\230\001\230\022\2302\230S\240\002\240\"\240A\240S\250\003\2501\250B\250b\260\003\2602\260V\2701\330\024\027\220s\230!\2302\230R\230s\240\"\240F\250!\330\014\023\2201\220C\220q\230\001\330\014\022\220%\220r\230\021""\230#\230Q\230a\330\014\020\220\005\220U\230!\2306\240\021\330\020\027\220q\230\007\230q\240\001\330\020\023\2209\230A\230S\240\005\240S\250\006\250a\250q\260\006\260a\260q\330\024\030\230\001\230\022\2302\230S\240\002\240\"\240A\240S\250\003\2501\250B\250b\260\003\2602\260V\2701\330\024\027\220s\230!\2302\230R\230s\240\"\240F\250!\340\024\030\230\001\230\022\2302\230S\240\002\240\"\240A\240S\250\003\2501\250B\250b\260\003\2602\260V\2701\330\024\027\220s\230!\2302\230R\230s\240\"\240F\250!\330\010\013\2109\220B\220b\230\001\230\023\230A\230Q\360\006\000\t\022\220\023\220A\330\010\014\210F\220%\220q\230\001\330\014\026\220f\230C\230s\240'\250\021\330\014\017\210s\220#\220Q\220b\230\002\230$\230d\240#\240S\250\001\250\022\2502\250S\260\002\260#\260T\270\024\270S\300\001\330\020\023\220=\240\014\250C\250s\260!\2602\260R\260u\270B\270c\300\023\300A\300R\300r\310\023\310B\310c\320QS\320ST\320TW\320WX\320XY\330\021\024\220C\220q\230\002\230\"\230D\240\004\240C\240s\250!\2502\250R\250s\260\"\260A\330\020\027\220q\230\003\2301\230A\330\020\026\220e\2302\230Q\230c\240\021\240!\330\020\024\220F\230%\230q\240\003\2403\240a\240r\250\022\2501\330\024\032\230!\2306\240\021\240$\240a\240r\250\022\2503\250a\250q\330\024\030\230\006\230e\2401\240C\240s\250!\2502\250R\250s\260\"\260A\330\030\036\230a\230v\240Q\240d\250!\2502\250R\250s\260\"\260B\260a\260q\330\030\034\230G\2405\250\001\250\026\250q\330\034\037\230v\240Q\240e\2505\260\001\260\026\260q\270\001\270\027\300\001\300\021\330\014\017\210u\220A\220S\230\004\230A\230R\230r\240\025\240c\250\023\250A\250R\250r\260\021\330\025\031\230\021\230\"\230B\230c\240\022\2404\240s\250#\250Q\250b\260\002\260#\260R\260q\330\014\017\210u\220A\220S\230\004\230A\230R\230r\240\023\240B\240d\250#\250S\260\001\260\022\2602\260S\270\002\270!\330\025\031\230\021\230\"\230B\230e\2403\240c\250\021\250\"\250B\250a\330\014\017\210u\220A\220S\230\004\230A\230R\230r\240\023\240B\240d\250#\250S\260\001\260\022\2602\260S\270\002\270!\330\025\031\230\021""\230\"\230B\230c\240\022\2404\240s\250#\250Q\250b\260\002\260#\260R\260q\330\014\017\210u\220A\220S\230\004\230A\230R\230r\240\023\240B\240d\250#\250S\260\001\260\022\2602\260S\270\002\270!\330\025\031\230\021\230\"\230B\230c\240\022\2404\240s\250#\250Q\250b\260\002\260#\260R\260q\330\010\016\210c\220\031\230\"\230A\330\010\013\2109\220A\330\010\013\2109\220A\220V\2301\330\010\013\2101\210C\210q\220\004\220B\220d\230\"\230A\330\014\017\210\177\230a\360\006\000\t\022\220\021\330\010\014\210E\220\025\220a\220q\330\014\021\220\023\220C\220q\230\006\230a\230q\330\014\017\210s\220\"\220A\330\020\021\330\014\026\320\026)\250\021\250#\250T\260\021\260&\270\001\270\025\270a\330\014\026\320\026)\250\021\250#\250T\260\021\260'\270\021\270%\270q\330\014\032\230!\2309\240C\240q\330\014\032\230!\2309\240C\240q\330\014\024\220I\230Q\230i\240y\260\003\2601\330\014\017\210y\230\002\230\"\230A\330\014\017\210y\230\007\230s\240\"\240G\2501\330\014\017\210y\230\007\230v\240R\240w\250a\330\014\017\210y\230\007\230q\330\014\017\210u\220G\2301\230A\330\014\024\220A\220Z\230v\240S\250\001\250\023\250G\2602\260Q\330\014\024\220A\220Z\230w\240a\330\014\024\220A\220Z\230w\240a\330\014\026\220a\330\010\014\210E\220\025\220a\220w\230b\240\004\240D\250\001\330\014\017\210|\2301\230H\240A\240T\250\030\260\021\260$\260h\270a\270q\340\t\020\220\001\220\023\220H\230C\230q\330\t\020\220\001\220\023\220G\2303\230a\330\004\014\210C\210x\220s\230*\240C\240y\260\003\2607\270#\270Q\330\014\017\210q\200\001\330\004\n\210+\220Q";
-    PyObject *data = NULL;
-    CYTHON_UNUSED_VAR(__Pyx_DecompressString);
-    #endif
-    PyObject **stringtab = __pyx_mstate->__pyx_string_tab;
-    Py_ssize_t pos = 0;
-    for (int i = 0; i < 104; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyUnicode_DecodeUTF8(bytes + pos, bytes_length, NULL);
-      if (likely(string) && i >= 12) PyUnicode_InternInPlace(&string);
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-      stringtab[i] = string;
-      pos += bytes_length;
-    }
-    for (int i = 104; i < 106; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyBytes_FromStringAndSize(bytes + pos, bytes_length);
-      stringtab[i] = string;
-      pos += bytes_length;
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    Py_XDECREF(data);
-    for (Py_ssize_t i = 0; i < 106; i++) {
-      if (unlikely(PyObject_Hash(stringtab[i]) == -1)) {
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    #if CYTHON_IMMORTAL_CONSTANTS
-    {
-      PyObject **table = stringtab + 104;
-      for (Py_ssize_t i=0; i<2; ++i) {
-        #if PY_VERSION_HEX >= 0x030F0000
-        PyUnstable_SetImmortal(table[i]);
-        #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-        if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-        #if PY_VERSION_HEX < 0x030E0000
-        if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-        #else
-        if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-        #endif
-        {
-          Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-        }
-        #else
-        if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-        Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-        #endif
-      }
-    }
-    #endif
-  }
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: init_codeobjects ### */
-typedef struct {
-    unsigned int argcount : 4;
-    unsigned int num_posonly_args : 1;
-    unsigned int num_kwonly_args : 1;
-    unsigned int nlocals : 6;
-    unsigned int flags : 10;
-    unsigned int first_line : 10;
-} __Pyx_PyCode_New_function_description;
-/* NewCodeObj.proto */
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-);
-
-
-static int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate) {
-  PyObject* tuple_dedup_map = PyDict_New();
-  if (unlikely(!tuple_dedup_map)) return -1;
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 1};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self};
-    __pyx_mstate_global->__pyx_codeobj_tab[0] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_stringsource, __pyx_mstate->__pyx_n_u_reduce_cython, __pyx_mstate->__pyx_kp_b_iso88591_Q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[0])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {2, 0, 0, 2, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 3};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self, __pyx_mstate->__pyx_n_u_pyx_state};
-    __pyx_mstate_global->__pyx_codeobj_tab[1] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_stringsource, __pyx_mstate->__pyx_n_u_setstate_cython, __pyx_mstate->__pyx_kp_b_iso88591_Q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[1])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 1};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self};
-    __pyx_mstate_global->__pyx_codeobj_tab[2] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_stringsource, __pyx_mstate->__pyx_n_u_reduce_cython, __pyx_mstate->__pyx_kp_b_iso88591_Q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[2])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {2, 0, 0, 2, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 3};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self, __pyx_mstate->__pyx_n_u_pyx_state};
-    __pyx_mstate_global->__pyx_codeobj_tab[3] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_stringsource, __pyx_mstate->__pyx_n_u_setstate_cython, __pyx_mstate->__pyx_kp_b_iso88591_Q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[3])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 1};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self};
-    __pyx_mstate_global->__pyx_codeobj_tab[4] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_stringsource, __pyx_mstate->__pyx_n_u_reduce_cython, __pyx_mstate->__pyx_kp_b_iso88591_Q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[4])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {2, 0, 0, 2, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 3};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self, __pyx_mstate->__pyx_n_u_pyx_state};
-    __pyx_mstate_global->__pyx_codeobj_tab[5] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_stringsource, __pyx_mstate->__pyx_n_u_setstate_cython, __pyx_mstate->__pyx_kp_b_iso88591_Q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[5])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {10, 0, 0, 53, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 666};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_p_left, __pyx_mstate->__pyx_n_u_p_right, __pyx_mstate->__pyx_n_u_p_taxon, __pyx_mstate->__pyx_n_u_p_root, __pyx_mstate->__pyx_n_u_q_left, __pyx_mstate->__pyx_n_u_q_right, __pyx_mstate->__pyx_n_u_q_taxon, __pyx_mstate->__pyx_n_u_q_root, __pyx_mstate->__pyx_n_u_universe, __pyx_mstate->__pyx_n_u_store, __pyx_mstate->__pyx_n_u_run, __pyx_mstate->__pyx_n_u_P0, __pyx_mstate->__pyx_n_u_Q0, __pyx_mstate->__pyx_n_u_top, __pyx_mstate->__pyx_n_u_ctx, __pyx_mstate->__pyx_n_u_child, __pyx_mstate->__pyx_n_u_P, __pyx_mstate->__pyx_n_u_Q_2, __pyx_mstate->__pyx_n_u_cp_side, __pyx_mstate->__pyx_n_u_cq_side, __pyx_mstate->__pyx_n_u_ci, __pyx_mstate->__pyx_n_u_rp, __pyx_mstate->__pyx_n_u_rq, __pyx_mstate->__pyx_n_u_up, __pyx_mstate->__pyx_n_u_vp, __pyx_mstate->__pyx_n_u_uq, __pyx_mstate->__pyx_n_u_vq, __pyx_mstate->__pyx_n_u_tswap, __pyx_mstate->__pyx_n_u_base, __pyx_mstate->__pyx_n_u_end, __pyx_mstate->__pyx_n_u_r, __pyx_mstate->__pyx_n_u_leaf, __pyx_mstate->__pyx_n_u_nz, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_pi, __pyx_mstate->__pyx_n_u_x_p, __pyx_mstate->__pyx_n_u_x_q, __pyx_mstate->__pyx_n_u_other_p, __pyx_mstate->__pyx_n_u_ai, __pyx_mstate->__pyx_n_u_bi, __pyx_mstate->__pyx_n_u_cri, __pyx_mstate->__pyx_n_u_ta2, __pyx_mstate->__pyx_n_u_tb2, __pyx_mstate->__pyx_n_u_before, __pyx_mstate->__pyx_n_u_d_r, __pyx_mstate->__pyx_n_u_u, __pyx_mstate->__pyx_n_u_bufs, __pyx_mstate->__pyx_n_u_child_ci, __pyx_mstate->__pyx_n_u_child_rp, __pyx_mstate->__pyx_n_u_child_rq, __pyx_mstate->__pyx_n_u_spec_z, __pyx_mstate->__pyx_n_u_spec_zq, __pyx_mstate->__pyx_n_u_nchild};
-    __pyx_mstate_global->__pyx_codeobj_tab[6] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_tripcon__kernels__fast_pyx, __pyx_mstate->__pyx_n_u_run_enumeration, __pyx_mstate->__pyx_kp_b_iso88591_D_1_AXYiq_AXYiq_Yb_q_U_1_AU_V2R, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[6])) goto bad;
-  }
-  Py_DECREF(tuple_dedup_map);
-  return 0;
-  bad:
-  Py_DECREF(tuple_dedup_map);
-  return -1;
-}
-/* #### Code section: init_globals ### */
-
-static int __Pyx_InitGlobals(void) {
-  /* PythonCompatibility.init */
-  if (likely(__Pyx_init_co_variables() == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CommonTypesMetaclass.init */
-  if (likely(__pyx_CommonTypesMetaclass_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CachedMethodType.init */
-  #if CYTHON_COMPILING_IN_LIMITED_API
-  {
-      PyObject *typesModule=NULL;
-      typesModule = PyImport_ImportModule("types");
-      if (typesModule) {
-          __pyx_mstate_global->__Pyx_CachedMethodType = PyObject_GetAttrString(typesModule, "MethodType");
-          Py_DECREF(typesModule);
-      }
-  } // error handling follows
-  #endif
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CythonFunctionShared.init */
-  if (likely(__pyx_CyFunction_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: cleanup_globals ### */
-/* #### Code section: cleanup_module ### */
-/* #### Code section: main_method ### */
-/* #### Code section: utility_code_pragmas ### */
-#ifdef _MSC_VER
-#pragma warning( push )
-/* Warning 4127: conditional expression is constant
- * Cython uses constant conditional expressions to allow in inline functions to be optimized at
- * compile-time, so this warning is not useful
+/*
+ * Compiled enumeration kernel: the C99 twin of tripcon._kernels.pure.
+ *
+ * Same recursion, same emission order and same work-counter arithmetic
+ * as the pure kernel (the cross-backend tests pin all three).  Every
+ * per-tree structure lives in flat malloc'ed int arrays and is rebuilt
+ * here rather than imported from the Python modules, so the hot path
+ * never leaves C.  See tripcon.enumeration for the algorithm and the
+ * counter contract.
+ *
+ * Node ids and leaf counts are C ints; every count of triples, frames,
+ * steps or violations (including each frame's d_r) is a long long.
+ *
+ * Build with any C99 compiler against the Python headers, e.g.
+ *
+ *     cc -O3 -shared -fPIC -I<python include dir> _fast.c -o _fast<EXT_SUFFIX>
+ *
+ * which tripcon._kernels does on first import when the module is missing.
  */
-#pragma warning( disable : 4127 )
-#endif
 
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 
+#include <limits.h>
+#include <stdlib.h>
 
-/* #### Code section: utility_code_def ### */
+/* Items buffered before they are appended to the returned arrays. */
+#define TRI_CHUNK (3 * 4096)
+#define DR_CHUNK 4096
 
-/* --- Runtime support code --- */
-/* Refnanny */
-#if CYTHON_REFNANNY
-static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname) {
-    PyObject *m = NULL, *p = NULL;
-    void *r = NULL;
-    m = PyImport_ImportModule(modname);
-    if (!m) goto end;
-    p = PyObject_GetAttrString(m, "RefNannyAPI");
-    if (!p) goto end;
-    r = PyLong_AsVoidPtr(p);
-end:
-    Py_XDECREF(p);
-    Py_XDECREF(m);
-    return (__Pyx_RefNannyAPIStruct *)r;
-}
-#endif
+static PyObject *array_type; /* array.array */
 
-/* TupleAndListFromArray (used by fastcall) */
-#if !CYTHON_COMPILING_IN_CPYTHON && CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
+static void *xmalloc(size_t n)
 {
-    PyObject *res;
-    Py_ssize_t i;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    for (i = 0; i < n; i++) {
-        Py_INCREF(src[i]);
-        if (unlikely(__Pyx_PyTuple_SET_ITEM(res, i, src[i]) < (0))) {
-            Py_DECREF(res);
-            return NULL;
-        }
-    }
-    return res;
-}
-#elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE void __Pyx_copy_object_array(PyObject *const *CYTHON_RESTRICT src, PyObject** CYTHON_RESTRICT dest, Py_ssize_t length) {
-    PyObject *v;
-    Py_ssize_t i;
-    for (i = 0; i < length; i++) {
-        v = dest[i] = src[i];
-        Py_INCREF(v);
-    }
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyTupleObject*)res)->ob_item, n);
-    return res;
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return PyList_New(0);
-    }
-    res = PyList_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyListObject*)res)->ob_item, n);
-    return res;
-}
-#endif
-
-/* BytesEquals (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL ||\
-        !(CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS)
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    if (s1 == s2) {
-        return (equals == Py_EQ);
-    } else if (PyBytes_CheckExact(s1) & PyBytes_CheckExact(s2)) {
-        const char *ps1, *ps2;
-        Py_ssize_t length = PyBytes_GET_SIZE(s1);
-        if (length != PyBytes_GET_SIZE(s2))
-            return (equals == Py_NE);
-        ps1 = PyBytes_AS_STRING(s1);
-        ps2 = PyBytes_AS_STRING(s2);
-        if (ps1[0] != ps2[0]) {
-            return (equals == Py_NE);
-        } else if (length == 1) {
-            return (equals == Py_EQ);
-        } else {
-            int result;
-#if CYTHON_USE_UNICODE_INTERNALS && (PY_VERSION_HEX < 0x030B0000)
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyBytesObject*)s1)->ob_shash;
-            hash2 = ((PyBytesObject*)s2)->ob_shash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                return (equals == Py_NE);
-            }
-#endif
-            result = memcmp(ps1, ps2, (size_t)length);
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & PyBytes_CheckExact(s2)) {
-        return (equals == Py_NE);
-    } else if ((s2 == Py_None) & PyBytes_CheckExact(s1)) {
-        return (equals == Py_NE);
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-#endif
-}
-
-/* UnicodeEquals (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    int s1_is_unicode, s2_is_unicode;
-    if (s1 == s2) {
-        goto return_eq;
-    }
-    s1_is_unicode = PyUnicode_CheckExact(s1);
-    s2_is_unicode = PyUnicode_CheckExact(s2);
-    if (s1_is_unicode & s2_is_unicode) {
-        Py_ssize_t length, length2;
-        int kind;
-        void *data1, *data2;
-        #if !CYTHON_COMPILING_IN_LIMITED_API
-        if (unlikely(__Pyx_PyUnicode_READY(s1) < 0) || unlikely(__Pyx_PyUnicode_READY(s2) < 0))
-            return -1;
-        #endif
-        length = __Pyx_PyUnicode_GET_LENGTH(s1);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length < 0)) return -1;
-        #endif
-        length2 = __Pyx_PyUnicode_GET_LENGTH(s2);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length2 < 0)) return -1;
-        #endif
-        if (length != length2) {
-            goto return_ne;
-        }
-#if CYTHON_USE_UNICODE_INTERNALS
-        {
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyASCIIObject*)s1)->hash;
-            hash2 = ((PyASCIIObject*)s2)->hash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                goto return_ne;
-            }
-        }
-#endif
-        kind = __Pyx_PyUnicode_KIND(s1);
-        if (kind != __Pyx_PyUnicode_KIND(s2)) {
-            goto return_ne;
-        }
-        data1 = __Pyx_PyUnicode_DATA(s1);
-        data2 = __Pyx_PyUnicode_DATA(s2);
-        if (__Pyx_PyUnicode_READ(kind, data1, 0) != __Pyx_PyUnicode_READ(kind, data2, 0)) {
-            goto return_ne;
-        } else if (length == 1) {
-            goto return_eq;
-        } else {
-            int result = memcmp(data1, data2, (size_t)(length * kind));
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & s2_is_unicode) {
-        goto return_ne;
-    } else if ((s2 == Py_None) & s1_is_unicode) {
-        goto return_ne;
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-return_eq:
-    return (equals == Py_EQ);
-return_ne:
-    return (equals == Py_NE);
-#endif
-}
-
-/* fastcall */
-#if CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s)
-{
-    Py_ssize_t i, n = __Pyx_PyTuple_GET_SIZE(kwnames);
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    if (unlikely(n == -1)) return NULL;
-    #endif
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        if (s == namei) return kwvalues[i];
-    }
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        int eq = __Pyx_PyUnicode_Equals(s, namei, Py_EQ);
-        if (unlikely(eq != 0)) {
-            if (unlikely(eq < 0)) return NULL;
-            return kwvalues[i];
-        }
-    }
-    return NULL;
-}
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues) {
-    Py_ssize_t i, nkwargs;
-    PyObject *dict;
-#if !CYTHON_ASSUME_SAFE_SIZE
-    nkwargs = PyTuple_Size(kwnames);
-    if (unlikely(nkwargs < 0)) return NULL;
-#else
-    nkwargs = PyTuple_GET_SIZE(kwnames);
-#endif
-    dict = PyDict_New();
-    if (unlikely(!dict))
-        return NULL;
-    for (i=0; i<nkwargs; i++) {
-#if !CYTHON_ASSUME_SAFE_MACROS
-        PyObject *key = PyTuple_GetItem(kwnames, i);
-        if (!key) goto bad;
-#else
-        PyObject *key = PyTuple_GET_ITEM(kwnames, i);
-#endif
-        if (unlikely(PyDict_SetItem(dict, key, kwvalues[i]) < 0))
-            goto bad;
-    }
-    return dict;
-bad:
-    Py_DECREF(dict);
-    return NULL;
-}
-#endif
-#endif
-
-/* RaiseArgTupleInvalid */
-static void __Pyx_RaiseArgtupleInvalid(
-    const char* func_name,
-    int exact,
-    Py_ssize_t num_min,
-    Py_ssize_t num_max,
-    Py_ssize_t num_found)
-{
-    Py_ssize_t num_expected;
-    const char *more_or_less;
-    if (num_found < num_min) {
-        num_expected = num_min;
-        more_or_less = "at least";
-    } else {
-        num_expected = num_max;
-        more_or_less = "at most";
-    }
-    if (exact) {
-        more_or_less = "exactly";
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "%.200s() takes %.8s %" CYTHON_FORMAT_SSIZE_T "d positional argument%.1s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-                 func_name, more_or_less, num_expected,
-                 (num_expected == 1) ? "" : "s", num_found);
-}
-
-/* PyObjectCall (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *result;
-    ternaryfunc call = Py_TYPE(func)->tp_call;
-    if (unlikely(!call))
-        return PyObject_Call(func, arg, kw);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = (*call)(func, arg, kw);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectCallMethO (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg) {
-    PyObject *self, *result;
-    PyCFunction cfunc;
-    cfunc = __Pyx_CyOrPyCFunction_GET_FUNCTION(func);
-    self = __Pyx_CyOrPyCFunction_GET_SELF(func);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = cfunc(self, arg);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectFastCall (used by PyObjectCallOneArg) */
-#if PY_VERSION_HEX < 0x03090000 || CYTHON_COMPILING_IN_LIMITED_API
-static PyObject* __Pyx_PyObject_FastCall_fallback(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs) {
-    PyObject *argstuple;
-    PyObject *result = 0;
-    size_t i;
-    argstuple = PyTuple_New((Py_ssize_t)nargs);
-    if (unlikely(!argstuple)) return NULL;
-    for (i = 0; i < nargs; i++) {
-        Py_INCREF(args[i]);
-        if (__Pyx_PyTuple_SET_ITEM(argstuple, (Py_ssize_t)i, args[i]) != (0)) goto bad;
-    }
-    result = __Pyx_PyObject_Call(func, argstuple, kwargs);
-  bad:
-    Py_DECREF(argstuple);
-    return result;
-}
-#endif
-#if CYTHON_VECTORCALL && !CYTHON_COMPILING_IN_LIMITED_API
-  #if PY_VERSION_HEX < 0x03090000
-    #define __Pyx_PyVectorcall_Function(callable) _PyVectorcall_Function(callable)
-  #elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE vectorcallfunc __Pyx_PyVectorcall_Function(PyObject *callable) {
-    PyTypeObject *tp = Py_TYPE(callable);
-    #if defined(__Pyx_CyFunction_USED)
-    if (__Pyx_CyFunction_CheckExact(callable)) {
-        return __Pyx_CyFunction_func_vectorcall(callable);
-    }
-    #endif
-    if (!PyType_HasFeature(tp, Py_TPFLAGS_HAVE_VECTORCALL)) {
-        return NULL;
-    }
-    assert(PyCallable_Check(callable));
-    Py_ssize_t offset = tp->tp_vectorcall_offset;
-    assert(offset > 0);
-    vectorcallfunc ptr;
-    memcpy(&ptr, (char *) callable + offset, sizeof(ptr));
-    return ptr;
-}
-  #else
-    #define __Pyx_PyVectorcall_Function(callable) PyVectorcall_Function(callable)
-  #endif
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject *const *args, size_t _nargs, PyObject *kwargs) {
-    Py_ssize_t nargs = __Pyx_PyVectorcall_NARGS(_nargs);
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (nargs == 0 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_NOARGS))
-            return __Pyx_PyObject_CallMethO(func, NULL);
-    }
-    else if (nargs == 1 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_O))
-            return __Pyx_PyObject_CallMethO(func, args[0]);
-    }
-#endif
-    if (kwargs == NULL) {
-        #if CYTHON_VECTORCALL
-          #if CYTHON_COMPILING_IN_LIMITED_API
-            return PyObject_Vectorcall(func, args, _nargs, NULL);
-          #else
-            vectorcallfunc f = __Pyx_PyVectorcall_Function(func);
-            if (f) {
-                return f(func, args, _nargs, NULL);
-            }
-          #endif
-        #endif
-    }
-    if (nargs == 0) {
-        return __Pyx_PyObject_Call(func, __pyx_mstate_global->__pyx_empty_tuple, kwargs);
-    }
-    #if PY_VERSION_HEX >= 0x03090000 && !CYTHON_COMPILING_IN_LIMITED_API
-    return PyObject_VectorcallDict(func, args, (size_t)nargs, kwargs);
-    #else
-    return __Pyx_PyObject_FastCall_fallback(func, args, (size_t)nargs, kwargs);
-    #endif
-}
-
-/* PyObjectCallOneArg (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg) {
-    PyObject *args[2] = {NULL, arg};
-    return __Pyx_PyObject_FastCall(func, args+1, 1 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectGetAttrStr (used by UnpackUnboundCMethod) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name) {
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro))
-        return tp->tp_getattro(obj, attr_name);
-    return PyObject_GetAttr(obj, attr_name);
-}
-#endif
-
-/* UnpackUnboundCMethod (used by CallUnboundCMethod0) */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *args, PyObject *kwargs) {
-    PyObject *result;
-    PyObject *selfless_args = PyTuple_GetSlice(args, 1, PyTuple_Size(args));
-    if (unlikely(!selfless_args)) return NULL;
-    result = PyObject_Call(method, selfless_args, kwargs);
-    Py_DECREF(selfless_args);
-    return result;
-}
-#elif CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX < 0x03090000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject **args, Py_ssize_t nargs, PyObject *kwnames) {
-        return _PyObject_Vectorcall
-            (method, args ? args+1 : NULL, nargs ? nargs-1 : 0, kwnames);
-}
-#else
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames) {
-    return
-#if PY_VERSION_HEX < 0x03090000
-    _PyObject_Vectorcall
-#else
-    PyObject_Vectorcall
-#endif
-        (method, args ? args+1 : NULL, nargs ? (size_t) nargs-1 : 0, kwnames);
-}
-#endif
-static PyMethodDef __Pyx_UnboundCMethod_Def = {
-     "CythonUnboundCMethod",
-     __PYX_REINTERPRET_FUNCION(PyCFunction, __Pyx_SelflessCall),
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-     METH_VARARGS | METH_KEYWORDS,
-#else
-     METH_FASTCALL | METH_KEYWORDS,
-#endif
-     NULL
-};
-static int __Pyx_TryUnpackUnboundCMethod(__Pyx_CachedCFunction* target) {
-    PyObject *method, *result=NULL;
-    method = __Pyx_PyObject_GetAttrStr(target->type, *target->method_name);
-    if (unlikely(!method))
-        return -1;
-    result = method;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (likely(__Pyx_TypeCheck(method, &PyMethodDescr_Type)))
-    {
-        PyMethodDescrObject *descr = (PyMethodDescrObject*) method;
-        target->func = descr->d_method->ml_meth;
-        target->flag = descr->d_method->ml_flags & ~(METH_CLASS | METH_STATIC | METH_COEXIST | METH_STACKLESS);
-    } else
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-#else
-    if (PyCFunction_Check(method))
-#endif
-    {
-        PyObject *self;
-        int self_found;
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        self = PyObject_GetAttrString(method, "__self__");
-        if (!self) {
-            PyErr_Clear();
-        }
-#else
-        self = PyCFunction_GET_SELF(method);
-#endif
-        self_found = (self && self != Py_None);
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        Py_XDECREF(self);
-#endif
-        if (self_found) {
-            PyObject *unbound_method = PyCFunction_New(&__Pyx_UnboundCMethod_Def, method);
-            if (unlikely(!unbound_method)) return -1;
-            Py_DECREF(method);
-            result = unbound_method;
-        }
-    }
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    if (unlikely(target->method)) {
-        Py_DECREF(result);
-    } else
-#endif
-    target->method = result;
-    return 0;
-}
-
-/* CallUnboundCMethod0 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        if (likely(cfunc->flag == METH_NOARGS))
-            return __Pyx_CallCFunction(cfunc, self, NULL);
-        if (likely(cfunc->flag == METH_FASTCALL))
-            return __Pyx_CallCFunctionFast(cfunc, self, NULL, 0);
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, NULL, 0, NULL);
-        if (likely(cfunc->flag == (METH_VARARGS | METH_KEYWORDS)))
-            return __Pyx_CallCFunctionWithKeywords(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-        if (cfunc->flag == METH_VARARGS)
-            return __Pyx_CallCFunction(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple);
-        return __Pyx__CallUnboundCMethod0(cfunc, self);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod0(&tmp_cfunc, self);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod0(cfunc, self);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    PyObject *result;
-    if (unlikely(!cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-    result = __Pyx_PyObject_CallOneArg(cfunc->method, self);
-    return result;
-}
-
-/* py_dict_items (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_items, d);
-}
-
-/* py_dict_values (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_values, d);
-}
-
-/* OwnedDictNext (used by RejectKeywords) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue) {
-    PyObject *next = NULL;
-    if (!*ppos) {
-        if (pvalue) {
-            PyObject *dictview = pkey ? __Pyx_PyDict_Items(p) : __Pyx_PyDict_Values(p);
-            if (unlikely(!dictview)) goto bad;
-            *ppos = PyObject_GetIter(dictview);
-            Py_DECREF(dictview);
-        } else {
-            *ppos = PyObject_GetIter(p);
-        }
-        if (unlikely(!*ppos)) goto bad;
-    }
-    next = PyIter_Next(*ppos);
-    if (!next) {
-        if (PyErr_Occurred()) goto bad;
-        return 0;
-    }
-    if (pkey && pvalue) {
-        *pkey = __Pyx_PySequence_ITEM(next, 0);
-        if (unlikely(*pkey)) goto bad;
-        *pvalue = __Pyx_PySequence_ITEM(next, 1);
-        if (unlikely(*pvalue)) goto bad;
-        Py_DECREF(next);
-    } else if (pkey) {
-        *pkey = next;
-    } else {
-        assert(pvalue);
-        *pvalue = next;
-    }
-    return 1;
-  bad:
-    Py_XDECREF(next);
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-    PyErr_FormatUnraisable("Exception ignored in __Pyx_PyDict_NextRef");
-#else
-    PyErr_WriteUnraisable(__pyx_mstate_global->__pyx_n_u_Pyx_PyDict_NextRef);
-#endif
-    if (pkey) *pkey = NULL;
-    if (pvalue) *pvalue = NULL;
-    return 0;
-}
-#else // !CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue) {
-    int result = PyDict_Next(p, ppos, pkey, pvalue);
-    if (likely(result == 1)) {
-        if (pkey) Py_INCREF(*pkey);
-        if (pvalue) Py_INCREF(*pvalue);
-    }
-    return result;
-}
-#endif
-
-/* RejectKeywords */
-static void __Pyx_RejectKeywords(const char* function_name, PyObject *kwds) {
-    PyObject *key = NULL;
-    if (CYTHON_METH_FASTCALL && likely(PyTuple_Check(kwds))) {
-        key = __Pyx_PySequence_ITEM(kwds, 0);
-    } else {
-#if CYTHON_AVOID_BORROWED_REFS
-        PyObject *pos = NULL;
-#else
-        Py_ssize_t pos = 0;
-#endif
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-        if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return;
-#endif
-        __Pyx_PyDict_NextRef(kwds, &pos, &key, NULL);
-#if CYTHON_AVOID_BORROWED_REFS
-        Py_XDECREF(pos);
-#endif
-    }
-    if (likely(key)) {
-        PyErr_Format(PyExc_TypeError,
-            "%s() got an unexpected keyword argument '%U'",
-            function_name, key);
-        Py_DECREF(key);
-    }
-}
-
-/* PyErrFetchRestore (used by RaiseException) */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *tmp_value;
-    assert(type == NULL || (value != NULL && type == (PyObject*) Py_TYPE(value)));
-    if (value) {
-        #if CYTHON_COMPILING_IN_CPYTHON
-        if (unlikely(((PyBaseExceptionObject*) value)->traceback != tb))
-        #endif
-            PyException_SetTraceback(value, tb);
-    }
-    tmp_value = tstate->current_exception;
-    tstate->current_exception = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-#else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    tmp_type = tstate->curexc_type;
-    tmp_value = tstate->curexc_value;
-    tmp_tb = tstate->curexc_traceback;
-    tstate->curexc_type = type;
-    tstate->curexc_value = value;
-    tstate->curexc_traceback = tb;
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#endif
-}
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject* exc_value;
-    exc_value = tstate->current_exception;
-    tstate->current_exception = 0;
-    *value = exc_value;
-    *type = NULL;
-    *tb = NULL;
-    if (exc_value) {
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        #if CYTHON_COMPILING_IN_CPYTHON
-        *tb = ((PyBaseExceptionObject*) exc_value)->traceback;
-        Py_XINCREF(*tb);
-        #else
-        *tb = PyException_GetTraceback(exc_value);
-        #endif
-    }
-#else
-    *type = tstate->curexc_type;
-    *value = tstate->curexc_value;
-    *tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-#endif
-}
-#endif
-
-/* RaiseException */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause) {
-    PyObject* owned_instance = NULL;
-    if (tb == Py_None) {
-        tb = 0;
-    } else if (tb && !PyTraceBack_Check(tb)) {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: arg 3 must be a traceback or None");
-        goto bad;
-    }
-    if (value == Py_None)
-        value = 0;
-    if (PyExceptionInstance_Check(type)) {
-        if (value) {
-            PyErr_SetString(PyExc_TypeError,
-                "instance exception may not have a separate value");
-            goto bad;
-        }
-        value = type;
-        type = (PyObject*) Py_TYPE(value);
-    } else if (PyExceptionClass_Check(type)) {
-        PyObject *instance_class = NULL;
-        if (value && PyExceptionInstance_Check(value)) {
-            instance_class = (PyObject*) Py_TYPE(value);
-            if (instance_class != type) {
-                int is_subclass = PyObject_IsSubclass(instance_class, type);
-                if (!is_subclass) {
-                    instance_class = NULL;
-                } else if (unlikely(is_subclass == -1)) {
-                    goto bad;
-                } else {
-                    type = instance_class;
-                }
-            }
-        }
-        if (!instance_class) {
-            PyObject *args;
-            if (!value)
-                args = PyTuple_New(0);
-            else if (PyTuple_Check(value)) {
-                Py_INCREF(value);
-                args = value;
-            } else
-                args = PyTuple_Pack(1, value);
-            if (!args)
-                goto bad;
-            owned_instance = PyObject_Call(type, args, NULL);
-            Py_DECREF(args);
-            if (!owned_instance)
-                goto bad;
-            value = owned_instance;
-            if (!PyExceptionInstance_Check(value)) {
-                PyErr_Format(PyExc_TypeError,
-                             "calling %R should have returned an instance of "
-                             "BaseException, not %R",
-                             type, Py_TYPE(value));
-                goto bad;
-            }
-        }
-    } else {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: exception class must be a subclass of BaseException");
-        goto bad;
-    }
-    if (cause) {
-        PyObject *fixed_cause;
-        if (cause == Py_None) {
-            fixed_cause = NULL;
-        } else if (PyExceptionClass_Check(cause)) {
-            fixed_cause = PyObject_CallObject(cause, NULL);
-            if (fixed_cause == NULL)
-                goto bad;
-        } else if (PyExceptionInstance_Check(cause)) {
-            fixed_cause = cause;
-            Py_INCREF(fixed_cause);
-        } else {
-            PyErr_SetString(PyExc_TypeError,
-                            "exception causes must derive from "
-                            "BaseException");
-            goto bad;
-        }
-        PyException_SetCause(value, fixed_cause);
-    }
-    PyErr_SetObject(type, value);
-    if (tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-        PyException_SetTraceback(value, tb);
-#elif CYTHON_FAST_THREAD_STATE
-        PyThreadState *tstate = __Pyx_PyThreadState_Current;
-        PyObject* tmp_tb = tstate->curexc_traceback;
-        if (tb != tmp_tb) {
-            Py_INCREF(tb);
-            tstate->curexc_traceback = tb;
-            Py_XDECREF(tmp_tb);
-        }
-#else
-        PyObject *tmp_type, *tmp_value, *tmp_tb;
-        PyErr_Fetch(&tmp_type, &tmp_value, &tmp_tb);
-        Py_INCREF(tb);
-        PyErr_Restore(tmp_type, tmp_value, tb);
-        Py_XDECREF(tmp_tb);
-#endif
-    }
-bad:
-    Py_XDECREF(owned_instance);
-    return;
-}
-
-/* RaiseDoubleKeywords (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(
-    const char* func_name,
-    PyObject* kw_name)
-{
-    PyErr_Format(PyExc_TypeError,
-        "%s() got multiple values for keyword argument '%U'", func_name, kw_name);
-}
-
-/* CallUnboundCMethod2 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        PyObject *args[2] = {arg1, arg2};
-        if (cfunc->flag == METH_FASTCALL) {
-            return __Pyx_CallCFunctionFast(cfunc, self, args, 2);
-        }
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, 2, NULL);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod2(&tmp_cfunc, self, arg1, arg2);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2){
-    if (unlikely(!cfunc->func && !cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (cfunc->func && (cfunc->flag & METH_VARARGS)) {
-        PyObject *result = NULL;
-        PyObject *args = PyTuple_New(2);
-        if (unlikely(!args)) return NULL;
-        Py_INCREF(arg1);
-        PyTuple_SET_ITEM(args, 0, arg1);
-        Py_INCREF(arg2);
-        PyTuple_SET_ITEM(args, 1, arg2);
-        if (cfunc->flag & METH_KEYWORDS)
-            result = __Pyx_CallCFunctionWithKeywords(cfunc, self, args, NULL);
-        else
-            result = __Pyx_CallCFunction(cfunc, self, args);
-        Py_DECREF(args);
-        return result;
-    }
-#endif
-    {
-        PyObject *args[4] = {NULL, self, arg1, arg2};
-        return __Pyx_PyObject_FastCall(cfunc->method, args+1, 3 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-    }
-}
-
-/* ParseKeywordsImpl (used by ParseKeywords) */
-static int __Pyx_ValidateDuplicatePosArgs(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char* function_name)
-{
-    PyObject ** const *name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *key = **name;
-        int found = PyDict_Contains(kwds, key);
-        if (unlikely(found)) {
-            if (found == 1) __Pyx_RaiseDoubleKeywordsError(function_name, key);
-            goto bad;
-        }
-        name++;
-    }
-    return 0;
-bad:
-    return -1;
-}
-#if CYTHON_USE_UNICODE_INTERNALS
-static CYTHON_INLINE int __Pyx_UnicodeKeywordsEqual(PyObject *s1, PyObject *s2) {
-    int kind;
-    Py_ssize_t len = PyUnicode_GET_LENGTH(s1);
-    if (len != PyUnicode_GET_LENGTH(s2)) return 0;
-    kind = PyUnicode_KIND(s1);
-    if (kind != PyUnicode_KIND(s2)) return 0;
-    const void *data1 = PyUnicode_DATA(s1);
-    const void *data2 = PyUnicode_DATA(s2);
-    return (memcmp(data1, data2, (size_t) len * (size_t) kind) == 0);
-}
-#endif
-static int __Pyx_MatchKeywordArg_str(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    #if CYTHON_USE_UNICODE_INTERNALS
-    Py_hash_t key_hash = ((PyASCIIObject*)key)->hash;
-    if (unlikely(key_hash == -1)) {
-        key_hash = PyObject_Hash(key);
-        if (unlikely(key_hash == -1))
-            goto bad;
-    }
-    #endif
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (key_hash == ((PyASCIIObject*)name_str)->hash && __Pyx_UnicodeKeywordsEqual(name_str, key)) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) {
-                *index_found = (size_t) (name - argnames);
-                return 1;
-            }
-        }
-        #endif
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (unlikely(key_hash == ((PyASCIIObject*)name_str)->hash)) {
-            if (__Pyx_UnicodeKeywordsEqual(name_str, key))
-                goto arg_passed_twice;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            if (unlikely(name_str == key)) goto arg_passed_twice;
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) goto arg_passed_twice;
-        }
-        #endif
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-bad:
-    return -1;
-}
-static int __Pyx_MatchKeywordArg_nostr(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    if (unlikely(!PyUnicode_Check(key))) goto invalid_keyword_type;
-    name = first_kw_arg;
-    while (*name) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (cmp == 1) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        if (unlikely(cmp == -1)) goto bad;
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (unlikely(cmp != 0)) {
-            if (cmp == 1) goto arg_passed_twice;
-            else goto bad;
-        }
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-invalid_keyword_type:
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() keywords must be strings", function_name);
-    goto bad;
-bad:
-    return -1;
-}
-static CYTHON_INLINE int __Pyx_MatchKeywordArg(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    return likely(PyUnicode_CheckExact(key)) ?
-        __Pyx_MatchKeywordArg_str(key, argnames, first_kw_arg, index_found, function_name) :
-        __Pyx_MatchKeywordArg_nostr(key, argnames, first_kw_arg, index_found, function_name);
-}
-static void __Pyx_RejectUnknownKeyword(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char *function_name)
-{
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos = NULL;
-    #else
-    Py_ssize_t pos = 0;
-    #endif
-    PyObject *key = NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(kwds);
-    while (
-        #if CYTHON_AVOID_BORROWED_REFS
-        __Pyx_PyDict_NextRef(kwds, &pos, &key, NULL)
-        #else
-        PyDict_Next(kwds, &pos, &key, NULL)
-        #endif
-    ) {
-        PyObject** const *name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (!*name) {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp != 1) {
-                if (cmp == 0) {
-                    PyErr_Format(PyExc_TypeError,
-                        "%s() got an unexpected keyword argument '%U'",
-                        function_name, key);
-                }
-                #if CYTHON_AVOID_BORROWED_REFS
-                Py_DECREF(key);
-                #endif
-                break;
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        #endif
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(pos);
-    #endif
-    assert(PyErr_Occurred());
-}
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t extracted = 0;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    name = first_kw_arg;
-    while (*name && num_kwargs > extracted) {
-        PyObject * key = **name;
-        PyObject *value;
-        int found = 0;
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        found = PyDict_GetItemRef(kwds, key, &value);
-        #else
-        value = PyDict_GetItemWithError(kwds, key);
-        if (value) {
-            Py_INCREF(value);
-            found = 1;
-        } else {
-            if (unlikely(PyErr_Occurred())) goto bad;
-        }
-        #endif
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            extracted++;
-        }
-        name++;
-    }
-    if (num_kwargs > extracted) {
-        if (ignore_unknown_kwargs) {
-            if (unlikely(__Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name) == -1))
-                goto bad;
-        } else {
-            __Pyx_RejectUnknownKeyword(kwds, argnames, first_kw_arg, function_name);
-            goto bad;
-        }
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t len;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    if (PyDict_Update(kwds2, kwds) < 0) goto bad;
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *key = **name;
-        PyObject *value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && (PY_VERSION_HEX >= 0x030d00A2 || defined(PyDict_Pop))
-        int found = PyDict_Pop(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-        }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        int found = PyDict_GetItemRef(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            if (unlikely(PyDict_DelItem(kwds2, key) < 0)) goto bad;
-        }
-#else
-    #if CYTHON_COMPILING_IN_CPYTHON
-        value = _PyDict_Pop(kwds2, key, kwds2);
-    #else
-        value = __Pyx_CallUnboundCMethod2(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_pop, kwds2, key, kwds2);
-    #endif
-        if (value == kwds2) {
-            Py_DECREF(value);
-        } else {
-            if (unlikely(!value)) goto bad;
-            values[name-argnames] = value;
-        }
-#endif
-        name++;
-    }
-    len = PyDict_Size(kwds2);
-    if (len > 0) {
-        return __Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name);
-    } else if (unlikely(len == -1)) {
-        goto bad;
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject *key = NULL;
-    PyObject** const * name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    for (Py_ssize_t pos = 0; pos < num_kwargs; pos++) {
-#if CYTHON_AVOID_BORROWED_REFS
-        key = __Pyx_PySequence_ITEM(kwds, pos);
-#else
-        key = __Pyx_PyTuple_GET_ITEM(kwds, pos);
-#endif
-#if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!key)) goto bad;
-#endif
-        name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (*name) {
-            PyObject *value = kwvalues[pos];
-            values[name-argnames] = __Pyx_NewRef(value);
-        } else {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp == 1) {
-                PyObject *value = kwvalues[pos];
-                values[index_found] = __Pyx_NewRef(value);
-            } else {
-                if (unlikely(cmp == -1)) goto bad;
-                if (kwds2) {
-                    PyObject *value = kwvalues[pos];
-                    if (unlikely(PyDict_SetItem(kwds2, key, value))) goto bad;
-                } else if (!ignore_unknown_kwargs) {
-                    goto invalid_keyword;
-                }
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        key = NULL;
-        #endif
-    }
-    return 0;
-invalid_keyword:
-    PyErr_Format(PyExc_TypeError,
-        "%s() got an unexpected keyword argument '%U'",
-        function_name, key);
-    goto bad;
-bad:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(key);
-    #endif
-    return -1;
-}
-
-/* ParseKeywords */
-static int __Pyx_ParseKeywords(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    if (CYTHON_METH_FASTCALL && likely(PyTuple_Check(kwds)))
-        return __Pyx_ParseKeywordsTuple(kwds, kwvalues, argnames, kwds2, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-    else if (kwds2)
-        return __Pyx_ParseKeywordDictToDict(kwds, argnames, kwds2, values, num_pos_args, function_name);
-    else
-        return __Pyx_ParseKeywordDict(kwds, argnames, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-}
-
-/* PyErrExceptionMatches (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx_PyErr_ExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        if (__Pyx_PyErr_GivenExceptionMatches(exc_type, PyTuple_GET_ITEM(tuple, i))) return 1;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err) {
-    int result;
-    PyObject *exc_type;
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *current_exception = tstate->current_exception;
-    if (unlikely(!current_exception)) return 0;
-    exc_type = (PyObject*) Py_TYPE(current_exception);
-    if (exc_type == err) return 1;
-#else
-    exc_type = tstate->curexc_type;
-    if (exc_type == err) return 1;
-    if (unlikely(!exc_type)) return 0;
-#endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(exc_type);
-    #endif
-    if (unlikely(PyTuple_Check(err))) {
-        result = __Pyx_PyErr_ExceptionMatchesTuple(exc_type, err);
-    } else {
-        result = __Pyx_PyErr_GivenExceptionMatches(exc_type, err);
-    }
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(exc_type);
-    #endif
-    return result;
-}
-#endif
-
-/* PyObjectGetAttrStrNoError (used by GetBuiltinName) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static void __Pyx_PyObject_GetAttrStr_ClearAttributeError(void) {
-    __Pyx_PyThreadState_declare
-    __Pyx_PyThreadState_assign
-    if (likely(__Pyx_PyErr_ExceptionMatches(PyExc_AttributeError)))
-        __Pyx_PyErr_Clear();
-}
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name) {
-    PyObject *result;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    (void) PyObject_GetOptionalAttr(obj, attr_name, &result);
-    return result;
-#else
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_TYPE_SLOTS
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro == PyObject_GenericGetAttr)) {
-        return _PyObject_GenericGetAttrWithDict(obj, attr_name, NULL, 1);
-    }
-#endif
-    result = __Pyx_PyObject_GetAttrStr(obj, attr_name);
-    if (unlikely(!result)) {
-        __Pyx_PyObject_GetAttrStr_ClearAttributeError();
-    }
-    return result;
-#endif
-}
-
-/* GetBuiltinName (used by GetModuleGlobalName) */
-static PyObject *__Pyx_GetBuiltinName(PyObject *name) {
-    PyObject* result = __Pyx_PyObject_GetAttrStrNoError(__pyx_mstate_global->__pyx_b, name);
-    if (unlikely(!result) && !PyErr_Occurred()) {
-        PyErr_Format(PyExc_NameError,
-            "name '%U' is not defined", name);
-    }
-    return result;
-}
-
-/* PyDictVersioning (used by GetModuleGlobalName) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    return likely(dict) ? __PYX_GET_DICT_VERSION(dict) : 0;
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj) {
-    PyObject **dictptr = NULL;
-    Py_ssize_t offset = Py_TYPE(obj)->tp_dictoffset;
-    if (offset) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        dictptr = (likely(offset > 0)) ? (PyObject **) ((char *)obj + offset) : _PyObject_GetDictPtr(obj);
-#else
-        dictptr = _PyObject_GetDictPtr(obj);
-#endif
-    }
-    return (dictptr && *dictptr) ? __PYX_GET_DICT_VERSION(*dictptr) : 0;
-}
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    if (unlikely(!dict) || unlikely(tp_dict_version != __PYX_GET_DICT_VERSION(dict)))
-        return 0;
-    return obj_dict_version == __Pyx_get_object_dict_version(obj);
-}
-#endif
-
-/* GetModuleGlobalName */
-#if CYTHON_USE_DICT_VERSIONS
-static PyObject *__Pyx__GetModuleGlobalName(PyObject *name, PY_UINT64_T *dict_version, PyObject **dict_cached_value)
-#else
-static CYTHON_INLINE PyObject *__Pyx__GetModuleGlobalName(PyObject *name)
-#endif
-{
-    PyObject *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    if (unlikely(!__pyx_m)) {
-        if (!PyErr_Occurred())
-            PyErr_SetNone(PyExc_NameError);
-        return NULL;
-    }
-    result = PyObject_GetAttr(__pyx_m, name);
-    if (likely(result)) {
-        return result;
-    }
-    PyErr_Clear();
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    if (unlikely(__Pyx_PyDict_GetItemRef(__pyx_mstate_global->__pyx_d, name, &result) == -1)) PyErr_Clear();
-    __PYX_UPDATE_DICT_CACHE(__pyx_mstate_global->__pyx_d, result, *dict_cached_value, *dict_version)
-    if (likely(result)) {
-        return result;
-    }
-#else
-    result = _PyDict_GetItem_KnownHash(__pyx_mstate_global->__pyx_d, name, ((PyASCIIObject *) name)->hash);
-    __PYX_UPDATE_DICT_CACHE(__pyx_mstate_global->__pyx_d, result, *dict_cached_value, *dict_version)
-    if (likely(result)) {
-        return __Pyx_NewRef(result);
-    }
-    PyErr_Clear();
-#endif
-    return __Pyx_GetBuiltinName(name);
-}
-
-/* ExtTypeTest */
-static CYTHON_INLINE int __Pyx_TypeTest(PyObject *obj, PyTypeObject *type) {
-    __Pyx_TypeName obj_type_name;
-    __Pyx_TypeName type_name;
-    if (unlikely(!type)) {
-        PyErr_SetString(PyExc_SystemError, "Missing type object");
-        return 0;
-    }
-    if (likely(__Pyx_TypeCheck(obj, type)))
-        return 1;
-    obj_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(obj));
-    type_name = __Pyx_PyType_GetFullyQualifiedName(type);
-    PyErr_Format(PyExc_TypeError,
-                 "Cannot convert " __Pyx_FMT_TYPENAME " to " __Pyx_FMT_TYPENAME,
-                 obj_type_name, type_name);
-    __Pyx_DECREF_TypeName(obj_type_name);
-    __Pyx_DECREF_TypeName(type_name);
-    return 0;
-}
-
-/* ArgTypeTestFunc (used by ArgTypeTest) */
-static int __Pyx__ArgTypeTest(PyObject *obj, PyTypeObject *type, const char *name, int exact)
-{
-    __Pyx_TypeName type_name;
-    __Pyx_TypeName obj_type_name;
-    PyObject *extra_info = __pyx_mstate_global->__pyx_empty_unicode;
-    int from_annotation_subclass = 0;
-    if (unlikely(!type)) {
-        PyErr_SetString(PyExc_SystemError, "Missing type object");
-        return 0;
-    }
-    else if (!exact) {
-        if (likely(__Pyx_TypeCheck(obj, type))) return 1;
-    } else if (exact == 2) {
-        if (__Pyx_TypeCheck(obj, type)) {
-            from_annotation_subclass = 1;
-            extra_info = __pyx_mstate_global->__pyx_kp_u_Note_that_Cython_is_deliberately;
-        }
-    }
-    type_name = __Pyx_PyType_GetFullyQualifiedName(type);
-    obj_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(obj));
-    PyErr_Format(PyExc_TypeError,
-        "Argument '%.200s' has incorrect type (expected " __Pyx_FMT_TYPENAME
-        ", got " __Pyx_FMT_TYPENAME ")"
-#if __PYX_LIMITED_VERSION_HEX < 0x030C0000
-        "%s%U"
-#endif
-        , name, type_name, obj_type_name
-#if __PYX_LIMITED_VERSION_HEX < 0x030C0000
-        , (from_annotation_subclass ? ". " : ""), extra_info
-#endif
-        );
-#if __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    if (exact == 2 && from_annotation_subclass) {
-        PyObject *res;
-        PyObject *vargs[2];
-        vargs[0] = PyErr_GetRaisedException();
-        vargs[1] = extra_info;
-        res = PyObject_VectorcallMethod(__pyx_mstate_global->__pyx_kp_u_add_note, vargs, 2, NULL);
-        Py_XDECREF(res);
-        PyErr_SetRaisedException(vargs[0]);
-    }
-#endif
-    __Pyx_DECREF_TypeName(type_name);
-    __Pyx_DECREF_TypeName(obj_type_name);
-    return 0;
-}
-
-/* AllocateExtensionType */
-static PyObject *__Pyx_AllocateExtensionType(PyTypeObject *t, int is_final) {
-    if (is_final || likely(!__Pyx_PyType_HasFeature(t, Py_TPFLAGS_IS_ABSTRACT))) {
-        allocfunc alloc_func = __Pyx_PyType_GetSlot(t, tp_alloc, allocfunc);
-        return alloc_func(t, 0);
-    } else {
-        newfunc tp_new = __Pyx_PyType_TryGetSlot(&PyBaseObject_Type, tp_new, newfunc);
-    #if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-        if (!tp_new) {
-            PyObject *new_str = PyUnicode_FromString("__new__");
-            if (likely(new_str)) {
-                PyObject *o = PyObject_CallMethodObjArgs((PyObject *)&PyBaseObject_Type, new_str, t, NULL);
-                Py_DECREF(new_str);
-                return o;
-            } else
-                return NULL;
-        } else
-    #endif
-        return tp_new(t, __pyx_mstate_global->__pyx_empty_tuple, 0);
-    }
-}
-
-/* CallTypeTraverse */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg) {
-    #if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x03090000
-    if (__Pyx_get_runtime_version() < 0x03090000) return 0;
-    #endif
-    if (!always_call) {
-        PyTypeObject *base = __Pyx_PyObject_GetSlot(o, tp_base, PyTypeObject*);
-        unsigned long flags = PyType_GetFlags(base);
-        if (flags & Py_TPFLAGS_HEAPTYPE) {
-            return 0;
-        }
-    }
-    Py_VISIT((PyObject*)Py_TYPE(o));
-    return 0;
-}
-#endif
-
-/* LimitedApiGetTypeDict (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static Py_ssize_t __Pyx_GetTypeDictOffset(void) {
-    PyObject *tp_dictoffset_o;
-    Py_ssize_t tp_dictoffset;
-    tp_dictoffset_o = PyObject_GetAttrString((PyObject*)(&PyType_Type), "__dictoffset__");
-    if (unlikely(!tp_dictoffset_o)) return -1;
-    tp_dictoffset = PyLong_AsSsize_t(tp_dictoffset_o);
-    Py_DECREF(tp_dictoffset_o);
-    if (unlikely(tp_dictoffset == 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' doesn't have a dictoffset");
-        return -1;
-    } else if (unlikely(tp_dictoffset < 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' has an unexpected negative dictoffset. "
-            "Please report this as Cython bug");
-        return -1;
-    }
-    return tp_dictoffset;
-}
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp) {
-    static Py_ssize_t tp_dictoffset = 0;
-    if (unlikely(tp_dictoffset == 0)) {
-        tp_dictoffset = __Pyx_GetTypeDictOffset();
-        if (unlikely(tp_dictoffset == -1 && PyErr_Occurred())) {
-            tp_dictoffset = 0; // try again next time?
-            return NULL;
-        }
-    }
-    return *(PyObject**)((char*)tp + tp_dictoffset);
-}
-#endif
-
-/* SetItemOnTypeDict (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v) {
-    int result;
-    PyObject *tp_dict;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    tp_dict = __Pyx_GetTypeDict(tp);
-    if (unlikely(!tp_dict)) return -1;
-#else
-    tp_dict = tp->tp_dict;
-#endif
-    result = PyDict_SetItem(tp_dict, k, v);
-    if (likely(!result)) {
-        PyType_Modified(tp);
-        if (unlikely(PyObject_HasAttr(v, __pyx_mstate_global->__pyx_n_u_set_name))) {
-            PyObject *setNameResult = PyObject_CallMethodObjArgs(v, __pyx_mstate_global->__pyx_n_u_set_name,  (PyObject *) tp, k, NULL);
-            if (!setNameResult) return -1;
-            Py_DECREF(setNameResult);
-        }
-    }
-    return result;
-}
-
-/* FixUpExtensionType */
-static int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type) {
-#if __PYX_LIMITED_VERSION_HEX > 0x030900B1
-    CYTHON_UNUSED_VAR(spec);
-    CYTHON_UNUSED_VAR(type);
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#else
-    const PyType_Slot *slot = spec->slots;
-    int changed = 0;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    while (slot && slot->slot && slot->slot != Py_tp_members)
-        slot++;
-    if (slot && slot->slot == Py_tp_members) {
-#if !CYTHON_COMPILING_IN_CPYTHON
-        const
-#endif  // !CYTHON_COMPILING_IN_CPYTHON)
-            PyMemberDef *memb = (PyMemberDef*) slot->pfunc;
-        while (memb && memb->name) {
-            if (memb->name[0] == '_' && memb->name[1] == '_') {
-                if (strcmp(memb->name, "__weaklistoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_weaklistoffset = memb->offset;
-                    changed = 1;
-                }
-                else if (strcmp(memb->name, "__dictoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_dictoffset = memb->offset;
-                    changed = 1;
-                }
-#if CYTHON_METH_FASTCALL
-                else if (strcmp(memb->name, "__vectorcalloffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_vectorcall_offset = memb->offset;
-                    changed = 1;
-                }
-#endif  // CYTHON_METH_FASTCALL
-#if !CYTHON_COMPILING_IN_PYPY
-                else if (strcmp(memb->name, "__module__") == 0) {
-                    PyObject *descr;
-                    assert(memb->type == T_OBJECT);
-                    assert(memb->flags == 0 || memb->flags == READONLY);
-                    descr = PyDescr_NewMember(type, memb);
-                    if (unlikely(!descr))
-                        return -1;
-                    int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                    Py_DECREF(descr);
-                    if (unlikely(set_item_result < 0)) {
-                        return -1;
-                    }
-                    changed = 1;
-                }
-#endif  // !CYTHON_COMPILING_IN_PYPY
-            }
-            memb++;
-        }
-    }
-#endif  // !CYTHON_COMPILING_IN_LIMITED_API
-#if !CYTHON_COMPILING_IN_PYPY
-    slot = spec->slots;
-    while (slot && slot->slot && slot->slot != Py_tp_getset)
-        slot++;
-    if (slot && slot->slot == Py_tp_getset) {
-        PyGetSetDef *getset = (PyGetSetDef*) slot->pfunc;
-        while (getset && getset->name) {
-            if (getset->name[0] == '_' && getset->name[1] == '_' && strcmp(getset->name, "__module__") == 0) {
-                PyObject *descr = PyDescr_NewGetSet(type, getset);
-                if (unlikely(!descr))
-                    return -1;
-                #if CYTHON_COMPILING_IN_LIMITED_API
-                PyObject *pyname = PyUnicode_FromString(getset->name);
-                if (unlikely(!pyname)) {
-                    Py_DECREF(descr);
-                    return -1;
-                }
-                int set_item_result = __Pyx_SetItemOnTypeDict(type, pyname, descr);
-                Py_DECREF(pyname);
-                #else
-                CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-                int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                #endif
-                Py_DECREF(descr);
-                if (unlikely(set_item_result < 0)) {
-                    return -1;
-                }
-                changed = 1;
-            }
-            ++getset;
-        }
-    }
-#else
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#endif  // !CYTHON_COMPILING_IN_PYPY
-    if (changed)
-        PyType_Modified(type);
-#endif  // PY_VERSION_HEX > 0x030900B1
-    return 0;
-}
-
-/* PyObjectCallNoArg (used by PyObjectCallMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallNoArg(PyObject *func) {
-    PyObject *arg[2] = {NULL, NULL};
-    return __Pyx_PyObject_FastCall(func, arg + 1, 0 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectGetMethod (used by PyObjectCallMethod0) */
-#if !(CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000)))
-static int __Pyx_PyObject_GetMethod(PyObject *obj, PyObject *name, PyObject **method) {
-    PyObject *attr;
-#if CYTHON_UNPACK_METHODS && CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_PYTYPE_LOOKUP
-    __Pyx_TypeName type_name;
-    PyTypeObject *tp = Py_TYPE(obj);
-    PyObject *descr;
-    descrgetfunc f = NULL;
-    PyObject **dictptr, *dict;
-    int meth_found = 0;
-    assert (*method == NULL);
-    if (unlikely(tp->tp_getattro != PyObject_GenericGetAttr)) {
-        attr = __Pyx_PyObject_GetAttrStr(obj, name);
-        goto try_unpack;
-    }
-    if (unlikely(tp->tp_dict == NULL) && unlikely(PyType_Ready(tp) < 0)) {
-        return 0;
-    }
-    descr = _PyType_Lookup(tp, name);
-    if (likely(descr != NULL)) {
-        Py_INCREF(descr);
-#if defined(Py_TPFLAGS_METHOD_DESCRIPTOR) && Py_TPFLAGS_METHOD_DESCRIPTOR
-        if (__Pyx_PyType_HasFeature(Py_TYPE(descr), Py_TPFLAGS_METHOD_DESCRIPTOR))
-#else
-        #ifdef __Pyx_CyFunction_USED
-        if (likely(PyFunction_Check(descr) || __Pyx_IS_TYPE(descr, &PyMethodDescr_Type) || __Pyx_CyFunction_Check(descr)))
-        #else
-        if (likely(PyFunction_Check(descr) || __Pyx_IS_TYPE(descr, &PyMethodDescr_Type)))
-        #endif
-#endif
-        {
-            meth_found = 1;
-        } else {
-            f = Py_TYPE(descr)->tp_descr_get;
-            if (f != NULL && PyDescr_IsData(descr)) {
-                attr = f(descr, obj, (PyObject *)Py_TYPE(obj));
-                Py_DECREF(descr);
-                goto try_unpack;
-            }
-        }
-    }
-    dictptr = _PyObject_GetDictPtr(obj);
-    if (dictptr != NULL && (dict = *dictptr) != NULL) {
-        Py_INCREF(dict);
-        attr = __Pyx_PyDict_GetItemStr(dict, name);
-        if (attr != NULL) {
-            Py_INCREF(attr);
-            Py_DECREF(dict);
-            Py_XDECREF(descr);
-            goto try_unpack;
-        }
-        Py_DECREF(dict);
-    }
-    if (meth_found) {
-        *method = descr;
-        return 1;
-    }
-    if (f != NULL) {
-        attr = f(descr, obj, (PyObject *)Py_TYPE(obj));
-        Py_DECREF(descr);
-        goto try_unpack;
-    }
-    if (likely(descr != NULL)) {
-        *method = descr;
-        return 0;
-    }
-    type_name = __Pyx_PyType_GetFullyQualifiedName(tp);
-    PyErr_Format(PyExc_AttributeError,
-                 "'" __Pyx_FMT_TYPENAME "' object has no attribute '%U'",
-                 type_name, name);
-    __Pyx_DECREF_TypeName(type_name);
-    return 0;
-#else
-    attr = __Pyx_PyObject_GetAttrStr(obj, name);
-    goto try_unpack;
-#endif
-try_unpack:
-#if CYTHON_UNPACK_METHODS
-    if (likely(attr) && PyMethod_Check(attr) && likely(PyMethod_GET_SELF(attr) == obj)) {
-        PyObject *function = PyMethod_GET_FUNCTION(attr);
-        Py_INCREF(function);
-        Py_DECREF(attr);
-        *method = function;
-        return 1;
-    }
-#endif
-    *method = attr;
-    return 0;
-}
-#endif
-
-/* PyObjectCallMethod0 (used by PyType_Ready) */
-static PyObject* __Pyx_PyObject_CallMethod0(PyObject* obj, PyObject* method_name) {
-#if CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000))
-    PyObject *args[1] = {obj};
-    (void) __Pyx_PyObject_CallOneArg;
-    (void) __Pyx_PyObject_CallNoArg;
-    return PyObject_VectorcallMethod(method_name, args, 1 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#else
-    PyObject *method = NULL, *result = NULL;
-    int is_method = __Pyx_PyObject_GetMethod(obj, method_name, &method);
-    if (likely(is_method)) {
-        result = __Pyx_PyObject_CallOneArg(method, obj);
-        Py_DECREF(method);
-        return result;
-    }
-    if (unlikely(!method)) goto bad;
-    result = __Pyx_PyObject_CallNoArg(method);
-    Py_DECREF(method);
-bad:
-    return result;
-#endif
-}
-
-/* ValidateBasesTuple (used by PyType_Ready) */
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_USE_TYPE_SPECS
-static int __Pyx_validate_bases_tuple(const char *type_name, Py_ssize_t dictoffset, PyObject *bases) {
-    Py_ssize_t i, n;
-#if CYTHON_ASSUME_SAFE_SIZE
-    n = PyTuple_GET_SIZE(bases);
-#else
-    n = PyTuple_Size(bases);
-    if (unlikely(n < 0)) return -1;
-#endif
-    for (i = 1; i < n; i++)
-    {
-        PyTypeObject *b;
-#if CYTHON_AVOID_BORROWED_REFS
-        PyObject *b0 = PySequence_GetItem(bases, i);
-        if (!b0) return -1;
-#elif CYTHON_ASSUME_SAFE_MACROS
-        PyObject *b0 = PyTuple_GET_ITEM(bases, i);
-#else
-        PyObject *b0 = PyTuple_GetItem(bases, i);
-        if (!b0) return -1;
-#endif
-        b = (PyTypeObject*) b0;
-        if (!__Pyx_PyType_HasFeature(b, Py_TPFLAGS_HEAPTYPE))
-        {
-            __Pyx_TypeName b_name = __Pyx_PyType_GetFullyQualifiedName(b);
-            PyErr_Format(PyExc_TypeError,
-                "base class '" __Pyx_FMT_TYPENAME "' is not a heap type", b_name);
-            __Pyx_DECREF_TypeName(b_name);
-#if CYTHON_AVOID_BORROWED_REFS
-            Py_DECREF(b0);
-#endif
-            return -1;
-        }
-        if (dictoffset == 0)
-        {
-            Py_ssize_t b_dictoffset = 0;
-#if CYTHON_USE_TYPE_SLOTS
-            b_dictoffset = b->tp_dictoffset;
-#else
-            PyObject *py_b_dictoffset = PyObject_GetAttrString((PyObject*)b, "__dictoffset__");
-            if (!py_b_dictoffset) goto dictoffset_return;
-            b_dictoffset = PyLong_AsSsize_t(py_b_dictoffset);
-            Py_DECREF(py_b_dictoffset);
-            if (b_dictoffset == -1 && PyErr_Occurred()) goto dictoffset_return;
-#endif
-            if (b_dictoffset) {
-                {
-                    __Pyx_TypeName b_name = __Pyx_PyType_GetFullyQualifiedName(b);
-                    PyErr_Format(PyExc_TypeError,
-                        "extension type '%.200s' has no __dict__ slot, "
-                        "but base type '" __Pyx_FMT_TYPENAME "' has: "
-                        "either add 'cdef dict __dict__' to the extension type "
-                        "or add '__slots__ = [...]' to the base type",
-                        type_name, b_name);
-                    __Pyx_DECREF_TypeName(b_name);
-                }
-#if !CYTHON_USE_TYPE_SLOTS
-              dictoffset_return:
-#endif
-#if CYTHON_AVOID_BORROWED_REFS
-                Py_DECREF(b0);
-#endif
-                return -1;
-            }
-        }
-#if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(b0);
-#endif
-    }
-    return 0;
-}
-#endif
-
-/* PyType_Ready */
-CYTHON_UNUSED static int __Pyx_PyType_HasMultipleInheritance(PyTypeObject *t) {
-    while (t) {
-        PyObject *bases = __Pyx_PyType_GetSlot(t, tp_bases, PyObject*);
-        if (bases) {
-            return 1;
-        }
-        t = __Pyx_PyType_GetSlot(t, tp_base, PyTypeObject*);
-    }
-    return 0;
-}
-static int __Pyx_PyType_Ready(PyTypeObject *t) {
-#if CYTHON_USE_TYPE_SPECS || !CYTHON_COMPILING_IN_CPYTHON || defined(PYSTON_MAJOR_VERSION)
-    (void)__Pyx_PyObject_CallMethod0;
-#if CYTHON_USE_TYPE_SPECS
-    (void)__Pyx_validate_bases_tuple;
-#endif
-    return PyType_Ready(t);
-#else
-    int r;
-    if (!__Pyx_PyType_HasMultipleInheritance(t)) {
-        return PyType_Ready(t);
-    }
-    PyObject *bases = __Pyx_PyType_GetSlot(t, tp_bases, PyObject*);
-    if (bases && unlikely(__Pyx_validate_bases_tuple(t->tp_name, t->tp_dictoffset, bases) == -1))
-        return -1;
-#if !defined(PYSTON_MAJOR_VERSION)
-    {
-        int gc_was_enabled;
-    #if PY_VERSION_HEX >= 0x030A00b1
-        gc_was_enabled = PyGC_Disable();
-        (void)__Pyx_PyObject_CallMethod0;
-    #else
-        PyObject *ret, *py_status;
-        PyObject *gc = NULL;
-        #if (!CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM+0 >= 0x07030400) &&\
-                !CYTHON_COMPILING_IN_GRAAL
-        gc = PyImport_GetModule(__pyx_mstate_global->__pyx_kp_u_gc);
-        #endif
-        if (unlikely(!gc)) gc = PyImport_Import(__pyx_mstate_global->__pyx_kp_u_gc);
-        if (unlikely(!gc)) return -1;
-        py_status = __Pyx_PyObject_CallMethod0(gc, __pyx_mstate_global->__pyx_kp_u_isenabled);
-        if (unlikely(!py_status)) {
-            Py_DECREF(gc);
-            return -1;
-        }
-        gc_was_enabled = __Pyx_PyObject_IsTrue(py_status);
-        Py_DECREF(py_status);
-        if (gc_was_enabled > 0) {
-            ret = __Pyx_PyObject_CallMethod0(gc, __pyx_mstate_global->__pyx_kp_u_disable);
-            if (unlikely(!ret)) {
-                Py_DECREF(gc);
-                return -1;
-            }
-            Py_DECREF(ret);
-        } else if (unlikely(gc_was_enabled == -1)) {
-            Py_DECREF(gc);
-            return -1;
-        }
-    #endif
-        t->tp_flags |= Py_TPFLAGS_HEAPTYPE;
-#if PY_VERSION_HEX >= 0x030A0000
-        t->tp_flags |= Py_TPFLAGS_IMMUTABLETYPE;
-#endif
-#else
-        (void)__Pyx_PyObject_CallMethod0;
-#endif
-    r = PyType_Ready(t);
-#if !defined(PYSTON_MAJOR_VERSION)
-        t->tp_flags &= ~Py_TPFLAGS_HEAPTYPE;
-    #if PY_VERSION_HEX >= 0x030A00b1
-        if (gc_was_enabled)
-            PyGC_Enable();
-    #else
-        if (gc_was_enabled) {
-            PyObject *tp, *v, *tb;
-            PyErr_Fetch(&tp, &v, &tb);
-            ret = __Pyx_PyObject_CallMethod0(gc, __pyx_mstate_global->__pyx_kp_u_enable);
-            if (likely(ret || r == -1)) {
-                Py_XDECREF(ret);
-                PyErr_Restore(tp, v, tb);
-            } else {
-                Py_XDECREF(tp);
-                Py_XDECREF(v);
-                Py_XDECREF(tb);
-                r = -1;
-            }
-        }
-        Py_DECREF(gc);
-    #endif
-    }
-#endif
-    return r;
-#endif
-}
-
-/* DelItemOnTypeDict (used by SetupReduce) */
-static int __Pyx__DelItemOnTypeDict(PyTypeObject *tp, PyObject *k) {
-    int result;
-    PyObject *tp_dict;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    tp_dict = __Pyx_GetTypeDict(tp);
-    if (unlikely(!tp_dict)) return -1;
-#else
-    tp_dict = tp->tp_dict;
-#endif
-    result = PyDict_DelItem(tp_dict, k);
-    if (likely(!result)) PyType_Modified(tp);
-    return result;
-}
-
-/* SetupReduce */
-static int __Pyx_setup_reduce_is_named(PyObject* meth, PyObject* name) {
-  int ret;
-  PyObject *name_attr;
-  name_attr = __Pyx_PyObject_GetAttrStrNoError(meth, __pyx_mstate_global->__pyx_n_u_name);
-  if (likely(name_attr)) {
-      ret = PyObject_RichCompareBool(name_attr, name, Py_EQ);
-  } else {
-      ret = -1;
-  }
-  if (unlikely(ret < 0)) {
-      PyErr_Clear();
-      ret = 0;
-  }
-  Py_XDECREF(name_attr);
-  return ret;
-}
-static int __Pyx_setup_reduce(PyObject* type_obj) {
-    int ret = 0;
-    PyObject *object_reduce = NULL;
-    PyObject *object_getstate = NULL;
-    PyObject *object_reduce_ex = NULL;
-    PyObject *reduce = NULL;
-    PyObject *reduce_ex = NULL;
-    PyObject *reduce_cython = NULL;
-    PyObject *setstate = NULL;
-    PyObject *setstate_cython = NULL;
-    PyObject *getstate = NULL;
-#if CYTHON_USE_PYTYPE_LOOKUP
-    getstate = _PyType_Lookup((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_getstate);
-#else
-    getstate = __Pyx_PyObject_GetAttrStrNoError(type_obj, __pyx_mstate_global->__pyx_n_u_getstate);
-    if (!getstate && PyErr_Occurred()) {
-        goto __PYX_BAD;
-    }
-#endif
-    if (getstate) {
-#if CYTHON_USE_PYTYPE_LOOKUP
-        object_getstate = _PyType_Lookup(&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_getstate);
-#else
-        object_getstate = __Pyx_PyObject_GetAttrStrNoError((PyObject*)&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_getstate);
-        if (!object_getstate && PyErr_Occurred()) {
-            goto __PYX_BAD;
-        }
-#endif
-        if (object_getstate != getstate) {
-            goto __PYX_GOOD;
-        }
-    }
-#if CYTHON_USE_PYTYPE_LOOKUP
-    object_reduce_ex = _PyType_Lookup(&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_reduce_ex); if (!object_reduce_ex) goto __PYX_BAD;
-#else
-    object_reduce_ex = __Pyx_PyObject_GetAttrStr((PyObject*)&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_reduce_ex); if (!object_reduce_ex) goto __PYX_BAD;
-#endif
-    reduce_ex = __Pyx_PyObject_GetAttrStr(type_obj, __pyx_mstate_global->__pyx_n_u_reduce_ex); if (unlikely(!reduce_ex)) goto __PYX_BAD;
-    if (reduce_ex == object_reduce_ex) {
-#if CYTHON_USE_PYTYPE_LOOKUP
-        object_reduce = _PyType_Lookup(&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_reduce); if (!object_reduce) goto __PYX_BAD;
-#else
-        object_reduce = __Pyx_PyObject_GetAttrStr((PyObject*)&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_reduce); if (!object_reduce) goto __PYX_BAD;
-#endif
-        reduce = __Pyx_PyObject_GetAttrStr(type_obj, __pyx_mstate_global->__pyx_n_u_reduce); if (unlikely(!reduce)) goto __PYX_BAD;
-        if (reduce == object_reduce || __Pyx_setup_reduce_is_named(reduce, __pyx_mstate_global->__pyx_n_u_reduce_cython)) {
-            reduce_cython = __Pyx_PyObject_GetAttrStrNoError(type_obj, __pyx_mstate_global->__pyx_n_u_reduce_cython);
-            if (likely(reduce_cython)) {
-                ret = __Pyx_SetItemOnTypeDict((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_reduce, reduce_cython); if (unlikely(ret < 0)) goto __PYX_BAD;
-                ret = __Pyx_DelItemOnTypeDict((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_reduce_cython); if (unlikely(ret < 0)) goto __PYX_BAD;
-            } else if (reduce == object_reduce || PyErr_Occurred()) {
-                goto __PYX_BAD;
-            }
-            setstate = __Pyx_PyObject_GetAttrStrNoError(type_obj, __pyx_mstate_global->__pyx_n_u_setstate);
-            if (!setstate) PyErr_Clear();
-            if (!setstate || __Pyx_setup_reduce_is_named(setstate, __pyx_mstate_global->__pyx_n_u_setstate_cython)) {
-                setstate_cython = __Pyx_PyObject_GetAttrStrNoError(type_obj, __pyx_mstate_global->__pyx_n_u_setstate_cython);
-                if (likely(setstate_cython)) {
-                    ret = __Pyx_SetItemOnTypeDict((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_setstate, setstate_cython); if (unlikely(ret < 0)) goto __PYX_BAD;
-                    ret = __Pyx_DelItemOnTypeDict((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_setstate_cython); if (unlikely(ret < 0)) goto __PYX_BAD;
-                } else if (!setstate || PyErr_Occurred()) {
-                    goto __PYX_BAD;
-                }
-            }
-            PyType_Modified((PyTypeObject*)type_obj);
-        }
-    }
-    goto __PYX_GOOD;
-__PYX_BAD:
-    if (!PyErr_Occurred()) {
-        __Pyx_TypeName type_obj_name =
-            __Pyx_PyType_GetFullyQualifiedName((PyTypeObject*)type_obj);
-        PyErr_Format(PyExc_RuntimeError,
-            "Unable to initialize pickling for " __Pyx_FMT_TYPENAME, type_obj_name);
-        __Pyx_DECREF_TypeName(type_obj_name);
-    }
-    ret = -1;
-__PYX_GOOD:
-#if !CYTHON_USE_PYTYPE_LOOKUP
-    Py_XDECREF(object_reduce);
-    Py_XDECREF(object_reduce_ex);
-    Py_XDECREF(object_getstate);
-    Py_XDECREF(getstate);
-#endif
-    Py_XDECREF(reduce);
-    Py_XDECREF(reduce_ex);
-    Py_XDECREF(reduce_cython);
-    Py_XDECREF(setstate);
-    Py_XDECREF(setstate_cython);
-    return ret;
-}
-
-/* SetVTable */
-static int __Pyx_SetVtable(PyTypeObject *type, void *vtable) {
-    PyObject *ob = PyCapsule_New(vtable, 0, 0);
-    if (unlikely(!ob))
-        goto bad;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    if (unlikely(PyObject_SetAttr((PyObject *) type, __pyx_mstate_global->__pyx_n_u_pyx_vtable, ob) < 0))
-#else
-    if (unlikely(PyDict_SetItem(type->tp_dict, __pyx_mstate_global->__pyx_n_u_pyx_vtable, ob) < 0))
-#endif
-        goto bad;
-    Py_DECREF(ob);
-    return 0;
-bad:
-    Py_XDECREF(ob);
-    return -1;
-}
-
-/* GetVTable (used by MergeVTables) */
-static void* __Pyx_GetVtable(PyTypeObject *type) {
-    void* ptr;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *ob = PyObject_GetAttr((PyObject *)type, __pyx_mstate_global->__pyx_n_u_pyx_vtable);
-#else
-    PyObject *ob = PyObject_GetItem(type->tp_dict, __pyx_mstate_global->__pyx_n_u_pyx_vtable);
-#endif
-    if (!ob)
-        goto bad;
-    ptr = PyCapsule_GetPointer(ob, 0);
-    if (!ptr && !PyErr_Occurred())
-        PyErr_SetString(PyExc_RuntimeError, "invalid vtable found for imported type");
-    Py_DECREF(ob);
-    return ptr;
-bad:
-    Py_XDECREF(ob);
-    return NULL;
-}
-
-/* MergeVTables */
-static int __Pyx_MergeVtables(PyTypeObject *type) {
-    int i=0;
-    Py_ssize_t size;
-    void** base_vtables;
-    __Pyx_TypeName tp_base_name = NULL;
-    __Pyx_TypeName base_name = NULL;
-    void* unknown = (void*)-1;
-    PyObject* bases = __Pyx_PyType_GetSlot(type, tp_bases, PyObject*);
-    int base_depth = 0;
-    {
-        PyTypeObject* base = __Pyx_PyType_GetSlot(type, tp_base, PyTypeObject*);
-        while (base) {
-            base_depth += 1;
-            base = __Pyx_PyType_GetSlot(base, tp_base, PyTypeObject*);
-        }
-    }
-    base_vtables = (void**) PyMem_Malloc(sizeof(void*) * (size_t)(base_depth + 1));
-    base_vtables[0] = unknown;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    size = PyTuple_Size(bases);
-    if (size < 0) goto other_failure;
-#else
-    size = PyTuple_GET_SIZE(bases);
-#endif
-    for (i = 1; i < size; i++) {
-        PyObject *basei;
-        void* base_vtable;
-#if CYTHON_AVOID_BORROWED_REFS
-        basei = PySequence_GetItem(bases, i);
-        if (unlikely(!basei)) goto other_failure;
-#elif !CYTHON_ASSUME_SAFE_MACROS
-        basei = PyTuple_GetItem(bases, i);
-        if (unlikely(!basei)) goto other_failure;
-#else
-        basei = PyTuple_GET_ITEM(bases, i);
-#endif
-        base_vtable = __Pyx_GetVtable((PyTypeObject*)basei);
-#if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(basei);
-#endif
-        if (base_vtable != NULL) {
-            int j;
-            PyTypeObject* base = __Pyx_PyType_GetSlot(type, tp_base, PyTypeObject*);
-            for (j = 0; j < base_depth; j++) {
-                if (base_vtables[j] == unknown) {
-                    base_vtables[j] = __Pyx_GetVtable(base);
-                    base_vtables[j + 1] = unknown;
-                }
-                if (base_vtables[j] == base_vtable) {
-                    break;
-                } else if (base_vtables[j] == NULL) {
-                    goto bad;
-                }
-                base = __Pyx_PyType_GetSlot(base, tp_base, PyTypeObject*);
-            }
-        }
-    }
-    PyErr_Clear();
-    PyMem_Free(base_vtables);
-    return 0;
-bad:
-    {
-        PyTypeObject* basei = NULL;
-        PyTypeObject* tp_base = __Pyx_PyType_GetSlot(type, tp_base, PyTypeObject*);
-        tp_base_name = __Pyx_PyType_GetFullyQualifiedName(tp_base);
-#if CYTHON_AVOID_BORROWED_REFS
-        basei = (PyTypeObject*)PySequence_GetItem(bases, i);
-        if (unlikely(!basei)) goto really_bad;
-#elif !CYTHON_ASSUME_SAFE_MACROS
-        basei = (PyTypeObject*)PyTuple_GetItem(bases, i);
-        if (unlikely(!basei)) goto really_bad;
-#else
-        basei = (PyTypeObject*)PyTuple_GET_ITEM(bases, i);
-#endif
-        base_name = __Pyx_PyType_GetFullyQualifiedName(basei);
-#if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(basei);
-#endif
-    }
-    PyErr_Format(PyExc_TypeError,
-        "multiple bases have vtable conflict: '" __Pyx_FMT_TYPENAME "' and '" __Pyx_FMT_TYPENAME "'", tp_base_name, base_name);
-#if CYTHON_AVOID_BORROWED_REFS || !CYTHON_ASSUME_SAFE_MACROS
-really_bad: // bad has failed!
-#endif
-    __Pyx_DECREF_TypeName(tp_base_name);
-    __Pyx_DECREF_TypeName(base_name);
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_AVOID_BORROWED_REFS || !CYTHON_ASSUME_SAFE_MACROS
-other_failure:
-#endif
-    PyMem_Free(base_vtables);
-    return -1;
-}
-
-/* TypeImport */
-#ifndef __PYX_HAVE_RT_ImportType_3_2_8
-#define __PYX_HAVE_RT_ImportType_3_2_8
-static PyTypeObject *__Pyx_ImportType_3_2_8(PyObject *module, const char *module_name, const char *class_name,
-    size_t size, size_t alignment, enum __Pyx_ImportType_CheckSize_3_2_8 check_size)
-{
-    PyObject *result = 0;
-    Py_ssize_t basicsize;
-    Py_ssize_t itemsize;
-#if defined(Py_LIMITED_API) || (defined(CYTHON_COMPILING_IN_LIMITED_API) && CYTHON_COMPILING_IN_LIMITED_API)
-    PyObject *py_basicsize;
-    PyObject *py_itemsize;
-#endif
-    result = PyObject_GetAttrString(module, class_name);
-    if (!result)
-        goto bad;
-    if (!PyType_Check(result)) {
-        PyErr_Format(PyExc_TypeError,
-            "%.200s.%.200s is not a type object",
-            module_name, class_name);
-        goto bad;
-    }
-#if !( defined(Py_LIMITED_API) || (defined(CYTHON_COMPILING_IN_LIMITED_API) && CYTHON_COMPILING_IN_LIMITED_API) )
-    basicsize = ((PyTypeObject *)result)->tp_basicsize;
-    itemsize = ((PyTypeObject *)result)->tp_itemsize;
-#else
-    if (size == 0) {
-        return (PyTypeObject *)result;
-    }
-    py_basicsize = PyObject_GetAttrString(result, "__basicsize__");
-    if (!py_basicsize)
-        goto bad;
-    basicsize = PyLong_AsSsize_t(py_basicsize);
-    Py_DECREF(py_basicsize);
-    py_basicsize = 0;
-    if (basicsize == (Py_ssize_t)-1 && PyErr_Occurred())
-        goto bad;
-    py_itemsize = PyObject_GetAttrString(result, "__itemsize__");
-    if (!py_itemsize)
-        goto bad;
-    itemsize = PyLong_AsSsize_t(py_itemsize);
-    Py_DECREF(py_itemsize);
-    py_itemsize = 0;
-    if (itemsize == (Py_ssize_t)-1 && PyErr_Occurred())
-        goto bad;
-#endif
-    if (itemsize) {
-        if (size % alignment) {
-            alignment = size % alignment;
-        }
-        if (itemsize < (Py_ssize_t)alignment)
-            itemsize = (Py_ssize_t)alignment;
-    }
-    if ((size_t)(basicsize + itemsize) < size) {
-        PyErr_Format(PyExc_ValueError,
-            "%.200s.%.200s size changed, may indicate binary incompatibility. "
-            "Expected %zd from C header, got %zd from PyObject",
-            module_name, class_name, size, basicsize+itemsize);
-        goto bad;
-    }
-    if (check_size == __Pyx_ImportType_CheckSize_Error_3_2_8 &&
-            ((size_t)basicsize > size || (size_t)(basicsize + itemsize) < size)) {
-        PyErr_Format(PyExc_ValueError,
-            "%.200s.%.200s size changed, may indicate binary incompatibility. "
-            "Expected %zd from C header, got %zd-%zd from PyObject",
-            module_name, class_name, size, basicsize, basicsize+itemsize);
-        goto bad;
-    }
-    else if (check_size == __Pyx_ImportType_CheckSize_Warn_3_2_8 && (size_t)basicsize > size) {
-        if (PyErr_WarnFormat(NULL, 0,
-                "%.200s.%.200s size changed, may indicate binary incompatibility. "
-                "Expected %zd from C header, got %zd from PyObject",
-                module_name, class_name, size, basicsize) < 0) {
-            goto bad;
-        }
-    }
-    return (PyTypeObject *)result;
-bad:
-    Py_XDECREF(result);
-    return NULL;
-}
-#endif
-
-/* HasAttr (used by ImportImpl) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static CYTHON_INLINE int __Pyx_HasAttr(PyObject *o, PyObject *n) {
-    PyObject *r;
-    if (unlikely(!PyUnicode_Check(n))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "hasattr(): attribute name must be string");
-        return -1;
-    }
-    r = __Pyx_PyObject_GetAttrStrNoError(o, n);
-    if (!r) {
-        return (unlikely(PyErr_Occurred())) ? -1 : 0;
-    } else {
-        Py_DECREF(r);
-        return 1;
-    }
-}
-#endif
-
-/* ImportImpl (used by Import) */
-static int __Pyx__Import_GetModule(PyObject *qualname, PyObject **module) {
-    PyObject *imported_module = PyImport_GetModule(qualname);
-    if (unlikely(!imported_module)) {
-        *module = NULL;
-        if (PyErr_Occurred()) {
-            return -1;
-        }
-        return 0;
-    }
-    *module = imported_module;
-    return 1;
-}
-static int __Pyx__Import_Lookup(PyObject *qualname, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject **module) {
-    PyObject *imported_module;
-    PyObject *top_level_package_name;
-    Py_ssize_t i;
-    int status, module_found;
-    Py_ssize_t dot_index;
-    module_found = __Pyx__Import_GetModule(qualname, &imported_module);
-    if (unlikely(!module_found || module_found == -1)) {
-        *module = NULL;
-        return module_found;
-    }
-    if (imported_names) {
-        for (i = 0; i < len_imported_names; i++) {
-            PyObject *imported_name = imported_names[i];
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-            int has_imported_attribute = PyObject_HasAttr(imported_module, imported_name);
-#else
-            int has_imported_attribute = PyObject_HasAttrWithError(imported_module, imported_name);
-            if (unlikely(has_imported_attribute == -1)) goto error;
-#endif
-            if (!has_imported_attribute) {
-                goto not_found;
-            }
-        }
-        *module = imported_module;
-        return 1;
-    }
-    dot_index = PyUnicode_FindChar(qualname, '.', 0, PY_SSIZE_T_MAX, 1);
-    if (dot_index == -1) {
-        *module = imported_module;
-        return 1;
-    }
-    if (unlikely(dot_index == -2)) goto error;
-    top_level_package_name = PyUnicode_Substring(qualname, 0, dot_index);
-    if (unlikely(!top_level_package_name)) goto error;
-    Py_DECREF(imported_module);
-    status = __Pyx__Import_GetModule(top_level_package_name, module);
-    Py_DECREF(top_level_package_name);
-    return status;
-error:
-    Py_DECREF(imported_module);
-    *module = NULL;
-    return -1;
-not_found:
-    Py_DECREF(imported_module);
-    *module = NULL;
-    return 0;
-}
-static PyObject *__Pyx__Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, PyObject *moddict, int level) {
-    PyObject *module = 0;
-    PyObject *empty_dict = 0;
-    PyObject *from_list = 0;
-    int module_found;
-    if (!qualname) {
-        qualname = name;
-    }
-    module_found = __Pyx__Import_Lookup(qualname, imported_names, len_imported_names, &module);
-    if (likely(module_found == 1)) {
-        return module;
-    } else if (unlikely(module_found == -1)) {
-        return NULL;
-    }
-    empty_dict = PyDict_New();
-    if (unlikely(!empty_dict))
-        goto bad;
-    if (imported_names) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        from_list = __Pyx_PyList_FromArray(imported_names, len_imported_names);
-        if (unlikely(!from_list))
-            goto bad;
-#else
-        from_list = PyList_New(len_imported_names);
-        if (unlikely(!from_list)) goto bad;
-        for (Py_ssize_t i=0; i<len_imported_names; ++i) {
-            if (PyList_SetItem(from_list, i, __Pyx_NewRef(imported_names[i])) < 0) goto bad;
-        }
-#endif
-    }
-    if (level == -1) {
-        const char* package_sep = strchr(__Pyx_MODULE_NAME, '.');
-        if (package_sep != (0)) {
-            module = PyImport_ImportModuleLevelObject(
-                name, moddict, empty_dict, from_list, 1);
-            if (unlikely(!module)) {
-                if (unlikely(!PyErr_ExceptionMatches(PyExc_ImportError)))
-                    goto bad;
-                PyErr_Clear();
-            }
-        }
-        level = 0;
-    }
-    if (!module) {
-        module = PyImport_ImportModuleLevelObject(
-            name, moddict, empty_dict, from_list, level);
-    }
-bad:
-    Py_XDECREF(from_list);
-    Py_XDECREF(empty_dict);
-    return module;
-}
-
-/* Import */
-static PyObject *__Pyx_Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, int level) {
-    return __Pyx__Import(name, imported_names, len_imported_names, qualname, __pyx_mstate_global->__pyx_d, level);
-}
-
-/* dict_setdefault (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value) {
-    PyObject* value;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030F0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4)
-    PyDict_SetDefaultRef(d, key, default_value, &value);
-#elif CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    PyObject *args[] = {d, key, default_value};
-    value = PyObject_VectorcallMethod(__pyx_mstate_global->__pyx_n_u_setdefault, args, 3 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    value = PyObject_CallMethodObjArgs(d, __pyx_mstate_global->__pyx_n_u_setdefault, key, default_value, NULL);
-#else
-    value = PyDict_SetDefault(d, key, default_value);
-    if (unlikely(!value)) return NULL;
-    Py_INCREF(value);
-#endif
-    return value;
-}
-
-/* AddModuleRef (used by FetchSharedCythonModule) */
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  static PyObject *__Pyx_PyImport_AddModuleObjectRef(PyObject *name) {
-      PyObject *module_dict = PyImport_GetModuleDict();
-      PyObject *m;
-      if (PyMapping_GetOptionalItem(module_dict, name, &m) < 0) {
-          return NULL;
-      }
-      if (m != NULL && PyModule_Check(m)) {
-          return m;
-      }
-      Py_XDECREF(m);
-      m = PyModule_NewObject(name);
-      if (m == NULL)
-          return NULL;
-      if (PyDict_CheckExact(module_dict)) {
-          PyObject *new_m;
-          (void)PyDict_SetDefaultRef(module_dict, name, m, &new_m);
-          Py_DECREF(m);
-          return new_m;
-      } else {
-           if (PyObject_SetItem(module_dict, name, m) != 0) {
-                Py_DECREF(m);
-                return NULL;
-            }
-            return m;
-      }
-  }
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *py_name = PyUnicode_FromString(name);
-      if (!py_name) return NULL;
-      PyObject *module = __Pyx_PyImport_AddModuleObjectRef(py_name);
-      Py_DECREF(py_name);
-      return module;
-  }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#else
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *module = PyImport_AddModule(name);
-      Py_XINCREF(module);
-      return module;
-  }
-#endif
-
-/* FetchSharedCythonModule (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void) {
-    return __Pyx_PyImport_AddModuleRef(__PYX_ABI_MODULE_NAME);
-}
-
-/* FetchCommonType (used by CommonTypesMetaclass) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject* __Pyx_PyType_FromMetaclass(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *result = __Pyx_PyType_FromModuleAndSpec(module, spec, bases);
-    if (result && metaclass) {
-        PyObject *old_tp = (PyObject*)Py_TYPE(result);
-    Py_INCREF((PyObject*)metaclass);
-#if __PYX_LIMITED_VERSION_HEX >= 0x03090000
-        Py_SET_TYPE(result, metaclass);
-#else
-        result->ob_type = metaclass;
-#endif
-        Py_DECREF(old_tp);
-    }
-    return result;
-}
-#else
-#define __Pyx_PyType_FromMetaclass(me, mo, s, b) PyType_FromMetaclass(me, mo, s, b)
-#endif
-static int __Pyx_VerifyCachedType(PyObject *cached_type,
-                               const char *name,
-                               Py_ssize_t expected_basicsize) {
-    Py_ssize_t basicsize;
-    if (!PyType_Check(cached_type)) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s is not a type object", name);
-        return -1;
-    }
-    if (expected_basicsize == 0) {
-        return 0; // size is inherited, nothing useful to check
-    }
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_basicsize;
-    py_basicsize = PyObject_GetAttrString(cached_type, "__basicsize__");
-    if (unlikely(!py_basicsize)) return -1;
-    basicsize = PyLong_AsSsize_t(py_basicsize);
-    Py_DECREF(py_basicsize);
-    py_basicsize = NULL;
-    if (unlikely(basicsize == (Py_ssize_t)-1) && PyErr_Occurred()) return -1;
-#else
-    basicsize = ((PyTypeObject*) cached_type)->tp_basicsize;
-#endif
-    if (basicsize != expected_basicsize) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s has the wrong size, try recompiling",
-            name);
-        return -1;
-    }
-    return 0;
-}
-static PyTypeObject *__Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *abi_module = NULL, *cached_type = NULL, *abi_module_dict, *new_cached_type, *py_object_name;
-    int get_item_ref_result;
-    const char* object_name = strrchr(spec->name, '.');
-    object_name = object_name ? object_name+1 : spec->name;
-    py_object_name = PyUnicode_FromString(object_name);
-    if (!py_object_name) return NULL;
-    abi_module = __Pyx_FetchSharedCythonABIModule();
-    if (!abi_module) goto done;
-    abi_module_dict = PyModule_GetDict(abi_module);
-    if (!abi_module_dict) goto done;
-    get_item_ref_result = __Pyx_PyDict_GetItemRef(abi_module_dict, py_object_name, &cached_type);
-    if (get_item_ref_result == 1) {
-        if (__Pyx_VerifyCachedType(
-              cached_type,
-              object_name,
-              spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else if (unlikely(get_item_ref_result == -1)) {
-        goto bad;
-    }
-    cached_type = __Pyx_PyType_FromMetaclass(
-        metaclass,
-        CYTHON_USE_MODULE_STATE ? module : abi_module,
-        spec, bases);
-    if (unlikely(!cached_type)) goto bad;
-    if (unlikely(__Pyx_fix_up_extension_type_from_spec(spec, (PyTypeObject *) cached_type) < 0)) goto bad;
-    new_cached_type = __Pyx_PyDict_SetDefault(abi_module_dict, py_object_name, cached_type);
-    if (unlikely(new_cached_type != cached_type)) {
-        if (unlikely(!new_cached_type)) goto bad;
-        Py_DECREF(cached_type);
-        cached_type = new_cached_type;
-        if (__Pyx_VerifyCachedType(
-                cached_type,
-                object_name,
-                spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else {
-        Py_DECREF(new_cached_type);
-    }
-done:
-    Py_XDECREF(abi_module);
-    Py_DECREF(py_object_name);
-    assert(cached_type == NULL || PyType_Check(cached_type));
-    return (PyTypeObject *) cached_type;
-bad:
-    Py_XDECREF(cached_type);
-    cached_type = NULL;
-    goto done;
-}
-
-/* CommonTypesMetaclass (used by CythonFunctionShared) */
-static PyObject* __pyx_CommonTypesMetaclass_get_module(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED void* context) {
-    return PyUnicode_FromString(__PYX_ABI_MODULE_NAME);
-}
-#if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject* __pyx_CommonTypesMetaclass_call(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *args, CYTHON_UNUSED PyObject *kwds) {
-    PyErr_SetString(PyExc_TypeError, "Cannot instantiate Cython internal types");
-    return NULL;
-}
-static int __pyx_CommonTypesMetaclass_setattr(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *attr, CYTHON_UNUSED PyObject *value) {
-    PyErr_SetString(PyExc_TypeError, "Cython internal types are immutable");
-    return -1;
-}
-#endif
-static PyGetSetDef __pyx_CommonTypesMetaclass_getset[] = {
-    {"__module__", __pyx_CommonTypesMetaclass_get_module, NULL, NULL, NULL},
-    {0, 0, 0, 0, 0}
-};
-static PyType_Slot __pyx_CommonTypesMetaclass_slots[] = {
-    {Py_tp_getset, (void *)__pyx_CommonTypesMetaclass_getset},
-    #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {Py_tp_call, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_new, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_setattro, (void*)__pyx_CommonTypesMetaclass_setattr},
-    #endif
-    {0, 0}
-};
-static PyType_Spec __pyx_CommonTypesMetaclass_spec = {
-    __PYX_TYPE_MODULE_PREFIX "_common_types_metatype",
-    0,
-    0,
-    Py_TPFLAGS_IMMUTABLETYPE |
-    Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT,
-    __pyx_CommonTypesMetaclass_slots
-};
-static int __pyx_CommonTypesMetaclass_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    PyObject *bases = PyTuple_Pack(1, &PyType_Type);
-    if (unlikely(!bases)) {
-        return -1;
-    }
-    mstate->__pyx_CommonTypesMetaclassType = __Pyx_FetchCommonTypeFromSpec(NULL, module, &__pyx_CommonTypesMetaclass_spec, bases);
-    Py_DECREF(bases);
-    if (unlikely(mstate->__pyx_CommonTypesMetaclassType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
-
-/* PyMethodNew (used by CythonFunctionShared) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    {
-        PyObject *args[] = {func, self};
-        result = PyObject_Vectorcall(__pyx_mstate_global->__Pyx_CachedMethodType, args, 2, NULL);
-    }
-    #else
-    result = PyObject_CallFunctionObjArgs(__pyx_mstate_global->__Pyx_CachedMethodType, func, self, NULL);
-    #endif
-    return result;
-}
-#else
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    return PyMethod_New(func, self);
-}
-#endif
-
-/* PyVectorcallFastCallDict (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static PyObject *__Pyx_PyVectorcall_FastCallDict_kw(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    PyObject *res = NULL;
-    PyObject *kwnames;
-    PyObject **newargs;
-    PyObject **kwvalues;
-    Py_ssize_t i;
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos;
-    #else
-    Py_ssize_t pos;
-    #endif
-    size_t j;
-    PyObject *key, *value;
-    unsigned long keys_are_strings;
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t nkw = PyDict_Size(kw);
-    if (unlikely(nkw == -1)) return NULL;
-    #else
-    Py_ssize_t nkw = PyDict_GET_SIZE(kw);
-    #endif
-    newargs = (PyObject **)PyMem_Malloc((nargs + (size_t)nkw) * sizeof(args[0]));
-    if (unlikely(newargs == NULL)) {
+    void *p = malloc(n ? n : 1);
+    if (p == NULL)
         PyErr_NoMemory();
-        return NULL;
-    }
-    for (j = 0; j < nargs; j++) newargs[j] = args[j];
-    kwnames = PyTuple_New(nkw);
-    if (unlikely(kwnames == NULL)) {
-        PyMem_Free(newargs);
-        return NULL;
-    }
-    kwvalues = newargs + nargs;
-    pos = 0;
-    i = 0;
-    keys_are_strings = Py_TPFLAGS_UNICODE_SUBCLASS;
-    while (__Pyx_PyDict_NextRef(kw, &pos, &key, &value)) {
-        keys_are_strings &=
-        #if CYTHON_COMPILING_IN_LIMITED_API
-            PyType_GetFlags(Py_TYPE(key));
-        #else
-            Py_TYPE(key)->tp_flags;
-        #endif
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(PyTuple_SetItem(kwnames, i, key) < 0)) goto cleanup;
-        #else
-        PyTuple_SET_ITEM(kwnames, i, key);
-        #endif
-        kwvalues[i] = value;
-        i++;
-    }
-    if (unlikely(!keys_are_strings)) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        goto cleanup;
-    }
-    res = vc(func, newargs, nargs, kwnames);
-cleanup:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(pos);
-    #endif
-    Py_DECREF(kwnames);
-    for (i = 0; i < nkw; i++)
-        Py_DECREF(kwvalues[i]);
-    PyMem_Free(newargs);
-    return res;
+    return p;
 }
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    Py_ssize_t kw_size =
-        likely(kw == NULL) ?
-        0 :
-#if !CYTHON_ASSUME_SAFE_SIZE
-        PyDict_Size(kw);
-#else
-        PyDict_GET_SIZE(kw);
-#endif
-    if (kw_size == 0) {
-        return vc(func, args, nargs, NULL);
-    }
-#if !CYTHON_ASSUME_SAFE_SIZE
-    else if (unlikely(kw_size == -1)) {
-        return NULL;
-    }
-#endif
-    return __Pyx_PyVectorcall_FastCallDict_kw(func, vc, args, nargs, kw);
-}
-#endif
 
-/* CythonFunctionShared (used by CythonFunction) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunctionNoMethod(PyObject *func, void (*cfunc)(void)) {
-    if (__Pyx_CyFunction_Check(func)) {
-        return PyCFunction_GetFunction(((__pyx_CyFunctionObject*)func)->func) == (PyCFunction) cfunc;
-    } else if (PyCFunction_Check(func)) {
-        return PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if ((PyObject*)Py_TYPE(func) == __pyx_mstate_global->__Pyx_CachedMethodType) {
-        int result;
-        PyObject *newFunc = PyObject_GetAttr(func, __pyx_mstate_global->__pyx_n_u_func);
-        if (unlikely(!newFunc)) {
-            PyErr_Clear(); // It's only an optimization, so don't throw an error
-            return 0;
-        }
-        result = __Pyx__IsSameCyOrCFunctionNoMethod(newFunc, cfunc);
-        Py_DECREF(newFunc);
-        return result;
-    }
-    return __Pyx__IsSameCyOrCFunctionNoMethod(func, cfunc);
-}
-#else
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if (PyMethod_Check(func)) {
-        func = PyMethod_GET_FUNCTION(func);
-    }
-    return __Pyx_CyOrPyCFunction_Check(func) && __Pyx_CyOrPyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-}
-#endif
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj) {
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    __Pyx_Py_XDECREF_SET(
-        __Pyx_CyFunction_GetClassObj(f),
-            ((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#else
-    __Pyx_Py_XDECREF_SET(
-        ((PyCMethodObject *) (f))->mm_class,
-        (PyTypeObject*)((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#endif
-}
-static PyObject *
-__Pyx_CyFunction_get_doc_locked(__pyx_CyFunctionObject *op)
+static void *xcalloc(size_t n, size_t size)
 {
-    if (unlikely(op->func_doc == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_doc = PyObject_GetAttrString(op->func, "__doc__");
-        if (unlikely(!op->func_doc)) return NULL;
-#else
-        if (((PyCFunctionObject*)op)->m_ml->ml_doc) {
-            op->func_doc = PyUnicode_FromString(((PyCFunctionObject*)op)->m_ml->ml_doc);
-            if (unlikely(op->func_doc == NULL))
-                return NULL;
-        } else {
-            Py_INCREF(Py_None);
-            return Py_None;
-        }
-#endif
-    }
-    Py_INCREF(op->func_doc);
-    return op->func_doc;
+    void *p = calloc(n ? n : 1, size);
+    if (p == NULL)
+        PyErr_NoMemory();
+    return p;
 }
-static PyObject *
-__Pyx_CyFunction_get_doc(__pyx_CyFunctionObject *op, void *closure) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(closure);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_doc_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_doc(__pyx_CyFunctionObject *op, PyObject *value, void *context)
+
+static int *ints(Py_ssize_t n)
 {
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        value = Py_None;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_doc, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
+    return xmalloc((size_t)n * sizeof(int));
 }
-static PyObject *
-__Pyx_CyFunction_get_name_locked(__pyx_CyFunctionObject *op)
+
+/* Append nbytes of buf to the array.array arr. */
+static int append_bytes(PyObject *arr, const void *buf, Py_ssize_t nbytes)
 {
-    if (unlikely(op->func_name == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_name = PyObject_GetAttrString(op->func, "__name__");
-#else
-        op->func_name = PyUnicode_InternFromString(((PyCFunctionObject*)op)->m_ml->ml_name);
-#endif
-        if (unlikely(op->func_name == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_name);
-    return op->func_name;
-}
-static PyObject *
-__Pyx_CyFunction_get_name(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_name_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_name(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__name__ must be set to a string object");
+    PyObject *view, *res;
+    if (nbytes == 0)
+        return 0;
+    view = PyMemoryView_FromMemory((char *)buf, nbytes, PyBUF_READ);
+    if (view == NULL)
         return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_name, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_qualname(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    PyObject *result;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    Py_INCREF(op->func_qualname);
-    result = op->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_qualname(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__qualname__ must be set to a string object");
+    res = PyObject_CallMethod(arr, "frombytes", "O", view);
+    Py_DECREF(view);
+    if (res == NULL)
         return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_qualname, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject *
-__Pyx_CyFunction_get_dict(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(op->func_dict == NULL)) {
-        op->func_dict = PyDict_New();
-        if (unlikely(op->func_dict == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_dict);
-    return op->func_dict;
-}
-#endif
-static PyObject *
-__Pyx_CyFunction_get_globals(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(op->func_globals);
-    return op->func_globals;
-}
-static PyObject *
-__Pyx_CyFunction_get_closure(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(op);
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(Py_None);
-    return Py_None;
-}
-static PyObject *
-__Pyx_CyFunction_get_code(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject* result = (op->func_code) ? op->func_code : Py_None;
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(result);
-    return result;
-}
-static int
-__Pyx_CyFunction_init_defaults(__pyx_CyFunctionObject *op) {
-    int result = 0;
-    PyObject *res = op->defaults_getter((PyObject *) op);
-    if (unlikely(!res))
-        return -1;
-    #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    op->defaults_tuple = PyTuple_GET_ITEM(res, 0);
-    Py_INCREF(op->defaults_tuple);
-    op->defaults_kwdict = PyTuple_GET_ITEM(res, 1);
-    Py_INCREF(op->defaults_kwdict);
-    #else
-    op->defaults_tuple = __Pyx_PySequence_ITEM(res, 0);
-    if (unlikely(!op->defaults_tuple)) result = -1;
-    else {
-        op->defaults_kwdict = __Pyx_PySequence_ITEM(res, 1);
-        if (unlikely(!op->defaults_kwdict)) result = -1;
-    }
-    #endif
     Py_DECREF(res);
-    return result;
-}
-static int
-__Pyx_CyFunction_set_defaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyTuple_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__defaults__ must be set to a tuple object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__defaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_tuple, value);
-    __Pyx_END_CRITICAL_SECTION();
     return 0;
 }
-static PyObject *
-__Pyx_CyFunction_get_defaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_tuple;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_tuple;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_defaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_kwdefaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__kwdefaults__ must be set to a dict object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__kwdefaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_kwdict, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_kwdict;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_kwdict;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_kwdefaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int __Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value);
-static int
-__Pyx_CyFunction_set_annotations(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value || value == Py_None) {
-        value = NULL;
-    } else if (unlikely(!PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__annotations__ must be set to a dict object");
-        return -1;
-    }
-    Py_XINCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, value);
-    __Pyx_END_CRITICAL_SECTION();
-    if (unlikely(__Pyx_CyFunction_set_annotate_in_dict_if_exists((PyObject*) op, Py_None) < 0)) return -1;
-    return 0;
-}
-static int
-__Pyx_CyFunction_get_dict_if_exists(PyObject *op_in, PyObject **dict) {
-    /* Return 1 if the function dict exists, 0 otherwise.  This cannot fail:
-     * _PyObject_GetDictPtr() may clear errors internally, but never reports them. */
-#if CYTHON_COMPILING_IN_PYPY
-    *dict = PyObject_GenericGetDict(op_in, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030C0000
-    *dict = ((__pyx_CyFunctionObject*) op_in)->func_dict;
-#else
-    PyObject **dictptr = _PyObject_GetDictPtr(op_in);
-    *dict = likely(dictptr) ? *dictptr : NULL;
-#endif
-    return *dict ? 1 : 0;
-}
-static int
-__Pyx_CyFunction_get_annotate_from_dict_if_exists(PyObject *op_in, PyObject **annotate) {
-    PyObject *dict;
-    int dict_found;
-    *annotate = NULL;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return __Pyx_PyDict_GetItemRef(dict, __pyx_mstate_global->__pyx_n_u_annotate, annotate);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int dict_found;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int result;
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    dict = __Pyx_CyFunction_get_dict((__pyx_CyFunctionObject*) op_in, NULL);
-#else
-    dict = PyObject_GenericGetDict(op_in, NULL);
-#endif
-    if (unlikely(!dict)) return -1;
-    result = PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-    Py_DECREF(dict);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->func_annotations;
-    if (unlikely(!result)) {
-        result = PyDict_New();
-        if (unlikely(!result)) return NULL;
-        op->func_annotations = result;
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    PyObject *result = NULL;
-    __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    result = __Pyx_XNewRef(op->func_annotations);
-    __Pyx_END_CRITICAL_SECTION();
-    if (result) return result;
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (!annotate || annotate == Py_None) {
-        Py_XDECREF(annotate);
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        result = __Pyx_CyFunction_get_annotations_locked(op);
-        __Pyx_END_CRITICAL_SECTION();
-        return result;
-    }
-    PyObject *format = PyLong_FromLong(1L);  // annotationlib.Format.VALUE
-    if (likely(format)) {
-        result = __Pyx_PyObject_CallOneArg(annotate, format);
-        Py_DECREF(format);
-    }
-    Py_DECREF(annotate);
-    if (unlikely(!result)) return NULL;
-    if (unlikely(!PyDict_Check(result))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must return a dict");
-        Py_DECREF(result);
-        return NULL;
-    }
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, __Pyx_NewRef(result));
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyObject *__Pyx_CyFunction_annotate_impl(PyObject *self, PyObject *args) {
-    CYTHON_UNUSED_VAR(args);
-    if (unlikely(!self)) {
-        PyErr_SetString(PyExc_SystemError, "cython __annotate__ called without 'self' argument");
-    }
-    Py_XINCREF(self);
-    return self;
-}
-static PyMethodDef __Pyx_CyFunction_annotate_method = {
-    "__annotate__",
-    (PyCFunction)(void (*)(void))__Pyx_CyFunction_annotate_impl,
-    METH_VARARGS,
-    "Placeholder __annotate__ function to allow 'functools.wraps' to work "
-    "on Cython functions."
-};
-static PyObject *
-__Pyx_CyFunction_get_annotate(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (annotate) return annotate;
-    PyObject *annotations = __Pyx_CyFunction_get_annotations(op_in, NULL);
-    if (unlikely(!annotations)) return NULL;
-    PyObject *method = PyCFunction_New(
-        &__Pyx_CyFunction_annotate_method,
-        annotations);
-    Py_DECREF(annotations);
-    return method;
-}
-static int
-__Pyx_CyFunction_set_annotate(PyObject *op_in, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ cannot be deleted");
-        return -1;
-    }
-    if (unlikely(value != Py_None && !PyCallable_Check(value))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must be callable or None");
-        return -1;
-    }
-    if (value != Py_None) {
-        __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        Py_CLEAR(op->func_annotations);
-        __Pyx_END_CRITICAL_SECTION();
-    }
-    return __Pyx_CyFunction_set_annotate_in_dict(op_in, value);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine_value(__pyx_CyFunctionObject *op) {
-    int is_coroutine = op->flags & __Pyx_CYFUNCTION_COROUTINE;
-    if (is_coroutine) {
-        PyObject *is_coroutine_value, *module, *fromlist, *marker = __pyx_mstate_global->__pyx_n_u_is_coroutine;
-        fromlist = PyList_New(1);
-        if (unlikely(!fromlist)) return NULL;
-        Py_INCREF(marker);
-#if CYTHON_ASSUME_SAFE_MACROS
-        PyList_SET_ITEM(fromlist, 0, marker);
-#else
-        if (unlikely(PyList_SetItem(fromlist, 0, marker) < 0)) {
-            Py_DECREF(fromlist);
-            return NULL;
-        }
-#endif
-        module = PyImport_ImportModuleLevelObject(__pyx_mstate_global->__pyx_n_u_asyncio_coroutines, NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-        if (unlikely(!module)) goto ignore;
-        is_coroutine_value = __Pyx_PyObject_GetAttrStr(module, marker);
-        Py_DECREF(module);
-        if (likely(is_coroutine_value)) {
-            return is_coroutine_value;
-        }
-ignore:
-        PyErr_Clear();
-    }
-    return __Pyx_PyBool_FromLong(is_coroutine);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine(__pyx_CyFunctionObject *op, void *context) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(context);
-    if (op->func_is_coroutine) {
-        return __Pyx_NewRef(op->func_is_coroutine);
-    }
-    result = __Pyx_CyFunction_get_is_coroutine_value(op);
-    if (unlikely(!result))
-        return NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    if (op->func_is_coroutine) {
-        Py_DECREF(result);
-        result = __Pyx_NewRef(op->func_is_coroutine);
-    } else {
-        op->func_is_coroutine = __Pyx_NewRef(result);
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static void __Pyx_CyFunction_raise_argument_count_error(__pyx_CyFunctionObject *func, const char* message, Py_ssize_t size) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        py_name, message, size);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        name, message, size);
-#endif
-}
-static void __Pyx_CyFunction_raise_type_error(__pyx_CyFunctionObject *func, const char* message) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s",
-        py_name, message);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s",
-        name, message);
-#endif
-}
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *
-__Pyx_CyFunction_get_module(__pyx_CyFunctionObject *op, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_GetAttrString(op->func, "__module__");
-}
-static int
-__Pyx_CyFunction_set_module(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_SetAttrString(op->func, "__module__", value);
-}
-#endif
-static PyGetSetDef __pyx_CyFunction_getsets[] = {
-    {"func_doc", (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"__doc__",  (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"func_name", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__name__", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__qualname__", (getter)__Pyx_CyFunction_get_qualname, (setter)__Pyx_CyFunction_set_qualname, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {"func_dict", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-#else
-    {"func_dict", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-#endif
-    {"func_globals", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"__globals__", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"func_closure", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"__closure__", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"func_code", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"__code__", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"func_defaults", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__defaults__", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__kwdefaults__", (getter)__Pyx_CyFunction_get_kwdefaults, (setter)__Pyx_CyFunction_set_kwdefaults, 0, 0},
-    {"__annotations__", (getter)__Pyx_CyFunction_get_annotations, (setter)__Pyx_CyFunction_set_annotations, 0, 0},
-    {"__annotate__", (getter)__Pyx_CyFunction_get_annotate, (setter)__Pyx_CyFunction_set_annotate, 0, 0},
-    {"_is_coroutine", (getter)__Pyx_CyFunction_get_is_coroutine, 0, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", (getter)__Pyx_CyFunction_get_module, (setter)__Pyx_CyFunction_set_module, 0, 0},
-#endif
-    {0, 0, 0, 0, 0}
-};
-static PyMemberDef __pyx_CyFunction_members[] = {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", T_OBJECT, offsetof(PyCFunctionObject, m_module), 0, 0},
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    {"__dictoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_dict), READONLY, 0},
-#endif
-#if CYTHON_METH_FASTCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_vectorcall), READONLY, 0},
-#else
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(PyCFunctionObject, vectorcall), READONLY, 0},
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_weakreflist), READONLY, 0},
-#else
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(PyCFunctionObject, m_weakreflist), READONLY, 0},
-#endif
-#endif
-    {0, 0, 0,  0, 0}
-};
-static PyObject *
-__Pyx_CyFunction_reduce(__pyx_CyFunctionObject *m, PyObject *args)
+
+/* ====================================================================== */
+/* Per-tree structure: arena + post-order data + Euler tour + +-1 RMQ     */
+/* ====================================================================== */
+
+typedef struct {
+    int *left, *right, *taxon;                    /* arena, -1 = none */
+    int *post, *lc, *lb, *depth, *popo, *leaves;  /* post-order data */
+    int *tour, *tdep, *fo;                        /* Euler tour */
+    int *bminpos, *bminval, *pat, *tbl, *lg, *st; /* +-1 RMQ */
+    unsigned char *tflag;
+    int m, root, nl, tlen, b, nb;
+} Side;
+
+static void side_free(Side *s)
 {
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(args);
-    __Pyx_BEGIN_CRITICAL_SECTION(m);
-    Py_INCREF(m->func_qualname);
-    result = m->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
+    if (s == NULL)
+        return;
+    free(s->left);
+    free(s->right);
+    free(s->taxon);
+    free(s->post);
+    free(s->lc);
+    free(s->lb);
+    free(s->depth);
+    free(s->popo);
+    free(s->leaves);
+    free(s->tour);
+    free(s->tdep);
+    free(s->fo);
+    free(s->bminpos);
+    free(s->bminval);
+    free(s->pat);
+    free(s->tbl);
+    free(s->lg);
+    free(s->st);
+    free(s->tflag);
+    free(s);
 }
-static PyMethodDef __pyx_CyFunction_methods[] = {
-    {"__reduce__", (PyCFunction)__Pyx_CyFunction_reduce, METH_VARARGS, 0},
-    {0, 0, 0, 0}
-};
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_weakreflist(cyfunc) ((cyfunc)->func_weakreflist)
-#else
-#define __Pyx_CyFunction_weakreflist(cyfunc) (((PyCFunctionObject*)cyfunc)->m_weakreflist)
-#endif
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject *op, PyMethodDef *ml, int flags, PyObject* qualname,
-                                       PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunctionObject *cf = (PyCFunctionObject*) op;
-#endif
-    if (unlikely(op == NULL))
-        return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    op->func = PyCFunction_NewEx(ml, (PyObject*)op, module);
-    if (unlikely(!op->func)) return NULL;
-#endif
-    op->flags = flags;
-    __Pyx_CyFunction_weakreflist(op) = NULL;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    cf->m_ml = ml;
-    cf->m_self = (PyObject *) op;
-#endif
-    Py_XINCREF(closure);
-    op->func_closure = closure;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    Py_XINCREF(module);
-    cf->m_module = module;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_dict = NULL;
-#endif
-    op->func_name = NULL;
-    Py_INCREF(qualname);
-    op->func_qualname = qualname;
-    op->func_doc = NULL;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_classobj = NULL;
-#else
-    ((PyCMethodObject*)op)->mm_class = NULL;
-#endif
-    op->func_globals = globals;
-    Py_INCREF(op->func_globals);
-    Py_XINCREF(code);
-    op->func_code = code;
-    op->defaults = NULL;
-    op->defaults_tuple = NULL;
-    op->defaults_kwdict = NULL;
-    op->defaults_getter = NULL;
-    op->func_annotations = NULL;
-    op->func_is_coroutine = NULL;
-#if CYTHON_METH_FASTCALL
-    switch (ml->ml_flags & (METH_VARARGS | METH_FASTCALL | METH_NOARGS | METH_O | METH_KEYWORDS | METH_METHOD)) {
-    case METH_NOARGS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_NOARGS;
-        break;
-    case METH_O:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_O;
-        break;
-    case METH_METHOD | METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD;
-        break;
-    case METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS;
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = NULL;
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        Py_DECREF(op);
-        return NULL;
-    }
-#endif
-    return (PyObject *) op;
-}
-static int
-__Pyx_CyFunction_clear(__pyx_CyFunctionObject *m)
+
+static void build_pattern_table(Side *s, int p, int b)
 {
-    Py_CLEAR(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func);
-#else
-    Py_CLEAR(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func_dict);
-#elif PY_VERSION_HEX < 0x030d0000
-    _PyObject_ClearManagedDict((PyObject*)m);
-#else
-    PyObject_ClearManagedDict((PyObject*)m);
-#endif
-    Py_CLEAR(m->func_name);
-    Py_CLEAR(m->func_qualname);
-    Py_CLEAR(m->func_doc);
-    Py_CLEAR(m->func_globals);
-    Py_CLEAR(m->func_code);
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(__Pyx_CyFunction_GetClassObj(m));
-#else
-    {
-        PyObject *cls = (PyObject*) ((PyCMethodObject *) (m))->mm_class;
-        ((PyCMethodObject *) (m))->mm_class = NULL;
-        Py_XDECREF(cls);
-    }
-#endif
-    Py_CLEAR(m->defaults_tuple);
-    Py_CLEAR(m->defaults_kwdict);
-    Py_CLEAR(m->func_annotations);
-    Py_CLEAR(m->func_is_coroutine);
-    Py_CLEAR(m->defaults);
-    return 0;
-}
-static void __Pyx__CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    if (__Pyx_CyFunction_weakreflist(m) != NULL)
-        PyObject_ClearWeakRefs((PyObject *) m);
-    __Pyx_CyFunction_clear(m);
-    __Pyx_PyHeapTypeObject_GC_Del(m);
-}
-static void __Pyx_CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    PyObject_GC_UnTrack(m);
-    __Pyx__CyFunction_dealloc(m);
-}
-static int __Pyx_CyFunction_traverse(__pyx_CyFunctionObject *m, visitproc visit, void *arg)
-{
-    {
-        int e = __Pyx_call_type_traverse((PyObject*)m, 1, visit, arg);
-        if (e) return e;
-    }
-    Py_VISIT(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func);
-#else
-    Py_VISIT(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func_dict);
-#else
-    {
-        int e =
-#if PY_VERSION_HEX < 0x030d0000
-            _PyObject_VisitManagedDict
-#else
-            PyObject_VisitManagedDict
-#endif
-                ((PyObject*)m, visit, arg);
-        if (e != 0) return e;
-    }
-#endif
-    __Pyx_VISIT_CONST(m->func_name);
-    __Pyx_VISIT_CONST(m->func_qualname);
-    Py_VISIT(m->func_doc);
-    Py_VISIT(m->func_globals);
-    __Pyx_VISIT_CONST(m->func_code);
-    Py_VISIT(__Pyx_CyFunction_GetClassObj(m));
-    Py_VISIT(m->defaults_tuple);
-    Py_VISIT(m->defaults_kwdict);
-    Py_VISIT(m->func_annotations);
-    Py_VISIT(m->func_is_coroutine);
-    Py_VISIT(m->defaults);
-    return 0;
-}
-static PyObject*
-__Pyx_CyFunction_repr(__pyx_CyFunctionObject *op)
-{
-    PyObject *repr;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    repr = PyUnicode_FromFormat("<cyfunction %U at %p>",
-                                op->func_qualname, (void *)op);
-    __Pyx_END_CRITICAL_SECTION();
-    return repr;
-}
-static PyObject * __Pyx_CyFunction_CallMethod(PyObject *func, PyObject *self, PyObject *arg, PyObject *kw) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *f = ((__pyx_CyFunctionObject*)func)->func;
-    PyCFunction meth;
-    int flags;
-    meth = PyCFunction_GetFunction(f);
-    if (unlikely(!meth)) return NULL;
-    flags = PyCFunction_GetFlags(f);
-    if (unlikely(flags < 0)) return NULL;
-#else
-    PyCFunctionObject* f = (PyCFunctionObject*)func;
-    PyCFunction meth = f->m_ml->ml_meth;
-    int flags = f->m_ml->ml_flags;
-#endif
-    Py_ssize_t size;
-    switch (flags & (METH_VARARGS | METH_KEYWORDS | METH_NOARGS | METH_O)) {
-    case METH_VARARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0))
-            return (*meth)(self, arg);
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        return (*(PyCFunctionWithKeywords)(void(*)(void))meth)(self, arg, kw);
-    case METH_NOARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 0))
-                return (*meth)(self, NULL);
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes no arguments", size);
-            return NULL;
-        }
-        break;
-    case METH_O:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 1)) {
-                PyObject *result, *arg0;
-                #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-                arg0 = PyTuple_GET_ITEM(arg, 0);
-                #else
-                arg0 = __Pyx_PySequence_ITEM(arg, 0); if (unlikely(!arg0)) return NULL;
-                #endif
-                result = (*meth)(self, arg0);
-                #if !(CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-                Py_DECREF(arg0);
-                #endif
-                return result;
+    int val[64];
+    int i, j, best, bv;
+    int *row = s->tbl + (Py_ssize_t)p * b * b;
+
+    val[0] = 0;
+    for (i = 1; i < b; i++)
+        val[i] = val[i - 1] + ((p & (1 << (i - 1))) ? 1 : -1);
+    for (i = 0; i < b; i++) {
+        best = i;
+        bv = val[i];
+        for (j = i; j < b; j++) {
+            if (val[j] < bv) {
+                best = j;
+                bv = val[j];
             }
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes exactly one argument", size);
-            return NULL;
+            row[i * b + j] = best;
         }
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
+    }
+}
+
+static int rmq_build(Side *s)
+{
+    int n = s->tlen;
+    int bl = 0, t = n;
+    int b, nb, npat, j, start, end, best, bv, p, i;
+    int levels, k, half, width, a, c;
+    const int *d = s->tdep;
+
+    while (t) {
+        bl++;
+        t >>= 1;
+    }
+    b = (bl - 1) / 2;
+    if (b < 1)
+        b = 1;
+    nb = (n + b - 1) / b;
+    s->b = b;
+    s->nb = nb;
+
+    npat = 1 << (b - 1);
+    s->bminpos = ints(nb);
+    s->bminval = ints(nb);
+    s->pat = ints(nb);
+    s->tbl = ints((Py_ssize_t)npat * b * b);
+    s->tflag = xcalloc((size_t)npat, 1);
+    s->lg = xcalloc((size_t)nb + 1, sizeof(int));
+    if (!s->bminpos || !s->bminval || !s->pat || !s->tbl || !s->tflag || !s->lg)
+        return -1;
+
+    for (j = 0; j < nb; j++) {
+        start = j * b;
+        end = start + b;
+        if (end > n)
+            end = n;
+        best = start;
+        bv = d[start];
+        p = 0;
+        for (i = start + 1; i < end; i++) {
+            if (d[i] < bv) {
+                best = i;
+                bv = d[i];
+            }
+            if (d[i] > d[i - 1])
+                p |= 1 << (i - start - 1);
+        }
+        s->bminpos[j] = best;
+        s->bminval[j] = bv;
+        s->pat[j] = p;
+        if (!s->tflag[p]) {
+            build_pattern_table(s, p, b);
+            s->tflag[p] = 1;
+        }
+    }
+
+    for (i = 2; i <= nb; i++)
+        s->lg[i] = s->lg[i >> 1] + 1;
+
+    levels = s->lg[nb] + 1;
+    s->st = ints((Py_ssize_t)levels * nb);
+    if (s->st == NULL)
+        return -1;
+    for (j = 0; j < nb; j++)
+        s->st[j] = j;
+    for (k = 1; k < levels; k++) {
+        half = 1 << (k - 1);
+        width = nb - (1 << k) + 1;
+        for (i = 0; i < width; i++) {
+            a = s->st[(k - 1) * nb + i];
+            c = s->st[(k - 1) * nb + i + half];
+            s->st[k * nb + i] = s->bminval[a] <= s->bminval[c] ? a : c;
+        }
+        for (i = width > 0 ? width : 0; i < nb; i++)
+            s->st[k * nb + i] = s->st[(k - 1) * nb + i];
+    }
+    return 0;
+}
+
+static inline int inblock(const Side *s, int blk, int oi, int oj)
+{
+    int b = s->b;
+    return blk * b + s->tbl[(Py_ssize_t)s->pat[blk] * b * b + oi * b + oj];
+}
+
+static inline int rmq(const Side *s, int l, int r)
+{
+    int b = s->b;
+    int bl = l / b, br = r / b;
+    int p1, p2, best, lo, hi, k, a, c, jb, pm;
+
+    if (bl == br)
+        return inblock(s, bl, l - bl * b, r - bl * b);
+    p1 = inblock(s, bl, l - bl * b, b - 1);
+    p2 = inblock(s, br, 0, r - br * b);
+    best = s->tdep[p1] <= s->tdep[p2] ? p1 : p2;
+    lo = bl + 1;
+    hi = br - 1;
+    if (lo <= hi) {
+        k = s->lg[hi - lo + 1];
+        a = s->st[k * s->nb + lo];
+        c = s->st[k * s->nb + hi - (1 << k) + 1];
+        jb = s->bminval[a] <= s->bminval[c] ? a : c;
+        pm = s->bminpos[jb];
+        if (s->tdep[pm] < s->tdep[best])
+            best = pm;
+    }
+    return best;
+}
+
+static inline int lca(const Side *s, int u, int v)
+{
+    int lo = s->fo[u], hi = s->fo[v], t;
+    if (lo > hi) {
+        t = lo;
+        lo = hi;
+        hi = t;
+    }
+    return s->tour[rmq(s, lo, hi)];
+}
+
+static inline int is_below(const Side *s, int anc, int node)
+{
+    int hi = s->post[anc];
+    int pn = s->post[node];
+    return hi - (2 * s->lc[anc] - 1) < pn && pn <= hi;
+}
+
+/* Derive post-order data, the Euler tour, and the RMQ structures. */
+static int side_finish(Side *s)
+{
+    int m = s->m;
+    int sp, npost = 0, nleaf = 0, tpos = 0;
+    int x, v, ph, lcn, rcn;
+    int *stk;
+
+    s->nl = (m + 1) / 2;
+    s->tlen = 2 * m - 1; /* internal nodes appear 3x, leaves once */
+    s->post = ints(m);
+    s->lc = ints(m);
+    s->lb = ints(m);
+    s->depth = ints(m);
+    s->popo = ints(m);
+    s->leaves = ints(s->nl);
+    s->tour = ints(s->tlen);
+    s->tdep = ints(s->tlen);
+    s->fo = ints(m);
+    stk = ints(2 * (Py_ssize_t)m + 4);
+    if (!s->post || !s->lc || !s->lb || !s->depth || !s->popo || !s->leaves
+        || !s->tour || !s->tdep || !s->fo || !stk) {
+        free(stk);
+        return -1;
+    }
+
+    s->depth[s->root] = 0;
+    stk[0] = s->root << 1;
+    sp = 1;
+    while (sp) {
+        x = stk[--sp];
+        v = x >> 1;
+        if (x & 1) {
+            lcn = s->left[v];
+            rcn = s->right[v];
+            s->lc[v] = s->lc[lcn] + s->lc[rcn];
+            s->post[v] = npost;
+            s->popo[npost++] = v;
+            continue;
+        }
+        s->lb[v] = nleaf;
+        lcn = s->left[v];
+        if (lcn < 0) {
+            s->lc[v] = 1;
+            s->post[v] = npost;
+            s->popo[npost++] = v;
+            s->leaves[nleaf++] = v;
+        } else {
+            rcn = s->right[v];
+            s->depth[lcn] = s->depth[v] + 1;
+            s->depth[rcn] = s->depth[v] + 1;
+            stk[sp] = (v << 1) | 1;
+            stk[sp + 1] = rcn << 1;
+            stk[sp + 2] = lcn << 1;
+            sp += 3;
+        }
+    }
+
+    stk[0] = s->root << 2;
+    sp = 1;
+    while (sp) {
+        x = stk[--sp];
+        v = x >> 2;
+        ph = x & 3;
+        if (ph == 0)
+            s->fo[v] = tpos;
+        s->tour[tpos] = v;
+        s->tdep[tpos] = s->depth[v];
+        tpos++;
+        if (s->left[v] >= 0) {
+            if (ph == 0) {
+                stk[sp] = (v << 2) | 1;
+                stk[sp + 1] = s->left[v] << 2;
+                sp += 2;
+            } else if (ph == 1) {
+                stk[sp] = (v << 2) | 2;
+                stk[sp + 1] = s->right[v] << 2;
+                sp += 2;
+            }
+        }
+    }
+    free(stk);
+    return rmq_build(s);
+}
+
+/* A Side with its arena allocated for m nodes; NULL on failure. */
+static Side *side_alloc(int m)
+{
+    Side *s = xcalloc(1, sizeof *s);
+    if (s == NULL)
+        return NULL;
+    s->m = m;
+    s->left = ints(m);
+    s->right = ints(m);
+    s->taxon = ints(m);
+    if (!s->left || !s->right || !s->taxon) {
+        side_free(s);
         return NULL;
     }
-    __Pyx_CyFunction_raise_type_error(
-        (__pyx_CyFunctionObject*)func, "takes no keyword arguments");
+    return s;
+}
+
+/* Induced subtree over k >= 2 post-ordered leaves (stack sweep). */
+static Side *side_from_leaflist(const Side *parent, const int *z, int k)
+{
+    Side *s = side_alloc(2 * k - 1);
+    int *odep = ints(2 * (Py_ssize_t)k - 1);
+    int *stk = ints(2 * (Py_ssize_t)k + 2);
+    int sp, nid, i, bnd, bd, top, nxt, inner, leaf;
+
+    if (s == NULL || odep == NULL || stk == NULL)
+        goto fail;
+
+    s->left[0] = -1;
+    s->right[0] = -1;
+    s->taxon[0] = parent->taxon[z[0]];
+    odep[0] = parent->depth[z[0]];
+    nid = 1;
+    stk[0] = 0;
+    sp = 1;
+    for (i = 1; i < k; i++) {
+        bnd = lca(parent, z[i - 1], z[i]);
+        bd = parent->depth[bnd];
+        top = stk[--sp];
+        while (sp && odep[stk[sp - 1]] > bd) {
+            nxt = stk[--sp];
+            s->right[nxt] = top;
+            top = nxt;
+        }
+        inner = nid++;
+        odep[inner] = bd;
+        s->left[inner] = top;
+        s->right[inner] = -1;
+        s->taxon[inner] = -1;
+        stk[sp++] = inner;
+        leaf = nid++;
+        s->left[leaf] = -1;
+        s->right[leaf] = -1;
+        s->taxon[leaf] = parent->taxon[z[i]];
+        odep[leaf] = parent->depth[z[i]];
+        stk[sp++] = leaf;
+    }
+    top = stk[--sp];
+    while (sp) {
+        nxt = stk[--sp];
+        s->right[nxt] = top;
+        top = nxt;
+    }
+    s->root = top;
+    free(odep);
+    free(stk);
+    if (side_finish(s) < 0) {
+        side_free(s);
+        return NULL;
+    }
+    return s;
+
+fail:
+    side_free(s);
+    free(odep);
+    free(stk);
     return NULL;
 }
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *self, *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)func)->func);
-    if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-    self = ((PyCFunctionObject*)func)->m_self;
-#endif
-    result = __Pyx_CyFunction_CallMethod(func, self, arg, kw);
-    return result;
-}
-static PyObject *__Pyx_CyFunction_CallAsMethod(PyObject *func, PyObject *args, PyObject *kw) {
-    PyObject *result;
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *) func;
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-     __pyx_vectorcallfunc vc = __Pyx_CyFunction_func_vectorcall(cyfunc);
-    if (vc) {
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-        return __Pyx_PyVectorcall_FastCallDict(func, vc, &PyTuple_GET_ITEM(args, 0), (size_t)PyTuple_GET_SIZE(args), kw);
-#else
-        (void) &__Pyx_PyVectorcall_FastCallDict;
-        return PyVectorcall_Call(func, args, kw);
-#endif
-    }
-#endif
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        Py_ssize_t argc;
-        PyObject *new_args;
-        PyObject *self;
-#if CYTHON_ASSUME_SAFE_SIZE
-        argc = PyTuple_GET_SIZE(args);
-#else
-        argc = PyTuple_Size(args);
-        if (unlikely(argc < 0)) return NULL;
-#endif
-        new_args = PyTuple_GetSlice(args, 1, argc);
-        if (unlikely(!new_args))
-            return NULL;
-        self = PyTuple_GetItem(args, 0);
-        if (unlikely(!self)) {
-            Py_DECREF(new_args);
-            PyErr_Format(PyExc_TypeError,
-                         "unbound method %.200S() needs an argument",
-                         cyfunc->func_qualname);
-            return NULL;
-        }
-        result = __Pyx_CyFunction_CallMethod(func, self, new_args, kw);
-        Py_DECREF(new_args);
-    } else {
-        result = __Pyx_CyFunction_Call(func, args, kw);
-    }
-    return result;
-}
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE int __Pyx_CyFunction_Vectorcall_CheckArgs(__pyx_CyFunctionObject *cyfunc, Py_ssize_t nargs, PyObject *kwnames)
+
+/* Copy a list of ints, each in [lo, hi), into a new int array. */
+static int *ints_from_list(PyObject *list, long lo, long hi, const char *what)
 {
-    int ret = 0;
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        if (unlikely(nargs < 1)) {
-            __Pyx_CyFunction_raise_type_error(
-                cyfunc, "needs an argument");
+    Py_ssize_t i, n = PyList_GET_SIZE(list);
+    int *out = ints(n);
+    long v;
+
+    if (out == NULL)
+        return NULL;
+    for (i = 0; i < n; i++) {
+        v = PyLong_AsLong(PyList_GET_ITEM(list, i));
+        if (v == -1 && PyErr_Occurred())
+            goto fail;
+        if (v < lo || v >= hi) {
+            PyErr_Format(PyExc_ValueError, "%s[%zd] = %ld is out of range",
+                         what, i, v);
+            goto fail;
+        }
+        out[i] = (int)v;
+    }
+    return out;
+
+fail:
+    free(out);
+    return NULL;
+}
+
+/* The top-level Side of a finalized tree given as parallel lists.  Ids are
+   range-checked; the shape must be a full binary tree, as tripcon.tree.Tree
+   guarantees. */
+static Side *side_from_lists(PyObject *left, PyObject *right, PyObject *taxon,
+                             int root, int universe)
+{
+    Py_ssize_t m = PyList_GET_SIZE(left);
+    Side *s;
+
+    if (m < 1 || m >= (INT_MAX >> 2) || PyList_GET_SIZE(right) != m
+        || PyList_GET_SIZE(taxon) != m || root < 0 || root >= m) {
+        PyErr_SetString(PyExc_ValueError,
+                        "left, right and taxon must have one equal, non-zero "
+                        "length and root must index into them");
+        return NULL;
+    }
+    s = xcalloc(1, sizeof *s);
+    if (s == NULL)
+        return NULL;
+    s->m = (int)m;
+    s->root = root;
+    if ((s->left = ints_from_list(left, -1, (long)m, "left")) == NULL
+        || (s->right = ints_from_list(right, -1, (long)m, "right")) == NULL
+        || (s->taxon = ints_from_list(taxon, -1, universe, "taxon")) == NULL
+        || side_finish(s) < 0) {
+        side_free(s);
+        return NULL;
+    }
+    return s;
+}
+
+static void write_scratch(const Side *s, int *scratch)
+{
+    int r;
+    for (r = 0; r < s->nl; r++)
+        scratch[s->taxon[s->leaves[r]]] = s->leaves[r];
+}
+
+/* ====================================================================== */
+/* Owned tree pair (a recursion context)                                  */
+/* ====================================================================== */
+
+typedef struct {
+    Side *p, *q;
+    int *m; /* leaf-set-equivalence map P -> Q */
+} Ctx;
+
+static void ctx_free(Ctx *c)
+{
+    if (c == NULL)
+        return;
+    side_free(c->p);
+    side_free(c->q);
+    free(c->m);
+    free(c);
+}
+
+/* ====================================================================== */
+/* The run                                                                */
+/* ====================================================================== */
+
+typedef struct {
+    int store;
+    long long work, frames, violations, emitted;
+    /* output: flat triples (array('i')) and per-frame d_r (array('q')),
+       each filled through a fixed chunk buffer */
+    PyObject *tri_arr, *dr_arr;
+    int *tri;
+    long long *dr;
+    int ntri, ndr;
+    /* frame stack (ci, rp, rq per frame) */
+    int *fs;
+    Py_ssize_t fs_len, fs_cap;
+    /* every context made so far */
+    Ctx **ctxs;
+    int nctx, ctx_cap;
+    /* universe-sized taxon -> current leaf scratch */
+    int *pleaf, *qleaf;
+    /* partition buffers (8 of size u) and their fills */
+    int *part;
+    int pn[8];
+    /* LSC scratch */
+    int *zlca, *ztax, *zpost, *par, *plo, *phi, *podep, *pstk;
+} Run;
+
+static int run_init(Run *run, int universe, int store)
+{
+    Py_ssize_t u = universe > 0 ? universe : 1;
+
+    run->store = store;
+    run->tri_arr = PyObject_CallFunction(array_type, "s", "i");
+    run->dr_arr = PyObject_CallFunction(array_type, "s", "q");
+    if (run->tri_arr == NULL || run->dr_arr == NULL)
+        return -1;
+    run->tri = ints(TRI_CHUNK);
+    run->dr = xmalloc(DR_CHUNK * sizeof(long long));
+    run->fs_cap = 3 * 64;
+    run->fs = ints(run->fs_cap);
+    run->ctx_cap = 64;
+    run->ctxs = xmalloc((size_t)run->ctx_cap * sizeof(Ctx *));
+    run->pleaf = ints(u);
+    run->qleaf = ints(u);
+    run->part = ints(8 * u);
+    run->zlca = ints(u + 2);
+    run->ztax = ints(u + 2);
+    run->zpost = ints(u + 2);
+    run->par = ints(2 * u + 4);
+    run->plo = ints(2 * u + 4);
+    run->phi = ints(2 * u + 4);
+    run->podep = ints(2 * u + 4);
+    run->pstk = ints(2 * u + 6);
+    if (!run->tri || !run->dr || !run->fs || !run->ctxs || !run->pleaf
+        || !run->qleaf || !run->part || !run->zlca || !run->ztax
+        || !run->zpost || !run->par || !run->plo || !run->phi
+        || !run->podep || !run->pstk)
+        return -1;
+    return 0;
+}
+
+static void run_free(Run *run)
+{
+    int i;
+    Py_XDECREF(run->tri_arr);
+    Py_XDECREF(run->dr_arr);
+    for (i = 0; i < run->nctx; i++)
+        ctx_free(run->ctxs[i]);
+    free(run->ctxs);
+    free(run->tri);
+    free(run->dr);
+    free(run->fs);
+    free(run->pleaf);
+    free(run->qleaf);
+    free(run->part);
+    free(run->zlca);
+    free(run->ztax);
+    free(run->zpost);
+    free(run->par);
+    free(run->plo);
+    free(run->phi);
+    free(run->podep);
+    free(run->pstk);
+}
+
+static int flush_output(Run *run)
+{
+    if (append_bytes(run->tri_arr, run->tri, run->ntri * (Py_ssize_t)sizeof(int)) < 0
+        || append_bytes(run->dr_arr, run->dr, run->ndr * (Py_ssize_t)sizeof(long long)) < 0)
+        return -1;
+    run->ntri = 0;
+    run->ndr = 0;
+    return 0;
+}
+
+/* Bundle a tree pair with its leaf-set-equivalence map and append it to
+   the run's contexts.  Takes ownership of p and q; returns the context
+   index, or -1 on failure. */
+static int run_add_ctx(Run *run, Side *p, Side *q)
+{
+    Ctx *c = xcalloc(1, sizeof *c);
+    Ctx **grown;
+    int i, v;
+
+    if (c == NULL) {
+        side_free(p);
+        side_free(q);
+        return -1;
+    }
+    c->p = p;
+    c->q = q;
+    c->m = ints(p->m);
+    if (c->m == NULL)
+        goto fail;
+    for (i = 0; i < p->m; i++) {
+        v = p->popo[i];
+        if (p->left[v] < 0)
+            c->m[v] = run->qleaf[p->taxon[v]];
+        else
+            c->m[v] = lca(q, c->m[p->left[v]], c->m[p->right[v]]);
+    }
+    if (run->nctx == run->ctx_cap) {
+        grown = realloc(run->ctxs, 2 * (size_t)run->ctx_cap * sizeof(Ctx *));
+        if (grown == NULL) {
+            PyErr_NoMemory();
+            goto fail;
+        }
+        run->ctxs = grown;
+        run->ctx_cap *= 2;
+    }
+    run->ctxs[run->nctx] = c;
+    return run->nctx++;
+
+fail:
+    ctx_free(c);
+    return -1;
+}
+
+static int push_frame(Run *run, int ci, int rp, int rq)
+{
+    int *grown;
+    if (run->fs_len + 3 > run->fs_cap) {
+        grown = realloc(run->fs, 2 * (size_t)run->fs_cap * sizeof(int));
+        if (grown == NULL) {
+            PyErr_NoMemory();
             return -1;
         }
-        ret = 1;
+        run->fs = grown;
+        run->fs_cap *= 2;
     }
-    if (unlikely(kwnames) && unlikely(__Pyx_PyTuple_GET_SIZE(kwnames))) {
-        __Pyx_CyFunction_raise_type_error(
-            cyfunc, "takes no keyword arguments");
+    run->fs[run->fs_len] = ci;
+    run->fs[run->fs_len + 1] = rp;
+    run->fs[run->fs_len + 2] = rq;
+    run->fs_len += 3;
+    return 0;
+}
+
+static int push_dr(Run *run, long long v)
+{
+    if (run->ndr == DR_CHUNK && flush_output(run) < 0)
         return -1;
-    }
-    return ret;
+    run->dr[run->ndr++] = v;
+    return 0;
 }
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
+
+/* Append the canonical (ascending) form of taxa {a, b, c}; store mode only. */
+static int emit(Run *run, int a, int b, int c)
 {
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
+    int t;
+    if (a > b) {
+        t = a;
+        a = b;
+        b = t;
     }
-    if (unlikely(nargs != 0)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes no arguments", nargs);
-        return NULL;
+    if (b > c) {
+        t = b;
+        b = c;
+        c = t;
+        if (a > b) {
+            t = a;
+            a = b;
+            b = t;
+        }
     }
-    return meth(self, NULL);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 1)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes exactly one argument", nargs);
-        return NULL;
-    }
-    return meth(self, args[0]);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    return ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))meth)(self, args, nargs, kwnames);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    PyTypeObject *cls = (PyTypeObject *) __Pyx_CyFunction_GetClassObj(cyfunc);
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    #if PY_VERSION_HEX < 0x030e00A6
-    size_t nargs_value = (size_t) nargs;
-    #else
-    Py_ssize_t nargs_value = nargs;
-    #endif
-    return ((__Pyx_PyCMethod)(void(*)(void))meth)(self, cls, args, nargs_value, kwnames);
-}
-#endif
-static PyType_Slot __pyx_CyFunctionType_slots[] = {
-    {Py_tp_dealloc, (void *)__Pyx_CyFunction_dealloc},
-    {Py_tp_repr, (void *)__Pyx_CyFunction_repr},
-    {Py_tp_call, (void *)__Pyx_CyFunction_CallAsMethod},
-    {Py_tp_traverse, (void *)__Pyx_CyFunction_traverse},
-    {Py_tp_clear, (void *)__Pyx_CyFunction_clear},
-    {Py_tp_methods, (void *)__pyx_CyFunction_methods},
-    {Py_tp_members, (void *)__pyx_CyFunction_members},
-    {Py_tp_getset, (void *)__pyx_CyFunction_getsets},
-    {Py_tp_descr_get, (void *)__Pyx_PyMethod_New},
-    {0, 0},
-};
-static PyType_Spec __pyx_CyFunctionType_spec = {
-    __PYX_TYPE_MODULE_PREFIX "cython_function_or_method",
-    sizeof(__pyx_CyFunctionObject),
-    0,
-#ifdef Py_TPFLAGS_METHOD_DESCRIPTOR
-    Py_TPFLAGS_METHOD_DESCRIPTOR |
-#endif
-#if CYTHON_METH_FASTCALL
-#if defined(Py_TPFLAGS_HAVE_VECTORCALL)
-    Py_TPFLAGS_HAVE_VECTORCALL |
-#elif defined(_Py_TPFLAGS_HAVE_VECTORCALL)
-    _Py_TPFLAGS_HAVE_VECTORCALL |
-#endif
-#endif // CYTHON_METH_FASTCALL
-#if PY_VERSION_HEX >= 0x030C0000 && !CYTHON_COMPILING_IN_LIMITED_API
-    Py_TPFLAGS_MANAGED_DICT |
-#endif
-    Py_TPFLAGS_IMMUTABLETYPE | Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
-    __pyx_CyFunctionType_slots
-};
-static int __pyx_CyFunction_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    mstate->__pyx_CyFunctionType = __Pyx_FetchCommonTypeFromSpec(
-        mstate->__pyx_CommonTypesMetaclassType, module, &__pyx_CyFunctionType_spec, NULL);
-    if (unlikely(mstate->__pyx_CyFunctionType == NULL)) {
+    run->emitted++;
+    if (run->ntri == TRI_CHUNK && flush_output(run) < 0)
         return -1;
+    run->tri[run->ntri] = a;
+    run->tri[run->ntri + 1] = b;
+    run->tri[run->ntri + 2] = c;
+    run->ntri += 3;
+    return 0;
+}
+
+/* ---------------------------------------------------------------------- */
+/* ListSubtreeConflicts: triples abc with a, b in Z, c a candidate, and   */
+/* lca(a, b) = lca(a, b, c).  O(1) skip test per candidate; each survivor */
+/* repays its O(|Z|) restriction with >= |Z|-1 emissions.                 */
+/* ---------------------------------------------------------------------- */
+static int lsc(Run *run, const Side *t, const int *z, int k,
+               const int *cand, int nc)
+{
+    int i, l, rz, rd, hi, lo;
+    int pos, ci, c, cp, ctax, kk, nid, sp;
+    int j, bnd, bd, top, nxt, inner, leaf, c_node, cur_orig;
+    int y, pr, ylo, yhi, slo, shi, ia, ib, ta, tb, rootn;
+    int *par = run->par, *plo = run->plo, *phi = run->phi;
+    int *podep = run->podep, *pstk = run->pstk;
+
+    if (k < 2 || nc == 0)
+        return 0;
+    rz = z[0];
+    rd = t->depth[rz];
+    for (i = 1; i < k; i++) {
+        l = lca(t, z[i - 1], z[i]);
+        run->zlca[i - 1] = l;
+        if (t->depth[l] < rd) {
+            rz = l;
+            rd = t->depth[l];
+        }
+    }
+    for (i = 0; i < k; i++) {
+        run->ztax[i] = t->taxon[z[i]];
+        run->zpost[i] = t->post[z[i]];
+    }
+    run->work += k;
+
+    hi = t->post[rz];
+    lo = hi - (2 * t->lc[rz] - 1);
+
+    pos = 0;
+    for (ci = 0; ci < nc; ci++) {
+        c = cand[ci];
+        cp = t->post[c];
+        while (pos < k && run->zpost[pos] < cp)
+            pos++;
+        run->work += 1;
+        if (!(lo < cp && cp <= hi))
+            continue;
+
+        /* Build T' = T|_(Z + {c}); merged element j is z[j] for j < pos,
+           c at pos, z[j-1] after. */
+        run->work += k + 1;
+        ctax = t->taxon[c];
+        kk = k + 1;
+        c_node = pos == 0 ? 0 : -1;
+        par[0] = -1;
+        plo[0] = 0;
+        phi[0] = 1;
+        podep[0] = pos == 0 ? t->depth[c] : t->depth[z[0]];
+        nid = 1;
+        pstk[0] = 0;
+        sp = 1;
+        for (j = 1; j < kk; j++) {
+            if (j == pos) {
+                bnd = lca(t, z[j - 1], c);
+                cur_orig = c;
+            } else if (j == pos + 1) {
+                bnd = lca(t, c, z[j - 1]);
+                cur_orig = z[j - 1];
+            } else if (j < pos) {
+                bnd = run->zlca[j - 1];
+                cur_orig = z[j];
+            } else {
+                bnd = run->zlca[j - 2];
+                cur_orig = z[j - 1];
+            }
+            bd = t->depth[bnd];
+            top = pstk[--sp];
+            while (sp && podep[pstk[sp - 1]] > bd) {
+                nxt = pstk[--sp];
+                par[top] = nxt;
+                phi[nxt] = phi[top];
+                top = nxt;
+            }
+            inner = nid++;
+            podep[inner] = bd;
+            plo[inner] = plo[top];
+            par[top] = inner;
+            pstk[sp++] = inner;
+            leaf = nid++;
+            podep[leaf] = t->depth[cur_orig];
+            plo[leaf] = j;
+            phi[leaf] = j + 1;
+            if (j == pos)
+                c_node = leaf;
+            pstk[sp++] = leaf;
+        }
+        top = pstk[--sp];
+        while (sp) {
+            nxt = pstk[--sp];
+            par[top] = nxt;
+            phi[nxt] = phi[top];
+            top = nxt;
+        }
+        par[top] = -1;
+        rootn = top;
+
+        /* Walk from c's parent to the root; emit (below y) x (sibling). */
+        y = par[c_node];
+        while (y != rootn) {
+            run->work += 1;
+            pr = par[y];
+            ylo = plo[y];
+            yhi = phi[y];
+            if (plo[pr] < ylo) {
+                slo = plo[pr];
+                shi = ylo;
+            } else {
+                slo = yhi;
+                shi = phi[pr];
+            }
+            if (!run->store) {
+                run->emitted += (long long)(yhi - ylo - 1) * (shi - slo);
+                y = pr;
+                continue;
+            }
+            for (ia = ylo; ia < yhi; ia++) {
+                if (ia == pos)
+                    continue;
+                ta = ia < pos ? run->ztax[ia] : run->ztax[ia - 1];
+                for (ib = slo; ib < shi; ib++) {
+                    tb = ib < pos ? run->ztax[ib] : run->ztax[ib - 1];
+                    if (emit(run, ta, tb, ctax) < 0)
+                        return -1;
+                }
+            }
+            y = pr;
+        }
     }
     return 0;
 }
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func, PyTypeObject *defaults_type) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults = PyObject_CallObject((PyObject*)defaults_type, NULL); // _PyObject_New(defaults_type);
-    if (unlikely(!m->defaults))
-        return NULL;
-    return m->defaults;
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *func, PyObject *tuple) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_tuple = tuple;
-    Py_INCREF(tuple);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_kwdict = dict;
-    Py_INCREF(dict);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->func_annotations = dict;
-    Py_INCREF(dict);
-}
 
-/* CythonFunction */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml, int flags, PyObject* qualname,
-                                      PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-    PyObject *op = __Pyx_CyFunction_Init(
-        PyObject_GC_New(__pyx_CyFunctionObject, __pyx_mstate_global->__pyx_CyFunctionType),
-        ml, flags, qualname, closure, module, globals, code
-    );
-    if (likely(op)) {
-        PyObject_GC_Track(op);
-    }
-    return op;
-}
+/* Child order: com(u) pair, com(v) pair, unc(u_p,u_q) = unc(v_q,v_p),
+   unc(v_p,v_q) = unc(u_q,u_p); the buffer layout per pair is
+   [com_p, unc_p, com_q, unc_q]. */
+static const int SPEC_Z[4] = {0, 4, 1, 5};
+static const int SPEC_ZQ[4] = {2, 6, 7, 3};
 
-/* CLineInTraceback (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-#define __Pyx_PyProbablyModule_GetDict(o) __Pyx_XNewRef(PyModule_GetDict(o))
-#elif !CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyProbablyModule_GetDict(o) PyObject_GenericGetDict(o, NULL);
-#else
-PyObject* __Pyx_PyProbablyModule_GetDict(PyObject *o) {
-    PyObject **dict_ptr = _PyObject_GetDictPtr(o);
-    return dict_ptr ? __Pyx_XNewRef(*dict_ptr) : NULL;
-}
-#endif
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line) {
-    PyObject *use_cline = NULL;
-    PyObject *ptype, *pvalue, *ptraceback;
-    PyObject *cython_runtime_dict;
-    CYTHON_MAYBE_UNUSED_VAR(tstate);
-    if (unlikely(!__pyx_mstate_global->__pyx_cython_runtime)) {
-        return c_line;
-    }
-    __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-    cython_runtime_dict = __Pyx_PyProbablyModule_GetDict(__pyx_mstate_global->__pyx_cython_runtime);
-    if (likely(cython_runtime_dict)) {
-        __PYX_PY_DICT_LOOKUP_IF_MODIFIED(
-            use_cline, cython_runtime_dict,
-            __Pyx_PyDict_SetDefault(cython_runtime_dict, __pyx_mstate_global->__pyx_n_u_cline_in_traceback, Py_False))
-    }
-    if (use_cline == NULL || use_cline == Py_False || (use_cline != Py_True && PyObject_Not(use_cline) != 0)) {
-        c_line = 0;
-    }
-    Py_XDECREF(use_cline);
-    Py_XDECREF(cython_runtime_dict);
-    __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-    return c_line;
-}
-#endif
-
-/* CodeObjectCache (used by AddTraceback) */
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line) {
-    int start = 0, mid = 0, end = count - 1;
-    if (end >= 0 && code_line > entries[end].code_line) {
-        return count;
-    }
-    while (start < end) {
-        mid = start + (end - start) / 2;
-        if (code_line < entries[mid].code_line) {
-            end = mid;
-        } else if (code_line > entries[mid].code_line) {
-             start = mid + 1;
-        } else {
-            return mid;
-        }
-    }
-    if (code_line <= entries[mid].code_line) {
-        return mid;
-    } else {
-        return mid + 1;
-    }
-}
-static __Pyx_CachedCodeObjectType *__pyx__find_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line) {
-    __Pyx_CachedCodeObjectType* code_object;
-    int pos;
-    if (unlikely(!code_line) || unlikely(!code_cache->entries)) {
-        return NULL;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if (unlikely(pos >= code_cache->count) || unlikely(code_cache->entries[pos].code_line != code_line)) {
-        return NULL;
-    }
-    code_object = code_cache->entries[pos].code_object;
-    Py_INCREF(code_object);
-    return code_object;
-}
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__find_code_object;
-    return NULL; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just miss.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type old_count = __pyx_atomic_incr_acq_rel(&code_cache->accessor_count);
-    if (old_count < 0) {
-        __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-        return NULL;
-    }
-#endif
-    __Pyx_CachedCodeObjectType *result = __pyx__find_code_object(code_cache, code_line);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-#endif
-    return result;
-#endif
-}
-static void __pyx__insert_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line, __Pyx_CachedCodeObjectType* code_object)
+/* The frame recursion; fills run's counters and output. */
+static int run_frames(Run *run, int universe)
 {
-    int pos, i;
-    __Pyx_CodeObjectCacheEntry* entries = code_cache->entries;
-    if (unlikely(!code_line)) {
-        return;
-    }
-    if (unlikely(!entries)) {
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Malloc(64*sizeof(__Pyx_CodeObjectCacheEntry));
-        if (likely(entries)) {
-            code_cache->entries = entries;
-            code_cache->max_count = 64;
-            code_cache->count = 1;
-            entries[0].code_line = code_line;
-            entries[0].code_object = code_object;
-            Py_INCREF(code_object);
-        }
-        return;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if ((pos < code_cache->count) && unlikely(code_cache->entries[pos].code_line == code_line)) {
-        __Pyx_CachedCodeObjectType* tmp = entries[pos].code_object;
-        entries[pos].code_object = code_object;
-        Py_INCREF(code_object);
-        Py_DECREF(tmp);
-        return;
-    }
-    if (code_cache->count == code_cache->max_count) {
-        int new_max = code_cache->max_count + 64;
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Realloc(
-            code_cache->entries, ((size_t)new_max) * sizeof(__Pyx_CodeObjectCacheEntry));
-        if (unlikely(!entries)) {
-            return;
-        }
-        code_cache->entries = entries;
-        code_cache->max_count = new_max;
-    }
-    for (i=code_cache->count; i>pos; i--) {
-        entries[i] = entries[i-1];
-    }
-    entries[pos].code_line = code_line;
-    entries[pos].code_object = code_object;
-    code_cache->count++;
-    Py_INCREF(code_object);
-}
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__insert_code_object;
-    return; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just fail.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type expected = 0;
-    if (!__pyx_atomic_int_cmp_exchange(&code_cache->accessor_count, &expected, INT_MIN)) {
-        return;
-    }
-#endif
-    __pyx__insert_code_object(code_cache, code_line, code_object);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_sub(&code_cache->accessor_count, INT_MIN);
-#endif
-#endif
-}
+    int u = universe > 0 ? universe : 1;
+    int *bufs[8];
+    int child_ci[4], child_rp[4], child_rq[4];
+    int nchild, ci, rp, rq, up, vp, uq, vq, tswap;
+    int base, end, r, leaf, nz, i, pi, x_p, x_q, other_p;
+    int ai, bi, cri, ta, tb;
+    long long before, d_r;
+    const Ctx *ctx;
+    const Side *P, *Q;
+    Side *cp_side, *cq_side;
+    int *pn = run->pn;
 
-/* AddTraceback */
-#include "compile.h"
-#include "frameobject.h"
-#include "traceback.h"
-#if PY_VERSION_HEX >= 0x030b00a6 && !CYTHON_COMPILING_IN_LIMITED_API && !defined(PYPY_VERSION)
-  #ifndef Py_BUILD_CORE
-    #define Py_BUILD_CORE 1
-  #endif
-  #include "internal/pycore_frame.h"
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyCode_Replace_For_AddTraceback(PyObject *code, PyObject *scratch_dict,
-                                                       PyObject *firstlineno, PyObject *name) {
-    PyObject *replace = NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_firstlineno", firstlineno))) return NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_name", name))) return NULL;
-    replace = PyObject_GetAttrString(code, "replace");
-    if (likely(replace)) {
-        PyObject *result = PyObject_Call(replace, __pyx_mstate_global->__pyx_empty_tuple, scratch_dict);
-        Py_DECREF(replace);
-        return result;
-    }
-    PyErr_Clear();
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyObject *code_object = NULL, *py_py_line = NULL, *py_funcname = NULL, *dict = NULL;
-    PyObject *replace = NULL, *getframe = NULL, *frame = NULL;
-    PyObject *exc_type, *exc_value, *exc_traceback;
-    int success = 0;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(__Pyx_PyThreadState_Current, c_line);
-    }
-    PyErr_Fetch(&exc_type, &exc_value, &exc_traceback);
-    code_object = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!code_object) {
-        code_object = Py_CompileString("_getframe()", filename, Py_eval_input);
-        if (unlikely(!code_object)) goto bad;
-        py_py_line = PyLong_FromLong(py_line);
-        if (unlikely(!py_py_line)) goto bad;
-        if (c_line) {
-            py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        } else {
-            py_funcname = PyUnicode_FromString(funcname);
-        }
-        if (unlikely(!py_funcname)) goto bad;
-        dict = PyDict_New();
-        if (unlikely(!dict)) goto bad;
-        {
-            PyObject *old_code_object = code_object;
-            code_object = __Pyx_PyCode_Replace_For_AddTraceback(code_object, dict, py_py_line, py_funcname);
-            Py_DECREF(old_code_object);
-        }
-        if (unlikely(!code_object)) goto bad;
-        __pyx_insert_code_object(c_line ? -c_line : py_line, code_object);
-    } else {
-        dict = PyDict_New();
-    }
-    getframe = PySys_GetObject("_getframe");
-    if (unlikely(!getframe)) goto bad;
-    if (unlikely(PyDict_SetItemString(dict, "_getframe", getframe))) goto bad;
-    frame = PyEval_EvalCode(code_object, dict, dict);
-    if (unlikely(!frame) || frame == Py_None) goto bad;
-    success = 1;
-  bad:
-    PyErr_Restore(exc_type, exc_value, exc_traceback);
-    Py_XDECREF(code_object);
-    Py_XDECREF(py_py_line);
-    Py_XDECREF(py_funcname);
-    Py_XDECREF(dict);
-    Py_XDECREF(replace);
-    if (success) {
-        PyTraceBack_Here(
-            (struct _frame*)frame);
-    }
-    Py_XDECREF(frame);
-}
-#else
-static PyCodeObject* __Pyx_CreateCodeObjectForTraceback(
-            const char *funcname, int c_line,
-            int py_line, const char *filename) {
-    PyCodeObject *py_code = NULL;
-    PyObject *py_funcname = NULL;
-    if (c_line) {
-        py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        if (!py_funcname) goto bad;
-        funcname = PyUnicode_AsUTF8(py_funcname);
-        if (!funcname) goto bad;
-    }
-    py_code = PyCode_NewEmpty(filename, funcname, py_line);
-    Py_XDECREF(py_funcname);
-    return py_code;
-bad:
-    Py_XDECREF(py_funcname);
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyCodeObject *py_code = 0;
-    PyFrameObject *py_frame = 0;
-    PyThreadState *tstate = __Pyx_PyThreadState_Current;
-    PyObject *ptype, *pvalue, *ptraceback;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(tstate, c_line);
-    }
-    py_code = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!py_code) {
-        __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-        py_code = __Pyx_CreateCodeObjectForTraceback(
-            funcname, c_line, py_line, filename);
-        if (!py_code) {
-            /* If the code object creation fails, then we should clear the
-               fetched exception references and propagate the new exception */
-            Py_XDECREF(ptype);
-            Py_XDECREF(pvalue);
-            Py_XDECREF(ptraceback);
-            goto bad;
-        }
-        __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-        __pyx_insert_code_object(c_line ? -c_line : py_line, py_code);
-    }
-    py_frame = PyFrame_New(
-        tstate,            /*PyThreadState *tstate,*/
-        py_code,           /*PyCodeObject *code,*/
-        __pyx_mstate_global->__pyx_d,    /*PyObject *globals,*/
-        0                  /*PyObject *locals*/
-    );
-    if (!py_frame) goto bad;
-    __Pyx_PyFrame_SetLineNumber(py_frame, py_line);
-    PyTraceBack_Here(py_frame);
-bad:
-    Py_XDECREF(py_code);
-    Py_XDECREF(py_frame);
-}
-#endif
+    for (i = 0; i < 8; i++)
+        bufs[i] = run->part + (Py_ssize_t)i * u;
 
-/* CIntFromPyVerify */
-#define __PYX_VERIFY_RETURN_INT(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 0)
-#define __PYX_VERIFY_RETURN_INT_EXC(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 1)
-#define __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, exc)\
-    {\
-        func_type value = func_value;\
-        if (sizeof(target_type) < sizeof(func_type)) {\
-            if (unlikely(value != (func_type) (target_type) value)) {\
-                func_type zero = 0;\
-                if (exc && unlikely(value == (func_type)-1 && PyErr_Occurred()))\
-                    return (target_type) -1;\
-                if (is_unsigned && unlikely(value < zero))\
-                    goto raise_neg_overflow;\
-                else\
-                    goto raise_overflow;\
-            }\
-        }\
-        return (target_type) value;\
-    }
+    while (run->fs_len) {
+        run->fs_len -= 3;
+        ci = run->fs[run->fs_len];
+        rp = run->fs[run->fs_len + 1];
+        rq = run->fs[run->fs_len + 2];
+        ctx = run->ctxs[ci];
+        P = ctx->p;
+        Q = ctx->q;
+        run->frames += 1;
+        run->work += 1;
+        if (P->lc[rp] <= 1) {
+            if (push_dr(run, 0) < 0)
+                return -1;
+            continue;
+        }
 
-/* CIntFromPy */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        int val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (int) -1;
-        val = __Pyx_PyLong_As_int(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 2 * PyLong_SHIFT)) {
-                            return (int) (((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 3 * PyLong_SHIFT)) {
-                            return (int) (((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 4 * PyLong_SHIFT)) {
-                            return (int) (((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
+        up = P->left[rp];
+        vp = P->right[rp];
+        uq = Q->left[rq];
+        vq = Q->right[rq];
+        if (ctx->m[up] == vq && P->lc[up] == Q->lc[vq]) {
+            tswap = uq;
+            uq = vq;
+            vq = tswap;
+        }
+        if (ctx->m[up] == uq && P->lc[up] == Q->lc[uq]) {
+            if (push_dr(run, 0) < 0 || push_frame(run, ci, vp, vq) < 0
+                || push_frame(run, ci, up, uq) < 0)
+                return -1;
+            continue;
+        }
+
+        /* ---- partition both pairs ---------------------------------- */
+        for (pi = 0; pi < 2; pi++) {
+            x_p = pi == 0 ? up : vp;
+            x_q = pi == 0 ? uq : vq;
+            pn[4 * pi] = 0;
+            pn[4 * pi + 1] = 0;
+            pn[4 * pi + 2] = 0;
+            pn[4 * pi + 3] = 0;
+            base = P->lb[x_p];
+            end = base + P->lc[x_p];
+            for (r = base; r < end; r++) {
+                leaf = P->leaves[r];
+                if (is_below(Q, x_q, run->qleaf[P->taxon[leaf]]))
+                    bufs[4 * pi][pn[4 * pi]++] = leaf;
+                else
+                    bufs[4 * pi + 1][pn[4 * pi + 1]++] = leaf;
+            }
+            base = Q->lb[x_q];
+            end = base + Q->lc[x_q];
+            for (r = base; r < end; r++) {
+                leaf = Q->leaves[r];
+                if (is_below(P, x_p, run->pleaf[Q->taxon[leaf]]))
+                    bufs[4 * pi + 2][pn[4 * pi + 2]++] = leaf;
+                else
+                    bufs[4 * pi + 3][pn[4 * pi + 3]++] = leaf;
             }
         }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (int) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(int) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(int) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(int) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) ((((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) ((((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) ((((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(int) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, long, PyLong_AsLong(x))
-        } else if ((sizeof(int) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        int val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (int) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (int) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (int) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (int) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(int) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((int) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(int) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((int) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((int) 1) << (sizeof(int) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (int) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to int");
-    return (int) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to int");
-    return (int) -1;
-}
+        run->work += 2 * P->lc[rp];
 
-/* PyObjectVectorCallKwBuilder (used by CIntToPy) */
-#if CYTHON_VECTORCALL
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_PyObject_FastCallDict;
-    Py_INCREF(key);
-    if (__Pyx_PyTuple_SET_ITEM(builder, n, key) != (0)) return -1;
-    args[n] = value;
+        /* ---- conflicts touching the current roots -------------------- */
+        before = run->emitted;
+        for (pi = 0; pi < 2; pi++) {
+            other_p = pi == 0 ? vp : up;
+            if (pn[4 * pi] && pn[4 * pi + 1] && !run->store) {
+                run->emitted += (long long)pn[4 * pi] * pn[4 * pi + 1]
+                                * P->lc[other_p];
+            } else if (pn[4 * pi] && pn[4 * pi + 1]) {
+                base = P->lb[other_p];
+                end = base + P->lc[other_p];
+                for (ai = 0; ai < pn[4 * pi]; ai++) {
+                    ta = P->taxon[bufs[4 * pi][ai]];
+                    for (bi = 0; bi < pn[4 * pi + 1]; bi++) {
+                        tb = P->taxon[bufs[4 * pi + 1][bi]];
+                        for (cri = base; cri < end; cri++)
+                            if (emit(run, ta, tb, P->taxon[P->leaves[cri]]) < 0)
+                                return -1;
+                    }
+                }
+            }
+            if (lsc(run, P, bufs[4 * pi], pn[4 * pi],
+                    bufs[4 * pi + 1], pn[4 * pi + 1]) < 0
+                || lsc(run, P, bufs[4 * pi + 1], pn[4 * pi + 1],
+                       bufs[4 * pi], pn[4 * pi]) < 0
+                || lsc(run, Q, bufs[4 * pi + 2], pn[4 * pi + 2],
+                       bufs[4 * pi + 3], pn[4 * pi + 3]) < 0
+                || lsc(run, Q, bufs[4 * pi + 3], pn[4 * pi + 3],
+                       bufs[4 * pi + 2], pn[4 * pi + 2]) < 0)
+                return -1;
+        }
+        d_r = run->emitted - before;
+        run->work += d_r;
+        if (push_dr(run, d_r) < 0)
+            return -1;
+        if (P->lc[rp] > d_r + 2)
+            run->violations += 1;
+
+        /* ---- children ------------------------------------------------ */
+        nchild = 0;
+        for (i = 0; i < 4; i++) {
+            nz = pn[SPEC_Z[i]];
+            if (nz < 3)
+                continue;
+            cp_side = side_from_leaflist(P, bufs[SPEC_Z[i]], nz);
+            cq_side = side_from_leaflist(Q, bufs[SPEC_ZQ[i]], nz);
+            if (cp_side == NULL || cq_side == NULL) {
+                side_free(cp_side);
+                side_free(cq_side);
+                return -1;
+            }
+            write_scratch(cp_side, run->pleaf);
+            write_scratch(cq_side, run->qleaf);
+            run->work += 2 * nz;
+            run->work += cp_side->m + cq_side->m;
+            run->work += cp_side->tlen + cq_side->tlen;
+            run->work += cp_side->m;
+            child_rp[nchild] = cp_side->root;
+            child_rq[nchild] = cq_side->root;
+            child_ci[nchild] = run_add_ctx(run, cp_side, cq_side);
+            if (child_ci[nchild] < 0)
+                return -1;
+            nchild++;
+        }
+        for (i = nchild - 1; i >= 0; i--)
+            if (push_frame(run, child_ci[i], child_rp[i], child_rq[i]) < 0)
+                return -1;
+    }
     return 0;
 }
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_VectorcallBuilder_AddArgStr;
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n);
-}
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    PyObject *pyKey = PyUnicode_FromString(key);
-    if (!pyKey) return -1;
-    return __Pyx_VectorcallBuilder_AddArg(pyKey, value, builder, args, n);
-}
-#else // CYTHON_VECTORCALL
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, CYTHON_UNUSED PyObject **args, CYTHON_UNUSED int n) {
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return PyDict_SetItem(builder, key, value);
-}
-#endif
 
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(int) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(int) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(int) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(int),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(int));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
+PyDoc_STRVAR(run_enumeration_doc,
+"run_enumeration(p_left, p_right, p_taxon, p_root, q_left, q_right, q_taxon,\n"
+"                q_root, universe, store=True)\n"
+"--\n"
+"\n"
+"Enumerate conflicts; same contract and output as the pure kernel.\n"
+"\n"
+"With ``store`` false, triples are only counted, never materialized.\n"
+"Returns ``(flat_triples, emitted, frames_opened, nodes_touched,\n"
+"budget_violations, per_frame_dr)``; flat_triples is an array('i') and\n"
+"per_frame_dr an array('q').");
 
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(long) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(long) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(long) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(long),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(long));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_PY_LONG_LONG(PY_LONG_LONG value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const PY_LONG_LONG neg_one = (PY_LONG_LONG) -1, const_zero = (PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(PY_LONG_LONG) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(PY_LONG_LONG) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(PY_LONG_LONG),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(PY_LONG_LONG));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* FormatTypeName */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static __Pyx_TypeName
-__Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp)
+static PyObject *run_enumeration(PyObject *module, PyObject *args, PyObject *kwargs)
 {
-    PyObject *module = NULL, *name = NULL, *result = NULL;
-    #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-    name = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_qualname);
-    #else
-    name = PyType_GetQualName(tp);
-    #endif
-    if (unlikely(name == NULL) || unlikely(!PyUnicode_Check(name))) goto bad;
-    module = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_module);
-    if (unlikely(module == NULL) || unlikely(!PyUnicode_Check(module))) goto bad;
-    if (PyUnicode_CompareWithASCIIString(module, "builtins") == 0) {
-        result = name;
-        name = NULL;
+    static char *kwlist[] = {"p_left", "p_right", "p_taxon", "p_root",
+                             "q_left", "q_right", "q_taxon", "q_root",
+                             "universe", "store", NULL};
+    PyObject *p_left, *p_right, *p_taxon, *q_left, *q_right, *q_taxon;
+    PyObject *result = NULL;
+    int p_root, q_root, universe, store = 1, ci;
+    Side *P0 = NULL, *Q0 = NULL;
+    Run run = {0};
+
+    (void)module;
+    if (!PyArg_ParseTupleAndKeywords(
+            args, kwargs, "O!O!O!iO!O!O!ii|p:run_enumeration", kwlist,
+            &PyList_Type, &p_left, &PyList_Type, &p_right,
+            &PyList_Type, &p_taxon, &p_root,
+            &PyList_Type, &q_left, &PyList_Type, &q_right,
+            &PyList_Type, &q_taxon, &q_root, &universe, &store))
+        return NULL;
+
+    if (run_init(&run, universe, store) < 0)
+        goto done;
+    P0 = side_from_lists(p_left, p_right, p_taxon, p_root, universe);
+    Q0 = side_from_lists(q_left, q_right, q_taxon, q_root, universe);
+    if (P0 == NULL || Q0 == NULL) {
+        side_free(P0);
+        side_free(Q0);
         goto done;
     }
-    result = PyUnicode_FromFormat("%U.%U", module, name);
-    if (unlikely(result == NULL)) goto bad;
-  done:
-    Py_XDECREF(name);
-    Py_XDECREF(module);
-    return result;
-  bad:
-    PyErr_Clear();
-    if (name) {
-        result = name;
-        name = NULL;
-    } else {
-        result = __Pyx_NewRef(__pyx_mstate_global->__pyx_kp_u_);
-    }
-    goto done;
-}
-#endif
+    write_scratch(P0, run.pleaf);
+    write_scratch(Q0, run.qleaf);
+    run.work += P0->m + Q0->m;
+    run.work += P0->tlen + Q0->tlen;
+    run.work += P0->m;
+    ci = run_add_ctx(&run, P0, Q0);
+    if (ci < 0 || push_frame(&run, ci, p_root, q_root) < 0
+        || run_frames(&run, universe) < 0 || flush_output(&run) < 0)
+        goto done;
 
-/* CIntFromPy */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        long val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (long) -1;
-        val = __Pyx_PyLong_As_long(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 2 * PyLong_SHIFT)) {
-                            return (long) (((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 3 * PyLong_SHIFT)) {
-                            return (long) (((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 4 * PyLong_SHIFT)) {
-                            return (long) (((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (long) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(long) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(long) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(long) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) ((((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) ((((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) ((((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(long) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, long, PyLong_AsLong(x))
-        } else if ((sizeof(long) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        long val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (long) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (long) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (long) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (long) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(long) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((long) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(long) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((long) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((long) 1) << (sizeof(long) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (long) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to long");
-    return (long) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to long");
-    return (long) -1;
-}
-
-/* FastTypeChecks */
-#if CYTHON_COMPILING_IN_CPYTHON
-static int __Pyx_InBases(PyTypeObject *a, PyTypeObject *b) {
-    while (a) {
-        a = __Pyx_PyType_GetSlot(a, tp_base, PyTypeObject*);
-        if (a == b)
-            return 1;
-    }
-    return b == &PyBaseObject_Type;
-}
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (a == b) return 1;
-    mro = a->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            if (PyTuple_GET_ITEM(mro, i) == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(a, b);
-}
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (cls == a || cls == b) return 1;
-    mro = cls->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            PyObject *base = PyTuple_GET_ITEM(mro, i);
-            if (base == (PyObject *)a || base == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(cls, a) || __Pyx_InBases(cls, b);
-}
-static CYTHON_INLINE int __Pyx_inner_PyErr_GivenExceptionMatches2(PyObject *err, PyObject* exc_type1, PyObject *exc_type2) {
-    if (exc_type1) {
-        return __Pyx_IsAnySubtype2((PyTypeObject*)err, (PyTypeObject*)exc_type1, (PyTypeObject*)exc_type2);
-    } else {
-        return __Pyx_IsSubtype((PyTypeObject*)err, (PyTypeObject*)exc_type2);
-    }
-}
-static int __Pyx_PyErr_GivenExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    assert(PyExceptionClass_Check(exc_type));
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        PyObject *t = PyTuple_GET_ITEM(tuple, i);
-        if (likely(PyExceptionClass_Check(t))) {
-            if (__Pyx_inner_PyErr_GivenExceptionMatches2(exc_type, NULL, t)) return 1;
-        } else {
-        }
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject* exc_type) {
-    if (likely(err == exc_type)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        if (likely(PyExceptionClass_Check(exc_type))) {
-            return __Pyx_inner_PyErr_GivenExceptionMatches2(err, NULL, exc_type);
-        } else if (likely(PyTuple_Check(exc_type))) {
-            return __Pyx_PyErr_GivenExceptionMatchesTuple(err, exc_type);
-        } else {
-        }
-    }
-    return PyErr_GivenExceptionMatches(err, exc_type);
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *exc_type1, PyObject *exc_type2) {
-    assert(PyExceptionClass_Check(exc_type1));
-    assert(PyExceptionClass_Check(exc_type2));
-    if (likely(err == exc_type1 || err == exc_type2)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        return __Pyx_inner_PyErr_GivenExceptionMatches2(err, exc_type1, exc_type2);
-    }
-    return (PyErr_GivenExceptionMatches(err, exc_type1) || PyErr_GivenExceptionMatches(err, exc_type2));
-}
-#endif
-
-/* GetRuntimeVersion */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-void __Pyx_init_runtime_version(void) {
-    if (__Pyx_cached_runtime_version == 0) {
-        const char* rt_version = Py_GetVersion();
-        unsigned long version = 0;
-        unsigned long factor = 0x01000000UL;
-        unsigned int digit = 0;
-        int i = 0;
-        while (factor) {
-            while ('0' <= rt_version[i] && rt_version[i] <= '9') {
-                digit = digit * 10 + (unsigned int) (rt_version[i] - '0');
-                ++i;
-            }
-            version += factor * digit;
-            if (rt_version[i] != '.')
-                break;
-            digit = 0;
-            factor >>= 8;
-            ++i;
-        }
-        __Pyx_cached_runtime_version = version;
-    }
-}
-#endif
-static unsigned long __Pyx_get_runtime_version(void) {
-#if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    return Py_Version & ~0xFFUL;
-#else
-    return __Pyx_cached_runtime_version;
-#endif
-}
-
-/* CheckBinaryVersion */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer) {
-    const unsigned long MAJOR_MINOR = 0xFFFF0000UL;
-    if ((rt_version & MAJOR_MINOR) == (ct_version & MAJOR_MINOR))
-        return 0;
-    if (likely(allow_newer && (rt_version & MAJOR_MINOR) > (ct_version & MAJOR_MINOR)))
-        return 1;
-    {
-        char message[200];
-        PyOS_snprintf(message, sizeof(message),
-                      "compile time Python version %d.%d "
-                      "of module '%.100s' "
-                      "%s "
-                      "runtime version %d.%d",
-                       (int) (ct_version >> 24), (int) ((ct_version >> 16) & 0xFF),
-                       __Pyx_MODULE_NAME,
-                       (allow_newer) ? "was newer than" : "does not match",
-                       (int) (rt_version >> 24), (int) ((rt_version >> 16) & 0xFF)
-       );
-        return PyErr_WarnEx(NULL, message, 1);
-    }
-}
-
-/* NewCodeObj */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    static PyObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                       PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                       PyObject *fv, PyObject *cell, PyObject* fn,
-                                       PyObject *name, int fline, PyObject *lnos) {
-        PyObject *exception_table = NULL;
-        PyObject *types_module=NULL, *code_type=NULL, *result=NULL;
-        #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-        PyObject *version_info;
-        PyObject *py_minor_version = NULL;
-        #endif
-        long minor_version = 0;
-        PyObject *type, *value, *traceback;
-        PyErr_Fetch(&type, &value, &traceback);
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-        minor_version = 11;
-        #else
-        if (!(version_info = PySys_GetObject("version_info"))) goto end;
-        if (!(py_minor_version = PySequence_GetItem(version_info, 1))) goto end;
-        minor_version = PyLong_AsLong(py_minor_version);
-        Py_DECREF(py_minor_version);
-        if (minor_version == -1 && PyErr_Occurred()) goto end;
-        #endif
-        if (!(types_module = PyImport_ImportModule("types"))) goto end;
-        if (!(code_type = PyObject_GetAttrString(types_module, "CodeType"))) goto end;
-        if (minor_version <= 7) {
-            (void)p;
-            result = PyObject_CallFunction(code_type, "iiiiiOOOOOOiOOO", a, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else if (minor_version <= 10) {
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOiOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else {
-            if (!(exception_table = PyBytes_FromStringAndSize(NULL, 0))) goto end;
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOOiOOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, name, fline, lnos, exception_table, fv, cell);
-        }
-    end:
-        Py_XDECREF(code_type);
-        Py_XDECREF(exception_table);
-        Py_XDECREF(types_module);
-        if (type) {
-            PyErr_Restore(type, value, traceback);
-        }
-        return result;
-    }
-#elif PY_VERSION_HEX >= 0x030B0000
-  static PyCodeObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                         PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                         PyObject *fv, PyObject *cell, PyObject* fn,
-                                         PyObject *name, int fline, PyObject *lnos) {
-    PyCodeObject *result;
-    result =
-      #if PY_VERSION_HEX >= 0x030C0000
-        PyUnstable_Code_NewWithPosOnlyArgs
-      #else
-        PyCode_NewWithPosOnlyArgs
-      #endif
-        (a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, name, fline, lnos, __pyx_mstate_global->__pyx_empty_bytes);
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030c00A1
-    if (likely(result))
-        result->_co_firsttraceable = 0;
-    #endif
-    return result;
-  }
-#elif !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_NewWithPosOnlyArgs(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#else
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_New(a, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#endif
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-) {
-    PyObject *code_obj = NULL, *varnames_tuple_dedup = NULL, *code_bytes = NULL;
-    Py_ssize_t var_count = (Py_ssize_t) descr.nlocals;
-    PyObject *varnames_tuple = PyTuple_New(var_count);
-    if (unlikely(!varnames_tuple)) return NULL;
-    for (Py_ssize_t i=0; i < var_count; i++) {
-        Py_INCREF(varnames[i]);
-        if (__Pyx_PyTuple_SET_ITEM(varnames_tuple, i, varnames[i]) != (0)) goto done;
-    }
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    varnames_tuple_dedup = PyDict_GetItem(tuple_dedup_map, varnames_tuple);
-    if (!varnames_tuple_dedup) {
-        if (unlikely(PyDict_SetItem(tuple_dedup_map, varnames_tuple, varnames_tuple) < 0)) goto done;
-        varnames_tuple_dedup = varnames_tuple;
-    }
-    #else
-    varnames_tuple_dedup = PyDict_SetDefault(tuple_dedup_map, varnames_tuple, varnames_tuple);
-    if (unlikely(!varnames_tuple_dedup)) goto done;
-    #endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(varnames_tuple_dedup);
-    #endif
-    if (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table != NULL && !CYTHON_COMPILING_IN_GRAAL) {
-        Py_ssize_t line_table_length = __Pyx_PyBytes_GET_SIZE(line_table);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(line_table_length == -1)) goto done;
-        #endif
-        Py_ssize_t code_len = (line_table_length * 2 + 4) & ~3LL;
-        code_bytes = PyBytes_FromStringAndSize(NULL, code_len);
-        if (unlikely(!code_bytes)) goto done;
-        char* c_code_bytes = PyBytes_AsString(code_bytes);
-        if (unlikely(!c_code_bytes)) goto done;
-        memset(c_code_bytes, 0, (size_t) code_len);
-    }
-    code_obj = (PyObject*) __Pyx__PyCode_New(
-        (int) descr.argcount,
-        (int) descr.num_posonly_args,
-        (int) descr.num_kwonly_args,
-        (int) descr.nlocals,
-        0,
-        (int) descr.flags,
-        code_bytes ? code_bytes : __pyx_mstate_global->__pyx_empty_bytes,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        varnames_tuple_dedup,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        filename,
-        funcname,
-        (int) descr.first_line,
-        (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table) ? line_table : __pyx_mstate_global->__pyx_empty_bytes
-    );
+    result = Py_BuildValue("(OLLLLO)", run.tri_arr, run.emitted, run.frames,
+                           run.work, run.violations, run.dr_arr);
 done:
-    Py_XDECREF(code_bytes);
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(varnames_tuple_dedup);
-    #endif
-    Py_DECREF(varnames_tuple);
-    return code_obj;
-}
-
-/* DecompressString */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo) {
-    PyObject *module = NULL, *decompress, *compressed_bytes, *decompressed;
-    const char* module_name = algo == 3 ? "compression.zstd" : algo == 2 ? "bz2" : "zlib";
-    PyObject *methodname = PyUnicode_FromString("decompress");
-    if (unlikely(!methodname)) return NULL;
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030e0000
-    if (algo == 3) {
-        PyObject *fromlist = Py_BuildValue("[O]", methodname);
-        if (unlikely(!fromlist)) goto bad;
-        module = PyImport_ImportModuleLevel("compression.zstd", NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-    } else
-    #endif
-        module = PyImport_ImportModule(module_name);
-    if (unlikely(!module)) goto import_failed;
-    decompress = PyObject_GetAttr(module, methodname);
-    if (unlikely(!decompress)) goto import_failed;
-    {
-        #ifdef __cplusplus
-            char *memview_bytes = const_cast<char*>(s);
-        #else
-            #if defined(__clang__)
-              #pragma clang diagnostic push
-              #pragma clang diagnostic ignored "-Wcast-qual"
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic push
-              #pragma GCC diagnostic ignored "-Wcast-qual"
-            #endif
-            char *memview_bytes = (char*) s;
-            #if defined(__clang__)
-              #pragma clang diagnostic pop
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic pop
-            #endif
-        #endif
-        #if CYTHON_COMPILING_IN_LIMITED_API && !defined(PyBUF_READ)
-        int memview_flags = 0x100;
-        #else
-        int memview_flags = PyBUF_READ;
-        #endif
-        compressed_bytes = PyMemoryView_FromMemory(memview_bytes, length, memview_flags);
-    }
-    if (unlikely(!compressed_bytes)) {
-        Py_DECREF(decompress);
-        goto bad;
-    }
-    decompressed = PyObject_CallFunctionObjArgs(decompress, compressed_bytes, NULL);
-    Py_DECREF(compressed_bytes);
-    Py_DECREF(decompress);
-    Py_DECREF(module);
-    Py_DECREF(methodname);
-    return decompressed;
-import_failed:
-    PyErr_Format(PyExc_ImportError,
-        "Failed to import '%.20s.decompress' - cannot initialise module strings. "
-        "String compression was configured with the C macro 'CYTHON_COMPRESS_STRINGS=%d'.",
-        module_name, algo);
-bad:
-    Py_XDECREF(module);
-    Py_DECREF(methodname);
-    return NULL;
-}
-
-#include <string.h>
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s) {
-    size_t len = strlen(s);
-    if (unlikely(len > (size_t) PY_SSIZE_T_MAX)) {
-        PyErr_SetString(PyExc_OverflowError, "byte string is too long");
-        return -1;
-    }
-    return (Py_ssize_t) len;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return __Pyx_PyUnicode_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return PyByteArray_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject* o) {
-    Py_ssize_t ignore;
-    return __Pyx_PyObject_AsStringAndSize(o, &ignore);
-}
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-static CYTHON_INLINE const char* __Pyx_PyUnicode_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-    if (unlikely(__Pyx_PyUnicode_READY(o) == -1)) return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {
-        const char* result;
-        Py_ssize_t unicode_length;
-        CYTHON_MAYBE_UNUSED_VAR(unicode_length); // only for __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-        if (unlikely(PyArg_Parse(o, "s#", &result, length) < 0)) return NULL;
-        #else
-        result = PyUnicode_AsUTF8AndSize(o, length);
-        #endif
-        #if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        unicode_length = PyUnicode_GetLength(o);
-        if (unlikely(unicode_length < 0)) return NULL;
-        if (unlikely(unicode_length != *length)) {
-            PyUnicode_AsASCIIString(o);
-            return NULL;
-        }
-        #endif
-        return result;
-    }
-#else
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-    if (likely(PyUnicode_IS_ASCII(o))) {
-        *length = PyUnicode_GET_LENGTH(o);
-        return PyUnicode_AsUTF8(o);
-    } else {
-        PyUnicode_AsASCIIString(o);
-        return NULL;
-    }
-#else
-    return PyUnicode_AsUTF8AndSize(o, length);
-#endif
-#endif
-}
-#endif
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-    if (PyUnicode_Check(o)) {
-        return __Pyx_PyUnicode_AsStringAndSize(o, length);
-    } else
-#endif
-    if (PyByteArray_Check(o)) {
-#if (CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS) || (CYTHON_COMPILING_IN_PYPY && (defined(PyByteArray_AS_STRING) && defined(PyByteArray_GET_SIZE)))
-        *length = PyByteArray_GET_SIZE(o);
-        return PyByteArray_AS_STRING(o);
-#else
-        *length = PyByteArray_Size(o);
-        if (*length == -1) return NULL;
-        return PyByteArray_AsString(o);
-#endif
-    } else
-    {
-        char* result;
-        int r = PyBytes_AsStringAndSize(o, &result, length);
-        if (unlikely(r < 0)) {
-            return NULL;
-        } else {
-            return result;
-        }
-    }
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject* x) {
-   int is_true = x == Py_True;
-   if (is_true | (x == Py_False) | (x == Py_None)) return is_true;
-   else return PyObject_IsTrue(x);
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject* x) {
-    int retval;
-    if (unlikely(!x)) return -1;
-    retval = __Pyx_PyObject_IsTrue(x);
-    Py_DECREF(x);
-    return retval;
-}
-static PyObject* __Pyx_PyNumber_LongWrongResultType(PyObject* result) {
-    __Pyx_TypeName result_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(result));
-    if (PyLong_Check(result)) {
-        if (PyErr_WarnFormat(PyExc_DeprecationWarning, 1,
-                "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ").  "
-                "The ability to return an instance of a strict subclass of int is deprecated, "
-                "and may be removed in a future version of Python.",
-                result_type_name)) {
-            __Pyx_DECREF_TypeName(result_type_name);
-            Py_DECREF(result);
-            return NULL;
-        }
-        __Pyx_DECREF_TypeName(result_type_name);
-        return result;
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ")",
-                 result_type_name);
-    __Pyx_DECREF_TypeName(result_type_name);
-    Py_DECREF(result);
-    return NULL;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x) {
-#if CYTHON_USE_TYPE_SLOTS
-  PyNumberMethods *m;
-#endif
-  PyObject *res = NULL;
-  if (likely(PyLong_Check(x)))
-      return __Pyx_NewRef(x);
-#if CYTHON_USE_TYPE_SLOTS
-  m = Py_TYPE(x)->tp_as_number;
-  if (likely(m && m->nb_int)) {
-      res = m->nb_int(x);
-  }
-#else
-  if (!PyBytes_CheckExact(x) && !PyUnicode_CheckExact(x)) {
-      res = PyNumber_Long(x);
-  }
-#endif
-  if (likely(res)) {
-      if (unlikely(!PyLong_CheckExact(res))) {
-          return __Pyx_PyNumber_LongWrongResultType(res);
-      }
-  }
-  else if (!PyErr_Occurred()) {
-      PyErr_SetString(PyExc_TypeError,
-                      "an integer is required");
-  }
-  return res;
-}
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject* b) {
-  Py_ssize_t ival;
-  PyObject *x;
-  if (likely(PyLong_CheckExact(b))) {
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(__Pyx_PyLong_IsCompact(b))) {
-        return __Pyx_PyLong_CompactValue(b);
-    } else {
-      const digit* digits = __Pyx_PyLong_Digits(b);
-      const Py_ssize_t size = __Pyx_PyLong_SignedDigitCount(b);
-      switch (size) {
-         case 2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-      }
-    }
-    #endif
-    return PyLong_AsSsize_t(b);
-  }
-  x = PyNumber_Index(b);
-  if (!x) return -1;
-  ival = PyLong_AsSsize_t(x);
-  Py_DECREF(x);
-  return ival;
-}
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject* o) {
-  if (sizeof(Py_hash_t) == sizeof(Py_ssize_t)) {
-    return (Py_hash_t) __Pyx_PyIndex_AsSsize_t(o);
-  } else {
-    Py_ssize_t ival;
-    PyObject *x;
-    x = PyNumber_Index(o);
-    if (!x) return -1;
-    ival = PyLong_AsLong(x);
-    Py_DECREF(x);
-    return ival;
-  }
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b) {
-    CYTHON_UNUSED_VAR(b);
-    return __Pyx_NewRef(Py_None);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b) {
-  return __Pyx_NewRef(b ? Py_True: Py_False);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t ival) {
-    return PyLong_FromSize_t(ival);
-}
-
-
-/* MultiPhaseInitModuleState */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-#ifndef CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#if (CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX >= 0x030C0000)
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 1
-#else
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 0
-#endif
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE && !CYTHON_ATOMICS
-#error "Module state with PEP489 requires atomics. Currently that's one of\
- C11, C++11, gcc atomic intrinsics or MSVC atomic intrinsics"
-#endif
-#if !CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#define __Pyx_ModuleStateLookup_Lock()
-#define __Pyx_ModuleStateLookup_Unlock()
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-static PyMutex __Pyx_ModuleStateLookup_mutex = {0};
-#define __Pyx_ModuleStateLookup_Lock() PyMutex_Lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() PyMutex_Unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(__cplusplus) && __cplusplus >= 201103L
-#include <mutex>
-static std::mutex __Pyx_ModuleStateLookup_mutex;
-#define __Pyx_ModuleStateLookup_Lock() __Pyx_ModuleStateLookup_mutex.lock()
-#define __Pyx_ModuleStateLookup_Unlock() __Pyx_ModuleStateLookup_mutex.unlock()
-#elif defined(__STDC_VERSION__) && (__STDC_VERSION__ > 201112L) && !defined(__STDC_NO_THREADS__)
-#include <threads.h>
-static mtx_t __Pyx_ModuleStateLookup_mutex;
-static once_flag __Pyx_ModuleStateLookup_mutex_once_flag = ONCE_FLAG_INIT;
-static void __Pyx_ModuleStateLookup_initialize_mutex(void) {
-    mtx_init(&__Pyx_ModuleStateLookup_mutex, mtx_plain);
-}
-#define __Pyx_ModuleStateLookup_Lock()\
-  call_once(&__Pyx_ModuleStateLookup_mutex_once_flag, __Pyx_ModuleStateLookup_initialize_mutex);\
-  mtx_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() mtx_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(HAVE_PTHREAD_H)
-#include <pthread.h>
-static pthread_mutex_t __Pyx_ModuleStateLookup_mutex = PTHREAD_MUTEX_INITIALIZER;
-#define __Pyx_ModuleStateLookup_Lock() pthread_mutex_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() pthread_mutex_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(_WIN32)
-#include <Windows.h>  // synchapi.h on its own doesn't work
-static SRWLOCK __Pyx_ModuleStateLookup_mutex = SRWLOCK_INIT;
-#define __Pyx_ModuleStateLookup_Lock() AcquireSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() ReleaseSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#else
-#error "No suitable lock available for CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE.\
- Requires C standard >= C11, or C++ standard >= C++11,\
- or pthreads, or the Windows 32 API, or Python >= 3.13."
-#endif
-typedef struct {
-    int64_t id;
-    PyObject *module;
-} __Pyx_InterpreterIdAndModule;
-typedef struct {
-    char interpreter_id_as_index;
-    Py_ssize_t count;
-    Py_ssize_t allocated;
-    __Pyx_InterpreterIdAndModule table[1];
-} __Pyx_ModuleStateLookupData;
-#define __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE 32
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_int_type __Pyx_ModuleStateLookup_read_counter = 0;
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_ptr_type __Pyx_ModuleStateLookup_data = 0;
-#else
-static __Pyx_ModuleStateLookupData* __Pyx_ModuleStateLookup_data = NULL;
-#endif
-static __Pyx_InterpreterIdAndModule* __Pyx_State_FindModuleStateLookupTableLowerBound(
-        __Pyx_InterpreterIdAndModule* table,
-        Py_ssize_t count,
-        int64_t interpreterId) {
-    __Pyx_InterpreterIdAndModule* begin = table;
-    __Pyx_InterpreterIdAndModule* end = begin + count;
-    if (begin->id == interpreterId) {
-        return begin;
-    }
-    while ((end - begin) > __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-        __Pyx_InterpreterIdAndModule* halfway = begin + (end - begin)/2;
-        if (halfway->id == interpreterId) {
-            return halfway;
-        }
-        if (halfway->id < interpreterId) {
-            begin = halfway;
-        } else {
-            end = halfway;
-        }
-    }
-    for (; begin < end; ++begin) {
-        if (begin->id >= interpreterId) return begin;
-    }
-    return begin;
-}
-static PyObject *__Pyx_State_FindModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return NULL;
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData* data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-    {
-        __pyx_atomic_incr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        if (likely(data)) {
-            __Pyx_ModuleStateLookupData* new_data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_acquire(&__Pyx_ModuleStateLookup_data);
-            if (likely(data == new_data)) {
-                goto read_finished;
-            }
-        }
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        __Pyx_ModuleStateLookup_Lock();
-        __pyx_atomic_incr_relaxed(&__Pyx_ModuleStateLookup_read_counter);
-        data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-        __Pyx_ModuleStateLookup_Unlock();
-    }
-  read_finished:;
-#else
-    __Pyx_ModuleStateLookupData* data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_InterpreterIdAndModule* found = NULL;
-    if (unlikely(!data)) goto end;
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            found = data->table+interpreter_id;
-        }
-    } else {
-        found = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-    }
-  end:
-    {
-        PyObject *result=NULL;
-        if (found && found->id == interpreter_id) {
-            result = found->module;
-        }
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-#endif
-        return result;
-    }
-}
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static void __Pyx_ModuleStateLookup_wait_until_no_readers(void) {
-    while (__pyx_atomic_load(&__Pyx_ModuleStateLookup_read_counter) != 0);
-}
-#else
-#define __Pyx_ModuleStateLookup_wait_until_no_readers()
-#endif
-static int __Pyx_State_AddModuleInterpIdAsIndex(__Pyx_ModuleStateLookupData **old_data, PyObject* module, int64_t interpreter_id) {
-    Py_ssize_t to_allocate = (*old_data)->allocated;
-    while (to_allocate <= interpreter_id) {
-        if (to_allocate == 0) to_allocate = 1;
-        else to_allocate *= 2;
-    }
-    __Pyx_ModuleStateLookupData *new_data = *old_data;
-    if (to_allocate != (*old_data)->allocated) {
-         new_data = (__Pyx_ModuleStateLookupData *)realloc(
-            *old_data,
-            sizeof(__Pyx_ModuleStateLookupData)+(to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-        if (!new_data) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        for (Py_ssize_t i = new_data->allocated; i < to_allocate; ++i) {
-            new_data->table[i].id = i;
-            new_data->table[i].module = NULL;
-        }
-        new_data->allocated = to_allocate;
-    }
-    new_data->table[interpreter_id].module = module;
-    if (new_data->count < interpreter_id+1) {
-        new_data->count = interpreter_id+1;
-    }
-    *old_data = new_data;
-    return 0;
-}
-static void __Pyx_State_ConvertFromInterpIdAsIndex(__Pyx_ModuleStateLookupData *data) {
-    __Pyx_InterpreterIdAndModule *read = data->table;
-    __Pyx_InterpreterIdAndModule *write = data->table;
-    __Pyx_InterpreterIdAndModule *end = read + data->count;
-    for (; read<end; ++read) {
-        if (read->module) {
-            write->id = read->id;
-            write->module = read->module;
-            ++write;
-        }
-    }
-    data->count = write - data->table;
-    for (; write<end; ++write) {
-        write->id = 0;
-        write->module = NULL;
-    }
-    data->interpreter_id_as_index = 0;
-}
-static int __Pyx_State_AddModule(PyObject* module, CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    int result = 0;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *old_data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *old_data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_ModuleStateLookupData *new_data = old_data;
-    if (!new_data) {
-        new_data = (__Pyx_ModuleStateLookupData *)calloc(1, sizeof(__Pyx_ModuleStateLookupData));
-        if (!new_data) {
-            result = -1;
-            PyErr_NoMemory();
-            goto end;
-        }
-        new_data->allocated = 1;
-        new_data->interpreter_id_as_index = 1;
-    }
-    __Pyx_ModuleStateLookup_wait_until_no_readers();
-    if (new_data->interpreter_id_as_index) {
-        if (interpreter_id < __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-            result = __Pyx_State_AddModuleInterpIdAsIndex(&new_data, module, interpreter_id);
-            goto end;
-        }
-        __Pyx_State_ConvertFromInterpIdAsIndex(new_data);
-    }
-    {
-        Py_ssize_t insert_at = 0;
-        {
-            __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-                new_data->table, new_data->count, interpreter_id);
-            assert(lower_bound);
-            insert_at = lower_bound - new_data->table;
-            if (unlikely(insert_at < new_data->count && lower_bound->id == interpreter_id)) {
-                lower_bound->module = module;
-                goto end;  // already in table, nothing more to do
-            }
-        }
-        if (new_data->count+1 >= new_data->allocated) {
-            Py_ssize_t to_allocate = (new_data->count+1)*2;
-            new_data =
-                (__Pyx_ModuleStateLookupData*)realloc(
-                    new_data,
-                    sizeof(__Pyx_ModuleStateLookupData) +
-                    (to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-            if (!new_data) {
-                result = -1;
-                new_data = old_data;
-                PyErr_NoMemory();
-                goto end;
-            }
-            new_data->allocated = to_allocate;
-        }
-        ++new_data->count;
-        int64_t last_id = interpreter_id;
-        PyObject *last_module = module;
-        for (Py_ssize_t i=insert_at; i<new_data->count; ++i) {
-            int64_t current_id = new_data->table[i].id;
-            new_data->table[i].id = last_id;
-            last_id = current_id;
-            PyObject *current_module = new_data->table[i].module;
-            new_data->table[i].module = last_module;
-            last_module = current_module;
-        }
-    }
-  end:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, new_data);
-#else
-    __Pyx_ModuleStateLookup_data = new_data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
+    run_free(&run);
     return result;
 }
-static int __Pyx_State_RemoveModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *data = __Pyx_ModuleStateLookup_data;
-#endif
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            data->table[interpreter_id].module = NULL;
-        }
-        goto done;
+
+static PyMethodDef fast_methods[] = {
+    {"run_enumeration", (PyCFunction)(void (*)(void))run_enumeration,
+     METH_VARARGS | METH_KEYWORDS, run_enumeration_doc},
+    {NULL, NULL, 0, NULL},
+};
+
+PyDoc_STRVAR(fast_doc,
+"Compiled enumeration kernel.\n"
+"\n"
+"Twin of ``tripcon._kernels.pure``: same recursion, same emission order,\n"
+"same work-counter arithmetic (the cross-backend tests pin all three).\n"
+"See ``tripcon.enumeration`` for the algorithm and counter contract.");
+
+static struct PyModuleDef fast_module = {
+    PyModuleDef_HEAD_INIT, "_fast", fast_doc, -1, fast_methods,
+    NULL, NULL, NULL, NULL,
+};
+
+PyMODINIT_FUNC PyInit__fast(void)
+{
+    PyObject *array_mod;
+
+    if (array_type == NULL) {
+        array_mod = PyImport_ImportModule("array");
+        if (array_mod == NULL)
+            return NULL;
+        array_type = PyObject_GetAttrString(array_mod, "array");
+        Py_DECREF(array_mod);
+        if (array_type == NULL)
+            return NULL;
     }
-    {
-        __Pyx_ModuleStateLookup_wait_until_no_readers();
-        __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-        if (!lower_bound) goto done;
-        if (lower_bound->id != interpreter_id) goto done;
-        __Pyx_InterpreterIdAndModule *end = data->table+data->count;
-        for (;lower_bound<end-1; ++lower_bound) {
-            lower_bound->id = (lower_bound+1)->id;
-            lower_bound->module = (lower_bound+1)->module;
-        }
-    }
-    --data->count;
-    if (data->count == 0) {
-        free(data);
-        data = NULL;
-    }
-  done:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, data);
-#else
-    __Pyx_ModuleStateLookup_data = data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
-    return 0;
+    return PyModule_Create(&fast_module);
 }
-#endif
-
-/* #### Code section: utility_code_pragmas_end ### */
-#ifdef _MSC_VER
-#pragma warning( pop )
-#endif
-
-
-
-/* #### Code section: end ### */
-#endif /* Py_PYTHON_H */

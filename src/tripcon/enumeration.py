@@ -19,10 +19,11 @@ does is paid for by its own output.
 
 Two interchangeable kernels implement the recursion: a pure-Python one
 composed from the public modules (``tripcon._kernels.pure``) and a
-compiled twin (``tripcon._kernels._fast``).  They emit identical triple
-sequences and identical instrumentation; selection happens at import via
-the TRIPCON_BACKEND environment variable (``auto``/``fast``/``pure``) or
-per call with ``backend=``.
+compiled twin (``tripcon._kernels._fast``, built from the hand-written
+C99 source ``_kernels/_fast.c``).  They emit identical triple sequences
+and identical instrumentation; selection happens at import via the
+TRIPCON_BACKEND environment variable (``auto``/``fast``/``pure``) or per
+call with ``backend=``.
 
 Work-counter contract (mirrored exactly by both kernels)
 --------------------------------------------------------
@@ -332,7 +333,9 @@ def enumerate_conflicts(p, q, sink=None, *, backend=None, collect=False):
             p, q, store
         )
 
+    per_dr = list(per_dr)
     assert violations == 0, "frame budget law violated (leaf count > d_r + 2)"
+    assert sum(per_dr) == d, "per-frame d_r do not sum to the triples emitted"
     assert not store or len(flat) == 3 * d
     instr = Instrumentation(
         n_taxa=p.n_leaves,
@@ -341,7 +344,7 @@ def enumerate_conflicts(p, q, sink=None, *, backend=None, collect=False):
         nodes_touched=work,
         triples_emitted=d,
         budget_violations=violations,
-        per_frame_dr=list(per_dr),
+        per_frame_dr=per_dr,
     )
     if store:
         ids = iter(flat)

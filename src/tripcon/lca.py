@@ -1,14 +1,10 @@
 """Constant-time LCA queries over an Euler tour of the tree.
 
-The default range-minimum structure is the block-decomposed one for
-sequences whose adjacent values differ by exactly 1 (which Euler-tour
-depths do): block minima are covered by a sparse table over ~L/log L
-blocks, in-block queries by per-shape lookup tables, giving O(m) build
-and O(1) query.  A plain sparse table (O(m log m) build) is available as
-``method="sparse"`` for comparison; it answers identically.
+The range-minimum structure is the block-decomposed one for sequences
+whose adjacent values differ by exactly 1 (which Euler-tour depths do):
+block minima are covered by a sparse table over ~L/log L blocks, in-block
+queries by per-shape lookup tables, giving O(m) build and O(1) query.
 """
-
-from .errors import TripconError
 
 
 class _Pm1Rmq:
@@ -115,47 +111,13 @@ class _Pm1Rmq:
         return best
 
 
-class _SparseRmq:
-    """Plain sparse-table range-minimum: O(n log n) build, O(1) query."""
-
-    __slots__ = ("data", "st", "lg")
-
-    def __init__(self, data):
-        n = len(data)
-        lg = [0] * (n + 1)
-        for i in range(2, n + 1):
-            lg[i] = lg[i >> 1] + 1
-        self.lg = lg
-        self.data = data
-        st = [list(range(n))]
-        for k in range(1, lg[n] + 1):
-            half = 1 << (k - 1)
-            prev = st[k - 1]
-            width = n - (1 << k) + 1
-            row = [0] * width
-            for i in range(width):
-                a, c = prev[i], prev[i + half]
-                row[i] = a if data[a] <= data[c] else c
-            st.append(row)
-        self.st = st
-
-    def query(self, l, r):
-        k = self.lg[r - l + 1]
-        row = self.st[k]
-        a, c = row[l], row[r - (1 << k) + 1]
-        return a if self.data[a] <= self.data[c] else c
-
-
 class LcaIndex:
     """LCA-enabling index for one tree: Euler tour + range-minimum."""
 
-    __slots__ = ("tree", "method", "tour", "tour_depth", "first_occ", "_rmq")
+    __slots__ = ("tree", "tour", "tour_depth", "first_occ", "_rmq")
 
-    def __init__(self, tree, method="pm1"):
-        if method not in ("pm1", "sparse"):
-            raise TripconError(f"unknown LCA method {method!r}")
+    def __init__(self, tree):
         self.tree = tree
-        self.method = method
 
         m = tree.n_nodes
         depth = tree.depth
@@ -183,8 +145,7 @@ class LcaIndex:
         self.tour = tour
         self.tour_depth = tour_depth
         self.first_occ = first_occ
-        rmq_cls = _Pm1Rmq if method == "pm1" else _SparseRmq
-        self._rmq = rmq_cls(tour_depth)
+        self._rmq = _Pm1Rmq(tour_depth)
 
     def lca(self, u, v):
         """The lowest common ancestor of nodes u and v.  O(1)."""
@@ -195,9 +156,9 @@ class LcaIndex:
         return self.tour[self._rmq.query(lo, hi)]
 
 
-def build_lca_index(t, method="pm1"):
-    """LCA-enable ``t``; the default method builds in linear time."""
-    return LcaIndex(t, method=method)
+def build_lca_index(t):
+    """LCA-enable ``t`` in linear time."""
+    return LcaIndex(t)
 
 
 def lca(idx, u, v):

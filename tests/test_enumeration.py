@@ -121,6 +121,25 @@ def test_instrumentation_invariants(backend):
         assert instr.nodes_touched > 0
 
 
+def _balanced_newick(labels):
+    if len(labels) == 1:
+        return labels[0]
+    mid = len(labels) // 2
+    return f"({_balanced_newick(labels[:mid])},{_balanced_newick(labels[mid:])})"
+
+
+def test_per_frame_dr_past_32_bits(backend):
+    # balanced tree vs the same shape with labels t0, t2, ..., t1, t3, ...:
+    # d exceeds 2^32, and so does the d_r of single frames
+    names = [f"t{i}" for i in range(4096)]
+    p, taxa = parse_newick(_balanced_newick(names) + ";")
+    q, _ = parse_newick(_balanced_newick(names[0::2] + names[1::2]) + ";", taxa)
+    instr = enumerate_conflicts(p, q, backend=backend)
+    assert instr.d == 5_726_621_696
+    assert sum(instr.per_frame_dr) == instr.d
+    assert max(instr.per_frame_dr) >= 2**32
+
+
 @pytest.mark.skipif(len(available_backends()) < 2,
                     reason="compiled kernel not built")
 def test_backends_are_twins():

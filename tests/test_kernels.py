@@ -1,6 +1,7 @@
-"""First-import build of the compiled kernel into the user cache.
+"""The compiled kernel: first-import build into the user cache, a
+warning-free compile of its C source, and its checks on malformed input.
 
-Each test copies the package without any built extension into
+Each build test copies the package without any built extension into
 ``tmp_path`` and imports it in a fresh interpreter with its own
 XDG_CACHE_HOME, so the result does not depend on an earlier install or
 cache.
@@ -17,6 +18,7 @@ import sysconfig
 import pytest
 
 import tripcon
+from tripcon._kernels import available_backends, fast_module
 
 CC = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
 EXT_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")
@@ -100,3 +102,37 @@ def test_failed_build_falls_back_and_is_not_retried(fresh_copy):
     assert backend == "pure"
     assert "an earlier build failed" in conflicts
     assert "deliberately broken" in conflicts
+
+
+@needs_compiler
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    pkg = os.path.dirname(os.path.abspath(tripcon.__file__))
+    source = os.path.join(pkg, "_kernels", "_fast.c")
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    cmd = cc + ["-std=c99", "-Wall", "-Wextra", "-Werror", "-fPIC", "-shared",
+                "-I" + sysconfig.get_paths()["include"], source,
+                "-o", str(tmp_path / f"_fast{EXT_SUFFIX}")]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif("fast" not in available_backends(),
+                    reason="compiled kernel not built")
+def test_kernel_rejects_malformed_arrays():
+    run = fast_module().run_enumeration
+    leaf = ([-1], [-1], [0], 0)
+    cherry = ([1, -1, -1], [2, -1, -1], [-1, 0, 1], 0)
+    assert run(*cherry, *cherry, 2)[1:3] == (0, 3)
+    bad = [
+        ([1, -1, -1], [2, -1], [-1, 0, 1], 0),      # lengths differ
+        ([1, -1, -1], [2, -1, -1], [-1, 0, 1], 3),  # root out of range
+        ([1, -1, -1], [7, -1, -1], [-1, 0, 1], 0),  # child out of range
+        ([1, -1, -1], [2, -1, -1], [-1, 0, 2], 0),  # taxon out of range
+        ([], [], [], 0),                            # empty
+    ]
+    for p in bad:
+        with pytest.raises(ValueError):
+            run(*p, *cherry, 2)
+    with pytest.raises(TypeError):
+        run((1, -1, -1), *cherry[1:], *cherry, 2)
+    assert run(*leaf, *leaf, 1)[1:3] == (0, 1)

@@ -1,12 +1,10 @@
-"""LCA index: Euler tour shape, query correctness, both RMQ methods."""
+"""LCA index: Euler tour shape, query correctness, the +-1 RMQ."""
 
 import itertools
 
-import pytest
-
 from tripcon import SplitMix64, build_lca_index, build_tree, is_ancestor, lca
 from tripcon.generator import GeneratorConfig, random_binary_tree
-from tripcon.lca import _Pm1Rmq, _SparseRmq
+from tripcon.lca import _Pm1Rmq
 
 from conftest import naive_lca, leafset
 
@@ -37,26 +35,24 @@ def test_fig1_queries(fig1):
         assert idx.lca(v, v) == v
 
 
-@pytest.mark.parametrize("method", ["pm1", "sparse"])
-def test_matches_parent_walk(method):
+def test_matches_parent_walk():
     rng = SplitMix64(21)
     for _ in range(8):
         n = 2 + rng.randrange(62)
         t = random_binary_tree(GeneratorConfig(n=n, seed=rng.next_u64()))
-        idx = build_lca_index(t, method=method)
+        idx = build_lca_index(t)
         for u, v in itertools.combinations(range(t.n_nodes), 2):
             assert idx.lca(u, v) == naive_lca(t, u, v)
 
 
 def test_methods_agree():
     t = random_binary_tree(GeneratorConfig(n=100, seed=77))
-    a = build_lca_index(t, method="pm1")
-    b = build_lca_index(t, method="sparse")
+    idx = build_lca_index(t)
     rng = SplitMix64(3)
     for _ in range(2000):
         u = rng.randrange(t.n_nodes)
         v = rng.randrange(t.n_nodes)
-        assert a.lca(u, v) == b.lca(u, v)
+        assert idx.lca(u, v) == naive_lca(t, u, v)
 
 
 def test_lca_properties():
@@ -94,12 +90,9 @@ def test_pm1_rmq_exhaustive():
         for i in range(1, n):
             seq[i] = seq[i - 1] + (1 if rng.next_u64() & 1 else -1)
         rmq = _Pm1Rmq(seq)
-        sparse = _SparseRmq(seq)
         for i in range(n):
             for j in range(i, n):
-                lo = min(seq[i:j + 1])
-                assert seq[rmq.query(i, j)] == lo
-                assert seq[sparse.query(i, j)] == lo
+                assert seq[rmq.query(i, j)] == min(seq[i:j + 1])
 
 
 def test_module_level_alias():
