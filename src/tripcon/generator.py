@@ -13,7 +13,7 @@ balanced             recursive halving of the taxon range
 
 from dataclasses import dataclass
 
-from .tree import TaxonSet, Tree
+from .tree import TaxonSet, Tree, build_tree
 
 _MASK = (1 << 64) - 1
 
@@ -109,57 +109,18 @@ def _uniform_attachment(n, rng, taxa):
     return Tree._from_structure(left, right, taxon, root, taxa)
 
 
-def _caterpillar(n, taxa, reverse=False):
-    order = list(range(n - 1, -1, -1)) if reverse else list(range(n))
-    if n == 1:
-        return Tree._from_structure([-1], [-1], [order[0]], 0, taxa)
-    left, right, taxon = [-1, -1], [-1, -1], [order[0], order[1]]
-    spine = None
-    for i in range(1, n):
-        if i == 1:
-            lo, hi = 0, 1
-        else:
-            left.append(-1)
-            right.append(-1)
-            taxon.append(order[i])
-            lo, hi = spine, len(left) - 1
-        left.append(lo)
-        right.append(hi)
-        taxon.append(-1)
-        spine = len(left) - 1
-    return Tree._from_structure(left, right, taxon, spine, taxa)
+def _caterpillar_shape(names):
+    shape = names[0]
+    for name in names[1:]:
+        shape = (shape, name)
+    return shape
 
 
-def _balanced(n, taxa):
-    left, right, taxon = [], [], []
-
-    def add():
-        left.append(-1)
-        right.append(-1)
-        taxon.append(-1)
-        return len(left) - 1
-
-    done = []
-    work = [((0, n), False)]
-    while work:
-        (lo, hi), exit_phase = work.pop()
-        if exit_phase:
-            rid = done.pop()
-            lid = done.pop()
-            v = add()
-            left[v], right[v] = lid, rid
-            done.append(v)
-            continue
-        if hi - lo == 1:
-            v = add()
-            taxon[v] = lo
-            done.append(v)
-            continue
-        mid = (lo + hi) // 2
-        work.append(((lo, hi), True))
-        work.append(((mid, hi), False))
-        work.append(((lo, mid), False))
-    return Tree._from_structure(left, right, taxon, done[0], taxa)
+def _balanced_shape(names):
+    if len(names) == 1:
+        return names[0]
+    mid = len(names) // 2
+    return (_balanced_shape(names[:mid]), _balanced_shape(names[mid:]))
 
 
 def random_binary_tree(cfg, taxa=None):
@@ -170,16 +131,17 @@ def random_binary_tree(cfg, taxa=None):
     if len(taxa) != cfg.n:
         raise ValueError("taxon set size does not match cfg.n")
     if cfg.shape == "caterpillar":
-        return _caterpillar(cfg.n, taxa)
+        return build_tree(_caterpillar_shape(taxa.names), taxa)
     if cfg.shape == "balanced":
-        return _balanced(cfg.n, taxa)
+        return build_tree(_balanced_shape(taxa.names), taxa)
     return _uniform_attachment(cfg.n, SplitMix64(cfg.seed), taxa)
 
 
 def caterpillar_tree(n, taxa=None, reverse=False):
     """Caterpillar on t0..t{n-1}; ``reverse`` reverses the label order."""
     taxa = taxa if taxa is not None else default_taxa(n)
-    return _caterpillar(n, taxa, reverse=reverse)
+    names = [taxa.name_of(i) for i in range(n)]
+    return build_tree(_caterpillar_shape(names[::-1] if reverse else names), taxa)
 
 
 def perturb_leaf_swaps(t, k, seed):
@@ -234,38 +196,8 @@ def enumerate_labeled_topologies(n, taxa=None):
         if next_taxon == n:
             yield shape
             return
-        for bigger in insertions(shape, next_taxon):
+        for bigger in insertions(shape, taxa.name_of(next_taxon)):
             yield from grow(bigger, next_taxon + 1)
 
-    for shape in grow(0, 1):
-        yield _tree_from_id_shape(shape, taxa)
-
-
-def _tree_from_id_shape(shape, taxa):
-    left, right, taxon = [], [], []
-
-    def add():
-        left.append(-1)
-        right.append(-1)
-        taxon.append(-1)
-        return len(left) - 1
-
-    done = []
-    work = [(shape, False)]
-    while work:
-        obj, exit_phase = work.pop()
-        if exit_phase:
-            rid = done.pop()
-            lid = done.pop()
-            v = add()
-            left[v], right[v] = lid, rid
-            done.append(v)
-        elif isinstance(obj, tuple):
-            work.append((obj, True))
-            work.append((obj[1], False))
-            work.append((obj[0], False))
-        else:
-            v = add()
-            taxon[v] = obj
-            done.append(v)
-    return Tree._from_structure(left, right, taxon, done[0], taxa)
+    for shape in grow(taxa.name_of(0), 1):
+        yield build_tree(shape, taxa)

@@ -3,14 +3,29 @@
 Grammar
 -------
     tree    := subtree ';'
-    subtree := label | '(' subtree ',' subtree ')' [':' number]
-    label   := run of [A-Za-z0-9_.|-] | single-quoted string ('' escapes ')
+    subtree := label [length] | '(' subtree ',' subtree ')' [length]
 
-Branch lengths and bracketed comments ``[...]`` are accepted and dropped.
-Internal node labels are rejected.  Whitespace is insignificant outside
-quotes.  The parser and serializer are iterative, so arbitrarily deep
-(caterpillar) trees are fine.
+Tokens
+------
+The text is read as one run of tokens, each after optional filler:
+whitespace and bracketed comments ``[...]``, which are dropped.
+
+    punct    ( ) , ;
+    bare     a run of [A-Za-z0-9_.|-]                      (a label)
+    quoted   '...' with '' for one quote; not empty        (a label)
+    length   ':' filler number, where number is a run of decimal digits
+             and + - . e E that float() accepts; the value is dropped
+    end      the end of the text
+    bad      any other character, which is always an error
+
+Every internal node has exactly two children: a group with one child,
+such as ``(A)``, or with three or more, such as ``(A,B,C)``, raises
+NonBinaryError.  Internal node labels are rejected.  The parser and
+serializer are iterative, so arbitrarily deep (caterpillar) trees are
+fine.
 """
+
+import re
 
 from .errors import (
     DuplicateLabelError,
@@ -21,93 +36,79 @@ from .errors import (
 )
 from .tree import TaxonSet, Tree
 
-_BARE_LABEL_CHARS = frozenset(
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.|-"
+_FILLER = r"(?:\s|\[[^\]]*\])*"
+_BARE = r"[A-Za-z0-9_.|-]+"
+# A quoted label ends at a quote that no other quote follows, so that
+# "'a''" cannot backtrack into the label a.  An unterminated quote or
+# comment fails its own pattern and is left to `bad`.
+_TOKEN = re.compile(
+    _FILLER + r"""(?:
+      (?P<open>\() | (?P<close>\)) | (?P<comma>,) | (?P<semi>;)
+    | (?P<bare>""" + _BARE + r""")
+    | (?P<quoted>'(?P<text>[^']*(?:''[^']*)*)'(?!'))
+    | (?P<length>:""" + _FILLER + r"""(?P<number>[\d+\-.eE]*))
+    | (?P<end>\Z)
+    | (?P<bad>.)
+    )""",
+    re.VERBOSE | re.DOTALL,
 )
+_BARE_LABEL = re.compile(_BARE)
 
 
-class _Scanner:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-        self.n = len(text)
+def _check_length(text, m):
+    number = m["number"]
+    pos = m.start("number")
+    if not number:
+        if text.startswith("[", pos):
+            raise NewickSyntaxError("unterminated comment", pos)
+        raise NewickSyntaxError("expected a branch length after ':'", pos)
+    try:
+        float(number)
+    except ValueError:
+        raise NewickSyntaxError(f"invalid branch length {number!r}", pos) from None
 
-    def error(self, message, pos=None):
-        raise NewickSyntaxError(message, self.pos if pos is None else pos)
 
-    def skip_filler(self):
-        """Skip whitespace and bracketed comments."""
-        text, n = self.text, self.n
-        i = self.pos
-        while i < n:
-            c = text[i]
-            if c.isspace():
-                i += 1
-            elif c == "[":
-                end = text.find("]", i + 1)
-                if end < 0:
-                    self.pos = i
-                    self.error("unterminated comment")
-                i = end + 1
-            else:
-                break
-        self.pos = i
-
-    def peek(self):
-        return self.text[self.pos] if self.pos < self.n else ""
-
-    def take_label(self):
-        text, n = self.text, self.n
-        i = self.pos
-        if i < n and text[i] == "'":
-            parts = []
-            i += 1
-            while True:
-                if i >= n:
-                    self.error("unterminated quoted label", self.pos)
-                c = text[i]
-                if c == "'":
-                    if i + 1 < n and text[i + 1] == "'":
-                        parts.append("'")
-                        i += 2
-                        continue
-                    i += 1
-                    break
-                parts.append(c)
-                i += 1
-            self.pos = i
-            label = "".join(parts)
-            if not label:
-                self.error("empty quoted label", self.pos)
-            return label
-        j = i
-        while j < n and text[j] in _BARE_LABEL_CHARS:
-            j += 1
-        if j == i:
-            self.error(f"expected a label, found {text[i]!r}" if i < n else
-                       "expected a label, found end of input")
-        self.pos = j
-        return text[i:j]
-
-    def skip_branch_length(self):
-        """Consume an optional ':number' suffix."""
-        self.skip_filler()
-        if self.peek() != ":":
-            return
-        self.pos += 1
-        self.skip_filler()
-        start = self.pos
-        j = start
-        text, n = self.text, self.n
-        while j < n and (text[j].isdigit() or text[j] in "+-.eE"):
-            j += 1
-        if j == start:
-            self.error("expected a branch length after ':'")
-        try:
-            float(text[start:j])
-        except ValueError:
-            self.error(f"invalid branch length {text[start:j]!r}", start)
-        self.pos = j
+def _unexpected(m, last, groups, prev):
+    """Raise the error for token ``m`` after a token of kind ``prev``,
+    with ``last`` and ``groups`` as in :func:`parse_newick`."""
+    kind = m.lastgroup
+    pos = m.start(kind)
+    tok = m[kind]
+    if tok == "[":
+        raise NewickSyntaxError("unterminated comment", pos)
+    if last < 0:  # a subtree is wanted
+        if prev is None and kind in ("semi", "end"):
+            raise EmptyTreeError("no tree in input")
+        if kind in ("comma", "close"):
+            message = f"expected a subtree, found {tok!r}"
+        elif kind == "end":
+            message = "unexpected end of input"
+        elif kind == "quoted":
+            message, pos = "empty quoted label", m.end()
+        elif tok == "'":
+            message = "unterminated quoted label"
+        else:
+            message = f"expected a label, found {tok[0]!r}"
+    elif prev == "semi":
+        message = "trailing characters after ';'"
+    elif prev == "close" and (kind in ("bare", "quoted") or tok == "'"):
+        message = "internal node labels are not supported"
+    elif not groups:
+        message = "expected ';' at the end of the tree"
+    elif groups[-1][1] < 0:  # ',' is wanted
+        if kind == "close":
+            raise NonBinaryError(
+                f"only one child in the group opened at position {groups[-1][0]}"
+            )
+        message = "expected ',' (every internal node has two children)"
+    elif kind == "comma":
+        raise NonBinaryError(
+            f"more than two children in the group opened at "
+            f"position {groups[-1][0]}"
+        )
+    else:
+        message = "expected ')'"
+    raise NewickSyntaxError(message, pos)
 
 
 def parse_newick(text, taxa=None):
@@ -120,84 +121,45 @@ def parse_newick(text, taxa=None):
     NonBinaryError; structural problems raise NewickSyntaxError with the
     offending position.
     """
-    sc = _Scanner(text)
-    sc.skip_filler()
-    if sc.pos >= sc.n or sc.peek() == ";":
-        raise EmptyTreeError("no tree in input")
-
     left, right, taxon, labels = [], [], [], []
-
-    def new_node():
-        left.append(-1)
-        right.append(-1)
-        taxon.append(-1)
-        return len(left) - 1
-
-    done = []  # ids of finished subtrees
-    # Work items: "subtree" parses one subtree at the cursor;
-    # ("close", pos) reduces the two newest subtrees into one node.
-    work = ["subtree"]
-    while work:
-        item = work.pop()
-        if item == "subtree":
-            sc.skip_filler()
-            c = sc.peek()
-            if c == "(":
-                open_pos = sc.pos
-                sc.pos += 1
-                work.append(("close", open_pos))
-                work.append("comma")
-                work.append("subtree")
-            elif c == ")" or c == ",":
-                sc.error(f"expected a subtree, found {c!r}")
-            elif c == "":
-                sc.error("unexpected end of input")
+    groups = []  # [opening position, left child or -1] per open '('
+    last = -1  # the subtree just completed, or -1 while one is wanted
+    prev = None  # kind of the previous token
+    tokens = _TOKEN.finditer(text)
+    for m in tokens:
+        kind = m.lastgroup
+        if last < 0:
+            if kind == "open":
+                groups.append([m.start(kind), -1])
+            elif kind == "bare" or (kind == "quoted" and m["text"]):
+                label = m[kind] if kind == "bare" else m["text"].replace("''", "'")
+                last = len(left)
+                left.append(-1)
+                right.append(-1)
+                taxon.append(len(labels))
+                labels.append((label, m.start(kind)))
             else:
-                label_pos = sc.pos
-                label = sc.take_label()
-                v = new_node()
-                taxon[v] = len(labels)
-                labels.append((label, label_pos))
-                done.append(v)
-                sc.skip_branch_length()
-        elif item == "comma":
-            sc.skip_filler()
-            if sc.peek() != ",":
-                sc.error("expected ',' (every internal node has two children)")
-            sc.pos += 1
-            work.append("subtree")
-        else:  # ("close", open_pos)
-            sc.skip_filler()
-            c = sc.peek()
-            if c == ",":
-                raise NonBinaryError(
-                    f"more than two children in the group opened at "
-                    f"position {item[1]}"
-                )
-            if c != ")":
-                sc.error("expected ')'")
-            sc.pos += 1
-            sc.skip_filler()
-            c = sc.peek()
-            if c and (c in _BARE_LABEL_CHARS or c == "'"):
-                sc.error("internal node labels are not supported")
-            sc.skip_branch_length()
-            rid = done.pop()
-            lid = done.pop()
-            v = new_node()
-            left[v] = lid
-            right[v] = rid
-            done.append(v)
+                _unexpected(m, last, groups, prev)
+        elif kind == "comma" and groups and groups[-1][1] < 0:
+            groups[-1][1] = last
+            last = -1
+        elif kind == "close" and groups and groups[-1][1] >= 0:
+            left.append(groups.pop()[1])
+            right.append(last)
+            taxon.append(-1)
+            last = len(left) - 1
+        elif kind == "length" and prev in ("bare", "quoted", "close"):
+            _check_length(text, m)
+        elif kind == "semi" and not groups:
+            break
+        else:
+            _unexpected(m, last, groups, prev)
+        prev = kind
+    m = next(tokens)
+    if m.lastgroup != "end":
+        _unexpected(m, last, groups, "semi")
 
-    sc.skip_filler()
-    if sc.peek() != ";":
-        sc.error("expected ';' at the end of the tree")
-    sc.pos += 1
-    sc.skip_filler()
-    if sc.pos < sc.n:
-        sc.error("trailing characters after ';'")
-
-    root = done[0]
+    root = last
     seen = {}
     for label, pos in labels:
         if label in seen:
@@ -227,7 +189,7 @@ def parse_newick(text, taxa=None):
 
 
 def _format_label(name):
-    if name and all(c in _BARE_LABEL_CHARS for c in name):
+    if _BARE_LABEL.fullmatch(name):
         return name
     return "'" + name.replace("'", "''") + "'"
 

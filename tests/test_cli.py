@@ -107,6 +107,14 @@ def test_exit_code_nonbinary(tmp_path, capsys):
     assert code == 3
 
 
+def test_exit_code_one_child(tmp_path, capsys):
+    bad = tmp_path / "one.nwk"
+    bad.write_text("((A,B));")
+    code, _, err = run_cli(capsys, "count", str(bad), str(bad))
+    assert code == 3
+    assert "one child" in err
+
+
 def test_exit_code_taxon_mismatch(tmp_path, capsys):
     p = tmp_path / "p.nwk"
     q = tmp_path / "q.nwk"

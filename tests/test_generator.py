@@ -1,5 +1,6 @@
 """Generators: determinism, shapes, perturbation, exhaustive topologies."""
 
+import hashlib
 import math
 
 import pytest
@@ -140,6 +141,49 @@ def test_topology_enumeration_counts():
         assert len(trees) == count
         shapes = {unordered_shape(t) for t in trees}
         assert len(shapes) == count  # pairwise distinct as unordered trees
+
+
+def _arena_digest(trees):
+    h = hashlib.sha256()
+    for t in trees:
+        h.update(repr((t.left, t.right, t.taxon, t.root)).encode())
+    return h.hexdigest()
+
+
+def _pinned_trees(kind, n):
+    if kind == "caterpillar":
+        return [caterpillar_tree(n)]
+    if kind == "reversed":
+        return [caterpillar_tree(n, reverse=True)]
+    if kind == "balanced":
+        return [random_binary_tree(GeneratorConfig(n=n, seed=0, shape="balanced"))]
+    return enumerate_labeled_topologies(n)
+
+
+# Digests of (left, right, taxon, root), node for node, so that seeded
+# corpora stay bit-identical whenever the generators are rewritten.
+@pytest.mark.parametrize("kind, n, digest", [
+    ("caterpillar", 1, "66b083602729fa740f8b3e6bd7c8defb85a27e278f6a3597a7588266d183c8fb"),
+    ("reversed", 1, "66b083602729fa740f8b3e6bd7c8defb85a27e278f6a3597a7588266d183c8fb"),
+    ("balanced", 1, "66b083602729fa740f8b3e6bd7c8defb85a27e278f6a3597a7588266d183c8fb"),
+    ("caterpillar", 2, "9394a2897d6ce7f7ad89399bbea974bb683e261783145033080b8f4e5ad41f96"),
+    ("reversed", 2, "3f4739c9ea8bbe38b0b890674de131cd3ea4123c21156404c462b22d9c36c1d9"),
+    ("balanced", 2, "9394a2897d6ce7f7ad89399bbea974bb683e261783145033080b8f4e5ad41f96"),
+    ("caterpillar", 7, "0b463aa027f1350ee7a21ba0f9fc48c9b977c0f4798df0c3a6667ce5b2b27499"),
+    ("reversed", 7, "3d12b98052c20cba477aca5ebc62c43fb2b93c0a23ea801b879833e31b01bd65"),
+    ("balanced", 7, "bd2a62a9f9a08f756416a41bfb8ebc961ae6ffef5301438e3338cf586bd966b6"),
+    ("caterpillar", 64, "ba6f3df6bdd41f6e12b571af7e42b6a23eff273e84119e31b2766d895e382dfc"),
+    ("reversed", 64, "e0d7a6ed2fa4bd616725ca568d437bf4f769bcd3b8d35ee3a600fca5dd7ae50c"),
+    ("balanced", 64, "5bea65c331cb1c4ab66256148fd900c3ac81c19792dd64182e4ed9c72980ae20"),
+    ("topologies", 1, "66b083602729fa740f8b3e6bd7c8defb85a27e278f6a3597a7588266d183c8fb"),
+    ("topologies", 2, "9394a2897d6ce7f7ad89399bbea974bb683e261783145033080b8f4e5ad41f96"),
+    ("topologies", 3, "00adc643ba56c025379497938071ded372d34d0f4496cd98de95480e46e0fcc0"),
+    ("topologies", 4, "681b57ba0c4e1fb2e0e0d29aac950050343f286c4672da4f395be7cecc881ce7"),
+    ("topologies", 5, "d2c462e4e957dc057b79feaa91f58be687ac49b25f30428a985585a9b0b1e8ca"),
+    ("topologies", 6, "72e004d788513b2e78971ac12e28fa22aa0cd87fa4e9154929dedd72e837525a"),
+])
+def test_generated_arenas_are_pinned(kind, n, digest):
+    assert _arena_digest(_pinned_trees(kind, n)) == digest
 
 
 def test_splitmix_reference_vector():

@@ -9,6 +9,7 @@ from tripcon import (
     NonBinaryError,
     SplitMix64,
     TaxonMismatchError,
+    TaxonSet,
     parse_newick,
     serialize_newick,
 )
@@ -43,6 +44,48 @@ def test_error_carries_position():
 def test_multifurcation_rejected():
     with pytest.raises(NonBinaryError):
         parse_newick("(A,B,C);")
+
+
+# Every error branch of the parser: (input, exception, position).  For
+# NewickSyntaxError the position is the attribute; for NonBinaryError it
+# is the opening position of the group the message names.
+ERROR_TABLE = [
+    ("(A,B)[x", NewickSyntaxError, 5),  # unterminated comment
+    ("(A:1,[x", NewickSyntaxError, 5),
+    ("(A:[x", NewickSyntaxError, 3),
+    ("'a''", NewickSyntaxError, 0),  # unterminated quoted label
+    ("(A,'b", NewickSyntaxError, 3),
+    ("'';", NewickSyntaxError, 2),  # empty quoted label, after its quotes
+    ("(A:,B);", NewickSyntaxError, 3),  # no branch length
+    ("(A:1e,B);", NewickSyntaxError, 3),  # invalid branch length
+    ("(A:1:2,B);", NewickSyntaxError, 4),  # second branch length
+    ("((A,B)x,C);", NewickSyntaxError, 6),  # internal label
+    ("(A,B)'x;", NewickSyntaxError, 5),
+    ("(A,B);x", NewickSyntaxError, 6),  # trailing characters
+    ("(A,B); [c] ;", NewickSyntaxError, 11),
+    ("(,A);", NewickSyntaxError, 1),  # subtree wanted, ',' or ')' found
+    ("(A,);", NewickSyntaxError, 3),
+    ("();", NewickSyntaxError, 1),
+    ("(:1,A);", NewickSyntaxError, 1),  # label wanted, other found
+    ("(A#,B);", NewickSyntaxError, 2),  # ',' wanted
+    ("(A,B", NewickSyntaxError, 4),  # ')' wanted
+    ("((A,B),C)", NewickSyntaxError, 9),  # ';' wanted
+    ("((A,B),", NewickSyntaxError, 7),  # end of input, subtree wanted
+    ("(A,B,C);", NonBinaryError, 0),  # more than two children
+    ("(A);", NonBinaryError, 0),  # one child
+    ("((A,B));", NonBinaryError, 0),
+    ("(A,(B));", NonBinaryError, 3),
+]
+
+
+@pytest.mark.parametrize("text, error, position", ERROR_TABLE)
+def test_error_table(text, error, position):
+    with pytest.raises(error) as info:
+        parse_newick(text)
+    if error is NewickSyntaxError:
+        assert info.value.position == position
+    else:
+        assert f"opened at position {position}" in str(info.value)
 
 
 def test_internal_label_rejected():
@@ -117,3 +160,24 @@ def test_deep_caterpillar_no_recursion_limit():
     text = serialize_newick(t)
     back, _ = parse_newick(text)
     assert back.n_leaves == 5000
+
+
+def test_roundtrip_arbitrary_labels():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(
+        names=st.lists(st.text(min_size=1, max_size=8), min_size=1,
+                       max_size=12, unique=True),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def check(names, seed):
+        taxa = TaxonSet(names)
+        t = random_binary_tree(GeneratorConfig(n=len(names), seed=seed), taxa)
+        back, back_taxa = parse_newick(serialize_newick(t))
+        assert sorted(back_taxa.names) == sorted(names)
+        assert tree_shape(back) == tree_shape(t)
+
+    check()
