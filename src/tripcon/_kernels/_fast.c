@@ -3,10 +3,20 @@
  *
  * Same recursion, same emission order and same work-counter arithmetic
  * as the pure kernel (the cross-backend tests pin all three).  Every
- * per-tree structure lives in flat malloc'ed int arrays and is rebuilt
- * here rather than imported from the Python modules, so the hot path
- * never leaves C.  See tripcon.enumeration for the algorithm and the
- * counter contract.
+ * per-tree structure lives in flat int arrays and is rebuilt here rather
+ * than imported from the Python modules, so the hot path never leaves C.
+ * See tripcon.enumeration for the algorithm and the counter contract.
+ *
+ * Ownership.  A recursion context (a tree pair with its post-order data,
+ * Euler tours, RMQ tables and leaf-set-equivalence map) is one malloc'ed
+ * block whose layout follows from the two node counts alone.  Frames on
+ * the stack point to their context and each holds one reference, which
+ * is dropped once the popped frame has been processed; the context is
+ * freed when its count reaches zero.  Pending frames have disjoint leaf
+ * sets, so the frame stack never holds more frames than the input has
+ * leaves.  The run's scratch (output chunks, frame stack, taxon maps,
+ * partition buffers and sweep stacks) is a second block, sized from the
+ * universe and the input lengths.
  *
  * Node ids and leaf counts are C ints; every count of triples, frames,
  * steps or violations (including each frame's d_r) is a long long.
@@ -23,6 +33,7 @@
 
 #include <limits.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* Items buffered before they are appended to the returned arrays. */
 #define TRI_CHUNK (3 * 4096)
@@ -38,17 +49,12 @@ static void *xmalloc(size_t n)
     return p;
 }
 
-static void *xcalloc(size_t n, size_t size)
+/* n ints at offset *used of base, which is NULL when only measuring. */
+static int *take(int *base, size_t *used, size_t n)
 {
-    void *p = calloc(n ? n : 1, size);
-    if (p == NULL)
-        PyErr_NoMemory();
+    int *p = base ? base + *used : NULL;
+    *used += n;
     return p;
-}
-
-static int *ints(Py_ssize_t n)
-{
-    return xmalloc((size_t)n * sizeof(int));
 }
 
 /* Append nbytes of buf to the array.array arr. */
@@ -76,35 +82,50 @@ typedef struct {
     int *left, *right, *taxon;                    /* arena, -1 = none */
     int *post, *lc, *lb, *depth, *popo, *leaves;  /* post-order data */
     int *tour, *tdep, *fo;                        /* Euler tour */
-    int *bminpos, *bminval, *pat, *tbl, *lg, *st; /* +-1 RMQ */
-    unsigned char *tflag;
+    int *bminpos, *bminval, *pat, *tbl, *tflag, *lg, *st; /* +-1 RMQ */
     int m, root, nl, tlen, b, nb;
 } Side;
 
-static void side_free(Side *s)
+/* Size s for an m-node tree and point its arrays into base, or only
+   measure when base is NULL; returns the number of ints they take. */
+static size_t side_layout(Side *s, int m, int *base)
 {
-    if (s == NULL)
-        return;
-    free(s->left);
-    free(s->right);
-    free(s->taxon);
-    free(s->post);
-    free(s->lc);
-    free(s->lb);
-    free(s->depth);
-    free(s->popo);
-    free(s->leaves);
-    free(s->tour);
-    free(s->tdep);
-    free(s->fo);
-    free(s->bminpos);
-    free(s->bminval);
-    free(s->pat);
-    free(s->tbl);
-    free(s->lg);
-    free(s->st);
-    free(s->tflag);
-    free(s);
+    size_t used = 0, npat;
+    int bl = 0, levels = 0, t;
+
+    s->m = m;
+    s->nl = (m + 1) / 2;
+    s->tlen = 2 * m - 1; /* internal nodes appear 3x, leaves once */
+    for (t = s->tlen; t; t >>= 1)
+        bl++;
+    s->b = (bl - 1) / 2;
+    if (s->b < 1)
+        s->b = 1;
+    s->nb = (s->tlen + s->b - 1) / s->b;
+    for (t = s->nb; t; t >>= 1)
+        levels++;
+    npat = (size_t)1 << (s->b - 1);
+
+    s->left = take(base, &used, m);
+    s->right = take(base, &used, m);
+    s->taxon = take(base, &used, m);
+    s->post = take(base, &used, m);
+    s->lc = take(base, &used, m);
+    s->lb = take(base, &used, m);
+    s->depth = take(base, &used, m);
+    s->popo = take(base, &used, m);
+    s->fo = take(base, &used, m);
+    s->leaves = take(base, &used, s->nl);
+    s->tour = take(base, &used, s->tlen);
+    s->tdep = take(base, &used, s->tlen);
+    s->bminpos = take(base, &used, s->nb);
+    s->bminval = take(base, &used, s->nb);
+    s->pat = take(base, &used, s->nb);
+    s->tbl = take(base, &used, npat * s->b * s->b);
+    s->tflag = take(base, &used, npat);
+    s->lg = take(base, &used, (size_t)s->nb + 1);
+    s->st = take(base, &used, (size_t)levels * s->nb);
+    return used;
 }
 
 static void build_pattern_table(Side *s, int p, int b)
@@ -129,35 +150,14 @@ static void build_pattern_table(Side *s, int p, int b)
     }
 }
 
-static int rmq_build(Side *s)
+static void rmq_build(Side *s)
 {
-    int n = s->tlen;
-    int bl = 0, t = n;
-    int b, nb, npat, j, start, end, best, bv, p, i;
+    int n = s->tlen, b = s->b, nb = s->nb;
+    int j, start, end, best, bv, p, i;
     int levels, k, half, width, a, c;
     const int *d = s->tdep;
 
-    while (t) {
-        bl++;
-        t >>= 1;
-    }
-    b = (bl - 1) / 2;
-    if (b < 1)
-        b = 1;
-    nb = (n + b - 1) / b;
-    s->b = b;
-    s->nb = nb;
-
-    npat = 1 << (b - 1);
-    s->bminpos = ints(nb);
-    s->bminval = ints(nb);
-    s->pat = ints(nb);
-    s->tbl = ints((Py_ssize_t)npat * b * b);
-    s->tflag = xcalloc((size_t)npat, 1);
-    s->lg = xcalloc((size_t)nb + 1, sizeof(int));
-    if (!s->bminpos || !s->bminval || !s->pat || !s->tbl || !s->tflag || !s->lg)
-        return -1;
-
+    memset(s->tflag, 0, ((size_t)1 << (b - 1)) * sizeof(int));
     for (j = 0; j < nb; j++) {
         start = j * b;
         end = start + b;
@@ -183,13 +183,11 @@ static int rmq_build(Side *s)
         }
     }
 
+    s->lg[1] = 0;
     for (i = 2; i <= nb; i++)
         s->lg[i] = s->lg[i >> 1] + 1;
 
     levels = s->lg[nb] + 1;
-    s->st = ints((Py_ssize_t)levels * nb);
-    if (s->st == NULL)
-        return -1;
     for (j = 0; j < nb; j++)
         s->st[j] = j;
     for (k = 1; k < levels; k++) {
@@ -203,7 +201,6 @@ static int rmq_build(Side *s)
         for (i = width > 0 ? width : 0; i < nb; i++)
             s->st[k * nb + i] = s->st[(k - 1) * nb + i];
     }
-    return 0;
 }
 
 static inline int inblock(const Side *s, int blk, int oi, int oj)
@@ -255,55 +252,46 @@ static inline int is_below(const Side *s, int anc, int node)
     return hi - (2 * s->lc[anc] - 1) < pn && pn <= hi;
 }
 
-/* Derive post-order data, the Euler tour, and the RMQ structures. */
-static int side_finish(Side *s)
+/* Derive post-order data, the Euler tour and the RMQ tables from the
+   arena, with stk (2m + 4 ints) as the traversal stack.  The first
+   traversal rejects an arena that is not a full binary tree: a node
+   reached twice, a node with one child, or nodes the root does not reach.
+   Each node is entered once, so the stack holds at most 2m + 1 items. */
+static int side_finish(Side *s, int *stk)
 {
     int m = s->m;
     int sp, npost = 0, nleaf = 0, tpos = 0;
     int x, v, ph, lcn, rcn;
-    int *stk;
+    const char *why;
 
-    s->nl = (m + 1) / 2;
-    s->tlen = 2 * m - 1; /* internal nodes appear 3x, leaves once */
-    s->post = ints(m);
-    s->lc = ints(m);
-    s->lb = ints(m);
-    s->depth = ints(m);
-    s->popo = ints(m);
-    s->leaves = ints(s->nl);
-    s->tour = ints(s->tlen);
-    s->tdep = ints(s->tlen);
-    s->fo = ints(m);
-    stk = ints(2 * (Py_ssize_t)m + 4);
-    if (!s->post || !s->lc || !s->lb || !s->depth || !s->popo || !s->leaves
-        || !s->tour || !s->tdep || !s->fo || !stk) {
-        free(stk);
-        return -1;
-    }
-
+    memset(s->lb, -1, (size_t)m * sizeof(int));
     s->depth[s->root] = 0;
     stk[0] = s->root << 1;
     sp = 1;
     while (sp) {
         x = stk[--sp];
         v = x >> 1;
+        lcn = s->left[v];
+        rcn = s->right[v];
         if (x & 1) {
-            lcn = s->left[v];
-            rcn = s->right[v];
             s->lc[v] = s->lc[lcn] + s->lc[rcn];
             s->post[v] = npost;
             s->popo[npost++] = v;
             continue;
         }
+        why = s->lb[v] >= 0 ? "is reached twice"
+              : (lcn < 0) != (rcn < 0) ? "has one child" : NULL;
+        if (why != NULL) {
+            PyErr_Format(PyExc_ValueError, "node %d %s", v, why);
+            return -1;
+        }
         s->lb[v] = nleaf;
-        lcn = s->left[v];
         if (lcn < 0) {
             s->lc[v] = 1;
             s->post[v] = npost;
             s->popo[npost++] = v;
             s->leaves[nleaf++] = v;
         } else {
-            rcn = s->right[v];
             s->depth[lcn] = s->depth[v] + 1;
             s->depth[rcn] = s->depth[v] + 1;
             stk[sp] = (v << 1) | 1;
@@ -311,6 +299,12 @@ static int side_finish(Side *s)
             stk[sp + 2] = lcn << 1;
             sp += 3;
         }
+    }
+    if (npost < m) {
+        PyErr_Format(PyExc_ValueError,
+                     "%d of %d nodes are not reached from the root",
+                     m - npost, m);
+        return -1;
     }
 
     stk[0] = s->root << 2;
@@ -336,37 +330,16 @@ static int side_finish(Side *s)
             }
         }
     }
-    free(stk);
-    return rmq_build(s);
+    rmq_build(s);
+    return 0;
 }
 
-/* A Side with its arena allocated for m nodes; NULL on failure. */
-static Side *side_alloc(int m)
+/* Fill s, laid out for 2k - 1 nodes, with the subtree of parent induced by
+   k >= 2 post-ordered leaves z (stack sweep; odep and stk hold 4k + 2). */
+static int side_from_leaflist(Side *s, const Side *parent, const int *z,
+                              int k, int *odep, int *stk)
 {
-    Side *s = xcalloc(1, sizeof *s);
-    if (s == NULL)
-        return NULL;
-    s->m = m;
-    s->left = ints(m);
-    s->right = ints(m);
-    s->taxon = ints(m);
-    if (!s->left || !s->right || !s->taxon) {
-        side_free(s);
-        return NULL;
-    }
-    return s;
-}
-
-/* Induced subtree over k >= 2 post-ordered leaves (stack sweep). */
-static Side *side_from_leaflist(const Side *parent, const int *z, int k)
-{
-    Side *s = side_alloc(2 * k - 1);
-    int *odep = ints(2 * (Py_ssize_t)k - 1);
-    int *stk = ints(2 * (Py_ssize_t)k + 2);
     int sp, nid, i, bnd, bd, top, nxt, inner, leaf;
-
-    if (s == NULL || odep == NULL || stk == NULL)
-        goto fail;
 
     s->left[0] = -1;
     s->right[0] = -1;
@@ -404,77 +377,58 @@ static Side *side_from_leaflist(const Side *parent, const int *z, int k)
         top = nxt;
     }
     s->root = top;
-    free(odep);
-    free(stk);
-    if (side_finish(s) < 0) {
-        side_free(s);
-        return NULL;
-    }
-    return s;
-
-fail:
-    side_free(s);
-    free(odep);
-    free(stk);
-    return NULL;
+    return side_finish(s, stk);
 }
 
-/* Copy a list of ints, each in [lo, hi), into a new int array. */
-static int *ints_from_list(PyObject *list, long lo, long hi, const char *what)
+/* Copy a list of ints, each in [lo, hi), into out. */
+static int ints_from_list(int *out, PyObject *list, long lo, long hi,
+                          const char *what)
 {
     Py_ssize_t i, n = PyList_GET_SIZE(list);
-    int *out = ints(n);
     long v;
 
-    if (out == NULL)
-        return NULL;
     for (i = 0; i < n; i++) {
         v = PyLong_AsLong(PyList_GET_ITEM(list, i));
         if (v == -1 && PyErr_Occurred())
-            goto fail;
+            return -1;
         if (v < lo || v >= hi) {
             PyErr_Format(PyExc_ValueError, "%s[%zd] = %ld is out of range",
                          what, i, v);
-            goto fail;
+            return -1;
         }
         out[i] = (int)v;
     }
-    return out;
-
-fail:
-    free(out);
-    return NULL;
+    return 0;
 }
 
-/* The top-level Side of a finalized tree given as parallel lists.  Ids are
-   range-checked; the shape must be a full binary tree, as tripcon.tree.Tree
-   guarantees. */
-static Side *side_from_lists(PyObject *left, PyObject *right, PyObject *taxon,
-                             int root, int universe)
+/* The node count of a tree given as parallel lists; -1 if the lengths or
+   the root do not fit. */
+static int list_size(PyObject *left, PyObject *right, PyObject *taxon,
+                     int root)
 {
     Py_ssize_t m = PyList_GET_SIZE(left);
-    Side *s;
 
     if (m < 1 || m >= (INT_MAX >> 2) || PyList_GET_SIZE(right) != m
         || PyList_GET_SIZE(taxon) != m || root < 0 || root >= m) {
         PyErr_SetString(PyExc_ValueError,
                         "left, right and taxon must have one equal, non-zero "
                         "length and root must index into them");
-        return NULL;
+        return -1;
     }
-    s = xcalloc(1, sizeof *s);
-    if (s == NULL)
-        return NULL;
-    s->m = (int)m;
+    return (int)m;
+}
+
+/* Fill s, laid out for the lists' length, from a tree given as parallel
+   lists.  Ids are range-checked and side_finish checks the shape. */
+static int side_from_lists(Side *s, PyObject *left, PyObject *right,
+                           PyObject *taxon, int root, int universe, int *stk)
+{
     s->root = root;
-    if ((s->left = ints_from_list(left, -1, (long)m, "left")) == NULL
-        || (s->right = ints_from_list(right, -1, (long)m, "right")) == NULL
-        || (s->taxon = ints_from_list(taxon, -1, universe, "taxon")) == NULL
-        || side_finish(s) < 0) {
-        side_free(s);
-        return NULL;
-    }
-    return s;
+    if (ints_from_list(s->left, left, -1, s->m, "left") < 0
+        || ints_from_list(s->right, right, -1, s->m, "right") < 0
+        || ints_from_list(s->taxon, taxon, -1, universe, "taxon") < 0)
+        return -1;
+    return side_finish(s, stk);
 }
 
 static void write_scratch(const Side *s, int *scratch)
@@ -484,23 +438,73 @@ static void write_scratch(const Side *s, int *scratch)
         scratch[s->taxon[s->leaves[r]]] = s->leaves[r];
 }
 
+/* write_scratch for an input tree, into a scratch that holds -1 for every
+   taxon not seen yet; fails on a leaf without a taxon or a repeated one. */
+static int index_leaves(const Side *s, int *scratch)
+{
+    int r, v, t;
+    for (r = 0; r < s->nl; r++) {
+        v = s->leaves[r];
+        t = s->taxon[v];
+        if (t < 0 || scratch[t] >= 0) {
+            PyErr_Format(PyExc_ValueError, "leaf %d has %s taxon", v,
+                         t < 0 ? "no" : "a repeated");
+            return -1;
+        }
+        scratch[t] = v;
+    }
+    return 0;
+}
+
 /* ====================================================================== */
-/* Owned tree pair (a recursion context)                                  */
+/* A recursion context: tree pair and equivalence map in one block        */
 /* ====================================================================== */
 
 typedef struct {
-    Side *p, *q;
-    int *m; /* leaf-set-equivalence map P -> Q */
+    Side p, q;
+    int *m;   /* leaf-set-equivalence map P -> Q */
+    int refs; /* frames pending or being processed in this context */
 } Ctx;
 
-static void ctx_free(Ctx *c)
+/* An unreferenced context for an mp-node P and an mq-node Q, with its
+   arenas still to fill; NULL on failure. */
+static Ctx *ctx_new(int mp, int mq)
 {
+    Side probe;
+    size_t np = side_layout(&probe, mp, NULL);
+    size_t nq = side_layout(&probe, mq, NULL);
+    Ctx *c = xmalloc(sizeof *c + (np + nq + (size_t)mp) * sizeof(int));
+    int *base;
+
     if (c == NULL)
-        return;
-    side_free(c->p);
-    side_free(c->q);
-    free(c->m);
-    free(c);
+        return NULL;
+    base = (int *)(c + 1);
+    side_layout(&c->p, mp, base);
+    side_layout(&c->q, mq, base + np);
+    c->m = base + np + nq;
+    c->refs = 0;
+    return c;
+}
+
+static void ctx_release(Ctx *c)
+{
+    if (--c->refs == 0)
+        free(c);
+}
+
+/* Fill the equivalence map; qleaf maps each taxon of Q to its leaf. */
+static void ctx_map(Ctx *c, const int *qleaf)
+{
+    const Side *p = &c->p;
+    int i, v;
+
+    for (i = 0; i < p->m; i++) {
+        v = p->popo[i];
+        if (p->left[v] < 0)
+            c->m[v] = qleaf[p->taxon[v]];
+        else
+            c->m[v] = lca(&c->q, c->m[p->left[v]], c->m[p->right[v]]);
+    }
 }
 
 /* ====================================================================== */
@@ -508,85 +512,91 @@ static void ctx_free(Ctx *c)
 /* ====================================================================== */
 
 typedef struct {
+    Ctx *ctx;
+    int rp, rq;
+} Frame;
+
+typedef struct {
     int store;
     long long work, frames, violations, emitted;
     /* output: flat triples (array('i')) and per-frame d_r (array('q')),
        each filled through a fixed chunk buffer */
     PyObject *tri_arr, *dr_arr;
-    int *tri;
+    /* the rest is one block: dr, the int arrays, then fs */
     long long *dr;
+    int *tri;
     int ntri, ndr;
-    /* frame stack (ci, rp, rq per frame) */
-    int *fs;
-    Py_ssize_t fs_len, fs_cap;
-    /* every context made so far */
-    Ctx **ctxs;
-    int nctx, ctx_cap;
+    /* pending frames, at most one per input leaf */
+    Frame *fs;
+    int nfs;
     /* universe-sized taxon -> current leaf scratch */
     int *pleaf, *qleaf;
-    /* partition buffers (8 of size u) and their fills */
-    int *part;
-    int pn[8];
-    /* LSC scratch */
-    int *zlca, *ztax, *zpost, *par, *plo, *phi, *podep, *pstk;
+    /* partition buffers, each of size u */
+    int *part[8];
+    /* LSC's Z data; then the stack sweeps of LSC, restriction and
+       side_finish */
+    int *zlca, *ztax, *zpost;
+    int *par, *plo, *phi, *odep, *stk;
 } Run;
 
-static int run_init(Run *run, int universe, int store)
+/* Point the run's int scratch into base (NULL to only measure) for
+   universe u and sweeps of w items; returns the number of ints taken. */
+static size_t run_layout(Run *run, size_t u, size_t w, int *base)
 {
-    Py_ssize_t u = universe > 0 ? universe : 1;
+    size_t used = 0;
+    int i;
+
+    run->tri = take(base, &used, TRI_CHUNK);
+    run->pleaf = take(base, &used, u);
+    run->qleaf = take(base, &used, u);
+    for (i = 0; i < 8; i++)
+        run->part[i] = take(base, &used, u);
+    run->zlca = take(base, &used, u + 2);
+    run->ztax = take(base, &used, u + 2);
+    run->zpost = take(base, &used, u + 2);
+    run->par = take(base, &used, w);
+    run->plo = take(base, &used, w);
+    run->phi = take(base, &used, w);
+    run->odep = take(base, &used, w);
+    run->stk = take(base, &used, w);
+    return used;
+}
+
+/* m is the larger input tree's node count; it bounds the pending frames
+   and, with the universe, every sweep. */
+static int run_init(Run *run, int universe, int m, int store)
+{
+    size_t u = universe > 0 ? (size_t)universe : 1;
+    size_t w = 2 * ((size_t)m > u ? (size_t)m : u) + 6;
+    size_t nfs = ((size_t)m + 1) / 2;
+    size_t ints = run_layout(run, u, w, NULL);
 
     run->store = store;
     run->tri_arr = PyObject_CallFunction(array_type, "s", "i");
     run->dr_arr = PyObject_CallFunction(array_type, "s", "q");
     if (run->tri_arr == NULL || run->dr_arr == NULL)
         return -1;
-    run->tri = ints(TRI_CHUNK);
-    run->dr = xmalloc(DR_CHUNK * sizeof(long long));
-    run->fs_cap = 3 * 64;
-    run->fs = ints(run->fs_cap);
-    run->ctx_cap = 64;
-    run->ctxs = xmalloc((size_t)run->ctx_cap * sizeof(Ctx *));
-    run->pleaf = ints(u);
-    run->qleaf = ints(u);
-    run->part = ints(8 * u);
-    run->zlca = ints(u + 2);
-    run->ztax = ints(u + 2);
-    run->zpost = ints(u + 2);
-    run->par = ints(2 * u + 4);
-    run->plo = ints(2 * u + 4);
-    run->phi = ints(2 * u + 4);
-    run->podep = ints(2 * u + 4);
-    run->pstk = ints(2 * u + 6);
-    if (!run->tri || !run->dr || !run->fs || !run->ctxs || !run->pleaf
-        || !run->qleaf || !run->part || !run->zlca || !run->ztax
-        || !run->zpost || !run->par || !run->plo || !run->phi
-        || !run->podep || !run->pstk)
+    /* the frames go last, where an overrun leaves the block; an even
+       number of ints keeps them aligned */
+    ints += ints & 1;
+    run->dr = xmalloc(DR_CHUNK * sizeof(long long) + ints * sizeof(int)
+                      + nfs * sizeof(Frame));
+    if (run->dr == NULL)
         return -1;
+    run_layout(run, u, w, (int *)(run->dr + DR_CHUNK));
+    run->fs = (Frame *)((int *)(run->dr + DR_CHUNK) + ints);
+    memset(run->pleaf, -1, u * sizeof(int));
+    memset(run->qleaf, -1, u * sizeof(int));
     return 0;
 }
 
 static void run_free(Run *run)
 {
-    int i;
     Py_XDECREF(run->tri_arr);
     Py_XDECREF(run->dr_arr);
-    for (i = 0; i < run->nctx; i++)
-        ctx_free(run->ctxs[i]);
-    free(run->ctxs);
-    free(run->tri);
+    while (run->nfs)
+        ctx_release(run->fs[--run->nfs].ctx);
     free(run->dr);
-    free(run->fs);
-    free(run->pleaf);
-    free(run->qleaf);
-    free(run->part);
-    free(run->zlca);
-    free(run->ztax);
-    free(run->zpost);
-    free(run->par);
-    free(run->plo);
-    free(run->phi);
-    free(run->podep);
-    free(run->pstk);
 }
 
 static int flush_output(Run *run)
@@ -599,66 +609,13 @@ static int flush_output(Run *run)
     return 0;
 }
 
-/* Bundle a tree pair with its leaf-set-equivalence map and append it to
-   the run's contexts.  Takes ownership of p and q; returns the context
-   index, or -1 on failure. */
-static int run_add_ctx(Run *run, Side *p, Side *q)
+static void push_frame(Run *run, Ctx *c, int rp, int rq)
 {
-    Ctx *c = xcalloc(1, sizeof *c);
-    Ctx **grown;
-    int i, v;
-
-    if (c == NULL) {
-        side_free(p);
-        side_free(q);
-        return -1;
-    }
-    c->p = p;
-    c->q = q;
-    c->m = ints(p->m);
-    if (c->m == NULL)
-        goto fail;
-    for (i = 0; i < p->m; i++) {
-        v = p->popo[i];
-        if (p->left[v] < 0)
-            c->m[v] = run->qleaf[p->taxon[v]];
-        else
-            c->m[v] = lca(q, c->m[p->left[v]], c->m[p->right[v]]);
-    }
-    if (run->nctx == run->ctx_cap) {
-        grown = realloc(run->ctxs, 2 * (size_t)run->ctx_cap * sizeof(Ctx *));
-        if (grown == NULL) {
-            PyErr_NoMemory();
-            goto fail;
-        }
-        run->ctxs = grown;
-        run->ctx_cap *= 2;
-    }
-    run->ctxs[run->nctx] = c;
-    return run->nctx++;
-
-fail:
-    ctx_free(c);
-    return -1;
-}
-
-static int push_frame(Run *run, int ci, int rp, int rq)
-{
-    int *grown;
-    if (run->fs_len + 3 > run->fs_cap) {
-        grown = realloc(run->fs, 2 * (size_t)run->fs_cap * sizeof(int));
-        if (grown == NULL) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        run->fs = grown;
-        run->fs_cap *= 2;
-    }
-    run->fs[run->fs_len] = ci;
-    run->fs[run->fs_len + 1] = rp;
-    run->fs[run->fs_len + 2] = rq;
-    run->fs_len += 3;
-    return 0;
+    Frame *f = &run->fs[run->nfs++];
+    f->ctx = c;
+    f->rp = rp;
+    f->rq = rq;
+    c->refs++;
 }
 
 static int push_dr(Run *run, long long v)
@@ -711,7 +668,7 @@ static int lsc(Run *run, const Side *t, const int *z, int k,
     int j, bnd, bd, top, nxt, inner, leaf, c_node, cur_orig;
     int y, pr, ylo, yhi, slo, shi, ia, ib, ta, tb, rootn;
     int *par = run->par, *plo = run->plo, *phi = run->phi;
-    int *podep = run->podep, *pstk = run->pstk;
+    int *podep = run->odep, *pstk = run->stk;
 
     if (k < 2 || nc == 0)
         return 0;
@@ -843,151 +800,142 @@ static int lsc(Run *run, const Side *t, const int *z, int k,
 static const int SPEC_Z[4] = {0, 4, 1, 5};
 static const int SPEC_ZQ[4] = {2, 6, 7, 3};
 
-/* The frame recursion; fills run's counters and output. */
-static int run_frames(Run *run, int universe)
+/* Process one popped frame and push the frames that follow it. */
+static int run_frame(Run *run, Ctx *ctx, int rp, int rq)
 {
-    int u = universe > 0 ? universe : 1;
-    int *bufs[8];
-    int child_ci[4], child_rp[4], child_rq[4];
-    int nchild, ci, rp, rq, up, vp, uq, vq, tswap;
+    int **bufs = run->part;
+    int pn[8];
+    int up, vp, uq, vq, tswap;
     int base, end, r, leaf, nz, i, pi, x_p, x_q, other_p;
     int ai, bi, cri, ta, tb;
     long long before, d_r;
-    const Ctx *ctx;
-    const Side *P, *Q;
-    Side *cp_side, *cq_side;
-    int *pn = run->pn;
+    const Side *P = &ctx->p, *Q = &ctx->q;
+    Ctx *child;
 
-    for (i = 0; i < 8; i++)
-        bufs[i] = run->part + (Py_ssize_t)i * u;
+    run->frames += 1;
+    run->work += 1;
+    if (P->lc[rp] <= 1)
+        return push_dr(run, 0);
 
-    while (run->fs_len) {
-        run->fs_len -= 3;
-        ci = run->fs[run->fs_len];
-        rp = run->fs[run->fs_len + 1];
-        rq = run->fs[run->fs_len + 2];
-        ctx = run->ctxs[ci];
-        P = ctx->p;
-        Q = ctx->q;
-        run->frames += 1;
-        run->work += 1;
-        if (P->lc[rp] <= 1) {
-            if (push_dr(run, 0) < 0)
-                return -1;
-            continue;
+    up = P->left[rp];
+    vp = P->right[rp];
+    uq = Q->left[rq];
+    vq = Q->right[rq];
+    if (ctx->m[up] == vq && P->lc[up] == Q->lc[vq]) {
+        tswap = uq;
+        uq = vq;
+        vq = tswap;
+    }
+    if (ctx->m[up] == uq && P->lc[up] == Q->lc[uq]) {
+        push_frame(run, ctx, vp, vq);
+        push_frame(run, ctx, up, uq);
+        return push_dr(run, 0);
+    }
+
+    /* ---- partition both pairs ---------------------------------------- */
+    for (pi = 0; pi < 2; pi++) {
+        x_p = pi == 0 ? up : vp;
+        x_q = pi == 0 ? uq : vq;
+        pn[4 * pi] = 0;
+        pn[4 * pi + 1] = 0;
+        pn[4 * pi + 2] = 0;
+        pn[4 * pi + 3] = 0;
+        base = P->lb[x_p];
+        end = base + P->lc[x_p];
+        for (r = base; r < end; r++) {
+            leaf = P->leaves[r];
+            if (is_below(Q, x_q, run->qleaf[P->taxon[leaf]]))
+                bufs[4 * pi][pn[4 * pi]++] = leaf;
+            else
+                bufs[4 * pi + 1][pn[4 * pi + 1]++] = leaf;
         }
-
-        up = P->left[rp];
-        vp = P->right[rp];
-        uq = Q->left[rq];
-        vq = Q->right[rq];
-        if (ctx->m[up] == vq && P->lc[up] == Q->lc[vq]) {
-            tswap = uq;
-            uq = vq;
-            vq = tswap;
+        base = Q->lb[x_q];
+        end = base + Q->lc[x_q];
+        for (r = base; r < end; r++) {
+            leaf = Q->leaves[r];
+            if (is_below(P, x_p, run->pleaf[Q->taxon[leaf]]))
+                bufs[4 * pi + 2][pn[4 * pi + 2]++] = leaf;
+            else
+                bufs[4 * pi + 3][pn[4 * pi + 3]++] = leaf;
         }
-        if (ctx->m[up] == uq && P->lc[up] == Q->lc[uq]) {
-            if (push_dr(run, 0) < 0 || push_frame(run, ci, vp, vq) < 0
-                || push_frame(run, ci, up, uq) < 0)
-                return -1;
-            continue;
-        }
+    }
+    run->work += 2 * P->lc[rp];
 
-        /* ---- partition both pairs ---------------------------------- */
-        for (pi = 0; pi < 2; pi++) {
-            x_p = pi == 0 ? up : vp;
-            x_q = pi == 0 ? uq : vq;
-            pn[4 * pi] = 0;
-            pn[4 * pi + 1] = 0;
-            pn[4 * pi + 2] = 0;
-            pn[4 * pi + 3] = 0;
-            base = P->lb[x_p];
-            end = base + P->lc[x_p];
-            for (r = base; r < end; r++) {
-                leaf = P->leaves[r];
-                if (is_below(Q, x_q, run->qleaf[P->taxon[leaf]]))
-                    bufs[4 * pi][pn[4 * pi]++] = leaf;
-                else
-                    bufs[4 * pi + 1][pn[4 * pi + 1]++] = leaf;
-            }
-            base = Q->lb[x_q];
-            end = base + Q->lc[x_q];
-            for (r = base; r < end; r++) {
-                leaf = Q->leaves[r];
-                if (is_below(P, x_p, run->pleaf[Q->taxon[leaf]]))
-                    bufs[4 * pi + 2][pn[4 * pi + 2]++] = leaf;
-                else
-                    bufs[4 * pi + 3][pn[4 * pi + 3]++] = leaf;
-            }
-        }
-        run->work += 2 * P->lc[rp];
-
-        /* ---- conflicts touching the current roots -------------------- */
-        before = run->emitted;
-        for (pi = 0; pi < 2; pi++) {
-            other_p = pi == 0 ? vp : up;
-            if (pn[4 * pi] && pn[4 * pi + 1] && !run->store) {
-                run->emitted += (long long)pn[4 * pi] * pn[4 * pi + 1]
-                                * P->lc[other_p];
-            } else if (pn[4 * pi] && pn[4 * pi + 1]) {
-                base = P->lb[other_p];
-                end = base + P->lc[other_p];
-                for (ai = 0; ai < pn[4 * pi]; ai++) {
-                    ta = P->taxon[bufs[4 * pi][ai]];
-                    for (bi = 0; bi < pn[4 * pi + 1]; bi++) {
-                        tb = P->taxon[bufs[4 * pi + 1][bi]];
-                        for (cri = base; cri < end; cri++)
-                            if (emit(run, ta, tb, P->taxon[P->leaves[cri]]) < 0)
-                                return -1;
-                    }
+    /* ---- conflicts touching the current roots ------------------------ */
+    before = run->emitted;
+    for (pi = 0; pi < 2; pi++) {
+        other_p = pi == 0 ? vp : up;
+        if (pn[4 * pi] && pn[4 * pi + 1] && !run->store) {
+            run->emitted += (long long)pn[4 * pi] * pn[4 * pi + 1]
+                            * P->lc[other_p];
+        } else if (pn[4 * pi] && pn[4 * pi + 1]) {
+            base = P->lb[other_p];
+            end = base + P->lc[other_p];
+            for (ai = 0; ai < pn[4 * pi]; ai++) {
+                ta = P->taxon[bufs[4 * pi][ai]];
+                for (bi = 0; bi < pn[4 * pi + 1]; bi++) {
+                    tb = P->taxon[bufs[4 * pi + 1][bi]];
+                    for (cri = base; cri < end; cri++)
+                        if (emit(run, ta, tb, P->taxon[P->leaves[cri]]) < 0)
+                            return -1;
                 }
             }
-            if (lsc(run, P, bufs[4 * pi], pn[4 * pi],
-                    bufs[4 * pi + 1], pn[4 * pi + 1]) < 0
-                || lsc(run, P, bufs[4 * pi + 1], pn[4 * pi + 1],
-                       bufs[4 * pi], pn[4 * pi]) < 0
-                || lsc(run, Q, bufs[4 * pi + 2], pn[4 * pi + 2],
-                       bufs[4 * pi + 3], pn[4 * pi + 3]) < 0
-                || lsc(run, Q, bufs[4 * pi + 3], pn[4 * pi + 3],
-                       bufs[4 * pi + 2], pn[4 * pi + 2]) < 0)
-                return -1;
         }
-        d_r = run->emitted - before;
-        run->work += d_r;
-        if (push_dr(run, d_r) < 0)
+        if (lsc(run, P, bufs[4 * pi], pn[4 * pi],
+                bufs[4 * pi + 1], pn[4 * pi + 1]) < 0
+            || lsc(run, P, bufs[4 * pi + 1], pn[4 * pi + 1],
+                   bufs[4 * pi], pn[4 * pi]) < 0
+            || lsc(run, Q, bufs[4 * pi + 2], pn[4 * pi + 2],
+                   bufs[4 * pi + 3], pn[4 * pi + 3]) < 0
+            || lsc(run, Q, bufs[4 * pi + 3], pn[4 * pi + 3],
+                   bufs[4 * pi + 2], pn[4 * pi + 2]) < 0)
             return -1;
-        if (P->lc[rp] > d_r + 2)
-            run->violations += 1;
+    }
+    d_r = run->emitted - before;
+    run->work += d_r;
+    if (P->lc[rp] > d_r + 2)
+        run->violations += 1;
 
-        /* ---- children ------------------------------------------------ */
-        nchild = 0;
-        for (i = 0; i < 4; i++) {
-            nz = pn[SPEC_Z[i]];
-            if (nz < 3)
-                continue;
-            cp_side = side_from_leaflist(P, bufs[SPEC_Z[i]], nz);
-            cq_side = side_from_leaflist(Q, bufs[SPEC_ZQ[i]], nz);
-            if (cp_side == NULL || cq_side == NULL) {
-                side_free(cp_side);
-                side_free(cq_side);
-                return -1;
-            }
-            write_scratch(cp_side, run->pleaf);
-            write_scratch(cq_side, run->qleaf);
-            run->work += 2 * nz;
-            run->work += cp_side->m + cq_side->m;
-            run->work += cp_side->tlen + cq_side->tlen;
-            run->work += cp_side->m;
-            child_rp[nchild] = cp_side->root;
-            child_rq[nchild] = cq_side->root;
-            child_ci[nchild] = run_add_ctx(run, cp_side, cq_side);
-            if (child_ci[nchild] < 0)
-                return -1;
-            nchild++;
+    /* ---- children, pushed last first so the first is processed first -- */
+    for (i = 3; i >= 0; i--) {
+        nz = pn[SPEC_Z[i]];
+        if (nz < 3)
+            continue;
+        child = ctx_new(2 * nz - 1, 2 * nz - 1);
+        if (child == NULL)
+            return -1;
+        if (side_from_leaflist(&child->p, P, bufs[SPEC_Z[i]], nz,
+                               run->odep, run->stk) < 0
+            || side_from_leaflist(&child->q, Q, bufs[SPEC_ZQ[i]], nz,
+                                  run->odep, run->stk) < 0) {
+            free(child);
+            return -1;
         }
-        for (i = nchild - 1; i >= 0; i--)
-            if (push_frame(run, child_ci[i], child_rp[i], child_rq[i]) < 0)
-                return -1;
+        write_scratch(&child->p, run->pleaf);
+        write_scratch(&child->q, run->qleaf);
+        ctx_map(child, run->qleaf);
+        run->work += 2 * nz;
+        run->work += child->p.m + child->q.m;
+        run->work += child->p.tlen + child->q.tlen;
+        run->work += child->p.m;
+        push_frame(run, child, child->p.root, child->q.root);
+    }
+    return push_dr(run, d_r);
+}
+
+/* Pop and process frames until none is left; a popped frame's reference
+   to its context is dropped once the frame has been processed. */
+static int run_frames(Run *run)
+{
+    Frame f;
+    int rc;
+
+    while (run->nfs) {
+        f = run->fs[--run->nfs];
+        rc = run_frame(run, f.ctx, f.rp, f.rq);
+        ctx_release(f.ctx);
+        if (rc < 0)
+            return -1;
     }
     return 0;
 }
@@ -1002,7 +950,8 @@ PyDoc_STRVAR(run_enumeration_doc,
 "With ``store`` false, triples are only counted, never materialized.\n"
 "Returns ``(flat_triples, emitted, frames_opened, nodes_touched,\n"
 "budget_violations, per_frame_dr)``; flat_triples is an array('i') and\n"
-"per_frame_dr an array('q').");
+"per_frame_dr an array('q').  Raises ValueError unless both trees are\n"
+"full binary trees whose leaves carry the same distinct taxa.");
 
 static PyObject *run_enumeration(PyObject *module, PyObject *args, PyObject *kwargs)
 {
@@ -1011,8 +960,9 @@ static PyObject *run_enumeration(PyObject *module, PyObject *args, PyObject *kwa
                              "universe", "store", NULL};
     PyObject *p_left, *p_right, *p_taxon, *q_left, *q_right, *q_taxon;
     PyObject *result = NULL;
-    int p_root, q_root, universe, store = 1, ci;
-    Side *P0 = NULL, *Q0 = NULL;
+    int p_root, q_root, universe, store = 1, mp, mq, r;
+    Ctx *top = NULL;
+    Side *P, *Q;
     Run run = {0};
 
     (void)module;
@@ -1024,23 +974,29 @@ static PyObject *run_enumeration(PyObject *module, PyObject *args, PyObject *kwa
             &PyList_Type, &q_taxon, &q_root, &universe, &store))
         return NULL;
 
-    if (run_init(&run, universe, store) < 0)
+    if ((mp = list_size(p_left, p_right, p_taxon, p_root)) < 0
+        || (mq = list_size(q_left, q_right, q_taxon, q_root)) < 0
+        || run_init(&run, universe, mp > mq ? mp : mq, store) < 0
+        || (top = ctx_new(mp, mq)) == NULL)
         goto done;
-    P0 = side_from_lists(p_left, p_right, p_taxon, p_root, universe);
-    Q0 = side_from_lists(q_left, q_right, q_taxon, q_root, universe);
-    if (P0 == NULL || Q0 == NULL) {
-        side_free(P0);
-        side_free(Q0);
+    push_frame(&run, top, p_root, q_root); /* run_free releases it on error */
+    P = &top->p;
+    Q = &top->q;
+    if (side_from_lists(P, p_left, p_right, p_taxon, p_root, universe, run.stk) < 0
+        || side_from_lists(Q, q_left, q_right, q_taxon, q_root, universe, run.stk) < 0
+        || index_leaves(P, run.pleaf) < 0 || index_leaves(Q, run.qleaf) < 0)
+        goto done;
+    for (r = 0; r < P->nl && run.qleaf[P->taxon[P->leaves[r]]] >= 0; r++)
+        ;
+    if (r < P->nl || P->nl != Q->nl) {
+        PyErr_SetString(PyExc_ValueError, "P and Q carry different leaf taxa");
         goto done;
     }
-    write_scratch(P0, run.pleaf);
-    write_scratch(Q0, run.qleaf);
-    run.work += P0->m + Q0->m;
-    run.work += P0->tlen + Q0->tlen;
-    run.work += P0->m;
-    ci = run_add_ctx(&run, P0, Q0);
-    if (ci < 0 || push_frame(&run, ci, p_root, q_root) < 0
-        || run_frames(&run, universe) < 0 || flush_output(&run) < 0)
+    ctx_map(top, run.qleaf);
+    run.work += P->m + Q->m;
+    run.work += P->tlen + Q->tlen;
+    run.work += P->m;
+    if (run_frames(&run) < 0 || flush_output(&run) < 0)
         goto done;
 
     result = Py_BuildValue("(OLLLLO)", run.tri_arr, run.emitted, run.frames,

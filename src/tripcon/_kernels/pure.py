@@ -1,11 +1,13 @@
 """Pure-Python enumeration kernel.
 
 This is the reference twin of the compiled kernel: it drives the frame
-recursion with an explicit stack and composes the public modules (LCA
-index, induced subtree, leaf equivalence, and the listing operations in
-``tripcon.enumeration``).  The compiled kernel must reproduce its output
-sequence and its counters exactly; the emission order per partitioning
-frame is pinned as
+recursion with an explicit stack of ``(ctx, rp, rq)`` frames, where
+``ctx = (P, Q, ip, iq, m)``, and composes the public modules (LCA index,
+induced subtree, leaf equivalence, and the listing operations in
+``tripcon.enumeration``).  Only frames hold a context, so it is freed
+once its last pending frame has been processed.  The compiled kernel
+must reproduce its output sequence and its counters exactly; the
+emission order per partitioning frame is pinned as
 
     pair u: common-root, LSC(P, com, unc), LSC(P, unc, com),
             LSC(Q, com, unc), LSC(Q, unc, com)
@@ -48,11 +50,10 @@ def run_enumeration(p, q, store=True):
     work += len(idx_p.tour) + len(idx_q.tour)
     work += p.n_nodes                        # equivalence pass
 
-    ctxs = [(p, q, idx_p, idx_q, equiv.m)]
-    stack = [(0, p.root, q.root)]
+    stack = [((p, q, idx_p, idx_q, equiv.m), p.root, q.root)]
     while stack:
-        ci, rp, rq = stack.pop()
-        P, Q, ip, iq, m = ctxs[ci]
+        ctx, rp, rq = stack.pop()
+        P, Q, ip, iq, m = ctx
         frames += 1
         work += 1
         if P.leaf_count[rp] <= 1:
@@ -66,8 +67,8 @@ def run_enumeration(p, q, store=True):
             uq, vq = vq, uq
         if m[up] == uq and plc[up] == qlc[uq]:
             per_dr.append(0)
-            stack.append((ci, vp, vq))
-            stack.append((ci, up, uq))
+            stack.append((ctx, vp, vq))
+            stack.append((ctx, up, uq))
             continue
 
         part_u = partition_leaves(P, Q, up, uq)
@@ -105,14 +106,13 @@ def run_enumeration(p, q, store=True):
 
         # Child pairs: (P|com, Q|com) per pair, then the two crossed
         # uncommon pairs (unc(u_p,u_q) equals unc(v_q,v_p) as a taxon set,
-        # and symmetrically).
-        children = []
-        for zp, zq in (
+        # and symmetrically); pushed last first, so they run in this order.
+        for zp, zq in reversed((
             (part_u.com_p, part_u.com_q),
             (part_v.com_p, part_v.com_q),
             (part_u.unc_p, part_v.unc_q),
             (part_v.unc_p, part_u.unc_q),
-        ):
+        )):
             nz = len(zp)
             if nz < 3:
                 continue
@@ -127,9 +127,7 @@ def run_enumeration(p, q, store=True):
             work += rp_new.n_nodes + rq_new.n_nodes          # finalize
             work += len(ip_new.tour) + len(iq_new.tour)      # LCA builds
             work += rp_new.n_nodes                           # equivalence
-            ctxs.append((rp_new, rq_new, ip_new, iq_new, m_new))
-            children.append((len(ctxs) - 1, rp_new.root, rq_new.root))
-        for fr in reversed(children):
-            stack.append(fr)
+            stack.append(((rp_new, rq_new, ip_new, iq_new, m_new),
+                          rp_new.root, rq_new.root))
 
     return out, emitted, frames, work, violations, per_dr

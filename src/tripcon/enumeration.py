@@ -312,8 +312,13 @@ def enumerate_conflicts(p, q, sink=None, *, backend=None, collect=False):
     unspecified; only set semantics and exactly-once are contractual.
 
     Raises TaxonMismatchError unless both trees carry the same leaf
-    taxa.  Runs in O(n + d) time; memory is O(n) plus the output when
-    it is materialized.
+    taxa.  Runs in O(n + d) time.  A recursion context (a restricted
+    tree pair with its LCA and equivalence data) is freed once its last
+    pending frame has been processed, and pending frames have disjoint
+    leaf sets.  That alone does not bound memory by O(n): a frame that
+    only descends pushes two frames in its own context, and the second
+    keeps the context alive while everything below the first is
+    processed.  Materialized output is held in full.
     """
     if p.taxa != q.taxa or p.leaf_of_taxon.keys() != q.leaf_of_taxon.keys():
         raise TaxonMismatchError("trees do not carry the same leaf taxa")

@@ -2,9 +2,13 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import tripcon
 from tripcon import (
     ConflictTriple,
     SplitMix64,
@@ -20,6 +24,7 @@ from tripcon import (
 )
 from tripcon._kernels import available_backends
 from tripcon.generator import (
+    SHAPES,
     GeneratorConfig,
     caterpillar_tree,
     generate_pair,
@@ -143,18 +148,48 @@ def test_per_frame_dr_past_32_bits(backend):
 @pytest.mark.skipif(len(available_backends()) < 2,
                     reason="compiled kernel not built")
 def test_backends_are_twins():
-    rng = SplitMix64(0x7117)
-    for _ in range(120):
-        n = 3 + rng.randrange(45)
-        p, q = generate_pair(
-            GeneratorConfig(n=n, seed=rng.next_u64(), k=rng.randrange(n + 1))
-        )
-        a = enumerate_conflicts(p, q, collect=True, backend="pure")
-        b = enumerate_conflicts(p, q, collect=True, backend="fast")
-        assert a.conflicts == b.conflicts  # same order, not just same set
-        assert a.frames_opened == b.frames_opened
-        assert a.nodes_touched == b.nodes_touched
-        assert a.per_frame_dr == b.per_frame_dr
+    # caterpillar and balanced shapes give the deepest chains of contexts
+    for shape in SHAPES:
+        rng = SplitMix64(0x7117)
+        for _ in range(120):
+            n = 3 + rng.randrange(45)
+            p, q = generate_pair(GeneratorConfig(
+                n=n, seed=rng.next_u64(), k=rng.randrange(n + 1), shape=shape))
+            for collect in (True, False):
+                a = enumerate_conflicts(p, q, collect=collect, backend="pure")
+                b = enumerate_conflicts(p, q, collect=collect, backend="fast")
+                assert a.conflicts == b.conflicts  # same order, not just set
+                assert a.d == b.d
+                assert a.frames_opened == b.frames_opened
+                assert a.nodes_touched == b.nodes_touched
+                assert a.per_frame_dr == b.per_frame_dr
+
+
+# The child's peak RSS in kB.  VmHWM starts afresh at exec, whereas
+# ru_maxrss keeps the peak of the process that forked the child.
+PEAK_RSS = """
+import sys
+from tripcon import count_conflicts
+from tripcon.generator import caterpillar_tree
+n, backend = int(sys.argv[1]), sys.argv[2]
+count_conflicts(caterpillar_tree(n), caterpillar_tree(n, reverse=True),
+                backend=backend)
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc/self/status")
+def test_counting_peak_memory(backend):
+    # A context is freed when its last pending frame pops.  Kept for the
+    # whole run, the contexts of this pair peaked at about 310 MB.
+    n = 2000 if backend == "fast" else 1000
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(os.path.abspath(tripcon.__file__))))
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS, str(n), backend],
+                          env=env, capture_output=True, text=True, check=True)
+    assert int(proc.stdout) < 64 * 1024
 
 
 def test_taxon_mismatch():

@@ -1,5 +1,6 @@
 """The compiled kernel: first-import build into the user cache, a
-warning-free compile of its C source, and its checks on malformed input.
+warning-free compile of its C source, its checks on malformed input, and
+a run of a sanitized build under ASan and UBSan.
 
 Each build test copies the package without any built extension into
 ``tmp_path`` and imports it in a fresh interpreter with its own
@@ -116,23 +117,103 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+# Trees the compiled kernel must reject when paired with CHERRY, on either
+# side, in a universe of two taxa.
+CHERRY = ([1, -1, -1], [2, -1, -1], [-1, 0, 1], 0)
+CHAIN = [i + 1 for i in range(29)] + [-1]
+BAD_TREES = [
+    ([1, -1, -1], [2, -1], [-1, 0, 1], 0),      # lengths differ
+    ([1, -1, -1], [2, -1, -1], [-1, 0, 1], 3),  # root out of range
+    ([1, -1, -1], [7, -1, -1], [-1, 0, 1], 0),  # child out of range
+    ([1, -1, -1], [2, -1, -1], [-1, 0, 2], 0),  # taxon out of range
+    ([], [], [], 0),                            # empty
+    ([0], [0], [-1], 0),                        # its own child
+    (CHAIN, CHAIN, [-1] * 29 + [0], 0),         # both children the same
+    ([1, -1, -1], [-1, -1, -1], [-1, 0, 1], 0),  # one child
+    ([1, -1, -1, -1, -1], [2, -1, -1, -1, -1],
+     [-1, 0, 1, -1, -1], 0),                    # unreachable nodes
+    ([1, -1, -1], [2, -1, -1], [-1, 0, -1], 0),  # leaf without a taxon
+    ([1, -1, -1], [2, -1, -1], [-1, 0, 0], 0),   # repeated taxon
+    ([1, 3, -1, -1, -1], [2, 4, -1, -1, -1],
+     [-1, -1, 1, 0, 0], 0),                     # repeated taxon
+    ([-1], [-1], [0], 0),                       # taxa {0} against {0, 1}
+]
+# run_enumeration arguments that must raise ValueError; the last pairs the
+# taxa {0, 1} with {0, 2}.
+MALFORMED = ([t + CHERRY + (2,) for t in BAD_TREES]
+             + [CHERRY + t + (2,) for t in BAD_TREES]
+             + [CHERRY + ([1, -1, -1], [2, -1, -1], [-1, 0, 2], 0) + (3,)])
+
+
 @pytest.mark.skipif("fast" not in available_backends(),
                     reason="compiled kernel not built")
 def test_kernel_rejects_malformed_arrays():
     run = fast_module().run_enumeration
     leaf = ([-1], [-1], [0], 0)
-    cherry = ([1, -1, -1], [2, -1, -1], [-1, 0, 1], 0)
-    assert run(*cherry, *cherry, 2)[1:3] == (0, 3)
-    bad = [
-        ([1, -1, -1], [2, -1], [-1, 0, 1], 0),      # lengths differ
-        ([1, -1, -1], [2, -1, -1], [-1, 0, 1], 3),  # root out of range
-        ([1, -1, -1], [7, -1, -1], [-1, 0, 1], 0),  # child out of range
-        ([1, -1, -1], [2, -1, -1], [-1, 0, 2], 0),  # taxon out of range
-        ([], [], [], 0),                            # empty
-    ]
-    for p in bad:
+    assert run(*CHERRY, *CHERRY, 2)[1:3] == (0, 3)
+    for args in MALFORMED:
         with pytest.raises(ValueError):
-            run(*p, *cherry, 2)
+            run(*args)
     with pytest.raises(TypeError):
-        run((1, -1, -1), *cherry[1:], *cherry, 2)
+        run((1, -1, -1), *CHERRY[1:], *CHERRY, 2)
     assert run(*leaf, *leaf, 1)[1:3] == (0, 1)
+
+
+SANITIZED = """
+import math
+from tripcon import SplitMix64, _kernels, enumerate_conflicts
+from tripcon.generator import (
+    SHAPES, GeneratorConfig, caterpillar_tree, generate_pair)
+
+assert _kernels._fast.__file__ == {built!r}
+run = _kernels._fast.run_enumeration
+rng = SplitMix64(0x5A17)
+for i in range(300):
+    n = 3 + rng.randrange(60)
+    p, q = generate_pair(GeneratorConfig(
+        n=n, seed=rng.next_u64(), k=rng.randrange(n + 1),
+        shape=SHAPES[i % len(SHAPES)]))
+    for collect in (True, False):
+        enumerate_conflicts(p, q, collect=collect, backend="fast")
+p, q = caterpillar_tree(300), caterpillar_tree(300, reverse=True)
+for store in (True, False):
+    out = run(p.left, p.right, p.taxon, p.root,
+              q.left, q.right, q.taxon, q.root, len(p.taxa), store)
+    assert out[1] == math.comb(300, 3)
+for args in {malformed!r}:
+    try:
+        run(*args)
+    except ValueError:
+        continue
+    raise AssertionError(args)
+print("ok")
+"""
+
+
+@needs_compiler
+def test_kernel_runs_clean_under_asan_and_ubsan(fresh_copy):
+    source, cache, _ = fresh_copy
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    libasan = subprocess.run(cc + ["-print-file-name=libasan.so"],
+                             capture_output=True, text=True).stdout.strip()
+    if not os.path.isabs(libasan):
+        pytest.skip(f"{cc[0]} does not provide libasan")
+    built = source.with_name(f"_fast{EXT_SUFFIX}")
+    proc = subprocess.run(
+        cc + ["-O1", "-g", "-fsanitize=address,undefined",
+              "-fno-sanitize-recover=undefined", "-fPIC", "-shared",
+              "-I" + sysconfig.get_paths()["include"], str(source),
+              "-o", str(built)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+    env = {k: v for k, v in os.environ.items() if k != "TRIPCON_BACKEND"}
+    env.update(PYTHONPATH=str(source.parents[2]), XDG_CACHE_HOME=str(cache),
+               LD_PRELOAD=libasan, ASAN_OPTIONS="detect_leaks=0")
+    script = SANITIZED.format(built=str(built), malformed=MALFORMED)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    assert "Sanitizer" not in proc.stderr, proc.stderr[-4000:]
+    assert "runtime error" not in proc.stderr, proc.stderr[-4000:]
+    assert proc.stdout.split() == ["ok"]
