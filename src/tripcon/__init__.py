@@ -17,9 +17,9 @@ from .errors import (
     TripconError,
     UnorderedInputError,
 )
-from .tree import TaxonSet, Tree, TreeView, build_tree, is_ancestor, subtree_leaves
+from .tree import TaxonSet, Tree, build_tree, is_ancestor
 from .newick import parse_newick, serialize_newick
-from .lca import LcaIndex, build_lca_index, lca
+from .lca import LcaIndex, build_lca_index
 from .restrict import RestrictedTree, induced_subtree
 from .equivalence import LeafEquivalence, build_leaf_equivalence, leafsets_equal
 from .oracle import (
@@ -33,7 +33,6 @@ from .oracle import (
 )
 from .enumeration import (
     Instrumentation,
-    LeafPartition,
     active_backend,
     count_conflicts,
     enumerate_conflicts,
@@ -65,15 +64,12 @@ __all__ = [
     "NonDistinctTaxaError",
     "TaxonSet",
     "Tree",
-    "TreeView",
     "build_tree",
     "is_ancestor",
-    "subtree_leaves",
     "parse_newick",
     "serialize_newick",
     "LcaIndex",
     "build_lca_index",
-    "lca",
     "RestrictedTree",
     "induced_subtree",
     "LeafEquivalence",
@@ -87,7 +83,6 @@ __all__ = [
     "triple_resolutions",
     "enumerate_bruteforce",
     "Instrumentation",
-    "LeafPartition",
     "partition_leaves",
     "list_common_root_conflicts",
     "list_subtree_conflicts",

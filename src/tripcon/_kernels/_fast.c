@@ -12,9 +12,12 @@
  * block whose layout follows from the two node counts alone.  Frames on
  * the stack point to their context and each holds one reference, which
  * is dropped once the popped frame has been processed; the context is
- * freed when its count reaches zero.  Pending frames have disjoint leaf
- * sets, so the frame stack never holds more frames than the input has
- * leaves.  The run's scratch (output chunks, frame stack, taxon maps,
+ * freed when its count reaches zero.  A frame that only descends pushes
+ * its larger child pair first, so the smaller one runs while the larger
+ * keeps the context alive, and every context built meanwhile has at most
+ * half its leaves: counting needs O(n) memory.  Pending frames have
+ * disjoint leaf sets, so the frame stack never holds more frames than
+ * the input has leaves.  The run's scratch (output chunks, frame stack, taxon maps,
  * partition buffers and sweep stacks) is a second block, sized from the
  * universe and the input lengths.
  *
@@ -827,8 +830,14 @@ static int run_frame(Run *run, Ctx *ctx, int rp, int rq)
         vq = tswap;
     }
     if (ctx->m[up] == uq && P->lc[up] == Q->lc[uq]) {
-        push_frame(run, ctx, vp, vq);
-        push_frame(run, ctx, up, uq);
+        /* the larger pair waits, so the smaller one runs first */
+        if (P->lc[up] > P->lc[vp]) {
+            push_frame(run, ctx, up, uq);
+            push_frame(run, ctx, vp, vq);
+        } else {
+            push_frame(run, ctx, vp, vq);
+            push_frame(run, ctx, up, uq);
+        }
         return push_dr(run, 0);
     }
 

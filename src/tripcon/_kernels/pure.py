@@ -15,6 +15,13 @@ emission order per partitioning frame is pinned as
     children pushed so that processing order is com(u)-pair, com(v)-pair,
     unc(u_p,u_q)-pair, unc(v_p,v_q)-pair.
 
+A frame that only descends pushes its two child pairs so that the pair
+with fewer leaves runs first (the u pair on a tie).  The larger pair
+waits, and keeps the context alive, only while strictly smaller contexts
+are built below the smaller one; that is what bounds counting memory by
+O(n).  Triples are appended to one flat list as taxon ids a < b < c, the
+layout of the compiled kernel's ``array('i')``.
+
 See the work-counter contract in ``tripcon.enumeration``.
 """
 
@@ -22,7 +29,8 @@ See the work-counter contract in ``tripcon.enumeration``.
 def run_enumeration(p, q, store=True):
     """Enumerate conflicts of (p, q); both are ``tripcon.tree.Tree``.
 
-    With ``store`` false, triples are only counted, never materialized.
+    With ``store`` false, triples are only counted, never materialized
+    (``flat_triples`` is then ``None``).
     Returns ``(flat_triples, emitted, frames_opened, nodes_touched,
     budget_violations, per_frame_dr)``.
     """
@@ -35,8 +43,7 @@ def run_enumeration(p, q, store=True):
     from ..lca import build_lca_index
     from ..restrict import induced_subtree
 
-    out = []
-    sink = out.extend if store else None  # ConflictTriple is a tuple
+    out = [] if store else None
     emitted = 0
     per_dr = []
     frames = 0
@@ -67,34 +74,36 @@ def run_enumeration(p, q, store=True):
             uq, vq = vq, uq
         if m[up] == uq and plc[up] == qlc[uq]:
             per_dr.append(0)
-            stack.append((ctx, vp, vq))
-            stack.append((ctx, up, uq))
+            # the larger pair waits, so the smaller one runs first
+            if plc[up] > plc[vp]:
+                stack.append((ctx, up, uq))
+                stack.append((ctx, vp, vq))
+            else:
+                stack.append((ctx, vp, vq))
+                stack.append((ctx, up, uq))
             continue
 
-        part_u = partition_leaves(P, Q, up, uq)
-        part_v = partition_leaves(P, Q, vp, vq)
+        com_up, unc_up, com_uq, unc_uq = partition_leaves(P, Q, up, uq)
+        com_vp, unc_vp, com_vq, unc_vq = partition_leaves(P, Q, vp, vq)
         work += 2 * plc[rp]
 
         ptex = P.taxon
         d_r = 0
-        for part, other_p in ((part_u, vp), (part_v, up)):
-            com_taxa = [ptex[x] for x in part.com_p]
-            unc_taxa = [ptex[x] for x in part.unc_p]
+        for com_p, unc_p, com_q, unc_q, other_p in (
+            (com_up, unc_up, com_uq, unc_uq, vp),
+            (com_vp, unc_vp, com_vq, unc_vq, up),
+        ):
+            com_taxa = [ptex[x] for x in com_p]
+            unc_taxa = [ptex[x] for x in unc_p]
             base, end = P.subtree_leaf_slice(other_p)
             rest_taxa = [ptex[x] for x in P.leaves_post[base:end]]
-            d_r += list_common_root_conflicts(sink, com_taxa, unc_taxa, rest_taxa)
-            for zz, cc in (
-                (part.com_p, part.unc_p),
-                (part.unc_p, part.com_p),
-            ):
-                em, w = list_subtree_conflicts(sink, P, ip, zz, cc)
+            d_r += list_common_root_conflicts(out, com_taxa, unc_taxa, rest_taxa)
+            for zz, cc in ((com_p, unc_p), (unc_p, com_p)):
+                em, w = list_subtree_conflicts(out, P, ip, zz, cc)
                 d_r += em
                 work += w
-            for zz, cc in (
-                (part.com_q, part.unc_q),
-                (part.unc_q, part.com_q),
-            ):
-                em, w = list_subtree_conflicts(sink, Q, iq, zz, cc)
+            for zz, cc in ((com_q, unc_q), (unc_q, com_q)):
+                em, w = list_subtree_conflicts(out, Q, iq, zz, cc)
                 d_r += em
                 work += w
         assert not store or 3 * (emitted + d_r) == len(out)
@@ -108,10 +117,10 @@ def run_enumeration(p, q, store=True):
         # uncommon pairs (unc(u_p,u_q) equals unc(v_q,v_p) as a taxon set,
         # and symmetrically); pushed last first, so they run in this order.
         for zp, zq in reversed((
-            (part_u.com_p, part_u.com_q),
-            (part_v.com_p, part_v.com_q),
-            (part_u.unc_p, part_v.unc_q),
-            (part_v.unc_p, part_u.unc_q),
+            (com_up, com_uq),
+            (com_vp, com_vq),
+            (unc_up, unc_vq),
+            (unc_vp, unc_uq),
         )):
             nz = len(zp)
             if nz < 3:

@@ -4,7 +4,8 @@ Subcommands: conflicts, count, check, bench, gen.  Results go to stdout,
 statistics and diagnostics to stderr, so the tool composes in pipelines.
 
 Exit codes: 0 success; 1 check found a fast/oracle mismatch; 2 I/O or
-parse error (also bad usage); 3 taxon mismatch or non-binary input.
+parse error (also bad usage, such as a size or backend the generator or
+kernel selection rejects); 3 taxon mismatch or non-binary input.
 """
 
 import argparse
@@ -13,7 +14,8 @@ import os
 import sys
 import time
 
-from .enumeration import active_backend, enumerate_conflicts
+from ._kernels import resolve as resolve_backend
+from .enumeration import enumerate_conflicts
 from .errors import (
     NonBinaryError,
     TaxonMismatchError,
@@ -50,11 +52,20 @@ def _load_pair(path_p, path_q):
     return p, q, taxa
 
 
-def _label_triples(instr, taxa, sort_lines):
-    rows = [sorted(taxa.name_of(t) for t in trip) for trip in instr.conflicts]
-    if sort_lines:
-        rows.sort()
-    return rows
+def _label_ranks(taxa):
+    """(labels in sorted order, rank of each taxon id's label in it)."""
+    order = sorted(range(len(taxa)), key=taxa.names.__getitem__)
+    rank = [0] * len(order)
+    for r, t in enumerate(order):
+        rank[t] = r
+    return [taxa.names[t] for t in order], rank
+
+
+def _config(n, seed, shape, k):
+    try:
+        return GeneratorConfig(n=n, seed=seed, shape=shape, k=k)
+    except ValueError as exc:
+        raise _UsageError(f"bad --n/--k: {exc}") from None
 
 
 def _stats_line(instr):
@@ -67,12 +78,27 @@ def _stats_line(instr):
 def _cmd_conflicts(args):
     p, q, taxa = _load_pair(args.tree_p, args.tree_q)
     instr = enumerate_conflicts(p, q, collect=True, backend=args.backend)
-    rows = _label_triples(instr, taxa, args.sorted)
+    labels, rank = _label_ranks(taxa)
+
+    def ranked():
+        # each triple as its labels' ranks, ascending
+        for a, b, c in instr.conflicts:
+            x, y, z = rank[a], rank[b], rank[c]
+            if x > y:
+                x, y = y, x
+            if y > z:
+                y, z = z, y
+                if x > y:
+                    x, y = y, x
+            yield x, y, z
+
+    rows = sorted(ranked()) if args.sorted else ranked()
     if args.format == "json":
         doc = {
             "n": instr.n_taxa,
             "d": instr.d,
-            "conflicts": rows,
+            "conflicts": [[labels[x], labels[y], labels[z]]
+                          for x, y, z in rows],
             "stats": {
                 "frames_opened": instr.frames_opened,
                 "nodes_touched": instr.nodes_touched,
@@ -81,9 +107,8 @@ def _cmd_conflicts(args):
         }
         sys.stdout.write(json.dumps(doc) + "\n")
     else:  # text and tsv are the same tab-separated triple lines
-        out = sys.stdout
-        for row in rows:
-            out.write("\t".join(row) + "\n")
+        sys.stdout.writelines(f"{labels[x]}\t{labels[y]}\t{labels[z]}\n"
+                              for x, y, z in rows)
     if args.stats:
         print(_stats_line(instr), file=sys.stderr)
     return EXIT_OK
@@ -138,10 +163,8 @@ def _cmd_check(args):
             raise _UsageError("--pairs must be at least 1")
         rng = SplitMix64(args.seed)
         for i in range(args.pairs):
-            cfg = GeneratorConfig(
-                n=args.n, seed=rng.next_u64(), shape=args.shape, k=args.k
-            )
-            p, q = generate_pair(cfg)
+            p, q = generate_pair(
+                _config(args.n, rng.next_u64(), args.shape, args.k))
             if not _check_one(p, q, p.taxa, args.oracle, f"pair[{i}]",
                               args.backend):
                 ok = False
@@ -157,39 +180,42 @@ def _cmd_bench(args):
         swaps = [int(x) for x in args.k.split(",") if x]
     except ValueError as exc:
         raise _UsageError(f"bad --n/--k list: {exc}") from None
-    backends = [b.strip() for b in args.backends.split(",") if b.strip()]
+    names = [b for b in (args.backends or "").split(",") if b.strip()]
+    try:
+        backends = [resolve_backend(b) for b in names or [args.backend]]
+    except (ValueError, ImportError) as exc:
+        raise _UsageError(f"bad --backends: {exc}") from None
+    rng = SplitMix64(args.seed)
+    cfgs = [_config(n, rng.next_u64(), args.shape, k)
+            for n in sizes for k in swaps]
     out = sys.stdout
     cols = ["backend", "shape", "n", "k", "seed", "d", "frames",
             "nodes_touched", "ratio", "ms"]
     if args.oracle:
         cols += ["oracle_d", "oracle_ms"]
     out.write("\t".join(cols) + "\n")
-    rng = SplitMix64(args.seed)
-    for n in sizes:
-        for k in swaps:
-            seed = rng.next_u64()
-            cfg = GeneratorConfig(n=n, seed=seed, shape=args.shape, k=k)
-            p, q = generate_pair(cfg)
-            oracle_cells = []
-            if args.oracle:
-                t0 = time.perf_counter()
-                oracle_d = len(enumerate_bruteforce(p, q))
-                oracle_cells = [str(oracle_d),
-                                f"{(time.perf_counter() - t0) * 1e3:.3f}"]
-            for backend in backends:
-                t0 = time.perf_counter()
-                instr = enumerate_conflicts(p, q, backend=backend)
-                ms = (time.perf_counter() - t0) * 1e3
-                ratio = instr.nodes_touched / (n + instr.d)
-                row = [instr.backend, args.shape, str(n), str(k), str(seed),
-                       str(instr.d), str(instr.frames_opened),
-                       str(instr.nodes_touched), f"{ratio:.3f}", f"{ms:.3f}"]
-                out.write("\t".join(row + oracle_cells) + "\n")
+    for cfg in cfgs:
+        p, q = generate_pair(cfg)
+        oracle_cells = []
+        if args.oracle:
+            t0 = time.perf_counter()
+            oracle_d = len(enumerate_bruteforce(p, q))
+            oracle_cells = [str(oracle_d),
+                            f"{(time.perf_counter() - t0) * 1e3:.3f}"]
+        for backend in backends:
+            t0 = time.perf_counter()
+            instr = enumerate_conflicts(p, q, backend=backend)
+            ms = (time.perf_counter() - t0) * 1e3
+            ratio = instr.nodes_touched / (cfg.n + instr.d)
+            row = [instr.backend, args.shape, str(cfg.n), str(cfg.k),
+                   str(cfg.seed), str(instr.d), str(instr.frames_opened),
+                   str(instr.nodes_touched), f"{ratio:.3f}", f"{ms:.3f}"]
+            out.write("\t".join(row + oracle_cells) + "\n")
     return EXIT_OK
 
 
 def _cmd_gen(args):
-    cfg = GeneratorConfig(n=args.n, seed=args.seed, shape=args.shape, k=args.k)
+    cfg = _config(args.n, args.seed, args.shape, args.k)
     if args.k:
         _, tree = generate_pair(cfg)
     else:
@@ -265,8 +291,6 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "backends", "") is None:
-        args.backends = args.backend or active_backend()
     try:
         return args.func(args)
     except (NonBinaryError, TaxonMismatchError) as exc:

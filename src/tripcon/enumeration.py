@@ -20,8 +20,10 @@ does is paid for by its own output.
 Two interchangeable kernels implement the recursion: a pure-Python one
 composed from the public modules (``tripcon._kernels.pure``) and a
 compiled twin (``tripcon._kernels._fast``, built from the hand-written
-C99 source ``_kernels/_fast.c``).  They emit identical triple sequences
-and identical instrumentation; selection happens at import via the
+C99 source ``_kernels/_fast.c``).  Both emit each triple as three taxon
+ids a < b < c into one flat sequence (a list, or the compiled kernel's
+``array('i')``), and they emit identical sequences and identical
+instrumentation; selection happens at import via the
 TRIPCON_BACKEND environment variable (``auto``/``fast``/``pure``) or per
 call with ``backend=``.
 
@@ -47,22 +49,6 @@ from dataclasses import dataclass, field
 from .errors import TaxonMismatchError
 from .oracle import ConflictTriple
 from . import _kernels
-
-
-@dataclass
-class LeafPartition:
-    """Common/uncommon leaf split for one pair (x_p, x_q) of root children.
-
-    Each field is a list of leaf *node ids*: ``com_p``/``unc_p`` are the
-    leaves of x_p that are / are not below x_q, in P's post-order;
-    ``com_q``/``unc_q`` are the leaves of x_q that are / are not below
-    x_p, in Q's post-order.  com_p and com_q carry the same taxa.
-    """
-
-    com_p: list
-    unc_p: list
-    com_q: list
-    unc_q: list
 
 
 @dataclass
@@ -93,8 +79,12 @@ class Instrumentation:
 def partition_leaves(p, q, x_p, x_q):
     """Split the leaves of x_p (in P) and x_q (in Q) by co-descent.
 
-    Runs one pass over each side's leaves in post-order; membership tests
-    are O(1) post-order interval checks.  Never sorts.
+    Returns ``(com_p, unc_p, com_q, unc_q)``, four lists of leaf *node
+    ids*: ``com_p``/``unc_p`` are the leaves of x_p that are / are not
+    below x_q, in P's post-order; ``com_q``/``unc_q`` are the leaves of
+    x_q that are / are not below x_p, in Q's post-order.  com_p and com_q
+    carry the same taxa.  Runs one pass over each side's leaves;
+    membership tests are O(1) post-order interval checks.  Never sorts.
     """
     com_p, unc_p, com_q, unc_q = [], [], [], []
 
@@ -120,43 +110,44 @@ def partition_leaves(p, q, x_p, x_q):
         else:
             unc_q.append(leaf)
 
-    return LeafPartition(com_p, unc_p, com_q, unc_q)
+    return com_p, unc_p, com_q, unc_q
 
 
-def list_common_root_conflicts(sink, com, unc, rest):
+def list_common_root_conflicts(out, com, unc, rest):
     """Emit the full Cartesian product com x unc x rest as canonical triples.
 
     Arguments are taxon id sequences (pairwise disjoint).  Every such
-    triple is a conflict touching the current roots.  Returns the number
-    emitted (|com| * |unc| * |rest|).  With ``sink=None`` only the count
+    triple is a conflict touching the current roots; each is appended to
+    the list ``out`` as three taxon ids a < b < c.  Returns the number
+    emitted (|com| * |unc| * |rest|).  With ``out=None`` only the count
     is produced (the product needs no loop).
     """
     if not com or not unc or not rest:
         return 0
-    if sink is None:
-        return len(com) * len(unc) * len(rest)
-    for a in com:
-        for b in unc:
-            for c in rest:
-                x, y = (a, b) if a < b else (b, a)
-                if c < x:
-                    sink(ConflictTriple(c, x, y))
-                elif c < y:
-                    sink(ConflictTriple(x, c, y))
-                else:
-                    sink(ConflictTriple(x, y, c))
+    if out is not None:
+        for a in com:
+            for b in unc:
+                for c in rest:
+                    x, y = (a, b) if a < b else (b, a)
+                    if c < x:
+                        out += (c, x, y)
+                    elif c < y:
+                        out += (x, c, y)
+                    else:
+                        out += (x, y, c)
     return len(com) * len(unc) * len(rest)
 
 
-def list_subtree_conflicts(sink, t, idx, z, candidates):
+def list_subtree_conflicts(out, t, idx, z, candidates):
     """Emit every triple abc with a, b in Z, c a candidate, and
-    lca(a, b) = lca(a, b, c), each exactly once.
+    lca(a, b) = lca(a, b, c), each exactly once, appending its taxon ids
+    in ascending order to the list ``out``.
 
     ``z`` and ``candidates`` are disjoint leaf node sequences, both in
     t's post-order.  A candidate can contribute only if it lies strictly
     below lca(Z) — checked in O(1) — and each surviving candidate repays
     the O(|Z|) restriction it triggers with at least |Z| - 1 emissions.
-    With ``sink=None`` only the count is produced (each walk step
+    With ``out=None`` only the count is produced (each walk step
     contributes a computable product instead of a loop).
 
     Returns ``(emitted, work)`` where ``work`` counts the constant-time
@@ -188,7 +179,7 @@ def list_subtree_conflicts(sink, t, idx, z, candidates):
 
     # Insertion position of each candidate in Z (single merge; both
     # sequences are post-ordered).
-    ztax = [ttaxon[v] for v in z] if sink is not None else None
+    ztax = [ttaxon[v] for v in z] if out is not None else None
     zpost = [tpost[v] for v in z]
     emitted = 0
     pos = 0
@@ -272,7 +263,7 @@ def list_subtree_conflicts(sink, t, idx, z, candidates):
                 slo, shi = lo_[pr], ylo
             else:
                 slo, shi = yhi, hi_[pr]
-            if sink is None:
+            if out is None:
                 emitted += (yhi - ylo - 1) * (shi - slo)
                 y = pr
                 continue
@@ -284,11 +275,11 @@ def list_subtree_conflicts(sink, t, idx, z, candidates):
                     tb = ztax[ib] if ib < pos else ztax[ib - 1]
                     x, yy = (ta, tb) if ta < tb else (tb, ta)
                     if ctax < x:
-                        sink(ConflictTriple(ctax, x, yy))
+                        out += (ctax, x, yy)
                     elif ctax < yy:
-                        sink(ConflictTriple(x, ctax, yy))
+                        out += (x, ctax, yy)
                     else:
-                        sink(ConflictTriple(x, yy, ctax))
+                        out += (x, yy, ctax)
                     emitted += 1
             y = pr
 
@@ -300,48 +291,52 @@ def active_backend():
     return _kernels.resolve(None)
 
 
-def enumerate_conflicts(p, q, sink=None, *, backend=None, collect=False):
+def enumerate_conflicts(p, q, *, backend=None, collect=False):
     """Enumerate every conflict triple of (P, Q) exactly once.
 
-    ``sink`` (if given) is called once per conflict with a canonical
-    :class:`ConflictTriple`; with ``collect=True`` the triples are also
-    stored on the returned :class:`Instrumentation` as ``conflicts``.
-    With neither, only the counters are produced and no triple is
-    materialized, so counting stays cheap even when d is enormous.
-    Ordering is deterministic for a given input but otherwise
-    unspecified; only set semantics and exactly-once are contractual.
+    With ``collect=True`` the triples are stored on the returned
+    :class:`Instrumentation` as ``conflicts``, a list of canonical
+    :class:`ConflictTriple` (taxon ids a < b < c).  Without it, only the
+    counters are produced and no triple is materialized, so counting
+    stays cheap even when d is enormous.  Ordering is deterministic for a
+    given input but otherwise unspecified; only set semantics and
+    exactly-once are contractual.
 
     Raises TaxonMismatchError unless both trees carry the same leaf
-    taxa.  Runs in O(n + d) time.  A recursion context (a restricted
-    tree pair with its LCA and equivalence data) is freed once its last
-    pending frame has been processed, and pending frames have disjoint
-    leaf sets.  That alone does not bound memory by O(n): a frame that
-    only descends pushes two frames in its own context, and the second
-    keeps the context alive while everything below the first is
-    processed.  Materialized output is held in full.
+    taxa.  Runs in O(n + d) time, and counting needs O(n) memory.  A
+    recursion context (a restricted tree pair with its LCA and
+    equivalence data) is freed once its last pending frame has been
+    processed, and pending frames have disjoint leaf sets.  A frame that
+    only descends pushes both child pairs in its own context, the one
+    with more leaves first, so the smaller pair runs while the larger
+    one waits and keeps the context alive.  Every context built below the
+    smaller pair has at most half the leaves of the waiting one, so the
+    contexts held open by waiting descents at least halve in size along
+    the current path, and pending partition children hold contexts no
+    larger than their own disjoint leaf sets.  Collected output adds the
+    d triples, held in full.
     """
     if p.taxa != q.taxa or p.leaf_of_taxon.keys() != q.leaf_of_taxon.keys():
         raise TaxonMismatchError("trees do not carry the same leaf taxa")
-    store = collect or sink is not None
     name = _kernels.resolve(backend)
     if name == "fast":
         kern = _kernels.fast_module()
         flat, d, frames, work, violations, per_dr = kern.run_enumeration(
             p.left, p.right, p.taxon, p.root,
             q.left, q.right, q.taxon, q.root,
-            len(p.taxa), store,
+            len(p.taxa), collect,
         )
     else:
         from ._kernels import pure
 
         flat, d, frames, work, violations, per_dr = pure.run_enumeration(
-            p, q, store
+            p, q, collect
         )
 
     per_dr = list(per_dr)
     assert violations == 0, "frame budget law violated (leaf count > d_r + 2)"
     assert sum(per_dr) == d, "per-frame d_r do not sum to the triples emitted"
-    assert not store or len(flat) == 3 * d
+    assert not collect or len(flat) == 3 * d
     instr = Instrumentation(
         n_taxa=p.n_leaves,
         backend=name,
@@ -351,18 +346,14 @@ def enumerate_conflicts(p, q, sink=None, *, backend=None, collect=False):
         budget_violations=violations,
         per_frame_dr=per_dr,
     )
-    if store:
+    if collect:
         ids = iter(flat)
         if name == "fast":
             # Indexing the kernel's array('i') makes a fresh int per read;
             # share one object per taxon id, as the pure kernel's list does.
             ids = map(list(range(len(p.taxa))).__getitem__, ids)
-        triples = [ConflictTriple(a, b, c) for a, b, c in zip(ids, ids, ids)]
-        if sink is not None:
-            for tr in triples:
-                sink(tr)
-        if collect:
-            instr.conflicts = triples
+        instr.conflicts = [ConflictTriple(a, b, c)
+                           for a, b, c in zip(ids, ids, ids)]
     return instr
 
 

@@ -159,8 +159,3 @@ class LcaIndex:
 def build_lca_index(t):
     """LCA-enable ``t`` in linear time."""
     return LcaIndex(t)
-
-
-def lca(idx, u, v):
-    """Module-level alias for :meth:`LcaIndex.lca`."""
-    return idx.lca(u, v)

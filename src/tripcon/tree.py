@@ -221,34 +221,6 @@ class Tree:
         return t
 
 
-class TreeView:
-    """A tree together with a node acting as the root of interest.
-
-    Queries through a view must stay within the subtree of ``root``; the
-    view itself stores nothing else, so taking one is free.
-    """
-
-    __slots__ = ("tree", "root")
-
-    def __init__(self, tree, root):
-        if not 0 <= root < tree.n_nodes:
-            raise ValueError(f"node {root} not in tree")
-        self.tree = tree
-        self.root = root
-
-    @property
-    def n_leaves(self):
-        return self.tree.leaf_count[self.root]
-
-    def leaf_nodes(self):
-        lo, hi = self.tree.subtree_leaf_slice(self.root)
-        return self.tree.leaves_post[lo:hi]
-
-    def leaf_taxa(self):
-        taxon = self.tree.taxon
-        return [taxon[v] for v in self.leaf_nodes()]
-
-
 def build_tree(topology, taxa=None):
     """Build a :class:`Tree` from a nested (left, right) structure.
 
@@ -321,10 +293,3 @@ def is_ancestor(t, u, v):
     """True iff v lies in the subtree of u (u == v counts).  O(1)."""
     hi = t.post[u]
     return hi - (2 * t.leaf_count[u] - 1) < t.post[v] <= hi
-
-
-def subtree_leaves(t, v):
-    """Taxon ids of the leaves below v, in t's post-order."""
-    lo, hi = t.subtree_leaf_slice(v)
-    taxon = t.taxon
-    return [taxon[leaf] for leaf in t.leaves_post[lo:hi]]

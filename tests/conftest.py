@@ -4,7 +4,9 @@ import pytest
 
 from tripcon import (
     SplitMix64,
+    TaxonSet,
     build_lca_index,
+    build_tree,
     parse_newick,
 )
 from tripcon._kernels import available_backends
@@ -38,6 +40,24 @@ def small_trees():
         t = random_binary_tree(GeneratorConfig(n=n, seed=rng.next_u64()))
         trees.append((t, build_lca_index(t)))
     return trees
+
+
+def nested_chain_pair(n):
+    """P = (((X,y),z),w) against Q = (((X',z),y),w), applied recursively.
+
+    Each level adds three leaves around the pair (X, X') of the level
+    below; the innermost X is one leaf, so n must be 1 mod 3.  The root
+    splits agree at every level, which is the case that kept a context of
+    every level alive when the larger descent child ran first.
+    """
+    assert n % 3 == 1
+    taxa = TaxonSet(f"t{i}" for i in range(n))
+    p = q = "t0"
+    for i in range(1, n, 3):
+        y, z, w = f"t{i}", f"t{i + 1}", f"t{i + 2}"
+        p = (((p, y), z), w)
+        q = (((q, z), y), w)
+    return build_tree(p, taxa), build_tree(q, taxa)
 
 
 def naive_lca(t, u, v):

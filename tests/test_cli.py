@@ -4,7 +4,15 @@ import json
 
 import pytest
 
+from tripcon import (
+    SplitMix64,
+    TaxonSet,
+    enumerate_bruteforce,
+    parse_newick,
+    serialize_newick,
+)
 from tripcon import cli
+from tripcon.generator import GeneratorConfig, generate_pair
 
 FIG1_P = "((A,B),((C,D),E));"
 FIG1_Q = "((A,B),((D,E),C));"
@@ -87,6 +95,54 @@ def test_sorted_output_stable(fig1_files, capsys, tmp_path):
     assert lines == sorted(lines)
 
 
+# Labels whose sorted order is not the order the parser meets them in:
+# names that sort apart from their numbering, names that need quoting,
+# and non-ASCII names.
+ODD_LABELS = ["t10", "t9", "T1", "a b", "x(y)", "it's", "b:c", "[x]", "z,1",
+              "é", "Ω", "ß", "日本", "ñu", "Ä", "a", "aa", "Ab", "_", "'"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_conflicts_lines_in_label_order(tmp_path, capsys, seed):
+    rng = SplitMix64(seed)
+    labels = list(ODD_LABELS)
+    for i in range(len(labels) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        labels[i], labels[j] = labels[j], labels[i]
+    n = len(labels)
+    p, q = generate_pair(GeneratorConfig(n=n, seed=rng.next_u64(), k=4))
+    names = TaxonSet(labels)
+    paths = []
+    for tag, t in (("p", p), ("q", q)):
+        path = tmp_path / f"{tag}.nwk"
+        path.write_text(serialize_newick(t, names), encoding="utf-8")
+        paths.append(str(path))
+    pp, taxa = parse_newick((tmp_path / "p.nwk").read_text(encoding="utf-8"))
+    qq, _ = parse_newick((tmp_path / "q.nwk").read_text(encoding="utf-8"), taxa)
+    assert list(taxa.names) != sorted(taxa.names)
+    expected = sorted(sorted(taxa.name_of(t) for t in trip)
+                      for trip in enumerate_bruteforce(pp, qq))
+    assert expected
+
+    code, out, _ = run_cli(capsys, "conflicts", *paths)
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert all(row == sorted(row) for row in rows)
+    assert sorted(rows) == expected
+
+    code, out, _ = run_cli(capsys, "conflicts", *paths, "--sorted")
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert rows == expected
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+
+    code, out, _ = run_cli(capsys, "conflicts", *paths, "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["conflicts"]
+    assert all(row == sorted(row) for row in rows)
+    assert sorted(rows) == expected
+
+
 def test_exit_code_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.nwk"
     bad.write_text("((A,B);")
@@ -122,6 +178,20 @@ def test_exit_code_taxon_mismatch(tmp_path, capsys):
     q.write_text("((A,B),D);")
     code, _, _ = run_cli(capsys, "count", str(p), str(q))
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", "0"],
+    ["gen", "--n", "5", "--k", "-1"],
+    ["bench", "--n", "0"],
+    ["check", "--pairs", "1", "--n", "0"],
+    ["bench", "--n", "5", "--k", "1", "--backends", "bogus"],
+], ids=" ".join)
+def test_exit_code_bad_numbers(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("tripcon: ") and err.count("\n") == 1
 
 
 def test_check_files_ok(fig1_files, capsys):

@@ -21,6 +21,7 @@ from tripcon import (
     list_subtree_conflicts,
     parse_newick,
     partition_leaves,
+    serialize_newick,
 )
 from tripcon._kernels import available_backends
 from tripcon.generator import (
@@ -31,7 +32,7 @@ from tripcon.generator import (
     random_binary_tree,
 )
 
-from conftest import leafset
+from conftest import leafset, nested_chain_pair
 
 
 def _conflict_list(p, q, backend):
@@ -74,6 +75,8 @@ def test_matches_oracle_on_random_pairs(backend):
         got = _conflict_list(p, q, backend)
         assert len(set(got)) == len(got), "duplicate emission"
         assert set(got) == enumerate_bruteforce(p, q)
+        for trip in got:
+            assert trip.a < trip.b < trip.c
 
 
 def test_symmetry(backend):
@@ -88,14 +91,32 @@ def test_symmetry(backend):
         )
 
 
+def _kernel_ids(p, q, backend):
+    """The flat taxon ids the kernel writes to its output buffer."""
+    if backend == "fast":
+        return list(tripcon._kernels.fast_module().run_enumeration(
+            p.left, p.right, p.taxon, p.root,
+            q.left, q.right, q.taxon, q.root, len(p.taxa), True)[0])
+    from tripcon._kernels import pure
+    return list(pure.run_enumeration(p, q, True)[0])
+
+
 def test_sink_and_collect_agree(fig1, backend):
-    p, q, _ = fig1
-    seen = []
-    instr = enumerate_conflicts(p, q, sink=seen.append, collect=True,
-                                backend=backend)
-    assert seen == instr.conflicts
-    for trip in seen:
-        assert trip.a < trip.b < trip.c
+    # The kernel's flat id buffer took the place of the sink: collect
+    # builds one ConflictTriple per three ids, in the buffer's order.
+    rng = SplitMix64(0x51C)
+    pairs = [fig1[:2]] + [
+        generate_pair(GeneratorConfig(n=3 + rng.randrange(40),
+                                      seed=rng.next_u64(), k=4))
+        for _ in range(20)
+    ]
+    for p, q in pairs:
+        ids = _kernel_ids(p, q, backend)
+        seen = enumerate_conflicts(p, q, collect=True,
+                                   backend=backend).conflicts
+        assert [x for trip in seen for x in trip] == ids
+        for trip in seen:
+            assert trip.a < trip.b < trip.c
 
 
 def test_count_mode_matches_store_mode(backend):
@@ -165,15 +186,16 @@ def test_backends_are_twins():
                 assert a.per_frame_dr == b.per_frame_dr
 
 
-# The child's peak RSS in kB.  VmHWM starts afresh at exec, whereas
-# ru_maxrss keeps the peak of the process that forked the child.
+# The child's peak RSS in kB after counting the pair of Newick lines on
+# stdin.  VmHWM starts afresh at exec, whereas ru_maxrss keeps the peak of
+# the process that forked the child.
 PEAK_RSS = """
 import sys
-from tripcon import count_conflicts
-from tripcon.generator import caterpillar_tree
-n, backend = int(sys.argv[1]), sys.argv[2]
-count_conflicts(caterpillar_tree(n), caterpillar_tree(n, reverse=True),
-                backend=backend)
+from tripcon import count_conflicts, parse_newick
+text_p, text_q = sys.stdin.read().split("\\n")
+p, taxa = parse_newick(text_p)
+q, _ = parse_newick(text_q, taxa)
+count_conflicts(p, q, backend=sys.argv[1])
 with open("/proc/self/status") as fh:
     print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
 """
@@ -183,13 +205,22 @@ with open("/proc/self/status") as fh:
                     reason="needs /proc/self/status")
 def test_counting_peak_memory(backend):
     # A context is freed when its last pending frame pops.  Kept for the
-    # whole run, the contexts of this pair peaked at about 310 MB.
-    n = 2000 if backend == "fast" else 1000
+    # whole run, the contexts of the caterpillar pair peaked at about
+    # 310 MB.  On nested chains a descent that ran its larger child first
+    # kept every level's context alive: 307-315 MB at n = 2401 (fast) and
+    # 85 MB at n = 601 (pure).
+    fast = backend == "fast"
+    n = 2000 if fast else 1000
+    pairs = [(caterpillar_tree(n), caterpillar_tree(n, reverse=True)),
+             nested_chain_pair(2401 if fast else 601)]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(os.path.abspath(tripcon.__file__))))
-    proc = subprocess.run([sys.executable, "-c", PEAK_RSS, str(n), backend],
-                          env=env, capture_output=True, text=True, check=True)
-    assert int(proc.stdout) < 64 * 1024
+    for p, q in pairs:
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS, backend],
+            input=serialize_newick(p) + "\n" + serialize_newick(q),
+            env=env, capture_output=True, text=True, check=True)
+        assert int(proc.stdout) < 64 * 1024, p.n_leaves
 
 
 def test_taxon_mismatch():
@@ -216,18 +247,18 @@ def test_partition_leaves_fig1(fig1):
     p, q, taxa = fig1
     up = p.left[p.root]          # P's (A,B)
     vq = q.right[q.root]         # Q's ((D,E),C)
-    part = partition_leaves(p, q, up, vq)
-    assert [p.taxon[x] for x in part.com_p] == []
-    assert sorted(p.taxon[x] for x in part.unc_p) == [taxa.id_of("A"), taxa.id_of("B")]
-    assert sorted(q.taxon[x] for x in part.unc_q) == sorted(
+    com_p, unc_p, _, unc_q = partition_leaves(p, q, up, vq)
+    assert [p.taxon[x] for x in com_p] == []
+    assert sorted(p.taxon[x] for x in unc_p) == [taxa.id_of("A"), taxa.id_of("B")]
+    assert sorted(q.taxon[x] for x in unc_q) == sorted(
         taxa.id_of(x) for x in "CDE"
     )
     vp = p.right[p.root]         # P's ((C,D),E)
-    part2 = partition_leaves(p, q, vp, vq)
-    assert sorted(p.taxon[x] for x in part2.com_p) == sorted(
+    com_p2, unc_p2, _, unc_q2 = partition_leaves(p, q, vp, vq)
+    assert sorted(p.taxon[x] for x in com_p2) == sorted(
         taxa.id_of(x) for x in "CDE"
     )
-    assert part2.unc_p == [] and part2.unc_q == []
+    assert unc_p2 == [] and unc_q2 == []
 
 
 def test_partition_leaves_matches_set_arithmetic():
@@ -239,15 +270,15 @@ def test_partition_leaves_matches_set_arithmetic():
         )
         x_p = p.left[p.root] if rng.next_u64() & 1 else p.right[p.root]
         x_q = q.left[q.root] if rng.next_u64() & 1 else q.right[q.root]
-        part = partition_leaves(p, q, x_p, x_q)
+        com_p, unc_p, com_q, unc_q = partition_leaves(p, q, x_p, x_q)
         lp, lq = leafset(p, x_p), leafset(q, x_q)
-        assert {p.taxon[x] for x in part.com_p} == lp & lq
-        assert {q.taxon[x] for x in part.com_q} == lp & lq
-        assert {p.taxon[x] for x in part.unc_p} == lp - lq
-        assert {q.taxon[x] for x in part.unc_q} == lq - lp
+        assert {p.taxon[x] for x in com_p} == lp & lq
+        assert {q.taxon[x] for x in com_q} == lp & lq
+        assert {p.taxon[x] for x in unc_p} == lp - lq
+        assert {q.taxon[x] for x in unc_q} == lq - lp
         # orders are the trees' post-orders, never sorted labels
-        assert part.com_p == sorted(part.com_p, key=p.post.__getitem__)
-        assert part.unc_q == sorted(part.unc_q, key=q.post.__getitem__)
+        assert com_p == sorted(com_p, key=p.post.__getitem__)
+        assert unc_q == sorted(unc_q, key=q.post.__getitem__)
 
 
 def test_partition_symmetry_law():
@@ -260,22 +291,22 @@ def test_partition_symmetry_law():
         )
         up, vp = p.left[p.root], p.right[p.root]
         uq, vq = q.left[q.root], q.right[q.root]
-        part_u = partition_leaves(p, q, up, uq)
-        part_v = partition_leaves(p, q, vp, vq)
-        assert {p.taxon[x] for x in part_u.unc_p} == {
-            q.taxon[x] for x in part_v.unc_q
+        _, unc_up, _, unc_uq = partition_leaves(p, q, up, uq)
+        _, unc_vp, _, unc_vq = partition_leaves(p, q, vp, vq)
+        assert {p.taxon[x] for x in unc_up} == {
+            q.taxon[x] for x in unc_vq
         }
-        assert {p.taxon[x] for x in part_v.unc_p} == {
-            q.taxon[x] for x in part_u.unc_q
+        assert {p.taxon[x] for x in unc_vp} == {
+            q.taxon[x] for x in unc_uq
         }
 
 
 def test_list_common_root_conflicts_product():
     got = []
-    n_emitted = list_common_root_conflicts(got.append, [2], [3], [0, 1])
+    n_emitted = list_common_root_conflicts(got, [2], [3], [0, 1])
     assert n_emitted == 2
-    assert got == [ConflictTriple(0, 2, 3), ConflictTriple(1, 2, 3)]
-    assert list_common_root_conflicts(got.append, [], [3], [0, 1]) == 0
+    assert got == [0, 2, 3, 1, 2, 3]
+    assert list_common_root_conflicts(got, [], [3], [0, 1]) == 0
     assert list_common_root_conflicts(None, [2, 5], [3], [0, 1]) == 4
 
 
@@ -286,18 +317,18 @@ def test_list_subtree_conflicts_examples(fig1):
     got = []
     # z = {C,E}, candidates = {D}: lca(C,E) = lca(C,D,E), so CDE comes out
     emitted, work = list_subtree_conflicts(
-        got.append, p, idx, [by_name["C"], by_name["E"]], [by_name["D"]]
+        got, p, idx, [by_name["C"], by_name["E"]], [by_name["D"]]
     )
     assert emitted == 1
-    assert got == [ConflictTriple(*sorted(taxa.id_of(x) for x in "CDE"))]
+    assert got == sorted(taxa.id_of(x) for x in "CDE")
     # cherry z = {A,B} forces AB|c for any c: nothing comes out
     emitted, _ = list_subtree_conflicts(
-        got.append, p, idx, [by_name["A"], by_name["B"]], [by_name["C"]]
+        got, p, idx, [by_name["A"], by_name["B"]], [by_name["C"]]
     )
     assert emitted == 0
     # degenerate z
-    assert list_subtree_conflicts(got.append, p, idx, [], [by_name["C"]]) == (0, 0)
-    assert list_subtree_conflicts(got.append, p, idx, [by_name["A"]], []) == (0, 0)
+    assert list_subtree_conflicts(got, p, idx, [], [by_name["C"]]) == (0, 0)
+    assert list_subtree_conflicts(got, p, idx, [by_name["A"]], []) == (0, 0)
 
 
 def test_list_subtree_conflicts_matches_predicate():
@@ -311,8 +342,11 @@ def test_list_subtree_conflicts_matches_predicate():
         picks = sorted(set(rng.randrange(n) for _ in range(3 + rng.randrange(n))))
         z = [leaves[i] for i in picks]
         cand = [leaves[i] for i in range(n) if i not in set(picks)]
-        got = []
-        emitted, work = list_subtree_conflicts(got.append, t, idx, z, cand)
+        flat = []
+        emitted, work = list_subtree_conflicts(flat, t, idx, z, cand)
+        ids = iter(flat)
+        got = list(zip(ids, ids, ids))
+        assert 3 * emitted == len(flat)
         assert emitted == len(got) == len(set(got))
         ztaxa = {t.taxon[v] for v in z}
         expected = set()
@@ -322,7 +356,7 @@ def test_list_subtree_conflicts_matches_predicate():
         ):
             la, lb, lc = (t.leaf_of_taxon[x] for x in (a, b, c))
             if idx.lca(la, lb) == idx.lca(idx.lca(la, lb), lc):
-                expected.add(ConflictTriple(*sorted((a, b, c))))
+                expected.add(tuple(sorted((a, b, c))))
         assert set(got) == expected
         # cost bound: work is O(|z| + |cand| + emissions)
         assert work <= len(z) + len(cand) + 4 * (emitted + len(z))
@@ -336,7 +370,7 @@ def test_list_subtree_conflicts_count_mode_matches():
     z = [leaves[i] for i in (0, 3, 5, 9, 14, 20)]
     cand = [leaves[i] for i in (1, 2, 6, 11, 17, 25, 27)]
     got = []
-    emitted, work = list_subtree_conflicts(got.append, t, idx, z, cand)
+    emitted, work = list_subtree_conflicts(got, t, idx, z, cand)
     emitted2, work2 = list_subtree_conflicts(None, t, idx, z, cand)
     assert (emitted, work) == (emitted2, work2)
 
@@ -356,8 +390,8 @@ def test_root_partition_soundness():
         coms = []
         for x_p in (up, vp):
             for x_q in (uq, vq):
-                part = partition_leaves(p, q, x_p, x_q)
-                coms.append({p.taxon[x] for x in part.com_p})
+                com_p, _, _, _ = partition_leaves(p, q, x_p, x_q)
+                coms.append({p.taxon[x] for x in com_p})
         for trip in enumerate_bruteforce(p, q):
             la, lb, lc = (p.leaf_of_taxon[x] for x in trip)
             qa, qb, qc = (q.leaf_of_taxon[x] for x in trip)

@@ -2,7 +2,7 @@
 
 import itertools
 
-from tripcon import SplitMix64, build_lca_index, build_tree, is_ancestor, lca
+from tripcon import SplitMix64, build_lca_index, build_tree, is_ancestor
 from tripcon.generator import GeneratorConfig, random_binary_tree
 from tripcon.lca import _Pm1Rmq
 
@@ -94,8 +94,3 @@ def test_pm1_rmq_exhaustive():
             for j in range(i, n):
                 assert seq[rmq.query(i, j)] == min(seq[i:j + 1])
 
-
-def test_module_level_alias():
-    t = build_tree(("A", "B"))
-    idx = build_lca_index(t)
-    assert lca(idx, 0, 1) == t.root

@@ -10,10 +10,8 @@ from tripcon import (
     NonBinaryError,
     SplitMix64,
     TaxonSet,
-    TreeView,
     build_tree,
     is_ancestor,
-    subtree_leaves,
 )
 from tripcon.generator import GeneratorConfig, random_binary_tree
 
@@ -82,17 +80,6 @@ def test_mutual_ancestry_iff_equal():
         assert both == (u == v)
 
 
-def test_subtree_leaves_examples():
-    t = build_tree((("A", "B"), (("C", "D"), "E")))
-    names = t.taxa.name_of
-    cd = naive_lca(t, t.leaf_of_taxon[t.taxa.id_of("C")],
-                   t.leaf_of_taxon[t.taxa.id_of("D")])
-    assert [names(x) for x in subtree_leaves(t, cd)] == ["C", "D"]
-    assert sorted(names(x) for x in subtree_leaves(t, t.root)) == list("ABCDE")
-    e = t.leaf_of_taxon[t.taxa.id_of("E")]
-    assert [names(x) for x in subtree_leaves(t, e)] == ["E"]
-
-
 def test_postorder_interval_length():
     t = random_binary_tree(GeneratorConfig(n=33, seed=3))
     for v in range(t.n_nodes):
@@ -119,12 +106,3 @@ def test_leaf_counts_sum():
             )
     assert t.leaf_count[t.root] == 41
 
-
-def test_tree_view():
-    t = build_tree((("A", "B"), (("C", "D"), "E")))
-    right = t.right[t.root]
-    view = TreeView(t, right)
-    assert view.n_leaves == 3
-    assert sorted(t.taxa.name_of(x) for x in view.leaf_taxa()) == ["C", "D", "E"]
-    with pytest.raises(ValueError):
-        TreeView(t, 99)
