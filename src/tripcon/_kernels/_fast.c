@@ -21,6 +21,13 @@
  * partition buffers and sweep stacks) is a second block, sized from the
  * universe and the input lengths.
  *
+ * Output.  Triples are written to a TRI_CHUNK buffer of 4,096 triples.
+ * Each full buffer is appended to the returned array('i'), or, when a
+ * sink is given, handed to the sink as a fresh array('i') and the
+ * returned array stays empty: listing then needs O(n + chunk) memory.  An
+ * exception raised by the sink ends the run through the error path,
+ * which releases every pending frame and context.
+ *
  * Node ids and leaf counts are C ints; every count of triples, frames,
  * steps or violations (including each frame's d_r) is a long long.
  *
@@ -38,7 +45,8 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* Items buffered before they are appended to the returned arrays. */
+/* Items buffered before they are appended to the returned arrays (or,
+   for triples, handed to the sink). */
 #define TRI_CHUNK (3 * 4096)
 #define DR_CHUNK 4096
 
@@ -522,9 +530,10 @@ typedef struct {
 typedef struct {
     int store;
     long long work, frames, violations, emitted;
-    /* output: flat triples (array('i')) and per-frame d_r (array('q')),
-       each filled through a fixed chunk buffer */
-    PyObject *tri_arr, *dr_arr;
+    /* output: flat triples (array('i'), or chunks handed to sink when it
+       is not NULL) and per-frame d_r (array('q')), each filled through a
+       fixed chunk buffer */
+    PyObject *tri_arr, *dr_arr, *sink;
     /* the rest is one block: dr, the int arrays, then fs */
     long long *dr;
     int *tri;
@@ -602,12 +611,35 @@ static void run_free(Run *run)
     free(run->dr);
 }
 
-static int flush_output(Run *run)
+/* Append the buffered triples to the result array, or hand them to the
+   sink as a fresh array('i'). */
+static int flush_triples(Run *run)
 {
-    if (append_bytes(run->tri_arr, run->tri, run->ntri * (Py_ssize_t)sizeof(int)) < 0
-        || append_bytes(run->dr_arr, run->dr, run->ndr * (Py_ssize_t)sizeof(long long)) < 0)
-        return -1;
+    Py_ssize_t nbytes = run->ntri * (Py_ssize_t)sizeof(int);
+    PyObject *chunk, *res;
+
+    if (run->sink == NULL) {
+        if (append_bytes(run->tri_arr, run->tri, nbytes) < 0)
+            return -1;
+    } else if (nbytes) {
+        chunk = PyObject_CallFunction(array_type, "sy#", "i",
+                                      (const char *)run->tri, nbytes);
+        if (chunk == NULL)
+            return -1;
+        res = PyObject_CallOneArg(run->sink, chunk);
+        Py_DECREF(chunk);
+        if (res == NULL)
+            return -1;
+        Py_DECREF(res);
+    }
     run->ntri = 0;
+    return 0;
+}
+
+static int flush_dr(Run *run)
+{
+    if (append_bytes(run->dr_arr, run->dr, run->ndr * (Py_ssize_t)sizeof(long long)) < 0)
+        return -1;
     run->ndr = 0;
     return 0;
 }
@@ -623,7 +655,7 @@ static void push_frame(Run *run, Ctx *c, int rp, int rq)
 
 static int push_dr(Run *run, long long v)
 {
-    if (run->ndr == DR_CHUNK && flush_output(run) < 0)
+    if (run->ndr == DR_CHUNK && flush_dr(run) < 0)
         return -1;
     run->dr[run->ndr++] = v;
     return 0;
@@ -649,7 +681,7 @@ static int emit(Run *run, int a, int b, int c)
         }
     }
     run->emitted++;
-    if (run->ntri == TRI_CHUNK && flush_output(run) < 0)
+    if (run->ntri == TRI_CHUNK && flush_triples(run) < 0)
         return -1;
     run->tri[run->ntri] = a;
     run->tri[run->ntri + 1] = b;
@@ -951,7 +983,7 @@ static int run_frames(Run *run)
 
 PyDoc_STRVAR(run_enumeration_doc,
 "run_enumeration(p_left, p_right, p_taxon, p_root, q_left, q_right, q_taxon,\n"
-"                q_root, universe, store=True)\n"
+"                q_root, universe, store=True, sink=None)\n"
 "--\n"
 "\n"
 "Enumerate conflicts; same contract and output as the pure kernel.\n"
@@ -959,16 +991,21 @@ PyDoc_STRVAR(run_enumeration_doc,
 "With ``store`` false, triples are only counted, never materialized.\n"
 "Returns ``(flat_triples, emitted, frames_opened, nodes_touched,\n"
 "budget_violations, per_frame_dr)``; flat_triples is an array('i') and\n"
-"per_frame_dr an array('q').  Raises ValueError unless both trees are\n"
-"full binary trees whose leaves carry the same distinct taxa.");
+"per_frame_dr an array('q').  With ``sink``, stored triples go to\n"
+"``sink`` in chunks of 4,096 (the last may hold fewer), each a fresh\n"
+"array('i') of three ids per triple passed as soon as it fills, and\n"
+"flat_triples stays empty, so storing needs O(n + chunk) memory; an\n"
+"exception from ``sink`` ends the run and propagates.  Raises ValueError\n"
+"unless both trees are full binary trees whose leaves carry the same\n"
+"distinct taxa.");
 
 static PyObject *run_enumeration(PyObject *module, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"p_left", "p_right", "p_taxon", "p_root",
                              "q_left", "q_right", "q_taxon", "q_root",
-                             "universe", "store", NULL};
+                             "universe", "store", "sink", NULL};
     PyObject *p_left, *p_right, *p_taxon, *q_left, *q_right, *q_taxon;
-    PyObject *result = NULL;
+    PyObject *sink = Py_None, *result = NULL;
     int p_root, q_root, universe, store = 1, mp, mq, r;
     Ctx *top = NULL;
     Side *P, *Q;
@@ -976,12 +1013,17 @@ static PyObject *run_enumeration(PyObject *module, PyObject *args, PyObject *kwa
 
     (void)module;
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwargs, "O!O!O!iO!O!O!ii|p:run_enumeration", kwlist,
+            args, kwargs, "O!O!O!iO!O!O!ii|pO:run_enumeration", kwlist,
             &PyList_Type, &p_left, &PyList_Type, &p_right,
             &PyList_Type, &p_taxon, &p_root,
             &PyList_Type, &q_left, &PyList_Type, &q_right,
-            &PyList_Type, &q_taxon, &q_root, &universe, &store))
+            &PyList_Type, &q_taxon, &q_root, &universe, &store, &sink))
         return NULL;
+    if (sink != Py_None && !PyCallable_Check(sink)) {
+        PyErr_SetString(PyExc_TypeError, "sink must be callable or None");
+        return NULL;
+    }
+    run.sink = sink == Py_None ? NULL : sink;
 
     if ((mp = list_size(p_left, p_right, p_taxon, p_root)) < 0
         || (mq = list_size(q_left, q_right, q_taxon, q_root)) < 0
@@ -1005,7 +1047,7 @@ static PyObject *run_enumeration(PyObject *module, PyObject *args, PyObject *kwa
     run.work += P->m + Q->m;
     run.work += P->tlen + Q->tlen;
     run.work += P->m;
-    if (run_frames(&run) < 0 || flush_output(&run) < 0)
+    if (run_frames(&run) < 0 || flush_triples(&run) < 0 || flush_dr(&run) < 0)
         goto done;
 
     result = Py_BuildValue("(OLLLLO)", run.tri_arr, run.emitted, run.frames,

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from array import array
 
 from ._kernels import resolve as resolve_backend
 from .enumeration import enumerate_conflicts
@@ -30,6 +31,7 @@ from .generator import (
 )
 from .newick import parse_newick, serialize_newick
 from .oracle import enumerate_bruteforce
+from .tree import TaxonSet, Tree
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -44,21 +46,41 @@ class _UsageError(TripconError):
     pass
 
 
-def _load_pair(path_p, path_q):
-    with open(path_p, "r", encoding="utf-8") as fh:
-        p, taxa = parse_newick(fh.read())
-    with open(path_q, "r", encoding="utf-8") as fh:
-        q, _ = parse_newick(fh.read(), taxa)
+def _read(path):
+    # utf-8-sig drops the byte order mark some editors put first
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        return fh.read()
+
+
+def _load_pair(path_p, path_q, label_order=False):
+    """Parse both trees over one TaxonSet.  With ``label_order``, taxon
+    ids are the ranks of the sorted labels, so that ids a < b < c are in
+    label order; P is then finalized a second time with the new ids."""
+    p, taxa = parse_newick(_read(path_p))
+    if label_order:
+        first, taxa = taxa, TaxonSet(sorted(taxa.names))
+        rank = [taxa.index[name] for name in first.names]
+        p = Tree._from_structure(p.left, p.right,
+                                 [-1 if t < 0 else rank[t] for t in p.taxon],
+                                 p.root, taxa)
+    q, _ = parse_newick(_read(path_q), taxa)
     return p, q, taxa
 
 
-def _label_ranks(taxa):
-    """(labels in sorted order, rank of each taxon id's label in it)."""
-    order = sorted(range(len(taxa)), key=taxa.names.__getitem__)
-    rank = [0] * len(order)
-    for r, t in enumerate(order):
-        rank[t] = r
-    return [taxa.names[t] for t in order], rank
+def _line_writer(names, write):
+    """A sink that writes each triple of flat ids as one line of its
+    names, tab-separated and in id order."""
+    tab = [name + "\t" for name in names]
+    end = [name + "\n" for name in names]
+
+    def sink(ids):
+        parts = [None] * len(ids)
+        parts[0::3] = map(tab.__getitem__, ids[0::3])
+        parts[1::3] = map(tab.__getitem__, ids[1::3])
+        parts[2::3] = map(end.__getitem__, ids[2::3])
+        write("".join(parts))
+
+    return sink
 
 
 def _config(n, seed, shape, k):
@@ -76,39 +98,35 @@ def _stats_line(instr):
 
 
 def _cmd_conflicts(args):
-    p, q, taxa = _load_pair(args.tree_p, args.tree_q)
-    instr = enumerate_conflicts(p, q, collect=True, backend=args.backend)
-    labels, rank = _label_ranks(taxa)
-
-    def ranked():
-        # each triple as its labels' ranks, ascending
-        for a, b, c in instr.conflicts:
-            x, y, z = rank[a], rank[b], rank[c]
-            if x > y:
-                x, y = y, x
-            if y > z:
-                y, z = z, y
-                if x > y:
-                    x, y = y, x
-            yield x, y, z
-
-    rows = sorted(ranked()) if args.sorted else ranked()
-    if args.format == "json":
-        doc = {
-            "n": instr.n_taxa,
-            "d": instr.d,
-            "conflicts": [[labels[x], labels[y], labels[z]]
-                          for x, y, z in rows],
-            "stats": {
-                "frames_opened": instr.frames_opened,
-                "nodes_touched": instr.nodes_touched,
-                "backend": instr.backend,
-            },
-        }
-        sys.stdout.write(json.dumps(doc) + "\n")
-    else:  # text and tsv are the same tab-separated triple lines
-        sys.stdout.writelines(f"{labels[x]}\t{labels[y]}\t{labels[z]}\n"
-                              for x, y, z in rows)
+    # ids in label order: each triple a < b < c is a line in label order
+    p, q, taxa = _load_pair(args.tree_p, args.tree_q, label_order=True)
+    labels = taxa.names
+    if args.format != "json" and not args.sorted:
+        instr = enumerate_conflicts(p, q, backend=args.backend,
+                                    sink=_line_writer(labels, sys.stdout.write))
+    else:
+        flat = array("i")
+        instr = enumerate_conflicts(p, q, backend=args.backend,
+                                    sink=flat.extend)
+        # share one int per taxon id; reading the array makes one per read
+        ids = map(list(range(len(labels))).__getitem__, flat)
+        rows = sorted(zip(ids, ids, ids)) if args.sorted else zip(ids, ids, ids)
+        if args.format == "json":
+            doc = {
+                "n": instr.n_taxa,
+                "d": instr.d,
+                "conflicts": [[labels[x], labels[y], labels[z]]
+                              for x, y, z in rows],
+                "stats": {
+                    "frames_opened": instr.frames_opened,
+                    "nodes_touched": instr.nodes_touched,
+                    "backend": instr.backend,
+                },
+            }
+            sys.stdout.write(json.dumps(doc) + "\n")
+        else:  # text and tsv are the same tab-separated triple lines
+            sys.stdout.writelines(f"{labels[x]}\t{labels[y]}\t{labels[z]}\n"
+                                  for x, y, z in rows)
     if args.stats:
         print(_stats_line(instr), file=sys.stderr)
     return EXIT_OK

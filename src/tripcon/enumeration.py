@@ -22,8 +22,9 @@ composed from the public modules (``tripcon._kernels.pure``) and a
 compiled twin (``tripcon._kernels._fast``, built from the hand-written
 C99 source ``_kernels/_fast.c``).  Both emit each triple as three taxon
 ids a < b < c into one flat sequence (a list, or the compiled kernel's
-``array('i')``), and they emit identical sequences and identical
-instrumentation; selection happens at import via the
+``array('i')``), or hand that sequence to a sink in chunks of 4,096
+triples, and they emit identical sequences, identical chunks and
+identical instrumentation; selection happens at import via the
 TRIPCON_BACKEND environment variable (``auto``/``fast``/``pure``) or per
 call with ``backend=``.
 
@@ -45,6 +46,7 @@ Work-counter contract (mirrored exactly by both kernels)
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import TaxonMismatchError
 from .oracle import ConflictTriple
@@ -291,12 +293,20 @@ def active_backend():
     return _kernels.resolve(None)
 
 
-def enumerate_conflicts(p, q, *, backend=None, collect=False):
+def enumerate_conflicts(p, q, *, backend=None, collect=False, sink=None):
     """Enumerate every conflict triple of (P, Q) exactly once.
 
     With ``collect=True`` the triples are stored on the returned
     :class:`Instrumentation` as ``conflicts``, a list of canonical
-    :class:`ConflictTriple` (taxon ids a < b < c).  Without it, only the
+    :class:`ConflictTriple` (taxon ids a < b < c).  With ``sink``, the
+    triples stream out while the run goes on: ``sink`` is called with
+    chunks of flat taxon ids, three per triple and each triple a < b < c,
+    and ``conflicts`` stays ``None``.  Each chunk holds at most 4,096
+    triples, an ``array('i')`` from the compiled kernel and a list from
+    the pure one, with the same ids in both; a chunk is never reused, and
+    concatenated the chunks give the ids ``collect=True`` would, in the
+    same order.  An exception raised by ``sink`` ends the run and
+    propagates.  Passing both raises ValueError.  With neither, only the
     counters are produced and no triple is materialized, so counting
     stays cheap even when d is enormous.  Ordering is deterministic for a
     given input but otherwise unspecified; only set semantics and
@@ -314,23 +324,28 @@ def enumerate_conflicts(p, q, *, backend=None, collect=False):
     contexts held open by waiting descents at least halve in size along
     the current path, and pending partition children hold contexts no
     larger than their own disjoint leaf sets.  Collected output adds the
-    d triples, held in full.
+    d triples, held in full.  Streaming to a sink adds one chunk with the
+    compiled kernel, O(n + chunk) in all, and the largest single listing
+    call (at most one frame's d_r) with the pure kernel.
     """
+    if collect and sink is not None:
+        raise ValueError("pass sink or collect=True, not both")
     if p.taxa != q.taxa or p.leaf_of_taxon.keys() != q.leaf_of_taxon.keys():
         raise TaxonMismatchError("trees do not carry the same leaf taxa")
     name = _kernels.resolve(backend)
+    store = collect or sink is not None
     if name == "fast":
         kern = _kernels.fast_module()
         flat, d, frames, work, violations, per_dr = kern.run_enumeration(
             p.left, p.right, p.taxon, p.root,
             q.left, q.right, q.taxon, q.root,
-            len(p.taxa), collect,
+            len(p.taxa), store, sink,
         )
     else:
         from ._kernels import pure
 
         flat, d, frames, work, violations, per_dr = pure.run_enumeration(
-            p, q, collect
+            p, q, store, sink
         )
 
     per_dr = list(per_dr)
@@ -352,8 +367,9 @@ def enumerate_conflicts(p, q, *, backend=None, collect=False):
             # Indexing the kernel's array('i') makes a fresh int per read;
             # share one object per taxon id, as the pure kernel's list does.
             ids = map(list(range(len(p.taxa))).__getitem__, ids)
-        instr.conflicts = [ConflictTriple(a, b, c)
-                           for a, b, c in zip(ids, ids, ids)]
+        # tuple.__new__ skips the namedtuple's Python-level __new__
+        instr.conflicts = list(map(partial(tuple.__new__, ConflictTriple),
+                                   zip(ids, ids, ids)))
     return instr
 
 

@@ -1,8 +1,15 @@
 """CLI: output formats, exit codes, stream separation, determinism."""
 
 import json
+import os
+import shlex
+import subprocess
+import sys
+import time
 
 import pytest
+
+import tripcon
 
 from tripcon import (
     SplitMix64,
@@ -12,6 +19,7 @@ from tripcon import (
     serialize_newick,
 )
 from tripcon import cli
+from tripcon._kernels import available_backends
 from tripcon.generator import GeneratorConfig, generate_pair
 
 FIG1_P = "((A,B),((C,D),E));"
@@ -141,6 +149,18 @@ def test_conflicts_lines_in_label_order(tmp_path, capsys, seed):
     rows = json.loads(out)["conflicts"]
     assert all(row == sorted(row) for row in rows)
     assert sorted(rows) == expected
+
+
+def test_byte_order_mark_is_ignored(tmp_path, capsys):
+    # editors on Windows start UTF-8 files with U+FEFF
+    p = tmp_path / "p.nwk"
+    q = tmp_path / "q.nwk"
+    p.write_bytes(b"\xef\xbb\xbf" + FIG1_P.encode())
+    q.write_bytes(b"\xef\xbb\xbf" + FIG1_Q.encode())
+    code, out, err = run_cli(capsys, "conflicts", str(p), str(q))
+    assert (code, out, err) == (0, "C\tD\tE\n", "")
+    code, out, err = run_cli(capsys, "count", str(p), str(q))
+    assert (code, out, err) == (0, "1\n", "")
 
 
 def test_exit_code_parse_error(tmp_path, capsys):
@@ -284,21 +304,20 @@ def test_backend_flag(fig1_files, capsys):
     assert code == 0 and out == "C\tD\tE\n"
 
 
-def test_pipeline_head_no_broken_pipe_noise(tmp_path):
-    # Run the CLI module with this interpreter and this copy of the package,
-    # so the test needs no installed ``tripcon`` script on PATH.
-    import os
-    import shlex
-    import subprocess
-    import sys
-
-    import tripcon
-
+def _cli_env():
+    """Environment that imports this copy of the package."""
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(tripcon.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         x for x in (pkg_root, env.get("PYTHONPATH")) if x
     )
+    return env
+
+
+def test_pipeline_head_no_broken_pipe_noise(tmp_path):
+    # Run the CLI module with this interpreter and this copy of the package,
+    # so the test needs no installed ``tripcon`` script on PATH.
+    env = _cli_env()
     tripcon_cmd = [sys.executable, "-m", "tripcon.cli"]
 
     p = tmp_path / "p.nwk"
@@ -315,3 +334,80 @@ def test_pipeline_head_no_broken_pipe_noise(tmp_path):
     assert proc.returncode == 0
     assert len(proc.stdout.splitlines()) == 2
     assert "pipe" not in proc.stderr.lower()
+
+
+def _write_pair(tmp_path, n, seed, k):
+    p, q = generate_pair(GeneratorConfig(n=n, seed=seed, k=k))
+    paths = []
+    for tag, t in (("p", p), ("q", q)):
+        path = tmp_path / f"{tag}.nwk"
+        path.write_text(serialize_newick(t))
+        paths.append(str(path))
+    return paths
+
+
+# Runs the CLI on argv and prints its exit code and peak RSS in kB to
+# stderr.  VmHWM starts afresh at exec, whereas ru_maxrss keeps the peak
+# of the process that forked the child.
+CLI_PEAK_RSS = """
+import sys
+from tripcon.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    hwm = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+print(code, hwm, file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc/self/status")
+def test_conflicts_streams_in_bounded_memory(tmp_path, backend):
+    # d = 1,367,830.  Holding every triple before the first line peaked
+    # at 152 MB (fast) and 168 MB (pure); streamed chunks keep the run near
+    # the interpreter's own size.
+    paths = _write_pair(tmp_path, 1024, 11, 2)
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_PEAK_RSS, "--backend", backend,
+         "conflicts", *paths],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        env=_cli_env(), check=True)
+    code, hwm = proc.stderr.split()[-2:]
+    assert code == "0"
+    assert int(hwm) < 48 * 1024
+
+
+def _cap_address_space():
+    import resource
+
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.skipif("fast" not in available_backends(),
+                    reason="compiled kernel not built")
+def test_pipeline_head_returns_early_on_huge_output(tmp_path):
+    # d = 475,056,195 (n = 16,384, k = 4): holding the triples before the
+    # first line needs more than 5 GB, so under a 1 GiB address-space cap
+    # such a run fails fast instead of exhausting the machine.
+    paths = _write_pair(tmp_path, 16384, 7, 4)
+    start = time.monotonic()
+    producer = subprocess.Popen(
+        [sys.executable, "-m", "tripcon.cli", "--backend", "fast",
+         "conflicts", *paths],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
+        preexec_fn=_cap_address_space)
+    head = subprocess.Popen(["head", "-3"], stdin=producer.stdout,
+                            stdout=subprocess.PIPE, text=True)
+    producer.stdout.close()  # head is now the only reader
+    try:
+        out, _ = head.communicate(timeout=10)
+        _, err = producer.communicate(timeout=10)
+    finally:
+        for proc in (producer, head):
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+    assert time.monotonic() - start < 10
+    assert producer.returncode == 0, err
+    assert len(out.splitlines()) == 3
+    assert all(len(line.split("\t")) == 3 for line in out.splitlines())

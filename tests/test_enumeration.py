@@ -102,8 +102,8 @@ def _kernel_ids(p, q, backend):
 
 
 def test_sink_and_collect_agree(fig1, backend):
-    # The kernel's flat id buffer took the place of the sink: collect
-    # builds one ConflictTriple per three ids, in the buffer's order.
+    # collect builds one ConflictTriple per three ids of the kernel's flat
+    # id buffer, in the buffer's order.
     rng = SplitMix64(0x51C)
     pairs = [fig1[:2]] + [
         generate_pair(GeneratorConfig(n=3 + rng.randrange(40),
@@ -117,6 +117,64 @@ def test_sink_and_collect_agree(fig1, backend):
         assert [x for trip in seen for x in trip] == ids
         for trip in seen:
             assert trip.a < trip.b < trip.c
+
+
+# Ids in one chunk handed to a sink: 4,096 triples.
+TRI_CHUNK = 3 * 4096
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_sink_streams_the_collected_ids(fig1, backend, shape):
+    rng = SplitMix64(0x57EA)
+    pairs = [fig1[:2]] + [
+        generate_pair(GeneratorConfig(n=n, seed=rng.next_u64(),
+                                      k=rng.randrange(n + 1), shape=shape))
+        for n in [3 + rng.randrange(45) for _ in range(12)] + [150, 150]
+    ]
+    many = 0
+    for p, q in pairs:
+        want = enumerate_conflicts(p, q, collect=True, backend=backend)
+        plain = enumerate_conflicts(p, q, backend=backend)
+        chunks = []
+        got = enumerate_conflicts(p, q, backend=backend, sink=chunks.append)
+        assert got.conflicts is None
+        assert [x for chunk in chunks for x in chunk] == [
+            x for trip in want.conflicts for x in trip]
+        # every chunk but the last is full, in both kernels
+        assert all(len(chunk) == TRI_CHUNK for chunk in chunks[:-1])
+        assert all(0 < len(chunk) <= TRI_CHUNK and len(chunk) % 3 == 0
+                   for chunk in chunks)
+        assert len({id(chunk) for chunk in chunks}) == len(chunks)
+        for instr in (want, plain):
+            assert (got.d, got.frames_opened, got.nodes_touched,
+                    got.per_frame_dr) == (instr.d, instr.frames_opened,
+                                          instr.nodes_touched,
+                                          instr.per_frame_dr)
+        many = max(many, len(chunks))
+    assert many >= 3
+
+
+def test_sink_exception_propagates(backend):
+    p, q = caterpillar_tree(60), caterpillar_tree(60, reverse=True)
+    calls = []
+
+    def sink(ids):
+        calls.append(len(ids))
+        if len(calls) == 2:
+            raise KeyError("stop")
+
+    with pytest.raises(KeyError, match="stop"):
+        enumerate_conflicts(p, q, backend=backend, sink=sink)
+    assert calls == [TRI_CHUNK, TRI_CHUNK]
+    # the failed run left nothing behind that a new run would see
+    assert count_conflicts(p, q, backend=backend) == math.comb(60, 3)
+
+
+def test_sink_with_collect_is_rejected(fig1, backend):
+    p, q, _ = fig1
+    with pytest.raises(ValueError):
+        enumerate_conflicts(p, q, backend=backend, collect=True,
+                            sink=[].extend)
 
 
 def test_count_mode_matches_store_mode(backend):

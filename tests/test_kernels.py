@@ -156,6 +156,8 @@ def test_kernel_rejects_malformed_arrays():
             run(*args)
     with pytest.raises(TypeError):
         run((1, -1, -1), *CHERRY[1:], *CHERRY, 2)
+    with pytest.raises(TypeError):
+        run(*CHERRY, *CHERRY, 2, True, 5)  # a sink that is not callable
     assert run(*leaf, *leaf, 1)[1:3] == (0, 1)
 
 
@@ -176,10 +178,25 @@ for i in range(300):
     for collect in (True, False):
         enumerate_conflicts(p, q, collect=collect, backend="fast")
 p, q = caterpillar_tree(300), caterpillar_tree(300, reverse=True)
+args = (p.left, p.right, p.taxon, p.root,
+        q.left, q.right, q.taxon, q.root, len(p.taxa))
 for store in (True, False):
-    out = run(p.left, p.right, p.taxon, p.root,
-              q.left, q.right, q.taxon, q.root, len(p.taxa), store)
+    out = run(*args, store)
     assert out[1] == math.comb(300, 3)
+chunks = []
+out = run(*args, True, chunks.append)
+assert len(out[0]) == 0 and sum(map(len, chunks)) == 3 * math.comb(300, 3)
+def stop(ids):
+    if len(chunks) == 2:
+        raise KeyError("stop")
+    chunks.append(ids)
+chunks.clear()
+try:
+    run(*args, True, stop)
+except KeyError:
+    pass
+else:
+    raise AssertionError("the sink's exception was lost")
 for args in {malformed!r}:
     try:
         run(*args)
