@@ -21,12 +21,12 @@
  * partition buffers and sweep stacks) is a second block, sized from the
  * universe and the input lengths.
  *
- * Output.  Triples are written to a TRI_CHUNK buffer of 4,096 triples.
- * Each full buffer is appended to the returned array('i'), or, when a
- * sink is given, handed to the sink as a fresh array('i') and the
- * returned array stays empty: listing then needs O(n + chunk) memory.  An
- * exception raised by the sink ends the run through the error path,
- * which releases every pending frame and context.
+ * Output.  Without a sink, triples are only counted.  With a sink, they
+ * are written to a TRI_CHUNK buffer of 4,096 triples, and each full
+ * buffer is handed to the sink as a fresh array('i'): counting needs O(n)
+ * memory and streaming O(n + chunk).  An exception raised by the sink
+ * ends the run through the error path, which releases every pending
+ * frame and context.
  *
  * Node ids and leaf counts are C ints; every count of triples, frames,
  * steps or violations (including each frame's d_r) is a long long.
@@ -45,8 +45,8 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* Items buffered before they are appended to the returned arrays (or,
-   for triples, handed to the sink). */
+/* Items buffered before they are handed to the sink (triples) or
+   appended to the returned array (d_r). */
 #define TRI_CHUNK (3 * 4096)
 #define DR_CHUNK 4096
 
@@ -66,23 +66,6 @@ static int *take(int *base, size_t *used, size_t n)
     int *p = base ? base + *used : NULL;
     *used += n;
     return p;
-}
-
-/* Append nbytes of buf to the array.array arr. */
-static int append_bytes(PyObject *arr, const void *buf, Py_ssize_t nbytes)
-{
-    PyObject *view, *res;
-    if (nbytes == 0)
-        return 0;
-    view = PyMemoryView_FromMemory((char *)buf, nbytes, PyBUF_READ);
-    if (view == NULL)
-        return -1;
-    res = PyObject_CallMethod(arr, "frombytes", "O", view);
-    Py_DECREF(view);
-    if (res == NULL)
-        return -1;
-    Py_DECREF(res);
-    return 0;
 }
 
 /* ====================================================================== */
@@ -528,12 +511,11 @@ typedef struct {
 } Frame;
 
 typedef struct {
-    int store;
     long long work, frames, violations, emitted;
-    /* output: flat triples (array('i'), or chunks handed to sink when it
-       is not NULL) and per-frame d_r (array('q')), each filled through a
-       fixed chunk buffer */
-    PyObject *tri_arr, *dr_arr, *sink;
+    /* output: chunks of flat triples handed to sink (NULL when counting)
+       and per-frame d_r (array('q')), each filled through a fixed chunk
+       buffer */
+    PyObject *dr_arr, *sink;
     /* the rest is one block: dr, the int arrays, then fs */
     long long *dr;
     int *tri;
@@ -576,17 +558,15 @@ static size_t run_layout(Run *run, size_t u, size_t w, int *base)
 
 /* m is the larger input tree's node count; it bounds the pending frames
    and, with the universe, every sweep. */
-static int run_init(Run *run, int universe, int m, int store)
+static int run_init(Run *run, int universe, int m)
 {
     size_t u = universe > 0 ? (size_t)universe : 1;
     size_t w = 2 * ((size_t)m > u ? (size_t)m : u) + 6;
     size_t nfs = ((size_t)m + 1) / 2;
     size_t ints = run_layout(run, u, w, NULL);
 
-    run->store = store;
-    run->tri_arr = PyObject_CallFunction(array_type, "s", "i");
     run->dr_arr = PyObject_CallFunction(array_type, "s", "q");
-    if (run->tri_arr == NULL || run->dr_arr == NULL)
+    if (run->dr_arr == NULL)
         return -1;
     /* the frames go last, where an overrun leaves the block; an even
        number of ints keeps them aligned */
@@ -604,42 +584,47 @@ static int run_init(Run *run, int universe, int m, int store)
 
 static void run_free(Run *run)
 {
-    Py_XDECREF(run->tri_arr);
     Py_XDECREF(run->dr_arr);
     while (run->nfs)
         ctx_release(run->fs[--run->nfs].ctx);
     free(run->dr);
 }
 
-/* Append the buffered triples to the result array, or hand them to the
-   sink as a fresh array('i'). */
+/* Hand the buffered triples to the sink as a fresh array('i'). */
 static int flush_triples(Run *run)
 {
-    Py_ssize_t nbytes = run->ntri * (Py_ssize_t)sizeof(int);
     PyObject *chunk, *res;
 
-    if (run->sink == NULL) {
-        if (append_bytes(run->tri_arr, run->tri, nbytes) < 0)
-            return -1;
-    } else if (nbytes) {
-        chunk = PyObject_CallFunction(array_type, "sy#", "i",
-                                      (const char *)run->tri, nbytes);
-        if (chunk == NULL)
-            return -1;
-        res = PyObject_CallOneArg(run->sink, chunk);
-        Py_DECREF(chunk);
-        if (res == NULL)
-            return -1;
-        Py_DECREF(res);
-    }
+    if (run->ntri == 0)
+        return 0;
+    chunk = PyObject_CallFunction(array_type, "sy#", "i", (const char *)run->tri,
+                                  run->ntri * (Py_ssize_t)sizeof(int));
+    if (chunk == NULL)
+        return -1;
+    res = PyObject_CallOneArg(run->sink, chunk);
+    Py_DECREF(chunk);
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
     run->ntri = 0;
     return 0;
 }
 
+/* Append the buffered d_r values to the result array('q'). */
 static int flush_dr(Run *run)
 {
-    if (append_bytes(run->dr_arr, run->dr, run->ndr * (Py_ssize_t)sizeof(long long)) < 0)
+    PyObject *view, *res;
+
+    view = PyMemoryView_FromMemory((char *)run->dr,
+                                   run->ndr * (Py_ssize_t)sizeof(long long),
+                                   PyBUF_READ);
+    if (view == NULL)
         return -1;
+    res = PyObject_CallMethod(run->dr_arr, "frombytes", "O", view);
+    Py_DECREF(view);
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
     run->ndr = 0;
     return 0;
 }
@@ -661,7 +646,7 @@ static int push_dr(Run *run, long long v)
     return 0;
 }
 
-/* Append the canonical (ascending) form of taxa {a, b, c}; store mode only. */
+/* Buffer the canonical (ascending) form of taxa {a, b, c}; sink runs only. */
 static int emit(Run *run, int a, int b, int c)
 {
     int t;
@@ -808,7 +793,7 @@ static int lsc(Run *run, const Side *t, const int *z, int k,
                 slo = yhi;
                 shi = phi[pr];
             }
-            if (!run->store) {
+            if (run->sink == NULL) {
                 run->emitted += (long long)(yhi - ylo - 1) * (shi - slo);
                 y = pr;
                 continue;
@@ -906,7 +891,7 @@ static int run_frame(Run *run, Ctx *ctx, int rp, int rq)
     before = run->emitted;
     for (pi = 0; pi < 2; pi++) {
         other_p = pi == 0 ? vp : up;
-        if (pn[4 * pi] && pn[4 * pi + 1] && !run->store) {
+        if (pn[4 * pi] && pn[4 * pi + 1] && run->sink == NULL) {
             run->emitted += (long long)pn[4 * pi] * pn[4 * pi + 1]
                             * P->lc[other_p];
         } else if (pn[4 * pi] && pn[4 * pi + 1]) {
@@ -983,41 +968,39 @@ static int run_frames(Run *run)
 
 PyDoc_STRVAR(run_enumeration_doc,
 "run_enumeration(p_left, p_right, p_taxon, p_root, q_left, q_right, q_taxon,\n"
-"                q_root, universe, store=True, sink=None)\n"
+"                q_root, universe, sink=None)\n"
 "--\n"
 "\n"
 "Enumerate conflicts; same contract and output as the pure kernel.\n"
 "\n"
-"With ``store`` false, triples are only counted, never materialized.\n"
-"Returns ``(flat_triples, emitted, frames_opened, nodes_touched,\n"
-"budget_violations, per_frame_dr)``; flat_triples is an array('i') and\n"
-"per_frame_dr an array('q').  With ``sink``, stored triples go to\n"
-"``sink`` in chunks of 4,096 (the last may hold fewer), each a fresh\n"
-"array('i') of three ids per triple passed as soon as it fills, and\n"
-"flat_triples stays empty, so storing needs O(n + chunk) memory; an\n"
-"exception from ``sink`` ends the run and propagates.  Raises ValueError\n"
-"unless both trees are full binary trees whose leaves carry the same\n"
-"distinct taxa.");
+"Returns ``(emitted, frames_opened, nodes_touched, budget_violations,\n"
+"per_frame_dr)``, per_frame_dr an array('q').  Without ``sink``, triples\n"
+"are only counted, in O(n) memory.  With ``sink``, they go to ``sink``\n"
+"in chunks of 4,096 (the last may hold fewer), each a fresh array('i')\n"
+"of three ids per triple passed as soon as it fills, so listing needs\n"
+"O(n + chunk) memory; an exception from ``sink`` ends the run and\n"
+"propagates.  Raises ValueError unless both trees are full binary trees\n"
+"whose leaves carry the same distinct taxa.");
 
 static PyObject *run_enumeration(PyObject *module, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"p_left", "p_right", "p_taxon", "p_root",
                              "q_left", "q_right", "q_taxon", "q_root",
-                             "universe", "store", "sink", NULL};
+                             "universe", "sink", NULL};
     PyObject *p_left, *p_right, *p_taxon, *q_left, *q_right, *q_taxon;
     PyObject *sink = Py_None, *result = NULL;
-    int p_root, q_root, universe, store = 1, mp, mq, r;
+    int p_root, q_root, universe, mp, mq, r;
     Ctx *top = NULL;
     Side *P, *Q;
     Run run = {0};
 
     (void)module;
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwargs, "O!O!O!iO!O!O!ii|pO:run_enumeration", kwlist,
+            args, kwargs, "O!O!O!iO!O!O!ii|O:run_enumeration", kwlist,
             &PyList_Type, &p_left, &PyList_Type, &p_right,
             &PyList_Type, &p_taxon, &p_root,
             &PyList_Type, &q_left, &PyList_Type, &q_right,
-            &PyList_Type, &q_taxon, &q_root, &universe, &store, &sink))
+            &PyList_Type, &q_taxon, &q_root, &universe, &sink))
         return NULL;
     if (sink != Py_None && !PyCallable_Check(sink)) {
         PyErr_SetString(PyExc_TypeError, "sink must be callable or None");
@@ -1027,7 +1010,7 @@ static PyObject *run_enumeration(PyObject *module, PyObject *args, PyObject *kwa
 
     if ((mp = list_size(p_left, p_right, p_taxon, p_root)) < 0
         || (mq = list_size(q_left, q_right, q_taxon, q_root)) < 0
-        || run_init(&run, universe, mp > mq ? mp : mq, store) < 0
+        || run_init(&run, universe, mp > mq ? mp : mq) < 0
         || (top = ctx_new(mp, mq)) == NULL)
         goto done;
     push_frame(&run, top, p_root, q_root); /* run_free releases it on error */
@@ -1050,8 +1033,8 @@ static PyObject *run_enumeration(PyObject *module, PyObject *args, PyObject *kwa
     if (run_frames(&run) < 0 || flush_triples(&run) < 0 || flush_dr(&run) < 0)
         goto done;
 
-    result = Py_BuildValue("(OLLLLO)", run.tri_arr, run.emitted, run.frames,
-                           run.work, run.violations, run.dr_arr);
+    result = Py_BuildValue("(LLLLO)", run.emitted, run.frames, run.work,
+                           run.violations, run.dr_arr);
 done:
     run_free(&run);
     return result;

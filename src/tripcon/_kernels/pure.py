@@ -19,32 +19,29 @@ A frame that only descends pushes its two child pairs so that the pair
 with fewer leaves runs first (the u pair on a tie).  The larger pair
 waits, and keeps the context alive, only while strictly smaller contexts
 are built below the smaller one; that is what bounds counting memory by
-O(n).  Triples are appended to one flat list as taxon ids a < b < c, the
-layout of the compiled kernel's ``array('i')``.  With a sink, every whole
-``TRI_CHUNK`` of the list goes to the sink after each listing call, and
-the rest at the end, so the sink sees the compiled kernel's chunks.  One
-listing call can add many chunks before they are handed over, so
-streaming needs O(n + the largest single listing call) memory.
+O(n).  Without a sink, triples are only counted.  With a sink, they are
+appended to one flat list as taxon ids a < b < c, the layout of the
+compiled kernel's ``array('i')``; the listing functions hand every whole
+``TRI_CHUNK`` of it to the sink after each inner loop, and the rest goes
+at the end, so the sink sees the compiled kernel's chunks.  An inner
+loop adds at most 3n ids, so streaming needs O(n + chunk) memory.
 
 See the work-counter contract in ``tripcon.enumeration``.
 """
 
-# Ids per chunk handed to a sink: 4,096 triples, as in _fast.c.
-TRI_CHUNK = 3 * 4096
 
-
-def run_enumeration(p, q, store=True, sink=None):
+def run_enumeration(p, q, sink=None):
     """Enumerate conflicts of (p, q); both are ``tripcon.tree.Tree``.
 
-    With ``store`` false, triples are only counted, never materialized
-    (``flat_triples`` is then ``None``).  With ``sink``, stored ids go to
-    ``sink`` in fresh lists of at most ``TRI_CHUNK`` ids (see the module
-    docstring) and ``flat_triples`` is left empty; an exception from
+    Without ``sink``, triples are only counted, never materialized.  With
+    ``sink``, their ids go to ``sink`` in fresh lists of at most
+    ``TRI_CHUNK`` ids (see the module docstring); an exception from
     ``sink`` propagates.
-    Returns ``(flat_triples, emitted, frames_opened, nodes_touched,
-    budget_violations, per_frame_dr)``.
+    Returns ``(emitted, frames_opened, nodes_touched, budget_violations,
+    per_frame_dr)``.
     """
     from ..enumeration import (
+        TRI_CHUNK,
         list_common_root_conflicts,
         list_subtree_conflicts,
         partition_leaves,
@@ -53,19 +50,16 @@ def run_enumeration(p, q, store=True, sink=None):
     from ..lca import build_lca_index
     from ..restrict import induced_subtree
 
-    out = [] if store else None
-    sink = sink if store else None
+    out = None if sink is None else []
     sent = 0  # ids handed to the sink
 
     def spill():
         """Hand the whole chunks at the front of ``out`` to the sink."""
-        nonlocal out, sent
-        if sink is None:
-            return
+        nonlocal sent
         full = len(out) - len(out) % TRI_CHUNK
         for k in range(0, full, TRI_CHUNK):
             sink(out[k:k + TRI_CHUNK])
-        out = out[full:]  # del out[:full] would copy what it deletes
+        del out[:full]
         sent += full
 
     emitted = 0
@@ -121,15 +115,14 @@ def run_enumeration(p, q, store=True, sink=None):
             unc_taxa = [ptex[x] for x in unc_p]
             base, end = P.subtree_leaf_slice(other_p)
             rest_taxa = [ptex[x] for x in P.leaves_post[base:end]]
-            d_r += list_common_root_conflicts(out, com_taxa, unc_taxa, rest_taxa)
-            spill()
+            d_r += list_common_root_conflicts(out, com_taxa, unc_taxa,
+                                              rest_taxa, spill)
             for t, it, zz, cc in ((P, ip, com_p, unc_p), (P, ip, unc_p, com_p),
                                   (Q, iq, com_q, unc_q), (Q, iq, unc_q, com_q)):
-                em, w = list_subtree_conflicts(out, t, it, zz, cc)
+                em, w = list_subtree_conflicts(out, t, it, zz, cc, spill)
                 d_r += em
                 work += w
-                spill()
-        assert not store or 3 * (emitted + d_r) == sent + len(out)
+        assert out is None or 3 * (emitted + d_r) == sent + len(out)
         emitted += d_r
         work += d_r
         per_dr.append(d_r)
@@ -162,7 +155,6 @@ def run_enumeration(p, q, store=True, sink=None):
             stack.append(((rp_new, rq_new, ip_new, iq_new, m_new),
                           rp_new.root, rq_new.root))
 
-    if sink is not None and out:
+    if out:
         sink(out)
-        out = []
-    return out, emitted, frames, work, violations, per_dr
+    return emitted, frames, work, violations, per_dr

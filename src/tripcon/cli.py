@@ -14,9 +14,10 @@ import os
 import sys
 import time
 from array import array
+from itertools import chain
 
 from ._kernels import resolve as resolve_backend
-from .enumeration import enumerate_conflicts
+from .enumeration import TRI_CHUNK, enumerate_conflicts
 from .errors import (
     NonBinaryError,
     TaxonMismatchError,
@@ -67,20 +68,34 @@ def _load_pair(path_p, path_q, label_order=False):
     return p, q, taxa
 
 
-def _line_writer(names, write):
-    """A sink that writes each triple of flat ids as one line of its
-    names, tab-separated and in id order."""
-    tab = [name + "\t" for name in names]
-    end = [name + "\n" for name in names]
+def _chunk_writer(write, mid, end, first="", sep=""):
+    """A sink that writes each triple of flat ids a, b, c as
+    ``mid[a] + mid[b] + end[c]``, after ``first`` for the first triple
+    and after ``sep`` for every other one."""
+    lead = [sep + label for label in mid]
+    started = False
 
     def sink(ids):
+        nonlocal started
         parts = [None] * len(ids)
-        parts[0::3] = map(tab.__getitem__, ids[0::3])
-        parts[1::3] = map(tab.__getitem__, ids[1::3])
+        parts[0::3] = map(lead.__getitem__, ids[0::3])
+        parts[1::3] = map(mid.__getitem__, ids[1::3])
         parts[2::3] = map(end.__getitem__, ids[2::3])
+        if not started:
+            parts[0] = first + mid[ids[0]]
+            started = True
         write("".join(parts))
 
     return sink
+
+
+def _backend(name):
+    """The kernel to run; an unknown or unbuilt one is a usage error,
+    reported on one line."""
+    try:
+        return resolve_backend(name)
+    except (ValueError, ImportError) as exc:
+        raise _UsageError(" ".join(str(exc).split())) from None
 
 
 def _config(n, seed, shape, k):
@@ -98,43 +113,47 @@ def _stats_line(instr):
 
 
 def _cmd_conflicts(args):
+    backend = _backend(args.backend)
     # ids in label order: each triple a < b < c is a line in label order
     p, q, taxa = _load_pair(args.tree_p, args.tree_q, label_order=True)
-    labels = taxa.names
-    if args.format != "json" and not args.sorted:
-        instr = enumerate_conflicts(p, q, backend=args.backend,
-                                    sink=_line_writer(labels, sys.stdout.write))
-    else:
+    write = sys.stdout.write
+    if args.format == "json":
+        # the head goes out with the first triple, so an error before it
+        # leaves stdout empty
+        head = f'{{"n": {p.n_leaves}, "conflicts": ['
+        labels = [json.dumps(name) for name in taxa.names]
+        sink = _chunk_writer(write, [label + ", " for label in labels],
+                             [label + "]" for label in labels],
+                             head + "[", ", [")
+    else:  # text and tsv are the same tab-separated triple lines
+        sink = _chunk_writer(write, [name + "\t" for name in taxa.names],
+                             [name + "\n" for name in taxa.names])
+    if args.sorted:
         flat = array("i")
-        instr = enumerate_conflicts(p, q, backend=args.backend,
-                                    sink=flat.extend)
-        # share one int per taxon id; reading the array makes one per read
-        ids = map(list(range(len(labels))).__getitem__, flat)
-        rows = sorted(zip(ids, ids, ids)) if args.sorted else zip(ids, ids, ids)
-        if args.format == "json":
-            doc = {
-                "n": instr.n_taxa,
-                "d": instr.d,
-                "conflicts": [[labels[x], labels[y], labels[z]]
-                              for x, y, z in rows],
-                "stats": {
-                    "frames_opened": instr.frames_opened,
-                    "nodes_touched": instr.nodes_touched,
-                    "backend": instr.backend,
-                },
-            }
-            sys.stdout.write(json.dumps(doc) + "\n")
-        else:  # text and tsv are the same tab-separated triple lines
-            sys.stdout.writelines(f"{labels[x]}\t{labels[y]}\t{labels[z]}\n"
-                                  for x, y, z in rows)
+        instr = enumerate_conflicts(p, q, backend=backend, sink=flat.extend)
+        # plain tuples sort fastest; share one int per taxon id, since
+        # reading the array makes one per read
+        ids = map(list(range(len(taxa.names))).__getitem__, flat)
+        rows = sorted(zip(ids, ids, ids))
+        step = TRI_CHUNK // 3
+        for k in range(0, len(rows), step):
+            sink(list(chain.from_iterable(rows[k:k + step])))
+    else:
+        instr = enumerate_conflicts(p, q, backend=backend, sink=sink)
+    if args.format == "json":
+        stats = {"frames_opened": instr.frames_opened,
+                 "nodes_touched": instr.nodes_touched, "backend": instr.backend}
+        write(f'{"" if instr.d else head}], "d": {instr.d}, '
+              f'"stats": {json.dumps(stats)}}}\n')
     if args.stats:
         print(_stats_line(instr), file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_count(args):
+    backend = _backend(args.backend)
     p, q, _ = _load_pair(args.tree_p, args.tree_q)
-    instr = enumerate_conflicts(p, q, backend=args.backend)
+    instr = enumerate_conflicts(p, q, backend=backend)
     if args.format == "json":
         sys.stdout.write(json.dumps({"n": instr.n_taxa, "d": instr.d}) + "\n")
     else:
@@ -170,12 +189,13 @@ def _check_one(p, q, taxa, force_oracle, label, backend=None):
 
 
 def _cmd_check(args):
+    backend = _backend(args.backend)
     ok = True
     if args.tree_p:
         if not args.tree_q:
             raise _UsageError("check needs two tree files (or --pairs)")
         p, q, taxa = _load_pair(args.tree_p, args.tree_q)
-        ok = _check_one(p, q, taxa, args.oracle, "pair", args.backend)
+        ok = _check_one(p, q, taxa, args.oracle, "pair", backend)
     else:
         if args.pairs < 1:
             raise _UsageError("--pairs must be at least 1")
@@ -184,7 +204,7 @@ def _cmd_check(args):
             p, q = generate_pair(
                 _config(args.n, rng.next_u64(), args.shape, args.k))
             if not _check_one(p, q, p.taxa, args.oracle, f"pair[{i}]",
-                              args.backend):
+                              backend):
                 ok = False
     if ok:
         print("check: OK", file=sys.stderr)
@@ -199,10 +219,7 @@ def _cmd_bench(args):
     except ValueError as exc:
         raise _UsageError(f"bad --n/--k list: {exc}") from None
     names = [b for b in (args.backends or "").split(",") if b.strip()]
-    try:
-        backends = [resolve_backend(b) for b in names or [args.backend]]
-    except (ValueError, ImportError) as exc:
-        raise _UsageError(f"bad --backends: {exc}") from None
+    backends = [_backend(b) for b in names or [args.backend]]
     rng = SplitMix64(args.seed)
     cfgs = [_config(n, rng.next_u64(), args.shape, k)
             for n in sizes for k in swaps]

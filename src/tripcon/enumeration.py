@@ -20,13 +20,12 @@ does is paid for by its own output.
 Two interchangeable kernels implement the recursion: a pure-Python one
 composed from the public modules (``tripcon._kernels.pure``) and a
 compiled twin (``tripcon._kernels._fast``, built from the hand-written
-C99 source ``_kernels/_fast.c``).  Both emit each triple as three taxon
-ids a < b < c into one flat sequence (a list, or the compiled kernel's
-``array('i')``), or hand that sequence to a sink in chunks of 4,096
-triples, and they emit identical sequences, identical chunks and
-identical instrumentation; selection happens at import via the
-TRIPCON_BACKEND environment variable (``auto``/``fast``/``pure``) or per
-call with ``backend=``.
+C99 source ``_kernels/_fast.c``).  Without a sink both only count the
+triples.  With a sink both hand it each triple as three taxon ids
+a < b < c, in chunks of 4,096 triples; the two kernels hand identical
+chunks and report identical instrumentation.  Selection happens at
+import via the TRIPCON_BACKEND environment variable
+(``auto``/``fast``/``pure``) or per call with ``backend=``.
 
 Work-counter contract (mirrored exactly by both kernels)
 --------------------------------------------------------
@@ -45,12 +44,16 @@ Work-counter contract (mirrored exactly by both kernels)
 * 1 per emitted triple.
 """
 
+from array import array
 from dataclasses import dataclass, field
 from functools import partial
 
 from .errors import TaxonMismatchError
 from .oracle import ConflictTriple
 from . import _kernels
+
+# Ids per chunk handed to a sink: 4,096 triples, as in _fast.c.
+TRI_CHUNK = 3 * 4096
 
 
 @dataclass
@@ -115,14 +118,16 @@ def partition_leaves(p, q, x_p, x_q):
     return com_p, unc_p, com_q, unc_q
 
 
-def list_common_root_conflicts(out, com, unc, rest):
+def list_common_root_conflicts(out, com, unc, rest, spill=None):
     """Emit the full Cartesian product com x unc x rest as canonical triples.
 
     Arguments are taxon id sequences (pairwise disjoint).  Every such
     triple is a conflict touching the current roots; each is appended to
-    the list ``out`` as three taxon ids a < b < c.  Returns the number
-    emitted (|com| * |unc| * |rest|).  With ``out=None`` only the count
-    is produced (the product needs no loop).
+    the list ``out`` as three taxon ids a < b < c.  With ``spill``,
+    ``spill()`` is called after each inner loop that leaves ``out``
+    holding ``TRI_CHUNK`` ids or more.  Returns the number emitted
+    (|com| * |unc| * |rest|).  With ``out=None`` only the count is
+    produced (the product needs no loop).
     """
     if not com or not unc or not rest:
         return 0
@@ -137,13 +142,16 @@ def list_common_root_conflicts(out, com, unc, rest):
                         out += (x, c, y)
                     else:
                         out += (x, y, c)
+                if len(out) >= TRI_CHUNK and spill is not None:
+                    spill()
     return len(com) * len(unc) * len(rest)
 
 
-def list_subtree_conflicts(out, t, idx, z, candidates):
+def list_subtree_conflicts(out, t, idx, z, candidates, spill=None):
     """Emit every triple abc with a, b in Z, c a candidate, and
     lca(a, b) = lca(a, b, c), each exactly once, appending its taxon ids
-    in ascending order to the list ``out``.
+    in ascending order to the list ``out``; ``spill`` is called as in
+    :func:`list_common_root_conflicts`.
 
     ``z`` and ``candidates`` are disjoint leaf node sequences, both in
     t's post-order.  A candidate can contribute only if it lies strictly
@@ -283,6 +291,8 @@ def list_subtree_conflicts(out, t, idx, z, candidates):
                     else:
                         out += (x, yy, ctax)
                     emitted += 1
+                if len(out) >= TRI_CHUNK and spill is not None:
+                    spill()
             y = pr
 
     return emitted, work
@@ -296,21 +306,20 @@ def active_backend():
 def enumerate_conflicts(p, q, *, backend=None, collect=False, sink=None):
     """Enumerate every conflict triple of (P, Q) exactly once.
 
-    With ``collect=True`` the triples are stored on the returned
+    With ``sink``, the triples stream out while the run goes on:
+    ``sink`` is called with chunks of flat taxon ids, three per triple
+    and each triple a < b < c, and ``conflicts`` stays ``None``.  Each
+    chunk holds at most 4,096 triples, an ``array('i')`` from the
+    compiled kernel and a list from the pure one, with the same ids in
+    both; a chunk is never reused.  An exception raised by ``sink`` ends
+    the run and propagates.  With ``collect=True`` the chunks go to one
+    ``array('i')`` instead, and the triples are stored on the returned
     :class:`Instrumentation` as ``conflicts``, a list of canonical
-    :class:`ConflictTriple` (taxon ids a < b < c).  With ``sink``, the
-    triples stream out while the run goes on: ``sink`` is called with
-    chunks of flat taxon ids, three per triple and each triple a < b < c,
-    and ``conflicts`` stays ``None``.  Each chunk holds at most 4,096
-    triples, an ``array('i')`` from the compiled kernel and a list from
-    the pure one, with the same ids in both; a chunk is never reused, and
-    concatenated the chunks give the ids ``collect=True`` would, in the
-    same order.  An exception raised by ``sink`` ends the run and
-    propagates.  Passing both raises ValueError.  With neither, only the
-    counters are produced and no triple is materialized, so counting
-    stays cheap even when d is enormous.  Ordering is deterministic for a
-    given input but otherwise unspecified; only set semantics and
-    exactly-once are contractual.
+    :class:`ConflictTriple` in chunk order.  Passing both raises
+    ValueError.  With neither, only the counters are produced and no
+    triple is materialized, so counting stays cheap even when d is
+    enormous.  Ordering is deterministic for a given input but otherwise
+    unspecified; only set semantics and exactly-once are contractual.
 
     Raises TaxonMismatchError unless both trees carry the same leaf
     taxa.  Runs in O(n + d) time, and counting needs O(n) memory.  A
@@ -323,30 +332,29 @@ def enumerate_conflicts(p, q, *, backend=None, collect=False, sink=None):
     smaller pair has at most half the leaves of the waiting one, so the
     contexts held open by waiting descents at least halve in size along
     the current path, and pending partition children hold contexts no
-    larger than their own disjoint leaf sets.  Collected output adds the
-    d triples, held in full.  Streaming to a sink adds one chunk with the
-    compiled kernel, O(n + chunk) in all, and the largest single listing
-    call (at most one frame's d_r) with the pure kernel.
+    larger than their own disjoint leaf sets.  Streaming to a sink adds
+    one chunk, O(n + chunk) in all, with either kernel; collected output
+    adds the d triples, held in full.
     """
     if collect and sink is not None:
         raise ValueError("pass sink or collect=True, not both")
     if p.taxa != q.taxa or p.leaf_of_taxon.keys() != q.leaf_of_taxon.keys():
         raise TaxonMismatchError("trees do not carry the same leaf taxa")
     name = _kernels.resolve(backend)
-    store = collect or sink is not None
+    if collect:
+        flat = array("i")
+        sink = flat.extend
     if name == "fast":
         kern = _kernels.fast_module()
-        flat, d, frames, work, violations, per_dr = kern.run_enumeration(
+        d, frames, work, violations, per_dr = kern.run_enumeration(
             p.left, p.right, p.taxon, p.root,
             q.left, q.right, q.taxon, q.root,
-            len(p.taxa), store, sink,
+            len(p.taxa), sink,
         )
     else:
         from ._kernels import pure
 
-        flat, d, frames, work, violations, per_dr = pure.run_enumeration(
-            p, q, store, sink
-        )
+        d, frames, work, violations, per_dr = pure.run_enumeration(p, q, sink)
 
     per_dr = list(per_dr)
     assert violations == 0, "frame budget law violated (leaf count > d_r + 2)"
@@ -362,11 +370,9 @@ def enumerate_conflicts(p, q, *, backend=None, collect=False, sink=None):
         per_frame_dr=per_dr,
     )
     if collect:
-        ids = iter(flat)
-        if name == "fast":
-            # Indexing the kernel's array('i') makes a fresh int per read;
-            # share one object per taxon id, as the pure kernel's list does.
-            ids = map(list(range(len(p.taxa))).__getitem__, ids)
+        # Reading an array('i') makes a fresh int per read; share one
+        # object per taxon id instead.
+        ids = map(list(range(len(p.taxa))).__getitem__, flat)
         # tuple.__new__ skips the namedtuple's Python-level __new__
         instr.conflicts = list(map(partial(tuple.__new__, ConflictTriple),
                                    zip(ids, ids, ids)))

@@ -1,10 +1,13 @@
 """CLI: output formats, exit codes, stream separation, determinism."""
 
+import hashlib
 import json
 import os
 import shlex
+import shutil
 import subprocess
 import sys
+import sysconfig
 import time
 
 import pytest
@@ -60,10 +63,19 @@ def test_conflicts_json(fig1_files, capsys):
     code, out, _ = run_cli(capsys, "conflicts", *fig1_files, "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert list(doc) == ["n", "d", "conflicts", "stats"]
+    assert list(doc) == ["n", "conflicts", "d", "stats"]
     assert doc["n"] == 5 and doc["d"] == 1
     assert doc["conflicts"] == [["C", "D", "E"]]
     assert set(doc["stats"]) == {"frames_opened", "nodes_touched", "backend"}
+    # identical trees: no chunk reaches the writer
+    p, _ = fig1_files
+    for sort in ([], ["--sorted"]):
+        code, out, _ = run_cli(capsys, "conflicts", p, p, "--format", "json",
+                               *sort)
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc) == ["n", "conflicts", "d", "stats"]
+        assert (doc["n"], doc["conflicts"], doc["d"]) == (5, [], 0)
 
 
 def test_count(fig1_files, capsys):
@@ -149,6 +161,11 @@ def test_conflicts_lines_in_label_order(tmp_path, capsys, seed):
     rows = json.loads(out)["conflicts"]
     assert all(row == sorted(row) for row in rows)
     assert sorted(rows) == expected
+
+    code, out, _ = run_cli(capsys, "conflicts", *paths, "--format", "json",
+                           "--sorted")
+    assert code == 0
+    assert json.loads(out)["conflicts"] == expected
 
 
 def test_byte_order_mark_is_ignored(tmp_path, capsys):
@@ -363,17 +380,19 @@ print(code, hwm, file=sys.stderr)
                     reason="needs /proc/self/status")
 def test_conflicts_streams_in_bounded_memory(tmp_path, backend):
     # d = 1,367,830.  Holding every triple before the first line peaked
-    # at 152 MB (fast) and 168 MB (pure); streamed chunks keep the run near
-    # the interpreter's own size.
+    # at 152 MB (fast) and 168 MB (pure) for text, and at 249 MB for one
+    # JSON document built in memory; streamed chunks keep the run near the
+    # interpreter's own size.
     paths = _write_pair(tmp_path, 1024, 11, 2)
-    proc = subprocess.run(
-        [sys.executable, "-c", CLI_PEAK_RSS, "--backend", backend,
-         "conflicts", *paths],
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-        env=_cli_env(), check=True)
-    code, hwm = proc.stderr.split()[-2:]
-    assert code == "0"
-    assert int(hwm) < 48 * 1024
+    for fmt in ("text", "json"):
+        proc = subprocess.run(
+            [sys.executable, "-c", CLI_PEAK_RSS, "--backend", backend,
+             "conflicts", *paths, "--format", fmt],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            env=_cli_env(), check=True)
+        code, hwm = proc.stderr.split()[-2:]
+        assert code == "0"
+        assert int(hwm) < 48 * 1024, fmt
 
 
 def _cap_address_space():
@@ -383,31 +402,71 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-@pytest.mark.skipif("fast" not in available_backends(),
-                    reason="compiled kernel not built")
 def test_pipeline_head_returns_early_on_huge_output(tmp_path):
     # d = 475,056,195 (n = 16,384, k = 4): holding the triples before the
     # first line needs more than 5 GB, so under a 1 GiB address-space cap
-    # such a run fails fast instead of exhausting the machine.
+    # such a run fails fast instead of exhausting the machine.  The pure
+    # kernel once held a whole listing call (up to one frame's d_r) first.
     paths = _write_pair(tmp_path, 16384, 7, 4)
-    start = time.monotonic()
-    producer = subprocess.Popen(
-        [sys.executable, "-m", "tripcon.cli", "--backend", "fast",
-         "conflicts", *paths],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
-        preexec_fn=_cap_address_space)
-    head = subprocess.Popen(["head", "-3"], stdin=producer.stdout,
-                            stdout=subprocess.PIPE, text=True)
-    producer.stdout.close()  # head is now the only reader
-    try:
-        out, _ = head.communicate(timeout=10)
-        _, err = producer.communicate(timeout=10)
-    finally:
-        for proc in (producer, head):
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-    assert time.monotonic() - start < 10
-    assert producer.returncode == 0, err
-    assert len(out.splitlines()) == 3
-    assert all(len(line.split("\t")) == 3 for line in out.splitlines())
+    for backend in available_backends():
+        start = time.monotonic()
+        producer = subprocess.Popen(
+            [sys.executable, "-m", "tripcon.cli", "--backend", backend,
+             "conflicts", *paths],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
+            preexec_fn=_cap_address_space)
+        head = subprocess.Popen(["head", "-3"], stdin=producer.stdout,
+                                stdout=subprocess.PIPE, text=True)
+        producer.stdout.close()  # head is now the only reader
+        try:
+            out, _ = head.communicate(timeout=10)
+            _, err = producer.communicate(timeout=10)
+        finally:
+            for proc in (producer, head):
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+        assert time.monotonic() - start < 10, backend
+        assert producer.returncode == 0, err
+        assert len(out.splitlines()) == 3
+        assert all(len(line.split("\t")) == 3 for line in out.splitlines())
+
+
+def _env_without_kernel(tmp_path):
+    """Environment importing a copy of the package whose compiled kernel
+    is recorded as a failed build, so that it is not available."""
+    pkg = os.path.dirname(os.path.abspath(tripcon.__file__))
+    src = tmp_path / "src"
+    shutil.copytree(pkg, src / "tripcon",
+                    ignore=shutil.ignore_patterns("*.so", "*.pyd", "__pycache__"))
+    digest = hashlib.sha256(
+        (src / "tripcon" / "_kernels" / "_fast.c").read_bytes()).hexdigest()
+    entry = (tmp_path / "cache" / "tripcon"
+             / f"{digest}-{sysconfig.get_config_var('EXT_SUFFIX')}")
+    entry.mkdir(parents=True)
+    (entry / "build-failed.txt").write_text("cc: error: one\ncc: error: two\n")
+    return dict(os.environ, PYTHONPATH=str(src),
+                XDG_CACHE_HOME=str(tmp_path / "cache"))
+
+
+def test_bad_backend_env_is_a_usage_error(tmp_path, fig1_files):
+    cases = [
+        (dict(_cli_env(), TRIPCON_BACKEND="bogus"), "unknown backend 'bogus'"),
+        (dict(_env_without_kernel(tmp_path), TRIPCON_BACKEND="fast"),
+         "compiled kernel is not available"),
+    ]
+    for env, why in cases:
+        for argv in (["conflicts", *fig1_files, "--format", "json"],
+                     ["count", *fig1_files], ["check", *fig1_files]):
+            proc = subprocess.run([sys.executable, "-m", "tripcon.cli", *argv],
+                                  env=env, capture_output=True, text=True)
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("tripcon: "), proc.stderr
+            assert proc.stderr.count("\n") == 1, proc.stderr
+            assert why in proc.stderr
+        # gen runs no kernel
+        proc = subprocess.run(
+            [sys.executable, "-m", "tripcon.cli", "gen", "--n", "5"],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout.endswith(";\n")

@@ -92,18 +92,21 @@ def test_symmetry(backend):
 
 
 def _kernel_ids(p, q, backend):
-    """The flat taxon ids the kernel writes to its output buffer."""
+    """The flat taxon ids the kernel hands to its sink."""
+    ids = []
     if backend == "fast":
-        return list(tripcon._kernels.fast_module().run_enumeration(
+        tripcon._kernels.fast_module().run_enumeration(
             p.left, p.right, p.taxon, p.root,
-            q.left, q.right, q.taxon, q.root, len(p.taxa), True)[0])
-    from tripcon._kernels import pure
-    return list(pure.run_enumeration(p, q, True)[0])
+            q.left, q.right, q.taxon, q.root, len(p.taxa), ids.extend)
+    else:
+        from tripcon._kernels import pure
+        pure.run_enumeration(p, q, ids.extend)
+    return ids
 
 
 def test_sink_and_collect_agree(fig1, backend):
-    # collect builds one ConflictTriple per three ids of the kernel's flat
-    # id buffer, in the buffer's order.
+    # collect builds one ConflictTriple per three ids the kernel hands to
+    # its sink, in the order it hands them.
     rng = SplitMix64(0x51C)
     pairs = [fig1[:2]] + [
         generate_pair(GeneratorConfig(n=3 + rng.randrange(40),

@@ -150,15 +150,15 @@ MALFORMED = ([t + CHERRY + (2,) for t in BAD_TREES]
 def test_kernel_rejects_malformed_arrays():
     run = fast_module().run_enumeration
     leaf = ([-1], [-1], [0], 0)
-    assert run(*CHERRY, *CHERRY, 2)[1:3] == (0, 3)
+    assert run(*CHERRY, *CHERRY, 2)[:2] == (0, 3)
     for args in MALFORMED:
         with pytest.raises(ValueError):
             run(*args)
     with pytest.raises(TypeError):
         run((1, -1, -1), *CHERRY[1:], *CHERRY, 2)
     with pytest.raises(TypeError):
-        run(*CHERRY, *CHERRY, 2, True, 5)  # a sink that is not callable
-    assert run(*leaf, *leaf, 1)[1:3] == (0, 1)
+        run(*CHERRY, *CHERRY, 2, 5)  # a sink that is not callable
+    assert run(*leaf, *leaf, 1)[:2] == (0, 1)
 
 
 SANITIZED = """
@@ -180,19 +180,18 @@ for i in range(300):
 p, q = caterpillar_tree(300), caterpillar_tree(300, reverse=True)
 args = (p.left, p.right, p.taxon, p.root,
         q.left, q.right, q.taxon, q.root, len(p.taxa))
-for store in (True, False):
-    out = run(*args, store)
-    assert out[1] == math.comb(300, 3)
+assert run(*args)[0] == math.comb(300, 3)
 chunks = []
-out = run(*args, True, chunks.append)
-assert len(out[0]) == 0 and sum(map(len, chunks)) == 3 * math.comb(300, 3)
+out = run(*args, chunks.append)
+assert out[0] == math.comb(300, 3)
+assert sum(map(len, chunks)) == 3 * math.comb(300, 3)
 def stop(ids):
     if len(chunks) == 2:
         raise KeyError("stop")
     chunks.append(ids)
 chunks.clear()
 try:
-    run(*args, True, stop)
+    run(*args, stop)
 except KeyError:
     pass
 else:
