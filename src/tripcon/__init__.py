@@ -30,6 +30,7 @@ from .oracle import (
     is_conflict,
     resolve_triple,
     triple_resolutions,
+    triplet_distance,
 )
 from .enumeration import (
     Instrumentation,
@@ -82,6 +83,7 @@ __all__ = [
     "is_conflict",
     "triple_resolutions",
     "enumerate_bruteforce",
+    "triplet_distance",
     "Instrumentation",
     "partition_leaves",
     "list_common_root_conflicts",

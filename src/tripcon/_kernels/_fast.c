@@ -6,6 +6,11 @@
  * per-tree structure lives in flat int arrays and is rebuilt here rather
  * than imported from the Python modules, so the hot path never leaves C.
  * See tripcon.enumeration for the algorithm and the counter contract.
+ * As in the pure kernel, one routine serves each layer on both trees and
+ * both sides: sweep() builds every induced subtree, a child pair's
+ * restriction (side_from_leaflist) and ListSubtreeConflicts' T|(Z + c)
+ * (lsc) alike, from host depths numbered in order, and split() cuts one
+ * side of one pair in the partition.
  *
  * Ownership.  A recursion context (a tree pair with its post-order data,
  * Euler tours, RMQ tables and leaf-set-equivalence map) is one malloc'ed
@@ -17,9 +22,9 @@
  * keeps the context alive, and every context built meanwhile has at most
  * half its leaves: counting needs O(n) memory.  Pending frames have
  * disjoint leaf sets, so the frame stack never holds more frames than
- * the input has leaves.  The run's scratch (output chunks, frame stack, taxon maps,
- * partition buffers and sweep stacks) is a second block, sized from the
- * universe and the input lengths.
+ * the input has leaves.  The run's scratch (output chunks, frame stack,
+ * taxon maps, partition buffers and the sweep's arrays) is a second
+ * block, sized from the universe and the input lengths.
  *
  * Output.  Without a sink, triples are only counted.  With a sink, they
  * are written to a TRI_CHUNK buffer of 4,096 triples, and each full
@@ -328,50 +333,85 @@ static int side_finish(Side *s, int *stk)
     return 0;
 }
 
-/* Fill s, laid out for 2k - 1 nodes, with the subtree of parent induced by
-   k >= 2 post-ordered leaves z (stack sweep; odep and stk hold 4k + 2). */
-static int side_from_leaflist(Side *s, const Side *parent, const int *z,
-                              int k, int *odep, int *stk)
-{
-    int sp, nid, i, bnd, bd, top, nxt, inner, leaf;
+/* Scratch of the induced-subtree sweep: its input dep and its output
+   links and leaf ranges, each sized for the largest sweep of the run, and
+   a stack that side_finish reuses. */
+typedef struct {
+    int *dep, *left, *right, *par, *first, *last, *stk;
+} Sweep;
 
-    s->left[0] = -1;
-    s->right[0] = -1;
-    s->taxon[0] = parent->taxon[z[0]];
-    odep[0] = parent->depth[z[0]];
-    nid = 1;
-    stk[0] = 0;
-    sp = 1;
-    for (i = 1; i < k; i++) {
-        bnd = lca(parent, z[i - 1], z[i]);
-        bd = parent->depth[bnd];
-        top = stk[--sp];
-        while (sp && odep[stk[sp - 1]] > bd) {
+/* The induced subtree whose nodes, numbered in order, have host depths
+   sw->dep[0 .. 2k - 2]: leaf j is node 2j and the LCA of leaves j - 1 and
+   j is node 2j - 1.  Fills the child and parent links (-1 for none) and
+   the leftmost and rightmost leaf index below each node, and returns the
+   root.  One stack pass; the stack holds only internal nodes. */
+static int sweep(Sweep *sw, int k)
+{
+    const int *dep = sw->dep;
+    int *left = sw->left, *right = sw->right, *par = sw->par;
+    int *first = sw->first, *last = sw->last, *stk = sw->stk;
+    int v, top = 0, sp = 0, nxt;
+
+    left[0] = right[0] = -1;
+    first[0] = last[0] = 0;
+    for (v = 1; v < 2 * k - 1; v += 2) {
+        while (sp && dep[stk[sp - 1]] > dep[v]) {
             nxt = stk[--sp];
-            s->right[nxt] = top;
+            right[nxt] = top;
+            par[top] = nxt;
+            last[nxt] = last[top];
             top = nxt;
         }
-        inner = nid++;
-        odep[inner] = bd;
-        s->left[inner] = top;
-        s->right[inner] = -1;
-        s->taxon[inner] = -1;
-        stk[sp++] = inner;
-        leaf = nid++;
-        s->left[leaf] = -1;
-        s->right[leaf] = -1;
-        s->taxon[leaf] = parent->taxon[z[i]];
-        odep[leaf] = parent->depth[z[i]];
-        stk[sp++] = leaf;
+        left[v] = top;
+        par[top] = v;
+        first[v] = first[top];
+        stk[sp++] = v;
+        top = v + 1;
+        left[top] = right[top] = -1;
+        first[top] = last[top] = top >> 1;
     }
-    top = stk[--sp];
     while (sp) {
         nxt = stk[--sp];
-        s->right[nxt] = top;
+        right[nxt] = top;
+        par[top] = nxt;
+        last[nxt] = last[top];
         top = nxt;
     }
-    s->root = top;
-    return side_finish(s, stk);
+    par[top] = -1;
+    return top;
+}
+
+/* Host depths of T|z in order, z[j] at 2j and lca(z[j - 1], z[j]) at
+   2j - 1, into dep; returns lca(z), the shallowest of them (k >= 2). */
+static int inorder_depths(const Side *t, const int *z, int k, int *dep)
+{
+    int j, l, rz = z[0];
+
+    dep[0] = t->depth[z[0]];
+    for (j = 1; j < k; j++) {
+        l = lca(t, z[j - 1], z[j]);
+        dep[2 * j - 1] = t->depth[l];
+        dep[2 * j] = t->depth[z[j]];
+        if (t->depth[l] < t->depth[rz])
+            rz = l;
+    }
+    return rz;
+}
+
+/* Fill s, laid out for 2k - 1 nodes, with the subtree of parent induced by
+   k >= 2 post-ordered leaves z. */
+static int side_from_leaflist(Side *s, const Side *parent, const int *z,
+                              int k, Sweep *sw)
+{
+    int v;
+
+    inorder_depths(parent, z, k, sw->dep);
+    s->root = sweep(sw, k);
+    memcpy(s->left, sw->left, (size_t)s->m * sizeof(int));
+    memcpy(s->right, sw->right, (size_t)s->m * sizeof(int));
+    for (v = 0; v < s->m; v++)
+        s->taxon[v] = v & 1 ? -1 : parent->taxon[z[v >> 1]];
+    return side_finish(s, sw->stk);
 }
 
 /* Copy a list of ints, each in [lo, hi), into out. */
@@ -527,10 +567,10 @@ typedef struct {
     int *pleaf, *qleaf;
     /* partition buffers, each of size u */
     int *part[8];
-    /* LSC's Z data; then the stack sweeps of LSC, restriction and
-       side_finish */
-    int *zlca, *ztax, *zpost;
-    int *par, *plo, *phi, *odep, *stk;
+    /* LSC's Z data: in-order depths of T|Z, taxa and post-order numbers */
+    int *zdep, *ztax, *zpost;
+    /* the induced-subtree sweeps of LSC and restriction */
+    Sweep sw;
 } Run;
 
 /* Point the run's int scratch into base (NULL to only measure) for
@@ -545,14 +585,16 @@ static size_t run_layout(Run *run, size_t u, size_t w, int *base)
     run->qleaf = take(base, &used, u);
     for (i = 0; i < 8; i++)
         run->part[i] = take(base, &used, u);
-    run->zlca = take(base, &used, u + 2);
-    run->ztax = take(base, &used, u + 2);
-    run->zpost = take(base, &used, u + 2);
-    run->par = take(base, &used, w);
-    run->plo = take(base, &used, w);
-    run->phi = take(base, &used, w);
-    run->odep = take(base, &used, w);
-    run->stk = take(base, &used, w);
+    run->zdep = take(base, &used, 2 * u);
+    run->ztax = take(base, &used, u);
+    run->zpost = take(base, &used, u);
+    run->sw.dep = take(base, &used, w);
+    run->sw.left = take(base, &used, w);
+    run->sw.right = take(base, &used, w);
+    run->sw.par = take(base, &used, w);
+    run->sw.first = take(base, &used, w);
+    run->sw.last = take(base, &used, w);
+    run->sw.stk = take(base, &used, w);
     return used;
 }
 
@@ -683,28 +725,18 @@ static int emit(Run *run, int a, int b, int c)
 static int lsc(Run *run, const Side *t, const int *z, int k,
                const int *cand, int nc)
 {
-    int i, l, rz, rd, hi, lo;
-    int pos, ci, c, cp, ctax, kk, nid, sp;
-    int j, bnd, bd, top, nxt, inner, leaf, c_node, cur_orig;
-    int y, pr, ylo, yhi, slo, shi, ia, ib, ta, tb, rootn;
-    int *par = run->par, *plo = run->plo, *phi = run->phi;
-    int *podep = run->odep, *pstk = run->stk;
+    int i, rz, hi, lo, pos, ci, c, cp, ctax, n;
+    int y, pr, ylo, yhi, slo, shi, ia, ib;
+    int *zdep = run->zdep, *ztax = run->ztax, *zpost = run->zpost;
+    int *dep = run->sw.dep;
+    const int *par = run->sw.par, *first = run->sw.first, *last = run->sw.last;
 
     if (k < 2 || nc == 0)
         return 0;
-    rz = z[0];
-    rd = t->depth[rz];
-    for (i = 1; i < k; i++) {
-        l = lca(t, z[i - 1], z[i]);
-        run->zlca[i - 1] = l;
-        if (t->depth[l] < rd) {
-            rz = l;
-            rd = t->depth[l];
-        }
-    }
+    rz = inorder_depths(t, z, k, zdep);
     for (i = 0; i < k; i++) {
-        run->ztax[i] = t->taxon[z[i]];
-        run->zpost[i] = t->post[z[i]];
+        ztax[i] = t->taxon[z[i]];
+        zpost[i] = t->post[z[i]];
     }
     run->work += k;
 
@@ -715,100 +747,53 @@ static int lsc(Run *run, const Side *t, const int *z, int k,
     for (ci = 0; ci < nc; ci++) {
         c = cand[ci];
         cp = t->post[c];
-        while (pos < k && run->zpost[pos] < cp)
+        while (pos < k && zpost[pos] < cp)
             pos++;
         run->work += 1;
         if (!(lo < cp && cp <= hi))
             continue;
 
-        /* Build T' = T|_(Z + {c}); merged element j is z[j] for j < pos,
-           c at pos, z[j-1] after. */
+        /* T|(Z + c): c is merged leaf pos, which replaces the LCA entry
+           between z[pos - 1] and z[pos] with lca(z[pos - 1], c), c and
+           lca(c, z[pos]). */
         run->work += k + 1;
         ctax = t->taxon[c];
-        kk = k + 1;
-        c_node = pos == 0 ? 0 : -1;
-        par[0] = -1;
-        plo[0] = 0;
-        phi[0] = 1;
-        podep[0] = pos == 0 ? t->depth[c] : t->depth[z[0]];
-        nid = 1;
-        pstk[0] = 0;
-        sp = 1;
-        for (j = 1; j < kk; j++) {
-            if (j == pos) {
-                bnd = lca(t, z[j - 1], c);
-                cur_orig = c;
-            } else if (j == pos + 1) {
-                bnd = lca(t, c, z[j - 1]);
-                cur_orig = z[j - 1];
-            } else if (j < pos) {
-                bnd = run->zlca[j - 1];
-                cur_orig = z[j];
-            } else {
-                bnd = run->zlca[j - 2];
-                cur_orig = z[j - 1];
-            }
-            bd = t->depth[bnd];
-            top = pstk[--sp];
-            while (sp && podep[pstk[sp - 1]] > bd) {
-                nxt = pstk[--sp];
-                par[top] = nxt;
-                phi[nxt] = phi[top];
-                top = nxt;
-            }
-            inner = nid++;
-            podep[inner] = bd;
-            plo[inner] = plo[top];
-            par[top] = inner;
-            pstk[sp++] = inner;
-            leaf = nid++;
-            podep[leaf] = t->depth[cur_orig];
-            plo[leaf] = j;
-            phi[leaf] = j + 1;
-            if (j == pos)
-                c_node = leaf;
-            pstk[sp++] = leaf;
+        n = 0;
+        if (pos > 0) {
+            n = 2 * pos - 1;
+            memcpy(dep, zdep, (size_t)n * sizeof(int));
+            dep[n++] = t->depth[lca(t, z[pos - 1], c)];
         }
-        top = pstk[--sp];
-        while (sp) {
-            nxt = pstk[--sp];
-            par[top] = nxt;
-            phi[nxt] = phi[top];
-            top = nxt;
+        dep[n++] = t->depth[c];
+        if (pos < k) {
+            dep[n++] = t->depth[lca(t, c, z[pos])];
+            memcpy(dep + n, zdep + 2 * pos,
+                   (size_t)(2 * (k - pos) - 1) * sizeof(int));
         }
-        par[top] = -1;
-        rootn = top;
+        sweep(&run->sw, k + 1);
 
-        /* Walk from c's parent to the root; emit (below y) x (sibling). */
-        y = par[c_node];
-        while (y != rootn) {
+        /* Walk from c's parent to the root; emit (below y) x (sibling).  A
+           merged leaf range [a, b] holding c covers Z leaves z[a .. b-1];
+           one left of c covers z[a .. b], one right of c z[a-1 .. b-1]. */
+        for (y = par[2 * pos]; (pr = par[y]) >= 0; y = pr) {
             run->work += 1;
-            pr = par[y];
-            ylo = plo[y];
-            yhi = phi[y];
-            if (plo[pr] < ylo) {
-                slo = plo[pr];
+            ylo = first[y];
+            yhi = last[y];
+            if (first[pr] < ylo) {
+                slo = first[pr];
                 shi = ylo;
             } else {
                 slo = yhi;
-                shi = phi[pr];
+                shi = last[pr];
             }
             if (run->sink == NULL) {
-                run->emitted += (long long)(yhi - ylo - 1) * (shi - slo);
-                y = pr;
+                run->emitted += (long long)(yhi - ylo) * (shi - slo);
                 continue;
             }
-            for (ia = ylo; ia < yhi; ia++) {
-                if (ia == pos)
-                    continue;
-                ta = ia < pos ? run->ztax[ia] : run->ztax[ia - 1];
-                for (ib = slo; ib < shi; ib++) {
-                    tb = ib < pos ? run->ztax[ib] : run->ztax[ib - 1];
-                    if (emit(run, ta, tb, ctax) < 0)
+            for (ia = ylo; ia < yhi; ia++)
+                for (ib = slo; ib < shi; ib++)
+                    if (emit(run, ztax[ia], ztax[ib], ctax) < 0)
                         return -1;
-                }
-            }
-            y = pr;
         }
     }
     return 0;
@@ -820,13 +805,29 @@ static int lsc(Run *run, const Side *t, const int *z, int k,
 static const int SPEC_Z[4] = {0, 4, 1, 5};
 static const int SPEC_ZQ[4] = {2, 6, 7, 3};
 
+/* Split the leaves below x in s, in s's post-order, into out[0], those
+   whose taxon lies below y in o (oleaf maps each taxon to its leaf in o),
+   and out[1], the rest; n[0] and n[1] receive their lengths. */
+static void split(const Side *s, int x, const Side *o, int y,
+                  const int *oleaf, int **out, int *n)
+{
+    int r, leaf, rest, end = s->lb[x] + s->lc[x];
+
+    n[0] = n[1] = 0;
+    for (r = s->lb[x]; r < end; r++) {
+        leaf = s->leaves[r];
+        rest = !is_below(o, y, oleaf[s->taxon[leaf]]);
+        out[rest][n[rest]++] = leaf;
+    }
+}
+
 /* Process one popped frame and push the frames that follow it. */
 static int run_frame(Run *run, Ctx *ctx, int rp, int rq)
 {
     int **bufs = run->part;
     int pn[8];
     int up, vp, uq, vq, tswap;
-    int base, end, r, leaf, nz, i, pi, x_p, x_q, other_p;
+    int base, end, nz, i, pi, x_p, x_q, other_p;
     int ai, bi, cri, ta, tb;
     long long before, d_r;
     const Side *P = &ctx->p, *Q = &ctx->q;
@@ -862,28 +863,8 @@ static int run_frame(Run *run, Ctx *ctx, int rp, int rq)
     for (pi = 0; pi < 2; pi++) {
         x_p = pi == 0 ? up : vp;
         x_q = pi == 0 ? uq : vq;
-        pn[4 * pi] = 0;
-        pn[4 * pi + 1] = 0;
-        pn[4 * pi + 2] = 0;
-        pn[4 * pi + 3] = 0;
-        base = P->lb[x_p];
-        end = base + P->lc[x_p];
-        for (r = base; r < end; r++) {
-            leaf = P->leaves[r];
-            if (is_below(Q, x_q, run->qleaf[P->taxon[leaf]]))
-                bufs[4 * pi][pn[4 * pi]++] = leaf;
-            else
-                bufs[4 * pi + 1][pn[4 * pi + 1]++] = leaf;
-        }
-        base = Q->lb[x_q];
-        end = base + Q->lc[x_q];
-        for (r = base; r < end; r++) {
-            leaf = Q->leaves[r];
-            if (is_below(P, x_p, run->pleaf[Q->taxon[leaf]]))
-                bufs[4 * pi + 2][pn[4 * pi + 2]++] = leaf;
-            else
-                bufs[4 * pi + 3][pn[4 * pi + 3]++] = leaf;
-        }
+        split(P, x_p, Q, x_q, run->qleaf, bufs + 4 * pi, pn + 4 * pi);
+        split(Q, x_q, P, x_p, run->pleaf, bufs + 4 * pi + 2, pn + 4 * pi + 2);
     }
     run->work += 2 * P->lc[rp];
 
@@ -930,10 +911,9 @@ static int run_frame(Run *run, Ctx *ctx, int rp, int rq)
         child = ctx_new(2 * nz - 1, 2 * nz - 1);
         if (child == NULL)
             return -1;
-        if (side_from_leaflist(&child->p, P, bufs[SPEC_Z[i]], nz,
-                               run->odep, run->stk) < 0
+        if (side_from_leaflist(&child->p, P, bufs[SPEC_Z[i]], nz, &run->sw) < 0
             || side_from_leaflist(&child->q, Q, bufs[SPEC_ZQ[i]], nz,
-                                  run->odep, run->stk) < 0) {
+                                  &run->sw) < 0) {
             free(child);
             return -1;
         }
@@ -1016,8 +996,8 @@ static PyObject *run_enumeration(PyObject *module, PyObject *args, PyObject *kwa
     push_frame(&run, top, p_root, q_root); /* run_free releases it on error */
     P = &top->p;
     Q = &top->q;
-    if (side_from_lists(P, p_left, p_right, p_taxon, p_root, universe, run.stk) < 0
-        || side_from_lists(Q, q_left, q_right, q_taxon, q_root, universe, run.stk) < 0
+    if (side_from_lists(P, p_left, p_right, p_taxon, p_root, universe, run.sw.stk) < 0
+        || side_from_lists(Q, q_left, q_right, q_taxon, q_root, universe, run.sw.stk) < 0
         || index_leaves(P, run.pleaf) < 0 || index_leaves(Q, run.qleaf) < 0)
         goto done;
     for (r = 0; r < P->nl && run.qleaf[P->taxon[P->leaves[r]]] >= 0; r++)

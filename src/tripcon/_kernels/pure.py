@@ -3,9 +3,12 @@
 This is the reference twin of the compiled kernel: it drives the frame
 recursion with an explicit stack of ``(ctx, rp, rq)`` frames, where
 ``ctx = (P, Q, ip, iq, m)``, and composes the public modules (LCA index,
-induced subtree, leaf equivalence, and the listing operations in
-``tripcon.enumeration``).  Only frames hold a context, so it is freed
-once its last pending frame has been processed.  The compiled kernel
+induced subtree, leaf equivalence, and the partition and listing
+operations in ``tripcon.enumeration``).  Every restriction, of a child
+pair's leaves or of Z plus one candidate inside ListSubtreeConflicts,
+goes through the one stack sweep ``tripcon.restrict.sweep``.  Only
+frames hold a context, so it is freed once its last pending frame has
+been processed.  The compiled kernel
 must reproduce its output sequence and its counters exactly; the
 emission order per partitioning frame is pinned as
 

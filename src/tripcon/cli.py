@@ -48,9 +48,18 @@ class _UsageError(TripconError):
 
 
 def _read(path):
-    # utf-8-sig drops the byte order mark some editors put first
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return fh.read()
+    """The text of ``path``; undecodable bytes are an input error that
+    names the first one and its offset in the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        # utf-8-sig drops the byte order mark some editors put first
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # the codec counts from after a byte order mark
+        at = exc.start + len(data) - len(exc.object)
+        raise TripconError(f"{path}: not UTF-8: byte 0x{data[at]:02x} "
+                           f"at offset {at} ({exc.reason})") from None
 
 
 def _load_pair(path_p, path_q, label_order=False):

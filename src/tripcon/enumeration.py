@@ -50,6 +50,7 @@ from functools import partial
 
 from .errors import TaxonMismatchError
 from .oracle import ConflictTriple
+from .restrict import inorder, sweep
 from . import _kernels
 
 # Ids per chunk handed to a sink: 4,096 triples, as in _fast.c.
@@ -81,6 +82,22 @@ class Instrumentation:
         return self.triples_emitted
 
 
+def _split(s, o, x, y):
+    """The leaves below x in s, in s's post-order, split into those whose
+    taxon lies below y in o and the rest."""
+    o_post, o_leaf, s_taxon = o.post, o.leaf_of_taxon, s.taxon
+    hi = o_post[y]
+    lo = hi - (2 * o.leaf_count[y] - 1)
+    com, unc = [], []
+    base, end = s.subtree_leaf_slice(x)
+    for leaf in s.leaves_post[base:end]:
+        if lo < o_post[o_leaf[s_taxon[leaf]]] <= hi:
+            com.append(leaf)
+        else:
+            unc.append(leaf)
+    return com, unc
+
+
 def partition_leaves(p, q, x_p, x_q):
     """Split the leaves of x_p (in P) and x_q (in Q) by co-descent.
 
@@ -91,31 +108,7 @@ def partition_leaves(p, q, x_p, x_q):
     carry the same taxa.  Runs one pass over each side's leaves;
     membership tests are O(1) post-order interval checks.  Never sorts.
     """
-    com_p, unc_p, com_q, unc_q = [], [], [], []
-
-    q_post, q_leaf = q.post, q.leaf_of_taxon
-    hi = q.post[x_q]
-    lo = hi - (2 * q.leaf_count[x_q] - 1)
-    p_taxon = p.taxon
-    base, end = p.subtree_leaf_slice(x_p)
-    for leaf in p.leaves_post[base:end]:
-        if lo < q_post[q_leaf[p_taxon[leaf]]] <= hi:
-            com_p.append(leaf)
-        else:
-            unc_p.append(leaf)
-
-    p_post, p_leaf = p.post, p.leaf_of_taxon
-    hi = p.post[x_p]
-    lo = hi - (2 * p.leaf_count[x_p] - 1)
-    q_taxon = q.taxon
-    base, end = q.subtree_leaf_slice(x_q)
-    for leaf in q.leaves_post[base:end]:
-        if lo < p_post[p_leaf[q_taxon[leaf]]] <= hi:
-            com_q.append(leaf)
-        else:
-            unc_q.append(leaf)
-
-    return com_p, unc_p, com_q, unc_q
+    return _split(p, q, x_p, x_q) + _split(q, p, x_q, x_p)
 
 
 def list_common_root_conflicts(out, com, unc, rest, spill=None):
@@ -154,11 +147,15 @@ def list_subtree_conflicts(out, t, idx, z, candidates, spill=None):
     :func:`list_common_root_conflicts`.
 
     ``z`` and ``candidates`` are disjoint leaf node sequences, both in
-    t's post-order.  A candidate can contribute only if it lies strictly
-    below lca(Z) — checked in O(1) — and each surviving candidate repays
-    the O(|Z|) restriction it triggers with at least |Z| - 1 emissions.
-    With ``out=None`` only the count is produced (each walk step
-    contributes a computable product instead of a loop).
+    t's post-order.  A candidate c can contribute only if it lies
+    strictly below lca(Z), which is checked in O(1).  For each surviving
+    c, the restriction T|(Z + c) is built with :func:`tripcon.restrict.sweep`
+    from the in-order depths of T|Z, with c's leaf and its two new LCAs
+    spliced in; then the walk from c's parent to the root pairs the Z
+    leaves below each node with those below its sibling.  Every step of
+    the walk emits, so the O(|Z|) restriction is repaid by at least
+    |Z| - 1 emissions.  With ``out=None`` only the count is produced
+    (each walk step contributes a product instead of a loop).
 
     Returns ``(emitted, work)`` where ``work`` counts the constant-time
     steps taken excluding emissions, so that
@@ -173,15 +170,10 @@ def list_subtree_conflicts(out, t, idx, z, candidates, spill=None):
     tpost = t.post
     ttaxon = t.taxon
 
-    # LCAs of consecutive members of Z, and lca(Z) as their shallowest.
-    zlca = [0] * (k - 1)
-    rz = z[0]
-    rd = tdepth[rz]
-    for i in range(1, k):
-        l = tlca(z[i - 1], z[i])
-        zlca[i - 1] = l
-        if tdepth[l] < rd:
-            rz, rd = l, tdepth[l]
+    # T|Z in order, and lca(Z) as its shallowest node.
+    origin = inorder(idx, z)
+    zdep = list(map(tdepth.__getitem__, origin))
+    rz = origin[zdep.index(min(zdep))]
     work = k
 
     hi = tpost[rz]
@@ -193,11 +185,6 @@ def list_subtree_conflicts(out, t, idx, z, candidates, spill=None):
     zpost = [tpost[v] for v in z]
     emitted = 0
     pos = 0
-    nn = 2 * k + 1  # nodes of the one-extra-leaf restriction
-    par = [0] * nn
-    lo_ = [0] * nn
-    hi_ = [0] * nn
-    odep = [0] * nn
 
     for c in candidates:
         cp = tpost[c]
@@ -207,93 +194,47 @@ def list_subtree_conflicts(out, t, idx, z, candidates, spill=None):
         if not lo < cp <= hi:
             continue  # c attaches at or above lca(Z): provably no output
 
-        # Build T' = T|_(Z + {c}) over the merged order; track c's leaf.
-        # Merged element j is z[j] for j < pos, c at pos, z[j-1] after.
+        # T|(Z + c): c is merged leaf pos, which replaces the LCA entry
+        # between z[pos - 1] and z[pos] with lca(z[pos - 1], c), c and
+        # lca(c, z[pos]).
         work += k + 1
         ctax = ttaxon[c]
-        kk = k + 1
-        c_node = 0 if pos == 0 else -1
-        par[0] = -1
-        lo_[0] = 0
-        hi_[0] = 1
-        odep[0] = tdepth[c if pos == 0 else z[0]]
-        nid = 1
-        stack_ = [0]
-        for j in range(1, kk):
-            if j == pos:
-                bnd = tlca(z[j - 1], c)
-                cur_orig = c
-            elif j == pos + 1:
-                bnd = tlca(c, z[j - 1])
-                cur_orig = z[j - 1]
-            elif j < pos:
-                bnd = zlca[j - 1]
-                cur_orig = z[j]
-            else:
-                bnd = zlca[j - 2]
-                cur_orig = z[j - 1]
-            bd = tdepth[bnd]
-            top = stack_.pop()
-            while stack_ and odep[stack_[-1]] > bd:
-                nxt = stack_.pop()
-                par[top] = nxt
-                hi_[nxt] = hi_[top]
-                top = nxt
-            inner = nid
-            nid += 1
-            odep[inner] = bd
-            lo_[inner] = lo_[top]
-            par[top] = inner
-            stack_.append(inner)
-            leaf = nid
-            nid += 1
-            odep[leaf] = tdepth[cur_orig]
-            lo_[leaf] = j
-            hi_[leaf] = j + 1
-            if j == pos:
-                c_node = leaf
-            stack_.append(leaf)
-        top = stack_.pop()
-        while stack_:
-            nxt = stack_.pop()
-            par[top] = nxt
-            hi_[nxt] = hi_[top]
-            top = nxt
-        par[top] = -1
-        root_ = top
+        mid = [tdepth[c]]
+        if pos > 0:
+            mid.insert(0, tdepth[tlca(z[pos - 1], c)])
+        if pos < k:
+            mid.append(tdepth[tlca(c, z[pos])])
+        _, _, _, par, first, last = sweep(
+            zdep[:max(2 * pos - 1, 0)] + mid + zdep[2 * pos:])
 
         # Walk from c's parent to the root, emitting (below y) x (sibling).
-        y = par[c_node]
-        assert y != root_, "surviving candidate must start below the root"
-        while y != root_:
+        # A merged leaf range [a, b] holding c covers Z leaves z[a:b]; one
+        # left of c covers z[a:b + 1], one right of c z[a - 1:b].
+        y = par[2 * pos]
+        pr = par[y]
+        assert pr >= 0, "surviving candidate must start below the root"
+        while pr >= 0:
             work += 1
-            pr = par[y]
-            ylo, yhi = lo_[y], hi_[y]
-            if lo_[pr] < ylo:
-                slo, shi = lo_[pr], ylo
+            ylo, yhi = first[y], last[y]
+            if first[pr] < ylo:
+                slo, shi = first[pr], ylo
             else:
-                slo, shi = yhi, hi_[pr]
-            if out is None:
-                emitted += (yhi - ylo - 1) * (shi - slo)
-                y = pr
-                continue
-            for ia in range(ylo, yhi):
-                if ia == pos:
-                    continue
-                ta = ztax[ia] if ia < pos else ztax[ia - 1]
-                for ib in range(slo, shi):
-                    tb = ztax[ib] if ib < pos else ztax[ib - 1]
-                    x, yy = (ta, tb) if ta < tb else (tb, ta)
-                    if ctax < x:
-                        out += (ctax, x, yy)
-                    elif ctax < yy:
-                        out += (x, ctax, yy)
-                    else:
-                        out += (x, yy, ctax)
-                    emitted += 1
-                if len(out) >= TRI_CHUNK and spill is not None:
-                    spill()
-            y = pr
+                slo, shi = yhi, last[pr]
+            emitted += (yhi - ylo) * (shi - slo)
+            if out is not None:
+                sib = ztax[slo:shi]
+                for ta in ztax[ylo:yhi]:
+                    for tb in sib:
+                        x, yy = (ta, tb) if ta < tb else (tb, ta)
+                        if ctax < x:
+                            out += (ctax, x, yy)
+                        elif ctax < yy:
+                            out += (x, ctax, yy)
+                        else:
+                            out += (x, yy, ctax)
+                    if len(out) >= TRI_CHUNK and spill is not None:
+                        spill()
+            y, pr = pr, par[pr]
 
     return emitted, work
 
@@ -338,6 +279,8 @@ def enumerate_conflicts(p, q, *, backend=None, collect=False, sink=None):
     """
     if collect and sink is not None:
         raise ValueError("pass sink or collect=True, not both")
+    if sink is not None and not callable(sink):
+        raise TypeError("sink must be callable or None")
     if p.taxa != q.taxa or p.leaf_of_taxon.keys() != q.leaf_of_taxon.keys():
         raise TaxonMismatchError("trees do not carry the same leaf taxa")
     name = _kernels.resolve(backend)

@@ -1,11 +1,14 @@
 """Subtree of a tree induced by an ordered leaf subset, in O(|Z|).
 
-The construction is the classic stack sweep: the internal nodes of the
-result are exactly the LCAs of consecutive members of Z, and comparing
-their depths in the original tree (all comparisons happen between nodes
-on one root-to-leaf path, where depths are strictly increasing) settles
-every attachment.  Child order follows Z, so the result's leaf post-order
-is Z itself.
+The internal nodes of T|Z are exactly the LCAs of consecutive members of
+Z.  Numbered in order, leaf j of Z is node 2j and lca(z[j - 1], z[j]) is
+node 2j - 1, so the whole shape follows from the host depths of these
+2|Z| - 1 nodes: it is their Cartesian tree, with the shallowest node at
+the root.  :func:`sweep` builds it with one stack pass (all comparisons
+happen between nodes on one host root-to-leaf path, where depths are
+strictly increasing).  :func:`induced_subtree` runs it on Z, and
+ListSubtreeConflicts runs it on Z plus one candidate leaf.  Child order
+follows Z, so the result's leaf post-order is Z itself.
 """
 
 from .errors import EmptySubsetError, UnorderedInputError
@@ -28,6 +31,53 @@ class RestrictedTree:
         self.origin_map = origin_map
 
 
+def inorder(idx, z):
+    """Host nodes of T|Z in order: z[j] at 2j, lca(z[j - 1], z[j]) at 2j - 1."""
+    origin = [0] * (2 * len(z) - 1)
+    origin[0::2] = z
+    origin[1::2] = map(idx.lca, z, z[1:])
+    return origin
+
+
+def sweep(depth):
+    """The induced subtree whose in-order nodes have host depths ``depth``.
+
+    ``depth`` lists 2k - 1 depths: leaf j is node 2j and the LCA of
+    leaves j - 1 and j is node 2j - 1.  Returns ``(root, left, right,
+    parent, first, last)``: child and parent links (-1 for none) and the
+    leftmost and rightmost leaf index j below each node.
+    """
+    nn = len(depth)
+    left = [-1] * nn
+    right = [-1] * nn
+    parent = [-1] * nn
+    first = [0] * nn
+    first[0::2] = range((nn + 1) // 2)
+    last = first[:]
+    stack = []  # the right spine above top, internal nodes only
+    top = 0
+    for v in range(1, nn, 2):
+        d = depth[v]
+        while stack and depth[stack[-1]] > d:
+            nxt = stack.pop()
+            right[nxt] = top
+            parent[top] = nxt
+            last[nxt] = last[top]
+            top = nxt
+        left[v] = top
+        parent[top] = v
+        first[v] = first[top]
+        stack.append(v)
+        top = v + 1
+    while stack:
+        nxt = stack.pop()
+        right[nxt] = top
+        parent[top] = nxt
+        last[nxt] = last[top]
+        top = nxt
+    return top, left, right, parent, first, last
+
+
 def induced_subtree(t, idx, z):
     """Restrict ``t`` to the leaves ``z`` (node ids in t's post-order).
 
@@ -35,8 +85,7 @@ def induced_subtree(t, idx, z):
     for empty ``z`` and UnorderedInputError if ``z`` is not strictly
     increasing in post-order or contains a non-leaf.
     """
-    k = len(z)
-    if k == 0:
+    if not z:
         raise EmptySubsetError("cannot restrict to zero leaves")
     post = t.post
     tleft = t.left
@@ -48,54 +97,10 @@ def induced_subtree(t, idx, z):
             raise UnorderedInputError("leaves are not in strict post-order")
         prev = post[v]
 
-    ttaxon = t.taxon
-    if k == 1:
-        v = z[0]
-        tree = Tree._from_structure([-1], [-1], [ttaxon[v]], 0, t.taxa,
-                                    full=len(t.taxa) == 1)
-        return RestrictedTree(tree, [v])
-
-    tdepth = t.depth
-    nn = 2 * k - 1
-    left = [-1] * nn
-    right = [-1] * nn
-    taxon = [-1] * nn
-    origin = [0] * nn
-    odepth = [0] * nn
-    nid = 0
-
-    def new_node(orig):
-        nonlocal nid
-        v = nid
-        nid += 1
-        origin[v] = orig
-        odepth[v] = tdepth[orig]
-        return v
-
-    leaf0 = new_node(z[0])
-    taxon[leaf0] = ttaxon[z[0]]
-    stack = [leaf0]
-    for i in range(1, k):
-        bnd = idx.lca(z[i - 1], z[i])
-        bd = tdepth[bnd]
-        top = stack.pop()
-        while stack and odepth[stack[-1]] > bd:
-            nxt = stack.pop()
-            right[nxt] = top
-            top = nxt
-        inner = new_node(bnd)
-        left[inner] = top
-        stack.append(inner)
-        leaf = new_node(z[i])
-        taxon[leaf] = ttaxon[z[i]]
-        stack.append(leaf)
-
-    top = stack.pop()
-    while stack:
-        nxt = stack.pop()
-        right[nxt] = top
-        top = nxt
-
-    tree = Tree._from_structure(left, right, taxon, top, t.taxa,
-                                full=k == len(t.taxa))
+    origin = inorder(idx, z)
+    root, left, right, _, _, _ = sweep(list(map(t.depth.__getitem__, origin)))
+    taxon = [-1] * len(origin)
+    taxon[0::2] = map(t.taxon.__getitem__, z)
+    tree = Tree._from_structure(left, right, taxon, root, t.taxa,
+                                full=len(z) == len(t.taxa))
     return RestrictedTree(tree, origin)

@@ -180,6 +180,23 @@ def test_byte_order_mark_is_ignored(tmp_path, capsys):
     assert (code, out, err) == (0, "1\n", "")
 
 
+def test_exit_code_not_utf8(tmp_path, capsys):
+    # one line naming the first bad byte and its offset in the file (the
+    # byte order mark counts), not a UnicodeDecodeError traceback
+    p = tmp_path / "p.nwk"
+    q = tmp_path / "q.nwk"
+    p.write_bytes(b"((A,B),\xffC);")
+    q.write_text("((A,B),C);")
+    code, out, err = run_cli(capsys, "count", str(p), str(q))
+    assert (code, out) == (2, "")
+    assert err == f"tripcon: {p}: not UTF-8: byte 0xff at offset 7 (invalid start byte)\n"
+    q.write_bytes(b"\xef\xbb\xbf((A,B),C\xe2);")
+    code, out, err = run_cli(capsys, "conflicts", str(q), str(q))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"tripcon: {q}: not UTF-8: byte 0xe2 at offset 11 (")
+    assert err.count("\n") == 1
+
+
 def test_exit_code_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.nwk"
     bad.write_text("((A,B);")

@@ -22,6 +22,7 @@ from tripcon import (
     parse_newick,
     partition_leaves,
     serialize_newick,
+    triplet_distance,
 )
 from tripcon._kernels import available_backends
 from tripcon.generator import (
@@ -173,6 +174,15 @@ def test_sink_exception_propagates(backend):
     assert count_conflicts(p, q, backend=backend) == math.comb(60, 3)
 
 
+def test_sink_must_be_callable(fig1, backend):
+    # rejected at entry by both kernels, whether or not there is a triple
+    # to hand over
+    p, q, _ = fig1
+    for pair in ((p, p), (p, q)):
+        with pytest.raises(TypeError, match="sink must be callable"):
+            enumerate_conflicts(*pair, backend=backend, sink=5)
+
+
 def test_sink_with_collect_is_rejected(fig1, backend):
     p, q, _ = fig1
     with pytest.raises(ValueError):
@@ -245,6 +255,43 @@ def test_backends_are_twins():
                 assert a.frames_opened == b.frames_opened
                 assert a.nodes_touched == b.nodes_touched
                 assert a.per_frame_dr == b.per_frame_dr
+
+
+@pytest.fixture(scope="module")
+def large_pairs():
+    """Pairs past the cubic oracle, with their triplet distance: per
+    shape, n = 2,000 with one leaf swap (d below 1.3 million, so that the
+    listing check can hold every triple) and n = 1,000 with 16 swaps."""
+    pairs = []
+    for shape in SHAPES:
+        for n, k in ((2000, 1), (1000, 16)):
+            p, q = generate_pair(GeneratorConfig(n=n, seed=3, k=k, shape=shape))
+            pairs.append((shape, k, p, q, triplet_distance(p, q)))
+    return pairs
+
+
+def test_count_matches_triplet_distance(large_pairs, backend):
+    for shape, k, p, q, d in large_pairs:
+        assert count_conflicts(p, q, backend=backend) == d, (shape, k)
+
+
+def test_listing_is_exactly_once_past_the_oracle(large_pairs, backend):
+    # with the count above, distinct triples that number d are exactly the
+    # conflicts, each listed once
+    for shape, k, p, q, d in large_pairs:
+        if k != 1:
+            continue
+        n = p.n_leaves
+        packed = []
+
+        def sink(ids):
+            it = iter(ids)
+            packed.extend((a * n + b) * n + c for a, b, c in zip(it, it, it))
+
+        assert enumerate_conflicts(p, q, backend=backend, sink=sink).d == d
+        assert len(packed) == d, shape
+        packed.sort()
+        assert all(map(int.__lt__, packed, itertools.islice(packed, 1, None)))
 
 
 # The child's peak RSS in kB after counting the pair of Newick lines on

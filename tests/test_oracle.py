@@ -17,10 +17,13 @@ from tripcon import (
     parse_newick,
     resolve_triple,
     triple_resolutions,
+    triplet_distance,
 )
 from tripcon.generator import (
+    SHAPES,
     GeneratorConfig,
     caterpillar_tree,
+    generate_pair,
     perturb_leaf_swaps,
     random_binary_tree,
 )
@@ -144,3 +147,31 @@ def test_restriction_invariance_spot(fig1):
     assert is_conflict(
         rp, rq, build_lca_index(rp), build_lca_index(rq), c, d, e
     ) == is_conflict(p, q, idx_p, idx_q, c, d, e)
+
+
+def test_triplet_distance_matches_bruteforce():
+    rng = SplitMix64(0x7D15)
+    pairs = [(caterpillar_tree(n), caterpillar_tree(n, reverse=True))
+             for n in (1, 2, 3, 9)]
+    for shape in SHAPES:
+        for _ in range(40):
+            n = 1 + rng.randrange(30)
+            pairs.append(generate_pair(GeneratorConfig(
+                n=n, seed=rng.next_u64(), k=rng.randrange(n + 1), shape=shape)))
+    for _ in range(20):
+        # two unrelated topologies over the same taxa
+        n = 3 + rng.randrange(30)
+        pairs.append(tuple(random_binary_tree(GeneratorConfig(
+            n=n, seed=rng.next_u64())) for _ in range(2)))
+    for p, q in pairs:
+        d = len(enumerate_bruteforce(p, q))
+        assert triplet_distance(p, q) == triplet_distance(q, p) == d
+    p, q = pairs[3]
+    assert triplet_distance(p, q) == math.comb(9, 3)
+
+
+def test_triplet_distance_taxon_mismatch():
+    p, _ = parse_newick("((A,B),C);")
+    q, _ = parse_newick("((A,B),(C,D));")
+    with pytest.raises(TaxonMismatchError):
+        triplet_distance(p, q)

@@ -89,6 +89,14 @@ def test_internal_origins_are_consecutive_lcas():
         if not rt.tree.is_leaf(v)
     }
     assert got == expected
+    # numbered in order: leaf j is node 2j, lca(z[j - 1], z[j]) node 2j - 1
+    for j in range(len(z)):
+        assert rt.origin_map[2 * j] == z[j]
+        assert rt.tree.taxon[2 * j] == t.taxon[z[j]]
+        assert rt.tree.leaves_post[j] == 2 * j
+    for j in range(1, len(z)):
+        assert rt.origin_map[2 * j - 1] == idx.lca(z[j - 1], z[j])
+        assert not rt.tree.is_leaf(2 * j - 1)
 
 
 class _CountingIndex(LcaIndex):
