@@ -20,7 +20,7 @@ from .errors import (
 from .tree import TaxonSet, Tree, build_tree, is_ancestor
 from .newick import parse_newick, serialize_newick
 from .lca import LcaIndex, build_lca_index
-from .restrict import RestrictedTree, induced_subtree
+from .restrict import induced_subtree
 from .equivalence import LeafEquivalence, build_leaf_equivalence, leafsets_equal
 from .oracle import (
     ConflictTriple,
@@ -71,7 +71,6 @@ __all__ = [
     "serialize_newick",
     "LcaIndex",
     "build_lca_index",
-    "RestrictedTree",
     "induced_subtree",
     "LeafEquivalence",
     "build_leaf_equivalence",

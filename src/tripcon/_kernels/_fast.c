@@ -13,7 +13,7 @@
  * side of one pair in the partition.
  *
  * Ownership.  A recursion context (a tree pair with its post-order data,
- * Euler tours, RMQ tables and leaf-set-equivalence map) is one malloc'ed
+ * range-minimum tables and leaf-set-equivalence map) is one malloc'ed
  * block whose layout follows from the two node counts alone.  Frames on
  * the stack point to their context and each holds one reference, which
  * is dropped once the popped frame has been processed; the context is
@@ -74,36 +74,42 @@ static int *take(int *base, size_t *used, size_t n)
 }
 
 /* ====================================================================== */
-/* Per-tree structure: arena + post-order data + Euler tour + +-1 RMQ     */
+/* Per-tree structure: arena + post-order data + range minimum for LCA    */
 /* ====================================================================== */
 
+/* For u != v with post[u] < post[v], lca(u, v) is the parent of a
+   shallowest node at post-order positions [post[u], post[v]), so an LCA
+   is one range minimum over the depths in post-order, pdep.  The range
+   minimum cuts pdep into blocks of 32 positions.  mask[i] has bit j % 32
+   set, for each j <= i in i's block, iff pdep[j] is below every depth in
+   (j, i], so its lowest set bit at or after l is the minimum of [l, i].
+   st is a sparse table over the block minima: st[k * nb + b] is the
+   minimum position over blocks b .. b + 2^k - 1, and lg[x] is
+   floor(log2 x). */
 typedef struct {
-    int *left, *right, *taxon;                    /* arena, -1 = none */
-    int *post, *lc, *lb, *depth, *popo, *leaves;  /* post-order data */
-    int *tour, *tdep, *fo;                        /* Euler tour */
-    int *bminpos, *bminval, *pat, *tbl, *tflag, *lg, *st; /* +-1 RMQ */
-    int m, root, nl, tlen, b, nb;
+    int *left, *right, *taxon;                          /* arena, -1 = none */
+    int *post, *lc, *lb, *depth, *parent, *popo, *leaves; /* post-order data */
+    int *pdep, *lg, *st;                                /* range minimum */
+    unsigned *mask;
+    int m, root, nl, nb;
 } Side;
+
+#if UINT_MAX < 0xFFFFFFFF
+#error "the range-minimum masks need an unsigned int of 32 bits or more"
+#endif
 
 /* Size s for an m-node tree and point its arrays into base, or only
    measure when base is NULL; returns the number of ints they take. */
 static size_t side_layout(Side *s, int m, int *base)
 {
-    size_t used = 0, npat;
-    int bl = 0, levels = 0, t;
+    size_t used = 0;
+    int levels = 0, t;
 
     s->m = m;
     s->nl = (m + 1) / 2;
-    s->tlen = 2 * m - 1; /* internal nodes appear 3x, leaves once */
-    for (t = s->tlen; t; t >>= 1)
-        bl++;
-    s->b = (bl - 1) / 2;
-    if (s->b < 1)
-        s->b = 1;
-    s->nb = (s->tlen + s->b - 1) / s->b;
+    s->nb = (m + 31) / 32;
     for (t = s->nb; t; t >>= 1)
         levels++;
-    npat = (size_t)1 << (s->b - 1);
 
     s->left = take(base, &used, m);
     s->right = take(base, &used, m);
@@ -112,136 +118,98 @@ static size_t side_layout(Side *s, int m, int *base)
     s->lc = take(base, &used, m);
     s->lb = take(base, &used, m);
     s->depth = take(base, &used, m);
+    s->parent = take(base, &used, m);
     s->popo = take(base, &used, m);
-    s->fo = take(base, &used, m);
     s->leaves = take(base, &used, s->nl);
-    s->tour = take(base, &used, s->tlen);
-    s->tdep = take(base, &used, s->tlen);
-    s->bminpos = take(base, &used, s->nb);
-    s->bminval = take(base, &used, s->nb);
-    s->pat = take(base, &used, s->nb);
-    s->tbl = take(base, &used, npat * s->b * s->b);
-    s->tflag = take(base, &used, npat);
+    s->pdep = take(base, &used, m);
+    s->mask = (unsigned *)take(base, &used, m);
     s->lg = take(base, &used, (size_t)s->nb + 1);
     s->st = take(base, &used, (size_t)levels * s->nb);
     return used;
 }
 
-static void build_pattern_table(Side *s, int p, int b)
+/* Index of the lowest set bit of x != 0, by de Bruijn multiplication. */
+static inline int lowbit(unsigned x)
 {
-    int val[64];
-    int i, j, best, bv;
-    int *row = s->tbl + (Py_ssize_t)p * b * b;
-
-    val[0] = 0;
-    for (i = 1; i < b; i++)
-        val[i] = val[i - 1] + ((p & (1 << (i - 1))) ? 1 : -1);
-    for (i = 0; i < b; i++) {
-        best = i;
-        bv = val[i];
-        for (j = i; j < b; j++) {
-            if (val[j] < bv) {
-                best = j;
-                bv = val[j];
-            }
-            row[i * b + j] = best;
-        }
-    }
+    static const int pos[32] = {
+        0, 1, 28, 2, 29, 14, 24, 3, 30, 22, 20, 15, 25, 17, 4, 8,
+        31, 27, 13, 23, 21, 19, 16, 7, 26, 12, 18, 6, 11, 5, 10, 9};
+    return pos[(((x & (0u - x)) * 0x077CB531u) & 0xFFFFFFFFu) >> 27];
 }
 
 static void rmq_build(Side *s)
 {
-    int n = s->tlen, b = s->b, nb = s->nb;
-    int j, start, end, best, bv, p, i;
-    int levels, k, half, width, a, c;
-    const int *d = s->tdep;
+    const int *d = s->pdep;
+    int m = s->m, nb = s->nb;
+    int stk[32];
+    int b, i, end, sp, k, a, c, width;
+    unsigned cur;
 
-    memset(s->tflag, 0, ((size_t)1 << (b - 1)) * sizeof(int));
-    for (j = 0; j < nb; j++) {
-        start = j * b;
-        end = start + b;
-        if (end > n)
-            end = n;
-        best = start;
-        bv = d[start];
-        p = 0;
-        for (i = start + 1; i < end; i++) {
-            if (d[i] < bv) {
-                best = i;
-                bv = d[i];
-            }
-            if (d[i] > d[i - 1])
-                p |= 1 << (i - start - 1);
+    for (b = 0; b < nb; b++) {
+        end = 32 * b + 32 < m ? 32 * b + 32 : m;
+        sp = 0;
+        cur = 0;
+        for (i = 32 * b; i < end; i++) {
+            while (sp && d[stk[sp - 1]] >= d[i])
+                cur &= ~(1u << (stk[--sp] & 31));
+            stk[sp++] = i;
+            cur |= 1u << (i & 31);
+            s->mask[i] = cur;
         }
-        s->bminpos[j] = best;
-        s->bminval[j] = bv;
-        s->pat[j] = p;
-        if (!s->tflag[p]) {
-            build_pattern_table(s, p, b);
-            s->tflag[p] = 1;
-        }
+        s->st[b] = stk[0];
     }
 
     s->lg[1] = 0;
     for (i = 2; i <= nb; i++)
         s->lg[i] = s->lg[i >> 1] + 1;
-
-    levels = s->lg[nb] + 1;
-    for (j = 0; j < nb; j++)
-        s->st[j] = j;
-    for (k = 1; k < levels; k++) {
-        half = 1 << (k - 1);
+    for (k = 1; (1 << k) <= nb; k++) {
         width = nb - (1 << k) + 1;
         for (i = 0; i < width; i++) {
             a = s->st[(k - 1) * nb + i];
-            c = s->st[(k - 1) * nb + i + half];
-            s->st[k * nb + i] = s->bminval[a] <= s->bminval[c] ? a : c;
+            c = s->st[(k - 1) * nb + i + (1 << (k - 1))];
+            s->st[k * nb + i] = d[a] <= d[c] ? a : c;
         }
-        for (i = width > 0 ? width : 0; i < nb; i++)
-            s->st[k * nb + i] = s->st[(k - 1) * nb + i];
     }
 }
 
-static inline int inblock(const Side *s, int blk, int oi, int oj)
-{
-    int b = s->b;
-    return blk * b + s->tbl[(Py_ssize_t)s->pat[blk] * b * b + oi * b + oj];
-}
-
+/* Position of a minimum of pdep[l .. r], l <= r. */
 static inline int rmq(const Side *s, int l, int r)
 {
-    int b = s->b;
-    int bl = l / b, br = r / b;
-    int p1, p2, best, lo, hi, k, a, c, jb, pm;
+    const int *d = s->pdep;
+    int best, p, lo, hi, k;
 
-    if (bl == br)
-        return inblock(s, bl, l - bl * b, r - bl * b);
-    p1 = inblock(s, bl, l - bl * b, b - 1);
-    p2 = inblock(s, br, 0, r - br * b);
-    best = s->tdep[p1] <= s->tdep[p2] ? p1 : p2;
-    lo = bl + 1;
-    hi = br - 1;
-    if (lo <= hi) {
-        k = s->lg[hi - lo + 1];
-        a = s->st[k * s->nb + lo];
-        c = s->st[k * s->nb + hi - (1 << k) + 1];
-        jb = s->bminval[a] <= s->bminval[c] ? a : c;
-        pm = s->bminpos[jb];
-        if (s->tdep[pm] < s->tdep[best])
-            best = pm;
+    if (l >> 5 == r >> 5)
+        return l + lowbit(s->mask[r] >> (l & 31));
+    best = l + lowbit(s->mask[l | 31] >> (l & 31));
+    p = (r & ~31) + lowbit(s->mask[r]);
+    if (d[p] < d[best])
+        best = p;
+    lo = (l >> 5) + 1; /* the whole blocks between */
+    hi = r >> 5;
+    if (lo < hi) {
+        k = s->lg[hi - lo];
+        p = s->st[k * s->nb + lo];
+        if (d[p] < d[best])
+            best = p;
+        p = s->st[k * s->nb + hi - (1 << k)];
+        if (d[p] < d[best])
+            best = p;
     }
     return best;
 }
 
 static inline int lca(const Side *s, int u, int v)
 {
-    int lo = s->fo[u], hi = s->fo[v], t;
+    int lo = s->post[u], hi = s->post[v], t;
+
+    if (lo == hi)
+        return u;
     if (lo > hi) {
         t = lo;
         lo = hi;
         hi = t;
     }
-    return s->tour[rmq(s, lo, hi)];
+    return s->parent[s->popo[rmq(s, lo, hi - 1)]];
 }
 
 static inline int is_below(const Side *s, int anc, int node)
@@ -251,20 +219,21 @@ static inline int is_below(const Side *s, int anc, int node)
     return hi - (2 * s->lc[anc] - 1) < pn && pn <= hi;
 }
 
-/* Derive post-order data, the Euler tour and the RMQ tables from the
-   arena, with stk (2m + 4 ints) as the traversal stack.  The first
-   traversal rejects an arena that is not a full binary tree: a node
-   reached twice, a node with one child, or nodes the root does not reach.
-   Each node is entered once, so the stack holds at most 2m + 1 items. */
+/* Derive post-order data and the range minimum from the arena, with stk
+   (2m + 4 ints) as the traversal stack.  The traversal rejects an arena
+   that is not a full binary tree: a node reached twice, a node with one
+   child, or nodes the root does not reach.  Each node is entered once, so
+   the stack holds at most 2m + 1 items. */
 static int side_finish(Side *s, int *stk)
 {
     int m = s->m;
-    int sp, npost = 0, nleaf = 0, tpos = 0;
-    int x, v, ph, lcn, rcn;
+    int sp, npost = 0, nleaf = 0;
+    int x, v, lcn, rcn;
     const char *why;
 
     memset(s->lb, -1, (size_t)m * sizeof(int));
     s->depth[s->root] = 0;
+    s->parent[s->root] = -1;
     stk[0] = s->root << 1;
     sp = 1;
     while (sp) {
@@ -274,6 +243,7 @@ static int side_finish(Side *s, int *stk)
         rcn = s->right[v];
         if (x & 1) {
             s->lc[v] = s->lc[lcn] + s->lc[rcn];
+            s->pdep[npost] = s->depth[v];
             s->post[v] = npost;
             s->popo[npost++] = v;
             continue;
@@ -287,12 +257,15 @@ static int side_finish(Side *s, int *stk)
         s->lb[v] = nleaf;
         if (lcn < 0) {
             s->lc[v] = 1;
+            s->pdep[npost] = s->depth[v];
             s->post[v] = npost;
             s->popo[npost++] = v;
             s->leaves[nleaf++] = v;
         } else {
             s->depth[lcn] = s->depth[v] + 1;
             s->depth[rcn] = s->depth[v] + 1;
+            s->parent[lcn] = v;
+            s->parent[rcn] = v;
             stk[sp] = (v << 1) | 1;
             stk[sp + 1] = rcn << 1;
             stk[sp + 2] = lcn << 1;
@@ -304,30 +277,6 @@ static int side_finish(Side *s, int *stk)
                      "%d of %d nodes are not reached from the root",
                      m - npost, m);
         return -1;
-    }
-
-    stk[0] = s->root << 2;
-    sp = 1;
-    while (sp) {
-        x = stk[--sp];
-        v = x >> 2;
-        ph = x & 3;
-        if (ph == 0)
-            s->fo[v] = tpos;
-        s->tour[tpos] = v;
-        s->tdep[tpos] = s->depth[v];
-        tpos++;
-        if (s->left[v] >= 0) {
-            if (ph == 0) {
-                stk[sp] = (v << 2) | 1;
-                stk[sp + 1] = s->left[v] << 2;
-                sp += 2;
-            } else if (ph == 1) {
-                stk[sp] = (v << 2) | 2;
-                stk[sp + 1] = s->right[v] << 2;
-                sp += 2;
-            }
-        }
     }
     rmq_build(s);
     return 0;
@@ -442,7 +391,8 @@ static int list_size(PyObject *left, PyObject *right, PyObject *taxon,
 {
     Py_ssize_t m = PyList_GET_SIZE(left);
 
-    if (m < 1 || m >= (INT_MAX >> 2) || PyList_GET_SIZE(right) != m
+    /* side_finish stacks node v as (v << 1) | 1, at most 2m - 1 */
+    if (m < 1 || m > INT_MAX / 2 || PyList_GET_SIZE(right) != m
         || PyList_GET_SIZE(taxon) != m || root < 0 || root >= m) {
         PyErr_SetString(PyExc_ValueError,
                         "left, right and taxon must have one equal, non-zero "
@@ -922,7 +872,7 @@ static int run_frame(Run *run, Ctx *ctx, int rp, int rq)
         ctx_map(child, run->qleaf);
         run->work += 2 * nz;
         run->work += child->p.m + child->q.m;
-        run->work += child->p.tlen + child->q.tlen;
+        run->work += child->p.m + child->q.m;
         run->work += child->p.m;
         push_frame(run, child, child->p.root, child->q.root);
     }
@@ -1008,7 +958,7 @@ static PyObject *run_enumeration(PyObject *module, PyObject *args, PyObject *kwa
     }
     ctx_map(top, run.qleaf);
     run.work += P->m + Q->m;
-    run.work += P->tlen + Q->tlen;
+    run.work += P->m + Q->m;
     run.work += P->m;
     if (run_frames(&run) < 0 || flush_triples(&run) < 0 || flush_dr(&run) < 0)
         goto done;

@@ -145,8 +145,8 @@ def run_enumeration(p, q, sink=None):
             if nz < 3:
                 continue
             assert nz == len(zq)
-            rp_new = induced_subtree(P, ip, zp).tree
-            rq_new = induced_subtree(Q, iq, zq).tree
+            rp_new = induced_subtree(P, ip, zp)
+            rq_new = induced_subtree(Q, iq, zq)
             assert rp_new.leaf_of_taxon.keys() == rq_new.leaf_of_taxon.keys()
             ip_new = build_lca_index(rp_new)
             iq_new = build_lca_index(rq_new)

@@ -135,6 +135,12 @@ def _cmd_conflicts(args):
                              [label + "]" for label in labels],
                              head + "[", ", [")
     else:  # text and tsv are the same tab-separated triple lines
+        for name in taxa.names:
+            if "\t" in name or "\n" in name or "\r" in name:
+                raise _UsageError(
+                    f"label {name!r} holds a tab, line feed or carriage "
+                    f"return, which would break the tab-separated lines of "
+                    f"--format {args.format}; use --format json")
         sink = _chunk_writer(write, [name + "\t" for name in taxa.names],
                              [name + "\n" for name in taxa.names])
     if args.sorted:

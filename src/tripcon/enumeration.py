@@ -32,7 +32,8 @@ Work-counter contract (mirrored exactly by both kernels)
 ``nodes_touched`` increases by:
 
 * m per tree finalized (top-level inputs and every induced subtree);
-* the Euler tour length (2m - 1) per LCA index built;
+* m per LCA index built (its range minimum runs over the m post-order
+  depths);
 * m_P per leaf-set equivalence built;
 * 1 per frame opened (covers the O(1) pairing/swap/equality work);
 * 1 per leaf scanned while partitioning (exactly 2|X| per partitioning

@@ -15,22 +15,6 @@ from .errors import EmptySubsetError, UnorderedInputError
 from .tree import Tree
 
 
-class RestrictedTree:
-    """An induced subtree plus the map from its nodes back to the host tree.
-
-    ``tree`` is a standalone :class:`Tree` on the leaf subset (leaves keep
-    their original taxon ids); ``origin_map[v]`` is the host-tree node that
-    new node ``v`` contracts to (the leaf itself, or the LCA the internal
-    node came from).
-    """
-
-    __slots__ = ("tree", "origin_map")
-
-    def __init__(self, tree, origin_map):
-        self.tree = tree
-        self.origin_map = origin_map
-
-
 def inorder(idx, z):
     """Host nodes of T|Z in order: z[j] at 2j, lca(z[j - 1], z[j]) at 2j - 1."""
     origin = [0] * (2 * len(z) - 1)
@@ -81,6 +65,9 @@ def sweep(depth):
 def induced_subtree(t, idx, z):
     """Restrict ``t`` to the leaves ``z`` (node ids in t's post-order).
 
+    Returns a standalone :class:`Tree` on the leaf subset whose node v
+    contracts to host node ``inorder(idx, z)[v]``; leaves keep their
+    original taxon ids.
     Requires ``idx`` to be an LCA index for ``t``.  Raises EmptySubsetError
     for empty ``z`` and UnorderedInputError if ``z`` is not strictly
     increasing in post-order or contains a non-leaf.
@@ -101,6 +88,5 @@ def induced_subtree(t, idx, z):
     root, left, right, _, _, _ = sweep(list(map(t.depth.__getitem__, origin)))
     taxon = [-1] * len(origin)
     taxon[0::2] = map(t.taxon.__getitem__, z)
-    tree = Tree._from_structure(left, right, taxon, root, t.taxa,
+    return Tree._from_structure(left, right, taxon, root, t.taxa,
                                 full=len(z) == len(t.taxa))
-    return RestrictedTree(tree, origin)

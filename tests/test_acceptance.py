@@ -294,7 +294,7 @@ def test_criterion_8_restriction_invariance(capsys):
         samples += 1
         idx = build_lca_index(t)
         z = [t.leaves_post[i] for i in ranks]
-        sub = induced_subtree(t, idx, z).tree
+        sub = induced_subtree(t, idx, z)
         sub_idx = build_lca_index(sub)
         taxa_in = sorted(t.taxon[v] for v in z)
         for a, b, c in itertools.combinations(taxa_in, 3):

@@ -197,6 +197,38 @@ def test_exit_code_not_utf8(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_conflicts_rejects_labels_that_break_lines(tmp_path, capsys):
+    # text and tsv promise one conflict per line, labels tab-separated;
+    # JSON escapes every label
+    p = tmp_path / "p.nwk"
+    q = tmp_path / "q.nwk"
+    p.write_text("(('a\tb','c d'),(e,'f\ng'));")
+    q.write_text("(('a\tb',e),('c d','f\ng'));")
+    for fmt in ("text", "tsv"):
+        for extra in ([], ["--sorted"]):
+            code, out, err = run_cli(capsys, "conflicts", "--format", fmt,
+                                     *extra, str(p), str(q))
+            assert (code, out) == (2, "")
+            assert err == ("tripcon: label 'a\\tb' holds a tab, line feed or "
+                           "carriage return, which would break the "
+                           f"tab-separated lines of --format {fmt}; use "
+                           "--format json\n")
+    code, out, err = run_cli(capsys, "conflicts", "--format", "json", str(p),
+                             str(q))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["d"] == 4
+    assert doc["conflicts"] == [["a\tb", "c d", "e"], ["a\tb", "c d", "f\ng"],
+                                ["a\tb", "e", "f\ng"], ["c d", "e", "f\ng"]]
+    for ch in "\t\n\r":
+        p.write_text(f"((A,B),'C{ch}D');")
+        q.write_text(f"((A,'C{ch}D'),B);")
+        code, out, err = run_cli(capsys, "conflicts", str(p), str(q))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"tripcon: label {'C' + ch + 'D'!r} holds")
+        assert err.count("\n") == 1
+
+
 def test_exit_code_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.nwk"
     bad.write_text("((A,B);")

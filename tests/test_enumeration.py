@@ -33,7 +33,7 @@ from tripcon.generator import (
     random_binary_tree,
 )
 
-from conftest import leafset, nested_chain_pair
+from conftest import leafset, naive_lca, nested_chain_pair
 
 
 def _conflict_list(p, q, backend):
@@ -237,6 +237,17 @@ def test_per_frame_dr_past_32_bits(backend):
     assert max(instr.per_frame_dr) >= 2**32
 
 
+def _assert_twins(p, q):
+    for collect in (True, False):
+        a = enumerate_conflicts(p, q, collect=collect, backend="pure")
+        b = enumerate_conflicts(p, q, collect=collect, backend="fast")
+        assert a.conflicts == b.conflicts  # same order, not just set
+        assert a.d == b.d
+        assert a.frames_opened == b.frames_opened
+        assert a.nodes_touched == b.nodes_touched
+        assert a.per_frame_dr == b.per_frame_dr
+
+
 @pytest.mark.skipif(len(available_backends()) < 2,
                     reason="compiled kernel not built")
 def test_backends_are_twins():
@@ -245,16 +256,12 @@ def test_backends_are_twins():
         rng = SplitMix64(0x7117)
         for _ in range(120):
             n = 3 + rng.randrange(45)
-            p, q = generate_pair(GeneratorConfig(
-                n=n, seed=rng.next_u64(), k=rng.randrange(n + 1), shape=shape))
-            for collect in (True, False):
-                a = enumerate_conflicts(p, q, collect=collect, backend="pure")
-                b = enumerate_conflicts(p, q, collect=collect, backend="fast")
-                assert a.conflicts == b.conflicts  # same order, not just set
-                assert a.d == b.d
-                assert a.frames_opened == b.frames_opened
-                assert a.nodes_touched == b.nodes_touched
-                assert a.per_frame_dr == b.per_frame_dr
+            _assert_twins(*generate_pair(GeneratorConfig(
+                n=n, seed=rng.next_u64(), k=rng.randrange(n + 1), shape=shape)))
+        # 1,199 nodes: the compiled range minimum spans 38 blocks of 32 and
+        # six sparse-table levels
+        _assert_twins(*generate_pair(GeneratorConfig(
+            n=600, seed=rng.next_u64(), k=2, shape=shape)))
 
 
 @pytest.fixture(scope="module")
@@ -275,6 +282,14 @@ def test_count_matches_triplet_distance(large_pairs, backend):
         assert count_conflicts(p, q, backend=backend) == d, (shape, k)
 
 
+def _cherry(t, a, b, c):
+    """0, 1 or 2 for t's ab|c, ac|b or bc|a, by parent walk."""
+    la, lb, lc = (t.leaf_of_taxon[x] for x in (a, b, c))
+    d_ab = t.depth[naive_lca(t, la, lb)]
+    d_ac = t.depth[naive_lca(t, la, lc)]
+    return 0 if d_ab > d_ac else 1 if d_ac > d_ab else 2
+
+
 def test_listing_is_exactly_once_past_the_oracle(large_pairs, backend):
     # with the count above, distinct triples that number d are exactly the
     # conflicts, each listed once
@@ -292,6 +307,14 @@ def test_listing_is_exactly_once_past_the_oracle(large_pairs, backend):
         assert len(packed) == d, shape
         packed.sort()
         assert all(map(int.__lt__, packed, itertools.islice(packed, 1, None)))
+        # a seeded sample are conflicts, resolved by parent walk rather than
+        # through the LCA index the kernels use
+        rng = SplitMix64(0x5A3)
+        for _ in range(2000):
+            x = packed[rng.randrange(d)]
+            a, b, c = x // n // n, x // n % n, x % n
+            assert a < b < c
+            assert _cherry(p, a, b, c) != _cherry(q, a, b, c), (shape, a, b, c)
 
 
 # The child's peak RSS in kB after counting the pair of Newick lines on

@@ -1,10 +1,10 @@
-"""LCA index: Euler tour shape, query correctness, the +-1 RMQ."""
+"""LCA index: post-order shape, query correctness, the range minimum."""
 
 import itertools
 
 from tripcon import SplitMix64, build_lca_index, build_tree, is_ancestor
 from tripcon.generator import GeneratorConfig, random_binary_tree
-from tripcon.lca import _Pm1Rmq
+from tripcon.lca import _Rmq
 
 from conftest import naive_lca, leafset
 
@@ -18,7 +18,7 @@ def test_single_leaf_tour():
 def test_fig1_tour_length():
     t = build_tree((("A", "B"), (("C", "D"), "E")))
     idx = build_lca_index(t)
-    assert len(idx.tour) == 17  # 2m - 1 with m = 9
+    assert len(idx.tour) == 9  # m, the post-order
 
 
 def test_fig1_queries(fig1):
@@ -82,15 +82,22 @@ def test_leaf_triple_property():
         assert [ab, ac, bc].count(top) == 2
 
 
-def test_pm1_rmq_exhaustive():
+def test_rmq_exhaustive():
+    # every (i, j) over sequences of 1 to 4 blocks of 64: arbitrary ints,
+    # few distinct values (many ties), and +-1 walks such as depths
     rng = SplitMix64(55)
-    for trial in range(40):
-        n = 1 + rng.randrange(70)
-        seq = [0] * n
+    lengths = [1, 2, 63, 64, 65, 128, 129, 191, 192, 256]
+    lengths += [1 + rng.randrange(256) for _ in range(6)]
+    for n in lengths:
+        walk = [0] * n
         for i in range(1, n):
-            seq[i] = seq[i - 1] + (1 if rng.next_u64() & 1 else -1)
-        rmq = _Pm1Rmq(seq)
-        for i in range(n):
-            for j in range(i, n):
-                assert seq[rmq.query(i, j)] == min(seq[i:j + 1])
-
+            walk[i] = walk[i - 1] + (1 if rng.next_u64() & 1 else -1)
+        for seq in ([rng.randrange(1 << 20) - (1 << 19) for _ in range(n)],
+                    [rng.randrange(3) for _ in range(n)], walk):
+            rmq = _Rmq(seq)
+            for i in range(n):
+                low = seq[i]
+                for j in range(i, n):
+                    low = min(low, seq[j])
+                    p = rmq.argmin(i, j)
+                    assert i <= p <= j and seq[p] == low

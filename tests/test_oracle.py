@@ -141,8 +141,8 @@ def test_restriction_invariance_spot(fig1):
     wanted = {taxa.id_of(x) for x in "CDE"}
     zp = [v for v in p.leaves_post if p.taxon[v] in wanted]
     zq = [v for v in q.leaves_post if q.taxon[v] in wanted]
-    rp = induced_subtree(p, idx_p, zp).tree
-    rq = induced_subtree(q, idx_q, zq).tree
+    rp = induced_subtree(p, idx_p, zp)
+    rq = induced_subtree(q, idx_q, zq)
     c, d, e = sorted(wanted)
     assert is_conflict(
         rp, rq, build_lca_index(rp), build_lca_index(rq), c, d, e

@@ -14,6 +14,7 @@ from tripcon import (
 )
 from tripcon.generator import GeneratorConfig, random_binary_tree
 from tripcon.lca import LcaIndex
+from tripcon.restrict import inorder
 
 from conftest import tree_shape
 
@@ -27,21 +28,21 @@ def test_fig1_right_subtree():
     t = build_tree((("A", "B"), (("C", "D"), "E")))
     idx = build_lca_index(t)
     rt = induced_subtree(t, idx, _leaves_of(t, "CDE"))
-    assert tree_shape(rt.tree, taxa=t.taxa) == (("C", "D"), "E")
+    assert tree_shape(rt, taxa=t.taxa) == (("C", "D"), "E")
 
 
 def test_identity_restriction():
     t = build_tree((("A", "B"), (("C", "D"), "E")))
     idx = build_lca_index(t)
     rt = induced_subtree(t, idx, list(t.leaves_post))
-    assert tree_shape(rt.tree, taxa=t.taxa) == tree_shape(t)
+    assert tree_shape(rt, taxa=t.taxa) == tree_shape(t)
 
 
 def test_two_leaves_cherry():
     t = build_tree((("A", "B"), (("C", "D"), "E")))
     idx = build_lca_index(t)
     rt = induced_subtree(t, idx, _leaves_of(t, "AE"))
-    assert tree_shape(rt.tree, taxa=t.taxa) == ("A", "E")
+    assert tree_shape(rt, taxa=t.taxa) == ("A", "E")
 
 
 def test_errors():
@@ -65,15 +66,15 @@ def test_node_count_and_origin_ancestry():
         kk = 1 + rng.randrange(n)
         picks = sorted(rng.randrange(n) for _ in range(kk))
         z = [t.leaves_post[i] for i in sorted(set(picks))]
-        rt = induced_subtree(t, idx, z)
-        new = rt.tree
+        new = induced_subtree(t, idx, z)
+        origin = inorder(idx, z)
         assert new.n_nodes == 2 * len(z) - 1
         assert [new.taxon[v] for v in new.leaves_post] == [t.taxon[v] for v in z]
         # ancestry agrees with origin images
         for u in range(new.n_nodes):
             for v in range(new.n_nodes):
                 assert is_ancestor(new, u, v) == is_ancestor(
-                    t, rt.origin_map[u], rt.origin_map[v]
+                    t, origin[u], origin[v]
                 )
 
 
@@ -82,21 +83,18 @@ def test_internal_origins_are_consecutive_lcas():
     idx = build_lca_index(t)
     z = [t.leaves_post[i] for i in (0, 3, 4, 9, 15, 19)]
     rt = induced_subtree(t, idx, z)
+    origin = inorder(idx, z)
     expected = {idx.lca(z[i - 1], z[i]) for i in range(1, len(z))}
-    got = {
-        rt.origin_map[v]
-        for v in range(rt.tree.n_nodes)
-        if not rt.tree.is_leaf(v)
-    }
+    got = {origin[v] for v in range(rt.n_nodes) if not rt.is_leaf(v)}
     assert got == expected
     # numbered in order: leaf j is node 2j, lca(z[j - 1], z[j]) node 2j - 1
     for j in range(len(z)):
-        assert rt.origin_map[2 * j] == z[j]
-        assert rt.tree.taxon[2 * j] == t.taxon[z[j]]
-        assert rt.tree.leaves_post[j] == 2 * j
+        assert origin[2 * j] == z[j]
+        assert rt.taxon[2 * j] == t.taxon[z[j]]
+        assert rt.leaves_post[j] == 2 * j
     for j in range(1, len(z)):
-        assert rt.origin_map[2 * j - 1] == idx.lca(z[j - 1], z[j])
-        assert not rt.tree.is_leaf(2 * j - 1)
+        assert origin[2 * j - 1] == idx.lca(z[j - 1], z[j])
+        assert not rt.is_leaf(2 * j - 1)
 
 
 class _CountingIndex(LcaIndex):
@@ -132,7 +130,7 @@ def test_bias_invariance_under_restriction():
             continue
         z = [t.leaves_post[i] for i in ranks]
         rt = induced_subtree(t, idx, z)
-        sub_idx = build_lca_index(rt.tree)
+        sub_idx = build_lca_index(rt)
         taxa_in = [t.taxon[v] for v in z]
         rng2 = SplitMix64(rng.next_u64())
         for _ in range(40):
@@ -142,5 +140,5 @@ def test_bias_invariance_under_restriction():
             a, b, c = trip
             assert (
                 resolve_triple(t, idx, a, b, c).kind
-                == resolve_triple(rt.tree, sub_idx, a, b, c).kind
+                == resolve_triple(rt, sub_idx, a, b, c).kind
             )
