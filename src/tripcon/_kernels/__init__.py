@@ -6,21 +6,21 @@ the pure-Python twin ``pure``.  Default is the compiled one when
 available.  Set TRIPCON_BACKEND=pure (or fast, or auto) to
 override, or pass ``backend=`` to the library calls.
 
-When ``_fast`` was not built at install time, the first import compiles
-``_fast.c`` with the C compiler Python was built with (sysconfig's
-``CC``) into ``$XDG_CACHE_HOME/tripcon/<sha256 of _fast.c>-<EXT_SUFFIX>/``
-(``~/.cache`` when XDG_CACHE_HOME is unset) and loads it from there.
+``_fast`` has one build: import compiles ``_fast.c`` with the C compiler
+Python was built with (sysconfig's ``CC``) into
+``$XDG_CACHE_HOME/tripcon/<sha256 of _fast.c>-<EXT_SUFFIX>/``
+(``~/.cache`` when XDG_CACHE_HOME is unset), once per digest, and loads
+it from there, so an edit to ``_fast.c`` is always the code that runs.
 A failed compile is recorded in that directory as ``build-failed.txt``
-and not retried; delete the file to retry.  TRIPCON_BACKEND=pure skips
+and not retried; delete the file to retry.  The pure kernel is used
+meanwhile, unless TRIPCON_BACKEND=fast asks for the compiled one, which
+then raises with the compiler's message.  TRIPCON_BACKEND=pure skips
 the build and the cache.
 """
 
 import hashlib
 import importlib.util
 import os
-import shlex
-import shutil
-import subprocess
 import sys
 import sysconfig
 
@@ -39,6 +39,10 @@ def _cache_dir(source):
 
 def _compile(target):
     """Compile _fast.c to ``target``; return None or why it failed."""
+    import shlex
+    import shutil
+    import subprocess
+
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
     if shutil.which(cc[0]) is None:
         return f"no C compiler found (sysconfig CC is {cc[0]!r})"
@@ -93,11 +97,7 @@ def _build_and_load():
     return module, None
 
 
-try:
-    from . import _fast  # noqa: F401
-    _WHY_NO_FAST = None
-except ImportError:
-    _fast, _WHY_NO_FAST = _build_and_load()
+_fast, _WHY_NO_FAST = _build_and_load()
 _HAVE_FAST = _fast is not None
 
 

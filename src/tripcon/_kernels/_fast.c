@@ -40,7 +40,7 @@
  *
  *     cc -O3 -shared -fPIC -I<python include dir> _fast.c -o _fast<EXT_SUFFIX>
  *
- * which tripcon._kernels does on first import when the module is missing.
+ * which tripcon._kernels does on import, once per sha256 of this file.
  */
 
 #define PY_SSIZE_T_CLEAN

@@ -185,17 +185,17 @@ def _check_one(p, q, taxa, force_oracle, label, backend=None):
             "would be expensive, rerun with --oracle to force it"
         )
     instr = enumerate_conflicts(p, q, collect=True, backend=backend)
-    fast = set(instr.conflicts)
-    if len(fast) != len(instr.conflicts):
+    listed = set(instr.conflicts)
+    if len(listed) != len(instr.conflicts):
         print(f"{label}: duplicate emissions detected", file=sys.stderr)
         return False
     oracle = enumerate_bruteforce(p, q)
-    if fast == oracle:
+    if listed == oracle:
         return True
-    missing = sorted(oracle - fast)
-    extra = sorted(fast - oracle)
-    print(f"{label}: MISMATCH (fast d={len(fast)}, oracle d={len(oracle)})",
-          file=sys.stderr)
+    missing = sorted(oracle - listed)
+    extra = sorted(listed - oracle)
+    print(f"{label}: MISMATCH ({instr.backend} d={len(listed)}, "
+          f"oracle d={len(oracle)})", file=sys.stderr)
     for tag, sample in (("missing", missing), ("extra", extra)):
         for trip in sample[:5]:
             names = ",".join(taxa.name_of(t) for t in trip)
@@ -302,7 +302,7 @@ def _build_parser():
     pn.set_defaults(func=_cmd_count)
 
     pk = sub.add_parser("check",
-                        help="compare the fast enumerator against the oracle")
+                        help="compare the enumerator against the oracle")
     pk.add_argument("tree_p", nargs="?")
     pk.add_argument("tree_q", nargs="?")
     pk.add_argument("--oracle", action="store_true",

@@ -80,10 +80,9 @@ class LcaIndex:
     minimum runs over (m entries).
     """
 
-    __slots__ = ("tree", "tour", "_post", "_parent", "_rmq")
+    __slots__ = ("tour", "_post", "_parent", "_rmq")
 
     def __init__(self, tree):
-        self.tree = tree
         self.tour = tree.postorder
         self._post = tree.post
         self._parent = tree.parent

@@ -19,10 +19,6 @@ from typing import NamedTuple
 from .errors import NonDistinctTaxaError, TaxonMismatchError
 from .lca import build_lca_index
 
-# Above this taxa count the brute force switches from the O(n^2) pairwise
-# LCA-depth table to per-triple queries (slower, but no quadratic memory).
-_PAIR_TABLE_LIMIT = 1024
-
 
 class ResolutionKind(enum.IntEnum):
     """Which pair of the ascending triple (a < b < c) is the bias pair."""
@@ -89,42 +85,32 @@ def triple_resolutions(t, idx=None):
     out = []
     if n < 3:
         return out
-    leaf = t.leaf_of_taxon
     depth = t.depth
     qlca = idx.lca
-
-    if n <= _PAIR_TABLE_LIMIT:
-        leaves = [leaf[x] for x in taxa]
-        pd = [0] * (n * n)
-        for i in range(n):
-            li = leaves[i]
-            row = i * n
-            for j in range(i + 1, n):
-                pd[row + j] = depth[qlca(li, leaves[j])]
-        for i in range(n - 2):
-            row_i = i * n
-            for j in range(i + 1, n - 1):
-                d_ij = pd[row_i + j]
-                row_j = j * n
-                for k in range(j + 1, n):
-                    d_ik = pd[row_i + k]
-                    d_jk = pd[row_j + k]
-                    # exactly one pairwise LCA is strictly deepest
-                    if d_ij > d_ik:
-                        out.append(0)
-                    elif d_ik > d_jk:
-                        out.append(1)
-                    elif d_jk > d_ij:
-                        out.append(2)
-                    else:  # d_ij == d_ik == d_jk cannot happen in a binary tree
-                        raise AssertionError("unresolved triple in a binary tree")
-        return out
-
-    for ta, tb, tc in combinations(taxa, 3):
-        d_ab = depth[qlca(leaf[ta], leaf[tb])]
-        d_ac = depth[qlca(leaf[ta], leaf[tc])]
-        d_bc = depth[qlca(leaf[tb], leaf[tc])]
-        out.append(0 if d_ab > d_ac else (1 if d_ac > d_bc else 2))
+    leaves = [t.leaf_of_taxon[x] for x in taxa]
+    pd = [0] * (n * n)  # pd[i * n + j]: depth of lca(taxa[i], taxa[j]), i < j
+    for i in range(n):
+        li = leaves[i]
+        row = i * n
+        for j in range(i + 1, n):
+            pd[row + j] = depth[qlca(li, leaves[j])]
+    for i in range(n - 2):
+        row_i = i * n
+        for j in range(i + 1, n - 1):
+            d_ij = pd[row_i + j]
+            row_j = j * n
+            for k in range(j + 1, n):
+                d_ik = pd[row_i + k]
+                d_jk = pd[row_j + k]
+                # exactly one pairwise LCA is strictly deepest
+                if d_ij > d_ik:
+                    out.append(0)
+                elif d_ik > d_jk:
+                    out.append(1)
+                elif d_jk > d_ij:
+                    out.append(2)
+                else:  # d_ij == d_ik == d_jk cannot happen in a binary tree
+                    raise AssertionError("unresolved triple in a binary tree")
     return out
 
 

@@ -299,9 +299,10 @@ def test_check_mismatch_exit_code(fig1_files, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "enumerate_bruteforce",
                         lambda p, q: {ConflictTriple(0, 1, 2)})
-    code, _, err = run_cli(capsys, "check", *fig1_files)
-    assert code == 1
-    assert "MISMATCH" in err
+    for backend in available_backends():
+        code, _, err = run_cli(capsys, "--backend", backend, "check", *fig1_files)
+        assert code == 1
+        assert f"MISMATCH ({backend} d=1, oracle d=1)" in err
 
 
 def test_check_large_n_without_oracle(capsys, tmp_path):

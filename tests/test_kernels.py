@@ -77,6 +77,14 @@ def test_first_import_builds_kernel_into_cache(fresh_copy):
     mtime = built.stat().st_mtime_ns
     assert run()[:2] == ["fast", str(built)]
     assert built.stat().st_mtime_ns == mtime
+    # after an edit, a stale build next to the source does not shadow the
+    # build of the edited source
+    shutil.copy(built, source.with_name(f"_fast{EXT_SUFFIX}"))
+    with source.open("a") as fh:
+        fh.write("/* edited */\n")
+    rebuilt = _entry(cache, source) / f"_fast{EXT_SUFFIX}"
+    assert run() == ["fast", str(rebuilt), conflicts]
+    assert rebuilt.is_file()
 
 
 def test_pure_backend_builds_nothing(fresh_copy):
@@ -214,7 +222,8 @@ def test_kernel_runs_clean_under_asan_and_ubsan(fresh_copy):
                              capture_output=True, text=True).stdout.strip()
     if not os.path.isabs(libasan):
         pytest.skip(f"{cc[0]} does not provide libasan")
-    built = source.with_name(f"_fast{EXT_SUFFIX}")
+    built = _entry(cache, source) / f"_fast{EXT_SUFFIX}"
+    built.parent.mkdir(parents=True)
     proc = subprocess.run(
         cc + ["-O1", "-g", "-fsanitize=address,undefined",
               "-fno-sanitize-recover=undefined", "-fPIC", "-shared",

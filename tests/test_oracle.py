@@ -24,7 +24,6 @@ from tripcon.generator import (
     GeneratorConfig,
     caterpillar_tree,
     generate_pair,
-    perturb_leaf_swaps,
     random_binary_tree,
 )
 
@@ -109,20 +108,6 @@ def test_signatures_match_resolve_triple():
         taxa = sorted(t.leaf_of_taxon)
         for pos, (a, b, c) in enumerate(itertools.combinations(taxa, 3)):
             assert sig[pos] == int(resolve_triple(t, idx, a, b, c).kind)
-
-
-def test_bruteforce_per_triple_fallback_agrees():
-    import tripcon.oracle as oracle_mod
-
-    t = random_binary_tree(GeneratorConfig(n=25, seed=9))
-    u = perturb_leaf_swaps(t, 4, 123)
-    fast_table = enumerate_bruteforce(t, u)
-    old = oracle_mod._PAIR_TABLE_LIMIT
-    try:
-        oracle_mod._PAIR_TABLE_LIMIT = 0
-        assert enumerate_bruteforce(t, u) == fast_table
-    finally:
-        oracle_mod._PAIR_TABLE_LIMIT = old
 
 
 def test_taxon_mismatch():
