@@ -23,7 +23,6 @@ from .lca import LcaIndex, build_lca_index
 from .restrict import induced_subtree
 from .equivalence import LeafEquivalence, build_leaf_equivalence, leafsets_equal
 from .oracle import (
-    ConflictTriple,
     Resolution,
     ResolutionKind,
     enumerate_bruteforce,
@@ -77,7 +76,6 @@ __all__ = [
     "leafsets_equal",
     "ResolutionKind",
     "Resolution",
-    "ConflictTriple",
     "resolve_triple",
     "is_conflict",
     "triple_resolutions",

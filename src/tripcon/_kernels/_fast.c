@@ -22,16 +22,20 @@
  * keeps the context alive, and every context built meanwhile has at most
  * half its leaves: counting needs O(n) memory.  Pending frames have
  * disjoint leaf sets, so the frame stack never holds more frames than
- * the input has leaves.  The run's scratch (output chunks, frame stack,
- * taxon maps, partition buffers and the sweep's arrays) is a second
- * block, sized from the universe and the input lengths.
+ * the input has leaves.  The leaf sets of all frames opened form a
+ * laminar family of distinct taxon sets, so a run opens at most 2n - 1
+ * frames, the node count m of either input.  The run's scratch (m d_r
+ * slots, output chunk, taxon maps, partition buffers, the sweep's arrays
+ * and the frame stack) is a second block, sized from the universe and
+ * the input lengths.
  *
  * Output.  Without a sink, triples are only counted.  With a sink, they
  * are written to a TRI_CHUNK buffer of 4,096 triples, and each full
  * buffer is handed to the sink as a fresh array('i'): counting needs O(n)
  * memory and streaming O(n + chunk).  An exception raised by the sink
  * ends the run through the error path, which releases every pending
- * frame and context.
+ * frame and context.  Each frame's d_r is written once, into its slot of
+ * the block, and the returned array('q') is built after the last frame.
  *
  * Node ids and leaf counts are C ints; every count of triples, frames,
  * steps or violations (including each frame's d_r) is a long long.
@@ -50,10 +54,8 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* Items buffered before they are handed to the sink (triples) or
-   appended to the returned array (d_r). */
+/* Ids buffered before they are handed to the sink: 4,096 triples. */
 #define TRI_CHUNK (3 * 4096)
-#define DR_CHUNK 4096
 
 static PyObject *array_type; /* array.array */
 
@@ -502,14 +504,12 @@ typedef struct {
 
 typedef struct {
     long long work, frames, violations, emitted;
-    /* output: chunks of flat triples handed to sink (NULL when counting)
-       and per-frame d_r (array('q')), each filled through a fixed chunk
-       buffer */
-    PyObject *dr_arr, *sink;
+    /* chunks of flat triples go to sink (NULL when counting) */
+    PyObject *sink;
     /* the rest is one block: dr, the int arrays, then fs */
-    long long *dr;
+    long long *dr; /* d_r of the i-th frame opened, one slot per node */
     int *tri;
-    int ntri, ndr;
+    int ntri;
     /* pending frames, at most one per input leaf */
     Frame *fs;
     int nfs;
@@ -548,8 +548,8 @@ static size_t run_layout(Run *run, size_t u, size_t w, int *base)
     return used;
 }
 
-/* m is the larger input tree's node count; it bounds the pending frames
-   and, with the universe, every sweep. */
+/* m is the larger input tree's node count; it bounds the frames opened
+   and pending and, with the universe, every sweep. */
 static int run_init(Run *run, int universe, int m)
 {
     size_t u = universe > 0 ? (size_t)universe : 1;
@@ -557,18 +557,15 @@ static int run_init(Run *run, int universe, int m)
     size_t nfs = ((size_t)m + 1) / 2;
     size_t ints = run_layout(run, u, w, NULL);
 
-    run->dr_arr = PyObject_CallFunction(array_type, "s", "q");
-    if (run->dr_arr == NULL)
-        return -1;
     /* the frames go last, where an overrun leaves the block; an even
        number of ints keeps them aligned */
     ints += ints & 1;
-    run->dr = xmalloc(DR_CHUNK * sizeof(long long) + ints * sizeof(int)
+    run->dr = xmalloc((size_t)m * sizeof(long long) + ints * sizeof(int)
                       + nfs * sizeof(Frame));
     if (run->dr == NULL)
         return -1;
-    run_layout(run, u, w, (int *)(run->dr + DR_CHUNK));
-    run->fs = (Frame *)((int *)(run->dr + DR_CHUNK) + ints);
+    run_layout(run, u, w, (int *)(run->dr + m));
+    run->fs = (Frame *)((int *)(run->dr + m) + ints);
     memset(run->pleaf, -1, u * sizeof(int));
     memset(run->qleaf, -1, u * sizeof(int));
     return 0;
@@ -576,7 +573,6 @@ static int run_init(Run *run, int universe, int m)
 
 static void run_free(Run *run)
 {
-    Py_XDECREF(run->dr_arr);
     while (run->nfs)
         ctx_release(run->fs[--run->nfs].ctx);
     free(run->dr);
@@ -602,25 +598,6 @@ static int flush_triples(Run *run)
     return 0;
 }
 
-/* Append the buffered d_r values to the result array('q'). */
-static int flush_dr(Run *run)
-{
-    PyObject *view, *res;
-
-    view = PyMemoryView_FromMemory((char *)run->dr,
-                                   run->ndr * (Py_ssize_t)sizeof(long long),
-                                   PyBUF_READ);
-    if (view == NULL)
-        return -1;
-    res = PyObject_CallMethod(run->dr_arr, "frombytes", "O", view);
-    Py_DECREF(view);
-    if (res == NULL)
-        return -1;
-    Py_DECREF(res);
-    run->ndr = 0;
-    return 0;
-}
-
 static void push_frame(Run *run, Ctx *c, int rp, int rq)
 {
     Frame *f = &run->fs[run->nfs++];
@@ -628,14 +605,6 @@ static void push_frame(Run *run, Ctx *c, int rp, int rq)
     f->rp = rp;
     f->rq = rq;
     c->refs++;
-}
-
-static int push_dr(Run *run, long long v)
-{
-    if (run->ndr == DR_CHUNK && flush_dr(run) < 0)
-        return -1;
-    run->dr[run->ndr++] = v;
-    return 0;
 }
 
 /* Buffer the canonical (ascending) form of taxa {a, b, c}; sink runs only. */
@@ -771,8 +740,9 @@ static void split(const Side *s, int x, const Side *o, int y,
     }
 }
 
-/* Process one popped frame and push the frames that follow it. */
-static int run_frame(Run *run, Ctx *ctx, int rp, int rq)
+/* Process one popped frame and push the frames that follow it; returns
+   the frame's d_r, or -1 on error. */
+static long long run_frame(Run *run, Ctx *ctx, int rp, int rq)
 {
     int **bufs = run->part;
     int pn[8];
@@ -783,10 +753,9 @@ static int run_frame(Run *run, Ctx *ctx, int rp, int rq)
     const Side *P = &ctx->p, *Q = &ctx->q;
     Ctx *child;
 
-    run->frames += 1;
     run->work += 1;
     if (P->lc[rp] <= 1)
-        return push_dr(run, 0);
+        return 0;
 
     up = P->left[rp];
     vp = P->right[rp];
@@ -806,7 +775,7 @@ static int run_frame(Run *run, Ctx *ctx, int rp, int rq)
             push_frame(run, ctx, vp, vq);
             push_frame(run, ctx, up, uq);
         }
-        return push_dr(run, 0);
+        return 0;
     }
 
     /* ---- partition both pairs ---------------------------------------- */
@@ -876,22 +845,24 @@ static int run_frame(Run *run, Ctx *ctx, int rp, int rq)
         run->work += child->p.m;
         push_frame(run, child, child->p.root, child->q.root);
     }
-    return push_dr(run, d_r);
+    return d_r;
 }
 
-/* Pop and process frames until none is left; a popped frame's reference
-   to its context is dropped once the frame has been processed. */
+/* Pop and process frames until none is left, storing each frame's d_r;
+   a popped frame's reference to its context is dropped once the frame
+   has been processed. */
 static int run_frames(Run *run)
 {
     Frame f;
-    int rc;
+    long long d_r;
 
     while (run->nfs) {
         f = run->fs[--run->nfs];
-        rc = run_frame(run, f.ctx, f.rp, f.rq);
+        d_r = run_frame(run, f.ctx, f.rp, f.rq);
         ctx_release(f.ctx);
-        if (rc < 0)
+        if (d_r < 0)
             return -1;
+        run->dr[run->frames++] = d_r;
     }
     return 0;
 }
@@ -904,7 +875,8 @@ PyDoc_STRVAR(run_enumeration_doc,
 "Enumerate conflicts; same contract and output as the pure kernel.\n"
 "\n"
 "Returns ``(emitted, frames_opened, nodes_touched, budget_violations,\n"
-"per_frame_dr)``, per_frame_dr an array('q').  Without ``sink``, triples\n"
+"per_frame_dr)``, per_frame_dr an array('q') built after the last frame\n"
+"from one d_r per frame opened, at most 2n - 1.  Without ``sink``, triples\n"
 "are only counted, in O(n) memory.  With ``sink``, they go to ``sink``\n"
 "in chunks of 4,096 (the last may hold fewer), each a fresh array('i')\n"
 "of three ids per triple passed as soon as it fills, so listing needs\n"
@@ -918,7 +890,7 @@ static PyObject *run_enumeration(PyObject *module, PyObject *args, PyObject *kwa
                              "q_left", "q_right", "q_taxon", "q_root",
                              "universe", "sink", NULL};
     PyObject *p_left, *p_right, *p_taxon, *q_left, *q_right, *q_taxon;
-    PyObject *sink = Py_None, *result = NULL;
+    PyObject *sink = Py_None, *dr, *result = NULL;
     int p_root, q_root, universe, mp, mq, r;
     Ctx *top = NULL;
     Side *P, *Q;
@@ -960,11 +932,14 @@ static PyObject *run_enumeration(PyObject *module, PyObject *args, PyObject *kwa
     run.work += P->m + Q->m;
     run.work += P->m + Q->m;
     run.work += P->m;
-    if (run_frames(&run) < 0 || flush_triples(&run) < 0 || flush_dr(&run) < 0)
+    if (run_frames(&run) < 0 || flush_triples(&run) < 0)
         goto done;
 
-    result = Py_BuildValue("(LLLLO)", run.emitted, run.frames, run.work,
-                           run.violations, run.dr_arr);
+    dr = PyObject_CallFunction(array_type, "sy#", "q", (const char *)run.dr,
+                               run.frames * (Py_ssize_t)sizeof(long long));
+    if (dr != NULL)
+        result = Py_BuildValue("(LLLLN)", run.emitted, run.frames, run.work,
+                               run.violations, dr);
 done:
     run_free(&run);
     return result;

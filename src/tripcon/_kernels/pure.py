@@ -2,9 +2,10 @@
 
 This is the reference twin of the compiled kernel: it drives the frame
 recursion with an explicit stack of ``(ctx, rp, rq)`` frames, where
-``ctx = (P, Q, ip, iq, m)``, and composes the public modules (LCA index,
-induced subtree, leaf equivalence, and the partition and listing
-operations in ``tripcon.enumeration``).  Every restriction, of a child
+``ctx = (P, Q, ip, iq, e)`` and ``e`` is the pair's leaf equivalence,
+and composes the public modules (LCA index, induced subtree, leaf
+equivalence, and the partition and listing operations in
+``tripcon.enumeration``).  Every restriction, of a child
 pair's leaves or of Z plus one candidate inside ListSubtreeConflicts,
 goes through the one stack sweep ``tripcon.restrict.sweep``.  Only
 frames hold a context, so it is freed once its last pending frame has
@@ -32,6 +33,8 @@ loop adds at most 3n ids, so streaming needs O(n + chunk) memory.
 See the work-counter contract in ``tripcon.enumeration``.
 """
 
+from array import array
+
 
 def run_enumeration(p, q, sink=None):
     """Enumerate conflicts of (p, q); both are ``tripcon.tree.Tree``.
@@ -41,7 +44,7 @@ def run_enumeration(p, q, sink=None):
     ``TRI_CHUNK`` ids (see the module docstring); an exception from
     ``sink`` propagates.
     Returns ``(emitted, frames_opened, nodes_touched, budget_violations,
-    per_frame_dr)``.
+    per_frame_dr)``, per_frame_dr an ``array('q')``.
     """
     from ..enumeration import (
         TRI_CHUNK,
@@ -49,7 +52,7 @@ def run_enumeration(p, q, sink=None):
         list_subtree_conflicts,
         partition_leaves,
     )
-    from ..equivalence import build_leaf_equivalence
+    from ..equivalence import build_leaf_equivalence, leafsets_equal
     from ..lca import build_lca_index
     from ..restrict import induced_subtree
 
@@ -66,7 +69,7 @@ def run_enumeration(p, q, sink=None):
         sent += full
 
     emitted = 0
-    per_dr = []
+    per_dr = array("q")
     frames = 0
     work = 0
     violations = 0
@@ -78,22 +81,22 @@ def run_enumeration(p, q, sink=None):
     work += len(idx_p.tour) + len(idx_q.tour)
     work += p.n_nodes                        # equivalence pass
 
-    stack = [((p, q, idx_p, idx_q, equiv.m), p.root, q.root)]
+    stack = [((p, q, idx_p, idx_q, equiv), p.root, q.root)]
     while stack:
         ctx, rp, rq = stack.pop()
-        P, Q, ip, iq, m = ctx
+        P, Q, ip, iq, e = ctx
         frames += 1
         work += 1
-        if P.leaf_count[rp] <= 1:
+        plc = P.leaf_count
+        if plc[rp] <= 1:
             per_dr.append(0)
             continue
 
         up, vp = P.left[rp], P.right[rp]
         uq, vq = Q.left[rq], Q.right[rq]
-        plc, qlc = P.leaf_count, Q.leaf_count
-        if m[up] == vq and plc[up] == qlc[vq]:
+        if leafsets_equal(e, up, vq):
             uq, vq = vq, uq
-        if m[up] == uq and plc[up] == qlc[uq]:
+        if leafsets_equal(e, up, uq):
             per_dr.append(0)
             # the larger pair waits, so the smaller one runs first
             if plc[up] > plc[vp]:
@@ -150,12 +153,12 @@ def run_enumeration(p, q, sink=None):
             assert rp_new.leaf_of_taxon.keys() == rq_new.leaf_of_taxon.keys()
             ip_new = build_lca_index(rp_new)
             iq_new = build_lca_index(rq_new)
-            m_new = build_leaf_equivalence(rp_new, rq_new, iq_new).m
+            e_new = build_leaf_equivalence(rp_new, rq_new, iq_new)
             work += 2 * nz                                   # sweeps
             work += rp_new.n_nodes + rq_new.n_nodes          # finalize
             work += len(ip_new.tour) + len(iq_new.tour)      # LCA builds
             work += rp_new.n_nodes                           # equivalence
-            stack.append(((rp_new, rq_new, ip_new, iq_new, m_new),
+            stack.append(((rp_new, rq_new, ip_new, iq_new, e_new),
                           rp_new.root, rq_new.root))
 
     if out:

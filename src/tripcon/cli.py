@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from array import array
 from itertools import chain
 
 from ._kernels import resolve as resolve_backend
@@ -144,12 +143,9 @@ def _cmd_conflicts(args):
         sink = _chunk_writer(write, [name + "\t" for name in taxa.names],
                              [name + "\n" for name in taxa.names])
     if args.sorted:
-        flat = array("i")
-        instr = enumerate_conflicts(p, q, backend=backend, sink=flat.extend)
-        # plain tuples sort fastest; share one int per taxon id, since
-        # reading the array makes one per read
-        ids = map(list(range(len(taxa.names))).__getitem__, flat)
-        rows = sorted(zip(ids, ids, ids))
+        instr = enumerate_conflicts(p, q, backend=backend, collect=True)
+        rows = instr.conflicts
+        rows.sort()
         step = TRI_CHUNK // 3
         for k in range(0, len(rows), step):
             sink(list(chain.from_iterable(rows[k:k + step])))

@@ -50,7 +50,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .errors import TaxonMismatchError
-from .oracle import ConflictTriple
 from .restrict import inorder, sweep
 from . import _kernels
 
@@ -62,11 +61,14 @@ TRI_CHUNK = 3 * 4096
 class Instrumentation:
     """Work counters for one enumeration run.
 
-    ``per_frame_dr[i]`` is the number of conflicts emitted at the i-th
-    frame opened (its d_r); the sum over frames equals
-    ``triples_emitted``.  ``budget_violations`` counts partitioning frames
-    whose leaf count exceeded d_r + 2 and is always zero for correct
-    inputs.
+    ``per_frame_dr``, an ``array('q')`` from either kernel, holds at
+    index i the number of conflicts emitted at the i-th frame opened (its
+    d_r); the sum over frames equals ``triples_emitted``.  A run opens at
+    most 2n - 1 frames, one per node of either tree.  ``conflicts`` holds
+    the triples of a ``collect=True`` run as ``(a, b, c)`` tuples of
+    taxon ids, a < b < c.  ``budget_violations`` counts partitioning
+    frames whose leaf count exceeded d_r + 2 and is always zero for
+    correct inputs.
     """
 
     n_taxa: int
@@ -75,7 +77,7 @@ class Instrumentation:
     nodes_touched: int = 0
     triples_emitted: int = 0
     budget_violations: int = 0
-    per_frame_dr: list = field(default_factory=list)
+    per_frame_dr: array = field(default_factory=partial(array, "q"))
     conflicts: list | None = None
 
     @property
@@ -87,8 +89,7 @@ def _split(s, o, x, y):
     """The leaves below x in s, in s's post-order, split into those whose
     taxon lies below y in o and the rest."""
     o_post, o_leaf, s_taxon = o.post, o.leaf_of_taxon, s.taxon
-    hi = o_post[y]
-    lo = hi - (2 * o.leaf_count[y] - 1)
+    lo, hi = o.subtree_interval(y)
     com, unc = [], []
     base, end = s.subtree_leaf_slice(x)
     for leaf in s.leaves_post[base:end]:
@@ -177,8 +178,7 @@ def list_subtree_conflicts(out, t, idx, z, candidates, spill=None):
     rz = origin[zdep.index(min(zdep))]
     work = k
 
-    hi = tpost[rz]
-    lo = hi - (2 * t.leaf_count[rz] - 1)
+    lo, hi = t.subtree_interval(rz)
 
     # Insertion position of each candidate in Z (single merge; both
     # sequences are post-ordered).
@@ -256,12 +256,15 @@ def enumerate_conflicts(p, q, *, backend=None, collect=False, sink=None):
     both; a chunk is never reused.  An exception raised by ``sink`` ends
     the run and propagates.  With ``collect=True`` the chunks go to one
     ``array('i')`` instead, and the triples are stored on the returned
-    :class:`Instrumentation` as ``conflicts``, a list of canonical
-    :class:`ConflictTriple` in chunk order.  Passing both raises
-    ValueError.  With neither, only the counters are produced and no
-    triple is materialized, so counting stays cheap even when d is
+    :class:`Instrumentation` as ``conflicts``, a list of plain
+    ``(a, b, c)`` tuples, a < b < c, in chunk order.  Passing both
+    raises ValueError.  With neither, only the counters are produced and
+    no triple is materialized, so counting stays cheap even when d is
     enormous.  Ordering is deterministic for a given input but otherwise
     unspecified; only set semantics and exactly-once are contractual.
+    Either kernel returns ``per_frame_dr`` as one ``array('q')`` (the
+    compiled one builds it once, after its last frame), and it is stored
+    as it is.
 
     Raises TaxonMismatchError unless both trees carry the same leaf
     taxa.  Runs in O(n + d) time, and counting needs O(n) memory.  A
@@ -300,7 +303,6 @@ def enumerate_conflicts(p, q, *, backend=None, collect=False, sink=None):
 
         d, frames, work, violations, per_dr = pure.run_enumeration(p, q, sink)
 
-    per_dr = list(per_dr)
     assert violations == 0, "frame budget law violated (leaf count > d_r + 2)"
     assert sum(per_dr) == d, "per-frame d_r do not sum to the triples emitted"
     assert not collect or len(flat) == 3 * d
@@ -317,9 +319,7 @@ def enumerate_conflicts(p, q, *, backend=None, collect=False, sink=None):
         # Reading an array('i') makes a fresh int per read; share one
         # object per taxon id instead.
         ids = map(list(range(len(p.taxa))).__getitem__, flat)
-        # tuple.__new__ skips the namedtuple's Python-level __new__
-        instr.conflicts = list(map(partial(tuple.__new__, ConflictTriple),
-                                   zip(ids, ids, ids)))
+        instr.conflicts = list(zip(ids, ids, ids))
     return instr
 
 

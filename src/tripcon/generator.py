@@ -21,7 +21,7 @@ SHAPES = ("uniform-attachment", "caterpillar", "balanced")
 
 
 class SplitMix64:
-    """The splitmix64 generator; tiny, splittable, and portable."""
+    """The splitmix64 generator; tiny and portable."""
 
     __slots__ = ("state",)
 
@@ -42,10 +42,6 @@ class SplitMix64:
             x = self.next_u64()
             if x <= limit:
                 return x % n
-
-    def split(self):
-        """An independent child generator."""
-        return SplitMix64(self.next_u64())
 
 
 @dataclass
@@ -137,11 +133,11 @@ def random_binary_tree(cfg, taxa=None):
     return _uniform_attachment(cfg.n, SplitMix64(cfg.seed), taxa)
 
 
-def caterpillar_tree(n, taxa=None, reverse=False):
+def caterpillar_tree(n, reverse=False):
     """Caterpillar on t0..t{n-1}; ``reverse`` reverses the label order."""
-    taxa = taxa if taxa is not None else default_taxa(n)
-    names = [taxa.name_of(i) for i in range(n)]
-    return build_tree(_caterpillar_shape(names[::-1] if reverse else names), taxa)
+    taxa = default_taxa(n)
+    names = taxa.names[::-1] if reverse else taxa.names
+    return build_tree(_caterpillar_shape(names), taxa)
 
 
 def perturb_leaf_swaps(t, k, seed):
@@ -166,22 +162,20 @@ def perturb_leaf_swaps(t, k, seed):
     )
 
 
-def generate_pair(cfg, taxa=None):
+def generate_pair(cfg):
     """(tree, perturbed tree): the seeded instance behind CLI bench/check."""
-    base = random_binary_tree(cfg, taxa=taxa)
+    base = random_binary_tree(cfg)
     rng = SplitMix64(cfg.seed ^ 0xA5A5A5A5A5A5A5A5)
     return base, perturb_leaf_swaps(base, cfg.k, rng.next_u64())
 
 
-def enumerate_labeled_topologies(n, taxa=None):
+def enumerate_labeled_topologies(n):
     """Yield every labeled rooted binary topology on n taxa, once each.
 
     Count is (2n-3)!! — 1, 1, 3, 15, 105, 945 for n = 1..6.  Intended for
     exhaustive small-n verification; do not call with large n.
     """
-    taxa = taxa if taxa is not None else default_taxa(n)
-    if len(taxa) != n:
-        raise ValueError("taxon set size does not match n")
+    taxa = default_taxa(n)
 
     def insertions(shape, new_leaf):
         yield (shape, new_leaf)

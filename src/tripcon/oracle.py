@@ -12,8 +12,8 @@ differs between the trees.
 """
 
 import enum
-from itertools import combinations
-from operator import add, itemgetter, mul
+from itertools import combinations, compress
+from operator import add, itemgetter, mul, ne
 from typing import NamedTuple
 
 from .errors import NonDistinctTaxaError, TaxonMismatchError
@@ -30,14 +30,6 @@ class ResolutionKind(enum.IntEnum):
 
 class Resolution(NamedTuple):
     kind: ResolutionKind
-    a: int
-    b: int
-    c: int
-
-
-class ConflictTriple(NamedTuple):
-    """Canonical conflict: taxon ids with a < b < c."""
-
     a: int
     b: int
     c: int
@@ -115,19 +107,12 @@ def triple_resolutions(t, idx=None):
 
 
 def enumerate_bruteforce(p, q):
-    """All conflicts of (P, Q) as a set of canonical triples, in Theta(n^3)."""
+    """All conflicts of (P, Q) as a set of ``(a, b, c)`` tuples of taxon
+    ids, a < b < c, in Theta(n^3)."""
     if p.taxa != q.taxa or p.leaf_of_taxon.keys() != q.leaf_of_taxon.keys():
         raise TaxonMismatchError("trees do not carry the same leaf taxa")
-    sig_p = triple_resolutions(p)
-    sig_q = triple_resolutions(q)
-    taxa = sorted(p.leaf_of_taxon)
-    out = set()
-    pos = 0
-    for trip in combinations(taxa, 3):
-        if sig_p[pos] != sig_q[pos]:
-            out.add(ConflictTriple(*trip))
-        pos += 1
-    return out
+    differ = map(ne, triple_resolutions(p), triple_resolutions(q))
+    return set(compress(combinations(sorted(p.leaf_of_taxon), 3), differ))
 
 
 def triplet_distance(p, q):

@@ -59,7 +59,10 @@ class TaxonSet:
         return iter(self.names)
 
     def __eq__(self, other):
-        return isinstance(other, TaxonSet) and self.names == other.names
+        # every restricted tree shares its input's TaxonSet, so the
+        # identity test keeps the comparison O(1) inside the recursion
+        return self is other or (
+            isinstance(other, TaxonSet) and self.names == other.names)
 
     def __hash__(self):
         return hash(self.names)
@@ -291,5 +294,5 @@ def build_tree(topology, taxa=None):
 
 def is_ancestor(t, u, v):
     """True iff v lies in the subtree of u (u == v counts).  O(1)."""
-    hi = t.post[u]
-    return hi - (2 * t.leaf_count[u] - 1) < t.post[v] <= hi
+    lo, hi = t.subtree_interval(u)
+    return lo < t.post[v] <= hi

@@ -34,7 +34,7 @@ from tripcon.generator import (
     generate_pair,
     random_binary_tree,
 )
-from tripcon.oracle import ConflictTriple, triple_resolutions
+from tripcon.oracle import triple_resolutions
 
 from conftest import FIG1_P, FIG1_Q, leafset, naive_lca
 
@@ -140,7 +140,7 @@ def corpus(request):
         for i, j in itertools.combinations(range(len(trees)), 2):
             si, sj = sigs[i], sigs[j]
             oracle = {
-                ConflictTriple(*triples[pos])
+                triples[pos]
                 for pos in range(npos)
                 if si[pos] != sj[pos]
             }

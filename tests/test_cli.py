@@ -295,10 +295,8 @@ def test_check_generated_corpus(capsys):
 
 
 def test_check_mismatch_exit_code(fig1_files, capsys, monkeypatch):
-    from tripcon.oracle import ConflictTriple
-
     monkeypatch.setattr(cli, "enumerate_bruteforce",
-                        lambda p, q: {ConflictTriple(0, 1, 2)})
+                        lambda p, q: {(0, 1, 2)})
     for backend in available_backends():
         code, _, err = run_cli(capsys, "--backend", backend, "check", *fig1_files)
         assert code == 1

@@ -5,12 +5,12 @@ import math
 import os
 import subprocess
 import sys
+from array import array
 
 import pytest
 
 import tripcon
 from tripcon import (
-    ConflictTriple,
     SplitMix64,
     TaxonMismatchError,
     build_lca_index,
@@ -43,21 +43,25 @@ def _conflict_list(p, q, backend):
 def test_fig1(fig1, backend):
     p, q, taxa = fig1
     instr = enumerate_conflicts(p, q, collect=True, backend=backend)
-    assert instr.conflicts == [
-        ConflictTriple(*sorted(taxa.id_of(x) for x in "CDE"))
-    ]
+    assert instr.conflicts == [tuple(sorted(taxa.id_of(x) for x in "CDE"))]
     assert instr.d == 1
     assert count_conflicts(p, q, backend=backend) == 1
 
 
 def test_identical_trees_have_no_conflicts(backend):
+    # Identical trees only descend, so each node opens one frame: 2n - 1,
+    # the most any run opens and the size of the compiled kernel's d_r
+    # block.
     rng = SplitMix64(161)
-    for _ in range(8):
-        n = 2 + rng.randrange(200)
-        t = random_binary_tree(GeneratorConfig(n=n, seed=rng.next_u64()))
+    cfgs = [GeneratorConfig(n=2 + rng.randrange(200), seed=rng.next_u64())
+            for _ in range(8)]
+    cfgs += [GeneratorConfig(n=300, seed=7, shape=shape) for shape in SHAPES]
+    for cfg in cfgs:
+        t = random_binary_tree(cfg)
         instr = enumerate_conflicts(t, t, backend=backend)
         assert instr.d == 0
         assert instr.budget_violations == 0
+        assert instr.frames_opened == len(instr.per_frame_dr) == 2 * cfg.n - 1
 
 
 def test_caterpillar_extreme(backend):
@@ -76,8 +80,8 @@ def test_matches_oracle_on_random_pairs(backend):
         got = _conflict_list(p, q, backend)
         assert len(set(got)) == len(got), "duplicate emission"
         assert set(got) == enumerate_bruteforce(p, q)
-        for trip in got:
-            assert trip.a < trip.b < trip.c
+        for a, b, c in got:
+            assert a < b < c
 
 
 def test_symmetry(backend):
@@ -106,7 +110,7 @@ def _kernel_ids(p, q, backend):
 
 
 def test_sink_and_collect_agree(fig1, backend):
-    # collect builds one ConflictTriple per three ids the kernel hands to
+    # collect builds one (a, b, c) tuple per three ids the kernel hands to
     # its sink, in the order it hands them.
     rng = SplitMix64(0x51C)
     pairs = [fig1[:2]] + [
@@ -119,8 +123,8 @@ def test_sink_and_collect_agree(fig1, backend):
         seen = enumerate_conflicts(p, q, collect=True,
                                    backend=backend).conflicts
         assert [x for trip in seen for x in trip] == ids
-        for trip in seen:
-            assert trip.a < trip.b < trip.c
+        for a, b, c in seen:
+            assert a < b < c
 
 
 # Ids in one chunk handed to a sink: 4,096 triples.
@@ -246,6 +250,9 @@ def _assert_twins(p, q):
         assert a.frames_opened == b.frames_opened
         assert a.nodes_touched == b.nodes_touched
         assert a.per_frame_dr == b.per_frame_dr
+        for instr in (a, b):
+            assert type(instr.per_frame_dr) is array
+            assert instr.per_frame_dr.typecode == "q"
 
 
 @pytest.mark.skipif(len(available_backends()) < 2,

@@ -72,7 +72,7 @@ def test_first_import_builds_kernel_into_cache(fresh_copy):
     assert backend == "fast"
     assert built.is_file()
     assert path == str(built)
-    assert conflicts == "[ConflictTriple(a=2, b=3, c=4)]"
+    assert conflicts == "[(2, 3, 4)]"
     # a second interpreter loads the cached build instead of compiling again
     mtime = built.stat().st_mtime_ns
     assert run()[:2] == ["fast", str(built)]
@@ -173,7 +173,8 @@ SANITIZED = """
 import math
 from tripcon import SplitMix64, _kernels, enumerate_conflicts
 from tripcon.generator import (
-    SHAPES, GeneratorConfig, caterpillar_tree, generate_pair)
+    SHAPES, GeneratorConfig, caterpillar_tree, generate_pair,
+    random_binary_tree)
 
 assert _kernels._fast.__file__ == {built!r}
 run = _kernels._fast.run_enumeration
@@ -185,6 +186,12 @@ for i in range(300):
         shape=SHAPES[i % len(SHAPES)]))
     for collect in (True, False):
         enumerate_conflicts(p, q, collect=collect, backend="fast")
+# P against itself opens 2n - 1 frames, filling the d_r block
+for shape in SHAPES:
+    p = random_binary_tree(GeneratorConfig(n=300, seed=7, shape=shape))
+    for collect in (True, False):
+        instr = enumerate_conflicts(p, p, collect=collect, backend="fast")
+        assert instr.frames_opened == len(instr.per_frame_dr) == 599
 p, q = caterpillar_tree(300), caterpillar_tree(300, reverse=True)
 args = (p.left, p.right, p.taxon, p.root,
         q.left, q.right, q.taxon, q.root, len(p.taxa))

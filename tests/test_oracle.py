@@ -6,7 +6,6 @@ import math
 import pytest
 
 from tripcon import (
-    ConflictTriple,
     NonDistinctTaxaError,
     ResolutionKind,
     SplitMix64,
@@ -75,7 +74,7 @@ def test_is_conflict_examples(fig1):
 def test_bruteforce_fig1(fig1):
     p, q, taxa = fig1
     c, d, e = _ids(taxa, "CDE")
-    assert enumerate_bruteforce(p, q) == {ConflictTriple(c, d, e)}
+    assert enumerate_bruteforce(p, q) == {(c, d, e)}
     assert enumerate_bruteforce(p, p) == set()
 
 
