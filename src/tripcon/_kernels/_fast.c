@@ -5,6 +5,10 @@
  * as the pure kernel (the cross-backend tests pin all three).  Every
  * per-tree structure lives in flat int arrays and is rebuilt here rather
  * than imported from the Python modules, so the hot path never leaves C.
+ * As in tripcon.tree, a node's id is its post-order number: side_finish
+ * numbers every tree it is given, the input lists in any numbering and
+ * each sweep's in-order output alike, so ancestry is an id interval and
+ * an LCA one range minimum over the depths.
  * See tripcon.enumeration for the algorithm and the counter contract.
  * As in the pure kernel, one routine serves each layer on both trees and
  * both sides: sweep() builds every induced subtree, a child pair's
@@ -12,7 +16,7 @@
  * (lsc) alike, from host depths numbered in order, and split() cuts one
  * side of one pair in the partition.
  *
- * Ownership.  A recursion context (a tree pair with its post-order data,
+ * Ownership.  A recursion context (a tree pair with its derived arrays,
  * range-minimum tables and leaf-set-equivalence map) is one malloc'ed
  * block whose layout follows from the two node counts alone.  Frames on
  * the stack point to their context and each holds one reference, which
@@ -76,24 +80,24 @@ static int *take(int *base, size_t *used, size_t n)
 }
 
 /* ====================================================================== */
-/* Per-tree structure: arena + post-order data + range minimum for LCA    */
+/* Per-tree structure: arena numbered in post-order + range minimum       */
 /* ====================================================================== */
 
-/* For u != v with post[u] < post[v], lca(u, v) is the parent of a
-   shallowest node at post-order positions [post[u], post[v]), so an LCA
-   is one range minimum over the depths in post-order, pdep.  The range
-   minimum cuts pdep into blocks of 32 positions.  mask[i] has bit j % 32
-   set, for each j <= i in i's block, iff pdep[j] is below every depth in
-   (j, i], so its lowest set bit at or after l is the minimum of [l, i].
-   st is a sparse table over the block minima: st[k * nb + b] is the
-   minimum position over blocks b .. b + 2^k - 1, and lg[x] is
-   floor(log2 x). */
+/* Node ids are post-order numbers: children come before their parent, the
+   root is m - 1 and the subtree of v is the ids (v - 2 lc[v] + 1, v].  For
+   u < v, lca(u, v) is the parent of a shallowest node in [u, v), so an
+   LCA is one range minimum over depth.  The range minimum cuts depth into
+   blocks of 32 ids.  mask[i] has bit j % 32 set, for each j <= i in i's
+   block, iff depth[j] is below every depth in (j, i], so its lowest set
+   bit at or after l is the minimum of [l, i].  st is a sparse table over
+   the block minima: st[k * nb + b] is the minimum position over blocks
+   b .. b + 2^k - 1, and lg[x] is floor(log2 x). */
 typedef struct {
-    int *left, *right, *taxon;                          /* arena, -1 = none */
-    int *post, *lc, *lb, *depth, *parent, *popo, *leaves; /* post-order data */
-    int *pdep, *lg, *st;                                /* range minimum */
+    int *left, *right, *taxon;                 /* arena, -1 = none */
+    int *lc, *lb, *depth, *parent, *leaves;    /* derived */
+    int *lg, *st;                              /* range minimum */
     unsigned *mask;
-    int m, root, nl, nb;
+    int m, nl, nb;
 } Side;
 
 #if UINT_MAX < 0xFFFFFFFF
@@ -116,14 +120,11 @@ static size_t side_layout(Side *s, int m, int *base)
     s->left = take(base, &used, m);
     s->right = take(base, &used, m);
     s->taxon = take(base, &used, m);
-    s->post = take(base, &used, m);
     s->lc = take(base, &used, m);
     s->lb = take(base, &used, m);
     s->depth = take(base, &used, m);
     s->parent = take(base, &used, m);
-    s->popo = take(base, &used, m);
     s->leaves = take(base, &used, s->nl);
-    s->pdep = take(base, &used, m);
     s->mask = (unsigned *)take(base, &used, m);
     s->lg = take(base, &used, (size_t)s->nb + 1);
     s->st = take(base, &used, (size_t)levels * s->nb);
@@ -141,7 +142,7 @@ static inline int lowbit(unsigned x)
 
 static void rmq_build(Side *s)
 {
-    const int *d = s->pdep;
+    const int *d = s->depth;
     int m = s->m, nb = s->nb;
     int stk[32];
     int b, i, end, sp, k, a, c, width;
@@ -174,10 +175,10 @@ static void rmq_build(Side *s)
     }
 }
 
-/* Position of a minimum of pdep[l .. r], l <= r. */
+/* Position of a minimum of depth[l .. r], l <= r. */
 static inline int rmq(const Side *s, int l, int r)
 {
-    const int *d = s->pdep;
+    const int *d = s->depth;
     int best, p, lo, hi, k;
 
     if (l >> 5 == r >> 5)
@@ -202,91 +203,98 @@ static inline int rmq(const Side *s, int l, int r)
 
 static inline int lca(const Side *s, int u, int v)
 {
-    int lo = s->post[u], hi = s->post[v], t;
-
-    if (lo == hi)
+    if (u == v)
         return u;
-    if (lo > hi) {
-        t = lo;
-        lo = hi;
-        hi = t;
-    }
-    return s->parent[s->popo[rmq(s, lo, hi - 1)]];
+    return u < v ? s->parent[rmq(s, u, v - 1)] : s->parent[rmq(s, v, u - 1)];
 }
 
 static inline int is_below(const Side *s, int anc, int node)
 {
-    int hi = s->post[anc];
-    int pn = s->post[node];
-    return hi - (2 * s->lc[anc] - 1) < pn && pn <= hi;
+    return anc - (2 * s->lc[anc] - 1) < node && node <= anc;
 }
 
-/* Derive post-order data and the range minimum from the arena, with stk
-   (2m + 4 ints) as the traversal stack.  The traversal rejects an arena
-   that is not a full binary tree: a node reached twice, a node with one
-   child, or nodes the root does not reach.  Each node is entered once, so
+/* Number the tree given by a source arena (left, right and taxon in any
+   numbering, rooted at root) in post-order into s, derive the rest and
+   build the range minimum, with stk (2m + 4 ints) as the traversal stack.
+   The traversal rejects a source that is not a full binary tree: a node
+   reached twice, a node with one child, or nodes the root does not reach.
+   With tleaf, a taxon -> leaf map holding -1 for every taxon not seen yet,
+   it also rejects a leaf without a taxon or with a repeated one, and fills
+   the map.  Errors name the source's ids.  Each node is entered once, so
    the stack holds at most 2m + 1 items. */
-static int side_finish(Side *s, int *stk)
+static int side_finish(Side *s, const int *left, const int *right,
+                       const int *taxon, int root, int *stk, int *tleaf)
 {
     int m = s->m;
-    int sp, npost = 0, nleaf = 0;
-    int x, v, lcn, rcn;
+    int *seen = s->depth; /* by source id, until the depths are derived */
+    int sp = 1, k = 0, nleaf = 0;
+    int v, l, r, t;
     const char *why;
 
-    memset(s->lb, -1, (size_t)m * sizeof(int));
-    s->depth[s->root] = 0;
-    s->parent[s->root] = -1;
-    stk[0] = s->root << 1;
-    sp = 1;
+    memset(seen, 0, (size_t)m * sizeof(int));
+    stk[0] = root;
     while (sp) {
-        x = stk[--sp];
-        v = x >> 1;
-        lcn = s->left[v];
-        rcn = s->right[v];
-        if (x & 1) {
-            s->lc[v] = s->lc[lcn] + s->lc[rcn];
-            s->pdep[npost] = s->depth[v];
-            s->post[v] = npost;
-            s->popo[npost++] = v;
+        v = stk[--sp];
+        if (v < 0) {
+            /* complete an internal node: its right subtree was numbered
+               just before it, and its left one right before that */
+            r = k - 1;
+            l = k - 2 * s->lc[r];
+            s->left[k] = l;
+            s->right[k] = r;
+            s->taxon[k] = -1;
+            s->parent[l] = s->parent[r] = k;
+            s->lc[k] = s->lc[l] + s->lc[r];
+            s->lb[k++] = s->lb[l];
             continue;
         }
-        why = s->lb[v] >= 0 ? "is reached twice"
-              : (lcn < 0) != (rcn < 0) ? "has one child" : NULL;
+        why = seen[v] ? "is reached twice"
+              : (left[v] < 0) != (right[v] < 0) ? "has one child" : NULL;
         if (why != NULL) {
             PyErr_Format(PyExc_ValueError, "node %d %s", v, why);
             return -1;
         }
-        s->lb[v] = nleaf;
-        if (lcn < 0) {
-            s->lc[v] = 1;
-            s->pdep[npost] = s->depth[v];
-            s->post[v] = npost;
-            s->popo[npost++] = v;
-            s->leaves[nleaf++] = v;
-        } else {
-            s->depth[lcn] = s->depth[v] + 1;
-            s->depth[rcn] = s->depth[v] + 1;
-            s->parent[lcn] = v;
-            s->parent[rcn] = v;
-            stk[sp] = (v << 1) | 1;
-            stk[sp + 1] = rcn << 1;
-            stk[sp + 2] = lcn << 1;
+        seen[v] = 1;
+        if (left[v] >= 0) {
+            stk[sp] = -1;
+            stk[sp + 1] = right[v];
+            stk[sp + 2] = left[v];
             sp += 3;
+            continue;
         }
+        t = taxon[v];
+        if (tleaf != NULL) {
+            if (t < 0 || tleaf[t] >= 0) {
+                PyErr_Format(PyExc_ValueError, "leaf %d has %s taxon", v,
+                             t < 0 ? "no" : "a repeated");
+                return -1;
+            }
+            tleaf[t] = k;
+        }
+        s->left[k] = s->right[k] = -1;
+        s->taxon[k] = t;
+        s->lc[k] = 1;
+        s->lb[k] = nleaf;
+        s->leaves[nleaf++] = k++;
     }
-    if (npost < m) {
+    if (k < m) {
         PyErr_Format(PyExc_ValueError,
-                     "%d of %d nodes are not reached from the root",
-                     m - npost, m);
+                     "%d of %d nodes are not reached from the root", m - k, m);
         return -1;
     }
+    s->parent[m - 1] = -1;
+    s->depth[m - 1] = 0;
+    for (v = m - 2; v >= 0; v--)
+        s->depth[v] = s->depth[s->parent[v]] + 1;
     rmq_build(s);
     return 0;
 }
 
 /* Scratch of the induced-subtree sweep: its input dep and its output
    links and leaf ranges, each sized for the largest sweep of the run, and
-   a stack that side_finish reuses. */
+   a stack that side_finish reuses.  side_finish also reads its source
+   arenas from here: an input tree's lists in left, right and dep, or a
+   sweep's left and right with its taxon row in dep. */
 typedef struct {
     int *dep, *left, *right, *par, *first, *last, *stk;
 } Sweep;
@@ -350,19 +358,18 @@ static int inorder_depths(const Side *t, const int *z, int k, int *dep)
 }
 
 /* Fill s, laid out for 2k - 1 nodes, with the subtree of parent induced by
-   k >= 2 post-ordered leaves z. */
+   k >= 2 ascending leaves z. */
 static int side_from_leaflist(Side *s, const Side *parent, const int *z,
                               int k, Sweep *sw)
 {
-    int v;
+    int v, root;
 
     inorder_depths(parent, z, k, sw->dep);
-    s->root = sweep(sw, k);
-    memcpy(s->left, sw->left, (size_t)s->m * sizeof(int));
-    memcpy(s->right, sw->right, (size_t)s->m * sizeof(int));
+    root = sweep(sw, k);
+    /* the depths are spent, so dep takes the in-order taxon row */
     for (v = 0; v < s->m; v++)
-        s->taxon[v] = v & 1 ? -1 : parent->taxon[z[v >> 1]];
-    return side_finish(s, sw->stk);
+        sw->dep[v] = v & 1 ? -1 : parent->taxon[z[v >> 1]];
+    return side_finish(s, sw->left, sw->right, sw->dep, root, sw->stk, NULL);
 }
 
 /* Copy a list of ints, each in [lo, hi), into out. */
@@ -393,7 +400,7 @@ static int list_size(PyObject *left, PyObject *right, PyObject *taxon,
 {
     Py_ssize_t m = PyList_GET_SIZE(left);
 
-    /* side_finish stacks node v as (v << 1) | 1, at most 2m - 1 */
+    /* side_finish's stack holds up to 2m + 1 items */
     if (m < 1 || m > INT_MAX / 2 || PyList_GET_SIZE(right) != m
         || PyList_GET_SIZE(taxon) != m || root < 0 || root >= m) {
         PyErr_SetString(PyExc_ValueError,
@@ -405,16 +412,17 @@ static int list_size(PyObject *left, PyObject *right, PyObject *taxon,
 }
 
 /* Fill s, laid out for the lists' length, from a tree given as parallel
-   lists.  Ids are range-checked and side_finish checks the shape. */
+   lists in any numbering, and map each of its taxa to its leaf in tleaf.
+   Ids are range-checked and side_finish checks the shape and the taxa. */
 static int side_from_lists(Side *s, PyObject *left, PyObject *right,
-                           PyObject *taxon, int root, int universe, int *stk)
+                           PyObject *taxon, int root, int universe,
+                           Sweep *sw, int *tleaf)
 {
-    s->root = root;
-    if (ints_from_list(s->left, left, -1, s->m, "left") < 0
-        || ints_from_list(s->right, right, -1, s->m, "right") < 0
-        || ints_from_list(s->taxon, taxon, -1, universe, "taxon") < 0)
+    if (ints_from_list(sw->left, left, -1, s->m, "left") < 0
+        || ints_from_list(sw->right, right, -1, s->m, "right") < 0
+        || ints_from_list(sw->dep, taxon, -1, universe, "taxon") < 0)
         return -1;
-    return side_finish(s, stk);
+    return side_finish(s, sw->left, sw->right, sw->dep, root, sw->stk, tleaf);
 }
 
 static void write_scratch(const Side *s, int *scratch)
@@ -422,24 +430,6 @@ static void write_scratch(const Side *s, int *scratch)
     int r;
     for (r = 0; r < s->nl; r++)
         scratch[s->taxon[s->leaves[r]]] = s->leaves[r];
-}
-
-/* write_scratch for an input tree, into a scratch that holds -1 for every
-   taxon not seen yet; fails on a leaf without a taxon or a repeated one. */
-static int index_leaves(const Side *s, int *scratch)
-{
-    int r, v, t;
-    for (r = 0; r < s->nl; r++) {
-        v = s->leaves[r];
-        t = s->taxon[v];
-        if (t < 0 || scratch[t] >= 0) {
-            PyErr_Format(PyExc_ValueError, "leaf %d has %s taxon", v,
-                         t < 0 ? "no" : "a repeated");
-            return -1;
-        }
-        scratch[t] = v;
-    }
-    return 0;
 }
 
 /* ====================================================================== */
@@ -482,10 +472,9 @@ static void ctx_release(Ctx *c)
 static void ctx_map(Ctx *c, const int *qleaf)
 {
     const Side *p = &c->p;
-    int i, v;
+    int v;
 
-    for (i = 0; i < p->m; i++) {
-        v = p->popo[i];
+    for (v = 0; v < p->m; v++) {
         if (p->left[v] < 0)
             c->m[v] = qleaf[p->taxon[v]];
         else
@@ -517,8 +506,8 @@ typedef struct {
     int *pleaf, *qleaf;
     /* partition buffers, each of size u */
     int *part[8];
-    /* LSC's Z data: in-order depths of T|Z, taxa and post-order numbers */
-    int *zdep, *ztax, *zpost;
+    /* LSC's Z data: in-order depths of T|Z and taxa */
+    int *zdep, *ztax;
     /* the induced-subtree sweeps of LSC and restriction */
     Sweep sw;
 } Run;
@@ -537,7 +526,6 @@ static size_t run_layout(Run *run, size_t u, size_t w, int *base)
         run->part[i] = take(base, &used, u);
     run->zdep = take(base, &used, 2 * u);
     run->ztax = take(base, &used, u);
-    run->zpost = take(base, &used, u);
     run->sw.dep = take(base, &used, w);
     run->sw.left = take(base, &used, w);
     run->sw.right = take(base, &used, w);
@@ -644,32 +632,28 @@ static int emit(Run *run, int a, int b, int c)
 static int lsc(Run *run, const Side *t, const int *z, int k,
                const int *cand, int nc)
 {
-    int i, rz, hi, lo, pos, ci, c, cp, ctax, n;
+    int i, rz, lo, pos, ci, c, ctax, n;
     int y, pr, ylo, yhi, slo, shi, ia, ib;
-    int *zdep = run->zdep, *ztax = run->ztax, *zpost = run->zpost;
+    int *zdep = run->zdep, *ztax = run->ztax;
     int *dep = run->sw.dep;
     const int *par = run->sw.par, *first = run->sw.first, *last = run->sw.last;
 
     if (k < 2 || nc == 0)
         return 0;
     rz = inorder_depths(t, z, k, zdep);
-    for (i = 0; i < k; i++) {
+    for (i = 0; i < k; i++)
         ztax[i] = t->taxon[z[i]];
-        zpost[i] = t->post[z[i]];
-    }
     run->work += k;
 
-    hi = t->post[rz];
-    lo = hi - (2 * t->lc[rz] - 1);
+    lo = rz - (2 * t->lc[rz] - 1);
 
     pos = 0;
     for (ci = 0; ci < nc; ci++) {
         c = cand[ci];
-        cp = t->post[c];
-        while (pos < k && zpost[pos] < cp)
+        while (pos < k && z[pos] < c)
             pos++;
         run->work += 1;
-        if (!(lo < cp && cp <= hi))
+        if (!(lo < c && c <= rz))
             continue;
 
         /* T|(Z + c): c is merged leaf pos, which replaces the LCA entry
@@ -724,7 +708,7 @@ static int lsc(Run *run, const Side *t, const int *z, int k,
 static const int SPEC_Z[4] = {0, 4, 1, 5};
 static const int SPEC_ZQ[4] = {2, 6, 7, 3};
 
-/* Split the leaves below x in s, in s's post-order, into out[0], those
+/* Split the leaves below x in s, in ascending order, into out[0], those
    whose taxon lies below y in o (oleaf maps each taxon to its leaf in o),
    and out[1], the rest; n[0] and n[1] receive their lengths. */
 static void split(const Side *s, int x, const Side *o, int y,
@@ -843,7 +827,7 @@ static long long run_frame(Run *run, Ctx *ctx, int rp, int rq)
         run->work += child->p.m + child->q.m;
         run->work += child->p.m + child->q.m;
         run->work += child->p.m;
-        push_frame(run, child, child->p.root, child->q.root);
+        push_frame(run, child, child->p.m - 1, child->q.m - 1);
     }
     return d_r;
 }
@@ -915,12 +899,14 @@ static PyObject *run_enumeration(PyObject *module, PyObject *args, PyObject *kwa
         || run_init(&run, universe, mp > mq ? mp : mq) < 0
         || (top = ctx_new(mp, mq)) == NULL)
         goto done;
-    push_frame(&run, top, p_root, q_root); /* run_free releases it on error */
+    /* run_free releases it on error */
+    push_frame(&run, top, mp - 1, mq - 1);
     P = &top->p;
     Q = &top->q;
-    if (side_from_lists(P, p_left, p_right, p_taxon, p_root, universe, run.sw.stk) < 0
-        || side_from_lists(Q, q_left, q_right, q_taxon, q_root, universe, run.sw.stk) < 0
-        || index_leaves(P, run.pleaf) < 0 || index_leaves(Q, run.qleaf) < 0)
+    if (side_from_lists(P, p_left, p_right, p_taxon, p_root, universe,
+                        &run.sw, run.pleaf) < 0
+        || side_from_lists(Q, q_left, q_right, q_taxon, q_root, universe,
+                           &run.sw, run.qleaf) < 0)
         goto done;
     for (r = 0; r < P->nl && run.qleaf[P->taxon[P->leaves[r]]] >= 0; r++)
         ;

@@ -49,8 +49,8 @@ from array import array
 from dataclasses import dataclass, field
 from functools import partial
 
-from .errors import TaxonMismatchError
 from .restrict import inorder, sweep
+from .tree import check_same_leaf_taxa
 from . import _kernels
 
 # Ids per chunk handed to a sink: 4,096 triples, as in _fast.c.
@@ -88,12 +88,12 @@ class Instrumentation:
 def _split(s, o, x, y):
     """The leaves below x in s, in s's post-order, split into those whose
     taxon lies below y in o and the rest."""
-    o_post, o_leaf, s_taxon = o.post, o.leaf_of_taxon, s.taxon
+    o_leaf, s_taxon = o.leaf_of_taxon, s.taxon
     lo, hi = o.subtree_interval(y)
     com, unc = [], []
     base, end = s.subtree_leaf_slice(x)
     for leaf in s.leaves_post[base:end]:
-        if lo < o_post[o_leaf[s_taxon[leaf]]] <= hi:
+        if lo < o_leaf[s_taxon[leaf]] <= hi:
             com.append(leaf)
         else:
             unc.append(leaf)
@@ -169,7 +169,6 @@ def list_subtree_conflicts(out, t, idx, z, candidates, spill=None):
 
     tlca = idx.lca
     tdepth = t.depth
-    tpost = t.post
     ttaxon = t.taxon
 
     # T|Z in order, and lca(Z) as its shallowest node.
@@ -181,18 +180,16 @@ def list_subtree_conflicts(out, t, idx, z, candidates, spill=None):
     lo, hi = t.subtree_interval(rz)
 
     # Insertion position of each candidate in Z (single merge; both
-    # sequences are post-ordered).
+    # sequences are post-ordered, that is ascending).
     ztax = [ttaxon[v] for v in z] if out is not None else None
-    zpost = [tpost[v] for v in z]
     emitted = 0
     pos = 0
 
     for c in candidates:
-        cp = tpost[c]
-        while pos < k and zpost[pos] < cp:
+        while pos < k and z[pos] < c:
             pos += 1
         work += 1
-        if not lo < cp <= hi:
+        if not lo < c <= hi:
             continue  # c attaches at or above lca(Z): provably no output
 
         # T|(Z + c): c is merged leaf pos, which replaces the LCA entry
@@ -285,8 +282,7 @@ def enumerate_conflicts(p, q, *, backend=None, collect=False, sink=None):
         raise ValueError("pass sink or collect=True, not both")
     if sink is not None and not callable(sink):
         raise TypeError("sink must be callable or None")
-    if p.taxa != q.taxa or p.leaf_of_taxon.keys() != q.leaf_of_taxon.keys():
-        raise TaxonMismatchError("trees do not carry the same leaf taxa")
+    check_same_leaf_taxa(p, q)
     name = _kernels.resolve(backend)
     if collect:
         flat = array("i")

@@ -7,8 +7,8 @@ L(P_u) = L(Q_v) then holds exactly when m(u) == v and the subtree leaf
 counts agree, because L(P_u) is always a subset of L(Q_{m(u)}).
 """
 
-from .errors import TaxonMismatchError
 from .lca import build_lca_index
+from .tree import check_same_leaf_taxa
 
 
 class LeafEquivalence:
@@ -28,10 +28,7 @@ def build_leaf_equivalence(p, q, idx_q=None):
     The two trees must carry the same leaf taxa (TaxonMismatchError
     otherwise); they may be restrictions to a common subset.
     """
-    if p.taxa != q.taxa:
-        raise TaxonMismatchError("trees were built over different taxon sets")
-    if p.n_leaves != q.n_leaves or p.leaf_of_taxon.keys() != q.leaf_of_taxon.keys():
-        raise TaxonMismatchError("trees do not carry the same leaf taxa")
+    check_same_leaf_taxa(p, q)
     if idx_q is None:
         idx_q = build_lca_index(q)
 
@@ -40,7 +37,7 @@ def build_leaf_equivalence(p, q, idx_q=None):
     q_leaf = q.leaf_of_taxon
     qlca = idx_q.lca
     m = [-1] * p.n_nodes
-    for v in p.postorder:
+    for v in range(p.n_nodes):  # children first
         if left[v] < 0:
             m[v] = q_leaf[taxon[v]]
         else:

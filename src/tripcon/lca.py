@@ -1,11 +1,11 @@
 """Constant-time LCA queries from the tree's post-order.
 
-For nodes u != v with post[u] < post[v], every node at post-order
-positions [post[u], post[v]) lies below lca(u, v), and the shallowest of
+Node ids are post-order numbers (see :mod:`tripcon.tree`).  For nodes
+u < v, every node in [u, v) lies below lca(u, v), and the shallowest of
 them are children of lca(u, v) (the child on the path to u always is in
 the range).  So lca(u, v) is the parent of any shallowest node in that
-range, and the index answers it with one range minimum over the m depths
-in post-order.
+range, and the index answers it with one range minimum over the tree's
+m depths, ``tree.depth`` itself.
 
 The range minimum cuts the sequence into blocks of 64 positions.
 Position i keeps a bitmask of the positions j <= i in its block whose
@@ -74,28 +74,25 @@ class _Rmq:
 
 
 class LcaIndex:
-    """LCA-enabling index for one tree: range minimum over post-order depths.
+    """LCA-enabling index for one tree: range minimum over its depths.
 
-    ``tour`` is the tree's post-order node list, the sequence the range
-    minimum runs over (m entries).
+    ``tour`` is ``range(m)``, the node ids the range minimum runs over.
     """
 
-    __slots__ = ("tour", "_post", "_parent", "_rmq")
+    __slots__ = ("tour", "_parent", "_rmq")
 
     def __init__(self, tree):
-        self.tour = tree.postorder
-        self._post = tree.post
+        self.tour = range(tree.n_nodes)
         self._parent = tree.parent
-        self._rmq = _Rmq(list(map(tree.depth.__getitem__, tree.postorder)))
+        self._rmq = _Rmq(tree.depth)
 
     def lca(self, u, v):
         """The lowest common ancestor of nodes u and v.  O(1)."""
         if u == v:
             return u
-        lo, hi = self._post[u], self._post[v]
-        if lo > hi:
-            lo, hi = hi, lo
-        return self._parent[self.tour[self._rmq.argmin(lo, hi - 1)]]
+        if u > v:
+            u, v = v, u
+        return self._parent[self._rmq.argmin(u, v - 1)]
 
 
 def build_lca_index(t):

@@ -16,8 +16,9 @@ from itertools import combinations, compress
 from operator import add, itemgetter, mul, ne
 from typing import NamedTuple
 
-from .errors import NonDistinctTaxaError, TaxonMismatchError
+from .errors import NonDistinctTaxaError
 from .lca import build_lca_index
+from .tree import check_same_leaf_taxa
 
 
 class ResolutionKind(enum.IntEnum):
@@ -109,8 +110,7 @@ def triple_resolutions(t, idx=None):
 def enumerate_bruteforce(p, q):
     """All conflicts of (P, Q) as a set of ``(a, b, c)`` tuples of taxon
     ids, a < b < c, in Theta(n^3)."""
-    if p.taxa != q.taxa or p.leaf_of_taxon.keys() != q.leaf_of_taxon.keys():
-        raise TaxonMismatchError("trees do not carry the same leaf taxa")
+    check_same_leaf_taxa(p, q)
     differ = map(ne, triple_resolutions(p), triple_resolutions(q))
     return set(compress(combinations(sorted(p.leaf_of_taxon), 3), differ))
 
@@ -130,8 +130,7 @@ def triplet_distance(p, q):
     I(u, y) for every node y of Q; P is walked heavier child first, so at
     most log2(n) rows wait at a time.
     """
-    if p.taxa != q.taxa or p.leaf_of_taxon.keys() != q.leaf_of_taxon.keys():
-        raise TaxonMismatchError("trees do not carry the same leaf taxa")
+    check_same_leaf_taxa(p, q)
     n = p.n_leaves
     if n < 3:
         return 0

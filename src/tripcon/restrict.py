@@ -8,7 +8,8 @@ the root.  :func:`sweep` builds it with one stack pass (all comparisons
 happen between nodes on one host root-to-leaf path, where depths are
 strictly increasing).  :func:`induced_subtree` runs it on Z, and
 ListSubtreeConflicts runs it on Z plus one candidate leaf.  Child order
-follows Z, so the result's leaf post-order is Z itself.
+follows Z, so the result's leaf post-order is Z itself.  Finalizing
+renumbers the in-order result in post-order (see :func:`induced_subtree`).
 """
 
 from .errors import EmptySubsetError, UnorderedInputError
@@ -63,26 +64,27 @@ def sweep(depth):
 
 
 def induced_subtree(t, idx, z):
-    """Restrict ``t`` to the leaves ``z`` (node ids in t's post-order).
+    """Restrict ``t`` to the leaves ``z`` (node ids, ascending).
 
     Returns a standalone :class:`Tree` on the leaf subset whose node v
-    contracts to host node ``inorder(idx, z)[v]``; leaves keep their
-    original taxon ids.
+    contracts to host node ``inorder(idx, z)[j]``, j being v's in-order
+    position: ``2 * leaf_base[v]`` for a leaf and
+    ``2 * (leaf_base[v] + leaf_count[left[v]]) - 1`` for an internal
+    node.  Leaves keep their original taxon ids.
     Requires ``idx`` to be an LCA index for ``t``.  Raises EmptySubsetError
     for empty ``z`` and UnorderedInputError if ``z`` is not strictly
     increasing in post-order or contains a non-leaf.
     """
     if not z:
         raise EmptySubsetError("cannot restrict to zero leaves")
-    post = t.post
     tleft = t.left
     prev = -1
     for v in z:
         if tleft[v] >= 0:
             raise UnorderedInputError(f"node {v} is not a leaf")
-        if post[v] <= prev:
+        if v <= prev:
             raise UnorderedInputError("leaves are not in strict post-order")
-        prev = post[v]
+        prev = v
 
     origin = inorder(idx, z)
     root, left, right, _, _, _ = sweep(list(map(t.depth.__getitem__, origin)))

@@ -1,30 +1,30 @@
 """Arena-backed rooted binary trees with dense integer leaf labels.
 
-A tree is a set of flat, parallel lists indexed by integer node id; node
-ids are arbitrary but stable, and trees are immutable once built.  The
-post-order numbering gives every subtree a contiguous interval, which is
-what makes ancestry testing O(1) and per-subtree leaf traversal a plain
-slice.
+A tree is a set of flat, parallel lists indexed by integer node id, and
+trees are immutable once built.  A node's id is its post-order number
+(left child first): children come before their parent, the root is
+n_nodes - 1, and the subtree of v is the ids (v - 2 * leaf_count[v] + 1,
+v].  That interval is what makes ancestry testing O(1) and per-subtree
+leaf traversal a plain slice.  The builders may number their arenas in
+any order; finalizing renumbers them.
 
 Arrays (all ``list[int]``, length ``n_nodes``)
 ----------------------------------------------
 parent       parent id; -1 for the root
 left, right  child ids; -1 for leaves (a node has either 0 or 2 children)
 taxon        dense taxon id on leaves; -1 on internal nodes
-post         post-order number in 0..n_nodes-1
 leaf_count   number of leaves in the subtree
 leaf_base    rank (into ``leaves_post``) of the first leaf of the subtree
 depth        edge distance from the root
 
 Derived sequences
 -----------------
-postorder    node ids sorted by post-order number (bottom-up pass order)
-leaves_post  leaf node ids in post-order
+leaves_post  leaf node ids in post-order, that is ascending
 leaf_of_taxon  dict taxon id -> leaf node id (only taxa present in the tree)
 
 A tree built over a :class:`TaxonSet` normally carries every taxon exactly
 once (``build_tree`` enforces the bijection); trees produced by subtree
-restriction carry a subset of the universe, with the original ids.
+restriction carry a subset of the universe, with the original taxon ids.
 """
 
 from .errors import (
@@ -93,11 +93,9 @@ class Tree:
         "left",
         "right",
         "taxon",
-        "post",
         "leaf_count",
         "leaf_base",
         "depth",
-        "postorder",
         "leaves_post",
         "leaf_of_taxon",
     )
@@ -120,9 +118,8 @@ class Tree:
         return (self.left[v], self.right[v])
 
     def subtree_interval(self, v):
-        """Half-open post-order interval (lo, hi] covering v's subtree."""
-        hi = self.post[v]
-        return hi - (2 * self.leaf_count[v] - 1), hi
+        """Half-open id interval (lo, hi] covering v's subtree."""
+        return v - (2 * self.leaf_count[v] - 1), v
 
     def subtree_leaf_slice(self, v):
         """Range of ranks into ``leaves_post`` for the leaves below v."""
@@ -134,11 +131,14 @@ class Tree:
 
     @classmethod
     def _from_structure(cls, left, right, taxon, root, taxa, full=True):
-        """Finalize a tree from raw child arrays (single iterative pass).
+        """Finalize a tree from raw child arrays in any node numbering.
 
-        Validates shape (0-or-2 children, all nodes reachable exactly once,
-        distinct taxa) and computes every derived array.  With ``full``,
-        additionally require the leaf taxa to be a bijection with ``taxa``.
+        One iterative pass numbers the nodes in the order the traversal
+        completes them, validates shape (0-or-2 children, all nodes
+        reachable exactly once, distinct taxa; errors name the input's
+        ids) and computes every derived array.  With ``full``,
+        additionally require the leaf taxa to be a bijection with
+        ``taxa``.
         """
         m = len(left)
         if m == 0:
@@ -146,36 +146,42 @@ class Tree:
         if not (len(right) == len(taxon) == m) or not 0 <= root < m:
             raise ValueError("malformed arena")
 
-        t = object.__new__(cls)
-        t.taxa = taxa
-        t.root = root
-        t.left = left
-        t.right = right
-        t.taxon = taxon
-
-        parent = [-2] * m
-        parent[root] = -1
-        post = [0] * m
-        leaf_count = [0] * m
+        seen = bytearray(m)  # by input id
+        new_left = [-1] * m
+        new_right = [-1] * m
+        new_taxon = [-1] * m
+        parent = [-1] * m
+        leaf_count = [1] * m
         leaf_base = [0] * m
         depth = [0] * m
-        postorder = []
         leaves_post = []
         leaf_of_taxon = {}
 
-        stack = [(root, False)]
+        k = 0  # the next number
+        d = 0  # depth of the next node entered
+        stack = [root]  # input ids to enter, -1 to complete an internal node
         while stack:
-            v, done = stack.pop()
-            if done:
-                lc, rc = left[v], right[v]
-                leaf_count[v] = leaf_count[lc] + leaf_count[rc]
-                post[v] = len(postorder)
-                postorder.append(v)
+            v = stack.pop()
+            if v < 0:
+                # its right subtree was numbered just before it, and its
+                # left one right before that
+                rc = k - 1
+                lc = k - 2 * leaf_count[rc]
+                new_left[k] = lc
+                new_right[k] = rc
+                parent[lc] = parent[rc] = k
+                leaf_count[k] = leaf_count[lc] + leaf_count[rc]
+                leaf_base[k] = leaf_base[lc]
+                d -= 1
+                depth[k] = d
+                k += 1
                 continue
-            lc, rc = left[v], right[v]
-            leaf_base[v] = len(leaves_post)
+            if seen[v]:
+                raise ValueError(f"arena is not a tree (node {v} is reached twice)")
+            seen[v] = 1
+            lc = left[v]
             if lc < 0:
-                if rc >= 0:
+                if right[v] >= 0:
                     raise NonBinaryError(f"node {v} has exactly one child")
                 tx = taxon[v]
                 if tx < 0:
@@ -184,25 +190,22 @@ class Tree:
                     raise DuplicateLabelError(
                         f"taxon {taxa.name_of(tx)!r} appears on two leaves"
                     )
-                leaf_of_taxon[tx] = v
-                leaf_count[v] = 1
-                post[v] = len(postorder)
-                postorder.append(v)
-                leaves_post.append(v)
+                leaf_of_taxon[tx] = k
+                new_taxon[k] = tx
+                leaf_base[k] = len(leaves_post)
+                leaves_post.append(k)
+                depth[k] = d
+                k += 1
                 continue
+            rc = right[v]
             if rc < 0:
                 raise NonBinaryError(f"node {v} has exactly one child")
             if taxon[v] >= 0:
                 raise ValueError(f"internal node {v} carries a taxon id")
-            if parent[lc] != -2 or parent[rc] != -2:
-                raise ValueError("arena is not a tree (shared node)")
-            parent[lc] = parent[rc] = v
-            depth[lc] = depth[rc] = depth[v] + 1
-            stack.append((v, True))
-            stack.append((rc, False))
-            stack.append((lc, False))
+            stack += (-1, rc, lc)
+            d += 1
 
-        if len(postorder) != m:
+        if k != m:
             raise ValueError("arena is not a tree (unreachable nodes)")
 
         if full and len(leaves_post) != len(taxa):
@@ -213,12 +216,16 @@ class Tree:
             if not 0 <= tx < len(taxa):
                 raise ValueError(f"taxon id {tx} outside the taxon set")
 
+        t = object.__new__(cls)
+        t.taxa = taxa
+        t.root = m - 1
+        t.left = new_left
+        t.right = new_right
+        t.taxon = new_taxon
         t.parent = parent
-        t.post = post
         t.leaf_count = leaf_count
         t.leaf_base = leaf_base
         t.depth = depth
-        t.postorder = postorder
         t.leaves_post = leaves_post
         t.leaf_of_taxon = leaf_of_taxon
         return t
@@ -295,4 +302,11 @@ def build_tree(topology, taxa=None):
 def is_ancestor(t, u, v):
     """True iff v lies in the subtree of u (u == v counts).  O(1)."""
     lo, hi = t.subtree_interval(u)
-    return lo < t.post[v] <= hi
+    return lo < v <= hi
+
+
+def check_same_leaf_taxa(p, q):
+    """Raise TaxonMismatchError unless p and q carry the same leaf taxa of
+    one taxon set."""
+    if p.taxa != q.taxa or p.leaf_of_taxon.keys() != q.leaf_of_taxon.keys():
+        raise TaxonMismatchError("trees do not carry the same leaf taxa")

@@ -2,9 +2,12 @@
 
 import pytest
 
+import math
+
 from tripcon import (
     SplitMix64,
     TaxonSet,
+    Tree,
     build_lca_index,
     build_tree,
     parse_newick,
@@ -90,7 +93,7 @@ def tree_shape(t, v=None, taxa=None):
     taxa = taxa if taxa is not None else t.taxa
     v = t.root if v is None else v
     out = {}
-    for node in t.postorder:
+    for node in range(t.n_nodes):  # children first
         if t.left[node] < 0:
             out[node] = taxa.name_of(t.taxon[node])
         else:
@@ -101,7 +104,7 @@ def tree_shape(t, v=None, taxa=None):
 def unordered_shape(t):
     """Canonical string with children sorted: order-insensitive identity."""
     out = {}
-    for node in t.postorder:
+    for node in range(t.n_nodes):  # children first
         if t.left[node] < 0:
             out[node] = f"L{t.taxon[node]}"
         else:
@@ -110,3 +113,68 @@ def unordered_shape(t):
                 a, b = b, a
             out[node] = f"({a},{b})"
     return out[t.root]
+
+
+def permutation(n, rng):
+    """A uniform random permutation of range(n) drawn from ``rng``."""
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def shuffled_arena(t, seed):
+    """``(left, right, taxon, root)`` of ``t`` with its node ids permuted
+    by a seeded shuffle, so that they are no longer in post-order."""
+    m = t.n_nodes
+    perm = permutation(m, SplitMix64(seed))
+    left, right, taxon = [-1] * m, [-1] * m, [-1] * m
+    for v in range(m):
+        if t.left[v] >= 0:
+            left[perm[v]] = perm[t.left[v]]
+            right[perm[v]] = perm[t.right[v]]
+        taxon[perm[v]] = t.taxon[v]
+    return left, right, taxon, perm[t.root]
+
+
+def caterpillar_from_order(order, taxa):
+    """The caterpillar (((order[0], order[1]), order[2]), ...) over taxon
+    ids, finalized from an arena that numbers the leaves first, the
+    internal nodes after them, and so not in post-order."""
+    n = len(order)
+    assert n >= 2
+    left = [-1] * n + [0] + list(range(n, 2 * n - 2))
+    right = [-1] * n + list(range(1, n))
+    taxon = list(order) + [-1] * (n - 1)
+    return Tree._from_structure(left, right, taxon, 2 * n - 2, taxa)
+
+
+def caterpillar_distance(sigma, tau):
+    """d for the caterpillars with leaf orders sigma and tau (deepest
+    first), in O(n log n).
+
+    A triple's outgroup in a caterpillar is its taxon that comes last in
+    the order, so a triple agrees exactly when the same taxon comes last
+    in both orders.  With m_x the number of taxa that come before x in
+    both orders, d = C(n, 3) - sum over x of C(m_x, 2); a Fenwick tree
+    over the positions in tau counts m_x while sigma is walked.
+    """
+    n = len(sigma)
+    at = [0] * n
+    for i, x in enumerate(tau):
+        at[x] = i
+    fenwick = [0] * (n + 1)
+    agree = 0
+    for x in sigma:
+        m = 0
+        j = at[x]
+        while j > 0:
+            m += fenwick[j]
+            j -= j & -j
+        agree += m * (m - 1) // 2
+        j = at[x] + 1
+        while j <= n:
+            fenwick[j] += 1
+            j += j & -j
+    return math.comb(n, 3) - agree

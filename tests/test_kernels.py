@@ -19,7 +19,11 @@ import sysconfig
 import pytest
 
 import tripcon
+from tripcon import SplitMix64
 from tripcon._kernels import available_backends, fast_module
+from tripcon.generator import SHAPES, GeneratorConfig, generate_pair
+
+from conftest import shuffled_arena
 
 CC = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
 EXT_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")
@@ -167,6 +171,34 @@ def test_kernel_rejects_malformed_arrays():
     with pytest.raises(TypeError):
         run(*CHERRY, *CHERRY, 2, 5)  # a sink that is not callable
     assert run(*leaf, *leaf, 1)[:2] == (0, 1)
+    # errors name the caller's ids, not the post-order numbers (leaf 1)
+    with pytest.raises(ValueError, match="^leaf 2 has a repeated taxon$"):
+        run([1, -1, -1], [2, -1, -1], [-1, 0, 0], 0, *CHERRY, 2)
+    with pytest.raises(ValueError, match="^leaf 2 has no taxon$"):
+        run(*CHERRY, [1, -1, -1], [2, -1, -1], [-1, 0, -1], 0, 2)
+
+
+@pytest.mark.skipif("fast" not in available_backends(),
+                    reason="compiled kernel not built")
+def test_kernel_result_does_not_depend_on_the_input_numbering():
+    # finalized trees come in post-order, which the kernel's renumbering
+    # keeps; a shuffled numbering makes it reorder every node
+    run = fast_module().run_enumeration
+    rng = SplitMix64(0x5F1E)
+    for i in range(12):
+        n = 3 + rng.randrange(60)
+        p, q = generate_pair(GeneratorConfig(
+            n=n, seed=rng.next_u64(), k=rng.randrange(n + 1),
+            shape=SHAPES[i % len(SHAPES)]))
+        want, got = [], []
+        d, frames, work, violations, per_dr = run(
+            p.left, p.right, p.taxon, p.root,
+            q.left, q.right, q.taxon, q.root, n, want.extend)
+        out = run(*shuffled_arena(p, rng.next_u64()),
+                  *shuffled_arena(q, rng.next_u64()), n, got.extend)
+        assert out[:4] == (d, frames, work, violations)
+        assert out[4] == per_dr
+        assert got == want and len(want) == 3 * d
 
 
 SANITIZED = """
@@ -211,6 +243,11 @@ except KeyError:
     pass
 else:
     raise AssertionError("the sink's exception was lost")
+# the same pair in a shuffled numbering
+p, q = generate_pair(GeneratorConfig(n=80, seed=3, k=9))
+args = (p.left, p.right, p.taxon, p.root,
+        q.left, q.right, q.taxon, q.root, len(p.taxa))
+assert run(*{shuffled!r}) == run(*args)
 for args in {malformed!r}:
     try:
         run(*args)
@@ -242,7 +279,10 @@ def test_kernel_runs_clean_under_asan_and_ubsan(fresh_copy):
     env = {k: v for k, v in os.environ.items() if k != "TRIPCON_BACKEND"}
     env.update(PYTHONPATH=str(source.parents[2]), XDG_CACHE_HOME=str(cache),
                LD_PRELOAD=libasan, ASAN_OPTIONS="detect_leaks=0")
-    script = SANITIZED.format(built=str(built), malformed=MALFORMED)
+    p, q = generate_pair(GeneratorConfig(n=80, seed=3, k=9))
+    shuffled = shuffled_arena(p, 1) + shuffled_arena(q, 2) + (len(p.taxa),)
+    script = SANITIZED.format(built=str(built), malformed=MALFORMED,
+                              shuffled=shuffled)
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[-4000:]

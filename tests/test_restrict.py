@@ -19,6 +19,14 @@ from tripcon.restrict import inorder
 from conftest import tree_shape
 
 
+def _inorder_position(rt, v):
+    """The in-order position j of node v of an induced subtree, so that v
+    contracts to ``inorder(idx, z)[j]``."""
+    if rt.is_leaf(v):
+        return 2 * rt.leaf_base[v]
+    return 2 * (rt.leaf_base[v] + rt.leaf_count[rt.left[v]]) - 1
+
+
 def _leaves_of(t, names):
     wanted = {t.taxa.id_of(x) for x in names}
     return [v for v in t.leaves_post if t.taxon[v] in wanted]
@@ -71,10 +79,11 @@ def test_node_count_and_origin_ancestry():
         assert new.n_nodes == 2 * len(z) - 1
         assert [new.taxon[v] for v in new.leaves_post] == [t.taxon[v] for v in z]
         # ancestry agrees with origin images
+        image = [origin[_inorder_position(new, v)] for v in range(new.n_nodes)]
         for u in range(new.n_nodes):
             for v in range(new.n_nodes):
                 assert is_ancestor(new, u, v) == is_ancestor(
-                    t, origin[u], origin[v]
+                    t, image[u], image[v]
                 )
 
 
@@ -85,16 +94,19 @@ def test_internal_origins_are_consecutive_lcas():
     rt = induced_subtree(t, idx, z)
     origin = inorder(idx, z)
     expected = {idx.lca(z[i - 1], z[i]) for i in range(1, len(z))}
-    got = {origin[v] for v in range(rt.n_nodes) if not rt.is_leaf(v)}
+    got = {origin[_inorder_position(rt, v)]
+           for v in range(rt.n_nodes) if not rt.is_leaf(v)}
     assert got == expected
-    # numbered in order: leaf j is node 2j, lca(z[j - 1], z[j]) node 2j - 1
+    # in order, leaf j is at 2j and lca(z[j - 1], z[j]) at 2j - 1
+    at = {_inorder_position(rt, v): v for v in range(rt.n_nodes)}
+    assert sorted(at) == list(range(rt.n_nodes))
     for j in range(len(z)):
         assert origin[2 * j] == z[j]
-        assert rt.taxon[2 * j] == t.taxon[z[j]]
-        assert rt.leaves_post[j] == 2 * j
+        assert rt.taxon[at[2 * j]] == t.taxon[z[j]]
+        assert rt.leaves_post[j] == at[2 * j]
     for j in range(1, len(z)):
         assert origin[2 * j - 1] == idx.lca(z[j - 1], z[j])
-        assert not rt.is_leaf(2 * j - 1)
+        assert not rt.is_leaf(at[2 * j - 1])
 
 
 class _CountingIndex(LcaIndex):

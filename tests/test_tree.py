@@ -10,12 +10,22 @@ from tripcon import (
     NonBinaryError,
     SplitMix64,
     TaxonSet,
+    Tree,
+    build_lca_index,
     build_tree,
+    induced_subtree,
     is_ancestor,
+    parse_newick,
+    serialize_newick,
 )
-from tripcon.generator import GeneratorConfig, random_binary_tree
+from tripcon.generator import (
+    SHAPES,
+    GeneratorConfig,
+    perturb_leaf_swaps,
+    random_binary_tree,
+)
 
-from conftest import naive_lca
+from conftest import naive_lca, shuffled_arena
 
 
 def test_fig1_shape():
@@ -122,3 +132,59 @@ def test_leaf_counts_sum():
             )
     assert t.leaf_count[t.root] == 41
 
+
+
+def _descendants(t, v):
+    out, stack = set(), [v]
+    while stack:
+        x = stack.pop()
+        out.add(x)
+        if t.left[x] >= 0:
+            stack += (t.left[x], t.right[x])
+    return out
+
+
+def _assert_numbered_in_post_order(t):
+    m = t.n_nodes
+    assert t.root == m - 1
+    for v in range(m):
+        if t.left[v] >= 0:
+            assert t.left[v] < t.right[v] < v
+            assert t.parent[t.left[v]] == t.parent[t.right[v]] == v
+        lo, hi = t.subtree_interval(v)
+        assert (lo, hi) == (v - 2 * t.leaf_count[v] + 1, v)
+        assert set(range(lo + 1, hi + 1)) == _descendants(t, v)
+
+
+def _built_by_every_builder():
+    base = random_binary_tree(GeneratorConfig(n=37, seed=12))
+    built = {
+        "parse_newick": parse_newick(serialize_newick(base))[0],
+        "build_tree": build_tree(((("a", "b"), "c"), ("d", ("e", "f")))),
+        "perturb_leaf_swaps": perturb_leaf_swaps(base, 9, 3),
+        "induced_subtree": induced_subtree(base, build_lca_index(base),
+                                           base.leaves_post[1::2]),
+        "shuffled_arena": Tree._from_structure(*shuffled_arena(base, 5),
+                                               base.taxa),
+    }
+    for shape in SHAPES:
+        built[shape] = random_binary_tree(
+            GeneratorConfig(n=37, seed=12, shape=shape))
+    return [pytest.param(t, id=name) for name, t in built.items()]
+
+
+@pytest.mark.parametrize("t", _built_by_every_builder())
+def test_node_ids_are_post_order_numbers(t):
+    _assert_numbered_in_post_order(t)
+
+
+def test_shuffled_arena_finalizes_to_the_same_tree():
+    rng = SplitMix64(21)
+    for _ in range(10):
+        n = 1 + rng.randrange(40)
+        t = random_binary_tree(GeneratorConfig(n=n, seed=rng.next_u64()))
+        u = Tree._from_structure(*shuffled_arena(t, rng.next_u64()), t.taxa)
+        for field in ("root", "left", "right", "taxon", "parent",
+                      "leaf_count", "leaf_base", "depth", "leaves_post",
+                      "leaf_of_taxon"):
+            assert getattr(u, field) == getattr(t, field), field
