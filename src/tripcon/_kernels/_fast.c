@@ -931,18 +931,404 @@ done:
     return result;
 }
 
+/* ====================================================================== */
+/* Newick: one pass from text to the finalized arrays of tripcon.tree     */
+/* ====================================================================== */
+
+/* The parser completes nodes in post-order (a leaf when it is read, an
+   internal node at its ')'), which is the numbering of tripcon.tree, so
+   each node's row of NCOL ints is final when it is written; only parent
+   is filled in later, at the parent's ')'.  Row r also holds
+   leaves_post[r] in C_LEAF for r below the leaf count. */
+enum { C_LEFT, C_RIGHT, C_TAXON, C_PARENT, C_LC, C_LB, C_DEPTH, C_LEAF,
+       NCOL };
+
+/* Room for row or group number at; capacities double. */
+static int grow(int **buf, int *cap, int at, int width)
+{
+    int n = *cap ? *cap : 64;
+    int *p;
+
+    if (at < *cap)
+        return 0;
+    while (n <= at)
+        n *= 2;
+    p = realloc(*buf, (size_t)n * width * sizeof(int));
+    if (p == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    *buf = p;
+    *cap = n;
+    return 0;
+}
+
+/* The ASCII characters that re's \s matches. */
+static inline int is_space(Py_UCS4 c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r') || (c >= 0x1c && c <= 0x1f);
+}
+
+static inline int is_bare(Py_UCS4 c)
+{
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+           || (c >= '0' && c <= '9') || c == '_' || c == '.' || c == '|'
+           || c == '-';
+}
+
+static inline int is_number(Py_UCS4 c)
+{
+    return (c >= '0' && c <= '9') || c == '+' || c == '-' || c == '.'
+           || c == 'e' || c == 'E';
+}
+
+/* The position after the filler (whitespace and [...] comments) at i, or
+   -1 at an unterminated comment or at a character outside ASCII, which
+   re's \s and \d may match and which is left to the regex parser. */
+static Py_ssize_t skip_filler(int kind, const void *data, Py_ssize_t n,
+                              Py_ssize_t i)
+{
+    Py_UCS4 c;
+
+    for (; i < n; i++) {
+        c = PyUnicode_READ(kind, data, i);
+        if (c == '[') {
+            while (++i < n && PyUnicode_READ(kind, data, i) != ']')
+                ;
+            if (i == n)
+                return -1;
+        } else if (c >= 0x80) {
+            return -1;
+        } else if (!is_space(c)) {
+            break;
+        }
+    }
+    return i;
+}
+
+/* 1 if the n ASCII characters at i are a number float() accepts, else 0;
+   -1 with MemoryError set. */
+static int valid_length(int kind, const void *data, Py_ssize_t i,
+                        Py_ssize_t n)
+{
+    char small[64], *buf = small, *end;
+    Py_ssize_t j;
+    int ok;
+
+    if ((size_t)n >= sizeof small && (buf = PyMem_Malloc(n + 1)) == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (j = 0; j < n; j++)
+        buf[j] = (char)PyUnicode_READ(kind, data, i + j);
+    buf[n] = '\0';
+    PyOS_string_to_double(buf, &end, NULL);
+    ok = !PyErr_Occurred() && end == buf + n;
+    PyErr_Clear();
+    if (buf != small)
+        PyMem_Free(buf);
+    return ok;
+}
+
+/* The label text[s:e], with '' read as one quote when unescape is set. */
+static PyObject *label_of(PyObject *text, Py_ssize_t s, Py_ssize_t e,
+                          int unescape)
+{
+    PyObject *sub = PyUnicode_Substring(text, s, e), *one, *two, *out;
+
+    if (sub == NULL || !unescape)
+        return sub;
+    one = PyUnicode_FromString("'");
+    two = PyUnicode_FromString("''");
+    out = one && two ? PyUnicode_Replace(sub, two, one, -1) : NULL;
+    Py_XDECREF(one);
+    Py_XDECREF(two);
+    Py_DECREF(sub);
+    return out;
+}
+
+/* The taxon id of a new leaf's label: with index NULL the next id, which
+   interns the label into names and built; otherwise index[label], marked
+   in seen.  -1 for a duplicate or unknown label, -2 on an exception. */
+static int taxon_of(PyObject *label, PyObject *index, unsigned char *seen,
+                    PyObject *names, PyObject *built)
+{
+    PyObject *id, *got;
+    long t;
+    int fresh;
+
+    if (index == NULL) {
+        id = PyLong_FromSsize_t(PyList_GET_SIZE(names));
+        if (id == NULL)
+            return -2;
+        got = PyDict_SetDefault(built, label, id);
+        fresh = got == id;
+        Py_DECREF(id);
+        if (got == NULL || (fresh && PyList_Append(names, label) < 0))
+            return -2;
+        return fresh ? (int)PyList_GET_SIZE(names) - 1 : -1;
+    }
+    got = PyDict_GetItemWithError(index, label);
+    if (got == NULL)
+        return PyErr_Occurred() ? -2 : -1;
+    t = PyLong_AsLong(got);
+    if (t == -1 && PyErr_Occurred())
+        return -2;
+    if (t < 0 || t >= PyDict_GET_SIZE(index) || seen[t])
+        return -1;
+    seen[t] = 1;
+    return (int)t;
+}
+
+/* The ints of column col of the first n rows, as a list of new references
+   to ints[1 + value]. */
+static PyObject *column(PyObject *const *ints, const int *rows, int col,
+                        int n)
+{
+    PyObject *list = PyList_New(n);
+    int r;
+
+    for (r = 0; list != NULL && r < n; r++)
+        PyList_SET_ITEM(list, r, Py_NewRef(ints[1 + rows[r * NCOL + col]]));
+    return list;
+}
+
+/* The result tuple of parse_newick for a parsed tree of m nodes and nl
+   leaves; names and built are NULL when an index was given.  Every value
+   lies in [-1, m] (a leaf count reaches m in a one-node tree), so the
+   lists and the dict share one int object per value. */
+static PyObject *parse_result(const int *rows, int m, int nl,
+                              PyObject *names, PyObject *built)
+{
+    static const int cols[] = {C_LEFT, C_RIGHT, C_TAXON, C_PARENT, C_LC,
+                               C_LB, C_DEPTH};
+    PyObject *out, *lot, *v, **ints;
+    int i, r, leaf;
+
+    if ((ints = xmalloc(((size_t)m + 2) * sizeof *ints)) == NULL)
+        return NULL;
+    for (i = 0; i < m + 2; i++)
+        if ((ints[i] = PyLong_FromLong(i - 1)) == NULL)
+            break;
+    out = i == m + 2 ? PyTuple_New(11) : NULL;
+    if (out == NULL)
+        goto done;
+    for (r = 0; r < 7; r++) {
+        if ((v = column(ints, rows, cols[r], m)) == NULL)
+            goto fail;
+        PyTuple_SET_ITEM(out, r, v);
+    }
+    if ((v = column(ints, rows, C_LEAF, nl)) == NULL)
+        goto fail;
+    PyTuple_SET_ITEM(out, 7, v);
+    if ((lot = PyDict_New()) == NULL)
+        goto fail;
+    PyTuple_SET_ITEM(out, 8, lot);
+    for (r = 0; r < nl; r++) {
+        leaf = rows[r * NCOL + C_LEAF];
+        if (PyDict_SetItem(lot, ints[1 + rows[leaf * NCOL + C_TAXON]],
+                           ints[1 + leaf]) < 0)
+            goto fail;
+    }
+    if (names == NULL) {
+        PyTuple_SET_ITEM(out, 9, Py_NewRef(Py_None));
+        PyTuple_SET_ITEM(out, 10, Py_NewRef(Py_None));
+    } else if ((v = PyList_AsTuple(names)) == NULL) {
+        goto fail;
+    } else {
+        PyTuple_SET_ITEM(out, 9, v);
+        PyTuple_SET_ITEM(out, 10, Py_NewRef(built));
+    }
+    goto done;
+fail:
+    Py_CLEAR(out);
+done:
+    while (i > 0)
+        Py_DECREF(ints[--i]);
+    free(ints);
+    return out;
+}
+
+PyDoc_STRVAR(parse_newick_doc,
+"parse_newick(text, index)\n"
+"--\n"
+"\n"
+"Parse one Newick statement and finalize its tree in one pass.\n"
+"\n"
+"Follows the token grammar of ``tripcon.newick``.  Returns ``(left,\n"
+"right, taxon, parent, leaf_count, leaf_base, depth, leaves_post,\n"
+"leaf_of_taxon, names, index)``: the slots of ``tripcon.tree.Tree`` in\n"
+"post-order ids, and, when ``index`` is None, the names tuple and the\n"
+"index dict of a new TaxonSet in leaf order (both None otherwise).  With\n"
+"``index`` (a TaxonSet's label -> id dict), the leaves must carry its\n"
+"labels exactly once each.\n"
+"\n"
+"Returns None, and does nothing else, on any syntax, non-binary or\n"
+"empty-tree error, on a duplicate, unknown or missing label, and on any\n"
+"character outside ASCII that is not in a quoted label or a comment: the\n"
+"regex parser then reports the error or parses the text.");
+
+static PyObject *parse_newick(PyObject *module, PyObject *args)
+{
+    PyObject *text, *index, *label, *names = NULL, *built = NULL;
+    PyObject *result = NULL;
+    int *rows = NULL, cap = 0; /* see C_LEFT */
+    int *groups = NULL, gcap = 0; /* per open '(': its left child, or -1 */
+    unsigned char *seen = NULL;
+    const void *data;
+    int kind, m = 0, nl = 0, ng = 0, last = -1, length_ok = 0, esc, t, lc;
+    int *row;
+    Py_ssize_t n, i = 0, s = 0, e = 0;
+    Py_UCS4 c;
+
+    (void)module;
+    if (!PyArg_ParseTuple(args, "OO:parse_newick", &text, &index))
+        return NULL;
+    if (index != Py_None && !PyDict_Check(index)) {
+        PyErr_SetString(PyExc_TypeError, "index must be a dict or None");
+        return NULL;
+    }
+    /* node ids are ints, and there are at most as many nodes as characters */
+    if (!PyUnicode_Check(text) || PyUnicode_GET_LENGTH(text) > INT_MAX / NCOL)
+        Py_RETURN_NONE;
+#if PY_VERSION_HEX < 0x030C0000
+    if (PyUnicode_READY(text) < 0)
+        return NULL;
+#endif
+    kind = PyUnicode_KIND(text);
+    data = PyUnicode_DATA(text);
+    n = PyUnicode_GET_LENGTH(text);
+    if (index == Py_None) {
+        index = NULL;
+        if ((names = PyList_New(0)) == NULL || (built = PyDict_New()) == NULL)
+            goto done;
+    } else if ((seen = calloc(PyDict_GET_SIZE(index) + 1, 1)) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+
+    /* length_ok: the token before was a label or a ')', which a branch
+       length may follow */
+    for (;;) {
+        if ((i = skip_filler(kind, data, n, i)) < 0 || i == n)
+            goto reject;
+        c = PyUnicode_READ(kind, data, i);
+        if (last < 0 && c == '(') {
+            if (grow(&groups, &gcap, ng, 1) < 0)
+                goto done;
+            groups[ng++] = -1;
+            i++;
+        } else if (last < 0) { /* a leaf */
+            s = i;
+            esc = 0;
+            if (is_bare(c)) {
+                while (++i < n && is_bare(PyUnicode_READ(kind, data, i)))
+                    ;
+                e = i;
+            } else if (c == '\'') {
+                /* ends at the last quote of the first run of an odd
+                   number of quotes; each pair before it is one quote */
+                for (i = s + 1;; i += 2) {
+                    while (i < n && PyUnicode_READ(kind, data, i) != '\'')
+                        i++;
+                    if (i + 1 >= n || PyUnicode_READ(kind, data, i + 1) != '\'')
+                        break;
+                    esc = 1;
+                }
+                if (i >= n || i == s + 1)
+                    goto reject; /* unterminated or empty */
+                s++;
+                e = i++;
+            } else {
+                goto reject;
+            }
+            if ((label = label_of(text, s, e, esc)) == NULL)
+                goto done;
+            t = taxon_of(label, index, seen, names, built);
+            Py_DECREF(label);
+            if (t == -2 || grow(&rows, &cap, m, NCOL) < 0)
+                goto done;
+            if (t < 0)
+                goto reject;
+            row = rows + (size_t)m * NCOL;
+            row[C_LEFT] = row[C_RIGHT] = -1;
+            row[C_TAXON] = t;
+            row[C_LC] = 1;
+            row[C_LB] = nl;
+            row[C_DEPTH] = ng;
+            rows[(size_t)nl++ * NCOL + C_LEAF] = m;
+            last = m++;
+            length_ok = 1;
+        } else if (c == ',' && ng && groups[ng - 1] < 0) {
+            groups[ng - 1] = last;
+            last = -1;
+            i++;
+        } else if (c == ')' && ng && groups[ng - 1] >= 0) {
+            if (grow(&rows, &cap, m, NCOL) < 0)
+                goto done;
+            lc = groups[--ng];
+            row = rows + (size_t)m * NCOL;
+            row[C_LEFT] = lc;
+            row[C_RIGHT] = last;
+            row[C_TAXON] = -1;
+            rows[(size_t)lc * NCOL + C_PARENT] = m;
+            rows[(size_t)last * NCOL + C_PARENT] = m;
+            row[C_LC] = rows[(size_t)lc * NCOL + C_LC]
+                        + rows[(size_t)last * NCOL + C_LC];
+            row[C_LB] = rows[(size_t)lc * NCOL + C_LB];
+            row[C_DEPTH] = ng;
+            last = m++;
+            i++;
+            length_ok = 1;
+        } else if (c == ':' && length_ok) {
+            if ((i = skip_filler(kind, data, n, i + 1)) < 0)
+                goto reject;
+            for (s = i; i < n && is_number(PyUnicode_READ(kind, data, i)); i++)
+                ;
+            if (i == s || (t = valid_length(kind, data, s, i - s)) == 0)
+                goto reject;
+            if (t < 0)
+                goto done;
+            length_ok = 0;
+        } else if (c == ';' && !ng) {
+            break;
+        } else {
+            goto reject;
+        }
+    }
+    if (skip_filler(kind, data, n, i + 1) != n
+        || (index != NULL && nl != PyDict_GET_SIZE(index)))
+        goto reject;
+    rows[(size_t)(m - 1) * NCOL + C_PARENT] = -1;
+    result = parse_result(rows, m, nl, names, built);
+    goto done;
+reject:
+    result = Py_NewRef(Py_None);
+done:
+    free(rows);
+    free(groups);
+    free(seen);
+    Py_XDECREF(names);
+    Py_XDECREF(built);
+    return result;
+}
+
 static PyMethodDef fast_methods[] = {
     {"run_enumeration", (PyCFunction)(void (*)(void))run_enumeration,
      METH_VARARGS | METH_KEYWORDS, run_enumeration_doc},
+    {"parse_newick", parse_newick, METH_VARARGS, parse_newick_doc},
     {NULL, NULL, 0, NULL},
 };
 
 PyDoc_STRVAR(fast_doc,
-"Compiled enumeration kernel.\n"
+"Compiled enumeration kernel and Newick parser.\n"
 "\n"
-"Twin of ``tripcon._kernels.pure``: same recursion, same emission order,\n"
-"same work-counter arithmetic (the cross-backend tests pin all three).\n"
-"See ``tripcon.enumeration`` for the algorithm and counter contract.");
+"``run_enumeration`` is the twin of ``tripcon._kernels.pure``: same\n"
+"recursion, same emission order, same work-counter arithmetic (the\n"
+"cross-backend tests pin all three).  See ``tripcon.enumeration`` for\n"
+"the algorithm and counter contract.  ``parse_newick`` parses and\n"
+"finalizes a tree in one pass, and leaves every error to the regex\n"
+"parser of ``tripcon.newick``.");
 
 static struct PyModuleDef fast_module = {
     PyModuleDef_HEAD_INIT, "_fast", fast_doc, -1, fast_methods,

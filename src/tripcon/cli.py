@@ -31,7 +31,7 @@ from .generator import (
 )
 from .newick import parse_newick, serialize_newick
 from .oracle import enumerate_bruteforce
-from .tree import TaxonSet, Tree
+from .tree import TaxonSet
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -64,14 +64,12 @@ def _read(path):
 def _load_pair(path_p, path_q, label_order=False):
     """Parse both trees over one TaxonSet.  With ``label_order``, taxon
     ids are the ranks of the sorted labels, so that ids a < b < c are in
-    label order; P is then finalized a second time with the new ids."""
-    p, taxa = parse_newick(_read(path_p))
+    label order; P's text is then parsed a second time against them."""
+    text_p = _read(path_p)
+    p, taxa = parse_newick(text_p)
     if label_order:
-        first, taxa = taxa, TaxonSet(sorted(taxa.names))
-        rank = [taxa.index[name] for name in first.names]
-        p = Tree._from_structure(p.left, p.right,
-                                 [-1 if t < 0 else rank[t] for t in p.taxon],
-                                 p.root, taxa)
+        taxa = TaxonSet(sorted(taxa.names))
+        p, _ = parse_newick(text_p, taxa)
     q, _ = parse_newick(_read(path_q), taxa)
     return p, q, taxa
 

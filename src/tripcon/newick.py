@@ -23,6 +23,17 @@ such as ``(A)``, or with three or more, such as ``(A,B,C)``, raises
 NonBinaryError.  Internal node labels are rejected.  The parser and
 serializer are iterative, so arbitrarily deep (caterpillar) trees are
 fine.
+
+Two parsers
+-----------
+With the compiled module loaded, :func:`parse_newick` reads the text in
+one pass of ``_fast.parse_newick``, which also fills every slot of the
+finalized tree.  That pass gives up, and does nothing else, on any error
+and on any character outside ASCII that is not in a quoted label or a
+comment, since the regex classes for whitespace and digits match
+Unicode.  The regex loop of :func:`_parse` then raises the error with
+its position, or parses the text; it is also the only parser when the
+compiled module is absent.
 """
 
 import re
@@ -34,6 +45,7 @@ from .errors import (
     NonBinaryError,
     TaxonMismatchError,
 )
+from ._kernels import _fast
 from .tree import TaxonSet, Tree
 
 _FILLER = r"(?:\s|\[[^\]]*\])*"
@@ -121,6 +133,18 @@ def parse_newick(text, taxa=None):
     NonBinaryError; structural problems raise NewickSyntaxError with the
     offending position.
     """
+    if _fast is not None:
+        out = _fast.parse_newick(text, None if taxa is None else taxa.index)
+        if out is not None:
+            if taxa is None:
+                taxa = TaxonSet._of(out[9], out[10])
+            return Tree._from_arrays(taxa, *out[:9]), taxa
+    return _parse(text, taxa)
+
+
+def _parse(text, taxa=None):
+    """:func:`parse_newick` by the regex tokens: the reference parser, and
+    the one that reports every error."""
     left, right, taxon, labels = [], [], [], []
     groups = []  # [opening position, left child or -1] per open '('
     last = -1  # the subtree just completed, or -1 while one is wanted

@@ -52,6 +52,15 @@ class TaxonSet:
         self.names = names
         self.index = index
 
+    @classmethod
+    def _of(cls, names, index):
+        """The set of a names tuple and its label -> id dict, which the
+        caller has already checked."""
+        taxa = object.__new__(cls)
+        taxa.names = names
+        taxa.index = index
+        return taxa
+
     def __len__(self):
         return len(self.names)
 
@@ -134,11 +143,11 @@ class Tree:
         """Finalize a tree from raw child arrays in any node numbering.
 
         One iterative pass numbers the nodes in the order the traversal
-        completes them, validates shape (0-or-2 children, all nodes
-        reachable exactly once, distinct taxa; errors name the input's
-        ids) and computes every derived array.  With ``full``,
-        additionally require the leaf taxa to be a bijection with
-        ``taxa``.
+        completes them, validates shape (child ids in [-1, m), 0-or-2
+        children, all nodes reachable exactly once, distinct taxa; errors
+        name the input's ids) and computes every derived array.  With
+        ``full``, additionally require the leaf taxa to be a bijection
+        with ``taxa``.
         """
         m = len(left)
         if m == 0:
@@ -180,8 +189,12 @@ class Tree:
                 raise ValueError(f"arena is not a tree (node {v} is reached twice)")
             seen[v] = 1
             lc = left[v]
+            rc = right[v]
+            if not (-1 <= lc < m and -1 <= rc < m):
+                side, x = ("left", lc) if not -1 <= lc < m else ("right", rc)
+                raise ValueError(f"{side}[{v}] = {x} is out of range")
             if lc < 0:
-                if right[v] >= 0:
+                if rc >= 0:
                     raise NonBinaryError(f"node {v} has exactly one child")
                 tx = taxon[v]
                 if tx < 0:
@@ -197,7 +210,6 @@ class Tree:
                 depth[k] = d
                 k += 1
                 continue
-            rc = right[v]
             if rc < 0:
                 raise NonBinaryError(f"node {v} has exactly one child")
             if taxon[v] >= 0:
@@ -216,12 +228,21 @@ class Tree:
             if not 0 <= tx < len(taxa):
                 raise ValueError(f"taxon id {tx} outside the taxon set")
 
+        return cls._from_arrays(taxa, new_left, new_right, new_taxon, parent,
+                                leaf_count, leaf_base, depth, leaves_post,
+                                leaf_of_taxon)
+
+    @classmethod
+    def _from_arrays(cls, taxa, left, right, taxon, parent, leaf_count,
+                     leaf_base, depth, leaves_post, leaf_of_taxon):
+        """A tree of finalized arrays, ids already post-order numbers;
+        nothing is checked."""
         t = object.__new__(cls)
         t.taxa = taxa
-        t.root = m - 1
-        t.left = new_left
-        t.right = new_right
-        t.taxon = new_taxon
+        t.root = len(left) - 1
+        t.left = left
+        t.right = right
+        t.taxon = taxon
         t.parent = parent
         t.leaf_count = leaf_count
         t.leaf_base = leaf_base

@@ -3,6 +3,7 @@
 import pytest
 
 import math
+import re
 
 from tripcon import (
     SplitMix64,
@@ -17,6 +18,10 @@ from tripcon.generator import GeneratorConfig, random_binary_tree
 
 FIG1_P = "((A,B),((C,D),E));"
 FIG1_Q = "((A,B),((D,E),C));"
+
+# Every slot of a Tree but its TaxonSet, for comparing parsers.
+TREE_SLOTS = ("root", "parent", "left", "right", "taxon", "leaf_count",
+              "leaf_base", "depth", "leaves_post", "leaf_of_taxon")
 
 
 @pytest.fixture(scope="session")
@@ -99,6 +104,45 @@ def tree_shape(t, v=None, taxa=None):
         else:
             out[node] = (out[t.left[node]], out[t.right[node]])
     return out[v]
+
+
+def decorated_newick(t, seed, names=None):
+    """Newick text of ``t`` with seeded filler (whitespace, ``\\x1c`` and
+    comments, some holding non-ASCII text) before its tokens, branch
+    lengths after some subtrees, and quoted labels, which every label
+    outside the bare alphabet needs; every parser reads it as ``t``.
+    ``names`` (by taxon id, default the tree's) may repeat a label."""
+    rng = SplitMix64(seed)
+    names = t.taxa.names if names is None else names
+    fillers = ["", "", " ", "\t\n", "\v", "\x1c", "\x1f", "[]", "[c]",
+               "[\u00fc (x, y)]"]
+    # the last is longer than the compiled parser's 64-byte number buffer
+    lengths = ["1", "1e5", ".5", "-2.5E-3", "+.5e-0", "1e-999", "9" * 70]
+
+    def pick(options):
+        return options[rng.randrange(len(options))]
+
+    def length():
+        return f":{pick(fillers)}{pick(lengths)}" if rng.randrange(2) else ""
+
+    out = []
+    stack = [t.root]
+    while stack:
+        v = stack.pop()
+        if v == ")":
+            out.append(pick(fillers) + ")" + length())
+        elif v == ",":
+            out.append(pick(fillers) + ",")
+        elif t.left[v] < 0:
+            name = names[t.taxon[v]]
+            if not re.fullmatch(r"[A-Za-z0-9_.|-]+", name) or rng.randrange(2):
+                name = "'" + name.replace("'", "''") + "'"
+            out.append(pick(fillers) + name + length())
+        else:
+            stack += (")", t.right[v], ",", t.left[v])
+            out.append(pick(fillers) + "(")
+    out.append(pick(fillers) + ";" + pick(fillers))
+    return "".join(out)
 
 
 def unordered_shape(t):

@@ -19,11 +19,17 @@ import sysconfig
 import pytest
 
 import tripcon
-from tripcon import SplitMix64
+from tripcon import SplitMix64, TaxonSet, Tree, TripconError
 from tripcon._kernels import available_backends, fast_module
-from tripcon.generator import SHAPES, GeneratorConfig, generate_pair
+from tripcon.generator import (
+    SHAPES,
+    GeneratorConfig,
+    generate_pair,
+    random_binary_tree,
+)
 
-from conftest import shuffled_arena
+from conftest import decorated_newick, shuffled_arena
+from test_newick import ERROR_TABLE
 
 CC = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
 EXT_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")
@@ -32,7 +38,8 @@ needs_compiler = pytest.mark.skipif(shutil.which(CC) is None,
 
 PROBE = """
 import tripcon
-from tripcon import _kernels, enumerate_conflicts, parse_newick
+from tripcon import _kernels, enumerate_conflicts, newick, parse_newick
+assert newick._fast is _kernels._fast
 print(tripcon.active_backend())
 print(_kernels._fast.__file__ if _kernels._fast else "-")
 p, taxa = parse_newick("((A,B),((C,D),E));")
@@ -137,6 +144,7 @@ BAD_TREES = [
     ([1, -1, -1], [2, -1], [-1, 0, 1], 0),      # lengths differ
     ([1, -1, -1], [2, -1, -1], [-1, 0, 1], 3),  # root out of range
     ([1, -1, -1], [7, -1, -1], [-1, 0, 1], 0),  # child out of range
+    ([1, -1, -1], [-5, -1, -1], [-1, 0, 1], 0),  # child below -1
     ([1, -1, -1], [2, -1, -1], [-1, 0, 2], 0),  # taxon out of range
     ([], [], [], 0),                            # empty
     ([0], [0], [-1], 0),                        # its own child
@@ -176,6 +184,20 @@ def test_kernel_rejects_malformed_arrays():
         run([1, -1, -1], [2, -1, -1], [-1, 0, 0], 0, *CHERRY, 2)
     with pytest.raises(ValueError, match="^leaf 2 has no taxon$"):
         run(*CHERRY, [1, -1, -1], [2, -1, -1], [-1, 0, -1], 0, 2)
+
+
+@pytest.mark.parametrize("bad", BAD_TREES)
+def test_both_finalizers_reject_malformed_arrays(bad):
+    with pytest.raises((ValueError, TripconError)) as python_error:
+        Tree._from_structure(*bad, TaxonSet(["a", "b"]))
+    if "fast" not in available_backends():
+        return
+    with pytest.raises(ValueError) as c_error:
+        fast_module().run_enumeration(*bad, *CHERRY, 2)
+    if "out of range" in str(python_error.value):
+        # a child id outside [-1, m), named alike by both
+        assert python_error.type is ValueError
+        assert str(python_error.value) == str(c_error.value)
 
 
 @pytest.mark.skipif("fast" not in available_backends(),
@@ -254,6 +276,30 @@ for args in {malformed!r}:
     except ValueError:
         continue
     raise AssertionError(args)
+
+# the Newick pass: every error, every prefix of a text with comments,
+# lengths and quoted labels, with and without an index, and an index
+# that lacks one label or holds one more
+from tripcon.newick import serialize_newick
+parse = _kernels._fast.parse_newick
+for text in {errors!r}:
+    assert parse(text, None) is None, text
+text = {mixed!r}
+full = parse(text, None)
+names, index = full[9], full[10]
+short = dict(index)
+del short[names[-1]]
+assert parse(text, short) is None
+assert parse(text, dict(index, extra=len(index))) is None
+assert parse(text, index)[:9] == full[:9]
+for k in range(len(text)):
+    for idx in (None, index):
+        out = parse(text[:k], idx)
+        assert out is None or out[:9] == full[:9], text[:k]
+# 10^5 open groups grow the group stack
+n = 100_000
+out = parse(serialize_newick(caterpillar_tree(n)), None)
+assert len(out[0]) == 2 * n - 1 and max(out[6]) == n - 1
 print("ok")
 """
 
@@ -281,8 +327,12 @@ def test_kernel_runs_clean_under_asan_and_ubsan(fresh_copy):
                LD_PRELOAD=libasan, ASAN_OPTIONS="detect_leaks=0")
     p, q = generate_pair(GeneratorConfig(n=80, seed=3, k=9))
     shuffled = shuffled_arena(p, 1) + shuffled_arena(q, 2) + (len(p.taxa),)
+    names = [f"t{i}" if i % 3 else f"sp. {i}'s \u00e9" for i in range(200)]
+    mixed = decorated_newick(random_binary_tree(
+        GeneratorConfig(n=200, seed=5), TaxonSet(names)), 9)
     script = SANITIZED.format(built=str(built), malformed=MALFORMED,
-                              shuffled=shuffled)
+                              shuffled=shuffled, mixed=mixed,
+                              errors=[text for text, _, _ in ERROR_TABLE])
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[-4000:]

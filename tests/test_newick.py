@@ -1,4 +1,12 @@
-"""Newick parsing, serialization, and the round-trip property."""
+"""Newick parsing, serialization, and the round-trip property.
+
+Parser tests run each case through every parser in ``PARSERS``: the
+regex parser ``_parse`` alone, and ``parse_newick``, which reads the text
+in the compiled pass and falls back to the regex parser (when the
+compiled module is built).  A differential property checks that the two
+agree on every slot of the tree and the TaxonSet, or raise the same
+error.
+"""
 
 import pytest
 
@@ -10,24 +18,48 @@ from tripcon import (
     SplitMix64,
     TaxonMismatchError,
     TaxonSet,
+    TripconError,
+    newick,
     parse_newick,
     serialize_newick,
 )
-from tripcon.generator import GeneratorConfig, random_binary_tree
+from tripcon.generator import (
+    GeneratorConfig,
+    caterpillar_tree,
+    random_binary_tree,
+)
 
-from conftest import tree_shape
+from conftest import TREE_SLOTS, decorated_newick, tree_shape
+
+FAST = newick._fast
+needs_fast = pytest.mark.skipif(FAST is None,
+                                reason="compiled module not built")
+PARSERS = [newick._parse] + ([parse_newick] if FAST is not None else [])
+
+
+def outcome(parse, text, taxa=None):
+    """What ``parse`` makes of ``text``: ("ok", every Tree slot, names,
+    index), or ("error", type, message), the message with its position."""
+    try:
+        t, ts = parse(text, taxa)
+    except TripconError as exc:
+        return "error", type(exc), str(exc)
+    assert t.taxa is ts and (taxa is None or ts is taxa)
+    return "ok", tuple(getattr(t, s) for s in TREE_SLOTS), ts.names, ts.index
 
 
 def test_fig1_parse():
-    t, taxa = parse_newick("((A,B),((C,D),E));")
-    assert t.n_leaves == 5
-    assert tree_shape(t) == (("A", "B"), (("C", "D"), "E"))
+    for parse in PARSERS:
+        t, taxa = parse("((A,B),((C,D),E));")
+        assert t.n_leaves == 5
+        assert tree_shape(t) == (("A", "B"), (("C", "D"), "E"))
 
 
 def test_single_leaf():
-    t, taxa = parse_newick("A;")
-    assert t.n_nodes == 1
-    assert taxa.names == ("A",)
+    for parse in PARSERS:
+        t, taxa = parse("A;")
+        assert t.n_nodes == 1
+        assert taxa.names == ("A",)
 
 
 def test_unbalanced_is_syntax_error():
@@ -80,12 +112,15 @@ ERROR_TABLE = [
 
 @pytest.mark.parametrize("text, error, position", ERROR_TABLE)
 def test_error_table(text, error, position):
-    with pytest.raises(error) as info:
-        parse_newick(text)
-    if error is NewickSyntaxError:
-        assert info.value.position == position
-    else:
-        assert f"opened at position {position}" in str(info.value)
+    if FAST is not None:
+        assert FAST.parse_newick(text, None) is None
+    for parse in PARSERS:
+        with pytest.raises(error) as info:
+            parse(text)
+        if error is NewickSyntaxError:
+            assert info.value.position == position
+        else:
+            assert f"opened at position {position}" in str(info.value)
 
 
 def test_internal_label_rejected():
@@ -106,31 +141,46 @@ def test_empty_input():
 
 
 def test_branch_lengths_dropped():
-    t, taxa = parse_newick("((A:0.5,B:1e-3):2,(C:3,D:4):5);")
-    assert tree_shape(t) == (("A", "B"), ("C", "D"))
+    for parse in PARSERS:
+        t, taxa = parse("((A:0.5,B:1e-3):2,(C:3,D:4):5);")
+        assert tree_shape(t) == (("A", "B"), ("C", "D"))
+        t, taxa = parse("((A: 1E5,B:[c].5):-0,(C:+1.,D:1e-999):9e999);")
+        assert tree_shape(t) == (("A", "B"), ("C", "D"))
 
 
 def test_comments_and_whitespace():
-    t, _ = parse_newick(" ( (A , B) [note] , C ) ;\n")
-    assert tree_shape(t) == (("A", "B"), "C")
+    for parse in PARSERS:
+        t, _ = parse(" ( (A , B) [note] , C ) ;\n")
+        assert tree_shape(t) == (("A", "B"), "C")
+        # the ASCII characters that \s matches, and a comment with any text
+        t, _ = parse("\x1c(\x1d(A\x1e,\x1fB)\v,\f[ü(,)]C\r);\t")
+        assert tree_shape(t) == (("A", "B"), "C")
 
 
 def test_quoted_labels():
-    t, taxa = parse_newick("('sp. one','don''t');")
-    assert set(taxa.names) == {"sp. one", "don't"}
-    again, _ = parse_newick(serialize_newick(t))
-    assert set(again.taxa.names) == {"sp. one", "don't"}
+    for parse in PARSERS:
+        t, taxa = parse("('sp. one','don''t');")
+        assert set(taxa.names) == {"sp. one", "don't"}
+        again, _ = parse(serialize_newick(t))
+        assert set(again.taxa.names) == {"sp. one", "don't"}
+        t, taxa = parse("(('''','é [x]'),'a''''b');")
+        assert taxa.names == ("'", "é [x]", "a''b")
 
 
 def test_second_parse_shares_interner():
-    p, taxa = parse_newick("((A,B),C);")
-    q, taxa2 = parse_newick("(B,(A,C));", taxa)
-    assert taxa2 is taxa
-    assert q.taxa is taxa
-    with pytest.raises(TaxonMismatchError):
-        parse_newick("((A,B),D);", taxa)
-    with pytest.raises(TaxonMismatchError):
-        parse_newick("((A,B),(C,D));", taxa)
+    for parse in PARSERS:
+        p, taxa = parse("((A,B),C);")
+        q, taxa2 = parse("(B,(A,C));", taxa)
+        assert taxa2 is taxa
+        assert q.taxa is taxa
+        with pytest.raises(TaxonMismatchError):
+            parse("((A,B),D);", taxa)
+        with pytest.raises(TaxonMismatchError):
+            parse("((A,B),(C,D));", taxa)
+        with pytest.raises(TaxonMismatchError):
+            parse("(A,B);", taxa)
+        with pytest.raises(DuplicateLabelError):
+            parse("((A,B),A);", taxa)
 
 
 def test_serialize_examples():
@@ -154,12 +204,41 @@ def test_roundtrip_random_trees():
 
 
 def test_deep_caterpillar_no_recursion_limit():
-    from tripcon.generator import caterpillar_tree
-
     t = caterpillar_tree(5000)
     text = serialize_newick(t)
-    back, _ = parse_newick(text)
-    assert back.n_leaves == 5000
+    for parse in PARSERS:
+        back, _ = parse(text)
+        assert back.n_leaves == 5000
+
+
+@needs_fast
+def test_compiled_parse_of_a_deep_caterpillar():
+    # 10^5 open groups grow the compiled pass's group stack many times
+    n = 100_000
+    t = caterpillar_tree(n)
+    text = serialize_newick(t)
+    assert FAST.parse_newick(text, None) is not None
+    back, taxa = parse_newick(text)
+    for slot in TREE_SLOTS[:-1]:
+        if slot != "taxon":
+            assert getattr(back, slot) == getattr(t, slot), slot
+    assert ([taxa.name_of(back.taxon[v]) for v in back.leaves_post]
+            == [t.taxa.name_of(t.taxon[v]) for v in t.leaves_post])
+    assert max(back.depth) == n - 1
+
+
+# Filler, comments, lengths, quoted labels with quotes and non-ASCII
+# text, and a bare label with every bare punctuation character.
+MIXED = ("[head] ((A:1e5,'b''c ü'):.5, ( 'é d' [x, y]:2 ,"
+         "\x1cE_1.x|-) ) ;\n")
+
+
+@needs_fast
+def test_every_prefix_fails_alike():
+    assert outcome(parse_newick, MIXED)[0] == "ok"
+    for k in range(len(MIXED) + 1):
+        assert (outcome(parse_newick, MIXED[:k])
+                == outcome(newick._parse, MIXED[:k])), MIXED[:k]
 
 
 def test_roundtrip_arbitrary_labels():
@@ -176,8 +255,56 @@ def test_roundtrip_arbitrary_labels():
     def check(names, seed):
         taxa = TaxonSet(names)
         t = random_binary_tree(GeneratorConfig(n=len(names), seed=seed), taxa)
-        back, back_taxa = parse_newick(serialize_newick(t))
-        assert sorted(back_taxa.names) == sorted(names)
-        assert tree_shape(back) == tree_shape(t)
+        text = serialize_newick(t)
+        for parse in PARSERS:
+            back, back_taxa = parse(text)
+            assert sorted(back_taxa.names) == sorted(names)
+            assert tree_shape(back) == tree_shape(t)
+
+    check()
+
+
+@needs_fast
+def test_compiled_and_regex_parsers_agree():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    prefix = st.text(st.sampled_from(list("aZ_|'é (")), max_size=3)
+    # "\u0663" is an Arabic-Indic digit, which \d matches and float() reads
+    noise = st.sampled_from(list("(),;:'[]xé")
+                            + [",Z", "(Z)", "[c", ":1e", ":+.", ":\u0663",
+                               ":e5"])
+    unicode_space = st.sampled_from(["\xa0", "\x85", "\u2003", "\u3000"])
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(n=st.integers(1, 40), seed=st.integers(0, 2**64 - 1),
+                      data=st.data())
+    def check(n, seed, data):
+        # a binary tree with distinct labels, decorated, then at most one
+        # edit: 3 and 4 insert noise, 5 deletes a character, 6 repeats a
+        # label and 7 inserts a space outside ASCII
+        t = random_binary_tree(GeneratorConfig(n=n, seed=seed))
+        edit = data.draw(st.integers(0, 7))
+        names = [data.draw(prefix) + str(i) for i in range(n)]
+        if edit == 6 and n > 1:
+            names[1] = names[0]
+        text = decorated_newick(t, seed, names)
+        if edit in (3, 4, 5, 7):
+            at = data.draw(st.integers(0, len(text)))
+            new = {3: noise, 4: noise, 7: unicode_space}.get(edit)
+            text = (text[:at] + ("" if new is None else data.draw(new))
+                    + text[at + (edit == 5):])
+
+        # the labels as written, in label order, one short and one extra
+        names = list(dict.fromkeys(names))
+        for taxa in (None, TaxonSet(names), TaxonSet(sorted(names)),
+                     TaxonSet(names[:-1] or ["z"]), TaxonSet(names + ["zz"])):
+            want = outcome(newick._parse, text, taxa)
+            assert outcome(parse_newick, text, taxa) == want
+            raw = FAST.parse_newick(text, None if taxa is None else taxa.index)
+            if want[0] == "error":
+                assert raw is None
+            elif text.isascii():
+                assert raw is not None
 
     check()
