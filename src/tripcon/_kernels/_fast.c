@@ -40,6 +40,12 @@
  * ends the run through the error path, which releases every pending
  * frame and context.  Each frame's d_r is written once, into its slot of
  * the block, and the returned array('q') is built after the last frame.
+ * join_triples turns one such chunk (or a list of ids from the pure
+ * kernel or a sort) into the text of its lines for tripcon.cli's one
+ * chunk writer: a label per id from three tables of str, summed in one
+ * pass and copied into one new str in a second, widened where a label is
+ * of a narrower kind than the result.  It checks every id against its
+ * table, and tripcon.cli._join is its Python twin.
  *
  * Node ids and leaf counts are C ints; every count of triples, frames,
  * steps or violations (including each frame's d_r) is a long long.
@@ -1313,22 +1319,183 @@ done:
     return result;
 }
 
+/* ====================================================================== */
+/* Output: one chunk of flat taxon ids to the text of its lines           */
+/* ====================================================================== */
+
+PyDoc_STRVAR(join_triples_doc,
+"join_triples(ids, first, lead, mid, end)\n"
+"--\n"
+"\n"
+"The text of one chunk of flat taxon ids, three per triple.\n"
+"\n"
+"Id i of the chunk is written as ``(lead, mid, end)[i % 3][ids[i]]``,\n"
+"except that, when ``first`` is not None, the chunk starts with\n"
+"``first + mid[ids[0]]`` in place of ``lead[ids[0]]``.  ``ids`` is an\n"
+"array('i') or a sequence of ints, and the tables are lists of str.  An\n"
+"id outside its table raises IndexError.  The twin of\n"
+"``tripcon.cli._join``.");
+
+/* Copy s into out, a string of kind okind, at position at, widening it
+   when its kind is narrower; returns the position after it. */
+static Py_ssize_t put(void *out, int okind, Py_ssize_t at, PyObject *s)
+{
+    Py_ssize_t i, n = PyUnicode_GET_LENGTH(s);
+    int kind = PyUnicode_KIND(s);
+    const void *src = PyUnicode_DATA(s);
+
+    if (kind == okind)
+        memcpy((char *)out + at * okind, src, (size_t)n * kind);
+    else if (okind == PyUnicode_2BYTE_KIND)
+        for (i = 0; i < n; i++)
+            ((Py_UCS2 *)out)[at + i] = ((const Py_UCS1 *)src)[i];
+    else if (kind == PyUnicode_1BYTE_KIND)
+        for (i = 0; i < n; i++)
+            ((Py_UCS4 *)out)[at + i] = ((const Py_UCS1 *)src)[i];
+    else
+        for (i = 0; i < n; i++)
+            ((Py_UCS4 *)out)[at + i] = ((const Py_UCS2 *)src)[i];
+    return at + n;
+}
+
+/* Add the length and widest character of s, a str, to *len and *maxchar. */
+static int measure(PyObject *s, Py_ssize_t *len, Py_UCS4 *maxchar)
+{
+    Py_UCS4 c;
+
+    if (!PyUnicode_Check(s)) {
+        PyErr_Format(PyExc_TypeError, "labels must be str, not %.100s",
+                     Py_TYPE(s)->tp_name);
+        return -1;
+    }
+#if PY_VERSION_HEX < 0x030C0000
+    if (PyUnicode_READY(s) < 0)
+        return -1;
+#endif
+    if (PyUnicode_GET_LENGTH(s) > PY_SSIZE_T_MAX - *len) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    *len += PyUnicode_GET_LENGTH(s);
+    c = PyUnicode_MAX_CHAR_VALUE(s);
+    if (c > *maxchar)
+        *maxchar = c;
+    return 0;
+}
+
+/* Two passes over the chunk's pieces (first, then one label per id): the
+   first checks every id and sums the lengths and the widest kind, the
+   second copies into one new str of that kind.  The pieces are borrowed
+   from the tables, which cannot change: no Python code runs meanwhile. */
+static PyObject *join_triples(PyObject *module, PyObject *args)
+{
+    PyObject *ids, *first, *tab[3], *head, *seq = NULL, *result = NULL;
+    PyObject **pc = NULL;
+    Py_buffer view;
+    const int *id;
+    int *own = NULL, okind;
+    Py_ssize_t n, i, np = 0, len = 0, at = 0;
+    Py_UCS4 maxchar = 0x7f;
+    long v;
+    void *out;
+
+    (void)module;
+    view.obj = NULL;
+    if (!PyArg_ParseTuple(args, "OOO!O!O!:join_triples", &ids, &first,
+                          &PyList_Type, &tab[0], &PyList_Type, &tab[1],
+                          &PyList_Type, &tab[2]))
+        return NULL;
+    /* the compiled kernel's array('i') is read in place; any other
+       sequence of ints is copied */
+    if (PyObject_CheckBuffer(ids)) {
+        if (PyObject_GetBuffer(ids, &view,
+                               PyBUF_FORMAT | PyBUF_C_CONTIGUOUS) < 0)
+            return NULL;
+        if (view.itemsize != sizeof(int) || strcmp(view.format, "i") != 0)
+            PyBuffer_Release(&view);
+    }
+    if (view.obj != NULL) {
+        id = view.buf;
+        n = view.len / (Py_ssize_t)sizeof(int);
+    } else {
+        seq = PySequence_Fast(ids, "ids must be an array('i') or a sequence "
+                                   "of ints");
+        if (seq == NULL)
+            return NULL;
+        n = PySequence_Fast_GET_SIZE(seq);
+        if ((own = xmalloc((size_t)n * sizeof(int))) == NULL)
+            goto done;
+        for (i = 0; i < n; i++) {
+            v = PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, i));
+            if (v == -1 && PyErr_Occurred())
+                goto done;
+            if (v < 0 || v > INT_MAX) {
+                PyErr_Format(PyExc_IndexError,
+                             "ids[%zd] = %ld is out of range", i, v);
+                goto done;
+            }
+            own[i] = (int)v;
+        }
+        id = own;
+    }
+    if ((pc = xmalloc((size_t)(n + 1) * sizeof(PyObject *))) == NULL)
+        goto done;
+    /* after first, the first id is read from mid */
+    head = tab[0];
+    if (first != Py_None) {
+        if (n == 0) {
+            PyErr_SetString(PyExc_IndexError, "first needs an id after it");
+            goto done;
+        }
+        pc[np++] = first;
+        head = tab[1];
+    }
+    for (i = 0; i < n; i++) {
+        PyObject *t = i ? tab[i % 3] : head;
+
+        if ((size_t)(unsigned)id[i] >= (size_t)PyList_GET_SIZE(t)) {
+            PyErr_Format(PyExc_IndexError, "ids[%zd] = %d is out of range",
+                         i, id[i]);
+            goto done;
+        }
+        pc[np++] = PyList_GET_ITEM(t, id[i]);
+    }
+    for (i = 0; i < np; i++)
+        if (measure(pc[i], &len, &maxchar) < 0)
+            goto done;
+    if ((result = PyUnicode_New(len, maxchar)) == NULL)
+        goto done;
+    out = PyUnicode_DATA(result);
+    okind = PyUnicode_KIND(result);
+    for (i = 0; i < np; i++)
+        at = put(out, okind, at, pc[i]);
+done:
+    if (view.obj != NULL)
+        PyBuffer_Release(&view);
+    Py_XDECREF(seq);
+    free(own);
+    free(pc);
+    return result;
+}
+
 static PyMethodDef fast_methods[] = {
     {"run_enumeration", (PyCFunction)(void (*)(void))run_enumeration,
      METH_VARARGS | METH_KEYWORDS, run_enumeration_doc},
     {"parse_newick", parse_newick, METH_VARARGS, parse_newick_doc},
+    {"join_triples", join_triples, METH_VARARGS, join_triples_doc},
     {NULL, NULL, 0, NULL},
 };
 
 PyDoc_STRVAR(fast_doc,
-"Compiled enumeration kernel and Newick parser.\n"
+"Compiled enumeration kernel, Newick parser and chunk join.\n"
 "\n"
 "``run_enumeration`` is the twin of ``tripcon._kernels.pure``: same\n"
 "recursion, same emission order, same work-counter arithmetic (the\n"
 "cross-backend tests pin all three).  See ``tripcon.enumeration`` for\n"
 "the algorithm and counter contract.  ``parse_newick`` parses and\n"
 "finalizes a tree in one pass, and leaves every error to the regex\n"
-"parser of ``tripcon.newick``.");
+"parser of ``tripcon.newick``.  ``join_triples`` writes one chunk of\n"
+"ids as the text of its lines for ``tripcon.cli``.");
 
 static struct PyModuleDef fast_module = {
     PyModuleDef_HEAD_INIT, "_fast", fast_doc, -1, fast_methods,

@@ -2,6 +2,7 @@
 
 import pytest
 
+import json
 import math
 import re
 
@@ -222,3 +223,42 @@ def caterpillar_distance(sigma, tau):
             fenwick[j] += 1
             j += j & -j
     return math.comb(n, 3) - agree
+
+
+# Label tables of every str kind for the chunk joins of tripcon.cli:
+# ASCII (with characters JSON escapes), Latin-1, BMP, astral, and all mixed.
+JOIN_TABLES = {
+    "ascii": ["a", "t10", "sp. 1's", 'say "hi"', "back\\slash", "_"],
+    "latin1": ["\u00e9", "\u00df", "\u00f1u", "\u00c4", "x\u00a0y"],
+    "bmp": ["\u03a9", "\u65e5\u672c", "a\u2028b", "\uffff", "\u0133"],
+    "astral": ["\U0001d538", "\U0001f332", "a\U0001d539", "\U0010ffff"],
+}
+JOIN_TABLES["mixed"] = [x for table in JOIN_TABLES.values() for x in table]
+
+
+def join_cases(seed=0x70B):
+    """Argument tuples ``(ids, first, lead, mid, end)`` for the chunk joins
+    of tripcon.cli, ids as lists: each table of ``JOIN_TABLES`` in text and
+    in JSON framing (whose labels JSON escapes to ASCII), as a first chunk
+    and as a later one, for a full chunk of 4,096 triples and for one
+    triple.  The mixed table also gets a chunk of its ASCII labels only."""
+    rng = SplitMix64(seed)
+    cases = []
+    for kind, names in JOIN_TABLES.items():
+        quoted = [json.dumps(name) for name in names]
+        framings = [
+            ([x + "\t" for x in names], [x + "\n" for x in names], "", ""),
+            ([x + ", " for x in quoted], [x + "]" for x in quoted],
+             '{"n": 9, "conflicts": [[', ", ["),
+        ]
+        pools = [len(names)]
+        if kind == "mixed":
+            pools.append(len(JOIN_TABLES["ascii"]))
+        for mid, end, first, sep in framings:
+            lead = [sep + x for x in mid]
+            for pool in pools:
+                for size in (3 * 4096, 3):
+                    ids = [rng.randrange(pool) for _ in range(size)]
+                    for head in (first, None):
+                        cases.append((ids, head, lead, mid, end))
+    return cases

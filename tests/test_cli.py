@@ -9,6 +9,7 @@ import subprocess
 import sys
 import sysconfig
 import time
+from array import array
 
 import pytest
 
@@ -24,6 +25,14 @@ from tripcon import (
 from tripcon import cli
 from tripcon._kernels import available_backends
 from tripcon.generator import GeneratorConfig, generate_pair
+
+from conftest import join_cases
+
+# The chunk joins: the reference ``_join``, and the compiled twin that the
+# chunk writer calls whenever the compiled module is loaded.
+JOINS = [pytest.param(cli._join, id="python")]
+if cli._fast is not None:
+    JOINS.append(pytest.param(cli._fast.join_triples, id="compiled"))
 
 FIG1_P = "((A,B),((C,D),E));"
 FIG1_Q = "((A,B),((D,E),C));"
@@ -166,6 +175,85 @@ def test_conflicts_lines_in_label_order(tmp_path, capsys, seed):
                            "--sorted")
     assert code == 0
     assert json.loads(out)["conflicts"] == expected
+
+
+@pytest.mark.parametrize("join", JOINS)
+def test_chunk_joins_agree(join):
+    # each id is one piece, picked from lead, mid, end in turn; labels of
+    # every str kind, array('i') chunks from the compiled kernel and
+    # lists from the pure kernel and --sorted
+    for ids, first, lead, mid, end in join_cases():
+        pieces = [(lead, mid, end)[i % 3][x] for i, x in enumerate(ids)]
+        if first is not None:
+            pieces[0] = first + mid[ids[0]]
+        want = "".join(pieces)
+        for chunk in (ids, array("i", ids)):
+            got = join(chunk, first, lead, mid, end)
+            # equality does not see a str of ASCII flagged as Latin-1
+            assert got == want and got.isascii() == want.isascii()
+
+
+@pytest.mark.parametrize("join", JOINS)
+def test_chunk_joins_reject_ids_outside_the_table(join):
+    names = ["a", "\u00e9", "\U0001f332"]
+    mid = [x + "\t" for x in names]
+    end = [x + "\n" for x in names]
+    for at in range(6):
+        for bad in (-1, 3, -2 ** 31, 2 ** 31 - 1):
+            ids = [0, 1, 2, 2, 1, 0]
+            ids[at] = bad
+            for chunk in (ids, array("i", ids)):
+                for first in ("", None):
+                    with pytest.raises(IndexError):
+                        join(chunk, first, mid, mid, end)
+
+
+def test_conflicts_output_is_the_same_for_every_kernel_and_join(tmp_path,
+                                                                  capsys):
+    # labels of every str kind whose sorted order is not the parse order;
+    # in this process the compiled module (when built) joins for both
+    # kernels, and in a child under TRIPCON_BACKEND=pure the Python join
+    # serves the pure kernel
+    labels = ODD_LABELS + ["\U0001f332", "a\U0001d539"]
+    p, q = generate_pair(GeneratorConfig(n=len(labels), seed=5, k=6))
+    names = TaxonSet(labels)
+    paths = []
+    for tag, t in (("p", p), ("q", q)):
+        path = tmp_path / f"{tag}.nwk"
+        path.write_text(serialize_newick(t, names), encoding="utf-8")
+        paths.append(str(path))
+    _, taxa = parse_newick((tmp_path / "p.nwk").read_text(encoding="utf-8"))
+    assert list(taxa.names) != sorted(taxa.names)
+    runs = [["conflicts", *paths, "--format", fmt, *extra]
+            for fmt in ("text", "tsv", "json") for extra in ([], ["--sorted"])]
+    outputs = {}
+    for backend in ("fast", "pure"):
+        if backend in available_backends():
+            outputs[backend] = [run_cli(capsys, "--backend", backend, *argv)
+                                for argv in runs]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from tripcon import cli\n"
+        "assert cli._fast is None\n"
+        "outs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        outs.append([cli.main(argv), buf.getvalue(), ''])\n"
+        "print(json.dumps(outs))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(runs)],
+        env=dict(_cli_env(), TRIPCON_BACKEND="pure"), capture_output=True,
+        text=True, check=True)
+    outputs["python join"] = [tuple(x) for x in json.loads(proc.stdout)]
+    want = outputs.pop("pure")
+    assert all(code == 0 and out for code, out, _ in want)
+    assert json.loads(want[4][1])["d"] == want[0][1].count("\n") > 0
+    assert want[1][1] == "".join(sorted(want[0][1].splitlines(True)))
+    for got in outputs.values():
+        # JSON's stats name the kernel that ran
+        assert [(code, out.replace('"backend": "fast"', '"backend": "pure"'),
+                 err) for code, out, err in got] == want
 
 
 def test_byte_order_mark_is_ignored(tmp_path, capsys):

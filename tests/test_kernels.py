@@ -9,6 +9,7 @@ cache.
 """
 
 import hashlib
+import json
 import os
 import shlex
 import shutil
@@ -28,7 +29,7 @@ from tripcon.generator import (
     random_binary_tree,
 )
 
-from conftest import decorated_newick, shuffled_arena
+from conftest import decorated_newick, join_cases, shuffled_arena
 from test_newick import ERROR_TABLE
 
 CC = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
@@ -300,6 +301,38 @@ for k in range(len(text)):
 n = 100_000
 out = parse(serialize_newick(caterpillar_tree(n)), None)
 assert len(out[0]) == 2 * n - 1 and max(out[6]) == n - 1
+
+# the chunk join: every case of join_cases as a list and as array('i'),
+# against the Python join, then ids outside the table in every position
+# and pieces that are not str
+import json
+from array import array
+from tripcon.cli import _join
+join = _kernels._fast.join_triples
+with open({cases!r}, encoding="utf-8") as fh:
+    cases = json.load(fh)
+for ids, first, lead, mid, end in cases:
+    want = _join(ids, first, lead, mid, end)
+    for chunk in (ids, array("i", ids)):
+        got = join(chunk, first, lead, mid, end)
+        assert got == want and got.isascii() == want.isascii()
+astral = ["\U0001d538", "a\U0001f332", "\U0010ffff"]
+bad_calls = [([], "", astral, astral, astral),
+             ([0, 1, 2], None, astral, [b"x"] * 3, astral),
+             ([0, 1, "2"], None, astral, astral, astral)]
+for at in range(6):
+    for bad in (-1, 3, -2 ** 31, 2 ** 31 - 1):
+        ids = [0, 1, 2, 2, 1, 0]
+        ids[at] = bad
+        for chunk in (ids, array("i", ids)):
+            for first in ("", None):
+                bad_calls.append((chunk, first, astral, astral, astral))
+for args in bad_calls:
+    try:
+        join(*args)
+    except (IndexError, TypeError):
+        continue
+    raise AssertionError(args)
 print("ok")
 """
 
@@ -330,9 +363,12 @@ def test_kernel_runs_clean_under_asan_and_ubsan(fresh_copy):
     names = [f"t{i}" if i % 3 else f"sp. {i}'s \u00e9" for i in range(200)]
     mixed = decorated_newick(random_binary_tree(
         GeneratorConfig(n=200, seed=5), TaxonSet(names)), 9)
+    cases = source.parents[3] / "join_cases.json"
+    cases.write_text(json.dumps(join_cases()), encoding="utf-8")
     script = SANITIZED.format(built=str(built), malformed=MALFORMED,
                               shuffled=shuffled, mixed=mixed,
-                              errors=[text for text, _, _ in ERROR_TABLE])
+                              errors=[text for text, _, _ in ERROR_TABLE],
+                              cases=str(cases))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[-4000:]
