@@ -123,8 +123,3 @@ def resolve(name=None):
         return "pure"
     raise ValueError(f"unknown backend {req!r} (use auto, fast, or pure)")
 
-
-def fast_module():
-    if _fast is None:
-        raise _unavailable()
-    return _fast

@@ -24,11 +24,11 @@ with fewer leaves runs first (the u pair on a tie).  The larger pair
 waits, and keeps the context alive, only while strictly smaller contexts
 are built below the smaller one; that is what bounds counting memory by
 O(n).  Without a sink, triples are only counted.  With a sink, they are
-appended to one flat list as taxon ids a < b < c, the layout of the
-compiled kernel's ``array('i')``; the listing functions hand every whole
-``TRI_CHUNK`` of it to the sink after each inner loop, and the rest goes
-at the end, so the sink sees the compiled kernel's chunks.  An inner
-loop adds at most 3n ids, so streaming needs O(n + chunk) memory.
+appended to one flat list as taxon ids a < b < c; the listing functions
+hand every whole ``TRI_CHUNK`` of it to the sink after each inner loop,
+and the rest at the end, each as a fresh ``array('i')``, so the sink sees
+the compiled kernel's chunks.  An inner loop adds at most 3n ids, so
+streaming needs O(n + chunk) memory.
 
 See the work-counter contract in ``tripcon.enumeration``.
 """
@@ -40,8 +40,8 @@ def run_enumeration(p, q, sink=None):
     """Enumerate conflicts of (p, q); both are ``tripcon.tree.Tree``.
 
     Without ``sink``, triples are only counted, never materialized.  With
-    ``sink``, their ids go to ``sink`` in fresh lists of at most
-    ``TRI_CHUNK`` ids (see the module docstring); an exception from
+    ``sink``, their ids go to ``sink`` in fresh ``array('i')`` chunks of
+    at most ``TRI_CHUNK`` ids (see the module docstring); an exception from
     ``sink`` propagates.
     Returns ``(emitted, frames_opened, nodes_touched, budget_violations,
     per_frame_dr)``, per_frame_dr an ``array('q')``.
@@ -64,7 +64,7 @@ def run_enumeration(p, q, sink=None):
         nonlocal sent
         full = len(out) - len(out) % TRI_CHUNK
         for k in range(0, full, TRI_CHUNK):
-            sink(out[k:k + TRI_CHUNK])
+            sink(array("i", out[k:k + TRI_CHUNK]))
         del out[:full]
         sent += full
 
@@ -162,5 +162,5 @@ def run_enumeration(p, q, sink=None):
                           rp_new.root, rq_new.root))
 
     if out:
-        sink(out)
+        sink(array("i", out))
     return emitted, frames, work, violations, per_dr

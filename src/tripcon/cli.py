@@ -14,7 +14,8 @@ import json
 import os
 import sys
 import time
-from itertools import chain
+from array import array
+from itertools import accumulate, chain
 
 from ._kernels import _fast, resolve as resolve_backend
 from .enumeration import TRI_CHUNK, enumerate_conflicts
@@ -75,19 +76,17 @@ def _load_pair(path_p, path_q, label_order=False):
     return p, q, taxa
 
 
-def _join(ids, first, lead, mid, end):
-    """The text of one chunk of flat ids: id i is written as
-    ``(lead, mid, end)[i % 3][ids[i]]``, except that with ``first`` (not
-    None) the chunk starts with ``first + mid[ids[0]]``.  An id outside its
-    table raises IndexError.  ``_fast.join_triples`` is its compiled twin."""
+def _join(ids, lead, mid, end):
+    """The text of one chunk of flat ids: id k is written as
+    ``(lead, mid, end)[k % 3][ids[k]]``.  An id outside its table raises
+    IndexError.  ``_fast.join_triples`` is its compiled twin, over the
+    same tables packed by ``_chunk_writer``."""
     if ids and min(ids) < 0:
         raise IndexError(f"taxon id {min(ids)} is out of range")
     parts = [None] * len(ids)
     parts[0::3] = map(lead.__getitem__, ids[0::3])
     parts[1::3] = map(mid.__getitem__, ids[1::3])
     parts[2::3] = map(end.__getitem__, ids[2::3])
-    if first is not None:
-        parts[0] = first + mid[ids[0]]
     return "".join(parts)
 
 
@@ -96,16 +95,32 @@ def _chunk_writer(write, mid, end, first="", sep=""):
     ``mid[a] + mid[b] + end[c]``, after ``first`` for the first triple
     and after ``sep`` for every other one.
 
-    Each chunk is one ``write`` of one string.  The compiled
-    ``join_triples`` builds it whenever the compiled module is loaded,
-    whatever the kernel; ``_join`` does so without it."""
+    Each chunk, an ``array('i')``, is one ``write`` of one string, joined
+    over three tables that are built here only: ``sep + mid`` for the
+    first id of each triple, ``mid`` and ``end``.  The first chunk then
+    trades its leading ``sep`` for ``first``.  Whenever the compiled
+    module is loaded, whatever the kernel, the tables are packed once into
+    one str and its 3n + 1 offsets for ``_fast.join_triples``; without it,
+    ``_join`` reads them as lists."""
     lead = [sep + label for label in mid]
-    join = _join if _fast is None else _fast.join_triples
+    if _fast is None:
+        def join(ids):
+            return _join(ids, lead, mid, end)
+    else:
+        pieces = lead + mid + end
+        text = "".join(pieces)
+        offsets = array("q", accumulate(map(len, pieces), initial=0))
+
+        def join(ids):
+            return _fast.join_triples(ids, text, offsets)
 
     def sink(ids):
         nonlocal first
-        write(join(ids, first, lead, mid, end))
-        first = None
+        if first is None:
+            write(join(ids))
+        else:
+            write(first + join(ids)[len(sep):])
+            first = None
 
     return sink
 
@@ -161,7 +176,7 @@ def _cmd_conflicts(args):
         rows.sort()
         step = TRI_CHUNK // 3
         for k in range(0, len(rows), step):
-            sink(list(chain.from_iterable(rows[k:k + step])))
+            sink(array("i", chain.from_iterable(rows[k:k + step])))
     else:
         instr = enumerate_conflicts(p, q, backend=backend, sink=sink)
     if args.format == "json":

@@ -248,9 +248,8 @@ def enumerate_conflicts(p, q, *, backend=None, collect=False, sink=None):
     With ``sink``, the triples stream out while the run goes on:
     ``sink`` is called with chunks of flat taxon ids, three per triple
     and each triple a < b < c, and ``conflicts`` stays ``None``.  Each
-    chunk holds at most 4,096 triples, an ``array('i')`` from the
-    compiled kernel and a list from the pure one, with the same ids in
-    both; a chunk is never reused.  An exception raised by ``sink`` ends
+    chunk is a fresh ``array('i')`` of at most 4,096 triples, with the
+    same ids from either kernel.  An exception raised by ``sink`` ends
     the run and propagates.  With ``collect=True`` the chunks go to one
     ``array('i')`` instead, and the triples are stored on the returned
     :class:`Instrumentation` as ``conflicts``, a list of plain
@@ -288,8 +287,7 @@ def enumerate_conflicts(p, q, *, backend=None, collect=False, sink=None):
         flat = array("i")
         sink = flat.extend
     if name == "fast":
-        kern = _kernels.fast_module()
-        d, frames, work, violations, per_dr = kern.run_enumeration(
+        d, frames, work, violations, per_dr = _kernels._fast.run_enumeration(
             p.left, p.right, p.taxon, p.root,
             q.left, q.right, q.taxon, q.root,
             len(p.taxa), sink,

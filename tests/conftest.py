@@ -5,6 +5,8 @@ import pytest
 import json
 import math
 import re
+from array import array
+from itertools import accumulate
 
 from tripcon import (
     SplitMix64,
@@ -237,11 +239,12 @@ JOIN_TABLES["mixed"] = [x for table in JOIN_TABLES.values() for x in table]
 
 
 def join_cases(seed=0x70B):
-    """Argument tuples ``(ids, first, lead, mid, end)`` for the chunk joins
-    of tripcon.cli, ids as lists: each table of ``JOIN_TABLES`` in text and
-    in JSON framing (whose labels JSON escapes to ASCII), as a first chunk
-    and as a later one, for a full chunk of 4,096 triples and for one
-    triple.  The mixed table also gets a chunk of its ASCII labels only."""
+    """Chunk writer arguments ``(ids, mid, end, first, sep)`` for the
+    chunk joins of tripcon.cli, ids as lists: each table of
+    ``JOIN_TABLES`` in text and in JSON framing (whose labels JSON escapes
+    to ASCII), for a full chunk of 4,096 triples and for one triple.  The
+    mixed table also gets a chunk of its ASCII labels only.  The joins
+    read ``sep + mid`` as the table of each triple's first id."""
     rng = SplitMix64(seed)
     cases = []
     for kind, names in JOIN_TABLES.items():
@@ -255,10 +258,25 @@ def join_cases(seed=0x70B):
         if kind == "mixed":
             pools.append(len(JOIN_TABLES["ascii"]))
         for mid, end, first, sep in framings:
-            lead = [sep + x for x in mid]
             for pool in pools:
                 for size in (3 * 4096, 3):
                     ids = [rng.randrange(pool) for _ in range(size)]
-                    for head in (first, None):
-                        cases.append((ids, head, lead, mid, end))
+                    cases.append((ids, mid, end, first, sep))
     return cases
+
+
+def packed(lead, mid, end):
+    """The three label tables of a chunk join as ``_fast.join_triples``
+    reads them: one str of the 3n pieces and an array('q') of the 3n + 1
+    offsets that bound them."""
+    pieces = lead + mid + end
+    return "".join(pieces), array("q", accumulate(map(len, pieces), initial=0))
+
+
+# The label tables of one two-taxon chunk join, packed into 12 characters
+# cut at 0, 2, 4, ..., 12, and offsets that break them: (offset j, its new
+# value, a piece that it breaks).
+TWO_TAXA = (["a\t", "b\t"], ["a\t", "b\t"], ["a\n", "\U0001f332\n"])
+BAD_OFFSETS = [(1, 5, 1), (2, 1, 1), (0, -1, 0), (0, -2 ** 63, 0),
+               (6, 13, 5), (6, 14, 5), (5, 13, 4), (5, 13, 5),
+               (6, 2 ** 62, 5), (3, 2 ** 62, 2), (3, 2 ** 62, 3)]

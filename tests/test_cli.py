@@ -26,13 +26,18 @@ from tripcon import cli
 from tripcon._kernels import available_backends
 from tripcon.generator import GeneratorConfig, generate_pair
 
-from conftest import join_cases
+from conftest import BAD_OFFSETS, TWO_TAXA, join_cases, packed
 
-# The chunk joins: the reference ``_join``, and the compiled twin that the
-# chunk writer calls whenever the compiled module is loaded.
+# The chunk joins, both called as ``join(ids, lead, mid, end)``: the
+# reference ``_join``, and the compiled twin that the chunk writer calls,
+# over the packed tables, whenever the compiled module is loaded.
 JOINS = [pytest.param(cli._join, id="python")]
 if cli._fast is not None:
-    JOINS.append(pytest.param(cli._fast.join_triples, id="compiled"))
+    JOINS.append(pytest.param(
+        lambda ids, *tables: cli._fast.join_triples(ids, *packed(*tables)),
+        id="compiled"))
+needs_fast = pytest.mark.skipif(cli._fast is None,
+                                reason="compiled module not built")
 
 FIG1_P = "((A,B),((C,D),E));"
 FIG1_Q = "((A,B),((D,E),C));"
@@ -131,6 +136,38 @@ ODD_LABELS = ["t10", "t9", "T1", "a b", "x(y)", "it's", "b:c", "[x]", "z,1",
               "é", "Ω", "ß", "日本", "ñu", "Ä", "a", "aa", "Ab", "_", "'"]
 
 
+def test_sorted_chunks_are_fresh_int_arrays(tmp_path, capsys, monkeypatch,
+                                            backend):
+    # --sorted hands the one chunk writer the chunk type of the kernels
+    p, q = generate_pair(GeneratorConfig(n=60, seed=4, k=30))
+    paths = []
+    for tag, t in (("p", p), ("q", q)):
+        path = tmp_path / f"{tag}.nwk"
+        path.write_text(serialize_newick(t))
+        paths.append(str(path))
+    chunks = []
+    writer = cli._chunk_writer
+
+    def recording_writer(*args):
+        sink = writer(*args)
+
+        def record(ids):
+            chunks.append(ids)
+            sink(ids)
+
+        return record
+
+    monkeypatch.setattr(cli, "_chunk_writer", recording_writer)
+    code, out, _ = run_cli(capsys, "--backend", backend, "conflicts", *paths,
+                           "--sorted")
+    assert code == 0
+    assert len(chunks) >= 2
+    assert sum(map(len, chunks)) == 3 * out.count("\n")
+    assert all(type(chunk) is array and chunk.typecode == "i"
+               for chunk in chunks)
+    assert len({id(chunk) for chunk in chunks}) == len(chunks)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_conflicts_lines_in_label_order(tmp_path, capsys, seed):
     rng = SplitMix64(seed)
@@ -180,17 +217,13 @@ def test_conflicts_lines_in_label_order(tmp_path, capsys, seed):
 @pytest.mark.parametrize("join", JOINS)
 def test_chunk_joins_agree(join):
     # each id is one piece, picked from lead, mid, end in turn; labels of
-    # every str kind, array('i') chunks from the compiled kernel and
-    # lists from the pure kernel and --sorted
-    for ids, first, lead, mid, end in join_cases():
-        pieces = [(lead, mid, end)[i % 3][x] for i, x in enumerate(ids)]
-        if first is not None:
-            pieces[0] = first + mid[ids[0]]
-        want = "".join(pieces)
-        for chunk in (ids, array("i", ids)):
-            got = join(chunk, first, lead, mid, end)
-            # equality does not see a str of ASCII flagged as Latin-1
-            assert got == want and got.isascii() == want.isascii()
+    # every str kind
+    for ids, mid, end, _, sep in join_cases():
+        lead = [sep + x for x in mid]
+        want = "".join((lead, mid, end)[i % 3][x] for i, x in enumerate(ids))
+        got = join(array("i", ids), lead, mid, end)
+        # equality does not see a str of ASCII flagged as Latin-1
+        assert got == want and got.isascii() == want.isascii()
 
 
 @pytest.mark.parametrize("join", JOINS)
@@ -202,10 +235,62 @@ def test_chunk_joins_reject_ids_outside_the_table(join):
         for bad in (-1, 3, -2 ** 31, 2 ** 31 - 1):
             ids = [0, 1, 2, 2, 1, 0]
             ids[at] = bad
-            for chunk in (ids, array("i", ids)):
-                for first in ("", None):
-                    with pytest.raises(IndexError):
-                        join(chunk, first, mid, mid, end)
+            with pytest.raises(IndexError):
+                join(array("i", ids), mid, mid, end)
+
+
+@pytest.mark.parametrize("compiled", [False, True])
+def test_chunk_writer_frames_first_and_later_chunks(compiled, monkeypatch):
+    # the first chunk starts with ``first + mid[a]`` and every other
+    # triple with ``sep + mid[a]``, whichever join builds the lines
+    if compiled and cli._fast is None:
+        pytest.skip("compiled module not built")
+    if not compiled:
+        monkeypatch.setattr(cli, "_fast", None)
+    for ids, mid, end, first, sep in join_cases():
+        lead = [sep + x for x in mid]
+        pieces = [(lead, mid, end)[i % 3][x] for i, x in enumerate(ids)]
+        later = "".join(pieces)
+        pieces[0] = first + mid[ids[0]]
+        written = []
+        sink = cli._chunk_writer(written.append, mid, end, first, sep)
+        sink(array("i", ids))
+        sink(array("i", ids))
+        assert written == ["".join(pieces), later]
+        assert [x.isascii() for x in written] == [later.isascii()] * 2
+
+
+@needs_fast
+def test_compiled_join_checks_its_arguments():
+    join = cli._fast.join_triples
+    text, offsets = packed(*TWO_TAXA)
+    ids = array("i", [0, 1, 1])
+    assert join(ids, text, offsets) == "a\tb\t\U0001f332\n"
+    assert join(array("i"), text, offsets) == ""
+    # ids and offsets only as arrays of their typecode, text only as str
+    for bad in ([0, 1, 1], (0, 1, 1), array("l", ids), array("I", ids),
+                bytes(ids)):
+        with pytest.raises(TypeError):
+            join(bad, text, offsets)
+    for bad in (list(offsets), array("l", offsets), array("i", offsets)):
+        with pytest.raises(TypeError):
+            join(ids, text, bad)
+    with pytest.raises(TypeError):
+        join(ids, text.encode(), offsets)
+    # 3n + 1 offsets, n the table length
+    for bad in (offsets[:-1], offsets[:-2], offsets + array("q", [7]),
+                array("q")):
+        with pytest.raises(ValueError, match="3n"):
+            join(ids, text, bad)
+    # a piece that runs backwards, starts before text or ends past it;
+    # piece p is id p % 2 at position p // 2
+    for j, value, piece in BAD_OFFSETS:
+        bad = array("q", offsets)
+        bad[j] = value
+        chunk = array("i", [0, 0, 0])
+        chunk[piece // 2] = piece % 2
+        with pytest.raises(ValueError, match="piece"):
+            join(chunk, text, bad)
 
 
 def test_conflicts_output_is_the_same_for_every_kernel_and_join(tmp_path,

@@ -100,7 +100,7 @@ def _kernel_ids(p, q, backend):
     """The flat taxon ids the kernel hands to its sink."""
     ids = []
     if backend == "fast":
-        tripcon._kernels.fast_module().run_enumeration(
+        tripcon._kernels._fast.run_enumeration(
             p.left, p.right, p.taxon, p.root,
             q.left, q.right, q.taxon, q.root, len(p.taxa), ids.extend)
     else:
@@ -151,6 +151,9 @@ def test_sink_streams_the_collected_ids(fig1, backend, shape):
         # every chunk but the last is full, in both kernels
         assert all(len(chunk) == TRI_CHUNK for chunk in chunks[:-1])
         assert all(0 < len(chunk) <= TRI_CHUNK and len(chunk) % 3 == 0
+                   for chunk in chunks)
+        # one chunk type from both kernels, a fresh array('i') each time
+        assert all(type(chunk) is array and chunk.typecode == "i"
                    for chunk in chunks)
         assert len({id(chunk) for chunk in chunks}) == len(chunks)
         for instr in (want, plain):

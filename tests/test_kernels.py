@@ -21,7 +21,7 @@ import pytest
 
 import tripcon
 from tripcon import SplitMix64, TaxonSet, Tree, TripconError
-from tripcon._kernels import available_backends, fast_module
+from tripcon._kernels import _fast, available_backends
 from tripcon.generator import (
     SHAPES,
     GeneratorConfig,
@@ -29,7 +29,8 @@ from tripcon.generator import (
     random_binary_tree,
 )
 
-from conftest import decorated_newick, join_cases, shuffled_arena
+from conftest import (BAD_OFFSETS, TWO_TAXA, decorated_newick, join_cases,
+                      packed, shuffled_arena)
 from test_newick import ERROR_TABLE
 
 CC = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
@@ -169,7 +170,7 @@ MALFORMED = ([t + CHERRY + (2,) for t in BAD_TREES]
 @pytest.mark.skipif("fast" not in available_backends(),
                     reason="compiled kernel not built")
 def test_kernel_rejects_malformed_arrays():
-    run = fast_module().run_enumeration
+    run = _fast.run_enumeration
     leaf = ([-1], [-1], [0], 0)
     assert run(*CHERRY, *CHERRY, 2)[:2] == (0, 3)
     for args in MALFORMED:
@@ -194,7 +195,7 @@ def test_both_finalizers_reject_malformed_arrays(bad):
     if "fast" not in available_backends():
         return
     with pytest.raises(ValueError) as c_error:
-        fast_module().run_enumeration(*bad, *CHERRY, 2)
+        _fast.run_enumeration(*bad, *CHERRY, 2)
     if "out of range" in str(python_error.value):
         # a child id outside [-1, m), named alike by both
         assert python_error.type is ValueError
@@ -206,7 +207,7 @@ def test_both_finalizers_reject_malformed_arrays(bad):
 def test_kernel_result_does_not_depend_on_the_input_numbering():
     # finalized trees come in post-order, which the kernel's renumbering
     # keeps; a shuffled numbering makes it reorder every node
-    run = fast_module().run_enumeration
+    run = _fast.run_enumeration
     rng = SplitMix64(0x5F1E)
     for i in range(12):
         n = 3 + rng.randrange(60)
@@ -302,35 +303,53 @@ n = 100_000
 out = parse(serialize_newick(caterpillar_tree(n)), None)
 assert len(out[0]) == 2 * n - 1 and max(out[6]) == n - 1
 
-# the chunk join: every case of join_cases as a list and as array('i'),
-# against the Python join, then ids outside the table in every position
-# and pieces that are not str
+# the chunk join: every case of join_cases against the Python join, and
+# through the chunk writer as a first and a later chunk; then ids outside
+# the table in every position, arguments of the wrong type or length, and
+# offsets that break the piece of an id
 import json
 from array import array
+from tripcon import cli
 from tripcon.cli import _join
 join = _kernels._fast.join_triples
+assert cli._fast is _kernels._fast
 with open({cases!r}, encoding="utf-8") as fh:
     cases = json.load(fh)
-for ids, first, lead, mid, end in cases:
-    want = _join(ids, first, lead, mid, end)
-    for chunk in (ids, array("i", ids)):
-        got = join(chunk, first, lead, mid, end)
-        assert got == want and got.isascii() == want.isascii()
-astral = ["\U0001d538", "a\U0001f332", "\U0010ffff"]
-bad_calls = [([], "", astral, astral, astral),
-             ([0, 1, 2], None, astral, [b"x"] * 3, astral),
-             ([0, 1, "2"], None, astral, astral, astral)]
+for ids, mid, end, first, sep, text, offsets in cases:
+    lead = [sep + x for x in mid]
+    chunk = array("i", ids)
+    want = _join(chunk, lead, mid, end)
+    got = join(chunk, text, array("q", offsets))
+    assert got == want and got.isascii() == want.isascii()
+    written = []
+    sink = cli._chunk_writer(written.append, mid, end, first, sep)
+    sink(chunk)
+    sink(chunk)
+    assert written == [first + mid[ids[0]] + want[len(lead[ids[0]]):],
+                       want]
+    assert all(x.isascii() == want.isascii() for x in written)
+text, offsets = {two!r}
+offsets = array("q", offsets)
+ids = array("i", [0, 1, 1])
+bad_calls = [([0, 1, 1], text, offsets), (array("l", ids), text, offsets),
+             (ids, text.encode(), offsets), (ids, text, list(offsets)),
+             (ids, text, array("l", offsets)), (ids, text, offsets[:-1]),
+             (ids, text, offsets[:-2]), (ids, text, array("q"))]
 for at in range(6):
-    for bad in (-1, 3, -2 ** 31, 2 ** 31 - 1):
-        ids = [0, 1, 2, 2, 1, 0]
-        ids[at] = bad
-        for chunk in (ids, array("i", ids)):
-            for first in ("", None):
-                bad_calls.append((chunk, first, astral, astral, astral))
+    for bad in (-1, 2, -2 ** 31, 2 ** 31 - 1):
+        chunk = array("i", [0, 1, 1, 1, 1, 0])
+        chunk[at] = bad
+        bad_calls.append((chunk, text, offsets))
+for j, value, piece in {bad_offsets!r}:
+    bad = array("q", offsets)
+    bad[j] = value
+    chunk = array("i", [0, 0, 0])
+    chunk[piece // 2] = piece % 2
+    bad_calls.append((chunk, text, bad))
 for args in bad_calls:
     try:
         join(*args)
-    except (IndexError, TypeError):
+    except (IndexError, TypeError, ValueError):
         continue
     raise AssertionError(args)
 print("ok")
@@ -357,18 +376,27 @@ def test_kernel_runs_clean_under_asan_and_ubsan(fresh_copy):
 
     env = {k: v for k, v in os.environ.items() if k != "TRIPCON_BACKEND"}
     env.update(PYTHONPATH=str(source.parents[2]), XDG_CACHE_HOME=str(cache),
-               LD_PRELOAD=libasan, ASAN_OPTIONS="detect_leaks=0")
+               LD_PRELOAD=libasan, ASAN_OPTIONS="detect_leaks=0",
+               # objects from the system allocator, so that ASan sees a read
+               # past the buffer of a str or an array
+               PYTHONMALLOC="malloc")
     p, q = generate_pair(GeneratorConfig(n=80, seed=3, k=9))
     shuffled = shuffled_arena(p, 1) + shuffled_arena(q, 2) + (len(p.taxa),)
     names = [f"t{i}" if i % 3 else f"sp. {i}'s \u00e9" for i in range(200)]
     mixed = decorated_newick(random_binary_tree(
         GeneratorConfig(n=200, seed=5), TaxonSet(names)), 9)
     cases = source.parents[3] / "join_cases.json"
-    cases.write_text(json.dumps(join_cases()), encoding="utf-8")
+    rows = []
+    for ids, mid, end, first, sep in join_cases():
+        text, offsets = packed([sep + x for x in mid], mid, end)
+        rows.append((ids, mid, end, first, sep, text, offsets.tolist()))
+    cases.write_text(json.dumps(rows), encoding="utf-8")
+    two = packed(*TWO_TAXA)
     script = SANITIZED.format(built=str(built), malformed=MALFORMED,
                               shuffled=shuffled, mixed=mixed,
                               errors=[text for text, _, _ in ERROR_TABLE],
-                              cases=str(cases))
+                              cases=str(cases), bad_offsets=BAD_OFFSETS,
+                              two=(two[0], two[1].tolist()))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[-4000:]
