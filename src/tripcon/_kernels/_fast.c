@@ -6,9 +6,11 @@
  * per-tree structure lives in flat int arrays and is rebuilt here rather
  * than imported from the Python modules, so the hot path never leaves C.
  * As in tripcon.tree, a node's id is its post-order number: side_finish
- * numbers every tree it is given, the input lists in any numbering and
+ * numbers every tree it is given, the input arrays in any numbering and
  * each sweep's in-order output alike, so ancestry is an id interval and
- * an LCA one range minimum over the depths.
+ * an LCA one range minimum over the depths.  The inputs' left, right and
+ * taxon slots are array('i'), read in place through take_array, the one
+ * buffer reader, and released before the first frame.
  * See tripcon.enumeration for the algorithm and the counter contract.
  * As in the pure kernel, one routine serves each layer on both trees and
  * both sides: sweep() builds every induced subtree, a child pair's
@@ -75,6 +77,18 @@ static void *xmalloc(size_t n)
     if (p == NULL)
         PyErr_NoMemory();
     return p;
+}
+
+/* The buffer of obj, which must be an array of the given typecode. */
+static int take_array(PyObject *obj, const char *typecode, Py_buffer *view)
+{
+    if (PyObject_GetBuffer(obj, view, PyBUF_FORMAT | PyBUF_C_CONTIGUOUS) < 0)
+        return -1;
+    if (strcmp(view->format, typecode) == 0)
+        return 0;
+    PyBuffer_Release(view);
+    PyErr_Format(PyExc_TypeError, "expected an array('%s')", typecode);
+    return -1;
 }
 
 /* n ints at offset *used of base, which is NULL when only measuring. */
@@ -222,19 +236,22 @@ static inline int is_below(const Side *s, int anc, int node)
 /* Number the tree given by a source arena (left, right and taxon in any
    numbering, rooted at root) in post-order into s, derive the rest and
    build the range minimum, with stk (2m + 4 ints) as the traversal stack.
-   The traversal rejects a source that is not a full binary tree: a node
-   reached twice, a node with one child, or nodes the root does not reach.
-   With tleaf, a taxon -> leaf map holding -1 for every taxon not seen yet,
-   it also rejects a leaf without a taxon or with a repeated one, and fills
-   the map.  Errors name the source's ids.  Each node is entered once, so
-   the stack holds at most 2m + 1 items. */
+   As it enters each node, in the order of tripcon.tree's finalizer, the
+   traversal rejects a source that is not a full binary tree: a child id
+   outside [-1, m), a node reached twice, a node with one child, an
+   internal node with a taxon, or nodes the root does not reach.  With
+   tleaf, a map of the nt taxa to their leaves holding -1 for every taxon
+   not seen yet, it also rejects a leaf without a taxon, with one outside
+   [0, nt) or a repeated one, and fills the map.  Errors name the source's
+   ids.  Each node is entered once, so the stack holds at most 2m + 1. */
 static int side_finish(Side *s, const int *left, const int *right,
-                       const int *taxon, int root, int *stk, int *tleaf)
+                       const int *taxon, int root, int *stk, int *tleaf,
+                       int nt)
 {
     int m = s->m;
     int *seen = s->depth; /* by source id, until the depths are derived */
     int sp = 1, k = 0, nleaf = 0;
-    int v, l, r, t;
+    int v, l, r, t, x;
     const char *why;
 
     memset(seen, 0, (size_t)m * sizeof(int));
@@ -254,29 +271,33 @@ static int side_finish(Side *s, const int *left, const int *right,
             s->lb[k++] = s->lb[l];
             continue;
         }
-        why = seen[v] ? "is reached twice"
-              : (left[v] < 0) != (right[v] < 0) ? "has one child" : NULL;
+        l = left[v];
+        r = right[v];
+        t = taxon[v];
+        x = l < -1 || l >= m ? l : r < -1 || r >= m ? r : t; /* for why */
+        why = seen[v] ? "node %d is reached twice"
+              : l < -1 || l >= m ? "left[%d] = %d is out of range"
+              : r < -1 || r >= m ? "right[%d] = %d is out of range"
+              : (l < 0) != (r < 0) ? "node %d has one child"
+              : l >= 0 && t != -1 ? "internal node %d carries a taxon id"
+              : l >= 0 || tleaf == NULL ? NULL
+              : t < 0 ? "leaf %d has no taxon"
+              : t >= nt ? "taxon[%d] = %d is out of range"
+              : tleaf[t] >= 0 ? "leaf %d has a repeated taxon" : NULL;
         if (why != NULL) {
-            PyErr_Format(PyExc_ValueError, "node %d %s", v, why);
+            PyErr_Format(PyExc_ValueError, why, v, x);
             return -1;
         }
         seen[v] = 1;
-        if (left[v] >= 0) {
+        if (l >= 0) {
             stk[sp] = -1;
-            stk[sp + 1] = right[v];
-            stk[sp + 2] = left[v];
+            stk[sp + 1] = r;
+            stk[sp + 2] = l;
             sp += 3;
             continue;
         }
-        t = taxon[v];
-        if (tleaf != NULL) {
-            if (t < 0 || tleaf[t] >= 0) {
-                PyErr_Format(PyExc_ValueError, "leaf %d has %s taxon", v,
-                             t < 0 ? "no" : "a repeated");
-                return -1;
-            }
+        if (tleaf != NULL)
             tleaf[t] = k;
-        }
         s->left[k] = s->right[k] = -1;
         s->taxon[k] = t;
         s->lc[k] = 1;
@@ -298,9 +319,8 @@ static int side_finish(Side *s, const int *left, const int *right,
 
 /* Scratch of the induced-subtree sweep: its input dep and its output
    links and leaf ranges, each sized for the largest sweep of the run, and
-   a stack that side_finish reuses.  side_finish also reads its source
-   arenas from here: an input tree's lists in left, right and dep, or a
-   sweep's left and right with its taxon row in dep. */
+   a stack that side_finish reuses.  side_finish reads a sweep's left and
+   right from here, with its taxon row in dep. */
 typedef struct {
     int *dep, *left, *right, *par, *first, *last, *stk;
 } Sweep;
@@ -375,60 +395,25 @@ static int side_from_leaflist(Side *s, const Side *parent, const int *z,
     /* the depths are spent, so dep takes the in-order taxon row */
     for (v = 0; v < s->m; v++)
         sw->dep[v] = v & 1 ? -1 : parent->taxon[z[v >> 1]];
-    return side_finish(s, sw->left, sw->right, sw->dep, root, sw->stk, NULL);
+    return side_finish(s, sw->left, sw->right, sw->dep, root, sw->stk, NULL,
+                       0);
 }
 
-/* Copy a list of ints, each in [lo, hi), into out. */
-static int ints_from_list(int *out, PyObject *list, long lo, long hi,
-                          const char *what)
+/* The node count of a tree given as three arrays of ints; -1 if their
+   lengths or the root do not fit. */
+static int arena_size(const Py_buffer *arena, int root)
 {
-    Py_ssize_t i, n = PyList_GET_SIZE(list);
-    long v;
-
-    for (i = 0; i < n; i++) {
-        v = PyLong_AsLong(PyList_GET_ITEM(list, i));
-        if (v == -1 && PyErr_Occurred())
-            return -1;
-        if (v < lo || v >= hi) {
-            PyErr_Format(PyExc_ValueError, "%s[%zd] = %ld is out of range",
-                         what, i, v);
-            return -1;
-        }
-        out[i] = (int)v;
-    }
-    return 0;
-}
-
-/* The node count of a tree given as parallel lists; -1 if the lengths or
-   the root do not fit. */
-static int list_size(PyObject *left, PyObject *right, PyObject *taxon,
-                     int root)
-{
-    Py_ssize_t m = PyList_GET_SIZE(left);
+    Py_ssize_t m = arena[0].len / (Py_ssize_t)sizeof(int);
 
     /* side_finish's stack holds up to 2m + 1 items */
-    if (m < 1 || m > INT_MAX / 2 || PyList_GET_SIZE(right) != m
-        || PyList_GET_SIZE(taxon) != m || root < 0 || root >= m) {
+    if (m < 1 || m > INT_MAX / 2 || arena[1].len != arena[0].len
+        || arena[2].len != arena[0].len || root < 0 || root >= m) {
         PyErr_SetString(PyExc_ValueError,
                         "left, right and taxon must have one equal, non-zero "
                         "length and root must index into them");
         return -1;
     }
     return (int)m;
-}
-
-/* Fill s, laid out for the lists' length, from a tree given as parallel
-   lists in any numbering, and map each of its taxa to its leaf in tleaf.
-   Ids are range-checked and side_finish checks the shape and the taxa. */
-static int side_from_lists(Side *s, PyObject *left, PyObject *right,
-                           PyObject *taxon, int root, int universe,
-                           Sweep *sw, int *tleaf)
-{
-    if (ints_from_list(sw->left, left, -1, s->m, "left") < 0
-        || ints_from_list(sw->right, right, -1, s->m, "right") < 0
-        || ints_from_list(sw->dep, taxon, -1, universe, "taxon") < 0)
-        return -1;
-    return side_finish(s, sw->left, sw->right, sw->dep, root, sw->stk, tleaf);
 }
 
 static void write_scratch(const Side *s, int *scratch)
@@ -864,6 +849,10 @@ PyDoc_STRVAR(run_enumeration_doc,
 "\n"
 "Enumerate conflicts; same contract and output as the pure kernel.\n"
 "\n"
+"Each tree is given as three array('i') of one length in any node\n"
+"numbering (another type raises TypeError, a strided view BufferError)\n"
+"and its root.  They are released before the first frame.\n"
+"\n"
 "Returns ``(emitted, frames_opened, nodes_touched, budget_violations,\n"
 "per_frame_dr)``, per_frame_dr an array('q') built after the last frame\n"
 "from one d_r per frame opened, at most 2n - 1.  Without ``sink``, triples\n"
@@ -879,20 +868,19 @@ static PyObject *run_enumeration(PyObject *module, PyObject *args, PyObject *kwa
     static char *kwlist[] = {"p_left", "p_right", "p_taxon", "p_root",
                              "q_left", "q_right", "q_taxon", "q_root",
                              "universe", "sink", NULL};
-    PyObject *p_left, *p_right, *p_taxon, *q_left, *q_right, *q_taxon;
+    PyObject *arena[6]; /* left, right and taxon of P, then of Q */
+    Py_buffer view[6];
     PyObject *sink = Py_None, *dr, *result = NULL;
-    int p_root, q_root, universe, mp, mq, r;
+    int nview, p_root, q_root, universe, mp, mq, r;
     Ctx *top = NULL;
     Side *P, *Q;
     Run run = {0};
 
     (void)module;
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwargs, "O!O!O!iO!O!O!ii|O:run_enumeration", kwlist,
-            &PyList_Type, &p_left, &PyList_Type, &p_right,
-            &PyList_Type, &p_taxon, &p_root,
-            &PyList_Type, &q_left, &PyList_Type, &q_right,
-            &PyList_Type, &q_taxon, &q_root, &universe, &sink))
+            args, kwargs, "OOOiOOOii|O:run_enumeration", kwlist,
+            &arena[0], &arena[1], &arena[2], &p_root,
+            &arena[3], &arena[4], &arena[5], &q_root, &universe, &sink))
         return NULL;
     if (sink != Py_None && !PyCallable_Check(sink)) {
         PyErr_SetString(PyExc_TypeError, "sink must be callable or None");
@@ -900,8 +888,11 @@ static PyObject *run_enumeration(PyObject *module, PyObject *args, PyObject *kwa
     }
     run.sink = sink == Py_None ? NULL : sink;
 
-    if ((mp = list_size(p_left, p_right, p_taxon, p_root)) < 0
-        || (mq = list_size(q_left, q_right, q_taxon, q_root)) < 0
+    for (nview = 0; nview < 6; nview++)
+        if (take_array(arena[nview], "i", &view[nview]) < 0)
+            goto done;
+    if ((mp = arena_size(view, p_root)) < 0
+        || (mq = arena_size(view + 3, q_root)) < 0
         || run_init(&run, universe, mp > mq ? mp : mq) < 0
         || (top = ctx_new(mp, mq)) == NULL)
         goto done;
@@ -909,11 +900,14 @@ static PyObject *run_enumeration(PyObject *module, PyObject *args, PyObject *kwa
     push_frame(&run, top, mp - 1, mq - 1);
     P = &top->p;
     Q = &top->q;
-    if (side_from_lists(P, p_left, p_right, p_taxon, p_root, universe,
-                        &run.sw, run.pleaf) < 0
-        || side_from_lists(Q, q_left, q_right, q_taxon, q_root, universe,
-                           &run.sw, run.qleaf) < 0)
+    if (side_finish(P, view[0].buf, view[1].buf, view[2].buf, p_root,
+                    run.sw.stk, run.pleaf, universe) < 0
+        || side_finish(Q, view[3].buf, view[4].buf, view[5].buf, q_root,
+                       run.sw.stk, run.qleaf, universe) < 0)
         goto done;
+    /* both trees are copied; a sink may now change the input arrays */
+    while (nview)
+        PyBuffer_Release(&view[--nview]);
     for (r = 0; r < P->nl && run.qleaf[P->taxon[P->leaves[r]]] >= 0; r++)
         ;
     if (r < P->nl || P->nl != Q->nl) {
@@ -933,6 +927,8 @@ static PyObject *run_enumeration(PyObject *module, PyObject *args, PyObject *kwa
         result = Py_BuildValue("(LLLLN)", run.emitted, run.frames, run.work,
                                run.violations, dr);
 done:
+    while (nview)
+        PyBuffer_Release(&view[--nview]);
     run_free(&run);
     return result;
 }
@@ -1086,54 +1082,45 @@ static int taxon_of(PyObject *label, PyObject *index, unsigned char *seen,
     return (int)t;
 }
 
-/* The ints of column col of the first n rows, as a list of new references
-   to ints[1 + value]. */
-static PyObject *column(PyObject *const *ints, const int *rows, int col,
-                        int n)
-{
-    PyObject *list = PyList_New(n);
-    int r;
-
-    for (r = 0; list != NULL && r < n; r++)
-        PyList_SET_ITEM(list, r, Py_NewRef(ints[1 + rows[r * NCOL + col]]));
-    return list;
-}
-
 /* The result tuple of parse_newick for a parsed tree of m nodes and nl
-   leaves; names and built are NULL when an index was given.  Every value
-   lies in [-1, m] (a leaf count reaches m in a one-node tree), so the
-   lists and the dict share one int object per value. */
+   leaves; names and built are NULL when an index was given.  Each slot
+   is an array('i'), made from its column of rows with one copy. */
 static PyObject *parse_result(const int *rows, int m, int nl,
                               PyObject *names, PyObject *built)
 {
     static const int cols[] = {C_LEFT, C_RIGHT, C_TAXON, C_PARENT, C_LC,
-                               C_LB, C_DEPTH};
-    PyObject *out, *lot, *v, **ints;
-    int i, r, leaf;
+                               C_LB, C_DEPTH, C_LEAF};
+    PyObject *out = PyTuple_New(11), *v, *raw, *key, *val;
+    int *col;
+    int i, n, r, leaf, err;
 
-    if ((ints = xmalloc(((size_t)m + 2) * sizeof *ints)) == NULL)
-        return NULL;
-    for (i = 0; i < m + 2; i++)
-        if ((ints[i] = PyLong_FromLong(i - 1)) == NULL)
-            break;
-    out = i == m + 2 ? PyTuple_New(11) : NULL;
     if (out == NULL)
-        goto done;
-    for (r = 0; r < 7; r++) {
-        if ((v = column(ints, rows, cols[r], m)) == NULL)
+        return NULL;
+    for (i = 0; i < 8; i++) {
+        n = cols[i] == C_LEAF ? nl : m;
+        raw = PyBytes_FromStringAndSize(NULL, (Py_ssize_t)n * sizeof(int));
+        if (raw == NULL)
             goto fail;
-        PyTuple_SET_ITEM(out, r, v);
+        col = (int *)PyBytes_AS_STRING(raw);
+        for (r = 0; r < n; r++)
+            col[r] = rows[(size_t)r * NCOL + cols[i]];
+        v = PyObject_CallFunction(array_type, "sO", "i", raw);
+        Py_DECREF(raw);
+        if (v == NULL)
+            goto fail;
+        PyTuple_SET_ITEM(out, i, v);
     }
-    if ((v = column(ints, rows, C_LEAF, nl)) == NULL)
+    if ((v = PyDict_New()) == NULL)
         goto fail;
-    PyTuple_SET_ITEM(out, 7, v);
-    if ((lot = PyDict_New()) == NULL)
-        goto fail;
-    PyTuple_SET_ITEM(out, 8, lot);
+    PyTuple_SET_ITEM(out, 8, v);
     for (r = 0; r < nl; r++) {
-        leaf = rows[r * NCOL + C_LEAF];
-        if (PyDict_SetItem(lot, ints[1 + rows[leaf * NCOL + C_TAXON]],
-                           ints[1 + leaf]) < 0)
+        leaf = rows[(size_t)r * NCOL + C_LEAF];
+        key = PyLong_FromLong(rows[(size_t)leaf * NCOL + C_TAXON]);
+        val = PyLong_FromLong(leaf);
+        err = key == NULL || val == NULL || PyDict_SetItem(v, key, val) < 0;
+        Py_XDECREF(key);
+        Py_XDECREF(val);
+        if (err)
             goto fail;
     }
     if (names == NULL) {
@@ -1145,14 +1132,10 @@ static PyObject *parse_result(const int *rows, int m, int nl,
         PyTuple_SET_ITEM(out, 9, v);
         PyTuple_SET_ITEM(out, 10, Py_NewRef(built));
     }
-    goto done;
-fail:
-    Py_CLEAR(out);
-done:
-    while (i > 0)
-        Py_DECREF(ints[--i]);
-    free(ints);
     return out;
+fail:
+    Py_DECREF(out);
+    return NULL;
 }
 
 PyDoc_STRVAR(parse_newick_doc,
@@ -1164,7 +1147,8 @@ PyDoc_STRVAR(parse_newick_doc,
 "Follows the token grammar of ``tripcon.newick``.  Returns ``(left,\n"
 "right, taxon, parent, leaf_count, leaf_base, depth, leaves_post,\n"
 "leaf_of_taxon, names, index)``: the slots of ``tripcon.tree.Tree`` in\n"
-"post-order ids, and, when ``index`` is None, the names tuple and the\n"
+"post-order ids, each an array('i') but ``leaf_of_taxon``, a dict of\n"
+"taxon id -> leaf, and, when ``index`` is None, the names tuple and the\n"
 "index dict of a new TaxonSet in leaf order (both None otherwise).  With\n"
 "``index`` (a TaxonSet's label -> id dict), the leaves must carry its\n"
 "labels exactly once each.\n"
@@ -1336,18 +1320,6 @@ PyDoc_STRVAR(join_triples_doc,
 "TypeError and another length ValueError.  An id outside [0, n) raises\n"
 "IndexError, and a piece whose offsets decrease or pass the end of\n"
 "``text`` ValueError.  The twin of ``tripcon.cli._join``.");
-
-/* The buffer of obj, which must be an array of the given typecode. */
-static int take_array(PyObject *obj, const char *typecode, Py_buffer *view)
-{
-    if (PyObject_GetBuffer(obj, view, PyBUF_FORMAT | PyBUF_C_CONTIGUOUS) < 0)
-        return -1;
-    if (strcmp(view->format, typecode) == 0)
-        return 0;
-    PyBuffer_Release(view);
-    PyErr_Format(PyExc_TypeError, "expected an array('%s')", typecode);
-    return -1;
-}
 
 /* Two passes over the chunk: the first checks each id and the offsets of
    its piece and sums the lengths, the second copies the pieces, all of

@@ -15,7 +15,7 @@ import os
 import sys
 import time
 from array import array
-from itertools import accumulate, chain
+from itertools import accumulate
 
 from ._kernels import _fast, resolve as resolve_backend
 from .enumeration import TRI_CHUNK, enumerate_conflicts
@@ -125,6 +125,24 @@ def _chunk_writer(write, mid, end, first="", sep=""):
     return sink
 
 
+def _sort_triples(flat, n, sink):
+    """Hand ``sink`` the triples of the flat ids ``flat``, all below n,
+    in ascending order and in a kernel's chunks; each triple a, b, c is
+    sorted as the one int (a·n + b)·n + c."""
+    it = iter(flat)
+    keys = [(a * n + b) * n + c for a, b, c in zip(it, it, it)]
+    keys.sort()
+    nn = n * n
+    step = TRI_CHUNK // 3
+    for k in range(0, len(keys), step):
+        part = keys[k:k + step]
+        ids = array("i", [0]) * (3 * len(part))
+        ids[0::3] = array("i", [x // nn for x in part])
+        ids[1::3] = array("i", [x // n % n for x in part])
+        ids[2::3] = array("i", [x % n for x in part])
+        sink(ids)
+
+
 def _backend(name):
     """The kernel to run; an unknown or unbuilt one is a usage error,
     reported on one line."""
@@ -171,12 +189,9 @@ def _cmd_conflicts(args):
         sink = _chunk_writer(write, [name + "\t" for name in taxa.names],
                              [name + "\n" for name in taxa.names])
     if args.sorted:
-        instr = enumerate_conflicts(p, q, backend=backend, collect=True)
-        rows = instr.conflicts
-        rows.sort()
-        step = TRI_CHUNK // 3
-        for k in range(0, len(rows), step):
-            sink(array("i", chain.from_iterable(rows[k:k + step])))
+        flat = array("i")
+        instr = enumerate_conflicts(p, q, backend=backend, sink=flat.extend)
+        _sort_triples(flat, len(taxa), sink)
     else:
         instr = enumerate_conflicts(p, q, backend=backend, sink=sink)
     if args.format == "json":

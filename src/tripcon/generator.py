@@ -11,6 +11,7 @@ caterpillar          ((..((t0,t1),t2)..),t{n-1})
 balanced             recursive halving of the taxon range
 """
 
+from array import array
 from dataclasses import dataclass
 
 from .tree import TaxonSet, Tree, build_tree
@@ -144,7 +145,7 @@ def perturb_leaf_swaps(t, k, seed):
     """Copy of ``t`` with k random label-pair exchanges; same topology."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    taxon = list(t.taxon)
+    taxon = array("i", t.taxon)
     leaves = t.leaves_post
     n = len(leaves)
     rng = SplitMix64(seed)
@@ -157,7 +158,7 @@ def perturb_leaf_swaps(t, k, seed):
             li, lj = leaves[i], leaves[j]
             taxon[li], taxon[lj] = taxon[lj], taxon[li]
     return Tree._from_structure(
-        list(t.left), list(t.right), taxon, t.root, t.taxa,
+        t.left, t.right, taxon, t.root, t.taxa,
         full=t.n_leaves == len(t.taxa),
     )
 

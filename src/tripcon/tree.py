@@ -1,15 +1,16 @@
 """Arena-backed rooted binary trees with dense integer leaf labels.
 
-A tree is a set of flat, parallel lists indexed by integer node id, and
+A tree is a set of flat, parallel arrays indexed by integer node id, and
 trees are immutable once built.  A node's id is its post-order number
 (left child first): children come before their parent, the root is
 n_nodes - 1, and the subtree of v is the ids (v - 2 * leaf_count[v] + 1,
 v].  That interval is what makes ancestry testing O(1) and per-subtree
 leaf traversal a plain slice.  The builders may number their arenas in
-any order; finalizing renumbers them.
+any order; finalizing renumbers them.  Every builder makes the same
+``array('i')`` slots, which the compiled kernel reads in place.
 
-Arrays (all ``list[int]``, length ``n_nodes``)
-----------------------------------------------
+Arrays (all ``array('i')``, length ``n_nodes``)
+-----------------------------------------------
 parent       parent id; -1 for the root
 left, right  child ids; -1 for leaves (a node has either 0 or 2 children)
 taxon        dense taxon id on leaves; -1 on internal nodes
@@ -19,13 +20,16 @@ depth        edge distance from the root
 
 Derived sequences
 -----------------
-leaves_post  leaf node ids in post-order, that is ascending
-leaf_of_taxon  dict taxon id -> leaf node id (only taxa present in the tree)
+leaves_post  leaf node ids in post-order, that is ascending (``array('i')``)
+leaf_of_taxon  dict taxon id -> leaf node id, one entry per leaf (so a
+             restricted tree costs its own size, not the universe's)
 
 A tree built over a :class:`TaxonSet` normally carries every taxon exactly
 once (``build_tree`` enforces the bijection); trees produced by subtree
 restriction carry a subset of the universe, with the original taxon ids.
 """
+
+from array import array
 
 from .errors import (
     DuplicateLabelError,
@@ -142,12 +146,13 @@ class Tree:
     def _from_structure(cls, left, right, taxon, root, taxa, full=True):
         """Finalize a tree from raw child arrays in any node numbering.
 
-        One iterative pass numbers the nodes in the order the traversal
-        completes them, validates shape (child ids in [-1, m), 0-or-2
-        children, all nodes reachable exactly once, distinct taxa; errors
-        name the input's ids) and computes every derived array.  With
-        ``full``, additionally require the leaf taxa to be a bijection
-        with ``taxa``.
+        The arrays may be any int sequences; the slots are new
+        ``array('i')``.  One iterative pass numbers the nodes in the order
+        the traversal completes them, validates shape (child ids in
+        [-1, m), 0-or-2 children, all nodes reachable exactly once, taxa
+        on the leaves only and distinct; errors name the input's ids) and
+        computes every derived array.  With ``full``, additionally require
+        the leaf taxa to be a bijection with ``taxa``.
         """
         m = len(left)
         if m == 0:
@@ -156,15 +161,14 @@ class Tree:
             raise ValueError("malformed arena")
 
         seen = bytearray(m)  # by input id
-        new_left = [-1] * m
-        new_right = [-1] * m
-        new_taxon = [-1] * m
-        parent = [-1] * m
-        leaf_count = [1] * m
-        leaf_base = [0] * m
-        depth = [0] * m
-        leaves_post = []
+        new_left, new_right, new_taxon, parent = (
+            array("i", [-1]) * m for _ in range(4))
+        leaf_count = array("i", [1]) * m
+        leaf_base = array("i", [0]) * m
+        depth = array("i", [0]) * m
+        leaves_post = array("i")
         leaf_of_taxon = {}
+        nt = len(taxa)
 
         k = 0  # the next number
         d = 0  # depth of the next node entered
@@ -199,6 +203,8 @@ class Tree:
                 tx = taxon[v]
                 if tx < 0:
                     raise ValueError(f"leaf {v} has no taxon id")
+                if tx >= nt:
+                    raise ValueError(f"taxon id {tx} outside the taxon set")
                 if tx in leaf_of_taxon:
                     raise DuplicateLabelError(
                         f"taxon {taxa.name_of(tx)!r} appears on two leaves"
@@ -212,7 +218,7 @@ class Tree:
                 continue
             if rc < 0:
                 raise NonBinaryError(f"node {v} has exactly one child")
-            if taxon[v] >= 0:
+            if taxon[v] != -1:
                 raise ValueError(f"internal node {v} carries a taxon id")
             stack += (-1, rc, lc)
             d += 1
@@ -220,13 +226,10 @@ class Tree:
         if k != m:
             raise ValueError("arena is not a tree (unreachable nodes)")
 
-        if full and len(leaves_post) != len(taxa):
+        if full and len(leaves_post) != nt:
             raise TaxonMismatchError(
-                f"tree has {len(leaves_post)} leaves for {len(taxa)} taxa"
+                f"tree has {len(leaves_post)} leaves for {nt} taxa"
             )
-        for tx in leaf_of_taxon:
-            if not 0 <= tx < len(taxa):
-                raise ValueError(f"taxon id {tx} outside the taxon set")
 
         return cls._from_arrays(taxa, new_left, new_right, new_taxon, parent,
                                 leaf_count, leaf_base, depth, leaves_post,

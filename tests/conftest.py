@@ -27,6 +27,17 @@ TREE_SLOTS = ("root", "parent", "left", "right", "taxon", "leaf_count",
               "leaf_base", "depth", "leaves_post", "leaf_of_taxon")
 
 
+def assert_slot_format(t):
+    """Every node slot and ``leaves_post`` of ``t`` is an ``array('i')``,
+    whichever builder made it, and ``leaf_of_taxon`` a dict with one entry
+    per leaf of ``t``."""
+    for slot in TREE_SLOTS[1:-1]:
+        value = getattr(t, slot)
+        assert type(value) is array and value.typecode == "i", slot
+    assert type(t.leaf_of_taxon) is dict
+    assert sorted(t.leaf_of_taxon.values()) == list(t.leaves_post)
+
+
 @pytest.fixture(scope="session")
 def fig1():
     """The worked example: trees P and Q with the single conflict CDE."""
@@ -173,10 +184,11 @@ def permutation(n, rng):
 
 def shuffled_arena(t, seed):
     """``(left, right, taxon, root)`` of ``t`` with its node ids permuted
-    by a seeded shuffle, so that they are no longer in post-order."""
+    by a seeded shuffle, so that they are no longer in post-order; the
+    slots are ``array('i')``, as the compiled kernel takes them."""
     m = t.n_nodes
     perm = permutation(m, SplitMix64(seed))
-    left, right, taxon = [-1] * m, [-1] * m, [-1] * m
+    left, right, taxon = (array("i", [-1]) * m for _ in range(3))
     for v in range(m):
         if t.left[v] >= 0:
             left[perm[v]] = perm[t.left[v]]

@@ -146,7 +146,10 @@ def test_topology_enumeration_counts():
 def _arena_digest(trees):
     h = hashlib.sha256()
     for t in trees:
-        h.update(repr((t.left, t.right, t.taxon, t.root)).encode())
+        # the slots as lists, so that the digests do not depend on the
+        # slot type
+        h.update(repr((list(t.left), list(t.right), list(t.taxon),
+                       t.root)).encode())
     return h.hexdigest()
 
 

@@ -10,21 +10,25 @@ cache.
 
 import hashlib
 import json
+import math
 import os
 import shlex
 import shutil
 import subprocess
 import sys
 import sysconfig
+from array import array
 
 import pytest
 
 import tripcon
-from tripcon import SplitMix64, TaxonSet, Tree, TripconError
+from tripcon import (SplitMix64, TaxonSet, Tree, TripconError,
+                     enumerate_conflicts)
 from tripcon._kernels import _fast, available_backends
 from tripcon.generator import (
     SHAPES,
     GeneratorConfig,
+    caterpillar_tree,
     generate_pair,
     random_binary_tree,
 )
@@ -138,11 +142,16 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def arena(left, right, taxon, root):
+    """A tree's slots as the compiled kernel takes them, array('i')."""
+    return array("i", left), array("i", right), array("i", taxon), root
+
+
 # Trees the compiled kernel must reject when paired with CHERRY, on either
 # side, in a universe of two taxa.
-CHERRY = ([1, -1, -1], [2, -1, -1], [-1, 0, 1], 0)
+CHERRY = arena([1, -1, -1], [2, -1, -1], [-1, 0, 1], 0)
 CHAIN = [i + 1 for i in range(29)] + [-1]
-BAD_TREES = [
+BAD_TREES = [arena(*t) for t in (
     ([1, -1, -1], [2, -1], [-1, 0, 1], 0),      # lengths differ
     ([1, -1, -1], [2, -1, -1], [-1, 0, 1], 3),  # root out of range
     ([1, -1, -1], [7, -1, -1], [-1, 0, 1], 0),  # child out of range
@@ -159,33 +168,73 @@ BAD_TREES = [
     ([1, 3, -1, -1, -1], [2, 4, -1, -1, -1],
      [-1, -1, 1, 0, 0], 0),                     # repeated taxon
     ([-1], [-1], [0], 0),                       # taxa {0} against {0, 1}
-]
+    ([1, -1, -1], [2, -1, -1], [0, 0, 1], 0),   # internal node with a taxon
+)]
 # run_enumeration arguments that must raise ValueError; the last pairs the
 # taxa {0, 1} with {0, 2}.
 MALFORMED = ([t + CHERRY + (2,) for t in BAD_TREES]
              + [CHERRY + t + (2,) for t in BAD_TREES]
-             + [CHERRY + ([1, -1, -1], [2, -1, -1], [-1, 0, 2], 0) + (3,)])
+             + [CHERRY + arena([1, -1, -1], [2, -1, -1], [-1, 0, 2], 0)
+                + (3,)])
+
+
+def not_int_arrays(slot):
+    """``slot``, an array('i'), in the forms the kernel must refuse, each
+    with the exception it raises: a list, a tuple, another typecode and a
+    view that is not contiguous."""
+    spread = array("i", [x for v in slot for x in (v, 0)])
+    return [(list(slot), TypeError), (tuple(slot), TypeError),
+            (array("q", slot), TypeError), (array("h", slot), TypeError),
+            (memoryview(spread)[::2], BufferError)]
 
 
 @pytest.mark.skipif("fast" not in available_backends(),
                     reason="compiled kernel not built")
 def test_kernel_rejects_malformed_arrays():
     run = _fast.run_enumeration
-    leaf = ([-1], [-1], [0], 0)
+    leaf = arena([-1], [-1], [0], 0)
     assert run(*CHERRY, *CHERRY, 2)[:2] == (0, 3)
     for args in MALFORMED:
         with pytest.raises(ValueError):
             run(*args)
     with pytest.raises(TypeError):
-        run((1, -1, -1), *CHERRY[1:], *CHERRY, 2)
-    with pytest.raises(TypeError):
         run(*CHERRY, *CHERRY, 2, 5)  # a sink that is not callable
     assert run(*leaf, *leaf, 1)[:2] == (0, 1)
     # errors name the caller's ids, not the post-order numbers (leaf 1)
     with pytest.raises(ValueError, match="^leaf 2 has a repeated taxon$"):
-        run([1, -1, -1], [2, -1, -1], [-1, 0, 0], 0, *CHERRY, 2)
+        run(*arena([1, -1, -1], [2, -1, -1], [-1, 0, 0], 0), *CHERRY, 2)
     with pytest.raises(ValueError, match="^leaf 2 has no taxon$"):
-        run(*CHERRY, [1, -1, -1], [2, -1, -1], [-1, 0, -1], 0, 2)
+        run(*CHERRY, *arena([1, -1, -1], [2, -1, -1], [-1, 0, -1], 0), 2)
+    # each slot is read in place, only as a contiguous array('i'), and the
+    # three of a tree have one length
+    args = CHERRY + CHERRY + (2,)
+    assert run(*args[:4], memoryview(args[4]), *args[5:])[:2] == (0, 3)
+    for at in (0, 1, 2, 4, 5, 6):
+        for bad, error in not_int_arrays(args[at]):
+            with pytest.raises(error):
+                run(*args[:at], bad, *args[at + 1:])
+        with pytest.raises(ValueError, match="equal, non-zero length"):
+            run(*args[:at], args[at][:-1], *args[at + 1:])
+
+
+@pytest.mark.skipif("fast" not in available_backends(),
+                    reason="compiled kernel not built")
+def test_a_sink_may_change_the_input_arrays():
+    # the kernel holds no view of its inputs once a sink runs, so an
+    # array that it read may grow meanwhile
+    n = 40
+    p, q = caterpillar_tree(n), caterpillar_tree(n, reverse=True)
+    ids = []
+
+    def sink(chunk):
+        ids.extend(chunk)
+        for t in (p, q):
+            for slot in (t.left, t.right, t.taxon):
+                slot.append(-1)
+
+    instr = enumerate_conflicts(p, q, sink=sink, backend="fast")
+    assert instr.d == math.comb(n, 3) and len(ids) == 3 * instr.d
+    assert len(p.left) == 2 * n - 1 + math.ceil(instr.d / 4096)
 
 
 @pytest.mark.parametrize("bad", BAD_TREES)
@@ -196,8 +245,10 @@ def test_both_finalizers_reject_malformed_arrays(bad):
         return
     with pytest.raises(ValueError) as c_error:
         _fast.run_enumeration(*bad, *CHERRY, 2)
-    if "out of range" in str(python_error.value):
-        # a child id outside [-1, m), named alike by both
+    if ("out of range" in str(python_error.value)
+            or "carries a taxon" in str(python_error.value)):
+        # a child id outside [-1, m), or an internal node with a taxon,
+        # named alike by both
         assert python_error.type is ValueError
         assert str(python_error.value) == str(c_error.value)
 
@@ -227,6 +278,7 @@ def test_kernel_result_does_not_depend_on_the_input_numbering():
 
 SANITIZED = """
 import math
+from array import array
 from tripcon import SplitMix64, _kernels, enumerate_conflicts
 from tripcon.generator import (
     SHAPES, GeneratorConfig, caterpillar_tree, generate_pair,
@@ -278,6 +330,26 @@ for args in {malformed!r}:
     except ValueError:
         continue
     raise AssertionError(args)
+# slots of another type, typecode, stride or length
+args = {cherry!r} * 2 + (2,)
+for at in (0, 1, 2, 4, 5, 6):
+    slot = args[at]
+    spread = array("i", [x for v in slot for x in (v, 0)])
+    for bad in (list(slot), array("q", slot), array("h", slot),
+                memoryview(spread)[::2], slot[:-1]):
+        try:
+            run(*args[:at], bad, *args[at + 1:])
+        except (BufferError, TypeError, ValueError):
+            continue
+        raise AssertionError((at, bad))
+# a sink that grows the input arrays, which the kernel no longer holds
+p, q = caterpillar_tree(40), caterpillar_tree(40, reverse=True)
+def grow(ids):
+    for slot in (p.left, p.right, p.taxon, q.left, q.right, q.taxon):
+        slot.append(-1)
+out = run(p.left, p.right, p.taxon, p.root,
+          q.left, q.right, q.taxon, q.root, 40, grow)
+assert out[0] == math.comb(40, 3) and len(p.left) == 79 + 3
 
 # the Newick pass: every error, every prefix of a text with comments,
 # lengths and quoted labels, with and without an index, and an index
@@ -393,7 +465,7 @@ def test_kernel_runs_clean_under_asan_and_ubsan(fresh_copy):
     cases.write_text(json.dumps(rows), encoding="utf-8")
     two = packed(*TWO_TAXA)
     script = SANITIZED.format(built=str(built), malformed=MALFORMED,
-                              shuffled=shuffled, mixed=mixed,
+                              cherry=CHERRY, shuffled=shuffled, mixed=mixed,
                               errors=[text for text, _, _ in ERROR_TABLE],
                               cases=str(cases), bad_offsets=BAD_OFFSETS,
                               two=(two[0], two[1].tolist()))

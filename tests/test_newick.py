@@ -29,7 +29,8 @@ from tripcon.generator import (
     random_binary_tree,
 )
 
-from conftest import TREE_SLOTS, decorated_newick, tree_shape
+from conftest import (TREE_SLOTS, assert_slot_format, decorated_newick,
+                      tree_shape)
 
 FAST = newick._fast
 needs_fast = pytest.mark.skipif(FAST is None,
@@ -45,6 +46,7 @@ def outcome(parse, text, taxa=None):
     except TripconError as exc:
         return "error", type(exc), str(exc)
     assert t.taxa is ts and (taxa is None or ts is taxa)
+    assert_slot_format(t)
     return "ok", tuple(getattr(t, s) for s in TREE_SLOTS), ts.names, ts.index
 
 

@@ -16,7 +16,7 @@ from tripcon.generator import GeneratorConfig, random_binary_tree
 from tripcon.lca import LcaIndex
 from tripcon.restrict import inorder
 
-from conftest import tree_shape
+from conftest import assert_slot_format, tree_shape
 
 
 def _inorder_position(rt, v):
@@ -75,6 +75,7 @@ def test_node_count_and_origin_ancestry():
         picks = sorted(rng.randrange(n) for _ in range(kk))
         z = [t.leaves_post[i] for i in sorted(set(picks))]
         new = induced_subtree(t, idx, z)
+        assert_slot_format(new)
         origin = inorder(idx, z)
         assert new.n_nodes == 2 * len(z) - 1
         assert [new.taxon[v] for v in new.leaves_post] == [t.taxon[v] for v in z]

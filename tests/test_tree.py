@@ -21,11 +21,12 @@ from tripcon import (
 from tripcon.generator import (
     SHAPES,
     GeneratorConfig,
+    generate_pair,
     perturb_leaf_swaps,
     random_binary_tree,
 )
 
-from conftest import naive_lca, shuffled_arena
+from conftest import assert_slot_format, naive_lca, shuffled_arena
 
 
 def test_fig1_shape():
@@ -145,6 +146,7 @@ def _descendants(t, v):
 
 
 def _assert_numbered_in_post_order(t):
+    assert_slot_format(t)
     m = t.n_nodes
     assert t.root == m - 1
     for v in range(m):
@@ -162,6 +164,7 @@ def _built_by_every_builder():
         "parse_newick": parse_newick(serialize_newick(base))[0],
         "build_tree": build_tree(((("a", "b"), "c"), ("d", ("e", "f")))),
         "perturb_leaf_swaps": perturb_leaf_swaps(base, 9, 3),
+        "generate_pair": generate_pair(GeneratorConfig(n=37, seed=12, k=9))[1],
         "induced_subtree": induced_subtree(base, build_lca_index(base),
                                            base.leaves_post[1::2]),
         "shuffled_arena": Tree._from_structure(*shuffled_arena(base, 5),
