@@ -2,9 +2,9 @@
 
 Two interchangeable kernels drive ``enumerate_conflicts``: the compiled
 extension ``_fast`` (built from the hand-written C99 source _fast.c) and
-the pure-Python twin ``pure``.  Default is the compiled one when
-available.  Set TRIPCON_BACKEND=pure (or fast, or auto) to
-override, or pass ``backend=`` to the library calls.
+the pure-Python twin ``pure``.  Default is the compiled one when it
+loaded, else the pure one; pass ``backend=`` to the library calls to
+pick one.
 
 ``_fast`` has one build: import compiles ``_fast.c`` with the C compiler
 Python was built with (sysconfig's ``CC``) into
@@ -12,10 +12,10 @@ Python was built with (sysconfig's ``CC``) into
 (``~/.cache`` when XDG_CACHE_HOME is unset), once per digest, and loads
 it from there, so an edit to ``_fast.c`` is always the code that runs.
 A failed compile is recorded in that directory as ``build-failed.txt``
-and not retried; delete the file to retry.  The pure kernel is used
-meanwhile, unless TRIPCON_BACKEND=fast asks for the compiled one, which
-then raises with the compiler's message.  TRIPCON_BACKEND=pure skips
-the build and the cache.
+and not retried; delete the file to retry.  Without a loaded build (a
+recorded failure, no compiler, or a cache that cannot be written) the
+default is the pure kernel, and ``backend="fast"`` raises ImportError
+with the reason, for a failed build the compiler's message.
 """
 
 import hashlib
@@ -24,7 +24,6 @@ import os
 import sys
 import sysconfig
 
-_ENV = os.environ.get("TRIPCON_BACKEND", "auto").strip().lower() or "auto"
 _SOURCE = os.path.join(os.path.dirname(__file__), "_fast.c")
 _FAILED = "build-failed.txt"
 
@@ -71,8 +70,6 @@ def _build_and_load():
 
     Returns ``(module, None)`` or ``(None, reason)``.
     """
-    if _ENV == "pure":
-        return None, "not built because TRIPCON_BACKEND=pure"
     try:
         with open(_SOURCE, "rb") as fh:
             source = fh.read()
@@ -98,28 +95,20 @@ def _build_and_load():
 
 
 _fast, _WHY_NO_FAST = _build_and_load()
-_HAVE_FAST = _fast is not None
 
 
 def available_backends():
-    return ("fast", "pure") if _HAVE_FAST else ("pure",)
-
-
-def _unavailable():
-    return ImportError(f"the tripcon compiled kernel is not available: "
-                       f"{_WHY_NO_FAST} (use backend='pure')")
+    return ("pure",) if _fast is None else ("fast", "pure")
 
 
 def resolve(name=None):
-    """Map a requested backend name (or None) to the one to use."""
-    req = (name or _ENV).strip().lower()
-    if req in ("auto", ""):
-        return "fast" if _HAVE_FAST else "pure"
-    if req == "fast":
-        if not _HAVE_FAST:
-            raise _unavailable()
-        return "fast"
-    if req == "pure":
-        return "pure"
-    raise ValueError(f"unknown backend {req!r} (use auto, fast, or pure)")
-
+    """The kernel that ``backend=name`` runs, by the rules that
+    ``enumerate_conflicts`` states."""
+    if name is None:
+        return "pure" if _fast is None else "fast"
+    if name == "fast" and _fast is None:
+        raise ImportError(f"the tripcon compiled kernel is not available: "
+                          f"{_WHY_NO_FAST} (use backend='pure')")
+    if name in ("fast", "pure"):
+        return name
+    raise ValueError(f"unknown backend {name!r} (use fast or pure)")

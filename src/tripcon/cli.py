@@ -80,7 +80,7 @@ def _join(ids, lead, mid, end):
     """The text of one chunk of flat ids: id k is written as
     ``(lead, mid, end)[k % 3][ids[k]]``.  An id outside its table raises
     IndexError.  ``_fast.join_triples`` is its compiled twin, over the
-    same tables packed by ``_chunk_writer``."""
+    same tables packed by ``_pack``."""
     if ids and min(ids) < 0:
         raise IndexError(f"taxon id {min(ids)} is out of range")
     parts = [None] * len(ids)
@@ -88,6 +88,14 @@ def _join(ids, lead, mid, end):
     parts[1::3] = map(mid.__getitem__, ids[1::3])
     parts[2::3] = map(end.__getitem__, ids[2::3])
     return "".join(parts)
+
+
+def _pack(lead, mid, end):
+    """The three label tables of a chunk join as ``_fast.join_triples``
+    reads them: one str of their 3n pieces and an ``array('q')`` of the
+    3n + 1 offsets that bound them."""
+    pieces = lead + mid + end
+    return "".join(pieces), array("q", accumulate(map(len, pieces), initial=0))
 
 
 def _chunk_writer(write, mid, end, first="", sep=""):
@@ -99,17 +107,15 @@ def _chunk_writer(write, mid, end, first="", sep=""):
     over three tables that are built here only: ``sep + mid`` for the
     first id of each triple, ``mid`` and ``end``.  The first chunk then
     trades its leading ``sep`` for ``first``.  Whenever the compiled
-    module is loaded, whatever the kernel, the tables are packed once into
-    one str and its 3n + 1 offsets for ``_fast.join_triples``; without it,
-    ``_join`` reads them as lists."""
+    module is loaded, whatever the kernel, ``_pack`` packs the tables once
+    for ``_fast.join_triples``; without it, ``_join`` reads them as
+    lists."""
     lead = [sep + label for label in mid]
     if _fast is None:
         def join(ids):
             return _join(ids, lead, mid, end)
     else:
-        pieces = lead + mid + end
-        text = "".join(pieces)
-        offsets = array("q", accumulate(map(len, pieces), initial=0))
+        text, offsets = _pack(lead, mid, end)
 
         def join(ids):
             return _fast.join_triples(ids, text, offsets)
@@ -272,7 +278,7 @@ def _cmd_bench(args):
         swaps = [int(x) for x in args.k.split(",") if x]
     except ValueError as exc:
         raise _UsageError(f"bad --n/--k list: {exc}") from None
-    names = [b for b in (args.backends or "").split(",") if b.strip()]
+    names = [b.strip() for b in (args.backends or "").split(",") if b.strip()]
     backends = [_backend(b) for b in names or [args.backend]]
     rng = SplitMix64(args.seed)
     cfgs = [_config(n, rng.next_u64(), args.shape, k)
@@ -322,7 +328,7 @@ def _build_parser():
         description="Enumerate rooted triplet conflicts between two "
                     "phylogenetic trees in O(n + d) time.",
     )
-    top.add_argument("--backend", default=None, choices=("auto", "fast", "pure"),
+    top.add_argument("--backend", default=None, choices=("fast", "pure"),
                      help="kernel to use (default: fast when compiled)")
     sub = top.add_subparsers(dest="command", required=True)
 

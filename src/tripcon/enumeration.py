@@ -23,9 +23,8 @@ compiled twin (``tripcon._kernels._fast``, built from the hand-written
 C99 source ``_kernels/_fast.c``).  Without a sink both only count the
 triples.  With a sink both hand it each triple as three taxon ids
 a < b < c, in chunks of 4,096 triples; the two kernels hand identical
-chunks and report identical instrumentation.  Selection happens at
-import via the TRIPCON_BACKEND environment variable
-(``auto``/``fast``/``pure``) or per call with ``backend=``.
+chunks and report identical instrumentation.  The compiled one runs
+whenever it loaded, unless a call passes ``backend="pure"``.
 
 Work-counter contract (mirrored exactly by both kernels)
 --------------------------------------------------------
@@ -244,6 +243,11 @@ def active_backend():
 
 def enumerate_conflicts(p, q, *, backend=None, collect=False, sink=None):
     """Enumerate every conflict triple of (P, Q) exactly once.
+
+    ``backend`` picks the kernel: None runs the compiled one when it
+    loaded and the pure one otherwise, ``"pure"`` the pure one, and
+    ``"fast"`` the compiled one or raises ImportError with the reason it
+    did not load; any other name raises ValueError.
 
     With ``sink``, the triples stream out while the run goes on:
     ``sink`` is called with chunks of flat taxon ids, three per triple

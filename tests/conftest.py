@@ -2,12 +2,16 @@
 
 import pytest
 
+import hashlib
 import json
 import math
+import os
 import re
+import shutil
+import sysconfig
 from array import array
-from itertools import accumulate
 
+import tripcon
 from tripcon import (
     SplitMix64,
     TaxonSet,
@@ -44,6 +48,24 @@ def fig1():
     p, taxa = parse_newick(FIG1_P)
     q, _ = parse_newick(FIG1_Q, taxa)
     return p, q, taxa
+
+
+def env_without_kernel(tmp_path):
+    """Environment importing a copy of the package whose compiled kernel
+    is recorded as a failed build, so that it is not available: the way
+    a run without compiled code happens in the field."""
+    pkg = os.path.dirname(os.path.abspath(tripcon.__file__))
+    src = tmp_path / "src"
+    shutil.copytree(pkg, src / "tripcon",
+                    ignore=shutil.ignore_patterns("*.so", "*.pyd", "__pycache__"))
+    digest = hashlib.sha256(
+        (src / "tripcon" / "_kernels" / "_fast.c").read_bytes()).hexdigest()
+    entry = (tmp_path / "cache" / "tripcon"
+             / f"{digest}-{sysconfig.get_config_var('EXT_SUFFIX')}")
+    entry.mkdir(parents=True)
+    (entry / "build-failed.txt").write_text("cc: error: one\ncc: error: two\n")
+    return dict(os.environ, PYTHONPATH=str(src),
+                XDG_CACHE_HOME=str(tmp_path / "cache"))
 
 
 @pytest.fixture(params=available_backends())
@@ -277,17 +299,9 @@ def join_cases(seed=0x70B):
     return cases
 
 
-def packed(lead, mid, end):
-    """The three label tables of a chunk join as ``_fast.join_triples``
-    reads them: one str of the 3n pieces and an array('q') of the 3n + 1
-    offsets that bound them."""
-    pieces = lead + mid + end
-    return "".join(pieces), array("q", accumulate(map(len, pieces), initial=0))
-
-
-# The label tables of one two-taxon chunk join, packed into 12 characters
-# cut at 0, 2, 4, ..., 12, and offsets that break them: (offset j, its new
-# value, a piece that it breaks).
+# The label tables of one two-taxon chunk join, which cli._pack packs into
+# 12 characters cut at 0, 2, 4, ..., 12, and offsets that break them: (offset
+# j, its new value, a piece that it breaks).
 TWO_TAXA = (["a\t", "b\t"], ["a\t", "b\t"], ["a\n", "\U0001f332\n"])
 BAD_OFFSETS = [(1, 5, 1), (2, 1, 1), (0, -1, 0), (0, -2 ** 63, 0),
                (6, 13, 5), (6, 14, 5), (5, 13, 4), (5, 13, 5),

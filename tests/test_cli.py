@@ -1,13 +1,10 @@
 """CLI: output formats, exit codes, stream separation, determinism."""
 
-import hashlib
 import json
 import os
 import shlex
-import shutil
 import subprocess
 import sys
-import sysconfig
 import time
 from array import array
 
@@ -26,7 +23,7 @@ from tripcon import cli
 from tripcon._kernels import available_backends
 from tripcon.generator import GeneratorConfig, generate_pair
 
-from conftest import BAD_OFFSETS, TWO_TAXA, join_cases, packed
+from conftest import BAD_OFFSETS, TWO_TAXA, env_without_kernel, join_cases
 
 # The chunk joins, both called as ``join(ids, lead, mid, end)``: the
 # reference ``_join``, and the compiled twin that the chunk writer calls,
@@ -34,7 +31,7 @@ from conftest import BAD_OFFSETS, TWO_TAXA, join_cases, packed
 JOINS = [pytest.param(cli._join, id="python")]
 if cli._fast is not None:
     JOINS.append(pytest.param(
-        lambda ids, *tables: cli._fast.join_triples(ids, *packed(*tables)),
+        lambda ids, *tables: cli._fast.join_triples(ids, *cli._pack(*tables)),
         id="compiled"))
 needs_fast = pytest.mark.skipif(cli._fast is None,
                                 reason="compiled module not built")
@@ -263,7 +260,7 @@ def test_chunk_writer_frames_first_and_later_chunks(compiled, monkeypatch):
 @needs_fast
 def test_compiled_join_checks_its_arguments():
     join = cli._fast.join_triples
-    text, offsets = packed(*TWO_TAXA)
+    text, offsets = cli._pack(*TWO_TAXA)
     ids = array("i", [0, 1, 1])
     assert join(ids, text, offsets) == "a\tb\t\U0001f332\n"
     assert join(array("i"), text, offsets) == ""
@@ -297,8 +294,8 @@ def test_conflicts_output_is_the_same_for_every_kernel_and_join(tmp_path,
                                                                   capsys):
     # labels of every str kind whose sorted order is not the parse order;
     # in this process the compiled module (when built) joins for both
-    # kernels, and in a child under TRIPCON_BACKEND=pure the Python join
-    # serves the pure kernel
+    # kernels, and in a child whose build failed the Python join serves
+    # the pure kernel
     labels = ODD_LABELS + ["\U0001f332", "a\U0001d539"]
     p, q = generate_pair(GeneratorConfig(n=len(labels), seed=5, k=6))
     names = TaxonSet(labels)
@@ -328,7 +325,7 @@ def test_conflicts_output_is_the_same_for_every_kernel_and_join(tmp_path,
         "print(json.dumps(outs))\n")
     proc = subprocess.run(
         [sys.executable, "-c", script, json.dumps(runs)],
-        env=dict(_cli_env(), TRIPCON_BACKEND="pure"), capture_output=True,
+        env=env_without_kernel(tmp_path), capture_output=True,
         text=True, check=True)
     outputs["python join"] = [tuple(x) for x in json.loads(proc.stdout)]
     want = outputs.pop("pure")
@@ -445,6 +442,7 @@ def test_exit_code_taxon_mismatch(tmp_path, capsys):
     ["bench", "--n", "0"],
     ["check", "--pairs", "1", "--n", "0"],
     ["bench", "--n", "5", "--k", "1", "--backends", "bogus"],
+    ["bench", "--n", "5", "--k", "1", "--backends", "auto"],
 ], ids=" ".join)
 def test_exit_code_bad_numbers(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -653,41 +651,44 @@ def test_pipeline_head_returns_early_on_huge_output(tmp_path):
         assert all(len(line.split("\t")) == 3 for line in out.splitlines())
 
 
-def _env_without_kernel(tmp_path):
-    """Environment importing a copy of the package whose compiled kernel
-    is recorded as a failed build, so that it is not available."""
-    pkg = os.path.dirname(os.path.abspath(tripcon.__file__))
-    src = tmp_path / "src"
-    shutil.copytree(pkg, src / "tripcon",
-                    ignore=shutil.ignore_patterns("*.so", "*.pyd", "__pycache__"))
-    digest = hashlib.sha256(
-        (src / "tripcon" / "_kernels" / "_fast.c").read_bytes()).hexdigest()
-    entry = (tmp_path / "cache" / "tripcon"
-             / f"{digest}-{sysconfig.get_config_var('EXT_SUFFIX')}")
-    entry.mkdir(parents=True)
-    (entry / "build-failed.txt").write_text("cc: error: one\ncc: error: two\n")
-    return dict(os.environ, PYTHONPATH=str(src),
-                XDG_CACHE_HOME=str(tmp_path / "cache"))
-
-
-def test_bad_backend_env_is_a_usage_error(tmp_path, fig1_files):
-    cases = [
-        (dict(_cli_env(), TRIPCON_BACKEND="bogus"), "unknown backend 'bogus'"),
-        (dict(_env_without_kernel(tmp_path), TRIPCON_BACKEND="fast"),
-         "compiled kernel is not available"),
-    ]
-    for env, why in cases:
-        for argv in (["conflicts", *fig1_files, "--format", "json"],
-                     ["count", *fig1_files], ["check", *fig1_files]):
-            proc = subprocess.run([sys.executable, "-m", "tripcon.cli", *argv],
-                                  env=env, capture_output=True, text=True)
-            assert proc.returncode == 2, proc.stderr
-            assert proc.stdout == ""
-            assert proc.stderr.startswith("tripcon: "), proc.stderr
-            assert proc.stderr.count("\n") == 1, proc.stderr
-            assert why in proc.stderr
-        # gen runs no kernel
+def test_unbuilt_fast_backend_is_a_usage_error(tmp_path, fig1_files):
+    env = env_without_kernel(tmp_path)
+    for argv in (["conflicts", *fig1_files, "--format", "json"],
+                 ["count", *fig1_files], ["check", *fig1_files]):
         proc = subprocess.run(
-            [sys.executable, "-m", "tripcon.cli", "gen", "--n", "5"],
+            [sys.executable, "-m", "tripcon.cli", "--backend", "fast", *argv],
             env=env, capture_output=True, text=True)
-        assert proc.returncode == 0 and proc.stdout.endswith(";\n")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("tripcon: "), proc.stderr
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert "compiled kernel is not available" in proc.stderr
+        # the reason is the recorded compiler message
+        assert "cc: error: one cc: error: two" in proc.stderr
+    # gen runs no kernel
+    proc = subprocess.run(
+        [sys.executable, "-m", "tripcon.cli", "--backend", "fast", "gen",
+         "--n", "5"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.endswith(";\n")
+
+
+def test_backend_auto_is_not_a_choice(fig1_files, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--backend", "auto", "count", *fig1_files])
+    assert exc.value.code == 2
+    assert "invalid choice: 'auto'" in capsys.readouterr().err
+
+
+@needs_fast
+@pytest.mark.parametrize("value", ["pure", "bogus"])
+def test_environment_does_not_pick_the_kernel(fig1_files, value):
+    # only the build and backend= pick the kernel, not the environment
+    env = dict(_cli_env(), TRIPCON_BACKEND=value)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import tripcon; print(tripcon.active_backend())"],
+        env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "fast\n"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tripcon.cli", "count", *fig1_files],
+        env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")

@@ -34,7 +34,7 @@ from tripcon.generator import (
 )
 
 from conftest import (BAD_OFFSETS, TWO_TAXA, decorated_newick, join_cases,
-                      packed, shuffled_arena)
+                      shuffled_arena)
 from test_newick import ERROR_TABLE
 
 CC = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
@@ -66,9 +66,8 @@ def fresh_copy(tmp_path):
                     ignore=shutil.ignore_patterns("*.so", "*.pyd", "__pycache__"))
     cache = tmp_path / "cache"
 
-    def run(**env_extra):
-        env = {k: v for k, v in os.environ.items() if k != "TRIPCON_BACKEND"}
-        env.update(PYTHONPATH=str(src), XDG_CACHE_HOME=str(cache), **env_extra)
+    def run():
+        env = dict(os.environ, PYTHONPATH=str(src), XDG_CACHE_HOME=str(cache))
         proc = subprocess.run([sys.executable, "-c", PROBE], env=env,
                               capture_output=True, text=True, check=True)
         return proc.stdout.splitlines()
@@ -102,14 +101,6 @@ def test_first_import_builds_kernel_into_cache(fresh_copy):
     rebuilt = _entry(cache, source) / f"_fast{EXT_SUFFIX}"
     assert run() == ["fast", str(rebuilt), conflicts]
     assert rebuilt.is_file()
-
-
-def test_pure_backend_builds_nothing(fresh_copy):
-    _, cache, run = fresh_copy
-    backend, path, conflicts = run(TRIPCON_BACKEND="pure")
-    assert (backend, path) == ("pure", "-")
-    assert conflicts.startswith("ImportError:") and "TRIPCON_BACKEND=pure" in conflicts
-    assert not cache.exists()
 
 
 @needs_compiler
@@ -382,16 +373,16 @@ assert len(out[0]) == 2 * n - 1 and max(out[6]) == n - 1
 import json
 from array import array
 from tripcon import cli
-from tripcon.cli import _join
+from tripcon.cli import _join, _pack
 join = _kernels._fast.join_triples
 assert cli._fast is _kernels._fast
 with open({cases!r}, encoding="utf-8") as fh:
     cases = json.load(fh)
-for ids, mid, end, first, sep, text, offsets in cases:
+for ids, mid, end, first, sep in cases:
     lead = [sep + x for x in mid]
     chunk = array("i", ids)
     want = _join(chunk, lead, mid, end)
-    got = join(chunk, text, array("q", offsets))
+    got = join(chunk, *_pack(lead, mid, end))
     assert got == want and got.isascii() == want.isascii()
     written = []
     sink = cli._chunk_writer(written.append, mid, end, first, sep)
@@ -400,8 +391,7 @@ for ids, mid, end, first, sep, text, offsets in cases:
     assert written == [first + mid[ids[0]] + want[len(lead[ids[0]]):],
                        want]
     assert all(x.isascii() == want.isascii() for x in written)
-text, offsets = {two!r}
-offsets = array("q", offsets)
+text, offsets = _pack(*{two!r})
 ids = array("i", [0, 1, 1])
 bad_calls = [([0, 1, 1], text, offsets), (array("l", ids), text, offsets),
              (ids, text.encode(), offsets), (ids, text, list(offsets)),
@@ -446,9 +436,9 @@ def test_kernel_runs_clean_under_asan_and_ubsan(fresh_copy):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
-    env = {k: v for k, v in os.environ.items() if k != "TRIPCON_BACKEND"}
-    env.update(PYTHONPATH=str(source.parents[2]), XDG_CACHE_HOME=str(cache),
-               LD_PRELOAD=libasan, ASAN_OPTIONS="detect_leaks=0",
+    env = dict(os.environ, PYTHONPATH=str(source.parents[2]),
+               XDG_CACHE_HOME=str(cache), LD_PRELOAD=libasan,
+               ASAN_OPTIONS="detect_leaks=0",
                # objects from the system allocator, so that ASan sees a read
                # past the buffer of a str or an array
                PYTHONMALLOC="malloc")
@@ -458,17 +448,12 @@ def test_kernel_runs_clean_under_asan_and_ubsan(fresh_copy):
     mixed = decorated_newick(random_binary_tree(
         GeneratorConfig(n=200, seed=5), TaxonSet(names)), 9)
     cases = source.parents[3] / "join_cases.json"
-    rows = []
-    for ids, mid, end, first, sep in join_cases():
-        text, offsets = packed([sep + x for x in mid], mid, end)
-        rows.append((ids, mid, end, first, sep, text, offsets.tolist()))
-    cases.write_text(json.dumps(rows), encoding="utf-8")
-    two = packed(*TWO_TAXA)
+    cases.write_text(json.dumps(join_cases()), encoding="utf-8")
     script = SANITIZED.format(built=str(built), malformed=MALFORMED,
                               cherry=CHERRY, shuffled=shuffled, mixed=mixed,
                               errors=[text for text, _, _ in ERROR_TABLE],
                               cases=str(cases), bad_offsets=BAD_OFFSETS,
-                              two=(two[0], two[1].tolist()))
+                              two=TWO_TAXA)
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[-4000:]
