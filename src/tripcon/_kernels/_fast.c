@@ -5,12 +5,13 @@
  * as the pure kernel (the cross-backend tests pin all three).  Every
  * per-tree structure lives in flat int arrays and is rebuilt here rather
  * than imported from the Python modules, so the hot path never leaves C.
- * As in tripcon.tree, a node's id is its post-order number: side_finish
- * numbers every tree it is given, the input arrays in any numbering and
- * each sweep's in-order output alike, so ancestry is an id interval and
- * an LCA one range minimum over the depths.  The inputs' left, right and
- * taxon slots are array('i'), read in place through take_array, the one
- * buffer reader, and released before the first frame.
+ * As in tripcon.tree, a node's id is its post-order number, so ancestry
+ * is an id interval and an LCA one range minimum over the depths:
+ * side_finish checks that numbering, with the rule and the messages of
+ * tripcon.tree's finalizer, on the inputs and on every sweep's output,
+ * which the sweep's completion order numbers.  The inputs' left, right
+ * and taxon slots are array('i'), read in place through take_array, the
+ * one buffer reader, and released before the first frame.
  * See tripcon.enumeration for the algorithm and the counter contract.
  * As in the pure kernel, one routine serves each layer on both trees and
  * both sides: sweep() builds every induced subtree, a child pair's
@@ -233,80 +234,58 @@ static inline int is_below(const Side *s, int anc, int node)
     return anc - (2 * s->lc[anc] - 1) < node && node <= anc;
 }
 
-/* Number the tree given by a source arena (left, right and taxon in any
-   numbering, rooted at root) in post-order into s, derive the rest and
-   build the range minimum, with stk (2m + 4 ints) as the traversal stack.
-   As it enters each node, in the order of tripcon.tree's finalizer, the
-   traversal rejects a source that is not a full binary tree: a child id
-   outside [-1, m), a node reached twice, a node with one child, an
-   internal node with a taxon, or nodes the root does not reach.  With
-   tleaf, a map of the nt taxa to their leaves holding -1 for every taxon
-   not seen yet, it also rejects a leaf without a taxon, with one outside
-   [0, nt) or a repeated one, and fills the map.  Errors name the source's
-   ids.  Each node is entered once, so the stack holds at most 2m + 1. */
+/* Copy the arena left, right and taxon (which may be s's own arrays) into
+   s, derive the rest and build the range minimum.  One forward pass
+   checks that node v is a leaf (both children -1) or an internal node
+   whose children are v - 2 lc[v - 1] >= 0 and v - 1, with taxon -1, as
+   tripcon.tree's finalizer does; the root m - 1 must then cover all m
+   ids.  With tleaf, a map of the nt taxa to their leaves holding -1 for
+   every taxon not seen yet, it also rejects a leaf without a taxon, with
+   one outside [0, nt) or a repeated one, and fills the map. */
 static int side_finish(Side *s, const int *left, const int *right,
-                       const int *taxon, int root, int *stk, int *tleaf,
-                       int nt)
+                       const int *taxon, int *tleaf, int nt)
 {
-    int m = s->m;
-    int *seen = s->depth; /* by source id, until the depths are derived */
-    int sp = 1, k = 0, nleaf = 0;
-    int v, l, r, t, x;
+    int m = s->m, nleaf = 0, v, l, r, t;
     const char *why;
 
-    memset(seen, 0, (size_t)m * sizeof(int));
-    stk[0] = root;
-    while (sp) {
-        v = stk[--sp];
-        if (v < 0) {
-            /* complete an internal node: its right subtree was numbered
-               just before it, and its left one right before that */
-            r = k - 1;
-            l = k - 2 * s->lc[r];
-            s->left[k] = l;
-            s->right[k] = r;
-            s->taxon[k] = -1;
-            s->parent[l] = s->parent[r] = k;
-            s->lc[k] = s->lc[l] + s->lc[r];
-            s->lb[k++] = s->lb[l];
-            continue;
-        }
+    for (v = 0; v < m; v++) {
         l = left[v];
         r = right[v];
         t = taxon[v];
-        x = l < -1 || l >= m ? l : r < -1 || r >= m ? r : t; /* for why */
-        why = seen[v] ? "node %d is reached twice"
-              : l < -1 || l >= m ? "left[%d] = %d is out of range"
-              : r < -1 || r >= m ? "right[%d] = %d is out of range"
-              : (l < 0) != (r < 0) ? "node %d has one child"
-              : l >= 0 && t != -1 ? "internal node %d carries a taxon id"
-              : l >= 0 || tleaf == NULL ? NULL
-              : t < 0 ? "leaf %d has no taxon"
-              : t >= nt ? "taxon[%d] = %d is out of range"
-              : tleaf[t] >= 0 ? "leaf %d has a repeated taxon" : NULL;
-        if (why != NULL) {
-            PyErr_Format(PyExc_ValueError, why, v, x);
+        if (l == -1 && r == -1) {
+            why = tleaf == NULL ? NULL
+                  : t < 0 ? "leaf %d has no taxon"
+                  : t >= nt ? "taxon[%d] = %d is out of range"
+                  : tleaf[t] >= 0 ? "leaf %d has a repeated taxon" : NULL;
+            if (why != NULL) {
+                PyErr_Format(PyExc_ValueError, why, v, t);
+                return -1;
+            }
+            if (tleaf != NULL)
+                tleaf[t] = v;
+            s->lc[v] = 1;
+            s->lb[v] = nleaf;
+            s->leaves[nleaf++] = v;
+        } else if (r != v - 1 || r < 0 || l != v - 2 * s->lc[r] || l < 0) {
+            PyErr_Format(PyExc_ValueError, "node %d breaks the post-order "
+                         "rule (children %d and %d)", v, l, r);
             return -1;
+        } else if (t != -1) {
+            PyErr_Format(PyExc_ValueError,
+                         "internal node %d carries a taxon id", v);
+            return -1;
+        } else {
+            s->parent[l] = s->parent[r] = v;
+            s->lc[v] = s->lc[l] + s->lc[r];
+            s->lb[v] = s->lb[l];
         }
-        seen[v] = 1;
-        if (l >= 0) {
-            stk[sp] = -1;
-            stk[sp + 1] = r;
-            stk[sp + 2] = l;
-            sp += 3;
-            continue;
-        }
-        if (tleaf != NULL)
-            tleaf[t] = k;
-        s->left[k] = s->right[k] = -1;
-        s->taxon[k] = t;
-        s->lc[k] = 1;
-        s->lb[k] = nleaf;
-        s->leaves[nleaf++] = k++;
+        s->left[v] = l;
+        s->right[v] = r;
+        s->taxon[v] = t;
     }
-    if (k < m) {
-        PyErr_Format(PyExc_ValueError,
-                     "%d of %d nodes are not reached from the root", m - k, m);
+    if (2 * s->lc[m - 1] - 1 != m) {
+        PyErr_Format(PyExc_ValueError, "%d of %d nodes are not below the root",
+                     m - (2 * s->lc[m - 1] - 1), m);
         return -1;
     }
     s->parent[m - 1] = -1;
@@ -317,53 +296,52 @@ static int side_finish(Side *s, const int *left, const int *right,
     return 0;
 }
 
-/* Scratch of the induced-subtree sweep: its input dep and its output
-   links and leaf ranges, each sized for the largest sweep of the run, and
-   a stack that side_finish reuses.  side_finish reads a sweep's left and
-   right from here, with its taxon row in dep. */
+/* Scratch of the induced-subtree sweep: its input dep, its output parent
+   links, leaf ranges and completion order, and its stack, each sized for
+   the largest sweep of the run. */
 typedef struct {
-    int *dep, *left, *right, *par, *first, *last, *stk;
+    int *dep, *par, *first, *last, *ord, *stk;
 } Sweep;
 
 /* The induced subtree whose nodes, numbered in order, have host depths
    sw->dep[0 .. 2k - 2]: leaf j is node 2j and the LCA of leaves j - 1 and
-   j is node 2j - 1.  Fills the child and parent links (-1 for none) and
-   the leftmost and rightmost leaf index below each node, and returns the
-   root.  One stack pass; the stack holds only internal nodes. */
-static int sweep(Sweep *sw, int k)
+   j is node 2j - 1.  Fills the parent links (-1 for the root; a left
+   child comes before its parent in order, a right child after it), the
+   leftmost and rightmost leaf index below each node, and ord, the nodes
+   in the order the sweep completes them, which is post-order.  One stack
+   pass; the stack holds only internal nodes. */
+static void sweep(Sweep *sw, int k)
 {
     const int *dep = sw->dep;
-    int *left = sw->left, *right = sw->right, *par = sw->par;
-    int *first = sw->first, *last = sw->last, *stk = sw->stk;
-    int v, top = 0, sp = 0, nxt;
+    int *par = sw->par, *first = sw->first, *last = sw->last;
+    int *ord = sw->ord, *stk = sw->stk;
+    int v, top = 0, sp = 0, n = 1, nxt;
 
-    left[0] = right[0] = -1;
     first[0] = last[0] = 0;
+    ord[0] = 0;
     for (v = 1; v < 2 * k - 1; v += 2) {
         while (sp && dep[stk[sp - 1]] > dep[v]) {
             nxt = stk[--sp];
-            right[nxt] = top;
             par[top] = nxt;
             last[nxt] = last[top];
+            ord[n++] = nxt;
             top = nxt;
         }
-        left[v] = top;
         par[top] = v;
         first[v] = first[top];
         stk[sp++] = v;
         top = v + 1;
-        left[top] = right[top] = -1;
         first[top] = last[top] = top >> 1;
+        ord[n++] = top;
     }
     while (sp) {
         nxt = stk[--sp];
-        right[nxt] = top;
         par[top] = nxt;
         last[nxt] = last[top];
+        ord[n++] = nxt;
         top = nxt;
     }
     par[top] = -1;
-    return top;
 }
 
 /* Host depths of T|z in order, z[j] at 2j and lca(z[j - 1], z[j]) at
@@ -384,33 +362,39 @@ static int inorder_depths(const Side *t, const int *z, int k, int *dep)
 }
 
 /* Fill s, laid out for 2k - 1 nodes, with the subtree of parent induced by
-   k >= 2 ascending leaves z. */
+   k >= 2 ascending leaves z, numbered in the sweep's completion order. */
 static int side_from_leaflist(Side *s, const Side *parent, const int *z,
                               int k, Sweep *sw)
 {
-    int v, root;
+    int *post = sw->dep; /* by in-order position, once the depths are spent */
+    int i, x, up;
 
     inorder_depths(parent, z, k, sw->dep);
-    root = sweep(sw, k);
-    /* the depths are spent, so dep takes the in-order taxon row */
-    for (v = 0; v < s->m; v++)
-        sw->dep[v] = v & 1 ? -1 : parent->taxon[z[v >> 1]];
-    return side_finish(s, sw->left, sw->right, sw->dep, root, sw->stk, NULL,
-                       0);
+    sweep(sw, k);
+    for (i = 0; i < s->m; i++) {
+        x = sw->ord[i];
+        post[x] = i;
+        s->left[i] = s->right[i] = -1;
+        s->taxon[i] = x & 1 ? -1 : parent->taxon[z[x >> 1]];
+    }
+    for (x = 0; x < s->m; x++)
+        if ((up = sw->par[x]) >= 0)
+            (x < up ? s->left : s->right)[post[up]] = post[x];
+    return side_finish(s, s->left, s->right, s->taxon, NULL, 0);
 }
 
 /* The node count of a tree given as three arrays of ints; -1 if their
-   lengths or the root do not fit. */
-static int arena_size(const Py_buffer *arena, int root)
+   lengths do not fit. */
+static int arena_size(const Py_buffer *arena)
 {
     Py_ssize_t m = arena[0].len / (Py_ssize_t)sizeof(int);
 
-    /* side_finish's stack holds up to 2m + 1 items */
+    /* with room for m + 31 in side_layout */
     if (m < 1 || m > INT_MAX / 2 || arena[1].len != arena[0].len
-        || arena[2].len != arena[0].len || root < 0 || root >= m) {
+        || arena[2].len != arena[0].len) {
         PyErr_SetString(PyExc_ValueError,
                         "left, right and taxon must have one equal, non-zero "
-                        "length and root must index into them");
+                        "length");
         return -1;
     }
     return (int)m;
@@ -518,21 +502,21 @@ static size_t run_layout(Run *run, size_t u, size_t w, int *base)
     run->zdep = take(base, &used, 2 * u);
     run->ztax = take(base, &used, u);
     run->sw.dep = take(base, &used, w);
-    run->sw.left = take(base, &used, w);
-    run->sw.right = take(base, &used, w);
     run->sw.par = take(base, &used, w);
     run->sw.first = take(base, &used, w);
     run->sw.last = take(base, &used, w);
+    run->sw.ord = take(base, &used, w);
     run->sw.stk = take(base, &used, w);
     return used;
 }
 
 /* m is the larger input tree's node count; it bounds the frames opened
-   and pending and, with the universe, every sweep. */
+   and pending.  A tree has at most as many leaves as the universe has
+   taxa, so a sweep has at most 2u - 1 nodes. */
 static int run_init(Run *run, int universe, int m)
 {
     size_t u = universe > 0 ? (size_t)universe : 1;
-    size_t w = 2 * ((size_t)m > u ? (size_t)m : u) + 6;
+    size_t w = 2 * u;
     size_t nfs = ((size_t)m + 1) / 2;
     size_t ints = run_layout(run, u, w, NULL);
 
@@ -843,15 +827,16 @@ static int run_frames(Run *run)
 }
 
 PyDoc_STRVAR(run_enumeration_doc,
-"run_enumeration(p_left, p_right, p_taxon, p_root, q_left, q_right, q_taxon,\n"
-"                q_root, universe, sink=None)\n"
+"run_enumeration(p_left, p_right, p_taxon, q_left, q_right, q_taxon,\n"
+"                universe, sink=None)\n"
 "--\n"
 "\n"
 "Enumerate conflicts; same contract and output as the pure kernel.\n"
 "\n"
-"Each tree is given as three array('i') of one length in any node\n"
-"numbering (another type raises TypeError, a strided view BufferError)\n"
-"and its root.  They are released before the first frame.\n"
+"Each tree is given as three array('i') of one length, numbered in\n"
+"post-order as ``tripcon.tree.Tree._from_structure`` requires (another\n"
+"type raises TypeError, a strided view BufferError).  They are released\n"
+"before the first frame.\n"
 "\n"
 "Returns ``(emitted, frames_opened, nodes_touched, budget_violations,\n"
 "per_frame_dr)``, per_frame_dr an array('q') built after the last frame\n"
@@ -865,22 +850,21 @@ PyDoc_STRVAR(run_enumeration_doc,
 
 static PyObject *run_enumeration(PyObject *module, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"p_left", "p_right", "p_taxon", "p_root",
-                             "q_left", "q_right", "q_taxon", "q_root",
-                             "universe", "sink", NULL};
+    static char *kwlist[] = {"p_left", "p_right", "p_taxon", "q_left",
+                             "q_right", "q_taxon", "universe", "sink", NULL};
     PyObject *arena[6]; /* left, right and taxon of P, then of Q */
     Py_buffer view[6];
     PyObject *sink = Py_None, *dr, *result = NULL;
-    int nview, p_root, q_root, universe, mp, mq, r;
+    int nview, universe, mp, mq, r;
     Ctx *top = NULL;
     Side *P, *Q;
     Run run = {0};
 
     (void)module;
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwargs, "OOOiOOOii|O:run_enumeration", kwlist,
-            &arena[0], &arena[1], &arena[2], &p_root,
-            &arena[3], &arena[4], &arena[5], &q_root, &universe, &sink))
+            args, kwargs, "OOOOOOi|O:run_enumeration", kwlist, &arena[0],
+            &arena[1], &arena[2], &arena[3], &arena[4], &arena[5], &universe,
+            &sink))
         return NULL;
     if (sink != Py_None && !PyCallable_Check(sink)) {
         PyErr_SetString(PyExc_TypeError, "sink must be callable or None");
@@ -891,8 +875,7 @@ static PyObject *run_enumeration(PyObject *module, PyObject *args, PyObject *kwa
     for (nview = 0; nview < 6; nview++)
         if (take_array(arena[nview], "i", &view[nview]) < 0)
             goto done;
-    if ((mp = arena_size(view, p_root)) < 0
-        || (mq = arena_size(view + 3, q_root)) < 0
+    if ((mp = arena_size(view)) < 0 || (mq = arena_size(view + 3)) < 0
         || run_init(&run, universe, mp > mq ? mp : mq) < 0
         || (top = ctx_new(mp, mq)) == NULL)
         goto done;
@@ -900,10 +883,10 @@ static PyObject *run_enumeration(PyObject *module, PyObject *args, PyObject *kwa
     push_frame(&run, top, mp - 1, mq - 1);
     P = &top->p;
     Q = &top->q;
-    if (side_finish(P, view[0].buf, view[1].buf, view[2].buf, p_root,
-                    run.sw.stk, run.pleaf, universe) < 0
-        || side_finish(Q, view[3].buf, view[4].buf, view[5].buf, q_root,
-                       run.sw.stk, run.qleaf, universe) < 0)
+    if (side_finish(P, view[0].buf, view[1].buf, view[2].buf, run.pleaf,
+                    universe) < 0
+        || side_finish(Q, view[3].buf, view[4].buf, view[5].buf, run.qleaf,
+                       universe) < 0)
         goto done;
     /* both trees are copied; a sink may now change the input arrays */
     while (nview)

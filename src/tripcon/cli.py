@@ -254,6 +254,9 @@ def _cmd_check(args):
     if args.tree_p:
         if not args.tree_q:
             raise _UsageError("check needs two tree files (or --pairs)")
+        if args.pairs:
+            raise _UsageError("check takes two tree files or --pairs, "
+                              "not both")
         p, q, taxa = _load_pair(args.tree_p, args.tree_q)
         ok = _check_one(p, q, taxa, args.oracle, "pair", backend)
     else:
@@ -278,6 +281,8 @@ def _cmd_bench(args):
         swaps = [int(x) for x in args.k.split(",") if x]
     except ValueError as exc:
         raise _UsageError(f"bad --n/--k list: {exc}") from None
+    if not sizes or not swaps:
+        raise _UsageError("--n and --k must each list at least one value")
     names = [b.strip() for b in (args.backends or "").split(",") if b.strip()]
     backends = [_backend(b) for b in names or [args.backend]]
     rng = SplitMix64(args.seed)

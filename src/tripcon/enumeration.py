@@ -201,7 +201,7 @@ def list_subtree_conflicts(out, t, idx, z, candidates, spill=None):
             mid.insert(0, tdepth[tlca(z[pos - 1], c)])
         if pos < k:
             mid.append(tdepth[tlca(c, z[pos])])
-        _, _, _, par, first, last = sweep(
+        par, first, last, _ = sweep(
             zdep[:max(2 * pos - 1, 0)] + mid + zdep[2 * pos:])
 
         # Walk from c's parent to the root, emitting (below y) x (sibling).
@@ -292,8 +292,7 @@ def enumerate_conflicts(p, q, *, backend=None, collect=False, sink=None):
         sink = flat.extend
     if name == "fast":
         d, frames, work, violations, per_dr = _kernels._fast.run_enumeration(
-            p.left, p.right, p.taxon, p.root,
-            q.left, q.right, q.taxon, q.root,
+            p.left, p.right, p.taxon, q.left, q.right, q.taxon,
             len(p.taxa), sink,
         )
     else:

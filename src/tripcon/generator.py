@@ -103,7 +103,25 @@ def _uniform_attachment(n, rng, taxa):
             else:
                 right[pa] = joint
             parent[joint] = pa
-    return Tree._from_structure(left, right, taxon, root, taxa)
+
+    # number the nodes in post-order, left child first, as a Tree's are
+    order = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        if v < 0:  # both subtrees of ~v are numbered
+            order.append(~v)
+        elif left[v] < 0:
+            order.append(v)
+        else:
+            stack += (~v, right[v], left[v])
+    post = [0] * len(order)
+    for k, v in enumerate(order):
+        post[v] = k
+    return Tree._from_structure(
+        [post[left[v]] if left[v] >= 0 else -1 for v in order],
+        [post[right[v]] if left[v] >= 0 else -1 for v in order],
+        [taxon[v] for v in order], taxa)
 
 
 def _caterpillar_shape(names):
@@ -158,8 +176,7 @@ def perturb_leaf_swaps(t, k, seed):
             li, lj = leaves[i], leaves[j]
             taxon[li], taxon[lj] = taxon[lj], taxon[li]
     return Tree._from_structure(
-        t.left, t.right, taxon, t.root, t.taxa,
-        full=t.n_leaves == len(t.taxa),
+        t.left, t.right, taxon, t.taxa, full=t.n_leaves == len(t.taxa),
     )
 
 

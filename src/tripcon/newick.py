@@ -183,7 +183,6 @@ def _parse(text, taxa=None):
     if m.lastgroup != "end":
         _unexpected(m, last, groups, "semi")
 
-    root = last
     seen = {}
     for label, pos in labels:
         if label in seen:
@@ -194,7 +193,7 @@ def _parse(text, taxa=None):
 
     if taxa is None:
         taxa = TaxonSet(label for label, _ in labels)
-        return Tree._from_structure(left, right, taxon, root, taxa), taxa
+        return Tree._from_structure(left, right, taxon, taxa), taxa
 
     index = taxa.index
     if len(labels) != len(taxa):
@@ -209,7 +208,7 @@ def _parse(text, taxa=None):
                     f"label {label!r} (position {pos}) not in the shared taxon set"
                 )
             taxon[v] = index[label]
-    return Tree._from_structure(left, right, taxon, root, taxa), taxa
+    return Tree._from_structure(left, right, taxon, taxa), taxa
 
 
 def _format_label(name):

@@ -8,8 +8,9 @@ the root.  :func:`sweep` builds it with one stack pass (all comparisons
 happen between nodes on one host root-to-leaf path, where depths are
 strictly increasing).  :func:`induced_subtree` runs it on Z, and
 ListSubtreeConflicts runs it on Z plus one candidate leaf.  Child order
-follows Z, so the result's leaf post-order is Z itself.  Finalizing
-renumbers the in-order result in post-order (see :func:`induced_subtree`).
+follows Z, so the result's leaf post-order is Z itself, and the sweep
+completes the nodes in post-order, in which :func:`induced_subtree`
+numbers them.
 """
 
 from .errors import EmptySubsetError, UnorderedInputError
@@ -28,39 +29,40 @@ def sweep(depth):
     """The induced subtree whose in-order nodes have host depths ``depth``.
 
     ``depth`` lists 2k - 1 depths: leaf j is node 2j and the LCA of
-    leaves j - 1 and j is node 2j - 1.  Returns ``(root, left, right,
-    parent, first, last)``: child and parent links (-1 for none) and the
-    leftmost and rightmost leaf index j below each node.
+    leaves j - 1 and j is node 2j - 1.  Returns ``(parent, first, last,
+    order)``: parent links (-1 for the root; a left child comes before
+    its parent in order, a right child after it), the leftmost and
+    rightmost leaf index j below each node, and the nodes in the order
+    the sweep completes them, which is post-order.
     """
     nn = len(depth)
-    left = [-1] * nn
-    right = [-1] * nn
     parent = [-1] * nn
     first = [0] * nn
     first[0::2] = range((nn + 1) // 2)
     last = first[:]
+    order = [0]
     stack = []  # the right spine above top, internal nodes only
     top = 0
     for v in range(1, nn, 2):
         d = depth[v]
         while stack and depth[stack[-1]] > d:
             nxt = stack.pop()
-            right[nxt] = top
             parent[top] = nxt
             last[nxt] = last[top]
+            order.append(nxt)
             top = nxt
-        left[v] = top
         parent[top] = v
         first[v] = first[top]
         stack.append(v)
         top = v + 1
+        order.append(top)
     while stack:
         nxt = stack.pop()
-        right[nxt] = top
         parent[top] = nxt
         last[nxt] = last[top]
+        order.append(nxt)
         top = nxt
-    return top, left, right, parent, first, last
+    return parent, first, last, order
 
 
 def induced_subtree(t, idx, z):
@@ -87,8 +89,16 @@ def induced_subtree(t, idx, z):
         prev = v
 
     origin = inorder(idx, z)
-    root, left, right, _, _, _ = sweep(list(map(t.depth.__getitem__, origin)))
-    taxon = [-1] * len(origin)
-    taxon[0::2] = map(t.taxon.__getitem__, z)
-    return Tree._from_structure(left, right, taxon, root, t.taxa,
-                                full=len(z) == len(t.taxa))
+    parent, _, _, order = sweep(list(map(t.depth.__getitem__, origin)))
+    nn = len(order)
+    post = [0] * nn  # by in-order position
+    for k, x in enumerate(order):
+        post[x] = k
+    left, right = [-1] * nn, [-1] * nn
+    for x in order[:-1]:
+        p = parent[x]
+        (left if x < p else right)[post[p]] = post[x]
+    ttaxon = t.taxon
+    return Tree._from_structure(
+        left, right, [-1 if x & 1 else ttaxon[z[x >> 1]] for x in order],
+        t.taxa, full=len(z) == len(t.taxa))

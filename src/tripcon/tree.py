@@ -5,9 +5,9 @@ trees are immutable once built.  A node's id is its post-order number
 (left child first): children come before their parent, the root is
 n_nodes - 1, and the subtree of v is the ids (v - 2 * leaf_count[v] + 1,
 v].  That interval is what makes ancestry testing O(1) and per-subtree
-leaf traversal a plain slice.  The builders may number their arenas in
-any order; finalizing renumbers them.  Every builder makes the same
-``array('i')`` slots, which the compiled kernel reads in place.
+leaf traversal a plain slice.  Every builder numbers its arena in
+post-order, which finalizing checks, and makes the same ``array('i')``
+slots, which the compiled kernel reads in place.
 
 Arrays (all ``array('i')``, length ``n_nodes``)
 -----------------------------------------------
@@ -37,6 +37,9 @@ from .errors import (
     NonBinaryError,
     TaxonMismatchError,
 )
+
+# The one message of both finalizers for slot lengths that differ or are 0.
+ARENA_LENGTHS = "left, right and taxon must have one equal, non-zero length"
 
 
 class TaxonSet:
@@ -143,97 +146,68 @@ class Tree:
         return f"<Tree n_leaves={self.n_leaves} n_nodes={self.n_nodes}>"
 
     @classmethod
-    def _from_structure(cls, left, right, taxon, root, taxa, full=True):
-        """Finalize a tree from raw child arrays in any node numbering.
+    def _from_structure(cls, left, right, taxon, taxa, full=True):
+        """Finalize a tree from raw child arrays numbered in post-order.
 
         The arrays may be any int sequences; the slots are new
-        ``array('i')``.  One iterative pass numbers the nodes in the order
-        the traversal completes them, validates shape (child ids in
-        [-1, m), 0-or-2 children, all nodes reachable exactly once, taxa
-        on the leaves only and distinct; errors name the input's ids) and
-        computes every derived array.  With ``full``, additionally require
-        the leaf taxa to be a bijection with ``taxa``.
+        ``array('i')``.  One forward pass checks that each node v is a
+        leaf (both children -1) or an internal node whose children are
+        v - 2 * leaf_count[v - 1] >= 0 and v - 1, with taxon -1, and
+        derives every array as it goes; the root m - 1 must then cover
+        all m ids.  Leaf taxa must lie in ``taxa`` and be distinct; with
+        ``full``, they must also be all of it.  The compiled kernel's
+        ``run_enumeration`` makes the same checks, with the same messages
+        but for those about taxa.
         """
         m = len(left)
+        if not len(right) == len(taxon) == m:
+            raise ValueError(ARENA_LENGTHS)
         if m == 0:
-            raise EmptyTreeError("tree has no nodes")
-        if not (len(right) == len(taxon) == m) or not 0 <= root < m:
-            raise ValueError("malformed arena")
+            raise EmptyTreeError(ARENA_LENGTHS)
 
-        seen = bytearray(m)  # by input id
-        new_left, new_right, new_taxon, parent = (
-            array("i", [-1]) * m for _ in range(4))
+        parent = array("i", [-1]) * m
         leaf_count = array("i", [1]) * m
         leaf_base = array("i", [0]) * m
-        depth = array("i", [0]) * m
         leaves_post = array("i")
         leaf_of_taxon = {}
         nt = len(taxa)
-
-        k = 0  # the next number
-        d = 0  # depth of the next node entered
-        stack = [root]  # input ids to enter, -1 to complete an internal node
-        while stack:
-            v = stack.pop()
-            if v < 0:
-                # its right subtree was numbered just before it, and its
-                # left one right before that
-                rc = k - 1
-                lc = k - 2 * leaf_count[rc]
-                new_left[k] = lc
-                new_right[k] = rc
-                parent[lc] = parent[rc] = k
-                leaf_count[k] = leaf_count[lc] + leaf_count[rc]
-                leaf_base[k] = leaf_base[lc]
-                d -= 1
-                depth[k] = d
-                k += 1
-                continue
-            if seen[v]:
-                raise ValueError(f"arena is not a tree (node {v} is reached twice)")
-            seen[v] = 1
-            lc = left[v]
-            rc = right[v]
-            if not (-1 <= lc < m and -1 <= rc < m):
-                side, x = ("left", lc) if not -1 <= lc < m else ("right", rc)
-                raise ValueError(f"{side}[{v}] = {x} is out of range")
-            if lc < 0:
-                if rc >= 0:
-                    raise NonBinaryError(f"node {v} has exactly one child")
-                tx = taxon[v]
+        for v, lc, rc, tx in zip(range(m), left, right, taxon):
+            if lc == rc == -1:
                 if tx < 0:
-                    raise ValueError(f"leaf {v} has no taxon id")
+                    raise ValueError(f"leaf {v} has no taxon")
                 if tx >= nt:
-                    raise ValueError(f"taxon id {tx} outside the taxon set")
+                    raise ValueError(f"taxon[{v}] = {tx} is out of range")
                 if tx in leaf_of_taxon:
                     raise DuplicateLabelError(
                         f"taxon {taxa.name_of(tx)!r} appears on two leaves"
                     )
-                leaf_of_taxon[tx] = k
-                new_taxon[k] = tx
-                leaf_base[k] = len(leaves_post)
-                leaves_post.append(k)
-                depth[k] = d
-                k += 1
-                continue
-            if rc < 0:
-                raise NonBinaryError(f"node {v} has exactly one child")
-            if taxon[v] != -1:
-                raise ValueError(f"internal node {v} carries a taxon id")
-            stack += (-1, rc, lc)
-            d += 1
-
-        if k != m:
-            raise ValueError("arena is not a tree (unreachable nodes)")
+                leaf_of_taxon[tx] = v
+                leaf_base[v] = len(leaves_post)
+                leaves_post.append(v)
+            elif rc == v - 1 >= 0 and lc == v - 2 * leaf_count[rc] >= 0:
+                if tx != -1:
+                    raise ValueError(f"internal node {v} carries a taxon id")
+                parent[lc] = parent[rc] = v
+                leaf_count[v] = leaf_count[lc] + leaf_count[rc]
+                leaf_base[v] = leaf_base[lc]
+            else:
+                raise ValueError(f"node {v} breaks the post-order rule "
+                                 f"(children {lc} and {rc})")
+        below = 2 * leaf_count[m - 1] - 1
+        if below != m:
+            raise ValueError(f"{m - below} of {m} nodes are not below the root")
 
         if full and len(leaves_post) != nt:
             raise TaxonMismatchError(
                 f"tree has {len(leaves_post)} leaves for {nt} taxa"
             )
 
-        return cls._from_arrays(taxa, new_left, new_right, new_taxon, parent,
-                                leaf_count, leaf_base, depth, leaves_post,
-                                leaf_of_taxon)
+        depth = array("i", [0]) * m
+        for v in range(m - 2, -1, -1):
+            depth[v] = depth[parent[v]] + 1
+        return cls._from_arrays(taxa, array("i", left), array("i", right),
+                                array("i", taxon), parent, leaf_count,
+                                leaf_base, depth, leaves_post, leaf_of_taxon)
 
     @classmethod
     def _from_arrays(cls, taxa, left, right, taxon, parent, leaf_count,
@@ -308,10 +282,9 @@ def build_tree(topology, taxa=None):
         else:
             raise TypeError(f"unsupported topology element {obj!r}")
 
-    root = done[0]
     if taxa is None:
         taxa = TaxonSet(labels)  # raises DuplicateLabelError on repeats
-        return Tree._from_structure(left, right, taxon, root, taxa)
+        return Tree._from_structure(left, right, taxon, taxa)
 
     index = taxa.index
     for v in range(len(taxon)):
@@ -320,7 +293,7 @@ def build_tree(topology, taxa=None):
             if label not in index:
                 raise TaxonMismatchError(f"label {label!r} not in the taxon set")
             taxon[v] = index[label]
-    return Tree._from_structure(left, right, taxon, root, taxa)
+    return Tree._from_structure(left, right, taxon, taxa)
 
 
 def is_ancestor(t, u, v):

@@ -18,10 +18,19 @@ from tripcon import (
     Tree,
     build_lca_index,
     build_tree,
+    induced_subtree,
+    newick,
     parse_newick,
+    serialize_newick,
 )
 from tripcon._kernels import available_backends
-from tripcon.generator import GeneratorConfig, random_binary_tree
+from tripcon.generator import (
+    SHAPES,
+    GeneratorConfig,
+    generate_pair,
+    perturb_leaf_swaps,
+    random_binary_tree,
+)
 
 FIG1_P = "((A,B),((C,D),E));"
 FIG1_Q = "((A,B),((D,E),C));"
@@ -205,30 +214,64 @@ def permutation(n, rng):
 
 
 def shuffled_arena(t, seed):
-    """``(left, right, taxon, root)`` of ``t`` with its node ids permuted
-    by a seeded shuffle, so that they are no longer in post-order; the
-    slots are ``array('i')``, as the compiled kernel takes them."""
+    """``(left, right, taxon)`` of ``t``, which needs two nodes or more,
+    with its node ids permuted by a seeded shuffle other than the
+    identity; the slots are ``array('i')``, as the compiled kernel takes
+    them.  A tree has one post-order numbering, so both finalizers must
+    reject the result, with the same text."""
     m = t.n_nodes
-    perm = permutation(m, SplitMix64(seed))
+    rng = SplitMix64(seed)
+    perm = list(range(m))
+    while perm == sorted(perm):
+        perm = permutation(m, rng)
     left, right, taxon = (array("i", [-1]) * m for _ in range(3))
     for v in range(m):
         if t.left[v] >= 0:
             left[perm[v]] = perm[t.left[v]]
             right[perm[v]] = perm[t.right[v]]
         taxon[perm[v]] = t.taxon[v]
-    return left, right, taxon, perm[t.root]
+    return left, right, taxon
 
 
 def caterpillar_from_order(order, taxa):
     """The caterpillar (((order[0], order[1]), order[2]), ...) over taxon
-    ids, finalized from an arena that numbers the leaves first, the
-    internal nodes after them, and so not in post-order."""
+    ids, finalized from its arena in post-order: leaf order[0] is node 0,
+    leaf order[i] node 2i - 1, and node 2i joins nodes 2i - 2 and
+    2i - 1."""
     n = len(order)
     assert n >= 2
-    left = [-1] * n + [0] + list(range(n, 2 * n - 2))
-    right = [-1] * n + list(range(1, n))
-    taxon = list(order) + [-1] * (n - 1)
-    return Tree._from_structure(left, right, taxon, 2 * n - 2, taxa)
+    m = 2 * n - 1
+    left, right, taxon = [-1] * m, [-1] * m, [-1] * m
+    left[2::2] = range(0, m - 2, 2)
+    right[2::2] = range(1, m - 1, 2)
+    taxon[0] = order[0]
+    taxon[1::2] = order[1:]
+    return Tree._from_structure(left, right, taxon, taxa)
+
+
+def built_by_every_builder(n, seed):
+    """A tree from each builder, by name: both Newick parsers, nested
+    tuples, the leaf-swap perturbation, restriction to every other leaf,
+    ``caterpillar_from_order`` and each generator shape, most of them on
+    n taxa (n >= 2) from ``seed``."""
+    base = random_binary_tree(GeneratorConfig(n=n, seed=seed))
+    rng = SplitMix64(seed)
+    built = {
+        "parse_newick": parse_newick(serialize_newick(base))[0],
+        "newick._parse": newick._parse(serialize_newick(base))[0],
+        "build_tree": build_tree(((("a", "b"), "c"), ("d", ("e", "f")))),
+        "perturb_leaf_swaps": perturb_leaf_swaps(base, n // 4, seed),
+        "generate_pair": generate_pair(
+            GeneratorConfig(n=n, seed=seed, k=n // 4))[1],
+        "induced_subtree": induced_subtree(base, build_lca_index(base),
+                                           base.leaves_post[1::2]),
+        "caterpillar_from_order": caterpillar_from_order(
+            permutation(n, rng), base.taxa),
+    }
+    for shape in SHAPES:
+        built[shape] = random_binary_tree(
+            GeneratorConfig(n=n, seed=seed, shape=shape))
+    return built
 
 
 def caterpillar_distance(sigma, tau):

@@ -2,8 +2,8 @@
 sigma and tau have d = C(n, 3) - sum over x of C(m_x, 2), m_x the number
 of taxa that come before x in both orders (``caterpillar_distance``).
 
-The trees are finalized from arenas that number the leaves first, so
-these checks also renumber 10^5-deep trees in both kernels.
+The trees are finalized from their post-order arenas, so these checks
+also run both finalizers on 10^5-deep trees.
 """
 
 import pytest

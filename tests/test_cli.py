@@ -440,6 +440,8 @@ def test_exit_code_taxon_mismatch(tmp_path, capsys):
     ["gen", "--n", "0"],
     ["gen", "--n", "5", "--k", "-1"],
     ["bench", "--n", "0"],
+    ["bench", "--n", ""],
+    ["bench", "--k", ""],
     ["check", "--pairs", "1", "--n", "0"],
     ["bench", "--n", "5", "--k", "1", "--backends", "bogus"],
     ["bench", "--n", "5", "--k", "1", "--backends", "auto"],
@@ -455,6 +457,12 @@ def test_check_files_ok(fig1_files, capsys):
     code, out, err = run_cli(capsys, "check", *fig1_files)
     assert code == 0
     assert "check: OK" in err
+
+
+def test_check_takes_files_or_pairs_not_both(fig1_files, capsys):
+    code, out, err = run_cli(capsys, "check", *fig1_files, "--pairs", "5")
+    assert (code, out) == (2, "")
+    assert err == "tripcon: check takes two tree files or --pairs, not both\n"
 
 
 def test_check_generated_corpus(capsys):

@@ -101,8 +101,8 @@ def _kernel_ids(p, q, backend):
     ids = []
     if backend == "fast":
         tripcon._kernels._fast.run_enumeration(
-            p.left, p.right, p.taxon, p.root,
-            q.left, q.right, q.taxon, q.root, len(p.taxa), ids.extend)
+            p.left, p.right, p.taxon, q.left, q.right, q.taxon, len(p.taxa),
+            ids.extend)
     else:
         from tripcon._kernels import pure
         pure.run_enumeration(p, q, ids.extend)

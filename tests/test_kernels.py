@@ -8,10 +8,12 @@ XDG_CACHE_HOME, so the result does not depend on an earlier install or
 cache.
 """
 
+import functools
 import hashlib
 import json
 import math
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -22,19 +24,18 @@ from array import array
 import pytest
 
 import tripcon
-from tripcon import (SplitMix64, TaxonSet, Tree, TripconError,
-                     enumerate_conflicts)
+from tripcon import (DuplicateLabelError, EmptyTreeError, SplitMix64,
+                     TaxonMismatchError, TaxonSet, Tree, TripconError,
+                     count_conflicts, enumerate_conflicts)
 from tripcon._kernels import _fast, available_backends
 from tripcon.generator import (
-    SHAPES,
     GeneratorConfig,
     caterpillar_tree,
-    generate_pair,
     random_binary_tree,
 )
 
-from conftest import (BAD_OFFSETS, TWO_TAXA, decorated_newick, join_cases,
-                      shuffled_arena)
+from conftest import (BAD_OFFSETS, TWO_TAXA, built_by_every_builder,
+                      decorated_newick, join_cases, shuffled_arena)
 from test_newick import ERROR_TABLE
 
 CC = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
@@ -133,40 +134,124 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def arena(left, right, taxon, root):
+def arena(left, right, taxon):
     """A tree's slots as the compiled kernel takes them, array('i')."""
-    return array("i", left), array("i", right), array("i", taxon), root
+    return array("i", left), array("i", right), array("i", taxon)
 
 
+LENGTHS = "left, right and taxon must have one equal, non-zero length"
+DIFFERENT = "P and Q carry different leaf taxa"
+
+
+def rule(v, left, right):
+    """Both finalizers' message for node v with these children."""
+    return f"node {v} breaks the post-order rule (children {left} and {right})"
+
+
+# Node ids are post-order numbers: node v is a leaf (children -1), or has
+# children v - 2 * leaf_count[v - 1] >= 0 and v - 1.
+CHERRY = arena([-1, -1, 0], [-1, -1, 1], [0, 1, -1])
 # Trees the compiled kernel must reject when paired with CHERRY, on either
-# side, in a universe of two taxa.
-CHERRY = arena([1, -1, -1], [2, -1, -1], [-1, 0, 1], 0)
-CHAIN = [i + 1 for i in range(29)] + [-1]
-BAD_TREES = [arena(*t) for t in (
-    ([1, -1, -1], [2, -1], [-1, 0, 1], 0),      # lengths differ
-    ([1, -1, -1], [2, -1, -1], [-1, 0, 1], 3),  # root out of range
-    ([1, -1, -1], [7, -1, -1], [-1, 0, 1], 0),  # child out of range
-    ([1, -1, -1], [-5, -1, -1], [-1, 0, 1], 0),  # child below -1
-    ([1, -1, -1], [2, -1, -1], [-1, 0, 2], 0),  # taxon out of range
-    ([], [], [], 0),                            # empty
-    ([0], [0], [-1], 0),                        # its own child
-    (CHAIN, CHAIN, [-1] * 29 + [0], 0),         # both children the same
-    ([1, -1, -1], [-1, -1, -1], [-1, 0, 1], 0),  # one child
-    ([1, -1, -1, -1, -1], [2, -1, -1, -1, -1],
-     [-1, 0, 1, -1, -1], 0),                    # unreachable nodes
-    ([1, -1, -1], [2, -1, -1], [-1, 0, -1], 0),  # leaf without a taxon
-    ([1, -1, -1], [2, -1, -1], [-1, 0, 0], 0),   # repeated taxon
-    ([1, 3, -1, -1, -1], [2, 4, -1, -1, -1],
-     [-1, -1, 1, 0, 0], 0),                     # repeated taxon
-    ([-1], [-1], [0], 0),                       # taxa {0} against {0, 1}
-    ([1, -1, -1], [2, -1, -1], [0, 0, 1], 0),   # internal node with a taxon
+# side, in a universe of two taxa, each with its message.
+BAD_TREES = [(arena(*t[:3]), t[3]) for t in (
+    ([-1, -1, 0], [-1, -1], [0, 1, -1], LENGTHS),
+    ([-1, -1, 0], [-1, -1, 1], [0, 1], LENGTHS),
+    ([], [], [], LENGTHS),
+    ([-1, -1, 0], [-1, -1, 7], [0, 1, -1], rule(2, 0, 7)),  # out of range
+    ([-1, -1, 0], [-1, -1, -5], [0, 1, -1], rule(2, 0, -5)),  # below -1
+    ([-1, -1, 0], [-1, -1, -1], [0, 1, -1], rule(2, 0, -1)),  # one child
+    ([-1, -1, 2], [-1, -1, 1], [0, 1, -1], rule(2, 2, 1)),  # its own child
+    ([-1, -1, 1], [-1, -1, 1], [0, 1, -1], rule(2, 1, 1)),  # one child twice
+    ([-1, -1, 1], [-1, -1, 0], [0, 1, -1], rule(2, 1, 0)),  # right not v - 1
+    # node 0 internal: its right child v - 1 is -1, which has no leaf count
+    ([-3, -1, 0], [-1, -1, 1], [-1, 1, -1], rule(0, -3, -1)),
+    # node 3's right child 2 has two leaves, so its left would be 3 - 4
+    ([-1, -1, 0, -1], [-1, -1, 1, 2], [0, 1, -1, -1], rule(3, -1, 2)),
+    ([-1, -1], [-1, -1], [0, 1], "1 of 2 nodes are not below the root"),
+    ([-1, -1, 0], [-1, -1, 1], [0, 1, 0], "internal node 2 carries a taxon id"),
+    ([-1, -1, 0], [-1, -1, 1], [0, -1, -1], "leaf 1 has no taxon"),
+    ([-1, -1, 0], [-1, -1, 1], [0, 2, -1], "taxon[1] = 2 is out of range"),
+    ([-1, -1, 0], [-1, -1, 1], [1, 1, -1], "leaf 1 has a repeated taxon"),
+    ([-1, -1, 0, -1, 2], [-1, -1, 1, -1, 3], [1, 0, -1, 0, -1],
+     "leaf 3 has a repeated taxon"),
+    ([-1], [-1], [0], DIFFERENT),  # taxa {0} against {0, 1}
 )]
-# run_enumeration arguments that must raise ValueError; the last pairs the
-# taxa {0, 1} with {0, 2}.
-MALFORMED = ([t + CHERRY + (2,) for t in BAD_TREES]
-             + [CHERRY + t + (2,) for t in BAD_TREES]
-             + [CHERRY + arena([1, -1, -1], [2, -1, -1], [-1, 0, 2], 0)
-                + (3,)])
+# run_enumeration arguments that must raise ValueError, each with its
+# message; the last pairs the taxa {0, 1} with {0, 2}.
+MALFORMED = ([(t + CHERRY + (2,), why) for t, why in BAD_TREES]
+             + [(CHERRY + t + (2,), why) for t, why in BAD_TREES]
+             + [(CHERRY + arena([-1, -1, 0], [-1, -1, 1], [0, 2, -1]) + (3,),
+                 DIFFERENT)])
+
+
+def mutated_arena(t, rng):
+    """The slots of ``t`` as lists with one to three seeded edits: one
+    slot value, the length of one slot or of all three, or the taxa of
+    two nodes exchanged."""
+    slots = [list(t.left), list(t.right), list(t.taxon)]
+    nt = len(t.taxa)
+    for _ in range(1 + rng.randrange(3)):
+        kind = rng.randrange(8)
+        at = rng.randrange(3)
+        slot = slots[at]
+        m = min(map(len, slots))
+        if kind == 0:
+            for each in slots:
+                del each[-1:]
+        elif kind == 1:
+            if rng.randrange(2):
+                slot.append(-1)
+            else:
+                del slot[-1:]
+        elif kind == 2 and m:
+            i, j = rng.randrange(m), rng.randrange(m)
+            taxon = slots[2]
+            taxon[i], taxon[j] = taxon[j], taxon[i]
+        elif slot:
+            v = rng.randrange(len(slot))
+            if at < 2:
+                values = (-1, -2, v - 1, v - 2, v - 3, v, v + 1, len(slot),
+                          rng.randrange(len(slot) + 1) - 1)
+            else:
+                values = (-1, -2, nt, rng.randrange(nt))
+            slot[v] = values[rng.randrange(len(values))]
+    return slots
+
+
+@functools.cache
+def finalizer_cases():
+    """``(slots, t, shuffled)``: arenas from every builder, each with
+    seeded edits (``mutated_arena``) or, with ``shuffled``, renumbered
+    (``shuffled_arena``), and the valid tree ``t`` they were made from."""
+    rng = SplitMix64(0xA7E7A)
+    cases = []
+    for n, seed in ((2, 1), (5, 2), (12, 3), (30, 4)):
+        for t in built_by_every_builder(n, seed).values():
+            cases += [(mutated_arena(t, rng), t, False) for _ in range(40)]
+            if t.n_nodes > 1:
+                cases += [(list(map(list, shuffled_arena(t, rng.next_u64()))),
+                           t, True) for _ in range(2)]
+    return cases
+
+
+def python_finalizer(slots, t):
+    """d of the tree that Tree._from_structure finalizes from ``slots``,
+    against t, or the exception raised on the way."""
+    try:
+        u = Tree._from_structure(*slots, t.taxa,
+                                 full=t.n_leaves == len(t.taxa))
+        return count_conflicts(u, t, backend="pure")
+    except (ValueError, TripconError) as exc:
+        return exc
+
+
+def fast_finalizer(slots, t):
+    """d of run_enumeration on ``slots`` against t, or its ValueError."""
+    try:
+        return _fast.run_enumeration(*arena(*slots), t.left, t.right,
+                                     t.taxon, len(t.taxa))[0]
+    except ValueError as exc:
+        return exc
 
 
 def not_int_arrays(slot):
@@ -183,28 +268,24 @@ def not_int_arrays(slot):
                     reason="compiled kernel not built")
 def test_kernel_rejects_malformed_arrays():
     run = _fast.run_enumeration
-    leaf = arena([-1], [-1], [0], 0)
+    leaf = arena([-1], [-1], [0])
     assert run(*CHERRY, *CHERRY, 2)[:2] == (0, 3)
-    for args in MALFORMED:
-        with pytest.raises(ValueError):
+    for args, why in MALFORMED:
+        with pytest.raises(ValueError) as error:
             run(*args)
+        assert str(error.value) == why
     with pytest.raises(TypeError):
         run(*CHERRY, *CHERRY, 2, 5)  # a sink that is not callable
     assert run(*leaf, *leaf, 1)[:2] == (0, 1)
-    # errors name the caller's ids, not the post-order numbers (leaf 1)
-    with pytest.raises(ValueError, match="^leaf 2 has a repeated taxon$"):
-        run(*arena([1, -1, -1], [2, -1, -1], [-1, 0, 0], 0), *CHERRY, 2)
-    with pytest.raises(ValueError, match="^leaf 2 has no taxon$"):
-        run(*CHERRY, *arena([1, -1, -1], [2, -1, -1], [-1, 0, -1], 0), 2)
     # each slot is read in place, only as a contiguous array('i'), and the
     # three of a tree have one length
     args = CHERRY + CHERRY + (2,)
     assert run(*args[:4], memoryview(args[4]), *args[5:])[:2] == (0, 3)
-    for at in (0, 1, 2, 4, 5, 6):
+    for at in range(6):
         for bad, error in not_int_arrays(args[at]):
             with pytest.raises(error):
                 run(*args[:at], bad, *args[at + 1:])
-        with pytest.raises(ValueError, match="equal, non-zero length"):
+        with pytest.raises(ValueError, match=f"^{LENGTHS}$"):
             run(*args[:at], args[at][:-1], *args[at + 1:])
 
 
@@ -230,41 +311,51 @@ def test_a_sink_may_change_the_input_arrays():
 
 @pytest.mark.parametrize("bad", BAD_TREES)
 def test_both_finalizers_reject_malformed_arrays(bad):
+    slots, why = bad
     with pytest.raises((ValueError, TripconError)) as python_error:
-        Tree._from_structure(*bad, TaxonSet(["a", "b"]))
+        Tree._from_structure(*slots, TaxonSet(["a", "b"]))
+    if not isinstance(python_error.value, (DuplicateLabelError,
+                                           TaxonMismatchError)):
+        # the Python errors about taxa name them by their labels
+        assert str(python_error.value) == why
     if "fast" not in available_backends():
         return
     with pytest.raises(ValueError) as c_error:
-        _fast.run_enumeration(*bad, *CHERRY, 2)
-    if ("out of range" in str(python_error.value)
-            or "carries a taxon" in str(python_error.value)):
-        # a child id outside [-1, m), or an internal node with a taxon,
-        # named alike by both
-        assert python_error.type is ValueError
-        assert str(python_error.value) == str(c_error.value)
+        _fast.run_enumeration(*slots, *CHERRY, 2)
+    assert str(c_error.value) == why
 
 
 @pytest.mark.skipif("fast" not in available_backends(),
                     reason="compiled kernel not built")
-def test_kernel_result_does_not_depend_on_the_input_numbering():
-    # finalized trees come in post-order, which the kernel's renumbering
-    # keeps; a shuffled numbering makes it reorder every node
-    run = _fast.run_enumeration
-    rng = SplitMix64(0x5F1E)
-    for i in range(12):
-        n = 3 + rng.randrange(60)
-        p, q = generate_pair(GeneratorConfig(
-            n=n, seed=rng.next_u64(), k=rng.randrange(n + 1),
-            shape=SHAPES[i % len(SHAPES)]))
-        want, got = [], []
-        d, frames, work, violations, per_dr = run(
-            p.left, p.right, p.taxon, p.root,
-            q.left, q.right, q.taxon, q.root, n, want.extend)
-        out = run(*shuffled_arena(p, rng.next_u64()),
-                  *shuffled_arena(q, rng.next_u64()), n, got.extend)
-        assert out[:4] == (d, frames, work, violations)
-        assert out[4] == per_dr
-        assert got == want and len(want) == 3 * d
+def test_both_finalizers_accept_and_reject_mutated_arenas_alike():
+    # every arena that Tree._from_structure accepts, the kernel accepts
+    # with the same d; every other one both reject, for the same reason
+    # and with the same text but for the Python errors about taxa, which
+    # name them by their labels
+    seen = set()
+    for slots, t, shuffled in finalizer_cases():
+        want = python_finalizer(slots, t)
+        got = fast_finalizer(slots, t)
+        # a tree has one post-order numbering, which shuffling breaks
+        assert not shuffled or "post-order rule" in str(want)
+        if isinstance(want, int):
+            assert got == want, slots
+            seen.add("accepted")
+        elif isinstance(want, TaxonMismatchError):
+            assert str(got) == DIFFERENT, slots
+            seen.add("taxa differ")
+        elif isinstance(want, DuplicateLabelError):
+            assert re.fullmatch(r"leaf \d+ has a repeated taxon", str(got)), slots
+            seen.add("repeated taxon")
+        else:
+            assert type(want) in (ValueError, EmptyTreeError), slots
+            assert isinstance(got, ValueError) and str(got) == str(want), slots
+            seen.add(re.sub(r"-?\d+", "#", str(want)))
+    assert seen == {
+        "accepted", "taxa differ", "repeated taxon", LENGTHS,
+        rule("#", "#", "#"), "# of # nodes are not below the root",
+        "internal node # carries a taxon id", "leaf # has no taxon",
+        "taxon[#] = # is out of range"}
 
 
 SANITIZED = """
@@ -292,8 +383,7 @@ for shape in SHAPES:
         instr = enumerate_conflicts(p, p, collect=collect, backend="fast")
         assert instr.frames_opened == len(instr.per_frame_dr) == 599
 p, q = caterpillar_tree(300), caterpillar_tree(300, reverse=True)
-args = (p.left, p.right, p.taxon, p.root,
-        q.left, q.right, q.taxon, q.root, len(p.taxa))
+args = (p.left, p.right, p.taxon, q.left, q.right, q.taxon, len(p.taxa))
 assert run(*args)[0] == math.comb(300, 3)
 chunks = []
 out = run(*args, chunks.append)
@@ -310,20 +400,25 @@ except KeyError:
     pass
 else:
     raise AssertionError("the sink's exception was lost")
-# the same pair in a shuffled numbering
-p, q = generate_pair(GeneratorConfig(n=80, seed=3, k=9))
-args = (p.left, p.right, p.taxon, p.root,
-        q.left, q.right, q.taxon, q.root, len(p.taxa))
-assert run(*{shuffled!r}) == run(*args)
-for args in {malformed!r}:
+# malformed trees, each with its message, and arenas from every builder
+# with seeded edits or a shuffled numbering, against a valid tree
+for args, why in {malformed!r}:
     try:
         run(*args)
-    except ValueError:
+    except ValueError as exc:
+        assert str(exc) == why, (args, str(exc), why)
         continue
     raise AssertionError(args)
+import json
+with open({finalizer_cases!r}, encoding="utf-8") as fh:
+    for args in json.load(fh):
+        try:
+            run(*[array("i", slot) for slot in args[:6]], args[6])
+        except ValueError:
+            pass
 # slots of another type, typecode, stride or length
 args = {cherry!r} * 2 + (2,)
-for at in (0, 1, 2, 4, 5, 6):
+for at in range(6):
     slot = args[at]
     spread = array("i", [x for v in slot for x in (v, 0)])
     for bad in (list(slot), array("q", slot), array("h", slot),
@@ -338,8 +433,7 @@ p, q = caterpillar_tree(40), caterpillar_tree(40, reverse=True)
 def grow(ids):
     for slot in (p.left, p.right, p.taxon, q.left, q.right, q.taxon):
         slot.append(-1)
-out = run(p.left, p.right, p.taxon, p.root,
-          q.left, q.right, q.taxon, q.root, 40, grow)
+out = run(p.left, p.right, p.taxon, q.left, q.right, q.taxon, 40, grow)
 assert out[0] == math.comb(40, 3) and len(p.left) == 79 + 3
 
 # the Newick pass: every error, every prefix of a text with comments,
@@ -442,15 +536,18 @@ def test_kernel_runs_clean_under_asan_and_ubsan(fresh_copy):
                # objects from the system allocator, so that ASan sees a read
                # past the buffer of a str or an array
                PYTHONMALLOC="malloc")
-    p, q = generate_pair(GeneratorConfig(n=80, seed=3, k=9))
-    shuffled = shuffled_arena(p, 1) + shuffled_arena(q, 2) + (len(p.taxa),)
+    mutated = source.parents[3] / "finalizer_cases.json"
+    mutated.write_text(json.dumps([
+        slots + [list(t.left), list(t.right), list(t.taxon), len(t.taxa)]
+        for slots, t, _ in finalizer_cases()]), encoding="utf-8")
     names = [f"t{i}" if i % 3 else f"sp. {i}'s \u00e9" for i in range(200)]
     mixed = decorated_newick(random_binary_tree(
         GeneratorConfig(n=200, seed=5), TaxonSet(names)), 9)
     cases = source.parents[3] / "join_cases.json"
     cases.write_text(json.dumps(join_cases()), encoding="utf-8")
     script = SANITIZED.format(built=str(built), malformed=MALFORMED,
-                              cherry=CHERRY, shuffled=shuffled, mixed=mixed,
+                              cherry=CHERRY, finalizer_cases=str(mutated),
+                              mixed=mixed,
                               errors=[text for text, _, _ in ERROR_TABLE],
                               cases=str(cases), bad_offsets=BAD_OFFSETS,
                               two=TWO_TAXA)

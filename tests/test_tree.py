@@ -10,23 +10,12 @@ from tripcon import (
     NonBinaryError,
     SplitMix64,
     TaxonSet,
-    Tree,
-    build_lca_index,
     build_tree,
-    induced_subtree,
     is_ancestor,
-    parse_newick,
-    serialize_newick,
 )
-from tripcon.generator import (
-    SHAPES,
-    GeneratorConfig,
-    generate_pair,
-    perturb_leaf_swaps,
-    random_binary_tree,
-)
+from tripcon.generator import GeneratorConfig, random_binary_tree
 
-from conftest import assert_slot_format, naive_lca, shuffled_arena
+from conftest import assert_slot_format, built_by_every_builder, naive_lca
 
 
 def test_fig1_shape():
@@ -158,36 +147,8 @@ def _assert_numbered_in_post_order(t):
         assert set(range(lo + 1, hi + 1)) == _descendants(t, v)
 
 
-def _built_by_every_builder():
-    base = random_binary_tree(GeneratorConfig(n=37, seed=12))
-    built = {
-        "parse_newick": parse_newick(serialize_newick(base))[0],
-        "build_tree": build_tree(((("a", "b"), "c"), ("d", ("e", "f")))),
-        "perturb_leaf_swaps": perturb_leaf_swaps(base, 9, 3),
-        "generate_pair": generate_pair(GeneratorConfig(n=37, seed=12, k=9))[1],
-        "induced_subtree": induced_subtree(base, build_lca_index(base),
-                                           base.leaves_post[1::2]),
-        "shuffled_arena": Tree._from_structure(*shuffled_arena(base, 5),
-                                               base.taxa),
-    }
-    for shape in SHAPES:
-        built[shape] = random_binary_tree(
-            GeneratorConfig(n=37, seed=12, shape=shape))
-    return [pytest.param(t, id=name) for name, t in built.items()]
-
-
-@pytest.mark.parametrize("t", _built_by_every_builder())
+@pytest.mark.parametrize("t", [
+    pytest.param(t, id=name)
+    for name, t in built_by_every_builder(37, 12).items()])
 def test_node_ids_are_post_order_numbers(t):
     _assert_numbered_in_post_order(t)
-
-
-def test_shuffled_arena_finalizes_to_the_same_tree():
-    rng = SplitMix64(21)
-    for _ in range(10):
-        n = 1 + rng.randrange(40)
-        t = random_binary_tree(GeneratorConfig(n=n, seed=rng.next_u64()))
-        u = Tree._from_structure(*shuffled_arena(t, rng.next_u64()), t.taxa)
-        for field in ("root", "left", "right", "taxon", "parent",
-                      "leaf_count", "leaf_base", "depth", "leaves_post",
-                      "leaf_of_taxon"):
-            assert getattr(u, field) == getattr(t, field), field
