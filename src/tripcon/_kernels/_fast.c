@@ -47,8 +47,11 @@
  * whichever kernel or sort made it) into the text of its lines for
  * tripcon.cli's one chunk writer, which packs its three label tables into
  * one str and an array('q') of offsets: a first pass checks each id and
- * its piece and sums the lengths, a second copies each piece with one
- * memcpy of the text's kind.  tripcon.cli._join is its Python twin.
+ * its piece and sums the lengths, and a second, compiled once for each
+ * kind of text, copies a piece of at most 16 bytes with one fixed 16-byte
+ * memcpy when 16 bytes of text follow its start, and any other piece
+ * exactly, into a buffer with 16 bytes of slack.  tripcon.cli._join is
+ * its Python twin.
  *
  * Node ids and leaf counts are C ints; every count of triples, frames,
  * steps or violations (including each frame's d_r) is a long long.
@@ -1304,22 +1307,92 @@ PyDoc_STRVAR(join_triples_doc,
 "IndexError, and a piece whose offsets decrease or pass the end of\n"
 "``text`` ValueError.  The twin of ``tripcon.cli._join``.");
 
-/* Two passes over the chunk: the first checks each id and the offsets of
-   its piece and sums the lengths, the second copies the pieces, all of
-   text's kind, into a scratch buffer.  PyUnicode_FromKindAndData narrows
-   the result to its widest character, so that an ASCII chunk of a wider
-   text is an ASCII str.  No Python code runs meanwhile, so the buffers
-   cannot change. */
+/* One piece of the check pass: id k against its table of offsets.  Sets
+   the exception and returns -1 if the id is outside [0, n), its piece
+   outside text, or *len plus the piece's length past limit, the characters
+   that the scratch buffer can hold; else adds that length to *len. */
+static inline int check_piece(const long long *table, const int *id,
+                              Py_ssize_t k, Py_ssize_t n, Py_ssize_t size,
+                              Py_ssize_t limit, Py_ssize_t *len)
+{
+    const long long *piece;
+
+    if ((size_t)(unsigned)id[k] >= (size_t)n) {
+        PyErr_Format(PyExc_IndexError, "ids[%zd] = %d is out of range",
+                     k, id[k]);
+        return -1;
+    }
+    piece = table + id[k];
+    if (piece[0] < 0 || piece[0] > piece[1] || piece[1] > size) {
+        PyErr_Format(PyExc_ValueError, "ids[%zd] = %d is the piece "
+                     "[%lld, %lld), not inside the %zd characters of "
+                     "text", k, id[k], piece[0], piece[1], size);
+        return -1;
+    }
+    if (piece[1] - piece[0] > limit - *len) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    *len += (Py_ssize_t)(piece[1] - piece[0]);
+    return 0;
+}
+
+/* Copies the piece that starts at character a and ends at b, of a text of
+   kind bytes per character, to at; returns the end of the copy.  A piece
+   of at most 16 bytes that starts at or before far, so that 16 bytes of
+   text follow its start, is copied as a fixed 16 bytes, which writes up to
+   16 bytes past its end; any other piece is copied exactly. */
+static inline char *copy_piece(char *at, const char *src, long long a,
+                               long long b, long long far, const int kind)
+{
+    size_t bytes = (size_t)(b - a) * kind;
+
+    if (bytes <= 16 && a <= far)
+        memcpy(at, src + a * kind, 16);
+    else
+        memcpy(at, src + a * kind, bytes);
+    return at + bytes;
+}
+
+/* The copy pass over checked ids, with kind a constant at each call: the
+   full triples three pieces at a time, then a tail of one or two ids. */
+static inline void copy_pieces(char *at, const char *src, Py_ssize_t size,
+                               const long long *off, Py_ssize_t n,
+                               const int *id, Py_ssize_t nid, const int kind)
+{
+    const long long *t0 = off, *t1 = off + n, *t2 = off + 2 * n;
+    long long far = size - 16 / kind;
+    Py_ssize_t k;
+
+    for (k = 0; k + 3 <= nid; k += 3) {
+        at = copy_piece(at, src, t0[id[k]], t0[id[k] + 1], far, kind);
+        at = copy_piece(at, src, t1[id[k + 1]], t1[id[k + 1] + 1], far,
+                        kind);
+        at = copy_piece(at, src, t2[id[k + 2]], t2[id[k + 2] + 1], far,
+                        kind);
+    }
+    if (k < nid)
+        at = copy_piece(at, src, t0[id[k]], t0[id[k] + 1], far, kind);
+    if (k + 1 < nid)
+        copy_piece(at, src, t1[id[k + 1]], t1[id[k + 1] + 1], far, kind);
+}
+
+/* Two passes over the chunk, in triple order: the first checks each id
+   and the offsets of its piece and sums the lengths, the second copies the
+   pieces, all of text's kind, into one scratch buffer with 16 bytes of
+   slack for the fixed copies.  PyUnicode_FromKindAndData narrows the
+   result to its widest character, so that an ASCII chunk of a wider text
+   is an ASCII str.  No Python code runs meanwhile, so the buffers cannot
+   change. */
 static PyObject *join_triples(PyObject *module, PyObject *args)
 {
     PyObject *ids_obj, *text, *offsets_obj, *result = NULL;
     Py_buffer ids, offsets;
     const int *id;
-    const long long *off, *piece;
+    const long long *off;
     const char *src;
-    char *buf = NULL, *at;
-    Py_ssize_t nid, n, k, size, len = 0;
-    size_t bytes;
+    char *buf = NULL;
+    Py_ssize_t nid, n, k, size, limit, len = 0;
     int kind;
 
     (void)module;
@@ -1349,33 +1422,28 @@ static PyObject *join_triples(PyObject *module, PyObject *args)
     size = PyUnicode_GET_LENGTH(text);
     kind = PyUnicode_KIND(text);
     src = PyUnicode_DATA(text);
-    for (k = 0; k < nid; k++) {
-        if ((size_t)(unsigned)id[k] >= (size_t)n) {
-            PyErr_Format(PyExc_IndexError, "ids[%zd] = %d is out of range",
-                         k, id[k]);
+    limit = (PY_SSIZE_T_MAX - 16) / kind;
+    for (k = 0; k + 3 <= nid; k += 3)
+        if (check_piece(off, id, k, n, size, limit, &len) < 0
+            || check_piece(off + n, id, k + 1, n, size, limit, &len) < 0
+            || check_piece(off + 2 * n, id, k + 2, n, size, limit, &len) < 0)
             goto done;
-        }
-        piece = off + k % 3 * n + id[k];
-        if (piece[0] < 0 || piece[0] > piece[1] || piece[1] > size) {
-            PyErr_Format(PyExc_ValueError, "ids[%zd] = %d is the piece "
-                         "[%lld, %lld), not inside the %zd characters of "
-                         "text", k, id[k], piece[0], piece[1], size);
-            goto done;
-        }
-        if (piece[1] - piece[0] > PY_SSIZE_T_MAX / kind - len) {
-            PyErr_NoMemory();
-            goto done;
-        }
-        len += (Py_ssize_t)(piece[1] - piece[0]);
-    }
-    if ((buf = xmalloc((size_t)len * kind)) == NULL)
+    if (k < nid && check_piece(off, id, k, n, size, limit, &len) < 0)
         goto done;
-    at = buf;
-    for (k = 0; k < nid; k++) {
-        piece = off + k % 3 * n + id[k];
-        bytes = (size_t)(piece[1] - piece[0]) * kind;
-        memcpy(at, src + piece[0] * kind, bytes);
-        at += bytes;
+    if (k + 1 < nid && check_piece(off + n, id, k + 1, n, size, limit,
+                                   &len) < 0)
+        goto done;
+    if ((buf = xmalloc((size_t)len * kind + 16)) == NULL)
+        goto done;
+    switch (kind) {
+    case PyUnicode_1BYTE_KIND:
+        copy_pieces(buf, src, size, off, n, id, nid, 1);
+        break;
+    case PyUnicode_2BYTE_KIND:
+        copy_pieces(buf, src, size, off, n, id, nid, 2);
+        break;
+    default:
+        copy_pieces(buf, src, size, off, n, id, nid, 4);
     }
     result = PyUnicode_FromKindAndData(kind, buf, len);
 done:

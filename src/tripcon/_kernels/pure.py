@@ -34,6 +34,7 @@ See the work-counter contract in ``tripcon.enumeration``.
 """
 
 from array import array
+from struct import Struct
 
 
 def run_enumeration(p, q, sink=None):
@@ -58,13 +59,16 @@ def run_enumeration(p, q, sink=None):
 
     out = None if sink is None else []
     sent = 0  # ids handed to the sink
+    pack = Struct(f"{TRI_CHUNK}i").pack  # one chunk as array('i') bytes
 
     def spill():
         """Hand the whole chunks at the front of ``out`` to the sink."""
         nonlocal sent
         full = len(out) - len(out) % TRI_CHUNK
         for k in range(0, full, TRI_CHUNK):
-            sink(array("i", out[k:k + TRI_CHUNK]))
+            chunk = array("i")
+            chunk.frombytes(pack(*out[k:k + TRI_CHUNK]))
+            sink(chunk)
         del out[:full]
         sent += full
 

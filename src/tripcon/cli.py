@@ -248,6 +248,11 @@ def _check_one(p, q, taxa, force_oracle, label, backend=None):
     return False
 
 
+# The options of ``check --pairs`` with their defaults; with two tree files
+# none of them may be given.
+_CHECK_PAIRS = {"n": 30, "k": 3, "seed": 1, "shape": "uniform-attachment"}
+
+
 def _cmd_check(args):
     backend = _backend(args.backend)
     ok = True
@@ -257,15 +262,21 @@ def _cmd_check(args):
         if args.pairs:
             raise _UsageError("check takes two tree files or --pairs, "
                               "not both")
+        for name in _CHECK_PAIRS:
+            if getattr(args, name) is not None:
+                raise _UsageError(f"--{name} goes with --pairs, not with "
+                                  "two tree files")
         p, q, taxa = _load_pair(args.tree_p, args.tree_q)
         ok = _check_one(p, q, taxa, args.oracle, "pair", backend)
     else:
         if args.pairs < 1:
             raise _UsageError("--pairs must be at least 1")
-        rng = SplitMix64(args.seed)
+        n, k, seed, shape = (
+            _CHECK_PAIRS[name] if getattr(args, name) is None
+            else getattr(args, name) for name in _CHECK_PAIRS)
+        rng = SplitMix64(seed)
         for i in range(args.pairs):
-            p, q = generate_pair(
-                _config(args.n, rng.next_u64(), args.shape, args.k))
+            p, q = generate_pair(_config(n, rng.next_u64(), shape, k))
             if not _check_one(p, q, p.taxa, args.oracle, f"pair[{i}]",
                               backend):
                 ok = False
@@ -362,10 +373,14 @@ def _build_parser():
                     help=f"run the cubic oracle even when n > {ORACLE_GUARD}")
     pk.add_argument("--pairs", type=int, default=0,
                     help="instead of files: number of generated pairs")
-    pk.add_argument("--n", type=int, default=30)
-    pk.add_argument("--k", type=int, default=3)
-    pk.add_argument("--seed", type=int, default=1)
-    pk.add_argument("--shape", default="uniform-attachment", choices=SHAPES)
+    pk.add_argument("--n", type=int, help="with --pairs: leaves per tree "
+                    f"(default {_CHECK_PAIRS['n']})")
+    pk.add_argument("--k", type=int, help="with --pairs: leaf swaps from P "
+                    f"to Q (default {_CHECK_PAIRS['k']})")
+    pk.add_argument("--seed", type=int, help="with --pairs: corpus seed "
+                    f"(default {_CHECK_PAIRS['seed']})")
+    pk.add_argument("--shape", choices=SHAPES, help="with --pairs: tree "
+                    f"shape (default {_CHECK_PAIRS['shape']})")
     pk.set_defaults(func=_cmd_check)
 
     pb = sub.add_parser("bench", help="run a seeded corpus and report TSV")

@@ -304,13 +304,28 @@ def caterpillar_distance(sigma, tau):
     return math.comb(n, 3) - agree
 
 
+def _long_labels(char, width):
+    """Labels of ``char``, ``width`` bytes in the packed text, whose
+    pieces in text framing (the label and a tab or a newline) are one
+    character under 16 bytes, 16 bytes, one character over and 40 bytes:
+    the edges of the fixed 16-byte copy of ``_fast.join_triples``."""
+    return [char * (chars - 1) for chars in
+            (16 // width - 1, 16 // width, 16 // width + 1, 40 // width)]
+
+
 # Label tables of every str kind for the chunk joins of tripcon.cli:
 # ASCII (with characters JSON escapes), Latin-1, BMP, astral, and all mixed.
+# Each kind ends in its long labels and one short label, so that the packed
+# text ends in pieces that start less than 16 bytes before its end.
 JOIN_TABLES = {
-    "ascii": ["a", "t10", "sp. 1's", 'say "hi"', "back\\slash", "_"],
-    "latin1": ["\u00e9", "\u00df", "\u00f1u", "\u00c4", "x\u00a0y"],
-    "bmp": ["\u03a9", "\u65e5\u672c", "a\u2028b", "\uffff", "\u0133"],
-    "astral": ["\U0001d538", "\U0001f332", "a\U0001d539", "\U0010ffff"],
+    "ascii": ["a", "t10", "sp. 1's", 'say "hi"', "back\\slash",
+              *_long_labels("q", 1), "_"],
+    "latin1": ["\u00e9", "\u00df", "\u00f1u", "\u00c4",
+               *_long_labels("\u00ff", 1), "x\u00a0y"],
+    "bmp": ["\u03a9", "\u65e5\u672c", "a\u2028b", "\uffff",
+            *_long_labels("\u65e5", 2), "\u0133"],
+    "astral": ["\U0001d538", "\U0001f332", "a\U0001d539",
+               *_long_labels("\U0001f332", 4), "\U0010ffff"],
 }
 JOIN_TABLES["mixed"] = [x for table in JOIN_TABLES.values() for x in table]
 
@@ -319,26 +334,37 @@ def join_cases(seed=0x70B):
     """Chunk writer arguments ``(ids, mid, end, first, sep)`` for the
     chunk joins of tripcon.cli, ids as lists: each table of
     ``JOIN_TABLES`` in text and in JSON framing (whose labels JSON escapes
-    to ASCII), for a full chunk of 4,096 triples and for one triple.  The
-    mixed table also gets a chunk of its ASCII labels only.  The joins
-    read ``sep + mid`` as the table of each triple's first id."""
+    to ASCII), for a full chunk of 4,096 triples and for chunks of 1, 3, 4
+    and 5 ids.  Each table of one kind also comes with its 16-byte label
+    and with its 40-byte label moved last, so that in text framing the
+    packed text ends in a piece that the fixed copy reads to its very end
+    and in one longer than 16 bytes.  The mixed table also gets chunks of
+    its ASCII labels only.  The joins read ``sep + mid`` as the table of
+    each triple's first id."""
     rng = SplitMix64(seed)
     cases = []
     for kind, names in JOIN_TABLES.items():
-        quoted = [json.dumps(name) for name in names]
-        framings = [
-            ([x + "\t" for x in names], [x + "\n" for x in names], "", ""),
-            ([x + ", " for x in quoted], [x + "]" for x in quoted],
-             '{"n": 9, "conflicts": [[', ", ["),
-        ]
+        tables = [names]
+        if kind != "mixed":
+            # the long labels are names[-5:-1]: 16 bytes second, 40 last
+            for last in (-4, -2):
+                tables.append(names[:last] + names[last + 1:] + [names[last]])
         pools = [len(names)]
         if kind == "mixed":
             pools.append(len(JOIN_TABLES["ascii"]))
-        for mid, end, first, sep in framings:
-            for pool in pools:
-                for size in (3 * 4096, 3):
-                    ids = [rng.randrange(pool) for _ in range(size)]
-                    cases.append((ids, mid, end, first, sep))
+        for table in tables:
+            quoted = [json.dumps(name) for name in table]
+            framings = [
+                ([x + "\t" for x in table], [x + "\n" for x in table], "",
+                 ""),
+                ([x + ", " for x in quoted], [x + "]" for x in quoted],
+                 '{"n": 9, "conflicts": [[', ", ["),
+            ]
+            for mid, end, first, sep in framings:
+                for pool in pools:
+                    for size in (3 * 4096, 1, 3, 4, 5):
+                        ids = [rng.randrange(pool) for _ in range(size)]
+                        cases.append((ids, mid, end, first, sep))
     return cases
 
 

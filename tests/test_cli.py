@@ -465,6 +465,27 @@ def test_check_takes_files_or_pairs_not_both(fig1_files, capsys):
     assert err == "tripcon: check takes two tree files or --pairs, not both\n"
 
 
+@pytest.mark.parametrize("option", [["--n", "5"], ["--k", "0"],
+                                    ["--seed", "3"], ["--shape", "balanced"]])
+def test_check_files_take_no_generator_option(fig1_files, capsys, option):
+    code, out, err = run_cli(capsys, "check", *fig1_files, *option)
+    assert (code, out) == (2, "")
+    assert err == (f"tripcon: {option[0]} goes with --pairs, not with two "
+                   "tree files\n")
+
+
+def test_check_pairs_defaults(capsys, monkeypatch):
+    # --pairs alone keeps n = 30, k = 3, seed 1 and the uniform shape
+    seen = []
+    monkeypatch.setattr(cli, "generate_pair",
+                        lambda cfg: seen.append(cfg) or generate_pair(cfg))
+    code, _, _ = run_cli(capsys, "check", "--pairs", "2")
+    rng = cli.SplitMix64(1)
+    assert code == 0
+    assert seen == [cli._config(30, rng.next_u64(), "uniform-attachment", 3)
+                    for _ in range(2)]
+
+
 def test_check_generated_corpus(capsys):
     code, _, err = run_cli(
         capsys, "check", "--pairs", "100", "--n", "30", "--k", "3", "--seed", "6"
