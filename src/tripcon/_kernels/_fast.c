@@ -6,12 +6,14 @@
  * per-tree structure lives in flat int arrays and is rebuilt here rather
  * than imported from the Python modules, so the hot path never leaves C.
  * As in tripcon.tree, a node's id is its post-order number, so ancestry
- * is an id interval and an LCA one range minimum over the depths:
- * side_finish checks that numbering, with the rule and the messages of
- * tripcon.tree's finalizer, on the inputs and on every sweep's output,
- * which the sweep's completion order numbers.  The inputs' left, right
- * and taxon slots are array('i'), read in place through take_array, the
- * one buffer reader, and released before the first frame.
+ * is an id interval, an LCA one range minimum over the depths, and a
+ * tree is its taxon column: internal node v (taxon -1) has children
+ * v - 2 lc[v - 1] and v - 1.  side_finish derives every other array from
+ * that column, with the checks and the messages of tripcon.tree's
+ * finalizer, for the inputs and for every sweep's output, whose
+ * completion order is post-order.  The inputs' taxon columns are
+ * array('i'), read in place through take_array, the one buffer reader,
+ * and released before the first frame.
  * See tripcon.enumeration for the algorithm and the counter contract.
  * As in the pure kernel, one routine serves each layer on both trees and
  * both sides: sweep() builds every induced subtree, a child pair's
@@ -117,7 +119,7 @@ static int *take(int *base, size_t *used, size_t n)
    the block minima: st[k * nb + b] is the minimum position over blocks
    b .. b + 2^k - 1, and lg[x] is floor(log2 x). */
 typedef struct {
-    int *left, *right, *taxon;                 /* arena, -1 = none */
+    int *taxon;                                /* arena, -1 = internal */
     int *lc, *lb, *depth, *parent, *leaves;    /* derived */
     int *lg, *st;                              /* range minimum */
     unsigned *mask;
@@ -141,8 +143,6 @@ static size_t side_layout(Side *s, int m, int *base)
     for (t = s->nb; t; t >>= 1)
         levels++;
 
-    s->left = take(base, &used, m);
-    s->right = take(base, &used, m);
     s->taxon = take(base, &used, m);
     s->lc = take(base, &used, m);
     s->lb = take(base, &used, m);
@@ -237,53 +237,52 @@ static inline int is_below(const Side *s, int anc, int node)
     return anc - (2 * s->lc[anc] - 1) < node && node <= anc;
 }
 
-/* Copy the arena left, right and taxon (which may be s's own arrays) into
-   s, derive the rest and build the range minimum.  One forward pass
-   checks that node v is a leaf (both children -1) or an internal node
-   whose children are v - 2 lc[v - 1] >= 0 and v - 1, with taxon -1, as
+/* The left child of internal node v; its right child is v - 1. */
+static inline int left_of(const Side *s, int v)
+{
+    return v - 2 * s->lc[v - 1];
+}
+
+/* Copy the taxon column (which may be s's own array) into s, derive the
+   rest and build the range minimum.  One forward pass reads node v as a
+   leaf (taxon >= 0) or as an internal node (taxon -1) that joins the two
+   subtrees completed last before it, v - 2 lc[v - 1] >= 0 and v - 1, as
    tripcon.tree's finalizer does; the root m - 1 must then cover all m
    ids.  With tleaf, a map of the nt taxa to their leaves holding -1 for
-   every taxon not seen yet, it also rejects a leaf without a taxon, with
-   one outside [0, nt) or a repeated one, and fills the map. */
-static int side_finish(Side *s, const int *left, const int *right,
-                       const int *taxon, int *tleaf, int nt)
+   every taxon not seen yet, it also rejects a taxon below -1 or at or
+   above nt and a repeated one, and fills the map. */
+static int side_finish(Side *s, const int *taxon, int *tleaf, int nt)
 {
-    int m = s->m, nleaf = 0, v, l, r, t;
-    const char *why;
+    int m = s->m, nleaf = 0, v, l, t;
 
     for (v = 0; v < m; v++) {
-        l = left[v];
-        r = right[v];
         t = taxon[v];
-        if (l == -1 && r == -1) {
-            why = tleaf == NULL ? NULL
-                  : t < 0 ? "leaf %d has no taxon"
-                  : t >= nt ? "taxon[%d] = %d is out of range"
-                  : tleaf[t] >= 0 ? "leaf %d has a repeated taxon" : NULL;
-            if (why != NULL) {
-                PyErr_Format(PyExc_ValueError, why, v, t);
+        if (t < -1 || (tleaf != NULL && t >= nt)) {
+            PyErr_Format(PyExc_ValueError, "taxon[%d] = %d is out of range",
+                         v, t);
+            return -1;
+        } else if (t >= 0) {
+            if (tleaf != NULL && tleaf[t] >= 0) {
+                PyErr_Format(PyExc_ValueError, "leaf %d has a repeated taxon",
+                             v);
                 return -1;
             }
             if (tleaf != NULL)
                 tleaf[t] = v;
             s->lc[v] = 1;
             s->lb[v] = nleaf;
-            s->leaves[nleaf++] = v;
-        } else if (r != v - 1 || r < 0 || l != v - 2 * s->lc[r] || l < 0) {
-            PyErr_Format(PyExc_ValueError, "node %d breaks the post-order "
-                         "rule (children %d and %d)", v, l, r);
-            return -1;
-        } else if (t != -1) {
+            if (nleaf < s->nl) /* a forest may have more; it fails below */
+                s->leaves[nleaf] = v;
+            nleaf++;
+        } else if (v == 0 || (l = left_of(s, v)) < 0) {
             PyErr_Format(PyExc_ValueError,
-                         "internal node %d carries a taxon id", v);
+                         "internal node %d lacks two subtrees before it", v);
             return -1;
         } else {
-            s->parent[l] = s->parent[r] = v;
-            s->lc[v] = s->lc[l] + s->lc[r];
+            s->parent[l] = s->parent[v - 1] = v;
+            s->lc[v] = s->lc[l] + s->lc[v - 1];
             s->lb[v] = s->lb[l];
         }
-        s->left[v] = l;
-        s->right[v] = r;
         s->taxon[v] = t;
     }
     if (2 * s->lc[m - 1] - 1 != m) {
@@ -365,39 +364,35 @@ static int inorder_depths(const Side *t, const int *z, int k, int *dep)
 }
 
 /* Fill s, laid out for 2k - 1 nodes, with the subtree of parent induced by
-   k >= 2 ascending leaves z, numbered in the sweep's completion order. */
+   k >= 2 ascending leaves z: its taxon column in the sweep's completion
+   order, which is post-order. */
 static int side_from_leaflist(Side *s, const Side *parent, const int *z,
                               int k, Sweep *sw)
 {
-    int *post = sw->dep; /* by in-order position, once the depths are spent */
-    int i, x, up;
+    int i, x;
 
     inorder_depths(parent, z, k, sw->dep);
     sweep(sw, k);
     for (i = 0; i < s->m; i++) {
         x = sw->ord[i];
-        post[x] = i;
-        s->left[i] = s->right[i] = -1;
         s->taxon[i] = x & 1 ? -1 : parent->taxon[z[x >> 1]];
     }
-    for (x = 0; x < s->m; x++)
-        if ((up = sw->par[x]) >= 0)
-            (x < up ? s->left : s->right)[post[up]] = post[x];
-    return side_finish(s, s->left, s->right, s->taxon, NULL, 0);
+    return side_finish(s, s->taxon, NULL, 0);
 }
 
-/* The node count of a tree given as three arrays of ints; -1 if their
-   lengths do not fit. */
-static int arena_size(const Py_buffer *arena)
+/* The node count of a tree given as a taxon column; -1 if its length does
+   not fit. */
+static int column_size(const Py_buffer *column)
 {
-    Py_ssize_t m = arena[0].len / (Py_ssize_t)sizeof(int);
+    Py_ssize_t m = column->len / (Py_ssize_t)sizeof(int);
 
+    if (m < 1) {
+        PyErr_SetString(PyExc_ValueError, "the taxon column is empty");
+        return -1;
+    }
     /* with room for m + 31 in side_layout */
-    if (m < 1 || m > INT_MAX / 2 || arena[1].len != arena[0].len
-        || arena[2].len != arena[0].len) {
-        PyErr_SetString(PyExc_ValueError,
-                        "left, right and taxon must have one equal, non-zero "
-                        "length");
+    if (m > INT_MAX / 2) {
+        PyErr_SetString(PyExc_ValueError, "the taxon column is too long");
         return -1;
     }
     return (int)m;
@@ -453,10 +448,10 @@ static void ctx_map(Ctx *c, const int *qleaf)
     int v;
 
     for (v = 0; v < p->m; v++) {
-        if (p->left[v] < 0)
+        if (p->taxon[v] >= 0)
             c->m[v] = qleaf[p->taxon[v]];
         else
-            c->m[v] = lca(&c->q, c->m[p->left[v]], c->m[p->right[v]]);
+            c->m[v] = lca(&c->q, c->m[left_of(p, v)], c->m[v - 1]);
     }
 }
 
@@ -719,10 +714,10 @@ static long long run_frame(Run *run, Ctx *ctx, int rp, int rq)
     if (P->lc[rp] <= 1)
         return 0;
 
-    up = P->left[rp];
-    vp = P->right[rp];
-    uq = Q->left[rq];
-    vq = Q->right[rq];
+    up = left_of(P, rp);
+    vp = rp - 1;
+    uq = left_of(Q, rq);
+    vq = rq - 1;
     if (ctx->m[up] == vq && P->lc[up] == Q->lc[vq]) {
         tswap = uq;
         uq = vq;
@@ -830,16 +825,16 @@ static int run_frames(Run *run)
 }
 
 PyDoc_STRVAR(run_enumeration_doc,
-"run_enumeration(p_left, p_right, p_taxon, q_left, q_right, q_taxon,\n"
-"                universe, sink=None)\n"
+"run_enumeration(p_taxon, q_taxon, universe, sink=None)\n"
 "--\n"
 "\n"
 "Enumerate conflicts; same contract and output as the pure kernel.\n"
 "\n"
-"Each tree is given as three array('i') of one length, numbered in\n"
-"post-order as ``tripcon.tree.Tree._from_structure`` requires (another\n"
-"type raises TypeError, a strided view BufferError).  They are released\n"
-"before the first frame.\n"
+"Each tree is given as its taxon column in post-order, an array('i')\n"
+"read as ``tripcon.tree.Tree._from_structure`` reads it, with the same\n"
+"checks and messages but for those about taxa (another type raises\n"
+"TypeError, a strided view BufferError).  Both are released before the\n"
+"first frame.\n"
 "\n"
 "Returns ``(emitted, frames_opened, nodes_touched, budget_violations,\n"
 "per_frame_dr)``, per_frame_dr an array('q') built after the last frame\n"
@@ -848,15 +843,14 @@ PyDoc_STRVAR(run_enumeration_doc,
 "in chunks of 4,096 (the last may hold fewer), each a fresh array('i')\n"
 "of three ids per triple passed as soon as it fills, so listing needs\n"
 "O(n + chunk) memory; an exception from ``sink`` ends the run and\n"
-"propagates.  Raises ValueError unless both trees are full binary trees\n"
-"whose leaves carry the same distinct taxa.");
+"propagates.  Raises ValueError unless both columns are full binary\n"
+"trees whose leaves carry the same distinct taxa of [0, universe).");
 
 static PyObject *run_enumeration(PyObject *module, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"p_left", "p_right", "p_taxon", "q_left",
-                             "q_right", "q_taxon", "universe", "sink", NULL};
-    PyObject *arena[6]; /* left, right and taxon of P, then of Q */
-    Py_buffer view[6];
+    static char *kwlist[] = {"p_taxon", "q_taxon", "universe", "sink", NULL};
+    PyObject *column[2]; /* the taxon columns of P and Q */
+    Py_buffer view[2];
     PyObject *sink = Py_None, *dr, *result = NULL;
     int nview, universe, mp, mq, r;
     Ctx *top = NULL;
@@ -864,10 +858,9 @@ static PyObject *run_enumeration(PyObject *module, PyObject *args, PyObject *kwa
     Run run = {0};
 
     (void)module;
-    if (!PyArg_ParseTupleAndKeywords(
-            args, kwargs, "OOOOOOi|O:run_enumeration", kwlist, &arena[0],
-            &arena[1], &arena[2], &arena[3], &arena[4], &arena[5], &universe,
-            &sink))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOi|O:run_enumeration",
+                                     kwlist, &column[0], &column[1],
+                                     &universe, &sink))
         return NULL;
     if (sink != Py_None && !PyCallable_Check(sink)) {
         PyErr_SetString(PyExc_TypeError, "sink must be callable or None");
@@ -875,10 +868,10 @@ static PyObject *run_enumeration(PyObject *module, PyObject *args, PyObject *kwa
     }
     run.sink = sink == Py_None ? NULL : sink;
 
-    for (nview = 0; nview < 6; nview++)
-        if (take_array(arena[nview], "i", &view[nview]) < 0)
+    for (nview = 0; nview < 2; nview++)
+        if (take_array(column[nview], "i", &view[nview]) < 0)
             goto done;
-    if ((mp = arena_size(view)) < 0 || (mq = arena_size(view + 3)) < 0
+    if ((mp = column_size(&view[0])) < 0 || (mq = column_size(&view[1])) < 0
         || run_init(&run, universe, mp > mq ? mp : mq) < 0
         || (top = ctx_new(mp, mq)) == NULL)
         goto done;
@@ -886,10 +879,8 @@ static PyObject *run_enumeration(PyObject *module, PyObject *args, PyObject *kwa
     push_frame(&run, top, mp - 1, mq - 1);
     P = &top->p;
     Q = &top->q;
-    if (side_finish(P, view[0].buf, view[1].buf, view[2].buf, run.pleaf,
-                    universe) < 0
-        || side_finish(Q, view[3].buf, view[4].buf, view[5].buf, run.qleaf,
-                       universe) < 0)
+    if (side_finish(P, view[0].buf, run.pleaf, universe) < 0
+        || side_finish(Q, view[1].buf, run.qleaf, universe) < 0)
         goto done;
     /* both trees are copied; a sink may now change the input arrays */
     while (nview)

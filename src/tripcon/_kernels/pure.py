@@ -82,7 +82,7 @@ def run_enumeration(p, q, sink=None):
     idx_q = build_lca_index(q)
     equiv = build_leaf_equivalence(p, q, idx_q)
     work += p.n_nodes + q.n_nodes            # finalize inputs
-    work += len(idx_p.tour) + len(idx_q.tour)
+    work += p.n_nodes + q.n_nodes            # LCA builds
     work += p.n_nodes                        # equivalence pass
 
     stack = [((p, q, idx_p, idx_q, equiv), p.root, q.root)]
@@ -160,7 +160,7 @@ def run_enumeration(p, q, sink=None):
             e_new = build_leaf_equivalence(rp_new, rq_new, iq_new)
             work += 2 * nz                                   # sweeps
             work += rp_new.n_nodes + rq_new.n_nodes          # finalize
-            work += len(ip_new.tour) + len(iq_new.tour)      # LCA builds
+            work += rp_new.n_nodes + rq_new.n_nodes          # LCA builds
             work += rp_new.n_nodes                           # equivalence
             stack.append(((rp_new, rq_new, ip_new, iq_new, e_new),
                           rp_new.root, rq_new.root))

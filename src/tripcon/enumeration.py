@@ -291,10 +291,10 @@ def enumerate_conflicts(p, q, *, backend=None, collect=False, sink=None):
         flat = array("i")
         sink = flat.extend
     if name == "fast":
+        # each tree is its post-order taxon column; the kernel derives and
+        # checks the rest, as Tree._from_structure does
         d, frames, work, violations, per_dr = _kernels._fast.run_enumeration(
-            p.left, p.right, p.taxon, q.left, q.right, q.taxon,
-            len(p.taxa), sink,
-        )
+            p.taxon, q.taxon, len(p.taxa), sink)
     else:
         from ._kernels import pure
 

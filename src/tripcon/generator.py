@@ -104,24 +104,18 @@ def _uniform_attachment(n, rng, taxa):
                 right[pa] = joint
             parent[joint] = pa
 
-    # number the nodes in post-order, left child first, as a Tree's are
-    order = []
+    # the taxon column in post-order, left child first, as a Tree's is
+    column = []
     stack = [root]
     while stack:
         v = stack.pop()
-        if v < 0:  # both subtrees of ~v are numbered
-            order.append(~v)
+        if v < 0:  # both subtrees of an internal node are listed
+            column.append(-1)
         elif left[v] < 0:
-            order.append(v)
+            column.append(taxon[v])
         else:
-            stack += (~v, right[v], left[v])
-    post = [0] * len(order)
-    for k, v in enumerate(order):
-        post[v] = k
-    return Tree._from_structure(
-        [post[left[v]] if left[v] >= 0 else -1 for v in order],
-        [post[right[v]] if left[v] >= 0 else -1 for v in order],
-        [taxon[v] for v in order], taxa)
+            stack += (-1, right[v], left[v])
+    return Tree._from_structure(column, taxa)
 
 
 def _caterpillar_shape(names):
@@ -175,9 +169,8 @@ def perturb_leaf_swaps(t, k, seed):
                 j += 1
             li, lj = leaves[i], leaves[j]
             taxon[li], taxon[lj] = taxon[lj], taxon[li]
-    return Tree._from_structure(
-        t.left, t.right, taxon, t.taxa, full=t.n_leaves == len(t.taxa),
-    )
+    return Tree._from_structure(taxon, t.taxa,
+                                full=t.n_leaves == len(t.taxa))
 
 
 def generate_pair(cfg):

@@ -145,7 +145,7 @@ def parse_newick(text, taxa=None):
 def _parse(text, taxa=None):
     """:func:`parse_newick` by the regex tokens: the reference parser, and
     the one that reports every error."""
-    left, right, taxon, labels = [], [], [], []
+    taxon, labels = [], []
     groups = []  # [opening position, left child or -1] per open '('
     last = -1  # the subtree just completed, or -1 while one is wanted
     prev = None  # kind of the previous token
@@ -157,9 +157,7 @@ def _parse(text, taxa=None):
                 groups.append([m.start(kind), -1])
             elif kind == "bare" or (kind == "quoted" and m["text"]):
                 label = m[kind] if kind == "bare" else m["text"].replace("''", "'")
-                last = len(left)
-                left.append(-1)
-                right.append(-1)
+                last = len(taxon)
                 taxon.append(len(labels))
                 labels.append((label, m.start(kind)))
             else:
@@ -168,10 +166,9 @@ def _parse(text, taxa=None):
             groups[-1][1] = last
             last = -1
         elif kind == "close" and groups and groups[-1][1] >= 0:
-            left.append(groups.pop()[1])
-            right.append(last)
+            groups.pop()
+            last = len(taxon)
             taxon.append(-1)
-            last = len(left) - 1
         elif kind == "length" and prev in ("bare", "quoted", "close"):
             _check_length(text, m)
         elif kind == "semi" and not groups:
@@ -193,7 +190,7 @@ def _parse(text, taxa=None):
 
     if taxa is None:
         taxa = TaxonSet(label for label, _ in labels)
-        return Tree._from_structure(left, right, taxon, taxa), taxa
+        return Tree._from_structure(taxon, taxa), taxa
 
     index = taxa.index
     if len(labels) != len(taxa):
@@ -208,7 +205,7 @@ def _parse(text, taxa=None):
                     f"label {label!r} (position {pos}) not in the shared taxon set"
                 )
             taxon[v] = index[label]
-    return Tree._from_structure(left, right, taxon, taxa), taxa
+    return Tree._from_structure(taxon, taxa), taxa
 
 
 def _format_label(name):

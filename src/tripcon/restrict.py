@@ -9,8 +9,8 @@ happen between nodes on one host root-to-leaf path, where depths are
 strictly increasing).  :func:`induced_subtree` runs it on Z, and
 ListSubtreeConflicts runs it on Z plus one candidate leaf.  Child order
 follows Z, so the result's leaf post-order is Z itself, and the sweep
-completes the nodes in post-order, in which :func:`induced_subtree`
-numbers them.
+completes the nodes in post-order, so :func:`induced_subtree` reads the
+result's taxon column off in that order.
 """
 
 from .errors import EmptySubsetError, UnorderedInputError
@@ -68,7 +68,8 @@ def sweep(depth):
 def induced_subtree(t, idx, z):
     """Restrict ``t`` to the leaves ``z`` (node ids, ascending).
 
-    Returns a standalone :class:`Tree` on the leaf subset whose node v
+    Returns a standalone :class:`Tree` on the leaf subset, finalized from
+    its taxon column in the sweep's completion order.  Its node v
     contracts to host node ``inorder(idx, z)[j]``, j being v's in-order
     position: ``2 * leaf_base[v]`` for a leaf and
     ``2 * (leaf_base[v] + leaf_count[left[v]]) - 1`` for an internal
@@ -79,26 +80,16 @@ def induced_subtree(t, idx, z):
     """
     if not z:
         raise EmptySubsetError("cannot restrict to zero leaves")
-    tleft = t.left
+    ttaxon = t.taxon
     prev = -1
     for v in z:
-        if tleft[v] >= 0:
+        if ttaxon[v] < 0:
             raise UnorderedInputError(f"node {v} is not a leaf")
         if v <= prev:
             raise UnorderedInputError("leaves are not in strict post-order")
         prev = v
 
-    origin = inorder(idx, z)
-    parent, _, _, order = sweep(list(map(t.depth.__getitem__, origin)))
-    nn = len(order)
-    post = [0] * nn  # by in-order position
-    for k, x in enumerate(order):
-        post[x] = k
-    left, right = [-1] * nn, [-1] * nn
-    for x in order[:-1]:
-        p = parent[x]
-        (left if x < p else right)[post[p]] = post[x]
-    ttaxon = t.taxon
+    order = sweep(list(map(t.depth.__getitem__, inorder(idx, z))))[3]
     return Tree._from_structure(
-        left, right, [-1 if x & 1 else ttaxon[z[x >> 1]] for x in order],
+        [-1 if x & 1 else ttaxon[z[x >> 1]] for x in order],
         t.taxa, full=len(z) == len(t.taxa))

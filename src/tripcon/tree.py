@@ -5,15 +5,22 @@ trees are immutable once built.  A node's id is its post-order number
 (left child first): children come before their parent, the root is
 n_nodes - 1, and the subtree of v is the ids (v - 2 * leaf_count[v] + 1,
 v].  That interval is what makes ancestry testing O(1) and per-subtree
-leaf traversal a plain slice.  Every builder numbers its arena in
-post-order, which finalizing checks, and makes the same ``array('i')``
-slots, which the compiled kernel reads in place.
+leaf traversal a plain slice.  In post-order an internal node v has right
+child v - 1 and left child v - 2 * leaf_count[v - 1], so the ``taxon``
+column alone fixes the shape.  It is all that a builder hands to
+:meth:`Tree._from_structure`, which derives every other slot from it in
+one forward pass (the compiled Newick pass fills every slot itself).
+Every slot is an ``array('i')``; the compiled kernel reads ``taxon`` in
+place.
 
-Arrays (all ``array('i')``, length ``n_nodes``)
------------------------------------------------
+Input column (``array('i')``, length ``n_nodes``)
+--------------------------------------------------
+taxon        dense taxon id on leaves; -1 on internal nodes
+
+Derived slots (``array('i')``, length ``n_nodes``)
+--------------------------------------------------
 parent       parent id; -1 for the root
 left, right  child ids; -1 for leaves (a node has either 0 or 2 children)
-taxon        dense taxon id on leaves; -1 on internal nodes
 leaf_count   number of leaves in the subtree
 leaf_base    rank (into ``leaves_post``) of the first leaf of the subtree
 depth        edge distance from the root
@@ -38,8 +45,8 @@ from .errors import (
     TaxonMismatchError,
 )
 
-# The one message of both finalizers for slot lengths that differ or are 0.
-ARENA_LENGTHS = "left, right and taxon must have one equal, non-zero length"
+# The one message of both finalizers for a taxon column of length 0.
+EMPTY_COLUMN = "the taxon column is empty"
 
 
 class TaxonSet:
@@ -146,37 +153,33 @@ class Tree:
         return f"<Tree n_leaves={self.n_leaves} n_nodes={self.n_nodes}>"
 
     @classmethod
-    def _from_structure(cls, left, right, taxon, taxa, full=True):
-        """Finalize a tree from raw child arrays numbered in post-order.
+    def _from_structure(cls, taxon, taxa, full=True):
+        """Finalize a tree from its taxon column in post-order.
 
-        The arrays may be any int sequences; the slots are new
-        ``array('i')``.  One forward pass checks that each node v is a
-        leaf (both children -1) or an internal node whose children are
-        v - 2 * leaf_count[v - 1] >= 0 and v - 1, with taxon -1, and
-        derives every array as it goes; the root m - 1 must then cover
-        all m ids.  Leaf taxa must lie in ``taxa`` and be distinct; with
-        ``full``, they must also be all of it.  The compiled kernel's
-        ``run_enumeration`` makes the same checks, with the same messages
-        but for those about taxa.
+        ``taxon`` may be any int sequence: a taxon id on each leaf and -1
+        on each internal node, read like a postfix expression.  One
+        forward pass derives every slot, each a new ``array('i')``: an
+        internal node v joins the two subtrees completed last before it,
+        v - 2 * leaf_count[v - 1] >= 0 and v - 1, and the root m - 1 must
+        then cover all m ids.  Leaf taxa must lie in ``taxa`` and be
+        distinct; with ``full``, they must also be all of it.  The
+        compiled kernel's ``run_enumeration`` makes the same checks, with
+        the same messages but for those about taxa.
         """
-        m = len(left)
-        if not len(right) == len(taxon) == m:
-            raise ValueError(ARENA_LENGTHS)
+        m = len(taxon)
         if m == 0:
-            raise EmptyTreeError(ARENA_LENGTHS)
+            raise EmptyTreeError(EMPTY_COLUMN)
 
+        left = array("i", [-1]) * m
+        right = array("i", [-1]) * m
         parent = array("i", [-1]) * m
         leaf_count = array("i", [1]) * m
         leaf_base = array("i", [0]) * m
         leaves_post = array("i")
         leaf_of_taxon = {}
         nt = len(taxa)
-        for v, lc, rc, tx in zip(range(m), left, right, taxon):
-            if lc == rc == -1:
-                if tx < 0:
-                    raise ValueError(f"leaf {v} has no taxon")
-                if tx >= nt:
-                    raise ValueError(f"taxon[{v}] = {tx} is out of range")
+        for v, tx in enumerate(taxon):
+            if 0 <= tx < nt:
                 if tx in leaf_of_taxon:
                     raise DuplicateLabelError(
                         f"taxon {taxa.name_of(tx)!r} appears on two leaves"
@@ -184,15 +187,17 @@ class Tree:
                 leaf_of_taxon[tx] = v
                 leaf_base[v] = len(leaves_post)
                 leaves_post.append(v)
-            elif rc == v - 1 >= 0 and lc == v - 2 * leaf_count[rc] >= 0:
-                if tx != -1:
-                    raise ValueError(f"internal node {v} carries a taxon id")
+            elif tx != -1:
+                raise ValueError(f"taxon[{v}] = {tx} is out of range")
+            elif v == 0 or (lc := v - 2 * leaf_count[v - 1]) < 0:
+                raise ValueError(f"internal node {v} lacks two subtrees "
+                                 f"before it")
+            else:
+                left[v] = lc
+                rc = right[v] = v - 1
                 parent[lc] = parent[rc] = v
                 leaf_count[v] = leaf_count[lc] + leaf_count[rc]
                 leaf_base[v] = leaf_base[lc]
-            else:
-                raise ValueError(f"node {v} breaks the post-order rule "
-                                 f"(children {lc} and {rc})")
         below = 2 * leaf_count[m - 1] - 1
         if below != m:
             raise ValueError(f"{m - below} of {m} nodes are not below the root")
@@ -205,9 +210,9 @@ class Tree:
         depth = array("i", [0]) * m
         for v in range(m - 2, -1, -1):
             depth[v] = depth[parent[v]] + 1
-        return cls._from_arrays(taxa, array("i", left), array("i", right),
-                                array("i", taxon), parent, leaf_count,
-                                leaf_base, depth, leaves_post, leaf_of_taxon)
+        return cls._from_arrays(taxa, left, right, array("i", taxon), parent,
+                                leaf_count, leaf_base, depth, leaves_post,
+                                leaf_of_taxon)
 
     @classmethod
     def _from_arrays(cls, taxa, left, right, taxon, parent, leaf_count,
@@ -244,56 +249,39 @@ def build_tree(topology, taxa=None):
     if topology is None or (not isinstance(topology, str) and not topology):
         raise EmptyTreeError("empty topology")
 
-    left, right, taxon, labels = [], [], [], []
-
-    def new_node():
-        left.append(-1)
-        right.append(-1)
-        taxon.append(-1)
-        return len(left) - 1
-
-    done = []  # ids of completed subtrees
-    work = [(topology, False)]
+    taxon, labels = [], []
+    join = object()  # marks the end of an internal node's children
+    work = [topology]
     while work:
-        obj, exit_phase = work.pop()
-        if exit_phase:
-            rid = done.pop()
-            lid = done.pop()
-            v = new_node()
-            left[v] = lid
-            right[v] = rid
-            done.append(v)
-            continue
-        if isinstance(obj, str):
+        obj = work.pop()
+        if obj is join:
+            taxon.append(-1)
+        elif isinstance(obj, str):
             if not obj:
                 raise EmptyTreeError("empty leaf label")
-            v = new_node()
-            taxon[v] = len(labels)  # provisional; remapped below
+            taxon.append(len(labels))  # provisional; remapped below
             labels.append(obj)
-            done.append(v)
         elif isinstance(obj, (tuple, list)):
             if len(obj) != 2:
                 raise NonBinaryError(
                     f"internal node has {len(obj)} children (need 2)"
                 )
-            work.append((obj, True))
-            work.append((obj[1], False))
-            work.append((obj[0], False))
+            work += (join, obj[1], obj[0])
         else:
             raise TypeError(f"unsupported topology element {obj!r}")
 
     if taxa is None:
         taxa = TaxonSet(labels)  # raises DuplicateLabelError on repeats
-        return Tree._from_structure(left, right, taxon, taxa)
+        return Tree._from_structure(taxon, taxa)
 
     index = taxa.index
-    for v in range(len(taxon)):
-        if taxon[v] >= 0:
-            label = labels[taxon[v]]
+    for v, tx in enumerate(taxon):
+        if tx >= 0:
+            label = labels[tx]
             if label not in index:
                 raise TaxonMismatchError(f"label {label!r} not in the taxon set")
             taxon[v] = index[label]
-    return Tree._from_structure(left, right, taxon, taxa)
+    return Tree._from_structure(taxon, taxa)
 
 
 def is_ancestor(t, u, v):

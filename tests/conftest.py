@@ -213,40 +213,17 @@ def permutation(n, rng):
     return perm
 
 
-def shuffled_arena(t, seed):
-    """``(left, right, taxon)`` of ``t``, which needs two nodes or more,
-    with its node ids permuted by a seeded shuffle other than the
-    identity; the slots are ``array('i')``, as the compiled kernel takes
-    them.  A tree has one post-order numbering, so both finalizers must
-    reject the result, with the same text."""
-    m = t.n_nodes
-    rng = SplitMix64(seed)
-    perm = list(range(m))
-    while perm == sorted(perm):
-        perm = permutation(m, rng)
-    left, right, taxon = (array("i", [-1]) * m for _ in range(3))
-    for v in range(m):
-        if t.left[v] >= 0:
-            left[perm[v]] = perm[t.left[v]]
-            right[perm[v]] = perm[t.right[v]]
-        taxon[perm[v]] = t.taxon[v]
-    return left, right, taxon
-
-
 def caterpillar_from_order(order, taxa):
     """The caterpillar (((order[0], order[1]), order[2]), ...) over taxon
-    ids, finalized from its arena in post-order: leaf order[0] is node 0,
-    leaf order[i] node 2i - 1, and node 2i joins nodes 2i - 2 and
+    ids, finalized from its taxon column in post-order: leaf order[0] is
+    node 0, leaf order[i] node 2i - 1, and node 2i joins nodes 2i - 2 and
     2i - 1."""
     n = len(order)
     assert n >= 2
-    m = 2 * n - 1
-    left, right, taxon = [-1] * m, [-1] * m, [-1] * m
-    left[2::2] = range(0, m - 2, 2)
-    right[2::2] = range(1, m - 1, 2)
+    taxon = [-1] * (2 * n - 1)
     taxon[0] = order[0]
     taxon[1::2] = order[1:]
-    return Tree._from_structure(left, right, taxon, taxa)
+    return Tree._from_structure(taxon, taxa)
 
 
 def built_by_every_builder(n, seed):

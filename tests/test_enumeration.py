@@ -100,9 +100,8 @@ def _kernel_ids(p, q, backend):
     """The flat taxon ids the kernel hands to its sink."""
     ids = []
     if backend == "fast":
-        tripcon._kernels._fast.run_enumeration(
-            p.left, p.right, p.taxon, q.left, q.right, q.taxon, len(p.taxa),
-            ids.extend)
+        tripcon._kernels._fast.run_enumeration(p.taxon, q.taxon, len(p.taxa),
+                                               ids.extend)
     else:
         from tripcon._kernels import pure
         pure.run_enumeration(p, q, ids.extend)

@@ -76,7 +76,7 @@ def test_perturb_cherry_swap_is_isomorphism(fig1):
     taxon[a], taxon[b] = taxon[b], taxon[a]
     from tripcon.tree import Tree
 
-    q = Tree._from_structure(list(p.left), list(p.right), taxon, p.taxa)
+    q = Tree._from_structure(taxon, p.taxa)
     assert count_conflicts(p, q) == 0
 
 
@@ -87,7 +87,7 @@ def test_perturb_single_swap_matches_oracle(fig1):
     taxon[a], taxon[c] = taxon[c], taxon[a]
     from tripcon.tree import Tree
 
-    q = Tree._from_structure(list(p.left), list(p.right), taxon, p.taxa)
+    q = Tree._from_structure(taxon, p.taxa)
     got = enumerate_bruteforce(p, q)
     from tripcon import enumerate_conflicts
 

@@ -35,7 +35,7 @@ from tripcon.generator import (
 )
 
 from conftest import (BAD_OFFSETS, TWO_TAXA, built_by_every_builder,
-                      decorated_newick, join_cases, shuffled_arena)
+                      decorated_newick, join_cases)
 from test_newick import ERROR_TABLE
 
 CC = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
@@ -127,129 +127,118 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     pkg = os.path.dirname(os.path.abspath(tripcon.__file__))
     source = os.path.join(pkg, "_kernels", "_fast.c")
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    cmd = cc + ["-std=c99", "-Wall", "-Wextra", "-Werror", "-fPIC", "-shared",
-                "-I" + sysconfig.get_paths()["include"], source,
+    cmd = cc + ["-std=c99", "-Wall", "-Wextra", "-Werror", "-pedantic",
+                "-Wshadow", "-Wcast-qual", "-Wvla", "-Wstrict-prototypes",
+                "-fPIC", "-shared", "-I" + sysconfig.get_paths()["include"],
+                source,
                 "-o", str(tmp_path / f"_fast{EXT_SUFFIX}")]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
-def arena(left, right, taxon):
-    """A tree's slots as the compiled kernel takes them, array('i')."""
-    return array("i", left), array("i", right), array("i", taxon)
+def column(taxon):
+    """A tree's taxon column as the compiled kernel takes it, array('i')."""
+    return array("i", taxon)
 
 
-LENGTHS = "left, right and taxon must have one equal, non-zero length"
+EMPTY = "the taxon column is empty"
 DIFFERENT = "P and Q carry different leaf taxa"
 
 
-def rule(v, left, right):
-    """Both finalizers' message for node v with these children."""
-    return f"node {v} breaks the post-order rule (children {left} and {right})"
+def out_of_range(v, tx):
+    """Both finalizers' message for node v with taxon tx below -1 or at or
+    above the universe."""
+    return f"taxon[{v}] = {tx} is out of range"
 
 
-# Node ids are post-order numbers: node v is a leaf (children -1), or has
-# children v - 2 * leaf_count[v - 1] >= 0 and v - 1.
-CHERRY = arena([-1, -1, 0], [-1, -1, 1], [0, 1, -1])
+def lacking(v):
+    """Both finalizers' message for internal node v without two complete
+    subtrees before it."""
+    return f"internal node {v} lacks two subtrees before it"
+
+
+# Node ids are post-order numbers: node v is a leaf (taxon >= 0), or an
+# internal node (taxon -1) with children v - 2 * leaf_count[v - 1] >= 0 and
+# v - 1.
+CHERRY = column([0, 1, -1])
 # Trees the compiled kernel must reject when paired with CHERRY, on either
 # side, in a universe of two taxa, each with its message.
-BAD_TREES = [(arena(*t[:3]), t[3]) for t in (
-    ([-1, -1, 0], [-1, -1], [0, 1, -1], LENGTHS),
-    ([-1, -1, 0], [-1, -1, 1], [0, 1], LENGTHS),
-    ([], [], [], LENGTHS),
-    ([-1, -1, 0], [-1, -1, 7], [0, 1, -1], rule(2, 0, 7)),  # out of range
-    ([-1, -1, 0], [-1, -1, -5], [0, 1, -1], rule(2, 0, -5)),  # below -1
-    ([-1, -1, 0], [-1, -1, -1], [0, 1, -1], rule(2, 0, -1)),  # one child
-    ([-1, -1, 2], [-1, -1, 1], [0, 1, -1], rule(2, 2, 1)),  # its own child
-    ([-1, -1, 1], [-1, -1, 1], [0, 1, -1], rule(2, 1, 1)),  # one child twice
-    ([-1, -1, 1], [-1, -1, 0], [0, 1, -1], rule(2, 1, 0)),  # right not v - 1
-    # node 0 internal: its right child v - 1 is -1, which has no leaf count
-    ([-3, -1, 0], [-1, -1, 1], [-1, 1, -1], rule(0, -3, -1)),
+BAD_TREES = [(column(t), why) for t, why in (
+    ([], EMPTY),
+    ([-1], lacking(0)),
+    # node 0 internal: it has no right child v - 1, nor a leaf count there
+    ([-1, 1, -1], lacking(0)),
+    # node 1's right child 0 has one leaf, so its left would be 1 - 2
+    ([0, -1, 1, -1], lacking(1)),
     # node 3's right child 2 has two leaves, so its left would be 3 - 4
-    ([-1, -1, 0, -1], [-1, -1, 1, 2], [0, 1, -1, -1], rule(3, -1, 2)),
-    ([-1, -1], [-1, -1], [0, 1], "1 of 2 nodes are not below the root"),
-    ([-1, -1, 0], [-1, -1, 1], [0, 1, 0], "internal node 2 carries a taxon id"),
-    ([-1, -1, 0], [-1, -1, 1], [0, -1, -1], "leaf 1 has no taxon"),
-    ([-1, -1, 0], [-1, -1, 1], [0, 2, -1], "taxon[1] = 2 is out of range"),
-    ([-1, -1, 0], [-1, -1, 1], [1, 1, -1], "leaf 1 has a repeated taxon"),
-    ([-1, -1, 0, -1, 2], [-1, -1, 1, -1, 3], [1, 0, -1, 0, -1],
-     "leaf 3 has a repeated taxon"),
-    ([-1], [-1], [0], DIFFERENT),  # taxa {0} against {0, 1}
+    ([0, 1, -1, -1], lacking(3)),
+    ([0, -2, -1], out_of_range(1, -2)),
+    ([0, 1, -2 ** 31], out_of_range(2, -2 ** 31)),
+    ([0, 2, -1], out_of_range(1, 2)),  # the universe
+    ([2 ** 31 - 1, 1, -1], out_of_range(0, 2 ** 31 - 1)),
+    ([1, 1, -1], "leaf 1 has a repeated taxon"),
+    ([1, 0, -1, 0, -1], "leaf 3 has a repeated taxon"),
+    ([0, 1], "1 of 2 nodes are not below the root"),
+    ([0], DIFFERENT),  # taxa {0} against {0, 1}
 )]
 # run_enumeration arguments that must raise ValueError, each with its
 # message; the last pairs the taxa {0, 1} with {0, 2}.
-MALFORMED = ([(t + CHERRY + (2,), why) for t, why in BAD_TREES]
-             + [(CHERRY + t + (2,), why) for t, why in BAD_TREES]
-             + [(CHERRY + arena([-1, -1, 0], [-1, -1, 1], [0, 2, -1]) + (3,),
-                 DIFFERENT)])
+MALFORMED = ([((t, CHERRY, 2), why) for t, why in BAD_TREES]
+             + [((CHERRY, t, 2), why) for t, why in BAD_TREES]
+             + [((CHERRY, column([0, 2, -1]), 3), DIFFERENT)])
 
 
-def mutated_arena(t, rng):
-    """The slots of ``t`` as lists with one to three seeded edits: one
-    slot value, the length of one slot or of all three, or the taxa of
-    two nodes exchanged."""
-    slots = [list(t.left), list(t.right), list(t.taxon)]
+def mutated_column(t, rng):
+    """The taxon column of ``t`` as a list with one to three seeded edits:
+    an entry set to -2, -1, the universe or a random taxon, an entry
+    deleted or inserted, or two entries exchanged."""
+    taxon = list(t.taxon)
     nt = len(t.taxa)
     for _ in range(1 + rng.randrange(3)):
-        kind = rng.randrange(8)
-        at = rng.randrange(3)
-        slot = slots[at]
-        m = min(map(len, slots))
+        kind = rng.randrange(4)
+        value = (-2, -1, nt, rng.randrange(nt))[rng.randrange(4)]
         if kind == 0:
-            for each in slots:
-                del each[-1:]
-        elif kind == 1:
-            if rng.randrange(2):
-                slot.append(-1)
+            taxon.insert(rng.randrange(len(taxon) + 1), value)
+        elif taxon:
+            at = rng.randrange(len(taxon))
+            if kind == 1:
+                taxon[at] = value
+            elif kind == 2:
+                del taxon[at]
             else:
-                del slot[-1:]
-        elif kind == 2 and m:
-            i, j = rng.randrange(m), rng.randrange(m)
-            taxon = slots[2]
-            taxon[i], taxon[j] = taxon[j], taxon[i]
-        elif slot:
-            v = rng.randrange(len(slot))
-            if at < 2:
-                values = (-1, -2, v - 1, v - 2, v - 3, v, v + 1, len(slot),
-                          rng.randrange(len(slot) + 1) - 1)
-            else:
-                values = (-1, -2, nt, rng.randrange(nt))
-            slot[v] = values[rng.randrange(len(values))]
-    return slots
+                other = rng.randrange(len(taxon))
+                taxon[at], taxon[other] = taxon[other], taxon[at]
+    return taxon
 
 
 @functools.cache
 def finalizer_cases():
-    """``(slots, t, shuffled)``: arenas from every builder, each with
-    seeded edits (``mutated_arena``) or, with ``shuffled``, renumbered
-    (``shuffled_arena``), and the valid tree ``t`` they were made from."""
+    """``(taxon, t)``: taxon columns from every builder, each with seeded
+    edits (``mutated_column``), and the valid tree ``t`` it was made
+    from."""
     rng = SplitMix64(0xA7E7A)
     cases = []
     for n, seed in ((2, 1), (5, 2), (12, 3), (30, 4)):
         for t in built_by_every_builder(n, seed).values():
-            cases += [(mutated_arena(t, rng), t, False) for _ in range(40)]
-            if t.n_nodes > 1:
-                cases += [(list(map(list, shuffled_arena(t, rng.next_u64()))),
-                           t, True) for _ in range(2)]
+            cases += [(mutated_column(t, rng), t) for _ in range(40)]
     return cases
 
 
-def python_finalizer(slots, t):
-    """d of the tree that Tree._from_structure finalizes from ``slots``,
+def python_finalizer(taxon, t):
+    """d of the tree that Tree._from_structure finalizes from ``taxon``,
     against t, or the exception raised on the way."""
     try:
-        u = Tree._from_structure(*slots, t.taxa,
+        u = Tree._from_structure(taxon, t.taxa,
                                  full=t.n_leaves == len(t.taxa))
         return count_conflicts(u, t, backend="pure")
     except (ValueError, TripconError) as exc:
         return exc
 
 
-def fast_finalizer(slots, t):
-    """d of run_enumeration on ``slots`` against t, or its ValueError."""
+def fast_finalizer(taxon, t):
+    """d of run_enumeration on ``taxon`` against t, or its ValueError."""
     try:
-        return _fast.run_enumeration(*arena(*slots), t.left, t.right,
-                                     t.taxon, len(t.taxa))[0]
+        return _fast.run_enumeration(column(taxon), t.taxon, len(t.taxa))[0]
     except ValueError as exc:
         return exc
 
@@ -268,25 +257,22 @@ def not_int_arrays(slot):
                     reason="compiled kernel not built")
 def test_kernel_rejects_malformed_arrays():
     run = _fast.run_enumeration
-    leaf = arena([-1], [-1], [0])
-    assert run(*CHERRY, *CHERRY, 2)[:2] == (0, 3)
+    leaf = column([0])
+    assert run(CHERRY, CHERRY, 2)[:2] == (0, 3)
     for args, why in MALFORMED:
         with pytest.raises(ValueError) as error:
             run(*args)
         assert str(error.value) == why
     with pytest.raises(TypeError):
-        run(*CHERRY, *CHERRY, 2, 5)  # a sink that is not callable
-    assert run(*leaf, *leaf, 1)[:2] == (0, 1)
-    # each slot is read in place, only as a contiguous array('i'), and the
-    # three of a tree have one length
-    args = CHERRY + CHERRY + (2,)
-    assert run(*args[:4], memoryview(args[4]), *args[5:])[:2] == (0, 3)
-    for at in range(6):
+        run(CHERRY, CHERRY, 2, 5)  # a sink that is not callable
+    assert run(leaf, leaf, 1)[:2] == (0, 1)
+    # each column is read in place, only as a contiguous array('i')
+    args = (CHERRY, CHERRY, 2)
+    assert run(CHERRY, memoryview(CHERRY), 2)[:2] == (0, 3)
+    for at in range(2):
         for bad, error in not_int_arrays(args[at]):
             with pytest.raises(error):
                 run(*args[:at], bad, *args[at + 1:])
-        with pytest.raises(ValueError, match=f"^{LENGTHS}$"):
-            run(*args[:at], args[at][:-1], *args[at + 1:])
 
 
 @pytest.mark.skipif("fast" not in available_backends(),
@@ -300,20 +286,19 @@ def test_a_sink_may_change_the_input_arrays():
 
     def sink(chunk):
         ids.extend(chunk)
-        for t in (p, q):
-            for slot in (t.left, t.right, t.taxon):
-                slot.append(-1)
+        p.taxon.append(-1)
+        q.taxon.append(-1)
 
     instr = enumerate_conflicts(p, q, sink=sink, backend="fast")
     assert instr.d == math.comb(n, 3) and len(ids) == 3 * instr.d
-    assert len(p.left) == 2 * n - 1 + math.ceil(instr.d / 4096)
+    assert len(p.taxon) == 2 * n - 1 + math.ceil(instr.d / 4096)
 
 
 @pytest.mark.parametrize("bad", BAD_TREES)
 def test_both_finalizers_reject_malformed_arrays(bad):
-    slots, why = bad
+    taxon, why = bad
     with pytest.raises((ValueError, TripconError)) as python_error:
-        Tree._from_structure(*slots, TaxonSet(["a", "b"]))
+        Tree._from_structure(taxon, TaxonSet(["a", "b"]))
     if not isinstance(python_error.value, (DuplicateLabelError,
                                            TaxonMismatchError)):
         # the Python errors about taxa name them by their labels
@@ -321,41 +306,40 @@ def test_both_finalizers_reject_malformed_arrays(bad):
     if "fast" not in available_backends():
         return
     with pytest.raises(ValueError) as c_error:
-        _fast.run_enumeration(*slots, *CHERRY, 2)
+        _fast.run_enumeration(taxon, CHERRY, 2)
     assert str(c_error.value) == why
 
 
 @pytest.mark.skipif("fast" not in available_backends(),
                     reason="compiled kernel not built")
 def test_both_finalizers_accept_and_reject_mutated_arenas_alike():
-    # every arena that Tree._from_structure accepts, the kernel accepts
+    # every column that Tree._from_structure accepts, the kernel accepts
     # with the same d; every other one both reject, for the same reason
     # and with the same text but for the Python errors about taxa, which
     # name them by their labels
     seen = set()
-    for slots, t, shuffled in finalizer_cases():
-        want = python_finalizer(slots, t)
-        got = fast_finalizer(slots, t)
-        # a tree has one post-order numbering, which shuffling breaks
-        assert not shuffled or "post-order rule" in str(want)
+    cases = finalizer_cases()
+    assert len(cases) >= 1600
+    for taxon, t in cases:
+        want = python_finalizer(taxon, t)
+        got = fast_finalizer(taxon, t)
         if isinstance(want, int):
-            assert got == want, slots
+            assert got == want, taxon
             seen.add("accepted")
         elif isinstance(want, TaxonMismatchError):
-            assert str(got) == DIFFERENT, slots
+            assert str(got) == DIFFERENT, taxon
             seen.add("taxa differ")
         elif isinstance(want, DuplicateLabelError):
-            assert re.fullmatch(r"leaf \d+ has a repeated taxon", str(got)), slots
+            assert re.fullmatch(r"leaf \d+ has a repeated taxon", str(got)), taxon
             seen.add("repeated taxon")
         else:
-            assert type(want) in (ValueError, EmptyTreeError), slots
-            assert isinstance(got, ValueError) and str(got) == str(want), slots
+            assert type(want) in (ValueError, EmptyTreeError), taxon
+            assert isinstance(got, ValueError) and str(got) == str(want), taxon
             seen.add(re.sub(r"-?\d+", "#", str(want)))
     assert seen == {
-        "accepted", "taxa differ", "repeated taxon", LENGTHS,
-        rule("#", "#", "#"), "# of # nodes are not below the root",
-        "internal node # carries a taxon id", "leaf # has no taxon",
-        "taxon[#] = # is out of range"}
+        "accepted", "taxa differ", "repeated taxon", EMPTY,
+        out_of_range("#", "#"), lacking("#"),
+        "# of # nodes are not below the root"}
 
 
 SANITIZED = """
@@ -383,7 +367,7 @@ for shape in SHAPES:
         instr = enumerate_conflicts(p, p, collect=collect, backend="fast")
         assert instr.frames_opened == len(instr.per_frame_dr) == 599
 p, q = caterpillar_tree(300), caterpillar_tree(300, reverse=True)
-args = (p.left, p.right, p.taxon, q.left, q.right, q.taxon, len(p.taxa))
+args = (p.taxon, q.taxon, len(p.taxa))
 assert run(*args)[0] == math.comb(300, 3)
 chunks = []
 out = run(*args, chunks.append)
@@ -400,8 +384,8 @@ except KeyError:
     pass
 else:
     raise AssertionError("the sink's exception was lost")
-# malformed trees, each with its message, and arenas from every builder
-# with seeded edits or a shuffled numbering, against a valid tree
+# malformed trees, each with its message, and columns from every builder
+# with seeded edits, against a valid tree
 for args, why in {malformed!r}:
     try:
         run(*args)
@@ -413,12 +397,12 @@ import json
 with open({finalizer_cases!r}, encoding="utf-8") as fh:
     for args in json.load(fh):
         try:
-            run(*[array("i", slot) for slot in args[:6]], args[6])
+            run(array("i", args[0]), array("i", args[1]), args[2])
         except ValueError:
             pass
-# slots of another type, typecode, stride or length
-args = {cherry!r} * 2 + (2,)
-for at in range(6):
+# columns of another type, typecode or stride, or one entry short
+args = ({cherry!r},) * 2 + (2,)
+for at in range(2):
     slot = args[at]
     spread = array("i", [x for v in slot for x in (v, 0)])
     for bad in (list(slot), array("q", slot), array("h", slot),
@@ -431,10 +415,10 @@ for at in range(6):
 # a sink that grows the input arrays, which the kernel no longer holds
 p, q = caterpillar_tree(40), caterpillar_tree(40, reverse=True)
 def grow(ids):
-    for slot in (p.left, p.right, p.taxon, q.left, q.right, q.taxon):
-        slot.append(-1)
-out = run(p.left, p.right, p.taxon, q.left, q.right, q.taxon, 40, grow)
-assert out[0] == math.comb(40, 3) and len(p.left) == 79 + 3
+    p.taxon.append(-1)
+    q.taxon.append(-1)
+out = run(p.taxon, q.taxon, 40, grow)
+assert out[0] == math.comb(40, 3) and len(p.taxon) == 79 + 3
 
 # the Newick pass: every error, every prefix of a text with comments,
 # lengths and quoted labels, with and without an index, and an index
@@ -538,8 +522,8 @@ def test_kernel_runs_clean_under_asan_and_ubsan(fresh_copy):
                PYTHONMALLOC="malloc")
     mutated = source.parents[3] / "finalizer_cases.json"
     mutated.write_text(json.dumps([
-        slots + [list(t.left), list(t.right), list(t.taxon), len(t.taxa)]
-        for slots, t, _ in finalizer_cases()]), encoding="utf-8")
+        [taxon, list(t.taxon), len(t.taxa)]
+        for taxon, t in finalizer_cases()]), encoding="utf-8")
     names = [f"t{i}" if i % 3 else f"sp. {i}'s \u00e9" for i in range(200)]
     mixed = decorated_newick(random_binary_tree(
         GeneratorConfig(n=200, seed=5), TaxonSet(names)), 9)

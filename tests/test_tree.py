@@ -10,12 +10,17 @@ from tripcon import (
     NonBinaryError,
     SplitMix64,
     TaxonSet,
+    Tree,
     build_tree,
     is_ancestor,
+    parse_newick,
+    serialize_newick,
 )
-from tripcon.generator import GeneratorConfig, random_binary_tree
+from tripcon.generator import (GeneratorConfig, caterpillar_tree,
+                               random_binary_tree)
 
-from conftest import assert_slot_format, built_by_every_builder, naive_lca
+from conftest import (TREE_SLOTS, assert_slot_format, built_by_every_builder,
+                      naive_lca)
 
 
 def test_fig1_shape():
@@ -152,3 +157,18 @@ def _assert_numbered_in_post_order(t):
     for name, t in built_by_every_builder(37, 12).items()])
 def test_node_ids_are_post_order_numbers(t):
     _assert_numbered_in_post_order(t)
+
+
+def test_the_taxon_column_refinalizes_every_tree_slot_for_slot():
+    # the column is a tree's one input: finalizing it again gives every
+    # slot back, also for the compiled Newick pass, which derives the
+    # slots itself, at a size that the parser differential does not reach
+    trees = [t for n, seed in ((2, 1), (7, 2), (40, 3), (300, 4))
+             for t in built_by_every_builder(n, seed).values()]
+    trees.append(parse_newick(serialize_newick(caterpillar_tree(10 ** 5)))[0])
+    for t in trees:
+        u = Tree._from_structure(t.taxon, t.taxa,
+                                 full=t.n_leaves == len(t.taxa))
+        assert u.taxa is t.taxa
+        for slot in TREE_SLOTS:
+            assert getattr(u, slot) == getattr(t, slot), slot
