@@ -162,7 +162,8 @@ def lacking(v):
 # v - 1.
 CHERRY = column([0, 1, -1])
 # Trees the compiled kernel must reject when paired with CHERRY, on either
-# side, in a universe of two taxa, each with its message.
+# side, in a universe of two taxa, each with its message. A row keeps its
+# place in the list, so its test id bad<place> names the same case over time.
 BAD_TREES = [(column(t), why) for t, why in (
     ([], EMPTY),
     ([-1], lacking(0)),
@@ -174,11 +175,19 @@ BAD_TREES = [(column(t), why) for t, why in (
     ([0, 1, -1, -1], lacking(3)),
     ([0, -2, -1], out_of_range(1, -2)),
     ([0, 1, -2 ** 31], out_of_range(2, -2 ** 31)),
-    ([0, 2, -1], out_of_range(1, 2)),  # the universe
     ([2 ** 31 - 1, 1, -1], out_of_range(0, 2 ** 31 - 1)),
+    # node 1's right child 0 is the lone leaf, so its left would be -1
+    ([0, -1], lacking(1)),
+    ([-2], out_of_range(0, -2)),
+    ([1, 0, 2], out_of_range(2, 2)),  # the universe in the root's slot
+    ([0, 1], "1 of 2 nodes are not below the root"),
+    # a leaf after a complete tree repeats a taxon before it is found
+    # outside the root
+    ([0, 1, -1, 0], "leaf 3 has a repeated taxon"),
+    ([1], DIFFERENT),  # taxa {1} against {0, 1}
+    ([0, 2, -1], out_of_range(1, 2)),  # the universe
     ([1, 1, -1], "leaf 1 has a repeated taxon"),
     ([1, 0, -1, 0, -1], "leaf 3 has a repeated taxon"),
-    ([0, 1], "1 of 2 nodes are not below the root"),
     ([0], DIFFERENT),  # taxa {0} against {0, 1}
 )]
 # run_enumeration arguments that must raise ValueError, each with its
