@@ -56,7 +56,13 @@
  * its Python twin.
  *
  * Node ids and leaf counts are C ints; every count of triples, frames,
- * steps or violations (including each frame's d_r) is a long long.
+ * steps or violations (including each frame's d_r) is a long long.  Each
+ * sum and product behind d, a d_r or nodes_touched is tested against
+ * COUNT_MAX before it is made, by count_add, so that a count past 2^63 - 1
+ * raises OverflowError instead of wrapping.
+ *
+ * parse_newick reads one Newick statement into a tree's taxon column,
+ * the one input of both finalizers, and the names of a new TaxonSet.
  *
  * Build with any C99 compiler against the Python headers, e.g.
  *
@@ -74,6 +80,14 @@
 
 /* Ids buffered before they are handed to the sink: 4,096 triples. */
 #define TRI_CHUNK (3 * 4096)
+
+/* The largest count a run keeps; a build may lower it to reach the
+   overflow path with small trees.  The pure kernel raises the same
+   message. */
+#ifndef COUNT_MAX
+#define COUNT_MAX LLONG_MAX
+#endif
+#define COUNT_OVERFLOW "more than 2^63 - 1 conflicts or steps"
 
 static PyObject *array_type; /* array.array */
 
@@ -95,6 +109,19 @@ static int take_array(PyObject *obj, const char *typecode, Py_buffer *view)
     PyBuffer_Release(view);
     PyErr_Format(PyExc_TypeError, "expected an array('%s')", typecode);
     return -1;
+}
+
+/* *acc += a * b, for counts a, b >= 0 and *acc <= COUNT_MAX; -1 with
+   OverflowError set, and *acc unchanged, if the product or the sum would
+   pass COUNT_MAX. */
+static inline int count_add(long long *acc, long long a, long long b)
+{
+    if (b != 0 && (a > COUNT_MAX / b || a * b > COUNT_MAX - *acc)) {
+        PyErr_SetString(PyExc_OverflowError, COUNT_OVERFLOW);
+        return -1;
+    }
+    *acc += a * b;
+    return 0;
 }
 
 /* n ints at offset *used of base, which is NULL when only measuring. */
@@ -587,8 +614,8 @@ static int emit(Run *run, int a, int b, int c)
             b = t;
         }
     }
-    run->emitted++;
-    if (run->ntri == TRI_CHUNK && flush_triples(run) < 0)
+    if (count_add(&run->emitted, 1, 1) < 0
+        || (run->ntri == TRI_CHUNK && flush_triples(run) < 0))
         return -1;
     run->tri[run->ntri] = a;
     run->tri[run->ntri + 1] = b;
@@ -610,13 +637,14 @@ static int lsc(Run *run, const Side *t, const int *z, int k,
     int *zdep = run->zdep, *ztax = run->ztax;
     int *dep = run->sw.dep;
     const int *par = run->sw.par, *first = run->sw.first, *last = run->sw.last;
+    long long steps; /* at most k + nc (2k + 3); added to work at the end */
 
     if (k < 2 || nc == 0)
         return 0;
     rz = inorder_depths(t, z, k, zdep);
     for (i = 0; i < k; i++)
         ztax[i] = t->taxon[z[i]];
-    run->work += k;
+    steps = k;
 
     lo = rz - (2 * t->lc[rz] - 1);
 
@@ -625,14 +653,14 @@ static int lsc(Run *run, const Side *t, const int *z, int k,
         c = cand[ci];
         while (pos < k && z[pos] < c)
             pos++;
-        run->work += 1;
+        steps += 1;
         if (!(lo < c && c <= rz))
             continue;
 
         /* T|(Z + c): c is merged leaf pos, which replaces the LCA entry
            between z[pos - 1] and z[pos] with lca(z[pos - 1], c), c and
            lca(c, z[pos]). */
-        run->work += k + 1;
+        steps += k + 1;
         ctax = t->taxon[c];
         n = 0;
         if (pos > 0) {
@@ -652,7 +680,7 @@ static int lsc(Run *run, const Side *t, const int *z, int k,
            merged leaf range [a, b] holding c covers Z leaves z[a .. b-1];
            one left of c covers z[a .. b], one right of c z[a-1 .. b-1]. */
         for (y = par[2 * pos]; (pr = par[y]) >= 0; y = pr) {
-            run->work += 1;
+            steps += 1;
             ylo = first[y];
             yhi = last[y];
             if (first[pr] < ylo) {
@@ -663,7 +691,8 @@ static int lsc(Run *run, const Side *t, const int *z, int k,
                 shi = last[pr];
             }
             if (run->sink == NULL) {
-                run->emitted += (long long)(yhi - ylo) * (shi - slo);
+                if (count_add(&run->emitted, yhi - ylo, shi - slo) < 0)
+                    return -1;
                 continue;
             }
             for (ia = ylo; ia < yhi; ia++)
@@ -672,7 +701,7 @@ static int lsc(Run *run, const Side *t, const int *z, int k,
                         return -1;
         }
     }
-    return 0;
+    return count_add(&run->work, steps, 1);
 }
 
 /* Child order: com(u) pair, com(v) pair, unc(u_p,u_q) = unc(v_q,v_p),
@@ -710,7 +739,8 @@ static long long run_frame(Run *run, Ctx *ctx, int rp, int rq)
     const Side *P = &ctx->p, *Q = &ctx->q;
     Ctx *child;
 
-    run->work += 1;
+    if (count_add(&run->work, 1, 1) < 0)
+        return -1;
     if (P->lc[rp] <= 1)
         return 0;
 
@@ -742,15 +772,17 @@ static long long run_frame(Run *run, Ctx *ctx, int rp, int rq)
         split(P, x_p, Q, x_q, run->qleaf, bufs + 4 * pi, pn + 4 * pi);
         split(Q, x_q, P, x_p, run->pleaf, bufs + 4 * pi + 2, pn + 4 * pi + 2);
     }
-    run->work += 2 * P->lc[rp];
+    if (count_add(&run->work, 2, P->lc[rp]) < 0)
+        return -1;
 
     /* ---- conflicts touching the current roots ------------------------ */
     before = run->emitted;
     for (pi = 0; pi < 2; pi++) {
         other_p = pi == 0 ? vp : up;
         if (pn[4 * pi] && pn[4 * pi + 1] && run->sink == NULL) {
-            run->emitted += (long long)pn[4 * pi] * pn[4 * pi + 1]
-                            * P->lc[other_p];
+            if (count_add(&run->emitted, (long long)pn[4 * pi] * pn[4 * pi + 1],
+                          P->lc[other_p]) < 0)
+                return -1;
         } else if (pn[4 * pi] && pn[4 * pi + 1]) {
             base = P->lb[other_p];
             end = base + P->lc[other_p];
@@ -775,7 +807,8 @@ static long long run_frame(Run *run, Ctx *ctx, int rp, int rq)
             return -1;
     }
     d_r = run->emitted - before;
-    run->work += d_r;
+    if (count_add(&run->work, d_r, 1) < 0)
+        return -1;
     if (P->lc[rp] > d_r + 2)
         run->violations += 1;
 
@@ -796,11 +829,11 @@ static long long run_frame(Run *run, Ctx *ctx, int rp, int rq)
         write_scratch(&child->p, run->pleaf);
         write_scratch(&child->q, run->qleaf);
         ctx_map(child, run->qleaf);
-        run->work += 2 * nz;
-        run->work += child->p.m + child->q.m;
-        run->work += child->p.m + child->q.m;
-        run->work += child->p.m;
         push_frame(run, child, child->p.m - 1, child->q.m - 1);
+        /* the sweeps, both finalizes, both LCA builds and the map */
+        if (count_add(&run->work, 2LL * nz + 2LL * (child->p.m + child->q.m)
+                                  + child->p.m, 1) < 0)
+            return -1;
     }
     return d_r;
 }
@@ -844,7 +877,8 @@ PyDoc_STRVAR(run_enumeration_doc,
 "of three ids per triple passed as soon as it fills, so listing needs\n"
 "O(n + chunk) memory; an exception from ``sink`` ends the run and\n"
 "propagates.  Raises ValueError unless both columns are full binary\n"
-"trees whose leaves carry the same distinct taxa of [0, universe).");
+"trees whose leaves carry the same distinct taxa of [0, universe), and\n"
+"OverflowError when d or nodes_touched would pass 2^63 - 1.");
 
 static PyObject *run_enumeration(PyObject *module, PyObject *args, PyObject *kwargs)
 {
@@ -892,10 +926,9 @@ static PyObject *run_enumeration(PyObject *module, PyObject *args, PyObject *kwa
         goto done;
     }
     ctx_map(top, run.qleaf);
-    run.work += P->m + Q->m;
-    run.work += P->m + Q->m;
-    run.work += P->m;
-    if (run_frames(&run) < 0 || flush_triples(&run) < 0)
+    /* both finalizes, both LCA builds and the map */
+    if (count_add(&run.work, 2LL * (P->m + Q->m) + P->m, 1) < 0
+        || run_frames(&run) < 0 || flush_triples(&run) < 0)
         goto done;
 
     dr = PyObject_CallFunction(array_type, "sy#", "q", (const char *)run.dr,
@@ -911,19 +944,18 @@ done:
 }
 
 /* ====================================================================== */
-/* Newick: one pass from text to the finalized arrays of tripcon.tree     */
+/* Newick: one pass from text to the taxon column of tripcon.tree         */
 /* ====================================================================== */
 
 /* The parser completes nodes in post-order (a leaf when it is read, an
    internal node at its ')'), which is the numbering of tripcon.tree, so
-   each node's row of NCOL ints is final when it is written; only parent
-   is filled in later, at the parent's ')'.  Row r also holds
-   leaves_post[r] in C_LEAF for r below the leaf count. */
-enum { C_LEFT, C_RIGHT, C_TAXON, C_PARENT, C_LC, C_LB, C_DEPTH, C_LEAF,
-       NCOL };
+   it writes each node's one int of the taxon column, a taxon id or -1,
+   when it completes the node.  tripcon.tree derives every other slot
+   from that column on its first read, and run_enumeration in
+   side_finish. */
 
-/* Room for row or group number at; capacities double. */
-static int grow(int **buf, int *cap, int at, int width)
+/* Room for int number at; capacities double. */
+static int grow(int **buf, int *cap, int at)
 {
     int n = *cap ? *cap : 64;
     int *p;
@@ -932,7 +964,7 @@ static int grow(int **buf, int *cap, int at, int width)
         return 0;
     while (n <= at)
         n *= 2;
-    p = realloc(*buf, (size_t)n * width * sizeof(int));
+    p = realloc(*buf, (size_t)n * sizeof(int));
     if (p == NULL) {
         PyErr_NoMemory();
         return -1;
@@ -1059,76 +1091,19 @@ static int taxon_of(PyObject *label, PyObject *index, unsigned char *seen,
     return (int)t;
 }
 
-/* The result tuple of parse_newick for a parsed tree of m nodes and nl
-   leaves; names and built are NULL when an index was given.  Each slot
-   is an array('i'), made from its column of rows with one copy. */
-static PyObject *parse_result(const int *rows, int m, int nl,
-                              PyObject *names, PyObject *built)
-{
-    static const int cols[] = {C_LEFT, C_RIGHT, C_TAXON, C_PARENT, C_LC,
-                               C_LB, C_DEPTH, C_LEAF};
-    PyObject *out = PyTuple_New(11), *v, *raw, *key, *val;
-    int *col;
-    int i, n, r, leaf, err;
-
-    if (out == NULL)
-        return NULL;
-    for (i = 0; i < 8; i++) {
-        n = cols[i] == C_LEAF ? nl : m;
-        raw = PyBytes_FromStringAndSize(NULL, (Py_ssize_t)n * sizeof(int));
-        if (raw == NULL)
-            goto fail;
-        col = (int *)PyBytes_AS_STRING(raw);
-        for (r = 0; r < n; r++)
-            col[r] = rows[(size_t)r * NCOL + cols[i]];
-        v = PyObject_CallFunction(array_type, "sO", "i", raw);
-        Py_DECREF(raw);
-        if (v == NULL)
-            goto fail;
-        PyTuple_SET_ITEM(out, i, v);
-    }
-    if ((v = PyDict_New()) == NULL)
-        goto fail;
-    PyTuple_SET_ITEM(out, 8, v);
-    for (r = 0; r < nl; r++) {
-        leaf = rows[(size_t)r * NCOL + C_LEAF];
-        key = PyLong_FromLong(rows[(size_t)leaf * NCOL + C_TAXON]);
-        val = PyLong_FromLong(leaf);
-        err = key == NULL || val == NULL || PyDict_SetItem(v, key, val) < 0;
-        Py_XDECREF(key);
-        Py_XDECREF(val);
-        if (err)
-            goto fail;
-    }
-    if (names == NULL) {
-        PyTuple_SET_ITEM(out, 9, Py_NewRef(Py_None));
-        PyTuple_SET_ITEM(out, 10, Py_NewRef(Py_None));
-    } else if ((v = PyList_AsTuple(names)) == NULL) {
-        goto fail;
-    } else {
-        PyTuple_SET_ITEM(out, 9, v);
-        PyTuple_SET_ITEM(out, 10, Py_NewRef(built));
-    }
-    return out;
-fail:
-    Py_DECREF(out);
-    return NULL;
-}
-
 PyDoc_STRVAR(parse_newick_doc,
 "parse_newick(text, index)\n"
 "--\n"
 "\n"
-"Parse one Newick statement and finalize its tree in one pass.\n"
+"Parse one Newick statement into the taxon column of its tree.\n"
 "\n"
-"Follows the token grammar of ``tripcon.newick``.  Returns ``(left,\n"
-"right, taxon, parent, leaf_count, leaf_base, depth, leaves_post,\n"
-"leaf_of_taxon, names, index)``: the slots of ``tripcon.tree.Tree`` in\n"
-"post-order ids, each an array('i') but ``leaf_of_taxon``, a dict of\n"
-"taxon id -> leaf, and, when ``index`` is None, the names tuple and the\n"
-"index dict of a new TaxonSet in leaf order (both None otherwise).  With\n"
-"``index`` (a TaxonSet's label -> id dict), the leaves must carry its\n"
-"labels exactly once each.\n"
+"Follows the token grammar of ``tripcon.newick``.  Returns ``(taxon,\n"
+"names, index)``: ``taxon``, an array('i') in post-order ids with a taxon\n"
+"id on each leaf and -1 on each internal node, is the one input of\n"
+"``tripcon.tree.Tree._from_structure``; when ``index`` is None, ``names``\n"
+"and ``index`` are the names tuple and the index dict of a new TaxonSet\n"
+"in leaf order (both None otherwise).  With ``index`` (a TaxonSet's\n"
+"label -> id dict), the leaves must carry its labels exactly once each.\n"
 "\n"
 "Returns None, and does nothing else, on any syntax, non-binary or\n"
 "empty-tree error, on a duplicate, unknown or missing label, and on any\n"
@@ -1138,13 +1113,12 @@ PyDoc_STRVAR(parse_newick_doc,
 static PyObject *parse_newick(PyObject *module, PyObject *args)
 {
     PyObject *text, *index, *label, *names = NULL, *built = NULL;
-    PyObject *result = NULL;
-    int *rows = NULL, cap = 0; /* see C_LEFT */
-    int *groups = NULL, gcap = 0; /* per open '(': its left child, or -1 */
+    PyObject *taxon, *result = NULL;
+    int *col = NULL, cap = 0; /* the taxon column */
+    int *groups = NULL, gcap = 0; /* per open '(': 1 once its ',' is read */
     unsigned char *seen = NULL;
     const void *data;
-    int kind, m = 0, nl = 0, ng = 0, last = -1, length_ok = 0, esc, t, lc;
-    int *row;
+    int kind, m = 0, nl = 0, ng = 0, want = 1, length_ok = 0, esc, t;
     Py_ssize_t n, i = 0, s = 0, e = 0;
     Py_UCS4 c;
 
@@ -1155,8 +1129,9 @@ static PyObject *parse_newick(PyObject *module, PyObject *args)
         PyErr_SetString(PyExc_TypeError, "index must be a dict or None");
         return NULL;
     }
-    /* node ids are ints, and there are at most as many nodes as characters */
-    if (!PyUnicode_Check(text) || PyUnicode_GET_LENGTH(text) > INT_MAX / NCOL)
+    /* node ids are ints, there are at most as many nodes as characters,
+       and capacities double */
+    if (!PyUnicode_Check(text) || PyUnicode_GET_LENGTH(text) > INT_MAX / 2)
         Py_RETURN_NONE;
 #if PY_VERSION_HEX < 0x030C0000
     if (PyUnicode_READY(text) < 0)
@@ -1174,18 +1149,18 @@ static PyObject *parse_newick(PyObject *module, PyObject *args)
         goto done;
     }
 
-    /* length_ok: the token before was a label or a ')', which a branch
-       length may follow */
+    /* want: a subtree is wanted next; length_ok: the token before was a
+       label or a ')', which a branch length may follow */
     for (;;) {
         if ((i = skip_filler(kind, data, n, i)) < 0 || i == n)
             goto reject;
         c = PyUnicode_READ(kind, data, i);
-        if (last < 0 && c == '(') {
-            if (grow(&groups, &gcap, ng, 1) < 0)
+        if (want && c == '(') {
+            if (grow(&groups, &gcap, ng) < 0)
                 goto done;
-            groups[ng++] = -1;
+            groups[ng++] = 0;
             i++;
-        } else if (last < 0) { /* a leaf */
+        } else if (want) { /* a leaf */
             s = i;
             esc = 0;
             if (is_bare(c)) {
@@ -1213,38 +1188,23 @@ static PyObject *parse_newick(PyObject *module, PyObject *args)
                 goto done;
             t = taxon_of(label, index, seen, names, built);
             Py_DECREF(label);
-            if (t == -2 || grow(&rows, &cap, m, NCOL) < 0)
+            if (t == -2 || grow(&col, &cap, m) < 0)
                 goto done;
             if (t < 0)
                 goto reject;
-            row = rows + (size_t)m * NCOL;
-            row[C_LEFT] = row[C_RIGHT] = -1;
-            row[C_TAXON] = t;
-            row[C_LC] = 1;
-            row[C_LB] = nl;
-            row[C_DEPTH] = ng;
-            rows[(size_t)nl++ * NCOL + C_LEAF] = m;
-            last = m++;
+            col[m++] = t;
+            nl++;
+            want = 0;
             length_ok = 1;
-        } else if (c == ',' && ng && groups[ng - 1] < 0) {
-            groups[ng - 1] = last;
-            last = -1;
+        } else if (c == ',' && ng && !groups[ng - 1]) {
+            groups[ng - 1] = 1;
+            want = 1;
             i++;
-        } else if (c == ')' && ng && groups[ng - 1] >= 0) {
-            if (grow(&rows, &cap, m, NCOL) < 0)
+        } else if (c == ')' && ng && groups[ng - 1]) {
+            if (grow(&col, &cap, m) < 0)
                 goto done;
-            lc = groups[--ng];
-            row = rows + (size_t)m * NCOL;
-            row[C_LEFT] = lc;
-            row[C_RIGHT] = last;
-            row[C_TAXON] = -1;
-            rows[(size_t)lc * NCOL + C_PARENT] = m;
-            rows[(size_t)last * NCOL + C_PARENT] = m;
-            row[C_LC] = rows[(size_t)lc * NCOL + C_LC]
-                        + rows[(size_t)last * NCOL + C_LC];
-            row[C_LB] = rows[(size_t)lc * NCOL + C_LB];
-            row[C_DEPTH] = ng;
-            last = m++;
+            ng--;
+            col[m++] = -1;
             i++;
             length_ok = 1;
         } else if (c == ':' && length_ok) {
@@ -1266,13 +1226,19 @@ static PyObject *parse_newick(PyObject *module, PyObject *args)
     if (skip_filler(kind, data, n, i + 1) != n
         || (index != NULL && nl != PyDict_GET_SIZE(index)))
         goto reject;
-    rows[(size_t)(m - 1) * NCOL + C_PARENT] = -1;
-    result = parse_result(rows, m, nl, names, built);
+    taxon = PyObject_CallFunction(array_type, "sy#", "i", (const char *)col,
+                                  m * (Py_ssize_t)sizeof(int));
+    if (taxon == NULL)
+        goto done;
+    if (index != NULL)
+        result = Py_BuildValue("(NOO)", taxon, Py_None, Py_None);
+    else
+        result = Py_BuildValue("(NNO)", taxon, PyList_AsTuple(names), built);
     goto done;
 reject:
     result = Py_NewRef(Py_None);
 done:
-    free(rows);
+    free(col);
     free(groups);
     free(seen);
     Py_XDECREF(names);

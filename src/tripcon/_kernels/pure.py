@@ -36,6 +36,11 @@ See the work-counter contract in ``tripcon.enumeration``.
 from array import array
 from struct import Struct
 
+# The largest count a run keeps, as COUNT_MAX in _fast.c: past it, both
+# kernels raise OverflowError with this message.
+COUNT_MAX = 2 ** 63 - 1
+COUNT_OVERFLOW = "more than 2^63 - 1 conflicts or steps"
+
 
 def run_enumeration(p, q, sink=None):
     """Enumerate conflicts of (p, q); both are ``tripcon.tree.Tree``.
@@ -45,7 +50,8 @@ def run_enumeration(p, q, sink=None):
     at most ``TRI_CHUNK`` ids (see the module docstring); an exception from
     ``sink`` propagates.
     Returns ``(emitted, frames_opened, nodes_touched, budget_violations,
-    per_frame_dr)``, per_frame_dr an ``array('q')``.
+    per_frame_dr)``, per_frame_dr an ``array('q')``; raises OverflowError
+    when nodes_touched, which bounds every other count, passes COUNT_MAX.
     """
     from ..enumeration import (
         TRI_CHUNK,
@@ -135,6 +141,8 @@ def run_enumeration(p, q, sink=None):
         assert out is None or 3 * (emitted + d_r) == sent + len(out)
         emitted += d_r
         work += d_r
+        if work > COUNT_MAX:
+            raise OverflowError(COUNT_OVERFLOW)
         per_dr.append(d_r)
         if plc[rp] > d_r + 2:
             violations += 1
@@ -165,6 +173,8 @@ def run_enumeration(p, q, sink=None):
             stack.append(((rp_new, rq_new, ip_new, iq_new, e_new),
                           rp_new.root, rq_new.root))
 
+    if work > COUNT_MAX:
+        raise OverflowError(COUNT_OVERFLOW)
     if out:
         sink(array("i", out))
     return emitted, frames, work, violations, per_dr

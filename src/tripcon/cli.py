@@ -33,7 +33,7 @@ from .generator import (
 )
 from .newick import parse_newick, serialize_newick
 from .oracle import enumerate_bruteforce
-from .tree import TaxonSet
+from .tree import TaxonSet, Tree
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -66,12 +66,15 @@ def _read(path):
 def _load_pair(path_p, path_q, label_order=False):
     """Parse both trees over one TaxonSet.  With ``label_order``, taxon
     ids are the ranks of the sorted labels, so that ids a < b < c are in
-    label order; P's text is then parsed a second time against them."""
-    text_p = _read(path_p)
-    p, taxa = parse_newick(text_p)
+    label order; P's taxon column is then renumbered by those ranks."""
+    p, taxa = parse_newick(_read(path_p))
     if label_order:
-        taxa = TaxonSet(sorted(taxa.names))
-        p, _ = parse_newick(text_p, taxa)
+        names = sorted(taxa.names)
+        index = dict(zip(names, range(len(names))))
+        # rank[-1] keeps internal nodes -1
+        rank = list(map(index.__getitem__, taxa.names)) + [-1]
+        taxa = TaxonSet._of(tuple(names), index)
+        p = Tree._of(array("i", [rank[t] for t in p.taxon]), taxa)
     q, _ = parse_newick(_read(path_q), taxa)
     return p, q, taxa
 

@@ -279,7 +279,8 @@ def enumerate_conflicts(p, q, *, backend=None, collect=False, sink=None):
     the current path, and pending partition children hold contexts no
     larger than their own disjoint leaf sets.  Streaming to a sink adds
     one chunk, O(n + chunk) in all, with either kernel; collected output
-    adds the d triples, held in full.
+    adds the d triples, held in full.  Either kernel raises OverflowError,
+    with one message, when d or ``nodes_touched`` would pass 2^63 - 1.
     """
     if collect and sink is not None:
         raise ValueError("pass sink or collect=True, not both")

@@ -27,13 +27,15 @@ fine.
 Two parsers
 -----------
 With the compiled module loaded, :func:`parse_newick` reads the text in
-one pass of ``_fast.parse_newick``, which also fills every slot of the
-finalized tree.  That pass gives up, and does nothing else, on any error
-and on any character outside ASCII that is not in a quoted label or a
-comment, since the regex classes for whitespace and digits match
-Unicode.  The regex loop of :func:`_parse` then raises the error with
-its position, or parses the text; it is also the only parser when the
-compiled module is absent.
+one pass of ``_fast.parse_newick``, which returns only the tree's taxon
+column; the tree derives its other slots from it on their first read
+(see :mod:`tripcon.tree`), so a compiled count derives none.  That pass
+gives up, and does nothing else, on any error and on any character
+outside ASCII that is not in a quoted label or a comment, since the
+regex classes for whitespace and digits match Unicode.  The regex loop
+of :func:`_parse` then raises the error with its position, or parses
+the text and finalizes the tree at once; it is also the only parser
+when the compiled module is absent.
 """
 
 import re
@@ -136,9 +138,10 @@ def parse_newick(text, taxa=None):
     if _fast is not None:
         out = _fast.parse_newick(text, None if taxa is None else taxa.index)
         if out is not None:
+            taxon, names, index = out
             if taxa is None:
-                taxa = TaxonSet._of(out[9], out[10])
-            return Tree._from_arrays(taxa, *out[:9]), taxa
+                taxa = TaxonSet._of(names, index)
+            return Tree._of(taxon, taxa), taxa
     return _parse(text, taxa)
 
 

@@ -9,9 +9,12 @@ leaf traversal a plain slice.  In post-order an internal node v has right
 child v - 1 and left child v - 2 * leaf_count[v - 1], so the ``taxon``
 column alone fixes the shape.  It is all that a builder hands to
 :meth:`Tree._from_structure`, which derives every other slot from it in
-one forward pass (the compiled Newick pass fills every slot itself).
-Every slot is an ``array('i')``; the compiled kernel reads ``taxon`` in
-place.
+one forward pass.  The compiled Newick pass makes only the column: its
+tree holds ``taxa``, ``root`` and ``taxon``, and the first read of any
+derived slot derives them all, through the same finalizer.  So the
+compiled count path, which hands the kernel only ``taxon``, derives
+nothing in Python.  Every slot is an ``array('i')``; the compiled kernel
+reads ``taxon`` in place.
 
 Input column (``array('i')``, length ``n_nodes``)
 --------------------------------------------------
@@ -100,6 +103,11 @@ class TaxonSet:
         return self.names[taxon_id]
 
 
+# The slots that Tree._from_structure derives from the taxon column.
+_DERIVED = ("parent", "left", "right", "leaf_count", "leaf_base", "depth",
+            "leaves_post", "leaf_of_taxon")
+
+
 class Tree:
     """A rooted binary leaf-labeled tree; see the module docstring.
 
@@ -109,33 +117,32 @@ class Tree:
     — not directly.
     """
 
-    __slots__ = (
-        "taxa",
-        "root",
-        "parent",
-        "left",
-        "right",
-        "taxon",
-        "leaf_count",
-        "leaf_base",
-        "depth",
-        "leaves_post",
-        "leaf_of_taxon",
-    )
+    __slots__ = ("taxa", "root", "taxon") + _DERIVED
 
     def __init__(self):
         raise TypeError("use build_tree() or a parser/generator to create trees")
 
+    def __getattr__(self, name):
+        # reached only for a slot that is not set yet: a tree made by _of
+        # derives every slot on the first read of one
+        if name not in _DERIVED:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        t = Tree._from_structure(self.taxon, self.taxa, full=False)
+        for slot in _DERIVED:
+            setattr(self, slot, getattr(t, slot))
+        return getattr(t, name)
+
     @property
     def n_nodes(self):
-        return len(self.parent)
+        return len(self.taxon)
 
     @property
     def n_leaves(self):
-        return len(self.leaves_post)
+        return (len(self.taxon) + 1) // 2
 
     def is_leaf(self, v):
-        return self.left[v] < 0
+        return self.taxon[v] >= 0
 
     def children(self, v):
         return (self.left[v], self.right[v])
@@ -210,27 +217,26 @@ class Tree:
         depth = array("i", [0]) * m
         for v in range(m - 2, -1, -1):
             depth[v] = depth[parent[v]] + 1
-        return cls._from_arrays(taxa, left, right, array("i", taxon), parent,
-                                leaf_count, leaf_base, depth, leaves_post,
-                                leaf_of_taxon)
-
-    @classmethod
-    def _from_arrays(cls, taxa, left, right, taxon, parent, leaf_count,
-                     leaf_base, depth, leaves_post, leaf_of_taxon):
-        """A tree of finalized arrays, ids already post-order numbers;
-        nothing is checked."""
-        t = object.__new__(cls)
-        t.taxa = taxa
-        t.root = len(left) - 1
+        t = cls._of(array("i", taxon), taxa)
         t.left = left
         t.right = right
-        t.taxon = taxon
         t.parent = parent
         t.leaf_count = leaf_count
         t.leaf_base = leaf_base
         t.depth = depth
         t.leaves_post = leaves_post
         t.leaf_of_taxon = leaf_of_taxon
+        return t
+
+    @classmethod
+    def _of(cls, taxon, taxa):
+        """The tree of a post-order taxon column, an ``array('i')`` that
+        the caller has checked as :meth:`_from_structure` does; every
+        other slot is derived on its first read."""
+        t = object.__new__(cls)
+        t.taxa = taxa
+        t.root = len(taxon) - 1
+        t.taxon = taxon
         return t
 
 
@@ -292,6 +298,12 @@ def is_ancestor(t, u, v):
 
 def check_same_leaf_taxa(p, q):
     """Raise TaxonMismatchError unless p and q carry the same leaf taxa of
-    one taxon set."""
-    if p.taxa != q.taxa or p.leaf_of_taxon.keys() != q.leaf_of_taxon.keys():
+    one taxon set.
+
+    Every builder gives a tree distinct taxa of its set, so two trees with
+    as many leaves as the set has taxa both carry all of it: that case is
+    O(1), and any other, such as a restricted tree, compares the taxa."""
+    if p.taxa != q.taxa or not (
+            p.n_leaves == q.n_leaves == len(p.taxa)
+            or p.leaf_of_taxon.keys() == q.leaf_of_taxon.keys()):
         raise TaxonMismatchError("trees do not carry the same leaf taxa")

@@ -24,6 +24,7 @@ from tripcon import (
     serialize_newick,
 )
 from tripcon._kernels import available_backends
+from tripcon.tree import _DERIVED
 from tripcon.generator import (
     SHAPES,
     GeneratorConfig,
@@ -38,6 +39,19 @@ FIG1_Q = "((A,B),((D,E),C));"
 # Every slot of a Tree but its TaxonSet, for comparing parsers.
 TREE_SLOTS = ("root", "parent", "left", "right", "taxon", "leaf_count",
               "leaf_base", "depth", "leaves_post", "leaf_of_taxon")
+
+
+def held_slots(t):
+    """The derived slots that ``t`` holds, read past the ``Tree.__getattr__``
+    that derives them on a first read."""
+    held = set()
+    for slot in _DERIVED:
+        try:
+            Tree.__dict__[slot].__get__(t, Tree)
+        except AttributeError:
+            continue
+        held.add(slot)
+    return held
 
 
 def assert_slot_format(t):

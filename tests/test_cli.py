@@ -15,6 +15,7 @@ import tripcon
 from tripcon import (
     SplitMix64,
     TaxonSet,
+    Tree,
     enumerate_bruteforce,
     parse_newick,
     serialize_newick,
@@ -209,6 +210,33 @@ def test_conflicts_lines_in_label_order(tmp_path, capsys, seed):
                            "--sorted")
     assert code == 0
     assert json.loads(out)["conflicts"] == expected
+
+
+@needs_fast
+def test_compiled_count_and_conflicts_derive_no_tree_slot(tmp_path, capsys,
+                                                          monkeypatch):
+    # the compiled kernel takes each tree's taxon column only, and
+    # conflicts renumbers P's column instead of parsing P a second time
+    paths = _write_pair(tmp_path, 300, 5, 4)
+    want = {cmd: run_cli(capsys, "--backend", "pure", cmd, *paths)
+            for cmd in ("count", "conflicts")}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tree slot was derived")
+
+    parsed = []
+
+    def parse(*args):
+        parsed.append(args)
+        return parse_newick(*args)
+
+    monkeypatch.setattr(Tree, "_from_structure", classmethod(refuse))
+    monkeypatch.setattr(cli, "parse_newick", parse)
+    for cmd, (code, out, err) in want.items():
+        parsed.clear()
+        assert code == 0 and out and not err
+        assert run_cli(capsys, "--backend", "fast", cmd, *paths) == want[cmd]
+        assert len(parsed) == 2
 
 
 @pytest.mark.parametrize("join", JOINS)

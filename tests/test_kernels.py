@@ -429,29 +429,34 @@ def grow(ids):
 out = run(p.taxon, q.taxon, 40, grow)
 assert out[0] == math.comb(40, 3) and len(p.taxon) == 79 + 3
 
-# the Newick pass: every error, every prefix of a text with comments,
-# lengths and quoted labels, with and without an index, and an index
-# that lacks one label or holds one more
-from tripcon.newick import serialize_newick
+# the Newick pass: every error, with and without an index, every prefix
+# of a text with comments, lengths and quoted labels, with and without an
+# index, and an index that lacks one label or holds one more
+from tripcon.newick import _parse, serialize_newick
 parse = _kernels._fast.parse_newick
 for text in {errors!r}:
-    assert parse(text, None) is None, text
+    for idx in (None, {{"A": 0, "B": 1, "C": 2}}):
+        assert parse(text, idx) is None, text
 text = {mixed!r}
-full = parse(text, None)
-names, index = full[9], full[10]
+taxon, names, index = parse(text, None)
+assert parse(text, index) == (taxon, None, None)
 short = dict(index)
 del short[names[-1]]
 assert parse(text, short) is None
 assert parse(text, dict(index, extra=len(index))) is None
-assert parse(text, index)[:9] == full[:9]
 for k in range(len(text)):
     for idx in (None, index):
         out = parse(text[:k], idx)
-        assert out is None or out[:9] == full[:9], text[:k]
-# 10^5 open groups grow the group stack
+        assert out is None or out[0] == taxon, text[:k]
+# 10^5 open groups grow the group stack and the column; the column is the
+# regex parser's, and rejects after it has grown free it
 n = 100_000
-out = parse(serialize_newick(caterpillar_tree(n)), None)
-assert len(out[0]) == 2 * n - 1 and max(out[6]) == n - 1
+text = serialize_newick(caterpillar_tree(n))
+taxon, names, index = parse(text, None)
+assert taxon == _parse(text)[0].taxon and len(names) == n
+for bad in (text[:-1], text[:-2] + ",x);", text.replace("t0,", "t2,")):
+    for idx in (None, index):
+        assert parse(bad, idx) is None
 
 # the chunk join: every case of join_cases against the Python join, and
 # through the chunk writer as a first and a later chunk; then ids outside
@@ -505,23 +510,32 @@ print("ok")
 """
 
 
-@needs_compiler
-def test_kernel_runs_clean_under_asan_and_ubsan(fresh_copy):
-    source, cache, _ = fresh_copy
+def _sanitized_build(source, cache, sanitizers, *flags):
+    """Build ``source`` with ``sanitizers`` and ``flags`` into the cache
+    entry that the package copy loads; returns the build and the runtime
+    library that the sanitizers need, or skips without it."""
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    libasan = subprocess.run(cc + ["-print-file-name=libasan.so"],
+    lib = "libasan.so" if "address" in sanitizers else "libubsan.so"
+    runtime = subprocess.run(cc + [f"-print-file-name={lib}"],
                              capture_output=True, text=True).stdout.strip()
-    if not os.path.isabs(libasan):
-        pytest.skip(f"{cc[0]} does not provide libasan")
+    if not os.path.isabs(runtime):
+        pytest.skip(f"{cc[0]} does not provide {lib}")
     built = _entry(cache, source) / f"_fast{EXT_SUFFIX}"
     built.parent.mkdir(parents=True)
     proc = subprocess.run(
-        cc + ["-O1", "-g", "-fsanitize=address,undefined",
+        cc + ["-O1", "-g", f"-fsanitize={sanitizers}",
               "-fno-sanitize-recover=undefined", "-fPIC", "-shared",
-              "-I" + sysconfig.get_paths()["include"], str(source),
+              "-I" + sysconfig.get_paths()["include"], *flags, str(source),
               "-o", str(built)],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    return built, runtime
+
+
+@needs_compiler
+def test_kernel_runs_clean_under_asan_and_ubsan(fresh_copy):
+    source, cache, _ = fresh_copy
+    built, libasan = _sanitized_build(source, cache, "address,undefined")
 
     env = dict(os.environ, PYTHONPATH=str(source.parents[2]),
                XDG_CACHE_HOME=str(cache), LD_PRELOAD=libasan,
@@ -550,3 +564,52 @@ def test_kernel_runs_clean_under_asan_and_ubsan(fresh_copy):
     assert "Sanitizer" not in proc.stderr, proc.stderr[-4000:]
     assert "runtime error" not in proc.stderr, proc.stderr[-4000:]
     assert proc.stdout.split() == ["ok"]
+
+
+# P = ((A,B),C) and Q = ((A,C),B), A, B and C caterpillars of s leaves
+# each: the conflicts are the s^3 triples with one leaf in each block, all
+# found at the root.  With the limit at 1,000: s = 7 (d = 343,
+# nodes_touched = 923) fits; s = 8 (d = 512, 1,178 steps) passes it in
+# a sum of steps, and s = 11 (d = 1,331) in the root's product.
+OVERFLOW = """
+from functools import reduce
+from tripcon import _kernels, build_tree, enumerate_conflicts
+from tripcon._kernels import pure
+
+assert _kernels._fast.__file__ == {built!r}
+pure.COUNT_MAX = 1000
+for s in (7, 8, 11):
+    a, b, c = (reduce(lambda x, y: (x, y), [x + str(i) for i in range(s)])
+               for x in "abc")
+    p = build_tree(((a, b), c))
+    q = build_tree(((a, c), b), p.taxa)
+    for backend in ("fast", "pure"):
+        for collect in (False, True):
+            try:
+                d = enumerate_conflicts(p, q, backend=backend,
+                                        collect=collect).d
+            except OverflowError as exc:
+                d = str(exc)
+            print(s, backend, collect, d, sep=":")
+"""
+
+
+@needs_compiler
+def test_counts_past_the_limit_raise_alike_in_both_kernels(fresh_copy):
+    # the compiled kernel built with its limit lowered to 1,000, under
+    # UBSan, and the pure one with the same limit
+    source, cache, _ = fresh_copy
+    built, _ = _sanitized_build(source, cache, "undefined",
+                                "-DCOUNT_MAX=1000")
+    env = dict(os.environ, PYTHONPATH=str(source.parents[2]),
+               XDG_CACHE_HOME=str(cache))
+    proc = subprocess.run([sys.executable, "-c",
+                           OVERFLOW.format(built=str(built))],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    assert "runtime error" not in proc.stderr, proc.stderr[-4000:]
+    message = "more than 2^63 - 1 conflicts or steps"
+    assert proc.stdout.split("\n")[:-1] == [
+        f"{s}:{backend}:{collect}:{343 if s == 7 else message}"
+        for s in (7, 8, 11) for backend in ("fast", "pure")
+        for collect in (False, True)]

@@ -9,18 +9,22 @@ from tripcon import (
     EmptyTreeError,
     NonBinaryError,
     SplitMix64,
+    TaxonMismatchError,
     TaxonSet,
     Tree,
+    build_lca_index,
     build_tree,
+    induced_subtree,
     is_ancestor,
     parse_newick,
     serialize_newick,
 )
 from tripcon.generator import (GeneratorConfig, caterpillar_tree,
                                random_binary_tree)
+from tripcon.tree import _DERIVED, check_same_leaf_taxa
 
 from conftest import (TREE_SLOTS, assert_slot_format, built_by_every_builder,
-                      naive_lca)
+                      held_slots, naive_lca)
 
 
 def test_fig1_shape():
@@ -161,8 +165,8 @@ def test_node_ids_are_post_order_numbers(t):
 
 def test_the_taxon_column_refinalizes_every_tree_slot_for_slot():
     # the column is a tree's one input: finalizing it again gives every
-    # slot back, also for the compiled Newick pass, which derives the
-    # slots itself, at a size that the parser differential does not reach
+    # slot back, from every builder and at a size that the parser
+    # differential does not reach
     trees = [t for n, seed in ((2, 1), (7, 2), (40, 3), (300, 4))
              for t in built_by_every_builder(n, seed).values()]
     trees.append(parse_newick(serialize_newick(caterpillar_tree(10 ** 5)))[0])
@@ -172,3 +176,37 @@ def test_the_taxon_column_refinalizes_every_tree_slot_for_slot():
         assert u.taxa is t.taxa
         for slot in TREE_SLOTS:
             assert getattr(u, slot) == getattr(t, slot), slot
+
+
+def test_a_column_tree_derives_every_slot_on_its_first_read():
+    t = random_binary_tree(GeneratorConfig(n=30, seed=4))
+    lazy = Tree._of(t.taxon, t.taxa)
+    assert (lazy.n_leaves, lazy.n_nodes, lazy.root) == (30, 59, 58)
+    assert lazy.is_leaf(0) and not lazy.is_leaf(58)
+    assert held_slots(lazy) == set()
+    assert lazy.leaf_of_taxon == t.leaf_of_taxon
+    assert held_slots(lazy) == set(_DERIVED)
+    for slot in TREE_SLOTS:
+        assert getattr(lazy, slot) == getattr(t, slot), slot
+    with pytest.raises(AttributeError, match="no_such_slot"):
+        lazy.no_such_slot
+
+
+def test_same_leaf_taxa_compares_keys_unless_both_trees_are_full():
+    p = random_binary_tree(GeneratorConfig(n=20, seed=6))
+    q = random_binary_tree(GeneratorConfig(n=20, seed=7), p.taxa)
+    check_same_leaf_taxa(p, q)
+    # restricted trees, of as many leaves as each other or fewer than p
+    index = build_lca_index(p)
+    odd = induced_subtree(p, index, p.leaves_post[1::2])
+    even = induced_subtree(p, index, p.leaves_post[0::2])
+    check_same_leaf_taxa(odd, induced_subtree(q, build_lca_index(q), sorted(
+        q.leaf_of_taxon[p.taxon[v]] for v in p.leaves_post[1::2])))
+    for a, b in ((odd, p), (p, odd), (odd, even)):
+        with pytest.raises(TaxonMismatchError):
+            check_same_leaf_taxa(a, b)
+    # full trees over two taxon sets of one size
+    other = random_binary_tree(GeneratorConfig(n=20, seed=6),
+                               TaxonSet(f"z{i}" for i in range(20)))
+    with pytest.raises(TaxonMismatchError):
+        check_same_leaf_taxa(p, other)
