@@ -62,7 +62,11 @@
  * raises OverflowError instead of wrapping.
  *
  * parse_newick reads one Newick statement into a tree's taxon column,
- * the one input of both finalizers, and the names of a new TaxonSet.
+ * the one input of both finalizers.  It interns the labels of a first
+ * tree into a LabelTable, an open-addressing table of spans of the
+ * tree's text, which the TaxonSet keeps, and looks up the labels of a
+ * second tree in it by their code points: no label becomes a Python
+ * object until a name is read.
  *
  * Build with any C99 compiler against the Python headers, e.g.
  *
@@ -75,6 +79,7 @@
 #include <Python.h>
 
 #include <limits.h>
+#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -857,6 +862,23 @@ static int run_frames(Run *run)
     return 0;
 }
 
+/* 0 if the frames' d_r sum to the triples emitted, else -1 with
+   AssertionError set: the check that tripcon.enumeration makes of the
+   pure kernel's d_r. */
+static int check_dr_sum(const Run *run)
+{
+    unsigned long long sum = 0;
+    long long f;
+
+    for (f = 0; f < run->frames; f++)
+        sum += (unsigned long long)run->dr[f];
+    if (sum == (unsigned long long)run->emitted)
+        return 0;
+    PyErr_SetString(PyExc_AssertionError,
+                    "per-frame d_r do not sum to the triples emitted");
+    return -1;
+}
+
 PyDoc_STRVAR(run_enumeration_doc,
 "run_enumeration(p_taxon, q_taxon, universe, sink=None)\n"
 "--\n"
@@ -877,8 +899,9 @@ PyDoc_STRVAR(run_enumeration_doc,
 "of three ids per triple passed as soon as it fills, so listing needs\n"
 "O(n + chunk) memory; an exception from ``sink`` ends the run and\n"
 "propagates.  Raises ValueError unless both columns are full binary\n"
-"trees whose leaves carry the same distinct taxa of [0, universe), and\n"
-"OverflowError when d or nodes_touched would pass 2^63 - 1.");
+"trees whose leaves carry the same distinct taxa of [0, universe),\n"
+"OverflowError when d or nodes_touched would pass 2^63 - 1, and\n"
+"AssertionError when the d_r do not sum to d.");
 
 static PyObject *run_enumeration(PyObject *module, PyObject *args, PyObject *kwargs)
 {
@@ -928,7 +951,8 @@ static PyObject *run_enumeration(PyObject *module, PyObject *args, PyObject *kwa
     ctx_map(top, run.qleaf);
     /* both finalizes, both LCA builds and the map */
     if (count_add(&run.work, 2LL * (P->m + Q->m) + P->m, 1) < 0
-        || run_frames(&run) < 0 || flush_triples(&run) < 0)
+        || run_frames(&run) < 0 || flush_triples(&run) < 0
+        || check_dr_sum(&run) < 0)
         goto done;
 
     dr = PyObject_CallFunction(array_type, "sy#", "q", (const char *)run.dr,
@@ -1041,13 +1065,220 @@ static int valid_length(int kind, const void *data, Py_ssize_t i,
     return ok;
 }
 
-/* The label text[s:e], with '' read as one quote when unescape is set. */
-static PyObject *label_of(PyObject *text, Py_ssize_t s, Py_ssize_t e,
-                          int unescape)
-{
-    PyObject *sub = PyUnicode_Substring(text, s, e), *one, *two, *out;
+/* ---------------------------------------------------------------------- */
+/* Labels: one table per TaxonSet                                          */
+/* ---------------------------------------------------------------------- */
 
-    if (sub == NULL || !unescape)
+/* A LabelTable holds the labels of one TaxonSet: label i, of taxon id i,
+   is the span [s, e) of one str, with '' read as one quote when esc is
+   set (a quoted Newick label).  It finds the id of a label from its code
+   points, whatever the str kind of the text that holds it, by open
+   addressing with linear probing over a hash of those code points, in a
+   power-of-two array of slots that is at most half full.  The hash is
+   fixed, so a crafted label set could make every label collide: a probe
+   that passes PROBE_MAX slots gives up, and parse_newick leaves the text
+   to the regex parser, whose dict uses Python's seeded hash.  Parsing
+   thus stays linear in the text whatever its labels; the 10^6 labels
+   t0, t1, ... need chains of at most 52 slots.  The table of a
+   parsed tree holds a reference to the tree's text, and the table of a
+   names tuple holds the names joined into one str. */
+
+/* A build may set HASH_MASK to 0, so that every label collides. */
+#ifndef HASH_MASK
+#define HASH_MASK 0xffffffffu
+#endif
+#define PROBE_MAX 128
+
+typedef struct {
+    Py_ssize_t s, e; /* the span in the table's text */
+    uint32_t hash;
+    int esc;
+} Label;
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *text; /* the str that holds every label */
+    int kind;
+    const void *data;
+    Label *label; /* by taxon id */
+    int *slot;    /* taxon id + 1, or 0 when empty */
+    int n, cap, mask; /* labels, label capacity, slots - 1 */
+    int full; /* a names tuple passed PROBE_MAX: every parse gives up */
+} Table;
+
+static PyTypeObject Table_type;
+
+/* The hash of the code points of text[s:e], the second quote of each ''
+   skipped when esc is set. */
+static uint32_t label_hash(int kind, const void *data, Py_ssize_t s,
+                           Py_ssize_t e, int esc)
+{
+    uint32_t h = 2166136261u; /* FNV-1a */
+    Py_UCS4 c;
+
+    for (; s < e; s++) {
+        c = PyUnicode_READ(kind, data, s);
+        h = (h ^ c) * 16777619u;
+        s += esc && c == '\'';
+    }
+    /* murmur3's finalizer: the low bits, which pick the slot, depend on
+       every code point */
+    h ^= h >> 16;
+    h *= 0x85ebca6bu;
+    h ^= h >> 13;
+    h *= 0xc2b2ae35u;
+    h ^= h >> 16;
+    return h & HASH_MASK;
+}
+
+/* 1 if label a of t and text[s:e] (with esc) have the same code points,
+   else 0. */
+static int label_eq(const Table *t, const Label *a, int kind,
+                    const void *data, Py_ssize_t s, Py_ssize_t e, int esc)
+{
+    Py_ssize_t i = a->s;
+    Py_UCS4 c;
+
+    if (!a->esc && !esc) {
+        if (a->e - a->s != e - s)
+            return 0;
+        if (t->kind == kind)
+            return memcmp((const char *)t->data + i * kind,
+                          (const char *)data + s * kind,
+                          (size_t)(e - s) * kind) == 0;
+    }
+    while (i < a->e && s < e) {
+        c = PyUnicode_READ(t->kind, t->data, i);
+        if (c != PyUnicode_READ(kind, data, s))
+            return 0;
+        i += 1 + (a->esc && c == '\'');
+        s += 1 + (esc && c == '\'');
+    }
+    return i == a->e && s == e;
+}
+
+/* The taxon id of the label text[s:e] (with esc) of hash h; -1 if t does
+   not hold it, with *at the empty slot where it would go; -2 if the probe
+   passes PROBE_MAX slots. */
+static int probe(const Table *t, uint32_t h, int kind, const void *data,
+                 Py_ssize_t s, Py_ssize_t e, int esc, int *at)
+{
+    int j = (int)(h & (uint32_t)t->mask), k, id;
+
+    for (k = 0; k < PROBE_MAX; k++, j = (j + 1) & t->mask) {
+        if ((id = t->slot[j] - 1) < 0) {
+            *at = j;
+            return -1;
+        }
+        if (t->label[id].hash == h
+            && label_eq(t, &t->label[id], kind, data, s, e, esc))
+            return id;
+    }
+    return -2;
+}
+
+/* Put every label into size empty slots, size a power of two; -1 with
+   MemoryError set, -2 if a label's slot is more than PROBE_MAX - 1 past
+   its first. */
+static int rehash(Table *t, int size)
+{
+    int *slot = calloc((size_t)size, sizeof(int)), id, j, k;
+
+    if (slot == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (id = 0; id < t->n; id++) {
+        j = (int)(t->label[id].hash & (uint32_t)(size - 1));
+        for (k = 1; slot[j]; k++, j = (j + 1) & (size - 1))
+            if (k == PROBE_MAX) {
+                free(slot);
+                return -2;
+            }
+        slot[j] = id + 1;
+    }
+    free(t->slot);
+    t->slot = slot;
+    t->mask = size - 1;
+    return 0;
+}
+
+/* Add the label [s, e) (with esc) of hash h, which t does not hold, as
+   taxon id t->n, at the empty slot at that probe gave, or with at -1 to
+   no slot; as rehash, when the slots must grow to stay at most half
+   full. */
+static int table_add(Table *t, uint32_t h, Py_ssize_t s, Py_ssize_t e,
+                     int esc, int at)
+{
+    Label *label;
+    int cap = t->cap ? 2 * t->cap : 64;
+
+    if (t->n == t->cap) {
+        if ((label = realloc(t->label, (size_t)cap * sizeof *label)) == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        t->label = label;
+        t->cap = cap;
+    }
+    t->label[t->n].s = s;
+    t->label[t->n].e = e;
+    t->label[t->n].esc = esc;
+    t->label[t->n].hash = h;
+    if (at < 0) {
+        t->n++;
+        return 0;
+    }
+    t->slot[at] = ++t->n;
+    return 2 * t->n > t->mask + 1 ? rehash(t, 2 * (t->mask + 1)) : 0;
+}
+
+/* An empty table of the labels of text. */
+static Table *table_new(PyObject *text)
+{
+    Table *t = PyObject_New(Table, &Table_type);
+
+    if (t == NULL)
+        return NULL;
+    t->text = Py_NewRef(text);
+    t->kind = PyUnicode_KIND(text);
+    t->data = PyUnicode_DATA(text);
+    t->label = NULL;
+    t->n = t->cap = t->full = 0;
+    t->mask = 63;
+    if ((t->slot = calloc(t->mask + 1, sizeof(int))) == NULL) {
+        Py_DECREF(t);
+        PyErr_NoMemory();
+        return NULL;
+    }
+    return t;
+}
+
+static void table_dealloc(Table *t)
+{
+    free(t->label);
+    free(t->slot);
+    Py_XDECREF(t->text);
+    PyObject_Free(t);
+}
+
+static Py_ssize_t table_len(Table *t)
+{
+    return t->n;
+}
+
+/* Label i as a str: its span of the text, '' read as one quote when esc
+   is set. */
+static PyObject *table_item(Table *t, Py_ssize_t i)
+{
+    PyObject *sub, *one, *two, *out;
+
+    if (i < 0 || i >= t->n) {
+        PyErr_SetString(PyExc_IndexError, "label index out of range");
+        return NULL;
+    }
+    sub = PyUnicode_Substring(t->text, t->label[i].s, t->label[i].e);
+    if (sub == NULL || !t->label[i].esc)
         return sub;
     one = PyUnicode_FromString("'");
     two = PyUnicode_FromString("''");
@@ -1058,75 +1289,129 @@ static PyObject *label_of(PyObject *text, Py_ssize_t s, Py_ssize_t e,
     return out;
 }
 
-/* The taxon id of a new leaf's label: with index NULL the next id, which
-   interns the label into names and built; otherwise index[label], marked
-   in seen.  -1 for a duplicate or unknown label, -2 on an exception. */
-static int taxon_of(PyObject *label, PyObject *index, unsigned char *seen,
-                    PyObject *names, PyObject *built)
+/* LabelTable(names): the table of a tuple of distinct strs. */
+static PyObject *table_of_names(PyTypeObject *type, PyObject *args,
+                                PyObject *kwargs)
 {
-    PyObject *id, *got;
-    long t;
-    int fresh;
+    static char *kwlist[] = {"names", NULL};
+    PyObject *names, *empty, *text, *name;
+    Py_ssize_t i, s = 0, e;
+    Table *t;
+    uint32_t h;
+    int at, r;
 
-    if (index == NULL) {
-        id = PyLong_FromSsize_t(PyList_GET_SIZE(names));
-        if (id == NULL)
-            return -2;
-        got = PyDict_SetDefault(built, label, id);
-        fresh = got == id;
-        Py_DECREF(id);
-        if (got == NULL || (fresh && PyList_Append(names, label) < 0))
-            return -2;
-        return fresh ? (int)PyList_GET_SIZE(names) - 1 : -1;
+    (void)type;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O!:LabelTable", kwlist,
+                                     &PyTuple_Type, &names))
+        return NULL;
+    /* ids are ints, and slots double to at most 2^30; a text of at most
+       INT_MAX / 2 characters holds fewer labels */
+    if (PyTuple_GET_SIZE(names) > INT_MAX / 4) {
+        PyErr_SetString(PyExc_OverflowError, "too many names");
+        return NULL;
     }
-    got = PyDict_GetItemWithError(index, label);
-    if (got == NULL)
-        return PyErr_Occurred() ? -2 : -1;
-    t = PyLong_AsLong(got);
-    if (t == -1 && PyErr_Occurred())
-        return -2;
-    if (t < 0 || t >= PyDict_GET_SIZE(index) || seen[t])
-        return -1;
-    seen[t] = 1;
-    return (int)t;
+    if ((empty = PyUnicode_New(0, 0)) == NULL)
+        return NULL;
+    text = PyUnicode_Join(empty, names);
+    Py_DECREF(empty);
+    if (text == NULL)
+        return NULL;
+    t = table_new(text);
+    Py_DECREF(text);
+    if (t == NULL)
+        return NULL;
+    /* once full, the table holds each further label without a slot */
+    for (i = 0; i < PyTuple_GET_SIZE(names); i++, s = e) {
+        name = PyTuple_GET_ITEM(names, i);
+        e = s + PyUnicode_GET_LENGTH(name);
+        h = label_hash(t->kind, t->data, s, e, 0);
+        at = -1;
+        if (!t->full && probe(t, h, t->kind, t->data, s, e, 0, &at) >= 0) {
+            PyErr_Format(PyExc_ValueError, "duplicate taxon label %R", name);
+            goto fail;
+        }
+        if ((r = table_add(t, h, s, e, 0, at)) == -1)
+            goto fail;
+        t->full |= r == -2 || at < 0;
+    }
+    return (PyObject *)t;
+fail:
+    Py_DECREF(t);
+    return NULL;
 }
 
+static PySequenceMethods table_as_sequence = {
+    .sq_length = (lenfunc)table_len,
+    .sq_item = (ssizeargfunc)table_item,
+};
+
+PyDoc_STRVAR(table_doc,
+"LabelTable(names)\n"
+"--\n"
+"\n"
+"The labels of a TaxonSet, looked up by ``parse_newick`` from their code\n"
+"points.  ``len(table)`` is the number of labels and ``table[i]`` the\n"
+"label of taxon id i, so ``tuple(table)`` is the names tuple.  Built\n"
+"from a tuple of distinct strs, label i being ``names[i]``, or by\n"
+"``parse_newick``.  A repeated name raises ValueError.  When a name's\n"
+"probe passes the bound on probe chains, the table gives up: it keeps\n"
+"the later names without looking them up, and every parse against it\n"
+"gives up.");
+
+static PyTypeObject Table_type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "tripcon._kernels._fast.LabelTable",
+    .tp_basicsize = sizeof(Table),
+    .tp_dealloc = (destructor)table_dealloc,
+    .tp_as_sequence = &table_as_sequence,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = table_doc,
+    .tp_new = table_of_names,
+};
+
+/* ---------------------------------------------------------------------- */
+
 PyDoc_STRVAR(parse_newick_doc,
-"parse_newick(text, index)\n"
+"parse_newick(text, table)\n"
 "--\n"
 "\n"
 "Parse one Newick statement into the taxon column of its tree.\n"
 "\n"
 "Follows the token grammar of ``tripcon.newick``.  Returns ``(taxon,\n"
-"names, index)``: ``taxon``, an array('i') in post-order ids with a taxon\n"
-"id on each leaf and -1 on each internal node, is the one input of\n"
-"``tripcon.tree.Tree._from_structure``; when ``index`` is None, ``names``\n"
-"and ``index`` are the names tuple and the index dict of a new TaxonSet\n"
-"in leaf order (both None otherwise).  With ``index`` (a TaxonSet's\n"
-"label -> id dict), the leaves must carry its labels exactly once each.\n"
+"table)``: ``taxon``, an array('i') in post-order ids with a taxon id on\n"
+"each leaf and -1 on each internal node, is the one input of\n"
+"``tripcon.tree.Tree._from_structure``.  When ``table`` is None, the\n"
+"labels are interned, ids in leaf order, into a new LabelTable that\n"
+"holds a reference to ``text``; otherwise the leaves must carry the\n"
+"labels of ``table`` exactly once each, and ``table`` is returned.  Two\n"
+"labels are equal when their code points are, '' in a quoted label\n"
+"being one quote.\n"
 "\n"
 "Returns None, and does nothing else, on any syntax, non-binary or\n"
-"empty-tree error, on a duplicate, unknown or missing label, and on any\n"
-"character outside ASCII that is not in a quoted label or a comment: the\n"
-"regex parser then reports the error or parses the text.");
+"empty-tree error, on a duplicate, unknown or missing label, on any\n"
+"character outside ASCII that is not in a quoted label or a comment,\n"
+"and when a label's probe passes the bound on probe chains or\n"
+"``table`` passed it when it was built: the regex parser then reports\n"
+"the error or parses the text.");
 
 static PyObject *parse_newick(PyObject *module, PyObject *args)
 {
-    PyObject *text, *index, *label, *names = NULL, *built = NULL;
-    PyObject *taxon, *result = NULL;
+    PyObject *text, *arg, *taxon, *result = NULL;
+    Table *table = NULL;
     int *col = NULL, cap = 0; /* the taxon column */
     int *groups = NULL, gcap = 0; /* per open '(': 1 once its ',' is read */
-    unsigned char *seen = NULL;
+    unsigned char *seen = NULL; /* with a table given: per taxon id */
     const void *data;
-    int kind, m = 0, nl = 0, ng = 0, want = 1, length_ok = 0, esc, t;
+    int kind, m = 0, nl = 0, ng = 0, want = 1, length_ok = 0, esc, t, at;
     Py_ssize_t n, i = 0, s = 0, e = 0;
     Py_UCS4 c;
+    uint32_t h;
 
     (void)module;
-    if (!PyArg_ParseTuple(args, "OO:parse_newick", &text, &index))
+    if (!PyArg_ParseTuple(args, "OO:parse_newick", &text, &arg))
         return NULL;
-    if (index != Py_None && !PyDict_Check(index)) {
-        PyErr_SetString(PyExc_TypeError, "index must be a dict or None");
+    if (arg != Py_None && !PyObject_TypeCheck(arg, &Table_type)) {
+        PyErr_SetString(PyExc_TypeError, "table must be a LabelTable or None");
         return NULL;
     }
     /* node ids are ints, there are at most as many nodes as characters,
@@ -1140,13 +1425,16 @@ static PyObject *parse_newick(PyObject *module, PyObject *args)
     kind = PyUnicode_KIND(text);
     data = PyUnicode_DATA(text);
     n = PyUnicode_GET_LENGTH(text);
-    if (index == Py_None) {
-        index = NULL;
-        if ((names = PyList_New(0)) == NULL || (built = PyDict_New()) == NULL)
+    if (arg != Py_None) {
+        table = (Table *)Py_NewRef(arg);
+        if (table->full)
+            goto reject;
+        if ((seen = calloc((size_t)table->n + 1, 1)) == NULL) {
+            PyErr_NoMemory();
             goto done;
-    } else if ((seen = calloc(PyDict_GET_SIZE(index) + 1, 1)) == NULL) {
-        PyErr_NoMemory();
-        goto done;
+        }
+    } else if ((table = table_new(text)) == NULL) {
+        return NULL;
     }
 
     /* want: a subtree is wanted next; length_ok: the token before was a
@@ -1184,14 +1472,21 @@ static PyObject *parse_newick(PyObject *module, PyObject *args)
             } else {
                 goto reject;
             }
-            if ((label = label_of(text, s, e, esc)) == NULL)
-                goto done;
-            t = taxon_of(label, index, seen, names, built);
-            Py_DECREF(label);
-            if (t == -2 || grow(&col, &cap, m) < 0)
-                goto done;
-            if (t < 0)
+            h = label_hash(kind, data, s, e, esc);
+            t = probe(table, h, kind, data, s, e, esc, &at);
+            if (seen == NULL) { /* interning: a label seen before repeats */
+                if (t != -1 || (t = table_add(table, h, s, e, esc, at)) == -2)
+                    goto reject;
+                if (t < 0)
+                    goto done;
+                t = table->n - 1;
+            } else if (t < 0 || seen[t]) { /* unknown or repeated */
                 goto reject;
+            } else {
+                seen[t] = 1;
+            }
+            if (grow(&col, &cap, m) < 0)
+                goto done;
             col[m++] = t;
             nl++;
             want = 0;
@@ -1223,17 +1518,12 @@ static PyObject *parse_newick(PyObject *module, PyObject *args)
             goto reject;
         }
     }
-    if (skip_filler(kind, data, n, i + 1) != n
-        || (index != NULL && nl != PyDict_GET_SIZE(index)))
+    if (skip_filler(kind, data, n, i + 1) != n || nl != table->n)
         goto reject;
     taxon = PyObject_CallFunction(array_type, "sy#", "i", (const char *)col,
                                   m * (Py_ssize_t)sizeof(int));
-    if (taxon == NULL)
-        goto done;
-    if (index != NULL)
-        result = Py_BuildValue("(NOO)", taxon, Py_None, Py_None);
-    else
-        result = Py_BuildValue("(NNO)", taxon, PyList_AsTuple(names), built);
+    if (taxon != NULL)
+        result = Py_BuildValue("(NO)", taxon, (PyObject *)table);
     goto done;
 reject:
     result = Py_NewRef(Py_None);
@@ -1241,8 +1531,7 @@ done:
     free(col);
     free(groups);
     free(seen);
-    Py_XDECREF(names);
-    Py_XDECREF(built);
+    Py_XDECREF(table);
     return result;
 }
 
@@ -1424,11 +1713,12 @@ PyDoc_STRVAR(fast_doc,
 "``run_enumeration`` is the twin of ``tripcon._kernels.pure``: same\n"
 "recursion, same emission order, same work-counter arithmetic (the\n"
 "cross-backend tests pin all three).  See ``tripcon.enumeration`` for\n"
-"the algorithm and counter contract.  ``parse_newick`` parses and\n"
-"finalizes a tree in one pass, and leaves every error to the regex\n"
-"parser of ``tripcon.newick``.  ``join_triples`` writes one chunk of\n"
-"ids as the text of its lines, from the label tables that\n"
-"``tripcon.cli`` packs into one str and its offsets.");
+"the algorithm and counter contract.  ``parse_newick`` reads a tree's\n"
+"taxon column in one pass, with its labels in a ``LabelTable``, and\n"
+"leaves every error to the regex parser of ``tripcon.newick``.\n"
+"``join_triples`` writes one chunk of ids as the text of its lines,\n"
+"from the label tables that ``tripcon.cli`` packs into one str and its\n"
+"offsets.");
 
 static struct PyModuleDef fast_module = {
     PyModuleDef_HEAD_INIT, "_fast", fast_doc, -1, fast_methods,
@@ -1437,7 +1727,7 @@ static struct PyModuleDef fast_module = {
 
 PyMODINIT_FUNC PyInit__fast(void)
 {
-    PyObject *array_mod;
+    PyObject *array_mod, *module;
 
     if (array_type == NULL) {
         array_mod = PyImport_ImportModule("array");
@@ -1448,5 +1738,13 @@ PyMODINIT_FUNC PyInit__fast(void)
         if (array_type == NULL)
             return NULL;
     }
-    return PyModule_Create(&fast_module);
+    if (PyType_Ready(&Table_type) < 0
+        || (module = PyModule_Create(&fast_module)) == NULL)
+        return NULL;
+    if (PyModule_AddObjectRef(module, "LabelTable",
+                              (PyObject *)&Table_type) < 0) {
+        Py_DECREF(module);
+        return NULL;
+    }
+    return module;
 }

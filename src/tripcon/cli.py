@@ -5,7 +5,8 @@ statistics and diagnostics to stderr, so the tool composes in pipelines.
 
 Exit codes: 0 success; 1 check found a fast/oracle mismatch; 2 I/O or
 parse error (also bad usage, such as a size or backend the generator or
-kernel selection rejects); 3 taxon mismatch or non-binary input.
+kernel selection rejects, and a count past 2^63 - 1); 3 taxon mismatch or
+non-binary input.
 """
 
 import argparse
@@ -66,16 +67,17 @@ def _read(path):
 def _load_pair(path_p, path_q, label_order=False):
     """Parse both trees over one TaxonSet.  With ``label_order``, taxon
     ids are the ranks of the sorted labels, so that ids a < b < c are in
-    label order; P's taxon column is then renumbered by those ranks."""
+    label order; both taxon columns are then renumbered by those ranks."""
     p, taxa = parse_newick(_read(path_p))
+    q, _ = parse_newick(_read(path_q), taxa)
     if label_order:
         names = sorted(taxa.names)
         index = dict(zip(names, range(len(names))))
         # rank[-1] keeps internal nodes -1
         rank = list(map(index.__getitem__, taxa.names)) + [-1]
-        taxa = TaxonSet._of(tuple(names), index)
-        p = Tree._of(array("i", [rank[t] for t in p.taxon]), taxa)
-    q, _ = parse_newick(_read(path_q), taxa)
+        taxa = TaxonSet._of(None, tuple(names))
+        p, q = (Tree._of(array("i", [rank[t] for t in tree.taxon]), taxa)
+                for tree in (p, q))
     return p, q, taxa
 
 
@@ -421,7 +423,7 @@ def main(argv=None):
         # point stdout at devnull so interpreter shutdown stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except (TripconError, OSError) as exc:
+    except (TripconError, OSError, OverflowError) as exc:
         print(f"tripcon: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -293,16 +293,18 @@ def enumerate_conflicts(p, q, *, backend=None, collect=False, sink=None):
         sink = flat.extend
     if name == "fast":
         # each tree is its post-order taxon column; the kernel derives and
-        # checks the rest, as Tree._from_structure does
+        # checks the rest, as Tree._from_structure does, and checks that
+        # the d_r sum to d
         d, frames, work, violations, per_dr = _kernels._fast.run_enumeration(
             p.taxon, q.taxon, len(p.taxa), sink)
     else:
         from ._kernels import pure
 
         d, frames, work, violations, per_dr = pure.run_enumeration(p, q, sink)
+        assert sum(per_dr) == d, \
+            "per-frame d_r do not sum to the triples emitted"
 
     assert violations == 0, "frame budget law violated (leaf count > d_r + 2)"
-    assert sum(per_dr) == d, "per-frame d_r do not sum to the triples emitted"
     assert not collect or len(flat) == 3 * d
     instr = Instrumentation(
         n_taxa=p.n_leaves,

@@ -29,13 +29,21 @@ Two parsers
 With the compiled module loaded, :func:`parse_newick` reads the text in
 one pass of ``_fast.parse_newick``, which returns only the tree's taxon
 column; the tree derives its other slots from it on their first read
-(see :mod:`tripcon.tree`), so a compiled count derives none.  That pass
-gives up, and does nothing else, on any error and on any character
-outside ASCII that is not in a quoted label or a comment, since the
-regex classes for whitespace and digits match Unicode.  The regex loop
-of :func:`_parse` then raises the error with its position, or parses
-the text and finalizes the tree at once; it is also the only parser
-when the compiled module is absent.
+(see :mod:`tripcon.tree`), so a compiled count derives none.  The pass
+keeps a first tree's labels in a C table of spans of its text, a
+``_fast.LabelTable``, which the new TaxonSet holds, and looks up a
+second tree's labels in that table by their code points.  The set
+derives its names and index on their first read, so a compiled count
+makes no label str.  A set built from names gets its table on its
+first use as a parse index.  That pass gives up, and does nothing else,
+on any error, on any character outside ASCII that is not in a quoted
+label or a comment, since the regex classes for whitespace and digits
+match Unicode, and on a label whose probe passes the table's fixed
+bound, which only a crafted label set reaches: the regex parser's dict,
+with Python's seeded hash, keeps parsing linear.  The regex loop of
+:func:`_parse` then raises the error with its position, or parses the
+text and finalizes the tree at once; it is also the only parser when
+the compiled module is absent.
 """
 
 import re
@@ -128,19 +136,22 @@ def _unexpected(m, last, groups, prev):
 def parse_newick(text, taxa=None):
     """Parse one Newick statement into ``(Tree, TaxonSet)``.
 
-    With ``taxa`` given (the interner from a previously parsed tree), the
-    new tree must use exactly the same label set; any unknown or missing
-    label raises TaxonMismatchError.  Duplicate labels raise
-    DuplicateLabelError; more (or fewer) than two children raise
-    NonBinaryError; structural problems raise NewickSyntaxError with the
-    offending position.
+    With ``taxa`` given (the set of a previously parsed tree, or one
+    built from names), the new tree must use exactly the same label set;
+    any unknown or missing label raises TaxonMismatchError.  Duplicate
+    labels raise DuplicateLabelError; more (or fewer) than two children
+    raise NonBinaryError; structural problems raise NewickSyntaxError
+    with the offending position.
     """
     if _fast is not None:
-        out = _fast.parse_newick(text, None if taxa is None else taxa.index)
+        table = None if taxa is None else taxa._table
+        if taxa is not None and table is None:  # a set built from names
+            table = taxa._table = _fast.LabelTable(taxa.names)
+        out = _fast.parse_newick(text, table)
         if out is not None:
-            taxon, names, index = out
+            taxon, table = out
             if taxa is None:
-                taxa = TaxonSet._of(names, index)
+                taxa = TaxonSet._of(table)
             return Tree._of(taxon, taxa), taxa
     return _parse(text, taxa)
 

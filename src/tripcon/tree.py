@@ -53,9 +53,17 @@ EMPTY_COLUMN = "the taxon column is empty"
 
 
 class TaxonSet:
-    """Immutable bijection between leaf label strings and ids 0..n-1."""
+    """Immutable bijection between leaf label strings and ids 0..n-1.
 
-    __slots__ = ("names", "index")
+    ``names`` is the tuple of labels by id and ``index`` the dict from
+    label to id.  A set made by the compiled Newick pass holds only that
+    pass's label table, which keeps the parsed text alive; its ``names``
+    and ``index`` are derived on their first read, so a compiled count
+    builds neither.  A set built from names gets its table on its first
+    use as a parse index.
+    """
+
+    __slots__ = ("names", "index", "_table")
 
     def __init__(self, names):
         names = tuple(names)
@@ -68,18 +76,36 @@ class TaxonSet:
             index[name] = i
         self.names = names
         self.index = index
+        self._table = None
 
     @classmethod
-    def _of(cls, names, index):
-        """The set of a names tuple and its label -> id dict, which the
-        caller has already checked."""
+    def _of(cls, table, names=None):
+        """The set of a label table of ``tripcon._kernels._fast``, or with
+        ``table`` None of a names tuple that the caller has checked."""
         taxa = object.__new__(cls)
-        taxa.names = names
-        taxa.index = index
+        taxa._table = table
+        if names is not None:
+            taxa.names = names
         return taxa
 
+    def __getattr__(self, name):
+        # reached only for a slot that is not set yet: a set made by _of
+        # derives names from its table, and index from names
+        if name == "names":
+            self.names = tuple(self._table)
+        elif name == "index":
+            self.index = dict(zip(self.names, range(len(self.names))))
+        else:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        return getattr(self, name)
+
+    def __reduce__(self):
+        # the label table is not picklable: a copy is built from names
+        return TaxonSet, (self.names,)
+
     def __len__(self):
-        return len(self.names)
+        return len(self.names if self._table is None else self._table)
 
     def __iter__(self):
         return iter(self.names)

@@ -41,13 +41,14 @@ TREE_SLOTS = ("root", "parent", "left", "right", "taxon", "leaf_count",
               "leaf_base", "depth", "leaves_post", "leaf_of_taxon")
 
 
-def held_slots(t):
-    """The derived slots that ``t`` holds, read past the ``Tree.__getattr__``
-    that derives them on a first read."""
+def held_slots(obj, slots=_DERIVED):
+    """Those of ``slots`` that ``obj`` holds, read past the ``__getattr__``
+    that derives them on a first read: by default the derived slots of a
+    ``Tree``."""
     held = set()
-    for slot in _DERIVED:
+    for slot in slots:
         try:
-            Tree.__dict__[slot].__get__(t, Tree)
+            type(obj).__dict__[slot].__get__(obj, type(obj))
         except AttributeError:
             continue
         held.add(slot)

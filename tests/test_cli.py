@@ -24,7 +24,8 @@ from tripcon import cli
 from tripcon._kernels import available_backends
 from tripcon.generator import GeneratorConfig, generate_pair
 
-from conftest import BAD_OFFSETS, TWO_TAXA, env_without_kernel, join_cases
+from conftest import (BAD_OFFSETS, TWO_TAXA, env_without_kernel, held_slots,
+                      join_cases)
 
 # The chunk joins, both called as ``join(ids, lead, mid, end)``: the
 # reference ``_join``, and the compiled twin that the chunk writer calls,
@@ -237,6 +238,36 @@ def test_compiled_count_and_conflicts_derive_no_tree_slot(tmp_path, capsys,
         assert code == 0 and out and not err
         assert run_cli(capsys, "--backend", "fast", cmd, *paths) == want[cmd]
         assert len(parsed) == 2
+
+
+@needs_fast
+def test_compiled_count_builds_no_taxon_names(tmp_path, capsys, monkeypatch):
+    # the labels stay in the compiled pass's table: count never builds a
+    # TaxonSet's names or index
+    paths = _write_pair(tmp_path, 300, 5, 4)
+    options = ((), ("--stats", "--format", "json"))
+    want = [run_cli(capsys, "--backend", "pure", "count", *paths, *opts)
+            for opts in options]
+
+    def refuse(self, name):
+        raise AssertionError(f"TaxonSet.{name} was built")
+
+    sets = []
+
+    def parse(*args):
+        t, taxa = parse_newick(*args)
+        sets.append(taxa)
+        return t, taxa
+
+    monkeypatch.setattr(TaxonSet, "__getattr__", refuse)
+    monkeypatch.setattr(cli, "parse_newick", parse)
+    for opts, (code, out, err) in zip(options, want):
+        assert code == 0 and out
+        assert run_cli(capsys, "--backend", "fast", "count", *paths,
+                       *opts) == (code, out, err)
+    assert len(sets) == 4
+    for taxa in sets:
+        assert held_slots(taxa, ("names", "index")) == set()
 
 
 @pytest.mark.parametrize("join", JOINS)

@@ -1,6 +1,7 @@
 """The compiled kernel: first-import build into the user cache, a
-warning-free compile of its C source, its checks on malformed input, and
-a run of a sanitized build under ASan and UBSan.
+warning-free compile of its C source, its checks on malformed input, a
+run of a sanitized build under ASan and UBSan, and builds with a lowered
+count limit, with a corrupted d_r and with colliding label hashes.
 
 Each build test copies the package without any built extension into
 ``tmp_path`` and imports it in a fresh interpreter with its own
@@ -26,7 +27,8 @@ import pytest
 import tripcon
 from tripcon import (DuplicateLabelError, EmptyTreeError, SplitMix64,
                      TaxonMismatchError, TaxonSet, Tree, TripconError,
-                     count_conflicts, enumerate_conflicts)
+                     build_tree, count_conflicts, enumerate_conflicts,
+                     serialize_newick)
 from tripcon._kernels import _fast, available_backends
 from tripcon.generator import (
     GeneratorConfig,
@@ -429,34 +431,74 @@ def grow(ids):
 out = run(p.taxon, q.taxon, 40, grow)
 assert out[0] == math.comb(40, 3) and len(p.taxon) == 79 + 3
 
-# the Newick pass: every error, with and without an index, every prefix
-# of a text with comments, lengths and quoted labels, with and without an
-# index, and an index that lacks one label or holds one more
+# the Newick pass: every error, with and without a table, every prefix
+# of a text with comments, lengths and quoted labels, with and without
+# its table, and tables that lack one label or hold one more
 from tripcon.newick import _parse, serialize_newick
 parse = _kernels._fast.parse_newick
+LabelTable = _kernels._fast.LabelTable
 for text in {errors!r}:
-    for idx in (None, {{"A": 0, "B": 1, "C": 2}}):
-        assert parse(text, idx) is None, text
+    for table in (None, LabelTable(("A", "B", "C"))):
+        assert parse(text, table) is None, text
 text = {mixed!r}
-taxon, names, index = parse(text, None)
-assert parse(text, index) == (taxon, None, None)
-short = dict(index)
-del short[names[-1]]
-assert parse(text, short) is None
-assert parse(text, dict(index, extra=len(index))) is None
+taxon, table = parse(text, None)
+names = tuple(table)
+assert names == _parse(text)[1].names
+assert parse(text, table) == (taxon, table)
+assert parse(text, LabelTable(names))[0] == taxon
+for other in (names[:-1], names + ("extra",)):
+    assert parse(text, LabelTable(other)) is None
 for k in range(len(text)):
-    for idx in (None, index):
-        out = parse(text[:k], idx)
+    for t in (None, table):
+        out = parse(text[:k], t)
         assert out is None or out[0] == taxon, text[:k]
-# 10^5 open groups grow the group stack and the column; the column is the
-# regex parser's, and rejects after it has grown free it
+# one label set in texts of every str kind, each against the table of
+# every other and of the names; 'b''c' is b'c, and 'b''''c' is unknown
+texts = ["((a,'b''c'),(d,'\\u00e9\\u0101'));" + c
+         for c in ("", "[\\u00e9]", "[\\u0101]", "[\\U0001f332]")]
+want = parse(texts[0], None)[0]
+tables = [parse(text, None)[1] for text in texts]
+tables.append(LabelTable(("a", "b'c", "d", "\\u00e9\\u0101")))
+for text in texts:
+    for t in tables:
+        assert parse(text, t) == (want, t)
+    assert parse(text.replace("b''c", "b''''c"), tables[-1]) is None
+# 10^5 labels grow the table many times and come back in leaf order;
+# rejects after it has grown free it, and against it the labels repeat,
+# are unknown or are missing
 n = 100_000
 text = serialize_newick(caterpillar_tree(n))
-taxon, names, index = parse(text, None)
-assert taxon == _parse(text)[0].taxon and len(names) == n
+taxon, table = parse(text, None)
+ref, ref_taxa = _parse(text)
+assert taxon == ref.taxon and len(table) == n
+assert tuple(table) == ref_taxa.names and table[-1] == ref_taxa.names[-1]
+assert parse(text, LabelTable(tuple(table)))[0] == taxon
 for bad in (text[:-1], text[:-2] + ",x);", text.replace("t0,", "t2,")):
-    for idx in (None, index):
-        assert parse(bad, idx) is None
+    for t in (None, table):
+        assert parse(bad, t) is None
+for bad in (text.replace("t0,", "(t0,x),"), text.replace("(t0,t1)", "t1")):
+    assert parse(bad, None) is not None and parse(bad, table) is None
+# arguments of the wrong type, and names that cannot be a table
+for args in ((text, {{}}), (text, names)):
+    try:
+        parse(*args)
+    except TypeError:
+        continue
+    raise AssertionError(args[1])
+assert parse(text.encode(), None) is None
+for bad in (["a"], ("a", 1), ("a", "b", "a")):
+    try:
+        LabelTable(bad)
+    except (TypeError, ValueError):
+        continue
+    raise AssertionError(bad)
+try:
+    table[n]
+except IndexError:
+    pass
+else:
+    raise AssertionError("a label past the table")
+del table, tables
 
 # the chunk join: every case of join_cases against the Python join, and
 # through the chunk writer as a first and a later chunk; then ids outside
@@ -613,3 +655,116 @@ def test_counts_past_the_limit_raise_alike_in_both_kernels(fresh_copy):
         f"{s}:{backend}:{collect}:{343 if s == 7 else message}"
         for s in (7, 8, 11) for backend in ("fast", "pure")
         for collect in (False, True)]
+
+
+# The pair above at s = 11, whose root product passes the limit, through
+# the command line: count and conflicts print one line and exit 2.
+@needs_compiler
+def test_cli_reports_a_count_past_the_limit_on_one_line(fresh_copy, tmp_path):
+    source, cache, _ = fresh_copy
+    built, _ = _sanitized_build(source, cache, "undefined",
+                                "-DCOUNT_MAX=1000")
+    a, b, c = (functools.reduce(lambda x, y: (x, y),
+                                [x + str(i) for i in range(11)]) for x in "abc")
+    p = build_tree(((a, b), c))
+    paths = []
+    for tag, t in (("p", p), ("q", build_tree(((a, c), b), p.taxa))):
+        paths.append(tmp_path / f"{tag}.nwk")
+        paths[-1].write_text(serialize_newick(t))
+    env = dict(os.environ, PYTHONPATH=str(source.parents[2]),
+               XDG_CACHE_HOME=str(cache))
+    for command in ("count", "conflicts"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tripcon.cli", command, *map(str, paths)],
+            env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "tripcon: more than 2^63 - 1 conflicts or steps\n")
+
+
+# A build whose kernel stores one frame's d_r one too high: the run checks
+# the sum of the d_r against d itself and raises.
+DR_SUM = """
+from tripcon import _kernels, enumerate_conflicts
+from tripcon.generator import GeneratorConfig, generate_pair
+
+assert _kernels._fast.__file__ == {built!r}
+p, q = generate_pair(GeneratorConfig(n=60, seed=3, k=5))
+print(enumerate_conflicts(p, q, backend="pure").d > 0)
+for kwargs in ({{}}, {{"collect": True}}, {{"sink": list}}):
+    try:
+        enumerate_conflicts(p, q, backend="fast", **kwargs)
+    except AssertionError as exc:
+        print(exc)
+"""
+
+
+@needs_compiler
+def test_compiled_kernel_checks_that_the_d_r_sum_to_d(fresh_copy):
+    source, cache, _ = fresh_copy
+    text = source.read_text()
+    store = "        run->dr[run->frames++] = d_r;\n"
+    assert text.count(store) == 1
+    source.write_text(text.replace(
+        store, store + "        if (run->frames == 1)\n"
+                       "            run->dr[0]++;\n"))
+    built, _ = _sanitized_build(source, cache, "undefined")
+    env = dict(os.environ, PYTHONPATH=str(source.parents[2]),
+               XDG_CACHE_HOME=str(cache))
+    proc = subprocess.run([sys.executable, "-c",
+                           DR_SUM.format(built=str(built))],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    assert "runtime error" not in proc.stderr, proc.stderr[-4000:]
+    assert proc.stdout.split("\n")[:-1] == [
+        "True"] + ["per-frame d_r do not sum to the triples emitted"] * 3
+
+
+# With every label hash equal, a probe passes the bound of 128 slots at
+# the 129th label of a tree: the compiled pass gives up, on a text and on
+# a table of names alike, and the regex parser parses the text.
+GIVE_UP = """
+from tripcon import TaxonSet, _kernels, parse_newick
+from tripcon.generator import caterpillar_tree
+from tripcon.newick import _parse, serialize_newick
+
+assert _kernels._fast.__file__ == {built!r}
+parse = _kernels._fast.parse_newick
+for n in (128, 129, 2000):
+    text = serialize_newick(caterpillar_tree(n))
+    ref, ref_taxa = _parse(text)
+    out = parse(text, None)
+    table = _kernels._fast.LabelTable(ref_taxa.names)
+    print(n, out is not None, parse(text, table) is not None)
+    for taxa in (None, TaxonSet(ref_taxa.names)):
+        t, taxa = parse_newick(text, taxa)
+        assert t.taxon == ref.taxon and taxa.names == ref_taxa.names
+"""
+
+
+@needs_compiler
+def test_a_build_where_every_label_collides_gives_up_to_the_regex_parser(
+        fresh_copy, tmp_path):
+    # the parser tests, and the give-up path, under ASan and UBSan
+    source, cache, _ = fresh_copy
+    built, libasan = _sanitized_build(source, cache, "address,undefined",
+                                      "-DHASH_MASK=0")
+    env = dict(os.environ, PYTHONPATH=str(source.parents[2]),
+               XDG_CACHE_HOME=str(cache), LD_PRELOAD=libasan,
+               ASAN_OPTIONS="detect_leaks=0", PYTHONMALLOC="malloc")
+    proc = subprocess.run([sys.executable, "-c",
+                           GIVE_UP.format(built=str(built))],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    assert proc.stdout.split("\n")[:-1] == [
+        "128 True True", "129 False False", "2000 False False"]
+    # the 10^5-leaf caterpillar test needs the compiled pass to take the
+    # whole tree, which this build gives up on; pymalloc, for speed
+    del env["PYTHONMALLOC"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-k", "not test_compiled_parse_of_a_deep_caterpillar",
+         os.path.join(os.path.dirname(__file__), "test_newick.py")],
+        env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]
+    for report in ("Sanitizer", "runtime error"):
+        assert report not in proc.stderr, proc.stderr[-4000:]

@@ -8,6 +8,9 @@ agree on every slot of the tree and the TaxonSet, or raise the same
 error; the slots of a compiled parse are those derived on first read.
 """
 
+import copy
+import pickle
+
 import pytest
 
 from tripcon import (
@@ -229,6 +232,68 @@ def test_compiled_parse_of_a_deep_caterpillar():
     assert max(back.depth) == n - 1
 
 
+@needs_fast
+def test_a_parsed_taxon_set_derives_names_and_index_on_first_read():
+    text = serialize_newick(random_binary_tree(GeneratorConfig(n=50, seed=3)))
+    _, taxa = parse_newick(text)
+    _, want = newick._parse(text)
+    assert len(taxa) == 50
+    assert held_slots(taxa, ("names", "index")) == set()
+    assert taxa.index == want.index
+    assert held_slots(taxa, ("names", "index")) == {"names", "index"}
+    assert taxa.names == want.names
+    assert taxa == want and hash(taxa) == hash(want)
+    assert list(taxa) == list(want) and repr(taxa) == repr(want)
+    assert taxa.id_of(want.names[7]) == 7 and taxa.name_of(7) == want.names[7]
+    with pytest.raises(AttributeError, match="no_such_slot"):
+        taxa.no_such_slot
+    # a copy, which cannot take the label table, is built from names
+    t, taxa = parse_newick(text)
+    for copied in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+        assert copied.taxa == want and copied.taxon == t.taxon
+
+
+@needs_fast
+def test_labels_match_across_str_kinds_and_escapes():
+    # a label set, quoted with '' in the texts and raw in the names of a
+    # set built from them, in texts of every str kind (the comments set
+    # it): every text parses in the compiled pass against the set of
+    # every other, and b''c, which is not b'c, is unknown
+    for names in (["a", "b'c", "d"], ["a", "b'c", "éā"]):
+        t = random_binary_tree(GeneratorConfig(n=3, seed=2), TaxonSet(names))
+        base = serialize_newick(t)
+        assert "'b''c'" in base
+        texts = [base + c for c in ("", "[é]", "[ā]", "[\U0001f332]")]
+        sets = [parse_newick(text)[1] for text in texts] + [TaxonSet(names)]
+        for text in texts:
+            for taxa in sets:
+                want = outcome(newick._parse, text, taxa)
+                assert outcome(parse_newick, text, taxa) == want
+                assert FAST.parse_newick(text, taxa._table) is not None
+            unknown = text.replace("'b''c'", "'b''''c'")
+            assert FAST.parse_newick(unknown, sets[-1]._table) is None
+            with pytest.raises(TaxonMismatchError, match="b''c"):
+                parse_newick(unknown, sets[-1])
+
+
+@needs_fast
+def test_compiled_parse_against_a_generator_taxon_set():
+    # a set built from names gets its label table on its first use as a
+    # parse index, and keeps it
+    p = random_binary_tree(GeneratorConfig(n=100, seed=8))
+    q = random_binary_tree(GeneratorConfig(n=100, seed=9), p.taxa)
+    taxa = p.taxa
+    assert taxa._table is None
+    text = serialize_newick(q)
+    assert outcome(parse_newick, text, taxa) == outcome(newick._parse, text,
+                                                        taxa)
+    table = taxa._table
+    assert isinstance(table, FAST.LabelTable) and tuple(table) == taxa.names
+    assert FAST.parse_newick(text, table) == (q.taxon, table)
+    assert parse_newick(serialize_newick(p), taxa)[0].taxon == p.taxon
+    assert taxa._table is table
+
+
 # Filler, comments, lengths, quoted labels with quotes and non-ASCII
 # text, and a bare label with every bare punctuation character.
 MIXED = ("[head] ((A:1e5,'b''c ü'):.5, ( 'é d' [x, y]:2 ,"
@@ -303,7 +368,9 @@ def test_compiled_and_regex_parsers_agree():
                      TaxonSet(names[:-1] or ["z"]), TaxonSet(names + ["zz"])):
             want = outcome(newick._parse, text, taxa)
             assert outcome(parse_newick, text, taxa) == want
-            raw = FAST.parse_newick(text, None if taxa is None else taxa.index)
+            # parse_newick gave a set built from names its label table
+            raw = FAST.parse_newick(text,
+                                    None if taxa is None else taxa._table)
             if want[0] == "error":
                 assert raw is None
             elif text.isascii():
