@@ -65,8 +65,8 @@
  * the one input of both finalizers.  It interns the labels of a first
  * tree into a LabelTable, an open-addressing table of spans of the
  * tree's text, which the TaxonSet keeps, and looks up the labels of a
- * second tree in it by their code points: no label becomes a Python
- * object until a name is read.
+ * second tree in it by their written spans: no label becomes a Python
+ * object until a name is read.  Only parse_newick makes a LabelTable.
  *
  * Build with any C99 compiler against the Python headers, e.g.
  *
@@ -1069,19 +1069,19 @@ static int valid_length(int kind, const void *data, Py_ssize_t i,
 /* Labels: one table per TaxonSet                                          */
 /* ---------------------------------------------------------------------- */
 
-/* A LabelTable holds the labels of one TaxonSet: label i, of taxon id i,
-   is the span [s, e) of one str, with '' read as one quote when esc is
-   set (a quoted Newick label).  It finds the id of a label from its code
-   points, whatever the str kind of the text that holds it, by open
-   addressing with linear probing over a hash of those code points, in a
-   power-of-two array of slots that is at most half full.  The hash is
-   fixed, so a crafted label set could make every label collide: a probe
-   that passes PROBE_MAX slots gives up, and parse_newick leaves the text
-   to the regex parser, whose dict uses Python's seeded hash.  Parsing
-   thus stays linear in the text whatever its labels; the 10^6 labels
-   t0, t1, ... need chains of at most 52 slots.  The table of a
-   parsed tree holds a reference to the tree's text, and the table of a
-   names tuple holds the names joined into one str. */
+/* A LabelTable holds the labels of one TaxonSet, made by parse_newick
+   from the text of a tree, which it keeps alive: label i, of taxon id i,
+   is the span [s, e) of that text inside the label's quotes, if any,
+   with esc set when it holds a '' (one quote).  It finds the id of a
+   label from the code points of its span, whatever the str kind of the
+   text that holds it, by open addressing with linear probing over a hash
+   of those code points, in a power-of-two array of slots that is at most
+   half full.  The hash is fixed, so a crafted label set could make every
+   label collide: a probe that passes PROBE_MAX slots gives up, and
+   parse_newick leaves the text to the regex parser, whose dict uses
+   Python's seeded hash.  Parsing thus stays linear in the text whatever
+   its labels; the 10^6 labels t0, t1, ... need chains of at most 52
+   slots. */
 
 /* A build may set HASH_MASK to 0, so that every label collides. */
 #ifndef HASH_MASK
@@ -1103,24 +1103,18 @@ typedef struct {
     Label *label; /* by taxon id */
     int *slot;    /* taxon id + 1, or 0 when empty */
     int n, cap, mask; /* labels, label capacity, slots - 1 */
-    int full; /* a names tuple passed PROBE_MAX: every parse gives up */
 } Table;
 
 static PyTypeObject Table_type;
 
-/* The hash of the code points of text[s:e], the second quote of each ''
-   skipped when esc is set. */
+/* The hash of the code points of text[s:e]. */
 static uint32_t label_hash(int kind, const void *data, Py_ssize_t s,
-                           Py_ssize_t e, int esc)
+                           Py_ssize_t e)
 {
     uint32_t h = 2166136261u; /* FNV-1a */
-    Py_UCS4 c;
 
-    for (; s < e; s++) {
-        c = PyUnicode_READ(kind, data, s);
-        h = (h ^ c) * 16777619u;
-        s += esc && c == '\'';
-    }
+    for (; s < e; s++)
+        h = (h ^ PyUnicode_READ(kind, data, s)) * 16777619u;
     /* murmur3's finalizer: the low bits, which pick the slot, depend on
        every code point */
     h ^= h >> 16;
@@ -1131,37 +1125,34 @@ static uint32_t label_hash(int kind, const void *data, Py_ssize_t s,
     return h & HASH_MASK;
 }
 
-/* 1 if label a of t and text[s:e] (with esc) have the same code points,
-   else 0. */
+/* 1 if label a of t and the label text[s:e] are equal, else 0.  Both
+   are spans of Newick text, in which a quote is always written '', and
+   a label without a quote is spelt the same inside its quotes as bare:
+   two labels are equal exactly when their spans have the same code
+   points. */
 static int label_eq(const Table *t, const Label *a, int kind,
-                    const void *data, Py_ssize_t s, Py_ssize_t e, int esc)
+                    const void *data, Py_ssize_t s, Py_ssize_t e)
 {
-    Py_ssize_t i = a->s;
-    Py_UCS4 c;
+    Py_ssize_t i;
 
-    if (!a->esc && !esc) {
-        if (a->e - a->s != e - s)
+    if (a->e - a->s != e - s)
+        return 0;
+    if (t->kind == kind)
+        return memcmp((const char *)t->data + a->s * kind,
+                      (const char *)data + s * kind,
+                      (size_t)(e - s) * kind) == 0;
+    for (i = 0; i < e - s; i++)
+        if (PyUnicode_READ(t->kind, t->data, a->s + i)
+            != PyUnicode_READ(kind, data, s + i))
             return 0;
-        if (t->kind == kind)
-            return memcmp((const char *)t->data + i * kind,
-                          (const char *)data + s * kind,
-                          (size_t)(e - s) * kind) == 0;
-    }
-    while (i < a->e && s < e) {
-        c = PyUnicode_READ(t->kind, t->data, i);
-        if (c != PyUnicode_READ(kind, data, s))
-            return 0;
-        i += 1 + (a->esc && c == '\'');
-        s += 1 + (esc && c == '\'');
-    }
-    return i == a->e && s == e;
+    return 1;
 }
 
-/* The taxon id of the label text[s:e] (with esc) of hash h; -1 if t does
-   not hold it, with *at the empty slot where it would go; -2 if the probe
-   passes PROBE_MAX slots. */
+/* The taxon id of the label text[s:e] of hash h; -1 if t does not hold
+   it, with *at the empty slot where it would go; -2 if the probe passes
+   PROBE_MAX slots. */
 static int probe(const Table *t, uint32_t h, int kind, const void *data,
-                 Py_ssize_t s, Py_ssize_t e, int esc, int *at)
+                 Py_ssize_t s, Py_ssize_t e, int *at)
 {
     int j = (int)(h & (uint32_t)t->mask), k, id;
 
@@ -1171,7 +1162,7 @@ static int probe(const Table *t, uint32_t h, int kind, const void *data,
             return -1;
         }
         if (t->label[id].hash == h
-            && label_eq(t, &t->label[id], kind, data, s, e, esc))
+            && label_eq(t, &t->label[id], kind, data, s, e))
             return id;
     }
     return -2;
@@ -1204,9 +1195,8 @@ static int rehash(Table *t, int size)
 }
 
 /* Add the label [s, e) (with esc) of hash h, which t does not hold, as
-   taxon id t->n, at the empty slot at that probe gave, or with at -1 to
-   no slot; as rehash, when the slots must grow to stay at most half
-   full. */
+   taxon id t->n, at the empty slot at that probe gave; as rehash, when
+   the slots must grow to stay at most half full. */
 static int table_add(Table *t, uint32_t h, Py_ssize_t s, Py_ssize_t e,
                      int esc, int at)
 {
@@ -1225,10 +1215,6 @@ static int table_add(Table *t, uint32_t h, Py_ssize_t s, Py_ssize_t e,
     t->label[t->n].e = e;
     t->label[t->n].esc = esc;
     t->label[t->n].hash = h;
-    if (at < 0) {
-        t->n++;
-        return 0;
-    }
     t->slot[at] = ++t->n;
     return 2 * t->n > t->mask + 1 ? rehash(t, 2 * (t->mask + 1)) : 0;
 }
@@ -1244,7 +1230,7 @@ static Table *table_new(PyObject *text)
     t->kind = PyUnicode_KIND(text);
     t->data = PyUnicode_DATA(text);
     t->label = NULL;
-    t->n = t->cap = t->full = 0;
+    t->n = t->cap = 0;
     t->mask = 63;
     if ((t->slot = calloc(t->mask + 1, sizeof(int))) == NULL) {
         Py_DECREF(t);
@@ -1289,74 +1275,16 @@ static PyObject *table_item(Table *t, Py_ssize_t i)
     return out;
 }
 
-/* LabelTable(names): the table of a tuple of distinct strs. */
-static PyObject *table_of_names(PyTypeObject *type, PyObject *args,
-                                PyObject *kwargs)
-{
-    static char *kwlist[] = {"names", NULL};
-    PyObject *names, *empty, *text, *name;
-    Py_ssize_t i, s = 0, e;
-    Table *t;
-    uint32_t h;
-    int at, r;
-
-    (void)type;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O!:LabelTable", kwlist,
-                                     &PyTuple_Type, &names))
-        return NULL;
-    /* ids are ints, and slots double to at most 2^30; a text of at most
-       INT_MAX / 2 characters holds fewer labels */
-    if (PyTuple_GET_SIZE(names) > INT_MAX / 4) {
-        PyErr_SetString(PyExc_OverflowError, "too many names");
-        return NULL;
-    }
-    if ((empty = PyUnicode_New(0, 0)) == NULL)
-        return NULL;
-    text = PyUnicode_Join(empty, names);
-    Py_DECREF(empty);
-    if (text == NULL)
-        return NULL;
-    t = table_new(text);
-    Py_DECREF(text);
-    if (t == NULL)
-        return NULL;
-    /* once full, the table holds each further label without a slot */
-    for (i = 0; i < PyTuple_GET_SIZE(names); i++, s = e) {
-        name = PyTuple_GET_ITEM(names, i);
-        e = s + PyUnicode_GET_LENGTH(name);
-        h = label_hash(t->kind, t->data, s, e, 0);
-        at = -1;
-        if (!t->full && probe(t, h, t->kind, t->data, s, e, 0, &at) >= 0) {
-            PyErr_Format(PyExc_ValueError, "duplicate taxon label %R", name);
-            goto fail;
-        }
-        if ((r = table_add(t, h, s, e, 0, at)) == -1)
-            goto fail;
-        t->full |= r == -2 || at < 0;
-    }
-    return (PyObject *)t;
-fail:
-    Py_DECREF(t);
-    return NULL;
-}
-
 static PySequenceMethods table_as_sequence = {
     .sq_length = (lenfunc)table_len,
     .sq_item = (ssizeargfunc)table_item,
 };
 
 PyDoc_STRVAR(table_doc,
-"LabelTable(names)\n"
-"--\n"
+"The labels of a TaxonSet, made only by ``parse_newick``.\n"
 "\n"
-"The labels of a TaxonSet, looked up by ``parse_newick`` from their code\n"
-"points.  ``len(table)`` is the number of labels and ``table[i]`` the\n"
-"label of taxon id i, so ``tuple(table)`` is the names tuple.  Built\n"
-"from a tuple of distinct strs, label i being ``names[i]``, or by\n"
-"``parse_newick``.  A repeated name raises ValueError.  When a name's\n"
-"probe passes the bound on probe chains, the table gives up: it keeps\n"
-"the later names without looking them up, and every parse against it\n"
-"gives up.");
+"``len(table)`` is the number of labels and ``table[i]`` the label of\n"
+"taxon id i, so ``tuple(table)`` is the names tuple.");
 
 static PyTypeObject Table_type = {
     PyVarObject_HEAD_INIT(NULL, 0)
@@ -1366,7 +1294,6 @@ static PyTypeObject Table_type = {
     .tp_as_sequence = &table_as_sequence,
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_doc = table_doc,
-    .tp_new = table_of_names,
 };
 
 /* ---------------------------------------------------------------------- */
@@ -1390,9 +1317,8 @@ PyDoc_STRVAR(parse_newick_doc,
 "Returns None, and does nothing else, on any syntax, non-binary or\n"
 "empty-tree error, on a duplicate, unknown or missing label, on any\n"
 "character outside ASCII that is not in a quoted label or a comment,\n"
-"and when a label's probe passes the bound on probe chains or\n"
-"``table`` passed it when it was built: the regex parser then reports\n"
-"the error or parses the text.");
+"and when a label's probe passes the bound on probe chains: the regex\n"
+"parser then reports the error or parses the text.");
 
 static PyObject *parse_newick(PyObject *module, PyObject *args)
 {
@@ -1427,8 +1353,6 @@ static PyObject *parse_newick(PyObject *module, PyObject *args)
     n = PyUnicode_GET_LENGTH(text);
     if (arg != Py_None) {
         table = (Table *)Py_NewRef(arg);
-        if (table->full)
-            goto reject;
         if ((seen = calloc((size_t)table->n + 1, 1)) == NULL) {
             PyErr_NoMemory();
             goto done;
@@ -1472,8 +1396,8 @@ static PyObject *parse_newick(PyObject *module, PyObject *args)
             } else {
                 goto reject;
             }
-            h = label_hash(kind, data, s, e, esc);
-            t = probe(table, h, kind, data, s, e, esc, &at);
+            h = label_hash(kind, data, s, e);
+            t = probe(table, h, kind, data, s, e, &at);
             if (seen == NULL) { /* interning: a label seen before repeats */
                 if (t != -1 || (t = table_add(table, h, s, e, esc, at)) == -2)
                     goto reject;

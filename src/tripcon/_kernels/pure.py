@@ -162,7 +162,6 @@ def run_enumeration(p, q, sink=None):
             assert nz == len(zq)
             rp_new = induced_subtree(P, ip, zp)
             rq_new = induced_subtree(Q, iq, zq)
-            assert rp_new.leaf_of_taxon.keys() == rq_new.leaf_of_taxon.keys()
             ip_new = build_lca_index(rp_new)
             iq_new = build_lca_index(rq_new)
             e_new = build_leaf_equivalence(rp_new, rq_new, iq_new)

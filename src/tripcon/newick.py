@@ -32,18 +32,18 @@ column; the tree derives its other slots from it on their first read
 (see :mod:`tripcon.tree`), so a compiled count derives none.  The pass
 keeps a first tree's labels in a C table of spans of its text, a
 ``_fast.LabelTable``, which the new TaxonSet holds, and looks up a
-second tree's labels in that table by their code points.  The set
+second tree's labels in that table by their written spans.  The set
 derives its names and index on their first read, so a compiled count
-makes no label str.  A set built from names gets its table on its
-first use as a parse index.  That pass gives up, and does nothing else,
-on any error, on any character outside ASCII that is not in a quoted
-label or a comment, since the regex classes for whitespace and digits
-match Unicode, and on a label whose probe passes the table's fixed
-bound, which only a crafted label set reaches: the regex parser's dict,
-with Python's seeded hash, keeps parsing linear.  The regex loop of
-:func:`_parse` then raises the error with its position, or parses the
-text and finalizes the tree at once; it is also the only parser when
-the compiled module is absent.
+makes no label str.  Only this pass makes a label table, so a text
+parsed against a set built from names goes to the regex parser.  The
+pass gives up, and does nothing else, on any error, on any character
+outside ASCII that is not in a quoted label or a comment, since the
+regex classes for whitespace and digits match Unicode, and on a label
+whose probe passes the table's fixed bound, which only a crafted label
+set reaches: the regex parser's dict, with Python's seeded hash, keeps
+parsing linear.  The regex loop of :func:`_parse` then raises the error
+with its position, or parses the text and finalizes the tree at once; it
+is also the only parser when the compiled module is absent.
 """
 
 import re
@@ -143,10 +143,8 @@ def parse_newick(text, taxa=None):
     raise NonBinaryError; structural problems raise NewickSyntaxError
     with the offending position.
     """
-    if _fast is not None:
-        table = None if taxa is None else taxa._table
-        if taxa is not None and table is None:  # a set built from names
-            table = taxa._table = _fast.LabelTable(taxa.names)
+    table = None if taxa is None else taxa._table
+    if _fast is not None and (taxa is None or table is not None):
         out = _fast.parse_newick(text, table)
         if out is not None:
             taxon, table = out

@@ -59,8 +59,8 @@ class TaxonSet:
     label to id.  A set made by the compiled Newick pass holds only that
     pass's label table, which keeps the parsed text alive; its ``names``
     and ``index`` are derived on their first read, so a compiled count
-    builds neither.  A set built from names gets its table on its first
-    use as a parse index.
+    builds neither.  A set built from names holds no table, so a text
+    parsed against it goes to the regex parser.
     """
 
     __slots__ = ("names", "index", "_table")

@@ -55,6 +55,17 @@ def held_slots(obj, slots=_DERIVED):
     return held
 
 
+def parsed_taxa(names):
+    """The TaxonSet of the compiled parse of the caterpillar text of
+    ``names``, each label quoted: a set that holds a label table."""
+    quoted = ["'" + name.replace("'", "''") + "'" for name in names]
+    text = ("(" * (len(quoted) - 1) + quoted[0]
+            + "".join(f",{x})" for x in quoted[1:]) + ";")
+    taxa = parse_newick(text)[1]
+    assert taxa._table is not None
+    return taxa
+
+
 def assert_slot_format(t):
     """Every node slot and ``leaves_post`` of ``t`` is an ``array('i')``,
     whichever builder made it, and ``leaf_of_taxon`` a dict with one entry

@@ -436,33 +436,36 @@ assert out[0] == math.comb(40, 3) and len(p.taxon) == 79 + 3
 # its table, and tables that lack one label or hold one more
 from tripcon.newick import _parse, serialize_newick
 parse = _kernels._fast.parse_newick
-LabelTable = _kernels._fast.LabelTable
+def table_of(names):
+    # the table of the caterpillar text of names, each label quoted
+    quoted = ["'" + name.replace("'", "''") + "'" for name in names]
+    return parse("(" * (len(quoted) - 1) + quoted[0]
+                 + "".join("," + x + ")" for x in quoted[1:]) + ";", None)[1]
 for text in {errors!r}:
-    for table in (None, LabelTable(("A", "B", "C"))):
+    for table in (None, table_of(("A", "B", "C"))):
         assert parse(text, table) is None, text
 text = {mixed!r}
 taxon, table = parse(text, None)
 names = tuple(table)
 assert names == _parse(text)[1].names
 assert parse(text, table) == (taxon, table)
-assert parse(text, LabelTable(names))[0] == taxon
+assert parse(text, table_of(names))[0] == taxon
 for other in (names[:-1], names + ("extra",)):
-    assert parse(text, LabelTable(other)) is None
+    assert parse(text, table_of(other)) is None
 for k in range(len(text)):
     for t in (None, table):
         out = parse(text[:k], t)
         assert out is None or out[0] == taxon, text[:k]
 # one label set in texts of every str kind, each against the table of
-# every other and of the names; 'b''c' is b'c, and 'b''''c' is unknown
+# every other; 'b''c' is b'c, and 'b''''c' is unknown to each
 texts = ["((a,'b''c'),(d,'\\u00e9\\u0101'));" + c
          for c in ("", "[\\u00e9]", "[\\u0101]", "[\\U0001f332]")]
 want = parse(texts[0], None)[0]
 tables = [parse(text, None)[1] for text in texts]
-tables.append(LabelTable(("a", "b'c", "d", "\\u00e9\\u0101")))
 for text in texts:
     for t in tables:
         assert parse(text, t) == (want, t)
-    assert parse(text.replace("b''c", "b''''c"), tables[-1]) is None
+        assert parse(text.replace("b''c", "b''''c"), t) is None
 # 10^5 labels grow the table many times and come back in leaf order;
 # rejects after it has grown free it, and against it the labels repeat,
 # are unknown or are missing
@@ -472,13 +475,12 @@ taxon, table = parse(text, None)
 ref, ref_taxa = _parse(text)
 assert taxon == ref.taxon and len(table) == n
 assert tuple(table) == ref_taxa.names and table[-1] == ref_taxa.names[-1]
-assert parse(text, LabelTable(tuple(table)))[0] == taxon
 for bad in (text[:-1], text[:-2] + ",x);", text.replace("t0,", "t2,")):
     for t in (None, table):
         assert parse(bad, t) is None
 for bad in (text.replace("t0,", "(t0,x),"), text.replace("(t0,t1)", "t1")):
     assert parse(bad, None) is not None and parse(bad, table) is None
-# arguments of the wrong type, and names that cannot be a table
+# arguments of the wrong type, and a table made outside parse_newick
 for args in ((text, {{}}), (text, names)):
     try:
         parse(*args)
@@ -486,12 +488,12 @@ for args in ((text, {{}}), (text, names)):
         continue
     raise AssertionError(args[1])
 assert parse(text.encode(), None) is None
-for bad in (["a"], ("a", 1), ("a", "b", "a")):
-    try:
-        LabelTable(bad)
-    except (TypeError, ValueError):
-        continue
-    raise AssertionError(bad)
+try:
+    type(table)()
+except TypeError:
+    pass
+else:
+    raise AssertionError("a LabelTable made outside parse_newick")
 try:
     table[n]
 except IndexError:
@@ -720,8 +722,9 @@ def test_compiled_kernel_checks_that_the_d_r_sum_to_d(fresh_copy):
 
 
 # With every label hash equal, a probe passes the bound of 128 slots at
-# the 129th label of a tree: the compiled pass gives up, on a text and on
-# a table of names alike, and the regex parser parses the text.
+# the 129th label of a tree: the compiled pass gives up on a text of more
+# labels, whether it interns them or looks them up in the table of 128
+# labels, and the regex parser parses the text.
 GIVE_UP = """
 from tripcon import TaxonSet, _kernels, parse_newick
 from tripcon.generator import caterpillar_tree
@@ -729,11 +732,11 @@ from tripcon.newick import _parse, serialize_newick
 
 assert _kernels._fast.__file__ == {built!r}
 parse = _kernels._fast.parse_newick
+table = parse(serialize_newick(caterpillar_tree(128, reverse=True)), None)[1]
 for n in (128, 129, 2000):
     text = serialize_newick(caterpillar_tree(n))
     ref, ref_taxa = _parse(text)
     out = parse(text, None)
-    table = _kernels._fast.LabelTable(ref_taxa.names)
     print(n, out is not None, parse(text, table) is not None)
     for taxa in (None, TaxonSet(ref_taxa.names)):
         t, taxa = parse_newick(text, taxa)

@@ -31,9 +31,10 @@ from tripcon.generator import (
     caterpillar_tree,
     random_binary_tree,
 )
+from tripcon.tree import _DERIVED
 
 from conftest import (TREE_SLOTS, assert_slot_format, decorated_newick,
-                      held_slots, tree_shape)
+                      held_slots, parsed_taxa, tree_shape)
 
 FAST = newick._fast
 needs_fast = pytest.mark.skipif(FAST is None,
@@ -255,43 +256,46 @@ def test_a_parsed_taxon_set_derives_names_and_index_on_first_read():
 
 @needs_fast
 def test_labels_match_across_str_kinds_and_escapes():
-    # a label set, quoted with '' in the texts and raw in the names of a
-    # set built from them, in texts of every str kind (the comments set
-    # it): every text parses in the compiled pass against the set of
-    # every other, and b''c, which is not b'c, is unknown
-    for names in (["a", "b'c", "d"], ["a", "b'c", "éā"]):
-        t = random_binary_tree(GeneratorConfig(n=3, seed=2), TaxonSet(names))
+    # a label set, with b'c written 'b''c', in texts of every str kind
+    # (the comments set it) and in a caterpillar text that quotes every
+    # label: every text parses in the compiled pass against the set of
+    # every other, and b''c, which is not b'c, is unknown to each; b'd,
+    # as long as b'c, is compared to it character by character in a
+    # build where every label hash collides
+    for names in (["a", "b'c", "b'd", "d"], ["a", "b'c", "b'd", "éā"]):
+        t = random_binary_tree(GeneratorConfig(n=4, seed=2), TaxonSet(names))
         base = serialize_newick(t)
         assert "'b''c'" in base
         texts = [base + c for c in ("", "[é]", "[ā]", "[\U0001f332]")]
-        sets = [parse_newick(text)[1] for text in texts] + [TaxonSet(names)]
+        sets = [parse_newick(text)[1] for text in texts] + [parsed_taxa(names)]
         for text in texts:
+            unknown = text.replace("'b''c'", "'b''''c'")
             for taxa in sets:
                 want = outcome(newick._parse, text, taxa)
                 assert outcome(parse_newick, text, taxa) == want
                 assert FAST.parse_newick(text, taxa._table) is not None
-            unknown = text.replace("'b''c'", "'b''''c'")
-            assert FAST.parse_newick(unknown, sets[-1]._table) is None
-            with pytest.raises(TaxonMismatchError, match="b''c"):
-                parse_newick(unknown, sets[-1])
+                assert FAST.parse_newick(unknown, taxa._table) is None
+                with pytest.raises(TaxonMismatchError, match="b''c"):
+                    parse_newick(unknown, taxa)
 
 
 @needs_fast
-def test_compiled_parse_against_a_generator_taxon_set():
-    # a set built from names gets its label table on its first use as a
-    # parse index, and keeps it
+def test_a_set_built_from_names_is_parsed_by_the_regex_parser():
+    # only the compiled pass makes a label table, so a text parsed
+    # against a set built from names goes to newick._parse: the same
+    # tree, with every slot derived at once, or the same exception; and
+    # the set still holds no table
     p = random_binary_tree(GeneratorConfig(n=100, seed=8))
     q = random_binary_tree(GeneratorConfig(n=100, seed=9), p.taxa)
     taxa = p.taxa
-    assert taxa._table is None
     text = serialize_newick(q)
-    assert outcome(parse_newick, text, taxa) == outcome(newick._parse, text,
-                                                        taxa)
-    table = taxa._table
-    assert isinstance(table, FAST.LabelTable) and tuple(table) == taxa.names
-    assert FAST.parse_newick(text, table) == (q.taxon, table)
-    assert parse_newick(serialize_newick(p), taxa)[0].taxon == p.taxon
-    assert taxa._table is table
+    short = serialize_newick(random_binary_tree(GeneratorConfig(n=99, seed=9)))
+    for case, kind in ((text, "ok"), (text[:-1], "error"), (short, "error")):
+        want = outcome(newick._parse, case, taxa)
+        assert want[0] == kind and outcome(parse_newick, case, taxa) == want
+    t = parse_newick(text, taxa)[0]
+    assert t.taxon == q.taxon and held_slots(t) == set(_DERIVED)
+    assert taxa._table is None
 
 
 # Filler, comments, lengths, quoted labels with quotes and non-ASCII
@@ -362,13 +366,19 @@ def test_compiled_and_regex_parsers_agree():
             text = (text[:at] + ("" if new is None else data.draw(new))
                     + text[at + (edit == 5):])
 
-        # the labels as written, in label order, one short and one extra
+        # the labels as written, in label order, sorted, one short and one
+        # extra: each built from names, which the regex parser reads, and
+        # parsed from a caterpillar text that quotes every label, whose
+        # table the compiled pass probes
         names = list(dict.fromkeys(names))
-        for taxa in (None, TaxonSet(names), TaxonSet(sorted(names)),
-                     TaxonSet(names[:-1] or ["z"]), TaxonSet(names + ["zz"])):
+        label_sets = (names, sorted(names), names[:-1] or ["z"],
+                      names + ["zz"])
+        for taxa in (None, *map(TaxonSet, label_sets),
+                     *map(parsed_taxa, label_sets)):
             want = outcome(newick._parse, text, taxa)
             assert outcome(parse_newick, text, taxa) == want
-            # parse_newick gave a set built from names its label table
+            if taxa is not None and taxa._table is None:
+                continue  # built from names
             raw = FAST.parse_newick(text,
                                     None if taxa is None else taxa._table)
             if want[0] == "error":

@@ -85,3 +85,17 @@ def test_package_reads_no_selection_variable():
         for name in _environment_reads(tree):
             reads.setdefault(name, []).append(path.relative_to(pkg).as_posix())
     assert set(reads) == {"XDG_CACHE_HOME"}, reads
+
+
+def test_only_tree_assigns_a_taxon_sets_label_table():
+    """Only the compiled Newick pass makes a label table, and only
+    ``TaxonSet`` in tripcon.tree stores one: no other module assigns an
+    attribute named ``_table``."""
+    pkg = pathlib.Path(tripcon.__file__).parent
+    writers = set()
+    for path in sorted(pkg.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        if any(isinstance(node, ast.Attribute) and node.attr == "_table"
+               and isinstance(node.ctx, ast.Store) for node in ast.walk(tree)):
+            writers.add(path.relative_to(pkg).as_posix())
+    assert writers == {"tree.py"}, writers
