@@ -8,17 +8,18 @@
  * As in tripcon.tree, a node's id is its post-order number, so ancestry
  * is an id interval, an LCA one range minimum over the depths, and a
  * tree is its taxon column: internal node v (taxon -1) has children
- * v - 2 lc[v - 1] and v - 1.  side_finish derives every other array from
- * that column, with the checks and the messages of tripcon.tree's
- * finalizer, for the inputs and for every sweep's output, whose
- * completion order is post-order.  The inputs' taxon columns are
- * array('i'), read in place through take_array, the one buffer reader,
- * and released before the first frame.
+ * v - 2 lc[v - 1] and v - 1.  side_finish derives every other array of
+ * an input tree from that column, with the checks and the messages of
+ * tripcon.tree's finalizer.  The inputs' taxon columns are array('i'),
+ * read in place through take_array, the one buffer reader, and released
+ * before the first frame.
  * See tripcon.enumeration for the algorithm and the counter contract.
  * As in the pure kernel, one routine serves each layer on both trees and
- * both sides: sweep() builds every induced subtree, a child pair's
- * restriction (side_from_leaflist) and ListSubtreeConflicts' T|(Z + c)
- * (lsc) alike, from host depths numbered in order, and split() cuts one
+ * both sides: sweep() builds every induced subtree from host depths
+ * numbered in order, and each is swept once.  side_from_leaflist reads a
+ * child side straight off its sweep, whose completion order is
+ * post-order, and lsc (ListSubtreeConflicts) sweeps T|Z once per call
+ * and walks it from the edge each candidate splits.  split() cuts one
  * side of one pair in the partition.
  *
  * Ownership.  A recursion context (a tree pair with its derived arrays,
@@ -275,32 +276,31 @@ static inline int left_of(const Side *s, int v)
     return v - 2 * s->lc[v - 1];
 }
 
-/* Copy the taxon column (which may be s's own array) into s, derive the
-   rest and build the range minimum.  One forward pass reads node v as a
-   leaf (taxon >= 0) or as an internal node (taxon -1) that joins the two
+/* Copy the taxon column of an input tree into s, derive the rest and
+   build the range minimum.  One forward pass reads node v as a leaf
+   (taxon >= 0) or as an internal node (taxon -1) that joins the two
    subtrees completed last before it, v - 2 lc[v - 1] >= 0 and v - 1, as
    tripcon.tree's finalizer does; the root m - 1 must then cover all m
-   ids.  With tleaf, a map of the nt taxa to their leaves holding -1 for
-   every taxon not seen yet, it also rejects a taxon below -1 or at or
-   above nt and a repeated one, and fills the map. */
+   ids.  tleaf, a map of the nt taxa to their leaves holding -1 for every
+   taxon not seen yet, is filled on the way, and a taxon below -1 or at or
+   above nt and a repeated one are rejected. */
 static int side_finish(Side *s, const int *taxon, int *tleaf, int nt)
 {
     int m = s->m, nleaf = 0, v, l, t;
 
     for (v = 0; v < m; v++) {
         t = taxon[v];
-        if (t < -1 || (tleaf != NULL && t >= nt)) {
+        if (t < -1 || t >= nt) {
             PyErr_Format(PyExc_ValueError, "taxon[%d] = %d is out of range",
                          v, t);
             return -1;
         } else if (t >= 0) {
-            if (tleaf != NULL && tleaf[t] >= 0) {
+            if (tleaf[t] >= 0) {
                 PyErr_Format(PyExc_ValueError, "leaf %d has a repeated taxon",
                              v);
                 return -1;
             }
-            if (tleaf != NULL)
-                tleaf[t] = v;
+            tleaf[t] = v;
             s->lc[v] = 1;
             s->lb[v] = nleaf;
             if (nleaf < s->nl) /* a forest may have more; it fails below */
@@ -331,8 +331,8 @@ static int side_finish(Side *s, const int *taxon, int *tleaf, int nt)
 }
 
 /* Scratch of the induced-subtree sweep: its input dep, its output parent
-   links, leaf ranges and completion order, and its stack, each sized for
-   the largest sweep of the run. */
+   links, leaf ranges and completion order, and its stack, free again once
+   the sweep is done, each sized for the largest sweep of the run. */
 typedef struct {
     int *dep, *par, *first, *last, *ord, *stk;
 } Sweep;
@@ -396,20 +396,37 @@ static int inorder_depths(const Side *t, const int *z, int k, int *dep)
 }
 
 /* Fill s, laid out for 2k - 1 nodes, with the subtree of parent induced by
-   k >= 2 ascending leaves z: its taxon column in the sweep's completion
-   order, which is post-order. */
-static int side_from_leaflist(Side *s, const Side *parent, const int *z,
-                              int k, Sweep *sw)
+   k >= 2 ascending leaves z, read off its sweep: node v is the in-order
+   node ord[v], since the sweep completes the nodes in post-order, and stk,
+   free once the sweep is done, maps in-order nodes back to post-order. */
+static void side_from_leaflist(Side *s, const Side *parent, const int *z,
+                               int k, Sweep *sw)
 {
-    int i, x;
+    const int *par = sw->par, *first = sw->first, *last = sw->last;
+    const int *ord = sw->ord;
+    int *post = sw->stk;
+    int m = s->m, v, x;
 
     inorder_depths(parent, z, k, sw->dep);
     sweep(sw, k);
-    for (i = 0; i < s->m; i++) {
-        x = sw->ord[i];
-        s->taxon[i] = x & 1 ? -1 : parent->taxon[z[x >> 1]];
+    for (v = 0; v < m; v++)
+        post[ord[v]] = v;
+    for (v = 0; v < m; v++) {
+        x = ord[v];
+        s->lc[v] = last[x] - first[x] + 1;
+        s->lb[v] = first[x];
+        if (x & 1) {
+            s->taxon[v] = -1;
+        } else {
+            s->taxon[v] = parent->taxon[z[x >> 1]];
+            s->leaves[x >> 1] = v;
+        }
+        s->parent[v] = par[x] < 0 ? -1 : post[par[x]];
     }
-    return side_finish(s, s->taxon, NULL, 0);
+    s->depth[m - 1] = 0;
+    for (v = m - 2; v >= 0; v--)
+        s->depth[v] = s->depth[s->parent[v]] + 1;
+    rmq_build(s);
 }
 
 /* The node count of a tree given as a taxon column; -1 if its length does
@@ -511,8 +528,8 @@ typedef struct {
     int *pleaf, *qleaf;
     /* partition buffers, each of size u */
     int *part[8];
-    /* LSC's Z data: in-order depths of T|Z and taxa */
-    int *zdep, *ztax;
+    /* LSC's Z taxa */
+    int *ztax;
     /* the induced-subtree sweeps of LSC and restriction */
     Sweep sw;
 } Run;
@@ -529,7 +546,6 @@ static size_t run_layout(Run *run, size_t u, size_t w, int *base)
     run->qleaf = take(base, &used, u);
     for (i = 0; i < 8; i++)
         run->part[i] = take(base, &used, u);
-    run->zdep = take(base, &used, 2 * u);
     run->ztax = take(base, &used, u);
     run->sw.dep = take(base, &used, w);
     run->sw.par = take(base, &used, w);
@@ -631,22 +647,23 @@ static int emit(Run *run, int a, int b, int c)
 
 /* ---------------------------------------------------------------------- */
 /* ListSubtreeConflicts: triples abc with a, b in Z, c a candidate, and   */
-/* lca(a, b) = lca(a, b, c).  O(1) skip test per candidate; each survivor */
-/* repays its O(|Z|) restriction with >= |Z|-1 emissions.                 */
+/* lca(a, b) = lca(a, b, c).  O(1) skip test per candidate; T|Z is swept  */
+/* once, at the first survivor, and each survivor climbs to the edge it   */
+/* splits and walks up, every walk step emitting.                         */
 /* ---------------------------------------------------------------------- */
 static int lsc(Run *run, const Side *t, const int *z, int k,
                const int *cand, int nc)
 {
-    int i, rz, lo, pos, ci, c, ctax, n;
+    int i, rz, lo, pos, ci, c, ctax, hl, hr, h, swept = 0;
     int y, pr, ylo, yhi, slo, shi, ia, ib;
-    int *zdep = run->zdep, *ztax = run->ztax;
-    int *dep = run->sw.dep;
+    int *ztax = run->ztax;
+    const int *dep = run->sw.dep;
     const int *par = run->sw.par, *first = run->sw.first, *last = run->sw.last;
-    long long steps; /* at most k + nc (2k + 3); added to work at the end */
+    long long steps; /* added to work at the end */
 
     if (k < 2 || nc == 0)
         return 0;
-    rz = inorder_depths(t, z, k, zdep);
+    rz = inorder_depths(t, z, k, run->sw.dep);
     for (i = 0; i < k; i++)
         ztax[i] = t->taxon[z[i]];
     steps = k;
@@ -661,39 +678,40 @@ static int lsc(Run *run, const Side *t, const int *z, int k,
         steps += 1;
         if (!(lo < c && c <= rz))
             continue;
+        if (!swept) {
+            sweep(&run->sw, k);
+            steps += k;
+            swept = 1;
+        }
 
-        /* T|(Z + c): c is merged leaf pos, which replaces the LCA entry
-           between z[pos - 1] and z[pos] with lca(z[pos - 1], c), c and
-           lca(c, z[pos]). */
-        steps += k + 1;
+        /* c hangs off the edge above w, the highest node of T|Z below the
+           deeper of lca(z[pos - 1], c) and lca(c, z[pos]), on the side of
+           that leaf (-1 marks a side that does not exist). */
         ctax = t->taxon[c];
-        n = 0;
-        if (pos > 0) {
-            n = 2 * pos - 1;
-            memcpy(dep, zdep, (size_t)n * sizeof(int));
-            dep[n++] = t->depth[lca(t, z[pos - 1], c)];
+        hl = pos > 0 ? t->depth[lca(t, z[pos - 1], c)] : -1;
+        hr = pos < k ? t->depth[lca(t, c, z[pos])] : -1;
+        if (hl > hr) {
+            y = 2 * (pos - 1);
+            h = hl;
+        } else {
+            y = 2 * pos;
+            h = hr;
         }
-        dep[n++] = t->depth[c];
-        if (pos < k) {
-            dep[n++] = t->depth[lca(t, c, z[pos])];
-            memcpy(dep + n, zdep + 2 * pos,
-                   (size_t)(2 * (k - pos) - 1) * sizeof(int));
-        }
-        sweep(&run->sw, k + 1);
+        for (; dep[par[y]] > h; y = par[y])
+            steps += 1;
 
-        /* Walk from c's parent to the root; emit (below y) x (sibling).  A
-           merged leaf range [a, b] holding c covers Z leaves z[a .. b-1];
-           one left of c covers z[a .. b], one right of c z[a-1 .. b-1]. */
-        for (y = par[2 * pos]; (pr = par[y]) >= 0; y = pr) {
+        /* Walk from w to the root; emit (below y) x (sibling).  Node y
+           covers the Z leaves z[first[y] .. last[y]]. */
+        for (; (pr = par[y]) >= 0; y = pr) {
             steps += 1;
             ylo = first[y];
-            yhi = last[y];
+            yhi = last[y] + 1;
             if (first[pr] < ylo) {
                 slo = first[pr];
                 shi = ylo;
             } else {
                 slo = yhi;
-                shi = last[pr];
+                shi = last[pr] + 1;
             }
             if (run->sink == NULL) {
                 if (count_add(&run->emitted, yhi - ylo, shi - slo) < 0)
@@ -825,12 +843,8 @@ static long long run_frame(Run *run, Ctx *ctx, int rp, int rq)
         child = ctx_new(2 * nz - 1, 2 * nz - 1);
         if (child == NULL)
             return -1;
-        if (side_from_leaflist(&child->p, P, bufs[SPEC_Z[i]], nz, &run->sw) < 0
-            || side_from_leaflist(&child->q, Q, bufs[SPEC_ZQ[i]], nz,
-                                  &run->sw) < 0) {
-            free(child);
-            return -1;
-        }
+        side_from_leaflist(&child->p, P, bufs[SPEC_Z[i]], nz, &run->sw);
+        side_from_leaflist(&child->q, Q, bufs[SPEC_ZQ[i]], nz, &run->sw);
         write_scratch(&child->p, run->pleaf);
         write_scratch(&child->q, run->qleaf);
         ctx_map(child, run->qleaf);

@@ -6,8 +6,8 @@ recursion with an explicit stack of ``(ctx, rp, rq)`` frames, where
 and composes the public modules (LCA index, induced subtree, leaf
 equivalence, and the partition and listing operations in
 ``tripcon.enumeration``).  Every restriction, of a child
-pair's leaves or of Z plus one candidate inside ListSubtreeConflicts,
-goes through the one stack sweep ``tripcon.restrict.sweep``.  Only
+pair's leaves or of Z inside ListSubtreeConflicts, goes through the one
+stack sweep ``tripcon.restrict.sweep``, once per induced subtree.  Only
 frames hold a context, so it is freed once its last pending frame has
 been processed.  The compiled kernel
 must reproduce its output sequence and its counters exactly; the

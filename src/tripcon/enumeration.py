@@ -39,8 +39,10 @@ Work-counter contract (mirrored exactly by both kernels)
   frame);
 * |Z| per induced-subtree sweep;
 * list_subtree_conflicts work: |z| for the consecutive-LCA pass,
-  1 per candidate (merge + skip test), |z| + 1 per surviving candidate
-  (building the one-extra-leaf restriction), 1 per upward walk step;
+  1 per candidate (merge + skip test), |z| once per call with a
+  survivor (the sweep of T|Z), 1 per climbing step (from a leaf of
+  T|Z to the node whose edge the candidate splits), 1 per upward walk
+  step;
 * 1 per emitted triple.
 """
 
@@ -149,18 +151,23 @@ def list_subtree_conflicts(out, t, idx, z, candidates, spill=None):
 
     ``z`` and ``candidates`` are disjoint leaf node sequences, both in
     t's post-order.  A candidate c can contribute only if it lies
-    strictly below lca(Z), which is checked in O(1).  For each surviving
-    c, the restriction T|(Z + c) is built with :func:`tripcon.restrict.sweep`
-    from the in-order depths of T|Z, with c's leaf and its two new LCAs
-    spliced in; then the walk from c's parent to the root pairs the Z
-    leaves below each node with those below its sibling.  Every step of
-    the walk emits, so the O(|Z|) restriction is repaid by at least
-    |Z| - 1 emissions.  With ``out=None`` only the count is produced
-    (each walk step contributes a product instead of a loop).
+    strictly below lca(Z), which is checked in O(1).  At the first
+    surviving candidate, T|Z is built once with
+    :func:`tripcon.restrict.sweep`.  A surviving c splits the edge above
+    one node w of T|Z: with pos the number of Z leaves before c, w is the
+    highest ancestor of leaf pos - 1 whose host depth exceeds hl =
+    depth(lca(z[pos - 1], c)) if hl > hr = depth(lca(c, z[pos])), and of
+    leaf pos with hr otherwise (a side that does not exist counts as -1).
+    The walk from w to the root pairs the Z leaves below each node with
+    those below its sibling.  Every walk step emits, and the first emits
+    at least |Z(w)|, so the climb to w is repaid by the emissions.  With
+    ``out=None`` only the count is produced (each walk step contributes a
+    product instead of a loop).
 
     Returns ``(emitted, work)`` where ``work`` counts the constant-time
-    steps taken excluding emissions, so that
-    work <= |z| + |candidates| + c * emitted.
+    steps taken excluding emissions: |z| for the in-order depths, 1 per
+    candidate, |z| once for the sweep of T|Z, and 1 per climbing and per
+    walk step, so that work <= 2 |z| + |candidates| + 2 emitted.
     """
     k = len(z)
     if k < 2 or not candidates:
@@ -183,6 +190,7 @@ def list_subtree_conflicts(out, t, idx, z, candidates, spill=None):
     ztax = [ttaxon[v] for v in z] if out is not None else None
     emitted = 0
     pos = 0
+    par = None
 
     for c in candidates:
         while pos < k and z[pos] < c:
@@ -190,33 +198,30 @@ def list_subtree_conflicts(out, t, idx, z, candidates, spill=None):
         work += 1
         if not lo < c <= hi:
             continue  # c attaches at or above lca(Z): provably no output
+        if par is None:
+            par, first, last, _ = sweep(zdep)
+            work += k
 
-        # T|(Z + c): c is merged leaf pos, which replaces the LCA entry
-        # between z[pos - 1] and z[pos] with lca(z[pos - 1], c), c and
-        # lca(c, z[pos]).
-        work += k + 1
+        # Climb to w, the node whose edge c splits.
         ctax = ttaxon[c]
-        mid = [tdepth[c]]
-        if pos > 0:
-            mid.insert(0, tdepth[tlca(z[pos - 1], c)])
-        if pos < k:
-            mid.append(tdepth[tlca(c, z[pos])])
-        par, first, last, _ = sweep(
-            zdep[:max(2 * pos - 1, 0)] + mid + zdep[2 * pos:])
+        hl = tdepth[tlca(z[pos - 1], c)] if pos > 0 else -1
+        hr = tdepth[tlca(c, z[pos])] if pos < k else -1
+        y, h = (2 * pos - 2, hl) if hl > hr else (2 * pos, hr)
+        while zdep[par[y]] > h:
+            y = par[y]
+            work += 1
 
-        # Walk from c's parent to the root, emitting (below y) x (sibling).
-        # A merged leaf range [a, b] holding c covers Z leaves z[a:b]; one
-        # left of c covers z[a:b + 1], one right of c z[a - 1:b].
-        y = par[2 * pos]
+        # Walk from w to the root, emitting (below y) x (sibling); node y
+        # covers the Z leaves z[first[y]:last[y] + 1].
         pr = par[y]
         assert pr >= 0, "surviving candidate must start below the root"
         while pr >= 0:
             work += 1
-            ylo, yhi = first[y], last[y]
+            ylo, yhi = first[y], last[y] + 1
             if first[pr] < ylo:
                 slo, shi = first[pr], ylo
             else:
-                slo, shi = yhi, last[pr]
+                slo, shi = yhi, last[pr] + 1
             emitted += (yhi - ylo) * (shi - slo)
             if out is not None:
                 sib = ztax[slo:shi]

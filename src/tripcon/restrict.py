@@ -7,7 +7,8 @@ node 2j - 1, so the whole shape follows from the host depths of these
 the root.  :func:`sweep` builds it with one stack pass (all comparisons
 happen between nodes on one host root-to-leaf path, where depths are
 strictly increasing).  :func:`induced_subtree` runs it on Z, and
-ListSubtreeConflicts runs it on Z plus one candidate leaf.  Child order
+ListSubtreeConflicts runs it once per call on its Z and walks the result
+from the edge each candidate splits.  Child order
 follows Z, so the result's leaf post-order is Z itself, and the sweep
 completes the nodes in post-order, so :func:`induced_subtree` reads the
 result's taxon column off in that order.

@@ -499,8 +499,84 @@ def test_list_subtree_conflicts_matches_predicate():
             if idx.lca(la, lb) == idx.lca(idx.lca(la, lb), lc):
                 expected.add(tuple(sorted((a, b, c))))
         assert set(got) == expected
-        # cost bound: work is O(|z| + |cand| + emissions)
-        assert work <= len(z) + len(cand) + 4 * (emitted + len(z))
+        # cost bound: |z| for the depths and |z| for the one sweep; per
+        # survivor the climb is at most |Z(w)| - 1 steps and each walk
+        # step emits, the first at least |Z(w)|
+        assert work <= 2 * len(z) + len(cand) + 2 * emitted
+
+
+def test_list_subtree_conflicts_per_candidate_counts():
+    # each surviving candidate c alone emits the pairs {a, b} of Z with c
+    # below lca(a, b); survivors are seen before all of Z (pos = 0), after
+    # all of Z (pos = |Z|), and between two leaves of Z with the deeper
+    # LCA on either side (hl > hr and hr > hl)
+    rng = SplitMix64(0xC11B)
+    seen = set()
+    for _ in range(40):
+        n = 4 + rng.randrange(30)
+        t = random_binary_tree(GeneratorConfig(
+            n=n, seed=rng.next_u64(), shape=SHAPES[rng.randrange(3)]))
+        idx = build_lca_index(t)
+        leaves = list(t.leaves_post)
+        picks = sorted(set(rng.randrange(n) for _ in range(2 + rng.randrange(n))))
+        if len(picks) < 2:
+            continue
+        z = [leaves[i] for i in picks]
+        rz = naive_lca(t, z[0], z[-1])
+        for c in leaves:
+            if c in z:
+                continue
+            brute = sum(
+                naive_lca(t, naive_lca(t, a, b), c) == naive_lca(t, a, b)
+                for a, b in itertools.combinations(z, 2))
+            flat = []
+            emitted, work = list_subtree_conflicts(flat, t, idx, z, [c])
+            assert emitted == brute == len(flat) // 3
+            assert list_subtree_conflicts(None, t, idx, z, [c]) \
+                == (emitted, work)
+            assert work <= 2 * len(z) + 1 + 2 * emitted
+            if naive_lca(t, rz, c) != rz:
+                assert emitted == 0
+                continue
+            pos = sum(v < c for v in z)
+            if pos == 0:
+                seen.add("pos = 0")
+            elif pos == len(z):
+                seen.add("pos = k")
+            else:
+                hl = t.depth[naive_lca(t, z[pos - 1], c)]
+                hr = t.depth[naive_lca(t, c, z[pos])]
+                seen.add("hl > hr" if hl > hr else "hr > hl")
+    assert seen == {"pos = 0", "pos = k", "hl > hr", "hr > hl"}
+
+
+def test_list_subtree_conflicts_sweeps_once_per_call(monkeypatch):
+    # the pure kernel sweeps T|Z at most once per call, however many
+    # candidates survive; child restrictions sweep through restrict's own
+    # name and are not counted here
+    from tripcon import enumeration
+
+    sweeps = []
+    real_sweep, real_lsc = enumeration.sweep, enumeration.list_subtree_conflicts
+
+    def counting_sweep(depth):
+        sweeps[-1] += 1
+        return real_sweep(depth)
+
+    def one_call(*args, **kwargs):
+        sweeps.append(0)
+        return real_lsc(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "sweep", counting_sweep)
+    monkeypatch.setattr(enumeration, "list_subtree_conflicts", one_call)
+    rng = SplitMix64(0x5EE9)
+    for i in range(30):
+        n = 5 + rng.randrange(60)
+        p, q = generate_pair(GeneratorConfig(
+            n=n, seed=rng.next_u64(), k=rng.randrange(n + 1),
+            shape=SHAPES[i % len(SHAPES)]))
+        enumerate_conflicts(p, q, backend="pure")
+    assert sweeps and max(sweeps) == 1 and min(sweeps) == 0
 
 
 def test_list_subtree_conflicts_count_mode_matches():

@@ -377,6 +377,17 @@ for shape in SHAPES:
     for collect in (True, False):
         instr = enumerate_conflicts(p, p, collect=collect, backend="fast")
         assert instr.frames_opened == len(instr.per_frame_dr) == 599
+# nested chains: every child is a clade in both trees, so each child side
+# is read off a deep, one-sided sweep
+import sys
+sys.path.append({tests!r})
+from conftest import nested_chain_pair
+p, q = nested_chain_pair(301)
+want = enumerate_conflicts(p, q, collect=True, backend="pure")
+for collect in (True, False):
+    instr = enumerate_conflicts(p, q, collect=collect, backend="fast")
+    assert (instr.d, instr.nodes_touched) == (want.d, want.nodes_touched)
+    assert not collect or instr.conflicts == want.conflicts
 p, q = caterpillar_tree(300), caterpillar_tree(300, reverse=True)
 args = (p.taxon, q.taxon, len(p.taxa))
 assert run(*args)[0] == math.comb(300, 3)
@@ -601,7 +612,8 @@ def test_kernel_runs_clean_under_asan_and_ubsan(fresh_copy):
                               mixed=mixed,
                               errors=[text for text, _, _ in ERROR_TABLE],
                               cases=str(cases), bad_offsets=BAD_OFFSETS,
-                              two=TWO_TAXA)
+                              two=TWO_TAXA,
+                              tests=os.path.dirname(os.path.abspath(__file__)))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[-4000:]
