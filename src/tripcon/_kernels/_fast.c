@@ -35,9 +35,18 @@
  * the input has leaves.  The leaf sets of all frames opened form a
  * laminar family of distinct taxon sets, so a run opens at most 2n - 1
  * frames, the node count m of either input.  The run's scratch (m d_r
- * slots, output chunk, taxon maps, partition buffers, the sweep's arrays
- * and the frame stack) is a second block, sized from the universe and
- * the input lengths.
+ * slots, the output chunk when there is a sink, taxon maps, partition
+ * buffers, the sweep's arrays and the frame stack) is a second block,
+ * sized from the universe and the input lengths.  A released block is
+ * kept, up to SPARES of them, in place of a smaller one, and the next
+ * block taken, by this run or the next, is the smallest spare large
+ * enough, so a repeated run of one size touches no fresh page.  A run
+ * first frees every spare larger than its own block, so between calls
+ * the module holds at most SPARES blocks, none larger than the last
+ * run's largest, and a small run after a big one gives the big one's
+ * memory back.  Under ASan a waiting spare is poisoned, and so is the
+ * tail of a reused block past its request, so an overrun or a use after
+ * release is reported as it is with malloc and free.
  *
  * Output.  Without a sink, triples are only counted.  With a sink, they
  * are written to a TRI_CHUNK buffer of 4,096 triples, and each full
@@ -84,6 +93,13 @@
 #include <stdlib.h>
 #include <string.h>
 
+#ifdef __SANITIZE_ADDRESS__
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(p, n) ((void)(p), (void)(n))
+#define ASAN_UNPOISON_MEMORY_REGION(p, n) ((void)(p), (void)(n))
+#endif
+
 /* Ids buffered before they are handed to the sink: 4,096 triples. */
 #define TRI_CHUNK (3 * 4096)
 
@@ -103,6 +119,28 @@ static void *xmalloc(size_t n)
     if (p == NULL)
         PyErr_NoMemory();
     return p;
+}
+
+/* A new array of the given typecode holding a copy of the n bytes at
+   data.  frombytes copies them once, where array's constructor would copy
+   them into a bytes object first. */
+static PyObject *array_of(const char *typecode, char *data, Py_ssize_t n)
+{
+    PyObject *arr = PyObject_CallFunction(array_type, "s", typecode);
+    PyObject *view, *res = NULL;
+
+    if (arr == NULL)
+        return NULL;
+    view = PyMemoryView_FromMemory(data, n, PyBUF_READ);
+    if (view != NULL)
+        res = PyObject_CallMethod(arr, "frombytes", "O", view);
+    Py_XDECREF(view);
+    if (res == NULL) {
+        Py_DECREF(arr);
+        return NULL;
+    }
+    Py_DECREF(res);
+    return arr;
 }
 
 /* The buffer of obj, which must be an array of the given typecode. */
@@ -455,13 +493,81 @@ static void write_scratch(const Side *s, int *scratch)
 }
 
 /* ====================================================================== */
+/* Blocks kept between runs                                               */
+/* ====================================================================== */
+
+/* The rules are the header's (Ownership).  Every call is made with the
+   GIL held, and a block belongs to one run from block_get to block_put,
+   so a sink that starts a nested run gets blocks of its own.  A repeated
+   run takes every block from a spare when it holds at most SPARES blocks
+   at once: counts of uniform and balanced pairs at n = 16,384 with 4 to
+   16 swaps hold 4 to 12, and caterpillar pairs 3. */
+#define SPARES 16
+
+static void *spare[SPARES];
+static size_t spare_size[SPARES]; /* 0 for an empty slot */
+
+/* A block of at least *size bytes, the smallest spare that large or else
+   a new one; *size becomes the bytes it holds.  NULL on failure. */
+static void *block_get(size_t *size)
+{
+    void *p;
+    int i, best = -1;
+
+    for (i = 0; i < SPARES; i++)
+        if (spare_size[i] >= *size
+            && (best < 0 || spare_size[i] < spare_size[best]))
+            best = i;
+    if (best < 0)
+        return xmalloc(*size);
+    p = spare[best];
+    ASAN_UNPOISON_MEMORY_REGION(p, *size);
+    *size = spare_size[best];
+    spare_size[best] = 0;
+    return p;
+}
+
+/* Keep the block p of size bytes as a spare, in an empty slot or in place
+   of the smallest spare if that is smaller; else free it. */
+static void block_put(void *p, size_t size)
+{
+    int i, low = 0;
+
+    for (i = 1; i < SPARES; i++)
+        if (spare_size[i] < spare_size[low])
+            low = i;
+    if (spare_size[low] >= size) {
+        free(p);
+        return;
+    }
+    if (spare_size[low])
+        free(spare[low]);
+    ASAN_POISON_MEMORY_REGION(p, size);
+    spare[low] = p;
+    spare_size[low] = size;
+}
+
+/* Free every spare of more than size bytes. */
+static void block_trim(size_t size)
+{
+    int i;
+
+    for (i = 0; i < SPARES; i++)
+        if (spare_size[i] > size) {
+            free(spare[i]);
+            spare_size[i] = 0;
+        }
+}
+
+/* ====================================================================== */
 /* A recursion context: tree pair and equivalence map in one block        */
 /* ====================================================================== */
 
 typedef struct {
     Side p, q;
-    int *m;   /* leaf-set-equivalence map P -> Q */
-    int refs; /* frames pending or being processed in this context */
+    int *m;      /* leaf-set-equivalence map P -> Q */
+    int refs;    /* frames pending or being processed in this context */
+    size_t size; /* bytes in the block, for block_put */
 } Ctx;
 
 /* An unreferenced context for an mp-node P and an mq-node Q, with its
@@ -471,7 +577,8 @@ static Ctx *ctx_new(int mp, int mq)
     Side probe;
     size_t np = side_layout(&probe, mp, NULL);
     size_t nq = side_layout(&probe, mq, NULL);
-    Ctx *c = xmalloc(sizeof *c + (np + nq + (size_t)mp) * sizeof(int));
+    size_t size = sizeof(Ctx) + (np + nq + (size_t)mp) * sizeof(int);
+    Ctx *c = block_get(&size);
     int *base;
 
     if (c == NULL)
@@ -481,13 +588,14 @@ static Ctx *ctx_new(int mp, int mq)
     side_layout(&c->q, mq, base + np);
     c->m = base + np + nq;
     c->refs = 0;
+    c->size = size;
     return c;
 }
 
 static void ctx_release(Ctx *c)
 {
     if (--c->refs == 0)
-        free(c);
+        block_put(c, c->size);
 }
 
 /* Fill the equivalence map; qleaf maps each taxon of Q to its leaf. */
@@ -517,9 +625,10 @@ typedef struct {
     long long work, frames, violations, emitted;
     /* chunks of flat triples go to sink (NULL when counting) */
     PyObject *sink;
-    /* the rest is one block: dr, the int arrays, then fs */
+    /* the rest is one block of size bytes: dr, the int arrays, then fs */
+    size_t size;
     long long *dr; /* d_r of the i-th frame opened, one slot per node */
-    int *tri;
+    int *tri;      /* sink runs only */
     int ntri;
     /* pending frames, at most one per input leaf */
     Frame *fs;
@@ -541,7 +650,7 @@ static size_t run_layout(Run *run, size_t u, size_t w, int *base)
     size_t used = 0;
     int i;
 
-    run->tri = take(base, &used, TRI_CHUNK);
+    run->tri = take(base, &used, run->sink ? TRI_CHUNK : 0);
     run->pleaf = take(base, &used, u);
     run->qleaf = take(base, &used, u);
     for (i = 0; i < 8; i++)
@@ -558,7 +667,9 @@ static size_t run_layout(Run *run, size_t u, size_t w, int *base)
 
 /* m is the larger input tree's node count; it bounds the frames opened
    and pending.  A tree has at most as many leaves as the universe has
-   taxa, so a sweep has at most 2u - 1 nodes. */
+   taxa, so a sweep has at most 2u - 1 nodes.  The spares larger than the
+   run's block are freed first, so that a small run after a big one gives
+   the big one's memory back. */
 static int run_init(Run *run, int universe, int m)
 {
     size_t u = universe > 0 ? (size_t)universe : 1;
@@ -569,8 +680,10 @@ static int run_init(Run *run, int universe, int m)
     /* the frames go last, where an overrun leaves the block; an even
        number of ints keeps them aligned */
     ints += ints & 1;
-    run->dr = xmalloc((size_t)m * sizeof(long long) + ints * sizeof(int)
-                      + nfs * sizeof(Frame));
+    run->size = (size_t)m * sizeof(long long) + ints * sizeof(int)
+                + nfs * sizeof(Frame);
+    block_trim(run->size);
+    run->dr = block_get(&run->size);
     if (run->dr == NULL)
         return -1;
     run_layout(run, u, w, (int *)(run->dr + m));
@@ -584,7 +697,8 @@ static void run_free(Run *run)
 {
     while (run->nfs)
         ctx_release(run->fs[--run->nfs].ctx);
-    free(run->dr);
+    if (run->dr != NULL)
+        block_put(run->dr, run->size);
 }
 
 /* Hand the buffered triples to the sink as a fresh array('i'). */
@@ -594,8 +708,7 @@ static int flush_triples(Run *run)
 
     if (run->ntri == 0)
         return 0;
-    chunk = PyObject_CallFunction(array_type, "sy#", "i", (const char *)run->tri,
-                                  run->ntri * (Py_ssize_t)sizeof(int));
+    chunk = array_of("i", (char *)run->tri, run->ntri * (Py_ssize_t)sizeof(int));
     if (chunk == NULL)
         return -1;
     res = PyObject_CallOneArg(run->sink, chunk);
@@ -969,8 +1082,8 @@ static PyObject *run_enumeration(PyObject *module, PyObject *args, PyObject *kwa
         || check_dr_sum(&run) < 0)
         goto done;
 
-    dr = PyObject_CallFunction(array_type, "sy#", "q", (const char *)run.dr,
-                               run.frames * (Py_ssize_t)sizeof(long long));
+    dr = array_of("q", (char *)run.dr,
+                  run.frames * (Py_ssize_t)sizeof(long long));
     if (dr != NULL)
         result = Py_BuildValue("(LLLLN)", run.emitted, run.frames, run.work,
                                run.violations, dr);
@@ -992,24 +1105,26 @@ done:
    from that column on its first read, and run_enumeration in
    side_finish. */
 
-/* Room for int number at; capacities double. */
-static int grow(int **buf, int *cap, int at)
+/* The numbers of '(' and of ',' among the n characters of text, which
+   size the buffers of its parse once.  parse_newick reads a '(' or a
+   leaf only where a subtree is wanted, which after the first leaf only a
+   ',' makes so, and completes an internal node only at the ')' of an
+   open '('.  So on any text it writes at most commas + 1 leaves and
+   opens internal nodes, and holds at most opens groups open; a binary
+   tree has exactly one '(' and one ',' per internal node. */
+static void count_marks(int kind, const void *data, Py_ssize_t n,
+                        Py_ssize_t *opens, Py_ssize_t *commas)
 {
-    int n = *cap ? *cap : 64;
-    int *p;
+    Py_ssize_t i, o = 0, k = 0;
+    Py_UCS4 c;
 
-    if (at < *cap)
-        return 0;
-    while (n <= at)
-        n *= 2;
-    p = realloc(*buf, (size_t)n * sizeof(int));
-    if (p == NULL) {
-        PyErr_NoMemory();
-        return -1;
+    for (i = 0; i < n; i++) {
+        c = PyUnicode_READ(kind, data, i);
+        o += c == '(';
+        k += c == ',';
     }
-    *buf = p;
-    *cap = n;
-    return 0;
+    *opens = o;
+    *commas = k;
 }
 
 /* The ASCII characters that re's \s matches. */
@@ -1116,7 +1231,7 @@ typedef struct {
     const void *data;
     Label *label; /* by taxon id */
     int *slot;    /* taxon id + 1, or 0 when empty */
-    int n, cap, mask; /* labels, label capacity, slots - 1 */
+    int n, mask; /* labels, slots - 1 */
 } Table;
 
 static PyTypeObject Table_type;
@@ -1182,71 +1297,38 @@ static int probe(const Table *t, uint32_t h, int kind, const void *data,
     return -2;
 }
 
-/* Put every label into size empty slots, size a power of two; -1 with
-   MemoryError set, -2 if a label's slot is more than PROBE_MAX - 1 past
-   its first. */
-static int rehash(Table *t, int size)
-{
-    int *slot = calloc((size_t)size, sizeof(int)), id, j, k;
-
-    if (slot == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    for (id = 0; id < t->n; id++) {
-        j = (int)(t->label[id].hash & (uint32_t)(size - 1));
-        for (k = 1; slot[j]; k++, j = (j + 1) & (size - 1))
-            if (k == PROBE_MAX) {
-                free(slot);
-                return -2;
-            }
-        slot[j] = id + 1;
-    }
-    free(t->slot);
-    t->slot = slot;
-    t->mask = size - 1;
-    return 0;
-}
-
 /* Add the label [s, e) (with esc) of hash h, which t does not hold, as
-   taxon id t->n, at the empty slot at that probe gave; as rehash, when
-   the slots must grow to stay at most half full. */
-static int table_add(Table *t, uint32_t h, Py_ssize_t s, Py_ssize_t e,
-                     int esc, int at)
+   taxon id t->n, at the empty slot at that probe gave; t holds fewer than
+   the labels it was made for. */
+static void table_add(Table *t, uint32_t h, Py_ssize_t s, Py_ssize_t e,
+                      int esc, int at)
 {
-    Label *label;
-    int cap = t->cap ? 2 * t->cap : 64;
-
-    if (t->n == t->cap) {
-        if ((label = realloc(t->label, (size_t)cap * sizeof *label)) == NULL) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        t->label = label;
-        t->cap = cap;
-    }
     t->label[t->n].s = s;
     t->label[t->n].e = e;
     t->label[t->n].esc = esc;
     t->label[t->n].hash = h;
     t->slot[at] = ++t->n;
-    return 2 * t->n > t->mask + 1 ? rehash(t, 2 * (t->mask + 1)) : 0;
 }
 
-/* An empty table of the labels of text. */
-static Table *table_new(PyObject *text)
+/* An empty table for at most cap labels of text, whose slots stay at most
+   half full. */
+static Table *table_new(PyObject *text, int cap)
 {
     Table *t = PyObject_New(Table, &Table_type);
+    size_t size = 2;
 
     if (t == NULL)
         return NULL;
+    while (size < 2 * (size_t)cap)
+        size *= 2;
     t->text = Py_NewRef(text);
     t->kind = PyUnicode_KIND(text);
     t->data = PyUnicode_DATA(text);
-    t->label = NULL;
-    t->n = t->cap = 0;
-    t->mask = 63;
-    if ((t->slot = calloc(t->mask + 1, sizeof(int))) == NULL) {
+    t->n = 0;
+    t->mask = (int)(size - 1);
+    t->label = malloc((size_t)cap * sizeof(Label));
+    t->slot = calloc(size, sizeof(int));
+    if (t->label == NULL || t->slot == NULL) {
         Py_DECREF(t);
         PyErr_NoMemory();
         return NULL;
@@ -1338,12 +1420,12 @@ static PyObject *parse_newick(PyObject *module, PyObject *args)
 {
     PyObject *text, *arg, *taxon, *result = NULL;
     Table *table = NULL;
-    int *col = NULL, cap = 0; /* the taxon column */
-    int *groups = NULL, gcap = 0; /* per open '(': 1 once its ',' is read */
+    int *col = NULL; /* the taxon column */
+    int *groups = NULL; /* per open '(': 1 once its ',' is read */
     unsigned char *seen = NULL; /* with a table given: per taxon id */
     const void *data;
     int kind, m = 0, nl = 0, ng = 0, want = 1, length_ok = 0, esc, t, at;
-    Py_ssize_t n, i = 0, s = 0, e = 0;
+    Py_ssize_t n, i = 0, s = 0, e = 0, opens, commas;
     Py_UCS4 c;
     uint32_t h;
 
@@ -1354,8 +1436,9 @@ static PyObject *parse_newick(PyObject *module, PyObject *args)
         PyErr_SetString(PyExc_TypeError, "table must be a LabelTable or None");
         return NULL;
     }
-    /* node ids are ints, there are at most as many nodes as characters,
-       and capacities double */
+    /* node ids and slot indices are ints: a text of at most INT_MAX / 2
+       characters has at most one node more than characters, and its
+       table at most 2^31 slots */
     if (!PyUnicode_Check(text) || PyUnicode_GET_LENGTH(text) > INT_MAX / 2)
         Py_RETURN_NONE;
 #if PY_VERSION_HEX < 0x030C0000
@@ -1365,15 +1448,19 @@ static PyObject *parse_newick(PyObject *module, PyObject *args)
     kind = PyUnicode_KIND(text);
     data = PyUnicode_DATA(text);
     n = PyUnicode_GET_LENGTH(text);
+    count_marks(kind, data, n, &opens, &commas);
     if (arg != Py_None) {
         table = (Table *)Py_NewRef(arg);
         if ((seen = calloc((size_t)table->n + 1, 1)) == NULL) {
             PyErr_NoMemory();
             goto done;
         }
-    } else if ((table = table_new(text)) == NULL) {
+    } else if ((table = table_new(text, (int)commas + 1)) == NULL) {
         return NULL;
     }
+    if ((col = xmalloc((size_t)(opens + commas + 1) * sizeof(int))) == NULL
+        || (groups = xmalloc((size_t)opens * sizeof(int))) == NULL)
+        goto done;
 
     /* want: a subtree is wanted next; length_ok: the token before was a
        label or a ')', which a branch length may follow */
@@ -1382,8 +1469,6 @@ static PyObject *parse_newick(PyObject *module, PyObject *args)
             goto reject;
         c = PyUnicode_READ(kind, data, i);
         if (want && c == '(') {
-            if (grow(&groups, &gcap, ng) < 0)
-                goto done;
             groups[ng++] = 0;
             i++;
         } else if (want) { /* a leaf */
@@ -1413,18 +1498,15 @@ static PyObject *parse_newick(PyObject *module, PyObject *args)
             h = label_hash(kind, data, s, e);
             t = probe(table, h, kind, data, s, e, &at);
             if (seen == NULL) { /* interning: a label seen before repeats */
-                if (t != -1 || (t = table_add(table, h, s, e, esc, at)) == -2)
+                if (t != -1)
                     goto reject;
-                if (t < 0)
-                    goto done;
+                table_add(table, h, s, e, esc, at);
                 t = table->n - 1;
             } else if (t < 0 || seen[t]) { /* unknown or repeated */
                 goto reject;
             } else {
                 seen[t] = 1;
             }
-            if (grow(&col, &cap, m) < 0)
-                goto done;
             col[m++] = t;
             nl++;
             want = 0;
@@ -1434,8 +1516,6 @@ static PyObject *parse_newick(PyObject *module, PyObject *args)
             want = 1;
             i++;
         } else if (c == ')' && ng && groups[ng - 1]) {
-            if (grow(&col, &cap, m) < 0)
-                goto done;
             ng--;
             col[m++] = -1;
             i++;
@@ -1458,8 +1538,7 @@ static PyObject *parse_newick(PyObject *module, PyObject *args)
     }
     if (skip_filler(kind, data, n, i + 1) != n || nl != table->n)
         goto reject;
-    taxon = PyObject_CallFunction(array_type, "sy#", "i", (const char *)col,
-                                  m * (Py_ssize_t)sizeof(int));
+    taxon = array_of("i", (char *)col, m * (Py_ssize_t)sizeof(int));
     if (taxon != NULL)
         result = Py_BuildValue("(NO)", taxon, (PyObject *)table);
     goto done;

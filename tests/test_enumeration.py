@@ -363,6 +363,96 @@ def test_counting_peak_memory(backend):
         assert int(proc.stdout) < 64 * 1024, p.n_leaves
 
 
+def _run_script(script):
+    """The stdout of ``script`` run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(os.path.abspath(tripcon.__file__))))
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+# The minor page faults of each of three counts of one pair.
+REFAULTS = """
+import resource
+from tripcon import count_conflicts
+from tripcon.generator import GeneratorConfig, generate_pair
+p, q = generate_pair(GeneratorConfig(n=16384, seed=7, k=4))
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    count_conflicts(p, q, backend="fast")
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif("fast" not in available_backends(),
+                    reason="the compiled kernel did not load")
+def test_a_repeated_count_does_not_refault():
+    # the compiled kernel keeps its released blocks for the next run; when
+    # it freed them, every call took about 1,050 faults
+    first, _, third = map(int, _run_script(REFAULTS).split())
+    assert third < first / 10, (first, third)
+
+
+# The resident set before a big count, after it and after a small one.
+GIVEN_BACK = """
+import os
+from tripcon import count_conflicts
+from tripcon.generator import GeneratorConfig, caterpillar_tree, generate_pair
+def rss():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+big = generate_pair(GeneratorConfig(n=100_000, seed=3, k=4,
+                                    shape="caterpillar"))
+small = caterpillar_tree(10), caterpillar_tree(10, reverse=True)
+count_conflicts(*small, backend="fast")
+before = rss()
+count_conflicts(*big, backend="fast")
+held = rss()
+count_conflicts(*small, backend="fast")
+print(before, held, rss())
+"""
+
+
+@pytest.mark.skipif("fast" not in available_backends(),
+                    reason="the compiled kernel did not load")
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                    reason="needs /proc/self/statm")
+def test_a_small_count_gives_back_the_blocks_of_a_big_one():
+    # the blocks kept after the big count (about 30 MB resident) are freed
+    # by the next run, whose own block is smaller than each of them
+    before, held, after = map(int, _run_script(GIVEN_BACK).split())
+    assert held - after >= 15 * 2**20, (before, held, after)
+    assert after - before < 4 * 2**20, (before, held, after)
+
+
+def test_a_sink_may_start_runs_of_its_own(backend):
+    # each run owns the blocks it has taken until it ends, so runs started
+    # from the sink of another, one of the same size and one of another,
+    # give the pure kernel's results, and so does the outer run
+    def counters(instr):
+        return (instr.d, instr.frames_opened, instr.nodes_touched,
+                instr.per_frame_dr)
+
+    outer = generate_pair(GeneratorConfig(n=150, seed=5, k=6))
+    inner = [generate_pair(GeneratorConfig(n=150, seed=6, k=6)),
+             generate_pair(GeneratorConfig(n=40, seed=6, k=3))]
+    want = enumerate_conflicts(*outer, collect=True, backend="pure")
+    want_inner = [counters(enumerate_conflicts(*pair, backend="pure"))
+                  for pair in inner]
+    flat = array("i")
+    chunks = []
+
+    def sink(ids):
+        flat.extend(ids)
+        chunks.append([counters(enumerate_conflicts(*pair, backend=backend))
+                       for pair in inner])
+
+    got = enumerate_conflicts(*outer, sink=sink, backend=backend)
+    assert counters(got) == counters(want)
+    assert list(zip(*[iter(flat)] * 3)) == want.conflicts
+    assert len(chunks) > 2 and all(c == want_inner for c in chunks)
+
+
 def test_taxon_mismatch():
     p, _ = parse_newick("((A,B),C);")
     q, _ = parse_newick("((A,B),(C,D));")

@@ -388,6 +388,28 @@ for collect in (True, False):
     instr = enumerate_conflicts(p, q, collect=collect, backend="fast")
     assert (instr.d, instr.nodes_touched) == (want.d, want.nodes_touched)
     assert not collect or instr.conflicts == want.conflicts
+# blocks kept between runs: a big run, a small one, which frees the big
+# one's spares, and the big one again; then a sink that starts runs of
+# its own, one of the same size as its run and one of another
+def run_pair(pair, *sink):
+    return run(pair[0].taxon, pair[1].taxon, len(pair[0].taxa), *sink)
+big = generate_pair(GeneratorConfig(n=3000, seed=4, k=6))
+small = generate_pair(GeneratorConfig(n=12, seed=4, k=2))
+got = [run_pair(pair) for pair in (big, small, big)]
+assert got[0] == got[2] and got[0][0] > 0
+assert got[1][0] == enumerate_conflicts(*small, backend="pure").d
+outer = generate_pair(GeneratorConfig(n=150, seed=5, k=6))
+inner = [generate_pair(GeneratorConfig(n=150, seed=6, k=6)), small]
+want = [run_pair(pair) for pair in inner]
+def nest(ids):
+    chunks.append(ids)
+    assert [run_pair(pair) for pair in inner] == want
+chunks = []
+got = run_pair(outer, nest)
+assert len(chunks) > 2 and got == run_pair(outer)
+assert array("i", [x for c in chunks for x in c]) == array("i", [
+    x for t in enumerate_conflicts(*outer, collect=True,
+                                   backend="pure").conflicts for x in t])
 p, q = caterpillar_tree(300), caterpillar_tree(300, reverse=True)
 args = (p.taxon, q.taxon, len(p.taxa))
 assert run(*args)[0] == math.comb(300, 3)
@@ -477,9 +499,8 @@ for text in texts:
     for t in tables:
         assert parse(text, t) == (want, t)
         assert parse(text.replace("b''c", "b''''c"), t) is None
-# 10^5 labels grow the table many times and come back in leaf order;
-# rejects after it has grown free it, and against it the labels repeat,
-# are unknown or are missing
+# 10^5 labels come back in leaf order; rejects free the table, and
+# against it the labels repeat, are unknown or are missing
 n = 100_000
 text = serialize_newick(caterpillar_tree(n))
 taxon, table = parse(text, None)

@@ -219,8 +219,9 @@ def test_deep_caterpillar_no_recursion_limit():
 
 @needs_fast
 def test_compiled_parse_of_a_deep_caterpillar():
-    # 10^5 open groups grow the compiled pass's group stack many times;
-    # the slots derived on first read equal the regex parser's
+    # 10^5 open groups fill the compiled pass's group stack, sized from
+    # the text's '(' count; the slots derived on first read equal the
+    # regex parser's
     n = 100_000
     text = serialize_newick(caterpillar_tree(n))
     assert FAST.parse_newick(text, None) is not None
