@@ -12,7 +12,6 @@ from .errors import (
     EmptyTreeError,
     NewickSyntaxError,
     NonBinaryError,
-    NonDistinctTaxaError,
     TaxonMismatchError,
     TripconError,
     UnorderedInputError,
@@ -23,11 +22,7 @@ from .lca import LcaIndex, build_lca_index
 from .restrict import induced_subtree
 from .equivalence import LeafEquivalence, build_leaf_equivalence, leafsets_equal
 from .oracle import (
-    Resolution,
-    ResolutionKind,
     enumerate_bruteforce,
-    is_conflict,
-    resolve_triple,
     triple_resolutions,
     triplet_distance,
 )
@@ -61,7 +56,6 @@ __all__ = [
     "TaxonMismatchError",
     "EmptySubsetError",
     "UnorderedInputError",
-    "NonDistinctTaxaError",
     "TaxonSet",
     "Tree",
     "build_tree",
@@ -74,10 +68,6 @@ __all__ = [
     "LeafEquivalence",
     "build_leaf_equivalence",
     "leafsets_equal",
-    "ResolutionKind",
-    "Resolution",
-    "resolve_triple",
-    "is_conflict",
     "triple_resolutions",
     "enumerate_bruteforce",
     "triplet_distance",

@@ -102,8 +102,8 @@ def run_enumeration(p, q, sink=None):
             per_dr.append(0)
             continue
 
-        up, vp = P.left[rp], P.right[rp]
-        uq, vq = Q.left[rq], Q.right[rq]
+        up, vp = P.children(rp)
+        uq, vq = Q.children(rq)
         if leafsets_equal(e, up, vq):
             uq, vq = vq, uq
         if leafsets_equal(e, up, uq):

@@ -32,16 +32,15 @@ def build_leaf_equivalence(p, q, idx_q=None):
     if idx_q is None:
         idx_q = build_lca_index(q)
 
-    taxon = p.taxon
-    left, right = p.left, p.right
     q_leaf = q.leaf_of_taxon
     qlca = idx_q.lca
-    m = [-1] * p.n_nodes
-    for v in range(p.n_nodes):  # children first
-        if left[v] < 0:
-            m[v] = q_leaf[taxon[v]]
-        else:
-            m[v] = qlca(m[left[v]], m[right[v]])
+    # the taxon column read as a postfix expression: an internal node
+    # joins the two subtrees completed last, whose images top the stack
+    m, stack = [], []
+    for tx in p.taxon:
+        x = q_leaf[tx] if tx >= 0 else qlca(stack.pop(), stack.pop())
+        stack.append(x)
+        m.append(x)
     return LeafEquivalence(p, q, m)
 
 

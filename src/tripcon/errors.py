@@ -35,7 +35,3 @@ class EmptySubsetError(TripconError):
 
 class UnorderedInputError(TripconError):
     """A leaf sequence that must follow the tree's post-order does not."""
-
-
-class NonDistinctTaxaError(TripconError):
-    """A triple query was made with repeated taxa."""

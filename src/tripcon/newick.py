@@ -240,14 +240,14 @@ def serialize_newick(t, taxa=None):
         if kind == "t":
             out.append(x)
             continue
-        v = x
-        if t.left[v] < 0:
-            out.append(_format_label(taxa.name_of(t.taxon[v])))
+        left, right = t.children(x)
+        if left < 0:
+            out.append(_format_label(taxa.name_of(t.taxon[x])))
         else:
             stack.append(("t", ")"))
-            stack.append(("n", t.right[v]))
+            stack.append(("n", right))
             stack.append(("t", ","))
-            stack.append(("n", t.left[v]))
+            stack.append(("n", left))
             out.append("(")
     out.append(";")
     return "".join(out)

@@ -1,6 +1,6 @@
-"""Ground truth: triple resolution, the conflict test, the cubic
-brute-force enumerator used to verify the fast algorithm, and an O(n^2)
-count of the conflicts for sizes the enumerator cannot reach.
+"""Ground truth: every triple's resolution, the cubic brute-force
+enumerator used to verify the fast algorithm, and an O(n^2) count of the
+conflicts for sizes the enumerator cannot reach.
 
 None of this shares code with the output-sensitive enumerator beyond the
 tree arenas and the LCA index (and :func:`triplet_distance` uses only
@@ -8,71 +8,27 @@ the arenas), so it stays an independent check.  In a binary tree every
 triple {a, b, c} has exactly one "bias pair": the pair whose LCA is
 strictly below the LCA of all three (the other two pairwise LCAs
 coincide with it).  A triple is a conflict of (P, Q) when its bias pair
-differs between the trees.
+differs between the trees.  :func:`triple_resolutions` is the one place
+that resolves triples: it gives the bias pair of every triple at once.
 """
 
-import enum
 from itertools import combinations, compress
 from operator import add, itemgetter, mul, ne
-from typing import NamedTuple
 
-from .errors import NonDistinctTaxaError
 from .lca import build_lca_index
 from .tree import check_same_leaf_taxa
 
 
-class ResolutionKind(enum.IntEnum):
-    """Which pair of the ascending triple (a < b < c) is the bias pair."""
-
-    AB_C = 0
-    AC_B = 1
-    BC_A = 2
-
-
-class Resolution(NamedTuple):
-    kind: ResolutionKind
-    a: int
-    b: int
-    c: int
-
-
-def resolve_triple(t, idx, a, b, c):
-    """Resolution of taxa {a, b, c} in ``t`` via two-or-three LCA queries."""
-    if a == b or a == c or b == c:
-        raise NonDistinctTaxaError(f"taxa must be distinct, got {(a, b, c)}")
-    a, b, c = sorted((a, b, c))
-    leaf = t.leaf_of_taxon
-    la, lb, lc = leaf[a], leaf[b], leaf[c]
-    ab = idx.lca(la, lb)
-    ac = idx.lca(la, lc)
-    if ab == ac:
-        kind = ResolutionKind.BC_A
-    else:
-        bc = idx.lca(lb, lc)
-        kind = ResolutionKind.AC_B if ab == bc else ResolutionKind.AB_C
-    if __debug__:
-        top = idx.lca(ab, lc)
-        lcas = (ab, ac, idx.lca(lb, lc))
-        assert sum(1 for x in lcas if x == top) == 2, "triple LCA structure broken"
-        assert lcas[kind] != top
-    return Resolution(kind, a, b, c)
-
-
-def is_conflict(p, q, idx_p, idx_q, a, b, c):
-    """True iff the triple resolves differently in the two trees."""
-    return resolve_triple(p, idx_p, a, b, c).kind != resolve_triple(q, idx_q, a, b, c).kind
-
-
-def triple_resolutions(t, idx=None):
+def triple_resolutions(t):
     """Bias codes for every ascending triple, in lexicographic order.
 
-    The returned list has one :class:`ResolutionKind` value (as an int) per
-    element of ``itertools.combinations(sorted(taxa), 3)``.  This is the
-    tree's complete "triplet signature"; two trees conflict exactly on the
-    positions where their signatures differ.
+    The returned list has one code per element of
+    ``itertools.combinations(sorted(taxa), 3)``: 0 when the bias pair of
+    the triple (a, b, c) is ab, 1 when it is ac and 2 when it is bc.  This
+    is the tree's complete "triplet signature"; two trees conflict exactly
+    on the positions where their signatures differ.
     """
-    if idx is None:
-        idx = build_lca_index(t)
+    idx = build_lca_index(t)
     taxa = sorted(t.leaf_of_taxon)
     n = len(taxa)
     out = []
@@ -134,17 +90,16 @@ def triplet_distance(p, q):
     n = p.n_leaves
     if n < 3:
         return 0
-    qint = [v for v in range(q.n_nodes) if q.left[v] >= 0]
+    qint = [v for v in range(q.n_nodes) if q.taxon[v] < 0]
     qfree = [n - q.leaf_count[v] for v in qint]
     # gathers of a row at the internal nodes and at their children (tuples,
     # as Q has at least two internal nodes)
     at_int = itemgetter(*qint)
-    at_l = itemgetter(*(q.left[v] for v in qint))
-    at_r = itemgetter(*(q.right[v] for v in qint))
+    at_l, at_r = (itemgetter(*kids) for kids in zip(*map(q.children, qint)))
     size = p.leaf_count
 
     def row(u):
-        if p.left[u] >= 0:
+        if p.taxon[u] < 0:
             return rows.pop(u)
         r = [0] * q.n_nodes  # a leaf: 1 on its root path in Q
         y = q.leaf_of_taxon[p.taxon[u]]
@@ -156,16 +111,17 @@ def triplet_distance(p, q):
     order, stack = [], [p.root]  # reversed: children first, heavier first
     while stack:
         u = stack.pop()
-        if p.left[u] >= 0:
+        if p.taxon[u] < 0:
             order.append(u)
-            light, heavy = sorted((p.left[u], p.right[u]), key=size.__getitem__)
+            light, heavy = sorted(p.children(u), key=size.__getitem__)
             stack += (heavy, light)
     rows = {}
     agree = 0
     for u in reversed(order):
-        a, b = row(p.left[u]), row(p.right[u])
+        ul, ur = p.children(u)
+        a, b = row(ul), row(ur)
         pairs = map(add, map(mul, at_l(a), at_r(b)), map(mul, at_r(a), at_l(b)))
         rows[u] = c = list(map(add, a, b))
         agree += sum(map(mul, pairs, map(add, qfree, at_int(c))))
-        agree -= size[u] * size[p.left[u]] * size[p.right[u]]
+        agree -= size[u] * size[ul] * size[ur]
     return n * (n - 1) * (n - 2) // 6 - agree

@@ -73,8 +73,9 @@ def induced_subtree(t, idx, z):
     its taxon column in the sweep's completion order.  Its node v
     contracts to host node ``inorder(idx, z)[j]``, j being v's in-order
     position: ``2 * leaf_base[v]`` for a leaf and
-    ``2 * (leaf_base[v] + leaf_count[left[v]]) - 1`` for an internal
-    node.  Leaves keep their original taxon ids.
+    ``2 * leaf_base[v - 1] - 1`` for an internal node, whose right child
+    v - 1 follows its left child's leaves.  Leaves keep their original
+    taxon ids.
     Requires ``idx`` to be an LCA index for ``t``.  Raises EmptySubsetError
     for empty ``z`` and UnorderedInputError if ``z`` is not strictly
     increasing in post-order or contains a non-leaf.

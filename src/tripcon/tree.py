@@ -7,9 +7,11 @@ n_nodes - 1, and the subtree of v is the ids (v - 2 * leaf_count[v] + 1,
 v].  That interval is what makes ancestry testing O(1) and per-subtree
 leaf traversal a plain slice.  In post-order an internal node v has right
 child v - 1 and left child v - 2 * leaf_count[v - 1], so the ``taxon``
-column alone fixes the shape.  It is all that a builder hands to
-:meth:`Tree._from_structure`, which derives every other slot from it in
-one forward pass.  The compiled Newick pass makes only the column: its
+column alone fixes the shape, and a tree keeps no child links:
+:meth:`Tree.children` reads them off ``leaf_count``.  The column is all
+that a builder hands to :meth:`Tree._from_structure`, which derives every
+other slot from it in one forward pass: the arrays of the compiled
+kernel's ``Side``.  The compiled Newick pass makes only the column: its
 tree holds ``taxa``, ``root`` and ``taxon``, and the first read of any
 derived slot derives them all, through the same finalizer.  So the
 compiled count path, which hands the kernel only ``taxon``, derives
@@ -23,7 +25,6 @@ taxon        dense taxon id on leaves; -1 on internal nodes
 Derived slots (``array('i')``, length ``n_nodes``)
 --------------------------------------------------
 parent       parent id; -1 for the root
-left, right  child ids; -1 for leaves (a node has either 0 or 2 children)
 leaf_count   number of leaves in the subtree
 leaf_base    rank (into ``leaves_post``) of the first leaf of the subtree
 depth        edge distance from the root
@@ -130,8 +131,8 @@ class TaxonSet:
 
 
 # The slots that Tree._from_structure derives from the taxon column.
-_DERIVED = ("parent", "left", "right", "leaf_count", "leaf_base", "depth",
-            "leaves_post", "leaf_of_taxon")
+_DERIVED = ("parent", "leaf_count", "leaf_base", "depth", "leaves_post",
+            "leaf_of_taxon")
 
 
 class Tree:
@@ -171,7 +172,10 @@ class Tree:
         return self.taxon[v] >= 0
 
     def children(self, v):
-        return (self.left[v], self.right[v])
+        """(left, right) child ids of v, or (-1, -1) for a leaf."""
+        if self.taxon[v] >= 0:
+            return -1, -1
+        return v - 2 * self.leaf_count[v - 1], v - 1
 
     def subtree_interval(self, v):
         """Half-open id interval (lo, hi] covering v's subtree."""
@@ -203,8 +207,6 @@ class Tree:
         if m == 0:
             raise EmptyTreeError(EMPTY_COLUMN)
 
-        left = array("i", [-1]) * m
-        right = array("i", [-1]) * m
         parent = array("i", [-1]) * m
         leaf_count = array("i", [1]) * m
         leaf_base = array("i", [0]) * m
@@ -226,10 +228,8 @@ class Tree:
                 raise ValueError(f"internal node {v} lacks two subtrees "
                                  f"before it")
             else:
-                left[v] = lc
-                rc = right[v] = v - 1
-                parent[lc] = parent[rc] = v
-                leaf_count[v] = leaf_count[lc] + leaf_count[rc]
+                parent[lc] = parent[v - 1] = v
+                leaf_count[v] = leaf_count[lc] + leaf_count[v - 1]
                 leaf_base[v] = leaf_base[lc]
         below = 2 * leaf_count[m - 1] - 1
         if below != m:
@@ -244,8 +244,6 @@ class Tree:
         for v in range(m - 2, -1, -1):
             depth[v] = depth[parent[v]] + 1
         t = cls._of(array("i", taxon), taxa)
-        t.left = left
-        t.right = right
         t.parent = parent
         t.leaf_count = leaf_count
         t.leaf_base = leaf_base

@@ -37,8 +37,8 @@ FIG1_P = "((A,B),((C,D),E));"
 FIG1_Q = "((A,B),((D,E),C));"
 
 # Every slot of a Tree but its TaxonSet, for comparing parsers.
-TREE_SLOTS = ("root", "parent", "left", "right", "taxon", "leaf_count",
-              "leaf_base", "depth", "leaves_post", "leaf_of_taxon")
+TREE_SLOTS = ("root", "parent", "taxon", "leaf_count", "leaf_base", "depth",
+              "leaves_post", "leaf_of_taxon")
 
 
 def held_slots(obj, slots=_DERIVED):
@@ -150,17 +150,26 @@ def naive_lca(t, u, v):
     return v
 
 
+def cherry(t, a, b, c):
+    """0, 1 or 2 for t's ab|c, ac|b or bc|a (taxa a < b < c), by parent
+    walk: the one test-side reference for a triple's resolution, with the
+    codes of ``tripcon.oracle.triple_resolutions``."""
+    la, lb, lc = (t.leaf_of_taxon[x] for x in (a, b, c))
+    d_ab = t.depth[naive_lca(t, la, lb)]
+    d_ac = t.depth[naive_lca(t, la, lc)]
+    return 0 if d_ab > d_ac else 1 if d_ac > d_ab else 2
+
+
 def leafset(t, v):
     """Taxon set below v by direct traversal (reference)."""
     out = set()
     stack = [v]
     while stack:
         x = stack.pop()
-        if t.left[x] < 0:
+        if t.is_leaf(x):
             out.add(t.taxon[x])
         else:
-            stack.append(t.left[x])
-            stack.append(t.right[x])
+            stack += t.children(x)
     return frozenset(out)
 
 
@@ -170,10 +179,11 @@ def tree_shape(t, v=None, taxa=None):
     v = t.root if v is None else v
     out = {}
     for node in range(t.n_nodes):  # children first
-        if t.left[node] < 0:
+        if t.is_leaf(node):
             out[node] = taxa.name_of(t.taxon[node])
         else:
-            out[node] = (out[t.left[node]], out[t.right[node]])
+            left, right = t.children(node)
+            out[node] = (out[left], out[right])
     return out[v]
 
 
@@ -204,13 +214,14 @@ def decorated_newick(t, seed, names=None):
             out.append(pick(fillers) + ")" + length())
         elif v == ",":
             out.append(pick(fillers) + ",")
-        elif t.left[v] < 0:
+        elif t.is_leaf(v):
             name = names[t.taxon[v]]
             if not re.fullmatch(r"[A-Za-z0-9_.|-]+", name) or rng.randrange(2):
                 name = "'" + name.replace("'", "''") + "'"
             out.append(pick(fillers) + name + length())
         else:
-            stack += (")", t.right[v], ",", t.left[v])
+            left, right = t.children(v)
+            stack += (")", right, ",", left)
             out.append(pick(fillers) + "(")
     out.append(pick(fillers) + ";" + pick(fillers))
     return "".join(out)
@@ -220,10 +231,10 @@ def unordered_shape(t):
     """Canonical string with children sorted: order-insensitive identity."""
     out = {}
     for node in range(t.n_nodes):  # children first
-        if t.left[node] < 0:
+        if t.is_leaf(node):
             out[node] = f"L{t.taxon[node]}"
         else:
-            a, b = out[t.left[node]], out[t.right[node]]
+            a, b = (out[x] for x in t.children(node))
             if b < a:
                 a, b = b, a
             out[node] = f"({a},{b})"

@@ -6,9 +6,12 @@ The trees are finalized from their post-order arenas, so these checks
 also run both finalizers on 10^5-deep trees.
 """
 
+import itertools
+
 import pytest
 
-from tripcon import SplitMix64, count_conflicts, triplet_distance
+from tripcon import (SplitMix64, count_conflicts, enumerate_conflicts,
+                     triplet_distance)
 from tripcon._kernels import available_backends
 from tripcon.generator import default_taxa
 
@@ -68,3 +71,43 @@ def test_exact_d_past_2_32():
     p = caterpillar_from_order(sigma, taxa)
     q = caterpillar_from_order(tau, taxa)
     assert count_conflicts(p, q, backend="fast") == d
+
+
+def test_every_listed_triple_of_a_caterpillar_pair(backend):
+    # d near 10^6: a seeded order against its reversal with a dozen swaps.
+    # A caterpillar's outgroup of a triple is its taxon that comes last in
+    # the order, so each triple is checked without an LCA, and the packed
+    # triples are distinct; with d from the formula, the listing is every
+    # conflict exactly once.
+    n = 182
+    rng = SplitMix64(0xCA7E)
+    sigma = permutation(n, rng)
+    tau = sigma[::-1]
+    for _ in range(12):
+        i, j = rng.randrange(n), rng.randrange(n)
+        tau[i], tau[j] = tau[j], tau[i]
+    d = caterpillar_distance(sigma, tau)
+    assert d == 964_755
+    taxa = default_taxa(n)
+    p = caterpillar_from_order(sigma, taxa)
+    q = caterpillar_from_order(tau, taxa)
+    at_p, at_q = [0] * n, [0] * n
+    for i in range(n):
+        at_p[sigma[i]] = at_q[tau[i]] = i
+    last_p, last_q = at_p.__getitem__, at_q.__getitem__
+    packed, agree = [], []
+
+    def sink(ids):
+        it = iter(ids)
+        for triple in zip(it, it, it):
+            a, b, c = triple
+            assert a < b < c
+            if max(triple, key=last_p) == max(triple, key=last_q):
+                agree.append(triple)
+            packed.append((a * n + b) * n + c)
+
+    assert enumerate_conflicts(p, q, backend=backend, sink=sink).d == d
+    assert agree == []
+    assert len(packed) == d
+    packed.sort()
+    assert all(map(int.__lt__, packed, itertools.islice(packed, 1, None)))

@@ -33,7 +33,7 @@ from tripcon.generator import (
     random_binary_tree,
 )
 
-from conftest import leafset, naive_lca, nested_chain_pair
+from conftest import cherry, leafset, naive_lca, nested_chain_pair
 
 
 def _conflict_list(p, q, backend):
@@ -291,14 +291,6 @@ def test_count_matches_triplet_distance(large_pairs, backend):
         assert count_conflicts(p, q, backend=backend) == d, (shape, k)
 
 
-def _cherry(t, a, b, c):
-    """0, 1 or 2 for t's ab|c, ac|b or bc|a, by parent walk."""
-    la, lb, lc = (t.leaf_of_taxon[x] for x in (a, b, c))
-    d_ab = t.depth[naive_lca(t, la, lb)]
-    d_ac = t.depth[naive_lca(t, la, lc)]
-    return 0 if d_ab > d_ac else 1 if d_ac > d_ab else 2
-
-
 def test_listing_is_exactly_once_past_the_oracle(large_pairs, backend):
     # with the count above, distinct triples that number d are exactly the
     # conflicts, each listed once
@@ -323,7 +315,7 @@ def test_listing_is_exactly_once_past_the_oracle(large_pairs, backend):
             x = packed[rng.randrange(d)]
             a, b, c = x // n // n, x // n % n, x % n
             assert a < b < c
-            assert _cherry(p, a, b, c) != _cherry(q, a, b, c), (shape, a, b, c)
+            assert cherry(p, a, b, c) != cherry(q, a, b, c), (shape, a, b, c)
 
 
 # The child's peak RSS in kB after counting the pair of Newick lines on
@@ -475,15 +467,15 @@ def test_single_and_two_leaf_inputs(backend):
 
 def test_partition_leaves_fig1(fig1):
     p, q, taxa = fig1
-    up = p.left[p.root]          # P's (A,B)
-    vq = q.right[q.root]         # Q's ((D,E),C)
+    up = p.children(p.root)[0]   # P's (A,B)
+    vq = q.children(q.root)[1]   # Q's ((D,E),C)
     com_p, unc_p, _, unc_q = partition_leaves(p, q, up, vq)
     assert [p.taxon[x] for x in com_p] == []
     assert sorted(p.taxon[x] for x in unc_p) == [taxa.id_of("A"), taxa.id_of("B")]
     assert sorted(q.taxon[x] for x in unc_q) == sorted(
         taxa.id_of(x) for x in "CDE"
     )
-    vp = p.right[p.root]         # P's ((C,D),E)
+    vp = p.children(p.root)[1]   # P's ((C,D),E)
     com_p2, unc_p2, _, unc_q2 = partition_leaves(p, q, vp, vq)
     assert sorted(p.taxon[x] for x in com_p2) == sorted(
         taxa.id_of(x) for x in "CDE"
@@ -498,8 +490,9 @@ def test_partition_leaves_matches_set_arithmetic():
         p, q = generate_pair(
             GeneratorConfig(n=n, seed=rng.next_u64(), k=rng.randrange(n + 1))
         )
-        x_p = p.left[p.root] if rng.next_u64() & 1 else p.right[p.root]
-        x_q = q.left[q.root] if rng.next_u64() & 1 else q.right[q.root]
+        # an odd draw picks the left child
+        x_p = p.children(p.root)[1 - (rng.next_u64() & 1)]
+        x_q = q.children(q.root)[1 - (rng.next_u64() & 1)]
         com_p, unc_p, com_q, unc_q = partition_leaves(p, q, x_p, x_q)
         lp, lq = leafset(p, x_p), leafset(q, x_q)
         assert {p.taxon[x] for x in com_p} == lp & lq
@@ -520,8 +513,8 @@ def test_partition_symmetry_law():
         p, q = generate_pair(
             GeneratorConfig(n=n, seed=rng.next_u64(), k=rng.randrange(n + 1))
         )
-        up, vp = p.left[p.root], p.right[p.root]
-        uq, vq = q.left[q.root], q.right[q.root]
+        up, vp = p.children(p.root)
+        uq, vq = q.children(q.root)
         _, unc_up, _, unc_uq = partition_leaves(p, q, up, uq)
         _, unc_vp, _, unc_vq = partition_leaves(p, q, vp, vq)
         assert {p.taxon[x] for x in unc_up} == {
@@ -692,8 +685,8 @@ def test_root_partition_soundness():
             GeneratorConfig(n=n, seed=rng.next_u64(), k=rng.randrange(n + 1))
         )
         idx_p, idx_q = build_lca_index(p), build_lca_index(q)
-        up, vp = p.left[p.root], p.right[p.root]
-        uq, vq = q.left[q.root], q.right[q.root]
+        up, vp = p.children(p.root)
+        uq, vq = q.children(q.root)
         coms = []
         for x_p in (up, vp):
             for x_q in (uq, vq):

@@ -1,4 +1,4 @@
-"""Triple resolution, the conflict predicate, and the cubic enumerator."""
+"""Triple signatures, the cubic enumerator and the O(n^2) count."""
 
 import itertools
 import math
@@ -6,15 +6,11 @@ import math
 import pytest
 
 from tripcon import (
-    NonDistinctTaxaError,
-    ResolutionKind,
     SplitMix64,
     TaxonMismatchError,
     build_lca_index,
     enumerate_bruteforce,
-    is_conflict,
     parse_newick,
-    resolve_triple,
     triple_resolutions,
     triplet_distance,
 )
@@ -26,49 +22,37 @@ from tripcon.generator import (
     random_binary_tree,
 )
 
+from conftest import cherry
+
 
 def _ids(taxa, names):
     return [taxa.id_of(x) for x in names]
 
 
+def _signature(t):
+    """Each ascending triple of t's taxa mapped to its bias code."""
+    triples = itertools.combinations(sorted(t.leaf_of_taxon), 3)
+    return dict(zip(triples, triple_resolutions(t)))
+
+
 def test_fig1_resolutions(fig1):
     p, q, taxa = fig1
-    idx_p = build_lca_index(p)
-    idx_q = build_lca_index(q)
-    c, d, e = _ids(taxa, "CDE")
-    # C,D,E are ids 2,3,4 so the named pair maps directly onto the kind
-    assert resolve_triple(p, idx_p, c, d, e).kind == ResolutionKind.AB_C  # CD|E
-    assert resolve_triple(q, idx_q, c, d, e).kind == ResolutionKind.BC_A  # DE|C
-    a, b, e = _ids(taxa, "ABE")
-    assert resolve_triple(p, idx_p, a, b, e).kind == ResolutionKind.AB_C  # AB|E
-
-
-def test_resolution_is_permutation_invariant(fig1):
-    p, _, taxa = fig1
-    idx = build_lca_index(p)
-    base = resolve_triple(p, idx, *_ids(taxa, "CDE"))
-    for perm in itertools.permutations(_ids(taxa, "CDE")):
-        assert resolve_triple(p, idx, *perm) == base
-
-
-def test_non_distinct_rejected(fig1):
-    p, _, taxa = fig1
-    idx = build_lca_index(p)
-    a, b = _ids(taxa, "AB")
-    with pytest.raises(NonDistinctTaxaError):
-        resolve_triple(p, idx, a, a, b)
+    sig_p, sig_q = _signature(p), _signature(q)
+    cde = tuple(_ids(taxa, "CDE"))
+    assert sig_p[cde] == 0  # CD|E
+    assert sig_q[cde] == 2  # DE|C
+    assert sig_p[tuple(_ids(taxa, "ABE"))] == 0  # AB|E
 
 
 def test_is_conflict_examples(fig1):
+    # the signatures of P and Q differ on CDE alone, and P's does not
+    # depend on the order of any node's children
     p, q, taxa = fig1
-    idx_p = build_lca_index(p)
-    idx_q = build_lca_index(q)
-    c, d, e = _ids(taxa, "CDE")
-    assert is_conflict(p, q, idx_p, idx_q, c, d, e)
-    a, b, cc = _ids(taxa, "ABC")
-    assert not is_conflict(p, q, idx_p, idx_q, a, b, cc)
-    for trip in itertools.combinations(range(5), 3):
-        assert not is_conflict(p, p, idx_p, idx_p, *trip)
+    sig_p, sig_q = _signature(p), _signature(q)
+    differ = {x for x in sig_p if sig_p[x] != sig_q[x]}
+    assert differ == {tuple(_ids(taxa, "CDE"))}
+    mirror, _ = parse_newick("((B,A),(E,(D,C)));", taxa)
+    assert triple_resolutions(mirror) == triple_resolutions(p)
 
 
 def test_bruteforce_fig1(fig1):
@@ -90,23 +74,19 @@ def test_caterpillar_full_conflict():
         got = enumerate_bruteforce(p, q)
         assert len(got) == math.comb(n, 3)
         # the bias pair is the two lowest ids in one tree, two highest in the other
-        idx_p = build_lca_index(p)
-        idx_q = build_lca_index(q)
-        for a, b, c in itertools.combinations(range(n), 3):
-            assert resolve_triple(p, idx_p, a, b, c).kind == ResolutionKind.AB_C
-            assert resolve_triple(q, idx_q, a, b, c).kind == ResolutionKind.BC_A
+        assert set(triple_resolutions(p)) == {0}
+        assert set(triple_resolutions(q)) == {2}
 
 
-def test_signatures_match_resolve_triple():
+def test_signatures_match_parent_walk():
     rng = SplitMix64(0x0ACE)
     for _ in range(6):
         n = 3 + rng.randrange(20)
         t = random_binary_tree(GeneratorConfig(n=n, seed=rng.next_u64()))
-        idx = build_lca_index(t)
-        sig = triple_resolutions(t, idx)
+        sig = triple_resolutions(t)
         taxa = sorted(t.leaf_of_taxon)
         for pos, (a, b, c) in enumerate(itertools.combinations(taxa, 3)):
-            assert sig[pos] == int(resolve_triple(t, idx, a, b, c).kind)
+            assert sig[pos] == cherry(t, a, b, c)
 
 
 def test_taxon_mismatch():
@@ -128,9 +108,9 @@ def test_restriction_invariance_spot(fig1):
     rp = induced_subtree(p, idx_p, zp)
     rq = induced_subtree(q, idx_q, zq)
     c, d, e = sorted(wanted)
-    assert is_conflict(
-        rp, rq, build_lca_index(rp), build_lca_index(rq), c, d, e
-    ) == is_conflict(p, q, idx_p, idx_q, c, d, e)
+    # CDE, the restricted trees' one triple, stays a conflict
+    assert triple_resolutions(rp) == [cherry(p, c, d, e)] == [0]
+    assert triple_resolutions(rq) == [cherry(q, c, d, e)] == [2]
 
 
 def test_triplet_distance_matches_bruteforce():

@@ -99,3 +99,41 @@ def test_only_tree_assigns_a_taxon_sets_label_table():
                and isinstance(node.ctx, ast.Store) for node in ast.walk(tree)):
             writers.add(path.relative_to(pkg).as_posix())
     assert writers == {"tree.py"}, writers
+
+
+# The oracle resolves triples only through ``triple_resolutions``.
+DELETED_ORACLE_NAMES = {"resolve_triple", "is_conflict", "Resolution",
+                        "ResolutionKind", "NonDistinctTaxaError"}
+
+
+def _names(node):
+    """The identifiers that an ast node binds, reads or exports."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.alias):
+        return [node.name, node.asname]
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]  # an ``__all__`` entry
+    return []
+
+
+def test_trees_keep_no_child_links_and_the_oracle_one_resolver():
+    """A tree's children come only from ``Tree.children``, which reads
+    them off ``leaf_count``: no module reads an attribute ``left`` or
+    ``right``.  And no module names the oracle's retired resolvers."""
+    pkg = pathlib.Path(tripcon.__file__).parent
+    found = set()
+    for path in sorted(pkg.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        module = path.relative_to(pkg).as_posix()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("left",
+                                                                 "right"):
+                found.add((module, node.attr))
+            found.update((module, name) for name in _names(node)
+                         if name in DELETED_ORACLE_NAMES)
+    assert found == set(), sorted(found)

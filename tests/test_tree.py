@@ -122,24 +122,31 @@ def test_leaf_slice_contiguous():
             assert is_ancestor(t, v, leaf)
 
 
+def _kids_by_parent(t):
+    """Each node's children in ascending id order, read from ``parent``
+    alone rather than from the child rule of ``Tree.children``."""
+    kids = [[] for _ in range(t.n_nodes)]
+    for v, up in enumerate(t.parent):
+        if up >= 0:
+            kids[up].append(v)
+    return kids
+
+
 def test_leaf_counts_sum():
     t = random_binary_tree(GeneratorConfig(n=41, seed=2))
+    kids = _kids_by_parent(t)
     for v in range(t.n_nodes):
         if not t.is_leaf(v):
-            assert t.leaf_count[v] == (
-                t.leaf_count[t.left[v]] + t.leaf_count[t.right[v]]
-            )
+            assert t.leaf_count[v] == sum(t.leaf_count[x] for x in kids[v])
     assert t.leaf_count[t.root] == 41
 
 
-
-def _descendants(t, v):
+def _descendants(kids, v):
     out, stack = set(), [v]
     while stack:
         x = stack.pop()
         out.add(x)
-        if t.left[x] >= 0:
-            stack += (t.left[x], t.right[x])
+        stack += kids[x]
     return out
 
 
@@ -147,13 +154,18 @@ def _assert_numbered_in_post_order(t):
     assert_slot_format(t)
     m = t.n_nodes
     assert t.root == m - 1
+    kids = _kids_by_parent(t)
     for v in range(m):
-        if t.left[v] >= 0:
-            assert t.left[v] < t.right[v] < v
-            assert t.parent[t.left[v]] == t.parent[t.right[v]] == v
+        # a node has either no children or two, the rule's pair in order
+        assert len(kids[v]) == (0 if t.is_leaf(v) else 2)
+        if kids[v]:
+            assert kids[v][0] < kids[v][1] < v
+            assert tuple(kids[v]) == t.children(v)
+        else:
+            assert t.children(v) == (-1, -1)
         lo, hi = t.subtree_interval(v)
         assert (lo, hi) == (v - 2 * t.leaf_count[v] + 1, v)
-        assert set(range(lo + 1, hi + 1)) == _descendants(t, v)
+        assert set(range(lo + 1, hi + 1)) == _descendants(kids, v)
 
 
 @pytest.mark.parametrize("t", [
@@ -190,6 +202,10 @@ def test_a_column_tree_derives_every_slot_on_its_first_read():
         assert getattr(lazy, slot) == getattr(t, slot), slot
     with pytest.raises(AttributeError, match="no_such_slot"):
         lazy.no_such_slot
+    # children come from Tree.children alone: a tree keeps no child links
+    for tree, name in itertools.product((t, lazy), ("left", "right")):
+        with pytest.raises(AttributeError, match=name):
+            getattr(tree, name)
 
 
 def test_same_leaf_taxa_compares_keys_unless_both_trees_are_full():
