@@ -55,15 +55,19 @@
  * ends the run through the error path, which releases every pending
  * frame and context.  Each frame's d_r is written once, into its slot of
  * the block, and the returned array('q') is built after the last frame.
- * join_triples turns one such chunk (every chunk is an array('i'),
- * whichever kernel or sort made it) into the text of its lines for
- * tripcon.cli's one chunk writer, which packs its three label tables into
- * one str and an array('q') of offsets: a first pass checks each id and
- * its piece and sums the lengths, and a second, compiled once for each
- * kind of text, copies a piece of at most 16 bytes with one fixed 16-byte
- * memcpy when 16 bytes of text follow its start, and any other piece
- * exactly, into a buffer with 16 bytes of slack.  tripcon.cli._join is
- * its Python twin.
+ * A LineSink is tripcon.cli's one chunk writer: it holds the three label
+ * tables of a format packed into one str and an array('q') of offsets,
+ * checked once when it is made, and writes each chunk as the text of its
+ * lines.  Called from Python it takes an array('i') chunk (whichever
+ * kernel or sort made it) and checks each id against the tables; the
+ * kernel hands it its buffer instead, and no array is made.  One pass sums
+ * the pieces' lengths and a second, compiled once for each kind of text,
+ * copies a piece of at most 16 bytes with one fixed 16-byte memcpy when
+ * 16 bytes of text follow its start and 16 bytes of the destination
+ * remain, and any other piece exactly: an ASCII text straight into its
+ * str, a wider one into a buffer with 16 bytes of slack that
+ * PyUnicode_FromKindAndData narrows.  tripcon.cli._join is its Python
+ * twin.
  *
  * Node ids and leaf counts are C ints; every count of triples, frames,
  * steps or violations (including each frame's d_r) is a long long.  Each
@@ -613,6 +617,281 @@ static void ctx_map(Ctx *c, const int *qleaf)
 }
 
 /* ====================================================================== */
+/* Output: chunks of flat taxon ids to the text of their lines            */
+/* ====================================================================== */
+
+/* The packed tables: text holds 3n pieces one after another, piece j
+   being text[off[j]:off[j + 1]], and id k of a chunk is written as piece
+   (k % 3) n + id.  The offsets are checked when the sink is made and
+   cannot change while it holds their buffer, and a str cannot change, so
+   a chunk's ids are all that is left to check. */
+typedef struct {
+    PyObject_HEAD
+    PyObject *text, *write;
+    PyObject *first;        /* NULL once the first chunk is written */
+    Py_buffer offsets;      /* array('q'), held for the sink's life */
+    const long long *off;
+    Py_ssize_t n, skip;     /* pieces per table, len(sep) */
+    int kind, ascii;        /* of text */
+} LineSink;
+
+static PyTypeObject LineSink_type;
+
+/* Copies the piece that starts at character a and ends at b, of a text of
+   kind bytes per character, to at, before end; returns the end of the
+   copy.  A piece of at most 16 bytes that starts at or before far, so
+   that 16 bytes of text follow its start, and that has 16 bytes of the
+   destination before end, is copied as a fixed 16 bytes, which writes
+   past its own end; any other piece is copied exactly. */
+static inline char *copy_piece(char *at, const char *end, const char *src,
+                               long long a, long long b, long long far,
+                               const int kind)
+{
+    size_t bytes = (size_t)(b - a) * kind;
+
+    if (bytes <= 16 && a <= far && end - at >= 16)
+        memcpy(at, src + a * kind, 16);
+    else
+        memcpy(at, src + a * kind, bytes);
+    return at + bytes;
+}
+
+/* The copy pass over checked ids into [at, end), with kind a constant at
+   each call: the full triples three pieces at a time, then a tail of one
+   or two ids. */
+static inline void copy_lines(char *at, const char *end, const LineSink *s,
+                              const int *id, Py_ssize_t nid, const int kind)
+{
+    const char *src = PyUnicode_DATA(s->text);
+    const long long *t0 = s->off, *t1 = t0 + s->n, *t2 = t1 + s->n;
+    long long far = PyUnicode_GET_LENGTH(s->text) - 16 / kind;
+    Py_ssize_t k;
+
+    for (k = 0; k + 3 <= nid; k += 3) {
+        at = copy_piece(at, end, src, t0[id[k]], t0[id[k] + 1], far, kind);
+        at = copy_piece(at, end, src, t1[id[k + 1]], t1[id[k + 1] + 1], far,
+                        kind);
+        at = copy_piece(at, end, src, t2[id[k + 2]], t2[id[k + 2] + 1], far,
+                        kind);
+    }
+    if (k < nid)
+        at = copy_piece(at, end, src, t0[id[k]], t0[id[k] + 1], far, kind);
+    if (k + 1 < nid)
+        copy_piece(at, end, src, t1[id[k + 1]], t1[id[k + 1] + 1], far, kind);
+}
+
+/* The text of the nid ids at id, each checked against the tables when
+   check is set (a run's ids are taxa of its universe, so a run sets it
+   only when the tables do not cover that), with the first chunk's
+   leading sep traded for first.  A chunk whose ids times the length of
+   text, which bounds each piece, could pass the largest str raises
+   MemoryError.  No Python code runs before the last copy, so the ids
+   cannot change meanwhile. */
+static PyObject *sink_text(const LineSink *s, const int *id, Py_ssize_t nid,
+                           int check)
+{
+    const long long *t0 = s->off, *t1 = t0 + s->n, *t2 = t1 + s->n;
+    Py_ssize_t k, len = 0, size = PyUnicode_GET_LENGTH(s->text);
+    PyObject *text, *rest, *out;
+    char *buf;
+
+    if (size && nid > (PY_SSIZE_T_MAX - 16) / s->kind / size)
+        return PyErr_NoMemory();
+    for (k = 0; check && k < nid; k++)
+        if ((size_t)(unsigned)id[k] >= (size_t)s->n) {
+            PyErr_Format(PyExc_IndexError, "ids[%zd] = %d is out of range",
+                         k, id[k]);
+            return NULL;
+        }
+    for (k = 0; k + 3 <= nid; k += 3)
+        len += (Py_ssize_t)(t0[id[k] + 1] - t0[id[k]]
+                            + t1[id[k + 1] + 1] - t1[id[k + 1]]
+                            + t2[id[k + 2] + 1] - t2[id[k + 2]]);
+    if (k < nid)
+        len += (Py_ssize_t)(t0[id[k] + 1] - t0[id[k]]);
+    if (k + 1 < nid)
+        len += (Py_ssize_t)(t1[id[k + 1] + 1] - t1[id[k + 1]]);
+    if (s->ascii) {
+        /* in place: the str has no slack past its len characters */
+        if ((text = PyUnicode_New(len, 127)) == NULL)
+            return NULL;
+        buf = PyUnicode_DATA(text);
+        copy_lines(buf, buf + len, s, id, nid, 1);
+    } else {
+        if ((buf = xmalloc((size_t)len * s->kind + 16)) == NULL)
+            return NULL;
+        switch (s->kind) {
+        case PyUnicode_1BYTE_KIND:
+            copy_lines(buf, buf + len + 16, s, id, nid, 1);
+            break;
+        case PyUnicode_2BYTE_KIND:
+            copy_lines(buf, buf + 2 * len + 16, s, id, nid, 2);
+            break;
+        default:
+            copy_lines(buf, buf + 4 * len + 16, s, id, nid, 4);
+        }
+        /* narrowed to its widest character, so that an ASCII chunk of a
+           wider text is an ASCII str */
+        text = PyUnicode_FromKindAndData(s->kind, buf, len);
+        free(buf);
+    }
+    if (text == NULL || s->first == NULL)
+        return text;
+    rest = PyUnicode_Substring(text, s->skip, len);
+    Py_DECREF(text);
+    if (rest == NULL)
+        return NULL;
+    out = PyUnicode_Concat(s->first, rest);
+    Py_DECREF(rest);
+    return out;
+}
+
+/* Write the text of a chunk; the first chunk is done once a write of it
+   returns. */
+static int sink_write(LineSink *s, PyObject *text)
+{
+    PyObject *res;
+
+    if (text == NULL)
+        return -1;
+    res = PyObject_CallOneArg(s->write, text);
+    Py_DECREF(text);
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
+    Py_CLEAR(s->first);
+    return 0;
+}
+
+PyDoc_STRVAR(sink_doc,
+"LineSink(text, offsets, write, first='', sep='')\n"
+"--\n"
+"\n"
+"A sink that writes each chunk of flat taxon ids as the text of its\n"
+"lines, one ``write`` of one str per chunk.\n"
+"\n"
+"``text`` holds 3n pieces one after another, piece j being\n"
+"``text[offsets[j]:offsets[j + 1]]``, and id k of a chunk is written as\n"
+"piece ``(k % 3) * n + ids[k]``; the first chunk then trades its first\n"
+"``len(sep)`` characters for ``first``.  ``offsets`` is an array('q') of\n"
+"3n + 1 entries that never decrease and stay inside ``text``, checked\n"
+"here: another type raises TypeError, and another length or value\n"
+"ValueError.  The sink holds its buffer, so it cannot be resized.\n"
+"\n"
+"Called with an array('i') chunk, an id outside [0, n) raises\n"
+"IndexError.  As the sink of ``run_enumeration`` it is handed the\n"
+"kernel's buffer of ids instead, and no array is made.  The twin of\n"
+"``tripcon.cli._join``.");
+
+static PyObject *sink_new(PyTypeObject *type, PyObject *args,
+                          PyObject *kwargs)
+{
+    static char *kwlist[] = {"text", "offsets", "write", "first", "sep",
+                             NULL};
+    PyObject *text, *offsets, *write, *first = NULL, *sep = NULL;
+    Py_buffer view;
+    const long long *off;
+    Py_ssize_t count, size, j;
+    LineSink *s;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "UOO|UU:LineSink", kwlist,
+                                     &text, &offsets, &write, &first, &sep))
+        return NULL;
+#if PY_VERSION_HEX < 0x030C0000
+    if (PyUnicode_READY(text) < 0 || (first && PyUnicode_READY(first) < 0))
+        return NULL;
+#endif
+    if (!PyCallable_Check(write)) {
+        PyErr_SetString(PyExc_TypeError, "write must be callable");
+        return NULL;
+    }
+    if (take_array(offsets, "q", &view) < 0)
+        return NULL;
+    off = view.buf;
+    count = view.len / (Py_ssize_t)sizeof(long long);
+    size = PyUnicode_GET_LENGTH(text);
+    if (count % 3 != 1) {
+        PyErr_Format(PyExc_ValueError,
+                     "offsets must hold 3n + 1 entries, not %zd", count);
+        goto fail;
+    }
+    for (j = 0; j < count; j++)
+        if (off[j] < (j ? off[j - 1] : 0) || off[j] > size) {
+            PyErr_Format(PyExc_ValueError, "offsets[%zd] = %lld: the pieces "
+                         "must not run backwards or leave the %zd characters "
+                         "of text", j, off[j], size);
+            goto fail;
+        }
+    if ((s = (LineSink *)type->tp_alloc(type, 0)) == NULL)
+        goto fail;
+    s->text = Py_NewRef(text);
+    s->write = Py_NewRef(write);
+    s->first = first ? Py_NewRef(first) : PyUnicode_FromString("");
+    s->offsets = view;
+    s->off = off;
+    s->n = count / 3;
+    s->skip = sep ? PyUnicode_GET_LENGTH(sep) : 0;
+    s->kind = PyUnicode_KIND(text);
+    s->ascii = PyUnicode_IS_ASCII(text);
+    if (s->first == NULL) {
+        Py_DECREF(s);
+        return NULL;
+    }
+    return (PyObject *)s;
+fail:
+    PyBuffer_Release(&view);
+    return NULL;
+}
+
+static PyObject *sink_call(LineSink *s, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"ids", NULL};
+    PyObject *obj, *text;
+    Py_buffer ids;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O:LineSink", kwlist,
+                                     &obj)
+        || take_array(obj, "i", &ids) < 0)
+        return NULL;
+    text = sink_text(s, ids.buf, ids.len / (Py_ssize_t)sizeof(int), 1);
+    PyBuffer_Release(&ids);
+    if (sink_write(s, text) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* write is any callable, which may hold the sink; text and first are
+   str, and offsets an array of numbers, so they hold no object. */
+static int sink_traverse(LineSink *s, visitproc visit, void *arg)
+{
+    Py_VISIT(s->write);
+    return 0;
+}
+
+static void sink_dealloc(LineSink *s)
+{
+    PyObject_GC_UnTrack(s);
+    if (s->offsets.obj != NULL)
+        PyBuffer_Release(&s->offsets);
+    Py_XDECREF(s->text);
+    Py_XDECREF(s->write);
+    Py_XDECREF(s->first);
+    Py_TYPE(s)->tp_free((PyObject *)s);
+}
+
+static PyTypeObject LineSink_type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "tripcon._kernels._fast.LineSink",
+    .tp_basicsize = sizeof(LineSink),
+    .tp_dealloc = (destructor)sink_dealloc,
+    .tp_call = (ternaryfunc)sink_call,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = sink_doc,
+    .tp_traverse = (traverseproc)sink_traverse,
+    .tp_new = sink_new,
+};
+
+/* ====================================================================== */
 /* The run                                                                */
 /* ====================================================================== */
 
@@ -623,8 +902,11 @@ typedef struct {
 
 typedef struct {
     long long work, frames, violations, emitted;
-    /* chunks of flat triples go to sink (NULL when counting) */
+    /* chunks of flat triples go to sink (NULL when counting); a LineSink
+       sink is handed tri itself, its ids checked unless its tables cover
+       the universe */
     PyObject *sink;
+    int check_ids;
     /* the rest is one block of size bytes: dr, the int arrays, then fs */
     size_t size;
     long long *dr; /* d_r of the i-th frame opened, one slot per node */
@@ -701,13 +983,22 @@ static void run_free(Run *run)
         block_put(run->dr, run->size);
 }
 
-/* Hand the buffered triples to the sink as a fresh array('i'). */
+/* Hand the buffered triples to the sink: a LineSink reads them in place,
+   any other sink gets a fresh array('i'). */
 static int flush_triples(Run *run)
 {
     PyObject *chunk, *res;
+    LineSink *s = (LineSink *)run->sink;
 
     if (run->ntri == 0)
         return 0;
+    if (Py_IS_TYPE(run->sink, &LineSink_type)) {
+        if (sink_write(s, sink_text(s, run->tri, run->ntri,
+                                    run->check_ids)) < 0)
+            return -1;
+        run->ntri = 0;
+        return 0;
+    }
     chunk = array_of("i", (char *)run->tri, run->ntri * (Py_ssize_t)sizeof(int));
     if (chunk == NULL)
         return -1;
@@ -729,31 +1020,20 @@ static void push_frame(Run *run, Ctx *c, int rp, int rq)
     c->refs++;
 }
 
-/* Buffer the canonical (ascending) form of taxa {a, b, c}; sink runs only. */
+/* Buffer the canonical (ascending) form x < y < z of taxa {a, b, c};
+   sink runs only.  Minima and maxima, with no branch on the ids; y is
+   the one id left, which the xor of all five leaves. */
 static int emit(Run *run, int a, int b, int c)
 {
-    int t;
-    if (a > b) {
-        t = a;
-        a = b;
-        b = t;
-    }
-    if (b > c) {
-        t = b;
-        b = c;
-        c = t;
-        if (a > b) {
-            t = a;
-            a = b;
-            b = t;
-        }
-    }
+    int lo = a < b ? a : b, hi = a < b ? b : a;
+    int x = lo < c ? lo : c, z = hi > c ? hi : c;
+
     if (count_add(&run->emitted, 1, 1) < 0
         || (run->ntri == TRI_CHUNK && flush_triples(run) < 0))
         return -1;
-    run->tri[run->ntri] = a;
-    run->tri[run->ntri + 1] = b;
-    run->tri[run->ntri + 2] = c;
+    run->tri[run->ntri] = x;
+    run->tri[run->ntri + 1] = a ^ b ^ c ^ x ^ z;
+    run->tri[run->ntri + 2] = z;
     run->ntri += 3;
     return 0;
 }
@@ -1024,11 +1304,12 @@ PyDoc_STRVAR(run_enumeration_doc,
 "are only counted, in O(n) memory.  With ``sink``, they go to ``sink``\n"
 "in chunks of 4,096 (the last may hold fewer), each a fresh array('i')\n"
 "of three ids per triple passed as soon as it fills, so listing needs\n"
-"O(n + chunk) memory; an exception from ``sink`` ends the run and\n"
-"propagates.  Raises ValueError unless both columns are full binary\n"
-"trees whose leaves carry the same distinct taxa of [0, universe),\n"
-"OverflowError when d or nodes_touched would pass 2^63 - 1, and\n"
-"AssertionError when the d_r do not sum to d.");
+"O(n + chunk) memory; a ``LineSink`` is handed the run's buffer of ids\n"
+"instead, checked only when its tables do not cover ``universe``.  An\n"
+"exception from ``sink`` ends the run and propagates.  Raises ValueError\n"
+"unless both columns are full binary trees whose leaves carry the same\n"
+"distinct taxa of [0, universe), OverflowError when d or nodes_touched\n"
+"would pass 2^63 - 1, and AssertionError when the d_r do not sum to d.");
 
 static PyObject *run_enumeration(PyObject *module, PyObject *args, PyObject *kwargs)
 {
@@ -1051,6 +1332,8 @@ static PyObject *run_enumeration(PyObject *module, PyObject *args, PyObject *kwa
         return NULL;
     }
     run.sink = sink == Py_None ? NULL : sink;
+    run.check_ids = Py_IS_TYPE(sink, &LineSink_type)
+                    && universe > ((LineSink *)sink)->n;
 
     for (nview = 0; nview < 2; nview++)
         if (take_array(column[nview], "i", &view[nview]) < 0)
@@ -1552,180 +1835,15 @@ done:
     return result;
 }
 
-/* ====================================================================== */
-/* Output: one chunk of flat taxon ids to the text of its lines           */
-/* ====================================================================== */
-
-PyDoc_STRVAR(join_triples_doc,
-"join_triples(ids, text, offsets)\n"
-"--\n"
-"\n"
-"The text of one chunk of flat taxon ids, three per triple.\n"
-"\n"
-"``text`` holds 3n pieces one after another, piece j being\n"
-"``text[offsets[j]:offsets[j + 1]]``, and id k of the chunk is written\n"
-"as piece ``(k % 3) * n + ids[k]``.  ``ids`` is an array('i') and\n"
-"``offsets`` an array('q') of 3n + 1 entries; another type raises\n"
-"TypeError and another length ValueError.  An id outside [0, n) raises\n"
-"IndexError, and a piece whose offsets decrease or pass the end of\n"
-"``text`` ValueError.  The twin of ``tripcon.cli._join``.");
-
-/* One piece of the check pass: id k against its table of offsets.  Sets
-   the exception and returns -1 if the id is outside [0, n), its piece
-   outside text, or *len plus the piece's length past limit, the characters
-   that the scratch buffer can hold; else adds that length to *len. */
-static inline int check_piece(const long long *table, const int *id,
-                              Py_ssize_t k, Py_ssize_t n, Py_ssize_t size,
-                              Py_ssize_t limit, Py_ssize_t *len)
-{
-    const long long *piece;
-
-    if ((size_t)(unsigned)id[k] >= (size_t)n) {
-        PyErr_Format(PyExc_IndexError, "ids[%zd] = %d is out of range",
-                     k, id[k]);
-        return -1;
-    }
-    piece = table + id[k];
-    if (piece[0] < 0 || piece[0] > piece[1] || piece[1] > size) {
-        PyErr_Format(PyExc_ValueError, "ids[%zd] = %d is the piece "
-                     "[%lld, %lld), not inside the %zd characters of "
-                     "text", k, id[k], piece[0], piece[1], size);
-        return -1;
-    }
-    if (piece[1] - piece[0] > limit - *len) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    *len += (Py_ssize_t)(piece[1] - piece[0]);
-    return 0;
-}
-
-/* Copies the piece that starts at character a and ends at b, of a text of
-   kind bytes per character, to at; returns the end of the copy.  A piece
-   of at most 16 bytes that starts at or before far, so that 16 bytes of
-   text follow its start, is copied as a fixed 16 bytes, which writes up to
-   16 bytes past its end; any other piece is copied exactly. */
-static inline char *copy_piece(char *at, const char *src, long long a,
-                               long long b, long long far, const int kind)
-{
-    size_t bytes = (size_t)(b - a) * kind;
-
-    if (bytes <= 16 && a <= far)
-        memcpy(at, src + a * kind, 16);
-    else
-        memcpy(at, src + a * kind, bytes);
-    return at + bytes;
-}
-
-/* The copy pass over checked ids, with kind a constant at each call: the
-   full triples three pieces at a time, then a tail of one or two ids. */
-static inline void copy_pieces(char *at, const char *src, Py_ssize_t size,
-                               const long long *off, Py_ssize_t n,
-                               const int *id, Py_ssize_t nid, const int kind)
-{
-    const long long *t0 = off, *t1 = off + n, *t2 = off + 2 * n;
-    long long far = size - 16 / kind;
-    Py_ssize_t k;
-
-    for (k = 0; k + 3 <= nid; k += 3) {
-        at = copy_piece(at, src, t0[id[k]], t0[id[k] + 1], far, kind);
-        at = copy_piece(at, src, t1[id[k + 1]], t1[id[k + 1] + 1], far,
-                        kind);
-        at = copy_piece(at, src, t2[id[k + 2]], t2[id[k + 2] + 1], far,
-                        kind);
-    }
-    if (k < nid)
-        at = copy_piece(at, src, t0[id[k]], t0[id[k] + 1], far, kind);
-    if (k + 1 < nid)
-        copy_piece(at, src, t1[id[k + 1]], t1[id[k + 1] + 1], far, kind);
-}
-
-/* Two passes over the chunk, in triple order: the first checks each id
-   and the offsets of its piece and sums the lengths, the second copies the
-   pieces, all of text's kind, into one scratch buffer with 16 bytes of
-   slack for the fixed copies.  PyUnicode_FromKindAndData narrows the
-   result to its widest character, so that an ASCII chunk of a wider text
-   is an ASCII str.  No Python code runs meanwhile, so the buffers cannot
-   change. */
-static PyObject *join_triples(PyObject *module, PyObject *args)
-{
-    PyObject *ids_obj, *text, *offsets_obj, *result = NULL;
-    Py_buffer ids, offsets;
-    const int *id;
-    const long long *off;
-    const char *src;
-    char *buf = NULL;
-    Py_ssize_t nid, n, k, size, limit, len = 0;
-    int kind;
-
-    (void)module;
-    if (!PyArg_ParseTuple(args, "OUO:join_triples", &ids_obj, &text,
-                          &offsets_obj))
-        return NULL;
-#if PY_VERSION_HEX < 0x030C0000
-    if (PyUnicode_READY(text) < 0)
-        return NULL;
-#endif
-    if (take_array(ids_obj, "i", &ids) < 0)
-        return NULL;
-    if (take_array(offsets_obj, "q", &offsets) < 0) {
-        PyBuffer_Release(&ids);
-        return NULL;
-    }
-    id = ids.buf;
-    nid = ids.len / (Py_ssize_t)sizeof(int);
-    off = offsets.buf;
-    n = offsets.len / (Py_ssize_t)sizeof(long long);
-    if (n % 3 != 1) {
-        PyErr_Format(PyExc_ValueError,
-                     "offsets must hold 3n + 1 entries, not %zd", n);
-        goto done;
-    }
-    n /= 3;
-    size = PyUnicode_GET_LENGTH(text);
-    kind = PyUnicode_KIND(text);
-    src = PyUnicode_DATA(text);
-    limit = (PY_SSIZE_T_MAX - 16) / kind;
-    for (k = 0; k + 3 <= nid; k += 3)
-        if (check_piece(off, id, k, n, size, limit, &len) < 0
-            || check_piece(off + n, id, k + 1, n, size, limit, &len) < 0
-            || check_piece(off + 2 * n, id, k + 2, n, size, limit, &len) < 0)
-            goto done;
-    if (k < nid && check_piece(off, id, k, n, size, limit, &len) < 0)
-        goto done;
-    if (k + 1 < nid && check_piece(off + n, id, k + 1, n, size, limit,
-                                   &len) < 0)
-        goto done;
-    if ((buf = xmalloc((size_t)len * kind + 16)) == NULL)
-        goto done;
-    switch (kind) {
-    case PyUnicode_1BYTE_KIND:
-        copy_pieces(buf, src, size, off, n, id, nid, 1);
-        break;
-    case PyUnicode_2BYTE_KIND:
-        copy_pieces(buf, src, size, off, n, id, nid, 2);
-        break;
-    default:
-        copy_pieces(buf, src, size, off, n, id, nid, 4);
-    }
-    result = PyUnicode_FromKindAndData(kind, buf, len);
-done:
-    free(buf);
-    PyBuffer_Release(&ids);
-    PyBuffer_Release(&offsets);
-    return result;
-}
-
 static PyMethodDef fast_methods[] = {
     {"run_enumeration", (PyCFunction)(void (*)(void))run_enumeration,
      METH_VARARGS | METH_KEYWORDS, run_enumeration_doc},
     {"parse_newick", parse_newick, METH_VARARGS, parse_newick_doc},
-    {"join_triples", join_triples, METH_VARARGS, join_triples_doc},
     {NULL, NULL, 0, NULL},
 };
 
 PyDoc_STRVAR(fast_doc,
-"Compiled enumeration kernel, Newick parser and chunk join.\n"
+"Compiled enumeration kernel, Newick parser and line sink.\n"
 "\n"
 "``run_enumeration`` is the twin of ``tripcon._kernels.pure``: same\n"
 "recursion, same emission order, same work-counter arithmetic (the\n"
@@ -1733,8 +1851,8 @@ PyDoc_STRVAR(fast_doc,
 "the algorithm and counter contract.  ``parse_newick`` reads a tree's\n"
 "taxon column in one pass, with its labels in a ``LabelTable``, and\n"
 "leaves every error to the regex parser of ``tripcon.newick``.\n"
-"``join_triples`` writes one chunk of ids as the text of its lines,\n"
-"from the label tables that ``tripcon.cli`` packs into one str and its\n"
+"``LineSink`` writes each chunk of ids as the text of its lines, from\n"
+"the label tables that ``tripcon.cli`` packs into one str and its\n"
 "offsets.");
 
 static struct PyModuleDef fast_module = {
@@ -1755,11 +1873,13 @@ PyMODINIT_FUNC PyInit__fast(void)
         if (array_type == NULL)
             return NULL;
     }
-    if (PyType_Ready(&Table_type) < 0
+    if (PyType_Ready(&Table_type) < 0 || PyType_Ready(&LineSink_type) < 0
         || (module = PyModule_Create(&fast_module)) == NULL)
         return NULL;
     if (PyModule_AddObjectRef(module, "LabelTable",
-                              (PyObject *)&Table_type) < 0) {
+                              (PyObject *)&Table_type) < 0
+        || PyModule_AddObjectRef(module, "LineSink",
+                                 (PyObject *)&LineSink_type) < 0) {
         Py_DECREF(module);
         return NULL;
     }

@@ -84,8 +84,8 @@ def _load_pair(path_p, path_q, label_order=False):
 def _join(ids, lead, mid, end):
     """The text of one chunk of flat ids: id k is written as
     ``(lead, mid, end)[k % 3][ids[k]]``.  An id outside its table raises
-    IndexError.  ``_fast.join_triples`` is its compiled twin, over the
-    same tables packed by ``_pack``."""
+    IndexError.  ``_fast.LineSink`` is its compiled twin, over the same
+    tables packed by ``_pack``."""
     if ids and min(ids) < 0:
         raise IndexError(f"taxon id {min(ids)} is out of range")
     parts = [None] * len(ids)
@@ -96,9 +96,9 @@ def _join(ids, lead, mid, end):
 
 
 def _pack(lead, mid, end):
-    """The three label tables of a chunk join as ``_fast.join_triples``
-    reads them: one str of their 3n pieces and an ``array('q')`` of the
-    3n + 1 offsets that bound them."""
+    """The three label tables of a chunk join as ``_fast.LineSink`` reads
+    them, which checks them once when it is made: one str of their 3n
+    pieces and an ``array('q')`` of the 3n + 1 offsets that bound them."""
     pieces = lead + mid + end
     return "".join(pieces), array("q", accumulate(map(len, pieces), initial=0))
 
@@ -112,25 +112,20 @@ def _chunk_writer(write, mid, end, first="", sep=""):
     over three tables that are built here only: ``sep + mid`` for the
     first id of each triple, ``mid`` and ``end``.  The first chunk then
     trades its leading ``sep`` for ``first``.  Whenever the compiled
-    module is loaded, whatever the kernel, ``_pack`` packs the tables once
-    for ``_fast.join_triples``; without it, ``_join`` reads them as
-    lists."""
+    module is loaded, whatever the kernel, the sink is a
+    ``_fast.LineSink`` over the tables packed once by ``_pack``, which the
+    compiled kernel hands its buffer of ids without making an array;
+    without the module, ``_join`` reads the tables as lists."""
     lead = [sep + label for label in mid]
-    if _fast is None:
-        def join(ids):
-            return _join(ids, lead, mid, end)
-    else:
-        text, offsets = _pack(lead, mid, end)
-
-        def join(ids):
-            return _fast.join_triples(ids, text, offsets)
+    if _fast is not None:
+        return _fast.LineSink(*_pack(lead, mid, end), write, first, sep)
 
     def sink(ids):
         nonlocal first
         if first is None:
-            write(join(ids))
+            write(_join(ids, lead, mid, end))
         else:
-            write(first + join(ids)[len(sep):])
+            write(first + _join(ids, lead, mid, end)[len(sep):])
             first = None
 
     return sink

@@ -258,8 +258,10 @@ def enumerate_conflicts(p, q, *, backend=None, collect=False, sink=None):
     ``sink`` is called with chunks of flat taxon ids, three per triple
     and each triple a < b < c, and ``conflicts`` stays ``None``.  Each
     chunk is a fresh ``array('i')`` of at most 4,096 triples, with the
-    same ids from either kernel.  An exception raised by ``sink`` ends
-    the run and propagates.  With ``collect=True`` the chunks go to one
+    same ids from either kernel; a ``_fast.LineSink``, the sink of
+    ``tripcon conflicts``, given to the compiled kernel is fed from the
+    kernel's buffer instead, in the same chunks, and gets no arrays.  An
+    exception raised by ``sink`` ends the run and propagates.  With ``collect=True`` the chunks go to one
     ``array('i')`` instead, and the triples are stored on the returned
     :class:`Instrumentation` as ``conflicts``, a list of plain
     ``(a, b, c)`` tuples, a < b < c, in chunk order.  Passing both

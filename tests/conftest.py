@@ -322,7 +322,7 @@ def _long_labels(char, width):
     """Labels of ``char``, ``width`` bytes in the packed text, whose
     pieces in text framing (the label and a tab or a newline) are one
     character under 16 bytes, 16 bytes, one character over and 40 bytes:
-    the edges of the fixed 16-byte copy of ``_fast.join_triples``."""
+    the edges of the fixed 16-byte copy of ``_fast.LineSink``."""
     return [char * (chars - 1) for chars in
             (16 // width - 1, 16 // width, 16 // width + 1, 40 // width)]
 

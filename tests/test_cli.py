@@ -17,6 +17,7 @@ from tripcon import (
     TaxonSet,
     Tree,
     enumerate_bruteforce,
+    enumerate_conflicts,
     parse_newick,
     serialize_newick,
 )
@@ -27,14 +28,21 @@ from tripcon.generator import GeneratorConfig, generate_pair
 from conftest import (BAD_OFFSETS, TWO_TAXA, env_without_kernel, held_slots,
                       join_cases)
 
+
+def _line_sink_join(ids, *tables):
+    """The text that a ``_fast.LineSink`` over the packed tables writes
+    for one chunk called from Python."""
+    written = []
+    cli._fast.LineSink(*cli._pack(*tables), written.append)(ids)
+    return written[0]
+
+
 # The chunk joins, both called as ``join(ids, lead, mid, end)``: the
-# reference ``_join``, and the compiled twin that the chunk writer calls,
-# over the packed tables, whenever the compiled module is loaded.
+# reference ``_join``, and the compiled twin, the sink that the chunk
+# writer returns whenever the compiled module is loaded.
 JOINS = [pytest.param(cli._join, id="python")]
 if cli._fast is not None:
-    JOINS.append(pytest.param(
-        lambda ids, *tables: cli._fast.join_triples(ids, *cli._pack(*tables)),
-        id="compiled"))
+    JOINS.append(pytest.param(_line_sink_join, id="compiled"))
 needs_fast = pytest.mark.skipif(cli._fast is None,
                                 reason="compiled module not built")
 
@@ -317,36 +325,155 @@ def test_chunk_writer_frames_first_and_later_chunks(compiled, monkeypatch):
 
 
 @needs_fast
-def test_compiled_join_checks_its_arguments():
-    join = cli._fast.join_triples
+def test_line_sink_checks_its_tables_when_built():
+    sink = cli._fast.LineSink
     text, offsets = cli._pack(*TWO_TAXA)
+    written = []
     ids = array("i", [0, 1, 1])
-    assert join(ids, text, offsets) == "a\tb\t\U0001f332\n"
-    assert join(array("i"), text, offsets) == ""
-    # ids and offsets only as arrays of their typecode, text only as str
-    for bad in ([0, 1, 1], (0, 1, 1), array("l", ids), array("I", ids),
-                bytes(ids)):
+    sink(text, offsets, written.append)(ids)
+    sink(text, offsets, written.append)(array("i"))
+    assert written == ["a\tb\t\U0001f332\n", ""]
+    # offsets only as an array('q'), text only as str, write callable
+    for bad in (list(offsets), array("l", offsets), array("i", offsets),
+                bytes(offsets)):
         with pytest.raises(TypeError):
-            join(bad, text, offsets)
-    for bad in (list(offsets), array("l", offsets), array("i", offsets)):
-        with pytest.raises(TypeError):
-            join(ids, text, bad)
+            sink(text, bad, written.append)
     with pytest.raises(TypeError):
-        join(ids, text.encode(), offsets)
+        sink(text.encode(), offsets, written.append)
+    with pytest.raises(TypeError):
+        sink(text, offsets, None)
     # 3n + 1 offsets, n the table length
     for bad in (offsets[:-1], offsets[:-2], offsets + array("q", [7]),
                 array("q")):
         with pytest.raises(ValueError, match="3n"):
-            join(ids, text, bad)
-    # a piece that runs backwards, starts before text or ends past it;
-    # piece p is id p % 2 at position p // 2
-    for j, value, piece in BAD_OFFSETS:
+            sink(text, bad, written.append)
+    # a piece that runs backwards, starts before text or ends past it
+    for j, value, _ in BAD_OFFSETS:
         bad = array("q", offsets)
         bad[j] = value
-        chunk = array("i", [0, 0, 0])
-        chunk[piece // 2] = piece % 2
-        with pytest.raises(ValueError, match="piece"):
-            join(chunk, text, bad)
+        with pytest.raises(ValueError, match="pieces"):
+            sink(text, bad, written.append)
+    # a built sink holds its offsets, which then cannot be resized
+    held = array("q", offsets)
+    built = sink(text, held, written.append)
+    with pytest.raises(BufferError):
+        held.append(12)
+    # chunks only as an array('i'), each id inside its table
+    for bad in ([0, 1, 1], (0, 1, 1), array("l", ids), array("I", ids),
+                bytes(ids)):
+        with pytest.raises(TypeError):
+            built(bad)
+    for at in range(6):
+        for value in (-1, 2, -2 ** 31, 2 ** 31 - 1):
+            chunk = array("i", [0, 1, 1, 1, 1, 0])
+            chunk[at] = value
+            with pytest.raises(IndexError):
+                built(chunk)
+    del built
+    held.append(12)
+    # as the sink of a run whose taxa its tables do not cover, in either
+    # kernel
+    p, q = generate_pair(GeneratorConfig(n=12, seed=2, k=6))
+    for backend in available_backends():
+        with pytest.raises(IndexError):
+            enumerate_conflicts(p, q, sink=sink(text, offsets, written.append),
+                                backend=backend)
+    assert len(written) == 2
+
+
+def _label_sets(n):
+    """n labels of each str kind, of all kinds mixed, and ASCII but for
+    the last one; the test below hangs the last label of each set off the
+    root of both trees, so that it is in no conflict."""
+    sets = {kind: [f"{char}{i}" for i in range(n)] for kind, char in
+            (("ascii", "t"), ("latin1", "\u00e9"), ("bmp", "\u65e5"),
+             ("astral", "\U0001f332"))}
+    sets["mixed"] = [("t", "\u00e9", "\u65e5", "\U0001f332")[i % 4] + str(i)
+                     for i in range(n)]
+    sets["outgroup"] = sets["ascii"][:-1] + ["\u00e9"]
+    return sets
+
+
+@needs_fast
+@pytest.mark.parametrize("kind", ["ascii", "latin1", "bmp", "astral", "mixed",
+                                  "outgroup"])
+def test_kernel_fed_and_called_line_sinks_write_the_same(tmp_path, capsys,
+                                                         monkeypatch, kind):
+    # the compiled kernel hands the sink its buffer, the pure kernel and
+    # --sorted call it with arrays, and without the compiled module the
+    # Python join writes: the same list of strings, over chunks of 4,096
+    # triples, so that the first chunk and every later one are both seen
+    n = 60
+    labels = _label_sets(n)[kind]
+    p, q = generate_pair(GeneratorConfig(n=n - 1, seed=8, k=40))
+    names = TaxonSet(labels[:-1])
+    outgroup = "'" + labels[-1] + "'"
+    paths = []
+    for tag, t in (("p", p), ("q", q)):
+        path = tmp_path / f"{tag}.nwk"
+        path.write_text(f"({serialize_newick(t, names)[:-1]},{outgroup});",
+                        encoding="utf-8")
+        paths.append(str(path))
+    writer = cli._chunk_writer
+    written = []
+    compiled = []
+
+    def recording_writer(write, *tables):
+        sink = writer(written.append, *tables)
+        compiled.append(isinstance(sink, tripcon._kernels._fast.LineSink))
+        return sink
+
+    monkeypatch.setattr(cli, "_chunk_writer", recording_writer)
+    for fmt in ("text", "tsv", "json"):
+        runs = {}
+        for backend, extra, fast in (("fast", [], True), ("pure", [], True),
+                                     ("pure", [], False),
+                                     ("fast", ["--sorted"], True),
+                                     ("pure", ["--sorted"], False)):
+            monkeypatch.setattr(cli, "_fast",
+                                tripcon._kernels._fast if fast else None)
+            written.clear()
+            compiled.clear()
+            code, _, err = run_cli(capsys, "--backend", backend, "conflicts",
+                                   *paths, "--format", fmt, *extra)
+            assert (code, err, compiled) == (0, "", [fast])
+            runs[backend, tuple(extra), fast] = list(written)
+        streamed = runs["fast", (), True]
+        assert len(streamed) >= 3
+        assert all(x == streamed for key, x in runs.items() if not key[1])
+        assert runs["fast", ("--sorted",), True] == runs["pure", ("--sorted",),
+                                                         False]
+        # an ASCII chunk of a wider table is an ASCII str
+        assert [x.isascii() for x in streamed] == [
+            kind in ("ascii", "outgroup") or fmt == "json"] * len(streamed)
+
+
+@needs_fast
+def test_a_line_sink_whose_write_raises_ends_the_run_cleanly():
+    # the exception propagates, and the kernel's blocks are released: the
+    # next count and listing equal the pure kernel's
+    p, q = generate_pair(GeneratorConfig(n=80, seed=3, k=40))
+    names = list(p.taxa.names)
+    want = enumerate_conflicts(p, q, collect=True, backend="pure")
+    assert want.d > 3 * 4096
+    writes = []
+
+    def write(text):
+        writes.append(text)
+        if len(writes) == 2:
+            raise KeyError("stop")
+
+    for backend in ("fast", "pure", "fast"):
+        writes.clear()
+        sink = cli._chunk_writer(write, [x + "\t" for x in names],
+                                 [x + "\n" for x in names])
+        with pytest.raises(KeyError, match="stop"):
+            enumerate_conflicts(p, q, sink=sink, backend=backend)
+        assert len(writes) == 2
+        got = enumerate_conflicts(p, q, backend="fast")
+        assert (got.d, got.nodes_touched) == (want.d, want.nodes_touched)
+        got = enumerate_conflicts(p, q, collect=True, backend="fast")
+        assert got.conflicts == want.conflicts
 
 
 def test_conflicts_output_is_the_same_for_every_kernel_and_join(tmp_path,

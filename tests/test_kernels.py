@@ -534,54 +534,86 @@ else:
     raise AssertionError("a label past the table")
 del table, tables
 
-# the chunk join: every case of join_cases against the Python join, and
-# through the chunk writer as a first and a later chunk; then ids outside
-# the table in every position, arguments of the wrong type or length, and
-# offsets that break the piece of an id
+# the line sink: every case of join_cases against the Python join, as a
+# first and a later chunk, and again with the chunk's last piece one of
+# at most 16 bytes, for which an ASCII str built in place has no slack;
+# then ids outside the table in every position, arguments of the wrong
+# type or length, and offsets that break a piece
 import json
 from array import array
 from tripcon import cli
 from tripcon.cli import _join, _pack
-join = _kernels._fast.join_triples
+LineSink = _kernels._fast.LineSink
 assert cli._fast is _kernels._fast
+def short_last(ids, tables):
+    # the chunk with its last id that of the shortest piece of its table
+    table = tables[(len(ids) - 1) % 3]
+    return ids[:-1] + [min(range(len(table)), key=lambda i: len(table[i]))]
 with open({cases!r}, encoding="utf-8") as fh:
     cases = json.load(fh)
 for ids, mid, end, first, sep in cases:
     lead = [sep + x for x in mid]
-    chunk = array("i", ids)
-    want = _join(chunk, lead, mid, end)
-    got = join(chunk, *_pack(lead, mid, end))
-    assert got == want and got.isascii() == want.isascii()
-    written = []
-    sink = cli._chunk_writer(written.append, mid, end, first, sep)
-    sink(chunk)
-    sink(chunk)
-    assert written == [first + mid[ids[0]] + want[len(lead[ids[0]]):],
-                       want]
-    assert all(x.isascii() == want.isascii() for x in written)
+    for chunk in (array("i", ids), array("i", short_last(ids,
+                                                         (lead, mid, end)))):
+        want = _join(chunk, lead, mid, end)
+        written = []
+        sink = cli._chunk_writer(written.append, mid, end, first, sep)
+        assert type(sink) is LineSink
+        sink(chunk)
+        sink(chunk)
+        assert written == [first + want[len(sep):], want]
+        assert all(x.isascii() == want.isascii() for x in written)
+# a kernel run into a sink, d > 4,096, against the same sink called with
+# the pure kernel's chunks, over labels of every str kind
+p, q = generate_pair(GeneratorConfig(n=60, seed=8, k=40))
+labels = [("t", "\u00e9", "\u65e5", "\U0001f332")[i % 4] + str(i)
+          for i in range(60)]
+for framing in ((labels, "\\t", "\\n", "", ""),
+                ([json.dumps(x) for x in labels], ", ", "]", "[[", ", [")):
+    names, after_mid, after_end, first, sep = framing
+    mid = [x + after_mid for x in names]
+    end = [x + after_end for x in names]
+    got = {{}}
+    for backend in ("fast", "pure"):
+        got[backend] = []
+        sink = cli._chunk_writer(got[backend].append, mid, end, first, sep)
+        d = enumerate_conflicts(p, q, sink=sink, backend=backend).d
+    assert d > 4096 and len(got["fast"]) > 1 and got["fast"] == got["pure"]
 text, offsets = _pack(*{two!r})
 ids = array("i", [0, 1, 1])
-bad_calls = [([0, 1, 1], text, offsets), (array("l", ids), text, offsets),
-             (ids, text.encode(), offsets), (ids, text, list(offsets)),
-             (ids, text, array("l", offsets)), (ids, text, offsets[:-1]),
-             (ids, text, offsets[:-2]), (ids, text, array("q"))]
+bad_sinks = [(text.encode(), offsets), (text, list(offsets)),
+             (text, array("l", offsets)), (text, offsets[:-1]),
+             (text, offsets[:-2]), (text, array("q"))]
+for j, value, piece in {bad_offsets!r}:
+    bad = array("q", offsets)
+    bad[j] = value
+    bad_sinks.append((text, bad))
+for args in bad_sinks:
+    try:
+        LineSink(*args, print)
+    except (TypeError, ValueError):
+        continue
+    raise AssertionError(args)
+sink = LineSink(text, offsets, print)
+bad_calls = [[0, 1, 1], array("l", ids)]
 for at in range(6):
     for bad in (-1, 2, -2 ** 31, 2 ** 31 - 1):
         chunk = array("i", [0, 1, 1, 1, 1, 0])
         chunk[at] = bad
-        bad_calls.append((chunk, text, offsets))
-for j, value, piece in {bad_offsets!r}:
-    bad = array("q", offsets)
-    bad[j] = value
-    chunk = array("i", [0, 0, 0])
-    chunk[piece // 2] = piece % 2
-    bad_calls.append((chunk, text, bad))
-for args in bad_calls:
+        bad_calls.append(chunk)
+for chunk in bad_calls:
     try:
-        join(*args)
-    except (IndexError, TypeError, ValueError):
+        sink(chunk)
+    except (IndexError, TypeError):
         continue
-    raise AssertionError(args)
+    raise AssertionError(chunk)
+try:
+    enumerate_conflicts(*generate_pair(GeneratorConfig(n=12, seed=2, k=6)),
+                        sink=sink, backend="fast")
+except IndexError:
+    pass
+else:
+    raise AssertionError("a run's taxa past the sink's tables")
 print("ok")
 """
 

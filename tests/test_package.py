@@ -137,3 +137,14 @@ def test_trees_keep_no_child_links_and_the_oracle_one_resolver():
             found.update((module, name) for name in _names(node)
                          if name in DELETED_ORACLE_NAMES)
     assert found == set(), sorted(found)
+
+
+def test_compiled_module_exports_one_line_sink():
+    """``_fast`` exports the kernel, the Newick pass, its label table and
+    the one line sink: the conflicts lines have one compiled writer."""
+    from tripcon._kernels import _fast
+    if _fast is None:
+        pytest.skip("compiled module not built")
+    names = {name for name in dir(_fast) if not name.startswith("_")}
+    assert names == {"run_enumeration", "parse_newick", "LineSink",
+                     "LabelTable"}, sorted(names)
