@@ -261,11 +261,11 @@ def enumerate_conflicts(p, q, *, backend=None, collect=False, sink=None):
     same ids from either kernel; a ``_fast.LineSink``, the sink of
     ``tripcon conflicts``, given to the compiled kernel is fed from the
     kernel's buffer instead, in the same chunks, and gets no arrays.  An
-    exception raised by ``sink`` ends the run and propagates.  With ``collect=True`` the chunks go to one
-    ``array('i')`` instead, and the triples are stored on the returned
-    :class:`Instrumentation` as ``conflicts``, a list of plain
-    ``(a, b, c)`` tuples, a < b < c, in chunk order.  Passing both
-    raises ValueError.  With neither, only the counters are produced and
+    exception raised by ``sink`` ends the run and propagates.  With
+    ``collect=True`` the chunks go to one ``array('i')`` instead, and
+    the triples are stored on the returned :class:`Instrumentation` as
+    ``conflicts``, a list of plain ``(a, b, c)`` tuples, a < b < c, in
+    chunk order.  Passing both raises ValueError.  With neither, only the counters are produced and
     no triple is materialized, so counting stays cheap even when d is
     enormous.  Ordering is deterministic for a given input but otherwise
     unspecified; only set semantics and exactly-once are contractual.
