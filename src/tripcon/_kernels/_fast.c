@@ -9,18 +9,19 @@
  * is an id interval, an LCA one range minimum over the depths, and a
  * tree is its taxon column: internal node v (taxon -1) has children
  * v - 2 lc[v - 1] and v - 1.  side_finish derives every other array of
- * an input tree from that column, with the checks and the messages of
- * tripcon.tree's finalizer.  The inputs' taxon columns are array('i'),
- * read in place through take_array, the one buffer reader, and released
- * before the first frame.
+ * a tree, input or induced, from that column, with the checks and the
+ * messages of tripcon.tree's finalizer.  The inputs' taxon columns are
+ * array('i'), read in place through take_array, the one buffer reader,
+ * and released before the first frame.
  * See tripcon.enumeration for the algorithm and the counter contract.
  * As in the pure kernel, one routine serves each layer on both trees and
  * both sides: sweep() builds every induced subtree from host depths
- * numbered in order, and each is swept once.  side_from_leaflist reads a
- * child side straight off its sweep, whose completion order is
- * post-order, and lsc (ListSubtreeConflicts) sweeps T|Z once per call
- * and walks it from the edge each candidate splits.  split() cuts one
- * side of one pair in the partition.
+ * numbered in order, and each is swept once.  side_induced writes a child
+ * side's taxon column in the order its sweep completes the nodes, which
+ * is post-order, as tripcon.restrict.induced_subtree does, and lsc
+ * (ListSubtreeConflicts) sweeps T|Z once per call and walks it from the
+ * edge each candidate splits.  split() cuts one side of one pair in the
+ * partition.
  *
  * Ownership.  A recursion context (a tree pair with its derived arrays,
  * range-minimum tables and leaf-set-equivalence map) is one malloc'ed
@@ -41,10 +42,11 @@
  * kept, up to SPARES of them, in place of a smaller one, and the next
  * block taken, by this run or the next, is the smallest spare large
  * enough, so a repeated run of one size touches no fresh page.  A run
- * first frees every spare larger than its own block, so between calls
- * the module holds at most SPARES blocks, none larger than the last
- * run's largest, and a small run after a big one gives the big one's
- * memory back.  Under ASan a waiting spare is poisoned, and so is the
+ * first frees every spare larger than its own block, and as it ends it
+ * frees the largest spares until they hold at most SPARE_BYTES (8 MiB),
+ * so between calls the module holds at most that much in at most SPARES
+ * blocks, and a big run gives back the rest of its memory when it ends.
+ * Under ASan a waiting spare is poisoned, and so is the
  * tail of a reused block past its request, so an overrun or a use after
  * release is reported as it is with malloc and free.
  *
@@ -58,10 +60,11 @@
  * A LineSink is tripcon.cli's one chunk writer: it holds the three label
  * tables of a format packed into one str and an array('q') of offsets,
  * checked once when it is made, and writes each chunk as the text of its
- * lines.  Called from Python it takes an array('i') chunk (whichever
- * kernel or sort made it) and checks each id against the tables; the
- * kernel hands it its buffer instead, and no array is made.  One pass sums
- * the pieces' lengths and a second, compiled once for each kind of text,
+ * lines, one str to one call of its write; tripcon.cli frames the first
+ * chunk of a JSON listing in the write it hands over.  Called from Python
+ * it takes an array('i') chunk (whichever kernel or sort made it) and
+ * checks each id against the tables; the kernel hands it its buffer
+ * instead, and no array is made.  One pass sums the pieces' lengths and a second, compiled once for each kind of text,
  * copies a piece of at most 16 bytes with one fixed 16-byte memcpy when
  * 16 bytes of text follow its start and 16 bytes of the destination
  * remain, and any other piece exactly: an ASCII text straight into its
@@ -318,14 +321,15 @@ static inline int left_of(const Side *s, int v)
     return v - 2 * s->lc[v - 1];
 }
 
-/* Copy the taxon column of an input tree into s, derive the rest and
-   build the range minimum.  One forward pass reads node v as a leaf
-   (taxon >= 0) or as an internal node (taxon -1) that joins the two
-   subtrees completed last before it, v - 2 lc[v - 1] >= 0 and v - 1, as
-   tripcon.tree's finalizer does; the root m - 1 must then cover all m
-   ids.  tleaf, a map of the nt taxa to their leaves holding -1 for every
-   taxon not seen yet, is filled on the way, and a taxon below -1 or at or
-   above nt and a repeated one are rejected. */
+/* Copy the taxon column of a tree, an input or one that side_induced
+   writes, into s, derive the rest and build the range minimum.  One
+   forward pass reads node v as a leaf (taxon >= 0) or as an internal node
+   (taxon -1) that joins the two subtrees completed last before it,
+   v - 2 lc[v - 1] >= 0 and v - 1, as tripcon.tree's finalizer does; the
+   root m - 1 must then cover all m ids.  tleaf, a map of the nt taxa to
+   their leaves holding -1 for every taxon of the tree, is filled on the
+   way, and a taxon below -1 or at or above nt and a repeated one are
+   rejected. */
 static int side_finish(Side *s, const int *taxon, int *tleaf, int nt)
 {
     int m = s->m, nleaf = 0, v, l, t;
@@ -372,9 +376,10 @@ static int side_finish(Side *s, const int *taxon, int *tleaf, int nt)
     return 0;
 }
 
-/* Scratch of the induced-subtree sweep: its input dep, its output parent
-   links, leaf ranges and completion order, and its stack, free again once
-   the sweep is done, each sized for the largest sweep of the run. */
+/* Scratch of the induced-subtree sweep, each array sized for the largest
+   sweep of the run: its input dep, its output parent links and leaf
+   ranges, which lsc walks, its completion order, which side_induced reads,
+   and its stack. */
 typedef struct {
     int *dep, *par, *first, *last, *ord, *stk;
 } Sweep;
@@ -437,38 +442,27 @@ static int inorder_depths(const Side *t, const int *z, int k, int *dep)
     return rz;
 }
 
-/* Fill s, laid out for 2k - 1 nodes, with the subtree of parent induced by
-   k >= 2 ascending leaves z, read off its sweep: node v is the in-order
-   node ord[v], since the sweep completes the nodes in post-order, and stk,
-   free once the sweep is done, maps in-order nodes back to post-order. */
-static void side_from_leaflist(Side *s, const Side *parent, const int *z,
-                               int k, Sweep *sw)
+/* Fill s, laid out for 2k - 1 nodes, with the subtree of t induced by
+   k >= 2 ascending leaves z, as tripcon.restrict.induced_subtree does: its
+   taxon column is the in-order nodes in the order the sweep completes
+   them, which is post-order, and side_finish derives the rest.  tleaf,
+   the map of the nt taxa to t's leaves, maps z's taxa to s's leaves
+   after it. */
+static int side_induced(Side *s, const Side *t, const int *z, int k,
+                        Sweep *sw, int *tleaf, int nt)
 {
-    const int *par = sw->par, *first = sw->first, *last = sw->last;
-    const int *ord = sw->ord;
-    int *post = sw->stk;
-    int m = s->m, v, x;
+    int v, x;
 
-    inorder_depths(parent, z, k, sw->dep);
+    inorder_depths(t, z, k, sw->dep);
     sweep(sw, k);
-    for (v = 0; v < m; v++)
-        post[ord[v]] = v;
-    for (v = 0; v < m; v++) {
-        x = ord[v];
-        s->lc[v] = last[x] - first[x] + 1;
-        s->lb[v] = first[x];
-        if (x & 1) {
+    for (v = 0; v < s->m; v++) {
+        x = sw->ord[v];
+        if (x & 1)
             s->taxon[v] = -1;
-        } else {
-            s->taxon[v] = parent->taxon[z[x >> 1]];
-            s->leaves[x >> 1] = v;
-        }
-        s->parent[v] = par[x] < 0 ? -1 : post[par[x]];
+        else
+            tleaf[s->taxon[v] = t->taxon[z[x >> 1]]] = -1;
     }
-    s->depth[m - 1] = 0;
-    for (v = m - 2; v >= 0; v--)
-        s->depth[v] = s->depth[s->parent[v]] + 1;
-    rmq_build(s);
+    return side_finish(s, s->taxon, tleaf, nt);
 }
 
 /* The node count of a tree given as a taxon column; -1 if its length does
@@ -489,13 +483,6 @@ static int column_size(const Py_buffer *column)
     return (int)m;
 }
 
-static void write_scratch(const Side *s, int *scratch)
-{
-    int r;
-    for (r = 0; r < s->nl; r++)
-        scratch[s->taxon[s->leaves[r]]] = s->leaves[r];
-}
-
 /* ====================================================================== */
 /* Blocks kept between runs                                               */
 /* ====================================================================== */
@@ -505,8 +492,11 @@ static void write_scratch(const Side *s, int *scratch)
    so a sink that starts a nested run gets blocks of its own.  A repeated
    run takes every block from a spare when it holds at most SPARES blocks
    at once: counts of uniform and balanced pairs at n = 16,384 with 4 to
-   16 swaps hold 4 to 12, and caterpillar pairs 3. */
+   16 swaps hold 4 to 12, and caterpillar pairs 3.  The spares that a run
+   leaves hold at most SPARE_BYTES, above the 6.3 MB in 7 blocks that a
+   count of a uniform pair at n = 16,384 with 4 swaps leaves. */
 #define SPARES 16
+#define SPARE_BYTES ((size_t)8 << 20)
 
 static void *spare[SPARES];
 static size_t spare_size[SPARES]; /* 0 for an empty slot */
@@ -551,16 +541,24 @@ static void block_put(void *p, size_t size)
     spare_size[low] = size;
 }
 
-/* Free every spare of more than size bytes. */
+/* Free the largest spare until none holds more than size bytes and all
+   together at most SPARE_BYTES. */
 static void block_trim(size_t size)
 {
-    int i;
+    size_t total;
+    int i, big;
 
-    for (i = 0; i < SPARES; i++)
-        if (spare_size[i] > size) {
-            free(spare[i]);
-            spare_size[i] = 0;
+    for (;;) {
+        for (total = 0, big = i = 0; i < SPARES; i++) {
+            total += spare_size[i];
+            if (spare_size[i] > spare_size[big])
+                big = i;
         }
+        if (spare_size[big] <= size && total <= SPARE_BYTES)
+            return;
+        free(spare[big]);
+        spare_size[big] = 0;
+    }
 }
 
 /* ====================================================================== */
@@ -624,14 +622,14 @@ static void ctx_map(Ctx *c, const int *qleaf)
    being text[off[j]:off[j + 1]], and id k of a chunk is written as piece
    (k % 3) n + id.  The offsets are checked when the sink is made and
    cannot change while it holds their buffer, and a str cannot change, so
-   a chunk's ids are all that is left to check. */
+   a chunk's ids are all that is left to check.  Every chunk is written
+   alike; a first chunk framed otherwise is the business of write. */
 typedef struct {
     PyObject_HEAD
     PyObject *text, *write;
-    PyObject *first;        /* NULL once the first chunk is written */
     Py_buffer offsets;      /* array('q'), held for the sink's life */
     const long long *off;
-    Py_ssize_t n, skip;     /* pieces per table, len(sep) */
+    Py_ssize_t n;           /* pieces per table */
     int kind, ascii;        /* of text */
 } LineSink;
 
@@ -682,17 +680,16 @@ static inline void copy_lines(char *at, const char *end, const LineSink *s,
 
 /* The text of the nid ids at id, each checked against the tables when
    check is set (a run's ids are taxa of its universe, so a run sets it
-   only when the tables do not cover that), with the first chunk's
-   leading sep traded for first.  A chunk whose ids times the length of
-   text, which bounds each piece, could pass the largest str raises
-   MemoryError.  No Python code runs before the last copy, so the ids
-   cannot change meanwhile. */
+   only when the tables do not cover that).  A chunk whose ids times the
+   length of text, which bounds each piece, could pass the largest str
+   raises MemoryError.  No Python code runs before the last copy, so the
+   ids cannot change meanwhile. */
 static PyObject *sink_text(const LineSink *s, const int *id, Py_ssize_t nid,
                            int check)
 {
     const long long *t0 = s->off, *t1 = t0 + s->n, *t2 = t1 + s->n;
     Py_ssize_t k, len = 0, size = PyUnicode_GET_LENGTH(s->text);
-    PyObject *text, *rest, *out;
+    PyObject *text;
     char *buf;
 
     if (size && nid > (PY_SSIZE_T_MAX - 16) / s->kind / size)
@@ -735,19 +732,10 @@ static PyObject *sink_text(const LineSink *s, const int *id, Py_ssize_t nid,
         text = PyUnicode_FromKindAndData(s->kind, buf, len);
         free(buf);
     }
-    if (text == NULL || s->first == NULL)
-        return text;
-    rest = PyUnicode_Substring(text, s->skip, len);
-    Py_DECREF(text);
-    if (rest == NULL)
-        return NULL;
-    out = PyUnicode_Concat(s->first, rest);
-    Py_DECREF(rest);
-    return out;
+    return text;
 }
 
-/* Write the text of a chunk; the first chunk is done once a write of it
-   returns. */
+/* Write the text of a chunk, which NULL means failed to build. */
 static int sink_write(LineSink *s, PyObject *text)
 {
     PyObject *res;
@@ -759,12 +747,11 @@ static int sink_write(LineSink *s, PyObject *text)
     if (res == NULL)
         return -1;
     Py_DECREF(res);
-    Py_CLEAR(s->first);
     return 0;
 }
 
 PyDoc_STRVAR(sink_doc,
-"LineSink(text, offsets, write, first='', sep='')\n"
+"LineSink(text, offsets, write)\n"
 "--\n"
 "\n"
 "A sink that writes each chunk of flat taxon ids as the text of its\n"
@@ -772,8 +759,7 @@ PyDoc_STRVAR(sink_doc,
 "\n"
 "``text`` holds 3n pieces one after another, piece j being\n"
 "``text[offsets[j]:offsets[j + 1]]``, and id k of a chunk is written as\n"
-"piece ``(k % 3) * n + ids[k]``; the first chunk then trades its first\n"
-"``len(sep)`` characters for ``first``.  ``offsets`` is an array('q') of\n"
+"piece ``(k % 3) * n + ids[k]``.  ``offsets`` is an array('q') of\n"
 "3n + 1 entries that never decrease and stay inside ``text``, checked\n"
 "here: another type raises TypeError, and another length or value\n"
 "ValueError.  The sink holds its buffer, so it cannot be resized.\n"
@@ -786,19 +772,18 @@ PyDoc_STRVAR(sink_doc,
 static PyObject *sink_new(PyTypeObject *type, PyObject *args,
                           PyObject *kwargs)
 {
-    static char *kwlist[] = {"text", "offsets", "write", "first", "sep",
-                             NULL};
-    PyObject *text, *offsets, *write, *first = NULL, *sep = NULL;
+    static char *kwlist[] = {"text", "offsets", "write", NULL};
+    PyObject *text, *offsets, *write;
     Py_buffer view;
     const long long *off;
     Py_ssize_t count, size, j;
     LineSink *s;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "UOO|UU:LineSink", kwlist,
-                                     &text, &offsets, &write, &first, &sep))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "UOO:LineSink", kwlist,
+                                     &text, &offsets, &write))
         return NULL;
 #if PY_VERSION_HEX < 0x030C0000
-    if (PyUnicode_READY(text) < 0 || (first && PyUnicode_READY(first) < 0))
+    if (PyUnicode_READY(text) < 0)
         return NULL;
 #endif
     if (!PyCallable_Check(write)) {
@@ -826,17 +811,11 @@ static PyObject *sink_new(PyTypeObject *type, PyObject *args,
         goto fail;
     s->text = Py_NewRef(text);
     s->write = Py_NewRef(write);
-    s->first = first ? Py_NewRef(first) : PyUnicode_FromString("");
     s->offsets = view;
     s->off = off;
     s->n = count / 3;
-    s->skip = sep ? PyUnicode_GET_LENGTH(sep) : 0;
     s->kind = PyUnicode_KIND(text);
     s->ascii = PyUnicode_IS_ASCII(text);
-    if (s->first == NULL) {
-        Py_DECREF(s);
-        return NULL;
-    }
     return (PyObject *)s;
 fail:
     PyBuffer_Release(&view);
@@ -860,8 +839,8 @@ static PyObject *sink_call(LineSink *s, PyObject *args, PyObject *kwargs)
     Py_RETURN_NONE;
 }
 
-/* write is any callable, which may hold the sink; text and first are
-   str, and offsets an array of numbers, so they hold no object. */
+/* write is any callable, which may hold the sink; text is a str, and
+   offsets an array of numbers, so they hold no object. */
 static int sink_traverse(LineSink *s, visitproc visit, void *arg)
 {
     Py_VISIT(s->write);
@@ -875,7 +854,6 @@ static void sink_dealloc(LineSink *s)
         PyBuffer_Release(&s->offsets);
     Py_XDECREF(s->text);
     Py_XDECREF(s->write);
-    Py_XDECREF(s->first);
     Py_TYPE(s)->tp_free((PyObject *)s);
 }
 
@@ -916,6 +894,7 @@ typedef struct {
     Frame *fs;
     int nfs;
     /* universe-sized taxon -> current leaf scratch */
+    int universe;
     int *pleaf, *qleaf;
     /* partition buffers, each of size u */
     int *part[8];
@@ -970,6 +949,7 @@ static int run_init(Run *run, int universe, int m)
         return -1;
     run_layout(run, u, w, (int *)(run->dr + m));
     run->fs = (Frame *)((int *)(run->dr + m) + ints);
+    run->universe = universe;
     memset(run->pleaf, -1, u * sizeof(int));
     memset(run->qleaf, -1, u * sizeof(int));
     return 0;
@@ -981,6 +961,7 @@ static void run_free(Run *run)
         ctx_release(run->fs[--run->nfs].ctx);
     if (run->dr != NULL)
         block_put(run->dr, run->size);
+    block_trim(SIZE_MAX);
 }
 
 /* Hand the buffered triples to the sink: a LineSink reads them in place,
@@ -1236,12 +1217,14 @@ static long long run_frame(Run *run, Ctx *ctx, int rp, int rq)
         child = ctx_new(2 * nz - 1, 2 * nz - 1);
         if (child == NULL)
             return -1;
-        side_from_leaflist(&child->p, P, bufs[SPEC_Z[i]], nz, &run->sw);
-        side_from_leaflist(&child->q, Q, bufs[SPEC_ZQ[i]], nz, &run->sw);
-        write_scratch(&child->p, run->pleaf);
-        write_scratch(&child->q, run->qleaf);
-        ctx_map(child, run->qleaf);
+        /* run_free releases it on error */
         push_frame(run, child, child->p.m - 1, child->q.m - 1);
+        if (side_induced(&child->p, P, bufs[SPEC_Z[i]], nz, &run->sw,
+                         run->pleaf, run->universe) < 0
+            || side_induced(&child->q, Q, bufs[SPEC_ZQ[i]], nz, &run->sw,
+                            run->qleaf, run->universe) < 0)
+            return -1;
+        ctx_map(child, run->qleaf);
         /* the sweeps, both finalizes, both LCA builds and the map */
         if (count_add(&run->work, 2LL * nz + 2LL * (child->p.m + child->q.m)
                                   + child->p.m, 1) < 0)

@@ -110,25 +110,29 @@ def _chunk_writer(write, mid, end, first="", sep=""):
 
     Each chunk, an ``array('i')``, is one ``write`` of one string, joined
     over three tables that are built here only: ``sep + mid`` for the
-    first id of each triple, ``mid`` and ``end``.  The first chunk then
-    trades its leading ``sep`` for ``first``.  Whenever the compiled
-    module is loaded, whatever the kernel, the sink is a
-    ``_fast.LineSink`` over the tables packed once by ``_pack``, which the
-    compiled kernel hands its buffer of ids without making an array;
-    without the module, ``_join`` reads the tables as lists."""
+    first id of each triple, ``mid`` and ``end``.  With ``first`` or
+    ``sep``, ``write`` is wrapped so that the first chunk trades its
+    leading ``sep`` for ``first``, and is done once a write of it
+    returns.  Whenever the compiled module is loaded, whatever the
+    kernel, the sink is a ``_fast.LineSink`` over the tables packed once
+    by ``_pack``, which the compiled kernel hands its buffer of ids
+    without making an array; without the module, ``_join`` reads the
+    tables as lists."""
     lead = [sep + label for label in mid]
+    if first or sep:
+        out = write
+
+        def write(text):
+            nonlocal first
+            if first is None:
+                out(text)
+            else:
+                out(first + text[len(sep):])
+                first = None
+
     if _fast is not None:
-        return _fast.LineSink(*_pack(lead, mid, end), write, first, sep)
-
-    def sink(ids):
-        nonlocal first
-        if first is None:
-            write(_join(ids, lead, mid, end))
-        else:
-            write(first + _join(ids, lead, mid, end)[len(sep):])
-            first = None
-
-    return sink
+        return _fast.LineSink(*_pack(lead, mid, end), write)
+    return lambda ids: write(_join(ids, lead, mid, end))
 
 
 def _sort_triples(flat, n, sink):

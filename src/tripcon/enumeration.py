@@ -287,11 +287,11 @@ def enumerate_conflicts(p, q, *, backend=None, collect=False, sink=None):
     larger than their own disjoint leaf sets.  Streaming to a sink adds
     one chunk, O(n + chunk) in all, with either kernel; collected output
     adds the d triples, held in full.  Between calls the compiled kernel
-    keeps up to 16 released blocks (a run's scratch or a context), none
-    larger than the last run's largest, which the next run reuses, so
-    that a repeated count touches no fresh page; a run first frees those
-    larger than its own scratch, so a small call after a big one gives
-    the big one's memory back.  Either kernel raises
+    keeps up to 16 released blocks (a run's scratch or a context), which
+    the next run reuses, so that a repeated count touches no fresh page;
+    a run first frees those larger than its own scratch, and as it ends
+    frees the largest until they hold at most 8 MiB, so a big call gives
+    back the rest of its memory when it ends.  Either kernel raises
     OverflowError, with one message, when d or ``nodes_touched`` would
     pass 2^63 - 1.
     """

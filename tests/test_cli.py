@@ -342,6 +342,12 @@ def test_line_sink_checks_its_tables_when_built():
         sink(text.encode(), offsets, written.append)
     with pytest.raises(TypeError):
         sink(text, offsets, None)
+    # the first chunk's framing is the chunk writer's, not the sink's
+    for extra in (("[",), ("[", ", ")):
+        with pytest.raises(TypeError):
+            sink(text, offsets, written.append, *extra)
+    with pytest.raises(TypeError):
+        sink(text, offsets, written.append, first="[")
     # 3n + 1 offsets, n the table length
     for bad in (offsets[:-1], offsets[:-2], offsets + array("q", [7]),
                 array("q")):

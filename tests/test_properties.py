@@ -1,6 +1,9 @@
 """Hypothesis properties of both kernels on pairs of at most 40 taxa:
 relabelling invariance, a count equal to the listing's length, and
-restriction to a taxon subset."""
+restriction to a taxon subset; and of the two chunk joins of
+``tripcon.cli`` on drawn label tables."""
+
+from array import array
 
 import pytest
 
@@ -11,6 +14,7 @@ from tripcon import (
     count_conflicts,
     enumerate_conflicts,
 )
+from tripcon import cli
 from tripcon.generator import SHAPES, GeneratorConfig, generate_pair
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -96,5 +100,51 @@ def test_restriction_keeps_the_conflicts_inside_the_subset(backend):
                   if keep.issuperset(triple)]
         assert (_named(_listed(p_s, q_s, backend), sub_taxa)
                 == _named(inside, p.taxa))
+
+    check()
+
+
+# The characters of each str kind, and of all of them mixed.
+KINDS = {"ascii": st.characters(max_codepoint=0x7F),
+         "latin1": st.characters(min_codepoint=0x80, max_codepoint=0xFF),
+         "bmp": st.characters(min_codepoint=0x100, max_codepoint=0xFFFF),
+         "astral": st.characters(min_codepoint=0x10000)}
+KINDS["mixed"] = st.one_of(*KINDS.values())
+
+
+@st.composite
+def chunk_joins(draw):
+    """Three label tables of n labels, all of one drawn kind, and a chunk
+    of ids of any length below them, so its last triple may be partial."""
+    chars = KINDS[draw(st.sampled_from(sorted(KINDS)))]
+    n = draw(st.integers(1, 12))
+    tables = [draw(st.lists(st.text(chars, max_size=24), min_size=n,
+                            max_size=n)) for _ in range(3)]
+    ids = draw(st.lists(st.integers(0, n - 1), max_size=40))
+    return ids, tables
+
+
+@pytest.mark.skipif(cli._fast is None, reason="compiled module not built")
+def test_a_line_sink_writes_what_the_python_join_writes():
+    @hypothesis.settings(SETTINGS, max_examples=300)
+    @hypothesis.given(case=chunk_joins(), data=st.data())
+    def check(case, data):
+        ids, tables = case
+        written = []
+        sink = cli._fast.LineSink(*cli._pack(*tables), written.append)
+        want = cli._join(array("i", ids), *tables)
+        sink(array("i", ids))
+        assert written == [want]
+        assert written[0].isascii() == want.isascii()
+        if not ids:
+            return
+        # one id outside its table, at any position
+        at = data.draw(st.integers(0, len(ids) - 1))
+        n = len(tables[0])
+        ids[at] = data.draw(st.one_of(st.integers(-2**31, -1),
+                                      st.integers(n, 2**31 - 1)))
+        for join in (sink, lambda chunk: cli._join(chunk, *tables)):
+            with pytest.raises(IndexError):
+                join(array("i", ids))
 
     check()
